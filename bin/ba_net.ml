@@ -267,26 +267,8 @@ let run_soak ~rounds ~mix ~messages ~payload_size ~loss ~ack_loss ~delay ~capaci
       match crash_plan with
       | None -> ()
       | Some plan ->
-          if Array.length flows > 0 && Ba_proto.Flow.crash_tolerant flows.(0) then begin
-            let target = flows.(0) in
-            List.iter
-              (fun (ev : Ba_proto.Crash_plan.event) ->
-                let crash, restart =
-                  match ev.Ba_proto.Crash_plan.endpoint with
-                  | Ba_proto.Crash_plan.Sender_end ->
-                      (Ba_proto.Flow.crash_sender, Ba_proto.Flow.restart_sender)
-                  | Ba_proto.Crash_plan.Receiver_end ->
-                      (Ba_proto.Flow.crash_receiver, Ba_proto.Flow.restart_receiver)
-                in
-                ignore
-                  (Ba_sim.Engine.schedule_at engine ~at:ev.Ba_proto.Crash_plan.at (fun () ->
-                       crash target));
-                ignore
-                  (Ba_sim.Engine.schedule_at engine
-                     ~at:(ev.Ba_proto.Crash_plan.at + ev.Ba_proto.Crash_plan.down_for)
-                     (fun () -> restart target)))
-              plan
-          end
+          if Array.length flows > 0 && Ba_proto.Flow.crash_tolerant flows.(0) then
+            Ba_proto.Flow.schedule_crashes engine flows.(0) plan
     in
     Fabric.run ~seed:rseed ~data_loss:loss ~ack_loss ~data_delay:delay ~ack_delay:delay
       ?data_bottleneck:bottleneck ?data_plan ?ack_plan ~memory_budget:budget ~watchdog ~on_flows

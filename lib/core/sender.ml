@@ -1,243 +1,19 @@
-(* Window bookkeeping lives in flat window-sized arrays indexed by
-   [seq mod window] (valid exactly for [na, ns), distinct mod window),
-   replacing the old [Ring_buffer]s whose every [set] allocated a box. *)
+(* Action 2: one timer, restarted by every data transmission, so
+   "expired" means no data was sent for a full [rto]; its expiry resends
+   the oldest outstanding message. *)
+module Timer = struct
+  type t = Ba_sim.Timer.t
 
-type t = {
-  config : Config.t;
-  codec : Seqcodec.t;
-  tx : Ba_proto.Wire.data -> unit;
-  source : Ba_proto.Source.t;
-  payloads : string array;  (* payloads of [na, ns), at [seq mod window] *)
-  acked_seq : int array;  (* out-of-order acked members of [na, ns); -1 = not acked *)
-  timer : Ba_sim.Timer.t;
-  sync_timer : Ba_sim.Timer.t;  (* REQ retry while awaiting the receiver's POS *)
-  guard : Window_guard.t;
-  mutable na : int;
-  mutable ns : int;
-  mutable alive : bool;
-  mutable epoch : int;  (* incarnation; stable storage *)
-  mutable syncing : bool;  (* restarted; REQ sent, POS pending *)
-  mutable retransmissions : int;
-  mutable stale_epoch_dropped : int;
-  mutable resync_rounds : int;  (* handshake frames sent (REQ + FIN) *)
-  mutable restarts : int;
-  mutable wclamp : int option;
-      (* externally imposed window clamp (fabric backpressure); survives
-         crash–restart because the pressure is outside this endpoint *)
-}
+  let create engine config ~expire =
+    Ba_sim.Timer.create engine ~duration:config.Config.rto (fun () -> expire 0)
 
-let slot_of t seq = seq mod t.config.Config.window
+  let window _ w = w
+  let arm t ~slot:_ ~seq:_ ~fresh:_ = Ba_sim.Timer.start t
+  let due _ _ ~na = na
+  let resend _ ~slot:_ ~oldest:_ = ()
+  let acked _ ~slot:_ ~seq:_ = ()
+  let slid t ~outstanding ~advanced:_ = if outstanding = 0 then Ba_sim.Timer.stop t
+  let wipe = Ba_sim.Timer.stop
+end
 
-let is_acked t seq = t.acked_seq.(slot_of t seq) = seq
-
-(* Transmitting any data message restarts the single timer: the paper's
-   simple timeout measures silence since the last data send. *)
-let transmit t seq =
-  if seq < t.na || seq >= t.ns then invalid_arg "Sender.transmit: no buffered payload";
-  t.tx
-    (Ba_proto.Wire.make_data_e ~epoch:t.epoch ~seq:(Seqcodec.encode t.codec seq)
-       ~payload:t.payloads.(slot_of t seq));
-  Ba_sim.Timer.start t.timer
-
-let outstanding t = t.ns - t.na
-
-let effective_window t =
-  let w = t.config.Config.window in
-  let w = match t.config.Config.tx_budget with Some b -> min w b | None -> w in
-  match t.wclamp with Some c -> min w c | None -> w
-
-let rec pump t =
-  if t.alive && (not t.syncing) && outstanding t < effective_window t then begin
-    if t.ns >= Window_guard.frontier t.guard then
-      (* A retransmitted copy may still be in flight; sending past its
-         decode window would risk mis-reconstruction at the receiver. *)
-      Window_guard.when_blocked t.guard (fun () -> pump t)
-    else begin
-      match Ba_proto.Source.next t.source with
-      | None -> ()
-      | Some payload ->
-          let seq = t.ns in
-          let i = slot_of t seq in
-          t.payloads.(i) <- payload;
-          t.acked_seq.(i) <- -1;
-          t.ns <- t.ns + 1;
-          transmit t seq;
-          pump t
-    end
-  end
-
-let is_done t =
-  t.alive && (not t.syncing) && outstanding t = 0 && Ba_proto.Source.exhausted t.source
-
-(* Action 2: resend the oldest outstanding message. *)
-let on_timeout t =
-  if t.alive && (not t.syncing) && outstanding t > 0 then begin
-    t.retransmissions <- t.retransmissions + 1;
-    (* With unbounded wire numbers decode is exact and no hold is needed. *)
-    if t.config.Config.wire_modulus <> None then
-      Window_guard.note_retransmission t.guard ~seq:t.na ~window:t.config.Config.window
-        ~hold_for:(Config.hold_duration t.config);
-    transmit t t.na
-  end
-
-let send_req t =
-  t.resync_rounds <- t.resync_rounds + 1;
-  t.tx (Ba_proto.Wire.make_sync_req ~epoch:t.epoch);
-  Ba_sim.Timer.start t.sync_timer
-
-let send_fin t =
-  t.resync_rounds <- t.resync_rounds + 1;
-  t.tx (Ba_proto.Wire.make_sync_fin ~epoch:t.epoch)
-
-let create engine config ~tx ~next_payload =
-  Config.validate config;
-  let source = Ba_proto.Source.create next_payload in
-  let codec = Seqcodec.create ~window:config.Config.window ~wire_modulus:config.Config.wire_modulus in
-  let rec t =
-    lazy
-      {
-        config;
-        codec;
-        tx;
-        source;
-        payloads = Array.make config.Config.window "";
-        acked_seq = Array.make config.Config.window (-1);
-        timer = Ba_sim.Timer.create engine ~duration:config.Config.rto (fun () -> on_timeout (Lazy.force t));
-        sync_timer =
-          Ba_sim.Timer.create engine ~duration:config.Config.rto (fun () ->
-              let t = Lazy.force t in
-              if t.alive && t.syncing then send_req t);
-        guard = Window_guard.create engine;
-        na = 0;
-        ns = 0;
-        alive = true;
-        epoch = 0;
-        syncing = false;
-        retransmissions = 0;
-        stale_epoch_dropped = 0;
-        resync_rounds = 0;
-        restarts = 0;
-        wclamp = None;
-      }
-  in
-  Lazy.force t
-
-(* Crash wipes everything volatile; only the epoch (and the replayable
-   application outbox inside {!Ba_proto.Source}) is durable. *)
-let wipe_volatile t =
-  Ba_sim.Timer.stop t.timer;
-  Ba_sim.Timer.stop t.sync_timer;
-  Array.fill t.payloads 0 (Array.length t.payloads) "";
-  Array.fill t.acked_seq 0 (Array.length t.acked_seq) (-1);
-  Window_guard.clear t.guard;
-  t.na <- 0;
-  t.ns <- 0
-
-let crash t =
-  if t.alive then begin
-    t.alive <- false;
-    t.syncing <- false;
-    wipe_volatile t
-  end
-
-let resync_to t pos =
-  Ba_proto.Source.rewind t.source ~to_:pos;
-  t.na <- pos;
-  t.ns <- pos;
-  t.syncing <- false;
-  Ba_sim.Timer.stop t.sync_timer
-
-let restart t =
-  if not t.alive then begin
-    t.alive <- true;
-    t.restarts <- t.restarts + 1;
-    if t.config.Config.resync_epochs then begin
-      t.epoch <- t.epoch + 1;
-      t.syncing <- true;
-      send_req t
-    end
-    else begin
-      Ba_proto.Source.rewind t.source ~to_:0;
-      pump t
-    end
-  end
-
-(* Action 1: mark every covered sequence number that is still
-   outstanding, then slide na over the acknowledged prefix. Stale
-   duplicates (covering already-acknowledged messages) decode outside
-   [na, ns) and are ignored; a corrupted acknowledgment is ignored
-   entirely — acting on a mangled range could acknowledge data the
-   receiver never accepted. Epoch handling mirrors {!Sender_multi}. *)
-let on_ack t a =
-  if not t.alive then ()
-  else if not (Ba_proto.Wire.ack_ok a) then ()
-  else begin
-    let epochs = t.config.Config.resync_epochs in
-    if epochs && a.Ba_proto.Wire.epoch < t.epoch then
-      t.stale_epoch_dropped <- t.stale_epoch_dropped + 1
-    else if epochs && a.Ba_proto.Wire.epoch > t.epoch then begin
-      match a.Ba_proto.Wire.akind with
-      | Ba_proto.Wire.Sync_pos ->
-          t.epoch <- a.Ba_proto.Wire.epoch;
-          t.syncing <- false;
-          wipe_volatile t;
-          resync_to t a.Ba_proto.Wire.lo;
-          send_fin t;
-          pump t
-      | Ba_proto.Wire.Ack -> t.stale_epoch_dropped <- t.stale_epoch_dropped + 1
-    end
-    else begin
-      match a.Ba_proto.Wire.akind with
-      | Ba_proto.Wire.Sync_pos ->
-          if t.syncing then begin
-            resync_to t a.Ba_proto.Wire.lo;
-            send_fin t;
-            pump t
-          end
-          else send_fin t
-      | Ba_proto.Wire.Ack ->
-          if not t.syncing then begin
-            let lo = a.Ba_proto.Wire.lo in
-            let hi = a.Ba_proto.Wire.hi in
-            let count = Seqcodec.span t.codec ~lo ~hi in
-            for k = 0 to count - 1 do
-              let wire = Seqcodec.shift t.codec lo k in
-              let seq = Seqcodec.decode_ack t.codec ~na:t.na wire in
-              if seq >= t.na && seq < t.ns then t.acked_seq.(slot_of t seq) <- seq
-            done;
-            while is_acked t t.na do
-              let i = slot_of t t.na in
-              t.acked_seq.(i) <- -1;
-              t.payloads.(i) <- "";
-              t.na <- t.na + 1
-            done;
-            if outstanding t = 0 then Ba_sim.Timer.stop t.timer;
-            pump t
-          end
-    end
-  end
-
-let na t = t.na
-let ns t = t.ns
-let retransmissions t = t.retransmissions
-let acked_total t = t.na
-
-let clamp_window t n =
-  if n < 1 then invalid_arg "Sender.clamp_window: clamp must be >= 1";
-  t.wclamp <- (if n >= t.config.Config.window then None else Some n)
-
-let window_clamp t = t.wclamp
-
-let buffered_bytes t =
-  let n = ref 0 in
-  for seq = t.na to t.ns - 1 do
-    n := !n + String.length t.payloads.(slot_of t seq)
-  done;
-  !n
-
-let alive t = t.alive
-let epoch t = t.epoch
-let syncing t = t.syncing
-let stale_epoch_dropped t = t.stale_epoch_dropped
-let resync_rounds t = t.resync_rounds
-let restarts t = t.restarts
+include Sender_core.Make (Timer)

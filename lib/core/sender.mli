@@ -10,78 +10,8 @@
     paper's timeout soundness condition.
 
     Sequence numbers are full-width internally; the wire carries them
-    through {!Seqcodec} (modulo [2w] when the config sets a modulus). *)
+    through {!Seqcodec} (modulo [2w] when the config sets a modulus).
+    Everything but the timer is {!Sender_core}, shared with
+    {!Sender_multi}. *)
 
-type t
-
-val create :
-  Ba_sim.Engine.t ->
-  Config.t ->
-  tx:(Ba_proto.Wire.data -> unit) ->
-  next_payload:(unit -> string option) ->
-  t
-
-val pump : t -> unit
-(** Pull payloads from [next_payload] while the window has room, sending
-    each immediately. Called automatically after window-opening acks;
-    call it once after setup, and again if the supplier gains new data. *)
-
-val on_ack : t -> Ba_proto.Wire.ack -> unit
-(** Process a (possibly stale or duplicate) block acknowledgment. *)
-
-val na : t -> int
-(** Lowest unacknowledged sequence number. *)
-
-val ns : t -> int
-(** Next fresh sequence number. *)
-
-val outstanding : t -> int
-(** [ns - na], between 0 and the window size. *)
-
-val is_done : t -> bool
-(** Supplier exhausted and nothing outstanding. *)
-
-val retransmissions : t -> int
-
-val acked_total : t -> int
-(** Messages acknowledged so far (= [na]). *)
-
-val clamp_window : t -> int -> unit
-(** Cap the effective window (fabric backpressure); [n >= window]
-    removes the clamp, [n < 1] raises. Composes with [tx_budget] —
-    the minimum wins — and survives crash–restart. *)
-
-val window_clamp : t -> int option
-(** The clamp currently in force, if any. *)
-
-val buffered_bytes : t -> int
-(** Total payload bytes in the retransmit buffer (memory accounting). *)
-
-(** {2 Crash–restart lifecycle}
-
-    [crash] wipes the volatile state — window buffers, [na]/[ns], all
-    timers, retransmission-frontier holds. Stable storage keeps the
-    incarnation epoch (with [resync_epochs]) and the application outbox
-    ({!Ba_proto.Source} can replay any issued payload). While down,
-    frames are ignored and [pump] is a no-op.
-
-    [restart] with [resync_epochs]: bump the epoch and run the REQ → POS
-    → FIN handshake; on POS the sender aligns [na = ns = pos], rewinds
-    the outbox there and resumes. Without it (negative control), resume
-    blind from position 0 with the old epoch. *)
-
-val crash : t -> unit
-val restart : t -> unit
-val alive : t -> bool
-val epoch : t -> int
-
-val syncing : t -> bool
-(** Restarted and still awaiting the receiver's POS. *)
-
-val stale_epoch_dropped : t -> int
-(** Acknowledgments rejected for carrying a dead incarnation's epoch. *)
-
-val resync_rounds : t -> int
-(** Handshake frames (REQ + FIN) sent, including retries. *)
-
-val restarts : t -> int
+include Sender_core.S

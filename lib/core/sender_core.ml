@@ -1,0 +1,408 @@
+(* The block-acknowledgment sender, written once. The paper derives its
+   Section IV sender from the Section II one by swapping a single
+   action: action 2 (one timer; its expiry resends [na]) becomes action
+   2′ (one timer per outstanding message). Everything else — the window,
+   the epoch and its REQ/POS/FIN resync handshake, crash and restart, the
+   window clamp and the counters — lives here, and a {!TIMERS} policy
+   supplies the timer half.
+
+   Window bookkeeping lives in flat window-sized arrays indexed by
+   [seq mod window], valid exactly for the outstanding range [na, ns),
+   whose members are distinct mod window. *)
+
+(** What a timeout action decides. Hooks receive window slots
+    ([seq mod window]) and sequence numbers, never the sender itself. *)
+module type TIMERS = sig
+  type t
+
+  val create : Ba_sim.Engine.t -> Config.t -> expire:(int -> unit) -> t
+  (** A firing timer calls [expire k] with an integer of the policy's
+      choosing, which {!due} maps back to a message. *)
+
+  val window : t -> int -> int
+  (** Narrow the effective window further (a congestion window); the
+      identity for a policy without one. *)
+
+  val arm : t -> slot:int -> seq:int -> fresh:bool -> unit
+  (** [seq], held in window slot [slot], was just transmitted — for the
+      first time when [fresh]. *)
+
+  val due : t -> int -> na:int -> int
+  (** The sequence number expiry [k] resends. The core resends it only
+      while it is outstanding and unacknowledged. *)
+
+  val resend : t -> slot:int -> oldest:bool -> unit
+  (** An expiry is about to resend the message in [slot]; [oldest] when
+      that message is [na]. *)
+
+  val acked : t -> slot:int -> seq:int -> unit
+  (** [seq] was newly acknowledged. *)
+
+  val slid : t -> outstanding:int -> advanced:int -> unit
+  (** An acknowledgment moved [na] forward by [advanced] (possibly 0),
+      leaving [outstanding] messages. *)
+
+  val wipe : t -> unit
+  (** Crash: forget every armed timer and every learned estimate. *)
+end
+
+(** The sender operations shared by every timer policy. *)
+module type S = sig
+  type t
+
+  val create :
+    Ba_sim.Engine.t ->
+    Config.t ->
+    tx:(Ba_proto.Wire.data -> unit) ->
+    next_payload:(unit -> string option) ->
+    t
+
+  val pump : t -> unit
+  (** Pull payloads from [next_payload] while the window has room, sending
+      each immediately. Called automatically after window-opening acks;
+      call it once after setup, and again if the supplier gains new data. *)
+
+  val on_ack : t -> Ba_proto.Wire.ack -> unit
+  (** Process a (possibly stale, duplicate or corrupted) block
+      acknowledgment. *)
+
+  val na : t -> int
+  (** Lowest unacknowledged sequence number. *)
+
+  val ns : t -> int
+  (** Next fresh sequence number. *)
+
+  val outstanding : t -> int
+  (** [ns - na], between 0 and the window size. *)
+
+  val is_done : t -> bool
+  (** Supplier exhausted and nothing outstanding. *)
+
+  val retransmissions : t -> int
+
+  val corrupt_acks_dropped : t -> int
+  (** Acknowledgments discarded because their checksum failed
+      ({!Ba_proto.Wire.ack_ok}); acting on a mangled block range could
+      acknowledge data the receiver never accepted. *)
+
+  val acked_total : t -> int
+  (** Messages acknowledged so far (= [na]). *)
+
+  val clamp_window : t -> int -> unit
+  (** [clamp_window t n] caps the effective window at [n] messages — the
+      fabric's backpressure path. [n >= window] removes the clamp; [n < 1]
+      raises. The clamp composes with [tx_budget] and any congestion
+      window (the minimum wins) and survives crash–restart, since the
+      pressure it reflects is external to this endpoint. *)
+
+  val window_clamp : t -> int option
+  (** The clamp currently in force, if any. *)
+
+  val buffered_bytes : t -> int
+  (** Total payload bytes in the retransmit buffer (memory accounting). *)
+
+  (** {2 Crash–restart lifecycle}
+
+      [crash] wipes the volatile state — window buffers, [na]/[ns], all
+      timers and estimates, retransmission-frontier holds. Stable storage
+      keeps the incarnation epoch (with [resync_epochs]) and the
+      application outbox ({!Ba_proto.Source} can replay any issued
+      payload). While down, frames are ignored and [pump] is a no-op.
+
+      [restart] with [resync_epochs]: bump the epoch and run the REQ → POS
+      → FIN handshake; on POS the sender aligns [na = ns = pos], rewinds
+      the outbox there and resumes. Without it (negative control), resume
+      blind from position 0 with the old epoch. *)
+
+  val crash : t -> unit
+  val restart : t -> unit
+  val alive : t -> bool
+  val epoch : t -> int
+
+  val syncing : t -> bool
+  (** Restarted and still awaiting the receiver's POS. *)
+
+  val stale_epoch_dropped : t -> int
+  (** Acknowledgments rejected for carrying a dead incarnation's epoch. *)
+
+  val resync_rounds : t -> int
+  (** Handshake frames (REQ + FIN) sent, including retries. *)
+
+  val restarts : t -> int
+end
+
+module Make (P : TIMERS) : sig
+  include S
+
+  val timers : t -> P.t
+end = struct
+  type t = {
+    config : Config.t;
+    codec : Seqcodec.t;
+    tx : Ba_proto.Wire.data -> unit;
+    source : Ba_proto.Source.t;
+    payloads : string array;  (* payloads of [na, ns), at [seq mod window] *)
+    acked_seq : int array;  (* seq when that seq is acked out of order, -1 otherwise *)
+    timers : P.t;
+    sync_timer : Ba_sim.Timer.t;  (* REQ retry while awaiting the receiver's POS *)
+    guard : Window_guard.t;
+    mutable na : int;
+    mutable ns : int;
+    mutable alive : bool;
+    mutable epoch : int;  (* incarnation; stable storage *)
+    mutable syncing : bool;  (* restarted; REQ sent, POS pending *)
+    mutable retransmissions : int;
+    mutable corrupt_acks_dropped : int;
+    mutable stale_epoch_dropped : int;
+    mutable resync_rounds : int;  (* handshake frames sent (REQ + FIN) *)
+    mutable restarts : int;
+    mutable wclamp : int option;
+        (* externally imposed window clamp (fabric backpressure); survives
+           crash–restart because the pressure is outside this endpoint *)
+  }
+
+  let slot_of t seq = seq mod t.config.Config.window
+  let is_acked t seq = t.acked_seq.(slot_of t seq) = seq
+  let outstanding t = t.ns - t.na
+  let running t = t.alive && not t.syncing
+
+  (* The configured window narrowed by every active pressure signal: the
+     static retransmit-buffer budget, any fabric backpressure clamp, and
+     the policy's congestion window. *)
+  let effective_window t =
+    let w = t.config.Config.window in
+    let w = match t.config.Config.tx_budget with Some b -> min w b | None -> w in
+    let w = match t.wclamp with Some c -> min w c | None -> w in
+    P.window t.timers w
+
+  let transmit t seq ~fresh =
+    let i = slot_of t seq in
+    t.tx
+      (Ba_proto.Wire.make_data_e ~epoch:t.epoch ~seq:(Seqcodec.encode t.codec seq)
+         ~payload:t.payloads.(i));
+    P.arm t.timers ~slot:i ~seq ~fresh
+
+  let rec pump t =
+    if running t && outstanding t < effective_window t then begin
+      if t.ns >= Window_guard.frontier t.guard then
+        (* A retransmitted copy may still be in flight; sending past its
+           decode window would risk mis-reconstruction at the receiver. *)
+        Window_guard.when_blocked t.guard (fun () -> pump t)
+      else begin
+        match Ba_proto.Source.next t.source with
+        | None -> ()
+        | Some payload ->
+            let seq = t.ns in
+            let i = slot_of t seq in
+            t.payloads.(i) <- payload;
+            t.acked_seq.(i) <- -1;
+            t.ns <- t.ns + 1;
+            transmit t seq ~fresh:true;
+            pump t
+      end
+    end
+
+  let is_done t = running t && outstanding t = 0 && Ba_proto.Source.exhausted t.source
+
+  (* Action 2 / 2′: the policy names the message whose timer expired. An
+     expired timer means no copy of it or of a covering acknowledgment
+     survives in either channel, so resend it. *)
+  let on_timeout t k =
+    let seq = P.due t.timers k ~na:t.na in
+    if running t && seq >= t.na && seq < t.ns && not (is_acked t seq) then begin
+      t.retransmissions <- t.retransmissions + 1;
+      P.resend t.timers ~slot:(slot_of t seq) ~oldest:(seq = t.na);
+      (* With unbounded wire numbers decode is exact and no hold is needed. *)
+      if t.config.Config.wire_modulus <> None then
+        Window_guard.note_retransmission t.guard ~seq ~window:t.config.Config.window
+          ~hold_for:(Config.hold_duration t.config);
+      transmit t seq ~fresh:false
+    end
+
+  (* Handshake message 1 (REQ): a restarted sender has no idea how much of
+     its outbox the receiver already delivered; ask. Retried on a timer
+     until POS arrives. *)
+  let send_req t =
+    t.resync_rounds <- t.resync_rounds + 1;
+    t.tx (Ba_proto.Wire.make_sync_req ~epoch:t.epoch);
+    Ba_sim.Timer.start t.sync_timer
+
+  let send_fin t =
+    t.resync_rounds <- t.resync_rounds + 1;
+    t.tx (Ba_proto.Wire.make_sync_fin ~epoch:t.epoch)
+
+  let create engine config ~tx ~next_payload =
+    Config.validate config;
+    let w = config.Config.window in
+    let rec t =
+      lazy
+        {
+          config;
+          codec = Seqcodec.create ~window:w ~wire_modulus:config.Config.wire_modulus;
+          tx;
+          source = Ba_proto.Source.create next_payload;
+          payloads = Array.make w "";
+          acked_seq = Array.make w (-1);
+          timers = P.create engine config ~expire:(fun k -> on_timeout (Lazy.force t) k);
+          sync_timer =
+            Ba_sim.Timer.create engine ~duration:config.Config.rto (fun () ->
+                let t = Lazy.force t in
+                if t.alive && t.syncing then send_req t);
+          guard = Window_guard.create engine;
+          na = 0;
+          ns = 0;
+          alive = true;
+          epoch = 0;
+          syncing = false;
+          retransmissions = 0;
+          corrupt_acks_dropped = 0;
+          stale_epoch_dropped = 0;
+          resync_rounds = 0;
+          restarts = 0;
+          wclamp = None;
+        }
+    in
+    Lazy.force t
+
+  (* Wipe all volatile state. [na]/[ns] are zeroed too (they are
+     meaningless without the buffers); the truth about position lives at
+     the receiver and comes back via POS. Stable storage keeps only the
+     epoch and, implicitly, the application outbox ({!Ba_proto.Source}
+     retains issued payloads for replay). *)
+  let wipe_volatile t =
+    P.wipe t.timers;
+    Ba_sim.Timer.stop t.sync_timer;
+    Array.fill t.payloads 0 (Array.length t.payloads) "";
+    Array.fill t.acked_seq 0 (Array.length t.acked_seq) (-1);
+    Window_guard.clear t.guard;
+    t.na <- 0;
+    t.ns <- 0
+
+  let crash t =
+    if t.alive then begin
+      t.alive <- false;
+      t.syncing <- false;
+      wipe_volatile t
+    end
+
+  (* Adopt the receiver-announced resume position: align [na]/[ns] there
+     and rewind the outbox so [pump] replays from it. *)
+  let resync_to t pos =
+    Ba_proto.Source.rewind t.source ~to_:pos;
+    t.na <- pos;
+    t.ns <- pos;
+    t.syncing <- false;
+    Ba_sim.Timer.stop t.sync_timer
+
+  let restart t =
+    if not t.alive then begin
+      t.alive <- true;
+      t.restarts <- t.restarts + 1;
+      if t.config.Config.resync_epochs then begin
+        t.epoch <- t.epoch + 1;
+        t.syncing <- true;
+        send_req t
+      end
+      else begin
+        (* Negative control: resume blind from zero, replaying the whole
+           outbox against a receiver that may be far ahead. *)
+        Ba_proto.Source.rewind t.source ~to_:0;
+        pump t
+      end
+    end
+
+  (* Action 1: mark every covered sequence number that is still
+     outstanding, then slide na over the acknowledged prefix. Stale
+     duplicates decode outside [na, ns) and are ignored. A corrupted
+     acknowledgment is discarded outright: a mangled block range could
+     cover messages the receiver never accepted, which is a safety
+     violation, not just waste. With epochs on, frames from a dead
+     incarnation are rejected the same way the receiver rejects stale
+     data; a *higher* epoch means the receiver restarted and its POS
+     tells us everything we need. *)
+  let on_ack t a =
+    if not t.alive then ()
+    else if not (Ba_proto.Wire.ack_ok a) then
+      t.corrupt_acks_dropped <- t.corrupt_acks_dropped + 1
+    else begin
+      let epochs = t.config.Config.resync_epochs in
+      if epochs && a.Ba_proto.Wire.epoch < t.epoch then
+        t.stale_epoch_dropped <- t.stale_epoch_dropped + 1
+      else if epochs && a.Ba_proto.Wire.epoch > t.epoch then begin
+        (* Only a restarted receiver mints a higher epoch, and it only
+           sends POS until we confirm — adopt its epoch and position. *)
+        match a.Ba_proto.Wire.akind with
+        | Ba_proto.Wire.Sync_pos ->
+            t.epoch <- a.Ba_proto.Wire.epoch;
+            wipe_volatile t;
+            resync_to t a.Ba_proto.Wire.lo;
+            send_fin t;
+            pump t
+        | Ba_proto.Wire.Ack -> t.stale_epoch_dropped <- t.stale_epoch_dropped + 1
+      end
+      else begin
+        match a.Ba_proto.Wire.akind with
+        | Ba_proto.Wire.Sync_pos ->
+            if t.syncing then begin
+              resync_to t a.Ba_proto.Wire.lo;
+              send_fin t;
+              pump t
+            end
+            else
+              (* Duplicate POS: our FIN was lost and the receiver is still
+                 retrying. Re-confirm; do not move the window. *)
+              send_fin t
+        | Ba_proto.Wire.Ack ->
+            if not t.syncing then begin
+              let lo = a.Ba_proto.Wire.lo in
+              let hi = a.Ba_proto.Wire.hi in
+              let count = Seqcodec.span t.codec ~lo ~hi in
+              for k = 0 to count - 1 do
+                let wire = Seqcodec.shift t.codec lo k in
+                let seq = Seqcodec.decode_ack t.codec ~na:t.na wire in
+                if seq >= t.na && seq < t.ns && not (is_acked t seq) then begin
+                  let i = slot_of t seq in
+                  t.acked_seq.(i) <- seq;
+                  P.acked t.timers ~slot:i ~seq
+                end
+              done;
+              let na_before = t.na in
+              while is_acked t t.na do
+                let i = slot_of t t.na in
+                t.acked_seq.(i) <- -1;
+                t.payloads.(i) <- "";
+                t.na <- t.na + 1
+              done;
+              P.slid t.timers ~outstanding:(outstanding t) ~advanced:(t.na - na_before);
+              pump t
+            end
+      end
+    end
+
+  let na t = t.na
+  let ns t = t.ns
+  let retransmissions t = t.retransmissions
+  let corrupt_acks_dropped t = t.corrupt_acks_dropped
+  let acked_total t = t.na
+
+  let clamp_window t n =
+    if n < 1 then invalid_arg "Sender_core.clamp_window: clamp must be >= 1";
+    t.wclamp <- (if n >= t.config.Config.window then None else Some n)
+
+  let window_clamp t = t.wclamp
+
+  let buffered_bytes t =
+    let n = ref 0 in
+    for seq = t.na to t.ns - 1 do
+      n := !n + String.length t.payloads.(slot_of t seq)
+    done;
+    !n
+
+  let alive t = t.alive
+  let epoch t = t.epoch
+  let syncing t = t.syncing
+  let stale_epoch_dropped t = t.stale_epoch_dropped
+  let resync_rounds t = t.resync_rounds
+  let restarts t = t.restarts
+  let timers t = t.timers
+end

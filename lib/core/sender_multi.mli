@@ -9,31 +9,10 @@
 
     Soundness still requires [rto > 2 * max link delay + ack_coalesce],
     which makes an expired per-message timer imply that no copy of that
-    message or of its acknowledgment is in transit. *)
+    message or of its acknowledgment is in transit. Everything but the
+    timers is {!Sender_core}, shared with {!Sender}. *)
 
-type t
-
-val create :
-  Ba_sim.Engine.t ->
-  Config.t ->
-  tx:(Ba_proto.Wire.data -> unit) ->
-  next_payload:(unit -> string option) ->
-  t
-
-val pump : t -> unit
-val on_ack : t -> Ba_proto.Wire.ack -> unit
-val na : t -> int
-val ns : t -> int
-val outstanding : t -> int
-val is_done : t -> bool
-val retransmissions : t -> int
-
-val corrupt_acks_dropped : t -> int
-(** Acknowledgments discarded because their checksum failed
-    ({!Ba_proto.Wire.ack_ok}); acting on a mangled block range could
-    acknowledge data the receiver never accepted. *)
-
-val acked_total : t -> int
+include Sender_core.S
 
 val rto_now : t -> int
 (** The timeout currently used when arming timers: the configured [rto],
@@ -46,41 +25,3 @@ val srtt : t -> float option
 val cwnd : t -> int
 (** Current AIMD congestion window ([dynamic_window] mode); equals 1 and
     is unused otherwise. *)
-
-val clamp_window : t -> int -> unit
-(** [clamp_window t n] caps the effective window at [n] messages — the
-    fabric's backpressure path. [n >= window] removes the clamp; [n < 1]
-    raises. The clamp composes with [tx_budget] and the AIMD window (the
-    minimum wins) and survives crash–restart, since the pressure it
-    reflects is external to this endpoint. *)
-
-val window_clamp : t -> int option
-(** The clamp currently in force, if any. *)
-
-val buffered_bytes : t -> int
-(** Total payload bytes in the retransmit buffer (memory accounting). *)
-
-(** {2 Crash–restart lifecycle}
-
-    Same model as {!Sender}: [crash] wipes every volatile structure
-    (buffers, per-message timers, the congestion window, the RTT
-    estimator, frontier holds); the epoch and the replayable outbox are
-    stable. [restart] with [resync_epochs] runs REQ → POS → FIN and
-    resumes from the receiver-announced position; without it, replays
-    blind from zero. *)
-
-val crash : t -> unit
-val restart : t -> unit
-val alive : t -> bool
-val epoch : t -> int
-
-val syncing : t -> bool
-(** Restarted and still awaiting the receiver's POS. *)
-
-val stale_epoch_dropped : t -> int
-(** Acknowledgments rejected for carrying a dead incarnation's epoch. *)
-
-val resync_rounds : t -> int
-(** Handshake frames (REQ + FIN) sent, including retries. *)
-
-val restarts : t -> int

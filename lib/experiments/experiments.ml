@@ -1081,23 +1081,7 @@ let s3_churn_soak ?(jobs = 1) ~quick () =
         in
         let on_flows engine (flows : Ba_proto.Flow.t array) =
           if Array.length flows > 0 && Ba_proto.Flow.crash_tolerant flows.(0) then
-            List.iter
-              (fun (ev : Ba_proto.Crash_plan.event) ->
-                let crash, restart =
-                  match ev.Ba_proto.Crash_plan.endpoint with
-                  | Ba_proto.Crash_plan.Sender_end ->
-                      (Ba_proto.Flow.crash_sender, Ba_proto.Flow.restart_sender)
-                  | Ba_proto.Crash_plan.Receiver_end ->
-                      (Ba_proto.Flow.crash_receiver, Ba_proto.Flow.restart_receiver)
-                in
-                ignore
-                  (Ba_sim.Engine.schedule_at engine ~at:ev.Ba_proto.Crash_plan.at (fun () ->
-                       crash flows.(0)));
-                ignore
-                  (Ba_sim.Engine.schedule_at engine
-                     ~at:(ev.Ba_proto.Crash_plan.at + ev.Ba_proto.Crash_plan.down_for)
-                     (fun () -> restart flows.(0))))
-              crash_plan
+            Ba_proto.Flow.schedule_crashes engine flows.(0) crash_plan
         in
         let r =
           Fabric.run ~seed ~data_plan ~ack_plan

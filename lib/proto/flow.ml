@@ -252,6 +252,20 @@ let restart_sender t = t.do_sender_restart ()
 let crash_receiver t = t.do_receiver_crash ()
 let restart_receiver t = t.do_receiver_restart ()
 
+let schedule_crashes engine t plan =
+  List.iter
+    (fun (e : Crash_plan.event) ->
+      let crash, restart =
+        match e.Crash_plan.endpoint with
+        | Crash_plan.Sender_end -> (crash_sender, restart_sender)
+        | Crash_plan.Receiver_end -> (crash_receiver, restart_receiver)
+      in
+      ignore (Ba_sim.Engine.schedule_at engine ~at:e.Crash_plan.at (fun () -> crash t));
+      ignore
+        (Ba_sim.Engine.schedule_at engine ~at:(e.Crash_plan.at + e.Crash_plan.down_for)
+           (fun () -> restart t)))
+    plan
+
 let zero_stats =
   {
     Ba_channel.Link.sent = 0;

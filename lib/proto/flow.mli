@@ -128,6 +128,10 @@ val restart_sender : t -> unit
 val crash_receiver : t -> unit
 val restart_receiver : t -> unit
 
+val schedule_crashes : Ba_sim.Engine.t -> t -> Crash_plan.t -> unit
+(** For each plan event, schedule the crash at its tick and the matching
+    restart [down_for] ticks later, in plan order. *)
+
 val result : t -> ?data_stats:Ba_channel.Link.stats -> ?ack_stats:Ba_channel.Link.stats -> ticks:int -> unit -> result
 (** Snapshot the flow's verdict. [data_stats] / [ack_stats] attribute
     link-level counters (drops, reorderings, injected faults) when the

@@ -78,20 +78,7 @@ let run (module P : Protocol.S) ?(seed = 42) ?(messages = 1000) ?(payload_size =
       ()
   in
   flow := Some f;
-  (* Process faults: each event schedules a crash and, [down_for] ticks
-     later, the matching restart. *)
-  List.iter
-    (fun (e : Crash_plan.event) ->
-      let crash, restart =
-        match e.Crash_plan.endpoint with
-        | Crash_plan.Sender_end -> (Flow.crash_sender, Flow.restart_sender)
-        | Crash_plan.Receiver_end -> (Flow.crash_receiver, Flow.restart_receiver)
-      in
-      ignore (Ba_sim.Engine.schedule_at engine ~at:e.Crash_plan.at (fun () -> crash f));
-      ignore
-        (Ba_sim.Engine.schedule_at engine ~at:(e.Crash_plan.at + e.Crash_plan.down_for)
-           (fun () -> restart f)))
-    crash_plan;
+  Flow.schedule_crashes engine f crash_plan;
   (match on_setup with
   | Some g -> g { engine; data_link; ack_link }
   | None -> ());

@@ -127,23 +127,7 @@ let test_churn_under_storm_stays_safe () =
         { s with Fabric.config = fst (Chaos.apply_squeeze sq s.Fabric.config) })
       specs
   in
-  let on_flows engine (flows : Flow.t array) =
-    List.iter
-      (fun (ev : Ba_proto.Crash_plan.event) ->
-        let crash, restart =
-          match ev.Ba_proto.Crash_plan.endpoint with
-          | Ba_proto.Crash_plan.Sender_end -> (Flow.crash_sender, Flow.restart_sender)
-          | Ba_proto.Crash_plan.Receiver_end -> (Flow.crash_receiver, Flow.restart_receiver)
-        in
-        ignore
-          (Ba_sim.Engine.schedule_at engine ~at:ev.Ba_proto.Crash_plan.at (fun () ->
-               crash flows.(0)));
-        ignore
-          (Ba_sim.Engine.schedule_at engine
-             ~at:(ev.Ba_proto.Crash_plan.at + ev.Ba_proto.Crash_plan.down_for)
-             (fun () -> restart flows.(0))))
-      crash_plan
-  in
+  let on_flows engine (flows : Flow.t array) = Flow.schedule_crashes engine flows.(0) crash_plan in
   let r =
     Fabric.run ~seed ~data_plan ~ack_plan
       ~data_bottleneck:(sq.Chaos.service_time, sq.Chaos.queue_capacity)

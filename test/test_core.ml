@@ -488,18 +488,22 @@ let test_receiver_drops_corrupt_data () =
   check Alcotest.int "clean retransmit delivered" 1 (Queue.length p.delivered);
   check Alcotest.int "and acknowledged" 1 (Queue.length p.sent_acks)
 
-let test_multi_drops_corrupt_ack () =
-  let p = make_pipe () in
-  let s =
-    Blockack.Sender_multi.create p.engine config_w4 ~tx:(fun d -> Queue.add d p.sent_data)
-      ~next_payload:(payloads 4)
+let test_sender_drops_corrupt_ack () =
+  let run name (module S : Blockack.Sender_core.S) =
+    let p = make_pipe () in
+    let s =
+      S.create p.engine config_w4 ~tx:(fun d -> Queue.add d p.sent_data)
+        ~next_payload:(payloads 4)
+    in
+    S.pump s;
+    S.on_ack s (Wire.corrupt_ack (Wire.make_ack ~lo:0 ~hi:3));
+    check Alcotest.int (name ^ ": window not advanced by corrupt ack") 0 (S.na s);
+    check Alcotest.int (name ^ ": drop counted") 1 (S.corrupt_acks_dropped s);
+    S.on_ack s (Wire.make_ack ~lo:0 ~hi:3);
+    check Alcotest.int (name ^ ": clean ack still works") 4 (S.na s)
   in
-  Blockack.Sender_multi.pump s;
-  Blockack.Sender_multi.on_ack s (Wire.corrupt_ack (Wire.make_ack ~lo:0 ~hi:3));
-  check Alcotest.int "window not advanced by corrupt ack" 0 (Blockack.Sender_multi.na s);
-  check Alcotest.int "drop counted" 1 (Blockack.Sender_multi.corrupt_acks_dropped s);
-  Blockack.Sender_multi.on_ack s (Wire.make_ack ~lo:0 ~hi:3);
-  check Alcotest.int "clean ack still works" 4 (Blockack.Sender_multi.na s)
+  run "simple" (module Blockack.Sender);
+  run "multi" (module Blockack.Sender_multi)
 
 (* ------------------------------------------------------------------ *)
 (* Karn's rule in Sender_multi (both halves) *)
@@ -793,7 +797,7 @@ let () =
           Alcotest.test_case "checksum roundtrip" `Quick test_wire_checksum_roundtrip;
           Alcotest.test_case "corruption detected" `Quick test_wire_corruption_detected;
           Alcotest.test_case "receiver drops corrupt data" `Quick test_receiver_drops_corrupt_data;
-          Alcotest.test_case "sender drops corrupt ack" `Quick test_multi_drops_corrupt_ack;
+          Alcotest.test_case "sender drops corrupt ack" `Quick test_sender_drops_corrupt_ack;
         ] );
       ( "karn",
         [

@@ -1,5 +1,5 @@
-(* Unit and property tests for ba_util: rng, heap, modseq, ring buffer,
-   bitset, stats, histogram, table, fqueue. *)
+(* Unit and property tests for ba_util: rng, modseq, ring buffer,
+   bitset, stats, histogram, table, qsketch. *)
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -113,49 +113,6 @@ let test_rng_shuffle_permutation () =
   let sorted = Array.copy a in
   Array.sort compare sorted;
   check (Alcotest.array Alcotest.int) "is a permutation" (Array.init 100 (fun i -> i)) sorted
-
-(* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let test_heap_basic () =
-  let h = Ba_util.Heap.create ~cmp:compare () in
-  check Alcotest.bool "empty" true (Ba_util.Heap.is_empty h);
-  List.iter (Ba_util.Heap.push h) [ 5; 1; 4; 2; 3 ];
-  check Alcotest.int "length" 5 (Ba_util.Heap.length h);
-  check (Alcotest.option Alcotest.int) "peek" (Some 1) (Ba_util.Heap.peek h);
-  let drained = List.init 5 (fun _ -> Option.get (Ba_util.Heap.pop h)) in
-  check (Alcotest.list Alcotest.int) "sorted drain" [ 1; 2; 3; 4; 5 ] drained;
-  check (Alcotest.option Alcotest.int) "pop empty" None (Ba_util.Heap.pop h)
-
-let test_heap_fifo_ties () =
-  (* Equal keys must pop in insertion order — the engine depends on it. *)
-  let h = Ba_util.Heap.create ~cmp:(fun (a, _) (b, _) -> compare a b) () in
-  List.iter (Ba_util.Heap.push h) [ (1, "a"); (0, "x"); (1, "b"); (1, "c") ];
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
-    "ties FIFO"
-    [ (0, "x"); (1, "a"); (1, "b"); (1, "c") ]
-    (Ba_util.Heap.to_sorted_list h)
-
-let test_heap_to_sorted_nondestructive () =
-  let h = Ba_util.Heap.create ~cmp:compare () in
-  List.iter (Ba_util.Heap.push h) [ 3; 1; 2 ];
-  ignore (Ba_util.Heap.to_sorted_list h);
-  check Alcotest.int "length preserved" 3 (Ba_util.Heap.length h)
-
-let test_heap_clear () =
-  let h = Ba_util.Heap.create ~cmp:compare () in
-  List.iter (Ba_util.Heap.push h) [ 1; 2 ];
-  Ba_util.Heap.clear h;
-  check Alcotest.bool "cleared" true (Ba_util.Heap.is_empty h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains any list sorted" ~count:200
-    QCheck.(list small_int)
-    (fun xs ->
-      let h = Ba_util.Heap.create ~cmp:compare () in
-      List.iter (Ba_util.Heap.push h) xs;
-      Ba_util.Heap.to_sorted_list h = List.sort compare xs)
 
 (* ------------------------------------------------------------------ *)
 (* Modseq *)
@@ -412,45 +369,6 @@ let test_table_fmt_float () =
   check Alcotest.string "custom decimals" "1.50" (Ba_util.Table.fmt_float ~decimals:2 1.5)
 
 (* ------------------------------------------------------------------ *)
-(* Fqueue *)
-
-let test_fqueue_fifo () =
-  let q = Ba_util.Fqueue.empty in
-  let q = Ba_util.Fqueue.push 1 q in
-  let q = Ba_util.Fqueue.push 2 q in
-  let q = Ba_util.Fqueue.push 3 q in
-  check Alcotest.int "length" 3 (Ba_util.Fqueue.length q);
-  match Ba_util.Fqueue.pop q with
-  | Some (1, q') ->
-      check (Alcotest.option Alcotest.int) "peek next" (Some 2) (Ba_util.Fqueue.peek q');
-      check (Alcotest.list Alcotest.int) "to_list" [ 2; 3 ] (Ba_util.Fqueue.to_list q')
-  | _ -> Alcotest.fail "expected pop of 1"
-
-let prop_fqueue_matches_list =
-  QCheck.Test.make ~name:"fqueue behaves like a list queue" ~count:300
-    QCheck.(list (option small_int))
-    (fun ops ->
-      (* Some x = push x; None = pop. *)
-      let q = ref Ba_util.Fqueue.empty and reference = ref [] in
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          match op with
-          | Some x ->
-              q := Ba_util.Fqueue.push x !q;
-              reference := !reference @ [ x ]
-          | None -> (
-              match (Ba_util.Fqueue.pop !q, !reference) with
-              | None, [] -> ()
-              | Some (v, q'), r :: rest ->
-                  if v <> r then ok := false;
-                  q := q';
-                  reference := rest
-              | _ -> ok := false))
-        ops;
-      !ok && Ba_util.Fqueue.to_list !q = !reference)
-
-(* ------------------------------------------------------------------ *)
 (* Qsketch *)
 
 module Qsketch = Ba_util.Qsketch
@@ -635,14 +553,6 @@ let () =
           Alcotest.test_case "geometric" `Slow test_rng_geometric;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
         ] );
-      ( "heap",
-        [
-          Alcotest.test_case "basic" `Quick test_heap_basic;
-          Alcotest.test_case "FIFO ties" `Quick test_heap_fifo_ties;
-          Alcotest.test_case "to_sorted nondestructive" `Quick test_heap_to_sorted_nondestructive;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          qcheck prop_heap_sorts;
-        ] );
       ( "modseq",
         [
           Alcotest.test_case "wrap" `Quick test_modseq_wrap;
@@ -692,8 +602,6 @@ let () =
           Alcotest.test_case "pads missing" `Quick test_table_pads_missing;
           Alcotest.test_case "fmt_float" `Quick test_table_fmt_float;
         ] );
-      ( "fqueue",
-        [ Alcotest.test_case "fifo" `Quick test_fqueue_fifo; qcheck prop_fqueue_matches_list ] );
       ( "qsketch",
         [
           Alcotest.test_case "uniform stream" `Quick test_qsketch_uniform;
