@@ -142,6 +142,11 @@ let micro_rng () =
   done;
   Sys.opaque_identity !acc |> ignore
 
+(* One 512 B workload payload: the per-message generation cost the
+   fabric's 512 B flows pay, isolated from the protocol. *)
+let micro_payload () =
+  Sys.opaque_identity (Ba_proto.Workload.payload ~seed:1 ~size:512 7) |> ignore
+
 let jitter_transfer () =
   let r =
     Ba_proto.Harness.run Blockack.Protocols.multi ~seed:3 ~messages:200 ~config:losses_config
@@ -183,6 +188,7 @@ let workloads ~jobs =
     ("P1/pool-campaign-8x20", pool_campaign jobs);
     ("micro/reconstruct-1k", micro_reconstruct);
     ("micro/rng-int-1k", micro_rng);
+    ("micro/payload-512", micro_payload);
   ]
 
 let tests ~jobs =

@@ -65,11 +65,8 @@ module Server = struct
       | None -> incr corrupted
       | Some i when i < 0 || i >= messages -> incr corrupted
       | Some i ->
-          if
-            not
-              (String.equal payload
-                 (Ba_proto.Workload.payload ~seed:wseed ~size:payload_size i))
-          then incr corrupted
+          if not (Ba_proto.Workload.matches ~seed:wseed ~size:payload_size i payload) then
+            incr corrupted
           else if i < !next then incr dups
           else begin
             if i > !next then incr misordered;

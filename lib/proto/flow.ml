@@ -125,7 +125,7 @@ let create engine (module P : Protocol.S) ?(id = 0) ?workload_seed ~seed ~messag
         let valid =
           let exp = expected_payloads.(i) in
           if String.length exp > 0 then String.equal exp payload
-          else String.equal (Workload.payload ~seed:workload_seed ~size:payload_size i) payload
+          else Workload.matches ~seed:workload_seed ~size:payload_size i payload
         in
         if not valid then incr corrupted
         else if Ba_util.Bitset.mem seen i then incr duplicates

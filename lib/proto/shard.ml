@@ -356,8 +356,7 @@ let build_cell ~seed ~cell_index ~flow_base ~barrier ~data_loss ~ack_loss ~data_
     | None -> incr corrupted
     | Some k when k < 0 || k >= messages.(i) -> incr corrupted
     | Some k ->
-        if not (String.equal (Workload.payload ~seed:wseed ~size:sp.payload_size k) payload)
-        then incr corrupted
+        if not (Workload.matches ~seed:wseed ~size:sp.payload_size k payload) then incr corrupted
         else begin
           let bit = msg_base.(i) + k in
           if Ba_util.Bitset.mem seen bit then incr duplicates

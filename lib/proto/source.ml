@@ -1,17 +1,20 @@
+(* The outbox is a flat array indexed by position, doubled as it fills:
+   positions are dense from 0, so a table would only add a bucket per
+   message and a 64-slot start to every two-message flow. *)
 type t = {
   supplier : unit -> string option;
-  history : (int, string) Hashtbl.t;
+  mutable history : string array;
   mutable issued : int;
   mutable cursor : int;
   mutable pending : string option;
 }
 
-let create supplier = { supplier; history = Hashtbl.create 64; issued = 0; cursor = 0; pending = None }
+let create supplier = { supplier; history = Array.make 4 ""; issued = 0; cursor = 0; pending = None }
 
 let next t =
   if t.cursor < t.issued then begin
     (* Replaying the outbox after a resync rewind. *)
-    let p = Hashtbl.find t.history t.cursor in
+    let p = t.history.(t.cursor) in
     t.cursor <- t.cursor + 1;
     Some p
   end
@@ -26,7 +29,12 @@ let next t =
     match fresh with
     | None -> None
     | Some p ->
-        Hashtbl.replace t.history t.issued p;
+        if t.issued = Array.length t.history then begin
+          let grown = Array.make (2 * t.issued) "" in
+          Array.blit t.history 0 grown 0 t.issued;
+          t.history <- grown
+        end;
+        t.history.(t.issued) <- p;
         t.issued <- t.issued + 1;
         t.cursor <- t.issued;
         Some p

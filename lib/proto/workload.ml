@@ -2,13 +2,17 @@ let filler_alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 (* "m:<i>:" followed by seeded filler, built in one [Bytes] — the
    sprintf/init/concat formulation allocated several intermediates per
-   payload, which dominated the transfer benchmarks' heap profile. *)
+   payload, which dominated the transfer benchmarks' heap profile. The
+   filler is one [Rng.fill_symbols] call, byte-identical to drawing
+   each symbol from a fresh [Rng.create (filler_seed ~seed i)]. *)
 (* Top-level helpers: local [let rec] closures would allocate per call. *)
 let rec decimal_width n acc = if n < 10 then acc else decimal_width (n / 10) (acc + 1)
 
 let rec put_digits b v k =
   Bytes.unsafe_set b k (Char.unsafe_chr (Char.code '0' + (v mod 10)));
   if v >= 10 then put_digits b (v / 10) (k - 1)
+
+let filler_seed ~seed i = (seed * 1_000_003) + i
 
 let payload ~seed ~size i =
   if i < 0 then invalid_arg "Workload.payload: negative index";
@@ -20,12 +24,29 @@ let payload ~seed ~size i =
   Bytes.unsafe_set b 1 ':';
   put_digits b i (2 + ndigits - 1);
   Bytes.unsafe_set b (plen - 1) ':';
-  let rng = Ba_util.Rng.create ((seed * 1_000_003) + i) in
-  for k = plen to n - 1 do
-    Bytes.unsafe_set b k
-      (String.unsafe_get filler_alphabet (Ba_util.Rng.int rng (String.length filler_alphabet)))
-  done;
+  Ba_util.Rng.fill_symbols ~seed:(filler_seed ~seed i) filler_alphabet b ~pos:plen
+    ~len:(n - plen);
   Bytes.unsafe_to_string b
+
+let rec digits_match s v k =
+  String.unsafe_get s k = Char.unsafe_chr (Char.code '0' + (v mod 10))
+  && (v < 10 || digits_match s (v / 10) (k - 1))
+
+(* [payload]'s bytes checked in place, prefix first: nothing is built,
+   so a delivery check allocates nothing. *)
+let matches ~seed ~size i s =
+  i >= 0
+  &&
+  let ndigits = decimal_width i 1 in
+  let plen = 2 + ndigits + 1 in
+  let n = max plen size in
+  String.length s = n
+  && String.unsafe_get s 0 = 'm'
+  && String.unsafe_get s 1 = ':'
+  && digits_match s i (2 + ndigits - 1)
+  && String.unsafe_get s (plen - 1) = ':'
+  && Ba_util.Rng.symbols_match ~seed:(filler_seed ~seed i) filler_alphabet s ~pos:plen
+       ~len:(n - plen)
 
 (* Parse the "m:<digits>:" prefix in place — no [String.sub] and no
    local closure, so the per-delivery validation path allocates only

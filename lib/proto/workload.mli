@@ -10,6 +10,11 @@ val payload : seed:int -> size:int -> int -> string
     padded with seeded pseudo-random filler up to [size] bytes (or longer
     if the prefix alone exceeds [size]). Deterministic in [(seed, size, i)]. *)
 
+val matches : seed:int -> size:int -> int -> string -> bool
+(** [matches ~seed ~size i s] is [String.equal s (payload ~seed ~size i)]
+    for [i >= 0] and [false] for [i < 0], decided in place: it allocates
+    nothing and stops at the first differing byte. *)
+
 val index_of : string -> int option
 (** Parse the embedded index back out of a payload. *)
 

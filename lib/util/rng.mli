@@ -44,3 +44,16 @@ val geometric : t -> float -> int
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
+
+val fill_symbols : seed:int -> string -> Bytes.t -> pos:int -> len:int -> unit
+(** [fill_symbols ~seed alphabet b ~pos ~len] writes [len] symbols of
+    [alphabet] into [b] from [pos]: exactly the bytes of
+    [let r = create seed in alphabet.[int r (String.length alphabet)]]
+    repeated [len] times, computed without allocating. Raises
+    [Invalid_argument] on an empty alphabet or a range outside [b]. *)
+
+val symbols_match : seed:int -> string -> string -> pos:int -> len:int -> bool
+(** [symbols_match ~seed alphabet s ~pos ~len] is [true] iff [s]'s
+    [len] bytes from [pos] are the ones {!fill_symbols} would write.
+    Allocates nothing and stops at the first differing byte. Raises
+    like {!fill_symbols}. *)

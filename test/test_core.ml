@@ -62,6 +62,89 @@ let prop_workload_roundtrip =
     (fun (seed, size, i) ->
       Ba_proto.Workload.index_of (Ba_proto.Workload.payload ~seed ~size i) = Some i)
 
+(* The payload bytes as the per-byte generator loop draws them: a
+   fresh [Rng.create] per payload and one [Rng.int] per filler byte.
+   The kernel behind [Workload.payload] must reproduce it exactly. *)
+let reference_payload ~seed ~size i =
+  let alphabet = "abcdefghijklmnopqrstuvwxyz0123456789" in
+  let prefix = Printf.sprintf "m:%d:" i in
+  let rng = Ba_util.Rng.create ((seed * 1_000_003) + i) in
+  prefix
+  ^ String.init
+      (max 0 (size - String.length prefix))
+      (fun _ -> alphabet.[Ba_util.Rng.int rng (String.length alphabet)])
+
+let test_workload_pinned () =
+  List.iter
+    (fun (seed, size, i, expected) ->
+      check Alcotest.string
+        (Printf.sprintf "payload seed %d size %d i %d" seed size i)
+        expected
+        (Ba_proto.Workload.payload ~seed ~size i))
+    [
+      (0, 8, 0, "m:0:cv67");
+      (9, 40, 7, "m:7:dtxmgm8bzuzumfnqmemq3v6so27s6eysube7");
+      (* size below the prefix length: the prefix alone *)
+      (5, 3, 123, "m:123:");
+      (-7, 24, 3, "m:3:r7yi9y8f9soahrbngdx8");
+      (max_int, 20, 42, "m:42:hyd022t3ea437gl");
+    ]
+
+let seed_gen = QCheck.(oneof [ int; oneofl [ 0; -1; max_int; min_int; max_int / 3 ] ])
+
+let prop_workload_matches_reference =
+  QCheck.Test.make ~name:"payload equals the per-byte Rng.int loop" ~count:300
+    QCheck.(triple seed_gen (int_range 0 600) (int_bound 100_000))
+    (fun (seed, size, i) ->
+      let p = Ba_proto.Workload.payload ~seed ~size i in
+      String.equal p (reference_payload ~seed ~size i) && Ba_proto.Workload.matches ~seed ~size i p)
+
+(* Words the minor heap grows by across [f ()], net of what reading the
+   counter itself costs. The minor heap is flushed first, as DESIGN.md's
+   allocation-measurement note asks. *)
+let minor_words f =
+  let delta f =
+    Gc.minor ();
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  f ();
+  int_of_float (delta f -. delta ignore)
+
+let sink = ref ""
+
+let test_workload_allocation () =
+  let p = Ba_proto.Workload.payload ~seed:4 ~size:512 17 in
+  let bad = Bytes.of_string p in
+  Bytes.set bad 300 (if p.[300] = 'a' then 'b' else 'a');
+  let bad = Bytes.to_string bad in
+  (* 512 bytes: 65 words of string body plus the header *)
+  check Alcotest.int "payload allocates only its string" 66
+    (minor_words (fun () -> sink := Ba_proto.Workload.payload ~seed:4 ~size:512 17));
+  check Alcotest.int "matches allocates nothing on a match" 0
+    (minor_words (fun () -> assert (Ba_proto.Workload.matches ~seed:4 ~size:512 17 p)));
+  check Alcotest.int "matches allocates nothing on a mismatch" 0
+    (minor_words (fun () -> assert (not (Ba_proto.Workload.matches ~seed:4 ~size:512 17 bad))))
+
+let test_workload_matches_rejects_flips () =
+  let p = Ba_proto.Workload.payload ~seed:4 ~size:512 17 in
+  check Alcotest.bool "accepts the payload" true (Ba_proto.Workload.matches ~seed:4 ~size:512 17 p);
+  String.iteri
+    (fun k c ->
+      let b = Bytes.of_string p in
+      Bytes.set b k (Char.chr (Char.code c lxor 1));
+      if Ba_proto.Workload.matches ~seed:4 ~size:512 17 (Bytes.to_string b) then
+        Alcotest.failf "flip at byte %d accepted" k)
+    p;
+  let m ~seed ~size i s = Ba_proto.Workload.matches ~seed ~size i s in
+  check Alcotest.bool "other index" false (m ~seed:4 ~size:512 18 p);
+  check Alcotest.bool "other seed" false (m ~seed:5 ~size:512 17 p);
+  check Alcotest.bool "truncated" false (m ~seed:4 ~size:512 17 (String.sub p 0 511));
+  check Alcotest.bool "extended" false (m ~seed:4 ~size:512 17 (p ^ "a"));
+  check Alcotest.bool "negative index" false (m ~seed:4 ~size:512 (-1) p);
+  check Alcotest.bool "prefix only" true (m ~seed:4 ~size:3 123 "m:123:")
+
 (* ------------------------------------------------------------------ *)
 (* Seqcodec *)
 
@@ -747,6 +830,11 @@ let () =
           Alcotest.test_case "supplier" `Quick test_workload_supplier;
           Alcotest.test_case "index_of garbage" `Quick test_workload_index_of_garbage;
           qcheck prop_workload_roundtrip;
+          Alcotest.test_case "pinned bytes" `Quick test_workload_pinned;
+          qcheck prop_workload_matches_reference;
+          Alcotest.test_case "allocation" `Quick test_workload_allocation;
+          Alcotest.test_case "matches rejects every flip" `Quick
+            test_workload_matches_rejects_flips;
         ] );
       ( "seqcodec",
         [

@@ -60,6 +60,34 @@ let test_source_replenished () =
   check Alcotest.bool "sees new data" false (Ba_proto.Source.exhausted s);
   check (Alcotest.option Alcotest.string) "delivers it" (Some "later") (Ba_proto.Source.next s)
 
+(* The outbox starts at 4 slots and doubles: replays from 0 must cross
+   both growth boundaries (4 -> 8 -> 16) unchanged. *)
+let test_source_rewind_across_growth () =
+  let next = ref 0 in
+  let supplier () =
+    if !next >= 12 then None
+    else begin
+      incr next;
+      Some (Printf.sprintf "p%d" (!next - 1))
+    end
+  in
+  let s = Ba_proto.Source.create supplier in
+  let take n = List.init n (fun _ -> Ba_proto.Source.next s) in
+  let first = take 5 in
+  Ba_proto.Source.rewind s ~to_:0;
+  check
+    (Alcotest.list (Alcotest.option Alcotest.string))
+    "replay across one growth" first (take 5);
+  let rest = take 7 in
+  check Alcotest.int "issued" 12 (Ba_proto.Source.issued s);
+  Ba_proto.Source.rewind s ~to_:0;
+  check
+    (Alcotest.list (Alcotest.option Alcotest.string))
+    "replay across two growths" (first @ rest) (take 12);
+  check (Alcotest.option Alcotest.string) "then exhausted" None (Ba_proto.Source.next s);
+  Ba_proto.Source.rewind s ~to_:9;
+  check (Alcotest.option Alcotest.string) "mid replay" (Some "p9") (Ba_proto.Source.next s)
+
 (* ------------------------------------------------------------------ *)
 (* Rtt_estimator *)
 
@@ -510,6 +538,7 @@ let () =
           Alcotest.test_case "passthrough" `Quick test_source_passthrough;
           Alcotest.test_case "exhausted does not lose" `Quick test_source_exhausted_does_not_lose;
           Alcotest.test_case "replenished" `Quick test_source_replenished;
+          Alcotest.test_case "rewind across growth" `Quick test_source_rewind_across_growth;
         ] );
       ( "rtt_estimator",
         [

@@ -114,6 +114,44 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   check (Alcotest.array Alcotest.int) "is a permutation" (Array.init 100 (fun i -> i)) sorted
 
+let reference_symbols ~seed alphabet n =
+  let r = Ba_util.Rng.create seed in
+  String.init n (fun _ -> alphabet.[Ba_util.Rng.int r (String.length alphabet)])
+
+let kernel_symbols ~seed alphabet n =
+  let b = Bytes.make (n + 4) '.' in
+  Ba_util.Rng.fill_symbols ~seed alphabet b ~pos:2 ~len:n;
+  Bytes.sub_string b 0 2 ^ "|" ^ Bytes.sub_string b 2 n ^ "|" ^ Bytes.sub_string b (n + 2) 2
+
+(* Every alphabet length is its own modulus and rejection limit; the
+   36-symbol instance has a constant modulus, the others a variable one. *)
+let prop_rng_symbols_match_reference =
+  QCheck.Test.make ~name:"fill_symbols equals the per-byte Rng.int loop" ~count:500
+    QCheck.(
+      triple
+        (oneof [ int; oneofl [ 0; -1; max_int; min_int; max_int / 3 ] ])
+        (int_range 0 600)
+        (oneof [ int_range 1 300; oneofl [ 1; 2; 36; 256 ] ]))
+    (fun (seed, n, m) ->
+      let alphabet = String.init m (fun k -> Char.chr (k land 255)) in
+      let expected = reference_symbols ~seed alphabet n in
+      String.equal (kernel_symbols ~seed alphabet n) ("..|" ^ expected ^ "|..")
+      && Ba_util.Rng.symbols_match ~seed alphabet expected ~pos:0 ~len:n)
+
+let test_rng_symbols_edges () =
+  let alphabet = "abcdefghijklmnopqrstuvwxyz0123456789" in
+  let s = reference_symbols ~seed:3 alphabet 64 in
+  check Alcotest.bool "suffix matches" true
+    (Ba_util.Rng.symbols_match ~seed:3 alphabet ("xx" ^ s) ~pos:2 ~len:64);
+  let b = Bytes.of_string s in
+  Bytes.set b 63 (if s.[63] = 'a' then 'b' else 'a');
+  check Alcotest.bool "last byte differs" false
+    (Ba_util.Rng.symbols_match ~seed:3 alphabet (Bytes.to_string b) ~pos:0 ~len:64);
+  Alcotest.check_raises "empty alphabet" (Invalid_argument "Rng.fill_symbols: empty alphabet")
+    (fun () -> Ba_util.Rng.fill_symbols ~seed:0 "" (Bytes.create 1) ~pos:0 ~len:1);
+  Alcotest.check_raises "range" (Invalid_argument "Rng.symbols_match: range out of bounds")
+    (fun () -> ignore (Ba_util.Rng.symbols_match ~seed:0 alphabet "abc" ~pos:2 ~len:2))
+
 (* ------------------------------------------------------------------ *)
 (* Modseq *)
 
@@ -552,6 +590,8 @@ let () =
           Alcotest.test_case "exponential mean" `Slow test_rng_exponential_mean;
           Alcotest.test_case "geometric" `Slow test_rng_geometric;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
+          qcheck prop_rng_symbols_match_reference;
+          Alcotest.test_case "symbols edges" `Quick test_rng_symbols_edges;
         ] );
       ( "modseq",
         [
