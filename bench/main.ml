@@ -334,6 +334,8 @@ let net_entry () =
    defaults to the registry's 2w for blockack. *)
 let net_config e = Ba_registry.Registry.config ~window:16 ~rto:250 e ()
 
+let per_msg n delivered = float_of_int n /. float_of_int (max 1 delivered)
+
 type net_row = {
   nr_backend : string;  (** "sim" | "udp" *)
   nr_faults : string;  (** "none" | "lossy" (the 5%-baseline shim plan) *)
@@ -342,6 +344,10 @@ type net_row = {
   nr_retx : int;
   nr_p50_ms : float;
   nr_p99_ms : float;
+  nr_acks_per_msg : float;  (** acknowledgment frames sent per delivered message *)
+  nr_dgrams_per_msg : float;
+      (** frames per delivered message, both directions: offered to the
+          links in sim, [sendto] calls on udp *)
   nr_clean : bool;  (** delivered exactly once, in order, digest intact *)
 }
 
@@ -370,6 +376,10 @@ let net_sim_row ~messages ~lossy =
       (match r.Ba_proto.Harness.latency with Some s -> ms_of_ticks s.Ba_util.Stats.p50 | None -> 0.);
     nr_p99_ms =
       (match r.Ba_proto.Harness.latency with Some s -> ms_of_ticks s.Ba_util.Stats.p99 | None -> 0.);
+    nr_acks_per_msg = per_msg r.Ba_proto.Harness.acks_sent r.Ba_proto.Harness.delivered;
+    nr_dgrams_per_msg =
+      per_msg (r.Ba_proto.Harness.data_sent + r.Ba_proto.Harness.acks_sent)
+        r.Ba_proto.Harness.delivered;
     nr_clean =
       r.Ba_proto.Harness.completed
       && r.Ba_proto.Harness.duplicates = 0
@@ -377,11 +387,11 @@ let net_sim_row ~messages ~lossy =
       && r.Ba_proto.Harness.corrupted = 0;
   }
 
-let net_udp_outcome ~messages ~lossy =
+let net_udp_outcome ?(payload_size = 32) ~messages ~lossy () =
   let e = net_entry () in
   let plan = if lossy then Some (net_plan ()) else None in
   Ba_transport.Endpoint.Pair.run ~protocol:e.Ba_registry.Registry.protocol
-    ~config:(net_config e) ~messages ~payload_size:32 ~wseed:3 ?plan ~impair_seed:11
+    ~config:(net_config e) ~messages ~payload_size ~wseed:3 ?plan ~impair_seed:11
     ~tick_us:net_tick_us ~deadline_s:45. ()
 
 let net_udp_clean (o : Ba_transport.Endpoint.Pair.outcome) =
@@ -393,7 +403,7 @@ let net_udp_clean (o : Ba_transport.Endpoint.Pair.outcome) =
 
 let net_udp_row ~messages ~lossy =
   let open Ba_transport.Endpoint.Pair in
-  let o = net_udp_outcome ~messages ~lossy in
+  let o = net_udp_outcome ~messages ~lossy () in
   let module Q = Ba_util.Qsketch in
   let q p = if Q.count o.latency_ms = 0 then 0. else Q.quantile o.latency_ms p in
   {
@@ -404,6 +414,8 @@ let net_udp_row ~messages ~lossy =
     nr_retx = o.retransmissions;
     nr_p50_ms = q 0.5;
     nr_p99_ms = q 0.99;
+    nr_acks_per_msg = per_msg o.ack_datagrams o.delivered;
+    nr_dgrams_per_msg = per_msg o.frames_tx o.delivered;
     nr_clean = net_udp_clean o;
   }
 
@@ -420,7 +432,11 @@ let net_campaign ~quick =
   Printf.printf
     "\n=== real-transport campaign (N1: sim vs loopback UDP, blockack, %d x 32 B) ===\n" messages;
   Ba_util.Table.print
-    ~headers:[ "backend"; "faults"; "completed"; "msgs/s"; "retx"; "p50 ms"; "p99 ms"; "clean" ]
+    ~headers:
+      [
+        "backend"; "faults"; "completed"; "msgs/s"; "retx"; "p50 ms"; "p99 ms"; "acks/msg";
+        "dgrams/msg"; "clean";
+      ]
     (List.map
        (fun r ->
          [
@@ -431,6 +447,8 @@ let net_campaign ~quick =
            string_of_int r.nr_retx;
            Printf.sprintf "%.1f" r.nr_p50_ms;
            Printf.sprintf "%.1f" r.nr_p99_ms;
+           Printf.sprintf "%.3f" r.nr_acks_per_msg;
+           Printf.sprintf "%.3f" r.nr_dgrams_per_msg;
            string_of_bool r.nr_clean;
          ])
        rows);
@@ -532,7 +550,7 @@ let check () =
   let net_messages = 150 in
   let net_cap_s = 30. in
   let o, net_wall =
-    wall (fun () -> net_udp_outcome ~messages:net_messages ~lossy:true)
+    wall (fun () -> net_udp_outcome ~messages:net_messages ~lossy:true ())
   in
   let open Ba_transport.Endpoint.Pair in
   let net_wall_ok = net_wall <= net_cap_s in
@@ -547,7 +565,27 @@ let check () =
     net_wall
     (if net_wall_ok then "within" else "EXCEEDS")
     net_cap_s;
-  if time_ok && alloc_ok && fps_ok && state_ok && net_ok then begin
+  (* 5. block acknowledgment on real sockets: the server merges the
+     adjacent acks of one socket drain into one datagram, so a clean
+     transfer must send at most [ack_budget] ack datagrams per delivered
+     message (about 1/16 at window 16). Allocation is reported per
+     message, not gated per datagram: merging shrinks that denominator,
+     so a per-datagram figure rises while the total falls. *)
+  let ack_budget = 0.5 in
+  let ack_messages = 2000 in
+  let udp () = net_udp_outcome ~payload_size:16 ~messages:ack_messages ~lossy:false () in
+  let u = udp () in
+  let udp_alloc = alloc_per_run (fun () -> ignore (udp ())) /. float_of_int ack_messages in
+  let acks_per_msg = per_msg u.ack_datagrams u.delivered in
+  let acks_ok = net_udp_clean u && acks_per_msg <= ack_budget in
+  Printf.printf
+    "check: net acks %.3f datagrams/msg %s budget (%.1f/msg; %d/%d %s, alloc %.0f B/msg)\n"
+    acks_per_msg
+    (if acks_per_msg <= ack_budget then "within" else "EXCEEDS")
+    ack_budget u.delivered ack_messages
+    (if net_udp_clean u then "clean" else "NOT CLEAN")
+    udp_alloc;
+  if time_ok && alloc_ok && fps_ok && state_ok && net_ok && acks_ok then begin
     print_endline "check: OK";
     exit 0
   end
@@ -699,6 +737,8 @@ let write_json file ~quick ~jobs ~grid_times ~selftime ~soak ~scale ~net ~bench_
                ("retransmissions", Int r.nr_retx);
                ("p50_ms", Float r.nr_p50_ms);
                ("p99_ms", Float r.nr_p99_ms);
+               ("acks_per_msg", Float r.nr_acks_per_msg);
+               ("datagrams_per_msg", Float r.nr_dgrams_per_msg);
                ("clean", Bool r.nr_clean);
              ])
          net)

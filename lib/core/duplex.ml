@@ -63,20 +63,20 @@ let tx_data e (d : Ba_proto.Wire.data) =
   transmit_frame e { seq = Some d.Ba_proto.Wire.seq; payload = d.Ba_proto.Wire.payload; pack = take_pending_ack e }
 
 (* Outbound acknowledgment from our receiver half: hold it for a data
-   frame. Successive in-order block acknowledgments are adjacent ranges,
-   so they merge into one wider block — the block-ack property doing the
-   coalescing; a non-adjacent one (a duplicate re-ack) flushes the held
-   block first, since a frame carries a single range. *)
-let tx_ack ~piggyback_hold ~wire_modulus e (a : Ba_proto.Wire.ack) =
-  let succ_wire x =
-    match wire_modulus with Some n -> Ba_util.Modseq.succ ~n x | None -> x + 1
-  in
+   frame. An adjacent one widens the held block ([Wire.ack_extends]);
+   any other (a duplicate re-ack) flushes the held block first, since a
+   frame carries a single range. *)
+let tx_ack ~piggyback_hold ~(config : Config.t) e (a : Ba_proto.Wire.ack) =
   let held =
     match e.pending_ack with
-    | Some p when succ_wire p.Ba_proto.Wire.hi = a.Ba_proto.Wire.lo ->
+    | Some p
+      when Ba_proto.Wire.ack_extends ~wire_modulus:config.Config.wire_modulus
+             ~cap:config.Config.window ~lo:p.Ba_proto.Wire.lo ~hi:p.Ba_proto.Wire.hi
+             ~epoch:p.Ba_proto.Wire.epoch a ->
         Option.iter Ba_sim.Timer.stop e.ack_timer;
         e.pending_ack <- None;
-        Ba_proto.Wire.make_ack ~lo:p.Ba_proto.Wire.lo ~hi:a.Ba_proto.Wire.hi
+        Ba_proto.Wire.make_ack_e ~epoch:p.Ba_proto.Wire.epoch ~lo:p.Ba_proto.Wire.lo
+          ~hi:a.Ba_proto.Wire.hi
     | Some _ ->
         flush_pure_ack e;
         a
@@ -143,7 +143,7 @@ let create ?(seed = 42) ?(config = default_config) ?(piggyback_hold = 15) ?(loss
     e.receiver <-
       Some
         (Receiver.create engine config
-           ~tx:(tx_ack ~piggyback_hold ~wire_modulus:config.Config.wire_modulus e)
+           ~tx:(tx_ack ~piggyback_hold ~config e)
            ~deliver:(fun msg ->
              e.delivered <- e.delivered + 1;
              on_receive msg))

@@ -33,7 +33,7 @@ let now_ticks t =
 
 let sync t =
   let now = now_ticks t in
-  if now > Ba_sim.Engine.now t.engine then Ba_sim.Engine.run t.engine ~until:now
+  if now >= Ba_sim.Engine.now t.engine then Ba_sim.Engine.run t.engine ~until:now
 
 (* Seconds of wall clock until the engine's next due event; None when the
    queue is empty. Never negative. *)

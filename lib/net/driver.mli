@@ -49,7 +49,10 @@ val now_ticks : t -> int
 (** Wall-clock time since {!create}, in ticks. *)
 
 val sync : t -> unit
-(** Advance the engine to the current wall tick, firing due events. *)
+(** Advance the engine to the current wall tick, firing every event due
+    at or before it — including one armed with delay 0 during the
+    current tick (an [on_frame] callback's), so it runs without waiting
+    for the next wall tick. *)
 
 val send_to : t -> Unix.sockaddr -> Bytes.t -> int -> bool
 (** Transmit one datagram with the bounded retry policy above. [false]

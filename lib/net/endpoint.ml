@@ -75,15 +75,54 @@ module Server = struct
             notify ()
           end
     in
-    let r =
-      P.create_receiver engine config
-        ~tx:(fun a ->
-          if a.W.epoch > !epoch then epoch := a.W.epoch;
-          incr acks;
-          let len = Codec.encode buf (Codec.Ack a) in
-          Shim.send shim buf len)
-        ~deliver
+    let send_ack a =
+      incr acks;
+      let len = Codec.encode buf (Codec.Ack a) in
+      Shim.send shim buf len
     in
+    (* Block acknowledgments emitted during one socket drain leave as one
+       datagram: an adjacent same-epoch ack widens the held range
+       ([W.ack_extends], capped at the window), anything else flushes it
+       and is then handled in order. A zero-delay slot sends the held
+       range; the driver fires it in the [sync] that follows the drain,
+       after the deliveries (and their persists) it acknowledges.
+       Single-number acknowledgments pass through untouched. *)
+    let merge = P.ack_wire_bytes = W.ack_bytes_block in
+    let cap = config.Ba_proto.Proto_config.window
+    and wire_modulus = config.Ba_proto.Proto_config.wire_modulus in
+    let held = ref false and h_lo = ref 0 and h_hi = ref 0 and h_epoch = ref 0 in
+    let out = { W.lo = 0; hi = 0; epoch = 0; akind = W.Ack; check = 0 } in
+    let flush () =
+      if !held then begin
+        held := false;
+        out.W.lo <- !h_lo;
+        out.W.hi <- !h_hi;
+        out.W.epoch <- !h_epoch;
+        out.W.check <- W.ack_checksum ~lo:!h_lo ~hi:!h_hi ~epoch:!h_epoch ~akind:W.Ack;
+        send_ack out
+      end
+    in
+    let flush_slot = Ba_sim.Engine.slot_create engine flush in
+    let tx (a : W.ack) =
+      if a.W.epoch > !epoch then epoch := a.W.epoch;
+      if not merge then send_ack a
+      else if
+        !held && W.ack_extends ~wire_modulus ~cap ~lo:!h_lo ~hi:!h_hi ~epoch:!h_epoch a
+      then h_hi := a.W.hi
+      else begin
+        flush ();
+        match a.W.akind with
+        | W.Sync_pos -> send_ack a
+        | W.Ack ->
+            held := true;
+            h_lo := a.W.lo;
+            h_hi := a.W.hi;
+            h_epoch := a.W.epoch;
+            if not (Ba_sim.Engine.slot_armed flush_slot) then
+              Ba_sim.Engine.slot_arm flush_slot ~delay:0
+      end
+    in
+    let r = P.create_receiver engine config ~tx ~deliver in
     (match restore with
     | None -> ()
     | Some (e, pos, d) ->
@@ -263,6 +302,7 @@ module Pair = struct
     wall_s : float;
     msgs_per_s : float;
     frames_tx : int;
+    ack_datagrams : int;
     frames_rx : int;
     decode_errors : int;
     send_errors : int;
@@ -345,6 +385,7 @@ module Pair = struct
           msgs_per_s =
             (if wall_s <= 0. then 0. else float_of_int (Server.position s') /. wall_s);
           frames_tx = Driver.tx_datagrams s_drv + Driver.tx_datagrams c_drv;
+          ack_datagrams = Server.acks_sent s';
           frames_rx = Driver.rx_datagrams s_drv + Driver.rx_datagrams c_drv;
           decode_errors = Driver.decode_errors s_drv + Driver.decode_errors c_drv;
           send_errors = Driver.send_errors s_drv + Driver.send_errors c_drv;

@@ -81,6 +81,13 @@ module Server : sig
   (** Deliveries whose payload failed validation against the workload. *)
 
   val acks_sent : t -> int
+  (** Acknowledgment datagrams handed to the shim. For block-ack
+      protocols this counts datagrams after merging: the adjacent block
+      acknowledgments the receiver emits during one socket drain leave
+      as one datagram ({!Ba_proto.Wire.ack_extends}), sent when the
+      drain ends — so it can be far below the receiver's own ack count.
+      Single-number-ack protocols send one datagram per ack. *)
+
   val stray_frames : t -> int
   (** Well-formed arrivals of the wrong class (acks at a server). *)
 
@@ -161,6 +168,7 @@ module Pair : sig
     wall_s : float;
     msgs_per_s : float;
     frames_tx : int;  (** datagrams put on the wire, both directions *)
+    ack_datagrams : int;  (** the server's {!Server.acks_sent} *)
     frames_rx : int;
     decode_errors : int;
     send_errors : int;

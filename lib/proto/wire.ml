@@ -217,6 +217,20 @@ let corrupt_data (d : data) =
 
 let corrupt_ack (a : ack) = { a with hi = a.hi lxor 1 }
 
+(* Successive in-order block acknowledgments are adjacent ranges, so a
+   layer holding one back can widen it instead of sending both: the
+   union of [lo, hi] and [a.lo, a.hi] is itself a block when [a] starts
+   right after [hi]. Only same-epoch [Ack]s merge (a resync frame or an
+   epoch change must reach the sender as itself), and the merged span
+   stays at most [cap] — the window, below the wire modulus — so its two
+   ends still decode unambiguously against the sender's [na]. *)
+let ack_extends ~wire_modulus ~cap ~lo ~hi ~epoch (a : ack) =
+  a.akind = Ack && a.epoch = epoch
+  &&
+  match wire_modulus with
+  | None -> a.lo = hi + 1 && a.hi - lo < cap
+  | Some n -> a.lo = Ba_util.Modseq.succ ~n hi && Ba_util.Modseq.distance ~n lo a.hi < cap
+
 let data_header_bytes = 8
 let ack_bytes_block = 8
 let ack_bytes_single = 4

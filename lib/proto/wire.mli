@@ -99,6 +99,19 @@ val release_data : data -> unit
 
 val release_ack : ack -> unit
 
+val ack_extends :
+  wire_modulus:int option -> cap:int -> lo:int -> hi:int -> epoch:int -> ack -> bool
+(** [ack_extends ~wire_modulus ~cap ~lo ~hi ~epoch a]: a held block
+    acknowledgment [\[lo, hi\]] of incarnation [epoch] and the next one,
+    [a], can go out as the single block [\[lo, a.hi\]]. True iff [a] is an
+    [Ack] (not [Sync_pos]) of the same epoch, [a.lo] is the successor of
+    [hi] (modulo [n] when [wire_modulus = Some n]), and the merged block
+    spans at most [cap] sequence numbers. With [cap] at most the window
+    (below a modulus of at least twice the window) the merged block is
+    always decodable, and it acknowledges exactly the union of the two.
+    The one coalescing rule for every layer that holds acknowledgments
+    back: the duplex piggyback hold and the UDP server. *)
+
 val data_header_bytes : int
 (** Fixed per-data-message header cost used for overhead accounting. *)
 

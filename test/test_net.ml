@@ -217,6 +217,11 @@ let entry name =
   | Some e -> e
   | None -> Alcotest.failf "unknown protocol %s" name
 
+let loopback_sock () =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  s
+
 let pair ?plan ?(messages = 120) ?(payload_size = 32) name =
   let e = entry name in
   let config = Ba_registry.Registry.config e () in
@@ -250,6 +255,246 @@ let loopback_impaired () =
 let loopback_baseline () = assert_clean "go-back-n/clean" (pair ~messages:60 "go-back-n")
 
 (* ------------------------------------------------------------------ *)
+(* Ack merging: the one coalescing rule and the server that applies it *)
+
+let ack ?(epoch = 0) lo hi = Wire.make_ack_e ~epoch ~lo ~hi
+
+let extends ?(modulus = Some 32) ?(cap = 16) ?(epoch = 0) (lo, hi) a =
+  Wire.ack_extends ~wire_modulus:modulus ~cap ~lo ~hi ~epoch a
+
+let extends_wraps () =
+  check Alcotest.bool "[30,31] + [0,0] at modulus 32" true (extends (30, 31) (ack 0 0));
+  check Alcotest.int "merged [30,0] covers three numbers" 3
+    (Blockack.Seqcodec.span
+       (Blockack.Seqcodec.create ~window:16 ~wire_modulus:(Some 32))
+       ~lo:30 ~hi:0);
+  check Alcotest.bool "unbounded numbers: [4,6] + [7,9]" true
+    (extends ~modulus:None (4, 6) (ack 7 9))
+
+let extends_refuses () =
+  check Alcotest.bool "different epoch" false (extends ~epoch:0 (3, 5) (ack ~epoch:1 6 6));
+  check Alcotest.bool "resync POS" false (extends (3, 5) (Wire.make_sync_pos ~epoch:0 ~pos:6));
+  check Alcotest.bool "gap" false (extends (3, 5) (ack 7 7));
+  check Alcotest.bool "overlap (a re-ack)" false (extends (3, 5) (ack 5 5));
+  check Alcotest.bool "span exactly the cap" true (extends (0, 10) (ack 11 15));
+  check Alcotest.bool "span one over the cap" false (extends (0, 10) (ack 11 16));
+  check Alcotest.bool "cap counts across the wrap" false (extends (20, 31) (ack 0 4))
+
+(* A server whose receiver half is driven by hand: [script] calls the
+   [tx] the server handed the protocol, and every datagram the server
+   puts out is decoded into [sent] (oldest first). *)
+let scripted_server base =
+  let module Base = (val base : Ba_proto.Protocol.S) in
+  let tx_ref = ref (fun (_ : Wire.ack) -> ()) in
+  let module Scripted = struct
+    include Base
+
+    let create_receiver engine config ~tx ~deliver =
+      tx_ref := tx;
+      Base.create_receiver engine config ~tx ~deliver
+  end in
+  let engine = Ba_sim.Engine.create ~seed:1 () in
+  let sent = ref [] in
+  let config = Ba_proto.Proto_config.make ~window:16 ~wire_modulus:(Some 32) () in
+  let srv =
+    Endpoint.Server.create ~engine ~protocol:(module Scripted) ~config ~messages:1000
+      ~payload_size:16 ~wseed:1
+      ~send:(fun _ buf len ->
+        match Codec.decode buf ~len with
+        | Ok (Codec.Ack a) -> sent := a :: !sent
+        | Ok (Codec.Data _) | Error _ -> Alcotest.fail "server sent a non-ack")
+      ()
+  in
+  (* Any arrival teaches the server its peer. *)
+  Endpoint.Server.on_frame srv (Codec.Ack (ack 0 0)) (Unix.ADDR_INET (Unix.inet_addr_loopback, 9));
+  let script acks = List.iter (fun a -> !tx_ref a) acks in
+  (engine, srv, script, fun () -> List.rev !sent)
+
+let range = Alcotest.(list (pair (pair int int) int))
+let ranges = List.map (fun (a : Wire.ack) -> ((a.Wire.lo, a.Wire.hi), a.Wire.epoch))
+
+let server_merges_a_drain () =
+  let engine, srv, script, sent = scripted_server Blockack.Protocols.multi in
+  script [ ack 30 31; ack 0 0; ack 1 3 ];
+  check range "held until the drain ends" [] (ranges (sent ()));
+  Ba_sim.Engine.run engine;
+  check range "one datagram for the drain" [ ((30, 3), 0) ] (ranges (sent ()));
+  check Alcotest.int "acks_sent counts datagrams" 1 (Endpoint.Server.acks_sent srv);
+  check Alcotest.bool "the merged ack's checksum is valid" true
+    (List.for_all (fun a -> a.Wire.akind = Wire.Ack && Wire.ack_ok a) (sent ()))
+
+let server_flushes_first () =
+  let engine, _, script, sent = scripted_server Blockack.Protocols.multi in
+  script [ ack 4 4; ack ~epoch:1 5 5 ];
+  check range "an epoch change flushes the held range first" [ ((4, 4), 0) ] (ranges (sent ()));
+  script [ Wire.make_sync_pos ~epoch:1 ~pos:6 ];
+  check Alcotest.(list bool) "a POS flushes the held range, then goes out itself"
+    [ false; false; true ]
+    (List.map (fun a -> a.Wire.akind = Wire.Sync_pos) (sent ()));
+  script [ ack ~epoch:1 7 7; ack ~epoch:1 9 9 ];
+  check Alcotest.int "a gap flushes the held range" 4 (List.length (sent ()));
+  Ba_sim.Engine.run engine;
+  check range "in emission order"
+    [ ((4, 4), 0); ((5, 5), 1); ((6, 6), 1); ((7, 7), 1); ((9, 9), 1) ]
+    (ranges (sent ()))
+
+let server_caps_span () =
+  let engine, _, script, sent = scripted_server Blockack.Protocols.multi in
+  script (List.init 40 (fun k -> ack (k mod 32) (k mod 32)));
+  Ba_sim.Engine.run engine;
+  check range "merged spans never exceed the window"
+    [ ((0, 15), 0); ((16, 31), 0); ((0, 7), 0) ]
+    (ranges (sent ()))
+
+let server_passes_single_acks () =
+  let engine, srv, script, sent = scripted_server Ba_baselines.Go_back_n.protocol in
+  let acks = [ ack 0 0; ack 1 1; ack 2 2 ] in
+  script acks;
+  Ba_sim.Engine.run engine;
+  check range "one datagram per ack, unmerged" [ ((0, 0), 0); ((1, 1), 0); ((2, 2), 0) ]
+    (ranges (sent ()));
+  check Alcotest.int "acks_sent" 3 (Endpoint.Server.acks_sent srv)
+
+(* The sender side of the paper's action 2, over wire numbers: decode
+   every number in the block against [na], mark the fresh ones, slide
+   [na] over the marked prefix. Returns the marked sequence numbers. *)
+let sender_marks ~n ~na ~ns acks =
+  let marked = Array.make (ns - na) false in
+  let na = ref na and base = na in
+  List.iter
+    (fun (a : Wire.ack) ->
+      let count = Ba_util.Modseq.distance ~n a.Wire.lo a.Wire.hi + 1 in
+      for k = 0 to count - 1 do
+        let seq = Ba_util.Modseq.reconstruct ~n ~ref_:!na (Ba_util.Modseq.add ~n a.Wire.lo k) in
+        if seq >= !na && seq < ns then marked.(seq - base) <- true
+      done;
+      while !na < ns && marked.(!na - base) do
+        incr na
+      done)
+    acks;
+  List.filter (fun s -> marked.(s - base)) (List.init (ns - base) (fun i -> base + i))
+
+(* Merge a stream the way the server does, with one final flush. *)
+let merge_stream ~n ~w acks =
+  let flush held out = match held with Some (lo, hi) -> ack lo hi :: out | None -> out in
+  let held, out =
+    List.fold_left
+      (fun (held, out) a ->
+        match held with
+        | Some (lo, hi) when extends ~modulus:(Some n) ~cap:w (lo, hi) a -> (Some (lo, a.Wire.hi), out)
+        | _ -> (Some (a.Wire.lo, a.Wire.hi), flush held out))
+      (None, []) acks
+  in
+  List.rev (flush held out)
+
+(* Streams a receiver can emit: the sender has [na, ns) outstanding
+   ([ns - na <= w]); the receiver is at [nr >= na] (acks for [na, nr)
+   were lost) and emits in-order blocks from [nr] up to [ns] and
+   re-acks of numbers it already accepted, no older than a window
+   behind [na]. *)
+let ack_stream_gen =
+  QCheck.Gen.(
+    let* w = int_range 1 16 in
+    let n = 2 * w in
+    let* na = int_bound 200 in
+    let* out = int_range 1 w in
+    let ns = na + out in
+    let* nr0 = int_range na ns in
+    let* steps = list_size (int_bound 30) (pair (int_bound 3) (int_bound 1000)) in
+    let _, acks =
+      List.fold_left
+        (fun (nr, acc) (kind, r) ->
+          if kind > 0 && nr < ns then
+            let hi = nr + (r mod min 4 (ns - nr)) in
+            (hi + 1, (nr, hi) :: acc)
+          else
+            let oldest = max 0 (na - w) in
+            if nr > oldest then
+              let v = oldest + (r mod (nr - oldest)) in
+              (nr, (v, v) :: acc)
+            else (nr, acc))
+        (nr0, []) steps
+    in
+    let wire v = v mod n in
+    return (w, n, na, ns, List.rev_map (fun (lo, hi) -> ack (wire lo) (wire hi)) acks))
+
+let merge_preserves_marks =
+  QCheck.Test.make ~name:"merging never changes which numbers the sender marks" ~count:1000
+    (QCheck.make
+       ~print:(fun (w, n, na, ns, acks) ->
+         Printf.sprintf "w=%d n=%d na=%d ns=%d acks=%s" w n na ns
+           (String.concat " " (List.map (fun a -> Format.asprintf "%a" Wire.pp_ack a) acks)))
+       ack_stream_gen)
+    (fun (w, n, na, ns, acks) ->
+      let merged = merge_stream ~n ~w acks in
+      List.length merged <= List.length acks
+      && sender_marks ~n ~na ~ns acks = sender_marks ~n ~na ~ns merged)
+
+(* Loopback: a clean blockack transfer is acknowledged per drain, not
+   per frame; go-back-n's single-number acks pass through one-for-one. *)
+let loopback_merges_acks () =
+  let o = pair ~messages:400 "blockack" in
+  assert_clean "blockack/merged" o;
+  let acks = o.Endpoint.Pair.ack_datagrams in
+  if acks * 4 > o.Endpoint.Pair.delivered then
+    Alcotest.failf "%d ack datagrams for %d messages (want <= 1 per 4)" acks
+      o.Endpoint.Pair.delivered
+
+let loopback_single_acks_unmerged () =
+  let module Base = (val Ba_baselines.Go_back_n.protocol : Ba_proto.Protocol.S) in
+  let emitted = ref 0 in
+  let module Counted = struct
+    include Base
+
+    let create_receiver engine config ~tx ~deliver =
+      Base.create_receiver engine config
+        ~tx:(fun a ->
+          incr emitted;
+          tx a)
+        ~deliver
+  end in
+  let e = entry "go-back-n" in
+  let o =
+    Endpoint.Pair.run ~protocol:(module Counted) ~config:(Ba_registry.Registry.config e ())
+      ~messages:60 ~payload_size:32 ~wseed:7 ~impair_seed:11 ~tick_us:200 ~deadline_s:30. ()
+  in
+  assert_clean "go-back-n/counted" o;
+  check Alcotest.int "one datagram per emitted ack" !emitted o.Endpoint.Pair.ack_datagrams
+
+(* ------------------------------------------------------------------ *)
+(* Driver: zero-delay events fire in the tick that armed them *)
+
+let driver_zero_delay () =
+  (* One tick is five seconds, so an event left for the next tick would
+     miss the two-second deadline. *)
+  let engine = Ba_sim.Engine.create ~seed:1 () in
+  let rx = loopback_sock () and tx = loopback_sock () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close rx;
+      Unix.close tx)
+    (fun () ->
+      let fired_at = ref (-1) in
+      let drv_ref = ref None in
+      let drv =
+        Ba_transport.Driver.create ~engine ~sock:rx ~tick_us:5_000_000
+          ~on_frame:(fun _ _ ->
+            ignore
+              (Ba_sim.Engine.schedule engine ~delay:0 (fun () ->
+                   match !drv_ref with
+                   | Some d -> fired_at := Ba_transport.Driver.now_ticks d
+                   | None -> ())))
+          ()
+      in
+      drv_ref := Some drv;
+      let buf = Bytes.create Codec.max_datagram in
+      let len = Codec.encode buf (Codec.Ack (ack 0 0)) in
+      ignore (Unix.sendto tx buf 0 len [] (Unix.getsockname rx));
+      let stopped = Ba_transport.Driver.run ~deadline_s:2. ~stop:(fun () -> !fired_at >= 0) [ drv ] in
+      check Alcotest.bool "fired before the deadline" true stopped;
+      check Alcotest.int "in the tick that armed it" 0 !fired_at)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "net"
@@ -274,5 +519,18 @@ let () =
           Alcotest.test_case "blockack clean link" `Quick loopback_clean;
           Alcotest.test_case "blockack under 5% loss" `Quick loopback_impaired;
           Alcotest.test_case "go-back-n clean link" `Quick loopback_baseline;
+          Alcotest.test_case "blockack acks once per drain" `Quick loopback_merges_acks;
+          Alcotest.test_case "go-back-n acks pass through" `Quick loopback_single_acks_unmerged;
         ] );
+      ( "merge",
+        [
+          Alcotest.test_case "adjacent across the wrap" `Quick extends_wraps;
+          Alcotest.test_case "epoch, POS, gap and cap refuse" `Quick extends_refuses;
+          Alcotest.test_case "server sends one datagram per drain" `Quick server_merges_a_drain;
+          Alcotest.test_case "server flushes before anything else" `Quick server_flushes_first;
+          Alcotest.test_case "server caps the span at the window" `Quick server_caps_span;
+          Alcotest.test_case "single-number acks pass through" `Quick server_passes_single_acks;
+          qcheck merge_preserves_marks;
+        ] );
+      ("driver", [ Alcotest.test_case "zero-delay event fires this tick" `Quick driver_zero_delay ]);
     ]
