@@ -217,6 +217,12 @@ let run_soak ~rounds ~mix ~messages ~payload_size ~loss ~ack_loss ~delay ~capaci
   in
   let budget = match budget with Some b -> b | None -> unclamped_need * 3 / 4 in
   let watchdog = { Ba_proto.Watchdog.default_config with Ba_proto.Watchdog.check_interval = 500 } in
+  (* The victim's receiver goes dark through the surge, as a crash plan
+     (replay key crash(R@<surge+100>+<stall>)). *)
+  let stall_plan =
+    Ba_proto.Crash_plan.make
+      [ { at = surge_at + 100; endpoint = Ba_proto.Crash_plan.Receiver_end; down_for = stall_for } ]
+  in
   let run_round round =
     let rseed = seed + round in
     let specs = specs_for rseed in
@@ -253,22 +259,10 @@ let run_soak ~rounds ~mix ~messages ~payload_size ~loss ~ack_loss ~delay ~capaci
               specs,
             Some (sq.Chaos.service_time, sq.Chaos.queue_capacity) )
     in
-    let on_flows engine (flows : Ba_proto.Flow.t array) =
-      if Array.length flows > victim_index && Ba_proto.Flow.crash_tolerant flows.(victim_index)
-      then begin
-        let victim = flows.(victim_index) in
-        ignore
-          (Ba_sim.Engine.schedule_at engine ~at:(surge_at + 100) (fun () ->
-               Ba_proto.Flow.crash_receiver victim));
-        ignore
-          (Ba_sim.Engine.schedule_at engine ~at:(surge_at + 100 + stall_for) (fun () ->
-               Ba_proto.Flow.restart_receiver victim))
-      end;
-      match crash_plan with
-      | None -> ()
-      | Some plan ->
-          if Array.length flows > 0 && Ba_proto.Flow.crash_tolerant flows.(0) then
-            Ba_proto.Flow.schedule_crashes engine flows.(0) plan
+    let on_flows _ cell =
+      if Ba_proto.Cell.flows cell > victim_index then
+        Ba_proto.Cell.schedule_crashes cell victim_index stall_plan;
+      Option.iter (Ba_proto.Cell.schedule_crashes cell 0) crash_plan
     in
     Fabric.run ~seed:rseed ~data_loss:loss ~ack_loss ~data_delay:delay ~ack_delay:delay
       ?data_bottleneck:bottleneck ?data_plan ?ack_plan ~memory_budget:budget ~watchdog ~on_flows

@@ -16,8 +16,8 @@ type stats = {
   outage_drops : int;
 }
 
-(* In-transit messages live in a struct-of-arrays arena (message, send
-   index, extra delay, releasable flag) and are referred to by integer
+(* In-transit messages live in a struct-of-arrays arena (message, tag,
+   send index, extra delay, releasable flag) and are referred to by integer
    id everywhere: the bottleneck queue is a ring of ids and the two
    event callbacks ([deliver_ev]/[serve_ev], built once at [create])
    take an id through {!Ba_sim.Engine.schedule_fn}. Steady-state sends
@@ -35,7 +35,7 @@ type 'a t = {
   loss : float;
   delay : Dist.t;
   bottleneck : (int * int) option;  (* service time, queue capacity *)
-  deliver : 'a -> unit;
+  deliver : int -> 'a -> unit;  (* tag, message *)
   corrupt : ('a -> 'a) option;
   release : ('a -> unit) option;
   rng : Ba_util.Rng.t;
@@ -45,6 +45,7 @@ type 'a t = {
   mutable serve_ev : int -> unit;  (* persistent bottleneck service-completion callback *)
   (* arena of in-transit messages *)
   mutable ent_msg : 'a array;  (* [||] until the first send supplies a filler *)
+  mutable ent_tag : int array;
   mutable ent_idx : int array;
   mutable ent_extra : int array;
   mutable ent_rel : bool array;
@@ -70,14 +71,14 @@ type 'a t = {
 
 let ignore_int (_ : int) = ()
 
-let rec create : 'a.
+let rec create_tagged : 'a.
     Ba_sim.Engine.t ->
     ?loss:float ->
     ?delay:Dist.t ->
     ?bottleneck:int * int ->
     ?corrupt:('a -> 'a) ->
     ?release:('a -> unit) ->
-    deliver:('a -> unit) ->
+    deliver:(int -> 'a -> unit) ->
     unit ->
     'a t =
  fun engine ?(loss = 0.) ?(delay = Dist.Constant 1) ?bottleneck ?corrupt ?release ~deliver () ->
@@ -101,6 +102,7 @@ let rec create : 'a.
       deliver_ev = ignore_int;
       serve_ev = ignore_int;
       ent_msg = [||];
+      ent_tag = [||];
       ent_idx = [||];
       ent_extra = [||];
       ent_rel = [||];
@@ -129,14 +131,17 @@ let rec create : 'a.
 
 (* ---- arena ---- *)
 
-and alloc_entry : 'a. 'a t -> 'a -> int -> int -> bool -> int =
- fun t msg index extra rel ->
+and alloc_entry : 'a. 'a t -> 'a -> int -> int -> int -> bool -> int =
+ fun t msg tag index extra rel ->
   if t.ent_free_len = 0 then begin
     let old = Array.length t.ent_msg in
     let cap = if old = 0 then 16 else 2 * old in
     let m = Array.make cap msg in
     Array.blit t.ent_msg 0 m 0 old;
     t.ent_msg <- m;
+    let tg = Array.make cap 0 in
+    Array.blit t.ent_tag 0 tg 0 old;
+    t.ent_tag <- tg;
     let ix = Array.make cap 0 in
     Array.blit t.ent_idx 0 ix 0 old;
     t.ent_idx <- ix;
@@ -156,6 +161,7 @@ and alloc_entry : 'a. 'a t -> 'a -> int -> int -> bool -> int =
   t.ent_free_len <- t.ent_free_len - 1;
   let id = t.ent_free.(t.ent_free_len) in
   t.ent_msg.(id) <- msg;
+  t.ent_tag.(id) <- tag;
   t.ent_idx.(id) <- index;
   t.ent_extra.(id) <- extra;
   t.ent_rel.(id) <- rel;
@@ -183,9 +189,10 @@ and on_arrival : 'a. 'a t -> int -> unit =
   if index < t.max_delivered_index then t.reordered <- t.reordered + 1
   else t.max_delivered_index <- index;
   let msg = t.ent_msg.(id) in
+  let tag = t.ent_tag.(id) in
   let rel = t.ent_rel.(id) in
   free_entry t id;
-  t.deliver msg;
+  t.deliver tag msg;
   if rel then match t.release with Some r -> r msg | None -> ()
 
 and serve_next : 'a. 'a t -> int -> unit =
@@ -207,26 +214,31 @@ and on_served : 'a. 'a t -> int -> unit =
   | Some (service_time, _) -> serve_next t service_time
   | None -> ()
 
+let create engine ?loss ?delay ?bottleneck ?corrupt ?release ~deliver () =
+  create_tagged engine ?loss ?delay ?bottleneck ?corrupt ?release
+    ~deliver:(fun _ msg -> deliver msg)
+    ()
+
 let maybe_release t msg = match t.release with Some r -> r msg | None -> ()
 
 (* One surviving copy enters the (optional) bottleneck and then the
    propagation stage. *)
-let admit t msg index extra rel =
+let admit t msg tag index extra rel =
   match t.bottleneck with
-  | None -> propagate t (alloc_entry t msg index extra rel)
+  | None -> propagate t (alloc_entry t msg tag index extra rel)
   | Some (service_time, capacity) ->
       if t.q_len >= capacity then begin
         t.queue_dropped <- t.queue_dropped + 1;
         if rel then maybe_release t msg
       end
       else begin
-        let id = alloc_entry t msg index extra rel in
+        let id = alloc_entry t msg tag index extra rel in
         t.q_buf.((t.q_head + t.q_len) mod capacity) <- id;
         t.q_len <- t.q_len + 1;
         if not t.serving then serve_next t service_time
       end
 
-let send t msg =
+let send_tagged t tag msg =
   t.sent <- t.sent + 1;
   let index = t.send_index in
   t.send_index <- t.send_index + 1;
@@ -259,22 +271,24 @@ let send t msg =
       | Drop ->
           t.dropped <- t.dropped + 1;
           maybe_release t msg
-      | Deliver -> admit t msg index 0 true
-      | Delay extra -> admit t msg index (max 0 extra) true
+      | Deliver -> admit t msg tag index 0 true
+      | Delay extra -> admit t msg tag index (max 0 extra) true
       | Duplicate copies ->
           let copies = max 1 copies in
           t.duplicated <- t.duplicated + (copies - 1);
           (* The copies alias one value, so none is individually
              releasable; the GC reclaims it after the last arrival. *)
           for _ = 1 to copies do
-            admit t msg index 0 false
+            admit t msg tag index 0 false
           done
       | Corrupt ->
           t.corrupted <- t.corrupted + 1;
           let mangled = match t.corrupt with Some f -> f msg | None -> msg in
           if mangled != msg then maybe_release t msg;
-          admit t mangled index 0 true
+          admit t mangled tag index 0 true
   end
+
+let send t msg = send_tagged t 0 msg
 
 let set_fault t f = t.fault <- Some f
 let clear_fault t = t.fault <- None

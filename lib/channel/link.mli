@@ -76,10 +76,29 @@ val create :
     retain the message past its return (retaining the payload string it
     carries is fine — release recycles only the frame itself). *)
 
+val create_tagged :
+  Ba_sim.Engine.t ->
+  ?loss:float ->
+  ?delay:Dist.t ->
+  ?bottleneck:int * int ->
+  ?corrupt:('a -> 'a) ->
+  ?release:('a -> unit) ->
+  deliver:(int -> 'a -> unit) ->
+  unit ->
+  'a t
+(** Like {!create}, but each message travels with the int tag given to
+    {!send_tagged}, and [deliver] receives it. The tag is a link-layer
+    address (a flow index when many flows share the link): it sits in
+    its own arena column beside the message, so tagging allocates
+    nothing, and fault hooks and [corrupt] see only the bare message.
+    {!send} on a tagged link uses tag 0. *)
+
 val queue_length : 'a t -> int
 (** Messages waiting at the bottleneck (0 when none configured). *)
 
 val send : 'a t -> 'a -> unit
+
+val send_tagged : 'a t -> int -> 'a -> unit
 
 val set_fault : 'a t -> ('a -> verdict) -> unit
 (** Install a scripted hook consulted at send time. A non-[Deliver]

@@ -1079,10 +1079,7 @@ let s3_churn_soak ?(jobs = 1) ~quick () =
               { s with Fabric.config = fst (Chaos.apply_squeeze sq s.Fabric.config) })
             specs
         in
-        let on_flows engine (flows : Ba_proto.Flow.t array) =
-          if Array.length flows > 0 && Ba_proto.Flow.crash_tolerant flows.(0) then
-            Ba_proto.Flow.schedule_crashes engine flows.(0) crash_plan
-        in
+        let on_flows _ cell = Ba_proto.Cell.schedule_crashes cell 0 crash_plan in
         let r =
           Fabric.run ~seed ~data_plan ~ack_plan
             ~data_bottleneck:(sq.Chaos.service_time, sq.Chaos.queue_capacity)

@@ -1,9 +1,7 @@
 (* N connections multiplexed over one shared data link and one shared
-   ack link. Wire messages are tagged with their flow id — the tag plays
-   the role of a link-layer address, so faults mangle payloads, never the
-   demultiplexing. *)
+   ack link: admission control plus one Cell. *)
 
-type spec = {
+type spec = Cell.spec = {
   protocol : Protocol.t;
   config : Proto_config.t;
   messages : int;
@@ -12,9 +10,7 @@ type spec = {
   stop_at : int option;
 }
 
-let spec ?(config = Proto_config.default) ?(messages = 100) ?(payload_size = 32) ?(start_at = 0)
-    ?stop_at protocol =
-  { protocol; config; messages; payload_size; start_at; stop_at }
+let spec = Cell.spec
 
 type result = {
   ticks : int;
@@ -45,306 +41,50 @@ let jain = function
       if sq = 0. then 1.0
       else sum *. sum /. (float_of_int (List.length xs) *. sq)
 
-(* Worst-case bytes one flow can pin: a full effective window of
-   payloads in the sender's retransmit buffer plus as many again in the
-   receiver's reassembly window. Deliberately conservative — admission
-   guarantees the budget even when every admitted flow (surge flows
-   included) saturates simultaneously. *)
-let flow_cost s ~clamp = 2 * min s.config.Proto_config.window clamp * s.payload_size
-
-(* Peak concurrent cost under the interval model: a flow pins memory
-   only while its [start_at, stop_at) interval is open, so the budget
-   must cover the worst instant, not the lifetime sum. The concurrent
-   total is piecewise constant and only steps up at interval starts, so
-   checking each spec's [start_at] finds the peak. With no [stop_at]
-   anywhere every interval is open-ended and the peak equals the plain
-   sum — the historical admission decisions are unchanged. *)
-let peak_cost ~clamp specs =
-  let active_at t s =
-    s.start_at <= t && match s.stop_at with None -> true | Some d -> t < d
-  in
-  List.fold_left
-    (fun acc s ->
-      let here =
-        List.fold_left
-          (fun a s' -> if active_at s.start_at s' then a + flow_cost s' ~clamp else a)
-          0 specs
-      in
-      max acc here)
-    0 specs
-
-(* Graceful degradation, in preference order: admit everyone unclamped;
-   else admit everyone under the largest uniform window clamp that
-   fits; else clamp to 1 and admit the longest spec prefix that fits,
-   refusing the rest. "Fits" is the peak-concurrency test above, so a
-   departing flow's reservation is reusable by any arrival scheduled
-   after its [stop_at]. *)
-let plan_admission ~budget specs =
-  let max_w = List.fold_left (fun acc s -> max acc s.config.Proto_config.window) 1 specs in
-  let rec fit c = if c >= 1 && peak_cost ~clamp:c specs > budget then fit (c - 1) else c in
-  let c = fit max_w in
-  if c >= 1 then (specs, 0, if c < max_w then Some c else None)
-  else begin
-    let rec split admitted = function
-      | [] -> (List.rev admitted, 0)
-      | s :: rest ->
-          if peak_cost ~clamp:1 (List.rev (s :: admitted)) > budget then
-            (List.rev admitted, List.length (s :: rest))
-          else split (s :: admitted) rest
-    in
-    let admitted, refused = split [] specs in
-    if admitted = [] then invalid_arg "Fabric.run: memory_budget admits no flow";
-    (admitted, refused, Some 1)
-  end
-
+(* Admission control plus one cell holding every flow. The shared links
+   keep their exact bottleneck queues: with one cell there is nothing to
+   lease between. *)
 let run ?(seed = 42) ?(data_loss = 0.) ?(ack_loss = 0.)
     ?(data_delay = Ba_channel.Dist.Uniform (40, 60))
     ?(ack_delay = Ba_channel.Dist.Uniform (40, 60)) ?data_bottleneck ?ack_bottleneck ?data_plan
     ?ack_plan ?deadline ?memory_budget ?watchdog ?on_setup ?on_flows specs =
-  if specs = [] then invalid_arg "Fabric.run: at least one flow required";
-  List.iter
-    (fun s ->
-      Proto_config.validate s.config;
-      if s.start_at < 0 then invalid_arg "Fabric.run: start_at must be >= 0";
-      match s.stop_at with
-      | Some d when d <= s.start_at -> invalid_arg "Fabric.run: stop_at must be > start_at"
-      | Some _ | None -> ())
-    specs;
-  (match memory_budget with
-  | Some b when b <= 0 -> invalid_arg "Fabric.run: memory_budget must be positive"
-  | Some _ | None -> ());
-  let specs, refused, clamp =
-    match memory_budget with
-    | None -> (specs, 0, None)
-    | Some budget -> plan_admission ~budget specs
+  Cell.validate ~who:"Fabric.run" ?memory_budget specs;
+  let cell =
+    Cell.create ~engine_seed:seed
+      ~wseed:(fun i -> seed + (7919 * (i + 1)))
+      ~data_loss ~ack_loss ~data_delay ~ack_delay ?data_bottleneck ?ack_bottleneck ?data_plan
+      ?ack_plan ?budget:memory_budget ?watchdog specs
   in
-  (* The clamp is enforced twice over: the sender's effective window is
-     capped ({!Flow.clamp_window}) and the receiver's reassembly budget
-     is rewritten to match, so even a misbehaving sender cannot pin more
-     than the accounted slots. *)
-  let specs =
-    match clamp with
-    | None -> specs
-    | Some c ->
-        List.map
-          (fun s ->
-            let w = s.config.Proto_config.window in
-            if c >= w then s
-            else
-              let rx = Option.value ~default:w s.config.Proto_config.rx_budget in
-              { s with config = { s.config with Proto_config.rx_budget = Some (min c rx) } })
-          specs
-  in
-  let n = List.length specs in
-  let engine = Ba_sim.Engine.create ~seed () in
-  let deadline =
-    match deadline with
-    | Some d -> d
-    | None ->
-        (* Scaled to the aggregate workload: the shared link serialises
-           every flow's traffic, so the single-flow allowance multiplies
-           by the total offered load. *)
-        let total = List.fold_left (fun acc s -> acc + s.messages) 0 specs in
-        let max_rto = List.fold_left (fun acc s -> max acc s.config.Proto_config.rto) 1 specs in
-        (max 1 total * max_rto * 20) + 1_000_000
-  in
-  let flows : Flow.t option array = Array.make n None in
-  (* Quarantine gate: a gated flow's frames never reach the shared
-     links, so a livelocked neighbour cannot consume their capacity. *)
-  let gated = Array.make n false in
-  let data_link =
-    Ba_channel.Link.create engine ~loss:data_loss ~delay:data_delay ?bottleneck:data_bottleneck
-      ~corrupt:(fun (i, d) -> (i, Wire.corrupt_data d))
-      ~release:(fun (_, d) -> Wire.release_data d)
-      ~deliver:(fun (i, d) -> match flows.(i) with Some f -> Flow.on_data f d | None -> ())
-      ()
-  in
-  let ack_link =
-    Ba_channel.Link.create engine ~loss:ack_loss ~delay:ack_delay ?bottleneck:ack_bottleneck
-      ~corrupt:(fun (i, a) -> (i, Wire.corrupt_ack a))
-      ~release:(fun (_, a) -> Wire.release_ack a)
-      ~deliver:(fun (i, a) -> match flows.(i) with Some f -> Flow.on_ack f a | None -> ())
-      ()
-  in
-  (* Scheduled channel faults on the shared links (the fabric-scale
-     analogue of the harness's plan arguments). Only splits the link's
-     random stream when a plan is actually given, so plan-free runs keep
-     their exact historical event sequence. *)
-  (match data_plan with Some p -> Ba_channel.Link.set_plan data_link p | None -> ());
-  (match ack_plan with Some p -> Ba_channel.Link.set_plan ack_link p | None -> ());
-  let remaining = ref n in
-  (* A departed flow's slot: demux entry cleared (so its buffered state
-     is unreachable and excluded from memory sampling), tx gate shut,
-     watchdog slot released. [all_flows] keeps the handle for end-of-run
-     verdicts — its counters freeze at departure because no event can
-     reach it. *)
-  let all_flows : Flow.t option array = Array.make n None in
-  let departed_at = Array.make n None in
-  List.iteri
-    (fun i s ->
-      let f =
-        Flow.create engine s.protocol ~id:i
-          ~workload_seed:(seed + (7919 * (i + 1)))
-          ~seed ~messages:s.messages ~payload_size:s.payload_size ~config:s.config
-          ~data_tx:(fun d -> if not gated.(i) then Ba_channel.Link.send data_link (i, d))
-          ~ack_tx:(fun a -> if not gated.(i) then Ba_channel.Link.send ack_link (i, a))
-          ~on_complete:(fun () ->
-            decr remaining;
-            if !remaining = 0 then Ba_sim.Engine.stop engine)
-          ()
-      in
-      (match clamp with Some c -> Flow.clamp_window f c | None -> ());
-      flows.(i) <- Some f;
-      all_flows.(i) <- Some f)
-    specs;
-  let starts = Array.of_list (List.map (fun s -> s.start_at) specs) in
-  (* Departure schedule: at [stop_at] the flow is closed whether or not
-     it finished — churn models flows that leave, not flows that are
-     polite about it. An unfinished departer stops counting toward
-     [remaining] (the fabric must not wait for a flow that left). *)
-  List.iteri
-    (fun i s ->
-      match s.stop_at with
-      | None -> ()
-      | Some d ->
-          ignore
-            (Ba_sim.Engine.schedule_at engine ~at:d (fun () ->
-                 match flows.(i) with
-                 | None -> ()
-                 | Some f ->
-                     flows.(i) <- None;
-                     gated.(i) <- true;
-                     if not (Flow.is_complete f) then begin
-                       departed_at.(i) <- Some d;
-                       decr remaining;
-                       if !remaining = 0 then Ba_sim.Engine.stop engine
-                     end)))
-    specs;
-  let mem_peak = ref 0 in
-  let sample_mem () =
-    let total = Array.fold_left (fun acc -> function
-        | Some f -> acc + Flow.mem_bytes f
-        | None -> acc) 0 flows
-    in
-    if total > !mem_peak then mem_peak := total
-  in
-  let dogs =
-    match watchdog with
-    | None -> [||]
-    | Some wcfg ->
-        let dogs = Array.init n (fun _ -> Watchdog.create wcfg) in
-        let rec tick () =
-          sample_mem ();
-          Array.iteri
-            (fun i fo ->
-              match fo with
-              | None -> ()
-              | Some f ->
-                  if starts.(i) <= Ba_sim.Engine.now engine then begin
-                    match
-                      Watchdog.observe dogs.(i) ~delivered:(Flow.delivered f)
-                        ~completed:(Flow.is_complete f)
-                    with
-                    | Watchdog.Nothing -> ()
-                    | Watchdog.Resync ->
-                        (* Recover through the PR-4 handshake: wipe the
-                           sender's volatile state and let REQ/POS/FIN
-                           re-establish the window at the receiver's
-                           authoritative position. Protocols without a
-                           crash lifecycle have no recovery lever. *)
-                        if Flow.crash_tolerant f then begin
-                          Flow.crash_sender f;
-                          Flow.restart_sender f
-                        end
-                    | Watchdog.Quarantine -> gated.(i) <- true
-                    | Watchdog.Release ->
-                        gated.(i) <- false;
-                        if Flow.crash_tolerant f then begin
-                          Flow.crash_sender f;
-                          Flow.restart_sender f
-                        end
-                  end)
-            flows;
-          if !remaining > 0 then
-            ignore (Ba_sim.Engine.schedule engine ~delay:wcfg.Watchdog.check_interval tick)
-        in
-        ignore (Ba_sim.Engine.schedule engine ~delay:wcfg.Watchdog.check_interval tick);
-        dogs
-  in
-  (* Memory verification sampler: admission is a static worst-case
-     guarantee; the sampler observes what actually happened. Only armed
-     when someone is accounting (a budget or a watchdog is set), so
-     budget-free runs keep their exact historical event sequence. *)
-  (match memory_budget with
-  | Some _ when watchdog = None ->
-      let rec tick () =
-        sample_mem ();
-        if !remaining > 0 then ignore (Ba_sim.Engine.schedule engine ~delay:500 tick)
-      in
-      ignore (Ba_sim.Engine.schedule engine ~delay:500 tick)
-  | Some _ | None -> ());
-  (match on_setup with Some g -> g engine | None -> ());
-  (* Per-flow instrumentation hook: lets callers schedule process faults
-     (crash/restart of one flow's endpoints) before traffic starts. *)
-  (match on_flows with
-  | Some g -> g engine (Array.map Option.get flows)
-  | None -> ());
-  (* Surge flows (start_at > 0) exist from tick 0 — creation order fixes
-     determinism — but only start offering traffic at their start tick. *)
-  Array.iteri
-    (fun i fo ->
-      match fo with
-      | None -> ()
-      | Some f ->
-          if starts.(i) = 0 then Flow.pump f
-          else ignore (Ba_sim.Engine.schedule_at engine ~at:starts.(i) (fun () -> Flow.pump f)))
-    flows;
-  Ba_sim.Engine.run ~until:deadline engine;
-  sample_mem ();
+  let engine = Cell.engine cell in
+  Option.iter (fun g -> g engine) on_setup;
+  Option.iter (fun g -> g engine cell) on_flows;
+  Cell.start cell;
+  Ba_sim.Engine.run ~until:(Option.value deadline ~default:(Cell.deadline cell)) engine;
+  Cell.sample_mem cell;
   let ticks = Ba_sim.Engine.now engine in
-  let flow_results =
-    Array.to_list (Array.mapi (fun i f -> (i, Option.get f)) all_flows)
-    |> List.map (fun (i, f) ->
-           (* A finished flow is judged over its own tenancy — from its
-              start tick to completion (or departure, or the end of the
-              run) — so slow neighbours don't dilute its goodput and a
-              late arrival isn't charged for ticks before it existed. *)
-           let upto =
-             match (Flow.completed_at f, departed_at.(i)) with
-             | Some t, _ -> t
-             | None, Some t -> t
-             | None, None -> ticks
-           in
-           Flow.result f ~ticks:(max 1 (upto - starts.(i))) ())
-  in
-  let total_delivered = List.fold_left (fun acc r -> acc + r.Flow.delivered) 0 flow_results in
-  let departed = Array.fold_left (fun acc -> function Some _ -> acc + 1 | None -> acc) 0 departed_at in
+  let n = Cell.flows cell in
+  let flows = List.init n (Cell.flow_result cell) in
+  let t = Cell.tally cell in
   {
     ticks;
     (* A scheduled departure is a normal end of life: completion means
        every flow either finished or left on schedule. *)
     completed =
-      List.for_all2
-        (fun d r -> Option.is_some d || r.Flow.completed)
-        (Array.to_list departed_at) flow_results;
-    flows = flow_results;
+      List.for_all Fun.id (List.mapi (fun i r -> Cell.departed cell i || r.Flow.completed) flows);
+    flows;
     aggregate_goodput =
-      (if ticks = 0 then 0. else float_of_int total_delivered *. 1000. /. float_of_int ticks);
-    fairness = jain (List.map (fun r -> r.Flow.goodput) flow_results);
-    data_stats = Ba_channel.Link.stats data_link;
-    ack_stats = Ba_channel.Link.stats ack_link;
+      (if ticks = 0 then 0. else float_of_int t.delivered *. 1000. /. float_of_int ticks);
+    fairness = jain (List.map (fun r -> r.Flow.goodput) flows);
+    data_stats = Ba_channel.Link.stats (Cell.data_link cell);
+    ack_stats = Ba_channel.Link.stats (Cell.ack_link cell);
     admitted = n;
-    refused;
-    departed;
-    clamped_window = clamp;
-    mem_peak_bytes = !mem_peak;
-    quarantine_events =
-      Array.fold_left (fun acc d -> acc + Watchdog.quarantine_events d) 0 dogs;
-    watchdog_resyncs = Array.fold_left (fun acc d -> acc + Watchdog.resync_events d) 0 dogs;
-    quarantined =
-      Array.fold_left
-        (fun acc d -> if Watchdog.state d = Watchdog.Quarantined then acc + 1 else acc)
-        0 dogs;
+    refused = Cell.refused cell;
+    departed = t.departed;
+    clamped_window = Cell.clamp cell;
+    mem_peak_bytes = Cell.mem_peak cell;
+    quarantine_events = t.quarantine_events;
+    watchdog_resyncs = t.watchdog_resyncs;
+    quarantined = t.quarantined;
   }
 
 (* Seed-derived churn schedule: [base] flows span the whole horizon and

@@ -1,14 +1,18 @@
-(** N-connection simulation fabric: many {!Flow}s — any mix of protocols
+(** N-connection simulation fabric: many flows — any mix of protocols
     — multiplexed over one shared data link and one shared ack link.
 
     This is the scaling counterpart of {!Harness}: where the harness
     gives a single connection two private links, the fabric makes every
     connection contend for the same capacity-limited channel (pass
     [data_bottleneck] to model the shared router queue), which is what
-    contention, fairness and aggregate-throughput questions need. Wire
-    messages travel tagged with their flow id; the tag acts as a
-    link-layer address, so injected corruption mangles frames but never
-    the demultiplexing.
+    contention, fairness and aggregate-throughput questions need.
+
+    A fabric run is admission control plus one {!Cell} holding every
+    admitted flow. Unlike {!Shard}, whose cells each get a lease on the
+    shared rate, the fabric's bottleneck is the exact {!Ba_channel.Link}
+    queue: with one cell there is nothing to lease between, and a queue
+    that serves frames in arrival order is the model itself rather than
+    an approximation of it.
 
     The fabric is also where overload is handled: a [memory_budget]
     turns on admission control with graceful degradation (refuse new
@@ -17,30 +21,18 @@
     the crash-restart handshake and quarantines repeat offenders off the
     shared links (see {!Watchdog}).
 
-    A run is a pure function of [seed]: links split the engine's random
-    stream in creation order, flows are created in spec order (sender
-    then receiver, as in the harness), and same-tick events fire in
-    scheduling order. *)
+    A run is a pure function of [seed]: the cell's engine is seeded
+    [seed], flow [i]'s workload [seed + 7919·(i+1)]. *)
 
-type spec = {
+type spec = Cell.spec = {
   protocol : Protocol.t;
   config : Proto_config.t;
   messages : int;  (** payloads this flow offers *)
   payload_size : int;
-  start_at : int;
-      (** tick at which this flow starts offering traffic (0 = from the
-          beginning). Late starters model a traffic surge hitting a
-          running fabric; they still participate in admission control
-          up front, so the memory guarantee covers the surge peak. *)
-  stop_at : int option;
-      (** tick at which this flow departs, finished or not ([None] = it
-          stays until it completes). At [stop_at] the flow's demux slot,
-          tx gate and watchdog slot are released and its buffered bytes
-          stop counting toward the fabric's memory — the reservation is
-          reclaimed, and admission control (which reasons about peak
-          {e concurrent} cost over the [start_at, stop_at) intervals)
-          can hand it to a later arrival. *)
+  start_at : int;  (** tick at which this flow starts offering traffic *)
+  stop_at : int option;  (** tick at which this flow departs, finished or not *)
 }
+(** See {!Cell.spec}. *)
 
 val spec :
   ?config:Proto_config.t ->
@@ -93,20 +85,6 @@ val jain : float list -> float
     allocation, [1/n] is one flow hoarding everything. 1.0 on degenerate
     input (empty list, or all zeros). *)
 
-val flow_cost : spec -> clamp:int -> int
-(** Worst-case payload bytes one flow can pin under a window clamp:
-    [2 · min window clamp · payload_size] (retransmit buffer plus
-    reassembly window). The admission unit of account. *)
-
-val plan_admission : budget:int -> spec list -> spec list * int * int option
-(** [plan_admission ~budget specs] is the graceful-degradation decision
-    {!run} applies for [memory_budget]: [(admitted, refused, clamp)] —
-    everyone unclamped if peak concurrent cost fits; else everyone under
-    the largest uniform window clamp that fits; else clamp 1 and the
-    longest spec prefix that fits, the rest refused. Raises
-    [Invalid_argument] when not even one clamped flow fits. Exported so
-    {!Shard} can make the {e same} decision cell-locally. *)
-
 val run :
   ?seed:int ->
   ?data_loss:float ->
@@ -121,7 +99,7 @@ val run :
   ?memory_budget:int ->
   ?watchdog:Watchdog.config ->
   ?on_setup:(Ba_sim.Engine.t -> unit) ->
-  ?on_flows:(Ba_sim.Engine.t -> Flow.t array -> unit) ->
+  ?on_flows:(Ba_sim.Engine.t -> Cell.t -> unit) ->
   spec list ->
   result
 (** [run specs] drives every flow to completion (or to the deadline,
@@ -138,8 +116,8 @@ val run :
     lifetime-sum accounting would have refused. Degradation is graceful
     and in preference order: admit everyone unclamped if the budget
     allows; else admit everyone under the largest uniform window clamp
-    that fits (enforced both by {!Flow.clamp_window} on the sender and
-    by rewriting the receiver's [rx_budget]); else clamp to 1 and admit
+    that fits (enforced both by clamping the sender's window and by
+    rewriting the receiver's [rx_budget]); else clamp to 1 and admit
     the longest spec prefix that fits, refusing the rest. Raises
     [Invalid_argument] when not even one clamped flow fits.
 
@@ -157,9 +135,9 @@ val run :
     probation ends, so the other [n−1] flows keep their throughput.
 
     [on_flows] is called once after every flow is created and before any
-    traffic is pumped, with the flows in spec order — the hook for
-    scheduling process faults against a {e single} flow (e.g.
-    {!Flow.crash_receiver} at a chosen tick) to check that one
+    traffic is pumped, with the cell (flow [i] is spec [i] among the
+    admitted) — the hook for scheduling process faults against a
+    {e single} flow ({!Cell.schedule_crashes}) to check that one
     endpoint's crash cannot stall or corrupt the other [n-1] flows
     sharing the links.
 

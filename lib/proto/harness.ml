@@ -1,36 +1,4 @@
-type result = Flow.result = {
-  protocol : string;
-  completed : bool;
-  ticks : int;
-  messages : int;
-  delivered : int;
-  duplicates : int;
-  misordered : int;
-  corrupted : int;
-  data_sent : int;
-  data_dropped : int;
-  data_queue_dropped : int;
-  data_reordered : int;
-  data_duplicated : int;
-  data_corrupted : int;
-  data_outage_drops : int;
-  acks_sent : int;
-  acks_dropped : int;
-  acks_corrupted : int;
-  ack_outage_drops : int;
-  retransmissions : int;
-  goodput : float;
-  latency : Ba_util.Stats.summary option;
-  latencies : float list;
-  ack_overhead : float;
-  efficiency : float;
-  crashes : int;
-  restarts : int;
-  resync_rounds : int;
-  resync_ticks : Ba_util.Stats.summary option;
-  retx_bytes : int;
-  pressure_drops : int;
-}
+include Flow
 
 type setup = {
   engine : Ba_sim.Engine.t;
@@ -38,56 +6,42 @@ type setup = {
   ack_link : Wire.ack Ba_channel.Link.t;
 }
 
+(* One flow in one cell, plus what only a private pair of links can
+   attribute to a single flow: the links' drop, reorder and fault
+   counters. *)
 let run (module P : Protocol.S) ?(seed = 42) ?(messages = 1000) ?(payload_size = 32)
     ?(config = Proto_config.default) ?(data_loss = 0.) ?(ack_loss = 0.)
     ?(data_delay = Ba_channel.Dist.Uniform (40, 60)) ?(ack_delay = Ba_channel.Dist.Uniform (40, 60))
     ?data_bottleneck ?data_plan ?ack_plan ?(crash_plan = Crash_plan.none) ?deadline ?on_setup () =
   Proto_config.validate config;
   Crash_plan.validate crash_plan;
-  let engine = Ba_sim.Engine.create ~seed () in
-  let deadline =
-    match deadline with
-    | Some d -> d
-    | None ->
-        (* Generous: every message could need several timeouts even at
-           heavy loss before the run is declared stuck. *)
-        (max 1 messages * config.Proto_config.rto * 20) + 1_000_000
+  if crash_plan <> Crash_plan.none && not P.crash_tolerant then
+    invalid_arg (P.name ^ ": crash-restart lifecycle not supported");
+  let cell =
+    Cell.create ~engine_seed:seed
+      ~wseed:(fun _ -> seed)
+      ~data_loss ~ack_loss ~data_delay ~ack_delay ?data_bottleneck ?data_plan ?ack_plan
+      [ Cell.spec ~config ~messages ~payload_size (module P) ]
   in
-  let flow = ref None in
-  let data_link =
-    Ba_channel.Link.create engine ~loss:data_loss ~delay:data_delay ?bottleneck:data_bottleneck
-      ~corrupt:Wire.corrupt_data ~release:Wire.release_data
-      ~deliver:(fun d -> match !flow with Some f -> Flow.on_data f d | None -> ())
-      ()
-  in
-  let ack_link =
-    Ba_channel.Link.create engine ~loss:ack_loss ~delay:ack_delay
-      ~corrupt:Wire.corrupt_ack ~release:Wire.release_ack
-      ~deliver:(fun a -> match !flow with Some f -> Flow.on_ack f a | None -> ())
-      ()
-  in
-  Option.iter (Ba_channel.Link.set_plan data_link) data_plan;
-  Option.iter (Ba_channel.Link.set_plan ack_link) ack_plan;
-  let f =
-    Flow.create engine
-      (module P)
-      ~seed ~messages ~payload_size ~config
-      ~data_tx:(Ba_channel.Link.send data_link)
-      ~ack_tx:(Ba_channel.Link.send ack_link)
-      ~on_complete:(fun () -> Ba_sim.Engine.stop engine)
-      ()
-  in
-  flow := Some f;
-  Flow.schedule_crashes engine f crash_plan;
-  (match on_setup with
-  | Some g -> g { engine; data_link; ack_link }
-  | None -> ());
-  Flow.pump f;
-  Ba_sim.Engine.run ~until:deadline engine;
-  Flow.result f
-    ~data_stats:(Ba_channel.Link.stats data_link)
-    ~ack_stats:(Ba_channel.Link.stats ack_link)
-    ~ticks:(Ba_sim.Engine.now engine) ()
+  let engine = Cell.engine cell in
+  let data_link = Cell.data_link cell and ack_link = Cell.ack_link cell in
+  Cell.schedule_crashes cell 0 crash_plan;
+  Option.iter (fun g -> g { engine; data_link; ack_link }) on_setup;
+  Cell.start cell;
+  Ba_sim.Engine.run ~until:(Option.value deadline ~default:(Cell.deadline cell)) engine;
+  let d = Ba_channel.Link.stats data_link and a = Ba_channel.Link.stats ack_link in
+  {
+    (Cell.flow_result cell 0) with
+    data_dropped = d.dropped;
+    data_queue_dropped = d.queue_dropped;
+    data_reordered = d.reordered;
+    data_duplicated = d.duplicated;
+    data_corrupted = d.corrupted;
+    data_outage_drops = d.outage_drops;
+    acks_dropped = a.dropped;
+    acks_corrupted = a.corrupted;
+    ack_outage_drops = a.outage_drops;
+  }
 
 let correct r = r.completed && r.duplicates = 0 && r.misordered = 0 && r.corrupted = 0
 

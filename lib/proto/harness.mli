@@ -1,55 +1,21 @@
 (** Experiment harness: one sender, one receiver, two lossy links.
 
-    [run] wires a single {!Flow} into a fresh simulation over two private
-    links, drives a {!Workload} of [messages] payloads through it, and
+    [run] is one flow in one {!Cell} — engine seeded [seed], workload
+    seeded [seed] — driving [messages] payloads through a protocol, and
     reports both performance (ticks, goodput, overhead) and correctness
     (duplicates, misordering, corruption) — the latter must be zero for a
     correct protocol and is deliberately *not* zero for the broken
-    baselines the paper warns about. For many connections over a shared
-    link, see {!Fabric}; [result] is the same record ({!Flow.result}), so
-    every check written against harness output also reads fabric
-    output. *)
+    baselines the paper warns about. Because its two links are private,
+    the harness also attributes their drop, reorder and fault counters
+    to the flow. For many connections over a shared link, see {!Fabric};
+    [result] is the same record ({!Flow.result}), so every check written
+    against harness output also reads fabric output. *)
 
-type result = Flow.result = {
-  protocol : string;
-  completed : bool;  (** all payloads delivered and acknowledged *)
-  ticks : int;  (** simulated time consumed *)
-  messages : int;  (** payloads offered *)
-  delivered : int;  (** distinct payloads delivered *)
-  duplicates : int;  (** deliveries of an already-delivered payload *)
-  misordered : int;  (** deliveries that broke application order *)
-  corrupted : int;  (** deliveries of an unparseable payload *)
-  data_sent : int;
-  data_dropped : int;
-  data_queue_dropped : int;  (** tail drops at the data-link bottleneck *)
-  data_reordered : int;  (** wire-level overtakings on the data link *)
-  data_duplicated : int;  (** extra copies injected by a fault plan *)
-  data_corrupted : int;  (** wire-level corruptions injected on the data link *)
-  data_outage_drops : int;  (** data frames lost to scheduled outages *)
-  acks_sent : int;
-  acks_dropped : int;
-  acks_corrupted : int;  (** wire-level corruptions injected on the ack link *)
-  ack_outage_drops : int;  (** acks lost to scheduled outages *)
-  retransmissions : int;
-  goodput : float;  (** delivered payloads per 1000 ticks *)
-  latency : Ba_util.Stats.summary option;
-      (** per-payload delivery latency (ticks from entering the sender's
-          window to in-order delivery); [None] when nothing was delivered *)
-  latencies : float list;
-      (** the raw per-payload latency samples behind [latency], in
-          delivery order (for histograms) *)
-  ack_overhead : float;  (** ack bytes per delivered payload byte *)
-  efficiency : float;  (** delivered / data_sent: 1.0 means no waste *)
-  crashes : int;  (** endpoint crashes injected into this run *)
-  restarts : int;  (** endpoint restarts *)
-  resync_rounds : int;  (** resync handshake frames sent (REQ/POS/FIN) *)
-  resync_ticks : Ba_util.Stats.summary option;
-      (** per-restart recovery time; [None] when nothing restarted *)
-  retx_bytes : int;  (** bytes of retransmitted payload copies on the wire *)
-  pressure_drops : int;
-      (** in-window frames the receiver refused for buffer-full under an
-          [rx_budget]; behaviorally channel losses (never acknowledged) *)
-}
+include module type of struct
+  include Flow
+end
+(** [type result = Flow.result], re-exported with its fields: the
+    verdict record {!Fabric.run} also returns, one per flow. *)
 
 type setup = {
   engine : Ba_sim.Engine.t;
@@ -92,7 +58,8 @@ val run :
 
     [crash_plan] schedules endpoint process faults: each event crashes
     the named endpoint at its tick and restarts it [down_for] ticks
-    later (see {!Crash_plan}); requires a crash-tolerant protocol. *)
+    later (see {!Crash_plan}). Raises [Invalid_argument] when the plan
+    is not empty and the protocol is not crash-tolerant. *)
 
 val pp_result : Format.formatter -> result -> unit
 

@@ -1,16 +1,17 @@
 (** Sharded fabric: 100k–1M concurrent flows in bounded memory.
 
-    {!Fabric} wires every flow into one engine through one pair of
-    shared links — exact, but O(flows) events interleave in one event
-    loop and every flow carries a {!Flow.t} (dozens of closures, a
-    latency sample list), which tops out around a few thousand flows.
-    The shard runner rebuilds the same model for scale:
+    {!Fabric} holds every flow in one {!Cell}: exact, but O(flows)
+    events interleave in one event loop. The shard runner partitions
+    the flows over many cells advanced in lockstep:
 
     {ul
     {- {b Cells.} Flows are partitioned by spec order into fixed-size
-       {e cells} (the [cell] parameter). Each cell owns a private
-       {!Ba_sim.Engine.t} plus data/ack links seeded from the cell
-       index, so a cell is a deterministic sub-simulation.}
+       cells (the [cell] parameter). Each is a {!Cell.t}, as in the fabric
+       and the harness, with its engine seeded
+       [seed + 104729·(index+1)] and flow [i]'s workload
+       [seed + 7919·(i+1)], so a cell is a deterministic sub-simulation.
+       A one-cell run without capacity equals {!Fabric.run} at that
+       engine seed, counter for counter.}
     {- {b Capacity leases.} The shared-router bottleneck
        ([capacity = (service_time, queue_capacity)]) becomes a per-cell
        {e lease}: each cell serves its frame FIFO at its flow-count
@@ -23,12 +24,11 @@
        an epoch cells are independent, so epochs fan out over a
        {!Ba_parallel.Pool}; [shards] controls how many contiguous cell
        groups become pool tasks.}
-    {- {b Flat accounting.} Per-flow state is flat arrays (delivered /
-       next-expected / workload cursors / gating bitsets) plus one
-       mergeable {!Ba_util.Qsketch} per cell for latency — no
-       {!Flow.t}, no per-flow sample lists. The only per-flow heap
-       objects are the protocol endpoints themselves and four one-word
-       wiring closures (data tx, ack tx, deliver, payload pull).}}
+    {- {b Flat accounting.} Per-flow state is the cell's flat arrays
+       plus one mergeable {!Ba_util.Qsketch} per cell for latency. The
+       only per-flow heap objects are the protocol endpoints themselves
+       and four one-word wiring closures (data tx, ack tx, deliver,
+       payload pull).}}
 
     {b Determinism.} The model is fixed by [(specs, seed, cell,
     barrier, capacity, …)]; [shards] and [jobs] only schedule cells
@@ -90,7 +90,7 @@ val run :
   ?memory_budget:int ->
   ?watchdog:Watchdog.config ->
   ?measure_mem:bool ->
-  Fabric.spec list ->
+  Cell.spec list ->
   result
 (** [run specs] drives every flow to completion, departure or the
     deadline. Defaults: seed 42, [jobs] {!Ba_parallel.Pool.default_jobs},
@@ -104,11 +104,11 @@ val run :
     at least one frame per epoch; its queue share at least 4 slots.
 
     [memory_budget] splits by flow-count share into per-cell budgets and
-    each cell runs {!Fabric.plan_admission} locally — same
+    each cell runs the fabric's admission locally — same
     unclamped/clamp/refuse ladder, shard-local state only. [watchdog]
     arms a per-flow liveness machine per cell (observation loop on the
-    cell's own engine): stalls resync via crash+restart, repeat
-    offenders are gated off the cell's links.
+    cell's own engine): stalls resync via the same counted crash+restart
+    as any crash plan, repeat offenders are gated off the cell's links.
 
     [plans_for ~cell_seed] attaches scheduled fault plans (data, ack) to
     each cell's links — the storm hook; [cell_seed] is derived from

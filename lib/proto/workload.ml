@@ -48,21 +48,25 @@ let matches ~seed ~size i s =
   && Ba_util.Rng.symbols_match ~seed:(filler_seed ~seed i) filler_alphabet s ~pos:plen
        ~len:(n - plen)
 
-(* Parse the "m:<digits>:" prefix in place — no [String.sub] and no
-   local closure, so the per-delivery validation path allocates only
-   the [Some]. *)
+(* Parse the "m:<digits>:" prefix in place — no [String.sub], no local
+   closure and no option, so the per-frame validation path allocates
+   nothing. *)
 let rec parse_index s n i acc =
-  if i >= n || i > 20 then None
+  if i >= n || i > 20 then -1
   else
     match s.[i] with
-    | ':' -> if i = 2 then None else Some acc
+    | ':' -> if i = 2 then -1 else acc
     | '0' .. '9' -> parse_index s n (i + 1) ((acc * 10) + (Char.code s.[i] - Char.code '0'))
-    | _ -> None
+    | _ -> -1
 
-let index_of s =
+let index s =
   if String.length s >= 2 && s.[0] = 'm' && s.[1] = ':' then
     parse_index s (String.length s) 2 0
-  else None
+  else -1
+
+let index_of s =
+  let i = index s in
+  if i < 0 then None else Some i
 
 let supplier ~seed ~size ~count =
   let next = ref 0 in

@@ -18,6 +18,10 @@ val matches : seed:int -> size:int -> int -> string -> bool
 val index_of : string -> int option
 (** Parse the embedded index back out of a payload. *)
 
+val index : string -> int
+(** [index_of] without the option: the embedded index, or [-1] when [s]
+    is not a workload payload. Allocates nothing. *)
+
 val supplier : seed:int -> size:int -> count:int -> unit -> string option
 (** A stateful pull source yielding payloads [0 .. count-1] then [None]
     forever. *)

@@ -6,7 +6,7 @@
 let check = Alcotest.check
 
 module Fabric = Ba_proto.Fabric
-module Flow = Ba_proto.Flow
+module Cell = Ba_proto.Cell
 module Harness = Ba_proto.Harness
 module Chaos = Ba_verify.Chaos
 
@@ -127,7 +127,7 @@ let test_churn_under_storm_stays_safe () =
         { s with Fabric.config = fst (Chaos.apply_squeeze sq s.Fabric.config) })
       specs
   in
-  let on_flows engine (flows : Flow.t array) = Flow.schedule_crashes engine flows.(0) crash_plan in
+  let on_flows _ cell = Cell.schedule_crashes cell 0 crash_plan in
   let r =
     Fabric.run ~seed ~data_plan ~ack_plan
       ~data_bottleneck:(sq.Chaos.service_time, sq.Chaos.queue_capacity)

@@ -88,8 +88,8 @@ let test_jain () =
 (* Single-flow endpoint failure: a crash inside one flow must be invisible
    to the other n-1 flows sharing the links. *)
 
-module Flow = Ba_proto.Flow
-module Engine = Ba_sim.Engine
+module Cell = Ba_proto.Cell
+module Crash_plan = Ba_proto.Crash_plan
 
 (* Four blockack-multi flows; flow 0's receiver crashes mid-transfer and
    restarts 400 ticks later. *)
@@ -101,9 +101,9 @@ let crash_specs ~messages =
 let run_with_crash ~seed ~victim specs =
   Fabric.run ~seed ~data_loss:0.05 ~ack_loss:0.05 ~data_delay:(Dist.Uniform (40, 80))
     ~ack_delay:(Dist.Uniform (40, 80)) ~data_bottleneck:(3, 16)
-    ~on_flows:(fun engine flows ->
-      ignore (Engine.schedule_at engine ~at:600 (fun () -> Flow.crash_receiver flows.(victim)));
-      ignore (Engine.schedule_at engine ~at:1000 (fun () -> Flow.restart_receiver flows.(victim))))
+    ~on_flows:(fun _ cell ->
+      Cell.schedule_crashes cell victim
+        [ { Crash_plan.at = 600; endpoint = Crash_plan.Receiver_end; down_for = 400 } ])
     specs
 
 let test_single_flow_crash_isolated () =
@@ -154,6 +154,72 @@ let test_fabric_crash_deterministic () =
   check
     Alcotest.(pair int (list int))
     "same seed, same crashed-fabric run" (snap ()) (snap ())
+
+(* ------------------------------------------------------------------ *)
+(* One cell behind every runner: a harness run is a one-flow cell, so it equals the same
+   flow run as the only spec of a fabric on every field the flow owns.
+   Only the link counters differ: private links attribute their drops,
+   reorderings and faults to the one flow; shared ones cannot. *)
+
+let flow_owned (r : Harness.result) =
+  {
+    r with
+    Harness.data_dropped = 0;
+    data_queue_dropped = 0;
+    data_reordered = 0;
+    data_duplicated = 0;
+    data_corrupted = 0;
+    data_outage_drops = 0;
+    acks_dropped = 0;
+    acks_corrupted = 0;
+    ack_outage_drops = 0;
+  }
+
+let one_flow_gen =
+  QCheck.Gen.(
+    let* name =
+      oneofl [ "blockack-simple"; "blockack-multi"; "go-back-n"; "selective-repeat" ]
+    in
+    let* seed = int_range 1 3 in
+    let* loss = oneofl [ 0.; 0.05; 0.2 ] in
+    let* crash =
+      opt
+        (let* at = int_range 100 1500 in
+         let* endpoint = oneofl [ Crash_plan.Sender_end; Crash_plan.Receiver_end ] in
+         let* down_for = int_range 50 600 in
+         return [ { Crash_plan.at; endpoint; down_for } ])
+    in
+    return (name, seed, loss, crash))
+
+let one_flow_print (name, seed, loss, crash) =
+  Printf.sprintf "%s seed=%d loss=%.2f crash=%s" name seed loss
+    (match crash with Some p -> Crash_plan.to_string p | None -> "-")
+
+let test_harness_is_one_flow_fabric =
+  qcheck
+    (QCheck.Test.make ~count:40 ~name:"harness run = one-spec fabric run, field for field"
+       (QCheck.make ~print:one_flow_print one_flow_gen)
+       (fun (name, seed, loss, crash) ->
+         let e = entry name in
+         let config = Registry.config ~window:8 ~rto:400 e () in
+         (* Plans only for protocols with a crash lifecycle, as campaigns do. *)
+         let crash = if Registry.crash_tolerant e then crash else None in
+         let delay = Dist.Uniform (40, 80) in
+         let h =
+           Harness.run e.Registry.protocol ~seed ~messages:60 ~config ~data_loss:loss
+             ~ack_loss:loss ~data_delay:delay ~ack_delay:delay ?crash_plan:crash ()
+         in
+         let f =
+           Fabric.run ~seed ~data_loss:loss ~ack_loss:loss ~data_delay:delay ~ack_delay:delay
+             ~on_flows:(fun _ cell -> Option.iter (Cell.schedule_crashes cell 0) crash)
+             [ Fabric.spec ~config ~messages:60 e.Registry.protocol ]
+         in
+         match f.Fabric.flows with
+         | [ fl ] when flow_owned h = fl -> true
+         | [ fl ] ->
+             QCheck.Test.fail_reportf "harness:\n%a\nfabric:\n%a" Harness.pp_result h
+               Harness.pp_result fl
+         | _ -> QCheck.Test.fail_report "fabric did not admit exactly one flow"))
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
@@ -225,6 +291,7 @@ let () =
             test_fabric_flow_accounting;
           Alcotest.test_case "empty spec list rejected" `Quick test_fabric_rejects_empty;
           Alcotest.test_case "Jain's fairness index" `Quick test_jain;
+          test_harness_is_one_flow_fabric;
         ] );
       ( "crash isolation",
         [

@@ -10,11 +10,11 @@ let qcheck = QCheck_alcotest.to_alcotest
 module Chaos = Ba_verify.Chaos
 module Harness = Ba_proto.Harness
 module Fabric = Ba_proto.Fabric
-module Flow = Ba_proto.Flow
+module Cell = Ba_proto.Cell
+module Crash_plan = Ba_proto.Crash_plan
 module Watchdog = Ba_proto.Watchdog
 module Registry = Ba_registry.Registry
 module Config = Ba_proto.Proto_config
-module Engine = Ba_sim.Engine
 
 let entry name =
   match Registry.find name with
@@ -226,13 +226,9 @@ let s2_budget =
 
 let s2_watchdog = { Watchdog.default_config with Watchdog.check_interval = 500 }
 
-let s2_stall_victim engine (flows : Flow.t array) =
-  let victim = flows.(s2_base_flows) in
-  ignore
-    (Engine.schedule_at engine ~at:(s2_surge_at + 100) (fun () -> Flow.crash_receiver victim));
-  ignore
-    (Engine.schedule_at engine ~at:(s2_surge_at + 100 + s2_stall_for) (fun () ->
-         Flow.restart_receiver victim))
+let s2_stall_victim _ cell =
+  Cell.schedule_crashes cell s2_base_flows
+    [ { Crash_plan.at = s2_surge_at + 100; endpoint = Receiver_end; down_for = s2_stall_for } ]
 
 let test_s2_surge_acceptance () =
   let surged =

@@ -189,6 +189,103 @@ let test_storm_churn_shard_sweep () =
         (run_scenario sc ~shards ~jobs))
     [ (2, 1); (3, 4); (7, 2); (16, 3) ]
 
+(* ------------------------------------------------------------------ *)
+(* One cell behind every runner: a one-cell shard run is the fabric's model. Fabric runs
+   its single cell with engine seed [seed]; shard cell 0 is seeded
+   [seed + 104729]. Without capacity (the one place the two differ: a
+   lease versus the exact link queue) the runs agree on every summary
+   field but the cell and epoch counts. Latency is compared by count and
+   maximum, which are exact; the sketch's quantiles depend on insertion
+   order. *)
+
+let shard_digest (r : Shard.result) =
+  [
+    r.Shard.flows; r.Shard.messages; r.Shard.delivered; r.Shard.duplicates; r.Shard.misordered;
+    r.Shard.corrupted; r.Shard.completed_flows; r.Shard.departed; r.Shard.refused;
+    r.Shard.clamped_cells; r.Shard.data_sent; r.Shard.acks_sent; r.Shard.retransmissions;
+    r.Shard.pressure_drops; r.Shard.lease_drops; r.Shard.lease_rebalances;
+    r.Shard.quarantine_events; r.Shard.watchdog_resyncs; r.Shard.quarantined;
+    r.Shard.mem_peak_bytes; r.Shard.ticks; Bool.to_int r.Shard.completed;
+    Ba_util.Qsketch.count r.Shard.latency;
+    (if Ba_util.Qsketch.count r.Shard.latency = 0 then 0
+     else int_of_float (Ba_util.Qsketch.max r.Shard.latency));
+  ]
+
+let fabric_digest (r : Fabric.result) =
+  let sum f = List.fold_left (fun a (fl : Ba_proto.Flow.result) -> a + f fl) 0 r.Fabric.flows in
+  let lat = List.concat_map (fun (fl : Ba_proto.Flow.result) -> fl.latencies) r.Fabric.flows in
+  [
+    r.Fabric.admitted; sum (fun f -> f.messages); sum (fun f -> f.delivered);
+    sum (fun f -> f.duplicates); sum (fun f -> f.misordered); sum (fun f -> f.corrupted);
+    sum (fun f -> Bool.to_int f.completed); r.Fabric.departed; r.Fabric.refused;
+    Bool.to_int (r.Fabric.clamped_window <> None); sum (fun f -> f.data_sent);
+    sum (fun f -> f.acks_sent); sum (fun f -> f.retransmissions);
+    sum (fun f -> f.pressure_drops); 0; 0; r.Fabric.quarantine_events;
+    r.Fabric.watchdog_resyncs; r.Fabric.quarantined; r.Fabric.mem_peak_bytes; r.Fabric.ticks;
+    Bool.to_int r.Fabric.completed; List.length lat;
+    int_of_float (List.fold_left Float.max 0. lat);
+  ]
+
+let one_cell_agrees ~seed ~loss ?memory_budget ?watchdog ?plans_for specs =
+  let loss = if loss then 0.05 else 0. in
+  let s =
+    Shard.run ~seed ~jobs:1 ~cell:1024 ~barrier:500 ~data_loss:loss ~ack_loss:loss ?plans_for
+      ?memory_budget ?watchdog specs
+  in
+  let plans = Option.map (fun f -> f ~cell_seed:(seed + 104729)) plans_for in
+  let f =
+    Fabric.run ~seed:(seed + 104729) ~data_loss:loss ~ack_loss:loss
+      ?data_plan:(Option.map fst plans) ?ack_plan:(Option.map snd plans) ?memory_budget
+      ?watchdog specs
+  in
+  if shard_digest s = fabric_digest f then Ok s
+  else
+    Error
+      (Printf.sprintf "shard  %s\nfabric %s"
+         (String.concat " " (List.map string_of_int (shard_digest s)))
+         (String.concat " " (List.map string_of_int (fabric_digest f))))
+
+let test_one_cell_shard_is_fabric =
+  qcheck
+    (QCheck.Test.make ~count:25 ~name:"one-cell shard run = fabric run on every summary field"
+       (QCheck.make ~print:scenario_print scenario_gen)
+       (fun sc ->
+         let specs =
+           if sc.sc_storm then
+             let e = entry "blockack-multi" in
+             let config = Registry.config ~window:4 ~rto:800 e () in
+             Fabric.churn ~base:2 ~churners:2 ~messages:sc.sc_messages ~payload_size:24 ~config
+               ~seed:sc.sc_seed e.Registry.protocol
+             @ mixed_specs ~messages:sc.sc_messages ~flows:sc.sc_flows
+           else mixed_specs ~messages:sc.sc_messages ~flows:sc.sc_flows
+         in
+         let plans_for =
+           if sc.sc_storm then
+             Some (fun ~cell_seed -> Chaos.plans_for Chaos.Storm ~seed:cell_seed)
+           else None
+         in
+         match
+           one_cell_agrees ~seed:sc.sc_seed ~loss:sc.sc_loss ?memory_budget:sc.sc_budget
+             ?watchdog:(if sc.sc_watchdog then Some Ba_proto.Watchdog.default_config else None)
+             ?plans_for specs
+         with
+         | Ok _ -> true
+         | Error e -> QCheck.Test.fail_report e))
+
+let test_one_cell_shard_resyncs_like_fabric () =
+  (* A data-link outage stalls every flow long enough for the watchdog to
+     resync them through the crash/restart path; both runners must take
+     it identically. *)
+  let outage = Ba_channel.Fault_plan.make ~outages:[ { from_tick = 300; until_tick = 6_000 } ] () in
+  let watchdog = { Ba_proto.Watchdog.default_config with check_interval = 500 } in
+  match
+    one_cell_agrees ~seed:7 ~loss:true ~watchdog
+      ~plans_for:(fun ~cell_seed:_ -> (outage, Ba_channel.Fault_plan.none))
+      (mixed_specs ~messages:20 ~flows:6)
+  with
+  | Ok s -> check Alcotest.bool "the watchdog resynced" true (s.Shard.watchdog_resyncs > 0)
+  | Error e -> Alcotest.fail e
+
 let () =
   Alcotest.run "shard"
     [
@@ -205,5 +302,11 @@ let () =
           test_sharded_equals_unsharded;
           Alcotest.test_case "storm churn shard sweep" `Quick
             test_storm_churn_shard_sweep;
+        ] );
+      ( "one cell",
+        [
+          test_one_cell_shard_is_fabric;
+          Alcotest.test_case "watchdog resync path" `Quick
+            test_one_cell_shard_resyncs_like_fabric;
         ] );
     ]
