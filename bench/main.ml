@@ -589,7 +589,19 @@ let check () =
     ack_budget u.delivered ack_messages
     (if net_udp_clean u then "clean" else "NOT CLEAN")
     udp_alloc;
-  if time_ok && alloc_ok && fps_ok && state_ok && net_ok && acks_ok then begin
+  (* 6. block sends on real sockets: the client packs each pumped burst
+     of data frames into one datagram, so the same clean transfer must
+     send at most [data_budget] data datagrams per delivered message
+     (about 1/16 at window 16). *)
+  let data_budget = 0.25 in
+  let data_per_msg = per_msg u.data_datagrams u.delivered in
+  let data_ok = net_udp_clean u && data_per_msg <= data_budget in
+  Printf.printf "check: net data %.3f datagrams/msg %s budget (%.2f/msg; %d/%d %s)\n"
+    data_per_msg
+    (if data_per_msg <= data_budget then "within" else "EXCEEDS")
+    data_budget u.delivered ack_messages
+    (if net_udp_clean u then "clean" else "NOT CLEAN");
+  if time_ok && alloc_ok && fps_ok && state_ok && net_ok && acks_ok && data_ok then begin
     print_endline "check: OK";
     exit 0
   end

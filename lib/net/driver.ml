@@ -58,6 +58,9 @@ let pump_socket t =
     | len, from -> (
         t.rx_datagrams <- t.rx_datagrams + 1;
         match Codec.decode t.rx_buf ~len with
+        | Ok (Codec.Batch { frames; malformed }) ->
+            t.decode_errors <- t.decode_errors + malformed;
+            List.iter (fun f -> t.on_frame f from) frames
         | Ok frame -> t.on_frame frame from
         | Error _ -> t.decode_errors <- t.decode_errors + 1)
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> continue := false

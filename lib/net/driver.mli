@@ -15,8 +15,8 @@
     Robustness contract, per the channel model we must survive
     (bounded-capacity, omitting, duplicating, non-FIFO):
     {ul
-    {- receive: undecodable datagrams are counted and dropped, never
-       raised; [EINTR]/[EAGAIN] retry; [ECONNREFUSED] (a dead peer's
+    {- receive: undecodable datagrams, and malformed frames inside
+       a container, are counted and dropped, never raised; [EINTR]/[EAGAIN] retry; [ECONNREFUSED] (a dead peer's
        ICMP bounce surfacing on the error queue) is swallowed — peer
        death is the watchdog's business, not an exception;}
     {- send: [EINTR]/[EAGAIN]/[ENOBUFS] retry with exponential backoff
@@ -42,8 +42,10 @@ val create :
   t
 (** Takes ownership of [sock] (sets it non-blocking). [tick_us] is the
     real duration of one engine tick; the engine must be at tick 0.
-    [on_frame] receives every decodable arriving datagram with its
-    source address. *)
+    [on_frame] is called once per decodable arriving frame, with its
+    datagram's source address: a {!Codec.Batch} container is unrolled
+    into one call per well-formed inner frame, in wire order, so
+    [on_frame] never sees a container. *)
 
 val now_ticks : t -> int
 (** Wall-clock time since {!create}, in ticks. *)
@@ -63,7 +65,8 @@ val send_errors : t -> int
 (** Datagrams dropped by {!send_to} after exhausting retries. *)
 
 val decode_errors : t -> int
-(** Arrivals rejected by {!Codec.decode}. *)
+(** Arrivals rejected by {!Codec.decode}, plus the malformed inner
+    frames of the containers it accepted. *)
 
 val rx_datagrams : t -> int
 val tx_datagrams : t -> int

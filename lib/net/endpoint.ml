@@ -22,6 +22,18 @@ let expected_digest ~wseed ~payload_size ~messages =
   done;
   !d
 
+(* The frames a shim passes in one engine tick leave as one container
+   datagram, sent from a zero-delay slot: the driver fires it in the
+   [sync] that follows the socket drain or timer batch that produced
+   the frames, so packing adds no latency. Returns the shim's
+   [transmit]. *)
+let packer engine ~send =
+  let p = Codec.Packer.create ~send in
+  let slot = Ba_sim.Engine.slot_create engine (fun () -> Codec.Packer.flush p) in
+  fun src len ->
+    Codec.Packer.add p src len;
+    if not (Ba_sim.Engine.slot_armed slot) then Ba_sim.Engine.slot_arm slot ~delay:0
+
 module Server = struct
   type t = {
     messages : int;
@@ -153,7 +165,7 @@ module Server = struct
     t.peer := Some from;
     match frame with
     | Codec.Data d -> t.feed d
-    | Codec.Ack _ -> incr t.stray
+    | Codec.Ack _ | Codec.Batch _ -> incr t.stray
 
   let peer t = !(t.peer)
   let complete t = !(t.next) >= t.messages
@@ -190,7 +202,9 @@ module Client = struct
   let create ~engine ~protocol:(module P : Ba_proto.Protocol.S) ~config ~messages
       ~payload_size ~wseed ?(watchdog = Ba_proto.Watchdog.default_config) ?plan
       ?(impair_seed = 1) ~send () =
-    let shim = Shim.create engine ?plan ~seed:impair_seed ~transmit:send () in
+    let shim =
+      Shim.create engine ?plan ~seed:impair_seed ~transmit:(packer engine ~send) ()
+    in
     let buf = Bytes.create Codec.max_datagram in
     let pulled = ref 0
     and data_frames = ref 0 in
@@ -265,7 +279,7 @@ module Client = struct
 
   let on_frame t = function
     | Codec.Ack a -> t.feed a
-    | Codec.Data _ -> incr t.stray
+    | Codec.Data _ | Codec.Batch _ -> incr t.stray
 
   let pump t = t.pump_ ()
   let finished t = t.done_ ()
@@ -302,6 +316,7 @@ module Pair = struct
     wall_s : float;
     msgs_per_s : float;
     frames_tx : int;
+    data_datagrams : int;
     ack_datagrams : int;
     frames_rx : int;
     decode_errors : int;
@@ -385,6 +400,7 @@ module Pair = struct
           msgs_per_s =
             (if wall_s <= 0. then 0. else float_of_int (Server.position s') /. wall_s);
           frames_tx = Driver.tx_datagrams s_drv + Driver.tx_datagrams c_drv;
+          data_datagrams = Driver.tx_datagrams c_drv;
           ack_datagrams = Server.acks_sent s';
           frames_rx = Driver.rx_datagrams s_drv + Driver.rx_datagrams c_drv;
           decode_errors = Driver.decode_errors s_drv + Driver.decode_errors c_drv;

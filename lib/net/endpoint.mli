@@ -17,6 +17,14 @@
     a new incarnation at the old position and re-announces it with POS
     until the sender cuts over.
 
+    Frames cross the shim one at a time, so a fault plan's verdicts
+    mean on a socket what they mean on a simulated link. Behind the
+    shim each side batches what one burst produces: the client packs
+    the data frames of one engine tick into one {!Codec.Batch}
+    datagram, and the server merges the block acknowledgments of one
+    socket drain into one ack. The {!Driver} unrolls containers on
+    arrival, so neither half ever handles one.
+
     The client runs the {!Ba_proto.Watchdog} off real silence: a
     recurring engine event observes acknowledged progress and
     interprets the actions — [Resync] crash-restarts the sender (epoch
@@ -89,7 +97,9 @@ module Server : sig
       Single-number-ack protocols send one datagram per ack. *)
 
   val stray_frames : t -> int
-  (** Well-formed arrivals of the wrong class (acks at a server). *)
+  (** Well-formed arrivals of the wrong class: acks at a server, or a
+      container handed to {!on_frame} directly instead of through a
+      {!Driver}. *)
 
   val resync_rounds : t -> int
   val shim_stats : t -> Shim.stats
@@ -112,7 +122,14 @@ module Client : sig
     unit ->
     t
   (** [send] transmits one encoded datagram to the server (the client
-      always knows its peer). The watchdog (default
+      always knows its peer). Data frames reach it through the client's
+      packer: the shim applies its verdict to each frame, and the
+      frames it passes in one engine tick leave as one
+      {!Codec.Batch} container of at most {!Codec.batch_cap} bytes,
+      from a zero-delay engine slot that fires in the driver's next
+      [sync] — one datagram per pumped burst, with no added latency. A
+      lone frame, and one too large for a container, leaves bare. The
+      watchdog (default
       {!Ba_proto.Watchdog.default_config}) starts observing
       immediately; its check interval is in engine ticks, hence real
       [check_interval * tick_us] microseconds under a driver. *)
@@ -134,6 +151,9 @@ module Client : sig
       pulled from the workload; negative if not yet pulled. *)
 
   val data_frames : t -> int
+  (** Data frames the sender emitted, before the shim and the packer —
+      frames, not datagrams. *)
+
   val stray_frames : t -> int
   val retransmissions : t -> int
   val resync_rounds : t -> int
@@ -167,9 +187,12 @@ module Pair : sig
     watchdog_resyncs : int;
     wall_s : float;
     msgs_per_s : float;
-    frames_tx : int;  (** datagrams put on the wire, both directions *)
+    frames_tx : int;
+        (** datagrams put on the wire, both directions — not frames: a
+            client container of k data frames counts once *)
+    data_datagrams : int;  (** the client's share of [frames_tx] *)
     ack_datagrams : int;  (** the server's {!Server.acks_sent} *)
-    frames_rx : int;
+    frames_rx : int;  (** datagrams received, both directions *)
     decode_errors : int;
     send_errors : int;
     latency_ms : Ba_util.Qsketch.t;

@@ -9,7 +9,10 @@
     real I/O with the very plans they use against the simulated link,
     and the fault schedule is replayable: decisions are drawn from a
     generator seeded at {!create}, one {!Ba_channel.Fault_plan.decide}
-    step per datagram in send order.
+    step per submission in send order. The endpoints submit one frame
+    at a time, before any packing into containers, so a verdict hits
+    one frame — as on the simulated link — and a container carries
+    whatever survived.
 
     Delay verdicts are virtual-time delays: the copy is re-submitted by
     an engine timer [extra] ticks later, which on a wall-clock driver

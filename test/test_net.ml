@@ -47,14 +47,18 @@ let frame_gen =
         let* pos = nat and* e = epoch in
         return (Codec.Ack (Wire.make_sync_pos ~epoch:e ~pos)))
 
-let frame_print f =
+let rec frame_print f =
   match f with
   | Codec.Data d -> Format.asprintf "%a" Wire.pp_data d
   | Codec.Ack a -> Format.asprintf "%a" Wire.pp_ack a
+  | Codec.Batch { frames; malformed } ->
+      Printf.sprintf "batch[%s] malformed=%d"
+        (String.concat "; " (List.map frame_print frames))
+        malformed
 
 let frame_arb = QCheck.make ~print:frame_print frame_gen
 
-let frame_eq a b =
+let rec frame_eq a b =
   match (a, b) with
   | Codec.Data x, Codec.Data y ->
       x.Wire.seq = y.Wire.seq
@@ -64,7 +68,24 @@ let frame_eq a b =
   | Codec.Ack x, Codec.Ack y ->
       x.Wire.lo = y.Wire.lo && x.Wire.hi = y.Wire.hi && x.Wire.epoch = y.Wire.epoch
       && x.Wire.akind = y.Wire.akind && x.Wire.check = y.Wire.check
+  | Codec.Batch x, Codec.Batch y ->
+      x.malformed = y.malformed
+      && List.length x.frames = List.length y.frames
+      && List.for_all2 frame_eq x.frames y.frames
   | _ -> false
+
+(* Containers of 1..12 single frames. *)
+let batch_arb =
+  QCheck.make ~print:frame_print
+    QCheck.Gen.(
+      map
+        (fun frames -> Codec.Batch { frames; malformed = 0 })
+        (list_size (int_range 1 12) frame_gen))
+
+let encode_fresh f =
+  let buf = Bytes.create (Codec.encoded_len f) in
+  let len = Codec.encode buf f in
+  (buf, len)
 
 let roundtrip =
   QCheck.Test.make ~name:"encode ∘ decode = id for every frame kind" ~count:500 frame_arb
@@ -144,6 +165,150 @@ let never_raises_bitflips =
           ignore (Codec.frame_ok f');
           true
       | Error _ -> true)
+
+(* ------------------------------------------------------------------ *)
+(* Containers: the same contract, plus per-frame isolation *)
+
+let batch_roundtrip =
+  QCheck.Test.make ~name:"encode ∘ decode = id for containers" ~count:300 batch_arb (fun b ->
+      let buf, len = encode_fresh b in
+      match Codec.decode buf ~len with
+      | Ok b' -> frame_eq b b' && Codec.frame_ok b' = Codec.frame_ok b
+      | Error e -> QCheck.Test.fail_reportf "decode rejected own container: %s" e)
+
+(* Bytes behind a container header: chunks of random bytes or of
+   encoded frames, each behind a length prefix that is usually right,
+   and a count that is usually right. *)
+let container_bytes_gen =
+  QCheck.Gen.(
+    let chunk =
+      frequency
+        [
+          (2, string_size (int_bound 40));
+          ( 1,
+            map
+              (fun f ->
+                let buf, len = encode_fresh f in
+                Bytes.sub_string buf 0 len)
+              frame_gen );
+        ]
+    in
+    let* chunks = list_size (int_bound 8) chunk in
+    let* prefixes =
+      flatten_l
+        (List.map
+           (fun c ->
+             frequency [ (4, return (String.length c)); (1, int_bound 0xFFFF) ])
+           chunks)
+    in
+    let* count = frequency [ (4, return (List.length chunks)); (1, int_bound 255) ] in
+    let* tail = string_size (int_bound 3) in
+    let b = Buffer.create 256 in
+    Buffer.add_string b "\xBA\x02\x02";
+    Buffer.add_uint8 b count;
+    List.iter2
+      (fun c p ->
+        Buffer.add_uint16_le b p;
+        Buffer.add_string b c)
+      chunks prefixes;
+    let* pad = bool in
+    if pad then Buffer.add_string b tail;
+    return (Buffer.contents b))
+
+let batch_never_raises_random =
+  QCheck.Test.make ~name:"decode never raises on random bytes behind a container header"
+    ~count:2000
+    (QCheck.make ~print:String.escaped container_bytes_gen)
+    (fun s ->
+      let buf = Bytes.of_string s in
+      match Codec.decode buf ~len:(Bytes.length buf) with
+      | Ok f ->
+          ignore (Codec.frame_ok f);
+          true
+      | Error _ -> true)
+
+let batch_rejects_truncation =
+  QCheck.Test.make ~name:"decode rejects every truncation of a container" ~count:200 batch_arb
+    (fun b ->
+      let buf, len = encode_fresh b in
+      let ok = ref true in
+      for cut = 0 to len - 1 do
+        match Codec.decode buf ~len:cut with
+        | Ok _ -> ok := false
+        | Error _ -> ()
+      done;
+      !ok)
+
+let batch_never_raises_bitflips =
+  QCheck.Test.make ~name:"decode survives any single bit flip in a container" ~count:500
+    QCheck.(pair batch_arb (int_bound 1_000_000))
+    (fun (b, r) ->
+      let buf, len = encode_fresh b in
+      let bit = r mod (len * 8) in
+      let pos = bit / 8 in
+      Bytes.set_uint8 buf pos (Bytes.get_uint8 buf pos lxor (1 lsl (bit mod 8)));
+      match Codec.decode buf ~len with
+      | Ok f ->
+          ignore (Codec.frame_ok f);
+          true
+      | Error _ -> true)
+
+(* Offset of inner frame [k]'s first byte in an encoded container. *)
+let inner_offset frames k =
+  let rec go off i = function
+    | f :: rest when i < k -> go (off + Codec.batch_prefix_len + Codec.encoded_len f) (i + 1) rest
+    | _ -> off + Codec.batch_prefix_len
+  in
+  go Codec.batch_header_len 0 frames
+
+(* Break inner frame [k] four ways — magic, version, class, and a
+   payload length that no longer matches its prefix — without touching
+   any prefix. *)
+let break_inner buf off f how =
+  match how with
+  | 0 -> Bytes.set_uint8 buf off 0
+  | 1 -> Bytes.set_uint8 buf (off + 1) 9
+  | 2 -> Bytes.set_uint8 buf (off + 2) 7
+  | _ -> (
+      match f with
+      | Codec.Data _ ->
+          Bytes.set_int32_le buf (off + 24) (Int32.add (Bytes.get_int32_le buf (off + 24)) 1l)
+      | _ -> Bytes.set_uint8 buf off 0)
+
+let batch_isolates_malformed =
+  QCheck.Test.make ~name:"a malformed inner frame costs only itself" ~count:500
+    QCheck.(triple batch_arb (int_bound 1000) (int_bound 3))
+    (fun (b, r, how) ->
+      match b with
+      | Codec.Batch { frames; _ } ->
+          let k = r mod List.length frames in
+          let buf, len = encode_fresh b in
+          break_inner buf (inner_offset frames k) (List.nth frames k) how;
+          let others = List.filteri (fun i _ -> i <> k) frames in
+          (match Codec.decode buf ~len with
+          | Ok got -> frame_eq got (Codec.Batch { frames = others; malformed = 1 })
+          | Error e -> QCheck.Test.fail_reportf "container rejected whole: %s" e)
+      | _ -> false)
+
+let batch_encode_rules () =
+  let d = Codec.Data (Wire.make_data_e ~epoch:0 ~seq:0 ~payload:"xy") in
+  let raises f =
+    match Codec.encode (Bytes.create 65536) f with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  check Alcotest.bool "empty container" true (raises (Codec.Batch { frames = []; malformed = 0 }));
+  check Alcotest.bool "nested container" true
+    (raises (Codec.Batch { frames = [ Codec.Batch { frames = [ d ]; malformed = 0 } ]; malformed = 0 }));
+  check Alcotest.bool "256 frames" true
+    (raises (Codec.Batch { frames = List.init 256 (fun _ -> d); malformed = 0 }));
+  check Alcotest.bool "malformed count" true (raises (Codec.Batch { frames = [ d ]; malformed = 1 }));
+  (* A version-2 header on anything but a container is garbage. *)
+  let buf, len = encode_fresh d in
+  Bytes.set_uint8 buf 1 Codec.version;
+  match Codec.decode buf ~len with
+  | Ok _ -> Alcotest.fail "version 2 data frame accepted"
+  | Error _ -> ()
 
 let rejects_padding () =
   let f = Codec.Ack (Wire.make_ack_e ~epoch:0 ~lo:1 ~hi:4) in
@@ -254,6 +419,152 @@ let loopback_impaired () =
 
 let loopback_baseline () = assert_clean "go-back-n/clean" (pair ~messages:60 "go-back-n")
 
+(* Whole-datagram loss: a pair wired like [Endpoint.Pair.run] whose
+   client [send] drops every 5th datagram. Each drop is a container, so
+   the server loses a burst of up to a window of frames at once. *)
+let loopback_datagram_loss () =
+  let messages = 300 and payload_size = 16 and wseed = 7 in
+  let e = entry "blockack" in
+  let protocol = e.Ba_registry.Registry.protocol
+  and config = Ba_registry.Registry.config e () in
+  let s_sock = loopback_sock () and c_sock = loopback_sock () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close s_sock;
+      Unix.close c_sock)
+    (fun () ->
+      let s_addr = Unix.getsockname s_sock in
+      let s_engine = Ba_sim.Engine.create ~seed:1 ()
+      and c_engine = Ba_sim.Engine.create ~seed:2 () in
+      let srv = ref None and cli = ref None in
+      let s_drv =
+        Ba_transport.Driver.create ~engine:s_engine ~sock:s_sock ~tick_us:200
+          ~on_frame:(fun f from ->
+            match !srv with Some s -> Endpoint.Server.on_frame s f from | None -> ())
+          ()
+      and c_drv =
+        Ba_transport.Driver.create ~engine:c_engine ~sock:c_sock ~tick_us:200
+          ~on_frame:(fun f _ -> match !cli with Some c -> Endpoint.Client.on_frame c f | None -> ())
+          ()
+      in
+      let sent = ref 0 and dropped = ref 0 and frames_lost = ref 0 in
+      let server =
+        Endpoint.Server.create ~engine:s_engine ~protocol ~config ~messages ~payload_size ~wseed
+          ~send:(fun addr buf len -> ignore (Ba_transport.Driver.send_to s_drv addr buf len))
+          ()
+      and client =
+        Endpoint.Client.create ~engine:c_engine ~protocol ~config ~messages ~payload_size ~wseed
+          ~send:(fun buf len ->
+            incr sent;
+            if !sent mod 5 = 0 then begin
+              incr dropped;
+              match Codec.decode buf ~len with
+              | Ok (Codec.Batch { frames; _ }) -> frames_lost := !frames_lost + List.length frames
+              | Ok _ -> incr frames_lost
+              | Error err -> Alcotest.failf "client sent an undecodable datagram: %s" err
+            end
+            else ignore (Ba_transport.Driver.send_to c_drv s_addr buf len))
+          ()
+      in
+      srv := Some server;
+      cli := Some client;
+      Endpoint.Client.pump client;
+      let completed =
+        Ba_transport.Driver.run ~deadline_s:30.
+          ~stop:(fun () -> Endpoint.Server.complete server && Endpoint.Client.finished client)
+          [ s_drv; c_drv ]
+      in
+      check Alcotest.bool "completed" true completed;
+      check Alcotest.int "delivered" messages (Endpoint.Server.position server);
+      check Alcotest.int "duplicates" 0 (Endpoint.Server.duplicates server);
+      check Alcotest.int "misordered" 0 (Endpoint.Server.misordered server);
+      check Alcotest.int "corrupted" 0 (Endpoint.Server.corrupted server);
+      check Alcotest.int "digest"
+        (Endpoint.expected_digest ~wseed ~payload_size ~messages)
+        (Endpoint.Server.digest server);
+      if !dropped = 0 then Alcotest.fail "no datagram was dropped";
+      if !frames_lost <= !dropped then
+        Alcotest.failf "%d dropped datagrams carried only %d frames: no burst was lost" !dropped
+          !frames_lost)
+
+(* The client's packer, with the engine stepped by hand: one pumped
+   window of [size]-byte payloads, and what reaches [send] once the
+   zero-delay slot fires. *)
+let packed_window size =
+  let engine = Ba_sim.Engine.create ~seed:1 () in
+  let config = Ba_proto.Proto_config.make ~window:16 () in
+  let sent = ref [] in
+  let client =
+    Endpoint.Client.create ~engine ~protocol:Blockack.Protocols.multi ~config ~messages:100
+      ~payload_size:size ~wseed:1
+      ~send:(fun buf len -> sent := Bytes.sub buf 0 len :: !sent)
+      ()
+  in
+  Endpoint.Client.pump client;
+  let held = List.length !sent in
+  Ba_sim.Engine.run engine ~until:0;
+  (held, List.rev !sent)
+
+let frames_in b =
+  match Codec.decode b ~len:(Bytes.length b) with
+  | Ok (Codec.Batch { frames; malformed = 0 }) -> List.length frames
+  | Ok (Codec.Data _) -> 1
+  | Ok _ | Error _ -> Alcotest.fail "packer sent an ack or garbage"
+
+let packer_one_datagram () =
+  let held, sent = packed_window 16 in
+  check Alcotest.int "nothing leaves before the slot fires" 0 held;
+  check Alcotest.(list int) "one container for the window" [ 16 ] (List.map frames_in sent)
+
+let packer_caps_container () =
+  (* 100 B payloads: 128 B frames, 10 fit under the cap. *)
+  let _, sent = packed_window 100 in
+  check Alcotest.(list int) "split at the cap" [ 10; 6 ] (List.map frames_in sent);
+  List.iter
+    (fun b -> if Bytes.length b > Codec.batch_cap then Alcotest.fail "container over the cap")
+    sent;
+  (* Frames larger than the cap go alone, bare. *)
+  let _, sent = packed_window Codec.batch_cap in
+  check Alcotest.int "one datagram per oversized frame" 16 (List.length sent);
+  List.iter
+    (fun b ->
+      match Codec.decode b ~len:(Bytes.length b) with
+      | Ok (Codec.Data _) -> ()
+      | _ -> Alcotest.fail "oversized frame not sent bare")
+    sent
+
+(* The driver unrolls a container into one [on_frame] per good inner
+   frame and counts the malformed one. *)
+let driver_unrolls () =
+  let engine = Ba_sim.Engine.create ~seed:1 () in
+  let rx = loopback_sock () and tx = loopback_sock () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close rx;
+      Unix.close tx)
+    (fun () ->
+      let seen = ref [] in
+      let drv =
+        Ba_transport.Driver.create ~engine ~sock:rx ~tick_us:200
+          ~on_frame:(fun f _ -> seen := f :: !seen)
+          ()
+      in
+      let frames =
+        List.init 5 (fun i -> Codec.Data (Wire.make_data_e ~epoch:0 ~seq:i ~payload:"abc"))
+      in
+      let b = Codec.Batch { frames; malformed = 0 } in
+      let buf, len = encode_fresh b in
+      break_inner buf (inner_offset frames 2) (List.nth frames 2) 0;
+      ignore (Unix.sendto tx buf 0 len [] (Unix.getsockname rx));
+      let stopped =
+        Ba_transport.Driver.run ~deadline_s:2. ~stop:(fun () -> List.length !seen >= 4) [ drv ]
+      in
+      check Alcotest.bool "frames arrived" true stopped;
+      check Alcotest.bool "every good frame, in order, none a container" true
+        (List.for_all2 frame_eq (List.rev !seen) (List.filteri (fun i _ -> i <> 2) frames));
+      check Alcotest.int "one datagram" 1 (Ba_transport.Driver.rx_datagrams drv);
+      check Alcotest.int "one decode error" 1 (Ba_transport.Driver.decode_errors drv))
+
 (* ------------------------------------------------------------------ *)
 (* Ack merging: the one coalescing rule and the server that applies it *)
 
@@ -302,7 +613,7 @@ let scripted_server base =
       ~send:(fun _ buf len ->
         match Codec.decode buf ~len with
         | Ok (Codec.Ack a) -> sent := a :: !sent
-        | Ok (Codec.Data _) | Error _ -> Alcotest.fail "server sent a non-ack")
+        | Ok (Codec.Data _ | Codec.Batch _) | Error _ -> Alcotest.fail "server sent a non-ack")
       ()
   in
   (* Any arrival teaches the server its peer. *)
@@ -508,6 +819,18 @@ let () =
           qcheck rejects_truncation;
           qcheck never_raises_bitflips;
           Alcotest.test_case "padding rejected" `Quick rejects_padding;
+          qcheck batch_roundtrip;
+          qcheck batch_never_raises_random;
+          qcheck batch_rejects_truncation;
+          qcheck batch_never_raises_bitflips;
+          qcheck batch_isolates_malformed;
+          Alcotest.test_case "container encode rules" `Quick batch_encode_rules;
+        ] );
+      ( "packer",
+        [
+          Alcotest.test_case "one datagram per pumped window" `Quick packer_one_datagram;
+          Alcotest.test_case "containers capped, big frames alone" `Quick packer_caps_container;
+          Alcotest.test_case "driver unrolls a container" `Quick driver_unrolls;
         ] );
       ( "shim",
         [
@@ -521,6 +844,7 @@ let () =
           Alcotest.test_case "go-back-n clean link" `Quick loopback_baseline;
           Alcotest.test_case "blockack acks once per drain" `Quick loopback_merges_acks;
           Alcotest.test_case "go-back-n acks pass through" `Quick loopback_single_acks_unmerged;
+          Alcotest.test_case "blockack loses every 5th datagram" `Quick loopback_datagram_loss;
         ] );
       ( "merge",
         [
