@@ -384,11 +384,7 @@ let net_sim_row ~messages ~lossy =
     nr_dgrams_per_msg =
       per_msg (r.Ba_proto.Harness.data_sent + r.Ba_proto.Harness.acks_sent)
         r.Ba_proto.Harness.delivered;
-    nr_clean =
-      r.Ba_proto.Harness.completed
-      && r.Ba_proto.Harness.duplicates = 0
-      && r.Ba_proto.Harness.misordered = 0
-      && r.Ba_proto.Harness.corrupted = 0;
+    nr_clean = Ba_proto.Harness.correct r;
   }
 
 let net_udp_outcome ?(payload_size = 32) ~messages ~lossy () =
@@ -615,61 +611,27 @@ let check () =
    Wall clock, peak fabric memory and the sketch's fixed footprint land in
    the JSON artefact, so soak-path regressions show up across commits. *)
 let soak_campaign ~quick ~jobs =
-  let module Fabric = Ba_proto.Fabric in
-  let module Chaos = Ba_verify.Chaos in
+  let module Soak = Ba_verify.Soak in
   let module Qsketch = Ba_util.Qsketch in
   let rounds = if quick then 4 else 8 in
   let messages = if quick then 20 else 40 in
-  let watchdog =
-    { Ba_proto.Watchdog.default_config with Ba_proto.Watchdog.check_interval = 500 }
-  in
   let run_round round =
     let seed = 42 + round in
-    let specs =
-      Fabric.churn ~churners:2 ~messages ~config:Chaos.robust_config ~seed
-        Blockack.Protocols.multi
-    in
-    let need =
-      List.fold_left
-        (fun a (s : Fabric.spec) ->
-          a + (2 * s.Fabric.config.Ba_proto.Proto_config.window * s.Fabric.payload_size))
-        0 specs
-    in
-    let data_plan, ack_plan = Chaos.plans_for Chaos.Storm ~seed in
-    let sq = Chaos.squeeze_for ~seed in
-    let crash_plan = Chaos.crash_plan_for ~seed in
-    let specs =
-      List.map
-        (fun (s : Fabric.spec) ->
-          { s with Fabric.config = fst (Chaos.apply_squeeze sq s.Fabric.config) })
-        specs
-    in
-    let on_flows _ cell = Ba_proto.Cell.schedule_crashes cell 0 crash_plan in
-    let r =
-      Fabric.run ~seed ~data_plan ~ack_plan
-        ~data_bottleneck:(sq.Chaos.service_time, sq.Chaos.queue_capacity)
-        ~memory_budget:(need * 3 / 4) ~watchdog ~on_flows specs
-    in
-    assert r.Ba_proto.Fabric.completed;
-    let rs = Qsketch.create () in
-    List.iter
-      (fun (f : Ba_proto.Harness.result) ->
-        List.iter (Qsketch.add rs) f.Ba_proto.Harness.latencies)
-      r.Fabric.flows;
-    (r.Fabric.mem_peak_bytes, rs)
+    Soak.round ~fault:Ba_verify.Chaos.Storm ~base:2 ~churn_from:2 ~seed
+      (Ba_proto.Fabric.churn ~base:2 ~churners:2 ~messages ~config:Ba_verify.Chaos.robust_config
+         ~seed Blockack.Protocols.multi)
   in
-  let results, wall_s =
-    wall (fun () -> Ba_parallel.Pool.map_chunks ~jobs run_round (List.init rounds Fun.id))
-  in
-  let sketch =
-    List.fold_left (fun acc (_, rs) -> Qsketch.merge acc rs) (Qsketch.create ()) results
-  in
-  let mem_peak = List.fold_left (fun a (m, _) -> max a m) 0 results in
+  let s, wall_s = wall (fun () -> Soak.fold ~on_round:(fun _ _ -> ()) ~jobs ~rounds run_round) in
+  let sketch = s.Soak.sketch in
   Printf.printf
     "\n=== soak campaign (churn + storm) ===\nrounds=%d wall=%.3fs mem-peak=%dB latency \
      n=%d sketch=%dB\n"
-    rounds wall_s mem_peak (Qsketch.count sketch) (Qsketch.mem_bytes sketch);
-  (rounds, wall_s, mem_peak, Qsketch.count sketch, Qsketch.mem_bytes sketch)
+    rounds wall_s s.Soak.peak (Qsketch.count sketch) (Qsketch.mem_bytes sketch);
+  if not s.Soak.pass then begin
+    print_endline "FAIL: soak campaign verdict";
+    exit 1
+  end;
+  (rounds, wall_s, s.Soak.peak, Qsketch.count sketch, Qsketch.mem_bytes sketch)
 
 (* The acceptance workload: the full chaos matrix (C1's seeds x faults x
    protocols grid), timed sequentially and at the requested job count.

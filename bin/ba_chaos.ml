@@ -62,9 +62,7 @@ let replay key messages protocol_filter =
             Format.eprintf "ba_chaos: %s@." msg;
             exit 2)
   in
-  if
-    (fault = Chaos.Crash || fault = Chaos.Storm) && not (Registry.crash_tolerant entry)
-  then begin
+  if not (Chaos.runnable entry.Registry.protocol (Chaos.incident fault ~seed)) then begin
     Format.eprintf "ba_chaos: %s does not implement the crash-restart lifecycle@."
       entry.Registry.name;
     exit 2

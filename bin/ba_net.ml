@@ -64,24 +64,31 @@ let capacity_conv =
 
 let fmt = Ba_util.Table.fmt_float
 
+(* A usage error: report it and exit 2. *)
+let usage msg =
+  Format.kasprintf
+    (fun m ->
+      Format.eprintf "ba_net: %s@." m;
+      exit 2)
+    msg
+
+(* One spec per connection of the mix, in mix order. *)
+let mix_specs ~spec ?start_at mix =
+  List.concat_map (fun (e, count) -> List.init count (fun _ -> spec ?start_at e)) mix
+
 (* S1-style scaling sweep: one cell per (connection count, protocol in
    the mix), every cell an independent Fabric.run farmed to the pool.
    Cells are listed row-major and collected in order, so the table is
    byte-identical at any --jobs. *)
-let run_sweep ~counts ~mix ~messages ~payload_size ~loss ~ack_loss ~delay ~capacity ~window
-    ~rto ~modulus ~adaptive ~seed ~jobs =
+let run_sweep ~counts ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs =
   let protos = List.map fst mix in
   let cells = List.concat_map (fun n -> List.map (fun e -> (n, e)) protos) counts in
   let outcomes =
     Ba_parallel.Pool.map_chunks ~jobs
       (fun (n, e) ->
-        let config = Registry.config ~window ~rto ?modulus ~adaptive_rto:adaptive e () in
-        let specs =
-          List.init n (fun _ ->
-              Fabric.spec ~config ~messages ~payload_size e.Registry.protocol)
-        in
         Fabric.run ~seed ~data_loss:loss ~ack_loss ~data_delay:delay ~ack_delay:delay
-          ?data_bottleneck:capacity specs)
+          ?data_bottleneck:capacity
+          (List.init n (fun _ -> spec e)))
       cells
   in
   let rows =
@@ -114,17 +121,12 @@ let run_sweep ~counts ~mix ~messages ~payload_size ~loss ~ack_loss ~delay ~capac
    stdout — the summary is byte-identical at any --jobs and any --shards
    (cram-proven) — while wall-clock figures (flows/sec, heap bytes per
    flow), which vary by machine, go to stderr. *)
-let run_scale ~flows ~mix ~messages ~payload_size ~loss ~ack_loss ~delay ~capacity ~window
-    ~rto ~modulus ~adaptive ~seed ~jobs ~shards ~cell ~barrier =
+let run_scale ~flows ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs ~shards ~cell
+    ~barrier =
   let protos =
     Array.of_list (List.concat_map (fun (e, count) -> List.init count (fun _ -> e)) mix)
   in
-  let specs =
-    List.init flows (fun i ->
-        let e = protos.(i mod Array.length protos) in
-        let config = Registry.config ~window ~rto ?modulus ~adaptive_rto:adaptive e () in
-        Fabric.spec ~config ~messages ~payload_size e.Registry.protocol)
-  in
+  let specs = List.init flows (fun i -> spec protos.(i mod Array.length protos)) in
   let run ~measure_mem =
     Ba_proto.Shard.run ~seed ~jobs ?shards ~cell ~barrier ~data_loss:loss ~ack_loss
       ~data_delay:delay ~ack_delay:delay ?capacity ~measure_mem specs
@@ -137,10 +139,7 @@ let run_scale ~flows ~mix ~messages ~payload_size ~loss ~ack_loss ~delay ~capaci
   let wall = Unix.gettimeofday () -. t0 in
   let state_bytes = (run ~measure_mem:true).Ba_proto.Shard.state_bytes in
   print_string (Ba_proto.Shard.summary r);
-  let safe =
-    r.Ba_proto.Shard.duplicates = 0 && r.Ba_proto.Shard.corrupted = 0
-    && r.Ba_proto.Shard.misordered = 0
-  in
+  let safe = Ba_proto.Shard.safe r in
   let pass = safe && r.Ba_proto.Shard.completed in
   Printf.printf "scale-verdict: flows=%d safety=%s completion=%s result=%s\n"
     r.Ba_proto.Shard.flows
@@ -162,119 +161,46 @@ let run_scale ~flows ~mix ~messages ~payload_size ~loss ~ack_loss ~delay ~capaci
    --fault lands a chaos fault class (up to the full storm composition)
    on every round.
 
-   The harness memory is O(1) in the round count: rounds stream through
-   the pool in bounded chunks, each result is folded into scalar
-   aggregates and a fixed-size latency sketch and then dropped, and the
-   table prints through Table.stream. Each round is a pure function of
-   (seed + round), and chunks are folded in round order, so the report
-   is byte-identical at any --jobs. *)
+   Each round is one Ba_verify.Soak.round at seed + round, and
+   Soak.fold streams the rounds into O(1) aggregates in round order, so
+   the report is byte-identical at any --jobs. This runner only builds
+   the flow population and prints; the table goes through
+   Table.stream. *)
 let soak_surge_at_default = 2000
 let soak_stall_for_default = 5000
 
-(* Post-churn goodput must recover to at least (1 - eps) of the
-   pre-churn baseline; the floor printed in the verdict line. *)
-let churn_goodput_eps = 0.5
-
-let run_soak ~rounds ~mix ~messages ~payload_size ~loss ~ack_loss ~delay ~capacity ~window
-    ~rto ~modulus ~adaptive ~seed ~budget ~surge_at ~stall_for ~churners ~fault ~jobs =
-  let module Chaos = Ba_verify.Chaos in
+let run_soak ~rounds ~mix ~(spec : ?start_at:int -> Registry.entry -> Fabric.spec) ~loss
+    ~ack_loss ~delay ~capacity ~seed ~budget ~surge_at ~stall_for ~churners ~fault ~jobs =
+  let module Soak = Ba_verify.Soak in
   let module Qsketch = Ba_util.Qsketch in
-  let specs_of_mix ~start_at =
-    List.concat_map
-      (fun (e, count) ->
-        let config = Registry.config ~window ~rto ?modulus ~adaptive_rto:adaptive e () in
-        List.init count (fun _ ->
-            Fabric.spec ~config ~messages ~payload_size ~start_at e.Registry.protocol))
-      mix
-  in
-  let base_specs = specs_of_mix ~start_at:0 in
-  let surge_specs = specs_of_mix ~start_at:surge_at in
+  let base_specs = mix_specs ~spec mix in
+  let surge_specs = mix_specs ~spec ~start_at:surge_at mix in
   let n_base = List.length base_specs in
   let n_fixed = n_base + List.length surge_specs in
-  (* The stall victim is the first *surge* flow: it is guaranteed to
-     still be mid-transfer when its receiver goes dark, so the watchdog
-     escalation (resync, quarantine, probation release) actually runs. *)
-  let victim_index = n_base in
-  (* The churn tail reuses the first mix entry's protocol and config;
-     its arrival/departure schedule is re-derived from each round's
-     seed, so every round churns differently. *)
-  let churn_entry = fst (List.hd mix) in
-  let churn_config =
-    Registry.config ~window ~rto ?modulus ~adaptive_rto:adaptive churn_entry ()
-  in
+  (* The churn tail takes the first mix entry's spec; its
+     arrival/departure schedule is re-derived from each round's seed, so
+     every round churns differently. *)
+  let c = spec (fst (List.hd mix)) in
   let specs_for rseed =
-    if churners = 0 then base_specs @ surge_specs
-    else
-      base_specs @ surge_specs
-      @ Fabric.churn ~base:0 ~churners ~messages ~payload_size ~config:churn_config ~seed:rseed
-          churn_entry.Registry.protocol
+    base_specs @ surge_specs
+    @ Fabric.churn ~base:0 ~churners ~messages:c.Fabric.messages
+        ~payload_size:c.Fabric.payload_size ~config:c.Fabric.config ~seed:rseed c.Fabric.protocol
   in
-  (* Three quarters of the unclamped need: tight enough that admission
-     must clamp, loose enough that every flow is still admitted. The
-     need only depends on flow counts and window/payload shape, so it is
-     the same for every round's churn schedule. *)
-  let unclamped_need =
-    List.fold_left
-      (fun a (s : Fabric.spec) ->
-        a + (2 * s.Fabric.config.Ba_proto.Proto_config.window * s.Fabric.payload_size))
-      0
-      (specs_for seed)
-  in
-  let budget = match budget with Some b -> b | None -> unclamped_need * 3 / 4 in
-  let watchdog = { Ba_proto.Watchdog.default_config with Ba_proto.Watchdog.check_interval = 500 } in
-  (* The victim's receiver goes dark through the surge, as a crash plan
-     (replay key crash(R@<surge+100>+<stall>)). *)
+  (* The stall victim is the first *surge* flow: it is guaranteed to
+     still be mid-transfer when its receiver goes dark (replay key
+     crash(R@<surge+100>+<stall>)), so the watchdog escalation (resync,
+     quarantine, probation release) actually runs. *)
   let stall_plan =
     Ba_proto.Crash_plan.make
       [ { at = surge_at + 100; endpoint = Ba_proto.Crash_plan.Receiver_end; down_for = stall_for } ]
   in
   let run_round round =
     let rseed = seed + round in
-    let specs = specs_for rseed in
-    (* The fault class's ingredients are the same pure functions of the
-       round seed as in ba_chaos, so a soak round composes with the
-       campaign's replay story: channel plans land on the shared links,
-       the squeeze rewrites every flow's receiver budget and the shared
-       bottleneck, and the crash plan hits the first base flow. *)
-    let data_plan, ack_plan, crash_plan, squeeze =
-      match fault with
-      | None -> (None, None, None, None)
-      | Some c ->
-          let dp, ap = Chaos.plans_for c ~seed:rseed in
-          let crash =
-            match c with
-            | Chaos.Crash | Chaos.Storm -> Some (Chaos.crash_plan_for ~seed:rseed)
-            | _ -> None
-          in
-          let sq =
-            match c with
-            | Chaos.Overload | Chaos.Storm -> Some (Chaos.squeeze_for ~seed:rseed)
-            | _ -> None
-          in
-          (Some dp, Some ap, crash, sq)
-    in
-    let specs, bottleneck =
-      match squeeze with
-      | None -> (specs, capacity)
-      | Some sq ->
-          ( List.map
-              (fun (s : Fabric.spec) ->
-                let config, _ = Chaos.apply_squeeze sq s.Fabric.config in
-                { s with Fabric.config })
-              specs,
-            Some (sq.Chaos.service_time, sq.Chaos.queue_capacity) )
-    in
-    let on_flows _ cell =
-      if Ba_proto.Cell.flows cell > victim_index then
-        Ba_proto.Cell.schedule_crashes cell victim_index stall_plan;
-      Option.iter (Ba_proto.Cell.schedule_crashes cell 0) crash_plan
-    in
-    Fabric.run ~seed:rseed ~data_loss:loss ~ack_loss ~data_delay:delay ~ack_delay:delay
-      ?data_bottleneck:bottleneck ?data_plan ?ack_plan ~memory_budget:budget ~watchdog ~on_flows
-      specs
+    Soak.round ~data_loss:loss ~ack_loss ~delay ?capacity ?budget ~crashes:[ (n_base, stall_plan) ] ?fault
+      ~base:n_base ~churn_from:n_fixed ~seed:rseed (specs_for rseed)
   in
   (* Lazy so that a round failing outright (impossible budget) errors
-     before anything is printed, as the buffered table used to. *)
+     before anything is printed. *)
   let sink =
     lazy
       (Ba_util.Table.stream
@@ -288,54 +214,8 @@ let run_soak ~rounds ~mix ~messages ~payload_size ~loss ~ack_loss ~delay ~capaci
            ]
          ())
   in
-  (* Constant-space aggregates; every round's full result dies with its
-     chunk. The latency sketch replaces the old keep-every-sample
-     accounting: bounded centroids, exact count/min/max. *)
-  let sketch = Qsketch.create () in
-  let peak = ref 0
-  and over_budget = ref 0
-  and quarantines = ref 0
-  and resyncs = ref 0
-  and worst_recovery = ref 0
-  and unsafe_rounds = ref 0
-  and stuck_rounds = ref 0
-  and pre_goodput = ref 0.
-  and pre_n = ref 0
-  and post_goodput = ref 0.
-  and post_n = ref 0
-  and nodes_at_check = ref None in
-  let fold round (r : Fabric.result) =
-    let safe_round = List.for_all Ba_verify.Chaos.safe r.Fabric.flows in
-    if not safe_round then incr unsafe_rounds;
-    if not r.Fabric.completed then incr stuck_rounds;
-    if r.Fabric.mem_peak_bytes > !peak then peak := r.Fabric.mem_peak_bytes;
-    if r.Fabric.mem_peak_bytes > budget then incr over_budget;
-    quarantines := !quarantines + r.Fabric.quarantine_events;
-    resyncs := !resyncs + r.Fabric.watchdog_resyncs;
-    if r.Fabric.completed && r.Fabric.ticks - surge_at > !worst_recovery then
-      worst_recovery := r.Fabric.ticks - surge_at;
-    (* Churn cohorts: the long-lived base flows are the pre-churn
-       baseline; the returning flows (odd positions in each churner's
-       leaver/returner pair) measure goodput after arrivals into
-       reclaimed capacity. *)
-    List.iteri
-      (fun i (fr : Ba_proto.Harness.result) ->
-        if i < n_base then begin
-          pre_goodput := !pre_goodput +. fr.Ba_proto.Harness.goodput;
-          incr pre_n
-        end
-        else if i >= n_fixed && (i - n_fixed) mod 2 = 1 then begin
-          post_goodput := !post_goodput +. fr.Ba_proto.Harness.goodput;
-          incr post_n
-        end;
-        List.iter (Qsketch.add sketch) fr.Ba_proto.Harness.latencies)
-      r.Fabric.flows;
-    if round = min 9 (rounds - 1) then nodes_at_check := Some (Qsketch.nodes sketch);
-    let recovery =
-      if r.Fabric.completed && r.Fabric.ticks > surge_at then
-        string_of_int (r.Fabric.ticks - surge_at)
-      else "-"
-    in
+  let on_round round (rd : Soak.round) =
+    let r = rd.Soak.result in
     Ba_util.Table.stream_row (Lazy.force sink)
       [
         string_of_int round;
@@ -347,62 +227,40 @@ let run_soak ~rounds ~mix ~messages ~payload_size ~loss ~ack_loss ~delay ~capaci
         string_of_int r.Fabric.mem_peak_bytes;
         string_of_int r.Fabric.quarantine_events;
         string_of_int r.Fabric.watchdog_resyncs;
-        recovery;
-        (if r.Fabric.completed && safe_round then "ok"
-         else if safe_round then "STUCK"
+        (if r.Fabric.completed && r.Fabric.ticks > surge_at then
+           string_of_int (r.Fabric.ticks - surge_at)
+         else "-");
+        (if r.Fabric.completed && rd.Soak.safe then "ok"
+         else if rd.Soak.safe then "STUCK"
          else "UNSAFE");
       ]
   in
-  Ba_parallel.Pool.with_pool ~jobs (fun pool ->
-      let chunk = jobs * 4 in
-      let rec go next =
-        if next < rounds then begin
-          let n = min chunk (rounds - next) in
-          let results =
-            Ba_parallel.Pool.map ~pool run_round (List.init n (fun i -> next + i))
-          in
-          List.iteri (fun i r -> fold (next + i) r) results;
-          go (next + n)
-        end
-      in
-      go 0);
+  let s = Soak.fold ~on_round ~jobs ~rounds run_round in
+  let sketch = s.Soak.sketch in
   Printf.printf
     "\nsoak: %d rounds, budget=%dB, peak=%dB (%s), quarantines=%d, resyncs=%d, \
      worst post-surge recovery=%d ticks\n"
-    rounds budget !peak
-    (if !over_budget = 0 then "under budget" else "OVER BUDGET")
-    !quarantines !resyncs !worst_recovery;
+    rounds s.Soak.budget s.Soak.peak
+    (if s.Soak.over_budget = 0 then "under budget" else "OVER BUDGET")
+    s.Soak.quarantines s.Soak.resyncs
+    (max 0 (s.Soak.worst_ticks - surge_at));
   if Qsketch.count sketch > 0 then
     Printf.printf "telemetry: latency n=%d p50=%.0f p90=%.0f p99=%.0f sketch=%dB\n"
       (Qsketch.count sketch) (Qsketch.quantile sketch 0.5) (Qsketch.quantile sketch 0.9)
       (Qsketch.quantile sketch 0.99) (Qsketch.mem_bytes sketch);
   (* The machine-checkable verdict: one line of key=value tokens. *)
-  let safety_ok = !unsafe_rounds = 0 in
-  let recovery_ok = !stuck_rounds = 0 in
-  let mem_ok = !over_budget = 0 in
-  let ratio =
-    if !pre_n = 0 || !post_n = 0 then None
-    else begin
-      let pre = !pre_goodput /. float_of_int !pre_n in
-      let post = !post_goodput /. float_of_int !post_n in
-      if pre <= 0. then None else Some (post /. pre)
-    end
-  in
-  let goodput_ok = match ratio with None -> true | Some r -> r >= 1. -. churn_goodput_eps in
-  let check = match !nodes_at_check with Some n -> n | None -> Qsketch.nodes sketch in
-  let nodes_ok = abs (Qsketch.nodes sketch - check) <= 1 in
-  let pass = safety_ok && recovery_ok && mem_ok && goodput_ok && nodes_ok in
+  let ratio = s.Soak.ratio in
   Printf.printf
     "soak-verdict: rounds=%d safety=%s recovery=%s goodput-ratio=%s goodput-floor=%s \
      mem-peak=%dB budget=%dB sketch-nodes=%d->%d result=%s\n"
     rounds
-    (if safety_ok then "pass" else "FAIL")
-    (if recovery_ok then "pass" else "FAIL")
+    (if s.Soak.unsafe_rounds = 0 then "pass" else "FAIL")
+    (if s.Soak.stuck_rounds = 0 then "pass" else "FAIL")
     (match ratio with None -> "-" | Some r -> fmt ~decimals:2 r)
-    (match ratio with None -> "-" | Some _ -> fmt ~decimals:2 (1. -. churn_goodput_eps))
-    !peak budget check (Qsketch.nodes sketch)
-    (if pass then "PASS" else "FAIL");
-  if pass then 0 else 1
+    (match ratio with None -> "-" | Some _ -> fmt ~decimals:2 Soak.goodput_floor)
+    s.Soak.peak s.Soak.budget s.Soak.nodes_at_check (Qsketch.nodes sketch)
+    (if s.Soak.pass then "PASS" else "FAIL");
+  if s.Soak.pass then 0 else 1
 
 let run list_protocols connections mix messages payload_size loss ack_loss_opt base_delay
     jitter capacity window rto modulus adaptive seed sweep soak budget surge_at stall_for churn
@@ -411,33 +269,30 @@ let run list_protocols connections mix messages payload_size loss ack_loss_opt b
     Format.printf "%a" Registry.pp_list ();
     exit 0
   end;
-  (* The soak-only options are rejected outside --soak rather than
-     silently ignored. *)
-  if soak = None then begin
-    let reject name = function
-      | Some _ ->
-          Format.eprintf "ba_net: %s requires --soak@." name;
-          exit 2
-      | None -> ()
-    in
-    reject "--budget" budget;
-    reject "--surge-at" surge_at;
-    reject "--stall-for" stall_for;
-    reject "--churn" churn;
-    reject "--fault" fault
-  end;
-  (* Likewise the sharding knobs belong to --scale. *)
-  if scale = None then begin
-    let reject name = function
-      | Some _ ->
-          Format.eprintf "ba_net: %s requires --scale@." name;
-          exit 2
-      | None -> ()
-    in
-    reject "--shards" shards;
-    reject "--cell" cell;
-    reject "--barrier" barrier
-  end;
+  (* One run mode at a time, and each mode's options only with it: a
+     second mode or a stray option would be silently dropped. *)
+  (match
+     List.filter_map Fun.id
+       [
+         Option.map (fun _ -> "--soak") soak;
+         Option.map (fun _ -> "--scale") scale;
+         Option.map (fun _ -> "--sweep") sweep;
+       ]
+   with
+  | _ :: _ :: _ as modes -> usage "%s are mutually exclusive" (String.concat ", " modes)
+  | _ -> ());
+  let reject mode given name = function
+    | Some _ when not given -> usage "%s requires %s" name mode
+    | _ -> ()
+  in
+  reject "--soak" (soak <> None) "--budget" budget;
+  reject "--soak" (soak <> None) "--surge-at" surge_at;
+  reject "--soak" (soak <> None) "--stall-for" stall_for;
+  reject "--soak" (soak <> None) "--churn" churn;
+  reject "--soak" (soak <> None) "--fault" fault;
+  reject "--scale" (scale <> None) "--shards" shards;
+  reject "--scale" (scale <> None) "--cell" cell;
+  reject "--scale" (scale <> None) "--barrier" barrier;
   let ack_loss = Option.value ~default:loss ack_loss_opt in
   let delay =
     if jitter = 0 then Ba_channel.Dist.Constant base_delay
@@ -460,93 +315,61 @@ let run list_protocols connections mix messages payload_size loss ack_loss_opt b
         let svc, cap = Option.value ~default:(0, 0) capacity in
         (2 * (base_delay + jitter)) + (svc * cap) + 100
   in
+  let spec ?start_at e =
+    let config = Registry.config ~window ~rto ?modulus ~adaptive_rto:adaptive e () in
+    Fabric.spec ~config ~messages ~payload_size ?start_at e.Registry.protocol
+  in
+  let jobs = Ba_cli.resolve_jobs jobs in
+  let positive name v default =
+    match v with
+    | None -> default
+    | Some v when v > 0 -> v
+    | Some v -> usage "%s must be positive (got %d)" name v
+  in
   match soak with
   | Some rounds ->
-      let jobs = Ba_cli.resolve_jobs jobs in
-      if rounds < 1 then begin
-        Format.eprintf "ba_net: --soak rounds must be positive (got %d)@." rounds;
-        exit 2
-      end;
-      let positive name v default =
-        match v with
-        | None -> default
-        | Some v when v > 0 -> v
-        | Some v ->
-            Format.eprintf "ba_net: %s must be positive (got %d)@." name v;
-            exit 2
-      in
+      if rounds < 1 then usage "--soak rounds must be positive (got %d)" rounds;
       let surge_at = positive "--surge-at" surge_at soak_surge_at_default in
       let stall_for = positive "--stall-for" stall_for soak_stall_for_default in
       let churners =
         match churn with
         | None -> 0
         | Some c when c >= 0 -> c
-        | Some c ->
-            Format.eprintf "ba_net: --churn must be >= 0 (got %d)@." c;
-            exit 2
+        | Some c -> usage "--churn must be >= 0 (got %d)" c
       in
       let fault =
-        match fault with
-        | None -> None
-        | Some name -> (
+        Option.map
+          (fun name ->
             match Ba_verify.Chaos.class_of_name name with
-            | Some c -> Some c
-            | None ->
-                Format.eprintf "ba_net: unknown fault class %S@." name;
-                exit 2)
+            | Some c -> c
+            | None -> usage "unknown fault class %S" name)
+          fault
       in
-      run_soak ~rounds ~mix ~messages ~payload_size ~loss ~ack_loss ~delay ~capacity ~window
-        ~rto ~modulus ~adaptive ~seed ~budget ~surge_at ~stall_for ~churners ~fault ~jobs
+      run_soak ~rounds ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~budget ~surge_at
+        ~stall_for ~churners ~fault ~jobs
   | None ->
   match scale with
   | Some flows ->
-      let jobs = Ba_cli.resolve_jobs jobs in
-      if flows < 1 then begin
-        Format.eprintf "ba_net: --scale flows must be positive (got %d)@." flows;
-        exit 2
-      end;
-      let positive name v default =
-        match v with
-        | None -> default
-        | Some v when v > 0 -> v
-        | Some v ->
-            Format.eprintf "ba_net: %s must be positive (got %d)@." name v;
-            exit 2
-      in
+      if flows < 1 then usage "--scale flows must be positive (got %d)" flows;
       let shards =
         match shards with
         | None | Some 0 -> None (* 0 = auto: one shard per job *)
         | Some s when s > 0 -> Some s
-        | Some s ->
-            Format.eprintf "ba_net: --shards must be >= 0 (got %d)@." s;
-            exit 2
+        | Some s -> usage "--shards must be >= 0 (got %d)" s
       in
       let cell = positive "--cell" cell 1024 in
       let barrier = positive "--barrier" barrier 1000 in
-      run_scale ~flows ~mix ~messages ~payload_size ~loss ~ack_loss ~delay ~capacity ~window
-        ~rto ~modulus ~adaptive ~seed ~jobs ~shards ~cell ~barrier
+      run_scale ~flows ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs ~shards ~cell
+        ~barrier
   | None ->
   match sweep with
   | Some counts ->
-      let jobs = Ba_cli.resolve_jobs jobs in
-      (match List.find_opt (fun n -> n < 1) counts with
-      | Some n ->
-          Format.eprintf "ba_net: --sweep counts must be positive (got %d)@." n;
-          exit 2
-      | None -> ());
-      run_sweep ~counts ~mix ~messages ~payload_size ~loss ~ack_loss ~delay ~capacity
-        ~window ~rto ~modulus ~adaptive ~seed ~jobs
+      List.iter (fun n -> if n < 1 then usage "--sweep counts must be positive (got %d)" n) counts;
+      run_sweep ~counts ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs
   | None ->
-  let specs =
-    List.concat_map
-      (fun (e, count) ->
-        let config = Registry.config ~window ~rto ?modulus ~adaptive_rto:adaptive e () in
-        List.init count (fun _ -> Fabric.spec ~config ~messages ~payload_size e.Registry.protocol))
-      mix
-  in
   let r =
     Fabric.run ~seed ~data_loss:loss ~ack_loss ~data_delay:delay ~ack_delay:delay
-      ?data_bottleneck:capacity specs
+      ?data_bottleneck:capacity (mix_specs ~spec mix)
   in
   let rows =
     List.map

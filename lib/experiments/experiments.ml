@@ -824,6 +824,7 @@ let a3_fairness ?(jobs = 1) ~quick () =
 (* C1: the chaos matrix — every protocol against every fault class. *)
 
 module Chaos = Ba_verify.Chaos
+module Soak = Ba_verify.Soak
 
 let c1_chaos_matrix ?(jobs = 1) ~quick () =
   let messages = if quick then 40 else 80 in
@@ -914,15 +915,6 @@ let c2_crash_recovery ?(jobs = 1) ~quick () =
       (fun (label, proto, config) ->
         let r = Chaos.run_campaign ~messages ~config ~seeds ~classes:[ Chaos.Crash ] ~jobs proto in
         let c = List.hd r.Chaos.classes in
-        let verdict =
-          if c.Chaos.unsafe = 0 && c.Chaos.incomplete = 0 then "ok"
-          else
-            String.concat " "
-              ((if c.Chaos.unsafe > 0 then [ Printf.sprintf "unsafe:%d" c.Chaos.unsafe ] else [])
-              @
-              if c.Chaos.incomplete > 0 then [ Printf.sprintf "stuck:%d" c.Chaos.incomplete ]
-              else [])
-        in
         let recovery =
           match c.Chaos.recovery with
           | None -> [ "-"; "-"; "-"; "-" ]
@@ -934,7 +926,7 @@ let c2_crash_recovery ?(jobs = 1) ~quick () =
                 string_of_int rc.Chaos.retx_bytes;
               ]
         in
-        (label :: string_of_int c.Chaos.runs :: verdict :: recovery))
+        (label :: string_of_int c.Chaos.runs :: Chaos.verdict c :: recovery))
       configurations
   in
   {
@@ -1050,9 +1042,6 @@ let s3_churn_soak ?(jobs = 1) ~quick () =
   let churners = if quick then 1 else 2 in
   let messages = if quick then 20 else 40 in
   let seeds = List.init (if quick then 3 else 6) (fun i -> 42 + i) in
-  let watchdog =
-    { Ba_proto.Watchdog.default_config with Ba_proto.Watchdog.check_interval = 500 }
-  in
   let rows =
     pmap ~jobs
       (fun seed ->
@@ -1060,42 +1049,13 @@ let s3_churn_soak ?(jobs = 1) ~quick () =
           Fabric.churn ~base ~churners ~messages ~config:Chaos.robust_config ~seed
             Blockack.Protocols.multi
         in
-        (* 3/4 of the lifetime sum: tight enough that admitting every
-           churner depends on the peak-concurrent accounting reclaiming
-           departed reservations, loose enough that it always fits. *)
-        let need =
-          List.fold_left
-            (fun a (s : Fabric.spec) ->
-              a + (2 * s.Fabric.config.Config.window * s.Fabric.payload_size))
-            0 specs
-        in
-        let budget = need * 3 / 4 in
-        let data_plan, ack_plan = Chaos.plans_for Chaos.Storm ~seed in
-        let sq = Chaos.squeeze_for ~seed in
-        let crash_plan = Chaos.crash_plan_for ~seed in
-        let specs =
-          List.map
-            (fun (s : Fabric.spec) ->
-              { s with Fabric.config = fst (Chaos.apply_squeeze sq s.Fabric.config) })
-            specs
-        in
-        let on_flows _ cell = Ba_proto.Cell.schedule_crashes cell 0 crash_plan in
-        let r =
-          Fabric.run ~seed ~data_plan ~ack_plan
-            ~data_bottleneck:(sq.Chaos.service_time, sq.Chaos.queue_capacity)
-            ~memory_budget:budget ~watchdog ~on_flows specs
-        in
-        let cohort keep =
-          match List.filteri (fun i _ -> keep i) r.Fabric.flows with
+        let rd = Soak.round ~fault:Chaos.Storm ~base ~churn_from:base ~seed specs in
+        let r = rd.Soak.result in
+        let mean = function
           | [] -> nan
-          | fs ->
-              List.fold_left (fun a (f : Harness.result) -> a +. f.Harness.goodput) 0. fs
-              /. float_of_int (List.length fs)
+          | gs -> List.fold_left ( +. ) 0. gs /. float_of_int (List.length gs)
         in
-        (* Base flows span the whole horizon; returners sit at the odd
-           offsets of the churn tail (churn emits leaver;returner pairs). *)
-        let pre = cohort (fun i -> i < base) in
-        let post = cohort (fun i -> i >= base && (i - base) mod 2 = 1) in
+        let pre = mean rd.Soak.base_goodput and post = mean rd.Soak.returner_goodput in
         [
           string_of_int seed;
           Printf.sprintf "%d/%d" r.Fabric.admitted (List.length specs);
@@ -1104,7 +1064,7 @@ let s3_churn_soak ?(jobs = 1) ~quick () =
           fmt pre;
           fmt post;
           (if Float.is_nan post || Float.is_nan pre then "-" else fmt ~decimals:2 (post /. pre));
-          string_of_int r.Fabric.mem_peak_bytes ^ "/" ^ string_of_int budget;
+          string_of_int r.Fabric.mem_peak_bytes ^ "/" ^ string_of_int rd.Soak.budget;
           string_of_int r.Fabric.watchdog_resyncs;
         ])
       seeds
@@ -1205,15 +1165,6 @@ let c3_storm_matrix ?(jobs = 1) ~quick () =
     ]
   in
   let faults = [ Chaos.Crash; Chaos.Overload; Chaos.Storm ] in
-  let verdict (c : Chaos.class_report) =
-    if c.Chaos.unsafe = 0 && c.Chaos.incomplete = 0 then "ok"
-    else
-      String.concat " "
-        ((if c.Chaos.unsafe > 0 then [ Printf.sprintf "unsafe:%d" c.Chaos.unsafe ] else [])
-        @
-        if c.Chaos.incomplete > 0 then [ Printf.sprintf "stuck:%d" c.Chaos.incomplete ]
-        else [])
-  in
   let rows =
     List.concat_map
       (fun (name, p) ->
@@ -1235,7 +1186,7 @@ let c3_storm_matrix ?(jobs = 1) ~quick () =
                   ]
             in
             (name :: Chaos.class_name c.Chaos.fault :: string_of_int c.Chaos.runs
-            :: verdict c :: recovery))
+            :: Chaos.verdict c :: recovery))
           r.Chaos.classes)
       protos
   in

@@ -55,6 +55,12 @@ val validate : who:string -> ?memory_budget:int -> spec list -> unit
     invalid config, a negative [start_at], a [stop_at] not after its
     [start_at], or a non-positive budget. *)
 
+val flow_cost : spec -> clamp:int -> int
+(** Admission's charge for one flow: [2 · min window clamp ·
+    payload_size] bytes, a full effective window of payloads in the
+    sender's retransmit buffer plus as many again in the receiver's
+    reassembly window. *)
+
 type t
 
 val create :

@@ -87,6 +87,8 @@ let run ?(seed = 42) ?(data_loss = 0.) ?(ack_loss = 0.)
     quarantined = t.quarantined;
   }
 
+let lifetime_cost specs = List.fold_left (fun a s -> a + Cell.flow_cost s ~clamp:max_int) 0 specs
+
 (* Seed-derived churn schedule: [base] flows span the whole horizon and
    carry the pre/post-churn goodput baseline; each churner contributes a
    departing flow (arrives early, offered enough work to outlast its

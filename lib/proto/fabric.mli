@@ -149,6 +149,12 @@ val run :
     Raises [Invalid_argument] on an empty spec list, a negative
     [start_at], or a [stop_at] not after its [start_at]. *)
 
+val lifetime_cost : spec list -> int
+(** The sum of every spec's unclamped admission charge
+    ({!Cell.flow_cost}), as if all of them were open at once. A
+    [memory_budget] below it makes admission lean on departures
+    reclaiming reservations, or clamp. *)
+
 val churn :
   ?base:int ->
   ?churners:int ->

@@ -175,6 +175,8 @@ let run ?(seed = 42) ?jobs ?shards ?(cell = 1024) ?(barrier = 1000) ?(data_loss 
     state_bytes;
   }
 
+let safe r = r.duplicates = 0 && r.misordered = 0 && r.corrupted = 0
+
 let summary r =
   let b = Buffer.create 512 in
   Printf.bprintf b "flows=%d cells=%d messages=%d\n" r.flows r.cells r.messages;

@@ -118,6 +118,10 @@ val run :
     [barrier] or [shards], invalid spec intervals, or a budget that
     admits no flow in some cell. *)
 
+val safe : result -> bool
+(** No flow delivered a duplicate, out-of-order or corrupted payload:
+    {!Harness.correct}'s safety half, over every flow. *)
+
 val summary : result -> string
 (** Deterministic multi-line digest of everything in [result] except
     [state_bytes] — what the CLI prints and what the determinism

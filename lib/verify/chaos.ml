@@ -80,7 +80,7 @@ let plans_for fault ~seed =
   | Overload ->
       (* Overload is a resource fault: the links stay clean and the
          adversary is a seed-derived budget squeeze plus a congested
-         shared queue (see {!overload_squeeze}). *)
+         shared queue (see {!squeeze_for}). *)
       (Fault_plan.make (), Fault_plan.make ())
   | Storm ->
       (* The storm's channel component: real bursts, but milder than the
@@ -140,8 +140,6 @@ let apply_squeeze sq (base : Ba_proto.Proto_config.t) =
   ( { base with Ba_proto.Proto_config.rx_budget = Some sq.rx_slots; drop_policy = sq.policy },
     (sq.service_time, sq.queue_capacity) )
 
-let overload_squeeze ~seed base = apply_squeeze (squeeze_for ~seed) base
-
 (* Same printed-form-is-the-replay-key contract as Fault_plan and
    Crash_plan: what a failure report shows is exactly what a replay
    parses back. *)
@@ -174,15 +172,40 @@ let squeeze_of_string str =
               }
         | other -> Error (Printf.sprintf "unknown drop policy %S" other))
 
-type failure = {
-  seed : int;
+(* One (class, seed) incident: every ingredient the class composes, as
+   pure data. This is the only place that knows which classes bring a
+   crash schedule and which a squeeze. Storm composes all three
+   adversaries — the crash schedule, the resource squeeze and the bursty
+   channel — each the same pure function of the seed as in its
+   dedicated class, so the single replay key still reproduces the whole
+   composition. *)
+type incident = {
   fault : fault_class;
+  seed : int;
   data_plan : Fault_plan.t;
   ack_plan : Fault_plan.t;
   crash_plan : Crash_plan.t;
   squeeze : squeeze option;
-  result : Harness.result;
 }
+
+let incident fault ~seed =
+  let data_plan, ack_plan = plans_for fault ~seed in
+  {
+    fault;
+    seed;
+    data_plan;
+    ack_plan;
+    crash_plan = (match fault with Crash | Storm -> crash_plan_for ~seed | _ -> Crash_plan.none);
+    squeeze = (match fault with Overload | Storm -> Some (squeeze_for ~seed) | _ -> None);
+  }
+
+(* A crash schedule only makes sense against a protocol implementing
+   the crash-restart lifecycle. *)
+let runnable protocol i =
+  let (module P : Ba_proto.Protocol.S) = protocol in
+  P.crash_tolerant || i.crash_plan = Crash_plan.none
+
+type failure = { incident : incident; result : Harness.result }
 
 type recovery = {
   restarts : int;
@@ -235,18 +258,9 @@ let gbn_config =
    exactly one adversary. In particular bounded go-back-N — sound on
    FIFO channels — survives every class except the one that actually
    reorders. *)
-let run_cell ?(messages = 60) ?(config = robust_config) protocol fault ~seed =
-  let data_plan, ack_plan = plans_for fault ~seed in
-  (* Storm composes all three adversaries — the crash schedule, the
-     resource squeeze and the bursty channel — in one run; each is the
-     same pure function of the seed as in its dedicated class, so the
-     single replay key still reproduces the whole composition. *)
-  let crash_plan =
-    match fault with Crash | Storm -> crash_plan_for ~seed | _ -> Crash_plan.none
-  in
-  let squeeze = match fault with Overload | Storm -> Some (squeeze_for ~seed) | _ -> None in
+let run_cell ?(messages = 60) ?(config = robust_config) protocol i =
   let config, data_bottleneck =
-    match squeeze with
+    match i.squeeze with
     | Some sq ->
         let config, bottleneck = apply_squeeze sq config in
         (config, Some bottleneck)
@@ -254,17 +268,16 @@ let run_cell ?(messages = 60) ?(config = robust_config) protocol fault ~seed =
   in
   let delay = Ba_channel.Dist.Constant 50 in
   let result =
-    Harness.run protocol ~seed ~messages ~config ~data_delay:delay ~ack_delay:delay
-      ?data_bottleneck ~data_plan ~ack_plan ~crash_plan ()
+    Harness.run protocol ~seed:i.seed ~messages ~config ~data_delay:delay ~ack_delay:delay
+      ?data_bottleneck ~data_plan:i.data_plan ~ack_plan:i.ack_plan ~crash_plan:i.crash_plan ()
   in
   let failure =
-    if safe result && result.Harness.completed then None
-    else Some { seed; fault; data_plan; ack_plan; crash_plan; squeeze; result }
+    if safe result && result.Harness.completed then None else Some { incident = i; result }
   in
   (failure, result)
 
 let run_one ?messages ?config protocol fault ~seed =
-  fst (run_cell ?messages ?config protocol fault ~seed)
+  fst (run_cell ?messages ?config protocol (incident fault ~seed))
 
 let default_seeds = List.init 50 (fun i -> i + 1)
 
@@ -277,22 +290,20 @@ let run_campaign ?messages ?config ?(seeds = default_seeds) ?(classes = all_clas
      batches neighbouring cells into one queue entry each and returns
      the outcomes in input order, which makes the fold below — and
      therefore the whole report — identical at any job count. *)
-  (* The crash class — and the storm, which contains one — only makes
-     sense against protocols implementing the crash-restart lifecycle;
-     for the rest it is reported as skipped rather than silently
-     dropped. *)
-  let runnable fault =
-    match fault with Crash | Storm -> P.crash_tolerant | _ -> true
-  in
+  (* A class whose incidents carry a crash schedule is reported as
+     skipped, rather than silently dropped, against a protocol without
+     the crash-restart lifecycle. A class composes the same ingredients
+     at every seed. *)
+  let supported fault = runnable protocol (incident fault ~seed:0) in
   let cells =
     List.concat_map
-      (fun fault -> if runnable fault then List.map (fun seed -> (fault, seed)) seeds else [])
+      (fun fault ->
+        if supported fault then List.map (fun seed -> incident fault ~seed) seeds else [])
       classes
   in
   let outcomes =
-    Ba_parallel.Pool.map_chunks ?pool ~jobs
-      (fun (fault, seed) -> run_cell ?messages ?config protocol fault ~seed)
-      cells
+    List.combine cells
+      (Ba_parallel.Pool.map_chunks ?pool ~jobs (run_cell ?messages ?config protocol) cells)
   in
   let recovery_of results =
     let restarts = List.fold_left (fun a (r : Harness.result) -> a + r.Harness.restarts) 0 results in
@@ -325,63 +336,49 @@ let run_campaign ?messages ?config ?(seeds = default_seeds) ?(classes = all_clas
     end
   in
   let audit fault =
-    if not (runnable fault) then
-      {
-        fault;
-        runs = 0;
-        unsafe = 0;
-        incomplete = 0;
-        both = 0;
-        first_failure = None;
-        supported = false;
-        recovery = None;
-      }
-    else begin
-      let unsafe = ref 0 and incomplete = ref 0 and both = ref 0 and first = ref None in
-      let results = ref [] in
-      List.iter2
-        (fun (cell_fault, _) (outcome, result) ->
-          if cell_fault = fault then begin
-            results := result :: !results;
-            match outcome with
-            | None -> ()
-            | Some f ->
-                let is_unsafe = not (safe f.result) in
-                let is_incomplete = not f.result.Harness.completed in
-                if is_unsafe then incr unsafe;
-                if is_incomplete then incr incomplete;
-                if is_unsafe && is_incomplete then incr both;
-                (* Seeds are swept in the caller's order; track the smallest
-                   failing one regardless. *)
-                (match !first with
-                | Some g when g.seed <= f.seed -> ()
-                | Some _ | None -> first := Some f)
-          end)
-        cells outcomes;
-      {
-        fault;
-        runs = List.length seeds;
-        unsafe = !unsafe;
-        incomplete = !incomplete;
-        both = !both;
-        first_failure = !first;
-        supported = true;
-        recovery = recovery_of !results;
-      }
-    end
+    let mine = List.filter (fun ((i : incident), _) -> i.fault = fault) outcomes in
+    let failures = List.filter_map (fun (_, (failure, _)) -> failure) mine in
+    let count p = List.length (List.filter p failures) in
+    let unsafe f = not (safe f.result) and stuck f = not f.result.Harness.completed in
+    {
+      fault;
+      runs = (if supported fault then List.length seeds else 0);
+      unsafe = count unsafe;
+      incomplete = count stuck;
+      both = count (fun f -> unsafe f && stuck f);
+      (* Seeds are swept in the caller's order; keep the smallest
+         failing one regardless. *)
+      first_failure =
+        List.fold_left
+          (fun first f ->
+            match first with
+            | Some g when g.incident.seed <= f.incident.seed -> first
+            | _ -> Some f)
+          None failures;
+      supported = supported fault;
+      (* Newest first: [recovery_of] sums the float means in this order. *)
+      recovery = recovery_of (List.rev_map (fun (_, (_, result)) -> result) mine);
+    }
   in
   { protocol = P.name; classes = List.map audit classes }
 
 let clean r = List.for_all (fun c -> c.unsafe = 0 && c.incomplete = 0) r.classes
 
-let pp_failure ppf f =
-  Format.fprintf ppf "@[<v>seed=%d fault=%s@,data: %a@,ack:  %a" f.seed (class_name f.fault)
-    Fault_plan.pp f.data_plan Fault_plan.pp f.ack_plan;
-  if f.crash_plan <> Crash_plan.none then Format.fprintf ppf "@,proc: %a" Crash_plan.pp f.crash_plan;
-  (match f.squeeze with
+let pp_failure ppf { incident = i; result } =
+  Format.fprintf ppf "@[<v>seed=%d fault=%s@,data: %a@,ack:  %a" i.seed (class_name i.fault)
+    Fault_plan.pp i.data_plan Fault_plan.pp i.ack_plan;
+  if i.crash_plan <> Crash_plan.none then Format.fprintf ppf "@,proc: %a" Crash_plan.pp i.crash_plan;
+  (match i.squeeze with
   | Some sq -> Format.fprintf ppf "@,load: %s" (squeeze_to_string sq)
   | None -> ());
-  Format.fprintf ppf "@,%a@]" Harness.pp_result f.result
+  Format.fprintf ppf "@,%a@]" Harness.pp_result result
+
+let verdict c =
+  if c.unsafe = 0 && c.incomplete = 0 then "ok"
+  else
+    String.concat " "
+      ((if c.unsafe > 0 then [ Printf.sprintf "unsafe:%d" c.unsafe ] else [])
+      @ if c.incomplete > 0 then [ Printf.sprintf "stuck:%d" c.incomplete ] else [])
 
 (* [unsafe] and [incomplete] are counts of runs with each symptom, not a
    partition: a run that is both unsafe and stuck appears in both. The

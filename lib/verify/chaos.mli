@@ -76,12 +76,6 @@ val apply_squeeze :
 (** Install a squeeze on a base config: the rewritten config plus the
     [(service_time, queue_capacity)] bottleneck for the data link. *)
 
-val overload_squeeze :
-  seed:int -> Ba_proto.Proto_config.t -> Ba_proto.Proto_config.t * (int * int)
-(** [apply_squeeze (squeeze_for ~seed)] — the [Overload] class's
-    resource squeeze for one run. Pure data derived from [seed], so the
-    class replays like every other. *)
-
 val squeeze_to_string : squeeze -> string
 (** E.g. ["squeeze(rx=3,drop-new,q=10:5)"] — the printed form {e is}
     the replay key, like the other plan kinds. *)
@@ -91,15 +85,28 @@ val squeeze_of_string : string -> (squeeze, string) result
     [squeeze_of_string (squeeze_to_string sq) = Ok sq] for every valid
     squeeze. *)
 
-type failure = {
-  seed : int;
+type incident = {
   fault : fault_class;
+  seed : int;
   data_plan : Ba_channel.Fault_plan.t;
   ack_plan : Ba_channel.Fault_plan.t;
-  crash_plan : Ba_proto.Crash_plan.t;  (** [none] for channel classes *)
-  squeeze : squeeze option;  (** [Some] for [Overload] and [Storm] runs *)
-  result : Ba_proto.Harness.result;
+  crash_plan : Ba_proto.Crash_plan.t;  (** [none] unless the class crashes an endpoint *)
+  squeeze : squeeze option;  (** [Some] for [Overload] and [Storm] *)
 }
+(** Everything one (fault class, seed) pair lands on a run, as pure
+    data: the replay key is [(fault, seed)]. *)
+
+val incident : fault_class -> seed:int -> incident
+(** The incident of one run. The only code that knows which
+    ingredients a class composes: {!plans_for} on the links for every
+    class, {!crash_plan_for} for [Crash] and [Storm], {!squeeze_for}
+    for [Overload] and [Storm]. *)
+
+val runnable : Ba_proto.Protocol.t -> incident -> bool
+(** [false] when the incident carries a crash schedule and the protocol
+    lacks the crash-restart lifecycle. *)
+
+type failure = { incident : incident; result : Ba_proto.Harness.result }
 
 type recovery = {
   restarts : int;  (** endpoint restarts across the class's runs *)
@@ -164,6 +171,9 @@ val run_campaign :
     sequential; [pool] reuses a caller-owned pool instead). Results are
     collected in input order, so the report — including every counter
     and the minimal failing seed — is identical at any job count. *)
+
+val verdict : class_report -> string
+(** ["ok"], or the nonzero symptom counts, e.g. ["unsafe:3 stuck:1"]. *)
 
 val clean : report -> bool
 (** No unsafe and no incomplete run anywhere in the report. *)

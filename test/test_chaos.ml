@@ -35,7 +35,7 @@ let test_campaign_plans_roundtrip () =
     (fun c ->
       List.iter
         (fun seed ->
-          let data_plan, ack_plan = Chaos.plans_for c ~seed in
+          let i = Chaos.incident c ~seed in
           List.iter
             (fun p ->
               let key = Fault_plan.to_string p in
@@ -47,26 +47,43 @@ let test_campaign_plans_roundtrip () =
               | Error e ->
                   Alcotest.failf "%s seed=%d: %S did not parse: %s" (Chaos.class_name c) seed
                     key e)
-            [ data_plan; ack_plan ];
-          let crash =
-            match c with
-            | Chaos.Crash | Chaos.Storm -> Chaos.crash_plan_for ~seed
-            | _ -> Crash_plan.none
-          in
-          let key = Crash_plan.to_string crash in
+            [ i.Chaos.data_plan; i.Chaos.ack_plan ];
+          let key = Crash_plan.to_string i.Chaos.crash_plan in
           (match Crash_plan.of_string key with
           | Ok q -> check Alcotest.string "crash key replays" key (Crash_plan.to_string q)
           | Error e -> Alcotest.failf "crash key %S did not parse: %s" key e);
-          match c with
-          | Chaos.Overload | Chaos.Storm -> (
-              let sq = Chaos.squeeze_for ~seed in
+          match i.Chaos.squeeze with
+          | Some sq -> (
               let key = Chaos.squeeze_to_string sq in
               match Chaos.squeeze_of_string key with
               | Ok q ->
                   check Alcotest.string "squeeze key replays" key (Chaos.squeeze_to_string q);
                   check Alcotest.bool "squeeze parses back equal" true (q = sq)
               | Error e -> Alcotest.failf "squeeze key %S did not parse: %s" key e)
-          | _ -> ())
+          | None -> ())
+        (List.init 25 (fun i -> i + 1)))
+    Chaos.all_classes
+
+(* The incident rule: exactly the crash and storm classes bring a crash
+   schedule, exactly the overload and storm classes a squeeze, and every
+   ingredient is the class's own pure function of the seed. *)
+let test_incident_ingredients () =
+  List.iter
+    (fun c ->
+      List.iter
+        (fun seed ->
+          let i = Chaos.incident c ~seed in
+          let name what = Printf.sprintf "%s seed=%d %s" (Chaos.class_name c) seed what in
+          check Alcotest.bool (name "crash plan")
+            (c = Chaos.Crash || c = Chaos.Storm)
+            (i.Chaos.crash_plan <> Crash_plan.none);
+          check Alcotest.bool (name "squeeze")
+            (c = Chaos.Overload || c = Chaos.Storm)
+            (i.Chaos.squeeze <> None);
+          check Alcotest.bool (name "channel plans") true
+            ((i.Chaos.data_plan, i.Chaos.ack_plan) = Chaos.plans_for c ~seed);
+          check Alcotest.bool (name "replay key") true
+            (i.Chaos.fault = c && i.Chaos.seed = seed))
         (List.init 25 (fun i -> i + 1)))
     Chaos.all_classes
 
@@ -200,8 +217,8 @@ let test_failure_replays () =
   | [] -> Alcotest.fail "expected a failure to replay"
   | f :: _ -> (
       match
-        Chaos.run_one ~messages ~config:Chaos.gbn_config Ba_baselines.Go_back_n.protocol f.Chaos.fault
-          ~seed:f.Chaos.seed
+        Chaos.run_one ~messages ~config:Chaos.gbn_config Ba_baselines.Go_back_n.protocol f.Chaos.incident.Chaos.fault
+          ~seed:f.Chaos.incident.Chaos.seed
       with
       | None -> Alcotest.fail "replay did not reproduce the failure"
       | Some g ->
@@ -271,6 +288,8 @@ let () =
           Alcotest.test_case "plans deterministic" `Quick test_plans_deterministic;
           Alcotest.test_case "campaign plans round-trip the replay grammar" `Quick
             test_campaign_plans_roundtrip;
+          Alcotest.test_case "incident ingredients follow the class" `Quick
+            test_incident_ingredients;
           Alcotest.test_case "squeeze grammar rejects garbage" `Quick
             test_squeeze_grammar_rejections;
           Alcotest.test_case "storm composes all three plan kinds" `Quick

@@ -6,9 +6,9 @@
 let check = Alcotest.check
 
 module Fabric = Ba_proto.Fabric
-module Cell = Ba_proto.Cell
 module Harness = Ba_proto.Harness
 module Chaos = Ba_verify.Chaos
+module Soak = Ba_verify.Soak
 
 let proto = Blockack.Protocols.multi
 
@@ -105,40 +105,22 @@ let test_churning_run_deterministic () =
   check Alcotest.bool "same per-flow verdicts" true (a.Fabric.flows = b.Fabric.flows)
 
 let test_churn_under_storm_stays_safe () =
-  (* The soak harness's round, in miniature: a churning population with
-     the full storm composition (bursty channels + squeeze + crash plan
-     on flow 0) admitted under a budget below the lifetime sum. Safety
-     and the memory guarantee must hold; churners still depart. *)
+  (* The soak harness's round: a churning population with the full storm
+     composition (bursty channels + squeeze + crash plan on flow 0)
+     admitted under a budget below the lifetime sum, watchdog armed.
+     Safety and the memory guarantee must hold; churners still depart. *)
   let seed = 42 in
   let specs = Fabric.churn ~churners:2 ~messages:20 ~config:Chaos.robust_config ~seed proto in
-  let need =
-    List.fold_left
-      (fun acc (s : Fabric.spec) ->
-        acc + (2 * s.Fabric.config.Ba_proto.Proto_config.window * s.Fabric.payload_size))
-      0 specs
-  in
-  let budget = need * 3 / 4 in
-  let data_plan, ack_plan = Chaos.plans_for Chaos.Storm ~seed in
-  let sq = Chaos.squeeze_for ~seed in
-  let crash_plan = Chaos.crash_plan_for ~seed in
-  let specs =
-    List.map
-      (fun (s : Fabric.spec) ->
-        { s with Fabric.config = fst (Chaos.apply_squeeze sq s.Fabric.config) })
-      specs
-  in
-  let on_flows _ cell = Cell.schedule_crashes cell 0 crash_plan in
-  let r =
-    Fabric.run ~seed ~data_plan ~ack_plan
-      ~data_bottleneck:(sq.Chaos.service_time, sq.Chaos.queue_capacity)
-      ~memory_budget:budget ~on_flows specs
-  in
+  let rd = Soak.round ~fault:Chaos.Storm ~base:2 ~churn_from:2 ~seed specs in
+  let r = rd.Soak.result in
+  check Alcotest.bool "budget below the lifetime sum" true
+    (rd.Soak.budget < Fabric.lifetime_cost specs);
   check Alcotest.int "everyone admitted into reclaimed capacity" (List.length specs)
     r.Fabric.admitted;
   check Alcotest.int "churners departed" 2 r.Fabric.departed;
   check Alcotest.bool "run completed" true r.Fabric.completed;
   check Alcotest.bool "memory guarantee held through the storm" true
-    (r.Fabric.mem_peak_bytes <= budget);
+    (r.Fabric.mem_peak_bytes <= rd.Soak.budget);
   List.iter
     (fun (f : Harness.result) -> check Alcotest.bool "flow stayed safe" true (Chaos.safe f))
     r.Fabric.flows

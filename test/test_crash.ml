@@ -197,7 +197,7 @@ let test_campaign_naive_restart_fails () =
   | None -> Alcotest.fail "expected a first failure with a replay key"
   | Some f ->
       check Alcotest.bool "failure carries its crash plan" true
-        (f.Chaos.crash_plan <> Crash_plan.none)
+        (f.Chaos.incident.Chaos.crash_plan <> Crash_plan.none)
 
 let test_campaign_crash_skipped_when_unsupported () =
   (* Selective repeat has no crash-restart lifecycle: the class must show
@@ -225,12 +225,13 @@ let test_campaign_crash_failure_replays () =
   | Some f -> (
       match
         Chaos.run_one ~messages:30 ~config:Chaos.naive_restart_config Blockack.Protocols.multi
-          f.Chaos.fault ~seed:f.Chaos.seed
+          f.Chaos.incident.Chaos.fault ~seed:f.Chaos.incident.Chaos.seed
       with
       | None -> Alcotest.fail "replay did not reproduce the failure"
       | Some g ->
-          check Alcotest.string "same crash plan" (Crash_plan.to_string f.Chaos.crash_plan)
-            (Crash_plan.to_string g.Chaos.crash_plan);
+          check Alcotest.string "same crash plan"
+            (Crash_plan.to_string f.Chaos.incident.Chaos.crash_plan)
+            (Crash_plan.to_string g.Chaos.incident.Chaos.crash_plan);
           check Alcotest.int "same delivered count" f.Chaos.result.Harness.delivered
             g.Chaos.result.Harness.delivered;
           check Alcotest.int "same duplicate count" f.Chaos.result.Harness.duplicates

@@ -51,11 +51,7 @@ let test_fabric_safety =
        QCheck.(int_range 0 10_000)
        (fun seed ->
          let r = run_lossy ~seed (mixed_specs ~messages:30) in
-         List.for_all
-           (fun (f : Harness.result) ->
-             f.Harness.duplicates = 0 && f.Harness.misordered = 0 && f.Harness.corrupted = 0
-             && f.Harness.completed)
-           r.Fabric.flows))
+         List.for_all Harness.correct r.Fabric.flows))
 
 let test_fabric_flow_accounting () =
   let r = run_lossy ~seed:7 (mixed_specs ~messages:20) in

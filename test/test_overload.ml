@@ -189,7 +189,9 @@ let test_overload_class_bites () =
       | None -> ());
       (* run_one hides the result on success, so re-run the cell through
          the harness with the same derived squeeze to count refusals. *)
-      let config, bottleneck = Chaos.overload_squeeze ~seed Chaos.robust_config in
+      let config, bottleneck =
+        Chaos.apply_squeeze (Chaos.squeeze_for ~seed) Chaos.robust_config
+      in
       let delay = Ba_channel.Dist.Constant 50 in
       let r =
         Harness.run blockack ~seed ~messages:60 ~config ~data_delay:delay ~ack_delay:delay
