@@ -1,17 +1,3 @@
-open Spec_types
-module M = Ba_channel.Multiset
-
-type state = {
-  na : int;
-  ns : int;
-  ackd : Iset.t;
-  nr : int;
-  vr : int;
-  rcvd : Iset.t;
-  csr : Ba_spec_finite.wire_data M.t;
-  crs : Ba_spec_finite.wire_ack M.t;
-}
-
 module Make (P : sig
   val w : int
   val lead : int
@@ -19,188 +5,17 @@ module Make (P : sig
   val limit : int
 end) =
 struct
-  let () =
-    if P.w <= 0 then invalid_arg "Ba_reuse_spec: w must be positive";
-    if P.lead < P.w then invalid_arg "Ba_reuse_spec: lead must be >= w";
-    if P.n < 2 * P.lead then invalid_arg "Ba_reuse_spec: n must be >= 2 * lead";
-    if P.limit < 0 then invalid_arg "Ba_reuse_spec: limit must be >= 0"
+  let params =
+    { Ba_kernel.w = P.w; lead = Some P.lead; n = Some P.n; limit = P.limit; timer = Per_message }
 
-  type nonrec state = state
+  let () = Ba_kernel.validate ~who:"Ba_reuse_spec" params
 
-  let name = Printf.sprintf "blockack-VI-reuse(w=%d,lead=%d,n=%d,limit=%d)" P.w P.lead P.n P.limit
+  include Ba_kernel.Spec (struct
+    let name =
+      Printf.sprintf "blockack-VI-reuse(w=%d,lead=%d,n=%d,limit=%d)" P.w P.lead P.n P.limit
 
-  let initial =
-    {
-      na = 0;
-      ns = 0;
-      ackd = Iset.empty;
-      nr = 0;
-      vr = 0;
-      rcvd = Iset.empty;
-      csr = M.empty;
-      crs = M.empty;
-    }
-
-  let wrap m = Ba_util.Modseq.wrap ~n:P.n m
-  let reconstruct ~ref_ wire = Ba_util.Modseq.reconstruct ~n:P.n ~ref_ wire
-  let sender_decode s wire = reconstruct ~ref_:s.na wire
-  let receiver_decode s wire = reconstruct ~ref_:(max 0 (s.nr - P.lead)) wire
-
-  let data ~gv : Ba_spec_finite.wire_data = { wv = wrap gv; gv }
-  let ack ~gi ~gj : Ba_spec_finite.wire_ack = { wi = wrap gi; wj = wrap gj; gi; gj }
-
-  let unacked s =
-    let rec go m acc = if m >= s.ns then acc else go (m + 1) (if Iset.mem m s.ackd then acc else acc + 1) in
-    go s.na 0
-
-  (* Action 0'': new data is admitted while the unacknowledged budget has
-     room AND the flight band stays within [lead] of na — the Section VI
-     reuse rule. *)
-  let send_new s =
-    if unacked s < P.w && s.ns < s.na + P.lead && s.ns < P.limit then
-      [ { label = Printf.sprintf "send(%d|w%d)" s.ns (wrap s.ns);
-          kind = Protocol;
-          target = { s with csr = M.add (data ~gv:s.ns) s.csr; ns = s.ns + 1 } } ]
-    else []
-
-  let rec advance_na na ackd = if Iset.mem na ackd then advance_na (na + 1) ackd else na
-
-  let recv_ack s =
-    List.map
-      (fun (a : Ba_spec_finite.wire_ack) ->
-        let i = sender_decode s a.wi and j = sender_decode s a.wj in
-        let ackd = Iset.add_range ~lo:i ~hi:j s.ackd in
-        let na = advance_na s.na ackd in
-        { label = Printf.sprintf "recv_ack(w%d,w%d->%d,%d)" a.wi a.wj i j;
-          kind = Protocol;
-          target = { s with crs = M.remove a s.crs; ackd; na } })
-      (M.distinct s.crs)
-
-  let sr_count s m = M.filter_count (fun (d : Ba_spec_finite.wire_data) -> d.gv = m) s.csr
-
-  let rs_count s m =
-    M.filter_count (fun (a : Ba_spec_finite.wire_ack) -> a.gi <= m && m <= a.gj) s.crs
-
-  (* Action 2': Section IV per-message timeout, with the global guard. *)
-  let timeout s =
-    let rec each i acc =
-      if i >= s.ns then List.rev acc
-      else begin
-        let enabled =
-          (not (Iset.mem i s.ackd))
-          && sr_count s i = 0
-          && (i < s.nr || not (Iset.mem i s.rcvd))
-          && rs_count s i = 0
-        in
-        let acc =
-          if enabled then
-            { label = Printf.sprintf "timeout(%d)->resend(%d)" i i;
-              kind = Protocol;
-              target = { s with csr = M.add (data ~gv:i) s.csr } }
-            :: acc
-          else acc
-        in
-        each (i + 1) acc
-      end
-    in
-    each s.na []
-
-  let recv_data s =
-    List.map
-      (fun (d : Ba_spec_finite.wire_data) ->
-        let v = receiver_decode s d.wv in
-        let csr = M.remove d s.csr in
-        let target =
-          if v < s.nr then { s with csr; crs = M.add (ack ~gi:v ~gj:v) s.crs }
-          else { s with csr; rcvd = Iset.add v s.rcvd }
-        in
-        { label = Printf.sprintf "recv_data(w%d->%d)" d.wv v; kind = Protocol; target })
-      (M.distinct s.csr)
-
-  let advance_vr s =
-    if Iset.mem s.vr s.rcvd then
-      [ { label = Printf.sprintf "advance_vr(%d)" s.vr;
-          kind = Protocol;
-          target = { s with vr = s.vr + 1 } } ]
-    else []
-
-  let send_ack s =
-    if s.nr < s.vr then
-      [ { label = Printf.sprintf "send_ack(%d,%d)" s.nr (s.vr - 1);
-          kind = Protocol;
-          target = { s with crs = M.add (ack ~gi:s.nr ~gj:(s.vr - 1)) s.crs; nr = s.vr } } ]
-    else []
-
-  let lose s =
-    List.map
-      (fun (d : Ba_spec_finite.wire_data) ->
-        { label = Printf.sprintf "lose_data(%d)" d.gv;
-          kind = Loss;
-          target = { s with csr = M.remove d s.csr } })
-      (M.distinct s.csr)
-    @ List.map
-        (fun (a : Ba_spec_finite.wire_ack) ->
-          { label = Printf.sprintf "lose_ack(%d,%d)" a.gi a.gj;
-            kind = Loss;
-            target = { s with crs = M.remove a s.crs } })
-        (M.distinct s.crs)
-
-  let transitions s =
-    send_new s @ recv_ack s @ timeout s @ recv_data s @ advance_vr s @ send_ack s @ lose s
-
-  let fail fmt = Format.kasprintf (fun m -> Some m) fmt
-
-  let reconstruction_ok s =
-    match
-      M.distinct s.csr
-      |> List.find_opt (fun (d : Ba_spec_finite.wire_data) -> receiver_decode s d.wv <> d.gv)
-    with
-    | Some d ->
-        fail "reconstruction: data wire=%d decodes to %d, truth %d (nr=%d)" d.wv
-          (receiver_decode s d.wv) d.gv s.nr
-    | None -> (
-        match
-          M.distinct s.crs
-          |> List.find_opt (fun (a : Ba_spec_finite.wire_ack) ->
-                 sender_decode s a.wi <> a.gi || sender_decode s a.wj <> a.gj)
-        with
-        | Some a -> fail "reconstruction: ack wire=(%d,%d) truth (%d,%d)" a.wi a.wj a.gi a.gj
-        | None -> None)
-
-  (* Assertion 6 with the band widened to [lead], plus the reuse-specific
-     resource bound. Assertions 7 and 8 are unchanged. *)
-  let check s =
-    if unacked s > P.w then fail "reuse: unacked=%d exceeds budget w=%d" (unacked s) P.w
-    else begin
-      match reconstruction_ok s with
-      | Some _ as e -> e
-      | None ->
-          Invariant.check
-            {
-              Invariant.w = P.lead;
-              na = s.na;
-              ns = s.ns;
-              nr = s.nr;
-              vr = s.vr;
-              ackd = (fun m -> Iset.mem m s.ackd);
-              rcvd = (fun m -> Iset.mem m s.rcvd);
-              sr_count = sr_count s;
-              rs_count = rs_count s;
-              horizon = P.limit + P.lead + 2;
-            }
-    end
-
-  let terminal s = s.na >= P.limit
-  let measure s = s.na + s.ns + s.nr + s.vr
-
-  let pp ppf s =
-    Format.fprintf ppf "S{na=%d ns=%d unacked=%d ackd=%a} R{nr=%d vr=%d rcvd=%a} CSR=%a CRS=%a"
-      s.na s.ns (unacked s) Iset.pp s.ackd s.nr s.vr Iset.pp s.rcvd
-      (M.pp (fun ppf (d : Ba_spec_finite.wire_data) -> Format.fprintf ppf "%d|w%d" d.gv d.wv))
-      s.csr
-      (M.pp (fun ppf (a : Ba_spec_finite.wire_ack) ->
-           Format.fprintf ppf "(%d,%d)|w(%d,%d)" a.gi a.gj a.wi a.wj))
-      s.crs
+    let params = params
+  end)
 end
 
 let default ~w ?lead ?n ~limit () =

@@ -21,18 +21,8 @@
     and ghost-checked wire reconstruction. Exhaustive exploration thus
     certifies the extension the same way Sections III–V certify the base
     protocol, including that states with [ns - na > w] (actual reuse)
-    are reached. *)
-
-type state = {
-  na : int;
-  ns : int;
-  ackd : Iset.t;
-  nr : int;
-  vr : int;
-  rcvd : Iset.t;
-  csr : Ba_spec_finite.wire_data Ba_channel.Multiset.t;
-  crs : Ba_spec_finite.wire_ack Ba_channel.Multiset.t;
-}
+    are reached. It is {!Ba_kernel} run with a lead, a modulus and
+    action 2′. *)
 
 module Make (P : sig
   val w : int
@@ -45,7 +35,7 @@ module Make (P : sig
   (** wire modulus; >= 2 * lead *)
 
   val limit : int
-end) : Spec_types.SPEC with type state = state
+end) : Spec_types.SPEC with type state = Ba_kernel.state
 
 val default : w:int -> ?lead:int -> ?n:int -> limit:int -> unit -> Spec_types.spec
 (** [lead] defaults to [2 * w]; [n] to [2 * lead]. *)

@@ -1,45 +1,15 @@
-open Spec_types
-module M = Ba_channel.Multiset
-
 module Make (P : sig
   val w : int
   val limit : int
 end) =
 struct
-  let params = { Ba_kernel.w = P.w; limit = P.limit }
-  let () = Ba_kernel.validate params
+  let params = { Ba_kernel.w = P.w; lead = None; n = None; limit = P.limit; timer = Whole_channel }
+  let () = Ba_kernel.validate ~who:"Ba_kernel" params
 
-  type state = Ba_kernel.state
-
-  let name = Printf.sprintf "blockack-II(w=%d,limit=%d)" P.w P.limit
-  let initial = Ba_kernel.initial
-
-  (* Action 2: timeout -> send na. Guard per Section II: outstanding
-     messages exist, both channels empty, and every received message is
-     acknowledged (¬rcvd[nr]). *)
-  let timeout (s : state) =
-    if
-      s.na <> s.ns && M.is_empty s.csr && M.is_empty s.crs
-      && not (Iset.mem s.nr s.rcvd)
-    then
-      [ { label = Printf.sprintf "timeout->resend(%d)" s.na;
-          kind = Protocol;
-          target = { s with csr = M.add s.na s.csr } } ]
-    else []
-
-  let transitions s =
-    Ba_kernel.send_new params s
-    @ Ba_kernel.recv_ack s
-    @ timeout s
-    @ Ba_kernel.recv_data s
-    @ Ba_kernel.advance_vr s
-    @ Ba_kernel.send_ack s
-    @ Ba_kernel.lose s
-
-  let check s = Invariant.check (Ba_kernel.view params s)
-  let terminal (s : state) = s.na >= P.limit
-  let measure = Ba_kernel.measure
-  let pp = Ba_kernel.pp
+  include Ba_kernel.Spec (struct
+    let name = Printf.sprintf "blockack-II(w=%d,limit=%d)" P.w P.limit
+    let params = params
+  end)
 end
 
 let default ~w ~limit =

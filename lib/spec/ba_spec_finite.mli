@@ -11,24 +11,8 @@
     behaviour — transitions use only reconstructed wire values — but
     {!Make.check} compares reconstruction against the ghost, so the model
     checker proves that no information is lost exactly when [n >= 2w],
-    and exhibits a counterexample when [n < 2w]. *)
-
-type wire_data = { wv : int; gv : int }
-(** Wire number and ghost (true) number of an in-transit data message. *)
-
-type wire_ack = { wi : int; wj : int; gi : int; gj : int }
-(** Wire pair and ghost pair of an in-transit block acknowledgment. *)
-
-type state = {
-  na : int;
-  ns : int;
-  ackd : Iset.t;
-  nr : int;
-  vr : int;
-  rcvd : Iset.t;
-  csr : wire_data Ba_channel.Multiset.t;
-  crs : wire_ack Ba_channel.Multiset.t;
-}
+    and exhibits a counterexample when [n < 2w]. The actions, decoding and
+    checks are {!Ba_kernel}'s, run with a modulus. *)
 
 module Make (P : sig
   val w : int
@@ -37,7 +21,7 @@ module Make (P : sig
   (** wire sequence-number modulus; the paper proves [n = 2w] suffices *)
 
   val limit : int
-end) : Spec_types.SPEC with type state = state
+end) : Spec_types.SPEC with type state = Ba_kernel.state
 
 val default : w:int -> ?n:int -> limit:int -> unit -> Spec_types.spec
 (** [n] defaults to [2 * w]. *)

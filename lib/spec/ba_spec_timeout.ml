@@ -1,60 +1,15 @@
-open Spec_types
-
 module Make (P : sig
   val w : int
   val limit : int
 end) =
 struct
-  let params = { Ba_kernel.w = P.w; limit = P.limit }
-  let () = Ba_kernel.validate params
+  let params = { Ba_kernel.w = P.w; lead = None; n = None; limit = P.limit; timer = Per_message }
+  let () = Ba_kernel.validate ~who:"Ba_kernel" params
 
-  type state = Ba_kernel.state
-
-  let name = Printf.sprintf "blockack-IV(w=%d,limit=%d)" P.w P.limit
-  let initial = Ba_kernel.initial
-
-  (* Action 2': timeout(i) -> send i, for every i with
-       na <= i < ns  ∧  ¬ackd[i]          (outstanding, unacknowledged)
-       ∧ #SR(i) = 0                        (no data copy in transit)
-       ∧ (i < nr ∨ ¬rcvd[i])              (receiver cannot acknowledge it)
-       ∧ #RS(i) = 0                        (no covering ack in transit). *)
-  let timeout_enabled (s : state) i =
-    i >= s.na && i < s.ns
-    && (not (Iset.mem i s.ackd))
-    && Ba_kernel.sr_count s i = 0
-    && (i < s.nr || not (Iset.mem i s.rcvd))
-    && Ba_kernel.rs_count s i = 0
-
-  let timeout (s : state) =
-    let rec each i acc =
-      if i >= s.ns then List.rev acc
-      else begin
-        let acc =
-          if timeout_enabled s i then
-            { label = Printf.sprintf "timeout(%d)->resend(%d)" i i;
-              kind = Protocol;
-              target = { s with csr = Ba_channel.Multiset.add i s.csr } }
-            :: acc
-          else acc
-        in
-        each (i + 1) acc
-      end
-    in
-    each s.na []
-
-  let transitions s =
-    Ba_kernel.send_new params s
-    @ Ba_kernel.recv_ack s
-    @ timeout s
-    @ Ba_kernel.recv_data s
-    @ Ba_kernel.advance_vr s
-    @ Ba_kernel.send_ack s
-    @ Ba_kernel.lose s
-
-  let check s = Invariant.check (Ba_kernel.view params s)
-  let terminal (s : state) = s.na >= P.limit
-  let measure = Ba_kernel.measure
-  let pp = Ba_kernel.pp
+  include Ba_kernel.Spec (struct
+    let name = Printf.sprintf "blockack-IV(w=%d,limit=%d)" P.w P.limit
+    let params = params
+  end)
 end
 
 let default ~w ~limit =
