@@ -291,15 +291,11 @@ let scale_run ~jobs flows =
     List.init flows (fun _ ->
         Ba_proto.Fabric.spec ~config ~messages:2 e.Ba_registry.Registry.protocol)
   in
-  (* Timed without [measure_mem]: its two full major collections scale
-     with the whole process's live heap, not with this run. The state
-     figure comes from a second, untimed run of the same model. *)
-  let (r : Ba_proto.Shard.result), wall_s =
-    wall (fun () -> Ba_proto.Shard.run ~seed:11 ~jobs specs)
+  let r, wall_s =
+    Ba_proto.Shard.timed (fun ~measure_mem -> Ba_proto.Shard.run ~seed:11 ~jobs ~measure_mem specs)
   in
   assert r.Ba_proto.Shard.completed;
-  let m = Ba_proto.Shard.run ~seed:11 ~jobs ~measure_mem:true specs in
-  (flows, wall_s, { r with state_bytes = m.Ba_proto.Shard.state_bytes })
+  (flows, wall_s, r)
 
 let scale_campaign ~quick ~jobs =
   let rows = List.map (scale_run ~jobs) (scale_points ~quick) in

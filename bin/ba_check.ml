@@ -26,8 +26,13 @@ let specs =
 
 let victims = [ ("sender", `Sender); ("receiver", `Receiver); ("both", `Both) ]
 
+(* Exit statuses beyond cmdliner's own. *)
+let exit_violation = 1
+let exit_invalid = 2
+let exit_capped = 3
+
 let run spec w n limit max_states no_liveness crashes victims =
-  let spec_module =
+  match
     match spec with
     | `S2 -> Ba_model.Ba_spec.default ~w ~limit
     | `S4 -> Ba_model.Ba_spec_timeout.default ~w ~limit
@@ -39,12 +44,18 @@ let run spec w n limit max_states no_liveness crashes victims =
         Ba_model.Ba_spec_crash.default ~w ?n ~limit ~epochs:true ~max_crashes:crashes ~victims ()
     | `Pressure -> Ba_model.Ba_spec_pressure.default ~w ~limit ~naive:false
     | `Pressure_naive -> Ba_model.Ba_spec_pressure.default ~w ~limit ~naive:true
-  in
-  let result =
-    Ba_verify.Explorer.run_spec ~max_states ~check_liveness:(not no_liveness) spec_module
-  in
-  Format.printf "%a@." Ba_verify.Explorer.pp_result result;
-  match result.Ba_verify.Explorer.violation with Some _ -> 1 | None -> 0
+  with
+  | exception Invalid_argument reason ->
+      Printf.eprintf "ba_check: %s\n" reason;
+      exit_invalid
+  | spec_module ->
+      let result =
+        Ba_verify.Explorer.run_spec ~max_states ~check_liveness:(not no_liveness) spec_module
+      in
+      Format.printf "%a@." Ba_verify.Explorer.pp_result result;
+      if result.Ba_verify.Explorer.violation <> None then exit_violation
+      else if result.Ba_verify.Explorer.capped then exit_capped
+      else 0
 
 let spec =
   let doc =
@@ -103,11 +114,20 @@ let cmd =
          environment that crash-restarts endpoints, wiping volatile state: crash-naive \
          asserts at-most-once delivery and fails; crash-epochs carries incarnation \
          epochs plus the REQ/POS/FIN resync handshake and passes, with assertions 6-8 \
-         re-established in every stabilized state. Exit status 1 on violation.";
+         re-established in every stabilized state.";
     ]
   in
+  let exits =
+    Cmd.Exit.info exit_violation ~doc:"when an invariant fails; the counterexample is printed."
+    :: Cmd.Exit.info exit_invalid ~doc:"when the spec rejects its parameters (e.g. $(b,-n) 0)."
+    :: Cmd.Exit.info exit_capped
+         ~doc:
+           "when $(b,--max-states) cut the exploration short without finding a violation: \
+            the explored states are clean, but nothing is proven."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "ba_check" ~doc ~man ~version:Ba_cli.version)
+    (Cmd.info "ba_check" ~doc ~man ~exits ~version:Ba_cli.version)
     Term.(const run $ spec $ w $ n $ limit $ max_states $ no_liveness $ crashes $ victims_arg)
 
 let () = exit (Cmd.eval' cmd)

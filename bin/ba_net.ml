@@ -127,17 +127,11 @@ let run_scale ~flows ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs ~sh
     Array.of_list (List.concat_map (fun (e, count) -> List.init count (fun _ -> e)) mix)
   in
   let specs = List.init flows (fun i -> spec protos.(i mod Array.length protos)) in
-  let run ~measure_mem =
-    Ba_proto.Shard.run ~seed ~jobs ?shards ~cell ~barrier ~data_loss:loss ~ack_loss
-      ~data_delay:delay ~ack_delay:delay ?capacity ~measure_mem specs
+  let r, wall =
+    Ba_proto.Shard.timed (fun ~measure_mem ->
+        Ba_proto.Shard.run ~seed ~jobs ?shards ~cell ~barrier ~data_loss:loss ~ack_loss
+          ~data_delay:delay ~ack_delay:delay ?capacity ~measure_mem specs)
   in
-  (* Timed without [measure_mem]: its two full major collections scale
-     with the whole process's live heap, not with this run. The state
-     figure comes from a second, untimed run of the same model. *)
-  let t0 = Unix.gettimeofday () in
-  let r = run ~measure_mem:false in
-  let wall = Unix.gettimeofday () -. t0 in
-  let state_bytes = (run ~measure_mem:true).Ba_proto.Shard.state_bytes in
   print_string (Ba_proto.Shard.summary r);
   let safe = Ba_proto.Shard.safe r in
   let pass = safe && r.Ba_proto.Shard.completed in
@@ -148,8 +142,8 @@ let run_scale ~flows ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs ~sh
     (if pass then "PASS" else "FAIL");
   Printf.eprintf "scale-perf: wall=%.2fs flows/sec=%.0f state=%dB (%dB/flow)\n%!" wall
     (if wall > 0. then float_of_int r.Ba_proto.Shard.flows /. wall else 0.)
-    state_bytes
-    (state_bytes / max 1 r.Ba_proto.Shard.flows);
+    r.Ba_proto.Shard.state_bytes
+    (r.Ba_proto.Shard.state_bytes / max 1 r.Ba_proto.Shard.flows);
   if pass then 0 else 1
 
 (* Long-horizon overload soak: each round doubles the offered load with

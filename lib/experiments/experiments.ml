@@ -130,6 +130,12 @@ let t1_intro_scenario () =
 (* ------------------------------------------------------------------ *)
 (* T2: exhaustive verification of the specs. *)
 
+let t2_verdict ~expect_ok (r : Explorer.result) =
+  match (expect_ok, r.violation) with
+  | true, None when r.capped -> "CAPPED"
+  | true, None | false, Some _ -> "as proven"
+  | true, Some _ | false, None -> "UNEXPECTED"
+
 let t2_verification ?(jobs = 1) ~quick () =
   let lim_small = if quick then 3 else 4 in
   let entries =
@@ -164,19 +170,13 @@ let t2_verification ?(jobs = 1) ~quick () =
           | Some false -> "NOT live"
           | None -> "-"
         in
-        let verdict =
-          match (expect_ok, r.Explorer.violation) with
-          | true, None | false, Some _ -> "as proven"
-          | true, Some _ -> "UNEXPECTED"
-          | false, None -> "UNEXPECTED"
-        in
         [
           name;
           string_of_int r.Explorer.state_count;
           string_of_int r.Explorer.transition_count;
           invariant;
           progress;
-          verdict;
+          t2_verdict ~expect_ok r;
         ])
       entries
   in

@@ -39,6 +39,12 @@ type table = {
 
 val t1_intro_scenario : unit -> table
 val t2_verification : ?jobs:int -> quick:bool -> unit -> table
+
+val t2_verdict : expect_ok:bool -> Ba_verify.Explorer.result -> string
+(** T2's "vs paper" cell: ["as proven"] when a spec the paper proves
+    verified without hitting the state cap, or a spec it refutes yielded
+    a counterexample; ["CAPPED"] when the cap cut a proof short. *)
+
 val f1_goodput_vs_loss : ?jobs:int -> quick:bool -> unit -> table
 val f2_goodput_vs_window : ?jobs:int -> quick:bool -> unit -> table
 val f3_recovery_time : ?jobs:int -> quick:bool -> unit -> table

@@ -175,6 +175,15 @@ let run ?(seed = 42) ?jobs ?shards ?(cell = 1024) ?(barrier = 1000) ?(data_loss 
     state_bytes;
   }
 
+let timed run =
+  (* Timed without [measure_mem]: its two full major collections scale
+     with the whole process's live heap, not with this run. The state
+     figure comes from a second, untimed run of the same model. *)
+  let t0 = Unix.gettimeofday () in
+  let r = run ~measure_mem:false in
+  let wall = Unix.gettimeofday () -. t0 in
+  ({ r with state_bytes = (run ~measure_mem:true).state_bytes }, wall)
+
 let safe r = r.duplicates = 0 && r.misordered = 0 && r.corrupted = 0
 
 let summary r =

@@ -118,6 +118,13 @@ val run :
     [barrier] or [shards], invalid spec intervals, or a budget that
     admits no flow in some cell. *)
 
+val timed : (measure_mem:bool -> result) -> result * float
+(** [timed run] is [run ~measure_mem:false] with its wall seconds, and
+    with [state_bytes] taken from a second, untimed
+    [run ~measure_mem:true]: the measurement's full major collections
+    scale with the whole process's heap, so they stay out of the timing.
+    [run] must be deterministic (the same model both times). *)
+
 val safe : result -> bool
 (** No flow delivered a duplicate, out-of-order or corrupted payload:
     {!Harness.correct}'s safety half, over every flow. *)

@@ -23,7 +23,9 @@
     observationally the Section II protocol.
 
     Requires [w | n] (slot indices [wire mod w] are only meaningful
-    then); the paper's [n = 2w] satisfies it. *)
+    then); the paper's [n = 2w] satisfies it. The actions and checks are
+    {!Ba_bounded_kernel}'s; this module only labels them and puts their
+    frames on plain channels. *)
 
 module Make (P : sig
   val w : int

@@ -21,7 +21,11 @@
 
     A crash and its restart are collapsed into one atomic [Crash]-kind
     transition — the down window only loses frames, which the [Loss]
-    transitions already model. *)
+    transitions already model.
+
+    The block-ack actions, refinement and checks are
+    {!Ba_bounded_kernel}'s; this module adds only the epochs, the sync
+    flags, REQ/POS/FIN and the crash actions. *)
 
 module Make (_ : sig
   val w : int

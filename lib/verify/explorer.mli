@@ -37,7 +37,8 @@ module Make (S : Ba_model.Spec_types.SPEC) : sig
 end
 
 val pp_result : Format.formatter -> result -> unit
-(** Human-readable multi-line report, counterexample included. *)
+(** Human-readable multi-line report, counterexample included. A capped
+    run without a violation is reported as such, not as a proof. *)
 
 val run_spec : ?max_states:int -> ?check_liveness:bool -> Ba_model.Spec_types.spec -> result
 (** First-class-module convenience wrapper. *)

@@ -513,6 +513,12 @@ let test_t2_shape () =
     (fun row -> check Alcotest.string "every row matches the paper" "as proven" (List.nth row 5))
     t.E.rows
 
+let test_t2_capped_is_not_proven () =
+  let r = Ba_verify.Explorer.run_spec ~max_states:10 (Ba_model.Ba_spec.default ~w:2 ~limit:4) in
+  check Alcotest.string "capped run" "CAPPED" (E.t2_verdict ~expect_ok:true r);
+  let r = Ba_verify.Explorer.run_spec (Ba_model.Ba_spec.default ~w:1 ~limit:2) in
+  check Alcotest.string "full run" "as proven" (E.t2_verdict ~expect_ok:true r)
+
 let test_f3_shape () =
   let t = E.f3_recovery_time ~quick:true () in
   (* Simple recovery time grows with b; multi stays flat. *)
@@ -587,6 +593,7 @@ let () =
           Alcotest.test_case "tables well formed" `Quick test_tables_well_formed;
           Alcotest.test_case "T1 shape" `Quick test_t1_shape;
           Alcotest.test_case "T2 shape" `Quick test_t2_shape;
+          Alcotest.test_case "T2 capped is not proven" `Quick test_t2_capped_is_not_proven;
           Alcotest.test_case "F3 shape" `Quick test_f3_shape;
           Alcotest.test_case "F5 shape" `Quick test_f5_shape;
         ] );

@@ -41,6 +41,16 @@ let test_clean_run_completes () =
   check Alcotest.int "no corruption" 0 r.Shard.corrupted;
   check Alcotest.int "nothing refused" 0 r.Shard.refused
 
+let test_timed_fills_state_bytes () =
+  (* The timed run is the plain run, plus the state figure of an untimed
+     twin of the same model. *)
+  let specs = mixed_specs ~messages:4 ~flows:16 in
+  let run ~measure_mem = Shard.run ~seed:5 ~jobs:1 ~cell:8 ~measure_mem specs in
+  let r, wall = Shard.timed run in
+  check Alcotest.string "same run" (Shard.summary (run ~measure_mem:false)) (Shard.summary r);
+  check Alcotest.bool "state measured" true (r.Shard.state_bytes > 0);
+  check Alcotest.bool "wall measured" true (wall >= 0.)
+
 let test_capacity_lease_run_completes () =
   (* A tight shared bottleneck realised as per-cell leases: the run must
      still complete, and the lease layer (not the per-cell links) must
@@ -292,6 +302,7 @@ let () =
       ( "model",
         [
           Alcotest.test_case "clean run completes" `Quick test_clean_run_completes;
+          Alcotest.test_case "timed run measures state" `Quick test_timed_fills_state_bytes;
           Alcotest.test_case "capacity lease run completes" `Quick
             test_capacity_lease_run_completes;
           Alcotest.test_case "budget admission is cell-local" `Quick
