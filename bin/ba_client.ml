@@ -25,41 +25,6 @@ module Endpoint = Ba_transport.Endpoint
 module Shim = Ba_transport.Shim
 module Watchdog = Ba_proto.Watchdog
 
-let addr_conv =
-  let parse s =
-    match String.rindex_opt s ':' with
-    | None -> Error (`Msg "address must be HOST:PORT")
-    | Some i -> (
-        let host = String.sub s 0 i in
-        let port = String.sub s (i + 1) (String.length s - i - 1) in
-        match int_of_string_opt port with
-        | Some p when p >= 0 && p < 65536 -> (
-            match Unix.inet_addr_of_string host with
-            | ip -> Ok (Unix.ADDR_INET (ip, p))
-            | exception Failure _ -> (
-                match Unix.gethostbyname host with
-                | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
-                    Error (`Msg (Printf.sprintf "cannot resolve host %S" host))
-                | { Unix.h_addr_list; _ } -> Ok (Unix.ADDR_INET (h_addr_list.(0), p))))
-        | Some _ | None -> Error (`Msg (Printf.sprintf "bad port %S" port)))
-  in
-  let print ppf = function
-    | Unix.ADDR_INET (ip, p) -> Format.fprintf ppf "%s:%d" (Unix.string_of_inet_addr ip) p
-    | Unix.ADDR_UNIX p -> Format.pp_print_string ppf p
-  in
-  Arg.conv ~docv:"HOST:PORT" (parse, print)
-
-let plan_conv =
-  let parse s =
-    match Ba_channel.Fault_plan.of_string s with Ok p -> Ok p | Error e -> Error (`Msg e)
-  in
-  Arg.conv ~docv:"PLAN" (parse, (fun ppf p ->
-      Format.pp_print_string ppf (Ba_channel.Fault_plan.to_string p)))
-
-let proto_conv =
-  let parse s = match Registry.parse s with Ok e -> Ok e | Error msg -> Error (`Msg msg) in
-  Arg.conv ~docv:"PROTOCOL" (parse, (fun ppf e -> Format.pp_print_string ppf e.Registry.name))
-
 let run entry connect messages payload_size wseed window rto tick_us wd_interval plan
     impair_seed deadline =
   let config = Registry.config ~window ~rto entry () in
@@ -115,14 +80,14 @@ let run entry connect messages payload_size wseed window rto tick_us wd_interval
 let entry_arg =
   Arg.(
     value
-    & opt proto_conv (Option.get (Registry.find "blockack"))
+    & opt Ba_cli.protocol_conv (Option.get (Registry.find "blockack"))
     & info [ "p"; "protocol" ] ~docv:"PROTOCOL"
         ~doc:"Protocol to run (a registry name; see ba_sim --list-protocols).")
 
 let connect_arg =
   Arg.(
     required
-    & opt (some addr_conv) None
+    & opt (some Ba_cli.addr_conv) None
     & info [ "connect" ] ~docv:"HOST:PORT" ~doc:"Server address (a ba_serve instance).")
 
 let messages_arg =
@@ -166,7 +131,7 @@ let wd_interval_arg =
 let impair_arg =
   Arg.(
     value
-    & opt (some plan_conv) None
+    & opt (some Ba_cli.plan_conv) None
     & info [ "impair" ] ~docv:"PLAN"
         ~doc:"Fault plan applied to outgoing datagrams (same replay-key syntax as the \
               simulator's chaos campaign).")

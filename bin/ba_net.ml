@@ -229,7 +229,11 @@ let run_soak ~rounds ~mix ~(spec : ?start_at:int -> Registry.entry -> Fabric.spe
          else "UNSAFE");
       ]
   in
-  let s = Soak.fold ~on_round ~jobs ~rounds run_round in
+  let s =
+    (* Fabric.run refuses a budget no flow fits in: a parameter error. *)
+    try Soak.fold ~on_round ~jobs ~rounds run_round
+    with Invalid_argument reason -> usage "%s" reason
+  in
   let sketch = s.Soak.sketch in
   Printf.printf
     "\nsoak: %d rounds, budget=%dB, peak=%dB (%s), quarantines=%d, resyncs=%d, \

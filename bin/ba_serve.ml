@@ -29,41 +29,6 @@ module Driver = Ba_transport.Driver
 module Endpoint = Ba_transport.Endpoint
 module Shim = Ba_transport.Shim
 
-let addr_conv =
-  let parse s =
-    match String.rindex_opt s ':' with
-    | None -> Error (`Msg "address must be HOST:PORT")
-    | Some i -> (
-        let host = String.sub s 0 i in
-        let port = String.sub s (i + 1) (String.length s - i - 1) in
-        match int_of_string_opt port with
-        | Some p when p >= 0 && p < 65536 -> (
-            match Unix.inet_addr_of_string host with
-            | ip -> Ok (Unix.ADDR_INET (ip, p))
-            | exception Failure _ -> (
-                match Unix.gethostbyname host with
-                | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
-                    Error (`Msg (Printf.sprintf "cannot resolve host %S" host))
-                | { Unix.h_addr_list; _ } -> Ok (Unix.ADDR_INET (h_addr_list.(0), p))))
-        | Some _ | None -> Error (`Msg (Printf.sprintf "bad port %S" port)))
-  in
-  let print ppf = function
-    | Unix.ADDR_INET (ip, p) -> Format.fprintf ppf "%s:%d" (Unix.string_of_inet_addr ip) p
-    | Unix.ADDR_UNIX p -> Format.pp_print_string ppf p
-  in
-  Arg.conv ~docv:"HOST:PORT" (parse, print)
-
-let plan_conv =
-  let parse s =
-    match Ba_channel.Fault_plan.of_string s with Ok p -> Ok p | Error e -> Error (`Msg e)
-  in
-  Arg.conv ~docv:"PLAN" (parse, (fun ppf p ->
-      Format.pp_print_string ppf (Ba_channel.Fault_plan.to_string p)))
-
-let proto_conv =
-  let parse s = match Registry.parse s with Ok e -> Ok e | Error msg -> Error (`Msg msg) in
-  Arg.conv ~docv:"PROTOCOL" (parse, (fun ppf e -> Format.pp_print_string ppf e.Registry.name))
-
 (* Durable receiver state: one text line "epoch pos digest". Written to
    a sibling temp file and renamed into place so a SIGKILL at any
    instant leaves either the old record or the new one, never a torn
@@ -185,14 +150,14 @@ let run entry listen port_file messages payload_size wseed window rto tick_us st
 let entry_arg =
   Arg.(
     value
-    & opt proto_conv (Option.get (Registry.find "blockack"))
+    & opt Ba_cli.protocol_conv (Option.get (Registry.find "blockack"))
     & info [ "p"; "protocol" ] ~docv:"PROTOCOL"
         ~doc:"Protocol to serve (a registry name; see ba_sim --list-protocols).")
 
 let listen_arg =
   Arg.(
     value
-    & opt addr_conv (Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
+    & opt Ba_cli.addr_conv (Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
     & info [ "listen" ] ~docv:"HOST:PORT"
         ~doc:"Address to bind (port 0 picks a free port; see $(b,--port-file)).")
 
@@ -254,7 +219,7 @@ let die_after_arg =
 let impair_arg =
   Arg.(
     value
-    & opt (some plan_conv) None
+    & opt (some Ba_cli.plan_conv) None
     & info [ "impair" ] ~docv:"PLAN"
         ~doc:"Fault plan applied to outgoing datagrams (same replay-key syntax as the \
               simulator's chaos campaign, e.g. 'ge(0.02->0.3,l=0.05/0.3)+dup(0.03x2)').")

@@ -8,16 +8,6 @@
 open Cmdliner
 module Registry = Ba_registry.Registry
 
-(* Name resolution lives in the shared registry — ba_sim, ba_net and
-   ba_chaos all accept the same spellings and print the same
-   unknown-name error. *)
-let protocol_conv =
-  let parse s =
-    match Registry.parse s with Ok e -> Ok e | Error msg -> Error (`Msg msg)
-  in
-  let print ppf e = Format.pp_print_string ppf e.Registry.name in
-  Arg.conv ~docv:"PROTOCOL" (parse, print)
-
 let run list_protocols entry messages payload_size loss ack_loss_opt base_delay jitter window
     rto modulus coalesce gap seed seeds histogram =
   if list_protocols then begin
@@ -75,7 +65,7 @@ let protocol =
     | Some e -> e
     | None -> assert false
   in
-  Arg.(value & opt protocol_conv default & info [ "p"; "protocol" ] ~doc)
+  Arg.(value & opt Ba_cli.protocol_conv default & info [ "p"; "protocol" ] ~doc)
 
 let list_protocols =
   Arg.(value & flag

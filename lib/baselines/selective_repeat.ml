@@ -55,7 +55,8 @@ let protocol : Ba_proto.Protocol.t =
     type sender = Blockack.Sender_multi.t
     type nonrec receiver = receiver
 
-    let create_sender = Blockack.Sender_multi.create
+    let create_sender engine config ~tx ~next_payload =
+      Blockack.Sender_multi.create engine config ~tx ~next_payload
     let create_receiver = create_receiver
     let sender_on_ack = Blockack.Sender_multi.on_ack
     let receiver_on_data = receiver_on_data

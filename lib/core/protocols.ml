@@ -7,7 +7,6 @@ module Common_receiver = struct
   let receiver_crash = Receiver.crash
   let receiver_restart = Receiver.restart
   let receiver_resync_rounds = Receiver.resync_rounds
-  let receiver_position = Receiver.nr
   let receiver_restore = Receiver.restore
   let receiver_mem_bytes = Receiver.buffered_bytes
   let receiver_pressure_dropped = Receiver.pressure_dropped
@@ -34,14 +33,16 @@ module Simple : Ba_proto.Protocol.S = struct
   let sender_clamp_window = Sender.clamp_window
 end
 
-module Multi : Ba_proto.Protocol.S = struct
+module Multi :
+  Ba_proto.Protocol.S with type sender = Sender_multi.t and type receiver = Receiver.t = struct
   let name = "blockack-multi"
 
   type sender = Sender_multi.t
 
   include Common_receiver
 
-  let create_sender = Sender_multi.create
+  let create_sender engine config ~tx ~next_payload =
+    Sender_multi.create engine config ~tx ~next_payload
   let sender_on_ack = Sender_multi.on_ack
   let sender_pump = Sender_multi.pump
   let sender_done = Sender_multi.is_done
@@ -61,44 +62,28 @@ let multi : Ba_proto.Protocol.t = (module Multi)
 let reuse ?(lead_factor = 2) () : Ba_proto.Protocol.t =
   if lead_factor < 1 then invalid_arg "Protocols.reuse: lead_factor must be >= 1";
   (module struct
+    include Multi
+
     let name = Printf.sprintf "blockack-reuse(x%d)" lead_factor
-
-    type sender = Reuse_sender.t
-    type receiver = Receiver.t
-
     let lead config = lead_factor * config.Ba_proto.Proto_config.window
 
     let create_sender engine config ~tx ~next_payload =
-      Reuse_sender.create engine config ~lead:(lead config) ~tx ~next_payload
+      Sender_multi.create ~lead:(lead config) engine config ~tx ~next_payload
 
     (* The receiver must accept (and buffer) the whole flight band, so it
        runs with the widened window. *)
     let create_receiver engine config ~tx ~deliver =
-      Receiver.create engine
-        { config with Ba_proto.Proto_config.window = lead config }
-        ~tx ~deliver
+      Receiver.create engine { config with Ba_proto.Proto_config.window = lead config } ~tx
+        ~deliver
 
-    let sender_on_ack = Reuse_sender.on_ack
-    let receiver_on_data = Receiver.on_data
-    let sender_pump = Reuse_sender.pump
-    let sender_done = Reuse_sender.is_done
-    let sender_outstanding = Reuse_sender.outstanding
-    let sender_retransmissions = Reuse_sender.retransmissions
-    let ack_wire_bytes = Ba_proto.Wire.ack_bytes_block
+    let sender_outstanding = Sender_multi.unacked
 
-    (* The slot-reuse sender has no crash story yet (its lead window
-       would need its own resync argument); the stub raises. *)
+    (* Crash–restart with a lead band has not been model-checked, so the
+       lifecycle calls raise as the protocol interface requires. *)
     include Ba_proto.Protocol.No_crash (struct
       let name = name
 
       type nonrec sender = sender
       type nonrec receiver = receiver
     end)
-
-    (* Memory is still observable even without a clamp path: the reuse
-       sender buffers the whole lead band. *)
-    let sender_mem_bytes = Reuse_sender.buffered_bytes
-    let receiver_mem_bytes = Receiver.buffered_bytes
-    let sender_clamp_window (_ : sender) (_ : int) = ()
-    let receiver_pressure_dropped = Receiver.pressure_dropped
   end)

@@ -11,8 +11,11 @@ val simple : Ba_proto.Protocol.t
 val multi : Ba_proto.Protocol.t
 
 val reuse : ?lead_factor:int -> unit -> Ba_proto.Protocol.t
-(** The Section VI slot-reuse extension ({!Reuse_sender}): the sender
-    keeps at most [config.window] messages unacknowledged but runs ahead
-    up to [lead_factor * window] positions; the receiver sizes its buffer
-    accordingly. Requires the config's wire modulus (if any) to be at
-    least [2 * lead_factor * window]. Default [lead_factor = 2]. *)
+(** The Section VI slot-reuse extension ({!Sender_multi.create} with [~lead]):
+    the sender keeps at most [config.window] messages unacknowledged but
+    runs ahead up to [lead_factor * window] positions; the receiver sizes
+    its buffer accordingly. Requires the config's wire modulus (if any) to
+    be at least [2 * lead_factor * window]. Otherwise [multi], except
+    that [sender_outstanding] counts unacknowledged messages and
+    [crash_tolerant] is false: crash–restart with a lead band has not
+    been model-checked. Default [lead_factor = 2]. *)

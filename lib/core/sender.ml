@@ -4,7 +4,7 @@
 module Timer = struct
   type t = Ba_sim.Timer.t
 
-  let create engine config ~expire =
+  let create engine config ~slots:_ ~expire =
     Ba_sim.Timer.create engine ~duration:config.Config.rto (fun () -> expire 0)
 
   let window _ w = w
@@ -17,3 +17,6 @@ module Timer = struct
 end
 
 include Sender_core.Make (Timer)
+
+(* Section VI's lead band is offered with action 2′ only ({!Sender_multi}). *)
+let create engine config ~tx ~next_payload = create engine config ~tx ~next_payload

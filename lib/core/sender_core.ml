@@ -4,27 +4,30 @@
    2′ (one timer per outstanding message). Everything else — the window,
    the epoch and its REQ/POS/FIN resync handshake, crash and restart, the
    window clamp and the counters — lives here, and a {!TIMERS} policy
-   supplies the timer half.
+   supplies the timer half. Section VI's slot reuse is the same sender
+   with a wider flight band: up to [window] messages unacknowledged, but
+   [ns] may run up to [lead >= window] past [na].
 
-   Window bookkeeping lives in flat window-sized arrays indexed by
-   [seq mod window], valid exactly for the outstanding range [na, ns),
-   whose members are distinct mod window. *)
+   Window bookkeeping lives in flat band-sized arrays indexed by
+   [seq mod band] ([band = lead], by default [window]), valid exactly for
+   the outstanding range [na, ns), whose members are distinct mod band. *)
 
-(** What a timeout action decides. Hooks receive window slots
-    ([seq mod window]) and sequence numbers, never the sender itself. *)
+(** What a timeout action decides. Hooks receive band slots
+    ([seq mod band]) and sequence numbers, never the sender itself. *)
 module type TIMERS = sig
   type t
 
-  val create : Ba_sim.Engine.t -> Config.t -> expire:(int -> unit) -> t
-  (** A firing timer calls [expire k] with an integer of the policy's
-      choosing, which {!due} maps back to a message. *)
+  val create : Ba_sim.Engine.t -> Config.t -> slots:int -> expire:(int -> unit) -> t
+  (** [slots] is the band size. A firing timer calls [expire k] with an
+      integer of the policy's choosing, which {!due} maps back to a
+      message. *)
 
   val window : t -> int -> int
   (** Narrow the effective window further (a congestion window); the
       identity for a policy without one. *)
 
   val arm : t -> slot:int -> seq:int -> fresh:bool -> unit
-  (** [seq], held in window slot [slot], was just transmitted — for the
+  (** [seq], held in band slot [slot], was just transmitted — for the
       first time when [fresh]. *)
 
   val due : t -> int -> na:int -> int
@@ -73,7 +76,7 @@ module type S = sig
   (** Next fresh sequence number. *)
 
   val outstanding : t -> int
-  (** [ns - na], between 0 and the window size. *)
+  (** [ns - na], between 0 and the band size (the window, or a lead). *)
 
   val is_done : t -> bool
   (** Supplier exhausted and nothing outstanding. *)
@@ -134,6 +137,17 @@ end
 module Make (P : TIMERS) : sig
   include S
 
+  val create :
+    ?lead:int ->
+    Ba_sim.Engine.t ->
+    Config.t ->
+    tx:(Ba_proto.Wire.data -> unit) ->
+    next_payload:(unit -> string option) ->
+    t
+  (** {!S.create} with an optional Section VI lead band (default: the
+      window); see {!Sender_multi.create}. *)
+
+  val unacked : t -> int
   val timers : t -> P.t
 end = struct
   type t = {
@@ -141,13 +155,14 @@ end = struct
     codec : Seqcodec.t;
     tx : Ba_proto.Wire.data -> unit;
     source : Ba_proto.Source.t;
-    payloads : string array;  (* payloads of [na, ns), at [seq mod window] *)
+    payloads : string array;  (* payloads of [na, ns), at [seq mod band] *)
     acked_seq : int array;  (* seq when that seq is acked out of order, -1 otherwise *)
     timers : P.t;
     sync_timer : Ba_sim.Timer.t;  (* REQ retry while awaiting the receiver's POS *)
     guard : Window_guard.t;
     mutable na : int;
     mutable ns : int;
+    mutable unacked : int;  (* members of [na, ns) not yet acknowledged *)
     mutable alive : bool;
     mutable epoch : int;  (* incarnation; stable storage *)
     mutable syncing : bool;  (* restarted; REQ sent, POS pending *)
@@ -161,9 +176,11 @@ end = struct
            crash–restart because the pressure is outside this endpoint *)
   }
 
-  let slot_of t seq = seq mod t.config.Config.window
+  let band t = Array.length t.payloads
+  let slot_of t seq = seq mod band t
   let is_acked t seq = t.acked_seq.(slot_of t seq) = seq
   let outstanding t = t.ns - t.na
+  let unacked t = t.unacked
   let running t = t.alive && not t.syncing
 
   (* The configured window narrowed by every active pressure signal: the
@@ -182,8 +199,14 @@ end = struct
          ~payload:t.payloads.(i));
     P.arm t.timers ~slot:i ~seq ~fresh
 
+  (* Admission: fewer than [e] messages unacknowledged, and [ns] within
+     [e + lead - window] of [na], so the flight band never exceeds the
+     [lead] the receiver decodes over. At [lead = window] the second
+     bound implies the first and this is the classic [ns - na < e]. *)
   let rec pump t =
-    if running t && outstanding t < effective_window t then begin
+    let e = effective_window t in
+    if running t && t.unacked < e && outstanding t < e + band t - t.config.Config.window
+    then begin
       if t.ns >= Window_guard.frontier t.guard then
         (* A retransmitted copy may still be in flight; sending past its
            decode window would risk mis-reconstruction at the receiver. *)
@@ -197,6 +220,7 @@ end = struct
             t.payloads.(i) <- payload;
             t.acked_seq.(i) <- -1;
             t.ns <- t.ns + 1;
+            t.unacked <- t.unacked + 1;
             transmit t seq ~fresh:true;
             pump t
       end
@@ -214,7 +238,7 @@ end = struct
       P.resend t.timers ~slot:(slot_of t seq) ~oldest:(seq = t.na);
       (* With unbounded wire numbers decode is exact and no hold is needed. *)
       if t.config.Config.wire_modulus <> None then
-        Window_guard.note_retransmission t.guard ~seq ~window:t.config.Config.window
+        Window_guard.note_retransmission t.guard ~seq ~window:(band t)
           ~hold_for:(Config.hold_duration t.config);
       transmit t seq ~fresh:false
     end
@@ -231,19 +255,31 @@ end = struct
     t.resync_rounds <- t.resync_rounds + 1;
     t.tx (Ba_proto.Wire.make_sync_fin ~epoch:t.epoch)
 
-  let create engine config ~tx ~next_payload =
+  let create ?lead engine config ~tx ~next_payload =
     Config.validate config;
     let w = config.Config.window in
+    let band = Option.value lead ~default:w in
+    if band < w then invalid_arg "Sender_core.create: lead must be >= window";
+    (* A lead band decodes over [lead] positions, so the sound modulus
+       bound is [2 * lead]; say so here rather than let the codec report
+       a misleading "2*window" (its window IS the lead). *)
+    (match config.Config.wire_modulus with
+    | Some n when band > w && n < 2 * band ->
+        invalid_arg
+          (Printf.sprintf "Sender_core.create: modulus %d < 2*lead=%d loses information" n
+             (2 * band))
+    | Some _ | None -> ());
     let rec t =
       lazy
         {
           config;
-          codec = Seqcodec.create ~window:w ~wire_modulus:config.Config.wire_modulus;
+          codec = Seqcodec.create ~window:band ~wire_modulus:config.Config.wire_modulus;
           tx;
           source = Ba_proto.Source.create next_payload;
-          payloads = Array.make w "";
-          acked_seq = Array.make w (-1);
-          timers = P.create engine config ~expire:(fun k -> on_timeout (Lazy.force t) k);
+          payloads = Array.make band "";
+          acked_seq = Array.make band (-1);
+          timers =
+            P.create engine config ~slots:band ~expire:(fun k -> on_timeout (Lazy.force t) k);
           sync_timer =
             Ba_sim.Timer.create engine ~duration:config.Config.rto (fun () ->
                 let t = Lazy.force t in
@@ -251,6 +287,7 @@ end = struct
           guard = Window_guard.create engine;
           na = 0;
           ns = 0;
+          unacked = 0;
           alive = true;
           epoch = 0;
           syncing = false;
@@ -276,7 +313,8 @@ end = struct
     Array.fill t.acked_seq 0 (Array.length t.acked_seq) (-1);
     Window_guard.clear t.guard;
     t.na <- 0;
-    t.ns <- 0
+    t.ns <- 0;
+    t.unacked <- 0
 
   let crash t =
     if t.alive then begin
@@ -291,6 +329,7 @@ end = struct
     Ba_proto.Source.rewind t.source ~to_:pos;
     t.na <- pos;
     t.ns <- pos;
+    t.unacked <- 0;
     t.syncing <- false;
     Ba_sim.Timer.stop t.sync_timer
 
@@ -363,6 +402,7 @@ end = struct
                 if seq >= t.na && seq < t.ns && not (is_acked t seq) then begin
                   let i = slot_of t seq in
                   t.acked_seq.(i) <- seq;
+                  t.unacked <- t.unacked - 1;
                   P.acked t.timers ~slot:i ~seq
                 end
               done;

@@ -1,4 +1,4 @@
-(* Action 2′: one timer per outstanding message. Each window slot owns
+(* Action 2′: one timer per outstanding message. Each band slot owns
    one persistent {!Ba_sim.Engine.slot} whose expiry reads the sequence
    number it is currently armed for from [tslot_seq], so arming a
    retransmission timer allocates nothing. The adaptive timeout
@@ -8,7 +8,7 @@ module Timers = struct
   type t = {
     engine : Ba_sim.Engine.t;
     config : Config.t;
-    tslots : Ba_sim.Engine.slot array;  (* one persistent timer slot per window slot *)
+    tslots : Ba_sim.Engine.slot array;  (* one persistent timer slot per band slot *)
     tslot_seq : int array;  (* seq each slot is armed for, -1 when disarmed *)
     sent_at : int array;  (* first-transmission time, for RTT sampling *)
     resent : int array;  (* per-message retransmission count (Karn's rule + backoff) *)
@@ -19,7 +19,7 @@ module Timers = struct
     mutable ack_credit : int;
   }
 
-  let create engine config ~expire =
+  let create engine config ~slots ~expire =
     let estimator =
       if config.Config.adaptive_rto then begin
         (* With a finite modulus the configured rto is the soundness floor
@@ -34,14 +34,13 @@ module Timers = struct
       end
       else None
     in
-    let w = config.Config.window in
     {
       engine;
       config;
-      tslots = Array.init w (fun i -> Ba_sim.Engine.slot_create engine (fun () -> expire i));
-      tslot_seq = Array.make w (-1);
-      sent_at = Array.make w 0;
-      resent = Array.make w 0;
+      tslots = Array.init slots (fun i -> Ba_sim.Engine.slot_create engine (fun () -> expire i));
+      tslot_seq = Array.make slots (-1);
+      sent_at = Array.make slots 0;
+      resent = Array.make slots 0;
       estimator;
       cwnd = 1;
       ack_credit = 0;

@@ -10,9 +10,43 @@
     Soundness still requires [rto > 2 * max link delay + ack_coalesce],
     which makes an expired per-message timer imply that no copy of that
     message or of its acknowledgment is in transit. Everything but the
-    timers is {!Sender_core}, shared with {!Sender}. *)
+    timers is {!Sender_core}, shared with {!Sender}.
+
+    {2 Section VI: aggressive reuse of acknowledged positions}
+
+    The paper sketches a more complex sender that, when messages 3–5 are
+    acknowledged while 0–2 are still outstanding, goes ahead and uses
+    those freed positions for new data instead of stalling at the window
+    edge. The price is extra bookkeeping and buffer space, and a wider
+    sequence-number band in flight.
+
+    [create ~lead] realises the sketch: the sender may have at most
+    [window] {e unacknowledged} messages at any time (the same resource
+    bound as the classic protocol), but may run ahead of the lowest
+    unacknowledged message [na] by up to [lead >= window] positions.
+    In-flight data then spans [na, na + lead), so both endpoints size
+    their codecs and buffers by [lead], and a wire modulus of at least
+    [2 * lead] is required — exactly the paper's "tradeoff between the
+    added complexity versus the potential gain in performance". With
+    [lead = window] (the default) this is the Section IV sender. *)
 
 include Sender_core.S
+
+val create :
+  ?lead:int ->
+  Ba_sim.Engine.t ->
+  Config.t ->
+  tx:(Ba_proto.Wire.data -> unit) ->
+  next_payload:(unit -> string option) ->
+  t
+(** [config.window] bounds unacknowledged messages; [lead] (default
+    [config.window]) bounds [ns - na]. Requires [lead >= config.window]
+    and, when a wire modulus is set, [modulus >= 2 * lead]. The budget,
+    the window clamp and the congestion window narrow both bounds alike. *)
+
+val unacked : t -> int
+(** Messages in [[na, ns)] not yet acknowledged: at most [outstanding],
+    and below it once acknowledgments arrive past a gap. *)
 
 val rto_now : t -> int
 (** The timeout currently used when arming timers: the configured [rto],

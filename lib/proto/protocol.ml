@@ -32,7 +32,6 @@ module type S = sig
   val receiver_restart : receiver -> unit
   val sender_resync_rounds : sender -> int
   val receiver_resync_rounds : receiver -> int
-  val receiver_position : receiver -> int
   val receiver_restore : receiver -> epoch:int -> pos:int -> unit
   val sender_mem_bytes : sender -> int
   val receiver_mem_bytes : receiver -> int
@@ -60,7 +59,6 @@ struct
   let receiver_restart (_ : N.receiver) = unsupported ()
   let sender_resync_rounds (_ : N.sender) = 0
   let receiver_resync_rounds (_ : N.receiver) = 0
-  let receiver_position (_ : N.receiver) = 0
   let receiver_restore (_ : N.receiver) ~epoch:(_ : int) ~pos:(_ : int) = unsupported ()
 end
 

@@ -74,12 +74,6 @@ module type S = sig
 
   val receiver_resync_rounds : receiver -> int
 
-  val receiver_position : receiver -> int
-  (** The receiver's stable delivered count — the value its resync POS
-      announces, and what a transport backend persists so a killed
-      process can restore it. 0 for protocols without a position
-      authority. *)
-
   val receiver_restore : receiver -> epoch:int -> pos:int -> unit
   (** Rebuild a freshly created receiver as the next incarnation of a
       dead process: adopt the durable delivered count [pos] and the new
@@ -121,7 +115,6 @@ end) : sig
   val receiver_restart : N.receiver -> unit
   val sender_resync_rounds : N.sender -> int
   val receiver_resync_rounds : N.receiver -> int
-  val receiver_position : N.receiver -> int
   val receiver_restore : N.receiver -> epoch:int -> pos:int -> unit
 end
 

@@ -6,7 +6,8 @@
     be possible … to reuse positions 3 through 5 for sending more
     messages before messages 0, 1, and 2 were received."
 
-    This spec is the guarded-action form of {!Blockack.Reuse_sender}:
+    This spec is the guarded-action form of {!Blockack.Sender_multi.create}
+    with [~lead]:
 
     - the sender may have at most [w] {e unacknowledged} messages, but
       may run ahead of [na] by up to [lead >= w] positions

@@ -586,7 +586,13 @@ let test_sender_drops_corrupt_ack () =
     check Alcotest.int (name ^ ": clean ack still works") 4 (S.na s)
   in
   run "simple" (module Blockack.Sender);
-  run "multi" (module Blockack.Sender_multi)
+  (* Sender_multi's [create] also takes a Section VI [?lead]. *)
+  run "multi"
+    (module struct
+      include Blockack.Sender_multi
+
+      let create engine config = create engine config
+    end)
 
 (* ------------------------------------------------------------------ *)
 (* Karn's rule in Sender_multi (both halves) *)

@@ -695,8 +695,6 @@ module Ref_multi : Ba_proto.Protocol.S = struct
 
   (* The reference pair predates cross-process restore; the equivalence
      runs never exercise it. *)
-  let receiver_position = Ref_impl.Receiver.nr
-
   let receiver_restore (_ : receiver) ~epoch:(_ : int) ~pos:(_ : int) =
     invalid_arg "Ref_multi: receiver_restore not supported"
 
