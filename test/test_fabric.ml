@@ -276,6 +276,74 @@ let test_registry_config_moduli () =
     (Registry.config ~window:8 ~modulus:64 (entry "blockack-multi") ())
       .Ba_proto.Proto_config.wire_modulus
 
+(* ------------------------------------------------------------------ *)
+(* Capability digest *)
+
+(* Every registry protocol through the fabric paths that reach a
+   protocol's optional capabilities: a memory budget that clamps (memory
+   accounting, window clamp), a watchdog with a data-link outage to set
+   it off (the resync lever), and crash plans on the protocols with a
+   crash lifecycle. One MD5 over each run's per-flow result lines and
+   fabric counters holds those paths to unchanged behaviour. *)
+let capability_watchdog =
+  {
+    Ba_proto.Watchdog.check_interval = 300;
+    stall_checks = 1;
+    degraded_checks = 1;
+    max_resyncs = 2;
+    probation_checks = 2;
+  }
+
+let capability_run ~seed entries =
+  let flows =
+    List.concat_map
+      (fun e ->
+        let config = Registry.config ~window:8 ~rto:400 e () in
+        let spec = Fabric.spec ~config ~messages:40 ~payload_size:16 e.Registry.protocol in
+        [ (Registry.crash_tolerant e, spec); (Registry.crash_tolerant e, spec) ])
+      entries
+  in
+  (* even flows lose their sender, odd flows their receiver *)
+  let crash_plan k =
+    if k mod 2 = 0 then
+      [ { Crash_plan.at = 600 + (37 * seed); endpoint = Sender_end; down_for = 300 } ]
+    else [ { Crash_plan.at = 900; endpoint = Receiver_end; down_for = 200 } ]
+  in
+  let outage = { Ba_channel.Fault_plan.from_tick = 1000; until_tick = 3000 } in
+  let r =
+    Fabric.run ~seed ~data_loss:0.05 ~ack_loss:0.05 ~data_delay:(Dist.Uniform (40, 80))
+      ~ack_delay:(Dist.Uniform (40, 80))
+      ~data_plan:(Ba_channel.Fault_plan.make ~outages:[ outage ] ())
+      ~memory_budget:(List.length flows * 160) ~watchdog:capability_watchdog
+      ~on_flows:(fun _ cell ->
+        List.iteri
+          (fun k (crashable, _) ->
+            if crashable then Cell.schedule_crashes cell k (crash_plan k))
+          flows)
+      (List.map snd flows)
+  in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun e ->
+      Printf.bprintf b "%s crash_tolerant=%b\n" e.Registry.name (Registry.crash_tolerant e))
+    entries;
+  Printf.bprintf b "seed=%d mem_peak=%d clamp=%s refused=%d resyncs=%d quarantines=%d\n" seed
+    r.Fabric.mem_peak_bytes
+    (match r.Fabric.clamped_window with Some c -> string_of_int c | None -> "-")
+    r.Fabric.refused r.Fabric.watchdog_resyncs r.Fabric.quarantine_events;
+  List.iter (Format.kasprintf (Buffer.add_string b) "%a\n" Harness.pp_result) r.Fabric.flows;
+  Buffer.contents b
+
+let test_capability_digest () =
+  let all = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun seed ->
+      List.iter (fun e -> Buffer.add_string all (capability_run ~seed [ e ])) Registry.all;
+      Buffer.add_string all (capability_run ~seed Registry.all))
+    [ 1; 2; 3 ];
+  check Alcotest.string "capability digest" "bf69bac65da5840e00c7ec5cf58328de"
+    (Digest.to_hex (Digest.string (Buffer.contents all)))
+
 let () =
   Alcotest.run "fabric"
     [
@@ -288,6 +356,7 @@ let () =
           Alcotest.test_case "empty spec list rejected" `Quick test_fabric_rejects_empty;
           Alcotest.test_case "Jain's fairness index" `Quick test_jain;
           test_harness_is_one_flow_fabric;
+          Alcotest.test_case "pinned capability digest" `Quick test_capability_digest;
         ] );
       ( "crash isolation",
         [
