@@ -28,11 +28,11 @@ let victims = [ ("sender", `Sender); ("receiver", `Receiver); ("both", `Both) ]
 
 (* Exit statuses beyond cmdliner's own. *)
 let exit_violation = 1
-let exit_invalid = 2
 let exit_capped = 3
 
 let run spec w n limit max_states no_liveness crashes victims =
-  match
+  let spec_module =
+    Ba_cli.validate ~tool:"ba_check" @@ fun () ->
     match spec with
     | `S2 -> Ba_model.Ba_spec.default ~w ~limit
     | `S4 -> Ba_model.Ba_spec_timeout.default ~w ~limit
@@ -44,18 +44,14 @@ let run spec w n limit max_states no_liveness crashes victims =
         Ba_model.Ba_spec_crash.default ~w ?n ~limit ~epochs:true ~max_crashes:crashes ~victims ()
     | `Pressure -> Ba_model.Ba_spec_pressure.default ~w ~limit ~naive:false
     | `Pressure_naive -> Ba_model.Ba_spec_pressure.default ~w ~limit ~naive:true
-  with
-  | exception Invalid_argument reason ->
-      Printf.eprintf "ba_check: %s\n" reason;
-      exit_invalid
-  | spec_module ->
-      let result =
-        Ba_verify.Explorer.run_spec ~max_states ~check_liveness:(not no_liveness) spec_module
-      in
-      Format.printf "%a@." Ba_verify.Explorer.pp_result result;
-      if result.Ba_verify.Explorer.violation <> None then exit_violation
-      else if result.Ba_verify.Explorer.capped then exit_capped
-      else 0
+  in
+  let result =
+    Ba_verify.Explorer.run_spec ~max_states ~check_liveness:(not no_liveness) spec_module
+  in
+  Format.printf "%a@." Ba_verify.Explorer.pp_result result;
+  if result.Ba_verify.Explorer.violation <> None then exit_violation
+  else if result.Ba_verify.Explorer.capped then exit_capped
+  else 0
 
 let spec =
   let doc =
@@ -119,7 +115,7 @@ let cmd =
   in
   let exits =
     Cmd.Exit.info exit_violation ~doc:"when an invariant fails; the counterexample is printed."
-    :: Cmd.Exit.info exit_invalid ~doc:"when the spec rejects its parameters (e.g. $(b,-n) 0)."
+    :: Cmd.Exit.info Ba_cli.exit_invalid ~doc:"when the spec rejects its parameters (e.g. $(b,-n) 0)."
     :: Cmd.Exit.info exit_capped
          ~doc:
            "when $(b,--max-states) cut the exploration short without finding a violation: \

@@ -27,7 +27,15 @@ module Watchdog = Ba_proto.Watchdog
 
 let run entry connect messages payload_size wseed window rto tick_us wd_interval plan
     impair_seed deadline =
-  let config = Registry.config ~window ~rto entry () in
+  let config =
+    Ba_cli.validate ~tool:"ba_client" @@ fun () ->
+    let config = Registry.config ~window ~rto entry () in
+    Ba_cli.accepts entry.Registry.protocol config;
+    Ba_cli.non_negative "--messages" messages;
+    Ba_cli.positive "--tick-us" tick_us;
+    Ba_cli.positive "--wd-interval" wd_interval;
+    config
+  in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
   Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
   let engine = Ba_sim.Engine.create ~seed:impair_seed () in

@@ -22,8 +22,12 @@ let run messages loss jitter window coalesce simple kill_first_ack seed from_tim
   in
   let rto = (2 * (base + jitter)) + coalesce + 100 in
   let config =
-    Ba_proto.Proto_config.make ~window ~rto ~wire_modulus:(Some (2 * window))
-      ~ack_coalesce:coalesce ~max_transit:(base + jitter) ()
+    Ba_cli.validate ~tool:"ba_diagram" (fun () ->
+        Ba_cli.probability "--loss" loss;
+        Ba_cli.non_negative "--jitter" jitter;
+        Ba_cli.non_negative "--messages" messages;
+        Ba_proto.Proto_config.make ~window ~rto ~wire_modulus:(Some (2 * window))
+          ~ack_coalesce:coalesce ~max_transit:(base + jitter) ())
   in
   let engine = Ba_sim.Engine.create ~seed () in
   let tracer = Ba_trace.Tracer.create () in

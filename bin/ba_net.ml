@@ -64,14 +64,6 @@ let capacity_conv =
 
 let fmt = Ba_util.Table.fmt_float
 
-(* A usage error: report it and exit 2. *)
-let usage msg =
-  Format.kasprintf
-    (fun m ->
-      Format.eprintf "ba_net: %s@." m;
-      exit 2)
-    msg
-
 (* One spec per connection of the mix, in mix order. *)
 let mix_specs ~spec ?start_at mix =
   List.concat_map (fun (e, count) -> List.init count (fun _ -> spec ?start_at e)) mix
@@ -193,24 +185,20 @@ let run_soak ~rounds ~mix ~(spec : ?start_at:int -> Registry.entry -> Fabric.spe
     Soak.round ~data_loss:loss ~ack_loss ~delay ?capacity ?budget ~crashes:[ (n_base, stall_plan) ] ?fault
       ~base:n_base ~churn_from:n_fixed ~seed:rseed (specs_for rseed)
   in
-  (* Lazy so that a round failing outright (impossible budget) errors
-     before anything is printed. *)
   let sink =
-    lazy
-      (Ba_util.Table.stream
-         ~aligns:
-           Ba_util.Table.
-             [ Right; Right; Left; Left; Right; Right; Right; Right; Right; Right; Left ]
-         ~headers:
-           [
-             "round"; "seed"; "completed"; "admitted"; "departed"; "clamp"; "mem-peak";
-             "quarantines"; "resyncs"; "recovery"; "verdict";
-           ]
-         ())
+    Ba_util.Table.stream
+      ~aligns:
+        Ba_util.Table.[ Right; Right; Left; Left; Right; Right; Right; Right; Right; Right; Left ]
+      ~headers:
+        [
+          "round"; "seed"; "completed"; "admitted"; "departed"; "clamp"; "mem-peak";
+          "quarantines"; "resyncs"; "recovery"; "verdict";
+        ]
+      ()
   in
   let on_round round (rd : Soak.round) =
     let r = rd.Soak.result in
-    Ba_util.Table.stream_row (Lazy.force sink)
+    Ba_util.Table.stream_row sink
       [
         string_of_int round;
         string_of_int (seed + round);
@@ -229,11 +217,7 @@ let run_soak ~rounds ~mix ~(spec : ?start_at:int -> Registry.entry -> Fabric.spe
          else "UNSAFE");
       ]
   in
-  let s =
-    (* Fabric.run refuses a budget no flow fits in: a parameter error. *)
-    try Soak.fold ~on_round ~jobs ~rounds run_round
-    with Invalid_argument reason -> usage "%s" reason
-  in
+  let s = Soak.fold ~on_round ~jobs ~rounds run_round in
   let sketch = s.Soak.sketch in
   Printf.printf
     "\nsoak: %d rounds, budget=%dB, peak=%dB (%s), quarantines=%d, resyncs=%d, \
@@ -260,111 +244,9 @@ let run_soak ~rounds ~mix ~(spec : ?start_at:int -> Registry.entry -> Fabric.spe
     (if s.Soak.pass then "PASS" else "FAIL");
   if s.Soak.pass then 0 else 1
 
-let run list_protocols connections mix messages payload_size loss ack_loss_opt base_delay
-    jitter capacity window rto modulus adaptive seed sweep soak budget surge_at stall_for churn
-    fault scale shards cell barrier jobs =
-  if list_protocols then begin
-    Format.printf "%a" Registry.pp_list ();
-    exit 0
-  end;
-  (* One run mode at a time, and each mode's options only with it: a
-     second mode or a stray option would be silently dropped. *)
-  (match
-     List.filter_map Fun.id
-       [
-         Option.map (fun _ -> "--soak") soak;
-         Option.map (fun _ -> "--scale") scale;
-         Option.map (fun _ -> "--sweep") sweep;
-       ]
-   with
-  | _ :: _ :: _ as modes -> usage "%s are mutually exclusive" (String.concat ", " modes)
-  | _ -> ());
-  let reject mode given name = function
-    | Some _ when not given -> usage "%s requires %s" name mode
-    | _ -> ()
-  in
-  reject "--soak" (soak <> None) "--budget" budget;
-  reject "--soak" (soak <> None) "--surge-at" surge_at;
-  reject "--soak" (soak <> None) "--stall-for" stall_for;
-  reject "--soak" (soak <> None) "--churn" churn;
-  reject "--soak" (soak <> None) "--fault" fault;
-  reject "--scale" (scale <> None) "--shards" shards;
-  reject "--scale" (scale <> None) "--cell" cell;
-  reject "--scale" (scale <> None) "--barrier" barrier;
-  let ack_loss = Option.value ~default:loss ack_loss_opt in
-  let delay =
-    if jitter = 0 then Ba_channel.Dist.Constant base_delay
-    else Ba_channel.Dist.Uniform (base_delay, base_delay + jitter)
-  in
-  let mix =
-    match mix with
-    | Some m -> m
-    | None -> (
-        match Registry.find "blockack-multi" with
-        | Some e -> [ (e, connections) ]
-        | None -> assert false)
-  in
-  let rto =
-    match rto with
-    | Some r -> r
-    | None ->
-        (* Cover propagation both ways plus a full queue drain, so a
-           fixed timeout doesn't melt down the moment the queue fills. *)
-        let svc, cap = Option.value ~default:(0, 0) capacity in
-        (2 * (base_delay + jitter)) + (svc * cap) + 100
-  in
-  let spec ?start_at e =
-    let config = Registry.config ~window ~rto ?modulus ~adaptive_rto:adaptive e () in
-    Fabric.spec ~config ~messages ~payload_size ?start_at e.Registry.protocol
-  in
-  let jobs = Ba_cli.resolve_jobs jobs in
-  let positive name v default =
-    match v with
-    | None -> default
-    | Some v when v > 0 -> v
-    | Some v -> usage "%s must be positive (got %d)" name v
-  in
-  match soak with
-  | Some rounds ->
-      if rounds < 1 then usage "--soak rounds must be positive (got %d)" rounds;
-      let surge_at = positive "--surge-at" surge_at soak_surge_at_default in
-      let stall_for = positive "--stall-for" stall_for soak_stall_for_default in
-      let churners =
-        match churn with
-        | None -> 0
-        | Some c when c >= 0 -> c
-        | Some c -> usage "--churn must be >= 0 (got %d)" c
-      in
-      let fault =
-        Option.map
-          (fun name ->
-            match Ba_verify.Chaos.class_of_name name with
-            | Some c -> c
-            | None -> usage "unknown fault class %S" name)
-          fault
-      in
-      run_soak ~rounds ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~budget ~surge_at
-        ~stall_for ~churners ~fault ~jobs
-  | None ->
-  match scale with
-  | Some flows ->
-      if flows < 1 then usage "--scale flows must be positive (got %d)" flows;
-      let shards =
-        match shards with
-        | None | Some 0 -> None (* 0 = auto: one shard per job *)
-        | Some s when s > 0 -> Some s
-        | Some s -> usage "--shards must be >= 0 (got %d)" s
-      in
-      let cell = positive "--cell" cell 1024 in
-      let barrier = positive "--barrier" barrier 1000 in
-      run_scale ~flows ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs ~shards ~cell
-        ~barrier
-  | None ->
-  match sweep with
-  | Some counts ->
-      List.iter (fun n -> if n < 1 then usage "--sweep counts must be positive (got %d)" n) counts;
-      run_sweep ~counts ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs
-  | None ->
+(* The default mode: one fabric run over the mix, a per-flow table and
+   the shared links' counters. *)
+let run_fabric ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed =
   let r =
     Fabric.run ~seed ~data_loss:loss ~ack_loss ~data_delay:delay ~ack_delay:delay
       ?data_bottleneck:capacity (mix_specs ~spec mix)
@@ -408,6 +290,134 @@ let run list_protocols connections mix messages payload_size loss ack_loss_opt b
     d.Ba_channel.Link.sent d.Ba_channel.Link.dropped d.Ba_channel.Link.queue_dropped
     d.Ba_channel.Link.reordered a.Ba_channel.Link.sent a.Ba_channel.Link.dropped;
   if List.for_all Ba_proto.Harness.correct r.Fabric.flows then 0 else 1
+
+let run list_protocols connections mix messages payload_size loss ack_loss_opt base_delay
+    jitter capacity window rto modulus adaptive seed sweep soak budget surge_at stall_for churn
+    fault scale shards cell barrier jobs =
+  if list_protocols then begin
+    Format.printf "%a" Registry.pp_list ();
+    exit 0
+  end;
+  let reject = Ba_cli.reject in
+  let run =
+    Ba_cli.validate ~tool:"ba_net" @@ fun () ->
+    (* One run mode at a time, and each mode's options only with it: a
+       second mode or a stray option would be silently dropped. *)
+    (match
+       List.filter_map Fun.id
+         [
+           Option.map (fun _ -> "--soak") soak;
+           Option.map (fun _ -> "--scale") scale;
+           Option.map (fun _ -> "--sweep") sweep;
+         ]
+     with
+    | _ :: _ :: _ as modes -> reject "%s are mutually exclusive" (String.concat ", " modes)
+    | _ -> ());
+    let only mode given name = function
+      | Some _ when not given -> reject "%s requires %s" name mode
+      | _ -> ()
+    in
+    only "--soak" (soak <> None) "--budget" budget;
+    only "--soak" (soak <> None) "--surge-at" surge_at;
+    only "--soak" (soak <> None) "--stall-for" stall_for;
+    only "--soak" (soak <> None) "--churn" churn;
+    only "--soak" (soak <> None) "--fault" fault;
+    only "--scale" (scale <> None) "--shards" shards;
+    only "--scale" (scale <> None) "--cell" cell;
+    only "--scale" (scale <> None) "--barrier" barrier;
+    let ack_loss = Option.value ~default:loss ack_loss_opt in
+    Ba_cli.probability "--loss" loss;
+    Ba_cli.probability "--ack-loss" ack_loss;
+    Ba_cli.non_negative "--delay" base_delay;
+    Ba_cli.non_negative "--jitter" jitter;
+    Ba_cli.non_negative "--messages" messages;
+    Ba_cli.non_negative "--payload-size" payload_size;
+    let delay =
+      if jitter = 0 then Ba_channel.Dist.Constant base_delay
+      else Ba_channel.Dist.Uniform (base_delay, base_delay + jitter)
+    in
+    let mix =
+      match mix with
+      | Some m -> m
+      | None -> (
+          match Registry.find "blockack-multi" with
+          | Some e -> [ (e, connections) ]
+          | None -> assert false)
+    in
+    let rto =
+      match rto with
+      | Some r -> r
+      | None ->
+          (* Cover propagation both ways plus a full queue drain, so a
+             fixed timeout doesn't melt down the moment the queue fills. *)
+          let svc, cap = Option.value ~default:(0, 0) capacity in
+          (2 * (base_delay + jitter)) + (svc * cap) + 100
+    in
+    let spec ?start_at e =
+      let config = Registry.config ~window ~rto ?modulus ~adaptive_rto:adaptive e () in
+      Fabric.spec ~config ~messages ~payload_size ?start_at e.Registry.protocol
+    in
+    List.iter (fun (e, _) -> Ba_cli.accepts e.Registry.protocol (spec e).Fabric.config) mix;
+    let jobs = Ba_cli.resolve_jobs jobs in
+    let positive name v default =
+      match v with
+      | None -> default
+      | Some v when v > 0 -> v
+      | Some v -> reject "%s must be positive (got %d)" name v
+    in
+    match soak with
+    | Some rounds ->
+        if rounds < 1 then reject "--soak rounds must be positive (got %d)" rounds;
+        let surge_at = positive "--surge-at" surge_at soak_surge_at_default in
+        let stall_for = positive "--stall-for" stall_for soak_stall_for_default in
+        let churners =
+          match churn with
+          | None -> 0
+          | Some c when c >= 0 -> c
+          | Some c -> reject "--churn must be >= 0 (got %d)" c
+        in
+        let fault =
+          Option.map
+            (fun name ->
+              match Ba_verify.Chaos.class_of_name name with
+              | Some c -> c
+              | None -> reject "unknown fault class %S" name)
+            fault
+        in
+        (* Fabric.run refuses a budget no flow fits in. *)
+        Option.iter
+          (fun budget ->
+            Ba_cli.positive "--budget" budget;
+            Ba_proto.Cell.check_budget ~budget (mix_specs ~spec mix))
+          budget;
+        fun () ->
+          run_soak ~rounds ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~budget ~surge_at
+            ~stall_for ~churners ~fault ~jobs
+    | None -> (
+        match scale with
+        | Some flows ->
+            if flows < 1 then reject "--scale flows must be positive (got %d)" flows;
+            let shards =
+              match shards with
+              | None | Some 0 -> None (* 0 = auto: one shard per job *)
+              | Some s when s > 0 -> Some s
+              | Some s -> reject "--shards must be >= 0 (got %d)" s
+            in
+            let cell = positive "--cell" cell 1024 in
+            let barrier = positive "--barrier" barrier 1000 in
+            fun () ->
+              run_scale ~flows ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs ~shards
+                ~cell ~barrier
+        | None -> (
+            match sweep with
+            | Some counts ->
+                List.iter
+                  (fun n -> if n < 1 then reject "--sweep counts must be positive (got %d)" n)
+                  counts;
+                fun () -> run_sweep ~counts ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs
+            | None -> fun () -> run_fabric ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed))
+  in
+  run ()
 
 let list_protocols =
   Arg.(value & flag

@@ -40,22 +40,41 @@ let persist_state path ~epoch ~pos ~digest =
   close_out oc;
   Sys.rename tmp path
 
+(* The state file comes from outside the program: anything but one
+   well-formed line is a parameter error. *)
 let read_state path =
   if not (Sys.file_exists path) then None
   else
-    let ic = open_in path in
-    let line = try input_line ic with End_of_file -> "" in
-    close_in ic;
-    match String.split_on_char ' ' (String.trim line) with
-    | [ e; p; d ] -> (
-        match (int_of_string_opt e, int_of_string_opt p, int_of_string_opt d) with
-        | Some e, Some p, Some d -> Some (e, p, d)
-        | _ -> failwith (Printf.sprintf "ba_serve: corrupt state file %s" path))
-    | _ -> failwith (Printf.sprintf "ba_serve: corrupt state file %s" path)
+    let line =
+      match In_channel.with_open_text path In_channel.input_line with
+      | Some l -> l
+      | None -> ""
+      | exception Sys_error reason -> Ba_cli.reject "cannot read state file: %s" reason
+    in
+    match List.map int_of_string_opt (String.split_on_char ' ' (String.trim line)) with
+    | [ Some e; Some p; Some d ] when e >= 0 && p >= 0 -> Some (e, p, d)
+    | _ -> Ba_cli.reject "corrupt state file %s" path
 
 let run entry listen port_file messages payload_size wseed window rto tick_us state
     die_after plan impair_seed deadline linger =
-  let config = Registry.config ~window ~rto entry () in
+  let config, restore =
+    Ba_cli.validate ~tool:"ba_serve" @@ fun () ->
+    let config = Registry.config ~window ~rto entry () in
+    Ba_cli.accepts entry.Registry.protocol config;
+    Ba_cli.non_negative "--messages" messages;
+    Ba_cli.positive "--tick-us" tick_us;
+    let restore =
+      match Option.bind state read_state with
+      | None -> None
+      | Some (e, p, d) ->
+          let (module P : Ba_proto.Protocol.S) = entry.Registry.protocol in
+          if Option.is_none P.lifecycle then
+            Ba_cli.reject "%s has no crash lifecycle to resume from state file %s"
+              entry.Registry.name (Option.get state);
+          Some (e + 1, p, d)
+    in
+    (config, restore)
+  in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
   Unix.bind sock listen;
@@ -68,14 +87,6 @@ let run entry listen port_file messages payload_size wseed window rto tick_us st
           close_out oc
       | None -> ())
   | Unix.ADDR_UNIX _ -> ());
-  let restore =
-    match state with
-    | None -> None
-    | Some path -> (
-        match read_state path with
-        | None -> None
-        | Some (e, p, d) -> Some (e + 1, p, d))
-  in
   let engine = Ba_sim.Engine.create ~seed:impair_seed () in
   let srv = ref None in
   let driver =

@@ -25,13 +25,23 @@ let run list_protocols entry messages payload_size loss ack_loss_opt base_delay 
     | Some r -> r
     | None -> (2 * max_transit) + coalesce + 100
   in
+  let proto = entry.Registry.protocol in
   let config =
-    Ba_proto.Proto_config.make ~window ~rto
-      ~wire_modulus:(Option.map (fun n -> n) modulus)
-      ~ack_coalesce:coalesce ~stenning_gap:gap ~max_transit ()
+    Ba_cli.validate ~tool:"ba_sim" (fun () ->
+        Ba_cli.probability "--loss" loss;
+        Ba_cli.probability "--ack-loss" ack_loss;
+        Ba_cli.non_negative "--delay" base_delay;
+        Ba_cli.non_negative "--jitter" jitter;
+        Ba_cli.non_negative "--messages" messages;
+        Ba_cli.non_negative "--payload-size" payload_size;
+        let config =
+          Ba_proto.Proto_config.make ~window ~rto ~wire_modulus:modulus ~ack_coalesce:coalesce
+            ~stenning_gap:gap ~max_transit ()
+        in
+        Ba_cli.accepts proto config;
+        config)
   in
   let seed_list = if seeds <= 1 then [ seed ] else List.init seeds (fun i -> seed + i) in
-  let proto = entry.Registry.protocol in
   let all_ok = ref true in
   List.iter
     (fun seed ->

@@ -92,16 +92,6 @@ let protocol : Ba_proto.Protocol.t =
     let sender_outstanding s = if s.current = None then 0 else 1
     let sender_retransmissions s = s.retransmissions
     let ack_wire_bytes = Wire.ack_bytes_single
-
-    include Ba_proto.Protocol.No_crash (struct
-      let name = name
-
-      type nonrec sender = sender
-      type nonrec receiver = receiver
-    end)
-
-    include Ba_proto.Protocol.No_overload (struct
-      type nonrec sender = sender
-      type nonrec receiver = receiver
-    end)
+    let lifecycle = None
+    let overload = None
   end)

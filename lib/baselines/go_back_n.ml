@@ -158,16 +158,6 @@ let protocol : Ba_proto.Protocol.t =
     let sender_outstanding = sender_outstanding
     let sender_retransmissions = sender_retransmissions
     let ack_wire_bytes = ack_wire_bytes
-
-    include Ba_proto.Protocol.No_crash (struct
-      let name = name
-
-      type nonrec sender = sender
-      type nonrec receiver = receiver
-    end)
-
-    include Ba_proto.Protocol.No_overload (struct
-      type nonrec sender = sender
-      type nonrec receiver = receiver
-    end)
+    let lifecycle = None
+    let overload = None
   end)

@@ -65,16 +65,9 @@ let protocol : Ba_proto.Protocol.t =
     let sender_outstanding = Blockack.Sender_multi.outstanding
     let sender_retransmissions = Blockack.Sender_multi.retransmissions
     let ack_wire_bytes = Wire.ack_bytes_single
+    let lifecycle = None
 
-    include Ba_proto.Protocol.No_crash (struct
-      let name = name
-
-      type nonrec sender = sender
-      type nonrec receiver = receiver
-    end)
-
-    include Ba_proto.Protocol.No_overload (struct
-      type nonrec sender = sender
-      type nonrec receiver = receiver
-    end)
+    (* The sender is [Sender_multi], but the baseline stays outside the
+       fabric's memory accounting and clamp, as it always has. *)
+    let overload = None
   end)

@@ -1,5 +1,6 @@
 (* Shared command-line conventions for the binaries: the version, the
-   --jobs flag, and the protocol, address and fault-plan converters.
+   --jobs flag, the protocol, address and fault-plan converters, and
+   the parameter checks that turn a rejected value into exit status 2.
 
    Every grid the tools run (chaos seed x fault cells, scaling sweeps) is
    a list of independent simulations, so each binary exposes the same
@@ -80,3 +81,39 @@ let protocol_conv =
   in
   Arg.conv ~docv:"PROTOCOL"
     (parse, fun ppf e -> Format.pp_print_string ppf e.Ba_registry.Registry.name)
+
+(* ---- parameter checks ---- *)
+
+(* Every binary checks its parameters before it starts any work.
+   [validate ~tool f] is [f ()]; when [f] rejects a parameter with
+   [Invalid_argument] (a library validator, or [reject]) the binary
+   prints "<tool>: <reason>" on stderr and exits [exit_invalid]. [f]
+   only builds and checks configuration; it may return the run as a
+   closure, which then runs outside the handler, so a failure inside a
+   run still surfaces as the bug it is. *)
+let exit_invalid = 2
+
+let validate ~tool f =
+  match f () with
+  | v -> v
+  | exception Invalid_argument reason ->
+      Printf.eprintf "%s: %s\n%!" tool reason;
+      exit exit_invalid
+
+let reject fmt = Printf.ksprintf invalid_arg fmt
+
+let probability name p =
+  if not (p >= 0. && p <= 1.) then reject "%s must be in [0,1] (got %g)" name p
+
+let non_negative name v = if v < 0 then reject "%s must be >= 0 (got %d)" name v
+let positive name v = if v <= 0 then reject "%s must be positive (got %d)" name v
+
+(* The protocol accepts [config]: the config validates, and both
+   endpoints are built once on a scratch engine, so a protocol's own
+   constraints (the block-ack modulus of at least 2w) are checked too. *)
+let accepts protocol config =
+  let (module P : Ba_proto.Protocol.S) = protocol in
+  Ba_proto.Proto_config.validate config;
+  let engine = Ba_sim.Engine.create () in
+  ignore (P.create_sender engine config ~tx:ignore ~next_payload:(fun () -> None));
+  ignore (P.create_receiver engine config ~tx:ignore ~deliver:ignore)

@@ -4,13 +4,29 @@ module Common_receiver = struct
   let create_receiver engine config ~tx ~deliver = Receiver.create engine config ~tx ~deliver
   let receiver_on_data = Receiver.on_data
   let ack_wire_bytes = Ba_proto.Wire.ack_bytes_block
-  let receiver_crash = Receiver.crash
-  let receiver_restart = Receiver.restart
-  let receiver_resync_rounds = Receiver.resync_rounds
-  let receiver_restore = Receiver.restore
-  let receiver_mem_bytes = Receiver.buffered_bytes
-  let receiver_pressure_dropped = Receiver.pressure_dropped
 end
+
+(* Both block-ack senders share the receiver half of each capability. *)
+let lifecycle ~crash ~restart ~resync_rounds =
+  Some
+    {
+      Ba_proto.Protocol.sender_crash = crash;
+      sender_restart = restart;
+      receiver_crash = Receiver.crash;
+      receiver_restart = Receiver.restart;
+      receiver_restore = Receiver.restore;
+      sender_resync_rounds = resync_rounds;
+      receiver_resync_rounds = Receiver.resync_rounds;
+    }
+
+let overload ~mem_bytes ~clamp =
+  Some
+    {
+      Ba_proto.Protocol.sender_mem_bytes = mem_bytes;
+      receiver_mem_bytes = Receiver.buffered_bytes;
+      sender_clamp_window = clamp;
+      receiver_pressure_dropped = Receiver.pressure_dropped;
+    }
 
 module Simple : Ba_proto.Protocol.S = struct
   let name = "blockack-simple"
@@ -25,12 +41,11 @@ module Simple : Ba_proto.Protocol.S = struct
   let sender_done = Sender.is_done
   let sender_outstanding = Sender.outstanding
   let sender_retransmissions = Sender.retransmissions
-  let crash_tolerant = true
-  let sender_crash = Sender.crash
-  let sender_restart = Sender.restart
-  let sender_resync_rounds = Sender.resync_rounds
-  let sender_mem_bytes = Sender.buffered_bytes
-  let sender_clamp_window = Sender.clamp_window
+
+  let lifecycle =
+    lifecycle ~crash:Sender.crash ~restart:Sender.restart ~resync_rounds:Sender.resync_rounds
+
+  let overload = overload ~mem_bytes:Sender.buffered_bytes ~clamp:Sender.clamp_window
 end
 
 module Multi :
@@ -48,12 +63,12 @@ module Multi :
   let sender_done = Sender_multi.is_done
   let sender_outstanding = Sender_multi.outstanding
   let sender_retransmissions = Sender_multi.retransmissions
-  let crash_tolerant = true
-  let sender_crash = Sender_multi.crash
-  let sender_restart = Sender_multi.restart
-  let sender_resync_rounds = Sender_multi.resync_rounds
-  let sender_mem_bytes = Sender_multi.buffered_bytes
-  let sender_clamp_window = Sender_multi.clamp_window
+
+  let lifecycle =
+    lifecycle ~crash:Sender_multi.crash ~restart:Sender_multi.restart
+      ~resync_rounds:Sender_multi.resync_rounds
+
+  let overload = overload ~mem_bytes:Sender_multi.buffered_bytes ~clamp:Sender_multi.clamp_window
 end
 
 let simple : Ba_proto.Protocol.t = (module Simple)
@@ -78,12 +93,6 @@ let reuse ?(lead_factor = 2) () : Ba_proto.Protocol.t =
 
     let sender_outstanding = Sender_multi.unacked
 
-    (* Crash–restart with a lead band has not been model-checked, so the
-       lifecycle calls raise as the protocol interface requires. *)
-    include Ba_proto.Protocol.No_crash (struct
-      let name = name
-
-      type nonrec sender = sender
-      type nonrec receiver = receiver
-    end)
+    (* Crash–restart with a lead band has not been model-checked. *)
+    let lifecycle = None
   end)

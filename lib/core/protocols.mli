@@ -16,6 +16,6 @@ val reuse : ?lead_factor:int -> unit -> Ba_proto.Protocol.t
     runs ahead up to [lead_factor * window] positions; the receiver sizes
     its buffer accordingly. Requires the config's wire modulus (if any) to
     be at least [2 * lead_factor * window]. Otherwise [multi], except
-    that [sender_outstanding] counts unacknowledged messages and
-    [crash_tolerant] is false: crash–restart with a lead band has not
-    been model-checked. Default [lead_factor = 2]. *)
+    that [sender_outstanding] counts unacknowledged messages and there
+    is no [lifecycle]: crash–restart with a lead band has not been
+    model-checked. Default [lead_factor = 2]. *)

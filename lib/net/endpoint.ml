@@ -135,10 +135,11 @@ module Server = struct
       end
     in
     let r = P.create_receiver engine config ~tx ~deliver in
-    (match restore with
-    | None -> ()
-    | Some (e, pos, d) ->
-        P.receiver_restore r ~epoch:e ~pos;
+    (match (restore, P.lifecycle) with
+    | None, _ -> ()
+    | Some _, None -> invalid_arg (P.name ^ ": no crash lifecycle to restore from")
+    | Some (e, pos, d), Some l ->
+        l.receiver_restore r ~epoch:e ~pos;
         if e > !epoch then epoch := e;
         next := pos;
         dig := d);
@@ -155,7 +156,8 @@ module Server = struct
       peer;
       shim;
       feed = (fun d -> P.receiver_on_data r d);
-      resync_rounds_ = (fun () -> P.receiver_resync_rounds r);
+      resync_rounds_ =
+        (fun () -> match P.lifecycle with Some l -> l.receiver_resync_rounds r | None -> 0);
     }
 
   let on_frame t frame from =
@@ -231,10 +233,16 @@ module Client = struct
     let dog = Ba_proto.Watchdog.create watchdog in
     let watermark = ref 0
     and wd_resyncs = ref 0 in
+    (* A protocol without a crash lifecycle has no resync lever: the
+       watchdog's verdict is counted and otherwise ignored, as in the
+       simulated fabric. *)
     let resync () =
       incr wd_resyncs;
-      P.sender_crash s;
-      P.sender_restart s
+      match P.lifecycle with
+      | None -> ()
+      | Some l ->
+          l.sender_crash s;
+          l.sender_restart s
     in
     (* The watchdog's clock is a self-re-arming engine slot, so under a
        wall-clock driver "no progress for N checks" means N real check
@@ -271,7 +279,8 @@ module Client = struct
       pump_ = (fun () -> P.sender_pump s);
       done_ = (fun () -> P.sender_done s);
       retx_ = (fun () -> P.sender_retransmissions s);
-      resync_rounds_ = (fun () -> P.sender_resync_rounds s);
+      resync_rounds_ =
+        (fun () -> match P.lifecycle with Some l -> l.sender_resync_rounds s | None -> 0);
       outstanding_ = (fun () -> P.sender_outstanding s);
       data_frames;
       stray = ref 0;

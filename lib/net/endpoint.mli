@@ -13,7 +13,7 @@
     process supervisor can persist them — the stable storage that makes
     a SIGKILL survivable. A fresh process restores by handing the
     persisted triple (epoch already bumped) to [?restore], which runs
-    {!Ba_proto.Protocol.S.receiver_restore}: the receiver comes back as
+    the protocol's [receiver_restore]: the receiver comes back as
     a new incarnation at the old position and re-announces it with POS
     until the sender cuts over.
 
@@ -31,7 +31,8 @@
     bump + REQ/POS/FIN), [Quarantine] closes the shim's gate,
     [Release] reopens it and resyncs once more. A killed server is
     therefore detected by timeout, handled by handshake, and survived
-    without operator help. *)
+    without operator help. A protocol without a crash lifecycle has no
+    resync lever: its resyncs are counted and otherwise do nothing. *)
 
 val expected_digest : wseed:int -> payload_size:int -> messages:int -> int
 (** Digest of the full workload stream — what {!Server.digest} must
@@ -59,8 +60,9 @@ module Server : sig
     t
   (** [restore:(epoch, pos, digest)] rebuilds the receiver as
       incarnation [epoch] (the caller bumps the persisted epoch) at
-      delivered position [pos] with the stream digest so far.
-      [on_deliver] fires after every accepted delivery with the new
+      delivered position [pos] with the stream digest so far, through
+      the protocol's {!Ba_proto.Protocol.lifecycle}; raises
+      [Invalid_argument] for a protocol without one. [on_deliver] fires after every accepted delivery with the new
       durable state — write it down {e before} acknowledging the world,
       and a kill at any point loses nothing. [send] transmits one
       encoded datagram to the (learned) peer. *)

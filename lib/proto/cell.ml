@@ -80,7 +80,14 @@ let peak_cost ~clamp specs =
    refusing the rest. "Fits" is the peak-concurrency test above, so a
    departing flow's reservation is reusable by any arrival scheduled
    after its [stop_at]. *)
+let check_budget ~budget specs =
+  match specs with
+  | s :: _ when flow_cost s ~clamp:1 > budget ->
+      invalid_arg "Fabric.run: memory_budget admits no flow"
+  | _ -> ()
+
 let plan_admission ~budget specs =
+  check_budget ~budget specs;
   let max_w = List.fold_left (fun acc s -> max acc s.config.Proto_config.window) 1 specs in
   let rec fit c = if c >= 1 && peak_cost ~clamp:c specs > budget then fit (c - 1) else c in
   let c = fit max_w in
@@ -94,7 +101,6 @@ let plan_admission ~budget specs =
           else split (s :: admitted) rest
     in
     let admitted, refused = split [] specs in
-    if admitted = [] then invalid_arg "Fabric.run: memory_budget admits no flow";
     (admitted, refused, Some 1)
   end
 
@@ -195,10 +201,15 @@ let reconcile_leases leases =
 
 (* ---- endpoints ---- *)
 
+(* A protocol's crash lifecycle, packed with its group's endpoints by
+   slot. *)
+type lever = Lever : ('s, 'r) Protocol.lifecycle * (int -> 's) * (int -> 'r) -> lever
+
 (* The endpoints of every flow speaking one protocol, by slot, behind
    one set of closures: dispatch costs a closure per group, not per
    flow. The arrays are sized by the first endpoint built, which
-   supplies the filler. *)
+   supplies the filler. A protocol without an optional capability gets
+   its neutral closures: no bytes, no clamp, no resync lever. *)
 type group = {
   build :
     int ->
@@ -217,9 +228,7 @@ type group = {
   mem_bytes : int -> int;
   retransmissions : int -> int;
   pressure_drops : int -> int;
-  resync_rounds : int -> int;
-  crash : int -> Crash_plan.endpoint -> unit;
-  restart : int -> Crash_plan.endpoint -> unit;
+  lever : lever option;
 }
 
 let make_group (module P : Protocol.S) count =
@@ -229,6 +238,14 @@ let make_group (module P : Protocol.S) count =
     !arr.(k) <- v
   in
   let s k = !senders.(k) and r k = !receivers.(k) in
+  let clamp, mem_bytes, pressure_drops =
+    match P.overload with
+    | None -> ((fun _ _ -> ()), (fun _ -> 0), fun _ -> 0)
+    | Some o ->
+        ( (fun k w -> o.sender_clamp_window (s k) w),
+          (fun k -> o.sender_mem_bytes (s k) + o.receiver_mem_bytes (r k)),
+          fun k -> o.receiver_pressure_dropped (r k) )
+  in
   {
     build =
       (fun k engine config ~tx ~next_payload ~ack_tx ~deliver ->
@@ -239,19 +256,11 @@ let make_group (module P : Protocol.S) count =
     on_ack = (fun k a -> P.sender_on_ack (s k) a);
     pump = (fun k -> P.sender_pump (s k));
     sender_done = (fun k -> P.sender_done (s k));
-    clamp = (fun k w -> P.sender_clamp_window (s k) w);
-    mem_bytes = (fun k -> P.sender_mem_bytes (s k) + P.receiver_mem_bytes (r k));
+    clamp;
+    mem_bytes;
     retransmissions = (fun k -> P.sender_retransmissions (s k));
-    pressure_drops = (fun k -> P.receiver_pressure_dropped (r k));
-    resync_rounds = (fun k -> P.sender_resync_rounds (s k) + P.receiver_resync_rounds (r k));
-    crash =
-      (fun k -> function
-        | Crash_plan.Sender_end -> P.sender_crash (s k)
-        | Crash_plan.Receiver_end -> P.receiver_crash (r k));
-    restart =
-      (fun k -> function
-        | Crash_plan.Sender_end -> P.sender_restart (s k)
-        | Crash_plan.Receiver_end -> P.receiver_restart (r k));
+    pressure_drops;
+    lever = Option.map (fun l -> Lever (l, s, r)) P.lifecycle;
   }
 
 (* ---- the cell ---- *)
@@ -447,40 +456,46 @@ let sample_mem c =
 
 (* ---- crash–restart ---- *)
 
-let crash c i e =
+let crash c i (Lever (l, s, r)) e =
   add c i k_crashes 1;
-  c.group.(i).crash c.gslot.(i) e
+  let k = c.gslot.(i) in
+  match e with
+  | Crash_plan.Sender_end -> l.sender_crash (s k)
+  | Crash_plan.Receiver_end -> l.receiver_crash (r k)
 
-let restart c i (e : Crash_plan.endpoint) =
+let restart c i (Lever (l, s, r)) e =
   add c i k_restarts 1;
   let opened = Option.value ~default:[] (Hashtbl.find_opt c.pending i) in
   Hashtbl.replace c.pending i (Engine.now c.engine :: opened);
-  c.group.(i).restart c.gslot.(i) e;
-  match e with Crash_plan.Sender_end -> check_done c i | Crash_plan.Receiver_end -> ()
-
-let crash_tolerant c i =
-  let (module P : Protocol.S) = c.specs.(i).protocol in
-  P.crash_tolerant
+  let k = c.gslot.(i) in
+  match e with
+  | Crash_plan.Sender_end ->
+      l.sender_restart (s k);
+      check_done c i
+  | Crash_plan.Receiver_end -> l.receiver_restart (r k)
 
 (* The watchdog's recovery lever: wipe the sender's volatile state and
    let REQ/POS/FIN re-establish the window at the receiver's
    authoritative position. Protocols without a crash lifecycle have no
    such lever. *)
 let resync c i =
-  if crash_tolerant c i then begin
-    crash c i Crash_plan.Sender_end;
-    restart c i Crash_plan.Sender_end
-  end
+  match c.group.(i).lever with
+  | None -> ()
+  | Some l ->
+      crash c i l Crash_plan.Sender_end;
+      restart c i l Crash_plan.Sender_end
 
 let schedule_crashes c i plan =
-  if crash_tolerant c i then
-    List.iter
-      (fun (e : Crash_plan.event) ->
-        ignore (Engine.schedule_at c.engine ~at:e.at (fun () -> crash c i e.endpoint));
-        ignore
-          (Engine.schedule_at c.engine ~at:(e.at + e.down_for) (fun () ->
-               restart c i e.endpoint)))
-      plan
+  match c.group.(i).lever with
+  | None -> ()
+  | Some l ->
+      List.iter
+        (fun (e : Crash_plan.event) ->
+          ignore (Engine.schedule_at c.engine ~at:e.at (fun () -> crash c i l e.endpoint));
+          ignore
+            (Engine.schedule_at c.engine ~at:(e.at + e.down_for) (fun () ->
+                 restart c i l e.endpoint)))
+        plan
 
 (* ---- construction ---- *)
 
@@ -789,7 +804,10 @@ let flow_result c i =
     efficiency = (if data_sent = 0 then 0. else float_of_int delivered /. float_of_int data_sent);
     crashes = get c i k_crashes;
     restarts = get c i k_restarts;
-    resync_rounds = g.resync_rounds k;
+    resync_rounds =
+      (match g.lever with
+      | Some (Lever (l, s, r)) -> l.sender_resync_rounds (s k) + l.receiver_resync_rounds (r k)
+      | None -> 0);
     resync_ticks = Option.bind (Hashtbl.find_opt c.resync i) summary;
     retx_bytes = get c i k_retx_bytes;
     pressure_drops = g.pressure_drops k;

@@ -61,6 +61,11 @@ val flow_cost : spec -> clamp:int -> int
     sender's retransmit buffer plus as many again in the receiver's
     reassembly window. *)
 
+val check_budget : budget:int -> spec list -> unit
+(** Raises [Invalid_argument] when [budget] admits no flow of [specs]:
+    the first spec does not fit even at window 1. Admission raises the
+    same, so a caller can reject such a budget before the run. *)
+
 type t
 
 val create :

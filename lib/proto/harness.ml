@@ -15,7 +15,7 @@ let run (module P : Protocol.S) ?(seed = 42) ?(messages = 1000) ?(payload_size =
     ?data_bottleneck ?data_plan ?ack_plan ?(crash_plan = Crash_plan.none) ?deadline ?on_setup () =
   Proto_config.validate config;
   Crash_plan.validate crash_plan;
-  if crash_plan <> Crash_plan.none && not P.crash_tolerant then
+  if crash_plan <> Crash_plan.none && Option.is_none P.lifecycle then
     invalid_arg (P.name ^ ": crash-restart lifecycle not supported");
   let cell =
     Cell.create ~engine_seed:seed

@@ -1,3 +1,60 @@
+(** The interface every simulated protocol implements.
+
+    A protocol is a sender half and a receiver half, each driven entirely
+    by callbacks: the harness wires [tx] into a lossy {!Ba_channel.Link}
+    and feeds arriving messages back into [sender_on_ack] /
+    [receiver_on_data]. The sender pulls application payloads through the
+    [next_payload] supplier whenever its window has room, so flow control
+    stays inside the protocol where it belongs. *)
+
+(** {1 Optional capabilities}
+
+    The paper's protocol is the data path alone. Crash–restart recovery
+    and buffer-pressure hooks are extensions that only some protocols
+    implement, so {!S} carries each as an option of a record of
+    operations: a protocol without the capability says [None], and a
+    caller that needs it matches the option once. Asking a protocol for
+    a lifecycle it lacks is therefore a type-level impossibility rather
+    than a run-time error. The records hold closures: test them with
+    [match] or [Option.is_some], never with [=]. *)
+
+type ('s, 'r) lifecycle = {
+  sender_crash : 's -> unit;
+      (** Wipe the sender's volatile state; it is deaf until restarted. *)
+  sender_restart : 's -> unit;
+  receiver_crash : 'r -> unit;
+  receiver_restart : 'r -> unit;
+  receiver_restore : 'r -> epoch:int -> pos:int -> unit;
+      (** Rebuild a freshly created receiver as the next incarnation of a
+          dead process: adopt the durable delivered count [pos] and the
+          new incarnation [epoch] (persisted + 1), then run the POS
+          handshake — the cross-process analogue of
+          [receiver_crash]+[receiver_restart]. *)
+  sender_resync_rounds : 's -> int;
+      (** Handshake frames this sender sent while resynchronising. *)
+  receiver_resync_rounds : 'r -> int;
+}
+(** Crash–restart lifecycle: faulting the processes, not just the
+    channel. What restart means is the protocol's business: the
+    block-ack endpoints bump an incarnation epoch and run a resync
+    handshake when the config's [resync_epochs] is set, or come back
+    zeroed as a negative control when it is not. Campaign runners skip
+    the crash fault class for protocols without one, and the fabric's
+    watchdog has no resync lever for them. *)
+
+type ('s, 'r) overload = {
+  sender_mem_bytes : 's -> int;
+      (** Payload bytes the sender buffers (its retransmit queue). *)
+  receiver_mem_bytes : 'r -> int;  (** Payload bytes in the reassembly window. *)
+  sender_clamp_window : 's -> int -> unit;
+      (** Cap the sender's effective window: the backpressure path. *)
+  receiver_pressure_dropped : 'r -> int;
+      (** In-window frames refused for buffer-full under an [rx_budget]. *)
+}
+(** Hooks for the fabric's memory accounting and graceful degradation.
+    A protocol without them reports 0 bytes, ignores clamps and is
+    invisible to the accountant. *)
+
 module type S = sig
   val name : string
 
@@ -10,6 +67,9 @@ module type S = sig
     tx:(Wire.data -> unit) ->
     next_payload:(unit -> string option) ->
     sender
+  (** [next_payload] returns [None] when the application has nothing more
+      to send; the sender calls it again after acknowledgments open the
+      window. *)
 
   val create_receiver :
     Ba_sim.Engine.t ->
@@ -17,58 +77,31 @@ module type S = sig
     tx:(Wire.ack -> unit) ->
     deliver:(string -> unit) ->
     receiver
+  (** [deliver] receives payloads in application order, exactly once each
+      (for a correct protocol — the harness counts violations). *)
 
   val sender_on_ack : sender -> Wire.ack -> unit
   val receiver_on_data : receiver -> Wire.data -> unit
+
   val sender_pump : sender -> unit
+  (** Ask the sender to (re)fill its window from [next_payload]; called
+      once by the harness at start and harmless at any other time. *)
+
   val sender_done : sender -> bool
+  (** Every payload ever accepted from [next_payload] is acknowledged and
+      the supplier is exhausted. *)
+
   val sender_outstanding : sender -> int
   val sender_retransmissions : sender -> int
+
   val ack_wire_bytes : int
-  val crash_tolerant : bool
-  val sender_crash : sender -> unit
-  val sender_restart : sender -> unit
-  val receiver_crash : receiver -> unit
-  val receiver_restart : receiver -> unit
-  val sender_resync_rounds : sender -> int
-  val receiver_resync_rounds : receiver -> int
-  val receiver_restore : receiver -> epoch:int -> pos:int -> unit
-  val sender_mem_bytes : sender -> int
-  val receiver_mem_bytes : receiver -> int
-  val sender_clamp_window : sender -> int -> unit
-  val receiver_pressure_dropped : receiver -> int
+  (** Size of this protocol's acknowledgment on the wire. *)
+
+  val lifecycle : (sender, receiver) lifecycle option
+  (** [None] for a protocol without crash–restart support. *)
+
+  val overload : (sender, receiver) overload option
+  (** [None] for a protocol without memory accounting or backpressure. *)
 end
 
 type t = (module S)
-
-module No_crash (N : sig
-  val name : string
-
-  type sender
-  type receiver
-end) =
-struct
-  let crash_tolerant = false
-
-  let unsupported () =
-    invalid_arg (Printf.sprintf "%s: crash-restart lifecycle not supported" N.name)
-
-  let sender_crash (_ : N.sender) = unsupported ()
-  let sender_restart (_ : N.sender) = unsupported ()
-  let receiver_crash (_ : N.receiver) = unsupported ()
-  let receiver_restart (_ : N.receiver) = unsupported ()
-  let sender_resync_rounds (_ : N.sender) = 0
-  let receiver_resync_rounds (_ : N.receiver) = 0
-  let receiver_restore (_ : N.receiver) ~epoch:(_ : int) ~pos:(_ : int) = unsupported ()
-end
-
-module No_overload (N : sig
-  type sender
-  type receiver
-end) =
-struct
-  let sender_mem_bytes (_ : N.sender) = 0
-  let receiver_mem_bytes (_ : N.receiver) = 0
-  let sender_clamp_window (_ : N.sender) (_ : int) = ()
-  let receiver_pressure_dropped (_ : N.receiver) = 0
-end

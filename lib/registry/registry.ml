@@ -78,11 +78,11 @@ let names = List.map (fun e -> e.name) all
 
 let robust = List.filter (fun e -> e.robust) all
 
-(* Single source of truth: the protocol module says whether it supports
-   the crash-restart lifecycle (only the block-ack endpoints do). *)
+(* Derived from the protocol module: only the block-ack endpoints carry
+   a crash-restart lifecycle. *)
 let crash_tolerant e =
   let module P = (val e.protocol : Ba_proto.Protocol.S) in
-  P.crash_tolerant
+  Option.is_some P.lifecycle
 
 let find name =
   List.find_opt (fun e -> String.equal e.name name || List.mem name e.aliases) all

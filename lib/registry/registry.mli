@@ -33,7 +33,7 @@ val robust : entry list
 
 val crash_tolerant : entry -> bool
 (** Whether the entry's protocol supports the crash–restart lifecycle
-    ({!Ba_proto.Protocol.S.crash_tolerant}); campaign runners skip the
+    ({!Ba_proto.Protocol.S.lifecycle} is [Some]); campaign runners skip the
     [crash] fault class for protocols that do not. *)
 
 val find : string -> entry option

@@ -203,7 +203,7 @@ let incident fault ~seed =
    the crash-restart lifecycle. *)
 let runnable protocol i =
   let (module P : Ba_proto.Protocol.S) = protocol in
-  P.crash_tolerant || i.crash_plan = Crash_plan.none
+  Option.is_some P.lifecycle || i.crash_plan = Crash_plan.none
 
 type failure = { incident : incident; result : Harness.result }
 

@@ -685,23 +685,30 @@ module Ref_multi : Ba_proto.Protocol.S = struct
   let create_receiver = Ref_impl.Receiver.create
   let receiver_on_data = Ref_impl.Receiver.on_data
   let ack_wire_bytes = Wire.ack_bytes_block
-  let crash_tolerant = true
-  let sender_crash = Ref_impl.Sender_multi.crash
-  let sender_restart = Ref_impl.Sender_multi.restart
-  let receiver_crash = Ref_impl.Receiver.crash
-  let receiver_restart = Ref_impl.Receiver.restart
-  let sender_resync_rounds = Ref_impl.Sender_multi.resync_rounds
-  let receiver_resync_rounds = Ref_impl.Receiver.resync_rounds
 
-  (* The reference pair predates cross-process restore; the equivalence
-     runs never exercise it. *)
-  let receiver_restore (_ : receiver) ~epoch:(_ : int) ~pos:(_ : int) =
-    invalid_arg "Ref_multi: receiver_restore not supported"
+  let lifecycle =
+    Some
+      {
+        Ba_proto.Protocol.sender_crash = Ref_impl.Sender_multi.crash;
+        sender_restart = Ref_impl.Sender_multi.restart;
+        receiver_crash = Ref_impl.Receiver.crash;
+        receiver_restart = Ref_impl.Receiver.restart;
+        (* The reference pair predates cross-process restore; the
+           equivalence runs never exercise it. *)
+        receiver_restore =
+          (fun _ ~epoch:_ ~pos:_ -> invalid_arg "Ref_multi: receiver_restore not supported");
+        sender_resync_rounds = Ref_impl.Sender_multi.resync_rounds;
+        receiver_resync_rounds = Ref_impl.Receiver.resync_rounds;
+      }
 
-  let sender_mem_bytes = Ref_impl.Sender_multi.buffered_bytes
-  let receiver_mem_bytes = Ref_impl.Receiver.buffered_bytes
-  let sender_clamp_window = Ref_impl.Sender_multi.clamp_window
-  let receiver_pressure_dropped = Ref_impl.Receiver.pressure_dropped
+  let overload =
+    Some
+      {
+        Ba_proto.Protocol.sender_mem_bytes = Ref_impl.Sender_multi.buffered_bytes;
+        receiver_mem_bytes = Ref_impl.Receiver.buffered_bytes;
+        sender_clamp_window = Ref_impl.Sender_multi.clamp_window;
+        receiver_pressure_dropped = Ref_impl.Receiver.pressure_dropped;
+      }
 end
 
 let ref_multi : Ba_proto.Protocol.t = (module Ref_multi)

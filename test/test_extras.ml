@@ -292,7 +292,10 @@ let reuse_peak_unacked ?clamp config =
   receiver :=
     Some (P.create_receiver engine config ~tx:(Ba_channel.Link.send ack_link) ~deliver:ignore);
   sender := Some s;
-  Option.iter (P.sender_clamp_window s) clamp;
+  (match (P.overload, clamp) with
+  | Some o, Some c -> o.Ba_proto.Protocol.sender_clamp_window s c
+  | _, None -> ()
+  | None, Some _ -> Alcotest.fail "blockack-reuse has no window clamp");
   P.sender_pump s;
   Engine.run engine;
   check Alcotest.bool "transfer completes" true (P.sender_done s);

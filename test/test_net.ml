@@ -505,6 +505,33 @@ let packed_window size =
   Ba_sim.Engine.run engine ~until:0;
   (held, List.rev !sent)
 
+(* A go-back-N client whose acks never come: the watchdog reaches its
+   resync and quarantine verdicts, and a protocol without a crash
+   lifecycle has no lever to pull, so the client keeps running. *)
+let client_without_lifecycle_survives_watchdog () =
+  let engine = Ba_sim.Engine.create ~seed:1 () in
+  let protocol = Ba_baselines.Go_back_n.protocol in
+  let watchdog =
+    {
+      Ba_proto.Watchdog.check_interval = 100;
+      stall_checks = 1;
+      degraded_checks = 1;
+      max_resyncs = 2;
+      probation_checks = 2;
+    }
+  in
+  let client =
+    Endpoint.Client.create ~engine ~protocol
+      ~config:(Ba_proto.Proto_config.make ~window:4 ~rto:250 ())
+      ~messages:50 ~payload_size:16 ~wseed:1 ~watchdog ~send:(fun _ _ -> ()) ()
+  in
+  Endpoint.Client.pump client;
+  Ba_sim.Engine.run engine ~until:5_000;
+  check Alcotest.bool "watchdog resynced more than once" true
+    (Endpoint.Client.watchdog_resyncs client > 1);
+  check Alcotest.int "no handshake frames" 0 (Endpoint.Client.resync_rounds client);
+  check Alcotest.bool "not finished" false (Endpoint.Client.finished client)
+
 let frames_in b =
   match Codec.decode b ~len:(Bytes.length b) with
   | Ok (Codec.Batch { frames; malformed = 0 }) -> List.length frames
@@ -831,6 +858,8 @@ let () =
           Alcotest.test_case "one datagram per pumped window" `Quick packer_one_datagram;
           Alcotest.test_case "containers capped, big frames alone" `Quick packer_caps_container;
           Alcotest.test_case "driver unrolls a container" `Quick driver_unrolls;
+          Alcotest.test_case "go-back-n client survives its watchdog" `Quick
+            client_without_lifecycle_survives_watchdog;
         ] );
       ( "shim",
         [
