@@ -59,7 +59,7 @@ val run :
     [crash_plan] schedules endpoint process faults: each event crashes
     the named endpoint at its tick and restarts it [down_for] ticks
     later (see {!Crash_plan}). Raises [Invalid_argument] when the plan
-    is not empty and the protocol is not crash-tolerant. *)
+    is not empty and the protocol has no {!Protocol.lifecycle}. *)
 
 val pp_result : Format.formatter -> result -> unit
 
