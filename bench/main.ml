@@ -522,11 +522,13 @@ let check () =
     alloc_slope_budget;
   (* 3. the sharded fabric must hold its scale envelope at 100k flows:
      sustain the flows/sec floor and stay under the per-flow state
-     ceiling. Both bounds carry ~4x headroom over the reference
-     container (23k flows/sec, 3.6kB/flow), so scheduler noise cannot
-     trip them — only a real data-path regression can. *)
+     ceiling. The floor carries ~4x headroom over the reference
+     container (23k flows/sec), so scheduler noise cannot trip it. The
+     state figure is a deterministic [Gc] live-words delta (2.6 kB/flow
+     on the reference container), so its ceiling needs no noise
+     headroom: ~20% catches a flow that regains a per-slot timer. *)
   let scale_floor_fps = 5_000. in
-  let scale_state_ceiling = 8_192 in
+  let scale_state_ceiling = 3_072 in
   let flows, wall_s, r = scale_run ~jobs:1 100_000 in
   let fps = if wall_s > 0. then float_of_int flows /. wall_s else infinity in
   let b_per_flow = r.Ba_proto.Shard.state_bytes / max 1 flows in

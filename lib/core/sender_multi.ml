@@ -1,17 +1,30 @@
-(* Action 2′: one timer per outstanding message. Each band slot owns
-   one persistent {!Ba_sim.Engine.slot} whose expiry reads the sequence
-   number it is currently armed for from [tslot_seq], so arming a
-   retransmission timer allocates nothing. The adaptive timeout
-   (Karn/Jacobson) and the AIMD congestion window ride on these timers,
-   so they live here too. *)
+(* Action 2′: one timer per outstanding message. Each band slot keeps
+   its timer as an int key, [(deadline, stamp)], in two columns, and the
+   sender owns one {!Ba_sim.Engine.slot} that is always armed at the
+   earliest key. Arming a timer reserves the insertion stamp
+   ({!Ba_sim.Engine.take_stamp}) a per-message event would have taken,
+   so the one slot fires every expiry exactly where that event would
+   have fired, same-tick ties against every other event included. An
+   acknowledgment only clears a column; the band is rescanned for the
+   next earliest key only when the armed key is acknowledged or fires,
+   and a crash disarms the slot outright. An expiry names its band
+   slot, and the message it stands for is the one member of [na, ns)
+   in that slot. The adaptive timeout (Karn/Jacobson) and the AIMD
+   congestion window ride on these timers, so they live here too. *)
 module Timers = struct
   type t = {
     engine : Ba_sim.Engine.t;
     config : Config.t;
-    tslots : Ba_sim.Engine.slot array;  (* one persistent timer slot per band slot *)
-    tslot_seq : int array;  (* seq each slot is armed for, -1 when disarmed *)
-    sent_at : int array;  (* first-transmission time, for RTT sampling *)
-    resent : int array;  (* per-message retransmission count (Karn's rule + backoff) *)
+    deadline : int array;  (* expiry tick per band slot, [max_int] when disarmed *)
+    stamp : int array;  (* insertion stamp reserved when that slot was armed *)
+    slot : Ba_sim.Engine.slot;  (* the sender's one timer, armed at the earliest key *)
+    mutable armed : int;
+        (* band slot whose key [slot] is armed at; -1 when none, or when
+           an acknowledgment cleared that key and [slid] has yet to rescan *)
+    (* first-transmission time (RTT sampling) and per-message
+       retransmission count (Karn's rule + backoff): adaptive_rto only *)
+    sent_at : int array;
+    resent : int array;
     estimator : Rtt_estimator.t option;
     (* AIMD congestion window (dynamic_window mode): cwnd counts messages,
        ack_credit accumulates fractional additive increase. *)
@@ -19,9 +32,38 @@ module Timers = struct
     mutable ack_credit : int;
   }
 
+  let earlier t i j =
+    t.deadline.(i) < t.deadline.(j)
+    || (t.deadline.(i) = t.deadline.(j) && t.stamp.(i) < t.stamp.(j))
+
+  let arm_at t i =
+    t.armed <- i;
+    Ba_sim.Engine.slot_arm_keyed t.slot ~at:t.deadline.(i) ~stamp:t.stamp.(i)
+
+  (* Re-arm the one slot at the earliest armed key, or disarm it. *)
+  let rescan t =
+    let best = ref (-1) in
+    for i = 0 to Array.length t.deadline - 1 do
+      if t.deadline.(i) < max_int && (!best < 0 || earlier t i !best) then best := i
+    done;
+    if !best >= 0 then arm_at t !best
+    else begin
+      t.armed <- -1;
+      Ba_sim.Engine.slot_cancel t.slot
+    end
+
+  (* The slot fired, so its key is the earliest: clear it and arm the next
+     one before the expiry runs (and possibly re-arms this band slot). *)
+  let fire t expire =
+    let i = t.armed in
+    t.deadline.(i) <- max_int;
+    rescan t;
+    expire i
+
   let create engine config ~slots ~expire =
+    let adaptive = config.Config.adaptive_rto in
     let estimator =
-      if config.Config.adaptive_rto then begin
+      if adaptive then begin
         (* With a finite modulus the configured rto is the soundness floor
            (it encodes the channel-lifetime bound); unbounded wire numbers
            can chase the real round trip freely. *)
@@ -34,17 +76,24 @@ module Timers = struct
       end
       else None
     in
-    {
-      engine;
-      config;
-      tslots = Array.init slots (fun i -> Ba_sim.Engine.slot_create engine (fun () -> expire i));
-      tslot_seq = Array.make slots (-1);
-      sent_at = Array.make slots 0;
-      resent = Array.make slots 0;
-      estimator;
-      cwnd = 1;
-      ack_credit = 0;
-    }
+    let per_message = if adaptive then slots else 0 in
+    let rec t =
+      lazy
+        {
+          engine;
+          config;
+          deadline = Array.make slots max_int;
+          stamp = Array.make slots 0;
+          slot = Ba_sim.Engine.slot_create engine (fun () -> fire (Lazy.force t) expire);
+          armed = -1;
+          sent_at = Array.make per_message 0;
+          resent = Array.make per_message 0;
+          estimator;
+          cwnd = 1;
+          ack_credit = 0;
+        }
+    in
+    Lazy.force t
 
   let window t w = if t.config.Config.dynamic_window then min t.cwnd w else w
 
@@ -62,15 +111,25 @@ module Timers = struct
         let factor = 1 lsl min t.resent.(slot) 6 in
         min (base_rto t * factor) (60 * t.config.Config.rto)
 
-  let arm t ~slot ~seq ~fresh =
-    if fresh then begin
+  (* The core arms only a band slot whose key is clear: a fresh message
+     takes an acknowledged slot, and a retransmission follows its own
+     expiry. A fresh stamp orders after every armed one, so the new key
+     is the earliest only if its deadline is earlier. *)
+  let arm t ~slot ~seq:_ ~fresh =
+    let now = Ba_sim.Engine.now t.engine in
+    if fresh && t.estimator <> None then begin
       t.resent.(slot) <- 0;
-      t.sent_at.(slot) <- Ba_sim.Engine.now t.engine
+      t.sent_at.(slot) <- now
     end;
-    t.tslot_seq.(slot) <- seq;
-    Ba_sim.Engine.slot_arm t.tslots.(slot) ~delay:(rto_for t slot)
+    t.deadline.(slot) <- now + rto_for t slot;
+    t.stamp.(slot) <- Ba_sim.Engine.take_stamp t.engine;
+    if t.armed < 0 || earlier t slot t.armed then arm_at t slot
 
-  let due t slot ~na:_ = t.tslot_seq.(slot)
+  (* Band slots are distinct mod band over [na, ns), so the slot alone
+     names the message. *)
+  let due t slot ~na =
+    let band = Array.length t.deadline in
+    na + ((slot - (na mod band) + band) mod band)
 
   let resend t ~slot ~oldest =
     (* Multiplicative decrease on timeout. *)
@@ -86,10 +145,16 @@ module Timers = struct
        expires — w simultaneous per-message expiries must not compound
        into a 2^w backoff. The next genuine sample rebuilds the rto from
        srtt/rttvar as usual. *)
-    if oldest then Option.iter Rtt_estimator.backoff t.estimator;
-    t.resent.(slot) <- t.resent.(slot) + 1
+    match t.estimator with
+    | None -> ()
+    | Some e ->
+        if oldest then Rtt_estimator.backoff e;
+        t.resent.(slot) <- t.resent.(slot) + 1
 
-  let acked t ~slot ~seq =
+  (* Clearing the armed key leaves the slot armed at it until [slid],
+     which the core calls after every acknowledgment, rescans once for
+     the whole block. *)
+  let acked t ~slot ~seq:_ =
     (match t.estimator with
     | None -> ()
     | Some e ->
@@ -97,14 +162,13 @@ module Timers = struct
            unambiguous round-trip samples. *)
         if t.resent.(slot) = 0 then
           Rtt_estimator.observe e (Ba_sim.Engine.now t.engine - t.sent_at.(slot)));
-    if t.tslot_seq.(slot) = seq then begin
-      Ba_sim.Engine.slot_cancel t.tslots.(slot);
-      t.tslot_seq.(slot) <- -1
-    end
+    t.deadline.(slot) <- max_int;
+    if t.armed = slot then t.armed <- -1
 
   (* Additive increase: one extra message of window per cwnd acknowledged
      (i.e. +1 per round trip at saturation). *)
   let slid t ~outstanding:_ ~advanced =
+    if t.armed < 0 && Ba_sim.Engine.slot_armed t.slot then rescan t;
     if t.config.Config.dynamic_window && t.cwnd < t.config.Config.window then begin
       t.ack_credit <- t.ack_credit + advanced;
       if t.ack_credit >= t.cwnd then begin
@@ -114,8 +178,9 @@ module Timers = struct
     end
 
   let wipe t =
-    Array.iter Ba_sim.Engine.slot_cancel t.tslots;
-    Array.fill t.tslot_seq 0 (Array.length t.tslot_seq) (-1);
+    Ba_sim.Engine.slot_cancel t.slot;
+    t.armed <- -1;
+    Array.fill t.deadline 0 (Array.length t.deadline) max_int;
     Array.fill t.sent_at 0 (Array.length t.sent_at) 0;
     Array.fill t.resent 0 (Array.length t.resent) 0;
     Option.iter Rtt_estimator.reset t.estimator;

@@ -12,6 +12,15 @@
     message or of its acknowledgment is in transit. Everything but the
     timers is {!Sender_core}, shared with {!Sender}.
 
+    The per-message timers cost two ints each, not an event each: every
+    window slot keeps its deadline and the insertion stamp
+    ({!Ba_sim.Engine.take_stamp}) its own event would have had, and the
+    sender arms one {!Ba_sim.Engine.slot} at the earliest of them
+    ({!Ba_sim.Engine.slot_arm_keyed}). Expiries therefore fire at the same
+    ticks and in the same order, same-tick ties with every other event
+    included, as one event per message would; a sender has at most one
+    pending engine event, and none after {!crash}.
+
     {2 Section VI: aggressive reuse of acknowledged positions}
 
     The paper sketches a more complex sender that, when messages 3–5 are

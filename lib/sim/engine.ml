@@ -5,10 +5,12 @@ exception Stopped
    arena slot holding its callback (an [int -> unit] plus an int
    argument, so hot callers never build a closure per event) and a
    generation counter; the heap orders (time, stamp) pairs with plain
-   int comparisons — the stamp is a monotonically increasing push
+   int comparisons — the stamp is a monotonically increasing insertion
    counter, which is exactly the old stable heap's insertion-order
    tie-break, so same-tick events still fire in scheduling order and
-   every trace stays byte-identical.
+   every trace stays byte-identical. A stamp may be taken ahead of its
+   push ([take_stamp], [slot_arm_keyed]); it keeps its place in that
+   order all the same.
 
    Cancellation is generational: freeing a slot bumps its generation,
    so heap entries (and user-held handles) that recorded the old
@@ -173,13 +175,17 @@ let heap_grow t =
   Array.blit t.hp_gen 0 g 0 old;
   t.hp_gen <- g
 
-let heap_push t ~time ~slot ~gen =
+let take_stamp t =
+  let s = t.stamp in
+  t.stamp <- s + 1;
+  s
+
+let heap_push t ~time ~stamp ~slot ~gen =
   if t.hp_len = Array.length t.hp_time then heap_grow t;
   let i = t.hp_len in
   t.hp_len <- i + 1;
   t.hp_time.(i) <- time;
-  t.hp_stamp.(i) <- t.stamp;
-  t.stamp <- t.stamp + 1;
+  t.hp_stamp.(i) <- stamp;
   t.hp_slot.(i) <- slot;
   t.hp_gen.(i) <- gen;
   sift_up t i
@@ -198,17 +204,17 @@ let heap_pop_root t =
 
 (* ---- scheduling ---- *)
 
-let enqueue t ~at fn arg =
+let enqueue t ~at ~stamp fn arg =
   let idx = acquire t in
   t.ar_fn.(idx) <- fn;
   t.ar_arg.(idx) <- arg;
-  heap_push t ~time:at ~slot:idx ~gen:t.ar_gen.(idx);
+  heap_push t ~time:at ~stamp ~slot:idx ~gen:t.ar_gen.(idx);
   t.pending <- t.pending + 1;
   idx
 
 let schedule_at t ~at action =
   if at < t.clock then invalid_arg "Engine.schedule_at: time in the past";
-  let idx = enqueue t ~at (fun _ -> action ()) 0 in
+  let idx = enqueue t ~at ~stamp:(take_stamp t) (fun _ -> action ()) 0 in
   { h_owner = t; h_slot = idx; h_gen = t.ar_gen.(idx) }
 
 let schedule t ~delay action =
@@ -217,7 +223,7 @@ let schedule t ~delay action =
 
 let schedule_fn t ~delay fn arg =
   if delay < 0 then invalid_arg "Engine.schedule_fn: negative delay";
-  ignore (enqueue t ~at:(t.clock + delay) fn arg)
+  ignore (enqueue t ~at:(t.clock + delay) ~stamp:(take_stamp t) fn arg)
 
 (* ---- cancellation ---- *)
 
@@ -278,13 +284,21 @@ let slot_cancel s =
     s.s_idx <- -1
   end
 
+(* A keyed arming takes the heap position of an event scheduled when
+   [stamp] was taken: among events of tick [at] it fires exactly where
+   that event would have. *)
+let slot_arm_keyed s ~at ~stamp =
+  let t = s.s_owner in
+  if at < t.clock then invalid_arg "Engine.slot_arm_keyed: time in the past";
+  if stamp < 0 || stamp >= t.stamp then invalid_arg "Engine.slot_arm_keyed: stamp not taken";
+  if s.s_idx >= 0 then cancel_slot t s.s_idx;
+  s.s_idx <- enqueue t ~at ~stamp s.s_fire 0;
+  s.s_expiry <- at
+
 let slot_arm s ~delay =
   if delay < 0 then invalid_arg "Engine.slot_arm: negative delay";
   let t = s.s_owner in
-  if s.s_idx >= 0 then cancel_slot t s.s_idx;
-  let at = t.clock + delay in
-  s.s_idx <- enqueue t ~at s.s_fire 0;
-  s.s_expiry <- at
+  slot_arm_keyed s ~at:(t.clock + delay) ~stamp:(take_stamp t)
 
 let slot_armed s = s.s_idx >= 0
 let slot_expiry s = s.s_expiry

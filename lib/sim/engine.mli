@@ -58,7 +58,25 @@ val slot_create : t -> (unit -> unit) -> slot
 
 val slot_arm : slot -> delay:int -> unit
 (** Arm (or re-arm, cancelling the previous arming) to fire [delay]
-    ticks from now. Requires [delay >= 0]. Allocation-free. *)
+    ticks from now: {!slot_arm_keyed} with a fresh {!take_stamp}.
+    Requires [delay >= 0]. Allocation-free. *)
+
+val take_stamp : t -> int
+(** Reserve the insertion stamp the next scheduled event would take:
+    the same-tick tie-break that makes events of one tick fire in
+    scheduling order. The stamp is consumed whether or not an event is
+    ever armed with it, so later events keep the order they would have
+    had. *)
+
+val slot_arm_keyed : slot -> at:int -> stamp:int -> unit
+(** Arm (or re-arm) to fire at tick [at] with a stamp from
+    {!take_stamp}, in place of a fresh one. The slot then fires exactly
+    where an event scheduled for [at] at the moment [stamp] was taken
+    would have, before or after every other event of that tick. This
+    lets one slot stand for many logical timers: keep each timer's
+    [(at, stamp)] key and arm the slot at the earliest. Raises
+    [Invalid_argument] when [at < now t] or [stamp] was never taken.
+    Allocation-free. *)
 
 val slot_cancel : slot -> unit
 (** Disarm; no-op when not armed. *)

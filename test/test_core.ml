@@ -534,6 +534,32 @@ let test_multi_done_only_when_exhausted_and_acked () =
   Blockack.Sender_multi.on_ack s (Wire.make_ack ~lo:(4) ~hi:(5));
   check Alcotest.bool "done after final ack" true (Blockack.Sender_multi.is_done s)
 
+(* Action 2′ runs on one engine slot per sender: the whole window's
+   timers are a single pending event, their same-tick expiries resend in
+   sequence order, and a crash leaves nothing scheduled. *)
+let test_multi_one_timer_event () =
+  let p = make_pipe () in
+  let sent = Queue.create () in
+  let s =
+    Blockack.Sender_multi.create p.engine config_w4
+      ~tx:(fun d -> Queue.add (Engine.now p.engine, d.Wire.seq) sent)
+      ~next_payload:(payloads 4)
+  in
+  Blockack.Sender_multi.pump s;
+  check Alcotest.int "four outstanding" 4 (Blockack.Sender_multi.outstanding s);
+  check Alcotest.int "one timer event for the window" 1 (Engine.pending_events p.engine);
+  Queue.clear sent;
+  (* The block ack is lost: all four expire on tick 100. *)
+  Engine.run ~until:100 p.engine;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    "same-tick expiries resend in seq order"
+    [ (100, 0); (100, 1); (100, 2); (100, 3) ]
+    (drain sent);
+  check Alcotest.int "still one timer event" 1 (Engine.pending_events p.engine);
+  Blockack.Sender_multi.crash s;
+  check Alcotest.int "crash leaves no timer event" 0 (Engine.pending_events p.engine)
+
 (* ------------------------------------------------------------------ *)
 (* Wire checksums and corruption handling *)
 
@@ -885,6 +911,7 @@ let () =
             test_multi_lost_block_ack_recovery_is_burst;
           Alcotest.test_case "ack stops timer" `Quick test_multi_ack_stops_timer;
           Alcotest.test_case "done condition" `Quick test_multi_done_only_when_exhausted_and_acked;
+          Alcotest.test_case "one timer event per sender" `Quick test_multi_one_timer_event;
         ] );
       ( "wire",
         [

@@ -311,6 +311,141 @@ let test_timer_rearm_in_callback () =
   check Alcotest.int "periodic rearm" 3 !count;
   check Alcotest.int "final time" 30 (Engine.now e)
 
+(* ------------------------------------------------------------------ *)
+(* Keyed slots: one slot standing for many logical timers *)
+
+type timer_op =
+  | Arm of int * int  (* timer, delay *)
+  | Cancel of int
+  | Other of int  (* an unrelated [schedule_fn] event, delay *)
+
+(* A script runs [ops] from one scheduled event at each listed tick. A firing
+   timer [i] re-arms itself once, after [rearm.(i)] ticks, when that is
+   non-negative. *)
+type script = { k : int; rearm : int array; steps : (int * timer_op list) list }
+
+let pp_op = function
+  | Arm (i, d) -> Printf.sprintf "arm %d +%d" i d
+  | Cancel i -> Printf.sprintf "cancel %d" i
+  | Other d -> Printf.sprintf "other +%d" d
+
+let pp_script s =
+  Printf.sprintf "k=%d rearm=[%s] %s" s.k
+    (String.concat ";" (Array.to_list (Array.map string_of_int s.rearm)))
+    (String.concat " | "
+       (List.map
+          (fun (tick, ops) -> Printf.sprintf "@%d: %s" tick (String.concat ", " (List.map pp_op ops)))
+          s.steps))
+
+let gen_script =
+  let open QCheck.Gen in
+  int_range 1 5 >>= fun k ->
+  let op =
+    frequency
+      [
+        (4, map2 (fun i d -> Arm (i, d)) (int_bound (k - 1)) (int_bound 6));
+        (2, map (fun i -> Cancel i) (int_bound (k - 1)));
+        (3, map (fun d -> Other d) (int_bound 6));
+      ]
+  in
+  map2
+    (fun rearm steps -> { k; rearm; steps })
+    (array_repeat k (int_range (-1) 4))
+    (list_size (int_range 1 8) (pair (int_bound 12) (list_size (int_range 1 4) op)))
+
+(* Drive a script through a timer implementation and log what fires, in
+   order, as (tick, label): label [i] is timer [i], [-1 - j] is the [j]th
+   unrelated event. *)
+let run_script s ~make =
+  let e = Engine.create () in
+  let log = ref [] in
+  let rearmed = Array.make s.k false in
+  let arm_ref = ref (fun (_ : int) (_ : int) -> ()) in
+  let on_fire i =
+    log := (Engine.now e, i) :: !log;
+    if s.rearm.(i) >= 0 && not rearmed.(i) then begin
+      rearmed.(i) <- true;
+      !arm_ref i s.rearm.(i)
+    end
+  in
+  let arm, cancel = make e s.k on_fire in
+  arm_ref := arm;
+  let others = ref 0 in
+  let other j = log := (Engine.now e, -1 - j) :: !log in
+  let run_op = function
+    | Arm (i, d) -> arm i d
+    | Cancel i -> cancel i
+    | Other d ->
+        Engine.schedule_fn e ~delay:d other !others;
+        incr others
+  in
+  List.iter
+    (fun (tick, ops) -> ignore (Engine.schedule_at e ~at:tick (fun () -> List.iter run_op ops)))
+    s.steps;
+  Engine.run e;
+  List.rev !log
+
+(* One plain slot per timer. *)
+let plain_timers e k on_fire =
+  let slots = Array.init k (fun i -> Engine.slot_create e (fun () -> on_fire i)) in
+  ((fun i d -> Engine.slot_arm slots.(i) ~delay:d), fun i -> Engine.slot_cancel slots.(i))
+
+(* One keyed slot over per-timer (deadline, stamp) columns, re-armed at
+   the earliest key after every change. *)
+let keyed_timers e k on_fire =
+  let deadline = Array.make k max_int in
+  let stamp = Array.make k 0 in
+  let armed = ref (-1) in
+  let slot_ref = ref None in
+  let slot () = Option.get !slot_ref in
+  let rescan () =
+    armed := -1;
+    for i = 0 to k - 1 do
+      if
+        deadline.(i) < max_int
+        && (!armed < 0
+           || deadline.(i) < deadline.(!armed)
+           || (deadline.(i) = deadline.(!armed) && stamp.(i) < stamp.(!armed)))
+      then armed := i
+    done;
+    if !armed < 0 then Engine.slot_cancel (slot ())
+    else Engine.slot_arm_keyed (slot ()) ~at:deadline.(!armed) ~stamp:stamp.(!armed)
+  in
+  slot_ref :=
+    Some
+      (Engine.slot_create e (fun () ->
+           let i = !armed in
+           deadline.(i) <- max_int;
+           rescan ();
+           on_fire i));
+  let arm i d =
+    deadline.(i) <- Engine.now e + d;
+    stamp.(i) <- Engine.take_stamp e;
+    rescan ()
+  in
+  let cancel i =
+    deadline.(i) <- max_int;
+    rescan ()
+  in
+  (arm, cancel)
+
+let prop_keyed_slot_equals_plain_slots =
+  QCheck.Test.make ~count:500 ~name:"one keyed slot fires like k plain slots"
+    (QCheck.make ~print:pp_script gen_script)
+    (fun s -> run_script s ~make:plain_timers = run_script s ~make:keyed_timers)
+
+let test_keyed_arm_rejects_past () =
+  let e = Engine.create () in
+  let slot = Engine.slot_create e (fun () -> ()) in
+  ignore (Engine.schedule e ~delay:10 (fun () -> ()));
+  Engine.run e;
+  let stamp = Engine.take_stamp e in
+  Alcotest.check_raises "past tick" (Invalid_argument "Engine.slot_arm_keyed: time in the past")
+    (fun () -> Engine.slot_arm_keyed slot ~at:5 ~stamp);
+  check Alcotest.bool "still disarmed" false (Engine.slot_armed slot);
+  Engine.slot_arm_keyed slot ~at:10 ~stamp;
+  check Alcotest.bool "current tick accepted" true (Engine.slot_armed slot)
+
 let () =
   Alcotest.run "ba_sim"
     [
@@ -335,6 +470,11 @@ let () =
           Alcotest.test_case "step skips cancelled heads" `Quick
             test_engine_step_skips_cancelled_heads;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
+        ] );
+      ( "keyed slot",
+        [
+          QCheck_alcotest.to_alcotest prop_keyed_slot_equals_plain_slots;
+          Alcotest.test_case "past tick rejected" `Quick test_keyed_arm_rejects_past;
         ] );
       ( "timer",
         [
