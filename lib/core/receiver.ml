@@ -6,6 +6,7 @@
    old [Ring_buffer] whose every [set] allocated a [Full] box. *)
 
 type t = {
+  engine : Ba_sim.Engine.t;
   config : Config.t;
   codec : Seqcodec.t;
   tx : Ba_proto.Wire.ack -> unit;
@@ -13,8 +14,10 @@ type t = {
   buf_payload : string array;
   buf_seq : int array;
   mutable buf_occ : int;
-  ack_timer : Ba_sim.Timer.t;
-  sync_timer : Ba_sim.Timer.t;  (* POS retry while awaiting the sender's FIN *)
+  (* Built on first use (see [ack_timer] and [sync_timer] below): a flow
+     that never coalesces and never restarts never needs them. *)
+  mutable ack_timer : Ba_sim.Timer.t option;
+  mutable sync_timer : Ba_sim.Timer.t option;  (* POS retry while awaiting the sender's FIN *)
   mutable nr : int;
   mutable vr : int;
   mutable alive : bool;
@@ -62,15 +65,26 @@ let send_ack t ~lo ~hi =
    our own restart — the receiver is the position authority, so its
    restart skips REQ. Not counted in [acks_sent]: that is the paper's
    acknowledgment-economy metric and resync frames are not acks. *)
-let send_pos t =
+let rec send_pos t =
   t.resync_rounds <- t.resync_rounds + 1;
   t.tx (Ba_proto.Wire.make_sync_pos ~epoch:t.epoch ~pos:t.nr);
-  if t.syncing then Ba_sim.Timer.start t.sync_timer
+  if t.syncing then Ba_sim.Timer.start (sync_timer t)
+
+and sync_timer t =
+  match t.sync_timer with
+  | Some timer -> timer
+  | None ->
+      let timer =
+        Ba_sim.Timer.create t.engine ~duration:t.config.Config.rto (fun () ->
+            if t.alive && t.syncing then send_pos t)
+      in
+      t.sync_timer <- Some timer;
+      timer
 
 (* Action 5: acknowledge the run [nr, vr) in one block and hand its
    payloads to the application in order. *)
 let flush t =
-  Ba_sim.Timer.stop t.ack_timer;
+  Option.iter Ba_sim.Timer.stop t.ack_timer;
   if t.nr < t.vr then begin
     send_ack t ~lo:t.nr ~hi:(t.vr - 1);
     while t.nr < t.vr do
@@ -85,42 +99,43 @@ let flush t =
     done
   end
 
+let ack_timer t =
+  match t.ack_timer with
+  | Some timer -> timer
+  | None ->
+      let timer =
+        Ba_sim.Timer.create t.engine ~duration:t.config.Config.ack_coalesce (fun () -> flush t)
+      in
+      t.ack_timer <- Some timer;
+      timer
+
 let create engine config ~tx ~deliver =
   Config.validate config;
-  let codec = Seqcodec.create ~window:config.Config.window ~wire_modulus:config.Config.wire_modulus in
-  let rec t =
-    lazy
-      {
-        config;
-        codec;
-        tx;
-        deliver;
-        buf_payload = Array.make config.Config.window "";
-        buf_seq = Array.make config.Config.window (-1);
-        buf_occ = 0;
-        ack_timer =
-          Ba_sim.Timer.create engine ~duration:config.Config.ack_coalesce (fun () ->
-              flush (Lazy.force t));
-        sync_timer =
-          Ba_sim.Timer.create engine ~duration:config.Config.rto (fun () ->
-              let t = Lazy.force t in
-              if t.alive && t.syncing then send_pos t);
-        nr = 0;
-        vr = 0;
-        alive = true;
-        epoch = 0;
-        syncing = false;
-        acks_sent = 0;
-        dup_acks_sent = 0;
-        corrupt_dropped = 0;
-        pressure_dropped = 0;
-        pressure_evicted = 0;
-        stale_epoch_dropped = 0;
-        resync_rounds = 0;
-        restarts = 0;
-      }
-  in
-  Lazy.force t
+  {
+    engine;
+    config;
+    codec = Seqcodec.create ~window:config.Config.window ~wire_modulus:config.Config.wire_modulus;
+    tx;
+    deliver;
+    buf_payload = Array.make config.Config.window "";
+    buf_seq = Array.make config.Config.window (-1);
+    buf_occ = 0;
+    ack_timer = None;
+    sync_timer = None;
+    nr = 0;
+    vr = 0;
+    alive = true;
+    epoch = 0;
+    syncing = false;
+    acks_sent = 0;
+    dup_acks_sent = 0;
+    corrupt_dropped = 0;
+    pressure_dropped = 0;
+    pressure_evicted = 0;
+    stale_epoch_dropped = 0;
+    resync_rounds = 0;
+    restarts = 0;
+  }
 
 (* The sender restarted into a later incarnation (we learn it from any
    frame carrying a higher epoch): adopt the epoch and discard the
@@ -130,12 +145,12 @@ let adopt_epoch t e =
   t.epoch <- e;
   t.vr <- t.nr;
   buf_clear t;
-  Ba_sim.Timer.stop t.ack_timer
+  Option.iter Ba_sim.Timer.stop t.ack_timer
 
 let stop_syncing t =
   if t.syncing then begin
     t.syncing <- false;
-    Ba_sim.Timer.stop t.sync_timer
+    Option.iter Ba_sim.Timer.stop t.sync_timer
   end
 
 (* Budget admission (Jain, DEC-TR-342). Only the out-of-order slots
@@ -225,7 +240,10 @@ let on_data t d =
             done;
             if t.nr < t.vr then begin
               if t.config.Config.ack_coalesce = 0 then flush t
-              else if not (Ba_sim.Timer.is_armed t.ack_timer) then Ba_sim.Timer.start t.ack_timer
+              else begin
+                let timer = ack_timer t in
+                if not (Ba_sim.Timer.is_armed timer) then Ba_sim.Timer.start timer
+              end
             end
           end
           (* v >= nr + w cannot come from a conforming sender; drop defensively. *)
@@ -241,8 +259,8 @@ let crash t =
   if t.alive then begin
     t.alive <- false;
     t.syncing <- false;
-    Ba_sim.Timer.stop t.ack_timer;
-    Ba_sim.Timer.stop t.sync_timer;
+    Option.iter Ba_sim.Timer.stop t.ack_timer;
+    Option.iter Ba_sim.Timer.stop t.sync_timer;
     buf_clear t;
     t.vr <- t.nr
   end

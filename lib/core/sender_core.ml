@@ -151,6 +151,7 @@ module Make (P : TIMERS) : sig
   val timers : t -> P.t
 end = struct
   type t = {
+    engine : Ba_sim.Engine.t;
     config : Config.t;
     codec : Seqcodec.t;
     tx : Ba_proto.Wire.data -> unit;
@@ -158,8 +159,10 @@ end = struct
     payloads : string array;  (* payloads of [na, ns), at [seq mod band] *)
     acked_seq : int array;  (* seq when that seq is acked out of order, -1 otherwise *)
     timers : P.t;
-    sync_timer : Ba_sim.Timer.t;  (* REQ retry while awaiting the receiver's POS *)
-    guard : Window_guard.t;
+    (* Built on first use: a flow that never restarts and never
+       retransmits under a wire modulus never needs them. *)
+    mutable sync_timer : Ba_sim.Timer.t option;  (* REQ retry while awaiting the receiver's POS *)
+    mutable guard : Window_guard.t option;  (* none until the first held retransmission *)
     mutable na : int;
     mutable ns : int;
     mutable unacked : int;  (* members of [na, ns) not yet acknowledged *)
@@ -207,24 +210,32 @@ end = struct
     let e = effective_window t in
     if running t && t.unacked < e && outstanding t < e + band t - t.config.Config.window
     then begin
-      if t.ns >= Window_guard.frontier t.guard then
-        (* A retransmitted copy may still be in flight; sending past its
-           decode window would risk mis-reconstruction at the receiver. *)
-        Window_guard.when_blocked t.guard (fun () -> pump t)
-      else begin
-        match Ba_proto.Source.next t.source with
-        | None -> ()
-        | Some payload ->
-            let seq = t.ns in
-            let i = slot_of t seq in
-            t.payloads.(i) <- payload;
-            t.acked_seq.(i) <- -1;
-            t.ns <- t.ns + 1;
-            t.unacked <- t.unacked + 1;
-            transmit t seq ~fresh:true;
-            pump t
-      end
+      match t.guard with
+      | Some g when t.ns >= Window_guard.frontier g ->
+          (* A retransmitted copy may still be in flight; sending past its
+             decode window would risk mis-reconstruction at the receiver. *)
+          Window_guard.when_blocked g (fun () -> pump t)
+      | Some _ | None -> (
+          match Ba_proto.Source.next t.source with
+          | None -> ()
+          | Some payload ->
+              let seq = t.ns in
+              let i = slot_of t seq in
+              t.payloads.(i) <- payload;
+              t.acked_seq.(i) <- -1;
+              t.ns <- t.ns + 1;
+              t.unacked <- t.unacked + 1;
+              transmit t seq ~fresh:true;
+              pump t)
     end
+
+  let guard t =
+    match t.guard with
+    | Some g -> g
+    | None ->
+        let g = Window_guard.create t.engine in
+        t.guard <- Some g;
+        g
 
   let is_done t = running t && outstanding t = 0 && Ba_proto.Source.exhausted t.source
 
@@ -238,7 +249,7 @@ end = struct
       P.resend t.timers ~slot:(slot_of t seq) ~oldest:(seq = t.na);
       (* With unbounded wire numbers decode is exact and no hold is needed. *)
       if t.config.Config.wire_modulus <> None then
-        Window_guard.note_retransmission t.guard ~seq ~window:(band t)
+        Window_guard.note_retransmission (guard t) ~seq ~window:(band t)
           ~hold_for:(Config.hold_duration t.config);
       transmit t seq ~fresh:false
     end
@@ -246,10 +257,21 @@ end = struct
   (* Handshake message 1 (REQ): a restarted sender has no idea how much of
      its outbox the receiver already delivered; ask. Retried on a timer
      until POS arrives. *)
-  let send_req t =
+  let rec send_req t =
     t.resync_rounds <- t.resync_rounds + 1;
     t.tx (Ba_proto.Wire.make_sync_req ~epoch:t.epoch);
-    Ba_sim.Timer.start t.sync_timer
+    Ba_sim.Timer.start (sync_timer t)
+
+  and sync_timer t =
+    match t.sync_timer with
+    | Some timer -> timer
+    | None ->
+        let timer =
+          Ba_sim.Timer.create t.engine ~duration:t.config.Config.rto (fun () ->
+              if t.alive && t.syncing then send_req t)
+        in
+        t.sync_timer <- Some timer;
+        timer
 
   let send_fin t =
     t.resync_rounds <- t.resync_rounds + 1;
@@ -272,6 +294,7 @@ end = struct
     let rec t =
       lazy
         {
+          engine;
           config;
           codec = Seqcodec.create ~window:band ~wire_modulus:config.Config.wire_modulus;
           tx;
@@ -280,11 +303,8 @@ end = struct
           acked_seq = Array.make band (-1);
           timers =
             P.create engine config ~slots:band ~expire:(fun k -> on_timeout (Lazy.force t) k);
-          sync_timer =
-            Ba_sim.Timer.create engine ~duration:config.Config.rto (fun () ->
-                let t = Lazy.force t in
-                if t.alive && t.syncing then send_req t);
-          guard = Window_guard.create engine;
+          sync_timer = None;
+          guard = None;
           na = 0;
           ns = 0;
           unacked = 0;
@@ -308,10 +328,10 @@ end = struct
      retains issued payloads for replay). *)
   let wipe_volatile t =
     P.wipe t.timers;
-    Ba_sim.Timer.stop t.sync_timer;
+    Option.iter Ba_sim.Timer.stop t.sync_timer;
     Array.fill t.payloads 0 (Array.length t.payloads) "";
     Array.fill t.acked_seq 0 (Array.length t.acked_seq) (-1);
-    Window_guard.clear t.guard;
+    Option.iter Window_guard.clear t.guard;
     t.na <- 0;
     t.ns <- 0;
     t.unacked <- 0
@@ -331,7 +351,7 @@ end = struct
     t.ns <- pos;
     t.unacked <- 0;
     t.syncing <- false;
-    Ba_sim.Timer.stop t.sync_timer
+    Option.iter Ba_sim.Timer.stop t.sync_timer
 
   let restart t =
     if not t.alive then begin

@@ -15,11 +15,18 @@ type t = {
   mutable retry_armed : bool;
 }
 
-(* The arrays start empty: a sender without a wire modulus never holds,
-   and the rest allocate on their first retransmission. *)
+(* A sender builds its guard on its first held retransmission, so the
+   arrays are sized for use from the start. *)
 let initial_cap = 8
 
-let create engine = { engine; caps = [||]; expiries = [||]; len = 0; retry_armed = false }
+let create engine =
+  {
+    engine;
+    caps = Array.make initial_cap 0;
+    expiries = Array.make initial_cap 0;
+    len = 0;
+    retry_armed = false;
+  }
 
 (* Crash–restart support: holds protect in-flight copies of the dead
    incarnation, whose frames the restarted world rejects by epoch, so
@@ -46,7 +53,7 @@ let prune t = prune_from t (Ba_sim.Engine.now t.engine) 0 0
 let note_retransmission t ~seq ~window ~hold_for =
   prune t;
   if t.len = Array.length t.caps then begin
-    let cap = max initial_cap (2 * t.len) in
+    let cap = 2 * t.len in
     let caps = Array.make cap 0 in
     Array.blit t.caps 0 caps 0 t.len;
     t.caps <- caps;

@@ -56,22 +56,17 @@ let ack_kind_tag = function Ack -> 0 | Sync_pos -> 1
 
 let byte s i = Char.code (String.unsafe_get s i)
 
+let low56 = (1 lsl 56) - 1
+
 (* Fold [s.[i .. n-1]] in 7-byte little-endian chunks; the final short
    chunk folds however many bytes remain (its length is implied by the
-   position, which the header fold has already bound). *)
+   position, which the header fold has already bound). A chunk is one
+   8-byte load masked to its low 7 bytes, so it needs a byte past its
+   end: a last chunk of exactly 7 bytes goes through [fnv_tail], which
+   builds the same word byte by byte. *)
 let rec fnv_bytes h s i n =
-  if i + 7 <= n then begin
-    let w =
-      byte s i
-      lor (byte s (i + 1) lsl 8)
-      lor (byte s (i + 2) lsl 16)
-      lor (byte s (i + 3) lsl 24)
-      lor (byte s (i + 4) lsl 32)
-      lor (byte s (i + 5) lsl 40)
-      lor (byte s (i + 6) lsl 48)
-    in
-    fnv_bytes (fnv_word h w) s (i + 7) n
-  end
+  if i + 8 <= n then
+    fnv_bytes (fnv_word h (Int64.to_int (String.get_int64_le s i) land low56)) s (i + 7) n
   else if i >= n then h
   else fnv_word h (fnv_tail 0 0 s i n)
 

@@ -561,7 +561,164 @@ let test_multi_one_timer_event () =
   check Alcotest.int "crash leaves no timer event" 0 (Engine.pending_events p.engine)
 
 (* ------------------------------------------------------------------ *)
+(* Resync handshake retry timing *)
+
+(* A sender and a receiver on a hand-stepped link of 10 ticks each way
+   that drops the first two handshake frames (REQ, POS or FIN). Every
+   frame put on the link is logged with its send tick and kind. *)
+type joined = {
+  j_engine : Engine.t;
+  j_sender : Blockack.Sender_multi.t;
+  j_receiver : Blockack.Receiver.t;
+  j_log : (int * string) Queue.t;
+}
+
+let join ~messages =
+  let engine = Engine.create () in
+  let log = Queue.create () in
+  let dropped = ref 0 in
+  let link kind deliver =
+    Queue.add (Engine.now engine, kind) log;
+    if kind <> "data" && kind <> "ack" && !dropped < 2 then incr dropped
+    else ignore (Engine.schedule engine ~delay:10 deliver)
+  in
+  let sender = ref None in
+  let receiver =
+    Blockack.Receiver.create engine config_w4
+      ~tx:(fun a ->
+        let kind = match a.Wire.akind with Wire.Ack -> "ack" | Wire.Sync_pos -> "pos" in
+        link kind (fun () -> Option.iter (fun s -> Blockack.Sender_multi.on_ack s a) !sender))
+      ~deliver:ignore
+  in
+  let s =
+    Blockack.Sender_multi.create engine config_w4
+      ~tx:(fun d ->
+        let kind =
+          match d.Wire.dkind with Wire.Msg -> "data" | Wire.Sync_req -> "req" | Wire.Sync_fin -> "fin"
+        in
+        link kind (fun () -> Blockack.Receiver.on_data receiver d))
+      ~next_payload:(payloads messages)
+  in
+  sender := Some s;
+  { j_engine = engine; j_sender = s; j_receiver = receiver; j_log = log }
+
+(* Transfer [messages] cleanly, then let the link go quiet until tick 500. *)
+let joined_at_500 ~messages =
+  let j = join ~messages in
+  Blockack.Sender_multi.pump j.j_sender;
+  Engine.run ~until:500 j.j_engine;
+  check Alcotest.bool "transfer done" true (Blockack.Sender_multi.is_done j.j_sender);
+  Queue.clear j.j_log;
+  j
+
+let handshake_log j = List.filter (fun (_, kind) -> kind <> "data" && kind <> "ack") (drain j.j_log)
+let frames_t = Alcotest.(list (pair int string))
+
+(* A restarted receiver announces POS at t, t+rto and t+2rto (the first
+   two are lost), and falls silent once the sender's FIN arrives. *)
+let test_handshake_receiver_retries_pos () =
+  let j = joined_at_500 ~messages:4 in
+  Blockack.Receiver.crash j.j_receiver;
+  Blockack.Receiver.restart j.j_receiver;
+  Engine.run ~until:5_000 j.j_engine;
+  check frames_t "POS every rto until FIN"
+    [ (500, "pos"); (600, "pos"); (700, "pos"); (710, "fin") ]
+    (handshake_log j);
+  check Alcotest.bool "receiver stopped syncing" false (Blockack.Receiver.syncing j.j_receiver);
+  check Alcotest.int "nothing left scheduled" 0 (Engine.pending_events j.j_engine)
+
+(* A restarted sender asks with REQ at t, t+rto and t+2rto (the first
+   two are lost) and stops asking once POS arrives. *)
+let test_handshake_sender_retries_req () =
+  let j = joined_at_500 ~messages:4 in
+  Blockack.Sender_multi.crash j.j_sender;
+  Blockack.Sender_multi.restart j.j_sender;
+  Engine.run ~until:5_000 j.j_engine;
+  check frames_t "REQ every rto until POS"
+    [ (500, "req"); (600, "req"); (700, "req"); (710, "pos"); (720, "fin") ]
+    (handshake_log j);
+  check Alcotest.bool "sender stopped syncing" false (Blockack.Sender_multi.syncing j.j_sender);
+  check Alcotest.int "resumed at the receiver's position" 4 (Blockack.Sender_multi.na j.j_sender);
+  check Alcotest.int "nothing left scheduled" 0 (Engine.pending_events j.j_engine)
+
+(* A crash before any handshake has no retry timer to stop: it neither
+   schedules nor cancels an event. *)
+let test_handshake_crash_before_any () =
+  let j = join ~messages:4 in
+  let pending = Engine.pending_events j.j_engine in
+  Blockack.Sender_multi.crash j.j_sender;
+  check Alcotest.int "idle sender crash" pending (Engine.pending_events j.j_engine);
+  let j = join ~messages:4 in
+  Blockack.Sender_multi.pump j.j_sender;
+  let pending = Engine.pending_events j.j_engine in
+  Blockack.Receiver.crash j.j_receiver;
+  check Alcotest.int "receiver crash with data in flight" pending
+    (Engine.pending_events j.j_engine)
+
+(* ------------------------------------------------------------------ *)
+(* Per-endpoint footprint *)
+
+(* Bytes each of [n] endpoints built by [make] keeps live, from [Gc] live
+   words across two full collections — the way [Shard] measures a flow. *)
+let live_bytes_per ~n make =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let kept = Array.init n (fun _ -> make ()) in
+  let after = live () in
+  ignore (Sys.opaque_identity kept);
+  (after - before) * (Sys.word_size / 8) / n
+
+(* Idle endpoints carry only their windows: the retry and coalescing
+   timers and the window guard are built on first use. *)
+let test_endpoint_footprint () =
+  let engine = Engine.create () in
+  let config = Config.make ~window:8 ~wire_modulus:(Some 16) ~ack_coalesce:0 () in
+  let none () = None in
+  let receiver =
+    live_bytes_per ~n:20_000 (fun () ->
+        Blockack.Receiver.create engine config ~tx:ignore ~deliver:ignore)
+  in
+  let sender =
+    live_bytes_per ~n:20_000 (fun () ->
+        Blockack.Sender_multi.create engine config ~tx:ignore ~next_payload:none)
+  in
+  if receiver > 400 then Alcotest.failf "receiver keeps %d B, want <= 400" receiver;
+  if sender > 900 then Alcotest.failf "Sender_multi keeps %d B, want <= 900" sender
+
+(* ------------------------------------------------------------------ *)
 (* Wire checksums and corruption handling *)
+
+(* The frame checksum folded a byte at a time: [seq], then the payload
+   in 7-byte little-endian chunks, each built from single byte loads. *)
+let reference_checksum ~seq payload =
+  let step h w = (h lxor w) * 0x100000001b3 land max_int in
+  let n = String.length payload in
+  let h = ref (step 0x3bf29ce484222325 (seq land max_int)) in
+  let i = ref 0 in
+  while !i < n do
+    let w = ref 0 in
+    for k = 0 to min 7 (n - !i) - 1 do
+      w := !w lor (Char.code payload.[!i + k] lsl (8 * k))
+    done;
+    h := step !h !w;
+    i := !i + 7
+  done;
+  !h
+
+let prop_checksum_matches_bytewise =
+  QCheck.Test.make ~name:"data checksum equals the byte-wise fold" ~count:1000
+    QCheck.(pair (int_bound 1_000_000) (string_of_size (Gen.int_range 0 700)))
+    (fun (seq, payload) ->
+      Wire.data_checksum ~seq ~payload ~epoch:0 ~dkind:Wire.Msg = reference_checksum ~seq payload)
+
+let test_wire_checksum_allocation () =
+  let payload = Ba_proto.Workload.payload ~seed:4 ~size:512 17 in
+  check Alcotest.int "checksum allocates nothing" 0
+    (minor_words (fun () ->
+         ignore (Sys.opaque_identity (Wire.data_checksum ~seq:3 ~payload ~epoch:0 ~dkind:Wire.Msg))))
 
 let test_wire_checksum_roundtrip () =
   let d = Wire.make_data ~seq:5 ~payload:"hello" in
@@ -913,9 +1070,20 @@ let () =
           Alcotest.test_case "done condition" `Quick test_multi_done_only_when_exhausted_and_acked;
           Alcotest.test_case "one timer event per sender" `Quick test_multi_one_timer_event;
         ] );
+      ( "handshake",
+        [
+          Alcotest.test_case "receiver retries POS every rto" `Quick
+            test_handshake_receiver_retries_pos;
+          Alcotest.test_case "sender retries REQ every rto" `Quick
+            test_handshake_sender_retries_req;
+          Alcotest.test_case "crash before any handshake" `Quick test_handshake_crash_before_any;
+        ] );
+      ( "footprint", [ Alcotest.test_case "idle endpoints" `Quick test_endpoint_footprint ] );
       ( "wire",
         [
           Alcotest.test_case "checksum roundtrip" `Quick test_wire_checksum_roundtrip;
+          qcheck prop_checksum_matches_bytewise;
+          Alcotest.test_case "checksum allocates nothing" `Quick test_wire_checksum_allocation;
           Alcotest.test_case "corruption detected" `Quick test_wire_corruption_detected;
           Alcotest.test_case "receiver drops corrupt data" `Quick test_receiver_drops_corrupt_data;
           Alcotest.test_case "sender drops corrupt ack" `Quick test_sender_drops_corrupt_ack;
