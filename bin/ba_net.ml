@@ -112,7 +112,9 @@ let run_sweep ~counts ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs =
    leases reconciled at epoch barriers. Everything deterministic goes to
    stdout — the summary is byte-identical at any --jobs and any --shards
    (cram-proven) — while wall-clock figures (flows/sec, heap bytes per
-   flow), which vary by machine, go to stderr. *)
+   flow), which vary by machine, go to stderr. An unsafe run also prints
+   the seed and its first unsafe cell: the replay key of a cell, which is
+   a deterministic sub-simulation. *)
 let run_scale ~flows ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs ~shards ~cell
     ~barrier =
   let protos =
@@ -132,6 +134,7 @@ let run_scale ~flows ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs ~sh
     (if safe then "pass" else "FAIL")
     (if r.Ba_proto.Shard.completed then "pass" else "FAIL")
     (if pass then "PASS" else "FAIL");
+  Option.iter (Printf.printf "scale-replay: seed=%d cell=%d\n" seed) r.Ba_proto.Shard.unsafe_cell;
   Printf.eprintf "scale-perf: wall=%.2fs flows/sec=%.0f state=%dB (%dB/flow)\n%!" wall
     (if wall > 0. then float_of_int r.Ba_proto.Shard.flows /. wall else 0.)
     r.Ba_proto.Shard.state_bytes

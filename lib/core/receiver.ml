@@ -1,9 +1,12 @@
-(* The out-of-order reassembly buffer is a flat pair of window-sized
-   arrays indexed by [seq mod window]: [buf_seq.(i)] holds the sequence
-   number occupying slot [i] (-1 when empty) and [buf_payload.(i)] its
-   payload. Sequence numbers live in [nr, nr + window), which are
-   distinct mod window, so a slot is unambiguous — this replaces the
-   old [Ring_buffer] whose every [set] allocated a [Full] box. *)
+(* The out-of-order reassembly buffer is a flat pair of arrays indexed
+   by [seq mod capacity]: [buf_seq.(i)] holds the sequence number
+   occupying slot [i] (-1 when empty) and [buf_payload.(i)] its payload.
+   They are sized to what arrives, not to the window: empty until a
+   frame is first buffered, doubled (the last step clamped to the
+   window) when an accepted [v] has [v - nr >= capacity]. Buffered
+   numbers therefore live in [nr, nr + capacity), which are distinct mod
+   capacity, so a slot is unambiguous; a grow places them again. An
+   in-order stream takes the fast path in [on_data] and never buffers. *)
 
 type t = {
   engine : Ba_sim.Engine.t;
@@ -11,8 +14,8 @@ type t = {
   codec : Seqcodec.t;
   tx : Ba_proto.Wire.ack -> unit;
   deliver : string -> unit;
-  buf_payload : string array;
-  buf_seq : int array;
+  mutable buf_payload : string array;
+  mutable buf_seq : int array;
   mutable buf_occ : int;
   (* Built on first use (see [ack_timer] and [sync_timer] below): a flow
      that never coalesces and never restarts never needs them. *)
@@ -33,16 +36,38 @@ type t = {
   mutable restarts : int;
 }
 
-let buf_mem t v = t.buf_seq.(v mod t.config.Config.window) = v
+let capacity t = Array.length t.buf_seq
+
+(* [v >= nr]; a number at or beyond [nr + capacity] is never buffered. *)
+let buf_mem t v = v - t.nr < capacity t && t.buf_seq.(v mod capacity t) = v
+
+let grow t v =
+  let old = capacity t in
+  let cap = ref (max 1 (2 * old)) in
+  while !cap <= v - t.nr do
+    cap := 2 * !cap
+  done;
+  let cap = min t.config.Config.window !cap in
+  let buf_payload = Array.make cap "" and buf_seq = Array.make cap (-1) in
+  for i = 0 to old - 1 do
+    let s = t.buf_seq.(i) in
+    if s >= 0 then begin
+      buf_seq.(s mod cap) <- s;
+      buf_payload.(s mod cap) <- t.buf_payload.(i)
+    end
+  done;
+  t.buf_payload <- buf_payload;
+  t.buf_seq <- buf_seq
 
 let buf_set t v payload =
-  let i = v mod t.config.Config.window in
+  if v - t.nr >= capacity t then grow t v;
+  let i = v mod capacity t in
   if t.buf_seq.(i) < 0 then t.buf_occ <- t.buf_occ + 1;
   t.buf_seq.(i) <- v;
   t.buf_payload.(i) <- payload
 
 let buf_remove t v =
-  let i = v mod t.config.Config.window in
+  let i = v mod capacity t in
   if t.buf_seq.(i) = v then begin
     t.buf_seq.(i) <- -1;
     t.buf_payload.(i) <- "";
@@ -88,7 +113,7 @@ let flush t =
   if t.nr < t.vr then begin
     send_ack t ~lo:t.nr ~hi:(t.vr - 1);
     while t.nr < t.vr do
-      let i = t.nr mod t.config.Config.window in
+      let i = t.nr mod capacity t in
       if t.buf_seq.(i) <> t.nr then invalid_arg "Receiver.flush: hole in accepted run";
       let payload = t.buf_payload.(i) in
       t.buf_seq.(i) <- -1;
@@ -117,8 +142,8 @@ let create engine config ~tx ~deliver =
     codec = Seqcodec.create ~window:config.Config.window ~wire_modulus:config.Config.wire_modulus;
     tx;
     deliver;
-    buf_payload = Array.make config.Config.window "";
-    buf_seq = Array.make config.Config.window (-1);
+    buf_payload = [||];
+    buf_seq = [||];
     buf_occ = 0;
     ack_timer = None;
     sync_timer = None;
@@ -226,7 +251,7 @@ let on_data t d =
                ack/delivery sequence. *)
             v = t.vr && v = t.nr
             && t.config.Config.ack_coalesce = 0
-            && t.buf_seq.((v + 1) mod t.config.Config.window) <> v + 1
+            && not (buf_mem t (v + 1))
           then begin
             send_ack t ~lo:v ~hi:v;
             t.deliver payload;

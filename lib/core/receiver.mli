@@ -33,6 +33,11 @@ val vr : t -> int
 val buffered : t -> int
 (** Out-of-order payloads currently held. *)
 
+val capacity : t -> int
+(** Slots in the reassembly buffer: 0 until a frame is first buffered,
+    then grown by doubling as arrivals reach further past [nr], never
+    beyond the window. *)
+
 val buffered_bytes : t -> int
 (** Total payload bytes in the reassembly buffer (memory accounting). *)
 

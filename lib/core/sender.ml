@@ -4,8 +4,10 @@
 module Timer = struct
   type t = Ba_sim.Timer.t
 
-  let create engine config ~slots:_ ~expire =
+  let create engine config ~expire =
     Ba_sim.Timer.create engine ~duration:config.Config.rto (fun () -> expire 0)
+
+  let grow _ ~slots:_ ~na:_ ~ns:_ = ()
 
   let window _ w = w
   let arm t ~slot:_ ~seq:_ ~fresh:_ = Ba_sim.Timer.start t

@@ -8,26 +8,34 @@
    with a wider flight band: up to [window] messages unacknowledged, but
    [ns] may run up to [lead >= window] past [na].
 
-   Window bookkeeping lives in flat band-sized arrays indexed by
-   [seq mod band] ([band = lead], by default [window]), valid exactly for
-   the outstanding range [na, ns), whose members are distinct mod band. *)
+   Window bookkeeping lives in flat arrays sized to the flight, not to
+   the band ([band = lead], by default [window]): they start empty and
+   double, the last step clamped to the band, just before [ns - na]
+   would exceed their capacity. They are indexed by [seq mod capacity]
+   and valid exactly for the outstanding range [na, ns), whose members
+   are distinct mod capacity; a grow places them again at their new
+   slots. At full capacity this is [seq mod band]. *)
 
-(** What a timeout action decides. Hooks receive band slots
-    ([seq mod band]) and sequence numbers, never the sender itself. *)
+(** What a timeout action decides. Hooks receive slots
+    ([seq mod capacity]) and sequence numbers, never the sender itself. *)
 module type TIMERS = sig
   type t
 
-  val create : Ba_sim.Engine.t -> Config.t -> slots:int -> expire:(int -> unit) -> t
-  (** [slots] is the band size. A firing timer calls [expire k] with an
-      integer of the policy's choosing, which {!due} maps back to a
-      message. *)
+  val create : Ba_sim.Engine.t -> Config.t -> expire:(int -> unit) -> t
+  (** A firing timer calls [expire k] with an integer of the policy's
+      choosing, which {!due} maps back to a message. The policy holds no
+      slot until the first {!grow}. *)
+
+  val grow : t -> slots:int -> na:int -> ns:int -> unit
+  (** The core's capacity grew to [slots]: place the entries of the
+      outstanding range [na, ns) again at [seq mod slots]. *)
 
   val window : t -> int -> int
   (** Narrow the effective window further (a congestion window); the
       identity for a policy without one. *)
 
   val arm : t -> slot:int -> seq:int -> fresh:bool -> unit
-  (** [seq], held in band slot [slot], was just transmitted — for the
+  (** [seq], held in slot [slot], was just transmitted — for the
       first time when [fresh]. *)
 
   val due : t -> int -> na:int -> int
@@ -156,8 +164,9 @@ end = struct
     codec : Seqcodec.t;
     tx : Ba_proto.Wire.data -> unit;
     source : Ba_proto.Source.t;
-    payloads : string array;  (* payloads of [na, ns), at [seq mod band] *)
-    acked_seq : int array;  (* seq when that seq is acked out of order, -1 otherwise *)
+    band : int;  (* the most [ns - na] may reach: the lead, else the window *)
+    mutable payloads : string array;  (* payloads of [na, ns), at [seq mod capacity] *)
+    mutable acked_seq : int array;  (* seq when that seq is acked out of order, -1 otherwise *)
     timers : P.t;
     (* Built on first use: a flow that never restarts and never
        retransmits under a wire modulus never needs them. *)
@@ -179,8 +188,7 @@ end = struct
            crash–restart because the pressure is outside this endpoint *)
   }
 
-  let band t = Array.length t.payloads
-  let slot_of t seq = seq mod band t
+  let slot_of t seq = seq mod Array.length t.payloads
   let is_acked t seq = t.acked_seq.(slot_of t seq) = seq
   let outstanding t = t.ns - t.na
   let unacked t = t.unacked
@@ -195,6 +203,21 @@ end = struct
     let w = match t.wclamp with Some c -> min w c | None -> w in
     P.window t.timers w
 
+  (* Make room for one more outstanding message: double the capacity
+     (from 1, the last step clamped to the band) and place [na, ns)
+     again. Admission keeps [ns - na] below the band, so one step does. *)
+  let grow t =
+    let old = Array.length t.payloads in
+    let cap = min t.band (max 1 (2 * old)) in
+    let payloads = Array.make cap "" and acked_seq = Array.make cap (-1) in
+    for seq = t.na to t.ns - 1 do
+      payloads.(seq mod cap) <- t.payloads.(seq mod old);
+      acked_seq.(seq mod cap) <- t.acked_seq.(seq mod old)
+    done;
+    t.payloads <- payloads;
+    t.acked_seq <- acked_seq;
+    P.grow t.timers ~slots:cap ~na:t.na ~ns:t.ns
+
   let transmit t seq ~fresh =
     let i = slot_of t seq in
     t.tx
@@ -208,7 +231,7 @@ end = struct
      bound implies the first and this is the classic [ns - na < e]. *)
   let rec pump t =
     let e = effective_window t in
-    if running t && t.unacked < e && outstanding t < e + band t - t.config.Config.window
+    if running t && t.unacked < e && outstanding t < e + t.band - t.config.Config.window
     then begin
       match t.guard with
       | Some g when t.ns >= Window_guard.frontier g ->
@@ -220,6 +243,7 @@ end = struct
           | None -> ()
           | Some payload ->
               let seq = t.ns in
+              if outstanding t = Array.length t.payloads then grow t;
               let i = slot_of t seq in
               t.payloads.(i) <- payload;
               t.acked_seq.(i) <- -1;
@@ -249,7 +273,7 @@ end = struct
       P.resend t.timers ~slot:(slot_of t seq) ~oldest:(seq = t.na);
       (* With unbounded wire numbers decode is exact and no hold is needed. *)
       if t.config.Config.wire_modulus <> None then
-        Window_guard.note_retransmission (guard t) ~seq ~window:(band t)
+        Window_guard.note_retransmission (guard t) ~seq ~window:t.band
           ~hold_for:(Config.hold_duration t.config);
       transmit t seq ~fresh:false
     end
@@ -299,10 +323,10 @@ end = struct
           codec = Seqcodec.create ~window:band ~wire_modulus:config.Config.wire_modulus;
           tx;
           source = Ba_proto.Source.create next_payload;
-          payloads = Array.make band "";
-          acked_seq = Array.make band (-1);
-          timers =
-            P.create engine config ~slots:band ~expire:(fun k -> on_timeout (Lazy.force t) k);
+          band;
+          payloads = [||];
+          acked_seq = [||];
+          timers = P.create engine config ~expire:(fun k -> on_timeout (Lazy.force t) k);
           sync_timer = None;
           guard = None;
           na = 0;
@@ -427,7 +451,7 @@ end = struct
                 end
               done;
               let na_before = t.na in
-              while is_acked t t.na do
+              while t.na < t.ns && is_acked t t.na do
                 let i = slot_of t t.na in
                 t.acked_seq.(i) <- -1;
                 t.payloads.(i) <- "";

@@ -1,30 +1,32 @@
-(* Action 2′: one timer per outstanding message. Each band slot keeps
-   its timer as an int key, [(deadline, stamp)], in two columns, and the
+(* Action 2′: one timer per outstanding message. Each slot keeps its
+   timer as an int key, [(deadline, stamp)], in two columns, and the
    sender owns one {!Ba_sim.Engine.slot} that is always armed at the
    earliest key. Arming a timer reserves the insertion stamp
    ({!Ba_sim.Engine.take_stamp}) a per-message event would have taken,
    so the one slot fires every expiry exactly where that event would
    have fired, same-tick ties against every other event included. An
-   acknowledgment only clears a column; the band is rescanned for the
-   next earliest key only when the armed key is acknowledged or fires,
-   and a crash disarms the slot outright. An expiry names its band
-   slot, and the message it stands for is the one member of [na, ns)
-   in that slot. The adaptive timeout (Karn/Jacobson) and the AIMD
+   acknowledgment only clears a column; the columns are rescanned for
+   the next earliest key only when the armed key is acknowledged or
+   fires, and a crash disarms the slot outright. The columns share the
+   core's capacity and grow with it ({!grow}); a key does not depend on
+   its slot, so a grow moves no expiry. An expiry names its slot, and
+   the message it stands for is the one member of [na, ns) in that
+   slot. The adaptive timeout (Karn/Jacobson) and the AIMD
    congestion window ride on these timers, so they live here too. *)
 module Timers = struct
   type t = {
     engine : Ba_sim.Engine.t;
     config : Config.t;
-    deadline : int array;  (* expiry tick per band slot, [max_int] when disarmed *)
-    stamp : int array;  (* insertion stamp reserved when that slot was armed *)
+    mutable deadline : int array;  (* expiry tick per slot, [max_int] when disarmed *)
+    mutable stamp : int array;  (* insertion stamp reserved when that slot was armed *)
     slot : Ba_sim.Engine.slot;  (* the sender's one timer, armed at the earliest key *)
     mutable armed : int;
-        (* band slot whose key [slot] is armed at; -1 when none, or when
-           an acknowledgment cleared that key and [slid] has yet to rescan *)
+        (* slot whose key [slot] is armed at; -1 when none, or when an
+           acknowledgment cleared that key and [slid] has yet to rescan *)
     (* first-transmission time (RTT sampling) and per-message
        retransmission count (Karn's rule + backoff): adaptive_rto only *)
-    sent_at : int array;
-    resent : int array;
+    mutable sent_at : int array;
+    mutable resent : int array;
     estimator : Rtt_estimator.t option;
     (* AIMD congestion window (dynamic_window mode): cwnd counts messages,
        ack_credit accumulates fractional additive increase. *)
@@ -53,14 +55,14 @@ module Timers = struct
     end
 
   (* The slot fired, so its key is the earliest: clear it and arm the next
-     one before the expiry runs (and possibly re-arms this band slot). *)
+     one before the expiry runs (and possibly re-arms this slot). *)
   let fire t expire =
     let i = t.armed in
     t.deadline.(i) <- max_int;
     rescan t;
     expire i
 
-  let create engine config ~slots ~expire =
+  let create engine config ~expire =
     let adaptive = config.Config.adaptive_rto in
     let estimator =
       if adaptive then begin
@@ -76,18 +78,17 @@ module Timers = struct
       end
       else None
     in
-    let per_message = if adaptive then slots else 0 in
     let rec t =
       lazy
         {
           engine;
           config;
-          deadline = Array.make slots max_int;
-          stamp = Array.make slots 0;
+          deadline = [||];
+          stamp = [||];
           slot = Ba_sim.Engine.slot_create engine (fun () -> fire (Lazy.force t) expire);
           armed = -1;
-          sent_at = Array.make per_message 0;
-          resent = Array.make per_message 0;
+          sent_at = [||];
+          resent = [||];
           estimator;
           cwnd = 1;
           ack_credit = 0;
@@ -111,7 +112,7 @@ module Timers = struct
         let factor = 1 lsl min t.resent.(slot) 6 in
         min (base_rto t * factor) (60 * t.config.Config.rto)
 
-  (* The core arms only a band slot whose key is clear: a fresh message
+  (* The core arms only a slot whose key is clear: a fresh message
      takes an acknowledged slot, and a retransmission follows its own
      expiry. A fresh stamp orders after every armed one, so the new key
      is the earliest only if its deadline is earlier. *)
@@ -125,11 +126,29 @@ module Timers = struct
     t.stamp.(slot) <- Ba_sim.Engine.take_stamp t.engine;
     if t.armed < 0 || earlier t slot t.armed then arm_at t slot
 
-  (* Band slots are distinct mod band over [na, ns), so the slot alone
+  (* Members of [na, ns) are distinct mod capacity, so the slot alone
      names the message. *)
   let due t slot ~na =
-    let band = Array.length t.deadline in
-    na + ((slot - (na mod band) + band) mod band)
+    let cap = Array.length t.deadline in
+    na + ((slot - (na mod cap) + cap) mod cap)
+
+  (* Keys move with their messages; [armed] follows its key. *)
+  let grow t ~slots ~na ~ns =
+    let old = Array.length t.deadline in
+    let place a fill =
+      let b = Array.make slots fill in
+      for seq = na to ns - 1 do
+        b.(seq mod slots) <- a.(seq mod old)
+      done;
+      b
+    in
+    if t.armed >= 0 then t.armed <- due t t.armed ~na mod slots;
+    t.deadline <- place t.deadline max_int;
+    t.stamp <- place t.stamp 0;
+    if t.estimator <> None then begin
+      t.sent_at <- place t.sent_at 0;
+      t.resent <- place t.resent 0
+    end
 
   let resend t ~slot ~oldest =
     (* Multiplicative decrease on timeout. *)

@@ -13,13 +13,15 @@
     timers is {!Sender_core}, shared with {!Sender}.
 
     The per-message timers cost two ints each, not an event each: every
-    window slot keeps its deadline and the insertion stamp
+    slot keeps its deadline and the insertion stamp
     ({!Ba_sim.Engine.take_stamp}) its own event would have had, and the
     sender arms one {!Ba_sim.Engine.slot} at the earliest of them
     ({!Ba_sim.Engine.slot_arm_keyed}). Expiries therefore fire at the same
     ticks and in the same order, same-tick ties with every other event
     included, as one event per message would; a sender has at most one
-    pending engine event, and none after {!crash}.
+    pending engine event, and none after {!crash}. Like the core's
+    buffers, the timer columns are sized to the flight: they start
+    empty and double up to the band as [ns - na] grows.
 
     {2 Section VI: aggressive reuse of acknowledged positions}
 
@@ -34,9 +36,10 @@
     bound as the classic protocol), but may run ahead of the lowest
     unacknowledged message [na] by up to [lead >= window] positions.
     In-flight data then spans [na, na + lead), so both endpoints size
-    their codecs and buffers by [lead], and a wire modulus of at least
-    [2 * lead] is required — exactly the paper's "tradeoff between the
-    added complexity versus the potential gain in performance". With
+    their codecs by [lead] and let their buffers grow up to it, and a
+    wire modulus of at least [2 * lead] is required — exactly the
+    paper's "tradeoff between the added complexity versus the potential
+    gain in performance". With
     [lead = window] (the default) this is the Section IV sender. *)
 
 include Sender_core.S

@@ -38,6 +38,7 @@ type result = {
   aggregate_goodput : float;
   latency : Ba_util.Qsketch.t;
   state_bytes : int;
+  unsafe_cell : int option;
 }
 
 let run ?(seed = 42) ?jobs ?shards ?(cell = 1024) ?(barrier = 1000) ?(data_loss = 0.)
@@ -173,6 +174,12 @@ let run ?(seed = 42) ?jobs ?shards ?(cell = 1024) ?(barrier = 1000) ?(data_loss 
         (fun acc c -> Ba_util.Qsketch.merge acc (Option.get (Cell.sketch c)))
         (Ba_util.Qsketch.create ()) cells;
     state_bytes;
+    unsafe_cell =
+      Seq.find
+        (fun ci ->
+          let t = tallies.(ci) in
+          t.Cell.duplicates + t.Cell.misordered + t.Cell.corrupted > 0)
+        (Seq.init ncells Fun.id);
   }
 
 let timed run =

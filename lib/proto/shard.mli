@@ -71,6 +71,11 @@ type result = {
       (** live-heap delta attributable to the built cells ([measure_mem]
           runs a major GC before/after construction; 0 otherwise). Not
           part of {!summary}: heap layout is not a simulation output. *)
+  unsafe_cell : int option;
+      (** the lowest-index cell in which a flow delivered a duplicate,
+          out-of-order or corrupted payload; [None] when {!safe}. With
+          the run's seed it is a replay key: the cell is a deterministic
+          sub-simulation (see {b Cells} above). Not part of {!summary}. *)
 }
 
 val run :
@@ -131,5 +136,5 @@ val safe : result -> bool
 
 val summary : result -> string
 (** Deterministic multi-line digest of everything in [result] except
-    [state_bytes] — what the CLI prints and what the determinism
-    properties compare byte-for-byte. *)
+    [state_bytes] and [unsafe_cell] — what the CLI prints and what the
+    determinism properties compare byte-for-byte. *)

@@ -671,22 +671,174 @@ let live_bytes_per ~n make =
   ignore (Sys.opaque_identity kept);
   (after - before) * (Sys.word_size / 8) / n
 
-(* Idle endpoints carry only their windows: the retry and coalescing
-   timers and the window guard are built on first use. *)
+(* Idle endpoints carry no window slots: the window arrays grow with the
+   flight, and the retry and coalescing timers and the window guard are
+   built on first use. So the idle figure does not depend on the window
+   or on a lead band. *)
 let test_endpoint_footprint () =
   let engine = Engine.create () in
-  let config = Config.make ~window:8 ~wire_modulus:(Some 16) ~ack_coalesce:0 () in
   let none () = None in
-  let receiver =
-    live_bytes_per ~n:20_000 (fun () ->
-        Blockack.Receiver.create engine config ~tx:ignore ~deliver:ignore)
-  in
-  let sender =
-    live_bytes_per ~n:20_000 (fun () ->
-        Blockack.Sender_multi.create engine config ~tx:ignore ~next_payload:none)
-  in
-  if receiver > 400 then Alcotest.failf "receiver keeps %d B, want <= 400" receiver;
-  if sender > 900 then Alcotest.failf "Sender_multi keeps %d B, want <= 900" sender
+  List.iter
+    (fun (window, lead) ->
+      let config = Config.make ~window ~wire_modulus:(Some (2 * lead)) ~ack_coalesce:0 () in
+      let receiver =
+        live_bytes_per ~n:20_000 (fun () ->
+            Blockack.Receiver.create engine config ~tx:ignore ~deliver:ignore)
+      in
+      let sender =
+        live_bytes_per ~n:20_000 (fun () ->
+            Blockack.Sender_multi.create ~lead engine config ~tx:ignore ~next_payload:none)
+      in
+      if receiver > 240 then
+        Alcotest.failf "w=%d: receiver keeps %d B, want <= 240" window receiver;
+      if sender > 600 then
+        Alcotest.failf "w=%d lead=%d: Sender_multi keeps %d B, want <= 600" window lead sender)
+    [ (8, 8); (16, 16); (8, 16) ]
+
+(* In flight, a sender holds slots for what it has sent, not for its
+   window: with two messages pumped each column has two slots. The
+   figure includes the sender's one armed engine event (64 B; [n] is a
+   power of two so the engine's columns hold exactly [n] events), and
+   the shared budget and payload keep the test's own supplier out of it. *)
+let test_flight_footprint () =
+  let forever () = Some "p" in
+  List.iter
+    (fun (window, lead) ->
+      let engine = Engine.create () in
+      let config =
+        Config.make ~window ~tx_budget:2 ~wire_modulus:(Some (2 * lead)) ~ack_coalesce:0 ()
+      in
+      let sender =
+        live_bytes_per ~n:16_384 (fun () ->
+            let s =
+              Blockack.Sender_multi.create ~lead engine config ~tx:ignore ~next_payload:forever
+            in
+            Blockack.Sender_multi.pump s;
+            s)
+      in
+      if sender > 750 then
+        Alcotest.failf "w=%d lead=%d: Sender_multi with two in flight keeps %d B, want <= 750"
+          window lead sender)
+    [ (8, 8); (16, 16); (8, 16) ]
+
+(* ------------------------------------------------------------------ *)
+(* Window arrays sized to the flight *)
+
+(* A lone receiver fed random in-window arrivals, duplicates of
+   delivered and of buffered numbers included, for three wraps of the
+   wire modulus: it delivers every message exactly once and in order,
+   holds exactly the numbers that arrived above [nr], and its buffer,
+   grown on demand, never outgrows the window. *)
+let prop_receiver_grows_with_arrivals =
+  QCheck.Test.make ~name:"receiver buffer grows with arrivals" ~count:300
+    QCheck.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let w = 1 + Random.State.int rng 24 in
+      let modulus =
+        match Random.State.int rng 3 with 0 -> None | 1 -> Some (2 * w) | _ -> Some (4 * w)
+      in
+      let total = 3 * Option.value modulus ~default:(4 * w) in
+      let config = Config.make ~window:w ~wire_modulus:modulus ~ack_coalesce:0 () in
+      let next = ref 0 in
+      let r =
+        Blockack.Receiver.create (Engine.create ()) config ~tx:ignore ~deliver:(fun p ->
+            if p <> string_of_int !next then
+              QCheck.Test.fail_reportf "delivered %S, expected %d" p !next;
+            incr next)
+      in
+      let arrived = Array.make total false in
+      let send v =
+        arrived.(v) <- true;
+        let wire = match modulus with None -> v | Some n -> v mod n in
+        Blockack.Receiver.on_data r (Wire.make_data ~seq:wire ~payload:(string_of_int v));
+        let nr = Blockack.Receiver.nr r in
+        let held = ref 0 in
+        for u = nr to min total (nr + w) - 1 do
+          if arrived.(u) then incr held
+        done;
+        if Blockack.Receiver.buffered r <> !held then
+          QCheck.Test.fail_reportf "buffered %d, held %d" (Blockack.Receiver.buffered r) !held;
+        if Blockack.Receiver.capacity r > w then
+          QCheck.Test.fail_reportf "capacity %d > window %d" (Blockack.Receiver.capacity r) w
+      in
+      while Blockack.Receiver.nr r < total do
+        let nr = Blockack.Receiver.nr r in
+        let hi = min total (nr + w) in
+        if Random.State.int rng 4 = 0 then begin
+          (* Any number the receiver can still decode: a duplicate, or fresh. *)
+          let lo = max 0 (nr - w) in
+          send (lo + Random.State.int rng (hi - lo))
+        end
+        else begin
+          match List.filter (fun v -> not arrived.(v)) (List.init (hi - nr) (( + ) nr)) with
+          | [] -> QCheck.Test.fail_reportf "stuck at nr=%d with [%d, %d) all arrived" nr nr hi
+          | fresh -> send (List.nth fresh (Random.State.int rng (List.length fresh)))
+        end
+      done;
+      !next = total && Blockack.Receiver.buffered r = 0)
+
+(* A lead-band sender acknowledged in random pieces, so its arrays grow
+   while [na] sits anywhere: every retransmission must be of a message
+   still unacknowledged, with its own payload, exactly one fixed [rto]
+   after that message was last sent, and no unacknowledged message may
+   go longer than [rto] unsent. A grow that lost a timer key or placed
+   one or a payload in the wrong slot would resend the wrong number,
+   resend at the wrong time, never resend, or send the wrong payload. *)
+let prop_lead_sender_grows_with_flight =
+  QCheck.Test.make ~name:"lead sender resends the right number after a grow" ~count:300
+    QCheck.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let w = 1 + Random.State.int rng 8 in
+      let lead = (2 + Random.State.int rng 2) * w and rto = 100 in
+      let modulus = if Random.State.bool rng then Some (2 * lead) else None in
+      let encode v = match modulus with None -> v | Some n -> v mod n in
+      let total = 6 * lead in
+      let config = Config.make ~window:w ~rto ~wire_modulus:modulus () in
+      let engine = Engine.create () in
+      let issued = ref 0 in
+      let next_payload () =
+        if !issued = total then None
+        else begin
+          incr issued;
+          Some (string_of_int (!issued - 1))
+        end
+      in
+      let last_sent = Array.make total (-1) and acked = Array.make total false in
+      let tx d =
+        let now = Engine.now engine in
+        let v =
+          match int_of_string_opt d.Wire.payload with
+          | Some v -> v
+          | None -> QCheck.Test.fail_reportf "payload %S at %d" d.Wire.payload now
+        in
+        if d.Wire.seq <> encode v then
+          QCheck.Test.fail_reportf "%d sent as wire %d" v d.Wire.seq;
+        if last_sent.(v) >= 0 then begin
+          if acked.(v) then QCheck.Test.fail_reportf "resent acknowledged %d at %d" v now;
+          if now - last_sent.(v) <> rto then
+            QCheck.Test.fail_reportf "resent %d at %d, last sent at %d" v now last_sent.(v)
+        end;
+        last_sent.(v) <- now
+      in
+      let s = Blockack.Sender_multi.create ~lead engine config ~tx ~next_payload in
+      Blockack.Sender_multi.pump s;
+      let steps = ref 0 in
+      while (not (Blockack.Sender_multi.is_done s)) && !steps < 10_000 do
+        incr steps;
+        Engine.run ~until:(Engine.now engine + 1 + Random.State.int rng rto) engine;
+        for v = Blockack.Sender_multi.na s to Blockack.Sender_multi.ns s - 1 do
+          if (not acked.(v)) && Engine.now engine - last_sent.(v) > rto then
+            QCheck.Test.fail_reportf "%d overdue at %d, last sent at %d" v (Engine.now engine)
+              last_sent.(v);
+          if (not acked.(v)) && Random.State.int rng 3 = 0 then begin
+            acked.(v) <- true;
+            Blockack.Sender_multi.on_ack s (Wire.make_ack ~lo:(encode v) ~hi:(encode v))
+          end
+        done
+      done;
+      Blockack.Sender_multi.is_done s && Blockack.Sender_multi.na s = total)
 
 (* ------------------------------------------------------------------ *)
 (* Wire checksums and corruption handling *)
@@ -1078,7 +1230,13 @@ let () =
             test_handshake_sender_retries_req;
           Alcotest.test_case "crash before any handshake" `Quick test_handshake_crash_before_any;
         ] );
-      ( "footprint", [ Alcotest.test_case "idle endpoints" `Quick test_endpoint_footprint ] );
+      ( "footprint",
+        [
+          Alcotest.test_case "idle endpoints" `Quick test_endpoint_footprint;
+          Alcotest.test_case "two in flight" `Quick test_flight_footprint;
+        ] );
+      ( "growth",
+        [ qcheck prop_receiver_grows_with_arrivals; qcheck prop_lead_sender_grows_with_flight ] );
       ( "wire",
         [
           Alcotest.test_case "checksum roundtrip" `Quick test_wire_checksum_roundtrip;

@@ -39,7 +39,8 @@ let test_clean_run_completes () =
   check Alcotest.int "all delivered" r.Shard.messages r.Shard.delivered;
   check Alcotest.int "no duplicates" 0 r.Shard.duplicates;
   check Alcotest.int "no corruption" 0 r.Shard.corrupted;
-  check Alcotest.int "nothing refused" 0 r.Shard.refused
+  check Alcotest.int "nothing refused" 0 r.Shard.refused;
+  check Alcotest.(option int) "no unsafe cell" None r.Shard.unsafe_cell
 
 let test_timed_fills_state_bytes () =
   (* The timed run is the plain run, plus the state figure of an untimed
@@ -70,6 +71,44 @@ let test_budget_admission_is_cell_local () =
   check Alcotest.bool "degraded somewhere" true
     (r.Shard.clamped_cells > 0 || r.Shard.refused > 0);
   check Alcotest.bool "sampled peak within budget" true (r.Shard.mem_peak_bytes <= budget)
+
+(* ------------------------------------------------------------------ *)
+(* Per-flow state *)
+
+(* Bytes per flow that 8 cells of 1,024 [shard-100k] flows (blockack,
+   window 8, rto 400, two messages each) keep live, the cells built and
+   seeded the way [Shard.run] builds them at seed 7: after [Cell.create]
+   (endpoints and cell wiring), and after [Cell.start] (two messages in
+   flight per flow, the point [Shard.run] measures [state_bytes] at). *)
+let test_cell_footprint () =
+  let e = entry "blockack" in
+  let spec =
+    Fabric.spec ~config:(Registry.config ~window:8 ~rto:400 e ()) ~messages:2 e.Registry.protocol
+  in
+  let cells = 8 and per_cell = 1024 and seed = 7 in
+  let flows = cells * per_cell in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let per_flow () = (live () - before) * (Sys.word_size / 8) / flows in
+  let built =
+    Array.init cells (fun ci ->
+        Ba_proto.Cell.create
+          ~engine_seed:(seed + (104729 * (ci + 1)))
+          ~wseed:(fun i -> seed + (7919 * ((ci * per_cell) + i + 1)))
+          ~data_loss:0. ~ack_loss:0. ~data_delay:(Dist.Uniform (40, 60))
+          ~ack_delay:(Dist.Uniform (40, 60)) ~lease:(1000, flows) ~sketch:true
+          (List.init per_cell (fun _ -> spec)))
+  in
+  let created = per_flow () in
+  Array.iter Ba_proto.Cell.start built;
+  let started = per_flow () in
+  ignore (Sys.opaque_identity built);
+  Printf.printf "created %d started %d\n%!" created started;
+  if created > 1_200 then Alcotest.failf "after Cell.create %d B/flow, want <= 1200" created;
+  if started > 1_850 then Alcotest.failf "after Cell.start %d B/flow, want <= 1850" started
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: shards/jobs are scheduling, not semantics *)
@@ -307,6 +346,7 @@ let () =
             test_capacity_lease_run_completes;
           Alcotest.test_case "budget admission is cell-local" `Quick
             test_budget_admission_is_cell_local;
+          Alcotest.test_case "cell footprint" `Quick test_cell_footprint;
         ] );
       ( "determinism",
         [
