@@ -28,12 +28,10 @@ let () =
   let engine = Blockack.Duplex.engine d in
   Array.iteri
     (fun i line ->
-      ignore
-        (Ba_sim.Engine.schedule engine ~delay:(200 * ((2 * i) + 1)) (fun () ->
-             Blockack.Duplex.send (Blockack.Duplex.a d) line));
-      ignore
-        (Ba_sim.Engine.schedule engine ~delay:(200 * ((2 * i) + 2)) (fun () ->
-             Blockack.Duplex.send (Blockack.Duplex.b d) lines_b.(i))))
+      Ba_sim.Engine.schedule engine ~delay:(200 * ((2 * i) + 1)) (fun () ->
+          Blockack.Duplex.send (Blockack.Duplex.a d) line);
+      Ba_sim.Engine.schedule engine ~delay:(200 * ((2 * i) + 2)) (fun () ->
+          Blockack.Duplex.send (Blockack.Duplex.b d) lines_b.(i)))
     lines_a;
   Blockack.Duplex.run d;
   assert (Blockack.Duplex.idle d);

@@ -99,14 +99,13 @@ let () =
 
   (* Issue requests in bursts of 10 every 200 ticks. *)
   for burst = 0 to (requests / 10) - 1 do
-    ignore
-      (Ba_sim.Engine.schedule engine ~delay:(burst * 200) (fun () ->
-           for k = 0 to 9 do
-             let i = (burst * 10) + k in
-             Hashtbl.replace issue_time i (Ba_sim.Engine.now engine);
-             Queue.add (Printf.sprintf "square %d" i) client_outbox
-           done;
-           Blockack.Sender_multi.pump fwd_sender))
+    Ba_sim.Engine.schedule engine ~delay:(burst * 200) (fun () ->
+        for k = 0 to 9 do
+          let i = (burst * 10) + k in
+          Hashtbl.replace issue_time i (Ba_sim.Engine.now engine);
+          Queue.add (Printf.sprintf "square %d" i) client_outbox
+        done;
+        Blockack.Sender_multi.pump fwd_sender)
   done;
   Ba_sim.Engine.run ~until:10_000_000 engine;
 

@@ -72,7 +72,7 @@ and resend s seq =
       | None -> ()
       | Some n ->
           let at = s.slot_free_at.(Ba_util.Modseq.wrap ~n seq) in
-          ignore (Ba_sim.Engine.schedule_at s.engine ~at (fun () -> resend s seq))
+          Ba_sim.Engine.schedule_at s.engine ~at (fun () -> resend s seq)
     end
   end
 
@@ -94,10 +94,9 @@ let rec pump s =
       | Some n ->
           let at = s.slot_free_at.(Ba_util.Modseq.wrap ~n s.ns) in
           s.pump_retry_armed <- true;
-          ignore
-            (Ba_sim.Engine.schedule_at s.engine ~at (fun () ->
-                 s.pump_retry_armed <- false;
-                 pump s))
+          Ba_sim.Engine.schedule_at s.engine ~at (fun () ->
+              s.pump_retry_armed <- false;
+              pump s)
     end
   end
 

@@ -19,9 +19,9 @@ type stats = {
 (* In-transit messages live in a struct-of-arrays arena (message, tag,
    send index, extra delay, releasable flag) and are referred to by integer
    id everywhere: the bottleneck queue is a ring of ids and the two
-   event callbacks ([deliver_ev]/[serve_ev], built once at [create])
-   take an id through {!Ba_sim.Engine.schedule_fn}. Steady-state sends
-   therefore allocate nothing — the old implementation built a
+   event handlers ([deliver_ev]/[serve_ev], registered once at
+   [create]) take an id through {!Ba_sim.Engine.schedule_fn}.
+   Steady-state sends therefore allocate nothing — the old implementation built a
    [Queue.t] tuple plus one closure per delivery.
 
    [release] transfers message ownership to the link: a message handed
@@ -41,8 +41,8 @@ type 'a t = {
   rng : Ba_util.Rng.t;
   mutable fault : ('a -> verdict) option;
   mutable plan : Fault_plan.instance option;
-  mutable deliver_ev : int -> unit;  (* persistent propagation-arrival callback *)
-  mutable serve_ev : int -> unit;  (* persistent bottleneck service-completion callback *)
+  deliver_ev : Ba_sim.Engine.handler;  (* propagation arrival *)
+  serve_ev : Ba_sim.Engine.handler;  (* bottleneck service completion *)
   (* arena of in-transit messages *)
   mutable ent_msg : 'a array;  (* [||] until the first send supplies a filler *)
   mutable ent_tag : int array;
@@ -69,8 +69,6 @@ type 'a t = {
   mutable max_delivered_index : int;
 }
 
-let ignore_int (_ : int) = ()
-
 let rec create_tagged : 'a.
     Ba_sim.Engine.t ->
     ?loss:float ->
@@ -87,47 +85,46 @@ let rec create_tagged : 'a.
   | Some (service, capacity) when service <= 0 || capacity <= 0 ->
       invalid_arg "Link.create: bottleneck needs positive service time and capacity"
   | Some _ | None -> ());
-  let t =
-    {
-      engine;
-      loss;
-      delay;
-      bottleneck;
-      deliver;
-      corrupt;
-      release;
-      rng = Ba_util.Rng.split (Ba_sim.Engine.rng engine);
-      fault = None;
-      plan = None;
-      deliver_ev = ignore_int;
-      serve_ev = ignore_int;
-      ent_msg = [||];
-      ent_tag = [||];
-      ent_idx = [||];
-      ent_extra = [||];
-      ent_rel = [||];
-      ent_free = [||];
-      ent_free_len = 0;
-      q_buf = (match bottleneck with Some (_, cap) -> Array.make cap 0 | None -> [||]);
-      q_head = 0;
-      q_len = 0;
-      serving = false;
-      in_flight = 0;
-      sent = 0;
-      delivered = 0;
-      dropped = 0;
-      queue_dropped = 0;
-      reordered = 0;
-      duplicated = 0;
-      corrupted = 0;
-      outage_drops = 0;
-      send_index = 0;
-      max_delivered_index = -1;
-    }
+  let rec t =
+    lazy
+      {
+        engine;
+        loss;
+        delay;
+        bottleneck;
+        deliver;
+        corrupt;
+        release;
+        rng = Ba_util.Rng.split (Ba_sim.Engine.rng engine);
+        fault = None;
+        plan = None;
+        deliver_ev = Ba_sim.Engine.handler engine (fun id -> on_arrival (Lazy.force t) id);
+        serve_ev = Ba_sim.Engine.handler engine (fun id -> on_served (Lazy.force t) id);
+        ent_msg = [||];
+        ent_tag = [||];
+        ent_idx = [||];
+        ent_extra = [||];
+        ent_rel = [||];
+        ent_free = [||];
+        ent_free_len = 0;
+        q_buf = (match bottleneck with Some (_, cap) -> Array.make cap 0 | None -> [||]);
+        q_head = 0;
+        q_len = 0;
+        serving = false;
+        in_flight = 0;
+        sent = 0;
+        delivered = 0;
+        dropped = 0;
+        queue_dropped = 0;
+        reordered = 0;
+        duplicated = 0;
+        corrupted = 0;
+        outage_drops = 0;
+        send_index = 0;
+        max_delivered_index = -1;
+      }
   in
-  t.deliver_ev <- (fun id -> on_arrival t id);
-  t.serve_ev <- (fun id -> on_served t id);
-  t
+  Lazy.force t
 
 (* ---- arena ---- *)
 

@@ -394,6 +394,14 @@ end = struct
       end
     end
 
+  let mark_acked t seq =
+    if seq >= t.na && seq < t.ns && not (is_acked t seq) then begin
+      let i = slot_of t seq in
+      t.acked_seq.(i) <- seq;
+      t.unacked <- t.unacked - 1;
+      P.acked t.timers ~slot:i ~seq
+    end
+
   (* Action 1: mark every covered sequence number that is still
      outstanding, then slide na over the acknowledged prefix. Stale
      duplicates decode outside [na, ns) and are ignored. A corrupted
@@ -439,17 +447,20 @@ end = struct
             if not t.syncing then begin
               let lo = a.Ba_proto.Wire.lo in
               let hi = a.Ba_proto.Wire.hi in
-              let count = Seqcodec.span t.codec ~lo ~hi in
-              for k = 0 to count - 1 do
-                let wire = Seqcodec.shift t.codec lo k in
-                let seq = Seqcodec.decode_ack t.codec ~na:t.na wire in
-                if seq >= t.na && seq < t.ns && not (is_acked t seq) then begin
-                  let i = slot_of t seq in
-                  t.acked_seq.(i) <- seq;
-                  t.unacked <- t.unacked - 1;
-                  P.acked t.timers ~slot:i ~seq
-                end
-              done;
+              (match Seqcodec.modulus t.codec with
+              | Some _ ->
+                  for k = 0 to Seqcodec.span t.codec ~lo ~hi - 1 do
+                    let wire = Seqcodec.shift t.codec lo k in
+                    mark_acked t (Seqcodec.decode_ack t.codec ~na:t.na wire)
+                  done
+              | None ->
+                  (* Unbounded wire numbers are the sequence numbers, and
+                     only [na, ns) can change: clipping to it keeps an
+                     inverted or huge range from a hostile peer from
+                     raising or looping. *)
+                  for seq = max lo t.na to min hi (t.ns - 1) do
+                    mark_acked t seq
+                  done);
               let na_before = t.na in
               while t.na < t.ns && is_acked t t.na do
                 let i = slot_of t t.na in

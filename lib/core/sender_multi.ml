@@ -40,7 +40,7 @@ module Timers = struct
 
   let arm_at t i =
     t.armed <- i;
-    Ba_sim.Engine.slot_arm_keyed t.slot ~at:t.deadline.(i) ~stamp:t.stamp.(i)
+    Ba_sim.Engine.slot_arm_keyed t.engine t.slot ~at:t.deadline.(i) ~stamp:t.stamp.(i)
 
   (* Re-arm the one slot at the earliest armed key, or disarm it. *)
   let rescan t =
@@ -51,7 +51,7 @@ module Timers = struct
     if !best >= 0 then arm_at t !best
     else begin
       t.armed <- -1;
-      Ba_sim.Engine.slot_cancel t.slot
+      Ba_sim.Engine.slot_cancel t.engine t.slot
     end
 
   (* The slot fired, so its key is the earliest: clear it and arm the next
@@ -187,7 +187,7 @@ module Timers = struct
   (* Additive increase: one extra message of window per cwnd acknowledged
      (i.e. +1 per round trip at saturation). *)
   let slid t ~outstanding:_ ~advanced =
-    if t.armed < 0 && Ba_sim.Engine.slot_armed t.slot then rescan t;
+    if t.armed < 0 && Ba_sim.Engine.slot_armed t.engine t.slot then rescan t;
     if t.config.Config.dynamic_window && t.cwnd < t.config.Config.window then begin
       t.ack_credit <- t.ack_credit + advanced;
       if t.ack_credit >= t.cwnd then begin
@@ -197,7 +197,7 @@ module Timers = struct
     end
 
   let wipe t =
-    Ba_sim.Engine.slot_cancel t.slot;
+    Ba_sim.Engine.slot_cancel t.engine t.slot;
     t.armed <- -1;
     Array.fill t.deadline 0 (Array.length t.deadline) max_int;
     Array.fill t.sent_at 0 (Array.length t.sent_at) 0;

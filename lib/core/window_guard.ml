@@ -76,8 +76,7 @@ let when_blocked t retry =
   if t.len > 0 && not t.retry_armed then begin
     let earliest = min_over t.expiries t.len 0 max_int in
     t.retry_armed <- true;
-    ignore
-      (Ba_sim.Engine.schedule_at t.engine ~at:earliest (fun () ->
-           t.retry_armed <- false;
-           retry ()))
+    Ba_sim.Engine.schedule_at t.engine ~at:earliest (fun () ->
+        t.retry_armed <- false;
+        retry ())
   end

@@ -579,10 +579,9 @@ let t5_piggyback ?(jobs = 1) ~quick () =
     in
     let engine = Blockack.Duplex.engine d in
     for i = 1 to messages do
-      ignore
-        (Ba_sim.Engine.schedule engine ~delay:(i * pace) (fun () ->
-             Blockack.Duplex.send (Blockack.Duplex.a d) (Printf.sprintf "a%d" i);
-             Blockack.Duplex.send (Blockack.Duplex.b d) (Printf.sprintf "b%d" i)))
+      Ba_sim.Engine.schedule engine ~delay:(i * pace) (fun () ->
+          Blockack.Duplex.send (Blockack.Duplex.a d) (Printf.sprintf "a%d" i);
+          Blockack.Duplex.send (Blockack.Duplex.b d) (Printf.sprintf "b%d" i))
     done;
     Blockack.Duplex.run d;
     let sa = Blockack.Duplex.stats (Blockack.Duplex.a d) in
@@ -771,9 +770,9 @@ let a3_fairness ?(jobs = 1) ~quick () =
         finish_time := Some (Ba_sim.Engine.now engine);
         Ba_sim.Engine.stop engine
       end
-      else ignore (Ba_sim.Engine.schedule engine ~delay:500 watch)
+      else Ba_sim.Engine.schedule engine ~delay:500 watch
     in
-    ignore (Ba_sim.Engine.schedule engine ~delay:500 watch);
+    Ba_sim.Engine.schedule engine ~delay:500 watch;
     Ba_sim.Engine.run ~until:(messages * 10_000) engine;
     let d0, d1 = Option.value ~default:(delivered.(0), delivered.(1)) !at_first_finish in
     let retx =

@@ -32,7 +32,8 @@ let packer engine ~send =
   let slot = Ba_sim.Engine.slot_create engine (fun () -> Codec.Packer.flush p) in
   fun src len ->
     Codec.Packer.add p src len;
-    if not (Ba_sim.Engine.slot_armed slot) then Ba_sim.Engine.slot_arm slot ~delay:0
+    if not (Ba_sim.Engine.slot_armed engine slot) then
+      Ba_sim.Engine.slot_arm engine slot ~delay:0
 
 module Server = struct
   type t = {
@@ -130,8 +131,8 @@ module Server = struct
             h_lo := a.W.lo;
             h_hi := a.W.hi;
             h_epoch := a.W.epoch;
-            if not (Ba_sim.Engine.slot_armed flush_slot) then
-              Ba_sim.Engine.slot_arm flush_slot ~delay:0
+            if not (Ba_sim.Engine.slot_armed engine flush_slot) then
+              Ba_sim.Engine.slot_arm engine flush_slot ~delay:0
       end
     in
     let r = P.create_receiver engine config ~tx ~deliver in
@@ -262,12 +263,12 @@ module Client = struct
           resync ());
       match !slot_ref with
       | Some slot ->
-          Ba_sim.Engine.slot_arm slot ~delay:watchdog.Ba_proto.Watchdog.check_interval
+          Ba_sim.Engine.slot_arm engine slot ~delay:watchdog.Ba_proto.Watchdog.check_interval
       | None -> ()
     in
     let slot = Ba_sim.Engine.slot_create engine check in
     slot_ref := Some slot;
-    Ba_sim.Engine.slot_arm slot ~delay:watchdog.Ba_proto.Watchdog.check_interval;
+    Ba_sim.Engine.slot_arm engine slot ~delay:watchdog.Ba_proto.Watchdog.check_interval;
     {
       pulled;
       pull_wall_;

@@ -91,8 +91,7 @@ let send t buf len =
         | Ba_channel.Fault_plan.Delay extra ->
             t.delayed <- t.delayed + 1;
             let copy = Bytes.sub buf 0 len in
-            ignore
-              (Ba_sim.Engine.schedule t.engine ~delay:extra (fun () -> pass t copy len)))
+            Ba_sim.Engine.schedule t.engine ~delay:extra (fun () -> pass t copy len))
 
 let gate t closed = t.closed <- closed
 let gated t = t.closed

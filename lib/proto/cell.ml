@@ -111,6 +111,7 @@ let plan_admission ~budget specs =
    by a persistent engine slot. [base_rate] is the cell's fair share in
    frames per epoch; reconciliation rewrites [interval] at barriers. *)
 type 'a lease = {
+  engine : Engine.t;
   svc : int;  (* the modelled link's service time, a floor on interval *)
   barrier : int;
   base_rate : int;
@@ -133,6 +134,7 @@ let lease_drops l = l.drops
 let make_lease engine ~svc ~barrier ~qcap ~base_rate ~send ~release =
   let l =
     {
+      engine;
       svc;
       barrier;
       base_rate;
@@ -155,7 +157,7 @@ let make_lease engine ~svc ~barrier ~qcap ~base_rate ~send ~release =
       l.head <- l.head + 1;
       l.serviced <- l.serviced + 1;
       l.send l.tags.(k) l.frames.(k);
-      if l.head < l.tail then Engine.slot_arm (Option.get l.slot) ~delay:l.interval
+      if l.head < l.tail then Engine.slot_arm engine (Option.get l.slot) ~delay:l.interval
     end
   in
   l.slot <- Some (Engine.slot_create engine service);
@@ -173,7 +175,8 @@ let lease_offer l tag v =
     l.tags.(k) <- tag;
     l.tail <- l.tail + 1;
     let slot = Option.get l.slot in
-    if not (Engine.slot_armed slot) then Engine.slot_arm slot ~delay:l.interval
+    if not (Engine.slot_armed l.engine slot) then
+      Engine.slot_arm l.engine slot ~delay:l.interval
   end
 
 (* Barrier-time reconciliation over one direction's leases: cells with
@@ -491,10 +494,9 @@ let schedule_crashes c i plan =
   | Some l ->
       List.iter
         (fun (e : Crash_plan.event) ->
-          ignore (Engine.schedule_at c.engine ~at:e.at (fun () -> crash c i l e.endpoint));
-          ignore
-            (Engine.schedule_at c.engine ~at:(e.at + e.down_for) (fun () ->
-                 restart c i l e.endpoint)))
+          Engine.schedule_at c.engine ~at:e.at (fun () -> crash c i l e.endpoint);
+          Engine.schedule_at c.engine ~at:(e.at + e.down_for) (fun () ->
+              restart c i l e.endpoint))
         plan
 
 (* ---- construction ---- *)
@@ -644,15 +646,14 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
     (fun i s ->
       Option.iter
         (fun d ->
-          ignore
-            (Engine.schedule_at engine ~at:d (fun () ->
-                 if running c i then begin
-                   set c i k_gate 2;
-                   if get c i k_completed_at < 0 then begin
-                     set c i k_departed_at d;
-                     finish c
-                   end
-                 end)))
+          Engine.schedule_at engine ~at:d (fun () ->
+              if running c i then begin
+                set c i k_gate 2;
+                if get c i k_completed_at < 0 then begin
+                  set c i k_departed_at d;
+                  finish c
+                end
+              end))
         s.stop_at)
     specs;
   (* Admission is a static worst-case guarantee; sampling observes what
@@ -661,9 +662,9 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
   let every delay f =
     let rec tick () =
       f ();
-      if c.remaining > 0 then ignore (Engine.schedule engine ~delay tick)
+      if c.remaining > 0 then Engine.schedule engine ~delay tick
     in
-    ignore (Engine.schedule engine ~delay tick)
+    Engine.schedule engine ~delay tick
   in
   (match (watchdog, budget) with
   | Some w, _ ->
@@ -692,7 +693,7 @@ let start c =
   Array.iteri
     (fun i s ->
       let pump () = c.group.(i).pump c.gslot.(i) in
-      if s.start_at = 0 then pump () else ignore (Engine.schedule_at c.engine ~at:s.start_at pump))
+      if s.start_at = 0 then pump () else Engine.schedule_at c.engine ~at:s.start_at pump)
     c.specs
 
 (* ---- verdicts ---- *)

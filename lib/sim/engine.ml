@@ -1,356 +1,260 @@
-exception Stopped
+(* The event queue is one binary heap of three int columns: an entry's
+   (time, stamp) orders it, and its key names what to run. The stamp is
+   a monotonically increasing insertion counter, so same-tick events
+   fire in scheduling order; a stamp may be taken ahead of its push
+   ([take_stamp], [slot_arm_keyed]) and keeps its place in that order
+   all the same. Every (time, stamp) pair is unique, so the heap pops
+   events in one order whatever its internal layout.
 
-(* The event queue is a struct-of-arrays arena plus an int-keyed binary
-   heap, replacing the old closure-per-event record heap. An event is an
-   arena slot holding its callback (an [int -> unit] plus an int
-   argument, so hot callers never build a closure per event) and a
-   generation counter; the heap orders (time, stamp) pairs with plain
-   int comparisons — the stamp is a monotonically increasing insertion
-   counter, which is exactly the old stable heap's insertion-order
-   tie-break, so same-tick events still fire in scheduling order and
-   every trace stays byte-identical. A stamp may be taken ahead of its
-   push ([take_stamp], [slot_arm_keyed]); it keeps its place in that
-   order all the same.
+   A key is [id lsl tag_bits lor tag]. Tag 0: [id] is a slot, whose
+   callback is [sl_fn.(id)]. Tag 1: [id] is a one-shot closure from
+   [schedule], parked in [cl_fn.(id)] until it fires. Tags 2 and up name
+   a handler from [handler], and [id] is its argument. Every move of a
+   slot's entry goes through [place], which records the entry's
+   position in [sl_pos], so a slot removes or re-keys its own entry in
+   place: nothing dead is ever left in the heap, and arming or firing a
+   slot or handler event writes no pointer. *)
 
-   Cancellation is generational: freeing a slot bumps its generation,
-   so heap entries (and user-held handles) that recorded the old
-   generation are recognisably stale. Dead heap entries are skipped at
-   the head and compacted in bulk, with the same counters and
-   compaction policy the record-based engine had. *)
+let tag_bits = 16
+let tag_mask = (1 lsl tag_bits) - 1
+let tag_slot = 0
+let tag_closure = 1
 
 type t = {
   mutable clock : int;
   rng : Ba_util.Rng.t;
-  mutable pending : int;  (* live events currently in the queue *)
-  mutable dead : int;  (* cancelled events still occupying heap slots *)
   mutable stopping : bool;
-  (* event arena *)
-  mutable ar_fn : (int -> unit) array;
-  mutable ar_arg : int array;
-  mutable ar_gen : int array;
-  mutable free : int array;  (* free-list stack of arena slots *)
-  mutable free_len : int;
-  (* binary heap over (time, stamp), entries point into the arena *)
   mutable hp_time : int array;
   mutable hp_stamp : int array;
-  mutable hp_slot : int array;
-  mutable hp_gen : int array;
+  mutable hp_key : int array;
   mutable hp_len : int;
   mutable stamp : int;  (* next insertion stamp; never reset *)
+  (* slots: callback and heap position (-1 when disarmed) *)
+  mutable sl_fn : (unit -> unit) array;
+  mutable sl_pos : int array;
+  mutable sl_len : int;
+  (* one-shot closures, with a free-list stack of their ids *)
+  mutable cl_fn : (unit -> unit) array;
+  mutable cl_free : int array;
+  mutable cl_free_len : int;
+  (* handlers, indexed by tag; 0 and 1 unused *)
+  mutable hd_fn : (int -> unit) array;
+  mutable hd_len : int;
 }
 
-type handle = { h_owner : t; h_slot : int; h_gen : int }
+type slot = int
+type handler = int
 
-type slot = {
-  s_owner : t;
-  mutable s_fire : int -> unit;  (* the one closure, built at [slot_create] *)
-  mutable s_idx : int;  (* arena slot while armed, -1 otherwise *)
-  mutable s_expiry : int;
-}
-
+let ignore_unit () = ()
 let ignore_int (_ : int) = ()
-
-(* Compact when corpses outnumber live events: a sender that cancels one
-   timer per acknowledgment would otherwise grow the heap without bound
-   (every pop then pays log of a heap dominated by dead entries). The
-   floor keeps tiny heaps from re-heapifying on every other cancel. *)
-let compaction_floor = 32
-
-let initial_cap = 64
 
 let create ?(seed = 1) () =
   {
     clock = 0;
     rng = Ba_util.Rng.create seed;
-    pending = 0;
-    dead = 0;
     stopping = false;
-    ar_fn = Array.make initial_cap ignore_int;
-    ar_arg = Array.make initial_cap 0;
-    ar_gen = Array.make initial_cap 0;
-    free = Array.init initial_cap (fun i -> initial_cap - 1 - i);
-    free_len = initial_cap;
-    hp_time = Array.make initial_cap 0;
-    hp_stamp = Array.make initial_cap 0;
-    hp_slot = Array.make initial_cap 0;
-    hp_gen = Array.make initial_cap 0;
+    hp_time = Array.make 16 0;
+    hp_stamp = Array.make 16 0;
+    hp_key = Array.make 16 0;
     hp_len = 0;
     stamp = 0;
+    sl_fn = [||];
+    sl_pos = [||];
+    sl_len = 0;
+    cl_fn = [||];
+    cl_free = [||];
+    cl_free_len = 0;
+    hd_fn = Array.make 4 ignore_int;
+    hd_len = tag_closure + 1;
   }
 
 let now t = t.clock
 let rng t = t.rng
 
-(* ---- arena ---- *)
-
-let grow_arena t =
-  let old = Array.length t.ar_fn in
-  let cap = 2 * old in
-  let fn = Array.make cap ignore_int in
-  Array.blit t.ar_fn 0 fn 0 old;
-  t.ar_fn <- fn;
-  let arg = Array.make cap 0 in
-  Array.blit t.ar_arg 0 arg 0 old;
-  t.ar_arg <- arg;
-  let gen = Array.make cap 0 in
-  Array.blit t.ar_gen 0 gen 0 old;
-  t.ar_gen <- gen;
-  (* grown only when the free stack is empty, so just refill it with the
-     new slots (lowest index popped first) *)
-  let free = Array.make cap 0 in
-  for i = 0 to old - 1 do
-    free.(i) <- cap - 1 - i
-  done;
-  t.free <- free;
-  t.free_len <- old
-
-let acquire t =
-  if t.free_len = 0 then grow_arena t;
-  t.free_len <- t.free_len - 1;
-  t.free.(t.free_len)
-
-(* Bumping the generation is what invalidates every outstanding heap
-   entry and handle for this slot; clearing the callback drops whatever
-   it captured. *)
-let release_slot t idx =
-  t.ar_gen.(idx) <- t.ar_gen.(idx) + 1;
-  t.ar_fn.(idx) <- ignore_int;
-  t.free.(t.free_len) <- idx;
-  t.free_len <- t.free_len + 1
-
-(* ---- heap ---- *)
-
-let hp_less t i j =
-  t.hp_time.(i) < t.hp_time.(j)
-  || (t.hp_time.(i) = t.hp_time.(j) && t.hp_stamp.(i) < t.hp_stamp.(j))
-
-let hp_swap t i j =
-  let tm = t.hp_time.(i) in
-  t.hp_time.(i) <- t.hp_time.(j);
-  t.hp_time.(j) <- tm;
-  let st = t.hp_stamp.(i) in
-  t.hp_stamp.(i) <- t.hp_stamp.(j);
-  t.hp_stamp.(j) <- st;
-  let sl = t.hp_slot.(i) in
-  t.hp_slot.(i) <- t.hp_slot.(j);
-  t.hp_slot.(j) <- sl;
-  let g = t.hp_gen.(i) in
-  t.hp_gen.(i) <- t.hp_gen.(j);
-  t.hp_gen.(j) <- g
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if hp_less t i parent then begin
-      hp_swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 in
-  if l < t.hp_len then begin
-    let smallest = if hp_less t l i then l else i in
-    let r = l + 1 in
-    let smallest = if r < t.hp_len && hp_less t r smallest then r else smallest in
-    if smallest <> i then begin
-      hp_swap t i smallest;
-      sift_down t smallest
-    end
-  end
-
-let heap_grow t =
-  let old = Array.length t.hp_time in
-  let cap = 2 * old in
-  let tm = Array.make cap 0 in
-  Array.blit t.hp_time 0 tm 0 old;
-  t.hp_time <- tm;
-  let st = Array.make cap 0 in
-  Array.blit t.hp_stamp 0 st 0 old;
-  t.hp_stamp <- st;
-  let sl = Array.make cap 0 in
-  Array.blit t.hp_slot 0 sl 0 old;
-  t.hp_slot <- sl;
-  let g = Array.make cap 0 in
-  Array.blit t.hp_gen 0 g 0 old;
-  t.hp_gen <- g
+(* A copy of [a] with room for [cap] entries, the new ones [fill]. *)
+let grown a cap fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 let take_stamp t =
   let s = t.stamp in
   t.stamp <- s + 1;
   s
 
-let heap_push t ~time ~stamp ~slot ~gen =
-  if t.hp_len = Array.length t.hp_time then heap_grow t;
-  let i = t.hp_len in
-  t.hp_len <- i + 1;
+(* ---- heap ---- *)
+
+let place t i time stamp key =
   t.hp_time.(i) <- time;
   t.hp_stamp.(i) <- stamp;
-  t.hp_slot.(i) <- slot;
-  t.hp_gen.(i) <- gen;
-  sift_up t i
+  t.hp_key.(i) <- key;
+  if key land tag_mask = tag_slot then t.sl_pos.(key lsr tag_bits) <- i
 
-(* Discard the root (callers read its fields first). *)
-let heap_pop_root t =
-  let last = t.hp_len - 1 in
-  t.hp_len <- last;
-  if last > 0 then begin
-    t.hp_time.(0) <- t.hp_time.(last);
-    t.hp_stamp.(0) <- t.hp_stamp.(last);
-    t.hp_slot.(0) <- t.hp_slot.(last);
-    t.hp_gen.(0) <- t.hp_gen.(last);
-    sift_down t 0
+let lt (t1 : int) (s1 : int) (t2 : int) (s2 : int) = t1 < t2 || (t1 = t2 && s1 < s2)
+
+(* Both sifts carry the entry in hand and move the others into the hole
+   at [i], writing the entry once where it stops. *)
+let rec sift_up t i time stamp key =
+  let p = (i - 1) / 2 in
+  if i > 0 && lt time stamp t.hp_time.(p) t.hp_stamp.(p) then begin
+    place t i t.hp_time.(p) t.hp_stamp.(p) t.hp_key.(p);
+    sift_up t p time stamp key
+  end
+  else place t i time stamp key
+
+let rec sift_down t i time stamp key =
+  let l = (2 * i) + 1 in
+  if l >= t.hp_len then place t i time stamp key
+  else begin
+    let r = l + 1 in
+    let c =
+      if r < t.hp_len && lt t.hp_time.(r) t.hp_stamp.(r) t.hp_time.(l) t.hp_stamp.(l) then r
+      else l
+    in
+    if lt t.hp_time.(c) t.hp_stamp.(c) time stamp then begin
+      place t i t.hp_time.(c) t.hp_stamp.(c) t.hp_key.(c);
+      sift_down t c time stamp key
+    end
+    else place t i time stamp key
   end
 
-(* ---- scheduling ---- *)
+(* Put an entry into the hole at [i], towards whichever end it belongs. *)
+let settle t i time stamp key =
+  let p = (i - 1) / 2 in
+  if i > 0 && lt time stamp t.hp_time.(p) t.hp_stamp.(p) then sift_up t i time stamp key
+  else sift_down t i time stamp key
 
-let enqueue t ~at ~stamp fn arg =
-  let idx = acquire t in
-  t.ar_fn.(idx) <- fn;
-  t.ar_arg.(idx) <- arg;
-  heap_push t ~time:at ~stamp ~slot:idx ~gen:t.ar_gen.(idx);
-  t.pending <- t.pending + 1;
-  idx
+let push t time stamp key =
+  let i = t.hp_len in
+  if i = Array.length t.hp_time then begin
+    t.hp_time <- grown t.hp_time (2 * i) 0;
+    t.hp_stamp <- grown t.hp_stamp (2 * i) 0;
+    t.hp_key <- grown t.hp_key (2 * i) 0
+  end;
+  t.hp_len <- i + 1;
+  sift_up t i time stamp key
+
+(* Remove the entry at [i]: the last entry fills its hole. *)
+let remove t i =
+  let last = t.hp_len - 1 in
+  t.hp_len <- last;
+  if i < last then settle t i t.hp_time.(last) t.hp_stamp.(last) t.hp_key.(last)
+
+(* ---- one-shot events ---- *)
 
 let schedule_at t ~at action =
   if at < t.clock then invalid_arg "Engine.schedule_at: time in the past";
-  let idx = enqueue t ~at ~stamp:(take_stamp t) (fun _ -> action ()) 0 in
-  { h_owner = t; h_slot = idx; h_gen = t.ar_gen.(idx) }
+  if t.cl_free_len = 0 then begin
+    let old = Array.length t.cl_fn in
+    let cap = max 4 (2 * old) in
+    t.cl_fn <- grown t.cl_fn cap ignore_unit;
+    t.cl_free <- Array.init cap (fun i -> cap - 1 - i);
+    t.cl_free_len <- cap - old
+  end;
+  t.cl_free_len <- t.cl_free_len - 1;
+  let id = t.cl_free.(t.cl_free_len) in
+  t.cl_fn.(id) <- action;
+  push t at (take_stamp t) ((id lsl tag_bits) lor tag_closure)
 
 let schedule t ~delay action =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~at:(t.clock + delay) action
 
-let schedule_fn t ~delay fn arg =
+let handler t fn =
+  let tag = t.hd_len in
+  if tag > tag_mask then invalid_arg "Engine.handler: too many handlers";
+  if tag = Array.length t.hd_fn then t.hd_fn <- grown t.hd_fn (2 * tag) ignore_int;
+  t.hd_fn.(tag) <- fn;
+  t.hd_len <- tag + 1;
+  tag
+
+let schedule_fn t ~delay h arg =
   if delay < 0 then invalid_arg "Engine.schedule_fn: negative delay";
-  ignore (enqueue t ~at:(t.clock + delay) ~stamp:(take_stamp t) fn arg)
+  if arg < 0 then invalid_arg "Engine.schedule_fn: negative argument";
+  push t (t.clock + delay) (take_stamp t) ((arg lsl tag_bits) lor h)
 
-(* ---- cancellation ---- *)
-
-let maybe_compact t =
-  if t.dead > t.pending && t.dead > compaction_floor then begin
-    (* Keep gen-matching entries in place (their stamps come along, so
-       relative order among survivors is preserved), then Floyd-heapify. *)
-    let n = t.hp_len in
-    let j = ref 0 in
-    for i = 0 to n - 1 do
-      if t.hp_gen.(i) = t.ar_gen.(t.hp_slot.(i)) then begin
-        let k = !j in
-        if k <> i then begin
-          t.hp_time.(k) <- t.hp_time.(i);
-          t.hp_stamp.(k) <- t.hp_stamp.(i);
-          t.hp_slot.(k) <- t.hp_slot.(i);
-          t.hp_gen.(k) <- t.hp_gen.(i)
-        end;
-        incr j
-      end
-    done;
-    t.hp_len <- !j;
-    for k = (!j / 2) - 1 downto 0 do
-      sift_down t k
-    done;
-    t.dead <- 0
-  end
-
-let cancel_slot t idx =
-  release_slot t idx;
-  t.pending <- t.pending - 1;
-  t.dead <- t.dead + 1;
-  maybe_compact t
-
-let handle_pending h = h.h_gen = h.h_owner.ar_gen.(h.h_slot)
-
-let cancel h = if handle_pending h then cancel_slot h.h_owner h.h_slot
-
-let is_pending h = handle_pending h
-
-let pending_events t = t.pending
-
-let queue_length t = t.hp_len
+let pending_events t = t.hp_len
 
 (* ---- slots ---- *)
 
 let slot_create t callback =
-  let s = { s_owner = t; s_fire = ignore_int; s_idx = -1; s_expiry = 0 } in
-  s.s_fire <-
-    (fun _ ->
-      s.s_idx <- -1;
-      callback ());
-  s
+  let id = t.sl_len in
+  if id = Array.length t.sl_fn then begin
+    let cap = max 4 (2 * id) in
+    t.sl_fn <- grown t.sl_fn cap ignore_unit;
+    t.sl_pos <- grown t.sl_pos cap (-1)
+  end;
+  t.sl_fn.(id) <- callback;
+  t.sl_len <- id + 1;
+  id
 
-let slot_cancel s =
-  if s.s_idx >= 0 then begin
-    cancel_slot s.s_owner s.s_idx;
-    s.s_idx <- -1
+let slot_cancel t s =
+  let i = t.sl_pos.(s) in
+  if i >= 0 then begin
+    t.sl_pos.(s) <- -1;
+    remove t i
   end
 
 (* A keyed arming takes the heap position of an event scheduled when
    [stamp] was taken: among events of tick [at] it fires exactly where
-   that event would have. *)
-let slot_arm_keyed s ~at ~stamp =
-  let t = s.s_owner in
+   that event would have. An armed slot's entry is re-keyed where it
+   stands. *)
+let slot_arm_keyed t s ~at ~stamp =
   if at < t.clock then invalid_arg "Engine.slot_arm_keyed: time in the past";
   if stamp < 0 || stamp >= t.stamp then invalid_arg "Engine.slot_arm_keyed: stamp not taken";
-  if s.s_idx >= 0 then cancel_slot t s.s_idx;
-  s.s_idx <- enqueue t ~at ~stamp s.s_fire 0;
-  s.s_expiry <- at
+  let i = t.sl_pos.(s) in
+  if i >= 0 then settle t i at stamp (s lsl tag_bits) else push t at stamp (s lsl tag_bits)
 
-let slot_arm s ~delay =
+let slot_arm t s ~delay =
   if delay < 0 then invalid_arg "Engine.slot_arm: negative delay";
-  let t = s.s_owner in
-  slot_arm_keyed s ~at:(t.clock + delay) ~stamp:(take_stamp t)
+  slot_arm_keyed t s ~at:(t.clock + delay) ~stamp:(take_stamp t)
 
-let slot_armed s = s.s_idx >= 0
-let slot_expiry s = s.s_expiry
+let slot_armed t s = t.sl_pos.(s) >= 0
+
+let slot_expiry t s =
+  let i = t.sl_pos.(s) in
+  if i < 0 then invalid_arg "Engine.slot_expiry: disarmed";
+  t.hp_time.(i)
 
 (* ---- firing ---- *)
 
-(* The one corpse-skipping path: drop stale entries off the head of the
-   heap (keeping the [dead] counter exact). True when a live head
-   remains at index 0. *)
-let rec skip_corpses t =
-  if t.hp_len = 0 then false
-  else if t.hp_gen.(0) = t.ar_gen.(t.hp_slot.(0)) then true
-  else begin
-    heap_pop_root t;
-    t.dead <- t.dead - 1;
-    skip_corpses t
-  end
-
+(* The head leaves the heap before its callback runs: it is no longer
+   pending during its own callback, so a slot may re-arm from inside. *)
 let fire_head t =
-  let time = t.hp_time.(0) in
-  let idx = t.hp_slot.(0) in
-  heap_pop_root t;
-  t.clock <- time;
-  let fn = t.ar_fn.(idx) in
-  let arg = t.ar_arg.(idx) in
-  (* Free before calling: the event is no longer pending during its own
-     callback (so a handle or slot can be re-armed from inside it). *)
-  release_slot t idx;
-  t.pending <- t.pending - 1;
-  fn arg
+  let key = t.hp_key.(0) in
+  t.clock <- t.hp_time.(0);
+  remove t 0;
+  let tag = key land tag_mask and id = key lsr tag_bits in
+  if tag = tag_slot then begin
+    t.sl_pos.(id) <- -1;
+    t.sl_fn.(id) ()
+  end
+  else if tag = tag_closure then begin
+    let f = t.cl_fn.(id) in
+    t.cl_fn.(id) <- ignore_unit;
+    t.cl_free.(t.cl_free_len) <- id;
+    t.cl_free_len <- t.cl_free_len + 1;
+    f ()
+  end
+  else t.hd_fn.(tag) id
 
-let next_due t = if skip_corpses t then Some t.hp_time.(0) else None
+let next_due t = if t.hp_len = 0 then None else Some t.hp_time.(0)
 
 let step t =
-  if not (skip_corpses t) then false
+  if t.hp_len = 0 then false
   else begin
     fire_head t;
     true
   end
 
 let drain_batch t =
-  if not (skip_corpses t) then 0
+  if t.hp_len = 0 then 0
   else begin
     let tick = t.hp_time.(0) in
     let fired = ref 0 in
-    let continue = ref true in
-    while !continue do
-      if (not t.stopping) && skip_corpses t && t.hp_time.(0) = tick then begin
-        fire_head t;
-        incr fired
-      end
-      else continue := false
+    while (not t.stopping) && t.hp_len > 0 && t.hp_time.(0) = tick do
+      fire_head t;
+      incr fired
     done;
     !fired
   end
@@ -359,20 +263,13 @@ let stop t = t.stopping <- true
 
 let run ?until ?max_events t =
   t.stopping <- false;
+  let horizon = Option.value until ~default:max_int in
+  let budget = Option.value max_events ~default:max_int in
   let fired = ref 0 in
-  let budget_ok () = match max_events with None -> true | Some m -> !fired < m in
-  let rec loop () =
-    if t.stopping || not (budget_ok ()) then ()
-    else if skip_corpses t then begin
-      match until with
-      | Some horizon when t.hp_time.(0) > horizon -> ()
-      | Some _ | None ->
-          fire_head t;
-          incr fired;
-          loop ()
-    end
-  in
-  loop ();
+  while (not t.stopping) && !fired < budget && t.hp_len > 0 && t.hp_time.(0) <= horizon do
+    fire_head t;
+    incr fired
+  done;
   match until with
-  | Some horizon when (not t.stopping) && budget_ok () -> t.clock <- max t.clock horizon
+  | Some horizon when (not t.stopping) && !fired < budget -> t.clock <- max t.clock horizon
   | Some _ | None -> ()

@@ -3,12 +3,14 @@
     Model time is an integer tick count (one tick reads naturally as one
     microsecond, but nothing depends on the unit). Events scheduled for
     the same tick fire in scheduling order, so a run is fully determined
-    by the seed and the program. *)
+    by the seed and the program.
+
+    The queue is one binary heap of int triples [(time, stamp, key)].
+    One-shot events ({!schedule}, {!schedule_fn}) are pushed and popped;
+    a {!slot} owns at most one entry and re-keys or removes it in place,
+    so cancelling or re-arming leaves nothing dead in the queue. *)
 
 type t
-
-type handle
-(** A scheduled event; can be cancelled until it fires. *)
 
 val create : ?seed:int -> unit -> t
 (** [create ~seed ()] starts a simulation at tick 0 with a generator
@@ -21,34 +23,37 @@ val rng : t -> Ba_util.Rng.t
 (** The engine's random stream. Components wanting independent streams
     should [Ba_util.Rng.split] it at setup time. *)
 
-val schedule : t -> delay:int -> (unit -> unit) -> handle
+val schedule : t -> delay:int -> (unit -> unit) -> unit
 (** [schedule t ~delay f] arranges for [f ()] to run at [now t + delay].
-    Requires [delay >= 0]. *)
+    Fire-and-forget: a one-shot event cannot be cancelled. Requires
+    [delay >= 0]. *)
 
-val schedule_at : t -> at:int -> (unit -> unit) -> handle
+val schedule_at : t -> at:int -> (unit -> unit) -> unit
 (** Absolute-time variant. Requires [at >= now t]. *)
 
-val cancel : handle -> unit
-(** Cancel a pending event; no-op if it already fired or was cancelled. *)
+type handler [@@immediate]
+(** A callback registered once with {!handler}, for high-rate one-shot
+    events. *)
 
-val is_pending : handle -> bool
+val handler : t -> (int -> unit) -> handler
+(** [handler t f] registers [f] for {!schedule_fn}. Register once per
+    callback (the link registers its two at creation), not per event. *)
+
+val schedule_fn : t -> delay:int -> handler -> int -> unit
+(** [schedule_fn t ~delay h arg] runs [h]'s callback on [arg] at
+    [now t + delay]: fire-and-forget, not cancellable, and
+    allocation-free — the path for the link's delivery events.
+    Requires [delay >= 0] and [arg >= 0]. *)
 
 val pending_events : t -> int
-(** Number of not-yet-fired, not-cancelled events. O(1): the engine
-    maintains the count incrementally across schedule/cancel/fire. *)
+(** Number of not-yet-fired events, armed slots included. O(1). *)
 
-val queue_length : t -> int
-(** Physical size of the event heap, counting lazily-cancelled entries
-    that have not been compacted away yet. Always [>= pending_events].
-    Exposed so tests can observe dead-event compaction; not meaningful
-    for simulation logic. *)
-
-type slot
-(** A reusable event slot: the allocation-free way to run a recurring
-    (re-armable) callback. The callback closure is built once at
-    {!slot_create}; every {!slot_arm} after that reuses it, costing no
-    heap allocation — unlike {!schedule}, which builds a fresh closure
-    and handle per call. This is what {!Timer} arms on every
+type slot [@@immediate]
+(** A reusable event slot: the way to run a recurring (re-armable) or
+    cancellable callback. The callback is registered once at
+    {!slot_create}; arming, re-arming and cancelling after that move the
+    slot's one queue entry in place and allocate nothing. A slot lives
+    as long as its engine. This is what {!Timer} arms on every
     (re)transmission. *)
 
 val slot_create : t -> (unit -> unit) -> slot
@@ -56,10 +61,10 @@ val slot_create : t -> (unit -> unit) -> slot
     fires. A slot fires at most once per arming and is disarmed before
     [f] runs, so [f] may re-arm it. *)
 
-val slot_arm : slot -> delay:int -> unit
-(** Arm (or re-arm, cancelling the previous arming) to fire [delay]
+val slot_arm : t -> slot -> delay:int -> unit
+(** Arm (or re-arm, replacing the previous arming) to fire [delay]
     ticks from now: {!slot_arm_keyed} with a fresh {!take_stamp}.
-    Requires [delay >= 0]. Allocation-free. *)
+    Requires [delay >= 0]. *)
 
 val take_stamp : t -> int
 (** Reserve the insertion stamp the next scheduled event would take:
@@ -68,29 +73,23 @@ val take_stamp : t -> int
     ever armed with it, so later events keep the order they would have
     had. *)
 
-val slot_arm_keyed : slot -> at:int -> stamp:int -> unit
+val slot_arm_keyed : t -> slot -> at:int -> stamp:int -> unit
 (** Arm (or re-arm) to fire at tick [at] with a stamp from
     {!take_stamp}, in place of a fresh one. The slot then fires exactly
     where an event scheduled for [at] at the moment [stamp] was taken
     would have, before or after every other event of that tick. This
     lets one slot stand for many logical timers: keep each timer's
     [(at, stamp)] key and arm the slot at the earliest. Raises
-    [Invalid_argument] when [at < now t] or [stamp] was never taken.
-    Allocation-free. *)
+    [Invalid_argument] when [at < now t] or [stamp] was never taken. *)
 
-val slot_cancel : slot -> unit
+val slot_cancel : t -> slot -> unit
 (** Disarm; no-op when not armed. *)
 
-val slot_armed : slot -> bool
+val slot_armed : t -> slot -> bool
 
-val slot_expiry : slot -> int
-(** Absolute tick of the current arming; meaningless when disarmed. *)
-
-val schedule_fn : t -> delay:int -> (int -> unit) -> int -> unit
-(** [schedule_fn t ~delay f arg] runs [f arg] at [now t + delay] —
-    fire-and-forget, not cancellable. Passing a persistent [f] and an
-    integer [arg] makes this the allocation-free path for high-rate
-    one-shot events (the link's delivery events). *)
+val slot_expiry : t -> slot -> int
+(** Absolute tick of the current arming. Raises [Invalid_argument] when
+    disarmed. *)
 
 val next_due : t -> int option
 (** Tick of the earliest pending event, without firing it ([None] when
@@ -108,11 +107,10 @@ val drain_batch : t -> int
     inspection out of the per-event loop. Respects {!stop}. *)
 
 val run : ?until:int -> ?max_events:int -> t -> unit
-(** Fire events until the queue drains, [until] ticks is reached
-    (events at [until] and beyond stay pending, with the clock advanced
-    to [until]), or [max_events] have fired. *)
+(** Fire events until the queue drains, the next event lies beyond
+    [until], or [max_events] have fired. Events at tick [until] fire;
+    later ones stay pending, and the clock then advances to [until]
+    (unless the run was stopped or hit [max_events]). *)
 
 val stop : t -> unit
 (** Make the current [run] return after the event in progress. *)
-
-exception Stopped

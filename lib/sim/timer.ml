@@ -1,6 +1,6 @@
-(* A thin veneer over an {!Engine.slot}: the callback closure is built
-   once here, and every (re)arm after that is allocation-free — the old
-   implementation built a fresh closure and heap record per [start]. *)
+(* A thin veneer over an {!Engine.slot}: the callback is registered once
+   here, and every (re)arm after that moves the slot's one queue entry in
+   place, allocating nothing. *)
 
 type t = {
   engine : Engine.t;
@@ -12,13 +12,13 @@ let create engine ~duration callback =
   if duration < 0 then invalid_arg "Timer.create: negative duration";
   { engine; slot = Engine.slot_create engine callback; duration }
 
-let stop t = Engine.slot_cancel t.slot
+let stop t = Engine.slot_cancel t.engine t.slot
 
-let start_for t duration = Engine.slot_arm t.slot ~delay:duration
+let start_for t duration = Engine.slot_arm t.engine t.slot ~delay:duration
 
 let start t = start_for t t.duration
 
-let is_armed t = Engine.slot_armed t.slot
+let is_armed t = Engine.slot_armed t.engine t.slot
 
 let duration t = t.duration
 
@@ -27,4 +27,5 @@ let set_duration t d =
   t.duration <- d
 
 let remaining t =
-  if is_armed t then Some (max 0 (Engine.slot_expiry t.slot - Engine.now t.engine)) else None
+  if is_armed t then Some (max 0 (Engine.slot_expiry t.engine t.slot - Engine.now t.engine))
+  else None

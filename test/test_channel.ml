@@ -358,7 +358,7 @@ let test_link_outage_window () =
   let got = ref [] in
   let l = Link.create e ~delay:(Dist.Constant 1) ~deliver:(fun m -> got := m :: !got) () in
   Link.set_plan l (FP.make ~outages:[ { FP.from_tick = 100; until_tick = 200 } ] ());
-  let send_at at tag = ignore (Ba_sim.Engine.schedule_at e ~at (fun () -> Link.send l tag)) in
+  let send_at at tag = Ba_sim.Engine.schedule_at e ~at (fun () -> Link.send l tag) in
   send_at 50 `Before;
   send_at 100 `During;
   send_at 199 `During2;

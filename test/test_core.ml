@@ -580,7 +580,7 @@ let join ~messages =
   let link kind deliver =
     Queue.add (Engine.now engine, kind) log;
     if kind <> "data" && kind <> "ack" && !dropped < 2 then incr dropped
-    else ignore (Engine.schedule engine ~delay:10 deliver)
+    else Engine.schedule engine ~delay:10 deliver
   in
   let sender = ref None in
   let receiver =
@@ -691,14 +691,15 @@ let test_endpoint_footprint () =
       in
       if receiver > 240 then
         Alcotest.failf "w=%d: receiver keeps %d B, want <= 240" window receiver;
-      if sender > 600 then
-        Alcotest.failf "w=%d lead=%d: Sender_multi keeps %d B, want <= 600" window lead sender)
+      if sender > 550 then
+        Alcotest.failf "w=%d lead=%d: Sender_multi keeps %d B, want <= 550" window lead sender)
     [ (8, 8); (16, 16); (8, 16) ]
 
 (* In flight, a sender holds slots for what it has sent, not for its
    window: with two messages pumped each column has two slots. The
-   figure includes the sender's one armed engine event (64 B; [n] is a
-   power of two so the engine's columns hold exactly [n] events), and
+   figure includes the sender's engine slot and its one armed event
+   (40 B; [n] is a power of two so the engine's columns hold exactly
+   [n] slots and [n] events), and
    the shared budget and payload keep the test's own supplier out of it. *)
 let test_flight_footprint () =
   let forever () = Some "p" in
@@ -716,8 +717,8 @@ let test_flight_footprint () =
             Blockack.Sender_multi.pump s;
             s)
       in
-      if sender > 750 then
-        Alcotest.failf "w=%d lead=%d: Sender_multi with two in flight keeps %d B, want <= 750"
+      if sender > 650 then
+        Alcotest.failf "w=%d lead=%d: Sender_multi with two in flight keeps %d B, want <= 650"
           window lead sender)
     [ (8, 8); (16, 16); (8, 16) ]
 
@@ -929,6 +930,38 @@ let test_sender_drops_corrupt_ack () =
       let create engine config = create engine config
     end)
 
+(* Without a wire modulus a checksum-valid acknowledgment can carry any
+   range. An inverted one must not raise, and a huge one must cost no
+   more than the outstanding messages it covers. *)
+let test_sender_hostile_ack_range () =
+  let run name (module S : Blockack.Sender_core.S) =
+    let p = make_pipe () in
+    let config = Config.make ~window:8 ~rto:100 () in
+    let s =
+      S.create p.engine config ~tx:(fun d -> Queue.add d p.sent_data) ~next_payload:(payloads 4)
+    in
+    S.pump s;
+    check Alcotest.int (name ^ ": four outstanding") 4 (S.ns s);
+    S.on_ack s (Wire.make_ack ~lo:5 ~hi:2);
+    check Alcotest.int (name ^ ": inverted range ignored") 0 (S.na s);
+    S.on_ack s (Wire.make_ack ~lo:3 ~hi:1);
+    check Alcotest.int (name ^ ": inverted range over the flight ignored") 0 (S.na s);
+    S.on_ack s (Wire.make_ack ~lo:(-5) ~hi:1);
+    check Alcotest.int (name ^ ": range clipped below na") 2 (S.na s);
+    let t0 = Sys.time () in
+    S.on_ack s (Wire.make_ack ~lo:0 ~hi:200_000_000);
+    let spent = Sys.time () -. t0 in
+    check Alcotest.int (name ^ ": huge range acknowledges the flight") 4 (S.na s);
+    if spent > 0.05 then Alcotest.failf "%s: huge range took %.3f s" name spent
+  in
+  run "simple" (module Blockack.Sender);
+  run "multi"
+    (module struct
+      include Blockack.Sender_multi
+
+      let create engine config = create engine config
+    end)
+
 (* ------------------------------------------------------------------ *)
 (* Karn's rule in Sender_multi (both halves) *)
 
@@ -944,9 +977,8 @@ let test_multi_karn_backoff_not_collapse () =
   Blockack.Sender_multi.pump s;
   (* Four clean samples of rtt = 10 pull the adaptive rto far below the
      configured 100 (unbounded wire numbers have no soundness floor). *)
-  ignore
-    (Engine.schedule p.engine ~delay:10 (fun () ->
-         Blockack.Sender_multi.on_ack s (Wire.make_ack ~lo:0 ~hi:3)));
+  Engine.schedule p.engine ~delay:10 (fun () ->
+      Blockack.Sender_multi.on_ack s (Wire.make_ack ~lo:0 ~hi:3));
   Engine.run ~until:11 p.engine;
   let r0 = Blockack.Sender_multi.rto_now s in
   check Alcotest.bool "estimator adapted below configured rto" true (r0 < 100);
@@ -968,9 +1000,8 @@ let test_multi_karn_excludes_retransmit_samples () =
       ~next_payload:(payloads 8)
   in
   Blockack.Sender_multi.pump s;
-  ignore
-    (Engine.schedule p.engine ~delay:10 (fun () ->
-         Blockack.Sender_multi.on_ack s (Wire.make_ack ~lo:0 ~hi:3)));
+  Engine.schedule p.engine ~delay:10 (fun () ->
+      Blockack.Sender_multi.on_ack s (Wire.make_ack ~lo:0 ~hi:3));
   Engine.run ~until:11 p.engine;
   let srtt_before = Blockack.Sender_multi.srtt s in
   let r0 = Blockack.Sender_multi.rto_now s in
@@ -1047,7 +1078,7 @@ let test_guard_caps_and_expires () =
   check Alcotest.int "cap at seq+w" 14 (Blockack.Window_guard.frontier g);
   Blockack.Window_guard.note_retransmission g ~seq:5 ~window:4 ~hold_for:50;
   check Alcotest.int "lowest cap wins" 9 (Blockack.Window_guard.frontier g);
-  ignore (Engine.schedule e ~delay:60 (fun () -> ()));
+  Engine.schedule e ~delay:60 (fun () -> ());
   Engine.run e;
   check Alcotest.int "expired" max_int (Blockack.Window_guard.frontier g)
 
@@ -1245,6 +1276,8 @@ let () =
           Alcotest.test_case "corruption detected" `Quick test_wire_corruption_detected;
           Alcotest.test_case "receiver drops corrupt data" `Quick test_receiver_drops_corrupt_data;
           Alcotest.test_case "sender drops corrupt ack" `Quick test_sender_drops_corrupt_ack;
+          Alcotest.test_case "sender survives hostile ack range" `Quick
+            test_sender_hostile_ack_range;
         ] );
       ( "karn",
         [

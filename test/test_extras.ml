@@ -495,10 +495,9 @@ let test_duplex_piggybacks () =
   in
   let engine = Blockack.Duplex.engine d in
   for i = 1 to 200 do
-    ignore
-      (Ba_sim.Engine.schedule engine ~delay:(i * 20) (fun () ->
-           Blockack.Duplex.send (Blockack.Duplex.a d) (Printf.sprintf "a%d" i);
-           Blockack.Duplex.send (Blockack.Duplex.b d) (Printf.sprintf "b%d" i)))
+    Ba_sim.Engine.schedule engine ~delay:(i * 20) (fun () ->
+        Blockack.Duplex.send (Blockack.Duplex.a d) (Printf.sprintf "a%d" i);
+        Blockack.Duplex.send (Blockack.Duplex.b d) (Printf.sprintf "b%d" i))
   done;
   Blockack.Duplex.run d;
   check Alcotest.bool "idle" true (Blockack.Duplex.idle d);
@@ -576,7 +575,7 @@ let prop_engine_fires_in_time_order =
       let e = Engine.create () in
       let fired = ref [] in
       List.iter
-        (fun d -> ignore (Ba_sim.Engine.schedule e ~delay:d (fun () -> fired := Engine.now e :: !fired)))
+        (fun d -> Ba_sim.Engine.schedule e ~delay:d (fun () -> fired := Engine.now e :: !fired))
         delays;
       Engine.run e;
       let times = List.rev !fired in

@@ -817,11 +817,10 @@ let driver_zero_delay () =
       let drv =
         Ba_transport.Driver.create ~engine ~sock:rx ~tick_us:5_000_000
           ~on_frame:(fun _ _ ->
-            ignore
-              (Ba_sim.Engine.schedule engine ~delay:0 (fun () ->
-                   match !drv_ref with
-                   | Some d -> fired_at := Ba_transport.Driver.now_ticks d
-                   | None -> ())))
+            Ba_sim.Engine.schedule engine ~delay:0 (fun () ->
+                match !drv_ref with
+                | Some d -> fired_at := Ba_transport.Driver.now_ticks d
+                | None -> ()))
           ()
       in
       drv_ref := Some drv;

@@ -107,8 +107,8 @@ let test_cell_footprint () =
   let started = per_flow () in
   ignore (Sys.opaque_identity built);
   Printf.printf "created %d started %d\n%!" created started;
-  if created > 1_200 then Alcotest.failf "after Cell.create %d B/flow, want <= 1200" created;
-  if started > 1_850 then Alcotest.failf "after Cell.start %d B/flow, want <= 1850" started
+  if created > 1_140 then Alcotest.failf "after Cell.create %d B/flow, want <= 1140" created;
+  if started > 1_630 then Alcotest.failf "after Cell.start %d B/flow, want <= 1630" started
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: shards/jobs are scheduling, not semantics *)

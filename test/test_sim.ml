@@ -15,9 +15,9 @@ let test_engine_starts_at_zero () =
 let test_engine_event_order () =
   let e = Engine.create () in
   let order = ref [] in
-  ignore (Engine.schedule e ~delay:30 (fun () -> order := 3 :: !order));
-  ignore (Engine.schedule e ~delay:10 (fun () -> order := 1 :: !order));
-  ignore (Engine.schedule e ~delay:20 (fun () -> order := 2 :: !order));
+  Engine.schedule e ~delay:30 (fun () -> order := 3 :: !order);
+  Engine.schedule e ~delay:10 (fun () -> order := 1 :: !order);
+  Engine.schedule e ~delay:20 (fun () -> order := 2 :: !order);
   Engine.run e;
   check (Alcotest.list Alcotest.int) "time order" [ 1; 2; 3 ] (List.rev !order);
   check Alcotest.int "clock at last event" 30 (Engine.now e)
@@ -26,7 +26,7 @@ let test_engine_same_time_fifo () =
   let e = Engine.create () in
   let order = ref [] in
   for i = 1 to 5 do
-    ignore (Engine.schedule e ~delay:10 (fun () -> order := i :: !order))
+    Engine.schedule e ~delay:10 (fun () -> order := i :: !order)
   done;
   Engine.run e;
   check (Alcotest.list Alcotest.int) "FIFO at same tick" [ 1; 2; 3; 4; 5 ] (List.rev !order)
@@ -34,10 +34,9 @@ let test_engine_same_time_fifo () =
 let test_engine_nested_schedule () =
   let e = Engine.create () in
   let fired = ref [] in
-  ignore
-    (Engine.schedule e ~delay:5 (fun () ->
-         fired := ("outer", Engine.now e) :: !fired;
-         ignore (Engine.schedule e ~delay:7 (fun () -> fired := ("inner", Engine.now e) :: !fired))));
+  Engine.schedule e ~delay:5 (fun () ->
+      fired := ("outer", Engine.now e) :: !fired;
+      Engine.schedule e ~delay:7 (fun () -> fired := ("inner", Engine.now e) :: !fired));
   Engine.run e;
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
@@ -48,29 +47,32 @@ let test_engine_nested_schedule () =
 let test_engine_cancel () =
   let e = Engine.create () in
   let fired = ref false in
-  let h = Engine.schedule e ~delay:10 (fun () -> fired := true) in
-  check Alcotest.bool "pending before" true (Engine.is_pending h);
-  Engine.cancel h;
-  check Alcotest.bool "not pending after" false (Engine.is_pending h);
+  let s = Engine.slot_create e (fun () -> fired := true) in
+  Engine.slot_arm e s ~delay:10;
+  check Alcotest.bool "armed before" true (Engine.slot_armed e s);
+  Engine.slot_cancel e s;
+  check Alcotest.bool "not armed after" false (Engine.slot_armed e s);
   Engine.run e;
   check Alcotest.bool "cancelled did not fire" false !fired
 
+(* Events at the horizon tick fire; later ones wait for the next run. *)
 let test_engine_until () =
   let e = Engine.create () in
   let fired = ref [] in
-  ignore (Engine.schedule e ~delay:10 (fun () -> fired := 10 :: !fired));
-  ignore (Engine.schedule e ~delay:100 (fun () -> fired := 100 :: !fired));
+  Engine.schedule e ~delay:10 (fun () -> fired := 10 :: !fired);
+  Engine.schedule e ~delay:50 (fun () -> fired := 50 :: !fired);
+  Engine.schedule e ~delay:100 (fun () -> fired := 100 :: !fired);
   Engine.run ~until:50 e;
-  check (Alcotest.list Alcotest.int) "only early event" [ 10 ] (List.rev !fired);
+  check (Alcotest.list Alcotest.int) "events up to the horizon" [ 10; 50 ] (List.rev !fired);
   check Alcotest.int "clock advanced to horizon" 50 (Engine.now e);
   Engine.run e;
-  check (Alcotest.list Alcotest.int) "late event after resume" [ 10; 100 ] (List.rev !fired)
+  check (Alcotest.list Alcotest.int) "late event after resume" [ 10; 50; 100 ] (List.rev !fired)
 
 let test_engine_max_events () =
   let e = Engine.create () in
   let count = ref 0 in
   for _ = 1 to 10 do
-    ignore (Engine.schedule e ~delay:1 (fun () -> incr count))
+    Engine.schedule e ~delay:1 (fun () -> incr count)
   done;
   Engine.run ~max_events:4 e;
   check Alcotest.int "budget respected" 4 !count
@@ -79,9 +81,9 @@ let test_engine_stop () =
   let e = Engine.create () in
   let count = ref 0 in
   for i = 1 to 10 do
-    ignore (Engine.schedule e ~delay:i (fun () ->
+    Engine.schedule e ~delay:i (fun () ->
         incr count;
-        if !count = 3 then Engine.stop e))
+        if !count = 3 then Engine.stop e)
   done;
   Engine.run e;
   check Alcotest.int "stopped mid-run" 3 !count;
@@ -91,8 +93,8 @@ let test_engine_stop () =
 let test_engine_step () =
   let e = Engine.create () in
   let fired = ref 0 in
-  ignore (Engine.schedule e ~delay:1 (fun () -> incr fired));
-  ignore (Engine.schedule e ~delay:2 (fun () -> incr fired));
+  Engine.schedule e ~delay:1 (fun () -> incr fired);
+  Engine.schedule e ~delay:2 (fun () -> incr fired);
   check Alcotest.bool "step fires one" true (Engine.step e);
   check Alcotest.int "one fired" 1 !fired;
   check Alcotest.bool "step fires second" true (Engine.step e);
@@ -100,122 +102,83 @@ let test_engine_step () =
 
 let test_engine_past_schedule_rejected () =
   let e = Engine.create () in
-  ignore (Engine.schedule e ~delay:10 (fun () -> ()));
+  Engine.schedule e ~delay:10 (fun () -> ());
   Engine.run e;
   Alcotest.check_raises "past time" (Invalid_argument "Engine.schedule_at: time in the past")
-    (fun () -> ignore (Engine.schedule_at e ~at:5 (fun () -> ())));
+    (fun () -> Engine.schedule_at e ~at:5 (fun () -> ()));
   Alcotest.check_raises "negative delay" (Invalid_argument "Engine.schedule: negative delay")
-    (fun () -> ignore (Engine.schedule e ~delay:(-1) (fun () -> ())))
+    (fun () -> Engine.schedule e ~delay:(-1) (fun () -> ()))
 
 let test_engine_pending_count () =
   let e = Engine.create () in
-  let h1 = Engine.schedule e ~delay:10 (fun () -> ()) in
-  let _h2 = Engine.schedule e ~delay:20 (fun () -> ()) in
+  let s = Engine.slot_create e ignore in
+  Engine.slot_arm e s ~delay:10;
+  Engine.schedule e ~delay:20 (fun () -> ());
   check Alcotest.int "two pending" 2 (Engine.pending_events e);
-  Engine.cancel h1;
+  Engine.slot_cancel e s;
   check Alcotest.int "one pending after cancel" 1 (Engine.pending_events e);
   Engine.run e;
   check Alcotest.int "none pending after run" 0 (Engine.pending_events e)
 
-(* The pending counter must stay exact across arbitrary interleavings of
-   schedule / cancel / fire — it is maintained incrementally (O(1) reads),
-   so any drift would go unnoticed by the hot path itself. *)
+(* The pending count must stay exact across arbitrary interleavings of
+   arm / re-arm / cancel / fire. *)
 let test_engine_pending_incremental () =
   let e = Engine.create () in
-  let handles = Array.init 100 (fun i -> Engine.schedule e ~delay:(10 + i) (fun () -> ())) in
-  check Alcotest.int "all scheduled" 100 (Engine.pending_events e);
+  let slots = Array.init 100 (fun _ -> Engine.slot_create e ignore) in
+  Array.iteri (fun i s -> Engine.slot_arm e s ~delay:(10 + i)) slots;
+  check Alcotest.int "all armed" 100 (Engine.pending_events e);
   for i = 0 to 49 do
-    Engine.cancel handles.(2 * i)
+    Engine.slot_cancel e slots.(2 * i)
   done;
   check Alcotest.int "half cancelled" 50 (Engine.pending_events e);
-  (* Double-cancel must not double-count. *)
-  Engine.cancel handles.(0);
+  (* Double-cancel must not double-count, nor re-arming add one. *)
+  Engine.slot_cancel e slots.(0);
   check Alcotest.int "idempotent cancel" 50 (Engine.pending_events e);
+  Engine.slot_arm e slots.(99) ~delay:500;
+  check Alcotest.int "re-arm keeps the count" 50 (Engine.pending_events e);
   Engine.run ~max_events:20 e;
   check Alcotest.int "fired events drain the count" 30 (Engine.pending_events e);
-  (* Cancel-after-fire is a no-op on the counter. *)
-  Engine.cancel handles.(1);
-  check Alcotest.int "cancel of fired event ignored" 30 (Engine.pending_events e);
-  ignore (Engine.schedule e ~delay:1000 (fun () -> ()));
+  (* Cancel-after-fire is a no-op on the count. *)
+  Engine.slot_cancel e slots.(1);
+  check Alcotest.int "cancel of fired slot ignored" 30 (Engine.pending_events e);
+  Engine.schedule e ~delay:1000 (fun () -> ());
   check Alcotest.int "schedule adds" 31 (Engine.pending_events e);
   Engine.run e;
   check Alcotest.int "empty at the end" 0 (Engine.pending_events e);
-  check Alcotest.int "heap fully drained" 0 (Engine.queue_length e)
-
-let test_engine_compaction () =
-  let e = Engine.create () in
-  let n = 10_000 in
-  let fired = ref 0 in
-  let handles = Array.init n (fun i -> Engine.schedule e ~delay:(1 + i) (fun () -> incr fired)) in
-  let keep = 16 in
-  (* Cancel everything but a few: corpses vastly outnumber survivors, so
-     the engine must rebuild the heap instead of hoarding dead entries. *)
-  for i = keep to n - 1 do
-    Engine.cancel handles.(i)
-  done;
-  check Alcotest.int "live count" keep (Engine.pending_events e);
-  check Alcotest.bool
-    (Printf.sprintf "heap compacted (len %d)" (Engine.queue_length e))
-    true
-    (Engine.queue_length e < n / 2);
-  check Alcotest.bool "no live event lost" true (Engine.queue_length e >= keep);
-  Engine.run e;
-  check Alcotest.int "exactly the survivors fired" keep !fired;
-  check Alcotest.int "clock at last survivor" keep (Engine.now e)
-
-let test_engine_compaction_keeps_order () =
-  let e = Engine.create () in
-  let fired = ref [] in
-  (* Many same-tick events: FIFO among equals must survive a compaction
-     triggered between scheduling and firing. *)
-  let keepers = List.init 8 (fun i -> i) in
-  List.iter
-    (fun i -> ignore (Engine.schedule e ~delay:10 (fun () -> fired := i :: !fired)))
-    keepers;
-  let victims = Array.init 2_000 (fun _ -> Engine.schedule e ~delay:5 (fun () -> ())) in
-  Array.iter Engine.cancel victims;
-  check Alcotest.bool "compacted" true (Engine.queue_length e < 100);
-  Engine.run e;
-  check (Alcotest.list Alcotest.int) "FIFO preserved across rebuild" keepers (List.rev !fired)
+  check (Alcotest.option Alcotest.int) "nothing due" None (Engine.next_due e)
 
 let test_engine_run_skips_cancelled_heads () =
-  (* run and step share one corpse-skipping path (live_head); after a
-     partial run that discards cancelled heads, the O(1) pending counter
-     and the physical heap length must agree again. *)
   let e = Engine.create () in
   let fired = ref [] in
   let note i () = fired := i :: !fired in
-  let h1 = Engine.schedule e ~delay:1 (note 1) in
-  let h2 = Engine.schedule e ~delay:2 (note 2) in
-  let _h3 = Engine.schedule e ~delay:3 (note 3) in
-  let _h4 = Engine.schedule e ~delay:4 (note 4) in
-  Engine.cancel h1;
-  Engine.cancel h2;
+  let s1 = Engine.slot_create e (note 1) and s2 = Engine.slot_create e (note 2) in
+  Engine.slot_arm e s1 ~delay:1;
+  Engine.slot_arm e s2 ~delay:2;
+  Engine.schedule e ~delay:3 (note 3);
+  Engine.schedule e ~delay:4 (note 4);
+  Engine.slot_cancel e s1;
+  Engine.slot_cancel e s2;
   check Alcotest.int "pending after cancel" 2 (Engine.pending_events e);
-  check Alcotest.int "corpses still queued" 4 (Engine.queue_length e);
-  (* Stops before tick 4: the run must pop both corpses to reach the
-     tick-3 survivor, then leave exactly the tick-4 event queued. *)
+  check (Alcotest.option Alcotest.int) "head is the first survivor" (Some 3) (Engine.next_due e);
   Engine.run ~until:3 e;
   check Alcotest.(list int) "only survivor fired" [ 3 ] !fired;
   check Alcotest.int "pending after partial run" 1 (Engine.pending_events e);
-  check Alcotest.int "queue matches pending (corpses gone)" 1 (Engine.queue_length e);
   Engine.run e;
   check Alcotest.(list int) "remaining survivor fired" [ 4; 3 ] !fired;
-  check Alcotest.int "drained pending" 0 (Engine.pending_events e);
-  check Alcotest.int "drained queue" 0 (Engine.queue_length e)
+  check Alcotest.int "drained pending" 0 (Engine.pending_events e)
 
 let test_engine_step_skips_cancelled_heads () =
   let e = Engine.create () in
   let fired = ref 0 in
-  let a = Engine.schedule e ~delay:1 ignore in
-  let b = Engine.schedule e ~delay:2 ignore in
-  let _c = Engine.schedule e ~delay:3 (fun () -> incr fired) in
-  Engine.cancel a;
-  Engine.cancel b;
-  check Alcotest.bool "step fires past corpses" true (Engine.step e);
+  let a = Engine.slot_create e ignore and b = Engine.slot_create e ignore in
+  Engine.slot_arm e a ~delay:1;
+  Engine.slot_arm e b ~delay:2;
+  Engine.schedule e ~delay:3 (fun () -> incr fired);
+  Engine.slot_cancel e a;
+  Engine.slot_cancel e b;
+  check Alcotest.bool "step fires past cancelled slots" true (Engine.step e);
   check Alcotest.int "survivor fired" 1 !fired;
   check Alcotest.int "clock at survivor" 3 (Engine.now e);
-  check Alcotest.int "queue drained" 0 (Engine.queue_length e);
   check Alcotest.int "pending drained" 0 (Engine.pending_events e);
   check Alcotest.bool "no more events" false (Engine.step e)
 
@@ -227,7 +190,7 @@ let test_engine_determinism () =
       if Engine.now e < 500 then begin
         let d = 1 + Ba_util.Rng.int (Engine.rng e) 20 in
         log := (Engine.now e, d) :: !log;
-        ignore (Engine.schedule e ~delay:d churn)
+        Engine.schedule e ~delay:d churn
       end
     in
     churn ();
@@ -254,7 +217,7 @@ let test_timer_restart_extends () =
   let fired_at = ref (-1) in
   let t = Timer.create e ~duration:30 (fun () -> fired_at := Engine.now e) in
   Timer.start t;
-  ignore (Engine.schedule e ~delay:20 (fun () -> Timer.start t));
+  Engine.schedule e ~delay:20 (fun () -> Timer.start t);
   Engine.run e;
   check Alcotest.int "restart pushed expiry" 50 !fired_at
 
@@ -292,9 +255,8 @@ let test_timer_remaining () =
   check (Alcotest.option Alcotest.int) "stopped: none" None (Timer.remaining t);
   Timer.start t;
   check (Alcotest.option Alcotest.int) "full remaining" (Some 50) (Timer.remaining t);
-  ignore
-    (Engine.schedule e ~delay:20 (fun () ->
-         check (Alcotest.option Alcotest.int) "partial remaining" (Some 30) (Timer.remaining t)));
+  Engine.schedule e ~delay:20 (fun () ->
+      check (Alcotest.option Alcotest.int) "partial remaining" (Some 30) (Timer.remaining t));
   Engine.run e
 
 let test_timer_rearm_in_callback () =
@@ -371,7 +333,7 @@ let run_script s ~make =
   let arm, cancel = make e s.k on_fire in
   arm_ref := arm;
   let others = ref 0 in
-  let other j = log := (Engine.now e, -1 - j) :: !log in
+  let other = Engine.handler e (fun j -> log := (Engine.now e, -1 - j) :: !log) in
   let run_op = function
     | Arm (i, d) -> arm i d
     | Cancel i -> cancel i
@@ -380,7 +342,7 @@ let run_script s ~make =
         incr others
   in
   List.iter
-    (fun (tick, ops) -> ignore (Engine.schedule_at e ~at:tick (fun () -> List.iter run_op ops)))
+    (fun (tick, ops) -> Engine.schedule_at e ~at:tick (fun () -> List.iter run_op ops))
     s.steps;
   Engine.run e;
   List.rev !log
@@ -388,7 +350,7 @@ let run_script s ~make =
 (* One plain slot per timer. *)
 let plain_timers e k on_fire =
   let slots = Array.init k (fun i -> Engine.slot_create e (fun () -> on_fire i)) in
-  ((fun i d -> Engine.slot_arm slots.(i) ~delay:d), fun i -> Engine.slot_cancel slots.(i))
+  ((fun i d -> Engine.slot_arm e slots.(i) ~delay:d), fun i -> Engine.slot_cancel e slots.(i))
 
 (* One keyed slot over per-timer (deadline, stamp) columns, re-armed at
    the earliest key after every change. *)
@@ -408,8 +370,8 @@ let keyed_timers e k on_fire =
            || (deadline.(i) = deadline.(!armed) && stamp.(i) < stamp.(!armed)))
       then armed := i
     done;
-    if !armed < 0 then Engine.slot_cancel (slot ())
-    else Engine.slot_arm_keyed (slot ()) ~at:deadline.(!armed) ~stamp:stamp.(!armed)
+    if !armed < 0 then Engine.slot_cancel e (slot ())
+    else Engine.slot_arm_keyed e (slot ()) ~at:deadline.(!armed) ~stamp:stamp.(!armed)
   in
   slot_ref :=
     Some
@@ -437,14 +399,218 @@ let prop_keyed_slot_equals_plain_slots =
 let test_keyed_arm_rejects_past () =
   let e = Engine.create () in
   let slot = Engine.slot_create e (fun () -> ()) in
-  ignore (Engine.schedule e ~delay:10 (fun () -> ()));
+  Engine.schedule e ~delay:10 (fun () -> ());
   Engine.run e;
   let stamp = Engine.take_stamp e in
   Alcotest.check_raises "past tick" (Invalid_argument "Engine.slot_arm_keyed: time in the past")
-    (fun () -> Engine.slot_arm_keyed slot ~at:5 ~stamp);
-  check Alcotest.bool "still disarmed" false (Engine.slot_armed slot);
-  Engine.slot_arm_keyed slot ~at:10 ~stamp;
-  check Alcotest.bool "current tick accepted" true (Engine.slot_armed slot)
+    (fun () -> Engine.slot_arm_keyed e slot ~at:5 ~stamp);
+  check Alcotest.bool "still disarmed" false (Engine.slot_armed e slot);
+  Engine.slot_arm_keyed e slot ~at:10 ~stamp;
+  check Alcotest.bool "current tick accepted" true (Engine.slot_armed e slot)
+
+(* ------------------------------------------------------------------ *)
+(* Reference model: the engine against a list of (time, stamp) keys *)
+
+type label = Slot of int | Closure of int | Fn of int
+
+type mop =
+  | M_at of int  (* [schedule_at] a closure, delay *)
+  | M_fn of int  (* [schedule_fn] through a handler, delay *)
+  | M_arm of int * int  (* slot, delay *)
+  | M_reserve  (* [take_stamp] for a later keyed arming *)
+  | M_keyed of int * int  (* slot, delay; armed with the oldest reserved stamp *)
+  | M_cancel of int
+
+type action = Op of mop | Step | Drain | Run_until of int
+
+(* Slot [i] runs [reactions.(i)] the first time it fires. *)
+type program = { slots : int; reactions : mop list array; actions : action list }
+
+let pp_label = function
+  | Slot i -> Printf.sprintf "slot %d" i
+  | Closure j -> Printf.sprintf "closure %d" j
+  | Fn j -> Printf.sprintf "fn %d" j
+
+let pp_mop = function
+  | M_at d -> Printf.sprintf "at +%d" d
+  | M_fn d -> Printf.sprintf "fn +%d" d
+  | M_arm (i, d) -> Printf.sprintf "arm %d +%d" i d
+  | M_reserve -> "reserve"
+  | M_keyed (i, d) -> Printf.sprintf "keyed %d +%d" i d
+  | M_cancel i -> Printf.sprintf "cancel %d" i
+
+let pp_program p =
+  let ops l = String.concat ", " (List.map pp_mop l) in
+  Printf.sprintf "slots=%d reactions=[%s] %s" p.slots
+    (String.concat "; " (Array.to_list (Array.map ops p.reactions)))
+    (String.concat " | "
+       (List.map
+          (function
+            | Op o -> pp_mop o
+            | Step -> "step"
+            | Drain -> "drain"
+            | Run_until d -> Printf.sprintf "run +%d" d)
+          p.actions))
+
+let gen_program =
+  let open QCheck.Gen in
+  int_range 1 4 >>= fun k ->
+  let delay = int_bound 5 and slot = int_bound (k - 1) in
+  let mop =
+    frequency
+      [
+        (2, map (fun d -> M_at d) delay);
+        (2, map (fun d -> M_fn d) delay);
+        (4, map2 (fun i d -> M_arm (i, d)) slot delay);
+        (2, return M_reserve);
+        (3, map2 (fun i d -> M_keyed (i, d)) slot delay);
+        (2, map (fun i -> M_cancel i) slot);
+      ]
+  in
+  let action =
+    frequency
+      [
+        (6, map (fun o -> Op o) mop);
+        (3, return Step);
+        (1, return Drain);
+        (1, map (fun d -> Run_until d) (int_bound 4));
+      ]
+  in
+  map2
+    (fun reactions actions -> { slots = k; reactions; actions })
+    (array_repeat k (list_size (int_bound 3) mop))
+    (list_size (int_range 1 40) action)
+
+(* The model: every pending event as (time, stamp, label), the stamp
+   counter, and the reserved stamps not yet used. *)
+type model = {
+  mutable events : (int * int * label) list;
+  mutable stamp : int;
+  reserved : int Queue.t;
+}
+
+let fail fmt = QCheck.Test.fail_reportf fmt
+
+(* Run [p] on an engine and on the model side by side. Every firing must
+   be the model's earliest key; after every operation and every firing,
+   [pending_events], [next_due], [slot_armed] and [slot_expiry] must
+   agree with the model. *)
+let run_program p =
+  let e = Engine.create () in
+  let m = { events = []; stamp = 0; reserved = Queue.create () } in
+  let on_fire = ref (fun (_ : label) -> ()) in
+  let slots = Array.init p.slots (fun i -> Engine.slot_create e (fun () -> !on_fire (Slot i))) in
+  let fn = Engine.handler e (fun j -> !on_fire (Fn j)) in
+  let reacted = Array.make p.slots false in
+  let ids = ref 0 and fired = ref 0 in
+  let take () =
+    let s = m.stamp in
+    m.stamp <- s + 1;
+    s
+  in
+  let add time stamp label = m.events <- (time, stamp, label) :: m.events in
+  let drop label = m.events <- List.filter (fun (_, _, l) -> l <> label) m.events in
+  let head () =
+    List.fold_left
+      (fun best ((t, s, _) as ev) ->
+        match best with
+        | Some (bt, bs, _) when bt < t || (bt = t && bs < s) -> best
+        | Some _ | None -> Some ev)
+      None m.events
+  in
+  let check_state () =
+    let n = List.length m.events in
+    if Engine.pending_events e <> n then
+      fail "pending_events %d, model %d" (Engine.pending_events e) n;
+    if Engine.next_due e <> Option.map (fun (t, _, _) -> t) (head ()) then
+      fail "next_due differs from the model";
+    Array.iteri
+      (fun i s ->
+        match List.find_opt (fun (_, _, l) -> l = Slot i) m.events with
+        | None -> if Engine.slot_armed e s then fail "slot %d armed, model disarmed" i
+        | Some (t, _, _) ->
+            if not (Engine.slot_armed e s) then fail "slot %d disarmed, model armed" i;
+            if Engine.slot_expiry e s <> t then
+              fail "slot %d expiry %d, model %d" i (Engine.slot_expiry e s) t)
+      slots
+  in
+  let exec op =
+    let now = Engine.now e in
+    (match op with
+    | M_at d ->
+        let j = !ids in
+        incr ids;
+        Engine.schedule_at e ~at:(now + d) (fun () -> !on_fire (Closure j));
+        add (now + d) (take ()) (Closure j)
+    | M_fn d ->
+        let j = !ids in
+        incr ids;
+        Engine.schedule_fn e ~delay:d fn j;
+        add (now + d) (take ()) (Fn j)
+    | M_arm (i, d) ->
+        Engine.slot_arm e slots.(i) ~delay:d;
+        drop (Slot i);
+        add (now + d) (take ()) (Slot i)
+    | M_reserve ->
+        Queue.push (Engine.take_stamp e) m.reserved;
+        ignore (take ())
+    | M_keyed (i, d) -> (
+        match Queue.take_opt m.reserved with
+        | None -> ()
+        | Some stamp ->
+            Engine.slot_arm_keyed e slots.(i) ~at:(now + d) ~stamp;
+            drop (Slot i);
+            add (now + d) stamp (Slot i))
+    | M_cancel i ->
+        Engine.slot_cancel e slots.(i);
+        drop (Slot i));
+    check_state ()
+  in
+  (on_fire :=
+     fun label ->
+       match head () with
+       | None -> fail "%s fired, model empty" (pp_label label)
+       | Some ((t, _, l) as ev) ->
+           if l <> label || t <> Engine.now e then
+             fail "%s fired at %d, model expects %s at %d" (pp_label label) (Engine.now e)
+               (pp_label l) t;
+           m.events <- List.filter (fun x -> x != ev) m.events;
+           incr fired;
+           check_state ();
+           match label with
+           | Slot i when not reacted.(i) ->
+               reacted.(i) <- true;
+               List.iter exec p.reactions.(i)
+           | Slot _ | Closure _ | Fn _ -> ());
+  List.iter
+    (function
+      | Op op -> exec op
+      | Step ->
+          let expect = m.events <> [] in
+          if Engine.step e <> expect then fail "step returned %b" (not expect)
+      | Drain ->
+          let before = !fired in
+          let tick = Option.map (fun (t, _, _) -> t) (head ()) in
+          let n = Engine.drain_batch e in
+          if n <> !fired - before then fail "drain_batch says %d, fired %d" n (!fired - before);
+          if List.exists (fun (t, _, _) -> Some t = tick) m.events then
+            fail "drain_batch left events of its tick"
+      | Run_until d ->
+          let horizon = Engine.now e + d in
+          Engine.run ~until:horizon e;
+          if List.exists (fun (t, _, _) -> t <= horizon) m.events then
+            fail "run ~until:%d left events at or before it" horizon;
+          if Engine.now e <> horizon then
+            fail "clock %d after run ~until:%d" (Engine.now e) horizon)
+    p.actions;
+  Engine.run e;
+  check_state ();
+  true
+
+let prop_engine_matches_model =
+  QCheck.Test.make ~count:1000 ~name:"engine matches a sorted-key reference model"
+    (QCheck.make ~print:pp_program gen_program)
+    run_program
 
 let () =
   Alcotest.run "ba_sim"
@@ -463,13 +629,12 @@ let () =
           Alcotest.test_case "past schedule rejected" `Quick test_engine_past_schedule_rejected;
           Alcotest.test_case "pending count" `Quick test_engine_pending_count;
           Alcotest.test_case "pending counter incremental" `Quick test_engine_pending_incremental;
-          Alcotest.test_case "dead-event compaction" `Quick test_engine_compaction;
-          Alcotest.test_case "compaction keeps FIFO" `Quick test_engine_compaction_keeps_order;
           Alcotest.test_case "run skips cancelled heads" `Quick
             test_engine_run_skips_cancelled_heads;
           Alcotest.test_case "step skips cancelled heads" `Quick
             test_engine_step_skips_cancelled_heads;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
+          QCheck_alcotest.to_alcotest prop_engine_matches_model;
         ] );
       ( "keyed slot",
         [
