@@ -383,12 +383,12 @@ let net_sim_row ~messages ~lossy =
     nr_clean = Ba_proto.Harness.correct r;
   }
 
-let net_udp_outcome ?(payload_size = 32) ~messages ~lossy () =
+let net_udp_outcome ?(payload_size = 32) ?on_setup ~messages ~lossy () =
   let e = net_entry () in
   let plan = if lossy then Some (net_plan ()) else None in
   Ba_transport.Endpoint.Pair.run ~protocol:e.Ba_registry.Registry.protocol
     ~config:(net_config e) ~messages ~payload_size ~wseed:3 ?plan ~impair_seed:11
-    ~tick_us:net_tick_us ~deadline_s:45. ()
+    ~tick_us:net_tick_us ~deadline_s:45. ?on_setup ()
 
 let net_udp_clean (o : Ba_transport.Endpoint.Pair.outcome) =
   o.Ba_transport.Endpoint.Pair.completed
@@ -596,7 +596,31 @@ let check () =
     (if data_per_msg <= data_budget then "within" else "EXCEEDS")
     data_budget u.delivered ack_messages
     (if net_udp_clean u then "clean" else "NOT CLEAN");
-  if time_ok && alloc_ok && fps_ok && state_ok && net_ok && acks_ok && data_ok then begin
+  (* 7. per-connection state on real sockets: the live heap a loopback
+     pair holds once both drivers and endpoints are built, as ba_bench
+     measures udp-loopback (20k messages of 16 B). It is deterministic:
+     the two drivers' receive buffers (a largest datagram each) are most
+     of it, and the ceiling catches a column per message or an encode
+     buffer sized to the largest datagram. *)
+  let net_state_ceiling = 160_000 in
+  let live_bytes () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+  in
+  let net_state = ref 0 in
+  let live0 = live_bytes () in
+  let s =
+    net_udp_outcome ~payload_size:16 ~messages:20_000 ~lossy:false
+      ~on_setup:(fun () -> net_state := live_bytes () - live0)
+      ()
+  in
+  let net_state_ok = net_udp_clean s && !net_state <= net_state_ceiling in
+  Printf.printf "check: net state %d B/conn %s ceiling (%d B/conn)\n" !net_state
+    (if !net_state <= net_state_ceiling then "within" else "EXCEEDS")
+    net_state_ceiling;
+  if
+    time_ok && alloc_ok && fps_ok && state_ok && net_ok && acks_ok && data_ok && net_state_ok
+  then begin
     print_endline "check: OK";
     exit 0
   end

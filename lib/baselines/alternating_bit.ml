@@ -3,10 +3,9 @@ module Config = Ba_proto.Proto_config
 
 type sender = {
   tx : Wire.data -> unit;
-  source : Ba_proto.Source.t;
+  source : Ba_proto.Source.t;  (* its one held position is in flight, awaiting its ack *)
   timer : Ba_sim.Timer.t;
   mutable bit : int;
-  mutable current : string option;  (* in-flight payload awaiting its ack *)
   mutable retransmissions : int;
 }
 
@@ -16,24 +15,20 @@ type receiver = {
   mutable expected : int;
 }
 
+let in_flight s = Ba_proto.Source.base s.source < Ba_proto.Source.issued s.source
+
 let transmit s =
-  match s.current with
-  | None -> ()
-  | Some payload ->
-      s.tx (Wire.make_data ~seq:s.bit ~payload);
-      Ba_sim.Timer.start s.timer
+  let payload = Ba_proto.Source.get s.source (Ba_proto.Source.base s.source) in
+  s.tx (Wire.make_data ~seq:s.bit ~payload);
+  Ba_sim.Timer.start s.timer
 
 let pump s =
-  if s.current = None then begin
-    match Ba_proto.Source.next s.source with
-    | None -> ()
-    | Some payload ->
-        s.current <- Some payload;
-        transmit s
+  if not (in_flight s) then begin
+    match Ba_proto.Source.next s.source with None -> () | Some _ -> transmit s
   end
 
 let on_timeout s =
-  if s.current <> None then begin
+  if in_flight s then begin
     s.retransmissions <- s.retransmissions + 1;
     transmit s
   end
@@ -50,15 +45,14 @@ let create_sender engine config ~tx ~next_payload =
           Ba_sim.Timer.create engine ~duration:config.Config.rto (fun () ->
               on_timeout (Lazy.force s));
         bit = 0;
-        current = None;
         retransmissions = 0;
       }
   in
   Lazy.force s
 
 let sender_on_ack s { Wire.lo; hi = _; _ } =
-  if s.current <> None && lo = s.bit then begin
-    s.current <- None;
+  if in_flight s && lo = s.bit then begin
+    Ba_proto.Source.release s.source ~below:(Ba_proto.Source.issued s.source);
     s.bit <- 1 - s.bit;
     Ba_sim.Timer.stop s.timer;
     pump s
@@ -88,8 +82,8 @@ let protocol : Ba_proto.Protocol.t =
     let sender_on_ack = sender_on_ack
     let receiver_on_data = receiver_on_data
     let sender_pump = pump
-    let sender_done s = s.current = None && Ba_proto.Source.exhausted s.source
-    let sender_outstanding s = if s.current = None then 0 else 1
+    let sender_done s = (not (in_flight s)) && Ba_proto.Source.exhausted s.source
+    let sender_outstanding s = if in_flight s then 1 else 0
     let sender_retransmissions s = s.retransmissions
     let ack_wire_bytes = Wire.ack_bytes_single
     let lifecycle = None

@@ -4,8 +4,7 @@ module Config = Ba_proto.Proto_config
 type sender = {
   config : Config.t;
   tx : Wire.data -> unit;
-  source : Ba_proto.Source.t;
-  buffer : string Ba_util.Ring_buffer.t;
+  source : Ba_proto.Source.t;  (* the outbox: payload of [seq] at position [seq] *)
   timer : Ba_sim.Timer.t;
   mutable na : int;
   mutable ns : int;
@@ -27,11 +26,8 @@ let encode config seq =
   | Some n -> Ba_util.Modseq.wrap ~n seq
 
 let transmit s seq =
-  match Ba_util.Ring_buffer.get s.buffer seq with
-  | None -> invalid_arg "Go_back_n.transmit: no buffered payload"
-  | Some payload ->
-      s.tx (Wire.make_data ~seq:(encode s.config seq) ~payload);
-      Ba_sim.Timer.start s.timer
+  s.tx (Wire.make_data ~seq:(encode s.config seq) ~payload:(Ba_proto.Source.get s.source seq));
+  Ba_sim.Timer.start s.timer
 
 let outstanding s = s.ns - s.na
 
@@ -39,8 +35,7 @@ let rec pump s =
   if outstanding s < s.config.Config.window then begin
     match Ba_proto.Source.next s.source with
     | None -> ()
-    | Some payload ->
-        Ba_util.Ring_buffer.set s.buffer s.ns payload;
+    | Some _ ->
         s.ns <- s.ns + 1;
         transmit s (s.ns - 1);
         pump s
@@ -64,7 +59,6 @@ let create_sender engine config ~tx ~next_payload =
         config;
         tx;
         source;
-        buffer = Ba_util.Ring_buffer.create config.Config.window;
         timer =
           Ba_sim.Timer.create engine ~duration:config.Config.rto (fun () ->
               on_timeout (Lazy.force s));
@@ -91,22 +85,13 @@ let sender_on_ack s { Wire.hi; lo = _; _ } =
   match decode_cumulative s hi with
   | None -> ()
   | Some y ->
-      if y >= s.na && y < s.ns then begin
-        while s.na <= y do
-          Ba_util.Ring_buffer.remove s.buffer s.na;
-          s.na <- s.na + 1
-        done;
-        if outstanding s = 0 then Ba_sim.Timer.stop s.timer;
-        pump s
-      end
-      else if y >= s.ns then begin
-        (* Unsound decode of a stale acknowledgment (bounded mode only):
-           the textbook sender cannot tell and slides anyway — this is the
-           misbehaviour the experiments demonstrate. *)
-        while s.na <= min y (s.ns - 1) do
-          Ba_util.Ring_buffer.remove s.buffer s.na;
-          s.na <- s.na + 1
-        done;
+      if y >= s.na then begin
+        (* [y >= ns] is an unsound decode of a stale acknowledgment
+           (bounded mode only): the textbook sender cannot tell and
+           slides anyway — this is the misbehaviour the experiments
+           demonstrate. *)
+        s.na <- min (y + 1) s.ns;
+        Ba_proto.Source.release s.source ~below:s.na;
         if outstanding s = 0 then Ba_sim.Timer.stop s.timer;
         pump s
       end

@@ -6,10 +6,10 @@ type sender = {
   engine : Ba_sim.Engine.t;
   codec : Blockack.Seqcodec.t;
   tx : Wire.data -> unit;
-  source : Ba_proto.Source.t;
-  buffer : string Ba_util.Ring_buffer.t;
+  source : Ba_proto.Source.t;  (* the outbox: payload of [seq] at position [seq] *)
   acked : unit Ba_util.Ring_buffer.t;
-  timers : Ba_sim.Timer.t Ba_util.Ring_buffer.t;
+  timers : Ba_sim.Timer.t option array;  (* per [seq mod window], built on first use *)
+  timer_seq : int array;  (* the seq each timer was last armed for *)
   slot_free_at : int array;  (* per wire number: earliest next use *)
   mutable pump_retry_armed : bool;
   mutable na : int;
@@ -36,26 +36,32 @@ let note_slot_use s seq =
    quarantine has elapsed; the caller reschedules. *)
 let try_transmit s seq =
   if slot_ready s seq then begin
-    (match Ba_util.Ring_buffer.get s.buffer seq with
-    | None -> invalid_arg "Stenning.try_transmit: no buffered payload"
-    | Some payload ->
-        note_slot_use s seq;
-        s.tx (Wire.make_data ~seq:(Blockack.Seqcodec.encode s.codec seq) ~payload));
+    note_slot_use s seq;
+    s.tx
+      (Wire.make_data ~seq:(Blockack.Seqcodec.encode s.codec seq)
+         ~payload:(Ba_proto.Source.get s.source seq));
     true
   end
   else false
 
 let outstanding s = s.ns - s.na
 
+(* A timer per window slot, not per message: an engine slot lives as long
+   as its engine, so one per message would grow with the transfer. The
+   slot's previous message was slid over, and its timer stopped, before
+   [seq] could be sent. *)
 let rec arm_timer s seq =
+  let k = seq mod Array.length s.timers in
+  s.timer_seq.(k) <- seq;
   let timer =
-    match Ba_util.Ring_buffer.get s.timers seq with
+    match s.timers.(k) with
     | Some timer -> timer
     | None ->
         let timer =
-          Ba_sim.Timer.create s.engine ~duration:s.config.Config.rto (fun () -> resend s seq)
+          Ba_sim.Timer.create s.engine ~duration:s.config.Config.rto (fun () ->
+              resend s s.timer_seq.(k))
         in
-        Ba_util.Ring_buffer.set s.timers seq timer;
+        s.timers.(k) <- Some timer;
         timer
   in
   Ba_sim.Timer.start timer
@@ -81,8 +87,7 @@ let rec pump s =
     if slot_ready s s.ns then begin
       match Ba_proto.Source.next s.source with
       | None -> ()
-      | Some payload ->
-          Ba_util.Ring_buffer.set s.buffer s.ns payload;
+      | Some _ ->
           s.ns <- s.ns + 1;
           ignore (try_transmit s (s.ns - 1));
           arm_timer s (s.ns - 1);
@@ -111,9 +116,9 @@ let create_sender engine config ~tx ~next_payload =
         ~wire_modulus:config.Config.wire_modulus;
     tx;
     source;
-    buffer = Ba_util.Ring_buffer.create config.Config.window;
     acked = Ba_util.Ring_buffer.create config.Config.window;
-    timers = Ba_util.Ring_buffer.create config.Config.window;
+    timers = Array.make config.Config.window None;
+    timer_seq = Array.make config.Config.window (-1);
     slot_free_at = Array.make (max 1 (slot_count config)) 0;
     pump_retry_armed = false;
     na = 0;
@@ -122,11 +127,8 @@ let create_sender engine config ~tx ~next_payload =
   }
 
 let stop_timer s seq =
-  match Ba_util.Ring_buffer.get s.timers seq with
-  | Some timer ->
-      Ba_sim.Timer.stop timer;
-      Ba_util.Ring_buffer.remove s.timers seq
-  | None -> ()
+  let k = seq mod Array.length s.timers in
+  if s.timer_seq.(k) = seq then Option.iter Ba_sim.Timer.stop s.timers.(k)
 
 let sender_on_ack s { Wire.lo; hi = _; _ } =
   let seq = Blockack.Seqcodec.decode_ack s.codec ~na:s.na lo in
@@ -136,10 +138,10 @@ let sender_on_ack s { Wire.lo; hi = _; _ } =
   end;
   while Ba_util.Ring_buffer.mem s.acked s.na do
     Ba_util.Ring_buffer.remove s.acked s.na;
-    Ba_util.Ring_buffer.remove s.buffer s.na;
     stop_timer s s.na;
     s.na <- s.na + 1
   done;
+  Ba_proto.Source.release s.source ~below:s.na;
   pump s
 
 let protocol : Ba_proto.Protocol.t =

@@ -94,7 +94,9 @@ module type S = sig
   val corrupt_acks_dropped : t -> int
   (** Acknowledgments discarded because their checksum failed
       ({!Ba_proto.Wire.ack_ok}); acting on a mangled block range could
-      acknowledge data the receiver never accepted. *)
+      acknowledge data the receiver never accepted. A POS naming a
+      position the outbox cannot replay from (below its released prefix
+      or past everything issued) is discarded and counted here too. *)
 
   val acked_total : t -> int
   (** Messages acknowledged so far (= [na]). *)
@@ -117,8 +119,9 @@ module type S = sig
       [crash] wipes the volatile state — window buffers, [na]/[ns], all
       timers and estimates, retransmission-frontier holds. Stable storage
       keeps the incarnation epoch (with [resync_epochs]) and the
-      application outbox ({!Ba_proto.Source} can replay any issued
-      payload). While down, frames are ignored and [pump] is a no-op.
+      application outbox ({!Ba_proto.Source} holds every payload not
+      yet acknowledged; the negative control keeps all it issued). While
+      down, frames are ignored and [pump] is a no-op.
 
       [restart] with [resync_epochs]: bump the epoch and run the REQ → POS
       → FIN handshake; on POS the sender aligns [na = ns = pos], rewinds
@@ -163,9 +166,8 @@ end = struct
     config : Config.t;
     codec : Seqcodec.t;
     tx : Ba_proto.Wire.data -> unit;
-    source : Ba_proto.Source.t;
+    source : Ba_proto.Source.t;  (* the outbox: payload of [seq] at position [seq] *)
     band : int;  (* the most [ns - na] may reach: the lead, else the window *)
-    mutable payloads : string array;  (* payloads of [na, ns), at [seq mod capacity] *)
     mutable acked_seq : int array;  (* seq when that seq is acked out of order, -1 otherwise *)
     timers : P.t;
     (* Built on first use: a flow that never restarts and never
@@ -188,7 +190,7 @@ end = struct
            crash–restart because the pressure is outside this endpoint *)
   }
 
-  let slot_of t seq = seq mod Array.length t.payloads
+  let slot_of t seq = seq mod Array.length t.acked_seq
   let is_acked t seq = t.acked_seq.(slot_of t seq) = seq
   let outstanding t = t.ns - t.na
   let unacked t = t.unacked
@@ -207,14 +209,12 @@ end = struct
      (from 1, the last step clamped to the band) and place [na, ns)
      again. Admission keeps [ns - na] below the band, so one step does. *)
   let grow t =
-    let old = Array.length t.payloads in
+    let old = Array.length t.acked_seq in
     let cap = min t.band (max 1 (2 * old)) in
-    let payloads = Array.make cap "" and acked_seq = Array.make cap (-1) in
+    let acked_seq = Array.make cap (-1) in
     for seq = t.na to t.ns - 1 do
-      payloads.(seq mod cap) <- t.payloads.(seq mod old);
       acked_seq.(seq mod cap) <- t.acked_seq.(seq mod old)
     done;
-    t.payloads <- payloads;
     t.acked_seq <- acked_seq;
     P.grow t.timers ~slots:cap ~na:t.na ~ns:t.ns
 
@@ -222,7 +222,7 @@ end = struct
     let i = slot_of t seq in
     t.tx
       (Ba_proto.Wire.make_data_e ~epoch:t.epoch ~seq:(Seqcodec.encode t.codec seq)
-         ~payload:t.payloads.(i));
+         ~payload:(Ba_proto.Source.get t.source seq));
     P.arm t.timers ~slot:i ~seq ~fresh
 
   (* Admission: fewer than [e] messages unacknowledged, and [ns] within
@@ -241,12 +241,10 @@ end = struct
       | Some _ | None -> (
           match Ba_proto.Source.next t.source with
           | None -> ()
-          | Some payload ->
+          | Some _ ->
               let seq = t.ns in
-              if outstanding t = Array.length t.payloads then grow t;
-              let i = slot_of t seq in
-              t.payloads.(i) <- payload;
-              t.acked_seq.(i) <- -1;
+              if outstanding t = Array.length t.acked_seq then grow t;
+              t.acked_seq.(slot_of t seq) <- -1;
               t.ns <- t.ns + 1;
               t.unacked <- t.unacked + 1;
               transmit t seq ~fresh:true;
@@ -324,7 +322,6 @@ end = struct
           tx;
           source = Ba_proto.Source.create next_payload;
           band;
-          payloads = [||];
           acked_seq = [||];
           timers = P.create engine config ~expire:(fun k -> on_timeout (Lazy.force t) k);
           sync_timer = None;
@@ -348,12 +345,11 @@ end = struct
   (* Wipe all volatile state. [na]/[ns] are zeroed too (they are
      meaningless without the buffers); the truth about position lives at
      the receiver and comes back via POS. Stable storage keeps only the
-     epoch and, implicitly, the application outbox ({!Ba_proto.Source}
-     retains issued payloads for replay). *)
+     epoch and the application outbox ({!Ba_proto.Source} holds the
+     unacknowledged suffix for replay). *)
   let wipe_volatile t =
     P.wipe t.timers;
     Option.iter Ba_sim.Timer.stop t.sync_timer;
-    Array.fill t.payloads 0 (Array.length t.payloads) "";
     Array.fill t.acked_seq 0 (Array.length t.acked_seq) (-1);
     Option.iter Window_guard.clear t.guard;
     t.na <- 0;
@@ -366,6 +362,14 @@ end = struct
       t.syncing <- false;
       wipe_volatile t
     end
+
+  (* A POS the outbox cannot replay from: below its released prefix (the
+     receiver's durable [nr] never falls below [na], so only a forged
+     frame or a receiver outside the failure model says so) or past
+     everything issued. Such a frame is dropped before it touches any
+     state. *)
+  let unreplayable t pos =
+    pos < Ba_proto.Source.base t.source || pos > Ba_proto.Source.issued t.source
 
   (* Adopt the receiver-announced resume position: align [na]/[ns] there
      and rewind the outbox so [pump] replays from it. *)
@@ -423,6 +427,8 @@ end = struct
         (* Only a restarted receiver mints a higher epoch, and it only
            sends POS until we confirm — adopt its epoch and position. *)
         match a.Ba_proto.Wire.akind with
+        | Ba_proto.Wire.Sync_pos when unreplayable t a.Ba_proto.Wire.lo ->
+            t.corrupt_acks_dropped <- t.corrupt_acks_dropped + 1
         | Ba_proto.Wire.Sync_pos ->
             t.epoch <- a.Ba_proto.Wire.epoch;
             wipe_volatile t;
@@ -434,7 +440,9 @@ end = struct
       else begin
         match a.Ba_proto.Wire.akind with
         | Ba_proto.Wire.Sync_pos ->
-            if t.syncing then begin
+            if t.syncing && unreplayable t a.Ba_proto.Wire.lo then
+              t.corrupt_acks_dropped <- t.corrupt_acks_dropped + 1
+            else if t.syncing then begin
               resync_to t a.Ba_proto.Wire.lo;
               send_fin t;
               pump t
@@ -463,11 +471,15 @@ end = struct
                   done);
               let na_before = t.na in
               while t.na < t.ns && is_acked t t.na do
-                let i = slot_of t t.na in
-                t.acked_seq.(i) <- -1;
-                t.payloads.(i) <- "";
+                t.acked_seq.(slot_of t t.na) <- -1;
                 t.na <- t.na + 1
               done;
+              (* The receiver's POS never names a position below [na], so
+                 the acknowledged prefix leaves the outbox; the blind
+                 restart of the negative control replays from 0 and keeps
+                 it. *)
+              if t.config.Config.resync_epochs && t.na > na_before then
+                Ba_proto.Source.release t.source ~below:t.na;
               P.slid t.timers ~outstanding:(outstanding t) ~advanced:(t.na - na_before);
               pump t
             end
@@ -489,7 +501,7 @@ end = struct
   let buffered_bytes t =
     let n = ref 0 in
     for seq = t.na to t.ns - 1 do
-      n := !n + String.length t.payloads.(slot_of t seq)
+      n := !n + String.length (Ba_proto.Source.get t.source seq)
     done;
     !n
 

@@ -60,7 +60,7 @@ module Server = struct
         ~transmit:(fun buf len -> match !peer with Some a -> send a buf len | None -> ())
         ()
     in
-    let buf = Bytes.create Codec.max_datagram in
+    let buf = Bytes.create Codec.ack_len in
     let next = ref 0
     and dig = ref digest_seed
     and epoch = ref 0
@@ -74,19 +74,17 @@ module Server = struct
       | None -> ()
     in
     let deliver payload =
-      match Ba_proto.Workload.index_of payload with
-      | None -> incr corrupted
-      | Some i when i < 0 || i >= messages -> incr corrupted
-      | Some i ->
-          if not (Ba_proto.Workload.matches ~seed:wseed ~size:payload_size i payload) then
-            incr corrupted
-          else if i < !next then incr dups
-          else begin
-            if i > !next then incr misordered;
-            dig := digest_add !dig ~index:i ~payload;
-            next := i + 1;
-            notify ()
-          end
+      let i = Ba_proto.Workload.index payload in
+      if i < 0 || i >= messages then incr corrupted
+      else if not (Ba_proto.Workload.matches ~seed:wseed ~size:payload_size i payload) then
+        incr corrupted
+      else if i < !next then incr dups
+      else begin
+        if i > !next then incr misordered;
+        dig := digest_add !dig ~index:i ~payload;
+        next := i + 1;
+        notify ()
+      end
     in
     let send_ack a =
       incr acks;
@@ -184,10 +182,49 @@ module Server = struct
   let shim_stats t = Shim.stats t.shim
 end
 
+(* The pull times of the messages the sender has not had acknowledged,
+   at [index mod capacity]. The ring starts empty and doubles just
+   before a pull would land on an entry at or above the acknowledged
+   prefix, so it holds about a window; an entry below the prefix is
+   delivered, its latency sample taken, and free to overwrite. *)
+module Pull_log = struct
+  type t = { mutable index : int array; mutable wall : float array }
+
+  let create () = { index = [||]; wall = [||] }
+
+  (* Record that [i] was pulled at [wall]. Pulls come in index order, so
+     the entries still needed are [acked, i): one slot each, plus [i]'s. *)
+  let add t ~acked i wall =
+    let old = Array.length t.index in
+    if i - acked >= old then begin
+      let cap = ref (max 1 (2 * old)) in
+      while !cap <= i - acked do
+        cap := 2 * !cap
+      done;
+      let index = Array.make !cap (-1) and walls = Array.make !cap (-1.) in
+      for k = 0 to old - 1 do
+        let j = t.index.(k) in
+        if j >= acked then begin
+          index.(j mod !cap) <- j;
+          walls.(j mod !cap) <- t.wall.(k)
+        end
+      done;
+      t.index <- index;
+      t.wall <- walls
+    end;
+    let k = i mod Array.length t.index in
+    t.index.(k) <- i;
+    t.wall.(k) <- wall
+
+  let find t i =
+    let cap = Array.length t.index in
+    if cap > 0 && t.index.(i mod cap) = i then t.wall.(i mod cap) else -1.
+end
+
 module Client = struct
   type t = {
     pulled : int ref;
-    pull_wall_ : float array;
+    pulls : Pull_log.t;
     watermark : int ref;
     wd_resyncs : int ref;
     dog : Ba_proto.Watchdog.t;
@@ -208,29 +245,36 @@ module Client = struct
     let shim =
       Shim.create engine ?plan ~seed:impair_seed ~transmit:(packer engine ~send) ()
     in
-    let buf = Bytes.create Codec.max_datagram in
+    (* One data frame; a larger payload grows it. *)
+    let buf = ref (Bytes.create (Codec.data_header_len + payload_size)) in
     let pulled = ref 0
     and data_frames = ref 0 in
-    let pull_wall_ = Array.make (max 1 messages) (-1.) in
+    let pulls = Pull_log.create () in
+    let sender = ref None in
     let supply = Ba_proto.Workload.supplier ~seed:wseed ~size:payload_size ~count:messages in
     let next_payload () =
       match supply () with
       | None -> None
-      | Some p ->
-          (match Ba_proto.Workload.index_of p with
-          | Some i when i >= 0 && i < messages -> pull_wall_.(i) <- Unix.gettimeofday ()
-          | Some _ | None -> ());
+      | Some p as fresh ->
+          let i = Ba_proto.Workload.index p in
+          (if i >= 0 && i < messages then
+             (* Everything pulled but not outstanding is acknowledged. *)
+             let outstanding = match !sender with Some s -> P.sender_outstanding s | None -> 0 in
+             Pull_log.add pulls ~acked:(!pulled - outstanding) i (Unix.gettimeofday ()));
           incr pulled;
-          Some p
+          fresh
     in
     let s =
       P.create_sender engine config
         ~tx:(fun d ->
           incr data_frames;
-          let len = Codec.encode buf (Codec.Data d) in
-          Shim.send shim buf len)
+          let n = Codec.data_header_len + String.length d.W.payload in
+          if Bytes.length !buf < n then buf := Bytes.create n;
+          let len = Codec.encode !buf (Codec.Data d) in
+          Shim.send shim !buf len)
         ~next_payload
     in
+    sender := Some s;
     let dog = Ba_proto.Watchdog.create watchdog in
     let watermark = ref 0
     and wd_resyncs = ref 0 in
@@ -271,7 +315,7 @@ module Client = struct
     Ba_sim.Engine.slot_arm engine slot ~delay:watchdog.Ba_proto.Watchdog.check_interval;
     {
       pulled;
-      pull_wall_;
+      pulls;
       watermark;
       wd_resyncs;
       dog;
@@ -299,7 +343,7 @@ module Client = struct
     let live = !(t.pulled) - t.outstanding_ () in
     if live > !(t.watermark) then t.watermark := live;
     !(t.watermark)
-  let pull_wall t i = t.pull_wall_.(i)
+  let pull_wall t i = Pull_log.find t.pulls i
   let data_frames t = !(t.data_frames)
   let stray_frames t = !(t.stray)
   let retransmissions t = t.retx_ ()
@@ -342,7 +386,7 @@ module Pair = struct
     s
 
   let run ~protocol ~config ~messages ~payload_size ~wseed ?plan ?(impair_seed = 1)
-      ?(tick_us = 200) ?(deadline_s = 60.) () =
+      ?(tick_us = 200) ?(deadline_s = 60.) ?(on_setup = ignore) () =
     let s_sock = loopback_sock () and c_sock = loopback_sock () in
     Fun.protect
       ~finally:(fun () ->
@@ -387,6 +431,7 @@ module Pair = struct
         in
         srv := Some s';
         cli := Some c';
+        on_setup ();
         let t0 = Unix.gettimeofday () in
         Client.pump c';
         let completed =

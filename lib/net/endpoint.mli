@@ -150,7 +150,12 @@ module Client : sig
 
   val pull_wall : t -> int -> float
   (** Wall-clock time ([Unix.gettimeofday]) payload [i] was first
-      pulled from the workload; negative if not yet pulled. *)
+      pulled from the workload; negative if not yet pulled. The client
+      keeps these times only while the sender holds [i] unacknowledged
+      (about a window of them): the time is valid from the pull until
+      the sender sees [i] acknowledged — in particular when the server
+      delivers [i] — and reads negative once a later pull has reused its
+      slot. *)
 
   val data_frames : t -> int
   (** Data frames the sender emitted, before the shim and the packer —
@@ -212,11 +217,14 @@ module Pair : sig
     ?impair_seed:int ->
     ?tick_us:int ->
     ?deadline_s:float ->
+    ?on_setup:(unit -> unit) ->
     unit ->
     outcome
   (** Impairment applies to both directions (independent fault streams
       split from [impair_seed]). [tick_us] (default 200) sets the real
       duration of one engine tick, so the default [rto] of 250 ticks
       retransmits after 50 ms of real silence. Always returns by
-      [deadline_s] (default 60). Sockets are closed on exit. *)
+      [deadline_s] (default 60). Sockets are closed on exit. [on_setup]
+      runs once both drivers and endpoints are built, before the first
+      pump: the point at which to measure per-connection state. *)
 end

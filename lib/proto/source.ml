@@ -1,20 +1,33 @@
-(* The outbox is a flat array indexed by position, doubled as it fills:
-   positions are dense from 0, so a table would only add a bucket per
-   message and a 64-slot start to every two-message flow. *)
+(* The outbox is a ring over positions [base, issued), at [pos mod
+   capacity]. It starts empty and doubles as it fills, like the
+   senders' window columns: a two-message flow holds two slots, and a
+   sender that releases its acknowledged prefix holds about a window. *)
 type t = {
   supplier : unit -> string option;
-  mutable history : string array;
+  mutable ring : string array;
+  mutable base : int;
   mutable issued : int;
   mutable cursor : int;
   mutable pending : string option;
 }
 
-let create supplier = { supplier; history = Array.make 4 ""; issued = 0; cursor = 0; pending = None }
+let create supplier = { supplier; ring = [||]; base = 0; issued = 0; cursor = 0; pending = None }
+
+(* Room for one more position: double the capacity (from 1) and place
+   [base, issued) again at its new slots. *)
+let grow t =
+  let old = Array.length t.ring in
+  let cap = max 1 (2 * old) in
+  let ring = Array.make cap "" in
+  for pos = t.base to t.issued - 1 do
+    ring.(pos mod cap) <- t.ring.(pos mod old)
+  done;
+  t.ring <- ring
 
 let next t =
   if t.cursor < t.issued then begin
     (* Replaying the outbox after a resync rewind. *)
-    let p = t.history.(t.cursor) in
+    let p = t.ring.(t.cursor mod Array.length t.ring) in
     t.cursor <- t.cursor + 1;
     Some p
   end
@@ -26,18 +39,14 @@ let next t =
           p
       | None -> t.supplier ()
     in
-    match fresh with
-    | None -> None
+    (match fresh with
+    | None -> ()
     | Some p ->
-        if t.issued = Array.length t.history then begin
-          let grown = Array.make (2 * t.issued) "" in
-          Array.blit t.history 0 grown 0 t.issued;
-          t.history <- grown
-        end;
-        t.history.(t.issued) <- p;
+        if t.issued - t.base = Array.length t.ring then grow t;
+        t.ring.(t.issued mod Array.length t.ring) <- p;
         t.issued <- t.issued + 1;
-        t.cursor <- t.issued;
-        Some p
+        t.cursor <- t.issued);
+    fresh
   end
 
 let exhausted t =
@@ -53,9 +62,25 @@ let exhausted t =
             false)
 
 let issued t = t.issued
+let base t = t.base
+
+let get t pos =
+  if pos < t.base || pos >= t.issued then
+    invalid_arg
+      (Printf.sprintf "Source.get: position %d outside held range [%d,%d)" pos t.base t.issued);
+  t.ring.(pos mod Array.length t.ring)
+
+let release t ~below =
+  let below = min below t.issued in
+  for pos = t.base to below - 1 do
+    t.ring.(pos mod Array.length t.ring) <- ""
+  done;
+  if below > t.base then t.base <- below;
+  if t.cursor < t.base then t.cursor <- t.base
 
 let rewind t ~to_ =
-  if to_ < 0 || to_ > t.issued then
+  if to_ < t.base || to_ > t.issued then
     invalid_arg
-      (Printf.sprintf "Source.rewind: position %d outside issued range [0,%d]" to_ t.issued);
+      (Printf.sprintf "Source.rewind: position %d outside held range [%d,%d]" to_ t.base
+         t.issued);
   t.cursor <- to_

@@ -722,6 +722,60 @@ let test_flight_footprint () =
           window lead sender)
     [ (8, 8); (16, 16); (8, 16) ]
 
+(* Live bytes of a [protocol] pair — engine, both links, both
+   endpoints — after it carries [messages] over links that lose 5% each
+   way, measured while the pair is still reachable. *)
+let pair_live_bytes protocol ~messages =
+  let module P = (val protocol : Ba_proto.Protocol.S) in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let engine = Engine.create ~seed:5 () in
+  let config = Config.make ~window:8 ~rto:100 () in
+  let link deliver =
+    Ba_channel.Link.create engine ~loss:0.05 ~delay:(Ba_channel.Dist.Constant 10) ~deliver ()
+  in
+  let sender = ref None and delivered = ref 0 in
+  let ack_link = link (fun a -> Option.iter (fun s -> P.sender_on_ack s a) !sender) in
+  let receiver =
+    P.create_receiver engine config ~tx:(Ba_channel.Link.send ack_link) ~deliver:(fun _ ->
+        incr delivered)
+  in
+  let data_link = link (P.receiver_on_data receiver) in
+  let s =
+    P.create_sender engine config ~tx:(Ba_channel.Link.send data_link)
+      ~next_payload:(payloads messages)
+  in
+  sender := Some s;
+  P.sender_pump s;
+  Engine.run ~until:100_000_000 engine;
+  if !delivered <> messages || not (P.sender_done s) then
+    Alcotest.failf "%s: delivered %d of %d" P.name !delivered messages;
+  let after = live () in
+  ignore (Sys.opaque_identity (engine, ack_link, data_link, receiver, s));
+  (after - before) * (Sys.word_size / 8)
+
+(* A connection's state is bounded by its window, not by the transfer:
+   the sender keeps only its unacknowledged outbox, so twenty times the
+   messages leave the same live pair behind. *)
+let test_state_independent_of_length () =
+  List.iter
+    (fun protocol ->
+      let module P = (val protocol : Ba_proto.Protocol.S) in
+      let short = pair_live_bytes protocol ~messages:1_000 in
+      let long = pair_live_bytes protocol ~messages:20_000 in
+      if abs (long - short) > 1_024 then
+        Alcotest.failf "%s: %d B live after 1000 messages, %d B after 20000" P.name short long)
+    [
+      Blockack.Protocols.multi;
+      Ba_baselines.Go_back_n.protocol;
+      Ba_baselines.Selective_repeat.protocol;
+      Ba_baselines.Stenning.protocol;
+      Ba_baselines.Alternating_bit.protocol;
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Window arrays sized to the flight *)
 
@@ -953,6 +1007,63 @@ let test_sender_hostile_ack_range () =
     let spent = Sys.time () -. t0 in
     check Alcotest.int (name ^ ": huge range acknowledges the flight") 4 (S.na s);
     if spent > 0.05 then Alcotest.failf "%s: huge range took %.3f s" name spent
+  in
+  run "simple" (module Blockack.Sender);
+  run "multi"
+    (module struct
+      include Blockack.Sender_multi
+
+      let create engine config = create engine config
+    end)
+
+(* A checksum-valid POS naming a position the outbox cannot replay from
+   — past everything issued, or below the prefix it released once that
+   prefix was acknowledged — is dropped, whether it carries a higher
+   epoch or arrives in the sender's own epoch while it is syncing. It
+   must not raise, must leave [na], [ns] and the epoch alone, and the
+   transfer must still complete. *)
+let test_sender_hostile_pos () =
+  let run name (module S : Blockack.Sender_core.S) =
+    let engine = Engine.create () in
+    let sender = ref None and delivered = ref 0 in
+    let receiver =
+      Blockack.Receiver.create engine config_w4
+        ~tx:(fun a ->
+          Engine.schedule engine ~delay:10 (fun () -> Option.iter (fun s -> S.on_ack s a) !sender))
+        ~deliver:(fun _ -> incr delivered)
+    in
+    let s =
+      S.create engine config_w4
+        ~tx:(fun d -> Engine.schedule engine ~delay:10 (fun () -> Blockack.Receiver.on_data receiver d))
+        ~next_payload:(payloads 40)
+    in
+    sender := Some s;
+    let hostile what ~epoch pos =
+      let na = S.na s and ns = S.ns s and e = S.epoch s and dropped = S.corrupt_acks_dropped s in
+      S.on_ack s (Wire.make_sync_pos ~epoch ~pos);
+      let label field = Printf.sprintf "%s: %s POS %d keeps %s" name what pos field in
+      check Alcotest.int (label "na") na (S.na s);
+      check Alcotest.int (label "ns") ns (S.ns s);
+      check Alcotest.int (label "epoch") e (S.epoch s);
+      check Alcotest.int (label "a drop count") (dropped + 1) (S.corrupt_acks_dropped s)
+    in
+    S.pump s;
+    (* The first window is acknowledged and released; the second is out. *)
+    Engine.run ~until:25 engine;
+    check Alcotest.int (name ^ ": first window acknowledged") 4 (S.na s);
+    check Alcotest.int (name ^ ": second window sent") 8 (S.ns s);
+    hostile "higher-epoch" ~epoch:(S.epoch s + 1) 1_000_000;
+    hostile "higher-epoch" ~epoch:(S.epoch s + 1) 0;
+    S.crash s;
+    S.restart s;
+    check Alcotest.bool (name ^ ": syncing") true (S.syncing s);
+    hostile "same-epoch" ~epoch:(S.epoch s) 1_000_000;
+    hostile "same-epoch" ~epoch:(S.epoch s) 0;
+    hostile "higher-epoch" ~epoch:(S.epoch s + 1) 3;
+    check Alcotest.bool (name ^ ": still syncing") true (S.syncing s);
+    Engine.run ~until:100_000 engine;
+    check Alcotest.bool (name ^ ": transfer completes") true (S.is_done s);
+    check Alcotest.int (name ^ ": every message delivered") 40 !delivered
   in
   run "simple" (module Blockack.Sender);
   run "multi"
@@ -1265,6 +1376,8 @@ let () =
         [
           Alcotest.test_case "idle endpoints" `Quick test_endpoint_footprint;
           Alcotest.test_case "two in flight" `Quick test_flight_footprint;
+          Alcotest.test_case "state independent of transfer length" `Quick
+            test_state_independent_of_length;
         ] );
       ( "growth",
         [ qcheck prop_receiver_grows_with_arrivals; qcheck prop_lead_sender_grows_with_flight ] );
@@ -1278,6 +1391,7 @@ let () =
           Alcotest.test_case "sender drops corrupt ack" `Quick test_sender_drops_corrupt_ack;
           Alcotest.test_case "sender survives hostile ack range" `Quick
             test_sender_hostile_ack_range;
+          Alcotest.test_case "sender survives hostile POS" `Quick test_sender_hostile_pos;
         ] );
       ( "karn",
         [

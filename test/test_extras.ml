@@ -60,8 +60,8 @@ let test_source_replenished () =
   check Alcotest.bool "sees new data" false (Ba_proto.Source.exhausted s);
   check (Alcotest.option Alcotest.string) "delivers it" (Some "later") (Ba_proto.Source.next s)
 
-(* The outbox starts at 4 slots and doubles: replays from 0 must cross
-   both growth boundaries (4 -> 8 -> 16) unchanged. *)
+(* The outbox starts empty and doubles: replays from 0 must cross the
+   growth boundaries (... 4 -> 8 -> 16) unchanged. *)
 let test_source_rewind_across_growth () =
   let next = ref 0 in
   let supplier () =
@@ -87,6 +87,48 @@ let test_source_rewind_across_growth () =
   check (Alcotest.option Alcotest.string) "then exhausted" None (Ba_proto.Source.next s);
   Ba_proto.Source.rewind s ~to_:9;
   check (Alcotest.option Alcotest.string) "mid replay" (Some "p9") (Ba_proto.Source.next s)
+
+(* Releasing a prefix moves the base: the released positions can no
+   longer be replayed or read, the rest keep their positions, and so do
+   they across the growth that later issues force. *)
+let test_source_release () =
+  let next = ref 0 in
+  let supplier () =
+    if !next >= 20 then None
+    else begin
+      incr next;
+      Some (Printf.sprintf "p%d" (!next - 1))
+    end
+  in
+  let module S = Ba_proto.Source in
+  let s = S.create supplier in
+  let take n = List.init n (fun _ -> S.next s) in
+  let ps a b = List.init (b - a) (fun i -> Some (Printf.sprintf "p%d" (a + i))) in
+  ignore (take 6);
+  S.release s ~below:4;
+  check Alcotest.int "base" 4 (S.base s);
+  check Alcotest.int "issued" 6 (S.issued s);
+  Alcotest.check_raises "rewind below base"
+    (Invalid_argument "Source.rewind: position 3 outside held range [4,6]") (fun () ->
+      S.rewind s ~to_:3);
+  Alcotest.check_raises "get below base"
+    (Invalid_argument "Source.get: position 3 outside held range [4,6)") (fun () ->
+      ignore (S.get s 3));
+  S.release s ~below:2;
+  check Alcotest.int "releasing less is a no-op" 4 (S.base s);
+  (* Fourteen more issues hold sixteen positions, [4, 20): the ring
+     outgrows its eight slots and places them anew. *)
+  check (Alcotest.list (Alcotest.option Alcotest.string)) "fresh after release" (ps 6 20) (take 14);
+  S.rewind s ~to_:4;
+  check (Alcotest.list (Alcotest.option Alcotest.string)) "replay after regrow" (ps 4 20) (take 16);
+  check Alcotest.string "read in place" "p11" (S.get s 11);
+  S.rewind s ~to_:10;
+  S.release s ~below:12;
+  check (Alcotest.option Alcotest.string) "released positions are never replayed" (Some "p12")
+    (S.next s);
+  S.release s ~below:100;
+  check Alcotest.int "release clamps to issued" 20 (S.base s);
+  check (Alcotest.option Alcotest.string) "then exhausted" None (S.next s)
 
 (* ------------------------------------------------------------------ *)
 (* Rtt_estimator *)
@@ -649,6 +691,7 @@ let () =
           Alcotest.test_case "exhausted does not lose" `Quick test_source_exhausted_does_not_lose;
           Alcotest.test_case "replenished" `Quick test_source_replenished;
           Alcotest.test_case "rewind across growth" `Quick test_source_rewind_across_growth;
+          Alcotest.test_case "release slides the base" `Quick test_source_release;
         ] );
       ( "rtt_estimator",
         [

@@ -419,6 +419,35 @@ let loopback_impaired () =
 
 let loopback_baseline () = assert_clean "go-back-n/clean" (pair ~messages:60 "go-back-n")
 
+(* The client keeps pull times for about a window of messages, not one
+   per message. Over a long transfer every delivery must still find its
+   own: the latency sketch holds one sample per message, on a clean link
+   and under loss, duplication and reordering. Go-back-N runs there with
+   unbounded sequence numbers, so a timeout shorter than a delay spike
+   costs retransmissions but never safety, and with a short timeout,
+   since every loss stalls it for one. *)
+let loopback_latency_per_message () =
+  let messages = 20_000 in
+  let plan =
+    match Fault_plan.of_string "ge(0.02->0.3,l=0.05/0.3)+dup(0.03x2)+spike(0.03,+30)" with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (name, config, plan) ->
+      let e = entry name in
+      let o =
+        Endpoint.Pair.run ~protocol:e.Ba_registry.Registry.protocol ~config ~messages
+          ~payload_size:16 ~wseed:7 ?plan ~impair_seed:11 ~tick_us:20 ~deadline_s:60. ()
+      in
+      assert_clean name o;
+      check Alcotest.int (name ^ ": one latency sample per message") messages
+        (Ba_util.Qsketch.count o.Endpoint.Pair.latency_ms))
+    [
+      ("blockack", Ba_registry.Registry.config (entry "blockack") (), None);
+      ("go-back-n", Ba_proto.Proto_config.make ~window:16 ~rto:40 (), Some plan);
+    ]
+
 (* Whole-datagram loss: a pair wired like [Endpoint.Pair.run] whose
    client [send] drops every 5th datagram. Each drop is a container, so
    the server loses a burst of up to a window of frames at once. *)
@@ -870,6 +899,7 @@ let () =
           Alcotest.test_case "blockack clean link" `Quick loopback_clean;
           Alcotest.test_case "blockack under 5% loss" `Quick loopback_impaired;
           Alcotest.test_case "go-back-n clean link" `Quick loopback_baseline;
+          Alcotest.test_case "a latency sample per message" `Quick loopback_latency_per_message;
           Alcotest.test_case "blockack acks once per drain" `Quick loopback_merges_acks;
           Alcotest.test_case "go-back-n acks pass through" `Quick loopback_single_acks_unmerged;
           Alcotest.test_case "blockack loses every 5th datagram" `Quick loopback_datagram_loss;
