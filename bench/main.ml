@@ -1,33 +1,30 @@
-(* Benchmark and experiment harness.
+(* Experiment tables, campaign artefacts and the `--check` gate.
 
    `dune exec bench/main.exe` regenerates every table/figure of the
    reproduction (T1, T2, F1-F5, T3, T4 — see DESIGN.md for the mapping to
-   the paper's claims) and then runs one Bechamel micro-benchmark per
-   experiment workload, timing the machinery that produces it.
+   the paper's claims), then the soak, sharded-scale and real-transport
+   campaigns. Timing the data path is `ba_bench`'s job (bench/e2e); this
+   program times only whole grids and campaigns, for the JSON artefact.
 
-   Flags:
+   Flags (any other argument prints the usage line and exits 2):
      --quick       shrink message counts / seed sets (CI-sized)
-     --no-bench    print the experiment tables only
-     --no-tables   run the Bechamel benches only
+     --no-tables   skip the tables and, without --json, the campaigns
      --jobs N      worker domains for the experiment grids (env BA_JOBS;
                    default: the machine's recommended domain count);
                    tables are byte-identical at any N
      --selftime    time the full chaos matrix at --jobs 1 vs --jobs N
-     --json FILE   write wall-clock per grid, self-timing and micro-bench
-                   results as JSON (the BENCH_campaigns.json schema)
-     --check       performance gate: exit non-zero if block ack is slower
-                   than the slowest baseline transfer or the steady-state
-                   allocation slope exceeds its budget *)
+     --json FILE   write wall-clock per grid, self-timing and the
+                   campaigns as JSON (the BENCH_campaigns.json schema)
+     --check       run the performance gate alone (see [check] below)
+                   and exit non-zero if any of its legs fails *)
 
-open Bechamel
-open Toolkit
 module Experiments = Ba_experiments.Experiments
 
-(* One channel, one config, every protocol: the F1/F2 transfer rows all
+(* One channel, one config, every protocol: the gate's transfers all
    run under this config so the comparison is apples-to-apples. It
    enables acknowledgment coalescing (30 ticks) because that is the
    block-ack protocol's defining feature — the baselines do not read
-   [ack_coalesce], so their rows are unaffected, while block ack
+   [ack_coalesce], so their runs are unaffected, while block ack
    acknowledges runs in blocks the way the paper intends instead of
    being benchmarked with its headline mechanism switched off.
    [rto = 300 > 2*max_transit + ack_coalesce = 130] keeps timeout
@@ -44,34 +41,6 @@ let transfer proto ~loss () =
   in
   assert r.Ba_proto.Harness.completed
 
-let explore () =
-  let r = Ba_verify.Explorer.run_spec (Ba_model.Ba_spec.default ~w:2 ~limit:3) in
-  assert (r.Ba_verify.Explorer.violation = None)
-
-let scenario () =
-  let t = Experiments.t1_intro_scenario () in
-  assert (List.length t.Experiments.rows = 2)
-
-let recovery proto () =
-  let config =
-    Blockack.Config.make ~window:16 ~rto:300 ~wire_modulus:(Some 32) ~ack_coalesce:20
-      ~max_transit:50 ()
-  in
-  let killed = ref false in
-  let r =
-    Ba_proto.Harness.run proto ~seed:7 ~messages:8 ~config
-      ~data_delay:(Ba_channel.Dist.Constant 50) ~ack_delay:(Ba_channel.Dist.Constant 50)
-      ~on_setup:(fun setup ->
-        Ba_channel.Link.set_fault setup.Ba_proto.Harness.ack_link (fun _ ->
-            if !killed then Ba_channel.Link.Deliver
-            else begin
-              killed := true;
-              Ba_channel.Link.Drop
-            end))
-      ()
-  in
-  assert r.Ba_proto.Harness.completed
-
 let reuse_transfer () =
   let config = Blockack.Config.make ~window:8 ~rto:300 ~wire_modulus:(Some 32) ~max_transit:60 () in
   let r =
@@ -80,120 +49,6 @@ let reuse_transfer () =
       ~ack_delay:(Ba_channel.Dist.Uniform (40, 60)) ()
   in
   assert r.Ba_proto.Harness.completed
-
-let stenning_transfer () =
-  let config =
-    Blockack.Config.make ~window:8 ~rto:300 ~wire_modulus:(Some 16) ~stenning_gap:400 ()
-  in
-  let r =
-    Ba_proto.Harness.run Ba_baselines.Stenning.protocol ~seed:3 ~messages:100 ~config
-      ~data_loss:0.01 ~ack_loss:0.01 ~data_delay:(Ba_channel.Dist.Constant 50)
-      ~ack_delay:(Ba_channel.Dist.Constant 50) ()
-  in
-  assert r.Ba_proto.Harness.completed
-
-let fabric_transfer n () =
-  let e =
-    match Ba_registry.Registry.find "blockack-multi" with
-    | Some e -> e
-    | None -> assert false
-  in
-  let config = Ba_registry.Registry.config ~window:8 ~rto:400 e () in
-  let specs =
-    List.init n (fun _ ->
-        Ba_proto.Fabric.spec ~config ~messages:20 e.Ba_registry.Registry.protocol)
-  in
-  let r =
-    Ba_proto.Fabric.run ~seed:11 ~data_delay:(Ba_channel.Dist.Constant 50)
-      ~ack_delay:(Ba_channel.Dist.Constant 50) ~data_bottleneck:(2, 128) specs
-  in
-  assert r.Ba_proto.Fabric.completed
-
-(* The parallel runtime itself: a campaign-shaped grid of small
-   independent transfers farmed to the session's job count. *)
-let pool_campaign jobs () =
-  let results =
-    Ba_parallel.Pool.map ~jobs
-      (fun seed ->
-        let r =
-          Ba_proto.Harness.run Blockack.Protocols.multi ~seed ~messages:20
-            ~config:losses_config ~data_loss:0.02 ~ack_loss:0.02
-            ~data_delay:(Ba_channel.Dist.Constant 50)
-            ~ack_delay:(Ba_channel.Dist.Constant 50) ()
-        in
-        r.Ba_proto.Harness.completed)
-      (List.init 8 (fun i -> i + 1))
-  in
-  assert (List.for_all Fun.id results)
-
-(* Micro-benchmarks of the substrate the experiments lean on. *)
-let micro_reconstruct () =
-  let acc = ref 0 in
-  for x = 0 to 999 do
-    acc := !acc + Ba_util.Modseq.reconstruct ~n:32 ~ref_:x ((x + 7) mod 32)
-  done;
-  Sys.opaque_identity !acc |> ignore
-
-let micro_rng () =
-  let rng = Ba_util.Rng.create 1 in
-  let acc = ref 0 in
-  for _ = 0 to 999 do
-    acc := !acc + Ba_util.Rng.int rng 1000
-  done;
-  Sys.opaque_identity !acc |> ignore
-
-(* One 512 B workload payload: the per-message generation cost the
-   fabric's 512 B flows pay, isolated from the protocol. *)
-let micro_payload () =
-  Sys.opaque_identity (Ba_proto.Workload.payload ~seed:1 ~size:512 7) |> ignore
-
-let jitter_transfer () =
-  let r =
-    Ba_proto.Harness.run Blockack.Protocols.multi ~seed:3 ~messages:200 ~config:losses_config
-      ~data_loss:0.01 ~ack_loss:0.01
-      ~data_delay:(Ba_channel.Dist.Uniform (50, 100))
-      ~ack_delay:(Ba_channel.Dist.Uniform (50, 100)) ()
-  in
-  assert r.Ba_proto.Harness.completed
-
-let coalesced_transfer () =
-  let config =
-    Blockack.Config.make ~window:16 ~rto:400 ~wire_modulus:(Some 32) ~ack_coalesce:30
-      ~max_transit:50 ()
-  in
-  let r =
-    Ba_proto.Harness.run Blockack.Protocols.simple ~seed:3 ~messages:200 ~config
-      ~data_delay:(Ba_channel.Dist.Constant 50) ~ack_delay:(Ba_channel.Dist.Constant 50) ()
-  in
-  assert r.Ba_proto.Harness.completed
-
-(* The named workload list feeds both Bechamel (time per run) and the
-   allocation meter below (bytes per run) — one definition, two
-   instruments. *)
-let workloads ~jobs =
-  [
-    ("T1/intro-scenario-replay", scenario);
-    ("T2/explore-w2", explore);
-    ("F1/transfer-blockack-5pc", transfer Blockack.Protocols.multi ~loss:0.05);
-    ("F1/transfer-gbn-5pc", transfer Ba_baselines.Go_back_n.protocol ~loss:0.05);
-    ("F1/transfer-selrep-5pc", transfer Ba_baselines.Selective_repeat.protocol ~loss:0.05);
-    ("F2/transfer-blockack-0pc", transfer Blockack.Protocols.multi ~loss:0.);
-    ("F3/recovery-simple", recovery Blockack.Protocols.simple);
-    ("F3/recovery-multi", recovery Blockack.Protocols.multi);
-    ("F4/transfer-jitter", jitter_transfer);
-    ("T3/transfer-coalesced", coalesced_transfer);
-    ("T4/transfer-stenning", stenning_transfer);
-    ("F5/transfer-reuse-5pc", reuse_transfer);
-    ("S1/fabric-16-flows", fabric_transfer 16);
-    ("P1/pool-campaign-8x20", pool_campaign jobs);
-    ("micro/reconstruct-1k", micro_reconstruct);
-    ("micro/rng-int-1k", micro_rng);
-    ("micro/payload-512", micro_payload);
-  ]
-
-let tests ~jobs =
-  Test.make_grouped ~name:"blockack"
-    (List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) (workloads ~jobs))
 
 (* Minor-heap bytes one run of [f] allocates, after a warm-up run that
    fills the frame pool, forces lazy initialisers and resizes arenas.
@@ -213,44 +68,6 @@ let alloc_per_run f =
   Gc.minor ();
   let a1 = Gc.allocated_bytes () in
   (a1 -. a0) /. float_of_int runs
-
-(* Returns [(name, ns_per_run, alloc_b_per_run)] so the JSON artefact
-   can record both instruments. *)
-let run_benchmarks ~jobs =
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false () in
-  let raw = Benchmark.all cfg instances (tests ~jobs) in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances |> Analyze.merge ols instances
-  in
-  print_endline "\n=== Bechamel micro-benchmarks (time and heap bytes per run) ===";
-  let clock = Hashtbl.find results (Measure.label Instance.monotonic_clock) in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some [ t ] -> rows := (name, t) :: !rows
-      | Some _ | None -> ())
-    clock;
-  let allocs = List.map (fun (name, f) -> (name, alloc_per_run f)) (workloads ~jobs) in
-  let alloc_of name =
-    (* Bechamel prefixes the group name; join on the workload suffix. *)
-    match
-      List.find_opt (fun (n, _) -> String.equal name n || String.ends_with ~suffix:("/" ^ n) name)
-        allocs
-    with
-    | Some (_, b) -> b
-    | None -> nan
-  in
-  let rows = List.sort compare !rows in
-  let rows = List.map (fun (name, t) -> (name, t, alloc_of name)) rows in
-  Ba_util.Table.print ~headers:[ "benchmark"; "time/run"; "alloc/run" ]
-    (List.map
-       (fun (name, t, b) ->
-         [ name; Printf.sprintf "%.1f us" (t /. 1_000.); Printf.sprintf "%.0f B" b ])
-       rows);
-  rows
 
 let wall f =
   let t0 = Unix.gettimeofday () in
@@ -676,7 +493,7 @@ let selftime_chaos_matrix ~quick ~jobs =
     (if Domain.recommended_domain_count () = 1 then "" else "s");
   (s_seq, s_par, speedup)
 
-let write_json file ~quick ~jobs ~grid_times ~selftime ~soak ~scale ~net ~bench_rows =
+let write_json file ~quick ~jobs ~grid_times ~selftime ~soak ~scale ~net =
   let open Ba_util.Json in
   let soak_json =
     match soak with
@@ -757,17 +574,6 @@ let write_json file ~quick ~jobs ~grid_times ~selftime ~soak ~scale ~net ~bench_
         ("soak", soak_json);
         ("scale", scale_json);
         ("net", net_json);
-        ( "microbench",
-          List
-            (List.map
-               (fun (name, ns, alloc_b) ->
-                 Obj
-                   [
-                     ("name", String name);
-                     ("ns_per_run", Float ns);
-                     ("alloc_b_per_run", Float alloc_b);
-                   ])
-               bench_rows) );
       ]
   in
   let oc = open_out file in
@@ -776,53 +582,63 @@ let write_json file ~quick ~jobs ~grid_times ~selftime ~soak ~scale ~net ~bench_
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--quick] [--no-bench] [--no-tables] [--jobs N] [--selftime] [--json FILE] \
-     [--check]";
+    "usage: main.exe [--quick] [--no-tables] [--jobs N] [--selftime] [--json FILE] [--check]";
   exit 2
 
 let () =
-  let args = Array.to_list Sys.argv in
-  if List.mem "--check" args then check ();
-  let quick = List.mem "--quick" args in
-  let no_bench = List.mem "--no-bench" args in
-  let no_tables = List.mem "--no-tables" args in
-  let selftime_wanted = List.mem "--selftime" args in
+  let quick = ref false and no_tables = ref false in
+  let selftime_wanted = ref false and check_wanted = ref false in
   (* --jobs N / --jobs=N, defaulting like the CLIs: BA_JOBS, then the
      machine's recommended domain count. *)
   let jobs = ref (Ba_parallel.Pool.default_jobs ()) in
   let json_file = ref None in
-  let bad_jobs v =
-    Printf.eprintf "bench: --jobs must be a positive integer (got %S)\n" v;
-    exit 2
+  let set_jobs v =
+    match int_of_string_opt v with
+    | Some n when n >= 1 ->
+        (* Same absurdity clamp as the CLIs' resolve_jobs. *)
+        jobs := min n (Ba_parallel.Pool.max_jobs ())
+    | Some _ | None ->
+        Printf.eprintf "bench: --jobs must be a positive integer (got %S)\n" v;
+        exit 2
+  in
+  let flags =
+    [
+      ("--quick", quick);
+      ("--no-tables", no_tables);
+      ("--selftime", selftime_wanted);
+      ("--check", check_wanted);
+    ]
+  in
+  let unknown arg =
+    Printf.eprintf "bench: unknown argument %S\n" arg;
+    usage ()
   in
   let rec scan = function
     | [] -> ()
-    | "--jobs" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n >= 1 ->
-            (* Same absurdity clamp as the CLIs' resolve_jobs. *)
-            jobs := min n (Ba_parallel.Pool.max_jobs ());
-            scan rest
-        | Some _ | None -> bad_jobs v)
-    | [ "--jobs" ] -> usage ()
+    | arg :: rest when List.mem_assoc arg flags ->
+        List.assoc arg flags := true;
+        scan rest
+    | "--jobs" :: v :: rest ->
+        set_jobs v;
+        scan rest
     | "--json" :: f :: rest ->
         json_file := Some f;
         scan rest
-    | [ "--json" ] -> usage ()
+    | [ ("--jobs" | "--json") ] -> usage ()
     | arg :: rest ->
         (match String.index_opt arg '=' with
-        | Some i when String.length arg > i + 1 && String.sub arg 0 i = "--jobs" ->
+        | Some i when String.length arg > i + 1 -> (
             let v = String.sub arg (i + 1) (String.length arg - i - 1) in
-            (match int_of_string_opt v with
-            | Some n when n >= 1 -> jobs := min n (Ba_parallel.Pool.max_jobs ())
-            | Some _ | None -> bad_jobs v)
-        | Some i when String.length arg > i + 1 && String.sub arg 0 i = "--json" ->
-            json_file := Some (String.sub arg (i + 1) (String.length arg - i - 1))
-        | _ -> ());
+            match String.sub arg 0 i with
+            | "--jobs" -> set_jobs v
+            | "--json" -> json_file := Some v
+            | _ -> unknown arg)
+        | Some _ | None -> unknown arg);
         scan rest
   in
-  scan (List.tl args);
-  let jobs = !jobs in
+  scan (List.tl (Array.to_list Sys.argv));
+  if !check_wanted then check ();
+  let quick = !quick and no_tables = !no_tables and jobs = !jobs in
   let grid_times = ref [] in
   if not no_tables then begin
     Printf.printf
@@ -842,19 +658,14 @@ let () =
      "selftime": null says nothing about the parallel runtime, which is
      exactly the field the scaling work is judged on. *)
   let selftime =
-    if selftime_wanted || !json_file <> None then Some (selftime_chaos_matrix ~quick ~jobs)
+    if !selftime_wanted || !json_file <> None then Some (selftime_chaos_matrix ~quick ~jobs)
     else None
   in
-  let soak =
-    if no_tables && !json_file = None then None else Some (soak_campaign ~quick ~jobs)
-  in
-  let scale =
-    if no_tables && !json_file = None then [] else scale_campaign ~quick ~jobs
-  in
-  let net = if no_tables && !json_file = None then [] else net_campaign ~quick in
-  let bench_rows = if no_bench then [] else run_benchmarks ~jobs in
+  let campaigns = (not no_tables) || !json_file <> None in
+  let soak = if campaigns then Some (soak_campaign ~quick ~jobs) else None in
+  let scale = if campaigns then scale_campaign ~quick ~jobs else [] in
+  let net = if campaigns then net_campaign ~quick else [] in
   match !json_file with
   | Some file ->
-      write_json file ~quick ~jobs ~grid_times:(List.rev !grid_times) ~selftime ~soak ~scale
-        ~net ~bench_rows
+      write_json file ~quick ~jobs ~grid_times:(List.rev !grid_times) ~selftime ~soak ~scale ~net
   | None -> ()

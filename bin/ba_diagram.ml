@@ -1,7 +1,8 @@
 (* ba_diagram: watch the protocol on the wire.
 
-   Builds a block-acknowledgment transfer out of raw endpoints, records
-   every transmission, loss, delivery and acknowledgment, and renders the
+   Runs a block-acknowledgment transfer through the harness with a
+   tracing wrapper around the protocol, which records every
+   transmission, arrival, acknowledgment and delivery, and renders the
    classic two-column time-sequence diagram.
 
    Examples:
@@ -11,8 +12,6 @@
      ba_diagram -m 40 --from 1000 --until 3000  # zoom into a time window *)
 
 open Cmdliner
-
-type sender_ops = { pump : unit -> unit; on_ack : Ba_proto.Wire.ack -> unit; done_ : unit -> bool }
 
 let run messages loss jitter window coalesce simple kill_first_ack seed from_time until_time =
   let base = 50 in
@@ -29,76 +28,36 @@ let run messages loss jitter window coalesce simple kill_first_ack seed from_tim
         Ba_proto.Proto_config.make ~window ~rto ~wire_modulus:(Some (2 * window))
           ~ack_coalesce:coalesce ~max_transit:(base + jitter) ())
   in
-  let engine = Ba_sim.Engine.create ~seed () in
   let tracer = Ba_trace.Tracer.create () in
-  let trace side fmt =
-    Printf.ksprintf
-      (fun label -> Ba_trace.Tracer.record tracer ~time:(Ba_sim.Engine.now engine) ~side label)
-      fmt
-  in
-  let sender_cell = ref None and receiver_cell = ref None in
-  let data_link =
-    Ba_channel.Link.create engine ~loss ~delay
-      ~deliver:(fun (d : Ba_proto.Wire.data) ->
-        trace Ba_trace.Tracer.Receiver "-> DATA %d" d.Ba_proto.Wire.seq;
-        match !receiver_cell with Some r -> Blockack.Receiver.on_data r d | None -> ())
-      ()
-  in
-  let killed = ref false in
-  let ack_link =
-    Ba_channel.Link.create engine ~loss ~delay
-      ~deliver:(fun (a : Ba_proto.Wire.ack) ->
-        trace Ba_trace.Tracer.Sender "ACK (%d,%d) <-" a.Ba_proto.Wire.lo a.Ba_proto.Wire.hi;
-        match !sender_cell with Some s -> s.on_ack a | None -> ())
-      ()
-  in
   (* Random losses on the data link are visible as sends that never show
-     a matching arrival; make ack losses explicit in the diagram. *)
-  Ba_channel.Link.set_fault ack_link (fun (a : Ba_proto.Wire.ack) ->
-      if kill_first_ack && not !killed then begin
-        killed := true;
-        trace Ba_trace.Tracer.Receiver "<- ACK (%d,%d)  ** KILLED **" a.Ba_proto.Wire.lo
-          a.Ba_proto.Wire.hi;
-        Ba_channel.Link.Drop
-      end
-      else Ba_channel.Link.Deliver);
-  let next_payload = Ba_proto.Workload.supplier ~seed ~size:8 ~count:messages in
-  let tx_data (d : Ba_proto.Wire.data) =
-    trace Ba_trace.Tracer.Sender "DATA %d ->" d.Ba_proto.Wire.seq;
-    Ba_channel.Link.send data_link d
+     a matching arrival; make the scripted ack loss explicit. *)
+  let kill_first (setup : Ba_proto.Harness.setup) =
+    let killed = ref false in
+    Ba_channel.Link.set_fault setup.ack_link (fun (a : Ba_proto.Wire.ack) ->
+        if !killed then Ba_channel.Link.Deliver
+        else begin
+          killed := true;
+          Ba_trace.Tracer.record tracer ~time:(Ba_sim.Engine.now setup.engine)
+            ~side:Ba_trace.Tracer.Receiver
+            (Printf.sprintf "<- ACK (%d,%d)  ** KILLED **" a.lo a.hi);
+          Ba_channel.Link.Drop
+        end)
   in
-  let tx_ack (a : Ba_proto.Wire.ack) =
-    trace Ba_trace.Tracer.Receiver "<- ACK (%d,%d)" a.Ba_proto.Wire.lo a.Ba_proto.Wire.hi;
-    Ba_channel.Link.send ack_link a
+  let r =
+    Ba_proto.Harness.run
+      (Ba_trace.Tracer.protocol tracer
+         (if simple then Blockack.Protocols.simple else Blockack.Protocols.multi))
+      ~seed ~messages ~payload_size:8 ~config ~data_loss:loss ~ack_loss:loss ~data_delay:delay
+      ~ack_delay:delay
+      ~deadline:(max 100_000 (messages * rto * 30))
+      ?on_setup:(if kill_first_ack then Some kill_first else None)
+      ()
   in
-  let deliver payload = trace Ba_trace.Tracer.Receiver "deliver %S" payload in
-  let sender =
-    if simple then begin
-      let s = Blockack.Sender.create engine config ~tx:tx_data ~next_payload in
-      {
-        pump = (fun () -> Blockack.Sender.pump s);
-        on_ack = Blockack.Sender.on_ack s;
-        done_ = (fun () -> Blockack.Sender.is_done s);
-      }
-    end
-    else begin
-      let s = Blockack.Sender_multi.create engine config ~tx:tx_data ~next_payload in
-      {
-        pump = (fun () -> Blockack.Sender_multi.pump s);
-        on_ack = Blockack.Sender_multi.on_ack s;
-        done_ = (fun () -> Blockack.Sender_multi.is_done s);
-      }
-    end
-  in
-  sender_cell := Some sender;
-  receiver_cell := Some (Blockack.Receiver.create engine config ~tx:tx_ack ~deliver);
-  sender.pump ();
-  Ba_sim.Engine.run ~until:(max 100_000 (messages * rto * 30)) engine;
   print_string
     (Ba_trace.Tracer.render ~from_time
        ~until_time:(Option.value ~default:max_int until_time)
        tracer);
-  if sender.done_ () then begin
+  if r.completed then begin
     Printf.printf "transfer of %d messages complete\n" messages;
     0
   end

@@ -1,13 +1,12 @@
-(* Ack-loss recovery, on the wire: build a tiny transfer by hand out of
-   Sender/Sender_multi + Receiver, kill the one block acknowledgment that
-   covers the whole window, and render time-sequence diagrams of how each
-   timeout design recovers (the paper's Section II vs Section IV).
+(* Ack-loss recovery, on the wire: run a tiny transfer through the
+   harness with a tracing wrapper around the protocol, kill the one block
+   acknowledgment that covers the whole window, and render time-sequence
+   diagrams of how each timeout design recovers (the paper's Section II
+   vs Section IV).
 
    Run with: dune exec examples/ack_loss_recovery.exe *)
 
-module Engine = Ba_sim.Engine
 module Link = Ba_channel.Link
-module Wire = Ba_proto.Wire
 
 let block = 4
 let rto = 300
@@ -16,88 +15,42 @@ let config =
   Blockack.Config.make ~window:8 ~rto ~wire_modulus:(Some 16) ~ack_coalesce:20
     ~max_transit:50 ()
 
-type sender_ops = { pump : unit -> unit; on_ack : Wire.ack -> unit; done_ : unit -> bool }
-
-let run_one style =
-  let engine = Engine.create ~seed:5 () in
+let run_one protocol =
   let tracer = Ba_trace.Tracer.create () in
-  let trace side fmt =
-    Printf.ksprintf
-      (fun label -> Ba_trace.Tracer.record tracer ~time:(Engine.now engine) ~side label)
-      fmt
-  in
-  let sender_cell = ref None and receiver_cell = ref None in
-  let killed = ref false in
-  let data_link =
-    Link.create engine ~delay:(Ba_channel.Dist.Constant 50)
-      ~deliver:(fun d ->
-        trace Ba_trace.Tracer.Receiver "-> DATA %d" d.Wire.seq;
-        match !receiver_cell with Some r -> Blockack.Receiver.on_data r d | None -> ())
-      ()
-  in
-  let ack_link =
-    Link.create engine ~delay:(Ba_channel.Dist.Constant 50)
-      ~deliver:(fun a ->
-        trace Ba_trace.Tracer.Sender "ACK (%d,%d) <-" a.Wire.lo a.Wire.hi;
-        match !sender_cell with Some s -> s.on_ack a | None -> ())
-      ()
-  in
   (* The fault: drop the first acknowledgment — it will be the coalesced
      block ack covering all [block] messages. *)
-  Link.set_fault ack_link (fun (a : Wire.ack) ->
-      if !killed then Link.Deliver
-      else begin
-        killed := true;
-        trace Ba_trace.Tracer.Receiver "<- ACK (%d,%d)  ** LOST **" a.Wire.lo a.Wire.hi;
-        Link.Drop
-      end);
-  let next_payload = Ba_proto.Workload.supplier ~seed:1 ~size:8 ~count:block in
-  let tx_data d =
-    trace Ba_trace.Tracer.Sender "DATA %d ->" d.Wire.seq;
-    Link.send data_link d
+  let lose_first (setup : Ba_proto.Harness.setup) =
+    let killed = ref false in
+    Link.set_fault setup.ack_link (fun (a : Ba_proto.Wire.ack) ->
+        if !killed then Link.Deliver
+        else begin
+          killed := true;
+          Ba_trace.Tracer.record tracer ~time:(Ba_sim.Engine.now setup.engine)
+            ~side:Ba_trace.Tracer.Receiver
+            (Printf.sprintf "<- ACK (%d,%d)  ** LOST **" a.lo a.hi);
+          Link.Drop
+        end)
   in
-  let tx_ack a =
-    if !killed then trace Ba_trace.Tracer.Receiver "<- ACK (%d,%d)" a.Wire.lo a.Wire.hi;
-    Link.send ack_link a
+  let r =
+    Ba_proto.Harness.run (Ba_trace.Tracer.protocol tracer protocol) ~seed:1 ~messages:block
+      ~payload_size:8 ~config ~data_delay:(Ba_channel.Dist.Constant 50)
+      ~ack_delay:(Ba_channel.Dist.Constant 50) ~deadline:3_000 ~on_setup:lose_first ()
   in
-  let deliver payload = trace Ba_trace.Tracer.Receiver "deliver %S" payload in
-  let sender =
-    match style with
-    | `Simple ->
-        let s = Blockack.Sender.create engine config ~tx:tx_data ~next_payload in
-        {
-          pump = (fun () -> Blockack.Sender.pump s);
-          on_ack = Blockack.Sender.on_ack s;
-          done_ = (fun () -> Blockack.Sender.is_done s);
-        }
-    | `Multi ->
-        let s = Blockack.Sender_multi.create engine config ~tx:tx_data ~next_payload in
-        {
-          pump = (fun () -> Blockack.Sender_multi.pump s);
-          on_ack = Blockack.Sender_multi.on_ack s;
-          done_ = (fun () -> Blockack.Sender_multi.is_done s);
-        }
-  in
-  sender_cell := Some sender;
-  receiver_cell :=
-    Some (Blockack.Receiver.create engine config ~tx:tx_ack ~deliver);
-  sender.pump ();
-  Engine.run ~until:3_000 engine;
-  assert (sender.done_ ());
-  (Ba_trace.Tracer.render tracer, Engine.now engine)
+  assert r.completed;
+  Ba_trace.Tracer.render tracer
 
 let () =
   Printf.printf
     "Transfer of %d messages; the single block ack covering them is lost.\n\
      rto = %d ticks, one-way delay 50 ticks, receiver coalesces acks for 20 ticks.\n\n"
     block rto;
-  let simple_trace, _ = run_one `Simple in
+  let simple_trace = run_one Blockack.Protocols.simple in
   print_endline "--- Section II sender: one timer, resend the window base ---";
   print_string simple_trace;
   print_endline
     "Each timeout recovers ONE message (the duplicate ack only advances na by one),\n\
      so the lost block costs about block * rto ticks.\n";
-  let multi_trace, _ = run_one `Multi in
+  let multi_trace = run_one Blockack.Protocols.multi in
   print_endline "--- Section IV sender: a timer per outstanding message ---";
   print_string multi_trace;
   print_endline

@@ -218,7 +218,7 @@ module Pull_log = struct
 
   let find t i =
     let cap = Array.length t.index in
-    if cap > 0 && t.index.(i mod cap) = i then t.wall.(i mod cap) else -1.
+    if i >= 0 && cap > 0 && t.index.(i mod cap) = i then t.wall.(i mod cap) else -1.
 end
 
 module Client = struct

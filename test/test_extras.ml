@@ -494,6 +494,58 @@ let test_tracer_capacity () =
   Ba_trace.Tracer.clear t;
   check Alcotest.int "cleared" 0 (List.length (Ba_trace.Tracer.events t))
 
+(* Every record of the oldest half dropped at the capacity is counted,
+   and the rendered diagram says so instead of silently starting late. *)
+let test_tracer_counts_dropped () =
+  let t = Ba_trace.Tracer.create ~capacity:10 () in
+  for i = 1 to 100 do
+    Ba_trace.Tracer.record t ~time:i ~side:Ba_trace.Tracer.Sender "e"
+  done;
+  let kept = List.length (Ba_trace.Tracer.events t) in
+  check Alcotest.int "kept + dropped = recorded" 100 (kept + Ba_trace.Tracer.dropped t);
+  let first_line s = List.nth (String.split_on_char '\n' s) 2 in
+  check Alcotest.string "render reports the drop"
+    (Printf.sprintf "     ... | %d earlier events dropped (the tracer keeps at most 10)"
+       (100 - kept))
+    (first_line (Ba_trace.Tracer.render ~until_time:0 t));
+  Ba_trace.Tracer.clear t;
+  check Alcotest.int "clear resets the count" 0 (Ba_trace.Tracer.dropped t);
+  check Alcotest.bool "no drop line once cleared" false
+    (String.length (first_line (Ba_trace.Tracer.render t)) > 0)
+
+(* The tracing wrapper observes without steering: every registry
+   protocol gives the same result with and without it, lossless and
+   lossy, and the tracer holds one send event per frame the harness
+   counted on both links. *)
+let test_tracer_protocol_transparent () =
+  List.iter
+    (fun (e : Ba_registry.Registry.entry) ->
+      let config = Ba_registry.Registry.config e () in
+      List.iter
+        (fun (seed, loss) ->
+          let run p =
+            Harness.run p ~seed ~messages:60 ~config ~data_loss:loss ~ack_loss:loss ()
+          in
+          let t = Ba_trace.Tracer.create ~capacity:max_int () in
+          let plain = run e.protocol and traced = run (Ba_trace.Tracer.protocol t e.protocol) in
+          let where = Printf.sprintf "%s seed=%d loss=%g" e.name seed loss in
+          if plain <> traced then
+            Alcotest.failf "%s: traced run differs:\n%a\n%a" where Harness.pp_result plain
+              Harness.pp_result traced;
+          let sends =
+            List.length
+              (List.filter
+                 (fun (ev : Ba_trace.Tracer.event) ->
+                   match ev.side with
+                   | Ba_trace.Tracer.Sender -> String.starts_with ~prefix:"DATA " ev.label
+                   | Ba_trace.Tracer.Receiver -> String.starts_with ~prefix:"<- ACK " ev.label)
+                 (Ba_trace.Tracer.events t))
+          in
+          check Alcotest.int (where ^ ": one send event per frame")
+            (plain.data_sent + plain.acks_sent) sends)
+        [ (1, 0.); (2, 0.); (3, 0.); (1, 0.1); (2, 0.1); (3, 0.1) ])
+    Ba_registry.Registry.all
+
 (* ------------------------------------------------------------------ *)
 (* Duplex with piggybacked acknowledgments *)
 
@@ -727,6 +779,9 @@ let () =
           Alcotest.test_case "records and renders" `Quick test_tracer_records_and_renders;
           Alcotest.test_case "time window" `Quick test_tracer_time_window;
           Alcotest.test_case "capacity bound" `Quick test_tracer_capacity;
+          Alcotest.test_case "dropped events counted" `Quick test_tracer_counts_dropped;
+          Alcotest.test_case "protocol wrapper changes nothing" `Quick
+            test_tracer_protocol_transparent;
         ] );
       ( "duplex",
         [

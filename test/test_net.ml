@@ -561,6 +561,25 @@ let client_without_lifecycle_survives_watchdog () =
   check Alcotest.int "no handshake frames" 0 (Endpoint.Client.resync_rounds client);
   check Alcotest.bool "not finished" false (Endpoint.Client.finished client)
 
+(* After one pumped window the pull log holds several slots; an index
+   below 0 was never pulled, so it reads negative instead of indexing the
+   log with a negative remainder. *)
+let pull_wall_negative_index () =
+  let engine = Ba_sim.Engine.create ~seed:1 () in
+  let client =
+    Endpoint.Client.create ~engine ~protocol:Blockack.Protocols.multi
+      ~config:(Ba_proto.Proto_config.make ~window:8 ()) ~messages:20 ~payload_size:16 ~wseed:1
+      ~send:(fun _ _ -> ()) ()
+  in
+  Endpoint.Client.pump client;
+  check Alcotest.bool "pulled a window" true (Endpoint.Client.pulled client >= 2);
+  check Alcotest.bool "index 0 was pulled" true (Endpoint.Client.pull_wall client 0 >= 0.);
+  List.iter
+    (fun i ->
+      check Alcotest.bool (Printf.sprintf "index %d reads negative" i) true
+        (Endpoint.Client.pull_wall client i < 0.))
+    [ -1; -3; -8; min_int ]
+
 let frames_in b =
   match Codec.decode b ~len:(Bytes.length b) with
   | Ok (Codec.Batch { frames; malformed = 0 }) -> List.length frames
@@ -888,6 +907,7 @@ let () =
           Alcotest.test_case "driver unrolls a container" `Quick driver_unrolls;
           Alcotest.test_case "go-back-n client survives its watchdog" `Quick
             client_without_lifecycle_survives_watchdog;
+          Alcotest.test_case "pull_wall of a negative index" `Quick pull_wall_negative_index;
         ] );
       ( "shim",
         [
