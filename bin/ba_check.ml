@@ -31,12 +31,13 @@ let exit_violation = 1
 let exit_capped = 3
 
 let run spec w n limit max_states no_liveness crashes victims =
+  let section2 = { Ba_model.Ba_kernel.w; lead = None; n = None; limit; timer = Whole_channel } in
   let spec_module =
     Ba_cli.validate ~tool:"ba_check" @@ fun () ->
     match spec with
-    | `S2 -> Ba_model.Ba_spec.default ~w ~limit
-    | `S4 -> Ba_model.Ba_spec_timeout.default ~w ~limit
-    | `S5 -> Ba_model.Ba_spec_finite.default ~w ?n ~limit ()
+    | `S2 -> Ba_model.Ba_kernel.spec section2
+    | `S4 -> Ba_model.Ba_kernel.spec { section2 with timer = Per_message }
+    | `S5 -> Ba_model.Ba_kernel.spec { section2 with n = Some (Option.value n ~default:(2 * w)) }
     | `Gbn -> Ba_model.Gbn_bounded_spec.default ~w ?n ~limit ()
     | `Crash_naive ->
         Ba_model.Ba_spec_crash.default ~w ?n ~limit ~epochs:false ~max_crashes:crashes ~victims ()

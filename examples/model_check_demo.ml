@@ -7,13 +7,15 @@
 let banner title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
+let section2 = { Ba_model.Ba_kernel.w = 2; lead = None; n = None; limit = 4; timer = Whole_channel }
+
 let () =
   banner "1. Section II protocol (w=2, 4-message transfer): exhaustive check";
-  let r = Ba_verify.Explorer.run_spec (Ba_model.Ba_spec.default ~w:2 ~limit:4) in
+  let r = Ba_verify.Explorer.run_spec (Ba_model.Ba_kernel.spec section2) in
   Format.printf "%a" Ba_verify.Explorer.pp_result r;
 
   banner "2. Section V protocol with the proven modulus n = 2w";
-  let r5 = Ba_verify.Explorer.run_spec (Ba_model.Ba_spec_finite.default ~w:2 ~limit:4 ()) in
+  let r5 = Ba_verify.Explorer.run_spec (Ba_model.Ba_kernel.spec { section2 with n = Some 4 }) in
   Format.printf "%a" Ba_verify.Explorer.pp_result r5;
   Printf.printf
     "(identical state space to the unbounded protocol: %d vs %d states — the modulo\n\
@@ -21,7 +23,9 @@ let () =
     r5.Ba_verify.Explorer.state_count r.Ba_verify.Explorer.state_count;
 
   banner "3. Shrink the modulus to n = 2w - 1 = 3: reconstruction must break";
-  let bad = Ba_verify.Explorer.run_spec (Ba_model.Ba_spec_finite.default ~w:2 ~n:3 ~limit:6 ()) in
+  let bad =
+    Ba_verify.Explorer.run_spec (Ba_model.Ba_kernel.spec { section2 with n = Some 3; limit = 6 })
+  in
   Format.printf "%a" Ba_verify.Explorer.pp_result bad;
 
   banner "4. The introduction's strawman: bounded go-back-N under reorder";

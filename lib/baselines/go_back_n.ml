@@ -89,8 +89,9 @@ let sender_on_ack s { Wire.hi; lo = _; _ } =
         (* [y >= ns] is an unsound decode of a stale acknowledgment
            (bounded mode only): the textbook sender cannot tell and
            slides anyway — this is the misbehaviour the experiments
-           demonstrate. *)
-        s.na <- min (y + 1) s.ns;
+           demonstrate. Clip before the increment: a forged [max_int]
+           would wrap to a negative [na]. *)
+        s.na <- min y (s.ns - 1) + 1;
         Ba_proto.Source.release s.source ~below:s.na;
         if outstanding s = 0 then Ba_sim.Timer.stop s.timer;
         pump s

@@ -28,7 +28,7 @@ let create_receiver _engine config ~tx ~deliver =
    up front, like the block-ack receiver: selective repeat is one of the
    "robust" baselines in the chaos campaign. *)
 let receiver_on_data r d =
-  if not (Wire.data_ok d) then ()
+  if not (Wire.data_ok d && Blockack.Seqcodec.is_wire r.codec d.Wire.seq) then ()
   else begin
   let { Wire.seq; payload; _ } = d in
   let v = Blockack.Seqcodec.decode_data r.codec ~nr:r.nr seq in

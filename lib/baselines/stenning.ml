@@ -130,19 +130,22 @@ let stop_timer s seq =
   let k = seq mod Array.length s.timers in
   if s.timer_seq.(k) = seq then Option.iter Ba_sim.Timer.stop s.timers.(k)
 
+(* A wire number [encode] cannot produce is a forged ack: drop it. *)
 let sender_on_ack s { Wire.lo; hi = _; _ } =
-  let seq = Blockack.Seqcodec.decode_ack s.codec ~na:s.na lo in
-  if seq >= s.na && seq < s.ns then begin
-    Ba_util.Ring_buffer.set s.acked seq ();
-    stop_timer s seq
-  end;
-  while Ba_util.Ring_buffer.mem s.acked s.na do
-    Ba_util.Ring_buffer.remove s.acked s.na;
-    stop_timer s s.na;
-    s.na <- s.na + 1
-  done;
-  Ba_proto.Source.release s.source ~below:s.na;
-  pump s
+  if Blockack.Seqcodec.is_wire s.codec lo then begin
+    let seq = Blockack.Seqcodec.decode_ack s.codec ~na:s.na lo in
+    if seq >= s.na && seq < s.ns then begin
+      Ba_util.Ring_buffer.set s.acked seq ();
+      stop_timer s seq
+    end;
+    while Ba_util.Ring_buffer.mem s.acked s.na do
+      Ba_util.Ring_buffer.remove s.acked s.na;
+      stop_timer s s.na;
+      s.na <- s.na + 1
+    done;
+    Ba_proto.Source.release s.source ~below:s.na;
+    pump s
+  end
 
 let protocol : Ba_proto.Protocol.t =
   (module struct

@@ -113,8 +113,6 @@ val set_plan : 'a t -> Fault_plan.t -> unit
     checked against engine time on every send and counted in
     [outage_drops]; other verdicts come from {!Fault_plan.decide}. *)
 
-val clear_plan : 'a t -> unit
-
 val plan : 'a t -> Fault_plan.t option
 
 val in_flight : 'a t -> int

@@ -219,7 +219,8 @@ let admit t v payload =
    the duplicate-delivery bug the crash spec exhibits. *)
 let on_data t d =
   if not t.alive then ()
-  else if not (Ba_proto.Wire.data_ok d) then t.corrupt_dropped <- t.corrupt_dropped + 1
+  else if not (Ba_proto.Wire.data_ok d && Seqcodec.is_wire t.codec d.Ba_proto.Wire.seq) then
+    t.corrupt_dropped <- t.corrupt_dropped + 1
   else begin
     let epochs = t.config.Config.resync_epochs in
     if epochs && d.Ba_proto.Wire.epoch < t.epoch then

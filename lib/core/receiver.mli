@@ -57,7 +57,9 @@ val dup_acks_sent : t -> int
 
 val corrupt_dropped : t -> int
 (** Data frames discarded because their checksum failed
-    ({!Ba_proto.Wire.data_ok}): never delivered, never acknowledged. *)
+    ({!Ba_proto.Wire.data_ok}) or their sequence number is one no
+    {!Seqcodec.encode} could produce: never delivered, never
+    acknowledged. *)
 
 val flush : t -> unit
 (** Force out any pending coalesced acknowledgment now. *)

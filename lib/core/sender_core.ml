@@ -96,7 +96,8 @@ module type S = sig
       ({!Ba_proto.Wire.ack_ok}); acting on a mangled block range could
       acknowledge data the receiver never accepted. A POS naming a
       position the outbox cannot replay from (below its released prefix
-      or past everything issued) is discarded and counted here too. *)
+      or past everything issued) is discarded and counted here too, as
+      is an ack whose bounds no {!Seqcodec.encode} could produce. *)
 
   val acked_total : t -> int
   (** Messages acknowledged so far (= [na]). *)
@@ -104,9 +105,9 @@ module type S = sig
   val clamp_window : t -> int -> unit
   (** [clamp_window t n] caps the effective window at [n] messages — the
       fabric's backpressure path. [n >= window] removes the clamp; [n < 1]
-      raises. The clamp composes with [tx_budget] and any congestion
-      window (the minimum wins) and survives crash–restart, since the
-      pressure it reflects is external to this endpoint. *)
+      raises. The clamp composes with any congestion window (the minimum
+      wins) and survives crash–restart, since the pressure it reflects is
+      external to this endpoint. *)
 
   val window_clamp : t -> int option
   (** The clamp currently in force, if any. *)
@@ -196,12 +197,10 @@ end = struct
   let unacked t = t.unacked
   let running t = t.alive && not t.syncing
 
-  (* The configured window narrowed by every active pressure signal: the
-     static retransmit-buffer budget, any fabric backpressure clamp, and
-     the policy's congestion window. *)
+  (* The configured window narrowed by every active pressure signal: any
+     fabric backpressure clamp and the policy's congestion window. *)
   let effective_window t =
     let w = t.config.Config.window in
-    let w = match t.config.Config.tx_budget with Some b -> min w b | None -> w in
     let w = match t.wclamp with Some c -> min w c | None -> w in
     P.window t.timers w
 
@@ -451,6 +450,11 @@ end = struct
               (* Duplicate POS: our FIN was lost and the receiver is still
                  retrying. Re-confirm; do not move the window. *)
               send_fin t
+        | Ba_proto.Wire.Ack
+          when not
+                 (Seqcodec.is_wire t.codec a.Ba_proto.Wire.lo
+                 && Seqcodec.is_wire t.codec a.Ba_proto.Wire.hi) ->
+            t.corrupt_acks_dropped <- t.corrupt_acks_dropped + 1
         | Ba_proto.Wire.Ack ->
             if not t.syncing then begin
               let lo = a.Ba_proto.Wire.lo in

@@ -15,6 +15,8 @@ let modulus t = t.modulus
 let encode t seq =
   match t.modulus with None -> seq | Some n -> Ba_util.Modseq.wrap ~n seq
 
+let is_wire t wire = match t.modulus with None -> true | Some n -> 0 <= wire && wire < n
+
 let decode_ack t ~na wire =
   match t.modulus with
   | None -> wire

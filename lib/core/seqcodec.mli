@@ -19,6 +19,12 @@ val modulus : t -> int option
 val encode : t -> int -> int
 (** Full sequence number to wire number. *)
 
+val is_wire : t -> int -> bool
+(** Whether {!encode} can produce [wire]: any number when unbounded, one
+    in [\[0, n)] under modulus [n]. The decoders require it, so a
+    receiving endpoint drops a frame that fails it as corrupt: only a
+    forged frame can carry such a number. *)
+
 val decode_ack : t -> na:int -> int -> int
 (** Reconstruct an acknowledgment bound at the sender, anchored at the
     sender's [na]. Correct for true values in [na, na + n). *)

@@ -10,6 +10,7 @@ module Harness = Ba_proto.Harness
 module Config = Ba_proto.Proto_config
 module Dist = Ba_channel.Dist
 module Explorer = Ba_verify.Explorer
+module Kernel = Ba_model.Ba_kernel
 module Pool = Ba_parallel.Pool
 
 let fmt = Ba_util.Table.fmt_float
@@ -83,11 +84,10 @@ end)
 
 module Gbn_scenario = Ba_verify.Scenario.Make (Gbn_intro)
 
-module Ba_intro = Ba_model.Ba_spec_finite.Make (struct
-  let w = 2
-  let n = 4
-  let limit = 6
-end)
+(* Section II's parameters, the base every block-ack row varies. *)
+let section2 ~w ~limit = { Kernel.w; lead = None; n = None; limit; timer = Whole_channel }
+
+module Ba_intro = (val Kernel.spec { (section2 ~w:2 ~limit:6) with n = Some 4 })
 
 module Ba_scenario = Ba_verify.Scenario.Make (Ba_intro)
 
@@ -140,22 +140,24 @@ let t2_verification ?(jobs = 1) ~quick () =
   let lim_small = if quick then 3 else 4 in
   let entries =
     [
-      ("II  (w=1)", Ba_model.Ba_spec.default ~w:1 ~limit:(lim_small + 1), true);
-      ("II  (w=2)", Ba_model.Ba_spec.default ~w:2 ~limit:lim_small, true);
-      ("IV  (w=2)", Ba_model.Ba_spec_timeout.default ~w:2 ~limit:lim_small, true);
-      ("V   (w=2, n=2w=4)", Ba_model.Ba_spec_finite.default ~w:2 ~limit:lim_small (), true);
-      ("V   (w=2, n=3w=6)", Ba_model.Ba_spec_finite.default ~w:2 ~n:6 ~limit:lim_small (), true);
-      ("V   (w=2, n=2w-1=3)", Ba_model.Ba_spec_finite.default ~w:2 ~n:3 ~limit:6 (), false);
+      ("II  (w=1)", Kernel.spec (section2 ~w:1 ~limit:(lim_small + 1)), true);
+      ("II  (w=2)", Kernel.spec (section2 ~w:2 ~limit:lim_small), true);
+      ("IV  (w=2)", Kernel.spec { (section2 ~w:2 ~limit:lim_small) with timer = Per_message }, true);
+      ("V   (w=2, n=2w=4)", Kernel.spec { (section2 ~w:2 ~limit:lim_small) with n = Some 4 }, true);
+      ("V   (w=2, n=3w=6)", Kernel.spec { (section2 ~w:2 ~limit:lim_small) with n = Some 6 }, true);
+      ("V   (w=2, n=2w-1=3)", Kernel.spec { (section2 ~w:2 ~limit:6) with n = Some 3 }, false);
       ("Vb  (w=2, bounded storage)", Ba_model.Ba_spec_bounded.default ~w:2 ~limit:lim_small (), true);
       ( "VI  (w=2, lead=4 slot reuse)",
-        Ba_model.Ba_reuse_spec.default ~w:2 ~lead:4 ~limit:(lim_small + 1) (),
+        Kernel.spec
+          { (section2 ~w:2 ~limit:(lim_small + 1)) with
+            lead = Some 4; n = Some 8; timer = Per_message },
         true );
       ("GBN (w=2, n=3)", Ba_model.Gbn_bounded_spec.default ~w:2 ~limit:6 (), false);
     ]
   in
   let entries =
     if quick then entries
-    else entries @ [ ("II  (w=3)", Ba_model.Ba_spec.default ~w:3 ~limit:5, true) ]
+    else entries @ [ ("II  (w=3)", Kernel.spec (section2 ~w:3 ~limit:5), true) ]
   in
   let rows =
     pmap ~jobs

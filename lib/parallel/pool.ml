@@ -49,15 +49,6 @@ let jobs t = t.jobs
 let spawned = Atomic.make 0
 let spawned_domains () = Atomic.get spawned
 
-(* Per-domain scratch RNG. Seeded from the domain id, so the stream a
-   task sees depends on scheduling — which is exactly why simulation
-   code must never draw semantic randomness from it. *)
-let rng_key =
-  Domain.DLS.new_key (fun () ->
-      Ba_util.Rng.create (0x5ca7c4 + (31 * (Domain.self () :> int))))
-
-let domain_rng () = Domain.DLS.get rng_key
-
 (* True while the current domain is executing a pool task; [map] and
    [map_chunks] without an explicit pool check it to run inline rather
    than re-enter the shared pool (whose batch mutex is not reentrant). *)

@@ -97,10 +97,3 @@ val spawned_domains : unit -> int
     including the shared one). Observability hook for tests pinning the
     no-oversubscription guarantees: [jobs = 1] work must never spawn. *)
 
-val domain_rng : unit -> Ba_util.Rng.t
-(** A per-domain scratch RNG stream (lazily created, one per domain,
-    seeded from the domain id). For {e non-semantic} randomness only —
-    jitter in diagnostics, randomised bench shuffling. Simulation code
-    must keep deriving its streams from task seeds: [domain_rng] depends
-    on which domain ran the task, so using it for results would break
-    the byte-identical-at-any-jobs guarantee. *)

@@ -14,10 +14,6 @@ type t = {
          reassembly slots beyond its contiguous run; further in-window
          frames hit [drop_policy]. [None]: the full window (the paper's
          assumption of room for every outstanding message). *)
-  tx_budget : int option;
-      (* [Some b]: the sender's retransmit buffer is capped at [b]
-         slots, clamping the effective window below the configured one.
-         [None]: the full window. *)
   drop_policy : drop_policy;
       (* What a budget-full receiver does with a fresh in-window frame
          it has no room for: [Drop_new] discards the arrival, [Drop_furthest]
@@ -46,7 +42,6 @@ let default =
     adaptive_rto = false;
     max_transit = None;
     rx_budget = None;
-    tx_budget = None;
     drop_policy = Drop_new;
     resync_epochs = true;
   }
@@ -66,11 +61,6 @@ let validate t =
       invalid_arg
         (Printf.sprintf "Proto_config: rx_budget %d outside [1, window=%d]" b t.window)
   | Some _ | None -> ());
-  (match t.tx_budget with
-  | Some b when b < 1 || b > t.window ->
-      invalid_arg
-        (Printf.sprintf "Proto_config: tx_budget %d outside [1, window=%d]" b t.window)
-  | Some _ | None -> ());
   match t.wire_modulus with
   | None -> ()
   | Some n ->
@@ -82,7 +72,7 @@ let validate t =
           (Printf.sprintf "Proto_config: wire modulus %d < window+1=%d" n (t.window + 1))
 
 let make ?window ?rto ?wire_modulus ?ack_coalesce ?stenning_gap ?dynamic_window ?adaptive_rto
-    ?max_transit ?rx_budget ?tx_budget ?drop_policy ?resync_epochs () =
+    ?max_transit ?rx_budget ?drop_policy ?resync_epochs () =
   let t =
     {
       window = Option.value ~default:default.window window;
@@ -94,7 +84,6 @@ let make ?window ?rto ?wire_modulus ?ack_coalesce ?stenning_gap ?dynamic_window 
       adaptive_rto = Option.value ~default:default.adaptive_rto adaptive_rto;
       max_transit;
       rx_budget;
-      tx_budget;
       drop_policy = Option.value ~default:default.drop_policy drop_policy;
       resync_epochs = Option.value ~default:default.resync_epochs resync_epochs;
     }

@@ -53,10 +53,6 @@ type t = {
           victim was never acknowledged, so a budget drop is
           behaviorally a channel loss. [None]: the paper's assumption —
           room for the full window. *)
-  tx_budget : int option;
-      (** [Some b]: hard cap ([1..window]) on the sender's retransmit
-          buffer, clamping the effective window below the configured
-          one. [None]: the full window. *)
   drop_policy : drop_policy;
       (** What a budget-full receiver does with a fresh in-window frame
           (only consulted when [rx_budget] is set). *)
@@ -84,7 +80,6 @@ val make :
   ?adaptive_rto:bool ->
   ?max_transit:int ->
   ?rx_budget:int ->
-  ?tx_budget:int ->
   ?drop_policy:drop_policy ->
   ?resync_epochs:bool ->
   unit ->

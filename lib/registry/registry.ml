@@ -78,12 +78,6 @@ let names = List.map (fun e -> e.name) all
 
 let robust = List.filter (fun e -> e.robust) all
 
-(* Derived from the protocol module: only the block-ack endpoints carry
-   a crash-restart lifecycle. *)
-let crash_tolerant e =
-  let module P = (val e.protocol : Ba_proto.Protocol.S) in
-  Option.is_some P.lifecycle
-
 let find name =
   List.find_opt (fun e -> String.equal e.name name || List.mem name e.aliases) all
 
@@ -98,13 +92,13 @@ let parse name =
 let protocol name = Option.map (fun e -> e.protocol) (find name)
 
 let config ?(window = 16) ?rto ?modulus ?ack_coalesce ?max_transit ?adaptive_rto ?stenning_gap
-    ?dynamic_window ?resync_epochs ?rx_budget ?tx_budget ?drop_policy entry () =
+    ?dynamic_window ?resync_epochs ?rx_budget ?drop_policy entry () =
   let wire_modulus =
     match modulus with Some m -> Some m | None -> entry.default_modulus ~window
   in
   Ba_proto.Proto_config.make ~window ?rto ?wire_modulus:(Option.map Option.some wire_modulus)
     ?ack_coalesce ?max_transit ?adaptive_rto ?stenning_gap ?dynamic_window ?resync_epochs
-    ?rx_budget ?tx_budget ?drop_policy ()
+    ?rx_budget ?drop_policy ()
 
 let pp_list ppf () =
   List.iter

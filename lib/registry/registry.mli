@@ -31,11 +31,6 @@ val names : string list
 val robust : entry list
 (** The chaos-audited subset of {!all}. *)
 
-val crash_tolerant : entry -> bool
-(** Whether the entry's protocol supports the crash–restart lifecycle
-    ({!Ba_proto.Protocol.S.lifecycle} is [Some]); campaign runners skip the
-    [crash] fault class for protocols that do not. *)
-
 val find : string -> entry option
 (** Resolve a canonical name or alias. *)
 
@@ -56,7 +51,6 @@ val config :
   ?dynamic_window:bool ->
   ?resync_epochs:bool ->
   ?rx_budget:int ->
-  ?tx_budget:int ->
   ?drop_policy:Ba_proto.Proto_config.drop_policy ->
   entry ->
   unit ->

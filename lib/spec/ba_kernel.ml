@@ -18,8 +18,8 @@ type state = {
   crs : ack M.t;
 }
 
-let validate ~who p =
-  let fail what = invalid_arg (who ^ ": " ^ what) in
+let validate p =
+  let fail what = invalid_arg ("Ba_kernel: " ^ what) in
   if p.w <= 0 then fail "w must be positive";
   (match (p.lead, p.n) with
   | Some lead, _ when lead < p.w -> fail "lead must be >= w"
@@ -239,14 +239,28 @@ let pp p ppf s =
     (M.pp (fun ppf a -> Format.pp_print_string ppf (show_ack p a)))
     s.crs
 
+(* The paper's section a parameter set reproduces, read off the params:
+   VI with a lead, V with a modulus, else II or IV by the timer. A timer
+   other than the section's own is spelt out. *)
+let name p =
+  let section, timer =
+    match (p.lead, p.n) with
+    | Some _, _ -> ("VI-reuse", Per_message)
+    | None, Some _ -> ("V", Whole_channel)
+    | None, None -> ((if p.timer = Per_message then "IV" else "II"), p.timer)
+  in
+  let opt key = Option.fold ~none:"" ~some:(Printf.sprintf ",%s=%d" key) in
+  Printf.sprintf "blockack-%s(w=%d%s%s,limit=%d%s)" section p.w (opt "lead" p.lead) (opt "n" p.n)
+    p.limit
+    (if p.timer = timer then "" else if p.timer = Per_message then ",timer=2'" else ",timer=2")
+
 module Spec (P : sig
-  val name : string
   val params : params
 end) =
 struct
   type nonrec state = state
 
-  let name = P.name
+  let name = name P.params
   let initial = initial
   let transitions = transitions P.params
   let check = check P.params
@@ -254,3 +268,9 @@ struct
   let measure = measure
   let pp = pp P.params
 end
+
+let spec params =
+  validate params;
+  (module Spec (struct
+    let params = params
+  end) : Spec_types.SPEC)

@@ -4,10 +4,10 @@
     thing: Section IV swaps action 2 for 2′, Section V re-encodes the wire
     modulo [n], and Section VI widens the flight band to a [lead]. This
     module writes each of those actions, the reconstruction check and the
-    invariant view once, and [Ba_spec] (II), [Ba_spec_timeout] (IV),
-    [Ba_spec_finite] (V), [Ba_reuse_spec] (VI) and [Ba_spec_pressure] are
-    parameterisations of it. The bounded-storage refinement (Vb and the
-    crash specs) is {!Ba_bounded_kernel}.
+    invariant view once. Sections II, IV, V and VI are values of
+    {!params}, turned into a spec by {!spec}; [Ba_spec_pressure] adds its
+    eviction actions to the Section IV parameters. The bounded-storage
+    refinement (Vb and the crash specs) is {!Ba_bounded_kernel}.
 
     The specs the ROADMAP plans next extend this kernel rather than copy
     it. Item 2's receiver that also block-acks held out-of-order runs
@@ -57,8 +57,8 @@ type state = {
   crs : ack Ba_channel.Multiset.t;  (** block acks in transit, R -> S *)
 }
 
-val validate : who:string -> params -> unit
-(** Raises [Invalid_argument "<who>: ..."] on a non-positive window, a
+val validate : params -> unit
+(** Raises [Invalid_argument "Ba_kernel: ..."] on a non-positive window, a
     lead below [w], a non-positive modulus (or one below [2 * lead]), or a
     negative limit. *)
 
@@ -108,7 +108,14 @@ val measure : state -> int
 val pp : params -> Format.formatter -> state -> unit
 
 module Spec (P : sig
-  val name : string
   val params : params
 end) : Spec_types.SPEC with type state = state
-(** The spec these parameters describe. Does not validate them. *)
+(** The spec these parameters describe. Does not validate them. Its
+    name is the section the parameters reproduce, with their values:
+    [blockack-II(w=2,limit=4)] (timer 2), [blockack-IV(w=2,limit=4)]
+    (timer 2′), [blockack-V(w=2,n=4,limit=4)] (a modulus) and
+    [blockack-VI-reuse(w=2,lead=4,n=8,limit=4)] (a lead). A timer other
+    than the section's own is appended as [,timer=2] or [,timer=2']. *)
+
+val spec : params -> Spec_types.spec
+(** {!validate}, then {!Spec}. *)

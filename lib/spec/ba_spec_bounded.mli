@@ -1,12 +1,12 @@
 (** Section V, final refinement: bounded storage end to end.
 
-    The finite-sequence-number protocol of {!Ba_spec_finite} still keeps
-    unbounded integers internally. The paper's closing paragraphs sketch
-    the last step: counters ([na], [ns], [nr], [vr]) live modulo [n] and
-    the boolean arrays shrink to [w] slots indexed modulo [w]
-    ("[ackd[na mod w]] is set to false in action 1′", "[rcvd[vr mod w]]
-    is set to false in action 4"), with every comparison rewritten into
-    modular arithmetic.
+    The finite-sequence-number protocol ({!Ba_kernel} with a modulus)
+    still keeps unbounded integers internally. The paper's closing
+    paragraphs sketch the last step: counters ([na], [ns], [nr], [vr])
+    live modulo [n] and the boolean arrays shrink to [w] slots indexed
+    modulo [w] ("[ackd[na mod w]] is set to false in action 1′",
+    "[rcvd[vr mod w]] is set to false in action 4"), with every
+    comparison rewritten into modular arithmetic.
 
     This spec performs that refinement *literally*: every guard and
     update reads only the bounded state. An unbounded ghost copy of the
@@ -15,7 +15,7 @@
 
     - each bounded counter equals its ghost modulo [n],
     - the [w]-slot arrays hold exactly the ghost sets folded modulo [w],
-    - wire reconstruction matches the ghost (as in {!Ba_spec_finite}),
+    - wire reconstruction matches the ghost (as in {!Ba_kernel}),
     - the paper's invariant (assertions 6–8) holds on the ghosts.
 
     Exhaustive exploration therefore proves the refinement correct for

@@ -10,15 +10,15 @@ struct
   (* Action 2' (Section IV): per-message timers — the fair-retransmission
      engine that has to absorb pressure drops. *)
   let params = { Ba_kernel.w = P.w; lead = None; n = None; limit = P.limit; timer = Per_message }
-  let () = Ba_kernel.validate ~who:"Ba_kernel" params
+  let () = Ba_kernel.validate params
 
   include Ba_kernel.Spec (struct
-    let name =
-      Printf.sprintf "blockack-pressure(w=%d,limit=%d%s)" P.w P.limit
-        (if P.naive then ",naive" else "")
-
     let params = params
   end)
+
+  let name =
+    Printf.sprintf "blockack-pressure(w=%d,limit=%d%s)" P.w P.limit
+      (if P.naive then ",naive" else "")
 
   (* Buffer pressure, sound variant: the receiver may nondeterministically
      evict ANY buffered out-of-order slot — every slot strictly above the

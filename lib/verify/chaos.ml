@@ -282,7 +282,7 @@ let run_one ?messages ?config protocol fault ~seed =
 let default_seeds = List.init 50 (fun i -> i + 1)
 
 let run_campaign ?messages ?config ?(seeds = default_seeds) ?(classes = all_classes) ?(jobs = 1)
-    ?pool protocol =
+    protocol =
   let (module P : Ba_proto.Protocol.S) = protocol in
   (* The campaign is a grid of independent (fault, seed) cells: each run
      builds its own engine and derives every random stream from its own
@@ -303,7 +303,7 @@ let run_campaign ?messages ?config ?(seeds = default_seeds) ?(classes = all_clas
   in
   let outcomes =
     List.combine cells
-      (Ba_parallel.Pool.map_chunks ?pool ~jobs (run_cell ?messages ?config protocol) cells)
+      (Ba_parallel.Pool.map_chunks ~jobs (run_cell ?messages ?config protocol) cells)
   in
   let recovery_of results =
     let restarts = List.fold_left (fun a (r : Harness.result) -> a + r.Harness.restarts) 0 results in

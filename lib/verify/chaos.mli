@@ -159,7 +159,6 @@ val run_campaign :
   ?seeds:int list ->
   ?classes:fault_class list ->
   ?jobs:int ->
-  ?pool:Ba_parallel.Pool.t ->
   Ba_proto.Protocol.t ->
   report
 (** Sweep [seeds] (default [1..50]) across [classes] (default
@@ -168,9 +167,9 @@ val run_campaign :
 
     The (fault, seed) cells are independent simulations, so they run on
     a {!Ba_parallel.Pool} of [jobs] domains (default 1, i.e.
-    sequential; [pool] reuses a caller-owned pool instead). Results are
-    collected in input order, so the report — including every counter
-    and the minimal failing seed — is identical at any job count. *)
+    sequential). Results are collected in input order, so the report —
+    including every counter and the minimal failing seed — is identical
+    at any job count. *)
 
 val verdict : class_report -> string
 (** ["ok"], or the nonzero symptom counts, e.g. ["unsafe:3 stuck:1"]. *)

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Non-blank, non-comment line counts of the OCaml sources (.ml/.mli)
-# under each top-level directory: lib/<name>, bin, bench and test, then
-# the total.
+# under each top-level directory: lib/<name>, bin, bench, examples and
+# test, then the total.
 #
 #   scripts/loc.sh              counts for the working tree
 #   scripts/loc.sh REV          counts for a git revision
@@ -49,7 +49,7 @@ files() {
 counts() {
   dirs=$(files "$1" lib | cut -d/ -f2 | sort -u | sed 's|^|lib/|')
   total=0
-  for d in $dirs bin bench test; do
+  for d in $dirs bin bench examples test; do
     n=$(files "$1" "$d" | while read -r f; do
           if [ -n "$1" ]; then git show "$1:$f"; else cat "$f"; fi
         done | loc)

@@ -1,6 +1,7 @@
 (* Chaos-campaign smoke tests (also wired to the `chaos-smoke` alias):
    a CI-sized sweep asserting the safety/recovery split the full
-   `ba_chaos` run demonstrates at 50 seeds. *)
+   `ba_chaos` run demonstrates at 50 seeds, and hostile peers sending
+   well-formed frames with arbitrary fields. *)
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -279,6 +280,158 @@ let test_outage_exercises_backoff () =
   check Alcotest.bool "finished past the dark window" true
     (r.Ba_proto.Harness.ticks > Ba_channel.Fault_plan.quiesced_after data_plan)
 
+(* ------------------------------------------------------------------ *)
+(* Hostile peers. The frame checksum is FNV, not a MAC, so a peer can
+   send a checksum-valid frame carrying any sequence number, range,
+   epoch or kind. Whatever it sends, no endpoint may raise. *)
+
+module Wire = Ba_proto.Wire
+module Engine = Ba_sim.Engine
+module Registry = Ba_registry.Registry
+
+type forged = Data of Wire.data | Ack of Wire.ack
+
+let pp_forged ppf = function
+  | Data d -> Wire.pp_data ppf d
+  | Ack a -> Wire.pp_ack ppf a
+
+(* Window 8 and, when [modulus] says so, the registry's default modulus
+   for it (16 for most block-ack variants); [None] sends unbounded
+   numbers. *)
+let hostile_config entry ~modulus =
+  let config = Registry.config ~window:8 entry () in
+  if modulus then config else { config with Ba_proto.Proto_config.wire_modulus = None }
+
+(* [entry]'s endpoints wired back to back through the engine, 10 ticks
+   each way, with a 40-message transfer pumped; returns the engine and a
+   function handing a forged frame to the endpoint it is addressed to. *)
+let endpoints entry ~modulus =
+  let (module P : Ba_proto.Protocol.S) = entry.Registry.protocol in
+  let config = hostile_config entry ~modulus in
+  let engine = Engine.create () in
+  let sender = ref None in
+  let r =
+    P.create_receiver engine config
+      ~tx:(fun a ->
+        Engine.schedule engine ~delay:10 (fun () -> Option.iter (fun s -> P.sender_on_ack s a) !sender))
+      ~deliver:ignore
+  in
+  let s =
+    P.create_sender engine config
+      ~tx:(fun d -> Engine.schedule engine ~delay:10 (fun () -> P.receiver_on_data r d))
+      ~next_payload:(Ba_proto.Workload.supplier ~seed:0 ~size:8 ~count:40)
+  in
+  sender := Some s;
+  P.sender_pump s;
+  (engine, function Data d -> P.receiver_on_data r d | Ack a -> P.sender_on_ack s a)
+
+let entry name = Option.get (Registry.find name)
+
+(* Regression cases: a wire number past the modulus reached
+   [Modseq.reconstruct]'s range assertion from these endpoints. *)
+let test_blockack_drops_out_of_modulus () =
+  let engine = Engine.create () in
+  let config = hostile_config (entry "blockack-multi") ~modulus:true in
+  let acks = ref 0 and delivered = ref 0 in
+  let r =
+    Blockack.Receiver.create engine config ~tx:(fun _ -> incr acks) ~deliver:(fun _ -> incr delivered)
+  in
+  Blockack.Receiver.on_data r (Wire.make_data ~seq:16 ~payload:"forged");
+  check Alcotest.int "receiver counts it corrupt" 1 (Blockack.Receiver.corrupt_dropped r);
+  check Alcotest.int "nothing acknowledged" 0 !acks;
+  check Alcotest.int "nothing delivered" 0 !delivered;
+  let s =
+    Blockack.Sender_multi.create engine config ~tx:ignore
+      ~next_payload:(Ba_proto.Workload.supplier ~seed:0 ~size:8 ~count:4)
+  in
+  Blockack.Sender_multi.pump s;
+  Blockack.Sender_multi.on_ack s (Wire.make_ack ~lo:16 ~hi:17);
+  check Alcotest.int "sender counts it corrupt" 1 (Blockack.Sender_multi.corrupt_acks_dropped s);
+  check Alcotest.int "window not moved" 0 (Blockack.Sender_multi.na s)
+
+let test_selective_repeat_drops_out_of_modulus () =
+  let acks = ref 0 and delivered = ref 0 in
+  let r =
+    Ba_baselines.Selective_repeat.create_receiver (Engine.create ())
+      (hostile_config (entry "selective-repeat") ~modulus:true)
+      ~tx:(fun _ -> incr acks) ~deliver:(fun _ -> incr delivered)
+  in
+  Ba_baselines.Selective_repeat.receiver_on_data r (Wire.make_data ~seq:16 ~payload:"forged");
+  check Alcotest.int "nothing acknowledged" 0 !acks;
+  check Alcotest.int "nothing delivered" 0 !delivered
+
+let test_stenning_drops_out_of_modulus () =
+  let stenning = entry "stenning" in
+  let (module P : Ba_proto.Protocol.S) = stenning.Registry.protocol in
+  let s =
+    P.create_sender (Engine.create ()) (hostile_config stenning ~modulus:true) ~tx:ignore
+      ~next_payload:(Ba_proto.Workload.supplier ~seed:0 ~size:8 ~count:4)
+  in
+  P.sender_pump s;
+  P.sender_on_ack s (Wire.make_ack ~lo:16 ~hi:17);
+  check Alcotest.int "sender ignores it" 4 (P.sender_outstanding s);
+  P.sender_on_ack s (Wire.make_ack ~lo:0 ~hi:0);
+  check Alcotest.int "a real ack still counts" 3 (P.sender_outstanding s)
+
+(* A cumulative ack of [max_int] once wrapped go-back-N's [na] negative,
+   after which its pump never stopped. *)
+let test_gbn_survives_max_int_ack () =
+  let gbn = entry "go-back-n" in
+  let (module P : Ba_proto.Protocol.S) = gbn.Registry.protocol in
+  let s =
+    P.create_sender (Engine.create ()) (hostile_config gbn ~modulus:true) ~tx:ignore
+      ~next_payload:(Ba_proto.Workload.supplier ~seed:0 ~size:8 ~count:40)
+  in
+  P.sender_pump s;
+  P.sender_on_ack s (Wire.make_ack ~lo:max_int ~hi:max_int);
+  check Alcotest.int "the window slides to its end and refills" 8 (P.sender_outstanding s)
+
+(* Numbers near the window, and anywhere up to [max_int]. *)
+let gen_forged =
+  let open QCheck.Gen in
+  let num = oneof [ int_bound 40; map (fun x -> x land max_int) int; return max_int ] in
+  oneof
+    [
+      map3
+        (fun seq epoch kind ->
+          Data
+            (match kind with
+            | 0 -> Wire.make_data_e ~epoch ~seq ~payload:"forged"
+            | 1 -> Wire.make_sync_req ~epoch
+            | _ -> Wire.make_sync_fin ~epoch))
+        num num (int_bound 2);
+      map4
+        (fun lo hi epoch pos ->
+          Ack (if pos then Wire.make_sync_pos ~epoch ~pos:lo else Wire.make_ack_e ~epoch ~lo ~hi))
+        num num num bool;
+    ]
+
+(* Every registry protocol, with and without its default modulus: feed
+   the forged frames after [warmup] ticks of a transfer (0 = fresh
+   endpoints), then let every transfer run on. *)
+let prop_hostile_frames_never_raise =
+  qcheck
+    (QCheck.Test.make ~count:100 ~name:"forged checksum-valid frames never raise"
+       (QCheck.make
+          ~print:(fun (warmup, frames) ->
+            Format.asprintf "warmup %d: %a" warmup
+              (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_forged)
+              frames)
+          QCheck.Gen.(pair (oneof [ return 0; int_range 1 300 ]) (list_size (int_range 1 12) gen_forged)))
+       (fun (warmup, frames) ->
+         let pairs =
+           List.concat_map
+             (fun entry -> List.map (fun modulus -> endpoints entry ~modulus) [ false; true ])
+             Registry.all
+         in
+         List.iter
+           (fun (engine, feed) ->
+             Engine.run ~until:warmup engine;
+             List.iter feed frames)
+           pairs;
+         List.iter (fun (engine, _) -> Engine.run ~until:(warmup + 3000) engine) pairs;
+         true))
+
 let () =
   Alcotest.run "chaos"
     [
@@ -306,5 +459,16 @@ let () =
           Alcotest.test_case "failures replay exactly" `Quick test_failure_replays;
           Alcotest.test_case "both-count semantics" `Quick test_both_count_semantics;
           Alcotest.test_case "outage exercises backoff" `Quick test_outage_exercises_backoff;
+        ] );
+      ( "hostile",
+        [
+          Alcotest.test_case "blockack drops an out-of-modulus number" `Quick
+            test_blockack_drops_out_of_modulus;
+          Alcotest.test_case "selective repeat drops an out-of-modulus number" `Quick
+            test_selective_repeat_drops_out_of_modulus;
+          Alcotest.test_case "stenning drops an out-of-modulus number" `Quick
+            test_stenning_drops_out_of_modulus;
+          Alcotest.test_case "go-back-N survives a max_int ack" `Quick test_gbn_survives_max_int_ack;
+          prop_hostile_frames_never_raise;
         ] );
     ]

@@ -706,14 +706,13 @@ let test_flight_footprint () =
   List.iter
     (fun (window, lead) ->
       let engine = Engine.create () in
-      let config =
-        Config.make ~window ~tx_budget:2 ~wire_modulus:(Some (2 * lead)) ~ack_coalesce:0 ()
-      in
+      let config = Config.make ~window ~wire_modulus:(Some (2 * lead)) ~ack_coalesce:0 () in
       let sender =
         live_bytes_per ~n:16_384 (fun () ->
             let s =
               Blockack.Sender_multi.create ~lead engine config ~tx:ignore ~next_payload:forever
             in
+            Blockack.Sender_multi.clamp_window s 2;
             Blockack.Sender_multi.pump s;
             s)
       in

@@ -320,7 +320,6 @@ module Ref_impl = struct
        window. *)
     let effective_window t =
       let w = t.config.Config.window in
-      let w = match t.config.Config.tx_budget with Some b -> min w b | None -> w in
       let w = match t.wclamp with Some c -> min w c | None -> w in
       if t.config.Config.dynamic_window then min t.cwnd w else w
 

@@ -306,7 +306,7 @@ let test_reuse_beats_plain_under_loss () =
     true (reuse < plain)
 
 (* The pressure signals bind a lead band as they bind the plain window:
-   [tx_budget] and the fabric's clamp cap the unacknowledged messages.
+   the fabric's clamp caps the unacknowledged messages.
    [peak] is the most ever unacknowledged, read at every transmission of
    a lossy transfer through the protocol interface. *)
 let reuse_peak_unacked ?clamp config =
@@ -344,12 +344,10 @@ let reuse_peak_unacked ?clamp config =
   !peak
 
 let test_reuse_obeys_budget_and_clamp () =
-  let config ?tx_budget () =
-    Config.make ~window:8 ~rto:300 ~wire_modulus:(Some 32) ~max_transit:60 ?tx_budget ()
-  in
-  check Alcotest.int "unbounded: the window fills" 8 (reuse_peak_unacked (config ()));
-  check Alcotest.int "tx_budget 2" 2 (reuse_peak_unacked (config ~tx_budget:2 ()));
-  check Alcotest.int "clamp 1" 1 (reuse_peak_unacked ~clamp:1 (config ()))
+  let config = Config.make ~window:8 ~rto:300 ~wire_modulus:(Some 32) ~max_transit:60 () in
+  check Alcotest.int "unbounded: the window fills" 8 (reuse_peak_unacked config);
+  check Alcotest.int "clamp 2" 2 (reuse_peak_unacked ~clamp:2 config);
+  check Alcotest.int "clamp 1" 1 (reuse_peak_unacked ~clamp:1 config)
 
 (* Pinned transcripts: [blockack-reuse] over a grid of lead factors,
    windows, loss, jitter, ack coalescing and wire moduli, each run
@@ -712,9 +710,10 @@ let test_t2_shape () =
     t.E.rows
 
 let test_t2_capped_is_not_proven () =
-  let r = Ba_verify.Explorer.run_spec ~max_states:10 (Ba_model.Ba_spec.default ~w:2 ~limit:4) in
+  let section2 ~w ~limit = { Ba_model.Ba_kernel.w; lead = None; n = None; limit; timer = Whole_channel } in
+  let r = Ba_verify.Explorer.run_spec ~max_states:10 (Ba_model.Ba_kernel.spec (section2 ~w:2 ~limit:4)) in
   check Alcotest.string "capped run" "CAPPED" (E.t2_verdict ~expect_ok:true r);
-  let r = Ba_verify.Explorer.run_spec (Ba_model.Ba_spec.default ~w:1 ~limit:2) in
+  let r = Ba_verify.Explorer.run_spec (Ba_model.Ba_kernel.spec (section2 ~w:1 ~limit:2)) in
   check Alcotest.string "full run" "as proven" (E.t2_verdict ~expect_ok:true r)
 
 let test_f3_shape () =

@@ -17,6 +17,11 @@ let entry name =
   | Some e -> e
   | None -> Alcotest.failf "registry is missing %S" name
 
+(* Whether the entry's protocol has a crash-restart lifecycle. *)
+let crash_tolerant e =
+  let (module P : Ba_proto.Protocol.S) = e.Registry.protocol in
+  Option.is_some P.lifecycle
+
 (* A heterogeneous mix of the protocols that must stay safe on a lossy,
    reordering, contended link: the two robust registry entries plus
    go-back-N with unbounded wire numbers (safe, merely slow). *)
@@ -199,7 +204,7 @@ let test_harness_is_one_flow_fabric =
          let e = entry name in
          let config = Registry.config ~window:8 ~rto:400 e () in
          (* Plans only for protocols with a crash lifecycle, as campaigns do. *)
-         let crash = if Registry.crash_tolerant e then crash else None in
+         let crash = if crash_tolerant e then crash else None in
          let delay = Dist.Uniform (40, 80) in
          let h =
            Harness.run e.Registry.protocol ~seed ~messages:60 ~config ~data_loss:loss
@@ -300,7 +305,7 @@ let capability_run ~seed entries =
       (fun e ->
         let config = Registry.config ~window:8 ~rto:400 e () in
         let spec = Fabric.spec ~config ~messages:40 ~payload_size:16 e.Registry.protocol in
-        [ (Registry.crash_tolerant e, spec); (Registry.crash_tolerant e, spec) ])
+        [ (crash_tolerant e, spec); (crash_tolerant e, spec) ])
       entries
   in
   (* even flows lose their sender, odd flows their receiver *)
@@ -325,7 +330,7 @@ let capability_run ~seed entries =
   let b = Buffer.create 4096 in
   List.iter
     (fun e ->
-      Printf.bprintf b "%s crash_tolerant=%b\n" e.Registry.name (Registry.crash_tolerant e))
+      Printf.bprintf b "%s crash_tolerant=%b\n" e.Registry.name (crash_tolerant e))
     entries;
   Printf.bprintf b "seed=%d mem_peak=%d clamp=%s refused=%d resyncs=%d quarantines=%d\n" seed
     r.Fabric.mem_peak_bytes

@@ -149,6 +149,15 @@ let test_crash_epochs_safe_and_live_w2 () =
 
 let run_spec ?(max_states = 500_000) spec = Explorer.run_spec ~max_states spec
 
+(* The paper's sections as kernel parameters: II is the base, IV swaps
+   in action 2′, V adds a modulus and VI a lead (with n = 2 * lead). *)
+module Kernel = Ba_model.Ba_kernel
+
+let ii ~w ~limit = { Kernel.w; lead = None; n = None; limit; timer = Whole_channel }
+let iv ~w ~limit = { (ii ~w ~limit) with timer = Per_message }
+let v ~w ~n ~limit = { (ii ~w ~limit) with n = Some n }
+let vi ~w ~lead ~limit = { (iv ~w ~limit) with lead = Some lead; n = Some (2 * lead) }
+
 let assert_verified name (r : Explorer.result) =
   (match r.Explorer.violation with
   | None -> ()
@@ -159,41 +168,41 @@ let assert_verified name (r : Explorer.result) =
   check Alcotest.bool (name ^ " completes") true (r.Explorer.terminal_count > 0)
 
 let test_section2_verified_small () =
-  assert_verified "II w=1" (run_spec (Ba_model.Ba_spec.default ~w:1 ~limit:3))
+  assert_verified "II w=1" (run_spec (Kernel.spec (ii ~w:1 ~limit:3)))
 
 let test_section2_verified () =
-  assert_verified "II w=2" (run_spec (Ba_model.Ba_spec.default ~w:2 ~limit:4))
+  assert_verified "II w=2" (run_spec (Kernel.spec (ii ~w:2 ~limit:4)))
 
 let test_section2_verified_w3 () =
-  assert_verified "II w=3" (run_spec (Ba_model.Ba_spec.default ~w:3 ~limit:5))
+  assert_verified "II w=3" (run_spec (Kernel.spec (ii ~w:3 ~limit:5)))
 
 let test_section4_verified () =
-  assert_verified "IV w=2" (run_spec (Ba_model.Ba_spec_timeout.default ~w:2 ~limit:4))
+  assert_verified "IV w=2" (run_spec (Kernel.spec (iv ~w:2 ~limit:4)))
 
 let test_section4_more_reachable_states () =
   (* Action 2' strictly generalises action 2, so the Section IV system
      reaches at least as many states. *)
-  let r2 = run_spec (Ba_model.Ba_spec.default ~w:2 ~limit:4) in
-  let r4 = run_spec (Ba_model.Ba_spec_timeout.default ~w:2 ~limit:4) in
+  let r2 = run_spec (Kernel.spec (ii ~w:2 ~limit:4)) in
+  let r4 = run_spec (Kernel.spec (iv ~w:2 ~limit:4)) in
   check Alcotest.bool "IV superset of II" true
     (r4.Explorer.state_count >= r2.Explorer.state_count)
 
 let test_section5_verified_with_2w () =
-  assert_verified "V n=2w" (run_spec (Ba_model.Ba_spec_finite.default ~w:2 ~limit:4 ()))
+  assert_verified "V n=2w" (run_spec (Kernel.spec (v ~w:2 ~n:4 ~limit:4)))
 
 let test_section5_equals_section2 () =
   (* With n = 2w the modulo encoding is transparent: the finite-number
      system is isomorphic to the unbounded one, so the reachable state
      counts coincide. *)
-  let unbounded = run_spec (Ba_model.Ba_spec.default ~w:2 ~limit:4) in
-  let finite = run_spec (Ba_model.Ba_spec_finite.default ~w:2 ~limit:4 ()) in
+  let unbounded = run_spec (Kernel.spec (ii ~w:2 ~limit:4)) in
+  let finite = run_spec (Kernel.spec (v ~w:2 ~n:4 ~limit:4)) in
   check Alcotest.int "same state count" unbounded.Explorer.state_count
     finite.Explorer.state_count;
   check Alcotest.int "same transition count" unbounded.Explorer.transition_count
     finite.Explorer.transition_count
 
 let test_section5_n_too_small_fails () =
-  let r = run_spec (Ba_model.Ba_spec_finite.default ~w:2 ~n:3 ~limit:6 ()) in
+  let r = run_spec (Kernel.spec (v ~w:2 ~n:3 ~limit:6)) in
   match r.Explorer.violation with
   | Some (msg, path) ->
       check Alcotest.bool "reconstruction error" true
@@ -202,7 +211,7 @@ let test_section5_n_too_small_fails () =
   | None -> Alcotest.fail "expected a violation with n = 2w - 1"
 
 let test_section5_n_larger_than_2w_ok () =
-  assert_verified "V n=3w" (run_spec (Ba_model.Ba_spec_finite.default ~w:2 ~n:6 ~limit:4 ()))
+  assert_verified "V n=3w" (run_spec (Kernel.spec (v ~w:2 ~n:6 ~limit:4)))
 
 let test_section5_bounded_storage_verified () =
   assert_verified "V-bounded w=2" (run_spec (Ba_model.Ba_spec_bounded.default ~w:2 ~limit:4 ()))
@@ -210,7 +219,7 @@ let test_section5_bounded_storage_verified () =
 let test_section5_bounded_storage_isomorphic () =
   (* The full refinement chain II -> V -> V-with-bounded-storage is
      state-for-state isomorphic. *)
-  let unbounded = run_spec (Ba_model.Ba_spec.default ~w:2 ~limit:4) in
+  let unbounded = run_spec (Kernel.spec (ii ~w:2 ~limit:4)) in
   let bounded = run_spec (Ba_model.Ba_spec_bounded.default ~w:2 ~limit:4 ()) in
   check Alcotest.int "same states" unbounded.Explorer.state_count bounded.Explorer.state_count;
   check Alcotest.int "same transitions" unbounded.Explorer.transition_count
@@ -246,21 +255,13 @@ let prop_walk_section2_w5 =
   QCheck.Test.make ~name:"Section II invariant holds on random walks (w=5)" ~count:40
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
-      let module S = Ba_model.Ba_spec.Make (struct
-        let w = 5
-        let limit = 12
-      end) in
-      random_walk_preserves_invariant (module S) ~seed ~steps:400)
+      random_walk_preserves_invariant (Kernel.spec (ii ~w:5 ~limit:12)) ~seed ~steps:400)
 
 let prop_walk_section4_w4 =
   QCheck.Test.make ~name:"Section IV invariant holds on random walks (w=4)" ~count:40
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
-      let module S = Ba_model.Ba_spec_timeout.Make (struct
-        let w = 4
-        let limit = 10
-      end) in
-      random_walk_preserves_invariant (module S) ~seed ~steps:400)
+      random_walk_preserves_invariant (Kernel.spec (iv ~w:4 ~limit:10)) ~seed ~steps:400)
 
 let prop_walk_bounded_w4 =
   QCheck.Test.make ~name:"bounded-storage refinement holds on random walks (w=4)" ~count:40
@@ -275,29 +276,26 @@ let prop_walk_bounded_w4 =
 
 let test_reuse_spec_verified () =
   assert_verified "VI reuse w=2 lead=4"
-    (run_spec (Ba_model.Ba_reuse_spec.default ~w:2 ~lead:4 ~limit:5 ()))
+    (run_spec (Kernel.spec (vi ~w:2 ~lead:4 ~limit:5)))
 
 let test_reuse_spec_degenerates_to_section4 () =
   (* With lead = w the reuse rule is the ordinary window: the system is
      the Section IV protocol, state for state. *)
-  let reuse = run_spec (Ba_model.Ba_reuse_spec.default ~w:2 ~lead:2 ~limit:4 ()) in
-  let base = run_spec (Ba_model.Ba_spec_timeout.default ~w:2 ~limit:4) in
+  let reuse = run_spec (Kernel.spec (vi ~w:2 ~lead:2 ~limit:4)) in
+  let base = run_spec (Kernel.spec (iv ~w:2 ~limit:4)) in
   check Alcotest.int "same states" base.Explorer.state_count reuse.Explorer.state_count;
   check Alcotest.int "same transitions" base.Explorer.transition_count
     reuse.Explorer.transition_count
 
 let test_reuse_spec_reaches_beyond_classic_window () =
   (* A lead larger than w must add genuinely new behaviours. *)
-  let reuse = run_spec (Ba_model.Ba_reuse_spec.default ~w:2 ~lead:4 ~limit:4 ()) in
-  let base = run_spec (Ba_model.Ba_spec_timeout.default ~w:2 ~limit:4) in
+  let reuse = run_spec (Kernel.spec (vi ~w:2 ~lead:4 ~limit:4)) in
+  let base = run_spec (Kernel.spec (iv ~w:2 ~limit:4)) in
   check Alcotest.bool "strictly more states" true
     (reuse.Explorer.state_count > base.Explorer.state_count)
 
-module Reuse_w2 = Ba_model.Ba_reuse_spec.Make (struct
-  let w = 2
-  let lead = 4
-  let n = 8
-  let limit = 6
+module Reuse_w2 = Kernel.Spec (struct
+  let params = vi ~w:2 ~lead:4 ~limit:6
 end)
 
 module Reuse_scenario = Scenario.Make (Reuse_w2)
@@ -332,10 +330,10 @@ let test_reuse_scenario_runs_ahead () =
     "no violation" None outcome.Ba_verify.Scenario.first_violation;
   match Reuse_scenario.final_state script with
   | Some s ->
-      check Alcotest.int "na advanced past 0 only" 1 s.Ba_model.Ba_kernel.na;
-      check Alcotest.int "ns ran ahead" 4 s.Ba_model.Ba_kernel.ns;
+      check Alcotest.int "na advanced past 0 only" 1 s.Kernel.na;
+      check Alcotest.int "ns ran ahead" 4 s.Kernel.ns;
       check Alcotest.bool "flight band exceeds the classic window" true
-        (s.Ba_model.Ba_kernel.ns - s.Ba_model.Ba_kernel.na > 2)
+        (s.Kernel.ns - s.Kernel.na > 2)
   | None -> Alcotest.fail "reuse scenario should apply"
 
 let test_gbn_bounded_unsafe () =
@@ -355,13 +353,13 @@ let test_gbn_larger_n_still_unsafe () =
 
 let test_explorer_limit_zero () =
   (* A zero-message transfer is trivially verified: one state, terminal. *)
-  let r = run_spec (Ba_model.Ba_spec.default ~w:2 ~limit:0) in
+  let r = run_spec (Kernel.spec (ii ~w:2 ~limit:0)) in
   check Alcotest.int "single state" 1 r.Explorer.state_count;
   check Alcotest.int "terminal" 1 r.Explorer.terminal_count;
   check (Alcotest.option Alcotest.bool) "live" (Some true) r.Explorer.live
 
 let test_explorer_cap () =
-  let r = Explorer.run_spec ~max_states:10 (Ba_model.Ba_spec.default ~w:2 ~limit:4) in
+  let r = Explorer.run_spec ~max_states:10 (Kernel.spec (ii ~w:2 ~limit:4)) in
   check Alcotest.bool "capped" true r.Explorer.capped;
   check (Alcotest.option Alcotest.bool) "liveness skipped" None r.Explorer.live;
   let report = Format.asprintf "%a" Explorer.pp_result r in
@@ -463,23 +461,23 @@ let crash_instance ~epochs =
    kernels. *)
 let pinned_graphs =
   [
-    ("II w=1", Ba_model.Ba_spec.default ~w:1 ~limit:3,
+    ("II w=1", Kernel.spec (ii ~w:1 ~limit:3),
      25, "862c30878c9d6a263c647747e92e4cf4");
-    ("II w=2", Ba_model.Ba_spec.default ~w:2 ~limit:4,
+    ("II w=2", Kernel.spec (ii ~w:2 ~limit:4),
      138, "15d000abf50499af1f1856f5ca080601");
-    ("IV", Ba_model.Ba_spec_timeout.default ~w:2 ~limit:4,
+    ("IV", Kernel.spec (iv ~w:2 ~limit:4),
      147, "cfd02a466d270f83bd38095b4aa0806b");
-    ("V n=4", Ba_model.Ba_spec_finite.default ~w:2 ~limit:6 (),
+    ("V n=4", Kernel.spec (v ~w:2 ~n:4 ~limit:6),
      224, "319beaa4119c2ce8ea22cf166013612e");
-    ("V n=6", Ba_model.Ba_spec_finite.default ~w:2 ~n:6 ~limit:8 (),
+    ("V n=6", Kernel.spec (v ~w:2 ~n:6 ~limit:8),
      310, "dda3332c931b3962e2d20fa436743054");
-    ("V n=3", Ba_model.Ba_spec_finite.default ~w:2 ~n:3 ~limit:6 (),
+    ("V n=3", Kernel.spec (v ~w:2 ~n:3 ~limit:6),
      283, "b569bd627099be5615cf91e573a6c5ba");
     ("Vb", Ba_model.Ba_spec_bounded.default ~w:2 ~limit:6 (),
      224, "927129721bfb213391d289932deb7672");
-    ("VI lead=4", Ba_model.Ba_reuse_spec.default ~w:2 ~lead:4 ~limit:10 (),
+    ("VI lead=4", Kernel.spec (vi ~w:2 ~lead:4 ~limit:10),
      783, "7a0cf18fc5df8ce1d782015012c25228");
-    ("VI lead=2", Ba_model.Ba_reuse_spec.default ~w:2 ~lead:2 ~limit:5 (),
+    ("VI lead=2", Kernel.spec (vi ~w:2 ~lead:2 ~limit:5),
      193, "beba7944429645fd80fa22d9c084e43b");
     ("pressure", Ba_model.Ba_spec_pressure.default ~w:2 ~limit:3 ~naive:false,
      101, "d6b27a77d0d087c30dae9f09f3d02a0d");
@@ -498,6 +496,22 @@ let test_graph_digests () =
       check Alcotest.int (name ^ " states") states got_states;
       check Alcotest.string (name ^ " digest") digest got_digest)
     pinned_graphs got
+
+(* The digests pin the four sections' names; a combination no section
+   uses spells out its timer. *)
+let test_kernel_names () =
+  let name p =
+    let (module S : Ba_model.Spec_types.SPEC) = Kernel.spec p in
+    S.name
+  in
+  check Alcotest.string "VI" "blockack-VI-reuse(w=2,lead=4,n=8,limit=6)"
+    (name (vi ~w:2 ~lead:4 ~limit:6));
+  check Alcotest.string "V with 2'" "blockack-V(w=2,n=4,limit=4,timer=2')"
+    (name { (v ~w:2 ~n:4 ~limit:4) with timer = Per_message });
+  check Alcotest.string "VI with 2" "blockack-VI-reuse(w=2,lead=4,n=8,limit=6,timer=2)"
+    (name { (vi ~w:2 ~lead:4 ~limit:6) with timer = Whole_channel });
+  Alcotest.check_raises "spec validates" (Invalid_argument "Ba_kernel: n must be >= 2 * lead")
+    (fun () -> ignore (Kernel.spec { (vi ~w:2 ~lead:4 ~limit:6) with n = Some 7 }))
 
 (* ------------------------------------------------------------------ *)
 (* Scenarios: the paper's introduction, replayed verbatim. *)
@@ -523,10 +537,8 @@ let test_intro_scenario_breaks_gbn () =
   | Some (step, _) -> check Alcotest.int "violation at the stale ack" 5 step
   | None -> Alcotest.fail "expected the intro scenario to violate go-back-N safety"
 
-module Ba_w2 = Ba_model.Ba_spec_finite.Make (struct
-  let w = 2
-  let n = 4
-  let limit = 6
+module Ba_w2 = Kernel.Spec (struct
+  let params = v ~w:2 ~n:4 ~limit:6
 end)
 
 module Ba_scenario = Scenario.Make (Ba_w2)
@@ -553,8 +565,8 @@ let test_intro_scenario_safe_for_blockack () =
     "no violation" None outcome.Scenario.first_violation;
   match Ba_scenario.final_state intro_blockack_script with
   | Some s ->
-      check Alcotest.int "sender caught up" 2 s.Ba_model.Ba_kernel.na;
-      check Alcotest.int "receiver accepted both" 2 s.Ba_model.Ba_kernel.nr
+      check Alcotest.int "sender caught up" 2 s.Kernel.na;
+      check Alcotest.int "receiver accepted both" 2 s.Kernel.nr
   | None -> Alcotest.fail "script should be applicable"
 
 let test_blockack_reordered_ack_blocks_window () =
@@ -562,13 +574,12 @@ let test_blockack_reordered_ack_blocks_window () =
      sender cannot move past the unacknowledged message 0. *)
   match Ba_scenario.final_state (List.filteri (fun i _ -> i < 9) intro_blockack_script) with
   | Some s ->
-      check Alcotest.int "na still 0" 0 s.Ba_model.Ba_kernel.na;
-      check Alcotest.int "ns unchanged" 2 s.Ba_model.Ba_kernel.ns
+      check Alcotest.int "na still 0" 0 s.Kernel.na;
+      check Alcotest.int "ns unchanged" 2 s.Kernel.ns
   | None -> Alcotest.fail "prefix script should be applicable"
 
-module Ba_ii = Ba_model.Ba_spec.Make (struct
-  let w = 2
-  let limit = 2
+module Ba_ii = Kernel.Spec (struct
+  let params = ii ~w:2 ~limit:2
 end)
 
 module Ba_ii_scenario = Scenario.Make (Ba_ii)
@@ -595,7 +606,7 @@ let test_progress_case0_recovery_chain () =
   check (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.string)) "no violation" None
     outcome.Scenario.first_violation;
   match Ba_ii_scenario.final_state script with
-  | Some s -> check Alcotest.int "na incremented" 1 s.Ba_model.Ba_kernel.na
+  | Some s -> check Alcotest.int "na incremented" 1 s.Kernel.na
   | None -> Alcotest.fail "chain should apply"
 
 let test_timeout_disabled_when_channel_nonempty () =
@@ -681,7 +692,11 @@ let () =
           Alcotest.test_case "epochs safe and live (w=2)" `Slow
             test_crash_epochs_safe_and_live_w2;
         ] );
-      ("graphs", [ Alcotest.test_case "pinned graph digests" `Quick test_graph_digests ]);
+      ( "graphs",
+        [
+          Alcotest.test_case "pinned graph digests" `Quick test_graph_digests;
+          Alcotest.test_case "kernel names" `Quick test_kernel_names;
+        ] );
       ( "scenario",
         [
           Alcotest.test_case "intro breaks bounded go-back-N" `Quick

@@ -135,11 +135,6 @@ let test_jobs_clamped_at_max () =
   Pool.shutdown pool;
   check Alcotest.int "absurd jobs clamped" (Pool.max_jobs ()) reported
 
-let test_domain_rng_is_per_domain_scratch () =
-  let r = Pool.domain_rng () in
-  ignore (Ba_util.Rng.int r 1000);
-  check Alcotest.bool "same stream within a domain" true (r == Pool.domain_rng ())
-
 let test_s1_sweep_jobs_invariant () =
   let a = E.s1_scaling ~jobs:1 ~quick:true () in
   let b = E.s1_scaling ~jobs:4 ~quick:true () in
@@ -167,8 +162,6 @@ let () =
             test_map_chunks_exception_order;
           Alcotest.test_case "jobs=1 spawns no domain" `Quick test_jobs1_spawns_no_domain;
           Alcotest.test_case "absurd jobs clamped" `Quick test_jobs_clamped_at_max;
-          Alcotest.test_case "domain rng is per-domain scratch" `Quick
-            test_domain_rng_is_per_domain_scratch;
         ] );
       ( "campaigns",
         [
