@@ -415,11 +415,12 @@ let check () =
     (if net_udp_clean u then "clean" else "NOT CLEAN");
   (* 7. per-connection state on real sockets: the live heap a loopback
      pair holds once both drivers and endpoints are built, as ba_bench
-     measures udp-loopback (20k messages of 16 B). It is deterministic:
-     the two drivers' receive buffers (a largest datagram each) are most
-     of it, and the ceiling catches a column per message or an encode
-     buffer sized to the largest datagram. *)
-  let net_state_ceiling = 160_000 in
+     measures udp-loopback (20k messages of 16 B). It is deterministic
+     (~8 kB): the receive buffer is one per domain, so it is not
+     counted here, and the ceiling catches a column per message, a
+     buffer per driver or an encode buffer sized to the largest
+     datagram (61 kB). *)
+  let net_state_ceiling = 16_000 in
   let live_bytes () =
     Gc.full_major ();
     (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
@@ -435,8 +436,27 @@ let check () =
   Printf.printf "check: net state %d B/conn %s ceiling (%d B/conn)\n" !net_state
     (if !net_state <= net_state_ceiling then "within" else "EXCEEDS")
     net_state_ceiling;
+  (* 8. a one-flow cell's state at 100k messages: the live heap after
+     [Cell.create] (blockack, window 16). The accounting keeps two bits
+     per message (~25 kB here) and otherwise a flight ring of 2w slots,
+     so the total is ~31 kB; one int or payload column per message would
+     add 800 kB. Deterministic, so the ceiling needs no noise margin. *)
+  let cell_state_ceiling = 40_000 in
+  let before = live_bytes () in
+  let cell =
+    Ba_proto.Cell.create ~engine_seed:3 ~wseed:Fun.id ~data_loss:0. ~ack_loss:0.
+      ~data_delay:(Ba_channel.Dist.Constant 50) ~ack_delay:(Ba_channel.Dist.Constant 50)
+      [ Ba_proto.Cell.spec ~config:losses_config ~messages:100_000 Blockack.Protocols.multi ]
+  in
+  let cell_state = live_bytes () - before in
+  ignore (Sys.opaque_identity cell);
+  let cell_state_ok = cell_state <= cell_state_ceiling in
+  Printf.printf "check: cell state %d B at 100k messages %s ceiling (%d B)\n" cell_state
+    (if cell_state_ok then "within" else "EXCEEDS")
+    cell_state_ceiling;
   if
     time_ok && alloc_ok && fps_ok && state_ok && net_ok && acks_ok && data_ok && net_state_ok
+    && cell_state_ok
   then begin
     print_endline "check: OK";
     exit 0

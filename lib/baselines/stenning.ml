@@ -130,9 +130,10 @@ let stop_timer s seq =
   let k = seq mod Array.length s.timers in
   if s.timer_seq.(k) = seq then Option.iter Ba_sim.Timer.stop s.timers.(k)
 
-(* A wire number [encode] cannot produce is a forged ack: drop it. *)
-let sender_on_ack s { Wire.lo; hi = _; _ } =
-  if Blockack.Seqcodec.is_wire s.codec lo then begin
+(* A damaged ack (checksum mismatch) or a wire number [encode] cannot
+   produce is dropped, as the block-ack sender drops both. *)
+let sender_on_ack s ({ Wire.lo; hi = _; _ } as a) =
+  if Wire.ack_ok a && Blockack.Seqcodec.is_wire s.codec lo then begin
     let seq = Blockack.Seqcodec.decode_ack s.codec ~na:s.na lo in
     if seq >= s.na && seq < s.ns then begin
       Ba_util.Ring_buffer.set s.acked seq ();

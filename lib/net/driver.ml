@@ -4,7 +4,6 @@ type t = {
   tick_us : int;
   on_frame : Codec.frame -> Unix.sockaddr -> unit;
   t0 : float;
-  rx_buf : Bytes.t;
   mutable send_errors : int;
   mutable decode_errors : int;
   mutable rx_datagrams : int;
@@ -20,7 +19,6 @@ let create ~engine ~sock ~tick_us ~on_frame () =
     tick_us;
     on_frame;
     t0 = Unix.gettimeofday ();
-    rx_buf = Bytes.create Codec.max_datagram;
     send_errors = 0;
     decode_errors = 0;
     rx_datagrams = 0;
@@ -45,19 +43,28 @@ let next_deadline_s t =
       let elapsed = Unix.gettimeofday () -. t.t0 in
       Some (Float.max 0. (due_s -. elapsed))
 
+(* One receive buffer, a largest datagram, for every driver on a domain:
+   a loopback pair in one process would otherwise hold two. Sharing is
+   safe because [Codec.decode] copies every payload out
+   ([Bytes.sub_string]) before a frame reaches [on_frame], so nothing
+   keeps a view into the buffer, and [pump_socket] is never re-entered:
+   [on_frame] hands frames to endpoints, which only send. *)
+let rx_buf = Domain.DLS.new_key (fun () -> Bytes.create Codec.max_datagram)
+
 (* Drain everything currently queued on the socket. Nonblocking, so the
    natural exit is EAGAIN; EINTR just retries; ECONNREFUSED is the error
    queue reporting a previous send bounced off a dead peer — that is
    protocol-level silence, not an I/O error, so it is swallowed (losing
    at most the datagram the bounce was attached to, i.e. nothing). *)
 let pump_socket t =
+  let rx_buf = Domain.DLS.get rx_buf in
   let continue = ref true in
   while !continue do
-    match Unix.recvfrom t.sock t.rx_buf 0 (Bytes.length t.rx_buf) [] with
+    match Unix.recvfrom t.sock rx_buf 0 (Bytes.length rx_buf) [] with
     | 0, _ -> t.decode_errors <- t.decode_errors + 1
     | len, from -> (
         t.rx_datagrams <- t.rx_datagrams + 1;
-        match Codec.decode t.rx_buf ~len with
+        match Codec.decode rx_buf ~len with
         | Ok (Codec.Batch { frames; malformed }) ->
             t.decode_errors <- t.decode_errors + malformed;
             List.iter (fun f -> t.on_frame f from) frames

@@ -8,8 +8,8 @@
    link's arena tag column (and the lease ring's), so the tag costs no
    allocation and faults mangle frames, never the demultiplexing.
    Per-flow state is flat: one strided int array of counters, prefix
-   offsets into cell-wide message slots, and per-protocol endpoint
-   arrays behind a single dispatch. *)
+   offsets into cell-wide message bitsets and flight rings, and
+   per-protocol endpoint arrays behind a single dispatch. *)
 
 module Engine = Ba_sim.Engine
 module Link = Ba_channel.Link
@@ -296,13 +296,17 @@ type t = {
   clamp : int option;
   deadline : int;
   wseed : int -> int;  (* workload seed of flow i *)
-  msg_base : int array;  (* flow i owns message slots [msg_base.(i), msg_base.(i+1)) *)
+  msg_base : int array;  (* flow i owns message bits [msg_base.(i), msg_base.(i+1)) *)
+  ring_base : int array;  (* flow i owns ring slots [ring_base.(i), ring_base.(i+1)) *)
   st : int array;
-  seen : Bitset.t;  (* slot delivered *)
-  sent_once : Bitset.t;  (* slot transmitted *)
-  lat : int array;  (* slot's pull tick, then its latency once delivered *)
-  pulled : string array;  (* slot's payload from pull to first delivery, else "" *)
+  seen : Bitset.t;  (* message delivered *)
+  sent_once : Bitset.t;  (* message transmitted *)
+  pull_tick : int array;  (* ring slot's pull tick *)
+  pulled : string array;  (* ring slot's payload from pull to first delivery, else "" *)
+  spill : (int, int * string) Hashtbl.t;  (* message -> pull that lapped its ring undelivered *)
+  mutable spilled : int;  (* pulls ever moved to [spill] *)
   sketch : Qsketch.t option;  (* every latency, in delivery order *)
+  latency : Stats.t option array;  (* without a sketch: flow's latencies, built on first use *)
   group : group array;  (* flow i's protocol group ... *)
   gslot : int array;  (* ... and its slot there *)
   pending : (int, int list) Hashtbl.t;  (* flow's restarts not yet followed by progress *)
@@ -331,6 +335,7 @@ let remaining c = c.remaining
 let done_at c = c.done_at
 let mem_peak c = c.mem_peak
 let sketch c = c.sketch
+let spilled c = c.spilled
 let departed c i = get c i k_departed_at >= 0
 
 let is_complete c i =
@@ -370,32 +375,84 @@ let check_done c i =
     finish c
   end
 
+(* ---- the flight rings ----
+
+   Each flow's pulled-but-undelivered payloads, with their pull ticks,
+   sit in a ring of [min messages (2 * window)] slots: message [k] in
+   slot [k mod capacity]. A slot belongs to the message its payload
+   names ([Workload.index]), so no key column is needed, and delivery
+   empties it. A pull that laps a slot still holding an undelivered
+   message parks that message's pull in the cell-wide [spill] table, so
+   verdicts and latencies stay exact for every flow. A correct
+   protocol's undelivered pulls lie in its sender's band [na, ns), so a
+   band of at most 2w never laps; only a wider band, or a broken
+   protocol that delivers something else in a message's place and moves
+   on, gets there. *)
+
+let ring_slot c i k =
+  let base = c.ring_base.(i) in
+  base + (k mod (c.ring_base.(i + 1) - base))
+
+(* The slot holding message [k]'s undelivered pull, or -1: a slot
+   index, not an option, so delivery allocates nothing. *)
+let in_ring c i k =
+  let s = ring_slot c i k in
+  let p = c.pulled.(s) in
+  if String.length p > 0 && Workload.index p = k then s else -1
+
+let spilled_pull c m = if Hashtbl.length c.spill = 0 then None else Hashtbl.find_opt c.spill m
+
 (* A payload is checked against the copy its sender pulled while that
    copy is still in flight, and regenerated from the workload after. *)
-let valid c i k m payload =
-  let sp = c.specs.(i) in
-  let pulled = c.pulled.(m) in
-  if String.length pulled > 0 then String.equal pulled payload
-  else Workload.matches ~seed:(c.wseed i) ~size:sp.payload_size k payload
+let valid c i k m s payload =
+  if s >= 0 then String.equal c.pulled.(s) payload
+  else
+    match spilled_pull c m with
+    | Some (_, p) -> String.equal p payload
+    | None -> Workload.matches ~seed:(c.wseed i) ~size:c.specs.(i).payload_size k payload
+
+(* Message [m]'s pull tick, its pull consumed by the first delivery; -1
+   for a message never pulled. *)
+let take_pull c m s =
+  if s >= 0 then begin
+    c.pulled.(s) <- "";
+    c.pull_tick.(s)
+  end
+  else
+    match spilled_pull c m with
+    | Some (t0, _) ->
+        Hashtbl.remove c.spill m;
+        t0
+    | None -> -1
+
+let record_latency c i dt =
+  match c.sketch with
+  | Some q -> Qsketch.add q (float_of_int dt)
+  | None ->
+      let s =
+        match c.latency.(i) with
+        | Some s -> s
+        | None ->
+            let s = Stats.create () in
+            c.latency.(i) <- Some s;
+            s
+      in
+      Stats.add s (float_of_int dt)
 
 let deliver c i payload =
   let k = Workload.index payload in
-  let m = c.msg_base.(i) + k in
-  if k < 0 || k >= c.specs.(i).messages || not (valid c i k m payload) then
-    add c i k_corrupted 1
+  if k < 0 || k >= c.specs.(i).messages then add c i k_corrupted 1
   else begin
-    if Bitset.mem c.seen m then add c i k_duplicates 1
+    let m = c.msg_base.(i) + k and s = in_ring c i k in
+    if not (valid c i k m s payload) then add c i k_corrupted 1
+    else if Bitset.mem c.seen m then add c i k_duplicates 1
     else begin
       Bitset.set c.seen m;
-      c.pulled.(m) <- "";
       add c i k_delivered 1;
       let now = Engine.now c.engine in
       resolve_restarts c i ~now;
-      let t0 = c.lat.(m) in
-      if t0 >= 0 then begin
-        c.lat.(m) <- now - t0;
-        match c.sketch with Some q -> Qsketch.add q (float_of_int (now - t0)) | None -> ()
-      end;
+      let t0 = take_pull c m s in
+      if t0 >= 0 then record_latency c i (now - t0);
       if k <> get c i k_next_expected then add c i k_misordered 1;
       set c i k_next_expected (k + 1)
     end
@@ -407,9 +464,14 @@ let next_payload c i =
   if k >= sp.messages then None
   else begin
     set c i k_next_msg (k + 1);
-    let m = c.msg_base.(i) + k and p = Workload.payload ~seed:(c.wseed i) ~size:sp.payload_size k in
-    c.lat.(m) <- Engine.now c.engine;
-    c.pulled.(m) <- p;
+    let s = ring_slot c i k and p = Workload.payload ~seed:(c.wseed i) ~size:sp.payload_size k in
+    let lapped = c.pulled.(s) in
+    if String.length lapped > 0 then begin
+      c.spilled <- c.spilled + 1;
+      Hashtbl.replace c.spill (c.msg_base.(i) + Workload.index lapped) (c.pull_tick.(s), lapped)
+    end;
+    c.pull_tick.(s) <- Engine.now c.engine;
+    c.pulled.(s) <- p;
     Some p
   end
 
@@ -524,6 +586,19 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
   let msg_base = Array.make (n + 1) 0 in
   Array.iteri (fun i s -> msg_base.(i + 1) <- msg_base.(i) + s.messages) specs;
   let total_msgs = msg_base.(n) in
+  (* Two windows of flight per flow cover every registry protocol's
+     band. When every ring spans its whole transfer (short flows, as in
+     the sharded fabric) the offsets are the message offsets. *)
+  let ring_cap s = min s.messages (2 * s.config.Proto_config.window) in
+  let ring_base =
+    if Array.for_all (fun s -> ring_cap s = s.messages) specs then msg_base
+    else begin
+      let b = Array.make (n + 1) 0 in
+      Array.iteri (fun i s -> b.(i + 1) <- b.(i) + ring_cap s) specs;
+      b
+    end
+  in
+  let ring_slots = max 1 ring_base.(n) in
   let engine = Engine.create ~seed:engine_seed () in
   (* The links are built before the cell their deliveries feed. *)
   let self = ref None in
@@ -612,12 +687,16 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
       deadline = (max 1 total_msgs * max_rto * 20) + 1_000_000;
       wseed;
       msg_base;
+      ring_base;
       st;
       seen = Bitset.create ~initial_capacity:(max 1 total_msgs) ();
       sent_once = Bitset.create ~initial_capacity:(max 1 total_msgs) ();
-      lat = Array.make (max 1 total_msgs) (-1);
-      pulled = Array.make (max 1 total_msgs) "";
+      pull_tick = Array.make ring_slots 0;
+      pulled = Array.make ring_slots "";
+      spill = Hashtbl.create 1;
+      spilled = 0;
       sketch = (if sketch then Some (Qsketch.create ()) else None);
+      latency = (if sketch then [||] else Array.make n None);
       group = Array.map (fun g -> groups.(g)) group_of;
       gslot;
       pending = Hashtbl.create 1;
@@ -761,12 +840,11 @@ let flow_result c i =
     else Engine.now c.engine
   in
   let ticks = max 1 (upto - sp.start_at) in
-  (* Exact latencies, read back from the slots delivery overwrote. For a
-     flow that delivers in order, message order is delivery order. *)
-  let latency = Stats.create () in
-  for m = c.msg_base.(i) to c.msg_base.(i + 1) - 1 do
-    if Bitset.mem c.seen m && c.lat.(m) >= 0 then Stats.add latency (float_of_int c.lat.(m))
-  done;
+  let latency =
+    match if Array.length c.latency = 0 then None else c.latency.(i) with
+    | Some s -> s
+    | None -> Stats.create ()
+  in
   (* A restart no delivery ever resolved (a stuck run, or a crash with
      nothing left to deliver) is charged up to the flow's end — honest,
      if pessimistic. *)

@@ -14,6 +14,16 @@
     nothing and faults mangle frames, never the demultiplexing. Per-flow
     state is flat arrays, not per-flow records.
 
+    The accounting is sized to the flight, not to the transfer: per
+    message, a cell keeps only two bits (delivered, transmitted). Each
+    flow's pulled-but-undelivered payloads and their pull ticks sit in a
+    ring of [min messages (2 · window)] slots, which covers every
+    registry protocol's flight band, Section VI's included. A pull that
+    laps an undelivered one (a wider band, or a broken protocol that
+    skips a message) parks the older pull in a cell-wide spill table
+    ({!spilled}), so verdicts stay exact for any protocol. Latencies are
+    recorded at first delivery.
+
     A cell is a pure function of its arguments: links split the engine's
     random stream in creation order (data, then ack), endpoints are built
     in spec order (sender, then receiver), and same-tick events fire in
@@ -105,8 +115,10 @@ val create :
     observes every started, running flow each [check_interval] ticks:
     [Resync] crash-restarts its sender (counted like any crash), and
     [Quarantine] gates its frames off the links until release. With a
-    budget or a watchdog, model memory is sampled. [sketch] also folds
-    every latency, in delivery order, into a {!Ba_util.Qsketch}. *)
+    budget or a watchdog, model memory is sampled. [sketch] folds every
+    latency, in delivery order, into one {!Ba_util.Qsketch} for the
+    cell instead of keeping each flow's samples, so {!flow_result}
+    then reports no latencies. *)
 
 val start : t -> unit
 (** Pump every flow's sender, in spec order; surge flows are pumped at
@@ -148,6 +160,11 @@ val mem_peak : t -> int
 val sketch : t -> Ba_util.Qsketch.t option
 val departed : t -> int -> bool
 
+val spilled : t -> int
+(** Pulls moved to the spill table so far: each one lapped its flow's
+    flight ring before its message's first delivery. 0 for every
+    registry protocol at its default configuration. *)
+
 type tally = {
   messages : int;  (** offered by the admitted flows *)
   delivered : int;
@@ -172,8 +189,8 @@ val tally : t -> tally
 val flow_result : t -> int -> Flow.result
 (** Flow [i]'s verdict, judged over its own tenancy: [ticks] runs from
     its [start_at] to its completion, departure or the current tick.
-    Latencies are exact, read in message order, which is delivery order
-    for a flow that delivers in order. The link fields other than the
+    Latencies are exact, one per first delivery, in delivery order (none
+    in a cell built with [sketch]). The link fields other than the
     send counts are 0: a shared link cannot attribute them to one flow.
     Call once per flow, after the run. *)
 

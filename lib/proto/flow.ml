@@ -32,7 +32,8 @@ type result = {
           window to in-order delivery); [None] when nothing was delivered *)
   latencies : float list;
       (** the raw per-payload latency samples behind [latency], in
-          delivery order (for histograms) *)
+          delivery order, each recorded at its payload's first delivery
+          (for histograms) *)
   ack_overhead : float;  (** ack bytes per delivered payload byte *)
   efficiency : float;  (** delivered / data_sent: 1.0 means no waste *)
   crashes : int;  (** endpoint crashes injected into this flow *)

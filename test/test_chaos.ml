@@ -303,9 +303,10 @@ let hostile_config entry ~modulus =
   if modulus then config else { config with Ba_proto.Proto_config.wire_modulus = None }
 
 (* [entry]'s endpoints wired back to back through the engine, 10 ticks
-   each way, with a 40-message transfer pumped; returns the engine and a
-   function handing a forged frame to the endpoint it is addressed to. *)
-let endpoints entry ~modulus =
+   each way, with a 40-message transfer of [Workload] seed 0, size 8
+   pumped; returns the engine, a function handing a forged frame to the
+   endpoint it is addressed to, and the sender's completion test. *)
+let endpoints ?(deliver = ignore) entry ~modulus =
   let (module P : Ba_proto.Protocol.S) = entry.Registry.protocol in
   let config = hostile_config entry ~modulus in
   let engine = Engine.create () in
@@ -314,7 +315,7 @@ let endpoints entry ~modulus =
     P.create_receiver engine config
       ~tx:(fun a ->
         Engine.schedule engine ~delay:10 (fun () -> Option.iter (fun s -> P.sender_on_ack s a) !sender))
-      ~deliver:ignore
+      ~deliver
   in
   let s =
     P.create_sender engine config
@@ -323,7 +324,9 @@ let endpoints entry ~modulus =
   in
   sender := Some s;
   P.sender_pump s;
-  (engine, function Data d -> P.receiver_on_data r d | Ack a -> P.sender_on_ack s a)
+  ( engine,
+    (function Data d -> P.receiver_on_data r d | Ack a -> P.sender_on_ack s a),
+    fun () -> P.sender_done s )
 
 let entry name = Option.get (Registry.find name)
 
@@ -372,6 +375,51 @@ let test_stenning_drops_out_of_modulus () =
   check Alcotest.int "sender ignores it" 4 (P.sender_outstanding s);
   P.sender_on_ack s (Wire.make_ack ~lo:0 ~hi:0);
   check Alcotest.int "a real ack still counts" 3 (P.sender_outstanding s)
+
+(* Stenning's sender once acted on an ack whose checksum did not match:
+   one flipped bit in a copy of the ack for message 0 slid its window. *)
+let test_stenning_drops_corrupt_ack () =
+  let stenning = entry "stenning" in
+  let (module P : Ba_proto.Protocol.S) = stenning.Registry.protocol in
+  let s =
+    P.create_sender (Engine.create ()) (hostile_config stenning ~modulus:true) ~tx:ignore
+      ~next_payload:(Ba_proto.Workload.supplier ~seed:0 ~size:8 ~count:4)
+  in
+  P.sender_pump s;
+  check Alcotest.int "four outstanding" 4 (P.sender_outstanding s);
+  let a = Wire.make_ack ~lo:0 ~hi:0 in
+  let damaged = { a with Wire.check = a.Wire.check lxor 1 } in
+  check Alcotest.bool "checksum fails" false (Wire.ack_ok damaged);
+  P.sender_on_ack s damaged;
+  check Alcotest.int "sender ignores it" 4 (P.sender_outstanding s)
+
+(* The FNV checksum authenticates nothing, so a peer can forge a
+   well-formed data frame for a number inside the receiver's window.
+   Block ack keeps the first copy of each number, so the forged payload
+   is delivered in place of the real one: one wrong delivery, and the
+   transfer still completes. This is the recorded counterexample to
+   delivery safety against hostile in-window data, not a fix. *)
+let test_blockack_forged_in_window_data () =
+  let delivered = ref [] in
+  let engine, feed, sender_done =
+    endpoints (entry "blockack-multi") ~modulus:true ~deliver:(fun p ->
+        delivered := p :: !delivered)
+  in
+  Engine.run ~until:50 engine;
+  feed (Data (Wire.make_data_e ~epoch:0 ~seq:12 ~payload:"x"));
+  Engine.run ~until:3000 engine;
+  let delivered = List.rev !delivered in
+  let wrong =
+    List.filteri
+      (fun k p -> not (String.equal p (Ba_proto.Workload.payload ~seed:0 ~size:8 k)))
+      delivered
+  in
+  check Alcotest.int "every position delivered once" 40 (List.length delivered);
+  check Alcotest.(list string) "one corrupted delivery: the forged payload" [ "x" ] wrong;
+  (* by tick 50 the receiver has delivered 0..23, so wire number 12
+     (mod 16) decodes to message 28 *)
+  check Alcotest.string "in place of message 28" "x" (List.nth delivered 28);
+  check Alcotest.bool "transfer completes" true (sender_done ())
 
 (* A cumulative ack of [max_int] once wrapped go-back-N's [na] negative,
    after which its pump never stopped. *)
@@ -425,11 +473,11 @@ let prop_hostile_frames_never_raise =
              Registry.all
          in
          List.iter
-           (fun (engine, feed) ->
+           (fun (engine, feed, _) ->
              Engine.run ~until:warmup engine;
              List.iter feed frames)
            pairs;
-         List.iter (fun (engine, _) -> Engine.run ~until:(warmup + 3000) engine) pairs;
+         List.iter (fun (engine, _, _) -> Engine.run ~until:(warmup + 3000) engine) pairs;
          true))
 
 let () =
@@ -469,6 +517,9 @@ let () =
           Alcotest.test_case "stenning drops an out-of-modulus number" `Quick
             test_stenning_drops_out_of_modulus;
           Alcotest.test_case "go-back-N survives a max_int ack" `Quick test_gbn_survives_max_int_ack;
+          Alcotest.test_case "stenning drops a corrupt ack" `Quick test_stenning_drops_corrupt_ack;
+          Alcotest.test_case "blockack delivers a forged in-window frame" `Quick
+            test_blockack_forged_in_window_data;
           prop_hostile_frames_never_raise;
         ] );
     ]

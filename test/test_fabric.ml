@@ -349,6 +349,129 @@ let test_capability_digest () =
   check Alcotest.string "capability digest" "bf69bac65da5840e00c7ec5cf58328de"
     (Digest.to_hex (Digest.string (Buffer.contents all)))
 
+(* ------------------------------------------------------------------ *)
+(* Flight-sized accounting *)
+
+(* The runs the cell's delivery accounting must judge exactly: every
+   registry protocol at its default modulus; Section VI reuse with a 3w
+   lead, wider than the 2w flight ring; bounded go-back-N at modulus
+   w + 1, which misorders; and go-back-N through duplicating, corrupting
+   data faults, which it delivers verbatim. The two go-back-N runs
+   deliver a wrong payload in place of a message that then never
+   arrives, so later pulls lap it and the spill table is exercised. The
+   3w lead does not get there: the block-ack receiver acknowledges only
+   what it has delivered, so at most w pulls are ever undelivered. *)
+let accounting_cases =
+  let gbn = entry "go-back-n" in
+  List.map
+    (fun e -> (e.Registry.name, e.Registry.protocol, Registry.config ~window:8 ~rto:400 e (), None))
+    Registry.all
+  @ [
+      ( "reuse-lead3",
+        Blockack.Protocols.reuse ~lead_factor:3 (),
+        Ba_proto.Proto_config.make ~window:8 ~rto:400 ~wire_modulus:(Some 48) (),
+        None );
+      ( "go-back-n-mod9",
+        gbn.Registry.protocol,
+        Registry.config ~window:8 ~rto:400 ~modulus:9 gbn (),
+        None );
+      ( "go-back-n-dup-corrupt",
+        gbn.Registry.protocol,
+        Registry.config ~window:8 ~rto:400 gbn (),
+        Some (Ba_channel.Fault_plan.make ~duplicate:0.1 ~corrupt:0.05 ()) );
+    ]
+
+let accounting_line ~seed ~loss (name, protocol, config, data_plan) =
+  let delay = Dist.Uniform (40, 80) in
+  let r =
+    Harness.run protocol ~seed ~messages:120 ~config ~data_loss:loss ~ack_loss:loss
+      ~data_delay:delay ~ack_delay:delay ?data_plan ()
+  in
+  Printf.sprintf "%s loss=%.1f completed=%b ticks=%d delivered=%d dup=%d ooo=%d bad=%d lat=%s" name
+    loss r.completed r.ticks r.delivered r.duplicates r.misordered r.corrupted
+    (String.concat "," (List.map (Printf.sprintf "%.0f") (List.sort compare r.latencies)))
+
+(* Each seed's MD5 over every case at loss 0 and 0.1, recorded with
+   one latency slot and one payload slot per message of the transfer. *)
+let accounting_digests =
+  [|
+    "11f34cffbd0d640b42f8aca17555e365"; "315779fed0f1bfad98a144ae5eacac13";
+    "98afd07cdb160b346a4e7cefbd55fe38"; "4947093662d042cd4ae9bead7c966453";
+    "fb638ca88a0266ac468d6ea39ea30937"; "44e21080a4bf39327419f31743c17f0f";
+    "7b7767d84fd7dae17d13f05a7f953bfc"; "533d5f31975ad85271b6d7f2b246ab75";
+  |]
+
+let test_accounting_exact =
+  qcheck
+    (QCheck.Test.make ~count:12
+       ~name:"flight rings keep verdicts and latencies of per-message accounting"
+       QCheck.(int_range 1 (Array.length accounting_digests))
+       (fun seed ->
+         let lines =
+           List.concat_map
+             (fun case -> List.map (fun loss -> accounting_line ~seed ~loss case) [ 0.; 0.1 ])
+             accounting_cases
+         in
+         let got = Digest.to_hex (Digest.string (String.concat "\n" lines)) in
+         got = accounting_digests.(seed - 1)
+         || QCheck.Test.fail_reportf "seed %d: digest %s\n%s" seed got (String.concat "\n" lines)))
+
+(* Pulls moved to the spill table by one flow on a lossy, jittered
+   channel. *)
+let spilled ~seed protocol config =
+  let n = ref (-1) in
+  let cell = ref None in
+  ignore
+    (Fabric.run ~seed ~data_loss:0.1 ~ack_loss:0.1 ~data_delay:(Dist.Uniform (40, 80))
+       ~ack_delay:(Dist.Uniform (40, 80))
+       ~on_flows:(fun _ c -> cell := Some c)
+       [ Fabric.spec ~config ~messages:300 protocol ]);
+  Option.iter (fun c -> n := Cell.spilled c) !cell;
+  !n
+
+let test_spill_stays_empty () =
+  List.iter
+    (fun e ->
+      List.iter
+        (fun seed ->
+          check Alcotest.int
+            (Printf.sprintf "%s seed %d spills nothing" e.Registry.name seed)
+            0
+            (spilled ~seed e.Registry.protocol (Registry.config e ())))
+        [ 1; 2; 3 ])
+    Registry.all;
+  let gbn = entry "go-back-n" in
+  if spilled ~seed:1 gbn.Registry.protocol (Registry.config ~window:8 ~modulus:9 gbn ()) <= 0 then
+    Alcotest.fail "go-back-N at modulus w + 1 never lapped its ring: the spill path went untested"
+
+(* Live bytes a one-flow cell holds after [Cell.create]: blockack-multi
+   at w=16. Only the two per-message bitsets (delivered, transmitted;
+   63 bits a word) may grow with the transfer. *)
+let cell_bytes ~messages =
+  let e = entry "blockack-multi" in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+  in
+  let before = live () in
+  let c =
+    Cell.create ~engine_seed:1 ~wseed:Fun.id ~data_loss:0. ~ack_loss:0.
+      ~data_delay:(Dist.Constant 50) ~ack_delay:(Dist.Constant 50)
+      [ Cell.spec ~config:(Registry.config ~window:16 e ()) ~messages e.Registry.protocol ]
+  in
+  let bytes = live () - before in
+  ignore (Sys.opaque_identity c);
+  bytes
+
+let test_cell_state_flat () =
+  let bitsets messages = 2 * (Sys.word_size / 8) * ((messages / Sys.int_size) + 1) in
+  let small = cell_bytes ~messages:1_000 and large = cell_bytes ~messages:100_000 in
+  let allowed = bitsets 100_000 - bitsets 1_000 + 512 in
+  Printf.printf "cell state: %d B at 1k messages, %d B at 100k\n%!" small large;
+  if large - small > allowed then
+    Alcotest.failf "cell state grew %d B from 1k to 100k messages, want <= %d" (large - small)
+      allowed
+
 let () =
   Alcotest.run "fabric"
     [
@@ -362,6 +485,13 @@ let () =
           Alcotest.test_case "Jain's fairness index" `Quick test_jain;
           test_harness_is_one_flow_fabric;
           Alcotest.test_case "pinned capability digest" `Quick test_capability_digest;
+        ] );
+      ( "accounting",
+        [
+          test_accounting_exact;
+          Alcotest.test_case "spill table stays empty" `Quick test_spill_stays_empty;
+          Alcotest.test_case "cell state independent of transfer length" `Quick
+            test_cell_state_flat;
         ] );
       ( "crash isolation",
         [
