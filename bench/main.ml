@@ -341,9 +341,9 @@ let check () =
      sustain the flows/sec floor and stay under the per-flow state
      ceiling. The floor carries ~4x headroom over the reference
      container (23k flows/sec), so scheduler noise cannot trip it. The
-     state figure is a deterministic [Gc] live-words delta (1.54 kB/flow
+     state figure is a deterministic [Gc] live-words delta (1,501 B/flow
      on the reference container), so its ceiling needs no noise
-     headroom: ~16% catches a flow whose window arrays are sized to the
+     headroom: ~19% catches a flow whose window arrays are sized to the
      configured window again instead of to its flight. *)
   let scale_floor_fps = 5_000. in
   let scale_state_ceiling = 1_792 in

@@ -26,8 +26,3 @@ let mean = function
   | Constant d -> float_of_int d
   | Uniform (lo, hi) -> float_of_int (lo + hi) /. 2.
   | Truncated_exp { mean; cap } -> Float.min mean (float_of_int cap)
-
-let pp ppf = function
-  | Constant d -> Format.fprintf ppf "const(%d)" d
-  | Uniform (lo, hi) -> Format.fprintf ppf "uniform(%d,%d)" lo hi
-  | Truncated_exp { mean; cap } -> Format.fprintf ppf "texp(mean=%.1f,cap=%d)" mean cap

@@ -20,5 +20,3 @@ val mean : t -> float
 (** Analytic mean of the (truncated) distribution, for reporting.
     For [Truncated_exp] this is the mean of the untruncated law capped
     crudely — used only as a descriptive figure. *)
-
-val pp : Format.formatter -> t -> unit

@@ -291,7 +291,6 @@ let set_fault t f = t.fault <- Some f
 let clear_fault t = t.fault <- None
 
 let set_plan t plan = t.plan <- Some (Fault_plan.instantiate plan ~rng:(Ba_util.Rng.split t.rng))
-let plan t = Option.map Fault_plan.plan t.plan
 
 let in_flight t = t.in_flight + t.q_len + if t.serving then 1 else 0
 let queue_length t = t.q_len
@@ -309,4 +308,3 @@ let stats t =
     outage_drops = t.outage_drops;
   }
 
-let loss t = t.loss

@@ -113,8 +113,6 @@ val set_plan : 'a t -> Fault_plan.t -> unit
     checked against engine time on every send and counted in
     [outage_drops]; other verdicts come from {!Fault_plan.decide}. *)
 
-val plan : 'a t -> Fault_plan.t option
-
 val in_flight : 'a t -> int
 (** Messages currently in transit. *)
 
@@ -123,4 +121,3 @@ val max_delay : 'a t -> int
     Note a fault plan's delay spikes can exceed it. *)
 
 val stats : 'a t -> stats
-val loss : 'a t -> float

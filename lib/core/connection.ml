@@ -1,5 +1,3 @@
-type timeout_style = Simple | Per_message
-
 type stats = {
   submitted : int;
   delivered : int;
@@ -11,22 +9,12 @@ type stats = {
   ticks : int;
 }
 
-(* The two sender flavours behind one record of closures. *)
-type sender_ops = {
-  pump : unit -> unit;
-  on_ack : Ba_proto.Wire.ack -> unit;
-  retransmissions : unit -> int;
-  outstanding : unit -> int;
-  crash : unit -> unit;
-  restart : unit -> unit;
-}
-
 type t = {
   engine : Ba_sim.Engine.t;
   queue : string Queue.t;
   mutable submitted : int;
   delivered : int ref;
-  sender : sender_ops;
+  sender : Sender_multi.t;
   data_link : Ba_proto.Wire.data Ba_channel.Link.t;
   ack_link : Ba_proto.Wire.ack Ba_channel.Link.t;
   receiver : Receiver.t;
@@ -35,8 +23,8 @@ type t = {
 let default_config =
   Config.make ~wire_modulus:(Some (2 * Config.default.Config.window)) ()
 
-let create ?(seed = 42) ?(config = default_config) ?(timeout_style = Per_message)
-    ?(data_loss = 0.) ?(ack_loss = 0.) ?(data_delay = Ba_channel.Dist.Uniform (40, 60))
+let create ?(seed = 42) ?(config = default_config) ?(data_loss = 0.) ?(ack_loss = 0.)
+    ?(data_delay = Ba_channel.Dist.Uniform (40, 60))
     ?(ack_delay = Ba_channel.Dist.Uniform (40, 60)) ~on_receive () =
   let engine = Ba_sim.Engine.create ~seed () in
   let queue = Queue.create () in
@@ -51,36 +39,12 @@ let create ?(seed = 42) ?(config = default_config) ?(timeout_style = Per_message
   let ack_link =
     Ba_channel.Link.create engine ~loss:ack_loss ~delay:ack_delay
       ~deliver:(fun a ->
-        match !sender_cell with Some ops -> ops.on_ack a | None -> ())
+        match !sender_cell with Some s -> Sender_multi.on_ack s a | None -> ())
       ()
   in
-  let next_payload () = Queue.take_opt queue in
   let sender =
-    match timeout_style with
-    | Simple ->
-        let s =
-          Sender.create engine config ~tx:(Ba_channel.Link.send data_link) ~next_payload
-        in
-        {
-          pump = (fun () -> Sender.pump s);
-          on_ack = Sender.on_ack s;
-          retransmissions = (fun () -> Sender.retransmissions s);
-          outstanding = (fun () -> Sender.outstanding s);
-          crash = (fun () -> Sender.crash s);
-          restart = (fun () -> Sender.restart s);
-        }
-    | Per_message ->
-        let s =
-          Sender_multi.create engine config ~tx:(Ba_channel.Link.send data_link) ~next_payload
-        in
-        {
-          pump = (fun () -> Sender_multi.pump s);
-          on_ack = Sender_multi.on_ack s;
-          retransmissions = (fun () -> Sender_multi.retransmissions s);
-          outstanding = (fun () -> Sender_multi.outstanding s);
-          crash = (fun () -> Sender_multi.crash s);
-          restart = (fun () -> Sender_multi.restart s);
-        }
+    Sender_multi.create engine config ~tx:(Ba_channel.Link.send data_link)
+      ~next_payload:(fun () -> Queue.take_opt queue)
   in
   sender_cell := Some sender;
   let receiver =
@@ -95,27 +59,25 @@ let create ?(seed = 42) ?(config = default_config) ?(timeout_style = Per_message
 let send t msg =
   t.submitted <- t.submitted + 1;
   Queue.add msg t.queue;
-  t.sender.pump ()
+  Sender_multi.pump t.sender
 
 let idle t =
-  !(t.delivered) = t.submitted && t.sender.outstanding () = 0 && Queue.is_empty t.queue
+  !(t.delivered) = t.submitted && Sender_multi.outstanding t.sender = 0 && Queue.is_empty t.queue
 
 let run ?until t =
   match until with
   | Some horizon -> Ba_sim.Engine.run ~until:horizon t.engine
   | None -> Ba_sim.Engine.run t.engine
 
-let engine t = t.engine
-
 (* Process faults: the facade exposes the endpoint lifecycle so an
    application test can kill one side mid-transfer. Restarting the
    sender re-pumps, so payloads still queued resume once the resync
    handshake (if any) settles. *)
-let crash_sender t = t.sender.crash ()
+let crash_sender t = Sender_multi.crash t.sender
 
 let restart_sender t =
-  t.sender.restart ();
-  t.sender.pump ()
+  Sender_multi.restart t.sender;
+  Sender_multi.pump t.sender
 
 let crash_receiver t = Receiver.crash t.receiver
 let restart_receiver t = Receiver.restart t.receiver
@@ -129,6 +91,6 @@ let stats t =
     data_sent = d.Ba_channel.Link.sent;
     data_dropped = d.Ba_channel.Link.dropped;
     acks_sent = Receiver.acks_sent t.receiver;
-    retransmissions = t.sender.retransmissions ();
+    retransmissions = Sender_multi.retransmissions t.sender;
     ticks = Ba_sim.Engine.now t.engine;
   }

@@ -15,13 +15,13 @@
     ]}
 
     Messages are delivered to [on_receive] in submission order, exactly
-    once, regardless of loss and reorder on the simulated links. *)
+    once, regardless of loss and reorder on the simulated links.
+
+    The sender is Section IV's {!Sender_multi}, a timer per outstanding
+    message. Section II's single-timer sender runs as the
+    {!Protocols.simple} protocol. *)
 
 type t
-
-type timeout_style =
-  | Simple  (** Section II: one timer, retransmit the window base *)
-  | Per_message  (** Section IV: a timer per outstanding message *)
 
 type stats = {
   submitted : int;
@@ -37,7 +37,6 @@ type stats = {
 val create :
   ?seed:int ->
   ?config:Config.t ->
-  ?timeout_style:timeout_style ->
   ?data_loss:float ->
   ?ack_loss:float ->
   ?data_delay:Ba_channel.Dist.t ->
@@ -46,7 +45,7 @@ val create :
   unit ->
   t
 (** Defaults: seed 42, {!Config.default} with wire modulus [2 * window],
-    [Per_message] timers, lossless links with delay [Uniform (40, 60)]. *)
+    lossless links with delay [Uniform (40, 60)]. *)
 
 val send : t -> string -> unit
 (** Queue a message for transmission; it enters the window as soon as
@@ -56,7 +55,6 @@ val run : ?until:int -> t -> unit
 (** Advance the simulation until quiescent (everything delivered and
     acknowledged) or until the given absolute tick. *)
 
-val engine : t -> Ba_sim.Engine.t
 val stats : t -> stats
 val idle : t -> bool
 (** Everything submitted has been delivered and acknowledged. *)

@@ -331,7 +331,6 @@ let restore t ~epoch ~pos =
   send_pos t
 
 let nr t = t.nr
-let vr t = t.vr
 let buffered t = t.buf_occ
 
 let buffered_bytes t =
@@ -346,8 +345,6 @@ let pressure_evicted t = t.pressure_evicted
 let acks_sent t = t.acks_sent
 let dup_acks_sent t = t.dup_acks_sent
 let corrupt_dropped t = t.corrupt_dropped
-let alive t = t.alive
-let epoch t = t.epoch
 let syncing t = t.syncing
 let stale_epoch_dropped t = t.stale_epoch_dropped
 let resync_rounds t = t.resync_rounds

@@ -27,9 +27,6 @@ val on_data : t -> Ba_proto.Wire.data -> unit
 val nr : t -> int
 (** Next sequence number to accept; everything below is delivered. *)
 
-val vr : t -> int
-(** Upper end (exclusive) of the received-but-unacknowledged run. *)
-
 val buffered : t -> int
 (** Out-of-order payloads currently held. *)
 
@@ -95,8 +92,6 @@ val restore : t -> epoch:int -> pos:int -> unit
     [pos >= 0] and the receiver is still pristine (nothing delivered,
     nothing buffered, epoch 0). *)
 
-val alive : t -> bool
-val epoch : t -> int
 val syncing : t -> bool
 (** Restarted and still announcing POS (no FIN / fresh data yet). *)
 

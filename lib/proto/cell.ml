@@ -104,19 +104,21 @@ let plan_admission ~budget specs =
     (admitted, refused, Some 1)
   end
 
-(* ---- capacity leases ---- *)
+(* ---- capacity lease ---- *)
 
-(* One direction's capacity lease: a FIFO of (flow, frame) the cell has
-   offered to the "shared" link, served one frame per [interval] ticks
-   by a persistent engine slot. [base_rate] is the cell's fair share in
-   frames per epoch; reconciliation rewrites [interval] at barriers. *)
-type 'a lease = {
+(* The data direction's capacity lease: a FIFO of (flow, frame) the
+   cell has offered to the "shared" link, served onto [link] one frame
+   per [interval] ticks by a persistent engine slot. [base_rate] is the
+   cell's fair share in frames per epoch; reconciliation rewrites
+   [interval] at barriers. *)
+type lease = {
   engine : Engine.t;
+  link : Wire.data Link.t;
   svc : int;  (* the modelled link's service time, a floor on interval *)
   barrier : int;
   base_rate : int;
   qcap : int;
-  mutable frames : 'a array;  (* [||] until the first offer supplies a filler *)
+  mutable frames : Wire.data array;  (* [||] until the first offer supplies a filler *)
   tags : int array;
   mutable head : int;
   mutable tail : int;
@@ -124,17 +126,16 @@ type 'a lease = {
   mutable serviced : int;  (* frames sent this epoch *)
   mutable drops : int;
   mutable slot : Engine.slot option;
-  send : int -> 'a -> unit;
-  release : 'a -> unit;
 }
 
 let lease_backlog l = l.tail - l.head
 let lease_drops l = l.drops
 
-let make_lease engine ~svc ~barrier ~qcap ~base_rate ~send ~release =
+let make_lease engine link ~svc ~barrier ~qcap ~base_rate =
   let l =
     {
       engine;
+      link;
       svc;
       barrier;
       base_rate;
@@ -147,8 +148,6 @@ let make_lease engine ~svc ~barrier ~qcap ~base_rate ~send ~release =
       serviced = 0;
       drops = 0;
       slot = None;
-      send;
-      release;
     }
   in
   let service () =
@@ -156,22 +155,22 @@ let make_lease engine ~svc ~barrier ~qcap ~base_rate ~send ~release =
       let k = l.head mod l.qcap in
       l.head <- l.head + 1;
       l.serviced <- l.serviced + 1;
-      l.send l.tags.(k) l.frames.(k);
+      Link.send_tagged l.link l.tags.(k) l.frames.(k);
       if l.head < l.tail then Engine.slot_arm engine (Option.get l.slot) ~delay:l.interval
     end
   in
   l.slot <- Some (Engine.slot_create engine service);
   l
 
-let lease_offer l tag v =
+let lease_offer l tag d =
   if lease_backlog l >= l.qcap then begin
     l.drops <- l.drops + 1;
-    l.release v
+    Wire.release_data d
   end
   else begin
-    if Array.length l.frames = 0 then l.frames <- Array.make l.qcap v;
+    if Array.length l.frames = 0 then l.frames <- Array.make l.qcap d;
     let k = l.tail mod l.qcap in
-    l.frames.(k) <- v;
+    l.frames.(k) <- d;
     l.tags.(k) <- tag;
     l.tail <- l.tail + 1;
     let slot = Option.get l.slot in
@@ -179,7 +178,7 @@ let lease_offer l tag v =
       Engine.slot_arm l.engine slot ~delay:l.interval
   end
 
-(* Barrier-time reconciliation over one direction's leases: cells with
+(* Barrier-time reconciliation over the cells' leases: cells with
    no backlog cede their unused frame credits, backlogged cells split
    the spare pro rata. Pure integer fold — cell order cannot matter. *)
 let reconcile_leases leases =
@@ -289,8 +288,7 @@ type t = {
   engine : Engine.t;
   data_link : Wire.data Link.t;
   ack_link : Wire.ack Link.t;
-  data_lease : Wire.data lease option;
-  ack_lease : Wire.ack lease option;
+  data_lease : lease option;
   specs : spec array;  (* admitted flows, receiver budgets clamped *)
   refused : int;
   clamp : int option;
@@ -326,7 +324,6 @@ let engine c = c.engine
 let data_link c = c.data_link
 let ack_link c = c.ack_link
 let data_lease c = c.data_lease
-let ack_lease c = c.ack_lease
 let flows c = Array.length c.specs
 let refused c = c.refused
 let clamp c = c.clamp
@@ -498,11 +495,7 @@ let offer_data c i d =
 
 let offer_ack c i a =
   add c i k_acks_sent 1;
-  if gated c i then Wire.release_ack a
-  else
-    match c.ack_lease with
-    | Some l -> lease_offer l i a
-    | None -> Link.send_tagged c.ack_link i a
+  if gated c i then Wire.release_ack a else Link.send_tagged c.ack_link i a
 
 let on_data c i d = if running c i then c.group.(i).on_data c.gslot.(i) d
 
@@ -564,7 +557,11 @@ let schedule_crashes c i plan =
 (* ---- construction ---- *)
 
 let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data_bottleneck
-    ?ack_bottleneck ?lease ?data_plan ?ack_plan ?budget ?watchdog ?(sketch = false) specs =
+    ?lease ?data_plan ?ack_plan ?budget ?watchdog ?(sketch = false) specs =
+  (match data_bottleneck with
+  | Some (svc, qcap) when svc <= 0 || qcap <= 0 ->
+      invalid_arg "Cell.create: bottleneck needs positive service time and queue capacity"
+  | Some _ | None -> ());
   let specs, refused, clamp =
     match budget with
     | None -> (specs, 0, None)
@@ -603,20 +600,16 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
   (* The links are built before the cell their deliveries feed. *)
   let self = ref None in
   let arrive f i x = match !self with Some c -> f c i x | None -> () in
-  (* Under [lease] the bottlenecks become per-cell leases (below) and
-     the links themselves are uncontended. *)
-  let link ~loss ~delay ~bottleneck ~corrupt ~release ~deliver =
-    Link.create_tagged engine ~loss ~delay
-      ?bottleneck:(if lease = None then bottleneck else None)
-      ~corrupt ~release ~deliver:(arrive deliver) ()
-  in
+  (* Under [lease] the bottleneck becomes a per-cell lease (below) and
+     the data link itself is uncontended. *)
   let data_link =
-    link ~loss:data_loss ~delay:data_delay ~bottleneck:data_bottleneck
-      ~corrupt:Wire.corrupt_data ~release:Wire.release_data ~deliver:on_data
+    Link.create_tagged engine ~loss:data_loss ~delay:data_delay
+      ?bottleneck:(if lease = None then data_bottleneck else None)
+      ~corrupt:Wire.corrupt_data ~release:Wire.release_data ~deliver:(arrive on_data) ()
   in
   let ack_link =
-    link ~loss:ack_loss ~delay:ack_delay ~bottleneck:ack_bottleneck ~corrupt:Wire.corrupt_ack
-      ~release:Wire.release_ack ~deliver:on_ack
+    Link.create_tagged engine ~loss:ack_loss ~delay:ack_delay ~corrupt:Wire.corrupt_ack
+      ~release:Wire.release_ack ~deliver:(arrive on_ack) ()
   in
   (* Plans split their link's random stream only when given, so
      plan-free runs keep their exact event sequence. *)
@@ -624,20 +617,13 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
   Option.iter (Link.set_plan ack_link) ack_plan;
   (* A cell's lease is its flow-count share of the shared link's rate,
      at least one frame per epoch, and of its queue, at least 4 slots. *)
-  let mk_lease cap ~send ~release =
-    match (lease, cap) with
+  let data_lease =
+    match (lease, data_bottleneck) with
     | Some (barrier, total_flows), Some (svc, qcap) ->
-        let svc = max 1 svc in
         let base_rate = max 1 (barrier / svc * n / max 1 total_flows) in
         let qshare = max 4 (qcap * n / max 1 total_flows) in
-        Some (make_lease engine ~svc ~barrier ~qcap:qshare ~base_rate ~send ~release)
+        Some (make_lease engine data_link ~svc ~barrier ~qcap:qshare ~base_rate)
     | _ -> None
-  in
-  let data_lease =
-    mk_lease data_bottleneck ~send:(Link.send_tagged data_link) ~release:Wire.release_data
-  in
-  let ack_lease =
-    mk_lease ack_bottleneck ~send:(Link.send_tagged ack_link) ~release:Wire.release_ack
   in
   (* Group flows by protocol; groups and slots are numbered in spec
      order. *)
@@ -676,7 +662,6 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
       data_link;
       ack_link;
       data_lease;
-      ack_lease;
       specs;
       refused;
       clamp;
@@ -866,13 +851,9 @@ let flow_result c i =
     data_dropped = 0;
     data_queue_dropped = 0;
     data_reordered = 0;
-    data_duplicated = 0;
-    data_corrupted = 0;
     data_outage_drops = 0;
     acks_sent;
     acks_dropped = 0;
-    acks_corrupted = 0;
-    ack_outage_drops = 0;
     retransmissions = g.retransmissions k;
     goodput = float_of_int delivered *. 1000. /. float_of_int ticks;
     latency = summary latency;

@@ -86,7 +86,6 @@ val create :
   data_delay:Ba_channel.Dist.t ->
   ack_delay:Ba_channel.Dist.t ->
   ?data_bottleneck:int * int ->
-  ?ack_bottleneck:int * int ->
   ?lease:int * int ->
   ?data_plan:Ba_channel.Fault_plan.t ->
   ?ack_plan:Ba_channel.Fault_plan.t ->
@@ -101,12 +100,14 @@ val create :
     until {!start}. Flow [i]'s payloads come from a {!Workload} seeded
     [wseed i].
 
-    [data_bottleneck]/[ack_bottleneck] are [(service_time,
-    queue_capacity)]. They sit on the links exactly, unless
-    [lease = (barrier, total_flows)] is given: then each becomes a
+    [data_bottleneck] is [(service_time, queue_capacity)], both
+    positive, else [Invalid_argument]. It sits on the data link exactly,
+    unless [lease = (barrier, total_flows)] is given: then it becomes a
     capacity lease at this cell's flow-count share of the rate (at least
     one frame per [barrier] ticks) and of the queue (at least 4 slots),
-    and the links are uncontended.
+    and the data link is uncontended. The ack link never has a
+    bottleneck: as in the paper, the reverse channel loses and reorders
+    but is not congested.
 
     [budget] admits [specs] under a memory budget as {!Fabric.run}
     describes: unclamped, else under one uniform window clamp, else a
@@ -194,17 +195,21 @@ val flow_result : t -> int -> Flow.result
     send counts are 0: a shared link cannot attribute them to one flow.
     Call once per flow, after the run. *)
 
-(** {2 Capacity leases} *)
+(** {2 Capacity lease} *)
 
-type 'a lease
+type lease
+(** The data direction's share of a shared bottleneck: a FIFO of
+    offered frames served onto the cell's data link at the leased rate,
+    tail-dropping when full. *)
 
-val data_lease : t -> Wire.data lease option
-val ack_lease : t -> Wire.ack lease option
+val data_lease : t -> lease option
+(** [Some] when the cell was built with both [data_bottleneck] and
+    [lease]. *)
 
-val reconcile_leases : 'a lease array -> bool
-(** Barrier-time fold over one direction's leases: idle leases cede
-    their unused frame credits to backlogged ones, pro rata to backlog.
+val reconcile_leases : lease array -> bool
+(** Barrier-time fold over the cells' leases: idle leases cede their
+    unused frame credits to backlogged ones, pro rata to backlog.
     Order-independent. [true] when spare capacity was re-leased. *)
 
-val lease_drops : 'a lease -> int
+val lease_drops : lease -> int
 (** Frames tail-dropped at this full lease queue. *)

@@ -79,6 +79,3 @@ let of_string s =
           | Error _ as e -> e)
     in
     go [] (List.rev !toks)
-
-let quiesced_after t =
-  List.fold_left (fun acc e -> max acc (e.at + e.down_for)) 0 t

@@ -31,6 +31,3 @@ val of_string : string -> (t, string) result
 (** Parse the {!pp} replay-key format back into a plan (["none"] parses
     to {!none}); inverse of {!pp}, so a campaign failure's process-fault
     line can be fed verbatim to [ba_chaos --replay]. *)
-
-val quiesced_after : t -> int
-(** First tick by which every scheduled crash has restarted. *)

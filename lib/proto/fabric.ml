@@ -41,22 +41,21 @@ let jain = function
       if sq = 0. then 1.0
       else sum *. sum /. (float_of_int (List.length xs) *. sq)
 
-(* Admission control plus one cell holding every flow. The shared links
-   keep their exact bottleneck queues: with one cell there is nothing to
-   lease between. *)
+(* Admission control plus one cell holding every flow. The shared data
+   link keeps its exact bottleneck queue: with one cell there is nothing
+   to lease between. *)
 let run ?(seed = 42) ?(data_loss = 0.) ?(ack_loss = 0.)
     ?(data_delay = Ba_channel.Dist.Uniform (40, 60))
-    ?(ack_delay = Ba_channel.Dist.Uniform (40, 60)) ?data_bottleneck ?ack_bottleneck ?data_plan
-    ?ack_plan ?deadline ?memory_budget ?watchdog ?on_setup ?on_flows specs =
+    ?(ack_delay = Ba_channel.Dist.Uniform (40, 60)) ?data_bottleneck ?data_plan ?ack_plan
+    ?deadline ?memory_budget ?watchdog ?on_flows specs =
   Cell.validate ~who:"Fabric.run" ?memory_budget specs;
   let cell =
     Cell.create ~engine_seed:seed
       ~wseed:(fun i -> seed + (7919 * (i + 1)))
-      ~data_loss ~ack_loss ~data_delay ~ack_delay ?data_bottleneck ?ack_bottleneck ?data_plan
-      ?ack_plan ?budget:memory_budget ?watchdog specs
+      ~data_loss ~ack_loss ~data_delay ~ack_delay ?data_bottleneck ?data_plan ?ack_plan
+      ?budget:memory_budget ?watchdog specs
   in
   let engine = Cell.engine cell in
-  Option.iter (fun g -> g engine) on_setup;
   Option.iter (fun g -> g engine cell) on_flows;
   Cell.start cell;
   Ba_sim.Engine.run ~until:(Option.value deadline ~default:(Cell.deadline cell)) engine;

@@ -92,13 +92,11 @@ val run :
   ?data_delay:Ba_channel.Dist.t ->
   ?ack_delay:Ba_channel.Dist.t ->
   ?data_bottleneck:int * int ->
-  ?ack_bottleneck:int * int ->
   ?data_plan:Ba_channel.Fault_plan.t ->
   ?ack_plan:Ba_channel.Fault_plan.t ->
   ?deadline:int ->
   ?memory_budget:int ->
   ?watchdog:Watchdog.config ->
-  ?on_setup:(Ba_sim.Engine.t -> unit) ->
   ?on_flows:(Ba_sim.Engine.t -> Cell.t -> unit) ->
   spec list ->
   result
@@ -141,13 +139,15 @@ val run :
     endpoint's crash cannot stall or corrupt the other [n-1] flows
     sharing the links.
 
-    [data_bottleneck]/[ack_bottleneck] are [(service_time, queue_capacity)]
-    pairs for the shared links — the contended resource. Without one the
-    links have infinite capacity and flows only share the loss/delay
-    process.
+    [data_bottleneck] is the [(service_time, queue_capacity)] pair of
+    the shared data link — the contended resource. Without it the link
+    has infinite capacity and flows only share the loss/delay process.
+    The ack link is never congested: as in the paper, acknowledgments
+    ride a reverse channel that loses and reorders but has no queue.
 
     Raises [Invalid_argument] on an empty spec list, a negative
-    [start_at], or a [stop_at] not after its [start_at]. *)
+    [start_at], a [stop_at] not after its [start_at], or a
+    [data_bottleneck] with a non-positive member. *)
 
 val lifetime_cost : spec list -> int
 (** The sum of every spec's unclamped admission charge

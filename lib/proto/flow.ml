@@ -18,13 +18,9 @@ type result = {
   data_dropped : int;
   data_queue_dropped : int;  (** tail drops at the data-link bottleneck *)
   data_reordered : int;  (** wire-level overtakings on the data link *)
-  data_duplicated : int;  (** extra copies injected by a fault plan *)
-  data_corrupted : int;  (** wire-level corruptions injected on the data link *)
   data_outage_drops : int;  (** data frames lost to scheduled outages *)
   acks_sent : int;
   acks_dropped : int;
-  acks_corrupted : int;  (** wire-level corruptions injected on the ack link *)
-  ack_outage_drops : int;  (** acks lost to scheduled outages *)
   retransmissions : int;
   goodput : float;  (** delivered payloads per 1000 ticks *)
   latency : Ba_util.Stats.summary option;

@@ -35,12 +35,8 @@ let run (module P : Protocol.S) ?(seed = 42) ?(messages = 1000) ?(payload_size =
     data_dropped = d.dropped;
     data_queue_dropped = d.queue_dropped;
     data_reordered = d.reordered;
-    data_duplicated = d.duplicated;
-    data_corrupted = d.corrupted;
     data_outage_drops = d.outage_drops;
     acks_dropped = a.dropped;
-    acks_corrupted = a.corrupted;
-    ack_outage_drops = a.outage_drops;
   }
 
 let correct r = r.completed && r.duplicates = 0 && r.misordered = 0 && r.corrupted = 0

@@ -95,8 +95,3 @@ let drop_policy_name = function Drop_new -> "drop-new" | Drop_furthest -> "drop-
 
 let hold_duration t =
   match t.max_transit with Some m -> (2 * m) + t.ack_coalesce | None -> t.rto
-
-let pp ppf t =
-  Format.fprintf ppf "w=%d rto=%d mod=%s coalesce=%d" t.window t.rto
-    (match t.wire_modulus with None -> "none" | Some n -> string_of_int n)
-    t.ack_coalesce

@@ -100,4 +100,3 @@ val validate : t -> unit
     block-acknowledgment endpoints additionally require a modulus of at
     least [2 * window] and check it themselves. *)
 
-val pp : Format.formatter -> t -> unit

@@ -1,6 +1,6 @@
 (* Sharded fabric: the Fabric model rebuilt as per-cell sub-simulations
-   advanced in lockstep epochs, with the shared-link bottleneck realised
-   as per-cell capacity leases reconciled at the barriers.
+   advanced in lockstep epochs, with the shared data link's bottleneck
+   realised as per-cell capacity leases reconciled at the barriers.
 
    Everything semantic is a pure function of (specs, seed, cell,
    barrier, capacity, ...): cells are built sequentially in spec order,
@@ -43,7 +43,7 @@ type result = {
 
 let run ?(seed = 42) ?jobs ?shards ?(cell = 1024) ?(barrier = 1000) ?(data_loss = 0.)
     ?(ack_loss = 0.) ?(data_delay = Ba_channel.Dist.Uniform (40, 60))
-    ?(ack_delay = Ba_channel.Dist.Uniform (40, 60)) ?capacity ?ack_capacity ?plans_for
+    ?(ack_delay = Ba_channel.Dist.Uniform (40, 60)) ?capacity ?plans_for
     ?deadline ?memory_budget ?watchdog ?(measure_mem = false) specs =
   if specs = [] then invalid_arg "Shard.run: at least one flow required";
   if cell < 1 then invalid_arg "Shard.run: cell must be >= 1";
@@ -81,7 +81,7 @@ let run ?(seed = 42) ?jobs ?shards ?(cell = 1024) ?(barrier = 1000) ?(data_loss 
           Cell.create ~engine_seed:cell_seed
             ~wseed:(fun i -> seed + (7919 * (lo + i + 1)))
             ~data_loss ~ack_loss ~data_delay ~ack_delay ?data_bottleneck:capacity
-            ?ack_bottleneck:ack_capacity ~lease:(barrier, total_flows) ?data_plan ?ack_plan
+            ~lease:(barrier, total_flows) ?data_plan ?ack_plan
             ?budget:(Option.map (fun b -> max 1 (b * (hi - lo) / total_flows)) memory_budget)
             ?watchdog ~sketch:true
             (Array.to_list (Array.sub specs lo (hi - lo)))
@@ -101,8 +101,7 @@ let run ?(seed = 42) ?jobs ?shards ?(cell = 1024) ?(barrier = 1000) ?(data_loss 
     | Some d -> d
     | None -> Array.fold_left (fun acc c -> max acc (Cell.deadline c)) 1 cells
   in
-  let leases f = Array.of_list (List.filter_map f (Array.to_list cells)) in
-  let data_leases = leases Cell.data_lease and ack_leases = leases Cell.ack_lease in
+  let leases = Array.of_list (List.filter_map Cell.data_lease (Array.to_list cells)) in
   let epochs = ref 0 and rebalances = ref 0 in
   let t = ref 0 in
   let rec epoch_loop () =
@@ -121,8 +120,7 @@ let run ?(seed = 42) ?jobs ?shards ?(cell = 1024) ?(barrier = 1000) ?(data_loss 
            (fun group ->
              List.iter (fun c -> Ba_sim.Engine.run ~until:t_end (Cell.engine c)) group)
            groups);
-      if Cell.reconcile_leases data_leases then incr rebalances;
-      if Array.length ack_leases > 0 && Cell.reconcile_leases ack_leases then incr rebalances;
+      if Cell.reconcile_leases leases then incr rebalances;
       incr epochs;
       t := t_end;
       epoch_loop ()
@@ -141,7 +139,6 @@ let run ?(seed = 42) ?jobs ?shards ?(cell = 1024) ?(barrier = 1000) ?(data_loss 
       (fun acc c -> max acc (if Cell.done_at c >= 0 then Cell.done_at c else !t))
       0 cells
   in
-  let lease_drops ls = Array.fold_left (fun a l -> a + Cell.lease_drops l) 0 ls in
   {
     flows = sum_cells Cell.flows;
     cells = ncells;
@@ -158,7 +155,7 @@ let run ?(seed = 42) ?jobs ?shards ?(cell = 1024) ?(barrier = 1000) ?(data_loss 
     acks_sent = sum (fun t -> t.Cell.acks_sent);
     retransmissions = sum (fun t -> t.Cell.retransmissions);
     pressure_drops = sum (fun t -> t.Cell.pressure_drops);
-    lease_drops = lease_drops data_leases + lease_drops ack_leases;
+    lease_drops = Array.fold_left (fun a l -> a + Cell.lease_drops l) 0 leases;
     lease_rebalances = !rebalances;
     quarantine_events = sum (fun t -> t.Cell.quarantine_events);
     watchdog_resyncs = sum (fun t -> t.Cell.watchdog_resyncs);

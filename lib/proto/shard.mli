@@ -12,13 +12,13 @@
        [seed + 7919·(i+1)], so a cell is a deterministic sub-simulation.
        A one-cell run without capacity equals {!Fabric.run} at that
        engine seed, counter for counter.}
-    {- {b Capacity leases.} The shared-router bottleneck
-       ([capacity = (service_time, queue_capacity)]) becomes a per-cell
-       {e lease}: each cell serves its frame FIFO at its flow-count
-       share of the link rate. At every epoch barrier the leases are
-       reconciled — idle cells' unused frame credits are re-leased to
-       backlogged cells in proportion to backlog — a deterministic fold
-       in cell order.}
+    {- {b Capacity leases.} The shared-router bottleneck on the data
+       direction ([capacity = (service_time, queue_capacity)]) becomes a
+       per-cell {e lease}: each cell serves its data-frame FIFO at its
+       flow-count share of the link rate. At every epoch barrier the
+       leases are reconciled — idle cells' unused frame credits are
+       re-leased to backlogged cells in proportion to backlog — a
+       deterministic fold in cell order.}
     {- {b Epoch barriers.} All live cells advance in lockstep,
        [Engine.run ~until] one [barrier]-tick epoch at a time. Within
        an epoch cells are independent, so epochs fan out over a
@@ -89,7 +89,6 @@ val run :
   ?data_delay:Ba_channel.Dist.t ->
   ?ack_delay:Ba_channel.Dist.t ->
   ?capacity:int * int ->
-  ?ack_capacity:int * int ->
   ?plans_for:(cell_seed:int -> Ba_channel.Fault_plan.t * Ba_channel.Fault_plan.t) ->
   ?deadline:int ->
   ?memory_budget:int ->
@@ -103,10 +102,12 @@ val run :
     ticks, no loss, delay [Uniform (40, 60)] both ways, no capacity
     (uncontended links), [measure_mem = false].
 
-    [capacity]/[ack_capacity] are the shared-link bottleneck
-    [(service_time, queue_capacity)], realised as per-cell leases (see
-    above): a cell's base lease is its flow-count share of the rate and
-    at least one frame per epoch; its queue share at least 4 slots.
+    [capacity] is the shared data link's bottleneck [(service_time,
+    queue_capacity)], realised as per-cell leases (see above): a cell's
+    base lease is its flow-count share of the rate and at least one
+    frame per epoch; its queue share at least 4 slots. Both members
+    must be positive. Acknowledgments are never leased: the ack links
+    lose and reorder but are not congested.
 
     [memory_budget] splits by flow-count share into per-cell budgets and
     each cell runs the fabric's admission locally — same
@@ -120,8 +121,9 @@ val run :
     [seed] and the cell index, so plans are replayable per cell.
 
     Raises [Invalid_argument] on empty [specs], non-positive [cell],
-    [barrier] or [shards], invalid spec intervals, or a budget that
-    admits no flow in some cell. *)
+    [barrier] or [shards], a [capacity] with a non-positive member,
+    invalid spec intervals, or a budget that admits no flow in some
+    cell. *)
 
 val timed : (measure_mem:bool -> result) -> result * float
 (** [timed run] is [run ~measure_mem:false] with its wall seconds, and

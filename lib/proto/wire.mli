@@ -112,9 +112,6 @@ val ack_extends :
     The one coalescing rule for every layer that holds acknowledgments
     back: the duplex piggyback hold and the UDP server. *)
 
-val data_header_bytes : int
-(** Fixed per-data-message header cost used for overhead accounting. *)
-
 val ack_bytes_block : int
 (** Bytes of a two-number block acknowledgment. *)
 
@@ -122,7 +119,8 @@ val ack_bytes_single : int
 (** Bytes of a classic one-number acknowledgment. *)
 
 val data_bytes : data -> int
-(** Header plus payload length. *)
+(** A fixed 8-byte header plus payload length: the overhead accounting's
+    cost of one data message. *)
 
 val pp_data : Format.formatter -> data -> unit
 val pp_ack : Format.formatter -> ack -> unit

@@ -19,7 +19,6 @@ let rec remove x = function
 let cardinal = List.length
 let elements t = t
 let of_list xs = List.sort_uniq compare xs
-let for_all = List.for_all
 let exists = List.exists
 let max_elt t = match List.rev t with [] -> None | x :: _ -> Some x
 

@@ -12,7 +12,6 @@ val remove : int -> t -> t
 val cardinal : t -> int
 val elements : t -> int list
 val of_list : int list -> t
-val for_all : (int -> bool) -> t -> bool
 val exists : (int -> bool) -> t -> bool
 val max_elt : t -> int option
 val add_range : lo:int -> hi:int -> t -> t

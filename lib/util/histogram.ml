@@ -19,7 +19,6 @@ let add t x =
   t.total <- t.total + 1
 
 let total t = t.total
-let bin_count t = Array.length t.counts
 let counts t = Array.copy t.counts
 
 let bin_range t i =

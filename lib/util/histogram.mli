@@ -9,7 +9,6 @@ val create : lo:float -> hi:float -> bins:int -> t
 
 val add : t -> float -> unit
 val total : t -> int
-val bin_count : t -> int
 val counts : t -> int array
 val bin_range : t -> int -> float * float
 (** Bounds of bin [i]. *)

@@ -14,7 +14,5 @@ type t =
   | List of t list
   | Obj of (string * t) list  (** keys emitted in the given order *)
 
-val to_string : t -> string
-(** Render with two-space indentation and a trailing newline. *)
-
 val to_channel : out_channel -> t -> unit
+(** Render with two-space indentation and a trailing newline. *)

@@ -142,9 +142,3 @@ let merge a b =
   m.lo <- Stdlib.min a.lo b.lo;
   m.hi <- Stdlib.max a.hi b.hi;
   m
-
-let pp ppf t =
-  if t.count = 0 then Format.pp_print_string ppf "n=0 p50=- p90=- p99=-"
-  else
-    Format.fprintf ppf "n=%d p50=%.3f p90=%.3f p99=%.3f" t.count (quantile t 0.5)
-      (quantile t 0.9) (quantile t 0.99)

@@ -69,6 +69,3 @@ val merge : t -> t -> t
     rank-error bound (the centroid sets of [(a ⊕ b) ⊕ c] and
     [a ⊕ (b ⊕ c)] can differ, their quantiles only within the
     bound). *)
-
-val pp : Format.formatter -> t -> unit
-(** [n=… p50=… p90=… p99=…] one-liner (dashes when empty). *)

@@ -6,8 +6,6 @@ let create capacity =
   if capacity <= 0 then invalid_arg "Ring_buffer.create: capacity must be positive";
   { slots = Array.make capacity Empty; live = 0 }
 
-let capacity t = Array.length t.slots
-
 let slot_of t i = i mod Array.length t.slots
 
 let set t i v =

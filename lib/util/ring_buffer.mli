@@ -1,18 +1,17 @@
 (** Fixed-capacity circular buffer indexed by absolute sequence number.
 
-    The sender's retransmission buffer and the receiver's out-of-order
-    buffer are windows of at most [w] live entries whose absolute indices
-    grow without bound; storage is the paper's bounded-array refinement
-    ([ackd]/[rcvd] accessed modulo [w], Section V). A slot holds at most
-    one value and is addressed by its absolute index. *)
+    Selective repeat's out-of-order receive buffer and Stenning's set of
+    acknowledged messages use it: windows of at most [w] live entries
+    whose absolute indices grow without bound. Storage is the paper's
+    bounded-array refinement ([ackd]/[rcvd] accessed modulo [w],
+    Section V). A slot holds at most one value and is addressed by its
+    absolute index. *)
 
 type 'a t
 
 val create : int -> 'a t
 (** [create capacity] makes an empty buffer of [capacity] slots.
     Requires [capacity > 0]. *)
-
-val capacity : 'a t -> int
 
 val set : 'a t -> int -> 'a -> unit
 (** [set t i v] stores [v] at absolute index [i]. Requires that no live

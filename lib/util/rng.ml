@@ -169,10 +169,6 @@ let int_in t lo hi =
 
 let float t bound = bound *. (float_of_int (bits t) /. float_of_int (1 lsl bit_width))
 
-let bool t =
-  next t;
-  t.r_lo land 1 = 1
-
 let bernoulli t p = if p <= 0. then false else if p >= 1. then true else float t 1.0 < p
 
 let exponential t mean =

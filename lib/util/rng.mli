@@ -30,8 +30,6 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float rng bound] is uniform on [0, bound). *)
 
-val bool : t -> bool
-
 val bernoulli : t -> float -> bool
 (** [bernoulli rng p] is [true] with probability [p]. *)
 

@@ -24,8 +24,6 @@ val mean : t -> float
 val variance : t -> float
 (** Sample variance (n-1 denominator); 0 when fewer than two samples. *)
 
-val stddev : t -> float
-
 val samples : t -> float list
 (** All samples in insertion order. *)
 
@@ -38,6 +36,5 @@ val summary : t -> summary
 
 val pp_summary : Format.formatter -> summary -> unit
 
-val mean_of : float list -> float
 val ci95 : float list -> float * float
 (** Mean and 95% normal-approximation half-width over a sample list. *)

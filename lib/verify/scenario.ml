@@ -52,16 +52,3 @@ module Make (S : Ba_model.Spec_types.SPEC) = struct
     in
     go S.initial script
 end
-
-let pp_outcome ppf o =
-  List.iteri
-    (fun i { label; state_repr; check } ->
-      Format.fprintf ppf "%2d %-28s %s%s@\n" i label state_repr
-        (match check with None -> "" | Some msg -> "  !! " ^ msg))
-    o.steps;
-  (match o.failed_at with
-  | None -> ()
-  | Some (i, wanted) -> Format.fprintf ppf "stuck at script step %d: no transition matches %S@\n" i wanted);
-  match o.first_violation with
-  | None -> Format.fprintf ppf "no invariant violation@\n"
-  | Some (i, msg) -> Format.fprintf ppf "violation at step %d: %s@\n" i msg

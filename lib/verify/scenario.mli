@@ -25,5 +25,3 @@ module Make (S : Ba_model.Spec_types.SPEC) : sig
   val final_state : string list -> S.state option
   (** The state after a fully applied script, [None] if it got stuck. *)
 end
-
-val pp_outcome : Format.formatter -> outcome -> unit

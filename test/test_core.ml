@@ -1243,7 +1243,7 @@ let test_connection_lossy () =
   let received = ref 0 in
   let conn =
     Blockack.Connection.create ~seed:5 ~data_loss:0.3 ~ack_loss:0.3
-      ~timeout_style:Blockack.Connection.Simple ~on_receive:(fun _ -> incr received) ()
+      ~on_receive:(fun _ -> incr received) ()
   in
   for i = 1 to 200 do
     Blockack.Connection.send conn (Printf.sprintf "msg-%d" i)

@@ -168,12 +168,8 @@ let flow_owned (r : Harness.result) =
     Harness.data_dropped = 0;
     data_queue_dropped = 0;
     data_reordered = 0;
-    data_duplicated = 0;
-    data_corrupted = 0;
     data_outage_drops = 0;
     acks_dropped = 0;
-    acks_corrupted = 0;
-    ack_outage_drops = 0;
   }
 
 let one_flow_gen =

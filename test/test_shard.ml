@@ -61,6 +61,21 @@ let test_capacity_lease_run_completes () =
   check Alcotest.bool "completed under lease" true r.Shard.completed;
   check Alcotest.int "all delivered" r.Shard.messages r.Shard.delivered
 
+let test_capacity_needs_positive_members () =
+  (* A lease clamped a zero service time to 1 and a zero queue to 4
+     slots, so a nonsensical capacity ran; both modes now refuse it. *)
+  let specs = mixed_specs ~messages:2 ~flows:4 in
+  let refused =
+    Invalid_argument "Cell.create: bottleneck needs positive service time and queue capacity"
+  in
+  List.iter
+    (fun capacity ->
+      Alcotest.check_raises "shard capacity" refused (fun () ->
+          ignore (Shard.run ~jobs:1 ~cell:2 ~capacity specs));
+      Alcotest.check_raises "fabric bottleneck" refused (fun () ->
+          ignore (Fabric.run ~data_bottleneck:capacity specs)))
+    [ (0, 64); (2, 0); (-1, 8) ]
+
 let test_budget_admission_is_cell_local () =
   (* A budget far below the unclamped demand: every cell must degrade
      (clamp or refuse) using only its own share, and the sampled model
@@ -344,6 +359,8 @@ let () =
           Alcotest.test_case "timed run measures state" `Quick test_timed_fills_state_bytes;
           Alcotest.test_case "capacity lease run completes" `Quick
             test_capacity_lease_run_completes;
+          Alcotest.test_case "capacity needs positive members" `Quick
+            test_capacity_needs_positive_members;
           Alcotest.test_case "budget admission is cell-local" `Quick
             test_budget_admission_is_cell_local;
           Alcotest.test_case "cell footprint" `Quick test_cell_footprint;
