@@ -14,6 +14,7 @@ type t = {
   queue : string Queue.t;
   mutable submitted : int;
   delivered : int ref;
+  acks_sent : int ref;
   sender : Sender_multi.t;
   data_link : Ba_proto.Wire.data Ba_channel.Link.t;
   ack_link : Ba_proto.Wire.ack Ba_channel.Link.t;
@@ -28,7 +29,7 @@ let create ?(seed = 42) ?(config = default_config) ?(data_loss = 0.) ?(ack_loss 
     ?(ack_delay = Ba_channel.Dist.Uniform (40, 60)) ~on_receive () =
   let engine = Ba_sim.Engine.create ~seed () in
   let queue = Queue.create () in
-  let delivered = ref 0 in
+  let delivered = ref 0 and acks_sent = ref 0 in
   let receiver_cell = ref None and sender_cell = ref None in
   let data_link =
     Ba_channel.Link.create engine ~loss:data_loss ~delay:data_delay
@@ -48,13 +49,16 @@ let create ?(seed = 42) ?(config = default_config) ?(data_loss = 0.) ?(ack_loss 
   in
   sender_cell := Some sender;
   let receiver =
-    Receiver.create engine config ~tx:(Ba_channel.Link.send ack_link)
+    Receiver.create engine config
+      ~tx:(fun a ->
+        if a.Ba_proto.Wire.akind = Ba_proto.Wire.Ack then incr acks_sent;
+        Ba_channel.Link.send ack_link a)
       ~deliver:(fun msg ->
         incr delivered;
         on_receive msg)
   in
   receiver_cell := Some receiver;
-  { engine; queue; submitted = 0; delivered; sender; data_link; ack_link; receiver }
+  { engine; queue; submitted = 0; delivered; acks_sent; sender; data_link; ack_link; receiver }
 
 let send t msg =
   t.submitted <- t.submitted + 1;
@@ -90,7 +94,7 @@ let stats t =
     in_flight = t.submitted - !(t.delivered);
     data_sent = d.Ba_channel.Link.sent;
     data_dropped = d.Ba_channel.Link.dropped;
-    acks_sent = Receiver.acks_sent t.receiver;
+    acks_sent = !(t.acks_sent);
     retransmissions = Sender_multi.retransmissions t.sender;
     ticks = Ba_sim.Engine.now t.engine;
   }

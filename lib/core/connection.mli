@@ -29,7 +29,7 @@ type stats = {
   in_flight : int;  (** submitted but not yet delivered *)
   data_sent : int;
   data_dropped : int;
-  acks_sent : int;
+  acks_sent : int;  (** block acknowledgments sent; POS frames excluded *)
   retransmissions : int;
   ticks : int;
 }

@@ -26,7 +26,6 @@ type endpoint = {
      waiting for a data frame to ride on. *)
   mutable pending_ack : Ba_proto.Wire.ack option;
   mutable ack_timer : Ba_sim.Timer.t option;
-  mutable frames_sent : int;
   mutable data_frames : int;
   mutable pure_ack_frames : int;
   mutable piggybacked_acks : int;
@@ -35,7 +34,6 @@ type endpoint = {
 type t = { engine : Ba_sim.Engine.t; ea : endpoint; eb : endpoint }
 
 let transmit_frame e frame =
-  e.frames_sent <- e.frames_sent + 1;
   (match frame.seq with
   | Some _ -> e.data_frames <- e.data_frames + 1
   | None -> e.pure_ack_frames <- e.pure_ack_frames + 1);
@@ -120,7 +118,6 @@ let make_endpoint engine =
     receiver = None;
     pending_ack = None;
     ack_timer = None;
-    frames_sent = 0;
     data_frames = 0;
     pure_ack_frames = 0;
     piggybacked_acks = 0;
@@ -181,7 +178,7 @@ let stats e =
   {
     submitted = e.submitted;
     delivered = e.delivered;
-    frames_sent = e.frames_sent;
+    frames_sent = e.data_frames + e.pure_ack_frames;
     data_frames = e.data_frames;
     pure_ack_frames = e.pure_ack_frames;
     piggybacked_acks = e.piggybacked_acks;

@@ -27,7 +27,7 @@ type endpoint
 type stats = {
   submitted : int;
   delivered : int;
-  frames_sent : int;  (** all frames leaving this endpoint *)
+  frames_sent : int;  (** all frames leaving this endpoint: [data_frames + pure_ack_frames] *)
   data_frames : int;
   pure_ack_frames : int;
   piggybacked_acks : int;  (** acks that travelled on a data frame *)

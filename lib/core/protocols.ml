@@ -7,7 +7,7 @@ module Common_receiver = struct
 end
 
 (* Both block-ack senders share the receiver half of each capability. *)
-let lifecycle ~crash ~restart ~resync_rounds =
+let lifecycle ~crash ~restart =
   Some
     {
       Ba_proto.Protocol.sender_crash = crash;
@@ -15,8 +15,6 @@ let lifecycle ~crash ~restart ~resync_rounds =
       receiver_crash = Receiver.crash;
       receiver_restart = Receiver.restart;
       receiver_restore = Receiver.restore;
-      sender_resync_rounds = resync_rounds;
-      receiver_resync_rounds = Receiver.resync_rounds;
     }
 
 let overload ~mem_bytes ~clamp =
@@ -42,8 +40,7 @@ module Simple : Ba_proto.Protocol.S = struct
   let sender_outstanding = Sender.outstanding
   let sender_retransmissions = Sender.retransmissions
 
-  let lifecycle =
-    lifecycle ~crash:Sender.crash ~restart:Sender.restart ~resync_rounds:Sender.resync_rounds
+  let lifecycle = lifecycle ~crash:Sender.crash ~restart:Sender.restart
 
   let overload = overload ~mem_bytes:Sender.buffered_bytes ~clamp:Sender.clamp_window
 end
@@ -64,9 +61,7 @@ module Multi :
   let sender_outstanding = Sender_multi.outstanding
   let sender_retransmissions = Sender_multi.retransmissions
 
-  let lifecycle =
-    lifecycle ~crash:Sender_multi.crash ~restart:Sender_multi.restart
-      ~resync_rounds:Sender_multi.resync_rounds
+  let lifecycle = lifecycle ~crash:Sender_multi.crash ~restart:Sender_multi.restart
 
   let overload = overload ~mem_bytes:Sender_multi.buffered_bytes ~clamp:Sender_multi.clamp_window
 end

@@ -26,14 +26,10 @@ type t = {
   mutable alive : bool;
   mutable epoch : int;  (* incarnation; stable storage, like [nr] *)
   mutable syncing : bool;  (* restarted; POS sent, FIN (or fresh data) pending *)
-  mutable acks_sent : int;
   mutable dup_acks_sent : int;
   mutable corrupt_dropped : int;
   mutable pressure_dropped : int;  (* fresh in-window frames refused for buffer-full *)
   mutable pressure_evicted : int;  (* buffered frames evicted by Drop_furthest *)
-  mutable stale_epoch_dropped : int;
-  mutable resync_rounds : int;  (* handshake frames sent (POS) *)
-  mutable restarts : int;
 }
 
 let capacity t = Array.length t.buf_seq
@@ -80,7 +76,6 @@ let buf_clear t =
   t.buf_occ <- 0
 
 let send_ack t ~lo ~hi =
-  t.acks_sent <- t.acks_sent + 1;
   t.tx
     (Ba_proto.Wire.make_ack_e ~epoch:t.epoch ~lo:(Seqcodec.encode t.codec lo)
        ~hi:(Seqcodec.encode t.codec hi))
@@ -88,10 +83,8 @@ let send_ack t ~lo ~hi =
 (* Handshake message 2 (POS): "my stable delivered count is [nr]; resume
    there". Sent in reply to a REQ, and spontaneously (with retries) after
    our own restart — the receiver is the position authority, so its
-   restart skips REQ. Not counted in [acks_sent]: that is the paper's
-   acknowledgment-economy metric and resync frames are not acks. *)
+   restart skips REQ. *)
 let rec send_pos t =
-  t.resync_rounds <- t.resync_rounds + 1;
   t.tx (Ba_proto.Wire.make_sync_pos ~epoch:t.epoch ~pos:t.nr);
   if t.syncing then Ba_sim.Timer.start (sync_timer t)
 
@@ -152,14 +145,10 @@ let create engine config ~tx ~deliver =
     alive = true;
     epoch = 0;
     syncing = false;
-    acks_sent = 0;
     dup_acks_sent = 0;
     corrupt_dropped = 0;
     pressure_dropped = 0;
     pressure_evicted = 0;
-    stale_epoch_dropped = 0;
-    resync_rounds = 0;
-    restarts = 0;
   }
 
 (* The sender restarted into a later incarnation (we learn it from any
@@ -223,8 +212,7 @@ let on_data t d =
     t.corrupt_dropped <- t.corrupt_dropped + 1
   else begin
     let epochs = t.config.Config.resync_epochs in
-    if epochs && d.Ba_proto.Wire.epoch < t.epoch then
-      t.stale_epoch_dropped <- t.stale_epoch_dropped + 1
+    if epochs && d.Ba_proto.Wire.epoch < t.epoch then ()
     else begin
       if epochs && d.Ba_proto.Wire.epoch > t.epoch then adopt_epoch t d.Ba_proto.Wire.epoch;
       match d.Ba_proto.Wire.dkind with
@@ -294,7 +282,6 @@ let crash t =
 let restart t =
   if not t.alive then begin
     t.alive <- true;
-    t.restarts <- t.restarts + 1;
     if t.config.Config.resync_epochs then begin
       t.epoch <- t.epoch + 1;
       t.syncing <- true;
@@ -326,7 +313,6 @@ let restore t ~epoch ~pos =
   t.epoch <- epoch;
   t.nr <- pos;
   t.vr <- pos;
-  t.restarts <- t.restarts + 1;
   t.syncing <- true;
   send_pos t
 
@@ -342,10 +328,6 @@ let buffered_bytes t =
 
 let pressure_dropped t = t.pressure_dropped
 let pressure_evicted t = t.pressure_evicted
-let acks_sent t = t.acks_sent
 let dup_acks_sent t = t.dup_acks_sent
 let corrupt_dropped t = t.corrupt_dropped
 let syncing t = t.syncing
-let stale_epoch_dropped t = t.stale_epoch_dropped
-let resync_rounds t = t.resync_rounds
-let restarts t = t.restarts

@@ -47,10 +47,8 @@ val pressure_evicted : t -> int
 (** Buffered out-of-order frames evicted by [Drop_furthest] to admit a
     frame nearer the delivery frontier. Likewise never acknowledged. *)
 
-val acks_sent : t -> int
 val dup_acks_sent : t -> int
-(** Singleton re-acknowledgments of old duplicates (subset of
-    [acks_sent]). *)
+(** Singleton re-acknowledgments of old duplicates. *)
 
 val corrupt_dropped : t -> int
 (** Data frames discarded because their checksum failed
@@ -94,11 +92,3 @@ val restore : t -> epoch:int -> pos:int -> unit
 
 val syncing : t -> bool
 (** Restarted and still announcing POS (no FIN / fresh data yet). *)
-
-val stale_epoch_dropped : t -> int
-(** Frames rejected because they carried an earlier incarnation's epoch. *)
-
-val resync_rounds : t -> int
-(** Handshake frames (POS) sent, including retries. *)
-
-val restarts : t -> int

@@ -136,14 +136,6 @@ module type S = sig
 
   val syncing : t -> bool
   (** Restarted and still awaiting the receiver's POS. *)
-
-  val stale_epoch_dropped : t -> int
-  (** Acknowledgments rejected for carrying a dead incarnation's epoch. *)
-
-  val resync_rounds : t -> int
-  (** Handshake frames (REQ + FIN) sent, including retries. *)
-
-  val restarts : t -> int
 end
 
 module Make (P : TIMERS) : sig
@@ -183,9 +175,6 @@ end = struct
     mutable syncing : bool;  (* restarted; REQ sent, POS pending *)
     mutable retransmissions : int;
     mutable corrupt_acks_dropped : int;
-    mutable stale_epoch_dropped : int;
-    mutable resync_rounds : int;  (* handshake frames sent (REQ + FIN) *)
-    mutable restarts : int;
     mutable wclamp : int option;
         (* externally imposed window clamp (fabric backpressure); survives
            crash–restart because the pressure is outside this endpoint *)
@@ -279,7 +268,6 @@ end = struct
      its outbox the receiver already delivered; ask. Retried on a timer
      until POS arrives. *)
   let rec send_req t =
-    t.resync_rounds <- t.resync_rounds + 1;
     t.tx (Ba_proto.Wire.make_sync_req ~epoch:t.epoch);
     Ba_sim.Timer.start (sync_timer t)
 
@@ -294,9 +282,7 @@ end = struct
         t.sync_timer <- Some timer;
         timer
 
-  let send_fin t =
-    t.resync_rounds <- t.resync_rounds + 1;
-    t.tx (Ba_proto.Wire.make_sync_fin ~epoch:t.epoch)
+  let send_fin t = t.tx (Ba_proto.Wire.make_sync_fin ~epoch:t.epoch)
 
   let create ?lead engine config ~tx ~next_payload =
     Config.validate config;
@@ -333,9 +319,6 @@ end = struct
           syncing = false;
           retransmissions = 0;
           corrupt_acks_dropped = 0;
-          stale_epoch_dropped = 0;
-          resync_rounds = 0;
-          restarts = 0;
           wclamp = None;
         }
     in
@@ -383,7 +366,6 @@ end = struct
   let restart t =
     if not t.alive then begin
       t.alive <- true;
-      t.restarts <- t.restarts + 1;
       if t.config.Config.resync_epochs then begin
         t.epoch <- t.epoch + 1;
         t.syncing <- true;
@@ -420,8 +402,7 @@ end = struct
       t.corrupt_acks_dropped <- t.corrupt_acks_dropped + 1
     else begin
       let epochs = t.config.Config.resync_epochs in
-      if epochs && a.Ba_proto.Wire.epoch < t.epoch then
-        t.stale_epoch_dropped <- t.stale_epoch_dropped + 1
+      if epochs && a.Ba_proto.Wire.epoch < t.epoch then ()
       else if epochs && a.Ba_proto.Wire.epoch > t.epoch then begin
         (* Only a restarted receiver mints a higher epoch, and it only
            sends POS until we confirm — adopt its epoch and position. *)
@@ -434,7 +415,7 @@ end = struct
             resync_to t a.Ba_proto.Wire.lo;
             send_fin t;
             pump t
-        | Ba_proto.Wire.Ack -> t.stale_epoch_dropped <- t.stale_epoch_dropped + 1
+        | Ba_proto.Wire.Ack -> ()
       end
       else begin
         match a.Ba_proto.Wire.akind with
@@ -512,8 +493,5 @@ end = struct
   let alive t = t.alive
   let epoch t = t.epoch
   let syncing t = t.syncing
-  let stale_epoch_dropped t = t.stale_epoch_dropped
-  let resync_rounds t = t.resync_rounds
-  let restarts t = t.restarts
   let timers t = t.timers
 end

@@ -45,11 +45,11 @@ module Server = struct
     misordered : int ref;
     corrupted : int ref;
     acks : int ref;
+    handshakes : int ref;  (* POS frames sent *)
     stray : int ref;
     peer : Unix.sockaddr option ref;
     shim : Shim.t;
     feed : W.data -> unit;
-    resync_rounds_ : unit -> int;
   }
 
   let create ~engine ~protocol:(module P : Ba_proto.Protocol.S) ~config ~messages
@@ -67,7 +67,8 @@ module Server = struct
     and dups = ref 0
     and misordered = ref 0
     and corrupted = ref 0
-    and acks = ref 0 in
+    and acks = ref 0
+    and handshakes = ref 0 in
     let notify () =
       match on_deliver with
       | Some f -> f ~epoch:!epoch ~pos:!next ~digest:!dig
@@ -116,6 +117,7 @@ module Server = struct
     let flush_slot = Ba_sim.Engine.slot_create engine flush in
     let tx (a : W.ack) =
       if a.W.epoch > !epoch then epoch := a.W.epoch;
+      if a.W.akind = W.Sync_pos then incr handshakes;
       if not merge then send_ack a
       else if
         !held && W.ack_extends ~wire_modulus ~cap ~lo:!h_lo ~hi:!h_hi ~epoch:!h_epoch a
@@ -151,12 +153,11 @@ module Server = struct
       misordered;
       corrupted;
       acks;
+      handshakes;
       stray = ref 0;
       peer;
       shim;
       feed = (fun d -> P.receiver_on_data r d);
-      resync_rounds_ =
-        (fun () -> match P.lifecycle with Some l -> l.receiver_resync_rounds r | None -> 0);
     }
 
   let on_frame t frame from =
@@ -178,7 +179,7 @@ module Server = struct
   let corrupted t = !(t.corrupted)
   let acks_sent t = !(t.acks)
   let stray_frames t = !(t.stray)
-  let resync_rounds t = t.resync_rounds_ ()
+  let resync_rounds t = !(t.handshakes)
   let shim_stats t = Shim.stats t.shim
 end
 
@@ -233,9 +234,9 @@ module Client = struct
     pump_ : unit -> unit;
     done_ : unit -> bool;
     retx_ : unit -> int;
-    resync_rounds_ : unit -> int;
     outstanding_ : unit -> int;
     data_frames : int ref;
+    handshakes : int ref;  (* REQ and FIN frames sent *)
     stray : int ref;
   }
 
@@ -248,7 +249,8 @@ module Client = struct
     (* One data frame; a larger payload grows it. *)
     let buf = ref (Bytes.create (Codec.data_header_len + payload_size)) in
     let pulled = ref 0
-    and data_frames = ref 0 in
+    and data_frames = ref 0
+    and handshakes = ref 0 in
     let pulls = Pull_log.create () in
     let sender = ref None in
     let supply = Ba_proto.Workload.supplier ~seed:wseed ~size:payload_size ~count:messages in
@@ -268,6 +270,7 @@ module Client = struct
       P.create_sender engine config
         ~tx:(fun d ->
           incr data_frames;
+          (match d.W.dkind with W.Msg -> () | W.Sync_req | W.Sync_fin -> incr handshakes);
           let n = Codec.data_header_len + String.length d.W.payload in
           if Bytes.length !buf < n then buf := Bytes.create n;
           let len = Codec.encode !buf (Codec.Data d) in
@@ -324,10 +327,9 @@ module Client = struct
       pump_ = (fun () -> P.sender_pump s);
       done_ = (fun () -> P.sender_done s);
       retx_ = (fun () -> P.sender_retransmissions s);
-      resync_rounds_ =
-        (fun () -> match P.lifecycle with Some l -> l.sender_resync_rounds s | None -> 0);
       outstanding_ = (fun () -> P.sender_outstanding s);
       data_frames;
+      handshakes;
       stray = ref 0;
     }
 
@@ -347,7 +349,7 @@ module Client = struct
   let data_frames t = !(t.data_frames)
   let stray_frames t = !(t.stray)
   let retransmissions t = t.retx_ ()
-  let resync_rounds t = t.resync_rounds_ ()
+  let resync_rounds t = !(t.handshakes)
   let watchdog_resyncs t = !(t.wd_resyncs)
   let quarantines t = Ba_proto.Watchdog.quarantine_events t.dog
   let watchdog_state t = Ba_proto.Watchdog.state t.dog

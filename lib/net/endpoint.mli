@@ -104,6 +104,9 @@ module Server : sig
       {!Driver}. *)
 
   val resync_rounds : t -> int
+  (** POS handshake frames the receiver sent, retries included, counted
+      as they leave it. *)
+
   val shim_stats : t -> Shim.stats
 end
 
@@ -163,7 +166,10 @@ module Client : sig
 
   val stray_frames : t -> int
   val retransmissions : t -> int
+
   val resync_rounds : t -> int
+  (** REQ and FIN handshake frames the sender sent, retries included,
+      counted as they leave it. *)
 
   val watchdog_resyncs : t -> int
   (** Watchdog-initiated sender resyncs (Release re-syncs included). *)

@@ -8,12 +8,11 @@
    link's arena tag column (and the lease ring's), so the tag costs no
    allocation and faults mangle frames, never the demultiplexing.
    Per-flow state is flat: one strided int array of counters, prefix
-   offsets into cell-wide message bitsets and flight rings, and
-   per-protocol endpoint arrays behind a single dispatch. *)
+   offsets into cell-wide flight rings, and per-protocol endpoint arrays
+   behind a single dispatch. Nothing is sized by the transfer. *)
 
 module Engine = Ba_sim.Engine
 module Link = Ba_channel.Link
-module Bitset = Ba_util.Bitset
 module Stats = Ba_util.Stats
 module Qsketch = Ba_util.Qsketch
 
@@ -279,10 +278,11 @@ let k_acks_sent = 7
 let k_retx_bytes = 8
 let k_crashes = 9
 let k_restarts = 10
-let k_completed_at = 11  (* -1 until the flow completes *)
-let k_departed_at = 12  (* -1 unless the flow left mid-transfer *)
-let k_gate = 13  (* 0 open, 1 quarantined, 2 closed at its stop_at *)
-let stride = 14
+let k_resync_rounds = 11  (* REQ and FIN frames offered to the data link, POS to the ack link *)
+let k_completed_at = 12  (* -1 until the flow completes *)
+let k_departed_at = 13  (* -1 unless the flow left mid-transfer *)
+let k_gate = 14  (* 0 open, 1 quarantined, 2 closed at its stop_at *)
+let stride = 15
 
 type t = {
   engine : Engine.t;
@@ -294,12 +294,10 @@ type t = {
   clamp : int option;
   deadline : int;
   wseed : int -> int;  (* workload seed of flow i *)
-  msg_base : int array;  (* flow i owns message bits [msg_base.(i), msg_base.(i+1)) *)
+  msg_base : int array;  (* flow i's messages are [msg_base.(i), msg_base.(i+1)) cell-wide *)
   ring_base : int array;  (* flow i owns ring slots [ring_base.(i), ring_base.(i+1)) *)
   st : int array;
-  seen : Bitset.t;  (* message delivered *)
-  sent_once : Bitset.t;  (* message transmitted *)
-  pull_tick : int array;  (* ring slot's pull tick *)
+  pull_tick : int array;  (* ring slot's pull tick, complemented once the message is sent *)
   pulled : string array;  (* ring slot's payload from pull to first delivery, else "" *)
   spill : (int, int * string) Hashtbl.t;  (* message -> pull that lapped its ring undelivered *)
   mutable spilled : int;  (* pulls ever moved to [spill] *)
@@ -384,7 +382,14 @@ let check_done c i =
    protocol's undelivered pulls lie in its sender's band [na, ns), so a
    band of at most 2w never laps; only a wider band, or a broken
    protocol that delivers something else in a message's place and moves
-   on, gets there. *)
+   on, gets there.
+
+   The ring and the spill table are all the per-message state there is.
+   A message is delivered iff it was pulled ([k < k_next_msg]) and its
+   pull is no longer pending in either. A pull tick is stored as is
+   until the message is first offered to the link and complemented from
+   then on, so its sign is the "sent" mark and travels into [spill] with
+   it. *)
 
 let ring_slot c i k =
   let base = c.ring_base.(i) in
@@ -398,28 +403,30 @@ let in_ring c i k =
   if String.length p > 0 && Workload.index p = k then s else -1
 
 let spilled_pull c m = if Hashtbl.length c.spill = 0 then None else Hashtbl.find_opt c.spill m
+let tick_of t = if t < 0 then lnot t else t
 
 (* A payload is checked against the copy its sender pulled while that
-   copy is still in flight, and regenerated from the workload after. *)
-let valid c i k m s payload =
+   copy is still in flight (ring slot [s], or [spilled]), and
+   regenerated from the workload after. *)
+let valid c i k s spilled payload =
   if s >= 0 then String.equal c.pulled.(s) payload
   else
-    match spilled_pull c m with
+    match spilled with
     | Some (_, p) -> String.equal p payload
     | None -> Workload.matches ~seed:(c.wseed i) ~size:c.specs.(i).payload_size k payload
 
 (* Message [m]'s pull tick, its pull consumed by the first delivery; -1
    for a message never pulled. *)
-let take_pull c m s =
+let take_pull c m s spilled =
   if s >= 0 then begin
     c.pulled.(s) <- "";
-    c.pull_tick.(s)
+    tick_of c.pull_tick.(s)
   end
   else
-    match spilled_pull c m with
+    match spilled with
     | Some (t0, _) ->
         Hashtbl.remove c.spill m;
-        t0
+        tick_of t0
     | None -> -1
 
 let record_latency c i dt =
@@ -441,14 +448,15 @@ let deliver c i payload =
   if k < 0 || k >= c.specs.(i).messages then add c i k_corrupted 1
   else begin
     let m = c.msg_base.(i) + k and s = in_ring c i k in
-    if not (valid c i k m s payload) then add c i k_corrupted 1
-    else if Bitset.mem c.seen m then add c i k_duplicates 1
+    let spilled = if s >= 0 then None else spilled_pull c m in
+    if not (valid c i k s spilled payload) then add c i k_corrupted 1
+    else if s < 0 && Option.is_none spilled && k < get c i k_next_msg then
+      add c i k_duplicates 1
     else begin
-      Bitset.set c.seen m;
       add c i k_delivered 1;
       let now = Engine.now c.engine in
       resolve_restarts c i ~now;
-      let t0 = take_pull c m s in
+      let t0 = take_pull c m s spilled in
       if t0 >= 0 then record_latency c i (now - t0);
       if k <> get c i k_next_expected then add c i k_misordered 1;
       set c i k_next_expected (k + 1)
@@ -473,20 +481,34 @@ let next_payload c i =
   end
 
 (* Workload payloads are unique per message, so a second transmission
-   of the same index is a retransmitted copy. Handshake frames carry no
-   payload and are excluded, as are payloads outside the flow's
-   workload. *)
+   of the same index is a retransmitted copy: its pull is already
+   consumed by a delivery, or carries the sent mark. Payloads outside
+   the flow's workload are not counted. *)
+let note_sent c i d =
+  let k = Workload.index d.Wire.payload in
+  if k >= 0 && k < c.specs.(i).messages then begin
+    let s = in_ring c i k and m = c.msg_base.(i) + k in
+    let resent =
+      if s >= 0 then begin
+        let t = c.pull_tick.(s) in
+        if t >= 0 then c.pull_tick.(s) <- lnot t;
+        t < 0
+      end
+      else
+        match spilled_pull c m with
+        | Some (t, p) ->
+            if t >= 0 then Hashtbl.replace c.spill m (lnot t, p);
+            t < 0
+        | None -> k < get c i k_next_msg
+    in
+    if resent then add c i k_retx_bytes (Wire.data_bytes d)
+  end
+
 let offer_data c i d =
   add c i k_data_sent 1;
   (match d.Wire.dkind with
-  | Wire.Msg ->
-      let k = Workload.index d.Wire.payload in
-      if k >= 0 && k < c.specs.(i).messages then begin
-        let m = c.msg_base.(i) + k in
-        if Bitset.mem c.sent_once m then add c i k_retx_bytes (Wire.data_bytes d)
-        else Bitset.set c.sent_once m
-      end
-  | Wire.Sync_req | Wire.Sync_fin -> ());
+  | Wire.Msg -> note_sent c i d
+  | Wire.Sync_req | Wire.Sync_fin -> add c i k_resync_rounds 1);
   if gated c i then Wire.release_data d
   else
     match c.data_lease with
@@ -495,6 +517,7 @@ let offer_data c i d =
 
 let offer_ack c i a =
   add c i k_acks_sent 1;
+  (match a.Wire.akind with Wire.Sync_pos -> add c i k_resync_rounds 1 | Wire.Ack -> ());
   if gated c i then Wire.release_ack a else Link.send_tagged c.ack_link i a
 
 let on_data c i d = if running c i then c.group.(i).on_data c.gslot.(i) d
@@ -674,8 +697,6 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
       msg_base;
       ring_base;
       st;
-      seen = Bitset.create ~initial_capacity:(max 1 total_msgs) ();
-      sent_once = Bitset.create ~initial_capacity:(max 1 total_msgs) ();
       pull_tick = Array.make ring_slots 0;
       pulled = Array.make ring_slots "";
       spill = Hashtbl.create 1;
@@ -864,10 +885,7 @@ let flow_result c i =
     efficiency = (if data_sent = 0 then 0. else float_of_int delivered /. float_of_int data_sent);
     crashes = get c i k_crashes;
     restarts = get c i k_restarts;
-    resync_rounds =
-      (match g.lever with
-      | Some (Lever (l, s, r)) -> l.sender_resync_rounds (s k) + l.receiver_resync_rounds (r k)
-      | None -> 0);
+    resync_rounds = get c i k_resync_rounds;
     resync_ticks = Option.bind (Hashtbl.find_opt c.resync i) summary;
     retx_bytes = get c i k_retx_bytes;
     pressure_drops = g.pressure_drops k;

@@ -14,15 +14,17 @@
     nothing and faults mangle frames, never the demultiplexing. Per-flow
     state is flat arrays, not per-flow records.
 
-    The accounting is sized to the flight, not to the transfer: per
-    message, a cell keeps only two bits (delivered, transmitted). Each
+    The accounting is sized to the flight, not to the transfer. Each
     flow's pulled-but-undelivered payloads and their pull ticks sit in a
     ring of [min messages (2 · window)] slots, which covers every
     registry protocol's flight band, Section VI's included. A pull that
     laps an undelivered one (a wider band, or a broken protocol that
     skips a message) parks the older pull in a cell-wide spill table
-    ({!spilled}), so verdicts stay exact for any protocol. Latencies are
-    recorded at first delivery.
+    ({!spilled}), so verdicts stay exact for any protocol. A message is
+    delivered iff it was pulled and its pull has left both; a pull tick
+    also carries whether its message was sent, which is how a
+    retransmitted copy is told from a first one. Latencies are recorded
+    at first delivery.
 
     A cell is a pure function of its arguments: links split the engine's
     random stream in creation order (data, then ack), endpoints are built

@@ -3,7 +3,14 @@
 
     {!Harness.run} returns one; {!Fabric.run} returns one per admitted
     flow; both are built by [Cell.flow_result], so every check written
-    against harness output also reads fabric output. *)
+    against harness output also reads fabric output.
+
+    Five fields are link-attributed: [data_dropped],
+    [data_queue_dropped], [data_reordered], [data_outage_drops] and
+    [acks_dropped]. {!Harness.run}'s flow owns its links and reads them
+    off their counters. They are 0 for Fabric and Shard flows, whose
+    links are shared: there the counts are per link, in
+    [Fabric.result]'s [data_stats] and [ack_stats]. *)
 
 type result = {
   protocol : string;
@@ -14,12 +21,12 @@ type result = {
   duplicates : int;  (** deliveries of an already-delivered payload *)
   misordered : int;  (** deliveries that broke application order *)
   corrupted : int;  (** deliveries of an unparseable payload *)
-  data_sent : int;
+  data_sent : int;  (** data-link frames: payloads and REQ/FIN handshake frames *)
   data_dropped : int;
   data_queue_dropped : int;  (** tail drops at the data-link bottleneck *)
   data_reordered : int;  (** wire-level overtakings on the data link *)
   data_outage_drops : int;  (** data frames lost to scheduled outages *)
-  acks_sent : int;
+  acks_sent : int;  (** every ack-link frame: acknowledgments and POS handshake frames *)
   acks_dropped : int;
   retransmissions : int;
   goodput : float;  (** delivered payloads per 1000 ticks *)
@@ -34,7 +41,9 @@ type result = {
   efficiency : float;  (** delivered / data_sent: 1.0 means no waste *)
   crashes : int;  (** endpoint crashes injected into this flow *)
   restarts : int;  (** endpoint restarts *)
-  resync_rounds : int;  (** handshake frames (REQ/POS/FIN) sent, retries included *)
+  resync_rounds : int;
+      (** handshake frames (REQ/POS/FIN) sent, retries included, counted
+          where the cell hands them to its links *)
   resync_ticks : Ba_util.Stats.summary option;
       (** per-restart recovery time: restart tick to the next in-order
           delivery (or completion); [None] when nothing restarted *)

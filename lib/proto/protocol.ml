@@ -30,9 +30,6 @@ type ('s, 'r) lifecycle = {
           new incarnation [epoch] (persisted + 1), then run the POS
           handshake — the cross-process analogue of
           [receiver_crash]+[receiver_restart]. *)
-  sender_resync_rounds : 's -> int;
-      (** Handshake frames this sender sent while resynchronising. *)
-  receiver_resync_rounds : 'r -> int;
 }
 (** Crash–restart lifecycle: faulting the processes, not just the
     channel. What restart means is the protocol's business: the

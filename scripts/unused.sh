@@ -1,7 +1,9 @@
 #!/bin/sh
 # Exported values nothing outside their own module uses: each top-level
 # `val` of every lib/**/*.mli, checked against the OCaml sources of the
-# other modules (lib, bin, bench, examples, test). Two groups:
+# other modules (lib, bin, bench, examples, test), and each `val` of a
+# `module type NAME = sig ... end` block in a lib/**/*.ml file. Two
+# groups:
 #
 #   nowhere     no other module references it: delete it, or drop it
 #               from the .mli if its own module still needs it
@@ -13,6 +15,9 @@
 # matches Ba_util.Stats.mean_of), the name qualified by a module that
 # includes Stats, S.mean_of in a file that says `module S = Stats`, or
 # the bare name (not a label) in a file that opens or includes Stats.
+# A signature's value is reached through whatever module implements it,
+# so a reference to Sender_core.S.restarts is the name qualified by any
+# module (Sender.restarts, P.restarts), in any file, its own included.
 # The match is textual, so a listed value is a lead, not a proof.
 set -eu
 cd "$(dirname "$0")/.."
@@ -64,6 +69,38 @@ for mli in $(echo "$sources" | grep -E '^lib/.*\.mli$'); do
     fi
   done
 done
+
+# "NAME val" for each value declared in a `module type NAME = sig`
+# block of the .ml file $1; the block ends at the `end` indented like
+# its opening line.
+sig_vals() {
+  awk '
+    /^ *module type [A-Z][A-Za-z0-9_\047]* *= *sig *$/ {
+      ind = index($0, "module"); name = $3; next
+    }
+    name != "" && /^ *end/ && index($0, "end") == ind { name = ""; next }
+    name != "" && /^ *val [a-z_][A-Za-z0-9_\047]* *:/ {
+      v = $0; sub(/^ *val /, "", v); sub(/[ :].*/, "", v); print name, v
+    }' "$1"
+}
+
+sig_unused=$(
+  for ml in $(echo "$sources" | grep -E '^lib/.*\.ml$'); do
+    m=$(modname "$ml")
+    sig_vals "$ml" | while read -r s v; do
+      users=$(matching "$sources" -e "(^|[^A-Za-z0-9_'])[A-Z]$id*\\.$v$end")
+      if [ -z "$users" ]; then echo "nowhere $m.$s.$v ($ml)"
+      elif ! echo "$users" | grep -qv '^test/'; then echo "tests $m.$s.$v ($ml)"
+      fi
+    done
+  done
+)
+n=$(echo "$sig_unused" | sed -n 's/^nowhere /  /p')
+t=$(echo "$sig_unused" | sed -n 's/^tests /  /p')
+if [ -n "$n" ]; then nowhere="$nowhere$n
+"; fi
+if [ -n "$t" ]; then tests="$tests$t
+"; fi
 
 printf 'nowhere:\n%s' "${nowhere:-  (none)
 }"

@@ -696,8 +696,6 @@ module Ref_multi : Ba_proto.Protocol.S = struct
            equivalence runs never exercise it. *)
         receiver_restore =
           (fun _ ~epoch:_ ~pos:_ -> invalid_arg "Ref_multi: receiver_restore not supported");
-        sender_resync_rounds = Ref_impl.Sender_multi.resync_rounds;
-        receiver_resync_rounds = Ref_impl.Receiver.resync_rounds;
       }
 
   let overload =

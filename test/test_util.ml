@@ -1,5 +1,5 @@
 (* Unit and property tests for ba_util: rng, modseq, ring buffer,
-   bitset, stats, histogram, table, qsketch. *)
+   stats, histogram, table, qsketch. *)
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -264,66 +264,6 @@ let test_ring_invalid_capacity () =
   Alcotest.check_raises "zero capacity"
     (Invalid_argument "Ring_buffer.create: capacity must be positive") (fun () ->
       ignore (Ba_util.Ring_buffer.create 0))
-
-(* ------------------------------------------------------------------ *)
-(* Bitset *)
-
-let test_bitset_basic () =
-  let b = Ba_util.Bitset.create () in
-  check Alcotest.bool "initially empty" false (Ba_util.Bitset.mem b 0);
-  Ba_util.Bitset.set b 0;
-  Ba_util.Bitset.set b 63;
-  Ba_util.Bitset.set b 64;
-  check Alcotest.bool "mem 0" true (Ba_util.Bitset.mem b 0);
-  check Alcotest.bool "mem 63" true (Ba_util.Bitset.mem b 63);
-  check Alcotest.bool "mem 64" true (Ba_util.Bitset.mem b 64);
-  check Alcotest.bool "mem 1" false (Ba_util.Bitset.mem b 1);
-  check Alcotest.int "cardinal" 3 (Ba_util.Bitset.cardinal b)
-
-let test_bitset_growth () =
-  let b = Ba_util.Bitset.create ~initial_capacity:1 () in
-  Ba_util.Bitset.set b 10_000;
-  check Alcotest.bool "grown" true (Ba_util.Bitset.mem b 10_000);
-  check Alcotest.bool "beyond capacity false" false (Ba_util.Bitset.mem b 20_000)
-
-let test_bitset_unset () =
-  let b = Ba_util.Bitset.create () in
-  Ba_util.Bitset.set b 5;
-  Ba_util.Bitset.set b 5;
-  check Alcotest.int "idempotent set" 1 (Ba_util.Bitset.cardinal b);
-  Ba_util.Bitset.unset b 5;
-  check Alcotest.bool "unset" false (Ba_util.Bitset.mem b 5);
-  Ba_util.Bitset.unset b 5;
-  check Alcotest.int "idempotent unset" 0 (Ba_util.Bitset.cardinal b)
-
-let test_bitset_iter_order () =
-  let b = Ba_util.Bitset.create () in
-  List.iter (Ba_util.Bitset.set b) [ 100; 3; 64; 7 ];
-  let collected = ref [] in
-  Ba_util.Bitset.iter (fun i -> collected := i :: !collected) b;
-  check (Alcotest.list Alcotest.int) "increasing order" [ 3; 7; 64; 100 ] (List.rev !collected);
-  check (Alcotest.option Alcotest.int) "max" (Some 100) (Ba_util.Bitset.max_set b)
-
-let prop_bitset_matches_reference =
-  QCheck.Test.make ~name:"bitset agrees with a reference set" ~count:200
-    QCheck.(list (pair bool (int_bound 500)))
-    (fun ops ->
-      let b = Ba_util.Bitset.create () in
-      let reference = Hashtbl.create 16 in
-      List.iter
-        (fun (add, i) ->
-          if add then begin
-            Ba_util.Bitset.set b i;
-            Hashtbl.replace reference i ()
-          end
-          else begin
-            Ba_util.Bitset.unset b i;
-            Hashtbl.remove reference i
-          end)
-        ops;
-      Ba_util.Bitset.cardinal b = Hashtbl.length reference
-      && List.for_all (fun i -> Ba_util.Bitset.mem b i = Hashtbl.mem reference i)
-           (List.init 501 (fun i -> i)))
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
@@ -613,14 +553,6 @@ let () =
           Alcotest.test_case "remove and iter" `Quick test_ring_remove_and_iter;
           Alcotest.test_case "clear" `Quick test_ring_clear;
           Alcotest.test_case "invalid capacity" `Quick test_ring_invalid_capacity;
-        ] );
-      ( "bitset",
-        [
-          Alcotest.test_case "basic" `Quick test_bitset_basic;
-          Alcotest.test_case "growth" `Quick test_bitset_growth;
-          Alcotest.test_case "unset" `Quick test_bitset_unset;
-          Alcotest.test_case "iter order" `Quick test_bitset_iter_order;
-          qcheck prop_bitset_matches_reference;
         ] );
       ( "stats",
         [
