@@ -2,9 +2,11 @@ module Wire = Ba_proto.Wire
 module Config = Ba_proto.Proto_config
 
 type sender = {
+  engine : Ba_sim.Engine.t;
+  rto : int;
   tx : Wire.data -> unit;
   source : Ba_proto.Source.t;  (* its one held position is in flight, awaiting its ack *)
-  timer : Ba_sim.Timer.t;
+  timer : Ba_sim.Engine.slot;
   mutable bit : int;
   mutable retransmissions : int;
 }
@@ -20,7 +22,7 @@ let in_flight s = Ba_proto.Source.base s.source < Ba_proto.Source.issued s.sourc
 let transmit s =
   let payload = Ba_proto.Source.get s.source (Ba_proto.Source.base s.source) in
   s.tx (Wire.make_data ~seq:s.bit ~payload);
-  Ba_sim.Timer.start s.timer
+  Ba_sim.Engine.slot_arm s.engine s.timer ~delay:s.rto
 
 let pump s =
   if not (in_flight s) then begin
@@ -39,11 +41,11 @@ let create_sender engine config ~tx ~next_payload =
   let rec s =
     lazy
       {
+        engine;
+        rto = config.Config.rto;
         tx;
         source;
-        timer =
-          Ba_sim.Timer.create engine ~duration:config.Config.rto (fun () ->
-              on_timeout (Lazy.force s));
+        timer = Ba_sim.Engine.slot_create engine (fun () -> on_timeout (Lazy.force s));
         bit = 0;
         retransmissions = 0;
       }
@@ -54,7 +56,7 @@ let sender_on_ack s { Wire.lo; hi = _; _ } =
   if in_flight s && lo = s.bit then begin
     Ba_proto.Source.release s.source ~below:(Ba_proto.Source.issued s.source);
     s.bit <- 1 - s.bit;
-    Ba_sim.Timer.stop s.timer;
+    Ba_sim.Engine.slot_cancel s.engine s.timer;
     pump s
   end
 

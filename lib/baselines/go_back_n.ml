@@ -3,9 +3,10 @@ module Config = Ba_proto.Proto_config
 
 type sender = {
   config : Config.t;
+  engine : Ba_sim.Engine.t;
   tx : Wire.data -> unit;
   source : Ba_proto.Source.t;  (* the outbox: payload of [seq] at position [seq] *)
-  timer : Ba_sim.Timer.t;
+  timer : Ba_sim.Engine.slot;
   mutable na : int;
   mutable ns : int;
   mutable retransmissions : int;
@@ -27,7 +28,7 @@ let encode config seq =
 
 let transmit s seq =
   s.tx (Wire.make_data ~seq:(encode s.config seq) ~payload:(Ba_proto.Source.get s.source seq));
-  Ba_sim.Timer.start s.timer
+  Ba_sim.Engine.slot_arm s.engine s.timer ~delay:s.config.Config.rto
 
 let outstanding s = s.ns - s.na
 
@@ -57,11 +58,10 @@ let create_sender engine config ~tx ~next_payload =
     lazy
       {
         config;
+        engine;
         tx;
         source;
-        timer =
-          Ba_sim.Timer.create engine ~duration:config.Config.rto (fun () ->
-              on_timeout (Lazy.force s));
+        timer = Ba_sim.Engine.slot_create engine (fun () -> on_timeout (Lazy.force s));
         na = 0;
         ns = 0;
         retransmissions = 0;
@@ -93,7 +93,7 @@ let sender_on_ack s { Wire.hi; lo = _; _ } =
            would wrap to a negative [na]. *)
         s.na <- min y (s.ns - 1) + 1;
         Ba_proto.Source.release s.source ~below:s.na;
-        if outstanding s = 0 then Ba_sim.Timer.stop s.timer;
+        if outstanding s = 0 then Ba_sim.Engine.slot_cancel s.engine s.timer;
         pump s
       end
 

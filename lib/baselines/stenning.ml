@@ -8,7 +8,7 @@ type sender = {
   tx : Wire.data -> unit;
   source : Ba_proto.Source.t;  (* the outbox: payload of [seq] at position [seq] *)
   acked : unit Ba_util.Ring_buffer.t;
-  timers : Ba_sim.Timer.t option array;  (* per [seq mod window], built on first use *)
+  timers : Ba_sim.Engine.slot option array;  (* per [seq mod window], built on first use *)
   timer_seq : int array;  (* the seq each timer was last armed for *)
   slot_free_at : int array;  (* per wire number: earliest next use *)
   mutable pump_retry_armed : bool;
@@ -53,18 +53,15 @@ let outstanding s = s.ns - s.na
 let rec arm_timer s seq =
   let k = seq mod Array.length s.timers in
   s.timer_seq.(k) <- seq;
-  let timer =
+  let slot =
     match s.timers.(k) with
-    | Some timer -> timer
+    | Some slot -> slot
     | None ->
-        let timer =
-          Ba_sim.Timer.create s.engine ~duration:s.config.Config.rto (fun () ->
-              resend s s.timer_seq.(k))
-        in
-        s.timers.(k) <- Some timer;
-        timer
+        let slot = Ba_sim.Engine.slot_create s.engine (fun () -> resend s s.timer_seq.(k)) in
+        s.timers.(k) <- Some slot;
+        slot
   in
-  Ba_sim.Timer.start timer
+  Ba_sim.Engine.slot_arm s.engine slot ~delay:s.config.Config.rto
 
 and resend s seq =
   if seq >= s.na && seq < s.ns && not (Ba_util.Ring_buffer.mem s.acked seq) then begin
@@ -128,7 +125,9 @@ let create_sender engine config ~tx ~next_payload =
 
 let stop_timer s seq =
   let k = seq mod Array.length s.timers in
-  if s.timer_seq.(k) = seq then Option.iter Ba_sim.Timer.stop s.timers.(k)
+  match s.timers.(k) with
+  | Some slot when s.timer_seq.(k) = seq -> Ba_sim.Engine.slot_cancel s.engine slot
+  | Some _ | None -> ()
 
 (* A damaged ack (checksum mismatch) or a wire number [encode] cannot
    produce is dropped, as the block-ack sender drops both. *)

@@ -25,7 +25,7 @@ type endpoint = {
   (* The newest unflushed block acknowledgment for the reverse direction,
      waiting for a data frame to ride on. *)
   mutable pending_ack : Ba_proto.Wire.ack option;
-  mutable ack_timer : Ba_sim.Timer.t option;
+  mutable ack_slot : Ba_sim.Engine.slot option;  (* the held ack's flush, built on first hold *)
   mutable data_frames : int;
   mutable pure_ack_frames : int;
   mutable piggybacked_acks : int;
@@ -41,13 +41,16 @@ let transmit_frame e frame =
     e.piggybacked_acks <- e.piggybacked_acks + 1;
   match e.link with Some link -> Ba_channel.Link.send link frame | None -> ()
 
+let cancel_flush (e : endpoint) =
+  match e.ack_slot with Some slot -> Ba_sim.Engine.slot_cancel e.engine slot | None -> ()
+
 (* Take the pending acknowledgment (cancelling its flush timer). *)
 let take_pending_ack e =
   match e.pending_ack with
   | None -> None
   | Some _ as pack ->
       e.pending_ack <- None;
-      Option.iter Ba_sim.Timer.stop e.ack_timer;
+      cancel_flush e;
       pack
 
 let flush_pure_ack e =
@@ -71,7 +74,7 @@ let tx_ack ~piggyback_hold ~(config : Config.t) e (a : Ba_proto.Wire.ack) =
       when Ba_proto.Wire.ack_extends ~wire_modulus:config.Config.wire_modulus
              ~cap:config.Config.window ~lo:p.Ba_proto.Wire.lo ~hi:p.Ba_proto.Wire.hi
              ~epoch:p.Ba_proto.Wire.epoch a ->
-        Option.iter Ba_sim.Timer.stop e.ack_timer;
+        cancel_flush e;
         e.pending_ack <- None;
         Ba_proto.Wire.make_ack_e ~epoch:p.Ba_proto.Wire.epoch ~lo:p.Ba_proto.Wire.lo
           ~hi:a.Ba_proto.Wire.hi
@@ -84,14 +87,15 @@ let tx_ack ~piggyback_hold ~(config : Config.t) e (a : Ba_proto.Wire.ack) =
     transmit_frame e { seq = None; payload = ""; pack = Some held }
   else begin
     e.pending_ack <- Some held;
-    match e.ack_timer with
-    | Some timer -> Ba_sim.Timer.start timer
-    | None ->
-        let timer =
-          Ba_sim.Timer.create e.engine ~duration:piggyback_hold (fun () -> flush_pure_ack e)
-        in
-        e.ack_timer <- Some timer;
-        Ba_sim.Timer.start timer
+    let slot =
+      match e.ack_slot with
+      | Some slot -> slot
+      | None ->
+          let slot = Ba_sim.Engine.slot_create e.engine (fun () -> flush_pure_ack e) in
+          e.ack_slot <- Some slot;
+          slot
+    in
+    Ba_sim.Engine.slot_arm e.engine slot ~delay:piggyback_hold
   end
 
 let on_frame e frame =
@@ -117,7 +121,7 @@ let make_endpoint engine =
     sender = None;
     receiver = None;
     pending_ack = None;
-    ack_timer = None;
+    ack_slot = None;
     data_frames = 0;
     pure_ack_frames = 0;
     piggybacked_acks = 0;
@@ -127,6 +131,7 @@ let default_config = Config.make ~wire_modulus:(Some (2 * Config.default.Config.
 
 let create ?(seed = 42) ?(config = default_config) ?(piggyback_hold = 15) ?(loss = 0.)
     ?(delay = Ba_channel.Dist.Uniform (40, 60)) ~on_receive_a ~on_receive_b () =
+  if piggyback_hold < 0 then invalid_arg "Duplex.create: piggyback_hold must be >= 0";
   let engine = Ba_sim.Engine.create ~seed () in
   let ea = make_endpoint engine and eb = make_endpoint engine in
   (* Each endpoint's outbound link delivers to the peer. *)

@@ -48,7 +48,8 @@ val create :
     direction) sharing the given loss and delay. [on_receive_a] fires
     for messages arriving at A (i.e. sent by B), and vice versa.
     Defaults: {!Config.default} with a [2w] wire modulus,
-    [piggyback_hold = 15], lossless, delay [Uniform (40, 60)]. *)
+    [piggyback_hold = 15], lossless, delay [Uniform (40, 60)]. Raises
+    [Invalid_argument] when [piggyback_hold < 0]. *)
 
 val a : t -> endpoint
 val b : t -> endpoint

@@ -17,10 +17,11 @@ type t = {
   mutable buf_payload : string array;
   mutable buf_seq : int array;
   mutable buf_occ : int;
-  (* Built on first use (see [ack_timer] and [sync_timer] below): a flow
-     that never coalesces and never restarts never needs them. *)
-  mutable ack_timer : Ba_sim.Timer.t option;
-  mutable sync_timer : Ba_sim.Timer.t option;  (* POS retry while awaiting the sender's FIN *)
+  (* Engine slots built on first use (see [ack_slot] and [sync_slot]
+     below): a flow that never coalesces and never restarts never needs
+     them. *)
+  mutable ack_slot : Ba_sim.Engine.slot option;
+  mutable sync_slot : Ba_sim.Engine.slot option;  (* POS retry while awaiting the sender's FIN *)
   mutable nr : int;
   mutable vr : int;
   mutable alive : bool;
@@ -86,23 +87,26 @@ let send_ack t ~lo ~hi =
    restart skips REQ. *)
 let rec send_pos t =
   t.tx (Ba_proto.Wire.make_sync_pos ~epoch:t.epoch ~pos:t.nr);
-  if t.syncing then Ba_sim.Timer.start (sync_timer t)
+  if t.syncing then Ba_sim.Engine.slot_arm t.engine (sync_slot t) ~delay:t.config.Config.rto
 
-and sync_timer t =
-  match t.sync_timer with
-  | Some timer -> timer
+and sync_slot t =
+  match t.sync_slot with
+  | Some slot -> slot
   | None ->
-      let timer =
-        Ba_sim.Timer.create t.engine ~duration:t.config.Config.rto (fun () ->
-            if t.alive && t.syncing then send_pos t)
+      let slot =
+        Ba_sim.Engine.slot_create t.engine (fun () -> if t.alive && t.syncing then send_pos t)
       in
-      t.sync_timer <- Some timer;
-      timer
+      t.sync_slot <- Some slot;
+      slot
+
+(* A match, not [Option.iter] over a partial application: [flush] runs
+   per acknowledgment and must not allocate a closure. *)
+let cancel t = function Some slot -> Ba_sim.Engine.slot_cancel t.engine slot | None -> ()
 
 (* Action 5: acknowledge the run [nr, vr) in one block and hand its
    payloads to the application in order. *)
 let flush t =
-  Option.iter Ba_sim.Timer.stop t.ack_timer;
+  cancel t t.ack_slot;
   if t.nr < t.vr then begin
     send_ack t ~lo:t.nr ~hi:(t.vr - 1);
     while t.nr < t.vr do
@@ -117,15 +121,13 @@ let flush t =
     done
   end
 
-let ack_timer t =
-  match t.ack_timer with
-  | Some timer -> timer
+let ack_slot t =
+  match t.ack_slot with
+  | Some slot -> slot
   | None ->
-      let timer =
-        Ba_sim.Timer.create t.engine ~duration:t.config.Config.ack_coalesce (fun () -> flush t)
-      in
-      t.ack_timer <- Some timer;
-      timer
+      let slot = Ba_sim.Engine.slot_create t.engine (fun () -> flush t) in
+      t.ack_slot <- Some slot;
+      slot
 
 let create engine config ~tx ~deliver =
   Config.validate config;
@@ -138,8 +140,8 @@ let create engine config ~tx ~deliver =
     buf_payload = [||];
     buf_seq = [||];
     buf_occ = 0;
-    ack_timer = None;
-    sync_timer = None;
+    ack_slot = None;
+    sync_slot = None;
     nr = 0;
     vr = 0;
     alive = true;
@@ -159,12 +161,12 @@ let adopt_epoch t e =
   t.epoch <- e;
   t.vr <- t.nr;
   buf_clear t;
-  Option.iter Ba_sim.Timer.stop t.ack_timer
+  cancel t t.ack_slot
 
 let stop_syncing t =
   if t.syncing then begin
     t.syncing <- false;
-    Option.iter Ba_sim.Timer.stop t.sync_timer
+    cancel t t.sync_slot
   end
 
 (* Budget admission (Jain, DEC-TR-342). Only the out-of-order slots
@@ -255,8 +257,9 @@ let on_data t d =
             if t.nr < t.vr then begin
               if t.config.Config.ack_coalesce = 0 then flush t
               else begin
-                let timer = ack_timer t in
-                if not (Ba_sim.Timer.is_armed timer) then Ba_sim.Timer.start timer
+                let slot = ack_slot t in
+                if not (Ba_sim.Engine.slot_armed t.engine slot) then
+                  Ba_sim.Engine.slot_arm t.engine slot ~delay:t.config.Config.ack_coalesce
               end
             end
           end
@@ -273,8 +276,8 @@ let crash t =
   if t.alive then begin
     t.alive <- false;
     t.syncing <- false;
-    Option.iter Ba_sim.Timer.stop t.ack_timer;
-    Option.iter Ba_sim.Timer.stop t.sync_timer;
+    cancel t t.ack_slot;
+    cancel t t.sync_slot;
     buf_clear t;
     t.vr <- t.nr
   end

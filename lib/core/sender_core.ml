@@ -99,18 +99,12 @@ module type S = sig
       or past everything issued) is discarded and counted here too, as
       is an ack whose bounds no {!Seqcodec.encode} could produce. *)
 
-  val acked_total : t -> int
-  (** Messages acknowledged so far (= [na]). *)
-
   val clamp_window : t -> int -> unit
   (** [clamp_window t n] caps the effective window at [n] messages — the
       fabric's backpressure path. [n >= window] removes the clamp; [n < 1]
       raises. The clamp composes with any congestion window (the minimum
       wins) and survives crash–restart, since the pressure it reflects is
       external to this endpoint. *)
-
-  val window_clamp : t -> int option
-  (** The clamp currently in force, if any. *)
 
   val buffered_bytes : t -> int
   (** Total payload bytes in the retransmit buffer (memory accounting). *)
@@ -131,7 +125,6 @@ module type S = sig
 
   val crash : t -> unit
   val restart : t -> unit
-  val alive : t -> bool
   val epoch : t -> int
 
   val syncing : t -> bool
@@ -165,7 +158,7 @@ end = struct
     timers : P.t;
     (* Built on first use: a flow that never restarts and never
        retransmits under a wire modulus never needs them. *)
-    mutable sync_timer : Ba_sim.Timer.t option;  (* REQ retry while awaiting the receiver's POS *)
+    mutable sync_slot : Ba_sim.Engine.slot option;  (* REQ retry until the receiver's POS *)
     mutable guard : Window_guard.t option;  (* none until the first held retransmission *)
     mutable na : int;
     mutable ns : int;
@@ -269,18 +262,20 @@ end = struct
      until POS arrives. *)
   let rec send_req t =
     t.tx (Ba_proto.Wire.make_sync_req ~epoch:t.epoch);
-    Ba_sim.Timer.start (sync_timer t)
+    Ba_sim.Engine.slot_arm t.engine (sync_slot t) ~delay:t.config.Config.rto
 
-  and sync_timer t =
-    match t.sync_timer with
-    | Some timer -> timer
+  and sync_slot t =
+    match t.sync_slot with
+    | Some slot -> slot
     | None ->
-        let timer =
-          Ba_sim.Timer.create t.engine ~duration:t.config.Config.rto (fun () ->
-              if t.alive && t.syncing then send_req t)
+        let slot =
+          Ba_sim.Engine.slot_create t.engine (fun () -> if t.alive && t.syncing then send_req t)
         in
-        t.sync_timer <- Some timer;
-        timer
+        t.sync_slot <- Some slot;
+        slot
+
+  let cancel_sync t =
+    match t.sync_slot with Some slot -> Ba_sim.Engine.slot_cancel t.engine slot | None -> ()
 
   let send_fin t = t.tx (Ba_proto.Wire.make_sync_fin ~epoch:t.epoch)
 
@@ -309,7 +304,7 @@ end = struct
           band;
           acked_seq = [||];
           timers = P.create engine config ~expire:(fun k -> on_timeout (Lazy.force t) k);
-          sync_timer = None;
+          sync_slot = None;
           guard = None;
           na = 0;
           ns = 0;
@@ -331,7 +326,7 @@ end = struct
      unacknowledged suffix for replay). *)
   let wipe_volatile t =
     P.wipe t.timers;
-    Option.iter Ba_sim.Timer.stop t.sync_timer;
+    cancel_sync t;
     Array.fill t.acked_seq 0 (Array.length t.acked_seq) (-1);
     Option.iter Window_guard.clear t.guard;
     t.na <- 0;
@@ -361,7 +356,7 @@ end = struct
     t.ns <- pos;
     t.unacked <- 0;
     t.syncing <- false;
-    Option.iter Ba_sim.Timer.stop t.sync_timer
+    cancel_sync t
 
   let restart t =
     if not t.alive then begin
@@ -475,13 +470,10 @@ end = struct
   let ns t = t.ns
   let retransmissions t = t.retransmissions
   let corrupt_acks_dropped t = t.corrupt_acks_dropped
-  let acked_total t = t.na
 
   let clamp_window t n =
     if n < 1 then invalid_arg "Sender_core.clamp_window: clamp must be >= 1";
     t.wclamp <- (if n >= t.config.Config.window then None else Some n)
-
-  let window_clamp t = t.wclamp
 
   let buffered_bytes t =
     let n = ref 0 in
@@ -490,7 +482,6 @@ end = struct
     done;
     !n
 
-  let alive t = t.alive
   let epoch t = t.epoch
   let syncing t = t.syncing
   let timers t = t.timers

@@ -15,9 +15,9 @@
      instead of broadcasting the whole pool awake for every batch;
    - worker domains are capped at the hardware's recommended count
      (oversubscribing a saturated machine only adds GC barriers — the
-     measured 0.25x "speedup" at --jobs 4 on one core), and the
-     implicit pool behind [map]/[map_chunks] is one long-lived
-     process-wide pool instead of a spawn/join per grid. *)
+     measured 0.25x "speedup" at --jobs 4 on one core), and
+     [map_chunks] runs on one long-lived process-wide pool instead of a
+     spawn/join per grid. *)
 
 type t = {
   jobs : int;  (* configured parallelism, including the caller *)
@@ -42,16 +42,14 @@ let default_jobs () =
       | Some _ | None -> hardware_jobs ())
   | None -> hardware_jobs ()
 
-let jobs t = t.jobs
-
 (* Process-wide observability: how many worker domains were ever
    spawned. Tests pin the no-oversubscription rules against this. *)
 let spawned = Atomic.make 0
 let spawned_domains () = Atomic.get spawned
 
-(* True while the current domain is executing a pool task; [map] and
-   [map_chunks] without an explicit pool check it to run inline rather
-   than re-enter the shared pool (whose batch mutex is not reentrant). *)
+(* True while the current domain is executing a pool task; [map_chunks]
+   checks it to run inline rather than re-enter the shared pool (whose
+   batch mutex is not reentrant). *)
 let in_task_key = Domain.DLS.new_key (fun () -> false)
 
 let run_task task =
@@ -86,10 +84,8 @@ let worker t =
   in
   loop ()
 
-let create ?jobs () =
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
-  let jobs = min jobs (max_jobs ()) in
+(* A pool of parallelism [jobs], already checked and clamped. *)
+let create jobs =
   let t =
     {
       jobs;
@@ -121,14 +117,10 @@ let shutdown t =
   t.workers <- [];
   List.iter Domain.join workers
 
-let with_pool ?jobs f =
-  let t = create ?jobs () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-(* The long-lived pool behind [map]/[map_chunks] when no explicit pool
-   is passed. Created on first parallel use, reused across grids,
-   recreated only when the requested parallelism changes, shut down at
-   process exit so its domains are joined. *)
+(* The long-lived pool behind [map_chunks]. Created on first parallel
+   use, reused across grids, recreated only when the requested
+   parallelism changes, shut down at process exit so its domains are
+   joined. *)
 let shared : t option ref = ref None
 let shared_guard = Mutex.create ()
 let shared_at_exit = ref false
@@ -140,7 +132,7 @@ let shared_pool requested =
     | Some p when p.jobs = requested -> p
     | prev ->
         (match prev with Some p -> shutdown p | None -> ());
-        let p = create ~jobs:requested () in
+        let p = create requested in
         shared := Some p;
         if not !shared_at_exit then begin
           shared_at_exit := true;
@@ -207,80 +199,20 @@ let chunk_bounds ~workers ?chunk n =
   let count = (n + per_chunk - 1) / per_chunk in
   List.init count (fun i -> (i * per_chunk, min n ((i + 1) * per_chunk)))
 
-let run t thunks =
-  let n = List.length thunks in
-  if n = 0 then []
+(* The shared pool for a [map_chunks] call, or [None] to run inline:
+   effective parallelism 1, or we are already inside a pool task
+   (re-entering the shared batch mutex would self-deadlock). *)
+let pool_for jobs =
+  let requested = match jobs with Some j -> j | None -> default_jobs () in
+  if requested < 1 then invalid_arg "Pool.map_chunks: jobs must be >= 1";
+  if min requested (hardware_jobs ()) <= 1 || Domain.DLS.get in_task_key then None
   else begin
-    let thunks = Array.of_list thunks in
-    let slots = Array.make n None in
-    let eval i =
-      slots.(i) <-
-        Some
-          (try Ok (thunks.(i) ())
-           with e -> Error (e, Printexc.get_raw_backtrace ()))
-    in
-    let workers = List.length t.workers + 1 in
-    if workers = 1 then
-      (* Sequential degenerate case: no queue, no locks, same
-         run-to-completion semantics. *)
-      for i = 0 to n - 1 do
-        eval i
-      done
-    else
-      chunk_bounds ~workers n
-      |> List.map (fun (lo, hi) () ->
-             for i = lo to hi - 1 do
-               eval i
-             done)
-      |> Array.of_list |> exec t;
-    (* Every slot is filled exactly once; surface results in input
-       order, re-raising the first failure just as List.map would. *)
-    Array.to_list slots
-    |> List.map (function
-         | Some (Ok v) -> v
-         | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-         | None -> assert false)
+    let t = shared_pool (min requested (max_jobs ())) in
+    if t.workers = [] then None else Some t
   end
 
-(* Pick the pool for an implicit [map]/[map_chunks] call. [None] means
-   "run inline": effective parallelism 1, or we are already inside a
-   pool task (re-entering the shared batch mutex would self-deadlock). *)
-let implicit_pool ?pool ?jobs () =
-  match pool with
-  | Some t -> if List.length t.workers = 0 then None else Some t
-  | None ->
-      let requested = match jobs with Some j -> j | None -> default_jobs () in
-      if requested < 1 then invalid_arg "Pool.map: jobs must be >= 1";
-      if
-        min requested (hardware_jobs ()) <= 1
-        || Domain.DLS.get in_task_key
-      then None
-      else begin
-        let t = shared_pool (min requested (max_jobs ())) in
-        if List.length t.workers = 0 then None else Some t
-      end
-
-let map ?pool ?jobs f tasks =
-  let thunks = List.map (fun x () -> f x) tasks in
-  match implicit_pool ?pool ?jobs () with
-  | Some t -> run t thunks
-  | None ->
-      (* Inline, preserving [run]'s run-to-completion semantics. *)
-      let results =
-        List.map
-          (fun thunk ->
-            try Ok (thunk ())
-            with e -> Error (e, Printexc.get_raw_backtrace ()))
-          thunks
-      in
-      List.map
-        (function
-          | Ok v -> v
-          | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-        results
-
-let map_chunks ?pool ?jobs ?chunk f tasks =
-  match implicit_pool ?pool ?jobs () with
+let map_chunks ?jobs ?chunk f tasks =
+  match pool_for jobs with
   | None -> List.map f tasks (* the whole point: zero per-element cost *)
   | Some t ->
       let input = Array.of_list tasks in

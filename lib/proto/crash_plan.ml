@@ -31,51 +31,3 @@ let pp ppf = function
               (fun e ->
                 Printf.sprintf "crash(%c@%d+%d)" (endpoint_letter e.endpoint) e.at e.down_for)
               events))
-
-let to_string t = Format.asprintf "%a" pp t
-
-let of_string s =
-  (* Tokens join with '+' at paren depth 0; the '+' inside
-     crash(S@150+80) stays with its token. *)
-  let toks = ref [] and buf = Buffer.create 16 and depth = ref 0 in
-  String.iter
-    (fun c ->
-      match c with
-      | '(' ->
-          incr depth;
-          Buffer.add_char buf c
-      | ')' ->
-          decr depth;
-          Buffer.add_char buf c
-      | '+' when !depth = 0 ->
-          toks := Buffer.contents buf :: !toks;
-          Buffer.clear buf
-      | c -> Buffer.add_char buf c)
-    s;
-  toks := Buffer.contents buf :: !toks;
-  let parse_tok tok =
-    match
-      Scanf.sscanf tok "crash(%c@%d+%d)%!" (fun c at down_for ->
-          match c with
-          | 'S' -> Some { at; endpoint = Sender_end; down_for }
-          | 'R' -> Some { at; endpoint = Receiver_end; down_for }
-          | _ -> None)
-    with
-    | Some e -> Ok e
-    | None -> Error (Printf.sprintf "unknown endpoint letter in crash token %S" tok)
-    | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
-        Error (Printf.sprintf "unrecognized crash token %S in plan %S" tok s)
-  in
-  if String.trim s = "none" then Ok none
-  else
-    let rec go acc = function
-      | [] -> (
-          match validate acc with
-          | () -> Ok (make acc)
-          | exception Invalid_argument m -> Error m)
-      | tok :: rest -> (
-          match parse_tok (String.trim tok) with
-          | Ok e -> go (e :: acc) rest
-          | Error _ as e -> e)
-    in
-    go [] (List.rev !toks)

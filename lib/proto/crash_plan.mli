@@ -4,7 +4,8 @@
     A plan is a list of events, each crashing one endpoint at a tick and
     restarting it [down_for] ticks later. Like the channel plans, a
     crash plan is replayable: campaigns derive it as a pure function of
-    the seed and print it as part of any failure's replay key. *)
+    the seed, print it in any failure's report, and regenerate it from
+    the seed on replay. *)
 
 type endpoint = Sender_end | Receiver_end
 
@@ -21,13 +22,6 @@ val make : event list -> t
 val validate : t -> unit
 
 val pp : Format.formatter -> t -> unit
-(** Replay-key format: [crash(S@150+80)] = sender crashes at tick 150
-    and restarts 80 ticks later; events join with ["+"]; the empty plan
-    prints ["none"]. *)
-
-val to_string : t -> string
-
-val of_string : string -> (t, string) result
-(** Parse the {!pp} replay-key format back into a plan (["none"] parses
-    to {!none}); inverse of {!pp}, so a campaign failure's process-fault
-    line can be fed verbatim to [ba_chaos --replay]. *)
+(** The form failure reports print: [crash(S@150+80)] = sender crashes
+    at tick 150 and restarts 80 ticks later; events join with ["+"]; the
+    empty plan prints ["none"]. *)

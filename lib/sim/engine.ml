@@ -240,25 +240,6 @@ let fire_head t =
 
 let next_due t = if t.hp_len = 0 then None else Some t.hp_time.(0)
 
-let step t =
-  if t.hp_len = 0 then false
-  else begin
-    fire_head t;
-    true
-  end
-
-let drain_batch t =
-  if t.hp_len = 0 then 0
-  else begin
-    let tick = t.hp_time.(0) in
-    let fired = ref 0 in
-    while (not t.stopping) && t.hp_len > 0 && t.hp_time.(0) = tick do
-      fire_head t;
-      incr fired
-    done;
-    !fired
-  end
-
 let stop t = t.stopping <- true
 
 let run ?until ?max_events t =

@@ -53,8 +53,8 @@ type slot [@@immediate]
     cancellable callback. The callback is registered once at
     {!slot_create}; arming, re-arming and cancelling after that move the
     slot's one queue entry in place and allocate nothing. A slot lives
-    as long as its engine. This is what {!Timer} arms on every
-    (re)transmission. *)
+    as long as its engine. Every protocol timer is one: the endpoints
+    arm theirs on each (re)transmission. *)
 
 val slot_create : t -> (unit -> unit) -> slot
 (** [slot_create t f] makes a disarmed slot that runs [f ()] when it
@@ -95,16 +95,6 @@ val next_due : t -> int option
 (** Tick of the earliest pending event, without firing it ([None] when
     the queue is empty). What a wall-clock driver needs to compute a
     [select] timeout: sleep until the next virtual deadline, no longer. *)
-
-val step : t -> bool
-(** Fire the next event. Returns [false] when the queue is empty. *)
-
-val drain_batch : t -> int
-(** Fire every event of the earliest pending tick — including events
-    that callbacks schedule for that same tick — in one pass, and
-    return how many fired (0 when the queue is empty). Firing order is
-    identical to repeated {!step}; this just hoists the head
-    inspection out of the per-event loop. Respects {!stop}. *)
 
 val run : ?until:int -> ?max_events:int -> t -> unit
 (** Fire events until the queue drains, the next event lies beyond

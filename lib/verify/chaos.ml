@@ -140,37 +140,13 @@ let apply_squeeze sq (base : Ba_proto.Proto_config.t) =
   ( { base with Ba_proto.Proto_config.rx_budget = Some sq.rx_slots; drop_policy = sq.policy },
     (sq.service_time, sq.queue_capacity) )
 
-(* Same printed-form-is-the-replay-key contract as Fault_plan and
-   Crash_plan: what a failure report shows is exactly what a replay
-   parses back. *)
+(* How a failure report shows the squeeze, next to the channel and
+   crash plans, e.g. squeeze(rx=3,drop-new,q=10:5). A replay needs only
+   the seed: the squeeze is [squeeze_for ~seed]. *)
 let squeeze_to_string sq =
   Printf.sprintf "squeeze(rx=%d,%s,q=%d:%d)" sq.rx_slots
     (Ba_proto.Proto_config.drop_policy_name sq.policy)
     sq.service_time sq.queue_capacity
-
-let squeeze_of_string str =
-  match
-    Scanf.sscanf str "squeeze(rx=%d,%[a-z-],q=%d:%d)" (fun r p s q -> Some (r, p, s, q))
-  with
-  | exception (Scanf.Scan_failure _ | End_of_file | Failure _) ->
-      Error (Printf.sprintf "unparseable squeeze %S" str)
-  | None -> Error (Printf.sprintf "unparseable squeeze %S" str)
-  | Some (rx_slots, policy, service_time, queue_capacity) -> (
-      if rx_slots < 1 || service_time < 1 || queue_capacity < 1 then
-        Error (Printf.sprintf "squeeze fields must be positive in %S" str)
-      else
-        match policy with
-        | "drop-new" ->
-            Ok { rx_slots; policy = Ba_proto.Proto_config.Drop_new; service_time; queue_capacity }
-        | "drop-furthest" ->
-            Ok
-              {
-                rx_slots;
-                policy = Ba_proto.Proto_config.Drop_furthest;
-                service_time;
-                queue_capacity;
-              }
-        | other -> Error (Printf.sprintf "unknown drop policy %S" other))
 
 (* One (class, seed) incident: every ingredient the class composes, as
    pure data. This is the only place that knows which classes bring a

@@ -53,8 +53,9 @@ val plans_for : fault_class -> seed:int -> Ba_channel.Fault_plan.t * Ba_channel.
 val crash_plan_for : seed:int -> Ba_proto.Crash_plan.t
 (** The [Crash] class's process-fault schedule for one run: the victim
     (sender, receiver, or both staggered), the crash tick and the
-    downtime all rotate with [seed]. Pure data — print it with
-    {!Ba_proto.Crash_plan.pp} to get the replay key. *)
+    downtime all rotate with [seed]. Pure data: a failure report prints
+    it with {!Ba_proto.Crash_plan.pp}, and the replay key [(fault, seed)]
+    regenerates it. *)
 
 type squeeze = {
   rx_slots : int;  (** receiver reassembly budget, in out-of-order slots *)
@@ -75,15 +76,6 @@ val apply_squeeze :
   squeeze -> Ba_proto.Proto_config.t -> Ba_proto.Proto_config.t * (int * int)
 (** Install a squeeze on a base config: the rewritten config plus the
     [(service_time, queue_capacity)] bottleneck for the data link. *)
-
-val squeeze_to_string : squeeze -> string
-(** E.g. ["squeeze(rx=3,drop-new,q=10:5)"] — the printed form {e is}
-    the replay key, like the other plan kinds. *)
-
-val squeeze_of_string : string -> (squeeze, string) result
-(** Inverse of {!squeeze_to_string}:
-    [squeeze_of_string (squeeze_to_string sq) = Ok sq] for every valid
-    squeeze. *)
 
 type incident = {
   fault : fault_class;

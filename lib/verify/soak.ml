@@ -118,7 +118,9 @@ let fold ~on_round ~jobs ~rounds run =
   let rec go next =
     if next < rounds then begin
       let n = min chunk (rounds - next) in
-      let results = Ba_parallel.Pool.map ~jobs run (List.init n (fun i -> next + i)) in
+      let results =
+        Ba_parallel.Pool.map_chunks ~jobs ~chunk:1 run (List.init n (fun i -> next + i))
+      in
       List.iteri (fun i rd -> fold_round (next + i) rd) results;
       go (next + n)
     end

@@ -9,8 +9,13 @@
 #               from the .mli if its own module still needs it
 #   tests only  only test/ references it
 #
-#   scripts/unused.sh
+#   scripts/unused.sh            print both groups
+#   scripts/unused.sh --check    print them, then exit 1 if "nowhere"
+#                                names an export that scripts/unused.allow
+#                                does not list
 #
+# scripts/unused.allow holds the documented keepers, one Module.value
+# (or Module.Sig.value) a line; "#" starts a comment.
 # A reference to Stats.mean_of is one of: the qualified name (which also
 # matches Ba_util.Stats.mean_of), the name qualified by a module that
 # includes Stats, S.mean_of in a file that says `module S = Stats`, or
@@ -20,6 +25,15 @@
 # module (Sender.restarts, P.restarts), in any file, its own included.
 # The match is textual, so a listed value is a lead, not a proof.
 set -eu
+check=false
+case "${1:-}" in
+  --check) check=true ;;
+  "") ;;
+  *)
+    echo "usage: scripts/unused.sh [--check]" >&2
+    exit 2
+    ;;
+esac
 cd "$(dirname "$0")/.."
 
 id="[A-Za-z0-9_']"
@@ -106,3 +120,14 @@ printf 'nowhere:\n%s' "${nowhere:-  (none)
 }"
 printf 'tests only:\n%s' "${tests:-  (none)
 }"
+
+if $check; then
+  allowed=$(sed -e 's/#.*//' -e 's/[[:space:]]*$//' -e '/^$/d' scripts/unused.allow)
+  unlisted=$(printf '%s' "$nowhere" | awk '{ print $1 }' | grep -vxF -e "$allowed" || true)
+  if [ -n "$unlisted" ]; then
+    echo "unused.sh: used nowhere and not in scripts/unused.allow:" >&2
+    echo "$unlisted" | sed 's/^/  /' >&2
+    exit 1
+  fi
+  echo "unused.sh: every export used nowhere is in scripts/unused.allow"
+fi

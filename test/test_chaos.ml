@@ -27,10 +27,12 @@ let test_plans_deterministic () =
       check Alcotest.bool "same seed, same schedule" true (a = b))
     Chaos.all_classes
 
-(* Every class's campaign schedule must survive the --replay grammar:
+(* Every class's channel plans must survive the Fault_plan grammar:
    print the plans, parse the key back, print again — byte-identical.
    Covers every fault class (including the clean-link crash and overload
-   classes, whose plans print as "none") across a seed sweep. *)
+   classes, whose plans print as "none") across a seed sweep. The crash
+   plan and the squeeze need no grammar: a replay key names the seed,
+   and they are pure functions of it (see the incident rule below). *)
 let test_campaign_plans_roundtrip () =
   List.iter
     (fun c ->
@@ -48,20 +50,7 @@ let test_campaign_plans_roundtrip () =
               | Error e ->
                   Alcotest.failf "%s seed=%d: %S did not parse: %s" (Chaos.class_name c) seed
                     key e)
-            [ i.Chaos.data_plan; i.Chaos.ack_plan ];
-          let key = Crash_plan.to_string i.Chaos.crash_plan in
-          (match Crash_plan.of_string key with
-          | Ok q -> check Alcotest.string "crash key replays" key (Crash_plan.to_string q)
-          | Error e -> Alcotest.failf "crash key %S did not parse: %s" key e);
-          match i.Chaos.squeeze with
-          | Some sq -> (
-              let key = Chaos.squeeze_to_string sq in
-              match Chaos.squeeze_of_string key with
-              | Ok q ->
-                  check Alcotest.string "squeeze key replays" key (Chaos.squeeze_to_string q);
-                  check Alcotest.bool "squeeze parses back equal" true (q = sq)
-              | Error e -> Alcotest.failf "squeeze key %S did not parse: %s" key e)
-          | None -> ())
+            [ i.Chaos.data_plan; i.Chaos.ack_plan ])
         (List.init 25 (fun i -> i + 1)))
     Chaos.all_classes
 
@@ -87,22 +76,6 @@ let test_incident_ingredients () =
             (i.Chaos.fault = c && i.Chaos.seed = seed))
         (List.init 25 (fun i -> i + 1)))
     Chaos.all_classes
-
-(* The squeeze grammar rejects malformed keys with a reason, like the
-   other plan parsers — garbage must not silently decode to a squeeze. *)
-let test_squeeze_grammar_rejections () =
-  List.iter
-    (fun s ->
-      match Chaos.squeeze_of_string s with
-      | Ok _ -> Alcotest.failf "%S should not parse" s
-      | Error _ -> ())
-    [
-      "squeeze(rx=0,drop-new,q=10:5)";
-      "squeeze(rx=3,drop-everything,q=10:5)";
-      "squeeze(rx=3,drop-new,q=10:0)";
-      "squash(rx=3,drop-new,q=10:5)";
-      "";
-    ]
 
 (* The compound class: every ingredient present, blockack-multi survives
    the composition, and the recovery accounting shows the crash plan
@@ -491,8 +464,6 @@ let () =
             test_campaign_plans_roundtrip;
           Alcotest.test_case "incident ingredients follow the class" `Quick
             test_incident_ingredients;
-          Alcotest.test_case "squeeze grammar rejects garbage" `Quick
-            test_squeeze_grammar_rejections;
           Alcotest.test_case "storm composes all three plan kinds" `Quick
             test_storm_composes_and_blockack_survives;
           Alcotest.test_case "storm skipped without crash tolerance" `Quick

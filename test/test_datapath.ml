@@ -34,6 +34,23 @@ module Ref_impl = struct
      here. *)
   [@@@warning "-32"]
 
+  (* The old code armed its timers through a [Ba_sim.Timer] record: a
+     slot with a default duration. The engine no longer has one, so the
+     reference keeps a private copy and its own text. *)
+  module Ba_sim = struct
+    module Engine = Ba_sim.Engine
+
+    module Timer = struct
+      type t = { engine : Engine.t; slot : Engine.slot; duration : int }
+
+      let create engine ~duration f = { engine; slot = Engine.slot_create engine f; duration }
+      let start_for t d = Engine.slot_arm t.engine t.slot ~delay:d
+      let start t = start_for t t.duration
+      let stop t = Engine.slot_cancel t.engine t.slot
+      let is_armed t = Engine.slot_armed t.engine t.slot
+    end
+  end
+
   module Config = Blockack.Config
   module Seqcodec = Blockack.Seqcodec
   module Rtt_estimator = Blockack.Rtt_estimator

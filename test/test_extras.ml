@@ -638,6 +638,16 @@ let test_duplex_lossy_both_ways () =
   Blockack.Duplex.run d;
   check Alcotest.bool "completes under loss" true (Blockack.Duplex.idle d)
 
+(* A negative hold is refused up front, not at the first held ack. *)
+let test_duplex_rejects_negative_hold () =
+  Alcotest.check_raises "negative hold"
+    (Invalid_argument "Duplex.create: piggyback_hold must be >= 0") (fun () ->
+      ignore
+        (Blockack.Duplex.create ~piggyback_hold:(-5)
+           ~on_receive_a:(fun _ -> ())
+           ~on_receive_b:(fun _ -> ())
+           ()))
+
 let prop_duplex_always_correct =
   QCheck.Test.make ~name:"duplex delivers both directions in order for any seed/loss" ~count:20
     QCheck.(pair (int_range 1 100_000) (int_bound 20))
@@ -788,6 +798,7 @@ let () =
           Alcotest.test_case "piggybacks acks on data" `Quick test_duplex_piggybacks;
           Alcotest.test_case "one-sided still acks" `Quick test_duplex_one_sided_still_acks;
           Alcotest.test_case "lossy both ways" `Quick test_duplex_lossy_both_ways;
+          Alcotest.test_case "negative hold rejected" `Quick test_duplex_rejects_negative_hold;
           qcheck prop_duplex_always_correct;
           qcheck prop_engine_fires_in_time_order;
         ] );

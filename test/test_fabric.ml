@@ -190,7 +190,7 @@ let one_flow_gen =
 
 let one_flow_print (name, seed, loss, crash) =
   Printf.sprintf "%s seed=%d loss=%.2f crash=%s" name seed loss
-    (match crash with Some p -> Crash_plan.to_string p | None -> "-")
+    (match crash with Some p -> Format.asprintf "%a" Crash_plan.pp p | None -> "-")
 
 let test_harness_is_one_flow_fabric =
   qcheck

@@ -10,17 +10,19 @@ module Pool = Ba_parallel.Pool
 module Chaos = Ba_verify.Chaos
 module E = Ba_experiments.Experiments
 
+(* [map_chunks ~chunk:1] is the one-task-per-element map (the soak
+   runner's shape). *)
 let test_map_matches_list_map () =
   let xs = List.init 100 Fun.id in
   let f x = (x * x) - (3 * x) in
   check
     Alcotest.(list int)
     "jobs=4 = List.map" (List.map f xs)
-    (Pool.map ~jobs:4 f xs);
+    (Pool.map_chunks ~jobs:4 ~chunk:1 f xs);
   check
     Alcotest.(list int)
     "jobs=1 = List.map" (List.map f xs)
-    (Pool.map ~jobs:1 f xs)
+    (Pool.map_chunks ~jobs:1 ~chunk:1 f xs)
 
 let test_map_preserves_order () =
   (* Make late-submitted tasks finish first by giving early ones more
@@ -35,14 +37,16 @@ let test_map_preserves_order () =
     ignore (Sys.opaque_identity !acc);
     x
   in
-  check Alcotest.(list int) "input order" xs (Pool.map ~jobs:4 f xs)
+  check Alcotest.(list int) "input order" xs (Pool.map_chunks ~jobs:4 ~chunk:1 f xs)
 
 exception Boom of int
 
 let test_exception_propagates () =
   let xs = List.init 20 Fun.id in
   let run jobs =
-    match Pool.map ~jobs (fun x -> if x mod 7 = 3 then raise (Boom x) else x) xs with
+    match
+      Pool.map_chunks ~jobs ~chunk:1 (fun x -> if x mod 7 = 3 then raise (Boom x) else x) xs
+    with
     | _ -> Alcotest.fail "expected Boom to propagate"
     | exception Boom x -> x
   in
@@ -50,22 +54,22 @@ let test_exception_propagates () =
   check Alcotest.int "jobs=1 first failure" 3 (run 1);
   check Alcotest.int "jobs=4 first failure" 3 (run 4)
 
+(* The shared pool outlives a batch: a second one at the same [jobs]
+   spawns no domain. *)
 let test_pool_reuse_across_batches () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      check Alcotest.int "pool jobs" 3 (Pool.jobs pool);
-      let a = Pool.run pool (List.init 10 (fun i () -> i * 2)) in
-      let b = Pool.map ~pool string_of_int (List.init 5 Fun.id) in
-      check Alcotest.(list int) "first batch" [ 0; 2; 4; 6; 8; 10; 12; 14; 16; 18 ] a;
-      check Alcotest.(list string) "second batch" [ "0"; "1"; "2"; "3"; "4" ] b)
+  let a = Pool.map_chunks ~jobs:3 (fun i -> i * 2) (List.init 10 Fun.id) in
+  let before = Pool.spawned_domains () in
+  let b = Pool.map_chunks ~jobs:3 string_of_int (List.init 5 Fun.id) in
+  check Alcotest.(list int) "first batch" [ 0; 2; 4; 6; 8; 10; 12; 14; 16; 18 ] a;
+  check Alcotest.(list string) "second batch" [ "0"; "1"; "2"; "3"; "4" ] b;
+  check Alcotest.int "second batch spawned nothing" before (Pool.spawned_domains ())
 
 let test_invalid_jobs_rejected () =
   List.iter
     (fun jobs ->
-      match Pool.create ~jobs () with
+      match Pool.map_chunks ~jobs succ [ 1; 2; 3 ] with
       | exception Invalid_argument _ -> ()
-      | pool ->
-          Pool.shutdown pool;
-          Alcotest.failf "jobs=%d accepted" jobs)
+      | _ -> Alcotest.failf "jobs=%d accepted" jobs)
     [ 0; -1 ]
 
 let test_chaos_campaign_jobs_invariant () =
@@ -90,12 +94,7 @@ let test_map_chunks_matches_list_map () =
         (List.map f xs)
         (Pool.map_chunks ~jobs ?chunk f xs))
     [ (1, None); (4, None); (4, Some 1); (4, Some 7); (4, Some 1000); (3, Some 64) ];
-  check Alcotest.(list int) "empty input" [] (Pool.map_chunks ~jobs:4 f []);
-  Pool.with_pool ~jobs:3 (fun pool ->
-      check
-        Alcotest.(list int)
-        "explicit pool" (List.map f xs)
-        (Pool.map_chunks ~pool f xs))
+  check Alcotest.(list int) "empty input" [] (Pool.map_chunks ~jobs:4 f [])
 
 let test_map_chunks_exception_order () =
   let xs = List.init 50 Fun.id in
@@ -112,28 +111,31 @@ let test_map_chunks_exception_order () =
     [ 1; 4 ]
 
 let test_jobs1_spawns_no_domain () =
-  (* The zero-domain pin: sequential work must never pay for domains —
-     not in [create], not in [map], not in [map_chunks]. *)
+  (* The zero-domain pin: sequential work must never pay for domains. *)
   let before = Pool.spawned_domains () in
-  let pool = Pool.create ~jobs:1 () in
-  Pool.shutdown pool;
-  ignore (Pool.map ~jobs:1 succ (List.init 100 Fun.id));
   ignore (Pool.map_chunks ~jobs:1 succ (List.init 100 Fun.id));
+  ignore (Pool.map_chunks ~jobs:1 ~chunk:1 succ (List.init 100 Fun.id));
   check Alcotest.int "jobs=1 spawned nothing" before (Pool.spawned_domains ());
   (* And whatever the requested parallelism, spawns are capped at the
      hardware: jobs=64 on an n-core host starts at most n-1 domains. *)
   let cap = max 0 (Domain.recommended_domain_count () - 1) in
-  Pool.with_pool ~jobs:64 (fun _ -> ());
+  ignore (Pool.map_chunks ~jobs:64 succ (List.init 100 Fun.id));
   check Alcotest.bool "spawns capped at hardware" true
     (Pool.spawned_domains () - before <= cap)
 
+(* An absurd [jobs] runs like [max_jobs]: same result, and no more
+   domains than the hardware cap. *)
 let test_jobs_clamped_at_max () =
   check Alcotest.int "max_jobs = 4x hardware" (4 * Domain.recommended_domain_count ())
     (Pool.max_jobs ());
-  let pool = Pool.create ~jobs:(Pool.max_jobs () + 1000) () in
-  let reported = Pool.jobs pool in
-  Pool.shutdown pool;
-  check Alcotest.int "absurd jobs clamped" (Pool.max_jobs ()) reported
+  let xs = List.init 100 Fun.id in
+  let before = Pool.spawned_domains () in
+  check
+    Alcotest.(list int)
+    "absurd jobs = List.map" (List.map succ xs)
+    (Pool.map_chunks ~jobs:(Pool.max_jobs () + 1000) succ xs);
+  check Alcotest.bool "absurd jobs spawn within the hardware cap" true
+    (Pool.spawned_domains () - before <= max 0 (Domain.recommended_domain_count () - 1))
 
 let test_s1_sweep_jobs_invariant () =
   let a = E.s1_scaling ~jobs:1 ~quick:true () in

@@ -1,9 +1,8 @@
-(* Tests for the discrete-event engine and timers. *)
+(* Tests for the discrete-event engine and its slots. *)
 
 let check = Alcotest.check
 
 module Engine = Ba_sim.Engine
-module Timer = Ba_sim.Timer
 
 (* ------------------------------------------------------------------ *)
 (* Engine *)
@@ -90,15 +89,20 @@ let test_engine_stop () =
   Engine.run e;
   check Alcotest.int "resumable" 10 !count
 
+(* One event at a time is [run ~max_events:1]. *)
 let test_engine_step () =
   let e = Engine.create () in
   let fired = ref 0 in
   Engine.schedule e ~delay:1 (fun () -> incr fired);
   Engine.schedule e ~delay:2 (fun () -> incr fired);
-  check Alcotest.bool "step fires one" true (Engine.step e);
+  Engine.run ~max_events:1 e;
   check Alcotest.int "one fired" 1 !fired;
-  check Alcotest.bool "step fires second" true (Engine.step e);
-  check Alcotest.bool "empty returns false" false (Engine.step e)
+  check Alcotest.int "clock at first" 1 (Engine.now e);
+  Engine.run ~max_events:1 e;
+  check Alcotest.int "second fired" 2 !fired;
+  Engine.run ~max_events:1 e;
+  check Alcotest.int "empty fires nothing" 2 !fired;
+  check Alcotest.int "clock stays" 2 (Engine.now e)
 
 let test_engine_past_schedule_rejected () =
   let e = Engine.create () in
@@ -176,11 +180,11 @@ let test_engine_step_skips_cancelled_heads () =
   Engine.schedule e ~delay:3 (fun () -> incr fired);
   Engine.slot_cancel e a;
   Engine.slot_cancel e b;
-  check Alcotest.bool "step fires past cancelled slots" true (Engine.step e);
+  Engine.run ~max_events:1 e;
   check Alcotest.int "survivor fired" 1 !fired;
   check Alcotest.int "clock at survivor" 3 (Engine.now e);
   check Alcotest.int "pending drained" 0 (Engine.pending_events e);
-  check Alcotest.bool "no more events" false (Engine.step e)
+  check (Alcotest.option Alcotest.int) "no more events" None (Engine.next_due e)
 
 let test_engine_determinism () =
   let trace seed =
@@ -201,13 +205,14 @@ let test_engine_determinism () =
   check Alcotest.bool "different seed different trace" true (trace 5 <> trace 6)
 
 (* ------------------------------------------------------------------ *)
-(* Timer *)
+(* Timers: a slot re-armed with the timer's duration, as every protocol
+   endpoint arms its own *)
 
 let test_timer_fires_once () =
   let e = Engine.create () in
   let fired = ref 0 in
-  let t = Timer.create e ~duration:25 (fun () -> incr fired) in
-  Timer.start t;
+  let t = Engine.slot_create e (fun () -> incr fired) in
+  Engine.slot_arm e t ~delay:25;
   Engine.run e;
   check Alcotest.int "fired once" 1 !fired;
   check Alcotest.int "at duration" 25 (Engine.now e)
@@ -215,60 +220,46 @@ let test_timer_fires_once () =
 let test_timer_restart_extends () =
   let e = Engine.create () in
   let fired_at = ref (-1) in
-  let t = Timer.create e ~duration:30 (fun () -> fired_at := Engine.now e) in
-  Timer.start t;
-  Engine.schedule e ~delay:20 (fun () -> Timer.start t);
+  let t = Engine.slot_create e (fun () -> fired_at := Engine.now e) in
+  Engine.slot_arm e t ~delay:30;
+  Engine.schedule e ~delay:20 (fun () -> Engine.slot_arm e t ~delay:30);
   Engine.run e;
   check Alcotest.int "restart pushed expiry" 50 !fired_at
 
 let test_timer_stop () =
   let e = Engine.create () in
   let fired = ref false in
-  let t = Timer.create e ~duration:10 (fun () -> fired := true) in
-  Timer.start t;
-  Timer.stop t;
+  let t = Engine.slot_create e (fun () -> fired := true) in
+  Engine.slot_arm e t ~delay:10;
+  Engine.slot_cancel e t;
   Engine.run e;
   check Alcotest.bool "stopped" false !fired;
-  check Alcotest.bool "not armed" false (Timer.is_armed t)
-
-let test_timer_start_for () =
-  let e = Engine.create () in
-  let fired_at = ref (-1) in
-  let t = Timer.create e ~duration:100 (fun () -> fired_at := Engine.now e) in
-  Timer.start_for t 7;
-  Engine.run e;
-  check Alcotest.int "one-off duration" 7 !fired_at;
-  check Alcotest.int "default unchanged" 100 (Timer.duration t)
-
-let test_timer_set_duration () =
-  let e = Engine.create () in
-  let fired_at = ref (-1) in
-  let t = Timer.create e ~duration:100 (fun () -> fired_at := Engine.now e) in
-  Timer.set_duration t 40;
-  Timer.start t;
-  Engine.run e;
-  check Alcotest.int "new duration" 40 !fired_at
+  check Alcotest.bool "not armed" false (Engine.slot_armed e t)
 
 let test_timer_remaining () =
   let e = Engine.create () in
-  let t = Timer.create e ~duration:50 (fun () -> ()) in
-  check (Alcotest.option Alcotest.int) "stopped: none" None (Timer.remaining t);
-  Timer.start t;
-  check (Alcotest.option Alcotest.int) "full remaining" (Some 50) (Timer.remaining t);
+  let t = Engine.slot_create e ignore in
+  let remaining () =
+    if Engine.slot_armed e t then Some (Engine.slot_expiry e t - Engine.now e) else None
+  in
+  check (Alcotest.option Alcotest.int) "stopped: none" None (remaining ());
+  Engine.slot_arm e t ~delay:50;
+  check (Alcotest.option Alcotest.int) "full remaining" (Some 50) (remaining ());
   Engine.schedule e ~delay:20 (fun () ->
-      check (Alcotest.option Alcotest.int) "partial remaining" (Some 30) (Timer.remaining t));
-  Engine.run e
+      check (Alcotest.option Alcotest.int) "partial remaining" (Some 30) (remaining ()));
+  Engine.run e;
+  check (Alcotest.option Alcotest.int) "fired: none" None (remaining ())
 
 let test_timer_rearm_in_callback () =
   let e = Engine.create () in
   let count = ref 0 in
   let rec t =
     lazy
-      (Timer.create e ~duration:10 (fun () ->
+      (Engine.slot_create e (fun () ->
            incr count;
-           if !count < 3 then Timer.start (Lazy.force t)))
+           if !count < 3 then Engine.slot_arm e (Lazy.force t) ~delay:10))
   in
-  Timer.start (Lazy.force t);
+  Engine.slot_arm e (Lazy.force t) ~delay:10;
   Engine.run e;
   check Alcotest.int "periodic rearm" 3 !count;
   check Alcotest.int "final time" 30 (Engine.now e)
@@ -421,6 +412,8 @@ type mop =
   | M_keyed of int * int  (* slot, delay; armed with the oldest reserved stamp *)
   | M_cancel of int
 
+(* [Step] is [run ~max_events:1]; [Drain] runs to the earliest pending
+   tick; [Run_until d] runs to [d] ticks from now. *)
 type action = Op of mop | Step | Drain | Run_until of int
 
 (* Slot [i] runs [reactions.(i)] the first time it fires. *)
@@ -586,15 +579,20 @@ let run_program p =
     (function
       | Op op -> exec op
       | Step ->
-          let expect = m.events <> [] in
-          if Engine.step e <> expect then fail "step returned %b" (not expect)
-      | Drain ->
           let before = !fired in
-          let tick = Option.map (fun (t, _, _) -> t) (head ()) in
-          let n = Engine.drain_batch e in
-          if n <> !fired - before then fail "drain_batch says %d, fired %d" n (!fired - before);
-          if List.exists (fun (t, _, _) -> Some t = tick) m.events then
-            fail "drain_batch left events of its tick"
+          let expect = if m.events = [] then 0 else 1 in
+          Engine.run ~max_events:1 e;
+          if !fired - before <> expect then
+            fail "run ~max_events:1 fired %d, model %d" (!fired - before) expect
+      | Drain -> (
+          (* Every event of the earliest tick, including those its
+             callbacks schedule for that same tick. *)
+          match head () with
+          | None -> ()
+          | Some (tick, _, _) ->
+              Engine.run ~until:tick e;
+              if List.exists (fun (t, _, _) -> t = tick) m.events then
+                fail "run ~until:%d left events of its tick" tick)
       | Run_until d ->
           let horizon = Engine.now e + d in
           Engine.run ~until:horizon e;
@@ -646,8 +644,6 @@ let () =
           Alcotest.test_case "fires once" `Quick test_timer_fires_once;
           Alcotest.test_case "restart extends" `Quick test_timer_restart_extends;
           Alcotest.test_case "stop" `Quick test_timer_stop;
-          Alcotest.test_case "start_for" `Quick test_timer_start_for;
-          Alcotest.test_case "set_duration" `Quick test_timer_set_duration;
           Alcotest.test_case "remaining" `Quick test_timer_remaining;
           Alcotest.test_case "rearm in callback" `Quick test_timer_rearm_in_callback;
         ] );
