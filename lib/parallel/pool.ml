@@ -192,8 +192,7 @@ let exec t chunk_tasks =
 let chunk_bounds ~workers ?chunk n =
   let per_chunk =
     match chunk with
-    | Some c when c >= 1 -> c
-    | Some _ -> invalid_arg "Pool.map_chunks: chunk must be >= 1"
+    | Some c -> c
     | None -> max 1 (n / (max 1 (workers * 4)))
   in
   let count = (n + per_chunk - 1) / per_chunk in
@@ -212,6 +211,9 @@ let pool_for jobs =
   end
 
 let map_chunks ?jobs ?chunk f tasks =
+  (match chunk with
+   | Some c when c < 1 -> invalid_arg "Pool.map_chunks: chunk must be >= 1"
+   | _ -> ());
   match pool_for jobs with
   | None -> List.map f tasks (* the whole point: zero per-element cost *)
   | Some t ->

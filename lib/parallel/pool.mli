@@ -43,7 +43,7 @@ val map_chunks : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
     queue, no domains. Exception behaviour matches [List.map]: the first
     raising element in input order propagates; later elements of its
     chunk are not evaluated (other chunks may still run to completion).
-    Raises [Invalid_argument] when [jobs < 1]. *)
+    Raises [Invalid_argument] when [jobs < 1] or [chunk < 1]. *)
 
 val default_jobs : unit -> int
 (** The [BA_JOBS] environment variable when set to a positive integer

@@ -31,19 +31,20 @@ type ack = {
   mutable check : int;
 }
 
-(* FNV-style multiply-xor fold, one multiply per 63-bit word instead of
-   the textbook one-per-byte: headers fold as whole ints and the payload
-   in 7-byte chunks (7 x 8 = 56 bits, so a chunk never touches the sign
-   bit). The checksum step [h <- (h lxor w) * prime land max_int] is a
-   bijection of [h] for fixed [w] (the prime is odd, so multiplying by
-   it is invertible mod 2^63), which makes detection provable rather
-   than probabilistic: any change confined to one chunk — in particular
-   every byte flip and header perturbation [corrupt_data]/[corrupt_ack]
-   inject — changes that step's output, and every later step propagates
-   the difference. The fold is a tail-recursive loop over the string —
-   no ref cell, no closure, no boxing — so checksumming allocates
-   nothing, and at one multiply per 7 payload bytes it is no longer the
-   dominant per-frame cost. *)
+(* FNV-style multiply-xor fold, one multiply per word instead of the
+   textbook one-per-byte: headers fold as whole ints and the payload in
+   7-byte chunks (7 x 8 = 56 bits, so a chunk never reaches the state's
+   top bits). The state is 62 bits: [land max_int] keeps bits 0-61, as
+   OCaml's [max_int] is 2^62 - 1. The step
+   [h <- (h lxor w) * prime land max_int] is a bijection of [h] for
+   fixed [w] (the prime is odd, so multiplying by it is invertible mod
+   2^62), which makes detection provable rather than probabilistic: any
+   change confined to one chunk — in particular every byte flip and
+   header perturbation [corrupt_data]/[corrupt_ack] inject — changes
+   that step's output, and every later step propagates the difference.
+   The header fold is OCaml; the payload fold is a C loop, so
+   checksumming allocates nothing and costs about one multiply per 7
+   payload bytes. *)
 let fnv_prime = 0x100000001b3
 let fnv_offset = 0x3bf29ce484222325
 
@@ -54,24 +55,11 @@ let fnv_int h v = fnv_word h (v land max_int)
 let data_kind_tag = function Msg -> 0 | Sync_req -> 1 | Sync_fin -> 2
 let ack_kind_tag = function Ack -> 0 | Sync_pos -> 1
 
-let byte s i = Char.code (String.unsafe_get s i)
-
-let low56 = (1 lsl 56) - 1
-
-(* Fold [s.[i .. n-1]] in 7-byte little-endian chunks; the final short
-   chunk folds however many bytes remain (its length is implied by the
-   position, which the header fold has already bound). A chunk is one
-   8-byte load masked to its low 7 bytes, so it needs a byte past its
-   end: a last chunk of exactly 7 bytes goes through [fnv_tail], which
-   builds the same word byte by byte. *)
-let rec fnv_bytes h s i n =
-  if i + 8 <= n then
-    fnv_bytes (fnv_word h (Int64.to_int (String.get_int64_le s i) land low56)) s (i + 7) n
-  else if i >= n then h
-  else fnv_word h (fnv_tail 0 0 s i n)
-
-and fnv_tail w shift s k n =
-  if k >= n then w else fnv_tail (w lor (byte s k lsl shift)) (shift + 8) s (k + 1) n
+(* [fnv_payload h s] folds all of [s] into [h] with [fnv_word], in
+   7-byte little-endian chunks; the final short chunk folds however
+   many bytes remain (its length is implied by the position, which the
+   header fold has already bound). In byte_kernels.c. *)
+external fnv_payload : int -> string -> int = "ba_fnv_fold" [@@noalloc]
 
 let data_checksum ~seq ~payload ~epoch ~dkind =
   let h = fnv_int fnv_offset seq in
@@ -83,7 +71,7 @@ let data_checksum ~seq ~payload ~epoch ~dkind =
     | Msg when epoch = 0 -> h
     | _ -> fnv_int (fnv_int h epoch) (data_kind_tag dkind)
   in
-  fnv_bytes h payload 0 (String.length payload)
+  fnv_payload h payload
 
 let ack_checksum ~lo ~hi ~epoch ~akind =
   let h = fnv_int (fnv_int fnv_offset lo) hi in

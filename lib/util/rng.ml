@@ -4,8 +4,9 @@
    [mutable int64] state would box every intermediate of every draw
    (~10 boxes per [bits64]), which put the generator at the top of the
    data path's allocation profile: links sample it per frame for loss
-   and delay. Workload payloads take the bulk kernel at the end of this
-   file instead, which keeps one payload's whole stream in registers. *)
+   and delay. Workload payloads take the C symbol kernel in
+   byte_kernels.c instead ([fill_symbols]/[symbols_match] below), which
+   keeps one payload's whole stream in registers. *)
 
 type t = {
   (* xoshiro256** state, one (hi, lo) pair of 32-bit halves per word *)
@@ -192,72 +193,28 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
-(* Bulk symbol kernel: the same splitmix64 seeding, xoshiro256** steps
-   and rejection draws as [create seed] followed by one [int _ bound]
-   per symbol, so its output is byte-identical to that loop. The
-   generator state lives in local [Int64] refs, which ocamlopt turns
-   into unboxed mutable variables held in registers: no record, no
-   boxed intermediate. The rejection limit is computed once per call,
-   and because [symbols] is inlined into each entry point below, the
-   modulus is a constant in the 36-symbol instance. With [fill] it
-   writes the symbols into [b]; otherwise it compares them with [b]'s
-   bytes and stops at the first difference. *)
-let[@inline] splitmix z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+(* The bulk symbol kernel, in byte_kernels.c: the same splitmix64
+   seeding, xoshiro256** steps and rejection draws as [create seed]
+   followed by one [int _ bound] per symbol, so its output is
+   byte-identical to that loop, with the generator state in machine
+   registers and, for the 36-symbol alphabet, a constant modulus.
+   [fill_symbols_c] writes the symbols at [pos]; [symbols_match_c]
+   compares them with the bytes there and stops at the first
+   difference. Neither checks its range: [check_symbols] runs first. *)
+external fill_symbols_c : int -> string -> Bytes.t -> int -> int -> unit = "ba_fill_symbols"
+[@@noalloc]
 
-let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
-
-let[@inline] symbols ~fill seed alphabet bound b pos len =
-  let limit = (1 lsl bit_width) - ((1 lsl bit_width) mod bound) in
-  let golden = 0x9E3779B97F4A7C15L in
-  let sm = Int64.add (Int64.of_int seed) golden in
-  let s0 = ref (splitmix sm) in
-  let sm = Int64.add sm golden in
-  let s1 = ref (splitmix sm) in
-  let sm = Int64.add sm golden in
-  let s2 = ref (splitmix sm) in
-  let s3 = ref (splitmix (Int64.add sm golden)) in
-  let k = ref pos and stop = pos + len in
-  while !k < stop do
-    let x1 = !s1 in
-    let r = Int64.mul (rotl (Int64.mul x1 5L) 7) 9L in
-    let t = Int64.shift_left x1 17 in
-    s2 := Int64.logxor !s2 !s0;
-    s3 := Int64.logxor !s3 x1;
-    s1 := Int64.logxor x1 !s2;
-    s0 := Int64.logxor !s0 !s3;
-    s2 := Int64.logxor !s2 t;
-    s3 := rotl !s3 45;
-    (* [bits]: the top 61 bits, exact in an OCaml int *)
-    let v = Int64.to_int (Int64.shift_right_logical r 3) in
-    if v < limit then begin
-      let c = String.unsafe_get alphabet (v mod bound) in
-      if fill then begin
-        Bytes.unsafe_set b !k c;
-        incr k
-      end
-      else if Bytes.unsafe_get b !k = c then incr k
-      else k := stop + 1
-    end
-  done;
-  !k = stop
+external symbols_match_c : int -> string -> string -> int -> int -> bool = "ba_symbols_match"
+[@@noalloc]
 
 let check_symbols fn alphabet n pos len =
   if String.length alphabet = 0 then invalid_arg (fn ^ ": empty alphabet");
   if pos < 0 || len < 0 || pos > n - len then invalid_arg (fn ^ ": range out of bounds")
 
-(* 36 symbols is the workload filler's alphabet (a-z, 0-9). *)
 let fill_symbols ~seed alphabet b ~pos ~len =
   check_symbols "Rng.fill_symbols" alphabet (Bytes.length b) pos len;
-  let bound = String.length alphabet in
-  ignore
-    (if bound = 36 then symbols ~fill:true seed alphabet 36 b pos len
-     else symbols ~fill:true seed alphabet bound b pos len)
+  fill_symbols_c seed alphabet b pos len
 
 let symbols_match ~seed alphabet s ~pos ~len =
   check_symbols "Rng.symbols_match" alphabet (String.length s) pos len;
-  let bound = String.length alphabet and b = Bytes.unsafe_of_string s in
-  if bound = 36 then symbols ~fill:false seed alphabet 36 b pos len
-  else symbols ~fill:false seed alphabet bound b pos len
+  symbols_match_c seed alphabet s pos len

@@ -1,15 +1,16 @@
 #!/bin/sh
-# Non-blank, non-comment line counts of the OCaml sources (.ml/.mli)
-# under each top-level directory: lib/<name>, bin, bench, examples and
-# test, then the total.
+# Non-blank, non-comment line counts of the sources (OCaml .ml/.mli and
+# C .c) under each top-level directory: lib/<name>, bin, bench, examples
+# and test, then the total.
 #
 #   scripts/loc.sh              counts for the working tree
 #   scripts/loc.sh REV          counts for a git revision
 #   scripts/loc.sh --delta REV  REV's counts, the working tree's, and
 #                               the difference: a change's line delta
 #
-# Comments are (* ... *), nested; string literals are skipped, so a "(*"
-# inside one opens no comment.
+# OCaml comments are (* ... *), nested; C comments are /* ... */ and
+# // to the end of the line. String literals are skipped, so a comment
+# opener inside one opens no comment.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -36,23 +37,50 @@ loc() {
     END { print loc + 0 }'
 }
 
-# OCaml sources under directory $2 at revision $1 ("" = working tree).
+# Lines of C on stdin that keep some code once comments are gone.
+cloc() {
+  awk '
+    {
+      line = $0; out = ""; n = length(line); i = 1
+      while (i <= n) {
+        c = substr(line, i, 1); c2 = substr(line, i, 2)
+        if (incomment) {
+          if (c2 == "*/") { incomment = 0; i += 2 } else i++
+        } else if (quote != "") {
+          if (c == "\\") { out = out "x"; i += 2 }
+          else { if (c == quote) quote = ""; out = out "x"; i++ }
+        } else if (c2 == "/*") { incomment = 1; i += 2 }
+        else if (c2 == "//") break
+        else { if (c == "\"" || c == "'\''") quote = c; out = out c; i++ }
+      }
+      if (out ~ /[^ \t]/) loc++
+    }
+    END { print loc + 0 }'
+}
+
+# Sources under directory $2 at revision $1 ("" = working tree) whose
+# names match the extended regex $3.
 files() {
   if [ -n "$1" ]; then git ls-tree -r --name-only "$1" -- "$2"
   else
     git ls-files --cached --others --exclude-standard -- "$2" |
       while read -r f; do if [ -f "$f" ]; then echo "$f"; fi; done
-  fi | grep -E '\.mli?$' || true
+  fi | grep -E "$3" || true
+}
+
+# Contents of the sources under $2 at revision $1 matching $3.
+contents() {
+  files "$1" "$2" "$3" | while read -r f; do
+    if [ -n "$1" ]; then git show "$1:$f"; else cat "$f"; fi
+  done
 }
 
 # "dir count" lines for revision $1 ("" = working tree), then the total.
 counts() {
-  dirs=$(files "$1" lib | cut -d/ -f2 | sort -u | sed 's|^|lib/|')
+  dirs=$(files "$1" lib '\.(mli?|c)$' | cut -d/ -f2 | sort -u | sed 's|^|lib/|')
   total=0
   for d in $dirs bin bench examples test; do
-    n=$(files "$1" "$d" | while read -r f; do
-          if [ -n "$1" ]; then git show "$1:$f"; else cat "$f"; fi
-        done | loc)
+    n=$(( $(contents "$1" "$d" '\.mli?$' | loc) + $(contents "$1" "$d" '\.c$' | cloc) ))
     total=$((total + n))
     echo "$d $n"
   done

@@ -897,12 +897,19 @@ let prop_lead_sender_grows_with_flight =
 (* ------------------------------------------------------------------ *)
 (* Wire checksums and corruption handling *)
 
-(* The frame checksum folded a byte at a time: [seq], then the payload
-   in 7-byte little-endian chunks, each built from single byte loads. *)
-let reference_checksum ~seq payload =
+(* The frame checksum folded a byte at a time: [seq], then — unless the
+   frame is an epoch-0 [Msg] — the epoch and the kind tag, then the
+   payload in 7-byte little-endian chunks, each built from single byte
+   loads. *)
+let reference_checksum ~seq ~epoch ~dkind payload =
   let step h w = (h lxor w) * 0x100000001b3 land max_int in
   let n = String.length payload in
   let h = ref (step 0x3bf29ce484222325 (seq land max_int)) in
+  (match dkind with
+   | Wire.Msg when epoch = 0 -> ()
+   | _ ->
+       let tag = match dkind with Wire.Msg -> 0 | Wire.Sync_req -> 1 | Wire.Sync_fin -> 2 in
+       h := step (step !h (epoch land max_int)) tag);
   let i = ref 0 in
   while !i < n do
     let w = ref 0 in
@@ -916,9 +923,26 @@ let reference_checksum ~seq payload =
 
 let prop_checksum_matches_bytewise =
   QCheck.Test.make ~name:"data checksum equals the byte-wise fold" ~count:1000
-    QCheck.(pair (int_bound 1_000_000) (string_of_size (Gen.int_range 0 700)))
-    (fun (seq, payload) ->
-      Wire.data_checksum ~seq ~payload ~epoch:0 ~dkind:Wire.Msg = reference_checksum ~seq payload)
+    QCheck.(
+      quad (int_bound 1_000_000)
+        (oneof [ always 0; int_bound 1_000 ])
+        (oneofl [ Wire.Msg; Wire.Sync_req; Wire.Sync_fin ])
+        (string_of_size (Gen.int_range 0 700)))
+    (fun (seq, epoch, dkind, payload) ->
+      Wire.data_checksum ~seq ~payload ~epoch ~dkind
+      = reference_checksum ~seq ~epoch ~dkind payload)
+
+(* Checksums recorded from the pure-OCaml fold before the payload loop
+   moved to C: a slip in the state's width (62 bits) or the chunks'
+   byte order shows up here as a changed literal. *)
+let test_wire_checksum_literals () =
+  let sum ~seq payload = Wire.data_checksum ~seq ~payload ~epoch:0 ~dkind:Wire.Msg in
+  check Alcotest.int "empty payload" 4567702583447238623 (sum ~seq:0 "");
+  check Alcotest.int "7-byte payload" 4040575677306420951 (sum ~seq:1 "abcdefg");
+  check Alcotest.int "512 B workload payload" 1084769999552614072
+    (sum ~seq:17 (Ba_proto.Workload.payload ~seed:4 ~size:512 17));
+  check Alcotest.int "sync-req at epoch 3" 2973186199025780719
+    (Wire.make_sync_req ~epoch:3).Wire.check
 
 let test_wire_checksum_allocation () =
   let payload = Ba_proto.Workload.payload ~seed:4 ~size:512 17 in
@@ -1384,6 +1408,7 @@ let () =
         [
           Alcotest.test_case "checksum roundtrip" `Quick test_wire_checksum_roundtrip;
           qcheck prop_checksum_matches_bytewise;
+          Alcotest.test_case "checksum literals" `Quick test_wire_checksum_literals;
           Alcotest.test_case "checksum allocates nothing" `Quick test_wire_checksum_allocation;
           Alcotest.test_case "corruption detected" `Quick test_wire_corruption_detected;
           Alcotest.test_case "receiver drops corrupt data" `Quick test_receiver_drops_corrupt_data;

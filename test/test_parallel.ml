@@ -72,6 +72,20 @@ let test_invalid_jobs_rejected () =
       | _ -> Alcotest.failf "jobs=%d accepted" jobs)
     [ 0; -1 ]
 
+(* The inline path (jobs = 1, or an empty list) checks [chunk] too, so
+   a bad chunk fails the same way on every host and at every [jobs]. *)
+let test_invalid_chunk_rejected () =
+  List.iter
+    (fun (chunk, jobs, xs) ->
+      match Pool.map_chunks ~jobs ~chunk succ xs with
+      | exception Invalid_argument msg ->
+          check Alcotest.string "message" "Pool.map_chunks: chunk must be >= 1" msg
+      | _ -> Alcotest.failf "chunk=%d accepted at jobs=%d on %d elements" chunk jobs (List.length xs))
+    (List.concat_map
+       (fun chunk ->
+         List.concat_map (fun jobs -> [ (chunk, jobs, []); (chunk, jobs, [ 1; 2; 3 ]) ]) [ 1; 2 ])
+       [ 0; -1 ])
+
 let test_chaos_campaign_jobs_invariant () =
   let seeds = List.init 6 (fun i -> i + 1) in
   let run jobs =
@@ -158,6 +172,8 @@ let () =
           Alcotest.test_case "exceptions propagate in order" `Quick test_exception_propagates;
           Alcotest.test_case "pool reuse across batches" `Quick test_pool_reuse_across_batches;
           Alcotest.test_case "invalid jobs rejected" `Quick test_invalid_jobs_rejected;
+          Alcotest.test_case "invalid chunk rejected at any jobs" `Quick
+            test_invalid_chunk_rejected;
           Alcotest.test_case "map_chunks matches List.map" `Quick
             test_map_chunks_matches_list_map;
           Alcotest.test_case "map_chunks exception order" `Quick
