@@ -31,7 +31,7 @@ let receiver_on_data r d =
   if not (Wire.data_ok d && Blockack.Seqcodec.is_wire r.codec d.Wire.seq) then ()
   else begin
   let { Wire.seq; payload; _ } = d in
-  let v = Blockack.Seqcodec.decode_data r.codec ~nr:r.nr seq in
+  let v = Blockack.Seqcodec.decode_data r.codec ~window:r.window ~nr:r.nr seq in
   let wire = Blockack.Seqcodec.encode r.codec v in
   if v < r.nr then r.tx (Wire.make_ack ~lo:wire ~hi:wire)
   else if v < r.nr + r.window then begin

@@ -16,13 +16,16 @@ type stats = {
   outage_drops : int;
 }
 
-(* In-transit messages live in a struct-of-arrays arena (message, tag,
-   send index, extra delay, releasable flag) and are referred to by integer
-   id everywhere: the bottleneck queue is a ring of ids and the two
-   event handlers ([deliver_ev]/[serve_ev], registered once at
-   [create]) take an id through {!Ba_sim.Engine.schedule_fn}.
-   Steady-state sends therefore allocate nothing — the old implementation built a
-   [Queue.t] tuple plus one closure per delivery.
+(* In-transit messages live in a struct-of-arrays arena of four columns
+   (message; tag and releasable flag, as [tag lsl 1 lor rel]; send
+   index; extra delay) and are referred to by integer id everywhere: the
+   bottleneck queue is a ring of ids and the two event handlers
+   ([deliver_ev]/[serve_ev], registered once at [create]) take an id
+   through {!Ba_sim.Engine.schedule_fn}. Steady-state sends therefore
+   allocate nothing — the old implementation built a [Queue.t] tuple
+   plus one closure per delivery. Free entries form a
+   stack threaded through their send-index column, so the free list
+   costs no column of its own.
 
    [release] transfers message ownership to the link: a message handed
    to [send] is released exactly once, when it leaves the system
@@ -45,12 +48,10 @@ type 'a t = {
   serve_ev : Ba_sim.Engine.handler;  (* bottleneck service completion *)
   (* arena of in-transit messages *)
   mutable ent_msg : 'a array;  (* [||] until the first send supplies a filler *)
-  mutable ent_tag : int array;
-  mutable ent_idx : int array;
+  mutable ent_tag : int array;  (* [tag lsl 1 lor 1] when the entry is releasable *)
+  mutable ent_idx : int array;  (* send index; for a free entry, the next free id or -1 *)
   mutable ent_extra : int array;
-  mutable ent_rel : bool array;
-  mutable ent_free : int array;
-  mutable ent_free_len : int;
+  mutable ent_free : int;  (* top of the free stack, -1 when empty *)
   (* bottleneck FIFO: ring of arena ids, capacity fixed at create *)
   q_buf : int array;
   mutable q_head : int;
@@ -104,9 +105,7 @@ let rec create_tagged : 'a.
         ent_tag = [||];
         ent_idx = [||];
         ent_extra = [||];
-        ent_rel = [||];
-        ent_free = [||];
-        ent_free_len = 0;
+        ent_free = -1;
         q_buf = (match bottleneck with Some (_, cap) -> Array.make cap 0 | None -> [||]);
         q_head = 0;
         q_len = 0;
@@ -130,7 +129,7 @@ let rec create_tagged : 'a.
 
 and alloc_entry : 'a. 'a t -> 'a -> int -> int -> int -> bool -> int =
  fun t msg tag index extra rel ->
-  if t.ent_free_len = 0 then begin
+  if t.ent_free < 0 then begin
     let old = Array.length t.ent_msg in
     let cap = if old = 0 then 16 else 2 * old in
     let m = Array.make cap msg in
@@ -139,35 +138,27 @@ and alloc_entry : 'a. 'a t -> 'a -> int -> int -> int -> bool -> int =
     let tg = Array.make cap 0 in
     Array.blit t.ent_tag 0 tg 0 old;
     t.ent_tag <- tg;
-    let ix = Array.make cap 0 in
-    Array.blit t.ent_idx 0 ix 0 old;
+    (* The new entries are free, the lowest on top. *)
+    let ix = Array.init cap (fun i -> if i < old then t.ent_idx.(i) else i + 1) in
+    ix.(cap - 1) <- -1;
     t.ent_idx <- ix;
     let ex = Array.make cap 0 in
     Array.blit t.ent_extra 0 ex 0 old;
     t.ent_extra <- ex;
-    let rl = Array.make cap false in
-    Array.blit t.ent_rel 0 rl 0 old;
-    t.ent_rel <- rl;
-    let fr = Array.make cap 0 in
-    for i = 0 to cap - old - 1 do
-      fr.(i) <- cap - 1 - i
-    done;
-    t.ent_free <- fr;
-    t.ent_free_len <- cap - old
+    t.ent_free <- old
   end;
-  t.ent_free_len <- t.ent_free_len - 1;
-  let id = t.ent_free.(t.ent_free_len) in
+  let id = t.ent_free in
+  t.ent_free <- t.ent_idx.(id);
   t.ent_msg.(id) <- msg;
-  t.ent_tag.(id) <- tag;
+  t.ent_tag.(id) <- (tag lsl 1) lor Bool.to_int rel;
   t.ent_idx.(id) <- index;
   t.ent_extra.(id) <- extra;
-  t.ent_rel.(id) <- rel;
   id
 
 and free_entry : 'a. 'a t -> int -> unit =
  fun t id ->
-  t.ent_free.(t.ent_free_len) <- id;
-  t.ent_free_len <- t.ent_free_len + 1
+  t.ent_idx.(id) <- t.ent_free;
+  t.ent_free <- id
 
 (* ---- delivery pipeline ---- *)
 
@@ -187,10 +178,9 @@ and on_arrival : 'a. 'a t -> int -> unit =
   else t.max_delivered_index <- index;
   let msg = t.ent_msg.(id) in
   let tag = t.ent_tag.(id) in
-  let rel = t.ent_rel.(id) in
   free_entry t id;
-  t.deliver tag msg;
-  if rel then match t.release with Some r -> r msg | None -> ()
+  t.deliver (tag asr 1) msg;
+  if tag land 1 = 1 then match t.release with Some r -> r msg | None -> ()
 
 and serve_next : 'a. 'a t -> int -> unit =
  fun t service_time ->
@@ -236,6 +226,7 @@ let admit t msg tag index extra rel =
       end
 
 let send_tagged t tag msg =
+  if tag < 0 || tag > max_int asr 1 then invalid_arg "Link.send_tagged: tag out of range";
   t.sent <- t.sent + 1;
   let index = t.send_index in
   t.send_index <- t.send_index + 1;

@@ -89,8 +89,9 @@ val create_tagged :
 (** Like {!create}, but each message travels with the int tag given to
     {!send_tagged}, and [deliver] receives it. The tag is a link-layer
     address (a flow index when many flows share the link): it sits in
-    its own arena column beside the message, so tagging allocates
-    nothing, and fault hooks and [corrupt] see only the bare message.
+    an arena column beside the message, so tagging allocates nothing,
+    and fault hooks and [corrupt] see only the bare message. A tag must
+    be in [\[0, max_int / 2\]]: the column keeps a flag in its low bit.
     {!send} on a tagged link uses tag 0. *)
 
 val queue_length : 'a t -> int

@@ -6,12 +6,13 @@
    window) when an accepted [v] has [v - nr >= capacity]. Buffered
    numbers therefore live in [nr, nr + capacity), which are distinct mod
    capacity, so a slot is unambiguous; a grow places them again. An
-   in-order stream takes the fast path in [on_data] and never buffers. *)
+   in-order stream takes the fast path in [on_data] and never buffers.
+   The sequence-number codec is the config's wire modulus ({!Seqcodec}),
+   read from [config] at each use rather than kept in a field. *)
 
 type t = {
   engine : Ba_sim.Engine.t;
   config : Config.t;
-  codec : Seqcodec.t;
   tx : Ba_proto.Wire.ack -> unit;
   deliver : string -> unit;
   mutable buf_payload : string array;
@@ -34,6 +35,7 @@ type t = {
 }
 
 let capacity t = Array.length t.buf_seq
+let codec t = t.config.Config.wire_modulus
 
 (* [v >= nr]; a number at or beyond [nr + capacity] is never buffered. *)
 let buf_mem t v = v - t.nr < capacity t && t.buf_seq.(v mod capacity t) = v
@@ -78,8 +80,8 @@ let buf_clear t =
 
 let send_ack t ~lo ~hi =
   t.tx
-    (Ba_proto.Wire.make_ack_e ~epoch:t.epoch ~lo:(Seqcodec.encode t.codec lo)
-       ~hi:(Seqcodec.encode t.codec hi))
+    (Ba_proto.Wire.make_ack_e ~epoch:t.epoch ~lo:(Seqcodec.encode (codec t) lo)
+       ~hi:(Seqcodec.encode (codec t) hi))
 
 (* Handshake message 2 (POS): "my stable delivered count is [nr]; resume
    there". Sent in reply to a REQ, and spontaneously (with retries) after
@@ -131,10 +133,12 @@ let ack_slot t =
 
 let create engine config ~tx ~deliver =
   Config.validate config;
+  let (_ : Seqcodec.t) =
+    Seqcodec.create ~window:config.Config.window ~wire_modulus:config.Config.wire_modulus
+  in
   {
     engine;
     config;
-    codec = Seqcodec.create ~window:config.Config.window ~wire_modulus:config.Config.wire_modulus;
     tx;
     deliver;
     buf_payload = [||];
@@ -210,7 +214,7 @@ let admit t v payload =
    the duplicate-delivery bug the crash spec exhibits. *)
 let on_data t d =
   if not t.alive then ()
-  else if not (Ba_proto.Wire.data_ok d && Seqcodec.is_wire t.codec d.Ba_proto.Wire.seq) then
+  else if not (Ba_proto.Wire.data_ok d && Seqcodec.is_wire (codec t) d.Ba_proto.Wire.seq) then
     t.corrupt_dropped <- t.corrupt_dropped + 1
   else begin
     let epochs = t.config.Config.resync_epochs in
@@ -226,7 +230,7 @@ let on_data t d =
           stop_syncing t;
           let seq = d.Ba_proto.Wire.seq in
           let payload = d.Ba_proto.Wire.payload in
-          let v = Seqcodec.decode_data t.codec ~nr:t.nr seq in
+          let v = Seqcodec.decode_data (codec t) ~window:t.config.Config.window ~nr:t.nr seq in
           if v < t.nr then begin
             (* Already accepted: its acknowledgment must have been lost; re-ack. *)
             t.dup_acks_sent <- t.dup_acks_sent + 1;

@@ -1,22 +1,23 @@
 (* Action 2: one timer, restarted by every data transmission, so
    "expired" means no data was sent for a full [rto]; its expiry resends
-   the oldest outstanding message. *)
+   the oldest outstanding message. The timer is the sender's own engine
+   slot, so the policy keeps no state. *)
 module Timer = struct
-  type t = { engine : Ba_sim.Engine.t; slot : Ba_sim.Engine.slot; rto : int }
+  type t = unit
 
-  let create engine config ~expire =
-    let slot = Ba_sim.Engine.slot_create engine (fun () -> expire 0) in
-    { engine; slot; rto = config.Config.rto }
-
-  let grow _ ~slots:_ ~na:_ ~ns:_ = ()
-
+  let create _ = ()
+  let fired _ = 0
+  let grow () ~slots:_ ~na:_ ~ns:_ = ()
   let window _ w = w
-  let arm t ~slot:_ ~seq:_ ~fresh:_ = Ba_sim.Engine.slot_arm t.engine t.slot ~delay:t.rto
-  let due _ _ ~na = na
+
+  let arm (s : t Sender_core.core) ~slot:_ ~fresh:_ =
+    Ba_sim.Engine.slot_arm s.engine s.slot ~delay:s.config.Config.rto
+
+  let due () _ ~na = na
   let resend _ ~slot:_ ~oldest:_ = ()
-  let acked _ ~slot:_ ~seq:_ = ()
-  let wipe t = Ba_sim.Engine.slot_cancel t.engine t.slot
-  let slid t ~outstanding ~advanced:_ = if outstanding = 0 then wipe t
+  let acked _ ~slot:_ = ()
+  let wipe (s : t Sender_core.core) = Ba_sim.Engine.slot_cancel s.engine s.slot
+  let slid s ~outstanding ~advanced:_ = if outstanding = 0 then wipe s
 end
 
 include Sender_core.Make (Timer)

@@ -16,44 +16,82 @@
    are distinct mod capacity; a grow places them again at their new
    slots. At full capacity this is [seq mod band]. *)
 
-(** What a timeout action decides. Hooks receive slots
-    ([seq mod capacity]) and sequence numbers, never the sender itself. *)
+(* The sender's state. It sits outside {!Make} so that a {!TIMERS}
+   policy's hooks can take the sender itself: the policy keeps only what
+   is its own (['p]) and reads the engine, the config and the one engine
+   slot from here. *)
+type 'p core = {
+  engine : Ba_sim.Engine.t;
+  config : Config.t;
+  mutable slot : Ba_sim.Engine.slot;
+      (* the timeout timer, armed by the policy; firing runs action 2 / 2′.
+         Set once, by [create], to a slot whose callback needs the record. *)
+  tx : Ba_proto.Wire.data -> unit;
+  source : Ba_proto.Source.t;  (* the outbox: payload of [seq] at position [seq] *)
+  band : int;  (* the most [ns - na] may reach: the lead, else the window *)
+  mutable acked_seq : int array;  (* seq when that seq is acked out of order, -1 otherwise *)
+  timers : 'p;
+  (* Built on first use: a flow that never restarts and never
+     retransmits under a wire modulus never needs them. *)
+  mutable sync_slot : Ba_sim.Engine.slot option;  (* REQ retry until the receiver's POS *)
+  mutable guard : Window_guard.t option;  (* none until the first held retransmission *)
+  mutable na : int;
+  mutable ns : int;
+  mutable unacked : int;  (* members of [na, ns) not yet acknowledged *)
+  mutable alive : bool;
+  mutable epoch : int;  (* incarnation; stable storage *)
+  mutable syncing : bool;  (* restarted; REQ sent, POS pending *)
+  mutable retransmissions : int;
+  mutable corrupt_acks_dropped : int;
+  mutable wclamp : int option;
+      (* externally imposed window clamp (fabric backpressure); survives
+         crash–restart because the pressure is outside this endpoint *)
+}
+
+(** What a timeout action decides. Hooks receive the sender, or only the
+    policy's state, and slots ([seq mod capacity]). The sender's one engine
+    slot ([core.slot]) is the policy's to arm and cancel; when it fires,
+    the core asks {!fired} which timer that was. *)
 module type TIMERS = sig
   type t
 
-  val create : Ba_sim.Engine.t -> Config.t -> expire:(int -> unit) -> t
-  (** A firing timer calls [expire k] with an integer of the policy's
-      choosing, which {!due} maps back to a message. The policy holds no
-      slot until the first {!grow}. *)
+  val create : Config.t -> t
+  (** The policy's own state, with no column slot until the first
+      {!grow}. *)
+
+  val fired : t core -> int
+  (** The sender's slot fired: name the timer that expired with an
+      integer of the policy's choosing, which {!due} maps back to a
+      message, and arm the slot for the next timer, if any. *)
 
   val grow : t -> slots:int -> na:int -> ns:int -> unit
   (** The core's capacity grew to [slots]: place the entries of the
       outstanding range [na, ns) again at [seq mod slots]. *)
 
-  val window : t -> int -> int
+  val window : t core -> int -> int
   (** Narrow the effective window further (a congestion window); the
       identity for a policy without one. *)
 
-  val arm : t -> slot:int -> seq:int -> fresh:bool -> unit
-  (** [seq], held in slot [slot], was just transmitted — for the
+  val arm : t core -> slot:int -> fresh:bool -> unit
+  (** The message held in slot [slot] was just transmitted — for the
       first time when [fresh]. *)
 
   val due : t -> int -> na:int -> int
   (** The sequence number expiry [k] resends. The core resends it only
       while it is outstanding and unacknowledged. *)
 
-  val resend : t -> slot:int -> oldest:bool -> unit
+  val resend : t core -> slot:int -> oldest:bool -> unit
   (** An expiry is about to resend the message in [slot]; [oldest] when
       that message is [na]. *)
 
-  val acked : t -> slot:int -> seq:int -> unit
-  (** [seq] was newly acknowledged. *)
+  val acked : t core -> slot:int -> unit
+  (** The message in [slot] was newly acknowledged. *)
 
-  val slid : t -> outstanding:int -> advanced:int -> unit
+  val slid : t core -> outstanding:int -> advanced:int -> unit
   (** An acknowledgment moved [na] forward by [advanced] (possibly 0),
       leaving [outstanding] messages. *)
 
-  val wipe : t -> unit
+  val wipe : t core -> unit
   (** Crash: forget every armed timer and every learned estimate. *)
 end
 
@@ -132,7 +170,7 @@ module type S = sig
 end
 
 module Make (P : TIMERS) : sig
-  include S
+  include S with type t = P.t core
 
   val create :
     ?lead:int ->
@@ -145,34 +183,12 @@ module Make (P : TIMERS) : sig
       window); see {!Sender_multi.create}. *)
 
   val unacked : t -> int
-  val timers : t -> P.t
 end = struct
-  type t = {
-    engine : Ba_sim.Engine.t;
-    config : Config.t;
-    codec : Seqcodec.t;
-    tx : Ba_proto.Wire.data -> unit;
-    source : Ba_proto.Source.t;  (* the outbox: payload of [seq] at position [seq] *)
-    band : int;  (* the most [ns - na] may reach: the lead, else the window *)
-    mutable acked_seq : int array;  (* seq when that seq is acked out of order, -1 otherwise *)
-    timers : P.t;
-    (* Built on first use: a flow that never restarts and never
-       retransmits under a wire modulus never needs them. *)
-    mutable sync_slot : Ba_sim.Engine.slot option;  (* REQ retry until the receiver's POS *)
-    mutable guard : Window_guard.t option;  (* none until the first held retransmission *)
-    mutable na : int;
-    mutable ns : int;
-    mutable unacked : int;  (* members of [na, ns) not yet acknowledged *)
-    mutable alive : bool;
-    mutable epoch : int;  (* incarnation; stable storage *)
-    mutable syncing : bool;  (* restarted; REQ sent, POS pending *)
-    mutable retransmissions : int;
-    mutable corrupt_acks_dropped : int;
-    mutable wclamp : int option;
-        (* externally imposed window clamp (fabric backpressure); survives
-           crash–restart because the pressure is outside this endpoint *)
-  }
+  type t = P.t core
 
+  (* The codec is the config's wire modulus ({!Seqcodec}), checked
+     against the band at [create]. *)
+  let codec t = t.config.Config.wire_modulus
   let slot_of t seq = seq mod Array.length t.acked_seq
   let is_acked t seq = t.acked_seq.(slot_of t seq) = seq
   let outstanding t = t.ns - t.na
@@ -184,7 +200,7 @@ end = struct
   let effective_window t =
     let w = t.config.Config.window in
     let w = match t.wclamp with Some c -> min w c | None -> w in
-    P.window t.timers w
+    P.window t w
 
   (* Make room for one more outstanding message: double the capacity
      (from 1, the last step clamped to the band) and place [na, ns)
@@ -202,9 +218,9 @@ end = struct
   let transmit t seq ~fresh =
     let i = slot_of t seq in
     t.tx
-      (Ba_proto.Wire.make_data_e ~epoch:t.epoch ~seq:(Seqcodec.encode t.codec seq)
+      (Ba_proto.Wire.make_data_e ~epoch:t.epoch ~seq:(Seqcodec.encode (codec t) seq)
          ~payload:(Ba_proto.Source.get t.source seq));
-    P.arm t.timers ~slot:i ~seq ~fresh
+    P.arm t ~slot:i ~fresh
 
   (* Admission: fewer than [e] messages unacknowledged, and [ns] within
      [e + lead - window] of [na], so the flight band never exceeds the
@@ -249,13 +265,15 @@ end = struct
     let seq = P.due t.timers k ~na:t.na in
     if running t && seq >= t.na && seq < t.ns && not (is_acked t seq) then begin
       t.retransmissions <- t.retransmissions + 1;
-      P.resend t.timers ~slot:(slot_of t seq) ~oldest:(seq = t.na);
+      P.resend t ~slot:(slot_of t seq) ~oldest:(seq = t.na);
       (* With unbounded wire numbers decode is exact and no hold is needed. *)
       if t.config.Config.wire_modulus <> None then
         Window_guard.note_retransmission (guard t) ~seq ~window:t.band
           ~hold_for:(Config.hold_duration t.config);
       transmit t seq ~fresh:false
     end
+
+  let on_fire t = on_timeout t (P.fired t)
 
   (* Handshake message 1 (REQ): a restarted sender has no idea how much of
      its outbox the receiver already delivered; ask. Retried on a timer
@@ -293,31 +311,34 @@ end = struct
           (Printf.sprintf "Sender_core.create: modulus %d < 2*lead=%d loses information" n
              (2 * band))
     | Some _ | None -> ());
-    let rec t =
-      lazy
-        {
-          engine;
-          config;
-          codec = Seqcodec.create ~window:band ~wire_modulus:config.Config.wire_modulus;
-          tx;
-          source = Ba_proto.Source.create next_payload;
-          band;
-          acked_seq = [||];
-          timers = P.create engine config ~expire:(fun k -> on_timeout (Lazy.force t) k);
-          sync_slot = None;
-          guard = None;
-          na = 0;
-          ns = 0;
-          unacked = 0;
-          alive = true;
-          epoch = 0;
-          syncing = false;
-          retransmissions = 0;
-          corrupt_acks_dropped = 0;
-          wclamp = None;
-        }
+    let (_ : Seqcodec.t) = Seqcodec.create ~window:band ~wire_modulus:config.Config.wire_modulus in
+    let t =
+      {
+        engine;
+        config;
+        slot = Ba_sim.Engine.no_slot;
+        tx;
+        source = Ba_proto.Source.create next_payload;
+        band;
+        acked_seq = [||];
+        timers = P.create config;
+        sync_slot = None;
+        guard = None;
+        na = 0;
+        ns = 0;
+        unacked = 0;
+        alive = true;
+        epoch = 0;
+        syncing = false;
+        retransmissions = 0;
+        corrupt_acks_dropped = 0;
+        wclamp = None;
+      }
     in
-    Lazy.force t
+    (* One closure per sender, over the sender itself: the slot built
+       here is the only timer the policy arms. *)
+    t.slot <- Ba_sim.Engine.slot_create engine (fun () -> on_fire t);
+    t
 
   (* Wipe all volatile state. [na]/[ns] are zeroed too (they are
      meaningless without the buffers); the truth about position lives at
@@ -325,7 +346,7 @@ end = struct
      epoch and the application outbox ({!Ba_proto.Source} holds the
      unacknowledged suffix for replay). *)
   let wipe_volatile t =
-    P.wipe t.timers;
+    P.wipe t;
     cancel_sync t;
     Array.fill t.acked_seq 0 (Array.length t.acked_seq) (-1);
     Option.iter Window_guard.clear t.guard;
@@ -379,7 +400,7 @@ end = struct
       let i = slot_of t seq in
       t.acked_seq.(i) <- seq;
       t.unacked <- t.unacked - 1;
-      P.acked t.timers ~slot:i ~seq
+      P.acked t ~slot:i
     end
 
   (* Action 1: mark every covered sequence number that is still
@@ -428,18 +449,18 @@ end = struct
               send_fin t
         | Ba_proto.Wire.Ack
           when not
-                 (Seqcodec.is_wire t.codec a.Ba_proto.Wire.lo
-                 && Seqcodec.is_wire t.codec a.Ba_proto.Wire.hi) ->
+                 (Seqcodec.is_wire (codec t) a.Ba_proto.Wire.lo
+                 && Seqcodec.is_wire (codec t) a.Ba_proto.Wire.hi) ->
             t.corrupt_acks_dropped <- t.corrupt_acks_dropped + 1
         | Ba_proto.Wire.Ack ->
             if not t.syncing then begin
               let lo = a.Ba_proto.Wire.lo in
               let hi = a.Ba_proto.Wire.hi in
-              (match Seqcodec.modulus t.codec with
-              | Some _ ->
-                  for k = 0 to Seqcodec.span t.codec ~lo ~hi - 1 do
-                    let wire = Seqcodec.shift t.codec lo k in
-                    mark_acked t (Seqcodec.decode_ack t.codec ~na:t.na wire)
+              (match codec t with
+              | Some _ as codec ->
+                  for k = 0 to Seqcodec.span codec ~lo ~hi - 1 do
+                    let wire = Seqcodec.shift codec lo k in
+                    mark_acked t (Seqcodec.decode_ack codec ~na:t.na wire)
                   done
               | None ->
                   (* Unbounded wire numbers are the sequence numbers, and
@@ -460,7 +481,7 @@ end = struct
                  it. *)
               if t.config.Config.resync_epochs && t.na > na_before then
                 Ba_proto.Source.release t.source ~below:t.na;
-              P.slid t.timers ~outstanding:(outstanding t) ~advanced:(t.na - na_before);
+              P.slid t ~outstanding:(outstanding t) ~advanced:(t.na - na_before);
               pump t
             end
       end
@@ -484,5 +505,4 @@ end = struct
 
   let epoch t = t.epoch
   let syncing t = t.syncing
-  let timers t = t.timers
 end

@@ -115,25 +115,29 @@ module Server = struct
       end
     in
     let flush_slot = Ba_sim.Engine.slot_create engine flush in
+    (* The receiver hands each ack over, as it hands one to a simulated
+       link: once encoded or merged into the held range, it goes back to
+       the frame pool. [out] is the server's own and never does. *)
     let tx (a : W.ack) =
       if a.W.epoch > !epoch then epoch := a.W.epoch;
       if a.W.akind = W.Sync_pos then incr handshakes;
-      if not merge then send_ack a
-      else if
-        !held && W.ack_extends ~wire_modulus ~cap ~lo:!h_lo ~hi:!h_hi ~epoch:!h_epoch a
-      then h_hi := a.W.hi
-      else begin
-        flush ();
-        match a.W.akind with
-        | W.Sync_pos -> send_ack a
-        | W.Ack ->
-            held := true;
-            h_lo := a.W.lo;
-            h_hi := a.W.hi;
-            h_epoch := a.W.epoch;
-            if not (Ba_sim.Engine.slot_armed engine flush_slot) then
-              Ba_sim.Engine.slot_arm engine flush_slot ~delay:0
-      end
+      (if not merge then send_ack a
+       else if
+         !held && W.ack_extends ~wire_modulus ~cap ~lo:!h_lo ~hi:!h_hi ~epoch:!h_epoch a
+       then h_hi := a.W.hi
+       else begin
+         flush ();
+         match a.W.akind with
+         | W.Sync_pos -> send_ack a
+         | W.Ack ->
+             held := true;
+             h_lo := a.W.lo;
+             h_hi := a.W.hi;
+             h_epoch := a.W.epoch;
+             if not (Ba_sim.Engine.slot_armed engine flush_slot) then
+               Ba_sim.Engine.slot_arm engine flush_slot ~delay:0
+       end);
+      W.release_ack a
     in
     let r = P.create_receiver engine config ~tx ~deliver in
     (match (restore, P.lifecycle) with
@@ -274,6 +278,9 @@ module Client = struct
           let n = Codec.data_header_len + String.length d.W.payload in
           if Bytes.length !buf < n then buf := Bytes.create n;
           let len = Codec.encode !buf (Codec.Data d) in
+          (* Encoded, the frame goes back to the pool, as a simulated
+             link returns it on delivery. *)
+          W.release_data d;
           Shim.send shim !buf len)
         ~next_payload
     in

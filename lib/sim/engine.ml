@@ -45,6 +45,8 @@ type t = {
 type slot = int
 type handler = int
 
+let no_slot = -1
+
 let ignore_unit () = ()
 let ignore_int (_ : int) = ()
 

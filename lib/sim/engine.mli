@@ -61,6 +61,12 @@ val slot_create : t -> (unit -> unit) -> slot
     fires. A slot fires at most once per arming and is disarmed before
     [f] runs, so [f] may re-arm it. *)
 
+val no_slot : slot
+(** A value {!slot_create} never returns: the placeholder of a record
+    field that holds a slot whose callback needs the record itself, set
+    right after the record is built. Passing it to any other function
+    is a bug. *)
+
 val slot_arm : t -> slot -> delay:int -> unit
 (** Arm (or re-arm, replacing the previous arming) to fire [delay]
     ticks from now: {!slot_arm_keyed} with a fresh {!take_stamp}.

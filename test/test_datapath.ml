@@ -220,7 +220,7 @@ module Ref_impl = struct
                  an implicit FIN. *)
               stop_syncing t;
               let { Ba_proto.Wire.seq; payload; _ } = d in
-              let v = Seqcodec.decode_data t.codec ~nr:t.nr seq in
+              let v = Seqcodec.decode_data t.codec ~window:t.config.Config.window ~nr:t.nr seq in
               if v < t.nr then begin
                 (* Already accepted: its acknowledgment must have been lost; re-ack. *)
                 t.dup_acks_sent <- t.dup_acks_sent + 1;

@@ -419,6 +419,28 @@ let loopback_impaired () =
 
 let loopback_baseline () = assert_clean "go-back-n/clean" (pair ~messages:60 "go-back-n")
 
+(* Both ends hand their sent frames back to the [Wire] pool, as the
+   simulated link does, so a clean blockack pair allocates a bounded
+   number of bytes per message. Measured as the slope between two
+   transfer lengths, the way [bench --check] measures the simulated data
+   path: 426 B/msg on a 2-vCPU x86-64 host, 522 when no frame went back
+   to the pool. *)
+let loopback_alloc_per_message () =
+  let budget = 480. in
+  let alloc messages =
+    let run () = assert_clean "blockack/alloc" (pair ~messages ~payload_size:16 "blockack") in
+    run ();
+    Gc.minor ();
+    let a0 = Gc.allocated_bytes () in
+    run ();
+    Gc.minor ();
+    Gc.allocated_bytes () -. a0
+  in
+  let slope = (alloc 4_000 -. alloc 2_000) /. 2_000. in
+  Printf.printf "clean pair: %.0f B/msg\n" slope;
+  if slope > budget then
+    Alcotest.failf "clean pair allocates %.0f B/msg, want <= %.0f" slope budget
+
 (* The client keeps pull times for about a window of messages, not one
    per message. Over a long transfer every delivery must still find its
    own: the latency sketch holds one sample per message, on a clean link
@@ -917,6 +939,8 @@ let () =
       ( "loopback",
         [
           Alcotest.test_case "blockack clean link" `Quick loopback_clean;
+          Alcotest.test_case "bytes per message on a clean pair" `Quick
+            loopback_alloc_per_message;
           Alcotest.test_case "blockack under 5% loss" `Quick loopback_impaired;
           Alcotest.test_case "go-back-n clean link" `Quick loopback_baseline;
           Alcotest.test_case "a latency sample per message" `Quick loopback_latency_per_message;

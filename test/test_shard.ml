@@ -87,6 +87,33 @@ let test_budget_admission_is_cell_local () =
     (r.Shard.clamped_cells > 0 || r.Shard.refused > 0);
   check Alcotest.bool "sampled peak within budget" true (r.Shard.mem_peak_bytes <= budget)
 
+(* [Shard.summary] of 4,096 two-message blockack flows, shaped like the
+   benchmark's shard-100k (window 8, rto 400, default cell), at seeds
+   1-3, on a clean channel and at 5% loss each way (about 1,100
+   retransmissions a run, so every sender's timer fires). The digests
+   were recorded before the per-flow state was cut (endpoint codec
+   records, timer closures and policy fields, link arena columns, the
+   cell's wiring closures), which changed no event, stamp or slot id. *)
+let test_summary_digests () =
+  let e = entry "blockack-multi" in
+  let config = Registry.config ~window:8 ~rto:400 e () in
+  let specs = List.init 4096 (fun _ -> Fabric.spec ~config ~messages:2 e.Registry.protocol) in
+  List.iter
+    (fun (loss, seed, want) ->
+      let r = Shard.run ~seed ~jobs:1 ~data_loss:loss ~ack_loss:loss specs in
+      check Alcotest.string
+        (Printf.sprintf "loss %.2f seed %d" loss seed)
+        want
+        (Digest.to_hex (Digest.string (Shard.summary r))))
+    [
+      (0., 1, "9778d2c6ef89490bd59a5ae2e7c5fd39");
+      (0., 2, "b9ed3956563d4d9a3c14e9fcc169ad01");
+      (0., 3, "44740db044614d06b74ea8821b0182fa");
+      (0.05, 1, "454501c4ab54171a7d425d07f31f41d4");
+      (0.05, 2, "960041427ece6d8a7470f1916115dfed");
+      (0.05, 3, "85bf2e957add3cc626b860e502ff96f9");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Per-flow state *)
 
@@ -94,36 +121,169 @@ let test_budget_admission_is_cell_local () =
    window 8, rto 400, two messages each) keep live, the cells built and
    seeded the way [Shard.run] builds them at seed 7: after [Cell.create]
    (endpoints and cell wiring), and after [Cell.start] (two messages in
-   flight per flow, the point [Shard.run] measures [state_bytes] at). *)
+   flight per flow, the point [Shard.run] measures [state_bytes] at).
+
+   The ledger then builds each part of a started flow on its own, in the
+   same numbers, and measures it the same way:
+   - cell wiring: cells of a protocol whose endpoints are their
+     callbacks, so what is left is the cell's per-flow columns and the
+     callbacks' closure block;
+   - sender: blockack senders with two messages in flight on one shared
+     engine whose event heap was grown beforehand, so the figure holds
+     the sender and its engine slot (two column entries), and not its
+     timer event;
+   - receiver: idle blockack receivers;
+   - frames with payloads: two data frames a flow, each with its own
+     32 B workload payload (the sender's outbox and the cell's flight
+     ring point at the same strings);
+   - link arena and engine columns: per cell, an engine and the two
+     links holding 1,024 timer events and 2,048 frames in flight (one
+     shared frame), so the engine's event heap and the data link's
+     arena have the cell's sizes.
+   The parts must add up to the [Cell.start] figure within [residual]:
+   what is left is each build's fixed cost (engines, links, the frame
+   pool's hits) spread over 8,192 flows. *)
+let cells = 8
+let per_cell = 1024
+let flows = cells * per_cell
+
+let live () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* Live bytes per flow that [build] keeps, [build] called once per cell,
+   less the arrays that hold what it built. *)
+let per_flow (build : int -> 'a array) =
+  let before = live () in
+  let kept = Array.init cells build in
+  let after = live () in
+  ignore (Sys.opaque_identity kept);
+  let holders = Array.fold_left (fun acc a -> acc + Array.length a + 1) (cells + 1) kept in
+  float_of_int ((after - before - holders) * (Sys.word_size / 8)) /. float_of_int flows
+
+let shard_config e = Registry.config ~window:8 ~rto:400 e ()
+
+(* One spec for every flow: [Shard.run] builds its specs before it
+   measures, so they are not per-flow state. *)
+let build_cell protocol config =
+  let spec = Fabric.spec ~config ~messages:2 protocol in
+  fun ci ->
+  Ba_proto.Cell.create
+    ~engine_seed:(7 + (104729 * (ci + 1)))
+    ~wseed:(fun i -> 7 + (7919 * ((ci * per_cell) + i + 1)))
+    ~data_loss:0. ~ack_loss:0. ~data_delay:(Dist.Uniform (40, 60))
+    ~ack_delay:(Dist.Uniform (40, 60)) ~lease:(1000, flows) ~sketch:true
+    (List.init per_cell (fun _ -> spec))
+
+(* Endpoints that are their callbacks: a cell of these keeps only its
+   own per-flow state. *)
+module Bare : Ba_proto.Protocol.S = struct
+  let name = "bare"
+
+  type sender = unit -> string option
+  type receiver = string -> unit
+
+  let create_sender _ _ ~tx:_ ~next_payload = next_payload
+  let create_receiver _ _ ~tx:_ ~deliver = deliver
+  let sender_on_ack _ _ = ()
+  let receiver_on_data _ _ = ()
+  let sender_pump _ = ()
+  let sender_done _ = true
+  let sender_outstanding _ = 0
+  let sender_retransmissions _ = 0
+  let ack_wire_bytes = 0
+  let lifecycle = None
+  let overload = None
+end
+
+let ledger e =
+  let (module P : Ba_proto.Protocol.S) = e.Registry.protocol in
+  let config = shard_config e in
+  let wiring = per_flow (fun ci -> [| build_cell (module Bare) config ci |]) in
+  let sender =
+    let engine = Ba_sim.Engine.create () in
+    for _ = 1 to flows do
+      Ba_sim.Engine.schedule engine ~delay:0 ignore
+    done;
+    Ba_sim.Engine.run engine;
+    (* A shared payload and a shared supplier: two messages, then [None]
+       once, as a two-message flow's puller answers a pump. *)
+    let pulls = ref 0 in
+    let supply () =
+      if !pulls < 2 then begin
+        incr pulls;
+        Some "p"
+      end
+      else begin
+        pulls := 0;
+        None
+      end
+    in
+    per_flow (fun _ ->
+        Array.init per_cell (fun _ ->
+            let s = P.create_sender engine config ~tx:ignore ~next_payload:supply in
+            P.sender_pump s;
+            s))
+  in
+  let engine = Ba_sim.Engine.create () in
+  let receiver =
+    per_flow (fun _ ->
+        Array.init per_cell (fun _ -> P.create_receiver engine config ~tx:ignore ~deliver:ignore))
+  in
+  let frames =
+    per_flow (fun ci ->
+        Array.init (2 * per_cell) (fun k ->
+            let payload = Ba_proto.Workload.payload ~seed:(ci + 1) ~size:32 k in
+            Ba_proto.Wire.make_data_e ~epoch:0 ~seq:(k mod 2) ~payload))
+  in
+  let columns =
+    let frame = Ba_proto.Wire.make_data_e ~epoch:0 ~seq:0 ~payload:"p" in
+    per_flow (fun _ ->
+        let engine = Ba_sim.Engine.create () in
+        let link () =
+          Ba_channel.Link.create_tagged engine ~delay:(Dist.Uniform (40, 60)) ~deliver:(fun _ _ -> ()) ()
+        in
+        let data = link () and acks = link () in
+        let timer = Ba_sim.Engine.handler engine ignore in
+        for i = 0 to per_cell - 1 do
+          Ba_sim.Engine.schedule_fn engine ~delay:400 timer i;
+          Ba_channel.Link.send_tagged data i frame;
+          Ba_channel.Link.send_tagged data i frame
+        done;
+        [| (engine, data, acks) |])
+  in
+  [
+    ("cell wiring", wiring);
+    ("sender", sender);
+    ("receiver", receiver);
+    ("frames with payloads", frames);
+    ("link arena and engine columns", columns);
+  ]
+
 let test_cell_footprint () =
   let e = entry "blockack" in
-  let spec =
-    Fabric.spec ~config:(Registry.config ~window:8 ~rto:400 e ()) ~messages:2 e.Registry.protocol
-  in
-  let cells = 8 and per_cell = 1024 and seed = 7 in
-  let flows = cells * per_cell in
-  let live () =
-    Gc.full_major ();
-    (Gc.stat ()).Gc.live_words
-  in
+  let config = shard_config e in
   let before = live () in
-  let per_flow () = (live () - before) * (Sys.word_size / 8) / flows in
-  let built =
-    Array.init cells (fun ci ->
-        Ba_proto.Cell.create
-          ~engine_seed:(seed + (104729 * (ci + 1)))
-          ~wseed:(fun i -> seed + (7919 * ((ci * per_cell) + i + 1)))
-          ~data_loss:0. ~ack_loss:0. ~data_delay:(Dist.Uniform (40, 60))
-          ~ack_delay:(Dist.Uniform (40, 60)) ~lease:(1000, flows) ~sketch:true
-          (List.init per_cell (fun _ -> spec)))
+  let per_flow_now () =
+    float_of_int ((live () - before) * (Sys.word_size / 8)) /. float_of_int flows
   in
-  let created = per_flow () in
+  let built = Array.init cells (build_cell e.Registry.protocol config) in
+  let created = per_flow_now () in
   Array.iter Ba_proto.Cell.start built;
-  let started = per_flow () in
+  let started = per_flow_now () in
   ignore (Sys.opaque_identity built);
-  Printf.printf "created %d started %d\n%!" created started;
-  if created > 1_140 then Alcotest.failf "after Cell.create %d B/flow, want <= 1140" created;
-  if started > 1_630 then Alcotest.failf "after Cell.start %d B/flow, want <= 1630" started
+  Printf.printf "created %.1f started %.1f B/flow\n%!" created started;
+  if created > 800. then Alcotest.failf "after Cell.create %.1f B/flow, want <= 800" created;
+  if started > 1_260. then Alcotest.failf "after Cell.start %.1f B/flow, want <= 1260" started;
+  let parts = ledger e in
+  let sum = List.fold_left (fun acc (_, b) -> acc +. b) 0. parts in
+  List.iter (fun (name, b) -> Printf.printf "  %-30s %7.1f B/flow\n" name b) parts;
+  Printf.printf "  %-30s %7.1f B/flow (Cell.start %.1f, residual %+.1f)\n%!" "sum" sum started
+    (started -. sum);
+  let residual = 8. in
+  if Float.abs (started -. sum) > residual then
+    Alcotest.failf "ledger parts sum to %.1f B/flow, Cell.start keeps %.1f: residual over %.0f"
+      sum started residual
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: shards/jobs are scheduling, not semantics *)
@@ -364,6 +524,7 @@ let () =
           Alcotest.test_case "budget admission is cell-local" `Quick
             test_budget_admission_is_cell_local;
           Alcotest.test_case "cell footprint" `Quick test_cell_footprint;
+          Alcotest.test_case "summary digests at 4,096 flows" `Quick test_summary_digests;
         ] );
       ( "determinism",
         [
