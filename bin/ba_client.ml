@@ -32,6 +32,7 @@ let run entry connect messages payload_size wseed window rto tick_us wd_interval
     let config = Registry.config ~window ~rto entry () in
     Ba_cli.accepts entry.Registry.protocol config;
     Ba_cli.non_negative "--messages" messages;
+    Ba_cli.within "--payload" ~lo:0 ~hi:Ba_transport.Codec.max_payload payload_size;
     Ba_cli.positive "--tick-us" tick_us;
     Ba_cli.positive "--wd-interval" wd_interval;
     config

@@ -62,6 +62,7 @@ let run entry listen port_file messages payload_size wseed window rto tick_us st
     let config = Registry.config ~window ~rto entry () in
     Ba_cli.accepts entry.Registry.protocol config;
     Ba_cli.non_negative "--messages" messages;
+    Ba_cli.within "--payload" ~lo:0 ~hi:Ba_transport.Codec.max_payload payload_size;
     Ba_cli.positive "--tick-us" tick_us;
     let restore =
       match Option.bind state read_state with

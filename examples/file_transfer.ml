@@ -36,13 +36,14 @@ let () =
 
   let reassembled = Buffer.create (String.length document) in
   let delivered = ref 0 in
-  let conn =
-    Blockack.Connection.create ~seed:99
+  (* A one-way session: A ships the segments, B reassembles them. *)
+  let d =
+    Blockack.Duplex.create ~seed:99
       ~config:(Blockack.Config.make ~window:32 ~rto:300 ~wire_modulus:(Some 64) ~max_transit:80 ())
-      ~data_loss:0.08 ~ack_loss:0.08
-      ~data_delay:(Ba_channel.Dist.Uniform (40, 80))
-      ~ack_delay:(Ba_channel.Dist.Uniform (40, 80))
-      ~on_receive:(fun segment ->
+      ~piggyback_hold:0 ~loss:0.08
+      ~delay:(Ba_channel.Dist.Uniform (40, 80))
+      ~on_receive_a:(fun _ -> ())
+      ~on_receive_b:(fun segment ->
         Buffer.add_string reassembled segment;
         incr delivered;
         if !delivered mod (max 1 (total / 10)) = 0 then
@@ -50,17 +51,18 @@ let () =
             !delivered total)
       ()
   in
-  List.iter (Blockack.Connection.send conn) chunks;
-  Blockack.Connection.run conn;
+  List.iter (Blockack.Duplex.send (Blockack.Duplex.a d)) chunks;
+  Blockack.Duplex.run d;
 
-  let s = Blockack.Connection.stats conn in
-  Printf.printf "\ntransfer complete at tick %d\n" s.Blockack.Connection.ticks;
-  Printf.printf "segments sent: %d (%d retransmissions), %d dropped by the link\n"
-    s.Blockack.Connection.data_sent s.Blockack.Connection.retransmissions
-    s.Blockack.Connection.data_dropped;
-  Printf.printf "block acks: %d (%.2f segments acknowledged per ack)\n"
-    s.Blockack.Connection.acks_sent
-    (float_of_int total /. float_of_int (max 1 s.Blockack.Connection.acks_sent));
+  let sa = Blockack.Duplex.stats (Blockack.Duplex.a d) in
+  let sb = Blockack.Duplex.stats (Blockack.Duplex.b d) in
+  let acks = sb.Blockack.Duplex.pure_ack_frames + sb.Blockack.Duplex.piggybacked_acks in
+  Printf.printf "\ntransfer complete at tick %d\n"
+    (Ba_sim.Engine.now (Blockack.Duplex.engine d));
+  Printf.printf "segments sent: %d (%d retransmissions)\n" sa.Blockack.Duplex.data_frames
+    sa.Blockack.Duplex.retransmissions;
+  Printf.printf "block acks: %d (%.2f segments acknowledged per ack)\n" acks
+    (float_of_int total /. float_of_int (max 1 acks));
   if String.equal (Buffer.contents reassembled) document then
     print_endline "integrity check: reassembled document is byte-identical"
   else begin

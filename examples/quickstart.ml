@@ -1,34 +1,37 @@
 (* Quickstart: reliable in-order delivery over a lossy, reordering link
-   in a dozen lines, using the Connection facade.
+   in a dozen lines, using a one-way Duplex session.
 
    Run with: dune exec examples/quickstart.exe *)
 
 let () =
-  (* A simulated connection: 10% loss each way, delays jittering between
-     40 and 60 ticks (so later messages can overtake earlier ones). *)
+  (* A simulated session: 10% loss each way, delays jittering between
+     40 and 60 ticks (so later messages can overtake earlier ones). A
+     sends, B is the application; with no hold, B acknowledges at once. *)
   let received = ref 0 in
-  let conn =
-    Blockack.Connection.create ~seed:7 ~data_loss:0.1 ~ack_loss:0.1
-      ~on_receive:(fun msg ->
+  let d =
+    Blockack.Duplex.create ~seed:7 ~loss:0.1 ~piggyback_hold:0
+      ~on_receive_a:(fun _ -> ())
+      ~on_receive_b:(fun msg ->
         incr received;
         if !received <= 5 || !received mod 25 = 0 then
           Printf.printf "  received %S\n" msg)
       ()
   in
   for i = 1 to 100 do
-    Blockack.Connection.send conn (Printf.sprintf "message #%03d" i)
+    Blockack.Duplex.send (Blockack.Duplex.a d) (Printf.sprintf "message #%03d" i)
   done;
-  Blockack.Connection.run conn;
+  Blockack.Duplex.run d;
 
-  let s = Blockack.Connection.stats conn in
+  let sa = Blockack.Duplex.stats (Blockack.Duplex.a d) in
+  let sb = Blockack.Duplex.stats (Blockack.Duplex.b d) in
   Printf.printf
     "\ndelivered %d/%d in order, exactly once\n\
      simulated time: %d ticks\n\
-     data frames sent: %d (of which %d retransmissions); %d lost in transit\n\
+     data frames sent: %d (of which %d retransmissions)\n\
      block acknowledgments sent: %d\n"
-    s.Blockack.Connection.delivered s.Blockack.Connection.submitted
-    s.Blockack.Connection.ticks s.Blockack.Connection.data_sent
-    s.Blockack.Connection.retransmissions s.Blockack.Connection.data_dropped
-    s.Blockack.Connection.acks_sent;
-  assert (Blockack.Connection.idle conn);
+    sb.Blockack.Duplex.delivered sa.Blockack.Duplex.submitted
+    (Ba_sim.Engine.now (Blockack.Duplex.engine d))
+    sa.Blockack.Duplex.data_frames sa.Blockack.Duplex.retransmissions
+    (sb.Blockack.Duplex.pure_ack_frames + sb.Blockack.Duplex.piggybacked_acks);
+  assert (Blockack.Duplex.idle d);
   print_endline "ok: every message arrived despite loss and reorder"

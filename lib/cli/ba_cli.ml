@@ -108,6 +108,9 @@ let probability name p =
 let non_negative name v = if v < 0 then reject "%s must be >= 0 (got %d)" name v
 let positive name v = if v <= 0 then reject "%s must be positive (got %d)" name v
 
+let within name ~lo ~hi v =
+  if v < lo || v > hi then reject "%s must be in [%d,%d] (got %d)" name lo hi v
+
 (* The protocol accepts [config]: the config validates, and both
    endpoints are built once on a scratch engine, so a protocol's own
    constraints (the block-ack modulus of at least 2w) are checked too. *)

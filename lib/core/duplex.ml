@@ -132,6 +132,16 @@ let default_config = Config.make ~wire_modulus:(Some (2 * Config.default.Config.
 let create ?(seed = 42) ?(config = default_config) ?(piggyback_hold = 15) ?(loss = 0.)
     ?(delay = Ba_channel.Dist.Uniform (40, 60)) ~on_receive_a ~on_receive_b () =
   if piggyback_hold < 0 then invalid_arg "Duplex.create: piggyback_hold must be >= 0";
+  (* A held ack is in transit for [piggyback_hold] ticks longer, so the
+     timeout and the window guard's hold must both cover it. *)
+  let ack_time = (2 * Ba_channel.Dist.max_delay delay) + config.Config.ack_coalesce in
+  if config.Config.wire_modulus <> None && config.Config.rto <= ack_time + piggyback_hold then
+    Printf.ksprintf invalid_arg
+      "Duplex.create: rto %d must exceed 2 * max delay + ack_coalesce + piggyback_hold = %d"
+      config.Config.rto (ack_time + piggyback_hold);
+  if config.Config.max_transit <> None && piggyback_hold > 0 then
+    invalid_arg
+      "Duplex.create: max_transit needs piggyback_hold = 0 (the window guard's hold omits it)";
   let engine = Ba_sim.Engine.create ~seed () in
   let ea = make_endpoint engine and eb = make_endpoint engine in
   (* Each endpoint's outbound link delivers to the peer. *)

@@ -48,8 +48,18 @@ val create :
     direction) sharing the given loss and delay. [on_receive_a] fires
     for messages arriving at A (i.e. sent by B), and vice versa.
     Defaults: {!Config.default} with a [2w] wire modulus,
-    [piggyback_hold = 15], lossless, delay [Uniform (40, 60)]. Raises
-    [Invalid_argument] when [piggyback_hold < 0]. *)
+    [piggyback_hold = 15], lossless, delay [Uniform (40, 60)].
+
+    Raises [Invalid_argument] when [piggyback_hold < 0]; when the wire
+    modulus is bounded and [rto <= 2 * max delay + ack_coalesce +
+    piggyback_hold] (the soundness bound above); and when [max_transit]
+    is set with [piggyback_hold > 0], because {!Config.hold_duration},
+    the sender's retransmission-frontier hold, does not count the
+    piggyback hold.
+
+    With [~piggyback_hold:0] and traffic from A only, the session is the
+    paper's one-way protocol: B's receiver acknowledges at once in pure
+    ack frames. *)
 
 val a : t -> endpoint
 val b : t -> endpoint

@@ -3,7 +3,7 @@
     Senders pull payloads from a [unit -> string option] supplier. A
     supplier returning [None] means "nothing available now", not
     necessarily "never again" — an application may queue more data later
-    (as {!Blockack.Connection} does). This wrapper re-polls on demand and
+    (as {!Blockack.Duplex} does). This wrapper re-polls on demand and
     buffers at most one payload so that checking for exhaustion never
     loses data.
 

@@ -1,6 +1,5 @@
 (* Unit tests for the blockack core library: codec, sender, receiver,
-   per-message-timer sender, window guard, configuration, workload and the
-   connection facade. The sender/receiver tests wire the endpoints to
+   per-message-timer sender, window guard, configuration and workload. The sender/receiver tests wire the endpoints to
    hand-rolled transmit functions so every wire interaction is visible. *)
 
 let check = Alcotest.check
@@ -1248,81 +1247,6 @@ let test_sender_respects_frontier () =
   Engine.run ~until:250 p.engine;
   check Alcotest.int "window reopened later" 8 (Blockack.Sender.ns s)
 
-(* ------------------------------------------------------------------ *)
-(* Connection facade *)
-
-let test_connection_roundtrip () =
-  let received = ref [] in
-  let conn =
-    Blockack.Connection.create ~on_receive:(fun m -> received := m :: !received) ()
-  in
-  List.iter (Blockack.Connection.send conn) [ "alpha"; "beta"; "gamma" ];
-  Blockack.Connection.run conn;
-  check (Alcotest.list Alcotest.string) "in order" [ "alpha"; "beta"; "gamma" ]
-    (List.rev !received);
-  check Alcotest.bool "idle" true (Blockack.Connection.idle conn);
-  let st = Blockack.Connection.stats conn in
-  check Alcotest.int "submitted" 3 st.Blockack.Connection.submitted;
-  check Alcotest.int "delivered" 3 st.Blockack.Connection.delivered
-
-let test_connection_lossy () =
-  let received = ref 0 in
-  let conn =
-    Blockack.Connection.create ~seed:5 ~data_loss:0.3 ~ack_loss:0.3
-      ~on_receive:(fun _ -> incr received) ()
-  in
-  for i = 1 to 200 do
-    Blockack.Connection.send conn (Printf.sprintf "msg-%d" i)
-  done;
-  Blockack.Connection.run conn;
-  check Alcotest.int "all delivered despite loss" 200 !received;
-  let st = Blockack.Connection.stats conn in
-  check Alcotest.bool "there were retransmissions" true
-    (st.Blockack.Connection.retransmissions > 0);
-  check Alcotest.bool "there were drops" true (st.Blockack.Connection.data_dropped > 0)
-
-let test_connection_incremental_sends () =
-  let received = ref [] in
-  let conn =
-    Blockack.Connection.create ~on_receive:(fun m -> received := m :: !received) ()
-  in
-  Blockack.Connection.send conn "first";
-  Blockack.Connection.run conn;
-  check Alcotest.bool "first delivered" true (List.mem "first" !received);
-  Blockack.Connection.send conn "second";
-  Blockack.Connection.run conn;
-  check (Alcotest.list Alcotest.string) "both, in order" [ "first"; "second" ]
-    (List.rev !received)
-
-let test_connection_crash_restart () =
-  (* Kill each endpoint once mid-transfer over a lossy link: with epochs
-     on (the default config) every message still arrives exactly once,
-     in order. *)
-  let received = ref [] in
-  let conn =
-    Blockack.Connection.create ~data_loss:0.1 ~ack_loss:0.1
-      ~on_receive:(fun m -> received := m :: !received)
-      ()
-  in
-  for i = 1 to 120 do
-    Blockack.Connection.send conn (Printf.sprintf "msg-%d" i)
-  done;
-  Blockack.Connection.run ~until:600 conn;
-  Blockack.Connection.crash_receiver conn;
-  Blockack.Connection.run ~until:900 conn;
-  Blockack.Connection.restart_receiver conn;
-  Blockack.Connection.run ~until:2500 conn;
-  Blockack.Connection.crash_sender conn;
-  Blockack.Connection.run ~until:2900 conn;
-  Blockack.Connection.restart_sender conn;
-  Blockack.Connection.run conn;
-  check Alcotest.bool "idle after restarts" true (Blockack.Connection.idle conn);
-  check
-    (Alcotest.list Alcotest.string)
-    "every message exactly once, in order"
-    (List.init 120 (fun i -> Printf.sprintf "msg-%d" (i + 1)))
-    (List.rev !received)
-
 let () =
   Alcotest.run "blockack_core"
     [
@@ -1438,13 +1362,5 @@ let () =
           Alcotest.test_case "caps and expires" `Quick test_guard_caps_and_expires;
           Alcotest.test_case "retry at expiry" `Quick test_guard_retry_fires_at_expiry;
           Alcotest.test_case "sender respects frontier" `Quick test_sender_respects_frontier;
-        ] );
-      ( "connection",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_connection_roundtrip;
-          Alcotest.test_case "lossy" `Quick test_connection_lossy;
-          Alcotest.test_case "incremental sends" `Quick test_connection_incremental_sends;
-          Alcotest.test_case "crash and restart both endpoints" `Quick
-            test_connection_crash_restart;
         ] );
     ]

@@ -638,12 +638,73 @@ let test_duplex_lossy_both_ways () =
   Blockack.Duplex.run d;
   check Alcotest.bool "completes under loss" true (Blockack.Duplex.idle d)
 
+(* One-way sessions: A sends, B only acknowledges, and nothing is held. *)
+let one_way () =
+  let got = ref [] in
+  let d =
+    Blockack.Duplex.create ~piggyback_hold:0
+      ~on_receive_a:(fun _ -> ())
+      ~on_receive_b:(fun m -> got := m :: !got)
+      ()
+  in
+  (d, got)
+
+let test_duplex_one_way_roundtrip () =
+  let d, got = one_way () in
+  List.iter (Blockack.Duplex.send (Blockack.Duplex.a d)) [ "alpha"; "beta"; "gamma" ];
+  Blockack.Duplex.run d;
+  check (Alcotest.list Alcotest.string) "in order" [ "alpha"; "beta"; "gamma" ] (List.rev !got);
+  check Alcotest.bool "idle" true (Blockack.Duplex.idle d);
+  let sa = Blockack.Duplex.stats (Blockack.Duplex.a d) in
+  let sb = Blockack.Duplex.stats (Blockack.Duplex.b d) in
+  check Alcotest.int "submitted" 3 sa.Blockack.Duplex.submitted;
+  check Alcotest.int "delivered" 3 sb.Blockack.Duplex.delivered
+
+(* Sending into a session that has already gone quiet restarts it. *)
+let test_duplex_one_way_incremental () =
+  let d, got = one_way () in
+  Blockack.Duplex.send (Blockack.Duplex.a d) "first";
+  Blockack.Duplex.run d;
+  check (Alcotest.list Alcotest.string) "first delivered" [ "first" ] !got;
+  check Alcotest.bool "idle between sends" true (Blockack.Duplex.idle d);
+  Blockack.Duplex.send (Blockack.Duplex.a d) "second";
+  Blockack.Duplex.run d;
+  check (Alcotest.list Alcotest.string) "both, in order" [ "first"; "second" ] (List.rev !got);
+  check Alcotest.bool "idle" true (Blockack.Duplex.idle d)
+
 (* A negative hold is refused up front, not at the first held ack. *)
 let test_duplex_rejects_negative_hold () =
   Alcotest.check_raises "negative hold"
     (Invalid_argument "Duplex.create: piggyback_hold must be >= 0") (fun () ->
       ignore
         (Blockack.Duplex.create ~piggyback_hold:(-5)
+           ~on_receive_a:(fun _ -> ())
+           ~on_receive_b:(fun _ -> ())
+           ()))
+
+(* Holding an ack lengthens its transit: with a bounded modulus the rto
+   must cover the hold too (default delay Uniform (40, 60), so 120 + 0 +
+   130 = 250 reaches the default rto of 250). *)
+let test_duplex_rejects_short_rto () =
+  Alcotest.check_raises "rto within the held round trip"
+    (Invalid_argument
+       "Duplex.create: rto 250 must exceed 2 * max delay + ack_coalesce + piggyback_hold = 250")
+    (fun () ->
+      ignore
+        (Blockack.Duplex.create ~piggyback_hold:130
+           ~on_receive_a:(fun _ -> ())
+           ~on_receive_b:(fun _ -> ())
+           ()))
+
+(* [Config.hold_duration] with [max_transit] omits the piggyback hold. *)
+let test_duplex_rejects_max_transit_with_hold () =
+  Alcotest.check_raises "max_transit with a hold"
+    (Invalid_argument
+       "Duplex.create: max_transit needs piggyback_hold = 0 (the window guard's hold omits it)")
+    (fun () ->
+      ignore
+        (Blockack.Duplex.create ~piggyback_hold:1
+           ~config:(Blockack.Config.make ~wire_modulus:(Some 32) ~max_transit:60 ())
            ~on_receive_a:(fun _ -> ())
            ~on_receive_b:(fun _ -> ())
            ()))
@@ -798,7 +859,12 @@ let () =
           Alcotest.test_case "piggybacks acks on data" `Quick test_duplex_piggybacks;
           Alcotest.test_case "one-sided still acks" `Quick test_duplex_one_sided_still_acks;
           Alcotest.test_case "lossy both ways" `Quick test_duplex_lossy_both_ways;
+          Alcotest.test_case "one-way roundtrip" `Quick test_duplex_one_way_roundtrip;
+          Alcotest.test_case "one-way incremental sends" `Quick test_duplex_one_way_incremental;
           Alcotest.test_case "negative hold rejected" `Quick test_duplex_rejects_negative_hold;
+          Alcotest.test_case "short rto rejected" `Quick test_duplex_rejects_short_rto;
+          Alcotest.test_case "max_transit with hold rejected" `Quick
+            test_duplex_rejects_max_transit_with_hold;
           qcheck prop_duplex_always_correct;
           qcheck prop_engine_fires_in_time_order;
         ] );

@@ -171,7 +171,13 @@ let test_pressure_safety_property =
              ~data_delay:(Ba_channel.Dist.Uniform (20, 60))
              ~ack_delay:(Ba_channel.Dist.Uniform (20, 60)) ~data_bottleneck:(5, 3) ()
          in
-         Harness.correct r))
+         Harness.correct r
+         || QCheck.Test.fail_reportf
+              "@[<v>seed %d, %s: %a@,\
+               fixed: window 8, wire modulus 16, rto 600, max_transit 200, adaptive rto,@,\
+               rx_budget 2; 50 messages, 5%% loss each way, delay Uniform (20, 60),@,\
+               data bottleneck (5, 3)@]"
+              seed (Config.drop_policy_name policy) Harness.pp_result r))
 
 (* ------------------------------------------------------------------ *)
 (* The overload chaos class *)
