@@ -1,20 +1,18 @@
-(* Experiment tables, campaign artefacts and the `--check` gate.
+(* Experiment tables, the N1 sim-vs-UDP table and the `--check` gate.
 
    `dune exec bench/main.exe` regenerates every table/figure of the
    reproduction (T1, T2, F1-F5, T3, T4 — see DESIGN.md for the mapping to
-   the paper's claims), then the soak, sharded-scale and real-transport
-   campaigns. Timing the data path is `ba_bench`'s job (bench/e2e); this
-   program times only whole grids and campaigns, for the JSON artefact.
+   the paper's claims), then N1, the same transfer over the simulator
+   and over loopback UDP. Timing the data path is `ba_bench`'s job
+   (bench/e2e).
 
    Flags (any other argument prints the usage line and exits 2):
      --quick       shrink message counts / seed sets (CI-sized)
-     --no-tables   skip the tables and, without --json, the campaigns
      --jobs N      worker domains for the experiment grids (env BA_JOBS;
                    default: the machine's recommended domain count);
                    tables are byte-identical at any N
-     --selftime    time the full chaos matrix at --jobs 1 vs --jobs N
-     --json FILE   write wall-clock per grid, self-timing and the
-                   campaigns as JSON (the BENCH_campaigns.json schema)
+     --selftime    instead of the tables, time the chaos matrix at
+                   --jobs 1 vs --jobs N and print that one line
      --check       run the performance gate alone (see [check] below)
                    and exit non-zero if any of its legs fails *)
 
@@ -89,15 +87,11 @@ let wall f =
 
 let alloc_slope_budget = 512.
 
-(* ---- the sharded scale workload (S1 extension) ----------------------
-   The cell-partitioned fabric (Ba_proto.Shard) at 1k -> 100k flows: the
-   summary counters are deterministic, the wall seconds and flows/sec are
-   this machine's. Feeds the scale table, the JSON artefact and the
-   third leg of the --check gate. *)
+(* ---- the sharded scale workload -----------------------------------
+   The cell-partitioned fabric (Ba_proto.Shard), uncontended, two
+   messages per flow on one domain: the third leg of the gate. *)
 
-let scale_points ~quick = if quick then [ 1_000; 10_000 ] else [ 1_000; 10_000; 100_000 ]
-
-let scale_run ~jobs flows =
+let scale_run flows =
   let e =
     match Ba_registry.Registry.find "blockack-multi" with
     | Some e -> e
@@ -109,26 +103,13 @@ let scale_run ~jobs flows =
         Ba_proto.Fabric.spec ~config ~messages:2 e.Ba_registry.Registry.protocol)
   in
   let r, wall_s =
-    Ba_proto.Shard.timed (fun ~measure_mem -> Ba_proto.Shard.run ~seed:11 ~jobs ~measure_mem specs)
+    Ba_proto.Shard.timed (fun ~measure_mem ->
+        Ba_proto.Shard.run ~seed:11 ~jobs:1 ~measure_mem specs)
   in
   assert r.Ba_proto.Shard.completed;
-  (flows, wall_s, r)
+  (wall_s, r)
 
-let scale_campaign ~quick ~jobs =
-  let rows = List.map (scale_run ~jobs) (scale_points ~quick) in
-  print_endline "\n=== sharded scale campaign (flows vs throughput) ===";
-  List.iter
-    (fun (flows, wall_s, (r : Ba_proto.Shard.result)) ->
-      Printf.printf
-        "flows=%d wall=%.2fs flows/sec=%.0f state=%dB/flow ticks=%d goodput=%.2f/ktick\n"
-        flows wall_s
-        (if wall_s > 0. then float_of_int flows /. wall_s else 0.)
-        (r.Ba_proto.Shard.state_bytes / max 1 flows)
-        r.Ba_proto.Shard.ticks r.Ba_proto.Shard.aggregate_goodput)
-    rows;
-  rows
-
-(* ---- the real-transport campaign (N1) -------------------------------
+(* ---- the real-transport table (N1) ----------------------------------
    The same protocol, config and fault plan run twice: once over the
    simulated channel (virtual ticks, mapped to milliseconds at the
    transport's tick_us) and once over real loopback UDP through lib/net
@@ -153,52 +134,47 @@ let net_config e = Ba_registry.Registry.config ~window:16 ~rto:250 e ()
 
 let per_msg n delivered = float_of_int n /. float_of_int (max 1 delivered)
 
-type net_row = {
-  nr_backend : string;  (** "sim" | "udp" *)
-  nr_faults : string;  (** "none" | "lossy" (the 5%-baseline shim plan) *)
-  nr_completed : bool;
-  nr_msgs_s : float;
-  nr_retx : int;
-  nr_p50_ms : float;
-  nr_p99_ms : float;
-  nr_acks_per_msg : float;  (** acknowledgment frames sent per delivered message *)
-  nr_dgrams_per_msg : float;
-      (** frames per delivered message, both directions: offered to the
-          links in sim, [sendto] calls on udp *)
-  nr_clean : bool;  (** delivered exactly once, in order, digest intact *)
-}
+(* One N1 row. [acks] is acknowledgment frames sent; [frames] is frames
+   in both directions: offered to the links in sim, [sendto] calls on
+   udp. Both are shown per delivered message. [clean] is delivered
+   exactly once, in order, digest intact. *)
+let n1_row backend ~lossy ~completed ~msgs_s ~retx ~p50_ms ~p99_ms ~acks ~frames ~delivered
+    ~clean =
+  [
+    backend;
+    (if lossy then "lossy" else "none");
+    string_of_bool completed;
+    Printf.sprintf "%.0f" msgs_s;
+    string_of_int retx;
+    Printf.sprintf "%.1f" p50_ms;
+    Printf.sprintf "%.1f" p99_ms;
+    Printf.sprintf "%.3f" (per_msg acks delivered);
+    Printf.sprintf "%.3f" (per_msg frames delivered);
+    string_of_bool clean;
+  ]
 
 let net_sim_row ~messages ~lossy =
+  let module H = Ba_proto.Harness in
   let e = net_entry () in
   (* Fresh plan values per link: a compiled plan carries per-link fault
      state, so the two directions must not share one. *)
   let data_plan = if lossy then Some (net_plan ()) else None in
   let ack_plan = if lossy then Some (net_plan ()) else None in
   let r =
-    Ba_proto.Harness.run e.Ba_registry.Registry.protocol ~seed:3 ~messages ~payload_size:32
+    H.run e.Ba_registry.Registry.protocol ~seed:3 ~messages ~payload_size:32
       ~config:(net_config e) ~data_delay:(Ba_channel.Dist.Constant 1)
       ~ack_delay:(Ba_channel.Dist.Constant 1) ?data_plan ?ack_plan ()
   in
   let ms_of_ticks t = t *. float_of_int net_tick_us /. 1000. in
-  let wall_virtual_s = float_of_int r.Ba_proto.Harness.ticks *. float_of_int net_tick_us *. 1e-6 in
-  {
-    nr_backend = "sim";
-    nr_faults = (if lossy then "lossy" else "none");
-    nr_completed = r.Ba_proto.Harness.completed;
-    nr_msgs_s =
-      (if wall_virtual_s > 0. then float_of_int r.Ba_proto.Harness.delivered /. wall_virtual_s
-       else 0.);
-    nr_retx = r.Ba_proto.Harness.retransmissions;
-    nr_p50_ms =
-      (match r.Ba_proto.Harness.latency with Some s -> ms_of_ticks s.Ba_util.Stats.p50 | None -> 0.);
-    nr_p99_ms =
-      (match r.Ba_proto.Harness.latency with Some s -> ms_of_ticks s.Ba_util.Stats.p99 | None -> 0.);
-    nr_acks_per_msg = per_msg r.Ba_proto.Harness.acks_sent r.Ba_proto.Harness.delivered;
-    nr_dgrams_per_msg =
-      per_msg (r.Ba_proto.Harness.data_sent + r.Ba_proto.Harness.acks_sent)
-        r.Ba_proto.Harness.delivered;
-    nr_clean = Ba_proto.Harness.correct r;
-  }
+  let latency_ms f = match r.H.latency with Some s -> ms_of_ticks (f s) | None -> 0. in
+  let wall_virtual_s = float_of_int r.H.ticks *. float_of_int net_tick_us *. 1e-6 in
+  n1_row "sim" ~lossy ~completed:r.H.completed
+    ~msgs_s:(if wall_virtual_s > 0. then float_of_int r.H.delivered /. wall_virtual_s else 0.)
+    ~retx:r.H.retransmissions
+    ~p50_ms:(latency_ms (fun s -> s.Ba_util.Stats.p50))
+    ~p99_ms:(latency_ms (fun s -> s.Ba_util.Stats.p99))
+    ~acks:r.H.acks_sent ~frames:(r.H.data_sent + r.H.acks_sent) ~delivered:r.H.delivered
+    ~clean:(H.correct r)
 
 let net_udp_outcome ?(payload_size = 32) ?on_setup ~messages ~lossy () =
   let e = net_entry () in
@@ -219,20 +195,11 @@ let net_udp_row ~messages ~lossy =
   let o = net_udp_outcome ~messages ~lossy () in
   let module Q = Ba_util.Qsketch in
   let q p = if Q.count o.latency_ms = 0 then 0. else Q.quantile o.latency_ms p in
-  {
-    nr_backend = "udp";
-    nr_faults = (if lossy then "lossy" else "none");
-    nr_completed = o.completed;
-    nr_msgs_s = o.msgs_per_s;
-    nr_retx = o.retransmissions;
-    nr_p50_ms = q 0.5;
-    nr_p99_ms = q 0.99;
-    nr_acks_per_msg = per_msg o.ack_datagrams o.delivered;
-    nr_dgrams_per_msg = per_msg o.frames_tx o.delivered;
-    nr_clean = net_udp_clean o;
-  }
+  n1_row "udp" ~lossy ~completed:o.completed ~msgs_s:o.msgs_per_s ~retx:o.retransmissions
+    ~p50_ms:(q 0.5) ~p99_ms:(q 0.99) ~acks:o.ack_datagrams ~frames:o.frames_tx
+    ~delivered:o.delivered ~clean:(net_udp_clean o)
 
-let net_campaign ~quick =
+let net_table ~quick =
   let messages = if quick then 120 else 300 in
   let rows =
     [
@@ -250,22 +217,7 @@ let net_campaign ~quick =
         "backend"; "faults"; "completed"; "msgs/s"; "retx"; "p50 ms"; "p99 ms"; "acks/msg";
         "dgrams/msg"; "clean";
       ]
-    (List.map
-       (fun r ->
-         [
-           r.nr_backend;
-           r.nr_faults;
-           string_of_bool r.nr_completed;
-           Printf.sprintf "%.0f" r.nr_msgs_s;
-           string_of_int r.nr_retx;
-           Printf.sprintf "%.1f" r.nr_p50_ms;
-           Printf.sprintf "%.1f" r.nr_p99_ms;
-           Printf.sprintf "%.3f" r.nr_acks_per_msg;
-           Printf.sprintf "%.3f" r.nr_dgrams_per_msg;
-           string_of_bool r.nr_clean;
-         ])
-       rows);
-  rows
+    rows
 
 (* Warm every workload, then interleave the timed rounds round-robin.
    Measuring one workload's N runs back-to-back before the next one even
@@ -347,7 +299,8 @@ let check () =
      configured window again instead of to its flight (+144 B). *)
   let scale_floor_fps = 5_000. in
   let scale_state_ceiling = 1_300 in
-  let flows, wall_s, r = scale_run ~jobs:1 100_000 in
+  let flows = 100_000 in
+  let wall_s, r = scale_run flows in
   let fps = if wall_s > 0. then float_of_int flows /. wall_s else infinity in
   let b_per_flow = r.Ba_proto.Shard.state_bytes / max 1 flows in
   let fps_ok = fps >= scale_floor_fps in
@@ -468,36 +421,9 @@ let check () =
     exit 1
   end
 
-(* The soak acceptance workload: a churning fabric under composed storms,
-   every round's latencies folded into one constant-space quantile sketch.
-   Wall clock, peak fabric memory and the sketch's fixed footprint land in
-   the JSON artefact, so soak-path regressions show up across commits. *)
-let soak_campaign ~quick ~jobs =
-  let module Soak = Ba_verify.Soak in
-  let module Qsketch = Ba_util.Qsketch in
-  let rounds = if quick then 4 else 8 in
-  let messages = if quick then 20 else 40 in
-  let run_round round =
-    let seed = 42 + round in
-    Soak.round ~fault:Ba_verify.Chaos.Storm ~base:2 ~churn_from:2 ~seed
-      (Ba_proto.Fabric.churn ~base:2 ~churners:2 ~messages ~config:Ba_verify.Chaos.robust_config
-         ~seed Blockack.Protocols.multi)
-  in
-  let s, wall_s = wall (fun () -> Soak.fold ~on_round:(fun _ _ -> ()) ~jobs ~rounds run_round) in
-  let sketch = s.Soak.sketch in
-  Printf.printf
-    "\n=== soak campaign (churn + storm) ===\nrounds=%d wall=%.3fs mem-peak=%dB latency \
-     n=%d sketch=%dB\n"
-    rounds wall_s s.Soak.peak (Qsketch.count sketch) (Qsketch.mem_bytes sketch);
-  if not s.Soak.pass then begin
-    print_endline "FAIL: soak campaign verdict";
-    exit 1
-  end;
-  (rounds, wall_s, s.Soak.peak, Qsketch.count sketch, Qsketch.mem_bytes sketch)
-
-(* The acceptance workload: the full chaos matrix (C1's seeds x faults x
-   protocols grid), timed sequentially and at the requested job count.
-   Byte-identical tables are asserted, not assumed. *)
+(* The full chaos matrix (C1's seeds x faults x protocols grid), timed
+   sequentially and at the requested job count. Byte-identical tables
+   are asserted, not assumed. *)
 let selftime_chaos_matrix ~quick ~jobs =
   let t_seq, s_seq = wall (fun () -> Experiments.c1_chaos_matrix ~jobs:1 ~quick ()) in
   let t_par, s_par = wall (fun () -> Experiments.c1_chaos_matrix ~jobs ~quick ()) in
@@ -505,115 +431,26 @@ let selftime_chaos_matrix ~quick ~jobs =
     print_endline "FAIL: chaos matrix differs between --jobs 1 and --jobs N";
     exit 1
   end;
-  let speedup = if s_par > 0. then s_seq /. s_par else nan in
+  let cores = Domain.recommended_domain_count () in
   Printf.printf
-    "\n=== self-timed chaos matrix (%s mode) ===\njobs=1: %.3fs  jobs=%d: %.3fs  speedup: %.2fx \
-     (host reports %d core%s)\n"
+    "selftime: chaos matrix (%s mode) jobs=1: %.3fs  jobs=%d: %.3fs  speedup: %.2fx (host \
+     reports %d core%s)\n"
     (if quick then "quick" else "full")
-    s_seq jobs s_par speedup
-    (Domain.recommended_domain_count ())
-    (if Domain.recommended_domain_count () = 1 then "" else "s");
-  (s_seq, s_par, speedup)
-
-let write_json file ~quick ~jobs ~grid_times ~selftime ~soak ~scale ~net =
-  let open Ba_util.Json in
-  let soak_json =
-    match soak with
-    | None -> Null
-    | Some (rounds, wall_s, mem_peak, n, sketch_bytes) ->
-        Obj
-          [
-            ("workload", String "churn-storm-soak");
-            ("rounds", Int rounds);
-            ("wall_s", Float wall_s);
-            ("mem_peak_bytes", Int mem_peak);
-            ("latency_samples", Int n);
-            ("sketch_bytes", Int sketch_bytes);
-          ]
-  in
-  let selftime_json =
-    match selftime with
-    | None -> Null
-    | Some (s_seq, s_par, speedup) ->
-        Obj
-          [
-            ("grid", String "C1-chaos-matrix");
-            ("jobs", Int jobs);
-            ("host_cores", Int (Domain.recommended_domain_count ()));
-            ("jobs_1_wall_s", Float s_seq);
-            ("jobs_n_wall_s", Float s_par);
-            ("speedup", Float speedup);
-          ]
-  in
-  let scale_json =
-    List
-      (List.map
-         (fun (flows, wall_s, (r : Ba_proto.Shard.result)) ->
-           Obj
-             [
-               ("flows", Int flows);
-               ("wall_s", Float wall_s);
-               ( "flows_per_sec",
-                 Float (if wall_s > 0. then float_of_int flows /. wall_s else 0.) );
-               ("state_bytes_per_flow", Int (r.Ba_proto.Shard.state_bytes / max 1 flows));
-               ("ticks", Int r.Ba_proto.Shard.ticks);
-               ("goodput_per_ktick", Float r.Ba_proto.Shard.aggregate_goodput);
-             ])
-         scale)
-  in
-  let net_json =
-    List
-      (List.map
-         (fun r ->
-           Obj
-             [
-               ("backend", String r.nr_backend);
-               ("faults", String r.nr_faults);
-               ("completed", Bool r.nr_completed);
-               ("msgs_per_s", Float r.nr_msgs_s);
-               ("retransmissions", Int r.nr_retx);
-               ("p50_ms", Float r.nr_p50_ms);
-               ("p99_ms", Float r.nr_p99_ms);
-               ("acks_per_msg", Float r.nr_acks_per_msg);
-               ("datagrams_per_msg", Float r.nr_dgrams_per_msg);
-               ("clean", Bool r.nr_clean);
-             ])
-         net)
-  in
-  let json =
-    Obj
-      [
-        ("schema", String "blockack/BENCH_campaigns/v1");
-        ("mode", String (if quick then "quick" else "full"));
-        ("jobs", Int jobs);
-        ("host_recommended_domains", Int (Domain.recommended_domain_count ()));
-        ( "grids",
-          List
-            (List.map
-               (fun (id, dt) -> Obj [ ("id", String id); ("wall_s", Float dt) ])
-               grid_times) );
-        ("selftime", selftime_json);
-        ("soak", soak_json);
-        ("scale", scale_json);
-        ("net", net_json);
-      ]
-  in
-  let oc = open_out file in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> to_channel oc json);
-  Printf.printf "\nwrote %s\n" file
+    s_seq jobs s_par
+    (if s_par > 0. then s_seq /. s_par else nan)
+    cores
+    (if cores = 1 then "" else "s")
 
 let usage () =
-  prerr_endline
-    "usage: main.exe [--quick] [--no-tables] [--jobs N] [--selftime] [--json FILE] [--check]";
+  prerr_endline "usage: main.exe [--quick] [--jobs N] [--selftime] [--check]";
   exit 2
 
 let () =
-  let quick = ref false and no_tables = ref false in
+  let quick = ref false in
   let selftime_wanted = ref false and check_wanted = ref false in
   (* --jobs N / --jobs=N, defaulting like the CLIs: BA_JOBS, then the
      machine's recommended domain count. *)
   let jobs = ref (Ba_parallel.Pool.default_jobs ()) in
-  let json_file = ref None in
   let set_jobs v =
     match int_of_string_opt v with
     | Some n when n >= 1 ->
@@ -623,18 +460,7 @@ let () =
         Printf.eprintf "bench: --jobs must be a positive integer (got %S)\n" v;
         exit 2
   in
-  let flags =
-    [
-      ("--quick", quick);
-      ("--no-tables", no_tables);
-      ("--selftime", selftime_wanted);
-      ("--check", check_wanted);
-    ]
-  in
-  let unknown arg =
-    Printf.eprintf "bench: unknown argument %S\n" arg;
-    usage ()
-  in
+  let flags = [ ("--quick", quick); ("--selftime", selftime_wanted); ("--check", check_wanted) ] in
   let rec scan = function
     | [] -> ()
     | arg :: rest when List.mem_assoc arg flags ->
@@ -643,51 +469,25 @@ let () =
     | "--jobs" :: v :: rest ->
         set_jobs v;
         scan rest
-    | "--json" :: f :: rest ->
-        json_file := Some f;
+    | [ "--jobs" ] -> usage ()
+    | arg :: rest when String.length arg > 7 && String.starts_with ~prefix:"--jobs=" arg ->
+        set_jobs (String.sub arg 7 (String.length arg - 7));
         scan rest
-    | [ ("--jobs" | "--json") ] -> usage ()
-    | arg :: rest ->
-        (match String.index_opt arg '=' with
-        | Some i when String.length arg > i + 1 -> (
-            let v = String.sub arg (i + 1) (String.length arg - i - 1) in
-            match String.sub arg 0 i with
-            | "--jobs" -> set_jobs v
-            | "--json" -> json_file := Some v
-            | _ -> unknown arg)
-        | Some _ | None -> unknown arg);
-        scan rest
+    | arg :: _ ->
+        Printf.eprintf "bench: unknown argument %S\n" arg;
+        usage ()
   in
   scan (List.tl (Array.to_list Sys.argv));
   if !check_wanted then check ();
-  let quick = !quick and no_tables = !no_tables and jobs = !jobs in
-  let grid_times = ref [] in
-  if not no_tables then begin
+  let quick = !quick and jobs = !jobs in
+  if !selftime_wanted then selftime_chaos_matrix ~quick ~jobs
+  else begin
     Printf.printf
       "Block Acknowledgment reproduction — experiment tables (%s mode, %d job%s)\n\
        Mapping to the paper's claims: see DESIGN.md; measured-vs-paper: EXPERIMENTS.md.\n"
       (if quick then "quick" else "full")
       jobs
       (if jobs = 1 then "" else "s");
-    List.iter
-      (fun (id, grid) ->
-        let table, dt = wall (fun () -> grid ~quick ~jobs) in
-        Experiments.print_table table;
-        grid_times := (id, dt) :: !grid_times)
-      Experiments.grids
-  end;
-  (* --json always records the selftime block: an artefact with
-     "selftime": null says nothing about the parallel runtime, which is
-     exactly the field the scaling work is judged on. *)
-  let selftime =
-    if !selftime_wanted || !json_file <> None then Some (selftime_chaos_matrix ~quick ~jobs)
-    else None
-  in
-  let campaigns = (not no_tables) || !json_file <> None in
-  let soak = if campaigns then Some (soak_campaign ~quick ~jobs) else None in
-  let scale = if campaigns then scale_campaign ~quick ~jobs else [] in
-  let net = if campaigns then net_campaign ~quick else [] in
-  match !json_file with
-  | Some file ->
-      write_json file ~quick ~jobs ~grid_times:(List.rev !grid_times) ~selftime ~soak ~scale ~net
-  | None -> ()
+    Experiments.run_all ~jobs ~quick ();
+    net_table ~quick
+  end

@@ -1143,9 +1143,9 @@ let s4_sharded_scale ?(jobs = 1) ~quick () =
         "Flows are partitioned into fixed-size cells (1024 flows each), every cell its own \
          engine over flat endpoint arrays; the shared bottleneck becomes per-cell capacity \
          leases reconciled at epoch barriers (see Ba_proto.Shard and DESIGN.md).";
-        "Wall-clock throughput and bytes-per-flow for the same sweep live in \
-         BENCH_campaigns.json (the \"scale\" block) and in `ba_net --scale`'s stderr line \
-         — machine-dependent numbers stay out of this deterministic table.";
+        "Wall-clock throughput and bytes-per-flow for the same sweep are `ba_net --scale`'s \
+         stderr `scale-perf:` line and `ba_bench --workload shard-100k` — machine-dependent \
+         numbers stay out of this deterministic table.";
         "Expected shape: ticks grow linearly with the frame total (the lease serves one \
          frame per tick aggregate), goodput is flat at the service rate, and nothing is \
          dropped or rebalanced because the queue share and timeout are provisioned for \
@@ -1215,33 +1215,33 @@ let c3_storm_matrix ?(jobs = 1) ~quick () =
 
 (* ------------------------------------------------------------------ *)
 
-(* Presentation order, with a uniform closure type so the bench driver
-   can time each grid individually (and record it in BENCH_campaigns.json). *)
-let grids : (string * (quick:bool -> jobs:int -> table)) list =
+(* Presentation order, as closures so [run_all] prints each table as
+   soon as it is built. *)
+let grids : (quick:bool -> jobs:int -> table) list =
   [
-    ("T1", fun ~quick:_ ~jobs:_ -> t1_intro_scenario ());
-    ("T2", fun ~quick ~jobs -> t2_verification ~jobs ~quick ());
-    ("F1", fun ~quick ~jobs -> f1_goodput_vs_loss ~jobs ~quick ());
-    ("F2", fun ~quick ~jobs -> f2_goodput_vs_window ~jobs ~quick ());
-    ("F3", fun ~quick ~jobs -> f3_recovery_time ~jobs ~quick ());
-    ("F4", fun ~quick ~jobs -> f4_reorder_tolerance ~jobs ~quick ());
-    ("T3", fun ~quick ~jobs -> t3_ack_overhead ~jobs ~quick ());
-    ("F6", fun ~quick ~jobs -> f6_latency ~jobs ~quick ());
-    ("T4", fun ~quick ~jobs -> t4_stenning_domain ~jobs ~quick ());
-    ("F5", fun ~quick ~jobs -> f5_slot_reuse ~jobs ~quick ());
-    ("T5", fun ~quick ~jobs -> t5_piggyback ~jobs ~quick ());
-    ("A1", fun ~quick ~jobs -> a1_adaptive_rto ~jobs ~quick ());
-    ("A2", fun ~quick ~jobs -> a2_dynamic_window ~jobs ~quick ());
-    ("A3", fun ~quick ~jobs -> a3_fairness ~jobs ~quick ());
-    ("S1", fun ~quick ~jobs -> s1_scaling ~jobs ~quick ());
-    ("S3", fun ~quick ~jobs -> s3_churn_soak ~jobs ~quick ());
-    ("S4", fun ~quick ~jobs -> s4_sharded_scale ~jobs ~quick ());
-    ("C1", fun ~quick ~jobs -> c1_chaos_matrix ~jobs ~quick ());
-    ("C2", fun ~quick ~jobs -> c2_crash_recovery ~jobs ~quick ());
-    ("C3", fun ~quick ~jobs -> c3_storm_matrix ~jobs ~quick ());
+    (fun ~quick:_ ~jobs:_ -> t1_intro_scenario ());
+    (fun ~quick ~jobs -> t2_verification ~jobs ~quick ());
+    (fun ~quick ~jobs -> f1_goodput_vs_loss ~jobs ~quick ());
+    (fun ~quick ~jobs -> f2_goodput_vs_window ~jobs ~quick ());
+    (fun ~quick ~jobs -> f3_recovery_time ~jobs ~quick ());
+    (fun ~quick ~jobs -> f4_reorder_tolerance ~jobs ~quick ());
+    (fun ~quick ~jobs -> t3_ack_overhead ~jobs ~quick ());
+    (fun ~quick ~jobs -> f6_latency ~jobs ~quick ());
+    (fun ~quick ~jobs -> t4_stenning_domain ~jobs ~quick ());
+    (fun ~quick ~jobs -> f5_slot_reuse ~jobs ~quick ());
+    (fun ~quick ~jobs -> t5_piggyback ~jobs ~quick ());
+    (fun ~quick ~jobs -> a1_adaptive_rto ~jobs ~quick ());
+    (fun ~quick ~jobs -> a2_dynamic_window ~jobs ~quick ());
+    (fun ~quick ~jobs -> a3_fairness ~jobs ~quick ());
+    (fun ~quick ~jobs -> s1_scaling ~jobs ~quick ());
+    (fun ~quick ~jobs -> s3_churn_soak ~jobs ~quick ());
+    (fun ~quick ~jobs -> s4_sharded_scale ~jobs ~quick ());
+    (fun ~quick ~jobs -> c1_chaos_matrix ~jobs ~quick ());
+    (fun ~quick ~jobs -> c2_crash_recovery ~jobs ~quick ());
+    (fun ~quick ~jobs -> c3_storm_matrix ~jobs ~quick ());
   ]
 
-let all ?(jobs = 1) ~quick () = List.map (fun (_, grid) -> grid ~quick ~jobs) grids
+let all ?(jobs = 1) ~quick () = List.map (fun grid -> grid ~quick ~jobs) grids
 
 let print_table t =
   Printf.printf "\n=== %s: %s ===\n" t.id t.title;
@@ -1250,4 +1250,4 @@ let print_table t =
   print_newline ()
 
 let run_all ?(jobs = 1) ~quick () =
-  List.iter (fun (_, grid) -> print_table (grid ~quick ~jobs)) grids
+  List.iter (fun grid -> print_table (grid ~quick ~jobs)) grids

@@ -105,7 +105,8 @@ val s4_sharded_scale : ?jobs:int -> quick:bool -> unit -> table
     the shared bottleneck realised as per-cell capacity leases
     reconciled at epoch barriers. Only deterministic columns (delivered,
     completion, ticks, goodput, lease counters); the machine-dependent
-    flows/sec and bytes-per-flow live in [BENCH_campaigns.json]. *)
+    flows/sec and bytes-per-flow are [ba_net --scale]'s stderr
+    [scale-perf:] line and [ba_bench]'s [shard-100k] workload. *)
 
 val c2_crash_recovery : ?jobs:int -> quick:bool -> unit -> table
 (** Crash–restart recovery: the {!Ba_verify.Chaos.Crash} class (sender,
@@ -121,16 +122,8 @@ val c3_storm_matrix : ?jobs:int -> quick:bool -> unit -> table
     the recovery bill, showing what composing the faults adds over each
     alone. One replay key reproduces a storm ([ba_chaos --replay]). *)
 
-val grids : (string * (quick:bool -> jobs:int -> table)) list
-(** All experiments in presentation order as [(id, grid)] closures, so a
-    driver can time each grid individually (the bench harness records
-    per-grid wall clock in [BENCH_campaigns.json]). *)
-
 val all : ?jobs:int -> quick:bool -> unit -> table list
 (** All experiments in presentation order. *)
-
-val print_table : table -> unit
-(** Render one experiment to stdout in the EXPERIMENTS.md format. *)
 
 val run_all : ?jobs:int -> quick:bool -> unit -> unit
 (** Generate and print every experiment. [quick] shrinks message counts

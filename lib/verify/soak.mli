@@ -2,9 +2,8 @@
     watchdog, with a chaos {!Chaos.incident} landed on it, plus the fold
     that streams rounds into constant-space aggregates and one verdict.
 
-    [ba_net --soak], experiment S3, the bench soak campaign and the churn
-    tests all run this round; only their flow populations and their
-    printing differ. *)
+    [ba_net --soak], experiment S3 and the churn tests all run this
+    round; only their flow populations and their printing differ. *)
 
 type round = {
   result : Ba_proto.Fabric.result;

@@ -108,22 +108,30 @@ let test_churn_under_storm_stays_safe () =
   (* The soak harness's round: a churning population with the full storm
      composition (bursty channels + squeeze + crash plan on flow 0)
      admitted under a budget below the lifetime sum, watchdog armed.
-     Safety and the memory guarantee must hold; churners still depart. *)
-  let seed = 42 in
-  let specs = Fabric.churn ~churners:2 ~messages:20 ~config:Chaos.robust_config ~seed proto in
-  let rd = Soak.round ~fault:Chaos.Storm ~base:2 ~churn_from:2 ~seed specs in
-  let r = rd.Soak.result in
-  check Alcotest.bool "budget below the lifetime sum" true
-    (rd.Soak.budget < Fabric.lifetime_cost specs);
-  check Alcotest.int "everyone admitted into reclaimed capacity" (List.length specs)
-    r.Fabric.admitted;
-  check Alcotest.int "churners departed" 2 r.Fabric.departed;
-  check Alcotest.bool "run completed" true r.Fabric.completed;
-  check Alcotest.bool "memory guarantee held through the storm" true
-    (r.Fabric.mem_peak_bytes <= rd.Soak.budget);
-  List.iter
-    (fun (f : Harness.result) -> check Alcotest.bool "flow stayed safe" true (Chaos.safe f))
-    r.Fabric.flows
+     Safety and the memory guarantee must hold; churners still depart.
+     The four rounds (seeds 42-45) go through the soak's fold, whose
+     verdict must pass as well. *)
+  let specs_at seed =
+    Fabric.churn ~churners:2 ~messages:20 ~config:Chaos.robust_config ~seed proto
+  in
+  let round_at i =
+    let seed = 42 + i in
+    Soak.round ~fault:Chaos.Storm ~base:2 ~churn_from:2 ~seed (specs_at seed)
+  in
+  let check_round i (rd : Soak.round) =
+    let specs = specs_at (42 + i) in
+    let r = rd.Soak.result in
+    let check_at what = check Alcotest.bool (Printf.sprintf "seed %d: %s" (42 + i) what) true in
+    check_at "budget below the lifetime sum" (rd.Soak.budget < Fabric.lifetime_cost specs);
+    check_at "everyone admitted into reclaimed capacity"
+      (r.Fabric.admitted = List.length specs);
+    check_at "churners departed" (r.Fabric.departed = 2);
+    check_at "run completed" r.Fabric.completed;
+    check_at "memory guarantee held through the storm" (r.Fabric.mem_peak_bytes <= rd.Soak.budget);
+    check_at "every flow stayed safe" (List.for_all Chaos.safe r.Fabric.flows)
+  in
+  let report = Soak.fold ~on_round:check_round ~jobs:1 ~rounds:4 round_at in
+  check Alcotest.bool "soak verdict passes" true report.Soak.pass
 
 let () =
   Alcotest.run "churn"

@@ -292,7 +292,11 @@ let prop_blockack_always_correct =
           ~config:blockack_config ~data_loss:loss ~ack_loss:loss ~data_delay:delay
           ~ack_delay:delay ()
       in
-      Harness.correct r)
+      Harness.correct r
+      || QCheck.Test.fail_reportf
+           "@[<v>seed %d, %d%% loss each way, delay Uniform (30, %d): %a@,\
+            fixed: window 16, rto 300, wire modulus 32; 150 messages@]"
+           seed loss_pct (50 + jitter) Harness.pp_result r)
 
 let prop_selective_repeat_always_correct =
   QCheck.Test.make ~name:"selective repeat delivers exactly once for any seed/loss" ~count:15
@@ -304,7 +308,11 @@ let prop_selective_repeat_always_correct =
           ~config:blockack_config ~data_loss:loss ~ack_loss:loss ~data_delay:jitter_delay
           ~ack_delay:jitter_delay ()
       in
-      Harness.correct r)
+      Harness.correct r
+      || QCheck.Test.fail_reportf
+           "@[<v>seed %d, %d%% loss each way: %a@,\
+            fixed: window 16, rto 300, wire modulus 32; 120 messages, delay Uniform (20, 80)@]"
+           seed loss_pct Harness.pp_result r)
 
 let () =
   Alcotest.run "e2e"

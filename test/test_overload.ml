@@ -151,6 +151,16 @@ let test_admission_rejects_hopeless_budget () =
 (* ------------------------------------------------------------------ *)
 (* Bounded buffers end to end *)
 
+(* The property's transfer, given its two drawn parameters. *)
+let pressure_run ~seed policy =
+  let config =
+    Config.make ~window:8 ~wire_modulus:(Some 16) ~rto:600 ~max_transit:200 ~adaptive_rto:true
+      ~rx_budget:2 ~drop_policy:policy ()
+  in
+  Harness.run blockack ~seed ~messages:50 ~config ~data_loss:0.05 ~ack_loss:0.05
+    ~data_delay:(Ba_channel.Dist.Uniform (20, 60)) ~ack_delay:(Ba_channel.Dist.Uniform (20, 60))
+    ~data_bottleneck:(5, 3) ()
+
 (* Whatever the budget, policy, loss and queue contention do to the
    frame stream, delivery stays in-order, duplicate-free and complete:
    budget drops are repaired by the same timer machinery as channel
@@ -162,15 +172,7 @@ let test_pressure_safety_property =
        QCheck.(pair (int_range 0 10_000) bool)
        (fun (seed, drop_new) ->
          let policy = if drop_new then Config.Drop_new else Config.Drop_furthest in
-         let config =
-           Config.make ~window:8 ~wire_modulus:(Some 16) ~rto:600 ~max_transit:200
-             ~adaptive_rto:true ~rx_budget:2 ~drop_policy:policy ()
-         in
-         let r =
-           Harness.run blockack ~seed ~messages:50 ~config ~data_loss:0.05 ~ack_loss:0.05
-             ~data_delay:(Ba_channel.Dist.Uniform (20, 60))
-             ~ack_delay:(Ba_channel.Dist.Uniform (20, 60)) ~data_bottleneck:(5, 3) ()
-         in
+         let r = pressure_run ~seed policy in
          Harness.correct r
          || QCheck.Test.fail_reportf
               "@[<v>seed %d, %s: %a@,\
@@ -178,6 +180,24 @@ let test_pressure_safety_property =
                rx_budget 2; 50 messages, 5%% loss each way, delay Uniform (20, 60),@,\
                data bottleneck (5, 3)@]"
               seed (Config.drop_policy_name policy) Harness.pp_result r))
+
+(* A recorded liveness defect, not a fix: the one case of the property's
+   space that fails (seed 4095, [Drop_furthest]). Every ack the sender
+   gets covers a retransmission, so Karn's rule takes no RTT sample and
+   every timer backs off to the ceiling; the window's timers then expire
+   in one burst, in the same order every round, and the oldest
+   unacknowledged message sits near the burst's tail, where the 3-frame
+   bottleneck queue tail-drops it. Safety holds, but the run reaches the
+   deadline 8 messages short. A fix that orders the burst from the
+   oldest message changes this outcome, and this test with it. *)
+let test_pressure_starvation_recorded () =
+  let r = pressure_run ~seed:4095 Config.Drop_furthest in
+  check Alcotest.bool "stuck: the transfer does not complete" false r.Harness.completed;
+  check Alcotest.int "at the 1.6M-tick deadline" 1_600_000 r.Harness.ticks;
+  check Alcotest.int "42 of 50 delivered" 42 r.Harness.delivered;
+  check Alcotest.int "no duplicate" 0 r.Harness.duplicates;
+  check Alcotest.int "no misordering" 0 r.Harness.misordered;
+  check Alcotest.int "no corruption" 0 r.Harness.corrupted
 
 (* ------------------------------------------------------------------ *)
 (* The overload chaos class *)
@@ -306,7 +326,11 @@ let () =
             test_admission_rejects_hopeless_budget;
         ] );
       ( "bounded buffers",
-        [ test_pressure_safety_property ] );
+        [
+          test_pressure_safety_property;
+          Alcotest.test_case "recorded defect: seed 4095 starves the oldest message" `Quick
+            test_pressure_starvation_recorded;
+        ] );
       ( "chaos class",
         [
           Alcotest.test_case "squeeze bites and stays safe" `Quick test_overload_class_bites;
