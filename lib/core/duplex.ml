@@ -22,10 +22,6 @@ type endpoint = {
   mutable link : frame Ba_channel.Link.t option;  (* tied after both endpoints exist *)
   mutable sender : Sender_multi.t option;
   mutable receiver : Receiver.t option;
-  (* The newest unflushed block acknowledgment for the reverse direction,
-     waiting for a data frame to ride on. *)
-  mutable pending_ack : Ba_proto.Wire.ack option;
-  mutable ack_slot : Ba_sim.Engine.slot option;  (* the held ack's flush, built on first hold *)
   mutable data_frames : int;
   mutable pure_ack_frames : int;
   mutable piggybacked_acks : int;
@@ -41,62 +37,24 @@ let transmit_frame e frame =
     e.piggybacked_acks <- e.piggybacked_acks + 1;
   match e.link with Some link -> Ba_channel.Link.send link frame | None -> ()
 
-let cancel_flush (e : endpoint) =
-  match e.ack_slot with Some slot -> Ba_sim.Engine.slot_cancel e.engine slot | None -> ()
+let pure_ack e (a : Ba_proto.Wire.ack) =
+  transmit_frame e { seq = None; payload = ""; pack = Some a }
 
-(* Take the pending acknowledgment (cancelling its flush timer). *)
-let take_pending_ack e =
-  match e.pending_ack with
-  | None -> None
-  | Some _ as pack ->
-      e.pending_ack <- None;
-      cancel_flush e;
-      pack
+(* Outbound data: wrap the wire record into a frame, piggybacking the
+   held acknowledgment for the reverse direction, if any. *)
+let tx_data e hold (d : Ba_proto.Wire.data) =
+  transmit_frame e
+    {
+      seq = Some d.Ba_proto.Wire.seq;
+      payload = d.Ba_proto.Wire.payload;
+      pack = Ba_proto.Ack_hold.take hold;
+    }
 
-let flush_pure_ack e =
-  match take_pending_ack e with
-  | None -> ()
-  | Some _ as pack -> transmit_frame e { seq = None; payload = ""; pack }
-
-(* Outbound data: wrap the wire record into a frame, piggybacking any
-   pending acknowledgment. *)
-let tx_data e (d : Ba_proto.Wire.data) =
-  transmit_frame e { seq = Some d.Ba_proto.Wire.seq; payload = d.Ba_proto.Wire.payload; pack = take_pending_ack e }
-
-(* Outbound acknowledgment from our receiver half: hold it for a data
-   frame. An adjacent one widens the held block ([Wire.ack_extends]);
-   any other (a duplicate re-ack) flushes the held block first, since a
-   frame carries a single range. *)
-let tx_ack ~piggyback_hold ~(config : Config.t) e (a : Ba_proto.Wire.ack) =
-  let held =
-    match e.pending_ack with
-    | Some p
-      when Ba_proto.Wire.ack_extends ~wire_modulus:config.Config.wire_modulus
-             ~cap:config.Config.window ~lo:p.Ba_proto.Wire.lo ~hi:p.Ba_proto.Wire.hi
-             ~epoch:p.Ba_proto.Wire.epoch a ->
-        cancel_flush e;
-        e.pending_ack <- None;
-        Ba_proto.Wire.make_ack_e ~epoch:p.Ba_proto.Wire.epoch ~lo:p.Ba_proto.Wire.lo
-          ~hi:a.Ba_proto.Wire.hi
-    | Some _ ->
-        flush_pure_ack e;
-        a
-    | None -> a
-  in
-  if piggyback_hold = 0 then
-    transmit_frame e { seq = None; payload = ""; pack = Some held }
-  else begin
-    e.pending_ack <- Some held;
-    let slot =
-      match e.ack_slot with
-      | Some slot -> slot
-      | None ->
-          let slot = Ba_sim.Engine.slot_create e.engine (fun () -> flush_pure_ack e) in
-          e.ack_slot <- Some slot;
-          slot
-    in
-    Ba_sim.Engine.slot_arm e.engine slot ~delay:piggyback_hold
-  end
+(* Outbound acknowledgment from our receiver half: held for a data frame
+   to ride on, and flushed as a pure-ack frame [piggyback_hold] ticks
+   after the latest one. *)
+let tx_ack ~piggyback_hold e hold a =
+  if piggyback_hold = 0 then pure_ack e a else Ba_proto.Ack_hold.offer hold a
 
 let on_frame e frame =
   (* Data first: the receiver may pend a fresh acknowledgment, which the
@@ -120,8 +78,6 @@ let make_endpoint engine =
     link = None;
     sender = None;
     receiver = None;
-    pending_ack = None;
-    ack_slot = None;
     data_frames = 0;
     pure_ack_frames = 0;
     piggybacked_acks = 0;
@@ -148,14 +104,20 @@ let create ?(seed = 42) ?(config = default_config) ?(piggyback_hold = 15) ?(loss
   ea.link <- Some (Ba_channel.Link.create engine ~loss ~delay ~deliver:(fun f -> on_frame eb f) ());
   eb.link <- Some (Ba_channel.Link.create engine ~loss ~delay ~deliver:(fun f -> on_frame ea f) ());
   let wire_endpoint e on_receive =
+    (* The hold's record is its own: the frame gets a copy. *)
+    let hold =
+      Ba_proto.Ack_hold.create engine ~wire_modulus:config.Config.wire_modulus
+        ~cap:config.Config.window ~delay:piggyback_hold
+        ~emit:(fun a -> pure_ack e { a with Ba_proto.Wire.lo = a.Ba_proto.Wire.lo })
+    in
     e.sender <-
       Some
-        (Sender_multi.create engine config ~tx:(tx_data e)
+        (Sender_multi.create engine config ~tx:(tx_data e hold)
            ~next_payload:(fun () -> Queue.take_opt e.queue));
     e.receiver <-
       Some
         (Receiver.create engine config
-           ~tx:(tx_ack ~piggyback_hold ~config e)
+           ~tx:(tx_ack ~piggyback_hold e hold)
            ~deliver:(fun msg ->
              e.delivered <- e.delivered + 1;
              on_receive msg))

@@ -9,7 +9,9 @@
     - every outbound data frame carries the latest pending block
       acknowledgment for the opposite direction, for free;
     - an acknowledgment with no data to ride on is flushed as a pure-ack
-      frame after [piggyback_hold] ticks (0 = never wait).
+      frame [piggyback_hold] ticks after the latest one (0 = never wait);
+      adjacent ones held meanwhile widen into one block, in the
+      {!Ba_proto.Ack_hold} the UDP server also merges with.
 
     Soundness: holding an acknowledgment extends its effective transit
     time, so the usual timeout bound becomes

@@ -35,155 +35,137 @@ let packer engine ~send =
     if not (Ba_sim.Engine.slot_armed engine slot) then
       Ba_sim.Engine.slot_arm engine slot ~delay:0
 
+(* A peer address no arrival carries: the server's until it first hears
+   from one. *)
+let no_peer = Unix.ADDR_UNIX ""
+
 module Server = struct
+  type rx = Rx : (module Ba_proto.Protocol.S with type receiver = 'r) * 'r -> rx
+
   type t = {
     messages : int;
-    next : int ref;
-    dig : int ref;
-    epoch : int ref;
-    dups : int ref;
-    misordered : int ref;
-    corrupted : int ref;
-    acks : int ref;
-    handshakes : int ref;  (* POS frames sent *)
-    stray : int ref;
-    peer : Unix.sockaddr option ref;
+    payload_size : int;
+    wseed : int;
+    on_deliver : (epoch:int -> pos:int -> digest:int -> unit) option;
     shim : Shim.t;
-    feed : W.data -> unit;
+    hold : Ba_proto.Ack_hold.t option;  (* [None]: single-number acks pass through *)
+    rx : rx;
+    mutable peer : Unix.sockaddr;
+    mutable next : int;
+    mutable dig : int;
+    mutable epoch : int;
+    mutable dups : int;
+    mutable misordered : int;
+    mutable corrupted : int;
+    mutable handshakes : int;  (* POS frames sent *)
   }
+
+  let deliver t payload =
+    let i = Ba_proto.Workload.index payload in
+    if i < 0 || i >= t.messages then t.corrupted <- t.corrupted + 1
+    else if not (Ba_proto.Workload.matches ~seed:t.wseed ~size:t.payload_size i payload) then
+      t.corrupted <- t.corrupted + 1
+    else if i < t.next then t.dups <- t.dups + 1
+    else begin
+      if i > t.next then t.misordered <- t.misordered + 1;
+      t.dig <- digest_add t.dig ~index:i ~payload;
+      t.next <- i + 1;
+      match t.on_deliver with Some f -> f ~epoch:t.epoch ~pos:t.next ~digest:t.dig | None -> ()
+    end
+
+  (* The receiver hands each ack over, as it hands one to a simulated
+     link: once encoded or merged into the held range, it goes back to
+     the frame pool. *)
+  let tx t ~send_ack (a : W.ack) =
+    if a.W.epoch > t.epoch then t.epoch <- a.W.epoch;
+    if a.W.akind = W.Sync_pos then t.handshakes <- t.handshakes + 1;
+    (match t.hold with Some h -> Ba_proto.Ack_hold.offer h a | None -> send_ack a);
+    W.release_ack a
 
   let create ~engine ~protocol:(module P : Ba_proto.Protocol.S) ~config ~messages
       ~payload_size ~wseed ?restore ?on_deliver ?plan ?(impair_seed = 1) ~send () =
-    let peer = ref None in
-    let shim =
-      Shim.create engine ?plan ~seed:impair_seed
-        ~transmit:(fun buf len -> match !peer with Some a -> send a buf len | None -> ())
-        ()
+    (* The shim's transmit and the protocol's callbacks reach the record
+       they are built into through [self ()]. *)
+    let rec knot =
+      lazy
+        (let self () = Lazy.force knot in
+         let shim =
+           Shim.create engine ?plan ~seed:impair_seed
+             ~transmit:(fun buf len ->
+               let t = self () in
+               if t.peer != no_peer then send t.peer buf len)
+             ()
+         in
+         let buf = Bytes.create Codec.ack_len in
+         let send_ack a = Shim.send shim buf (Codec.encode buf (Codec.Ack a)) in
+         (* The block acknowledgments emitted during one socket drain
+            leave as one datagram: the hold flushes from a zero-delay
+            slot, which the driver fires in the [sync] that follows the
+            drain, after the deliveries (and their persists) it
+            acknowledges. *)
+         let hold =
+           if P.ack_wire_bytes <> W.ack_bytes_block then None
+           else
+             Some
+               (Ba_proto.Ack_hold.create engine
+                  ~wire_modulus:config.Ba_proto.Proto_config.wire_modulus
+                  ~cap:config.Ba_proto.Proto_config.window ~delay:0 ~emit:send_ack)
+         in
+         let r =
+           P.create_receiver engine config
+             ~tx:(fun a -> tx (self ()) ~send_ack a)
+             ~deliver:(fun p -> deliver (self ()) p)
+         in
+         {
+           messages;
+           payload_size;
+           wseed;
+           on_deliver;
+           shim;
+           hold;
+           rx = Rx ((module P), r);
+           peer = no_peer;
+           next = 0;
+           dig = digest_seed;
+           epoch = 0;
+           dups = 0;
+           misordered = 0;
+           corrupted = 0;
+           handshakes = 0;
+         })
     in
-    let buf = Bytes.create Codec.ack_len in
-    let next = ref 0
-    and dig = ref digest_seed
-    and epoch = ref 0
-    and dups = ref 0
-    and misordered = ref 0
-    and corrupted = ref 0
-    and acks = ref 0
-    and handshakes = ref 0 in
-    let notify () =
-      match on_deliver with
-      | Some f -> f ~epoch:!epoch ~pos:!next ~digest:!dig
-      | None -> ()
-    in
-    let deliver payload =
-      let i = Ba_proto.Workload.index payload in
-      if i < 0 || i >= messages then incr corrupted
-      else if not (Ba_proto.Workload.matches ~seed:wseed ~size:payload_size i payload) then
-        incr corrupted
-      else if i < !next then incr dups
-      else begin
-        if i > !next then incr misordered;
-        dig := digest_add !dig ~index:i ~payload;
-        next := i + 1;
-        notify ()
-      end
-    in
-    let send_ack a =
-      incr acks;
-      let len = Codec.encode buf (Codec.Ack a) in
-      Shim.send shim buf len
-    in
-    (* Block acknowledgments emitted during one socket drain leave as one
-       datagram: an adjacent same-epoch ack widens the held range
-       ([W.ack_extends], capped at the window), anything else flushes it
-       and is then handled in order. A zero-delay slot sends the held
-       range; the driver fires it in the [sync] that follows the drain,
-       after the deliveries (and their persists) it acknowledges.
-       Single-number acknowledgments pass through untouched. *)
-    let merge = P.ack_wire_bytes = W.ack_bytes_block in
-    let cap = config.Ba_proto.Proto_config.window
-    and wire_modulus = config.Ba_proto.Proto_config.wire_modulus in
-    let held = ref false and h_lo = ref 0 and h_hi = ref 0 and h_epoch = ref 0 in
-    let out = { W.lo = 0; hi = 0; epoch = 0; akind = W.Ack; check = 0 } in
-    let flush () =
-      if !held then begin
-        held := false;
-        out.W.lo <- !h_lo;
-        out.W.hi <- !h_hi;
-        out.W.epoch <- !h_epoch;
-        out.W.check <- W.ack_checksum ~lo:!h_lo ~hi:!h_hi ~epoch:!h_epoch ~akind:W.Ack;
-        send_ack out
-      end
-    in
-    let flush_slot = Ba_sim.Engine.slot_create engine flush in
-    (* The receiver hands each ack over, as it hands one to a simulated
-       link: once encoded or merged into the held range, it goes back to
-       the frame pool. [out] is the server's own and never does. *)
-    let tx (a : W.ack) =
-      if a.W.epoch > !epoch then epoch := a.W.epoch;
-      if a.W.akind = W.Sync_pos then incr handshakes;
-      (if not merge then send_ack a
-       else if
-         !held && W.ack_extends ~wire_modulus ~cap ~lo:!h_lo ~hi:!h_hi ~epoch:!h_epoch a
-       then h_hi := a.W.hi
-       else begin
-         flush ();
-         match a.W.akind with
-         | W.Sync_pos -> send_ack a
-         | W.Ack ->
-             held := true;
-             h_lo := a.W.lo;
-             h_hi := a.W.hi;
-             h_epoch := a.W.epoch;
-             if not (Ba_sim.Engine.slot_armed engine flush_slot) then
-               Ba_sim.Engine.slot_arm engine flush_slot ~delay:0
-       end);
-      W.release_ack a
-    in
-    let r = P.create_receiver engine config ~tx ~deliver in
-    (match (restore, P.lifecycle) with
+    let t = Lazy.force knot in
+    (* After the knot: restoring sends a POS, through [self ()]. *)
+    (match (restore, t.rx) with
     | None, _ -> ()
-    | Some _, None -> invalid_arg (P.name ^ ": no crash lifecycle to restore from")
-    | Some (e, pos, d), Some l ->
-        l.receiver_restore r ~epoch:e ~pos;
-        if e > !epoch then epoch := e;
-        next := pos;
-        dig := d);
-    {
-      messages;
-      next;
-      dig;
-      epoch;
-      dups;
-      misordered;
-      corrupted;
-      acks;
-      handshakes;
-      stray = ref 0;
-      peer;
-      shim;
-      feed = (fun d -> P.receiver_on_data r d);
-    }
+    | Some (e, pos, d), Rx ((module P), r) -> (
+        match P.lifecycle with
+        | None -> invalid_arg (P.name ^ ": no crash lifecycle to restore from")
+        | Some l ->
+            l.receiver_restore r ~epoch:e ~pos;
+            if e > t.epoch then t.epoch <- e;
+            t.next <- pos;
+            t.dig <- d));
+    t
 
   let on_frame t frame from =
     (* Learn (or re-learn) the peer from any arrival: a stale-epoch frame
        the protocol will reject still tells a restarted process where
        the client lives, which is what lets its POS out the door. *)
-    t.peer := Some from;
-    match frame with
-    | Codec.Data d -> t.feed d
-    | Codec.Ack _ | Codec.Batch _ -> incr t.stray
+    t.peer <- from;
+    match (frame, t.rx) with
+    | Codec.Data d, Rx ((module P), r) -> P.receiver_on_data r d
+    | (Codec.Ack _ | Codec.Batch _), _ -> ()
 
-  let peer t = !(t.peer)
-  let complete t = !(t.next) >= t.messages
-  let position t = !(t.next)
-  let epoch t = !(t.epoch)
-  let digest t = !(t.dig)
-  let duplicates t = !(t.dups)
-  let misordered t = !(t.misordered)
-  let corrupted t = !(t.corrupted)
-  let acks_sent t = !(t.acks)
-  let stray_frames t = !(t.stray)
-  let resync_rounds t = !(t.handshakes)
+  let complete t = t.next >= t.messages
+  let position t = t.next
+  let epoch t = t.epoch
+  let digest t = t.dig
+  let duplicates t = t.dups
+  let misordered t = t.misordered
+  let corrupted t = t.corrupted
+  let acks_sent t = (Shim.stats t.shim).Shim.offered
+  let resync_rounds t = t.handshakes
   let shim_stats t = Shim.stats t.shim
 end
 
@@ -227,22 +209,80 @@ module Pull_log = struct
 end
 
 module Client = struct
+  type tx = Tx : (module Ba_proto.Protocol.S with type sender = 's) * 's -> tx
+
   type t = {
-    pulled : int ref;
-    pulls : Pull_log.t;
-    watermark : int ref;
-    wd_resyncs : int ref;
+    engine : Ba_sim.Engine.t;
+    messages : int;
+    check_interval : int;
     dog : Ba_proto.Watchdog.t;
+    dog_slot : Ba_sim.Engine.slot;
     shim : Shim.t;
-    feed : W.ack -> unit;
-    pump_ : unit -> unit;
-    done_ : unit -> bool;
-    retx_ : unit -> int;
-    outstanding_ : unit -> int;
-    data_frames : int ref;
-    handshakes : int ref;  (* REQ and FIN frames sent *)
-    stray : int ref;
+    pulls : Pull_log.t;
+    tx : tx;
+    mutable buf : Bytes.t;  (* one encoded data frame; a larger payload grows it *)
+    mutable pulled : int;
+    mutable watermark : int;
+    mutable wd_resyncs : int;
+    mutable data_frames : int;
+    mutable handshakes : int;  (* REQ and FIN frames sent *)
   }
+
+  let outstanding t = match t.tx with Tx ((module P), s) -> P.sender_outstanding s
+
+  let pull t supply =
+    match supply () with
+    | None -> None
+    | Some p as fresh ->
+        let i = Ba_proto.Workload.index p in
+        if i >= 0 && i < t.messages then
+          (* Everything pulled but not outstanding is acknowledged. *)
+          Pull_log.add t.pulls ~acked:(t.pulled - outstanding t) i (Unix.gettimeofday ());
+        t.pulled <- t.pulled + 1;
+        fresh
+
+  let send_data t (d : W.data) =
+    t.data_frames <- t.data_frames + 1;
+    (match d.W.dkind with
+    | W.Msg -> ()
+    | W.Sync_req | W.Sync_fin -> t.handshakes <- t.handshakes + 1);
+    let n = Codec.data_header_len + String.length d.W.payload in
+    if Bytes.length t.buf < n then t.buf <- Bytes.create n;
+    let len = Codec.encode t.buf (Codec.Data d) in
+    (* Encoded, the frame goes back to the pool, as a simulated link
+       returns it on delivery. *)
+    W.release_data d;
+    Shim.send t.shim t.buf len
+
+  let acked t =
+    let live = t.pulled - outstanding t in
+    if live > t.watermark then t.watermark <- live;
+    t.watermark
+
+  (* A protocol without a crash lifecycle has no resync lever: the
+     watchdog's verdict is counted and otherwise ignored, as in the
+     simulated fabric. *)
+  let resync t =
+    t.wd_resyncs <- t.wd_resyncs + 1;
+    match t.tx with
+    | Tx ((module P), s) -> (
+        match P.lifecycle with
+        | None -> ()
+        | Some l ->
+            l.sender_crash s;
+            l.sender_restart s)
+
+  (* The watchdog's clock is a self-re-arming engine slot, so under a
+     wall-clock driver "no progress for N checks" means N real check
+     intervals of silence — peer-death detection by timeout. *)
+  let check t =
+    let delivered = acked t in
+    (match t.tx with
+    | Tx ((module P), s) ->
+        Ba_proto.Watchdog.check t.dog ~delivered ~completed:(P.sender_done s)
+          ~resync:(fun () -> resync t)
+          ~gate:(Shim.gate t.shim));
+    Ba_sim.Engine.slot_arm t.engine t.dog_slot ~delay:t.check_interval
 
   let create ~engine ~protocol:(module P : Ba_proto.Protocol.S) ~config ~messages
       ~payload_size ~wseed ?(watchdog = Ba_proto.Watchdog.default_config) ?plan
@@ -250,117 +290,53 @@ module Client = struct
     let shim =
       Shim.create engine ?plan ~seed:impair_seed ~transmit:(packer engine ~send) ()
     in
-    (* One data frame; a larger payload grows it. *)
-    let buf = ref (Bytes.create (Codec.data_header_len + payload_size)) in
-    let pulled = ref 0
-    and data_frames = ref 0
-    and handshakes = ref 0 in
-    let pulls = Pull_log.create () in
-    let sender = ref None in
     let supply = Ba_proto.Workload.supplier ~seed:wseed ~size:payload_size ~count:messages in
-    let next_payload () =
-      match supply () with
-      | None -> None
-      | Some p as fresh ->
-          let i = Ba_proto.Workload.index p in
-          (if i >= 0 && i < messages then
-             (* Everything pulled but not outstanding is acknowledged. *)
-             let outstanding = match !sender with Some s -> P.sender_outstanding s | None -> 0 in
-             Pull_log.add pulls ~acked:(!pulled - outstanding) i (Unix.gettimeofday ()));
-          incr pulled;
-          fresh
+    (* The protocol's callbacks and the watchdog's slot reach the record
+       they are built into through [self ()]. *)
+    let rec knot =
+      lazy
+        (let self () = Lazy.force knot in
+         let s =
+           P.create_sender engine config
+             ~tx:(fun d -> send_data (self ()) d)
+             ~next_payload:(fun () -> pull (self ()) supply)
+         in
+         {
+           engine;
+           messages;
+           check_interval = watchdog.Ba_proto.Watchdog.check_interval;
+           dog = Ba_proto.Watchdog.create watchdog;
+           dog_slot = Ba_sim.Engine.slot_create engine (fun () -> check (self ()));
+           shim;
+           pulls = Pull_log.create ();
+           tx = Tx ((module P), s);
+           buf = Bytes.create (Codec.data_header_len + payload_size);
+           pulled = 0;
+           watermark = 0;
+           wd_resyncs = 0;
+           data_frames = 0;
+           handshakes = 0;
+         })
     in
-    let s =
-      P.create_sender engine config
-        ~tx:(fun d ->
-          incr data_frames;
-          (match d.W.dkind with W.Msg -> () | W.Sync_req | W.Sync_fin -> incr handshakes);
-          let n = Codec.data_header_len + String.length d.W.payload in
-          if Bytes.length !buf < n then buf := Bytes.create n;
-          let len = Codec.encode !buf (Codec.Data d) in
-          (* Encoded, the frame goes back to the pool, as a simulated
-             link returns it on delivery. *)
-          W.release_data d;
-          Shim.send shim !buf len)
-        ~next_payload
-    in
-    sender := Some s;
-    let dog = Ba_proto.Watchdog.create watchdog in
-    let watermark = ref 0
-    and wd_resyncs = ref 0 in
-    (* A protocol without a crash lifecycle has no resync lever: the
-       watchdog's verdict is counted and otherwise ignored, as in the
-       simulated fabric. *)
-    let resync () =
-      incr wd_resyncs;
-      match P.lifecycle with
-      | None -> ()
-      | Some l ->
-          l.sender_crash s;
-          l.sender_restart s
-    in
-    (* The watchdog's clock is a self-re-arming engine slot, so under a
-       wall-clock driver "no progress for N checks" means N real check
-       intervals of silence — peer-death detection by timeout. *)
-    let slot_ref = ref None in
-    let check () =
-      let acked = !pulled - P.sender_outstanding s in
-      if acked > !watermark then watermark := acked;
-      (match
-         Ba_proto.Watchdog.observe dog ~delivered:!watermark ~completed:(P.sender_done s)
-       with
-      | Ba_proto.Watchdog.Nothing -> ()
-      | Ba_proto.Watchdog.Resync -> resync ()
-      | Ba_proto.Watchdog.Quarantine -> Shim.gate shim true
-      | Ba_proto.Watchdog.Release ->
-          Shim.gate shim false;
-          resync ());
-      match !slot_ref with
-      | Some slot ->
-          Ba_sim.Engine.slot_arm engine slot ~delay:watchdog.Ba_proto.Watchdog.check_interval
-      | None -> ()
-    in
-    let slot = Ba_sim.Engine.slot_create engine check in
-    slot_ref := Some slot;
-    Ba_sim.Engine.slot_arm engine slot ~delay:watchdog.Ba_proto.Watchdog.check_interval;
-    {
-      pulled;
-      pulls;
-      watermark;
-      wd_resyncs;
-      dog;
-      shim;
-      feed = (fun a -> P.sender_on_ack s a);
-      pump_ = (fun () -> P.sender_pump s);
-      done_ = (fun () -> P.sender_done s);
-      retx_ = (fun () -> P.sender_retransmissions s);
-      outstanding_ = (fun () -> P.sender_outstanding s);
-      data_frames;
-      handshakes;
-      stray = ref 0;
-    }
+    let t = Lazy.force knot in
+    Ba_sim.Engine.slot_arm engine t.dog_slot ~delay:t.check_interval;
+    t
 
-  let on_frame t = function
-    | Codec.Ack a -> t.feed a
-    | Codec.Data _ | Codec.Batch _ -> incr t.stray
+  let on_frame t frame =
+    match (frame, t.tx) with
+    | Codec.Ack a, Tx ((module P), s) -> P.sender_on_ack s a
+    | (Codec.Data _ | Codec.Batch _), _ -> ()
 
-  let pump t = t.pump_ ()
-  let finished t = t.done_ ()
-  let pulled t = !(t.pulled)
-
-  let acked t =
-    let live = !(t.pulled) - t.outstanding_ () in
-    if live > !(t.watermark) then t.watermark := live;
-    !(t.watermark)
+  let pump t = match t.tx with Tx ((module P), s) -> P.sender_pump s
+  let finished t = match t.tx with Tx ((module P), s) -> P.sender_done s
+  let pulled t = t.pulled
   let pull_wall t i = Pull_log.find t.pulls i
-  let data_frames t = !(t.data_frames)
-  let stray_frames t = !(t.stray)
-  let retransmissions t = t.retx_ ()
-  let resync_rounds t = !(t.handshakes)
-  let watchdog_resyncs t = !(t.wd_resyncs)
+  let data_frames t = t.data_frames
+  let retransmissions t = match t.tx with Tx ((module P), s) -> P.sender_retransmissions s
+  let resync_rounds t = t.handshakes
+  let watchdog_resyncs t = t.wd_resyncs
   let quarantines t = Ba_proto.Watchdog.quarantine_events t.dog
   let watchdog_state t = Ba_proto.Watchdog.state t.dog
-  let gated t = Shim.gated t.shim
   let shim_stats t = Shim.stats t.shim
 end
 

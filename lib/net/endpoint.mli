@@ -3,8 +3,10 @@
     {!Server} wraps a protocol's receiver half and {!Client} its sender
     half behind the {!Codec}: frames out of the protocol are encoded
     and pushed through an impairment {!Shim} to the socket; decoded
-    arrivals are fed back in. Both halves stay pure engine programs —
-    everything wall-clock lives in the {!Driver} that owns the socket.
+    arrivals are fed back in. Each is one record of counters that holds
+    the protocol's module and its endpoint together, as one existential
+    value. Both halves stay pure engine programs — everything
+    wall-clock lives in the {!Driver} that owns the socket.
 
     The server is the position authority (as in the resync handshake):
     it validates every delivered payload against the deterministic
@@ -22,16 +24,18 @@
     shim each side batches what one burst produces: the client packs
     the data frames of one engine tick into one {!Codec.Batch}
     datagram, and the server merges the block acknowledgments of one
-    socket drain into one ack. The {!Driver} unrolls containers on
-    arrival, so neither half ever handles one.
+    socket drain into one ack, through the same {!Ba_proto.Ack_hold}
+    as the duplex piggyback hold, flushed at the end of the tick. The
+    {!Driver} unrolls containers on arrival, so neither half ever
+    handles one.
 
     The client runs the {!Ba_proto.Watchdog} off real silence: a
-    recurring engine event observes acknowledged progress and
-    interprets the actions — [Resync] crash-restarts the sender (epoch
-    bump + REQ/POS/FIN), [Quarantine] closes the shim's gate,
-    [Release] reopens it and resyncs once more. A killed server is
-    therefore detected by timeout, handled by handshake, and survived
-    without operator help. A protocol without a crash lifecycle has no
+    recurring engine event observes acknowledged progress through
+    {!Ba_proto.Watchdog.check}, whose levers here are the sender's
+    resync (epoch bump + REQ/POS/FIN) and the shim's gate: [Quarantine]
+    closes it, [Release] reopens it and resyncs once more. A killed
+    server is therefore detected by timeout, handled by handshake, and
+    survived without operator help. A protocol without a crash lifecycle has no
     resync lever: its resyncs are counted and otherwise do nothing. *)
 
 val expected_digest : wseed:int -> payload_size:int -> messages:int -> int
@@ -72,8 +76,6 @@ module Server : sig
       rejects as stale-epoch — teaches the server its peer's address,
       which is how a restarted process re-learns where to send POS. *)
 
-  val peer : t -> Unix.sockaddr option
-
   val complete : t -> bool
   (** Every workload payload delivered. *)
 
@@ -91,17 +93,13 @@ module Server : sig
   (** Deliveries whose payload failed validation against the workload. *)
 
   val acks_sent : t -> int
-  (** Acknowledgment datagrams handed to the shim. For block-ack
-      protocols this counts datagrams after merging: the adjacent block
-      acknowledgments the receiver emits during one socket drain leave
-      as one datagram ({!Ba_proto.Wire.ack_extends}), sent when the
-      drain ends — so it can be far below the receiver's own ack count.
-      Single-number-ack protocols send one datagram per ack. *)
-
-  val stray_frames : t -> int
-  (** Well-formed arrivals of the wrong class: acks at a server, or a
-      container handed to {!on_frame} directly instead of through a
-      {!Driver}. *)
+  (** Acknowledgment datagrams handed to the shim (its
+      {!Shim.stats}[.offered]). For block-ack protocols this counts
+      datagrams after merging: the adjacent block acknowledgments the
+      receiver emits during one socket drain leave as one datagram
+      from the {!Ba_proto.Ack_hold}, sent when the drain ends — so it
+      can be far below the receiver's own ack count. Single-number-ack
+      protocols send one datagram per ack. *)
 
   val resync_rounds : t -> int
   (** POS handshake frames the receiver sent, retries included, counted
@@ -164,7 +162,6 @@ module Client : sig
   (** Data frames the sender emitted, before the shim and the packer —
       frames, not datagrams. *)
 
-  val stray_frames : t -> int
   val retransmissions : t -> int
 
   val resync_rounds : t -> int
@@ -176,7 +173,6 @@ module Client : sig
 
   val quarantines : t -> int
   val watchdog_state : t -> Ba_proto.Watchdog.state
-  val gated : t -> bool
   val shim_stats : t -> Shim.stats
 end
 

@@ -94,7 +94,6 @@ let send t buf len =
             Ba_sim.Engine.schedule t.engine ~delay:extra (fun () -> pass t copy len))
 
 let gate t closed = t.closed <- closed
-let gated t = t.closed
 
 let stats t =
   {

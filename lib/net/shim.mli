@@ -57,6 +57,4 @@ val send : t -> Bytes.t -> int -> unit
 val gate : t -> bool -> unit
 (** [gate t true] closes the gate (quarantine); [false] reopens it. *)
 
-val gated : t -> bool
-
 val stats : t -> stats

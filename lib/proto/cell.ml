@@ -762,16 +762,10 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
           sample_mem c;
           for i = 0 to n - 1 do
             if running c i && specs.(i).start_at <= Engine.now engine then
-              match
-                Watchdog.observe c.dogs.(i) ~delivered:(get c i k_delivered)
-                  ~completed:(is_complete c i)
-              with
-              | Watchdog.Nothing -> ()
-              | Watchdog.Resync -> resync c i
-              | Watchdog.Quarantine -> set c i k_gate 1
-              | Watchdog.Release ->
-                  set c i k_gate 0;
-                  resync c i
+              Watchdog.check c.dogs.(i) ~delivered:(get c i k_delivered)
+                ~completed:(is_complete c i)
+                ~resync:(fun () -> resync c i)
+                ~gate:(fun closed -> set c i k_gate (Bool.to_int closed))
           done)
   | None, Some _ -> every 500 (fun () -> sample_mem c)
   | None, None -> ());

@@ -1,10 +1,10 @@
 (* Per-flow liveness watchdog: a pure state machine over periodic
-   progress observations. The fabric owns the clock (it calls [observe]
-   every [check_interval] ticks) and interprets the returned actions —
-   [Resync] as a crash+restart of the flow's sender through the
-   REQ/POS/FIN handshake, [Quarantine]/[Release] as gating the flow off
-   the shared links and back on. Keeping the machine engine-free makes
-   every transition unit-testable without a simulation. *)
+   progress observations. The owner keeps the clock (it calls [check]
+   every [check_interval] ticks) and supplies the two levers [check]
+   pulls — [resync], a crash+restart of the flow's sender through the
+   REQ/POS/FIN handshake, and [gate], closing the flow off its links
+   and reopening it. Keeping the machine engine-free makes every
+   transition unit-testable without a simulation. *)
 
 type state = Healthy | Degraded | Stalled | Quarantined
 
@@ -113,6 +113,15 @@ let observe t ~delivered ~completed =
           if t.state = Healthy && t.idle >= t.config.stall_checks then t.state <- Degraded;
           Nothing
         end
+
+let check t ~delivered ~completed ~resync ~gate =
+  match observe t ~delivered ~completed with
+  | Nothing -> ()
+  | Resync -> resync ()
+  | Quarantine -> gate true
+  | Release ->
+      gate false;
+      resync ()
 
 let state t = t.state
 let quarantine_events t = t.quarantine_events

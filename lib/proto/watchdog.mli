@@ -2,10 +2,11 @@
     Quarantined, with hysteresis.
 
     A pure state machine over periodic progress observations — no engine,
-    no timers. The owner (the {!Fabric}) calls {!observe} every
-    [check_interval] ticks with the flow's delivered count and interprets
-    the returned {!action}: [Resync] crash-restarts the flow's sender so
-    the REQ/POS/FIN handshake re-establishes the window; [Quarantine]
+    no timers. The owner (a {!Cell}, or the UDP client) calls {!check}
+    every [check_interval] ticks with the flow's delivered count, and
+    {!check} pulls the owner's lever for the {!action}: [Resync]
+    crash-restarts the flow's sender so the REQ/POS/FIN handshake
+    re-establishes the window; [Quarantine]
     gates the flow off the shared links (isolating a repeat offender so
     the other [n-1] flows keep their throughput); [Release] ends
     probation with one more resync attempt.
@@ -51,6 +52,12 @@ val create : config -> t
 val observe : t -> delivered:int -> completed:bool -> action
 (** One periodic check: [delivered] is the flow's cumulative in-order
     delivery count. A completed flow is Healthy forever after. *)
+
+val check :
+  t -> delivered:int -> completed:bool -> resync:(unit -> unit) -> gate:(bool -> unit) -> unit
+(** {!observe}, then pull the owner's lever for the action: [Resync]
+    calls [resync ()], [Quarantine] [gate true], and [Release]
+    [gate false] then [resync ()]. *)
 
 val state : t -> state
 

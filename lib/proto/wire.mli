@@ -109,8 +109,8 @@ val ack_extends :
     spans at most [cap] sequence numbers. With [cap] at most the window
     (below a modulus of at least twice the window) the merged block is
     always decodable, and it acknowledges exactly the union of the two.
-    The one coalescing rule for every layer that holds acknowledgments
-    back: the duplex piggyback hold and the UDP server. *)
+    The one coalescing rule, applied by {!Ack_hold} for every layer that
+    holds acknowledgments back. *)
 
 val ack_bytes_block : int
 (** Bytes of a two-number block acknowledgment. *)

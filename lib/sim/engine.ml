@@ -213,11 +213,6 @@ let slot_arm t s ~delay =
 
 let slot_armed t s = t.sl_pos.(s) >= 0
 
-let slot_expiry t s =
-  let i = t.sl_pos.(s) in
-  if i < 0 then invalid_arg "Engine.slot_expiry: disarmed";
-  t.hp_time.(i)
-
 (* ---- firing ---- *)
 
 (* The head leaves the heap before its callback runs: it is no longer

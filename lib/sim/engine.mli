@@ -93,10 +93,6 @@ val slot_cancel : t -> slot -> unit
 
 val slot_armed : t -> slot -> bool
 
-val slot_expiry : t -> slot -> int
-(** Absolute tick of the current arming. Raises [Invalid_argument] when
-    disarmed. *)
-
 val next_due : t -> int option
 (** Tick of the earliest pending event, without firing it ([None] when
     the queue is empty). What a wall-clock driver needs to compute a

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Exported values nothing outside their own module uses: each top-level
-# `val` of every lib/**/*.mli, checked against the OCaml sources of the
-# other modules (lib, bin, bench, examples, test), and each `val` of a
-# `module type NAME = sig ... end` block in a lib/**/*.ml file. Two
-# groups:
+# `val` of every lib/**/*.mli and each `val` of a nested
+# `module NAME : sig ... end` block in one, checked against the OCaml
+# sources of the other modules (lib, bin, bench, examples, test), and
+# each `val` of a `module type NAME = sig ... end` block in a lib/**/*.ml
+# file. Two groups:
 #
 #   nowhere     no other module references it: delete it, or drop it
 #               from the .mli if its own module still needs it
@@ -15,11 +16,14 @@
 #                                does not list
 #
 # scripts/unused.allow holds the documented keepers, one Module.value
-# (or Module.Sig.value) a line; "#" starts a comment.
+# (or Module.Nested.value, or Module.Sig.value) a line; "#" starts a
+# comment.
 # A reference to Stats.mean_of is one of: the qualified name (which also
 # matches Ba_util.Stats.mean_of), the name qualified by a module that
 # includes Stats, S.mean_of in a file that says `module S = Stats`, or
 # the bare name (not a label) in a file that opens or includes Stats.
+# A value of Endpoint's nested Server is looked up the same way, as
+# Server.create (which also matches Endpoint.Server.create).
 # A signature's value is reached through whatever module implements it,
 # so a reference to Sender_core.S.restarts is the name qualified by any
 # module (Sender.restarts, P.restarts), in any file, its own included.
@@ -51,10 +55,27 @@ matching() {
   if [ -n "$list" ]; then echo "$list" | xargs grep -lE "$@" 2>/dev/null || true; fi
 }
 
+# "NAME val" for each value declared in a `module NAME : sig` block of
+# the .mli file $1 (a functor's result signature is not one); the block
+# ends at the `end` indented like its opening line.
+nested_vals() {
+  awk '
+    /^ *module [A-Z][A-Za-z0-9_\047]* *: *sig *$/ {
+      ind = index($0, "module"); name = $2; next
+    }
+    name != "" && /^ *end/ && index($0, "end") == ind { name = ""; next }
+    name != "" && /^ *val [a-z_][A-Za-z0-9_\047]* *:/ {
+      v = $0; sub(/^ *val /, "", v); sub(/[ :].*/, "", v); print name, v
+    }' "$1"
+}
+
 nowhere=""
 tests=""
-for mli in $(echo "$sources" | grep -E '^lib/.*\.mli$'); do
-  m=$(modname "$mli")
+# scan MLI MODULE LABEL VALUES: file those of VALUES (exports of MODULE,
+# declared in MLI) that no other module's source references under
+# "nowhere" or "tests only", as LABEL.value.
+scan() {
+  mli=$1 m=$2 label=$3
   others=$(echo "$sources" | grep -vxF -e "$mli" -e "${mli%i}")
   path="([A-Z]$id*\\.)*$m$end"
   names=$m
@@ -66,7 +87,7 @@ for mli in $(echo "$sources" | grep -E '^lib/.*\.mli$'); do
   # "file alias" pairs for each `module Alias = ...M`.
   aliases=$(echo "$others" | xargs grep -oHE "module +[A-Z]$id* *= *$path" 2>/dev/null |
     sed -E 's/^([^:]*):module +([^ =]*).*/\1 \2/' || true)
-  for v in $(sed -nE "s/^val ([a-z_]$id*) *:.*/\\1/p" "$mli"); do
+  for v in $4; do
     users=$(
       matching "$others" -e "(^|[^A-Za-z0-9_'])($names)\\.$v$end"
       matching "$openers" -e "(^|[^A-Za-z0-9_'.~?])$v$end"
@@ -75,12 +96,21 @@ for mli in $(echo "$sources" | grep -E '^lib/.*\.mli$'); do
       done
     )
     if [ -z "$users" ]; then
-      nowhere="$nowhere  $m.$v ($mli)
+      nowhere="$nowhere  $label.$v ($mli)
 "
     elif ! echo "$users" | grep -qv '^test/'; then
-      tests="$tests  $m.$v ($mli)
+      tests="$tests  $label.$v ($mli)
 "
     fi
+  done
+}
+
+for file in $(echo "$sources" | grep -E '^lib/.*\.mli$'); do
+  top=$(modname "$file")
+  scan "$file" "$top" "$top" "$(sed -nE "s/^val ([a-z_]$id*) *:.*/\\1/p" "$file")"
+  nested=$(nested_vals "$file")
+  for n in $(echo "$nested" | awk '{ print $1 }' | uniq); do
+    scan "$file" "$n" "$top.$n" "$(echo "$nested" | awk -v n="$n" '$1 == n { print $2 }')"
   done
 done
 

@@ -186,7 +186,7 @@ let prop_codec_stale_acks_land_outside_window =
      within one window, as invariant 8 guarantees) must decode outside
      [na, na + w): the sender ignores it rather than mis-marking. *)
   QCheck.Test.make ~name:"stale acks never decode into the window" ~count:1000
-    QCheck.(triple (int_range 1 32) (int_bound 1000) (int_range 1 32))
+    QCheck.(triple (Arb.int_range 1 32) (int_bound 1000) (Arb.int_range 1 32))
     (fun (w, na, age) ->
       QCheck.assume (age <= w && na - age >= 0);
       let c = Seqcodec.create ~window:w ~wire_modulus:(Some (2 * w)) in

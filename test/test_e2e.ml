@@ -282,7 +282,7 @@ let prop_blockack_always_correct =
   QCheck.Test.make ~name:"blockack delivers exactly once, in order, for any seed/loss/jitter"
     ~count:25
     QCheck.(
-      quad (int_range 1 10_000) (int_bound 30) (int_range 0 40) bool)
+      quad (Arb.int_range 1 10_000) (int_bound 30) (int_range 0 40) bool)
     (fun (seed, loss_pct, jitter, multi) ->
       let loss = float_of_int loss_pct /. 100. in
       let delay = Dist.Uniform (30, 50 + jitter) in
@@ -300,7 +300,7 @@ let prop_blockack_always_correct =
 
 let prop_selective_repeat_always_correct =
   QCheck.Test.make ~name:"selective repeat delivers exactly once for any seed/loss" ~count:15
-    QCheck.(pair (int_range 1 10_000) (int_bound 25))
+    QCheck.(pair (Arb.int_range 1 10_000) (int_bound 25))
     (fun (seed, loss_pct) ->
       let loss = float_of_int loss_pct /. 100. in
       let r =

@@ -711,7 +711,7 @@ let test_duplex_rejects_max_transit_with_hold () =
 
 let prop_duplex_always_correct =
   QCheck.Test.make ~name:"duplex delivers both directions in order for any seed/loss" ~count:20
-    QCheck.(pair (int_range 1 100_000) (int_bound 20))
+    QCheck.(pair (Arb.int_range 1 100_000) (int_bound 20))
     (fun (seed, loss_pct) ->
       let loss = float_of_int loss_pct /. 100. in
       let got_a = ref [] and got_b = ref [] in

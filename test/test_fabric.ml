@@ -406,7 +406,7 @@ let test_accounting_exact =
   qcheck
     (QCheck.Test.make ~count:12
        ~name:"flight rings keep verdicts and latencies of per-message accounting"
-       QCheck.(int_range 1 (Array.length accounting_digests))
+       (Arb.int_range 1 (Array.length accounting_digests))
        (fun seed ->
          let lines =
            List.concat_map

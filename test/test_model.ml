@@ -253,19 +253,19 @@ let random_walk_preserves_invariant (module S : Ba_model.Spec_types.SPEC) ~seed 
 
 let prop_walk_section2_w5 =
   QCheck.Test.make ~name:"Section II invariant holds on random walks (w=5)" ~count:40
-    QCheck.(int_range 1 1_000_000)
+    (Arb.int_range 1 1_000_000)
     (fun seed ->
       random_walk_preserves_invariant (Kernel.spec (ii ~w:5 ~limit:12)) ~seed ~steps:400)
 
 let prop_walk_section4_w4 =
   QCheck.Test.make ~name:"Section IV invariant holds on random walks (w=4)" ~count:40
-    QCheck.(int_range 1 1_000_000)
+    (Arb.int_range 1 1_000_000)
     (fun seed ->
       random_walk_preserves_invariant (Kernel.spec (iv ~w:4 ~limit:10)) ~seed ~steps:400)
 
 let prop_walk_bounded_w4 =
   QCheck.Test.make ~name:"bounded-storage refinement holds on random walks (w=4)" ~count:40
-    QCheck.(int_range 1 1_000_000)
+    (Arb.int_range 1 1_000_000)
     (fun seed ->
       let module S = Ba_model.Ba_spec_bounded.Make (struct
         let w = 4

@@ -423,7 +423,7 @@ let loopback_baseline () = assert_clean "go-back-n/clean" (pair ~messages:60 "go
    simulated link does, so a clean blockack pair allocates a bounded
    number of bytes per message. Measured as the slope between two
    transfer lengths, the way [bench --check] measures the simulated data
-   path: 426 B/msg on a 2-vCPU x86-64 host, 522 when no frame went back
+   path: 410 B/msg on a 2-vCPU x86-64 host, 522 when no frame went back
    to the pool. *)
 let loopback_alloc_per_message () =
   let budget = 480. in
@@ -691,7 +691,7 @@ let extends_refuses () =
 (* A server whose receiver half is driven by hand: [script] calls the
    [tx] the server handed the protocol, and every datagram the server
    puts out is decoded into [sent] (oldest first). *)
-let scripted_server base =
+let scripted_server ?(window = 16) base =
   let module Base = (val base : Ba_proto.Protocol.S) in
   let tx_ref = ref (fun (_ : Wire.ack) -> ()) in
   let module Scripted = struct
@@ -703,7 +703,7 @@ let scripted_server base =
   end in
   let engine = Ba_sim.Engine.create ~seed:1 () in
   let sent = ref [] in
-  let config = Ba_proto.Proto_config.make ~window:16 ~wire_modulus:(Some 32) () in
+  let config = Ba_proto.Proto_config.make ~window ~wire_modulus:(Some (2 * window)) () in
   let srv =
     Endpoint.Server.create ~engine ~protocol:(module Scripted) ~config ~messages:1000
       ~payload_size:16 ~wseed:1
@@ -826,17 +826,31 @@ let ack_stream_gen =
     let wire v = v mod n in
     return (w, n, na, ns, List.rev_map (fun (lo, hi) -> ack (wire lo) (wire hi)) acks))
 
+let ack_stream =
+  QCheck.make
+    ~print:(fun (w, n, na, ns, acks) ->
+      Printf.sprintf "w=%d n=%d na=%d ns=%d acks=%s" w n na ns
+        (String.concat " " (List.map (fun a -> Format.asprintf "%a" Wire.pp_ack a) acks)))
+    ack_stream_gen
+
 let merge_preserves_marks =
   QCheck.Test.make ~name:"merging never changes which numbers the sender marks" ~count:1000
-    (QCheck.make
-       ~print:(fun (w, n, na, ns, acks) ->
-         Printf.sprintf "w=%d n=%d na=%d ns=%d acks=%s" w n na ns
-           (String.concat " " (List.map (fun a -> Format.asprintf "%a" Wire.pp_ack a) acks)))
-       ack_stream_gen)
-    (fun (w, n, na, ns, acks) ->
+    ack_stream (fun (w, n, na, ns, acks) ->
       let merged = merge_stream ~n ~w acks in
       List.length merged <= List.length acks
       && sender_marks ~n ~na ~ns acks = sender_marks ~n ~na ~ns merged)
+
+(* The server's hold is the model: a drain of any such stream leaves as
+   exactly the ranges [merge_stream] computes. The server hands each ack
+   back to the frame pool, so it gets copies. *)
+let server_merges_like_model =
+  QCheck.Test.make ~name:"the server sends the model's merged ranges" ~count:300 ack_stream
+    (fun (w, n, _, _, acks) ->
+      let want = ranges (merge_stream ~n ~w acks) in
+      let engine, _, script, sent = scripted_server ~window:w Blockack.Protocols.multi in
+      script (List.map (fun (a : Wire.ack) -> ack a.Wire.lo a.Wire.hi) acks);
+      Ba_sim.Engine.run engine;
+      ranges (sent ()) = want)
 
 (* Loopback: a clean blockack transfer is acknowledged per drain, not
    per frame; go-back-n's single-number acks pass through one-for-one. *)
@@ -957,6 +971,7 @@ let () =
           Alcotest.test_case "server caps the span at the window" `Quick server_caps_span;
           Alcotest.test_case "single-number acks pass through" `Quick server_passes_single_acks;
           qcheck merge_preserves_marks;
+          qcheck server_merges_like_model;
         ] );
       ("driver", [ Alcotest.test_case "zero-delay event fires this tick" `Quick driver_zero_delay ]);
     ]

@@ -89,6 +89,21 @@ let test_watchdog_probation_and_release () =
   check action "parole check" Watchdog.Nothing (observe t ~delivered:50);
   check action "re-stall resyncs again" Watchdog.Resync (observe t ~delivered:50)
 
+(* [check] pulls the lever each verdict names: a release reopens the
+   gate before it resyncs. *)
+let test_watchdog_levers () =
+  let t = Watchdog.create wd_config in
+  let pulled = ref [] in
+  let pull lever = pulled := lever :: !pulled in
+  for _ = 1 to 12 do
+    Watchdog.check t ~delivered:0 ~completed:false
+      ~resync:(fun () -> pull "resync")
+      ~gate:(fun closed -> pull (if closed then "close" else "open"))
+  done;
+  check Alcotest.(list string) "two resyncs, quarantine, release"
+    [ "resync"; "resync"; "close"; "open"; "resync" ]
+    (List.rev !pulled)
+
 let test_watchdog_completed_is_healthy_forever () =
   let t = Watchdog.create wd_config in
   for _ = 1 to 8 do ignore (observe t ~delivered:0) done;
@@ -312,6 +327,7 @@ let () =
           Alcotest.test_case "escalation with hysteresis" `Quick test_watchdog_escalation;
           Alcotest.test_case "progress resets" `Quick test_watchdog_progress_resets;
           Alcotest.test_case "probation and release" `Quick test_watchdog_probation_and_release;
+          Alcotest.test_case "check pulls the levers" `Quick test_watchdog_levers;
           Alcotest.test_case "completed is healthy forever" `Quick
             test_watchdog_completed_is_healthy_forever;
           Alcotest.test_case "config validated" `Quick test_watchdog_config_validated;

@@ -187,7 +187,7 @@ let test_modseq_reconstruct_examples () =
 let prop_modseq_reconstruct =
   (* Paper equations 12-14: f(x, y mod n) = y whenever 0 <= x <= y < x + n. *)
   QCheck.Test.make ~name:"reconstruct recovers y in the band" ~count:2000
-    QCheck.(triple (int_bound 10_000) (int_bound 500) (int_range 1 64))
+    QCheck.(triple (int_bound 10_000) (int_bound 500) (Arb.int_range 1 64))
     (fun (x, offset, n) ->
       QCheck.assume (offset < n);
       let y = x + offset in
@@ -196,14 +196,14 @@ let prop_modseq_reconstruct =
 let prop_modseq_reconstruct_outside =
   (* Outside the band the reconstruction must NOT equal y (it aliases). *)
   QCheck.Test.make ~name:"reconstruct aliases outside the band" ~count:2000
-    QCheck.(triple (int_bound 10_000) (int_range 0 500) (int_range 1 64))
+    QCheck.(triple (int_bound 10_000) (int_range 0 500) (Arb.int_range 1 64))
     (fun (x, extra, n) ->
       let y = x + n + extra in
       Ba_util.Modseq.reconstruct ~n ~ref_:x (y mod n) <> y)
 
 let prop_modseq_distance_inverse =
   QCheck.Test.make ~name:"distance is add-inverse" ~count:1000
-    QCheck.(triple (int_bound 1000) (int_bound 1000) (int_range 1 64))
+    QCheck.(triple (int_bound 1000) (int_bound 1000) (Arb.int_range 1 64))
     (fun (a, b, n) ->
       let a = a mod n and b = b mod n in
       Ba_util.Modseq.add ~n a (Ba_util.Modseq.distance ~n a b) = b)
