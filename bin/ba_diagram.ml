@@ -31,13 +31,14 @@ let run messages loss jitter window coalesce simple kill_first_ack seed from_tim
   let tracer = Ba_trace.Tracer.create () in
   (* Random losses on the data link are visible as sends that never show
      a matching arrival; make the scripted ack loss explicit. *)
-  let kill_first (setup : Ba_proto.Harness.setup) =
+  let kill_first cell =
     let killed = ref false in
-    Ba_channel.Link.set_fault setup.ack_link (fun (a : Ba_proto.Wire.ack) ->
+    Ba_channel.Link.set_fault (Ba_proto.Cell.ack_link cell) (fun (a : Ba_proto.Wire.ack) ->
         if !killed then Ba_channel.Link.Deliver
         else begin
           killed := true;
-          Ba_trace.Tracer.record tracer ~time:(Ba_sim.Engine.now setup.engine)
+          Ba_trace.Tracer.record tracer
+            ~time:(Ba_sim.Engine.now (Ba_proto.Cell.engine cell))
             ~side:Ba_trace.Tracer.Receiver
             (Printf.sprintf "<- ACK (%d,%d)  ** KILLED **" a.lo a.hi);
           Ba_channel.Link.Drop

@@ -19,13 +19,14 @@ let run_one protocol =
   let tracer = Ba_trace.Tracer.create () in
   (* The fault: drop the first acknowledgment — it will be the coalesced
      block ack covering all [block] messages. *)
-  let lose_first (setup : Ba_proto.Harness.setup) =
+  let lose_first cell =
     let killed = ref false in
-    Link.set_fault setup.ack_link (fun (a : Ba_proto.Wire.ack) ->
+    Link.set_fault (Ba_proto.Cell.ack_link cell) (fun (a : Ba_proto.Wire.ack) ->
         if !killed then Link.Deliver
         else begin
           killed := true;
-          Ba_trace.Tracer.record tracer ~time:(Ba_sim.Engine.now setup.engine)
+          Ba_trace.Tracer.record tracer
+            ~time:(Ba_sim.Engine.now (Ba_proto.Cell.engine cell))
             ~side:Ba_trace.Tracer.Receiver
             (Printf.sprintf "<- ACK (%d,%d)  ** LOST **" a.lo a.hi);
           Link.Drop

@@ -79,6 +79,7 @@ let protocol : Ba_proto.Protocol.t =
     type nonrec sender = sender
     type nonrec receiver = receiver
 
+    let validate = Config.validate
     let create_sender = create_sender
     let create_receiver = create_receiver
     let sender_on_ack = sender_on_ack

@@ -10,12 +10,18 @@ type receiver = {
   mutable nr : int;
 }
 
-let create_receiver _engine config ~tx ~deliver =
+(* Both halves decode over the window, so both need the block-ack
+   modulus of at least 2w. *)
+let validate config =
   Config.validate config;
+  ignore
+    (Blockack.Seqcodec.create ~window:config.Config.window ~wire_modulus:config.Config.wire_modulus
+      : Blockack.Seqcodec.t)
+
+let create_receiver _engine config ~tx ~deliver =
+  validate config;
   {
-    codec =
-      Blockack.Seqcodec.create ~window:config.Config.window
-        ~wire_modulus:config.Config.wire_modulus;
+    codec = config.Config.wire_modulus;
     window = config.Config.window;
     tx;
     deliver;
@@ -55,6 +61,7 @@ let protocol : Ba_proto.Protocol.t =
     type sender = Blockack.Sender_multi.t
     type nonrec receiver = receiver
 
+    let validate = validate
     let create_sender engine config ~tx ~next_payload =
       Blockack.Sender_multi.create engine config ~tx ~next_payload
     let create_receiver = create_receiver

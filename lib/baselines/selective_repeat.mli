@@ -17,6 +17,10 @@ val protocol : Ba_proto.Protocol.t
 
 type receiver
 
+val validate : Ba_proto.Proto_config.t -> unit
+(** The config check both halves run: the wire modulus must be at least
+    2w. *)
+
 val create_receiver :
   Ba_sim.Engine.t ->
   Ba_proto.Proto_config.t ->

@@ -103,14 +103,12 @@ let rec pump s =
   end
 
 let create_sender engine config ~tx ~next_payload =
-  Config.validate config;
+  Selective_repeat.validate config;
   let source = Ba_proto.Source.create next_payload in
   {
     config;
     engine;
-    codec =
-      Blockack.Seqcodec.create ~window:config.Config.window
-        ~wire_modulus:config.Config.wire_modulus;
+    codec = config.Config.wire_modulus;
     tx;
     source;
     acked = Ba_util.Ring_buffer.create config.Config.window;
@@ -154,6 +152,7 @@ let protocol : Ba_proto.Protocol.t =
     type nonrec sender = sender
     type receiver = Selective_repeat.receiver
 
+    let validate = Selective_repeat.validate
     let create_sender = create_sender
 
     let create_receiver engine config ~tx ~deliver =

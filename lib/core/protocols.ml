@@ -33,6 +33,8 @@ module Simple : Ba_proto.Protocol.S = struct
 
   include Common_receiver
 
+  let validate config = Sender_core.validate config
+
   let create_sender = Sender.create
   let sender_on_ack = Sender.on_ack
   let sender_pump = Sender.pump
@@ -52,6 +54,8 @@ module Multi :
   type sender = Sender_multi.t
 
   include Common_receiver
+
+  let validate config = Sender_core.validate config
 
   let create_sender engine config ~tx ~next_payload =
     Sender_multi.create engine config ~tx ~next_payload
@@ -76,6 +80,7 @@ let reuse ?(lead_factor = 2) () : Ba_proto.Protocol.t =
 
     let name = Printf.sprintf "blockack-reuse(x%d)" lead_factor
     let lead config = lead_factor * config.Ba_proto.Proto_config.window
+    let validate config = Sender_core.validate ~lead:(lead config) config
 
     let create_sender engine config ~tx ~next_payload =
       Sender_multi.create ~lead:(lead config) engine config ~tx ~next_payload

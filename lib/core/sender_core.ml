@@ -95,6 +95,24 @@ module type TIMERS = sig
   (** Crash: forget every armed timer and every learned estimate. *)
 end
 
+(* The checks [create] runs: the config, then a lead band's own bounds,
+   then the codec over the band. *)
+let validate ?lead config =
+  Config.validate config;
+  let w = config.Config.window in
+  let band = Option.value lead ~default:w in
+  if band < w then invalid_arg "Sender_core.create: lead must be >= window";
+  (* A lead band decodes over [lead] positions, so the sound modulus
+     bound is [2 * lead]; say so here rather than let the codec report
+     a misleading "2*window" (its window IS the lead). *)
+  (match config.Config.wire_modulus with
+  | Some n when band > w && n < 2 * band ->
+      invalid_arg
+        (Printf.sprintf "Sender_core.create: modulus %d < 2*lead=%d loses information" n
+           (2 * band))
+  | Some _ | None -> ());
+  ignore (Seqcodec.create ~window:band ~wire_modulus:config.Config.wire_modulus : Seqcodec.t)
+
 (** The sender operations shared by every timer policy. *)
 module type S = sig
   type t
@@ -298,20 +316,8 @@ end = struct
   let send_fin t = t.tx (Ba_proto.Wire.make_sync_fin ~epoch:t.epoch)
 
   let create ?lead engine config ~tx ~next_payload =
-    Config.validate config;
-    let w = config.Config.window in
-    let band = Option.value lead ~default:w in
-    if band < w then invalid_arg "Sender_core.create: lead must be >= window";
-    (* A lead band decodes over [lead] positions, so the sound modulus
-       bound is [2 * lead]; say so here rather than let the codec report
-       a misleading "2*window" (its window IS the lead). *)
-    (match config.Config.wire_modulus with
-    | Some n when band > w && n < 2 * band ->
-        invalid_arg
-          (Printf.sprintf "Sender_core.create: modulus %d < 2*lead=%d loses information" n
-             (2 * band))
-    | Some _ | None -> ());
-    let (_ : Seqcodec.t) = Seqcodec.create ~window:band ~wire_modulus:config.Config.wire_modulus in
+    validate ?lead config;
+    let band = Option.value lead ~default:config.Config.window in
     let t =
       {
         engine;

@@ -7,6 +7,7 @@ type table = {
 }
 
 module Harness = Ba_proto.Harness
+module Fabric = Ba_proto.Fabric
 module Config = Ba_proto.Proto_config
 module Dist = Ba_channel.Dist
 module Explorer = Ba_verify.Explorer
@@ -287,8 +288,8 @@ let f3_recovery_time ?(jobs = 1) ~quick () =
     let r =
       Harness.run proto ~seed:7 ~messages:b ~config ~data_delay:(Dist.Constant 50)
         ~ack_delay:(Dist.Constant 50)
-        ~on_setup:(fun setup ->
-          Ba_channel.Link.set_fault setup.Harness.ack_link (fun (_ : Ba_proto.Wire.ack) ->
+        ~on_setup:(fun cell ->
+          Ba_channel.Link.set_fault (Ba_proto.Cell.ack_link cell) (fun (_ : Ba_proto.Wire.ack) ->
               if !killed then Ba_channel.Link.Deliver
               else begin
                 killed := true;
@@ -718,71 +719,66 @@ let a2_dynamic_window ?(jobs = 1) ~quick () =
 
 let a3_fairness ?(jobs = 1) ~quick () =
   let messages = if quick then 400 else 1500 in
-  (* Two independent block-ack flows share one bottleneck queue on the
-     data path (acks return on private links). We observe each flow's
-     delivered count at the moment the first flow completes: a fair
-     sharing policy keeps the ratio near 1. *)
+  (* Two block-ack flows in one fabric share its bottleneck data link
+     and its ack link. The ack link has a constant delay, no loss and no
+     queue, so sharing it moves no ack. We observe each flow's delivered
+     count at the moment the first flow completes: a fair sharing policy
+     keeps the ratio near 1. *)
   let run_pair ~dynamic ~w =
-    let engine = Ba_sim.Engine.create ~seed:5 () in
     let config = Config.make ~window:w ~rto:400 ~dynamic_window:dynamic () in
-    let delivered = [| 0; 0 |] in
+    let delivered = [| 0; 0 |] and created = ref 0 in
     let at_first_finish = ref None in
-    let receivers = Array.make 2 None in
-    let shared =
-      Ba_channel.Link.create engine ~delay:(Dist.Constant 50) ~bottleneck:(10, 10)
-        ~deliver:(fun (flow, d) ->
-          match receivers.(flow) with
-          | Some r -> Blockack.Receiver.on_data r d
-          | None -> ())
-        ()
+    (* Section IV's protocol counting each flow's deliveries; flows are
+       numbered in creation order. It keeps its name, so both specs must
+       carry this one module: the cell groups flows by name. *)
+    let counted : Ba_proto.Protocol.t =
+      (module struct
+        include (val Blockack.Protocols.multi)
+
+        let create_receiver engine config ~tx ~deliver =
+          let flow = !created in
+          incr created;
+          create_receiver engine config ~tx ~deliver:(fun p ->
+              delivered.(flow) <- delivered.(flow) + 1;
+              if delivered.(flow) = messages && !at_first_finish = None then
+                at_first_finish := Some (delivered.(0), delivered.(1));
+              deliver p)
+      end)
     in
-    let senders = Array.make 2 None in
-    let flows =
-      Array.init 2 (fun flow ->
-          let ack_link =
-            Ba_channel.Link.create engine ~delay:(Dist.Constant 50)
-              ~deliver:(fun a ->
-                match senders.(flow) with
-                | Some s -> Blockack.Sender_multi.on_ack s a
-                | None -> ())
-              ()
-          in
-          let sender =
-            Blockack.Sender_multi.create engine config
-              ~tx:(fun d -> Ba_channel.Link.send shared (flow, d))
-              ~next_payload:
-                (Ba_proto.Workload.supplier ~seed:(100 + flow) ~size:32 ~count:messages)
-          in
-          let receiver =
-            Blockack.Receiver.create engine config
-              ~tx:(Ba_channel.Link.send ack_link)
-              ~deliver:(fun _ ->
-                delivered.(flow) <- delivered.(flow) + 1;
-                if delivered.(flow) = messages && !at_first_finish = None then
-                  at_first_finish := Some (delivered.(0), delivered.(1)))
-          in
-          senders.(flow) <- Some sender;
-          receivers.(flow) <- Some receiver;
-          sender)
+    (* Every 500 ticks, stop once both flows have delivered everything,
+       acknowledged or not: the stop sets the ticks column and bounds
+       the retransmission column. The watch is armed from a tick-0
+       event, which fires after both senders' first pumps, so it keeps
+       its place among the tick-500 events. *)
+    let finish_time = ref None and next_watch = ref 500 in
+    let on_flows engine _ =
+      let rec watch () =
+        let now = Ba_sim.Engine.now engine in
+        if delivered.(0) = messages && delivered.(1) = messages then begin
+          finish_time := Some now;
+          Ba_sim.Engine.stop engine
+        end
+        else begin
+          next_watch := now + 500;
+          Ba_sim.Engine.schedule engine ~delay:500 watch
+        end
+      in
+      Ba_sim.Engine.schedule engine ~delay:0 (fun () ->
+          Ba_sim.Engine.schedule engine ~delay:500 watch)
     in
-    Array.iter Blockack.Sender_multi.pump flows;
-    let finish_time = ref None in
-    let rec watch () =
-      if delivered.(0) = messages && delivered.(1) = messages then begin
-        finish_time := Some (Ba_sim.Engine.now engine);
-        Ba_sim.Engine.stop engine
-      end
-      else Ba_sim.Engine.schedule engine ~delay:500 watch
+    let spec = Fabric.spec ~config ~messages counted in
+    let r =
+      Fabric.run ~seed:5 ~data_delay:(Dist.Constant 50) ~ack_delay:(Dist.Constant 50)
+        ~data_bottleneck:(10, 10) ~deadline:(messages * 10_000) ~on_flows [ spec; spec ]
     in
-    Ba_sim.Engine.schedule engine ~delay:500 watch;
-    Ba_sim.Engine.run ~until:(messages * 10_000) engine;
     let d0, d1 = Option.value ~default:(delivered.(0), delivered.(1)) !at_first_finish in
-    let retx =
-      Array.fold_left
-        (fun acc s -> acc + Blockack.Sender_multi.retransmissions (Option.get s))
-        0 senders
+    (* The cell stops by itself once both flows are acked; the watch
+       would have seen it at its next firing. *)
+    let finish =
+      match !finish_time with None when r.Fabric.completed -> Some !next_watch | f -> f
     in
-    (d0, d1, !finish_time, retx)
+    let retx = List.fold_left (fun a f -> a + f.Ba_proto.Flow.retransmissions) 0 r.flows in
+    (d0, d1, finish, retx)
   in
   let describe name (d0, d1, finish, retx) =
     let share_ratio = float_of_int (min d0 d1) /. float_of_int (max 1 (max d0 d1)) in
@@ -960,7 +956,6 @@ let c2_crash_recovery ?(jobs = 1) ~quick () =
 (* ------------------------------------------------------------------ *)
 (* S1: scaling the fabric — N connections over one shared bottleneck. *)
 
-module Fabric = Ba_proto.Fabric
 module Registry = Ba_registry.Registry
 
 let s1_scaling ?(jobs = 1) ~quick () =

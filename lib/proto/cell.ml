@@ -9,7 +9,8 @@
    allocation and faults mangle frames, never the demultiplexing.
    Per-flow state is flat: one strided int array of counters, prefix
    offsets into cell-wide flight rings, and per-protocol endpoint arrays
-   behind a single dispatch. Nothing is sized by the transfer. *)
+   packed with their protocol's module. Nothing is sized by the
+   transfer. *)
 
 module Engine = Ba_sim.Engine
 module Link = Ba_channel.Link
@@ -202,67 +203,34 @@ let reconcile_leases leases =
 
 (* ---- endpoints ---- *)
 
-(* A protocol's crash lifecycle, packed with its group's endpoints by
-   slot. *)
-type lever = Lever : ('s, 'r) Protocol.lifecycle * (int -> 's) * (int -> 'r) -> lever
+(* The endpoints of every flow speaking one protocol, by slot, packed
+   with the protocol's module: a dispatch unpacks the group and calls
+   [P] directly, so it allocates nothing. The arrays are sized by the
+   first endpoint built, which supplies the filler. *)
+type group =
+  | Group : {
+      p : (module Protocol.S with type sender = 's and type receiver = 'r);
+      mutable senders : 's array;
+      mutable receivers : 'r array;
+    }
+      -> group
 
-(* The endpoints of every flow speaking one protocol, by slot, behind
-   one set of closures: dispatch costs a closure per group, not per
-   flow. The arrays are sized by the first endpoint built, which
-   supplies the filler. A protocol without an optional capability gets
-   its neutral closures: no bytes, no clamp, no resync lever. *)
-type group = {
-  build :
-    int ->
-    Engine.t ->
-    Proto_config.t ->
-    tx:(Wire.data -> unit) ->
-    next_payload:(unit -> string option) ->
-    ack_tx:(Wire.ack -> unit) ->
-    deliver:(string -> unit) ->
-    unit;
-  on_data : int -> Wire.data -> unit;
-  on_ack : int -> Wire.ack -> unit;
-  pump : int -> unit;
-  sender_done : int -> bool;
-  clamp : int -> int -> unit;
-  mem_bytes : int -> int;
-  retransmissions : int -> int;
-  pressure_drops : int -> int;
-  lever : lever option;
-}
+let group (module P : Protocol.S) = Group { p = (module P); senders = [||]; receivers = [||] }
 
-let make_group (module P : Protocol.S) count =
-  let senders = ref [||] and receivers = ref [||] in
-  let fill arr k v =
-    if Array.length !arr = 0 then arr := Array.make count v;
-    !arr.(k) <- v
-  in
-  let s k = !senders.(k) and r k = !receivers.(k) in
-  let clamp, mem_bytes, pressure_drops =
-    match P.overload with
-    | None -> ((fun _ _ -> ()), (fun _ -> 0), fun _ -> 0)
-    | Some o ->
-        ( (fun k w -> o.sender_clamp_window (s k) w),
-          (fun k -> o.sender_mem_bytes (s k) + o.receiver_mem_bytes (r k)),
-          fun k -> o.receiver_pressure_dropped (r k) )
-  in
-  {
-    build =
-      (fun k engine config ~tx ~next_payload ~ack_tx ~deliver ->
-        (* sender before receiver: creation order fixes event order *)
-        fill senders k (P.create_sender engine config ~tx ~next_payload);
-        fill receivers k (P.create_receiver engine config ~tx:ack_tx ~deliver));
-    on_data = (fun k d -> P.receiver_on_data (r k) d);
-    on_ack = (fun k a -> P.sender_on_ack (s k) a);
-    pump = (fun k -> P.sender_pump (s k));
-    sender_done = (fun k -> P.sender_done (s k));
-    clamp;
-    mem_bytes;
-    retransmissions = (fun k -> P.sender_retransmissions (s k));
-    pressure_drops;
-    lever = Option.map (fun l -> Lever (l, s, r)) P.lifecycle;
-  }
+(* Slot [k]'s endpoints, sender before receiver (creation order fixes
+   event order), the sender's window capped at [clamp] when its
+   protocol takes a clamp. *)
+let build (Group g) k ~count ~clamp engine config ~tx ~next_payload ~ack_tx ~deliver =
+  let (module P) = g.p in
+  let s = P.create_sender engine config ~tx ~next_payload in
+  let r = P.create_receiver engine config ~tx:ack_tx ~deliver in
+  if Array.length g.senders = 0 then begin
+    g.senders <- Array.make count s;
+    g.receivers <- Array.make count r
+  end;
+  g.senders.(k) <- s;
+  g.receivers.(k) <- r;
+  match (clamp, P.overload) with Some w, Some o -> o.sender_clamp_window s w | _ -> ()
 
 (* ---- the cell ---- *)
 
@@ -333,8 +301,10 @@ let sketch c = c.sketch
 let spilled c = c.spilled
 let departed c i = get c i k_departed_at >= 0
 
-let is_complete c i =
-  get c i k_delivered >= c.specs.(i).messages && c.group.(i).sender_done c.gslot.(i)
+let sender_done c i =
+  match c.group.(i) with Group { p = (module P); senders; _ } -> P.sender_done senders.(c.gslot.(i))
+
+let is_complete c i = get c i k_delivered >= c.specs.(i).messages && sender_done c i
 
 let finish c =
   c.remaining <- c.remaining - 1;
@@ -520,62 +490,85 @@ let offer_ack c i a =
   (match a.Wire.akind with Wire.Sync_pos -> add c i k_resync_rounds 1 | Wire.Ack -> ());
   if gated c i then Wire.release_ack a else Link.send_tagged c.ack_link i a
 
-let on_data c i d = if running c i then c.group.(i).on_data c.gslot.(i) d
+let on_data c i d =
+  if running c i then
+    match c.group.(i) with
+    | Group { p = (module P); receivers; _ } -> P.receiver_on_data receivers.(c.gslot.(i)) d
 
 let on_ack c i a =
   if running c i then begin
-    c.group.(i).on_ack c.gslot.(i) a;
+    (match c.group.(i) with
+    | Group { p = (module P); senders; _ } -> P.sender_on_ack senders.(c.gslot.(i)) a);
     check_done c i
   end
+
+(* Payload bytes flow [i]'s endpoints buffer; 0 for a protocol without
+   memory accounting. *)
+let mem_bytes c i =
+  match c.group.(i) with
+  | Group { p = (module P); senders; receivers } -> (
+      match P.overload with
+      | None -> 0
+      | Some o ->
+          let k = c.gslot.(i) in
+          o.sender_mem_bytes senders.(k) + o.receiver_mem_bytes receivers.(k))
 
 let sample_mem c =
   let total = ref 0 in
   for i = 0 to flows c - 1 do
-    if running c i then total := !total + c.group.(i).mem_bytes c.gslot.(i)
+    if running c i then total := !total + mem_bytes c i
   done;
   if !total > c.mem_peak then c.mem_peak <- !total
 
 (* ---- crash–restart ---- *)
 
-let crash c i (Lever (l, s, r)) e =
-  add c i k_crashes 1;
-  let k = c.gslot.(i) in
-  match e with
-  | Crash_plan.Sender_end -> l.sender_crash (s k)
-  | Crash_plan.Receiver_end -> l.receiver_crash (r k)
+(* Flow [i]'s crash lifecycle: a protocol without one has no crash,
+   restart or resync lever, and nothing is counted. *)
+let has_lifecycle c i =
+  match c.group.(i) with Group { p = (module P); _ } -> Option.is_some P.lifecycle
 
-let restart c i (Lever (l, s, r)) e =
-  add c i k_restarts 1;
-  let opened = Option.value ~default:[] (Hashtbl.find_opt c.pending i) in
-  Hashtbl.replace c.pending i (Engine.now c.engine :: opened);
-  let k = c.gslot.(i) in
-  match e with
-  | Crash_plan.Sender_end ->
-      l.sender_restart (s k);
-      check_done c i
-  | Crash_plan.Receiver_end -> l.receiver_restart (r k)
+let crash c i e =
+  match c.group.(i) with
+  | Group { p = (module P); senders; receivers } -> (
+      match P.lifecycle with
+      | None -> ()
+      | Some l -> (
+          add c i k_crashes 1;
+          let k = c.gslot.(i) in
+          match e with
+          | Crash_plan.Sender_end -> l.sender_crash senders.(k)
+          | Crash_plan.Receiver_end -> l.receiver_crash receivers.(k)))
+
+let restart c i e =
+  match c.group.(i) with
+  | Group { p = (module P); senders; receivers } -> (
+      match P.lifecycle with
+      | None -> ()
+      | Some l -> (
+          add c i k_restarts 1;
+          let opened = Option.value ~default:[] (Hashtbl.find_opt c.pending i) in
+          Hashtbl.replace c.pending i (Engine.now c.engine :: opened);
+          let k = c.gslot.(i) in
+          match e with
+          | Crash_plan.Sender_end ->
+              l.sender_restart senders.(k);
+              check_done c i
+          | Crash_plan.Receiver_end -> l.receiver_restart receivers.(k)))
 
 (* The watchdog's recovery lever: wipe the sender's volatile state and
    let REQ/POS/FIN re-establish the window at the receiver's
-   authoritative position. Protocols without a crash lifecycle have no
-   such lever. *)
+   authoritative position. *)
 let resync c i =
-  match c.group.(i).lever with
-  | None -> ()
-  | Some l ->
-      crash c i l Crash_plan.Sender_end;
-      restart c i l Crash_plan.Sender_end
+  crash c i Crash_plan.Sender_end;
+  restart c i Crash_plan.Sender_end
 
 let schedule_crashes c i plan =
-  match c.group.(i).lever with
-  | None -> ()
-  | Some l ->
-      List.iter
-        (fun (e : Crash_plan.event) ->
-          Engine.schedule_at c.engine ~at:e.at (fun () -> crash c i l e.endpoint);
-          Engine.schedule_at c.engine ~at:(e.at + e.down_for) (fun () ->
-              restart c i l e.endpoint))
-        plan
+  if has_lifecycle c i then
+    List.iter
+      (fun (e : Crash_plan.event) ->
+        Engine.schedule_at c.engine ~at:e.at (fun () -> crash c i e.endpoint);
+        Engine.schedule_at c.engine ~at:(e.at + e.down_for) (fun () -> restart c i e.endpoint))
+      plan
 
 (* ---- construction ---- *)
 
@@ -648,8 +641,9 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
         Some (make_lease engine data_link ~svc ~barrier ~qcap:qshare ~base_rate)
     | _ -> None
   in
-  (* Group flows by protocol; groups and slots are numbered in spec
-     order. *)
+  (* Group flows by protocol name, so flows whose protocols share a
+     name run on the first one's module; groups and slots are numbered
+     in spec order. *)
   let names = Hashtbl.create 4 and protos = ref [] in
   let group_of =
     Array.map
@@ -660,7 +654,7 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
         | None ->
             let g = Hashtbl.length names in
             Hashtbl.add names P.name g;
-            protos := s.protocol :: !protos;
+            protos := group s.protocol :: !protos;
             g)
       specs
   in
@@ -672,7 +666,7 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
         counts.(g) - 1)
       group_of
   in
-  let groups = Array.mapi (fun g p -> make_group p counts.(g)) (Array.of_list (List.rev !protos)) in
+  let groups = Array.of_list (List.rev !protos) in
   let st = Array.make (n * stride) 0 in
   for i = 0 to n - 1 do
     st.((i * stride) + k_completed_at) <- -1;
@@ -726,8 +720,8 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
       and pull () = next_payload c i
       and ack_tx a = offer_ack c i a
       and arrive p = deliver c i p in
-      c.group.(i).build c.gslot.(i) engine s.config ~tx ~next_payload:pull ~ack_tx ~deliver:arrive;
-      Option.iter (c.group.(i).clamp c.gslot.(i)) clamp)
+      build c.group.(i) c.gslot.(i) ~count:counts.(group_of.(i)) ~clamp engine s.config ~tx
+        ~next_payload:pull ~ack_tx ~deliver:arrive)
     specs;
   (* Departures: at stop_at the flow is closed whether or not it
      finished; its frames are gated off the links, nothing reaches it
@@ -776,7 +770,10 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
 let start c =
   Array.iteri
     (fun i s ->
-      let pump () = c.group.(i).pump c.gslot.(i) in
+      let pump () =
+        match c.group.(i) with
+        | Group { p = (module P); senders; _ } -> P.sender_pump senders.(c.gslot.(i))
+      in
       if s.start_at = 0 then pump () else Engine.schedule_at c.engine ~at:s.start_at pump)
     c.specs
 
@@ -800,6 +797,17 @@ type tally = {
   all_ended : bool;
 }
 
+let retransmissions c i =
+  match c.group.(i) with
+  | Group { p = (module P); senders; _ } -> P.sender_retransmissions senders.(c.gslot.(i))
+
+let pressure_drops c i =
+  match c.group.(i) with
+  | Group { p = (module P); receivers; _ } -> (
+      match P.overload with
+      | None -> 0
+      | Some o -> o.receiver_pressure_dropped receivers.(c.gslot.(i)))
+
 let tally c =
   let sum f =
     let acc = ref 0 in
@@ -821,8 +829,8 @@ let tally c =
     departed = marked k_departed_at;
     data_sent = field k_data_sent;
     acks_sent = field k_acks_sent;
-    retransmissions = sum (fun i -> c.group.(i).retransmissions c.gslot.(i));
-    pressure_drops = sum (fun i -> c.group.(i).pressure_drops c.gslot.(i));
+    retransmissions = sum (retransmissions c);
+    pressure_drops = sum (pressure_drops c);
     quarantine_events = dogs Watchdog.quarantine_events;
     watchdog_resyncs = dogs Watchdog.resync_events;
     quarantined = dogs (fun d -> Bool.to_int (Watchdog.state d = Watchdog.Quarantined));
@@ -857,7 +865,6 @@ let flow_result c i =
   let delivered = get c i k_delivered in
   let data_sent = get c i k_data_sent and acks_sent = get c i k_acks_sent in
   let payload_bytes = delivered * sp.payload_size in
-  let k = c.gslot.(i) and g = c.group.(i) in
   {
     Flow.protocol = P.name;
     completed = is_complete c i;
@@ -874,7 +881,7 @@ let flow_result c i =
     data_outage_drops = 0;
     acks_sent;
     acks_dropped = 0;
-    retransmissions = g.retransmissions k;
+    retransmissions = retransmissions c i;
     goodput = float_of_int delivered *. 1000. /. float_of_int ticks;
     latency = summary latency;
     latencies = Stats.samples latency;
@@ -887,5 +894,5 @@ let flow_result c i =
     resync_rounds = get c i k_resync_rounds;
     resync_ticks = Option.bind (Hashtbl.find_opt c.resync i) summary;
     retx_bytes = get c i k_retx_bytes;
-    pressure_drops = g.pressure_drops k;
+    pressure_drops = pressure_drops c i;
   }

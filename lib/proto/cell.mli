@@ -14,6 +14,13 @@
     nothing and faults mangle frames, never the demultiplexing. Per-flow
     state is flat arrays, not per-flow records.
 
+    Flows are grouped by protocol name ([P.name]): each group keeps its
+    flows' endpoints in two arrays, packed with the protocol module of
+    the group's first flow, and every later flow of that name runs on
+    that module. So two protocol values that share a name must be one
+    protocol; a wrapper that keeps the name (an instrumented copy, say)
+    must be the only value of that name in the cell.
+
     The accounting is sized to the flight, not to the transfer. Each
     flow's pulled-but-undelivered payloads and their pull ticks sit in a
     ring of [min messages (2 · window)] slots, which covers every

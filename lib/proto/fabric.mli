@@ -22,7 +22,12 @@
     shared links (see {!Watchdog}).
 
     A run is a pure function of [seed]: the cell's engine is seeded
-    [seed], flow [i]'s workload [seed + 7919·(i+1)]. *)
+    [seed], flow [i]'s workload [seed + 7919·(i+1)].
+
+    The cell groups flows by protocol name ({!Cell}): specs whose
+    protocols share a name all run on the first such spec's module, so
+    a wrapped protocol that keeps its name belongs in every spec of that
+    name, as one value. *)
 
 type spec = Cell.spec = {
   protocol : Protocol.t;

@@ -1,11 +1,5 @@
 include Flow
 
-type setup = {
-  engine : Ba_sim.Engine.t;
-  data_link : Wire.data Ba_channel.Link.t;
-  ack_link : Wire.ack Ba_channel.Link.t;
-}
-
 (* One flow in one cell, plus what only a private pair of links can
    attribute to a single flow: the links' drop, reorder and fault
    counters. *)
@@ -23,13 +17,12 @@ let run (module P : Protocol.S) ?(seed = 42) ?(messages = 1000) ?(payload_size =
       ~data_loss ~ack_loss ~data_delay ~ack_delay ?data_bottleneck ?data_plan ?ack_plan
       [ Cell.spec ~config ~messages ~payload_size (module P) ]
   in
-  let engine = Cell.engine cell in
-  let data_link = Cell.data_link cell and ack_link = Cell.ack_link cell in
   Cell.schedule_crashes cell 0 crash_plan;
-  Option.iter (fun g -> g { engine; data_link; ack_link }) on_setup;
+  Option.iter (fun g -> g cell) on_setup;
   Cell.start cell;
-  Ba_sim.Engine.run ~until:(Option.value deadline ~default:(Cell.deadline cell)) engine;
-  let d = Ba_channel.Link.stats data_link and a = Ba_channel.Link.stats ack_link in
+  Ba_sim.Engine.run ~until:(Option.value deadline ~default:(Cell.deadline cell)) (Cell.engine cell);
+  let d = Ba_channel.Link.stats (Cell.data_link cell)
+  and a = Ba_channel.Link.stats (Cell.ack_link cell) in
   {
     (Cell.flow_result cell 0) with
     data_dropped = d.dropped;

@@ -17,14 +17,6 @@ end
 (** [type result = Flow.result], re-exported with its fields: the
     verdict record {!Fabric.run} also returns, one per flow. *)
 
-type setup = {
-  engine : Ba_sim.Engine.t;
-  data_link : Wire.data Ba_channel.Link.t;
-  ack_link : Wire.ack Ba_channel.Link.t;
-}
-(** Exposed to [on_setup] so experiments can install scripted faults
-    (e.g. "drop exactly the acknowledgment covering block k"). *)
-
 val run :
   Protocol.t ->
   ?seed:int ->
@@ -40,7 +32,7 @@ val run :
   ?ack_plan:Ba_channel.Fault_plan.t ->
   ?crash_plan:Crash_plan.t ->
   ?deadline:int ->
-  ?on_setup:(setup -> unit) ->
+  ?on_setup:(Cell.t -> unit) ->
   unit ->
   result
 (** Defaults: [seed = 42], [messages = 1000], [payload_size = 32],
@@ -59,7 +51,12 @@ val run :
     [crash_plan] schedules endpoint process faults: each event crashes
     the named endpoint at its tick and restarts it [down_for] ticks
     later (see {!Crash_plan}). Raises [Invalid_argument] when the plan
-    is not empty and the protocol has no {!Protocol.lifecycle}. *)
+    is not empty and the protocol has no {!Protocol.lifecycle}.
+
+    [on_setup] sees the cell once its flow is built, before any traffic
+    is pumped, so a caller can install scripted faults through
+    {!Cell.engine}, {!Cell.data_link} and {!Cell.ack_link} (e.g. "drop
+    exactly the acknowledgment covering block k"). *)
 
 val pp_result : Format.formatter -> result -> unit
 

@@ -58,6 +58,13 @@ module type S = sig
   type sender
   type receiver
 
+  val validate : Proto_config.t -> unit
+  (** Raises [Invalid_argument], with the same reason, exactly when
+      building either endpoint with the config would:
+      {!Proto_config.validate} plus the protocol's own constraints (the
+      block-ack modulus of at least 2w, say). So a caller can check a
+      config before building anything. *)
+
   val create_sender :
     Ba_sim.Engine.t ->
     Proto_config.t ->

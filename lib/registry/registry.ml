@@ -89,16 +89,12 @@ let parse name =
         (Printf.sprintf "unknown protocol %S (expected one of: %s)" name
            (String.concat ", " names))
 
-let protocol name = Option.map (fun e -> e.protocol) (find name)
-
-let config ?(window = 16) ?rto ?modulus ?ack_coalesce ?max_transit ?adaptive_rto ?stenning_gap
-    ?dynamic_window ?resync_epochs ?rx_budget ?drop_policy entry () =
+let config ?(window = 16) ?rto ?modulus ?ack_coalesce ?max_transit ?adaptive_rto entry () =
   let wire_modulus =
     match modulus with Some m -> Some m | None -> entry.default_modulus ~window
   in
   Ba_proto.Proto_config.make ~window ?rto ?wire_modulus:(Option.map Option.some wire_modulus)
-    ?ack_coalesce ?max_transit ?adaptive_rto ?stenning_gap ?dynamic_window ?resync_epochs
-    ?rx_budget ?drop_policy ()
+    ?ack_coalesce ?max_transit ?adaptive_rto ()
 
 let pp_list ppf () =
   List.iter

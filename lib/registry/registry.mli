@@ -38,8 +38,6 @@ val parse : string -> (entry, string) result
 (** Like {!find}, but the error is the canonical unknown-name message
     (listing every valid name) that all CLIs print. *)
 
-val protocol : string -> Ba_proto.Protocol.t option
-
 val config :
   ?window:int ->
   ?rto:int ->
@@ -47,11 +45,6 @@ val config :
   ?ack_coalesce:int ->
   ?max_transit:int ->
   ?adaptive_rto:bool ->
-  ?stenning_gap:int ->
-  ?dynamic_window:bool ->
-  ?resync_epochs:bool ->
-  ?rx_budget:int ->
-  ?drop_policy:Ba_proto.Proto_config.drop_policy ->
   entry ->
   unit ->
   Ba_proto.Proto_config.t

@@ -22,6 +22,8 @@
 # matches Ba_util.Stats.mean_of), the name qualified by a module that
 # includes Stats, S.mean_of in a file that says `module S = Stats`, or
 # the bare name (not a label) in a file that opens or includes Stats.
+# A qualified name after a value and a dot is a record field read
+# (ss.Shim.gated), not a reference to a value of that name.
 # A value of Endpoint's nested Server is looked up the same way, as
 # Server.create (which also matches Endpoint.Server.create).
 # A signature's value is reached through whatever module implements it,
@@ -89,10 +91,10 @@ scan() {
     sed -E 's/^([^:]*):module +([^ =]*).*/\1 \2/' || true)
   for v in $4; do
     users=$(
-      matching "$others" -e "(^|[^A-Za-z0-9_'])($names)\\.$v$end"
+      matching "$others" -e "(^|[^A-Za-z0-9_'.])([A-Z]$id*\\.)*($names)\\.$v$end"
       matching "$openers" -e "(^|[^A-Za-z0-9_'.~?])$v$end"
       echo "$aliases" | while read -r f a; do
-        if [ -n "$f" ] && grep -qE "(^|[^A-Za-z0-9_'])$a\\.$v$end" "$f"; then echo "$f"; fi
+        if [ -n "$f" ] && grep -qE "(^|[^A-Za-z0-9_'.])$a\\.$v$end" "$f"; then echo "$f"; fi
       done
     )
     if [ -z "$users" ]; then
@@ -132,7 +134,7 @@ sig_unused=$(
   for ml in $(echo "$sources" | grep -E '^lib/.*\.ml$'); do
     m=$(modname "$ml")
     sig_vals "$ml" | while read -r s v; do
-      users=$(matching "$sources" -e "(^|[^A-Za-z0-9_'])[A-Z]$id*\\.$v$end")
+      users=$(matching "$sources" -e "(^|[^A-Za-z0-9_'.])([A-Z]$id*\\.)+$v$end")
       if [ -z "$users" ]; then echo "nowhere $m.$s.$v ($ml)"
       elif ! echo "$users" | grep -qv '^test/'; then echo "tests $m.$s.$v ($ml)"
       fi

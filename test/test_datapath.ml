@@ -692,6 +692,7 @@ module Ref_multi : Ba_proto.Protocol.S = struct
   type sender = Ref_impl.Sender_multi.t
   type receiver = Ref_impl.Receiver.t
 
+  let validate config = Blockack.Sender_core.validate config
   let create_sender = Ref_impl.Sender_multi.create
   let sender_on_ack = Ref_impl.Sender_multi.on_ack
   let sender_pump = Ref_impl.Sender_multi.pump

@@ -187,8 +187,8 @@ let recovery_after_killed_ack proto ~block =
   let r =
     Harness.run proto ~seed:11 ~messages:200 ~config ~data_delay:fifo_delay
       ~ack_delay:fifo_delay
-      ~on_setup:(fun setup ->
-        Ba_channel.Link.set_fault setup.Harness.ack_link (fun (a : Wire.ack) ->
+      ~on_setup:(fun cell ->
+        Ba_channel.Link.set_fault (Ba_proto.Cell.ack_link cell) (fun (a : Wire.ack) ->
             let covered = Ba_util.Modseq.distance ~n:32 a.Wire.lo a.Wire.hi + 1 in
             if covered >= block && !killed = 0 then begin
               incr killed;
@@ -221,9 +221,9 @@ let test_blockack_survives_burst_outage () =
   let r =
     Harness.run Blockack.Protocols.multi ~seed:2 ~messages:300 ~config:blockack_config
       ~data_delay:jitter_delay ~ack_delay:jitter_delay
-      ~on_setup:(fun setup ->
+      ~on_setup:(fun cell ->
         let count = ref 0 in
-        Ba_channel.Link.set_fault setup.Harness.data_link (fun (_ : Wire.data) ->
+        Ba_channel.Link.set_fault (Ba_proto.Cell.data_link cell) (fun (_ : Wire.data) ->
             incr count;
             if !count >= 100 && !count < 140 then begin
               incr dropped;

@@ -375,9 +375,10 @@ let reuse_transcript ~seed ~lead_factor ~window ~loss ~jitter ~coalesce ~modulus
   let r =
     Harness.run (Blockack.Protocols.reuse ~lead_factor ()) ~seed ~messages:60 ~config
       ~data_loss:loss ~ack_loss:loss ~data_delay:delay ~ack_delay:delay
-      ~on_setup:(fun { Harness.engine; data_link; ack_link } ->
-        Ba_channel.Link.set_fault data_link (record engine Wire.pp_data);
-        Ba_channel.Link.set_fault ack_link (record engine Wire.pp_ack))
+      ~on_setup:(fun cell ->
+        let engine = Ba_proto.Cell.engine cell in
+        Ba_channel.Link.set_fault (Ba_proto.Cell.data_link cell) (record engine Wire.pp_data);
+        Ba_channel.Link.set_fault (Ba_proto.Cell.ack_link cell) (record engine Wire.pp_ack))
       ()
   in
   Format.asprintf "%a\n%s" Harness.pp_result r (Buffer.contents trace)

@@ -213,10 +213,13 @@ let test_harness_is_one_flow_fabric =
          in
          match f.Fabric.flows with
          | [ fl ] when flow_owned h = fl -> true
-         | [ fl ] ->
-             QCheck.Test.fail_reportf "harness:\n%a\nfabric:\n%a" Harness.pp_result h
-               Harness.pp_result fl
-         | _ -> QCheck.Test.fail_report "fabric did not admit exactly one flow"))
+         | flows ->
+             QCheck.Test.fail_reportf
+               "%s: window 8, rto 400, 60 messages, delay Uniform (40, 80) each way\n\
+                harness:\n%a\nfabric flows (%d):\n%a"
+               (one_flow_print (name, seed, loss, crash))
+               Harness.pp_result h (List.length flows)
+               (Format.pp_print_list Harness.pp_result) flows))
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
@@ -276,6 +279,32 @@ let test_registry_config_moduli () =
   check Alcotest.(option int) "explicit modulus wins" (Some 64)
     (Registry.config ~window:8 ~modulus:64 (entry "blockack-multi") ())
       .Ba_proto.Proto_config.wire_modulus
+
+(* A protocol's [validate] rejects exactly the configs its constructors
+   reject, with the same reason, so a CLI can check a config without
+   building endpoints. *)
+let test_registry_validate_is_constructors () =
+  let outcome f = match f () with () -> None | exception Invalid_argument m -> Some m in
+  List.iter
+    (fun e ->
+      let (module P : Ba_proto.Protocol.S) = e.Registry.protocol in
+      List.iter
+        (fun (window, wire_modulus) ->
+          let config = { Ba_proto.Proto_config.default with window; wire_modulus } in
+          let build () =
+            let engine = Ba_sim.Engine.create () in
+            ignore (P.create_sender engine config ~tx:ignore ~next_payload:(fun () -> None));
+            ignore (P.create_receiver engine config ~tx:ignore ~deliver:ignore)
+          in
+          check
+            Alcotest.(option string)
+            (Printf.sprintf "%s w=%d n=%s" e.Registry.name window
+               (match wire_modulus with Some n -> string_of_int n | None -> "-"))
+            (outcome build)
+            (outcome (fun () -> P.validate config)))
+        [ (4, None); (4, Some 3); (4, Some 5); (4, Some 7); (4, Some 8); (4, Some 15);
+          (4, Some 16); (0, None) ])
+    Registry.all
 
 (* ------------------------------------------------------------------ *)
 (* Capability digest *)
@@ -508,5 +537,7 @@ let () =
           Alcotest.test_case "unknown names and error text" `Quick test_registry_unknown;
           Alcotest.test_case "robust subset" `Quick test_registry_robust;
           Alcotest.test_case "recommended moduli" `Quick test_registry_config_moduli;
+          Alcotest.test_case "validate rejects what the constructors reject" `Quick
+            test_registry_validate_is_constructors;
         ] );
     ]

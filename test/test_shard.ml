@@ -183,6 +183,7 @@ module Bare : Ba_proto.Protocol.S = struct
   type sender = unit -> string option
   type receiver = string -> unit
 
+  let validate = Ba_proto.Proto_config.validate
   let create_sender _ _ ~tx:_ ~next_payload = next_payload
   let create_receiver _ _ ~tx:_ ~deliver = deliver
   let sender_on_ack _ _ = ()
@@ -494,7 +495,19 @@ let test_one_cell_shard_is_fabric =
              ?plans_for specs
          with
          | Ok _ -> true
-         | Error e -> QCheck.Test.fail_report e))
+         | Error e ->
+             QCheck.Test.fail_reportf
+               "seed %d: %d flows of %d messages cycling blockack-multi, selective-repeat, \
+                go-back-n (window 4, rto 800, 24 B payloads)%s; %s loss each way, budget %s, \
+                watchdog %b; shard: one cell of 1024, barrier 500, cell seed %d\n%s"
+               sc.sc_seed sc.sc_flows sc.sc_messages
+               (if sc.sc_storm then
+                  " after a blockack-multi churn (base 2, churners 2, window 4, rto 800), \
+                   storm plans"
+                else "")
+               (if sc.sc_loss then "5%" else "no")
+               (match sc.sc_budget with Some b -> string_of_int b | None -> "none")
+               sc.sc_watchdog (sc.sc_seed + 104729) e))
 
 let test_one_cell_shard_resyncs_like_fabric () =
   (* A data-link outage stalls every flow long enough for the watchdog to
