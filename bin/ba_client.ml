@@ -22,34 +22,29 @@ open Cmdliner
 module Registry = Ba_registry.Registry
 module Driver = Ba_transport.Driver
 module Endpoint = Ba_transport.Endpoint
-module Shim = Ba_transport.Shim
 module Watchdog = Ba_proto.Watchdog
 
-let run entry connect messages payload_size wseed window rto tick_us wd_interval plan
-    impair_seed deadline =
+let run (o : Udp_opts.t) connect wd_interval =
   let config =
     Ba_cli.validate ~tool:"ba_client" @@ fun () ->
-    let config = Registry.config ~window ~rto entry () in
-    Ba_cli.accepts entry.Registry.protocol config;
-    Ba_cli.non_negative "--messages" messages;
-    Ba_cli.within "--payload" ~lo:0 ~hi:Ba_transport.Codec.max_payload payload_size;
-    Ba_cli.positive "--tick-us" tick_us;
+    let config = Udp_opts.config o in
     Ba_cli.positive "--wd-interval" wd_interval;
     config
   in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
   Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  let engine = Ba_sim.Engine.create ~seed:impair_seed () in
+  let engine = Ba_sim.Engine.create ~seed:o.impair_seed () in
   let cli = ref None in
   let driver =
-    Driver.create ~engine ~sock ~tick_us
+    Driver.create ~engine ~sock ~tick_us:o.tick_us
       ~on_frame:(fun f _ -> match !cli with Some c -> Endpoint.Client.on_frame c f | None -> ())
       ()
   in
   let watchdog = { Watchdog.default_config with Watchdog.check_interval = wd_interval } in
   let c =
-    Endpoint.Client.create ~engine ~protocol:entry.Registry.protocol ~config ~messages
-      ~payload_size ~wseed ~watchdog ?plan ~impair_seed
+    Endpoint.Client.create ~engine ~protocol:o.entry.Registry.protocol ~config
+      ~messages:o.messages ~payload_size:o.payload_size ~wseed:o.wseed ~watchdog ?plan:o.plan
+      ~impair_seed:o.impair_seed
       ~send:(fun buf len -> ignore (Driver.send_to driver connect buf len))
       ()
   in
@@ -57,20 +52,19 @@ let run entry connect messages payload_size wseed window rto tick_us wd_interval
   let t0 = Unix.gettimeofday () in
   Endpoint.Client.pump c;
   let finished =
-    Driver.run ~deadline_s:deadline ~stop:(fun () -> Endpoint.Client.finished c) [ driver ]
+    Driver.run ~deadline_s:o.deadline ~stop:(fun () -> Endpoint.Client.finished c) [ driver ]
   in
   let wall = Unix.gettimeofday () -. t0 in
-  Printf.printf "ba_client: %s %d messages\n" entry.Registry.name messages;
+  Printf.printf "ba_client: %s %d messages\n" o.entry.Registry.name o.messages;
   Printf.printf "pulled: %d acked: %d\n" (Endpoint.Client.pulled c) (Endpoint.Client.acked c);
   Printf.printf "workload digest: %d\n"
-    (Endpoint.expected_digest ~wseed ~payload_size ~messages);
+    (Endpoint.expected_digest ~wseed:o.wseed ~payload_size:o.payload_size ~messages:o.messages);
   Printf.printf "completed: %b\n" finished;
-  let ss = Endpoint.Client.shim_stats c in
   Printf.eprintf
     "ba_client: wall=%.3fs msgs/s=%.0f rx=%d tx=%d decode-errors=%d send-errors=%d \
      retx=%d resync-rounds=%d wd-resyncs=%d quarantines=%d wd-state=%s\n"
     wall
-    (if wall <= 0. then 0. else float_of_int messages /. wall)
+    (if wall <= 0. then 0. else float_of_int o.messages /. wall)
     (Driver.rx_datagrams driver) (Driver.tx_datagrams driver)
     (Driver.decode_errors driver) (Driver.send_errors driver)
     (Endpoint.Client.retransmissions c)
@@ -78,56 +72,15 @@ let run entry connect messages payload_size wseed window rto tick_us wd_interval
     (Endpoint.Client.watchdog_resyncs c)
     (Endpoint.Client.quarantines c)
     (Watchdog.state_name (Endpoint.Client.watchdog_state c));
-  Printf.eprintf
-    "ba_client: shim offered=%d passed=%d dropped=%d dup=%d corrupt=%d delayed=%d \
-     outage=%d gated=%d\n"
-    ss.Shim.offered ss.Shim.passed ss.Shim.dropped ss.Shim.duplicated ss.Shim.corrupted
-    ss.Shim.delayed ss.Shim.outage_drops ss.Shim.gated;
+  Udp_opts.report_shim ~tool:"ba_client" (Endpoint.Client.shim_stats c);
   Unix.close sock;
   if finished then 0 else 1
-
-let entry_arg =
-  Arg.(
-    value
-    & opt Ba_cli.protocol_conv (Option.get (Registry.find "blockack"))
-    & info [ "p"; "protocol" ] ~docv:"PROTOCOL"
-        ~doc:"Protocol to run (a registry name; see ba_sim --list-protocols).")
 
 let connect_arg =
   Arg.(
     required
     & opt (some Ba_cli.addr_conv) None
     & info [ "connect" ] ~docv:"HOST:PORT" ~doc:"Server address (a ba_serve instance).")
-
-let messages_arg =
-  Arg.(value & opt int 1000 & info [ "n"; "messages" ] ~docv:"N" ~doc:"Workload size.")
-
-let payload_arg =
-  Arg.(value & opt int 32 & info [ "payload" ] ~docv:"BYTES" ~doc:"Payload size per message.")
-
-let wseed_arg =
-  Arg.(
-    value
-    & opt int 42
-    & info [ "wseed" ] ~docv:"SEED"
-        ~doc:"Workload seed; client and server must agree for validation to pass.")
-
-let window_arg = Arg.(value & opt int 16 & info [ "window" ] ~docv:"W" ~doc:"Protocol window.")
-
-let rto_arg =
-  Arg.(
-    value
-    & opt int 250
-    & info [ "rto" ] ~docv:"TICKS"
-        ~doc:"Retransmission timeout in engine ticks (real duration: rto * tick-us).")
-
-let tick_us_arg =
-  Arg.(
-    value
-    & opt int 200
-    & info [ "tick-us" ] ~docv:"US"
-        ~doc:"Real microseconds per engine tick — the knob that maps virtual timers onto \
-              the wall clock.")
 
 let wd_interval_arg =
   Arg.(
@@ -136,28 +89,6 @@ let wd_interval_arg =
     & info [ "wd-interval" ] ~docv:"TICKS"
         ~doc:"Watchdog check interval in engine ticks. Escalation (degrade, resync, \
               quarantine, probation) follows the fabric's default schedule on top of it.")
-
-let impair_arg =
-  Arg.(
-    value
-    & opt (some Ba_cli.plan_conv) None
-    & info [ "impair" ] ~docv:"PLAN"
-        ~doc:"Fault plan applied to outgoing datagrams (same replay-key syntax as the \
-              simulator's chaos campaign).")
-
-let impair_seed_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "impair-seed" ] ~docv:"SEED"
-        ~doc:"Seed for the impairment shim's fault stream (replays exactly).")
-
-let deadline_arg =
-  Arg.(
-    value
-    & opt float 60.
-    & info [ "deadline" ] ~docv:"SECS"
-        ~doc:"Hard wall-clock bound: exit 1 if the transfer has not completed by then.")
 
 let cmd =
   let doc = "drive a window-protocol sender against a real UDP server" in
@@ -176,8 +107,6 @@ let cmd =
   Cmd.v
     (Cmd.info "ba_client" ~doc ~man ~version:Ba_cli.version)
     Term.(
-      const run $ entry_arg $ connect_arg $ messages_arg $ payload_arg $ wseed_arg
-      $ window_arg $ rto_arg $ tick_us_arg $ wd_interval_arg $ impair_arg
-      $ impair_seed_arg $ deadline_arg)
+      const run $ Udp_opts.term $ connect_arg $ wd_interval_arg)
 
 let () = exit (Cmd.eval' cmd)

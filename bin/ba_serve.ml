@@ -27,7 +27,6 @@ open Cmdliner
 module Registry = Ba_registry.Registry
 module Driver = Ba_transport.Driver
 module Endpoint = Ba_transport.Endpoint
-module Shim = Ba_transport.Shim
 
 (* Durable receiver state: one text line "epoch pos digest". Written to
    a sibling temp file and renamed into place so a SIGKILL at any
@@ -55,23 +54,29 @@ let read_state path =
     | [ Some e; Some p; Some d ] when e >= 0 && p >= 0 -> Some (e, p, d)
     | _ -> Ba_cli.reject "corrupt state file %s" path
 
-let run entry listen port_file messages payload_size wseed window rto tick_us state
-    die_after plan impair_seed deadline linger =
+let run (o : Udp_opts.t) listen port_file state die_after linger =
   let config, restore =
     Ba_cli.validate ~tool:"ba_serve" @@ fun () ->
-    let config = Registry.config ~window ~rto entry () in
-    Ba_cli.accepts entry.Registry.protocol config;
-    Ba_cli.non_negative "--messages" messages;
-    Ba_cli.within "--payload" ~lo:0 ~hi:Ba_transport.Codec.max_payload payload_size;
-    Ba_cli.positive "--tick-us" tick_us;
+    let config = Udp_opts.config o in
     let restore =
       match Option.bind state read_state with
       | None -> None
       | Some (e, p, d) ->
-          let (module P : Ba_proto.Protocol.S) = entry.Registry.protocol in
+          let path = Option.get state in
+          let (module P : Ba_proto.Protocol.S) = o.entry.Registry.protocol in
           if Option.is_none P.lifecycle then
             Ba_cli.reject "%s has no crash lifecycle to resume from state file %s"
-              entry.Registry.name (Option.get state);
+              o.entry.Registry.name path;
+          (* The state must be a prefix of this run's workload. *)
+          if p > o.messages then
+            Ba_cli.reject "state file %s holds position %d, past --messages %d" path p
+              o.messages;
+          if d <> Endpoint.expected_digest ~wseed:o.wseed ~payload_size:o.payload_size ~messages:p
+          then
+            Ba_cli.reject
+              "state file %s: digest %d is not that of the first %d messages under --wseed %d \
+               --payload %d"
+              path d p o.wseed o.payload_size;
           Some (e + 1, p, d)
     in
     (config, restore)
@@ -88,17 +93,18 @@ let run entry listen port_file messages payload_size wseed window rto tick_us st
           close_out oc
       | None -> ())
   | Unix.ADDR_UNIX _ -> ());
-  let engine = Ba_sim.Engine.create ~seed:impair_seed () in
+  let engine = Ba_sim.Engine.create ~seed:o.impair_seed () in
   let srv = ref None in
   let driver =
-    Driver.create ~engine ~sock ~tick_us
+    Driver.create ~engine ~sock ~tick_us:o.tick_us
       ~on_frame:(fun f from -> match !srv with Some s -> Endpoint.Server.on_frame s f from | None -> ())
       ()
   in
   let session_deliveries = ref 0 in
   let s =
-    Endpoint.Server.create ~engine ~protocol:entry.Registry.protocol ~config ~messages
-      ~payload_size ~wseed ?restore ?plan ~impair_seed
+    Endpoint.Server.create ~engine ~protocol:o.entry.Registry.protocol ~config
+      ~messages:o.messages ~payload_size:o.payload_size ~wseed:o.wseed ?restore ?plan:o.plan
+      ~impair_seed:o.impair_seed
       ~on_deliver:(fun ~epoch ~pos ~digest ->
         (match state with Some path -> persist_state path ~epoch ~pos ~digest | None -> ());
         incr session_deliveries;
@@ -126,24 +132,25 @@ let run entry listen port_file messages payload_size wseed window rto tick_us st
       | None -> false
     end
   in
-  let finished = Driver.run ~deadline_s:deadline ~stop [ driver ] in
+  let finished = Driver.run ~deadline_s:o.deadline ~stop [ driver ] in
   let wall = Unix.gettimeofday () -. t0 in
-  let expected = Endpoint.expected_digest ~wseed ~payload_size ~messages in
-  Printf.printf "ba_serve: %s %d messages\n" entry.Registry.name messages;
+  let expected =
+    Endpoint.expected_digest ~wseed:o.wseed ~payload_size:o.payload_size ~messages:o.messages
+  in
+  Printf.printf "ba_serve: %s %d messages\n" o.entry.Registry.name o.messages;
   Printf.printf "resumed: %s\n"
     (match restore with
     | Some (e, p, _) -> Printf.sprintf "epoch %d position %d" e p
     | None -> "no");
   Printf.printf
     "delivered: %d/%d (this run %d) duplicates=%d misordered=%d corrupted=%d\n"
-    (Endpoint.Server.position s) messages
+    (Endpoint.Server.position s) o.messages
     (Endpoint.Server.position s - start_pos)
     (Endpoint.Server.duplicates s) (Endpoint.Server.misordered s)
     (Endpoint.Server.corrupted s);
   Printf.printf "digest: %s\n"
     (if Endpoint.Server.digest s = expected then "ok" else "MISMATCH");
   Printf.printf "completed: %b\n" finished;
-  let ss = Endpoint.Server.shim_stats s in
   Printf.eprintf
     "ba_serve: wall=%.3fs rx=%d tx=%d decode-errors=%d send-errors=%d acks=%d \
      resync-rounds=%d epoch=%d\n"
@@ -151,20 +158,9 @@ let run entry listen port_file messages payload_size wseed window rto tick_us st
     (Driver.decode_errors driver) (Driver.send_errors driver)
     (Endpoint.Server.acks_sent s) (Endpoint.Server.resync_rounds s)
     (Endpoint.Server.epoch s);
-  Printf.eprintf
-    "ba_serve: shim offered=%d passed=%d dropped=%d dup=%d corrupt=%d delayed=%d \
-     outage=%d gated=%d\n"
-    ss.Shim.offered ss.Shim.passed ss.Shim.dropped ss.Shim.duplicated ss.Shim.corrupted
-    ss.Shim.delayed ss.Shim.outage_drops ss.Shim.gated;
+  Udp_opts.report_shim ~tool:"ba_serve" (Endpoint.Server.shim_stats s);
   Unix.close sock;
   if finished then 0 else 1
-
-let entry_arg =
-  Arg.(
-    value
-    & opt Ba_cli.protocol_conv (Option.get (Registry.find "blockack"))
-    & info [ "p"; "protocol" ] ~docv:"PROTOCOL"
-        ~doc:"Protocol to serve (a registry name; see ba_sim --list-protocols).")
 
 let listen_arg =
   Arg.(
@@ -180,36 +176,6 @@ let port_file_arg =
     & info [ "port-file" ] ~docv:"FILE"
         ~doc:"Write the bound UDP port to FILE once listening — how scripts connect to a \
               server started on port 0.")
-
-let messages_arg =
-  Arg.(value & opt int 1000 & info [ "n"; "messages" ] ~docv:"N" ~doc:"Workload size.")
-
-let payload_arg =
-  Arg.(value & opt int 32 & info [ "payload" ] ~docv:"BYTES" ~doc:"Payload size per message.")
-
-let wseed_arg =
-  Arg.(
-    value
-    & opt int 42
-    & info [ "wseed" ] ~docv:"SEED"
-        ~doc:"Workload seed; client and server must agree for validation to pass.")
-
-let window_arg = Arg.(value & opt int 16 & info [ "window" ] ~docv:"W" ~doc:"Protocol window.")
-
-let rto_arg =
-  Arg.(
-    value
-    & opt int 250
-    & info [ "rto" ] ~docv:"TICKS"
-        ~doc:"Retransmission timeout in engine ticks (real duration: rto * tick-us).")
-
-let tick_us_arg =
-  Arg.(
-    value
-    & opt int 200
-    & info [ "tick-us" ] ~docv:"US"
-        ~doc:"Real microseconds per engine tick — the knob that maps virtual timers onto \
-              the wall clock.")
 
 let state_arg =
   Arg.(
@@ -227,28 +193,6 @@ let die_after_arg =
     & info [ "die-after" ] ~docv:"K"
         ~doc:"SIGKILL this process after K deliveries in this run (test hook for \
               kill-and-restart recovery).")
-
-let impair_arg =
-  Arg.(
-    value
-    & opt (some Ba_cli.plan_conv) None
-    & info [ "impair" ] ~docv:"PLAN"
-        ~doc:"Fault plan applied to outgoing datagrams (same replay-key syntax as the \
-              simulator's chaos campaign, e.g. 'ge(0.02->0.3,l=0.05/0.3)+dup(0.03x2)').")
-
-let impair_seed_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "impair-seed" ] ~docv:"SEED"
-        ~doc:"Seed for the impairment shim's fault stream (replays exactly).")
-
-let deadline_arg =
-  Arg.(
-    value
-    & opt float 60.
-    & info [ "deadline" ] ~docv:"SECS"
-        ~doc:"Hard wall-clock bound: exit 1 if the transfer has not completed by then.")
 
 let linger_arg =
   Arg.(
@@ -276,8 +220,7 @@ let cmd =
   Cmd.v
     (Cmd.info "ba_serve" ~doc ~man ~version:Ba_cli.version)
     Term.(
-      const run $ entry_arg $ listen_arg $ port_file_arg $ messages_arg $ payload_arg
-      $ wseed_arg $ window_arg $ rto_arg $ tick_us_arg $ state_arg $ die_after_arg
-      $ impair_arg $ impair_seed_arg $ deadline_arg $ linger_arg)
+      const run $ Udp_opts.term $ listen_arg $ port_file_arg $ state_arg $ die_after_arg
+      $ linger_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -5,9 +5,10 @@ type sender = {
   engine : Ba_sim.Engine.t;
   rto : int;
   tx : Wire.data -> unit;
-  source : Ba_proto.Source.t;  (* its one held position is in flight, awaiting its ack *)
+  source : Ba_proto.Source.t;
+      (* its one held position is in flight, awaiting its ack; the
+         parity of its [base] is the bit *)
   timer : Ba_sim.Engine.slot;
-  mutable bit : int;
   mutable retransmissions : int;
 }
 
@@ -18,10 +19,11 @@ type receiver = {
 }
 
 let in_flight s = Ba_proto.Source.base s.source < Ba_proto.Source.issued s.source
+let bit s = Ba_proto.Source.base s.source land 1
 
 let transmit s =
   let payload = Ba_proto.Source.get s.source (Ba_proto.Source.base s.source) in
-  s.tx (Wire.make_data ~seq:s.bit ~payload);
+  s.tx (Wire.make_data ~seq:(bit s) ~payload);
   Ba_sim.Engine.slot_arm s.engine s.timer ~delay:s.rto
 
 let pump s =
@@ -46,16 +48,14 @@ let create_sender engine config ~tx ~next_payload =
         tx;
         source;
         timer = Ba_sim.Engine.slot_create engine (fun () -> on_timeout (Lazy.force s));
-        bit = 0;
         retransmissions = 0;
       }
   in
   Lazy.force s
 
 let sender_on_ack s { Wire.lo; hi = _; _ } =
-  if in_flight s && lo = s.bit then begin
+  if in_flight s && lo = bit s then begin
     Ba_proto.Source.release s.source ~below:(Ba_proto.Source.issued s.source);
-    s.bit <- 1 - s.bit;
     Ba_sim.Engine.slot_cancel s.engine s.timer;
     pump s
   end

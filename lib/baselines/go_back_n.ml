@@ -7,8 +7,6 @@ type sender = {
   tx : Wire.data -> unit;
   source : Ba_proto.Source.t;  (* the outbox: payload of [seq] at position [seq] *)
   timer : Ba_sim.Engine.slot;
-  mutable na : int;
-  mutable ns : int;
   mutable retransmissions : int;
 }
 
@@ -30,22 +28,25 @@ let transmit s seq =
   s.tx (Wire.make_data ~seq:(encode s.config seq) ~payload:(Ba_proto.Source.get s.source seq));
   Ba_sim.Engine.slot_arm s.engine s.timer ~delay:s.config.Config.rto
 
-let outstanding s = s.ns - s.na
+(* The outbox holds exactly the outstanding range [na, ns): the sender
+   releases below [na] on every ack and never rewinds. *)
+let na s = Ba_proto.Source.base s.source
+let ns s = Ba_proto.Source.issued s.source
+let outstanding s = ns s - na s
 
 let rec pump s =
   if outstanding s < s.config.Config.window then begin
     match Ba_proto.Source.next s.source with
     | None -> ()
     | Some _ ->
-        s.ns <- s.ns + 1;
-        transmit s (s.ns - 1);
+        transmit s (ns s - 1);
         pump s
   end
 
 (* Go back N: resend the entire outstanding window, oldest first. *)
 let on_timeout s =
   if outstanding s > 0 then begin
-    for seq = s.na to s.ns - 1 do
+    for seq = na s to ns s - 1 do
       s.retransmissions <- s.retransmissions + 1;
       transmit s seq
     done
@@ -62,8 +63,6 @@ let create_sender engine config ~tx ~next_payload =
         tx;
         source;
         timer = Ba_sim.Engine.slot_create engine (fun () -> on_timeout (Lazy.force s));
-        na = 0;
-        ns = 0;
         retransmissions = 0;
       }
   in
@@ -78,21 +77,20 @@ let decode_cumulative s wire =
   match s.config.Config.wire_modulus with
   | None -> Some wire
   | Some n ->
-      let d = Ba_util.Modseq.distance ~n (Ba_util.Modseq.wrap ~n (s.na - 1)) wire in
-      if d >= 1 && d <= s.config.Config.window then Some (s.na - 1 + d) else None
+      let d = Ba_util.Modseq.distance ~n (Ba_util.Modseq.wrap ~n (na s - 1)) wire in
+      if d >= 1 && d <= s.config.Config.window then Some (na s - 1 + d) else None
 
 let sender_on_ack s { Wire.hi; lo = _; _ } =
   match decode_cumulative s hi with
   | None -> ()
   | Some y ->
-      if y >= s.na then begin
+      if y >= na s then begin
         (* [y >= ns] is an unsound decode of a stale acknowledgment
            (bounded mode only): the textbook sender cannot tell and
            slides anyway — this is the misbehaviour the experiments
            demonstrate. Clip before the increment: a forged [max_int]
            would wrap to a negative [na]. *)
-        s.na <- min y (s.ns - 1) + 1;
-        Ba_proto.Source.release s.source ~below:s.na;
+        Ba_proto.Source.release s.source ~below:(min y (ns s - 1) + 1);
         if outstanding s = 0 then Ba_sim.Engine.slot_cancel s.engine s.timer;
         pump s
       end

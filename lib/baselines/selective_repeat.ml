@@ -2,8 +2,7 @@ module Wire = Ba_proto.Wire
 module Config = Ba_proto.Proto_config
 
 type receiver = {
-  codec : Blockack.Seqcodec.t;
-  window : int;
+  config : Config.t;
   tx : Wire.ack -> unit;
   deliver : string -> unit;
   buffer : string Ba_util.Ring_buffer.t;
@@ -21,8 +20,7 @@ let validate config =
 let create_receiver _engine config ~tx ~deliver =
   validate config;
   {
-    codec = config.Config.wire_modulus;
-    window = config.Config.window;
+    config;
     tx;
     deliver;
     buffer = Ba_util.Ring_buffer.create config.Config.window;
@@ -34,13 +32,15 @@ let create_receiver _engine config ~tx ~deliver =
    up front, like the block-ack receiver: selective repeat is one of the
    "robust" baselines in the chaos campaign. *)
 let receiver_on_data r d =
-  if not (Wire.data_ok d && Blockack.Seqcodec.is_wire r.codec d.Wire.seq) then ()
+  let codec = r.config.Config.wire_modulus in
+  if not (Wire.data_ok d && Blockack.Seqcodec.is_wire codec d.Wire.seq) then ()
   else begin
   let { Wire.seq; payload; _ } = d in
-  let v = Blockack.Seqcodec.decode_data r.codec ~window:r.window ~nr:r.nr seq in
-  let wire = Blockack.Seqcodec.encode r.codec v in
+  let window = r.config.Config.window in
+  let v = Blockack.Seqcodec.decode_data codec ~window ~nr:r.nr seq in
+  let wire = Blockack.Seqcodec.encode codec v in
   if v < r.nr then r.tx (Wire.make_ack ~lo:wire ~hi:wire)
-  else if v < r.nr + r.window then begin
+  else if v < r.nr + window then begin
     if not (Ba_util.Ring_buffer.mem r.buffer v) then Ba_util.Ring_buffer.set r.buffer v payload;
     r.tx (Wire.make_ack ~lo:wire ~hi:wire);
     while Ba_util.Ring_buffer.mem r.buffer r.nr do

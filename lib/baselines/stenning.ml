@@ -4,7 +4,6 @@ module Config = Ba_proto.Proto_config
 type sender = {
   config : Config.t;
   engine : Ba_sim.Engine.t;
-  codec : Blockack.Seqcodec.t;
   tx : Wire.data -> unit;
   source : Ba_proto.Source.t;  (* the outbox: payload of [seq] at position [seq] *)
   acked : unit Ba_util.Ring_buffer.t;
@@ -12,10 +11,13 @@ type sender = {
   timer_seq : int array;  (* the seq each timer was last armed for *)
   slot_free_at : int array;  (* per wire number: earliest next use *)
   mutable pump_retry_armed : bool;
-  mutable na : int;
-  mutable ns : int;
   mutable retransmissions : int;
 }
+
+(* The outbox holds exactly the outstanding range [na, ns): the sender
+   releases below [na] on every ack and never rewinds. *)
+let na s = Ba_proto.Source.base s.source
+let ns s = Ba_proto.Source.issued s.source
 
 let slot_count config =
   match config.Config.wire_modulus with Some n -> n | None -> 0
@@ -38,13 +40,13 @@ let try_transmit s seq =
   if slot_ready s seq then begin
     note_slot_use s seq;
     s.tx
-      (Wire.make_data ~seq:(Blockack.Seqcodec.encode s.codec seq)
+      (Wire.make_data ~seq:(Blockack.Seqcodec.encode s.config.Config.wire_modulus seq)
          ~payload:(Ba_proto.Source.get s.source seq));
     true
   end
   else false
 
-let outstanding s = s.ns - s.na
+let outstanding s = ns s - na s
 
 (* A timer per window slot, not per message: an engine slot lives as long
    as its engine, so one per message would grow with the transfer. The
@@ -64,7 +66,7 @@ let rec arm_timer s seq =
   Ba_sim.Engine.slot_arm s.engine slot ~delay:s.config.Config.rto
 
 and resend s seq =
-  if seq >= s.na && seq < s.ns && not (Ba_util.Ring_buffer.mem s.acked seq) then begin
+  if seq >= na s && seq < ns s && not (Ba_util.Ring_buffer.mem s.acked seq) then begin
     if try_transmit s seq then begin
       s.retransmissions <- s.retransmissions + 1;
       arm_timer s seq
@@ -81,20 +83,19 @@ and resend s seq =
 
 let rec pump s =
   if outstanding s < s.config.Config.window then begin
-    if slot_ready s s.ns then begin
+    if slot_ready s (ns s) then begin
       match Ba_proto.Source.next s.source with
       | None -> ()
       | Some _ ->
-          s.ns <- s.ns + 1;
-          ignore (try_transmit s (s.ns - 1));
-          arm_timer s (s.ns - 1);
+          ignore (try_transmit s (ns s - 1));
+          arm_timer s (ns s - 1);
           pump s
     end
     else if not s.pump_retry_armed then begin
       match s.config.Config.wire_modulus with
       | None -> ()
       | Some n ->
-          let at = s.slot_free_at.(Ba_util.Modseq.wrap ~n s.ns) in
+          let at = s.slot_free_at.(Ba_util.Modseq.wrap ~n (ns s)) in
           s.pump_retry_armed <- true;
           Ba_sim.Engine.schedule_at s.engine ~at (fun () ->
               s.pump_retry_armed <- false;
@@ -108,7 +109,6 @@ let create_sender engine config ~tx ~next_payload =
   {
     config;
     engine;
-    codec = config.Config.wire_modulus;
     tx;
     source;
     acked = Ba_util.Ring_buffer.create config.Config.window;
@@ -116,8 +116,6 @@ let create_sender engine config ~tx ~next_payload =
     timer_seq = Array.make config.Config.window (-1);
     slot_free_at = Array.make (max 1 (slot_count config)) 0;
     pump_retry_armed = false;
-    na = 0;
-    ns = 0;
     retransmissions = 0;
   }
 
@@ -130,18 +128,18 @@ let stop_timer s seq =
 (* A damaged ack (checksum mismatch) or a wire number [encode] cannot
    produce is dropped, as the block-ack sender drops both. *)
 let sender_on_ack s ({ Wire.lo; hi = _; _ } as a) =
-  if Wire.ack_ok a && Blockack.Seqcodec.is_wire s.codec lo then begin
-    let seq = Blockack.Seqcodec.decode_ack s.codec ~na:s.na lo in
-    if seq >= s.na && seq < s.ns then begin
+  let codec = s.config.Config.wire_modulus in
+  if Wire.ack_ok a && Blockack.Seqcodec.is_wire codec lo then begin
+    let seq = Blockack.Seqcodec.decode_ack codec ~na:(na s) lo in
+    if seq >= na s && seq < ns s then begin
       Ba_util.Ring_buffer.set s.acked seq ();
       stop_timer s seq
     end;
-    while Ba_util.Ring_buffer.mem s.acked s.na do
-      Ba_util.Ring_buffer.remove s.acked s.na;
-      stop_timer s s.na;
-      s.na <- s.na + 1
+    while Ba_util.Ring_buffer.mem s.acked (na s) do
+      Ba_util.Ring_buffer.remove s.acked (na s);
+      stop_timer s (na s);
+      Ba_proto.Source.release s.source ~below:(na s + 1)
     done;
-    Ba_proto.Source.release s.source ~below:s.na;
     pump s
   end
 

@@ -126,8 +126,10 @@ module type S = sig
 
   val pump : t -> unit
   (** Pull payloads from [next_payload] while the window has room, sending
-      each immediately. Called automatically after window-opening acks;
-      call it once after setup, and again if the supplier gains new data. *)
+      each immediately; after a resync, first resend what the outbox
+      holds from [ns] on. Called automatically after window-opening
+      acks; call it once after setup, and again if the supplier gains
+      new data. *)
 
   val on_ack : t -> Ba_proto.Wire.ack -> unit
   (** Process a (possibly stale, duplicate or corrupted) block
@@ -143,7 +145,8 @@ module type S = sig
   (** [ns - na], between 0 and the band size (the window, or a lead). *)
 
   val is_done : t -> bool
-  (** Supplier exhausted and nothing outstanding. *)
+  (** Supplier exhausted, nothing outstanding and nothing left to
+      replay. *)
 
   val retransmissions : t -> int
 
@@ -175,9 +178,9 @@ module type S = sig
       down, frames are ignored and [pump] is a no-op.
 
       [restart] with [resync_epochs]: bump the epoch and run the REQ → POS
-      → FIN handshake; on POS the sender aligns [na = ns = pos], rewinds
-      the outbox there and resumes. Without it (negative control), resume
-      blind from position 0 with the old epoch. *)
+      → FIN handshake; on POS the sender aligns [na = ns = pos] and
+      resumes, replaying the outbox from there. Without it (negative
+      control), resume blind from position 0 with the old epoch. *)
 
   val crash : t -> unit
   val restart : t -> unit
@@ -253,17 +256,22 @@ end = struct
           (* A retransmitted copy may still be in flight; sending past its
              decode window would risk mis-reconstruction at the receiver. *)
           Window_guard.when_blocked g (fun () -> pump t)
-      | Some _ | None -> (
-          match Ba_proto.Source.next t.source with
-          | None -> ()
-          | Some _ ->
-              let seq = t.ns in
-              if outstanding t = Array.length t.acked_seq then grow t;
-              t.acked_seq.(slot_of t seq) <- -1;
-              t.ns <- t.ns + 1;
-              t.unacked <- t.unacked + 1;
-              transmit t seq ~fresh:true;
-              pump t)
+      | Some _ | None ->
+          (* [ns] is the one send cursor. Below the outbox's [issued] it
+             replays what a resync moved it back over; at [issued] it
+             takes the next payload, if there is one. *)
+          let seq = t.ns in
+          if
+            seq < Ba_proto.Source.issued t.source
+            || Option.is_some (Ba_proto.Source.next t.source)
+          then begin
+            if outstanding t = Array.length t.acked_seq then grow t;
+            t.acked_seq.(slot_of t seq) <- -1;
+            t.ns <- t.ns + 1;
+            t.unacked <- t.unacked + 1;
+            transmit t seq ~fresh:true;
+            pump t
+          end
     end
 
   let guard t =
@@ -274,7 +282,9 @@ end = struct
         t.guard <- Some g;
         g
 
-  let is_done t = running t && outstanding t = 0 && Ba_proto.Source.exhausted t.source
+  let is_done t =
+    running t && outstanding t = 0 && t.ns >= Ba_proto.Source.issued t.source
+    && Ba_proto.Source.exhausted t.source
 
   (* Action 2 / 2′: the policy names the message whose timer expired. An
      expired timer means no copy of it or of a covering acknowledgment
@@ -375,10 +385,9 @@ end = struct
   let unreplayable t pos =
     pos < Ba_proto.Source.base t.source || pos > Ba_proto.Source.issued t.source
 
-  (* Adopt the receiver-announced resume position: align [na]/[ns] there
-     and rewind the outbox so [pump] replays from it. *)
+  (* Adopt the receiver-announced resume position: align [na]/[ns] there,
+     so that [pump] replays the outbox from it. *)
   let resync_to t pos =
-    Ba_proto.Source.rewind t.source ~to_:pos;
     t.na <- pos;
     t.ns <- pos;
     t.unacked <- 0;
@@ -394,9 +403,9 @@ end = struct
         send_req t
       end
       else begin
-        (* Negative control: resume blind from zero, replaying the whole
-           outbox against a receiver that may be far ahead. *)
-        Ba_proto.Source.rewind t.source ~to_:0;
+        (* Negative control: resume blind from zero ([wipe_volatile]
+           left [na = ns = 0]), replaying the whole outbox against a
+           receiver that may be far ahead. *)
         pump t
       end
     end

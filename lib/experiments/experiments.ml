@@ -848,15 +848,6 @@ let c1_chaos_matrix ?(jobs = 1) ~quick () =
         Chaos.run_campaign ~messages ~config ~seeds ~classes:Chaos.channel_classes ~jobs p)
       protos
   in
-  let cell (c : Chaos.class_report) =
-    if c.Chaos.unsafe = 0 && c.Chaos.incomplete = 0 then "ok"
-    else
-      String.concat " "
-        ((if c.Chaos.unsafe > 0 then [ Printf.sprintf "unsafe:%d" c.Chaos.unsafe ] else [])
-        @
-        if c.Chaos.incomplete > 0 then [ Printf.sprintf "stuck:%d" c.Chaos.incomplete ]
-        else [])
-  in
   let rows =
     List.map
       (fun fault ->
@@ -864,7 +855,7 @@ let c1_chaos_matrix ?(jobs = 1) ~quick () =
         :: List.map
              (fun (r : Chaos.report) ->
                match List.find_opt (fun c -> c.Chaos.fault = fault) r.Chaos.classes with
-               | Some c -> cell c
+               | Some c -> Chaos.verdict c
                | None -> "-")
              reports)
       Chaos.channel_classes

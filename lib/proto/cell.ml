@@ -35,6 +35,8 @@ let validate ~who ?memory_budget specs =
   List.iter
     (fun s ->
       Proto_config.validate s.config;
+      if s.messages < 0 then invalid_arg (who ^ ": messages must be >= 0");
+      if s.payload_size < 0 then invalid_arg (who ^ ": payload_size must be >= 0");
       if s.start_at < 0 then invalid_arg (who ^ ": start_at must be >= 0");
       match s.stop_at with
       | Some d when d <= s.start_at -> invalid_arg (who ^ ": stop_at must be > start_at")

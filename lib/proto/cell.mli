@@ -71,8 +71,9 @@ val spec :
 
 val validate : who:string -> ?memory_budget:int -> spec list -> unit
 (** Raises [Invalid_argument] (prefixed [who]) on an empty list, an
-    invalid config, a negative [start_at], a [stop_at] not after its
-    [start_at], or a non-positive budget. *)
+    invalid config, a negative [messages], [payload_size] or
+    [start_at], a [stop_at] not after its [start_at], or a non-positive
+    budget. *)
 
 val flow_cost : spec -> clamp:int -> int
 (** Admission's charge for one flow: [2 · min window clamp ·

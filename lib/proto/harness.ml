@@ -7,15 +7,15 @@ let run (module P : Protocol.S) ?(seed = 42) ?(messages = 1000) ?(payload_size =
     ?(config = Proto_config.default) ?(data_loss = 0.) ?(ack_loss = 0.)
     ?(data_delay = Ba_channel.Dist.Uniform (40, 60)) ?(ack_delay = Ba_channel.Dist.Uniform (40, 60))
     ?data_bottleneck ?data_plan ?ack_plan ?(crash_plan = Crash_plan.none) ?deadline ?on_setup () =
-  Proto_config.validate config;
+  let spec = Cell.spec ~config ~messages ~payload_size (module P) in
+  Cell.validate ~who:"Harness.run" [ spec ];
   Crash_plan.validate crash_plan;
   if crash_plan <> Crash_plan.none && Option.is_none P.lifecycle then
     invalid_arg (P.name ^ ": crash-restart lifecycle not supported");
   let cell =
     Cell.create ~engine_seed:seed
       ~wseed:(fun _ -> seed)
-      ~data_loss ~ack_loss ~data_delay ~ack_delay ?data_bottleneck ?data_plan ?ack_plan
-      [ Cell.spec ~config ~messages ~payload_size (module P) ]
+      ~data_loss ~ack_loss ~data_delay ~ack_delay ?data_bottleneck ?data_plan ?ack_plan [ spec ]
   in
   Cell.schedule_crashes cell 0 crash_plan;
   Option.iter (fun g -> g cell) on_setup;

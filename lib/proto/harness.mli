@@ -38,7 +38,9 @@ val run :
 (** Defaults: [seed = 42], [messages = 1000], [payload_size = 32],
     [config = Proto_config.default], no loss, delay [Uniform (40, 60)]
     both ways, deadline scaled to the workload. The run stops early as
-    soon as the transfer completes.
+    soon as the transfer completes. The flow is checked as
+    {!Cell.validate} checks a fabric's, so a negative [messages] or
+    [payload_size] raises [Invalid_argument].
 
     [data_plan] / [ack_plan] install composable {!Ba_channel.Fault_plan}
     adversaries on the respective links (bursty loss, duplication,

@@ -7,11 +7,10 @@ type t = {
   mutable ring : string array;
   mutable base : int;
   mutable issued : int;
-  mutable cursor : int;
   mutable pending : string option;
 }
 
-let create supplier = { supplier; ring = [||]; base = 0; issued = 0; cursor = 0; pending = None }
+let create supplier = { supplier; ring = [||]; base = 0; issued = 0; pending = None }
 
 (* Room for one more position: double the capacity (from 1) and place
    [base, issued) again at its new slots. *)
@@ -25,41 +24,30 @@ let grow t =
   t.ring <- ring
 
 let next t =
-  if t.cursor < t.issued then begin
-    (* Replaying the outbox after a resync rewind. *)
-    let p = t.ring.(t.cursor mod Array.length t.ring) in
-    t.cursor <- t.cursor + 1;
-    Some p
-  end
-  else begin
-    let fresh =
-      match t.pending with
-      | Some _ as p ->
-          t.pending <- None;
-          p
-      | None -> t.supplier ()
-    in
-    (match fresh with
-    | None -> ()
-    | Some p ->
-        if t.issued - t.base = Array.length t.ring then grow t;
-        t.ring.(t.issued mod Array.length t.ring) <- p;
-        t.issued <- t.issued + 1;
-        t.cursor <- t.issued);
-    fresh
-  end
+  let fresh =
+    match t.pending with
+    | Some _ as p ->
+        t.pending <- None;
+        p
+    | None -> t.supplier ()
+  in
+  (match fresh with
+  | None -> ()
+  | Some p ->
+      if t.issued - t.base = Array.length t.ring then grow t;
+      t.ring.(t.issued mod Array.length t.ring) <- p;
+      t.issued <- t.issued + 1);
+  fresh
 
 let exhausted t =
-  if t.cursor < t.issued then false
-  else
-    match t.pending with
-    | Some _ -> false
-    | None -> (
-        match t.supplier () with
-        | None -> true
-        | Some p ->
-            t.pending <- Some p;
-            false)
+  match t.pending with
+  | Some _ -> false
+  | None -> (
+      match t.supplier () with
+      | None -> true
+      | Some p ->
+          t.pending <- Some p;
+          false)
 
 let issued t = t.issued
 let base t = t.base
@@ -75,12 +63,4 @@ let release t ~below =
   for pos = t.base to below - 1 do
     t.ring.(pos mod Array.length t.ring) <- ""
   done;
-  if below > t.base then t.base <- below;
-  if t.cursor < t.base then t.cursor <- t.base
-
-let rewind t ~to_ =
-  if to_ < t.base || to_ > t.issued then
-    invalid_arg
-      (Printf.sprintf "Source.rewind: position %d outside held range [%d,%d]" to_ t.base
-         t.issued);
-  t.cursor <- to_
+  if below > t.base then t.base <- below

@@ -691,8 +691,8 @@ let test_endpoint_footprint () =
       Printf.printf "w=%d lead=%d: receiver %d B, sender %d B\n%!" window lead receiver sender;
       if receiver > 168 then
         Alcotest.failf "w=%d: receiver keeps %d B, want <= 168" window receiver;
-      if sender > 350 then
-        Alcotest.failf "w=%d lead=%d: Sender_multi keeps %d B, want <= 350" window lead sender)
+      if sender > 322 then
+        Alcotest.failf "w=%d lead=%d: Sender_multi keeps %d B, want <= 322" window lead sender)
     [ (8, 8); (16, 16); (8, 16) ]
 
 (* In flight, a sender holds slots for what it has sent, not for its

@@ -51,6 +51,86 @@ module Ref_impl = struct
     end
   end
 
+  (* The old sender replayed through a cursor in the outbox, moved by
+     [rewind]. The outbox no longer has one (the sender's [ns] is the
+     cursor), so the reference keeps a private copy of the outbox it
+     used, and its own text. *)
+  module Ba_proto = struct
+    include Ba_proto
+
+    module Source = struct
+      (* The outbox is a ring over positions [base, issued), at [pos mod
+         capacity]. It starts empty and doubles as it fills, like the
+         senders' window columns: a two-message flow holds two slots, and a
+         sender that releases its acknowledged prefix holds about a window. *)
+      type t = {
+        supplier : unit -> string option;
+        mutable ring : string array;
+        mutable base : int;
+        mutable issued : int;
+        mutable cursor : int;
+        mutable pending : string option;
+      }
+
+      let create supplier = { supplier; ring = [||]; base = 0; issued = 0; cursor = 0; pending = None }
+
+      (* Room for one more position: double the capacity (from 1) and place
+         [base, issued) again at its new slots. *)
+      let grow t =
+        let old = Array.length t.ring in
+        let cap = max 1 (2 * old) in
+        let ring = Array.make cap "" in
+        for pos = t.base to t.issued - 1 do
+          ring.(pos mod cap) <- t.ring.(pos mod old)
+        done;
+        t.ring <- ring
+
+      let next t =
+        if t.cursor < t.issued then begin
+          (* Replaying the outbox after a resync rewind. *)
+          let p = t.ring.(t.cursor mod Array.length t.ring) in
+          t.cursor <- t.cursor + 1;
+          Some p
+        end
+        else begin
+          let fresh =
+            match t.pending with
+            | Some _ as p ->
+                t.pending <- None;
+                p
+            | None -> t.supplier ()
+          in
+          (match fresh with
+          | None -> ()
+          | Some p ->
+              if t.issued - t.base = Array.length t.ring then grow t;
+              t.ring.(t.issued mod Array.length t.ring) <- p;
+              t.issued <- t.issued + 1;
+              t.cursor <- t.issued);
+          fresh
+        end
+
+      let exhausted t =
+        if t.cursor < t.issued then false
+        else
+          match t.pending with
+          | Some _ -> false
+          | None -> (
+              match t.supplier () with
+              | None -> true
+              | Some p ->
+                  t.pending <- Some p;
+                  false)
+
+      let rewind t ~to_ =
+        if to_ < t.base || to_ > t.issued then
+          invalid_arg
+            (Printf.sprintf "Source.rewind: position %d outside held range [%d,%d]" to_ t.base
+               t.issued);
+        t.cursor <- to_
+    end
+  end
+
   module Config = Blockack.Config
   module Seqcodec = Blockack.Seqcodec
   module Rtt_estimator = Blockack.Rtt_estimator
@@ -874,7 +954,13 @@ let prop_equivalent s =
       ~ack_delay:(Dist.Uniform (40, 60))
       ~data_plan:plan ~ack_plan:plan ()
   in
-  go ref_multi = go Blockack.Protocols.multi
+  let fresh = go Blockack.Protocols.multi in
+  let old = go ref_multi in
+  old = fresh
+  || QCheck.Test.fail_reportf
+       "@[<v>seed %d, plan %a both ways; 60 messages, rto 300, delay Uniform (40, 60) each way@,\
+        old: %a@,new: %a@]"
+       s.seed Fault_plan.pp plan Harness.pp_result old Harness.pp_result fresh
 
 let equivalence_property =
   QCheck.Test.make ~count:30 ~name:"random fault plans: old and new data paths indistinguishable"

@@ -60,37 +60,45 @@ let test_source_replenished () =
   check Alcotest.bool "sees new data" false (Ba_proto.Source.exhausted s);
   check (Alcotest.option Alcotest.string) "delivers it" (Some "later") (Ba_proto.Source.next s)
 
-(* The outbox starts empty and doubles: replays from 0 must cross the
-   growth boundaries (... 4 -> 8 -> 16) unchanged. *)
-let test_source_rewind_across_growth () =
+(* A crashed sender replays its outbox from the position the receiver's
+   POS names, and [ns] is its only send cursor. Twelve payloads grow the
+   outbox from 1 to 16 slots, so a replay from 0 crosses every growth
+   boundary; a second one starts mid-outbox, and fresh payloads follow
+   it. *)
+let test_sender_replay_across_growth () =
+  let module S = Blockack.Sender_multi in
+  let engine = Engine.create () in
   let next = ref 0 in
   let supplier () =
-    if !next >= 12 then None
+    if !next >= 14 then None
     else begin
       incr next;
       Some (Printf.sprintf "p%d" (!next - 1))
     end
   in
-  let s = Ba_proto.Source.create supplier in
-  let take n = List.init n (fun _ -> Ba_proto.Source.next s) in
-  let first = take 5 in
-  Ba_proto.Source.rewind s ~to_:0;
-  check
-    (Alcotest.list (Alcotest.option Alcotest.string))
-    "replay across one growth" first (take 5);
-  let rest = take 7 in
-  check Alcotest.int "issued" 12 (Ba_proto.Source.issued s);
-  Ba_proto.Source.rewind s ~to_:0;
-  check
-    (Alcotest.list (Alcotest.option Alcotest.string))
-    "replay across two growths" (first @ rest) (take 12);
-  check (Alcotest.option Alcotest.string) "then exhausted" None (Ba_proto.Source.next s);
-  Ba_proto.Source.rewind s ~to_:9;
-  check (Alcotest.option Alcotest.string) "mid replay" (Some "p9") (Ba_proto.Source.next s)
+  let sent = ref [] in
+  let tx d = if d.Wire.dkind = Wire.Msg then sent := (d.Wire.seq, d.Wire.payload) :: !sent in
+  let s = S.create engine (Config.make ~window:12 ~rto:100 ()) ~tx ~next_payload:supplier in
+  let sends f =
+    sent := [];
+    f ();
+    List.rev !sent
+  in
+  let ps a b = List.init (b - a) (fun i -> (a + i, Printf.sprintf "p%d" (a + i))) in
+  let resync_at pos () =
+    S.crash s;
+    S.restart s;
+    S.on_ack s (Wire.make_sync_pos ~epoch:(S.epoch s) ~pos)
+  in
+  let sent_list = Alcotest.(list (pair int string)) in
+  check sent_list "first window" (ps 0 12) (sends (fun () -> S.pump s));
+  check sent_list "replay across every growth" (ps 0 12) (sends (resync_at 0));
+  check sent_list "mid replay, then fresh" (ps 9 14) (sends (resync_at 9));
+  check Alcotest.(pair int int) "na, ns" (9, 14) (S.na s, S.ns s)
 
 (* Releasing a prefix moves the base: the released positions can no
-   longer be replayed or read, the rest keep their positions, and so do
-   they across the growth that later issues force. *)
+   longer be read, the rest keep their positions, and so do they across
+   the growth that later issues force. *)
 let test_source_release () =
   let next = ref 0 in
   let supplier () =
@@ -108,9 +116,6 @@ let test_source_release () =
   S.release s ~below:4;
   check Alcotest.int "base" 4 (S.base s);
   check Alcotest.int "issued" 6 (S.issued s);
-  Alcotest.check_raises "rewind below base"
-    (Invalid_argument "Source.rewind: position 3 outside held range [4,6]") (fun () ->
-      S.rewind s ~to_:3);
   Alcotest.check_raises "get below base"
     (Invalid_argument "Source.get: position 3 outside held range [4,6)") (fun () ->
       ignore (S.get s 3));
@@ -119,13 +124,9 @@ let test_source_release () =
   (* Fourteen more issues hold sixteen positions, [4, 20): the ring
      outgrows its eight slots and places them anew. *)
   check (Alcotest.list (Alcotest.option Alcotest.string)) "fresh after release" (ps 6 20) (take 14);
-  S.rewind s ~to_:4;
-  check (Alcotest.list (Alcotest.option Alcotest.string)) "replay after regrow" (ps 4 20) (take 16);
+  check (Alcotest.list (Alcotest.option Alcotest.string)) "held after regrow" (ps 4 20)
+    (List.init 16 (fun i -> Some (S.get s (4 + i))));
   check Alcotest.string "read in place" "p11" (S.get s 11);
-  S.rewind s ~to_:10;
-  S.release s ~below:12;
-  check (Alcotest.option Alcotest.string) "released positions are never replayed" (Some "p12")
-    (S.next s);
   S.release s ~below:100;
   check Alcotest.int "release clamps to issued" 20 (S.base s);
   check (Alcotest.option Alcotest.string) "then exhausted" None (S.next s)
@@ -728,9 +729,15 @@ let prop_duplex_always_correct =
         if i mod 2 = 0 then Blockack.Duplex.send (Blockack.Duplex.b d) (Printf.sprintf "b%d" i)
       done;
       Blockack.Duplex.run ~until:10_000_000 d;
-      Blockack.Duplex.idle d
-      && List.rev !got_b = List.init n (fun i -> Printf.sprintf "a%d" (i + 1))
-      && List.rev !got_a = List.init (n / 2) (fun i -> Printf.sprintf "b%d" (2 * (i + 1))))
+      let got_a = List.rev !got_a and got_b = List.rev !got_b in
+      (Blockack.Duplex.idle d
+      && got_b = List.init n (fun i -> Printf.sprintf "a%d" (i + 1))
+      && got_a = List.init (n / 2) (fun i -> Printf.sprintf "b%d" (2 * (i + 1))))
+      || QCheck.Test.fail_reportf
+           "seed %d, %d%% loss each way, %d messages a->b and %d b->a: idle %b\n\
+            b received %d: %s\na received %d: %s"
+           seed loss_pct n (n / 2) (Blockack.Duplex.idle d) (List.length got_b)
+           (String.concat " " got_b) (List.length got_a) (String.concat " " got_a))
 
 let prop_engine_fires_in_time_order =
   QCheck.Test.make ~name:"engine fires any schedule in nondecreasing time order" ~count:200
@@ -813,7 +820,7 @@ let () =
           Alcotest.test_case "passthrough" `Quick test_source_passthrough;
           Alcotest.test_case "exhausted does not lose" `Quick test_source_exhausted_does_not_lose;
           Alcotest.test_case "replenished" `Quick test_source_replenished;
-          Alcotest.test_case "rewind across growth" `Quick test_source_rewind_across_growth;
+          Alcotest.test_case "sender replays across growth" `Quick test_sender_replay_across_growth;
           Alcotest.test_case "release slides the base" `Quick test_source_release;
         ] );
       ( "rtt_estimator",

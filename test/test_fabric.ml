@@ -76,6 +76,29 @@ let test_fabric_rejects_empty () =
     (Invalid_argument "Fabric.run: at least one flow required") (fun () ->
       ignore (Fabric.run []))
 
+(* A negative [messages] or [payload_size] is a parameter error in each
+   runner, named in its message, before it can reach admission's cost
+   or a flow's arrays. *)
+let test_negative_workload_rejected () =
+  let p = (entry "blockack").Registry.protocol in
+  let ok = Fabric.spec ~messages:5 p in
+  List.iter
+    (fun (field, bad, harness) ->
+      let rejects who run =
+        Alcotest.check_raises (who ^ " " ^ field)
+          (Invalid_argument (Printf.sprintf "%s: %s must be >= 0" who field))
+          run
+      in
+      rejects "Harness.run" (fun () -> ignore (harness ()));
+      rejects "Fabric.run" (fun () -> ignore (Fabric.run ~memory_budget:1_000 [ ok; bad; ok ]));
+      rejects "Shard.run" (fun () -> ignore (Ba_proto.Shard.run ~jobs:1 [ bad ])))
+    [
+      ("messages", Fabric.spec ~messages:(-3) p, fun () -> Harness.run p ~messages:(-3) ());
+      ( "payload_size",
+        Fabric.spec ~payload_size:(-100) p,
+        fun () -> Harness.run p ~payload_size:(-100) () );
+    ]
+
 let test_jain () =
   let feq = Alcotest.float 1e-9 in
   check feq "even split" 1.0 (Fabric.jain [ 3.; 3.; 3.; 3. ]);
@@ -510,6 +533,8 @@ let () =
           Alcotest.test_case "per-flow accounting over a shared link" `Quick
             test_fabric_flow_accounting;
           Alcotest.test_case "empty spec list rejected" `Quick test_fabric_rejects_empty;
+          Alcotest.test_case "negative workload rejected by every runner" `Quick
+            test_negative_workload_rejected;
           Alcotest.test_case "Jain's fairness index" `Quick test_jain;
           test_harness_is_one_flow_fabric;
           Alcotest.test_case "pinned capability digest" `Quick test_capability_digest;
