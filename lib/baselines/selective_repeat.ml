@@ -23,7 +23,7 @@ let create_receiver _engine config ~tx ~deliver =
     config;
     tx;
     deliver;
-    buffer = Ba_util.Ring_buffer.create config.Config.window;
+    buffer = Ba_util.Ring_buffer.create ~limit:config.Config.window "";
     nr = 0;
   }
 
@@ -41,14 +41,13 @@ let receiver_on_data r d =
   let wire = Blockack.Seqcodec.encode codec v in
   if v < r.nr then r.tx (Wire.make_ack ~lo:wire ~hi:wire)
   else if v < r.nr + window then begin
-    if not (Ba_util.Ring_buffer.mem r.buffer v) then Ba_util.Ring_buffer.set r.buffer v payload;
+    if not (Ba_util.Ring_buffer.mem r.buffer v) then
+      Ba_util.Ring_buffer.set r.buffer ~lo:r.nr v payload;
     r.tx (Wire.make_ack ~lo:wire ~hi:wire);
     while Ba_util.Ring_buffer.mem r.buffer r.nr do
-      (match Ba_util.Ring_buffer.get r.buffer r.nr with
-      | Some p ->
-          Ba_util.Ring_buffer.remove r.buffer r.nr;
-          r.deliver p
-      | None -> ());
+      let p = Ba_util.Ring_buffer.find r.buffer r.nr in
+      Ba_util.Ring_buffer.remove r.buffer r.nr;
+      r.deliver p;
       r.nr <- r.nr + 1
     done
   end

@@ -111,7 +111,7 @@ let create_sender engine config ~tx ~next_payload =
     engine;
     tx;
     source;
-    acked = Ba_util.Ring_buffer.create config.Config.window;
+    acked = Ba_util.Ring_buffer.create ~limit:config.Config.window ();
     timers = Array.make config.Config.window None;
     timer_seq = Array.make config.Config.window (-1);
     slot_free_at = Array.make (max 1 (slot_count config)) 0;
@@ -132,7 +132,7 @@ let sender_on_ack s ({ Wire.lo; hi = _; _ } as a) =
   if Wire.ack_ok a && Blockack.Seqcodec.is_wire codec lo then begin
     let seq = Blockack.Seqcodec.decode_ack codec ~na:(na s) lo in
     if seq >= na s && seq < ns s then begin
-      Ba_util.Ring_buffer.set s.acked seq ();
+      Ba_util.Ring_buffer.set s.acked ~lo:(na s) seq ();
       stop_timer s seq
     end;
     while Ba_util.Ring_buffer.mem s.acked (na s) do

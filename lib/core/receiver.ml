@@ -1,26 +1,23 @@
-(* The out-of-order reassembly buffer is a flat pair of arrays indexed
-   by [seq mod capacity]: [buf_seq.(i)] holds the sequence number
-   occupying slot [i] (-1 when empty) and [buf_payload.(i)] its payload.
-   They are sized to what arrives, not to the window: empty until a
-   frame is first buffered, doubled (the last step clamped to the
-   window) when an accepted [v] has [v - nr >= capacity]. Buffered
-   numbers therefore live in [nr, nr + capacity), which are distinct mod
-   capacity, so a slot is unambiguous; a grow places them again. An
-   in-order stream takes the fast path in [on_data] and never buffers.
-   The sequence-number codec is the config's wire modulus ({!Seqcodec}),
-   read from [config] at each use rather than kept in a field. *)
+(* The out-of-order reassembly buffer is one {!Ba_util.Ring_buffer},
+   keyed by sequence number with the window as its limit. It is built
+   when a frame is first buffered and sized to what arrives, not to the
+   window: buffered numbers live in [nr, nr + capacity), so every
+   [set] passes [nr] as the window's low edge. An in-order stream takes
+   the fast path in [on_data] and never buffers. The sequence-number
+   codec is the config's wire modulus ({!Seqcodec}), read from [config]
+   at each use rather than kept in a field. *)
+
+module Ring_buffer = Ba_util.Ring_buffer
 
 type t = {
   engine : Ba_sim.Engine.t;
   config : Config.t;
   tx : Ba_proto.Wire.ack -> unit;
   deliver : string -> unit;
-  mutable buf_payload : string array;
-  mutable buf_seq : int array;
-  mutable buf_occ : int;
-  (* Engine slots built on first use (see [ack_slot] and [sync_slot]
-     below): a flow that never coalesces and never restarts never needs
-     them. *)
+  (* Built on first use (see [buffer], [ack_slot] and [sync_slot]
+     below): a flow that never buffers, never coalesces and never
+     restarts never needs them. *)
+  mutable buf : string Ring_buffer.t option;
   mutable ack_slot : Ba_sim.Engine.slot option;
   mutable sync_slot : Ba_sim.Engine.slot option;  (* POS retry while awaiting the sender's FIN *)
   mutable nr : int;
@@ -34,49 +31,19 @@ type t = {
   mutable pressure_evicted : int;  (* buffered frames evicted by Drop_furthest *)
 }
 
-let capacity t = Array.length t.buf_seq
 let codec t = t.config.Config.wire_modulus
 
-(* [v >= nr]; a number at or beyond [nr + capacity] is never buffered. *)
-let buf_mem t v = v - t.nr < capacity t && t.buf_seq.(v mod capacity t) = v
+let buffer t =
+  match t.buf with
+  | Some b -> b
+  | None ->
+      let b = Ring_buffer.create ~limit:t.config.Config.window "" in
+      t.buf <- Some b;
+      b
 
-let grow t v =
-  let old = capacity t in
-  let cap = ref (max 1 (2 * old)) in
-  while !cap <= v - t.nr do
-    cap := 2 * !cap
-  done;
-  let cap = min t.config.Config.window !cap in
-  let buf_payload = Array.make cap "" and buf_seq = Array.make cap (-1) in
-  for i = 0 to old - 1 do
-    let s = t.buf_seq.(i) in
-    if s >= 0 then begin
-      buf_seq.(s mod cap) <- s;
-      buf_payload.(s mod cap) <- t.buf_payload.(i)
-    end
-  done;
-  t.buf_payload <- buf_payload;
-  t.buf_seq <- buf_seq
-
-let buf_set t v payload =
-  if v - t.nr >= capacity t then grow t v;
-  let i = v mod capacity t in
-  if t.buf_seq.(i) < 0 then t.buf_occ <- t.buf_occ + 1;
-  t.buf_seq.(i) <- v;
-  t.buf_payload.(i) <- payload
-
-let buf_remove t v =
-  let i = v mod capacity t in
-  if t.buf_seq.(i) = v then begin
-    t.buf_seq.(i) <- -1;
-    t.buf_payload.(i) <- "";
-    t.buf_occ <- t.buf_occ - 1
-  end
-
-let buf_clear t =
-  Array.fill t.buf_seq 0 (Array.length t.buf_seq) (-1);
-  Array.fill t.buf_payload 0 (Array.length t.buf_payload) "";
-  t.buf_occ <- 0
+let nr t = t.nr
+let buffered t = match t.buf with Some b -> Ring_buffer.occupancy b | None -> 0
+let capacity t = match t.buf with Some b -> Ring_buffer.capacity b | None -> 0
 
 let send_ack t ~lo ~hi =
   t.tx
@@ -111,13 +78,15 @@ let flush t =
   cancel t t.ack_slot;
   if t.nr < t.vr then begin
     send_ack t ~lo:t.nr ~hi:(t.vr - 1);
+    (* A run that reached past [nr] was buffered, so [buf] is built. *)
+    let b = buffer t in
     while t.nr < t.vr do
-      let i = t.nr mod capacity t in
-      if t.buf_seq.(i) <> t.nr then invalid_arg "Receiver.flush: hole in accepted run";
-      let payload = t.buf_payload.(i) in
-      t.buf_seq.(i) <- -1;
-      t.buf_payload.(i) <- "";
-      t.buf_occ <- t.buf_occ - 1;
+      let payload =
+        match Ring_buffer.find b t.nr with
+        | p -> p
+        | exception Not_found -> invalid_arg "Receiver.flush: hole in accepted run"
+      in
+      Ring_buffer.remove b t.nr;
       t.deliver payload;
       t.nr <- t.nr + 1
     done
@@ -141,9 +110,7 @@ let create engine config ~tx ~deliver =
     config;
     tx;
     deliver;
-    buf_payload = [||];
-    buf_seq = [||];
-    buf_occ = 0;
+    buf = None;
     ack_slot = None;
     sync_slot = None;
     nr = 0;
@@ -164,7 +131,7 @@ let create engine config ~tx ~deliver =
 let adopt_epoch t e =
   t.epoch <- e;
   t.vr <- t.nr;
-  buf_clear t;
+  Option.iter Ring_buffer.clear t.buf;
   cancel t t.ack_slot
 
 let stop_syncing t =
@@ -181,26 +148,25 @@ let stop_syncing t =
    evicted frame was never acknowledged, so the sender's per-message
    timer retransmits it: a pressure drop is behaviorally a channel
    loss, and the block-ack ranges stay sound. *)
-let admit t v payload =
+let admit t b v payload =
   let over_budget =
     match t.config.Config.rx_budget with
     | None -> false
-    | Some b -> v > t.vr && t.buf_occ - (t.vr - t.nr) >= b
+    | Some budget -> v > t.vr && Ring_buffer.occupancy b - (t.vr - t.nr) >= budget
   in
-  if not over_budget then buf_set t v payload
+  if not over_budget then Ring_buffer.set b ~lo:t.nr v payload
   else
     match t.config.Config.drop_policy with
     | Config.Drop_new -> t.pressure_dropped <- t.pressure_dropped + 1
     | Config.Drop_furthest ->
-        let furthest = ref (-1) in
-        for i = 0 to Array.length t.buf_seq - 1 do
-          let s = t.buf_seq.(i) in
-          if s > t.vr && s > !furthest then furthest := s
-        done;
-        if !furthest > v then begin
-          buf_remove t !furthest;
+        (* The highest buffered number. Evicting needs one above [v],
+           and [v > vr], so a highest number at or below [vr] drops [v]
+           just as no candidate would. *)
+        let furthest = Ring_buffer.fold (fun s _ m -> if s > m then s else m) b (-1) in
+        if furthest > v then begin
+          Ring_buffer.remove b furthest;
           t.pressure_evicted <- t.pressure_evicted + 1;
-          buf_set t v payload
+          Ring_buffer.set b ~lo:t.nr v payload
         end
         else t.pressure_dropped <- t.pressure_dropped + 1
 
@@ -246,7 +212,7 @@ let on_data t d =
                ack/delivery sequence. *)
             v = t.vr && v = t.nr
             && t.config.Config.ack_coalesce = 0
-            && not (buf_mem t (v + 1))
+            && (match t.buf with Some b -> not (Ring_buffer.mem b (v + 1)) | None -> true)
           then begin
             send_ack t ~lo:v ~hi:v;
             t.deliver payload;
@@ -254,8 +220,11 @@ let on_data t d =
             t.vr <- t.nr
           end
           else if v < t.nr + t.config.Config.window then begin
-            if not (buf_mem t v) then admit t v payload;
-            while buf_mem t t.vr do
+            (* Every frame that gets here is buffered, unless it already
+               is or the budget refuses it, which needs a full buffer. *)
+            let b = buffer t in
+            if not (Ring_buffer.mem b v) then admit t b v payload;
+            while Ring_buffer.mem b t.vr do
               t.vr <- t.vr + 1
             done;
             if t.nr < t.vr then begin
@@ -282,7 +251,7 @@ let crash t =
     t.syncing <- false;
     cancel t t.ack_slot;
     cancel t t.sync_slot;
-    buf_clear t;
+    Option.iter Ring_buffer.clear t.buf;
     t.vr <- t.nr
   end
 
@@ -315,7 +284,7 @@ let restore t ~epoch ~pos =
     invalid_arg "Receiver.restore: requires resync_epochs";
   if epoch < 1 then invalid_arg "Receiver.restore: epoch must be >= 1";
   if pos < 0 then invalid_arg "Receiver.restore: negative position";
-  if (not t.alive) || t.nr <> 0 || t.vr <> 0 || t.buf_occ <> 0 || t.epoch <> 0 then
+  if (not t.alive) || t.nr <> 0 || t.vr <> 0 || buffered t <> 0 || t.epoch <> 0 then
     invalid_arg "Receiver.restore: receiver already has state";
   t.epoch <- epoch;
   t.nr <- pos;
@@ -323,15 +292,10 @@ let restore t ~epoch ~pos =
   t.syncing <- true;
   send_pos t
 
-let nr t = t.nr
-let buffered t = t.buf_occ
-
 let buffered_bytes t =
-  let n = ref 0 in
-  for i = 0 to Array.length t.buf_seq - 1 do
-    if t.buf_seq.(i) >= 0 then n := !n + String.length t.buf_payload.(i)
-  done;
-  !n
+  match t.buf with
+  | Some b -> Ring_buffer.fold (fun _ p n -> n + String.length p) b 0
+  | None -> 0
 
 let pressure_dropped t = t.pressure_dropped
 let pressure_evicted t = t.pressure_evicted

@@ -8,13 +8,14 @@
    with a wider flight band: up to [window] messages unacknowledged, but
    [ns] may run up to [lead >= window] past [na].
 
-   Window bookkeeping lives in flat arrays sized to the flight, not to
-   the band ([band = lead], by default [window]): they start empty and
-   double, the last step clamped to the band, just before [ns - na]
-   would exceed their capacity. They are indexed by [seq mod capacity]
-   and valid exactly for the outstanding range [na, ns), whose members
-   are distinct mod capacity; a grow places them again at their new
-   slots. At full capacity this is [seq mod band]. *)
+   Window bookkeeping lives in dense {!Ba_util.Ring_buffer} columns
+   sized to the flight, not to the band ([band = lead], by default
+   [window]): they start empty and grow by the store's capacity rule,
+   the last step clamped to the band, just before [ns - na] would
+   exceed their capacity. They are indexed by [seq mod capacity] and
+   valid exactly for the outstanding range [na, ns), whose members are
+   distinct mod capacity; a grow places them again at their new slots.
+   At full capacity this is [seq mod band]. *)
 
 (* The sender's state. It sits outside {!Make} so that a {!TIMERS}
    policy's hooks can take the sender itself: the policy keeps only what
@@ -223,17 +224,15 @@ end = struct
     let w = match t.wclamp with Some c -> min w c | None -> w in
     P.window t w
 
-  (* Make room for one more outstanding message: double the capacity
-     (from 1, the last step clamped to the band) and place [na, ns)
-     again. Admission keeps [ns - na] below the band, so one step does. *)
+  (* Make room for one more outstanding message: the next capacity
+     (the last step clamped to the band), with [na, ns) placed again.
+     Admission keeps [ns - na] below the band, so one step does. *)
   let grow t =
-    let old = Array.length t.acked_seq in
-    let cap = min t.band (max 1 (2 * old)) in
-    let acked_seq = Array.make cap (-1) in
-    for seq = t.na to t.ns - 1 do
-      acked_seq.(seq mod cap) <- t.acked_seq.(seq mod old)
-    done;
-    t.acked_seq <- acked_seq;
+    let cap =
+      Ba_util.Ring_buffer.next_capacity (Array.length t.acked_seq) ~need:(outstanding t)
+        ~limit:t.band
+    in
+    t.acked_seq <- Ba_util.Ring_buffer.place t.acked_seq ~cap ~fill:(-1) ~lo:t.na ~hi:t.ns;
     P.grow t.timers ~slots:cap ~na:t.na ~ns:t.ns
 
   let transmit t seq ~fresh =
@@ -255,7 +254,7 @@ end = struct
       | Some g when t.ns >= Window_guard.frontier g ->
           (* A retransmitted copy may still be in flight; sending past its
              decode window would risk mis-reconstruction at the receiver. *)
-          Window_guard.when_blocked g (fun () -> pump t)
+          Window_guard.when_blocked g
       | Some _ | None ->
           (* [ns] is the one send cursor. Below the outbox's [issued] it
              replays what a resync moved it back over; at [issued] it
@@ -278,7 +277,7 @@ end = struct
     match t.guard with
     | Some g -> g
     | None ->
-        let g = Window_guard.create t.engine in
+        let g = Window_guard.create t.engine ~retry:(fun () -> pump t) in
         t.guard <- Some g;
         g
 

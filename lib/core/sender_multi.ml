@@ -139,14 +139,7 @@ module Timers = struct
 
   (* Keys move with their messages; [armed] follows its key. *)
   let grow t ~slots ~na ~ns =
-    let old = Array.length t.deadline in
-    let place a fill =
-      let b = Array.make slots fill in
-      for seq = na to ns - 1 do
-        b.(seq mod slots) <- a.(seq mod old)
-      done;
-      b
-    in
+    let place a fill = Ba_util.Ring_buffer.place a ~cap:slots ~fill ~lo:na ~hi:ns in
     if t.armed >= 0 then t.armed <- due t t.armed ~na mod slots;
     t.deadline <- place t.deadline max_int;
     t.stamp <- place t.stamp 0;

@@ -9,23 +9,23 @@
 
 type t = {
   engine : Ba_sim.Engine.t;
+  retry : Ba_sim.Engine.slot;  (* the owner's retry, armed at the earliest expiry *)
   mutable caps : int array;
   mutable expiries : int array;
   mutable len : int;
-  mutable retry_armed : bool;
 }
 
 (* A sender builds its guard on its first held retransmission, so the
    arrays are sized for use from the start. *)
 let initial_cap = 8
 
-let create engine =
+let create engine ~retry =
   {
     engine;
+    retry = Ba_sim.Engine.slot_create engine retry;
     caps = Array.make initial_cap 0;
     expiries = Array.make initial_cap 0;
     len = 0;
-    retry_armed = false;
   }
 
 (* Crash–restart support: holds protect in-flight copies of the dead
@@ -71,12 +71,10 @@ let frontier t =
   prune t;
   min_over t.caps t.len 0 max_int
 
-let when_blocked t retry =
+(* The slot is disarmed before its callback runs, so a retry that finds
+   the frontier still held arms it again. *)
+let when_blocked t =
   prune t;
-  if t.len > 0 && not t.retry_armed then begin
-    let earliest = min_over t.expiries t.len 0 max_int in
-    t.retry_armed <- true;
-    Ba_sim.Engine.schedule_at t.engine ~at:earliest (fun () ->
-        t.retry_armed <- false;
-        retry ())
-  end
+  if t.len > 0 && not (Ba_sim.Engine.slot_armed t.engine t.retry) then
+    Ba_sim.Engine.slot_arm t.engine t.retry
+      ~delay:(min_over t.expiries t.len 0 max_int - Ba_sim.Engine.now t.engine)

@@ -20,7 +20,10 @@
 
 type t
 
-val create : Ba_sim.Engine.t -> t
+val create : Ba_sim.Engine.t -> retry:(unit -> unit) -> t
+(** [create engine ~retry] makes a guard with no hold. [retry] is the
+    callback {!when_blocked} schedules, registered once here in an
+    engine slot. *)
 
 val note_retransmission : t -> seq:int -> window:int -> hold_for:int -> unit
 (** Record that [seq] was retransmitted now: cap the frontier at
@@ -34,7 +37,8 @@ val clear : t -> unit
 (** Drop all active holds (crash–restart wipes the volatile sender; the
     stale copies the holds were guarding are rejected by epoch instead). *)
 
-val when_blocked : t -> (unit -> unit) -> unit
-(** [when_blocked t retry] arranges for [retry ()] to run when the
-    earliest active hold expires (no-op when unrestricted). At most one
-    retry is pending at a time. *)
+val when_blocked : t -> unit
+(** Arrange for the guard's [retry ()] to run when the earliest active
+    hold expires (no-op when unrestricted). At most one retry is pending
+    at a time; arming it takes a fresh insertion stamp, as a newly
+    scheduled event would. *)

@@ -710,7 +710,7 @@ let a2_dynamic_window ?(jobs = 1) ~quick () =
     rows;
     notes =
       [
-        "With load-dependent loss, a fixed window beyond the bandwidth-delay product (~11 messages here) overflows the queue; retransmissions add load and the largest fixed windows collapse. The AIMD window (+1/RTT, halve on timeout) finds the operating point by itself — the paper's 'variable size windows' remark, quantified. Unbounded wire numbers (queueing extends message lifetime beyond what a mod-2w timeout bound can promise).";
+        "With load-dependent loss, a fixed window beyond the bandwidth-delay product (~11 messages here) overflows the queue and retransmits. The w=32 row is a permanent livelock, not a congestion collapse: the frame the receiver needs next is retransmitted just behind a phase-locked burst of the frames held after it and is tail-dropped every round, while the link stays busy with copies the receiver already holds. The AIMD window (+1/RTT, halve on timeout) finds the operating point by itself — the paper's 'variable size windows' remark, quantified. Unbounded wire numbers (queueing extends message lifetime beyond what a mod-2w timeout bound can promise).";
       ];
   }
 
@@ -813,7 +813,8 @@ let a3_fairness ?(jobs = 1) ~quick () =
       [
         "Fairness view of A2: with AIMD both flows back off and converge to an even \
          split of the bottleneck; fixed windows beyond half the bandwidth-delay product \
-         fight over the queue, and the combined load degrades both.";
+         fight over the queue. At w=32 the full-size run stops delivering for good, a \
+         livelock like A2's w=32 row rather than a collapse.";
       ];
   }
 

@@ -169,45 +169,6 @@ module Server = struct
   let shim_stats t = Shim.stats t.shim
 end
 
-(* The pull times of the messages the sender has not had acknowledged,
-   at [index mod capacity]. The ring starts empty and doubles just
-   before a pull would land on an entry at or above the acknowledged
-   prefix, so it holds about a window; an entry below the prefix is
-   delivered, its latency sample taken, and free to overwrite. *)
-module Pull_log = struct
-  type t = { mutable index : int array; mutable wall : float array }
-
-  let create () = { index = [||]; wall = [||] }
-
-  (* Record that [i] was pulled at [wall]. Pulls come in index order, so
-     the entries still needed are [acked, i): one slot each, plus [i]'s. *)
-  let add t ~acked i wall =
-    let old = Array.length t.index in
-    if i - acked >= old then begin
-      let cap = ref (max 1 (2 * old)) in
-      while !cap <= i - acked do
-        cap := 2 * !cap
-      done;
-      let index = Array.make !cap (-1) and walls = Array.make !cap (-1.) in
-      for k = 0 to old - 1 do
-        let j = t.index.(k) in
-        if j >= acked then begin
-          index.(j mod !cap) <- j;
-          walls.(j mod !cap) <- t.wall.(k)
-        end
-      done;
-      t.index <- index;
-      t.wall <- walls
-    end;
-    let k = i mod Array.length t.index in
-    t.index.(k) <- i;
-    t.wall.(k) <- wall
-
-  let find t i =
-    let cap = Array.length t.index in
-    if i >= 0 && cap > 0 && t.index.(i mod cap) = i then t.wall.(i mod cap) else -1.
-end
-
 module Client = struct
   type tx = Tx : (module Ba_proto.Protocol.S with type sender = 's) * 's -> tx
 
@@ -218,7 +179,10 @@ module Client = struct
     dog : Ba_proto.Watchdog.t;
     dog_slot : Ba_sim.Engine.slot;
     shim : Shim.t;
-    pulls : Pull_log.t;
+    pulls : float Ba_util.Ring_buffer.t;
+        (* pull time by index, for the indices the sender has not had
+           acknowledged: a pull's slot is free once its index is below
+           the acknowledged prefix, the store's [lo] *)
     tx : tx;
     mutable buf : Bytes.t;  (* one encoded data frame; a larger payload grows it *)
     mutable pulled : int;
@@ -237,7 +201,7 @@ module Client = struct
         let i = Ba_proto.Workload.index p in
         if i >= 0 && i < t.messages then
           (* Everything pulled but not outstanding is acknowledged. *)
-          Pull_log.add t.pulls ~acked:(t.pulled - outstanding t) i (Unix.gettimeofday ());
+          Ba_util.Ring_buffer.set t.pulls ~lo:(t.pulled - outstanding t) i (Unix.gettimeofday ());
         t.pulled <- t.pulled + 1;
         fresh
 
@@ -308,7 +272,7 @@ module Client = struct
            dog = Ba_proto.Watchdog.create watchdog;
            dog_slot = Ba_sim.Engine.slot_create engine (fun () -> check (self ()));
            shim;
-           pulls = Pull_log.create ();
+           pulls = Ba_util.Ring_buffer.create ~limit:max_int (-1.);
            tx = Tx ((module P), s);
            buf = Bytes.create (Codec.data_header_len + payload_size);
            pulled = 0;
@@ -330,7 +294,8 @@ module Client = struct
   let pump t = match t.tx with Tx ((module P), s) -> P.sender_pump s
   let finished t = match t.tx with Tx ((module P), s) -> P.sender_done s
   let pulled t = t.pulled
-  let pull_wall t i = Pull_log.find t.pulls i
+  let pull_wall t i =
+    if Ba_util.Ring_buffer.mem t.pulls i then Ba_util.Ring_buffer.find t.pulls i else -1.
   let data_frames t = t.data_frames
   let retransmissions t = match t.tx with Tx ((module P), s) -> P.sender_retransmissions s
   let resync_rounds t = t.handshakes

@@ -1,7 +1,8 @@
-(* The outbox is a ring over positions [base, issued), at [pos mod
-   capacity]. It starts empty and doubles as it fills, like the
-   senders' window columns: a two-message flow holds two slots, and a
-   sender that releases its acknowledged prefix holds about a window. *)
+(* The outbox is a dense {!Ba_util.Ring_buffer} column over positions
+   [base, issued), at [pos mod capacity]. It starts empty and doubles as
+   it fills, like the senders' window columns: a two-message flow holds
+   two slots, and a sender that releases its acknowledged prefix holds
+   about a window. *)
 type t = {
   supplier : unit -> string option;
   mutable ring : string array;
@@ -11,17 +12,6 @@ type t = {
 }
 
 let create supplier = { supplier; ring = [||]; base = 0; issued = 0; pending = None }
-
-(* Room for one more position: double the capacity (from 1) and place
-   [base, issued) again at its new slots. *)
-let grow t =
-  let old = Array.length t.ring in
-  let cap = max 1 (2 * old) in
-  let ring = Array.make cap "" in
-  for pos = t.base to t.issued - 1 do
-    ring.(pos mod cap) <- t.ring.(pos mod old)
-  done;
-  t.ring <- ring
 
 let next t =
   let fresh =
@@ -34,7 +24,13 @@ let next t =
   (match fresh with
   | None -> ()
   | Some p ->
-      if t.issued - t.base = Array.length t.ring then grow t;
+      if t.issued - t.base = Array.length t.ring then begin
+        let cap =
+          Ba_util.Ring_buffer.next_capacity (Array.length t.ring) ~need:(t.issued - t.base)
+            ~limit:max_int
+        in
+        t.ring <- Ba_util.Ring_buffer.place t.ring ~cap ~fill:"" ~lo:t.base ~hi:t.issued
+      end;
       t.ring.(t.issued mod Array.length t.ring) <- p;
       t.issued <- t.issued + 1);
   fresh

@@ -1203,12 +1203,12 @@ let test_rtt_reset_restores_initial () =
 
 let test_guard_unrestricted_initially () =
   let e = Engine.create () in
-  let g = Blockack.Window_guard.create e in
+  let g = Blockack.Window_guard.create e ~retry:ignore in
   check Alcotest.int "no cap" max_int (Blockack.Window_guard.frontier g)
 
 let test_guard_caps_and_expires () =
   let e = Engine.create () in
-  let g = Blockack.Window_guard.create e in
+  let g = Blockack.Window_guard.create e ~retry:ignore in
   Blockack.Window_guard.note_retransmission g ~seq:10 ~window:4 ~hold_for:50;
   check Alcotest.int "cap at seq+w" 14 (Blockack.Window_guard.frontier g);
   Blockack.Window_guard.note_retransmission g ~seq:5 ~window:4 ~hold_for:50;
@@ -1219,16 +1219,19 @@ let test_guard_caps_and_expires () =
 
 let test_guard_retry_fires_at_expiry () =
   let e = Engine.create () in
-  let g = Blockack.Window_guard.create e in
+  let fired_at = ref (-1) and fired = ref 0 in
+  let g =
+    Blockack.Window_guard.create e ~retry:(fun () ->
+        fired_at := Engine.now e;
+        incr fired)
+  in
   Blockack.Window_guard.note_retransmission g ~seq:0 ~window:4 ~hold_for:30;
-  let fired_at = ref (-1) in
-  Blockack.Window_guard.when_blocked g (fun () -> fired_at := Engine.now e);
-  (* Second registration while armed must not double-fire. *)
-  let second = ref 0 in
-  Blockack.Window_guard.when_blocked g (fun () -> incr second);
+  Blockack.Window_guard.when_blocked g;
+  (* A second block while armed must not double-fire. *)
+  Blockack.Window_guard.when_blocked g;
   Engine.run e;
   check Alcotest.int "retry at expiry" 30 !fired_at;
-  check Alcotest.int "no duplicate retry" 0 !second
+  check Alcotest.int "no duplicate retry" 1 !fired
 
 let test_sender_respects_frontier () =
   let p = make_pipe () in

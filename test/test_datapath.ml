@@ -1,7 +1,7 @@
 (* Old-vs-new data-path equivalence (property test).
 
    The zero-allocation refactor rewrote the endpoint bookkeeping — the
-   receiver's [Ring_buffer] reassembly became flat arrays, the sender's
+   receiver's boxed-ring reassembly became flat arrays, the sender's
    per-sequence timer closures became persistent engine slots — while
    claiming byte-identical observable behavior. This file holds it to
    that claim: the pre-refactor sender and receiver are embedded below
@@ -131,10 +131,117 @@ module Ref_impl = struct
     end
   end
 
+  (* The old endpoints kept their windows in a boxed ring, read through
+     [get]'s option. The store's keyed ring has no [get] and takes a
+     window edge on [set], so the reference keeps a private store with
+     the old interface, a table by absolute index, and its own text. *)
+  module Ba_util = struct
+    module Ring_buffer = struct
+      type 'a t = (int, 'a) Hashtbl.t
+
+      let create capacity = Hashtbl.create capacity
+      let set = Hashtbl.replace
+      let get = Hashtbl.find_opt
+      let mem = Hashtbl.mem
+      let remove = Hashtbl.remove
+      let occupancy = Hashtbl.length
+      let iter = Hashtbl.iter
+      let clear = Hashtbl.reset
+    end
+  end
+
   module Config = Blockack.Config
   module Seqcodec = Blockack.Seqcodec
   module Rtt_estimator = Blockack.Rtt_estimator
-  module Window_guard = Blockack.Window_guard
+
+  (* The old sender's window guard took its retry closure on each
+     blocked call; the guard now registers one at [create]. The
+     reference keeps a private copy of the guard it used, and its own
+     text. *)
+  module Window_guard = struct
+    (* Holds live in a pair of flat int arrays compacted in place: the old
+       [hold list] re-allocated itself on every [prune] (one [List.filter]
+       per pump call), which put the guard on the steady-loss allocation
+       profile. A hold is a (cap, expiry) pair; [len] counts live entries.
+       Expiries are in practice appended in nondecreasing order (the clock
+       is monotonic and [hold_for] constant per sender), but nothing here
+       assumes it — [prune] keeps every unexpired entry regardless of
+       position, exactly like the [List.filter] it replaces. *)
+
+    type t = {
+      engine : Ba_sim.Engine.t;
+      mutable caps : int array;
+      mutable expiries : int array;
+      mutable len : int;
+      mutable retry_armed : bool;
+    }
+
+    (* A sender builds its guard on its first held retransmission, so the
+       arrays are sized for use from the start. *)
+    let initial_cap = 8
+
+    let create engine =
+      {
+        engine;
+        caps = Array.make initial_cap 0;
+        expiries = Array.make initial_cap 0;
+        len = 0;
+        retry_armed = false;
+      }
+
+    (* Crash–restart support: holds protect in-flight copies of the dead
+       incarnation, whose frames the restarted world rejects by epoch, so
+       they are simply dropped. An already-armed retry fires harmlessly —
+       it re-checks the (now empty) hold set. *)
+    let clear t = t.len <- 0
+
+    (* In-place stable compaction of the unexpired entries. Top-level
+       recursive loops (here and below) rather than local refs/closures, so
+       the per-pump guard checks allocate nothing. *)
+    let rec prune_from t now i j =
+      if i >= t.len then t.len <- j
+      else if t.expiries.(i) > now then begin
+        if j <> i then begin
+          t.caps.(j) <- t.caps.(i);
+          t.expiries.(j) <- t.expiries.(i)
+        end;
+        prune_from t now (i + 1) (j + 1)
+      end
+      else prune_from t now (i + 1) j
+
+    let prune t = prune_from t (Ba_sim.Engine.now t.engine) 0 0
+
+    let note_retransmission t ~seq ~window ~hold_for =
+      prune t;
+      if t.len = Array.length t.caps then begin
+        let cap = 2 * t.len in
+        let caps = Array.make cap 0 in
+        Array.blit t.caps 0 caps 0 t.len;
+        t.caps <- caps;
+        let expiries = Array.make cap 0 in
+        Array.blit t.expiries 0 expiries 0 t.len;
+        t.expiries <- expiries
+      end;
+      t.caps.(t.len) <- seq + window;
+      t.expiries.(t.len) <- Ba_sim.Engine.now t.engine + hold_for;
+      t.len <- t.len + 1
+
+    let rec min_over a len i acc = if i >= len then acc else min_over a len (i + 1) (min acc a.(i))
+
+    let frontier t =
+      prune t;
+      min_over t.caps t.len 0 max_int
+
+    let when_blocked t retry =
+      prune t;
+      if t.len > 0 && not t.retry_armed then begin
+        let earliest = min_over t.expiries t.len 0 max_int in
+        t.retry_armed <- true;
+        Ba_sim.Engine.schedule_at t.engine ~at:earliest (fun () ->
+            t.retry_armed <- false;
+            retry ())
+      end
+  end
 
   module Receiver = struct
     type t = {

@@ -448,7 +448,10 @@ let test_dynamic_window_correct_over_bottleneck () =
   check Alcotest.bool "correct" true (Harness.correct r)
 
 let test_fixed_oversized_window_collapses_on_bottleneck () =
-  (* The congestion-collapse half of ablation A2, pinned as a test. *)
+  (* Ablation A2's fixed-vs-AIMD contrast, pinned as a test. The fixed
+     w=32 run is not a congestion collapse but the livelock recorded
+     below: it stops at 105 of 300 delivered, and its 79,955
+     retransmissions are that livelock's count at the deadline. *)
   let run ~dynamic =
     let config = Config.make ~window:32 ~rto:400 ~dynamic_window:dynamic () in
     Harness.run Blockack.Protocols.multi ~seed:3 ~messages:300 ~config
@@ -460,6 +463,27 @@ let test_fixed_oversized_window_collapses_on_bottleneck () =
   check Alcotest.bool "AIMD completes" true aimd.Harness.completed;
   check Alcotest.bool "AIMD avoids the retransmission storm" true
     (aimd.Harness.retransmissions * 10 < max 1 fixed.Harness.retransmissions)
+
+(* A recorded liveness defect, not a fix (ROADMAP item 18): A2's
+   full-size fixed w=32 row, which is a permanent livelock, not a
+   congestion collapse. Deliveries stop at 105 (= [nr]). The frames held
+   behind [nr] keep their timers, which fire as one burst every rto and
+   fill the 10-tick server and its 10-frame queue; [nr]'s own timer
+   fires just behind the burst and its frame is tail-dropped, every
+   round. Safety holds. A fix makes this run complete, and has to change
+   this test on purpose. *)
+let test_a2_livelock_recorded () =
+  List.iter
+    (fun (deadline, retx) ->
+      let r = Recorded.a2_run ~window:32 ~deadline in
+      let at what = Printf.sprintf "%s at %d ticks" what deadline in
+      check Alcotest.bool (at "stuck") false r.Harness.completed;
+      check Alcotest.int (at "105 delivered") 105 r.Harness.delivered;
+      check Alcotest.int (at "retransmissions") retx r.Harness.retransmissions;
+      check Alcotest.int (at "no duplicate") 0 r.Harness.duplicates;
+      check Alcotest.int (at "no misordering") 0 r.Harness.misordered;
+      check Alcotest.int (at "no corruption") 0 r.Harness.corrupted)
+    [ (100_000, 7_955); (1_000_000, 79_955) ]
 
 (* ------------------------------------------------------------------ *)
 (* Tracer *)
@@ -851,6 +875,8 @@ let () =
             test_dynamic_window_correct_over_bottleneck;
           Alcotest.test_case "fixed oversized window collapses" `Quick
             test_fixed_oversized_window_collapses_on_bottleneck;
+          Alcotest.test_case "recorded defect: A2's w=32 livelocks at 105" `Quick
+            test_a2_livelock_recorded;
         ] );
       ( "tracer",
         [

@@ -166,15 +166,9 @@ let test_admission_rejects_hopeless_budget () =
 (* ------------------------------------------------------------------ *)
 (* Bounded buffers end to end *)
 
-(* The property's transfer, given its two drawn parameters. *)
-let pressure_run ~seed policy =
-  let config =
-    Config.make ~window:8 ~wire_modulus:(Some 16) ~rto:600 ~max_transit:200 ~adaptive_rto:true
-      ~rx_budget:2 ~drop_policy:policy ()
-  in
-  Harness.run blockack ~seed ~messages:50 ~config ~data_loss:0.05 ~ack_loss:0.05
-    ~data_delay:(Ba_channel.Dist.Uniform (20, 60)) ~ack_delay:(Ba_channel.Dist.Uniform (20, 60))
-    ~data_bottleneck:(5, 3) ()
+(* The property's transfer, given its two drawn parameters; shared with
+   the [@liveness] sweep of the property's whole case space. *)
+let pressure_run = Recorded.pressure_run
 
 (* Whatever the budget, policy, loss and queue contention do to the
    frame stream, delivery stays in-order, duplicate-free and complete:

@@ -211,59 +211,170 @@ let prop_modseq_distance_inverse =
 (* ------------------------------------------------------------------ *)
 (* Ring_buffer *)
 
+module Ring_buffer = Ba_util.Ring_buffer
+
+let get rb i = if Ring_buffer.mem rb i then Some (Ring_buffer.find rb i) else None
+
 let test_ring_set_get () =
-  let rb = Ba_util.Ring_buffer.create 4 in
-  Ba_util.Ring_buffer.set rb 0 "a";
-  Ba_util.Ring_buffer.set rb 3 "d";
-  check (Alcotest.option Alcotest.string) "get 0" (Some "a") (Ba_util.Ring_buffer.get rb 0);
-  check (Alcotest.option Alcotest.string) "get 3" (Some "d") (Ba_util.Ring_buffer.get rb 3);
-  check (Alcotest.option Alcotest.string) "absent" None (Ba_util.Ring_buffer.get rb 1);
-  check Alcotest.int "occupancy" 2 (Ba_util.Ring_buffer.occupancy rb)
+  let rb = Ring_buffer.create ~limit:4 "" in
+  Ring_buffer.set rb ~lo:0 0 "a";
+  Ring_buffer.set rb ~lo:0 3 "d";
+  check (Alcotest.option Alcotest.string) "get 0" (Some "a") (get rb 0);
+  check (Alcotest.option Alcotest.string) "get 3" (Some "d") (get rb 3);
+  check (Alcotest.option Alcotest.string) "absent" None (get rb 1);
+  Alcotest.check_raises "find absent" Not_found (fun () -> ignore (Ring_buffer.find rb 1));
+  check Alcotest.int "occupancy" 2 (Ring_buffer.occupancy rb)
 
 let test_ring_wraparound () =
-  let rb = Ba_util.Ring_buffer.create 4 in
-  Ba_util.Ring_buffer.set rb 2 "x";
-  Ba_util.Ring_buffer.remove rb 2;
-  Ba_util.Ring_buffer.set rb 6 "y";
+  let rb = Ring_buffer.create ~limit:4 "" in
+  Ring_buffer.set rb ~lo:2 2 "x";
+  Ring_buffer.remove rb 2;
+  Ring_buffer.set rb ~lo:3 6 "y";
   (* 6 mod 4 = 2: same slot, different absolute index. *)
-  check (Alcotest.option Alcotest.string) "new index" (Some "y") (Ba_util.Ring_buffer.get rb 6);
-  check (Alcotest.option Alcotest.string) "old index gone" None (Ba_util.Ring_buffer.get rb 2)
+  check Alcotest.int "grown to the limit" 4 (Ring_buffer.capacity rb);
+  check (Alcotest.option Alcotest.string) "new index" (Some "y") (get rb 6);
+  check (Alcotest.option Alcotest.string) "old index gone" None (get rb 2)
 
 let test_ring_collision () =
-  let rb = Ba_util.Ring_buffer.create 4 in
-  Ba_util.Ring_buffer.set rb 1 "a";
+  let rb = Ring_buffer.create ~limit:4 "" in
+  Ring_buffer.set rb ~lo:0 1 "a";
   Alcotest.check_raises "slot collision" (Invalid_argument "Ring_buffer.set: slot collision (index 5 vs live 1, capacity 4)")
-    (fun () -> Ba_util.Ring_buffer.set rb 5 "b")
+    (fun () -> Ring_buffer.set rb ~lo:0 5 "b")
 
 let test_ring_overwrite_same_index () =
-  let rb = Ba_util.Ring_buffer.create 4 in
-  Ba_util.Ring_buffer.set rb 1 "a";
-  Ba_util.Ring_buffer.set rb 1 "b";
-  check (Alcotest.option Alcotest.string) "overwritten" (Some "b") (Ba_util.Ring_buffer.get rb 1);
-  check Alcotest.int "occupancy stays 1" 1 (Ba_util.Ring_buffer.occupancy rb)
+  let rb = Ring_buffer.create ~limit:4 "" in
+  Ring_buffer.set rb ~lo:0 1 "a";
+  Ring_buffer.set rb ~lo:0 1 "b";
+  check (Alcotest.option Alcotest.string) "overwritten" (Some "b") (get rb 1);
+  check Alcotest.int "occupancy stays 1" 1 (Ring_buffer.occupancy rb)
 
 let test_ring_remove_and_iter () =
-  let rb = Ba_util.Ring_buffer.create 8 in
-  List.iter (fun i -> Ba_util.Ring_buffer.set rb i (string_of_int i)) [ 0; 1; 2; 3 ];
-  Ba_util.Ring_buffer.remove rb 1;
-  Ba_util.Ring_buffer.remove rb 1;
+  let rb = Ring_buffer.create ~limit:8 "" in
+  List.iter (fun i -> Ring_buffer.set rb ~lo:0 i (string_of_int i)) [ 0; 1; 2; 3 ];
+  Ring_buffer.remove rb 1;
+  Ring_buffer.remove rb 1;
   (* idempotent *)
-  check Alcotest.int "occupancy after remove" 3 (Ba_util.Ring_buffer.occupancy rb);
+  check Alcotest.int "occupancy after remove" 3 (Ring_buffer.occupancy rb);
   let collected = ref [] in
-  Ba_util.Ring_buffer.iter (fun i v -> collected := (i, v) :: !collected) rb;
+  Ring_buffer.iter (fun i v -> collected := (i, v) :: !collected) rb;
   check Alcotest.int "iter count" 3 (List.length !collected)
 
 let test_ring_clear () =
-  let rb = Ba_util.Ring_buffer.create 4 in
-  Ba_util.Ring_buffer.set rb 0 "a";
-  Ba_util.Ring_buffer.clear rb;
-  check Alcotest.int "cleared" 0 (Ba_util.Ring_buffer.occupancy rb);
-  check Alcotest.bool "mem false" false (Ba_util.Ring_buffer.mem rb 0)
+  let rb = Ring_buffer.create ~limit:4 "" in
+  Ring_buffer.set rb ~lo:0 0 "a";
+  Ring_buffer.clear rb;
+  check Alcotest.int "cleared" 0 (Ring_buffer.occupancy rb);
+  check Alcotest.bool "mem false" false (Ring_buffer.mem rb 0)
 
 let test_ring_invalid_capacity () =
-  Alcotest.check_raises "zero capacity"
-    (Invalid_argument "Ring_buffer.create: capacity must be positive") (fun () ->
-      ignore (Ba_util.Ring_buffer.create 0))
+  Alcotest.check_raises "zero limit"
+    (Invalid_argument "Ring_buffer.create: limit must be positive") (fun () ->
+      ignore (Ring_buffer.create ~limit:0 ""))
+
+(* The store against a [Map] model, over a window [lo, lo + limit) that
+   slides forward. A slide either removes the keys it passes, as the
+   receivers do, or leaves them dead, as the pull log does; dead keys
+   are the store's to overwrite or drop, so only keys at or above [lo]
+   are compared. *)
+module Model = Map.Make (Int)
+
+type ring_op = Set of int * int | Remove of int | Find of int | Slide of int * bool | Clear
+
+let ring_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun d v -> Set (d, v)) (int_bound 63) (int_bound 1000));
+        (2, map (fun d -> Remove d) (int_bound 63));
+        (2, map (fun d -> Find d) (int_bound 63));
+        (3, map2 (fun n drain -> Slide (n, drain)) (int_bound 4) bool);
+        (1, return Clear);
+      ])
+
+let pp_ring_op = function
+  | Set (d, v) -> Printf.sprintf "set +%d=%d" d v
+  | Remove d -> Printf.sprintf "remove +%d" d
+  | Find d -> Printf.sprintf "find +%d" d
+  | Slide (n, drain) -> Printf.sprintf "slide %d%s" n (if drain then " drain" else "")
+  | Clear -> "clear"
+
+let prop_ring_matches_model =
+  QCheck.Test.make ~name:"keyed store matches a map over a sliding window" ~count:500
+    QCheck.(
+      pair (int_range 1 64)
+        (make ~print:(fun ops -> String.concat "; " (List.map pp_ring_op ops))
+           Gen.(list_size (int_range 1 200) ring_op_gen)))
+    (fun (limit, ops) ->
+      let rb = Ring_buffer.create ~limit (-1) in
+      let lo = ref 0 and model = ref Model.empty and dead = ref false in
+      let agrees () =
+        Ring_buffer.capacity rb <= limit
+        && List.for_all
+             (fun k ->
+               match Model.find_opt k !model with
+               | Some v -> Ring_buffer.mem rb k && Ring_buffer.find rb k = v
+               | None -> not (Ring_buffer.mem rb k))
+             (List.init limit (fun d -> !lo + d))
+        && (!dead || Ring_buffer.occupancy rb = Model.cardinal !model)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Set (d, v) ->
+              let k = !lo + (d mod limit) in
+              Ring_buffer.set rb ~lo:!lo k v;
+              model := Model.add k v !model
+          | Remove d ->
+              let k = !lo + (d mod limit) in
+              Ring_buffer.remove rb k;
+              model := Model.remove k !model
+          | Find d -> (
+              let k = !lo + (d mod limit) in
+              match Ring_buffer.find rb k with
+              | v -> if Model.find_opt k !model <> Some v then QCheck.Test.fail_report "find"
+              | exception Not_found ->
+                  if Model.mem k !model then QCheck.Test.fail_report "find: Not_found")
+          | Slide (n, drain) ->
+              for k = !lo to !lo + n - 1 do
+                if drain then Ring_buffer.remove rb k else if Model.mem k !model then dead := true;
+                model := Model.remove k !model
+              done;
+              lo := !lo + n
+          | Clear ->
+              Ring_buffer.clear rb;
+              model := Model.empty;
+              dead := false);
+          agrees ())
+        ops)
+
+(* Words the minor heap grows by across [f ()], net of what reading the
+   counter itself costs, as test_core measures [Workload.matches]. *)
+let minor_words f =
+  let delta f =
+    Gc.minor ();
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  f ();
+  int_of_float (delta f -. delta ignore)
+
+let test_ring_allocates_nothing () =
+  let rb = Ring_buffer.create ~limit:16 "" in
+  Ring_buffer.set rb ~lo:0 15 "p";
+  check Alcotest.int "grown to the limit" 16 (Ring_buffer.capacity rb);
+  (* [minor_words] runs its function more than once, so the window keeps
+     sliding from where the last run left it. *)
+  let sink = ref "" and next = ref 16 in
+  check Alcotest.int "set/find/remove allocate nothing" 0
+    (minor_words (fun () ->
+         for _ = 1 to 1_000 do
+           let k = !next in
+           Ring_buffer.set rb ~lo:(k - 15) k "p";
+           sink := Ring_buffer.find rb k;
+           if Ring_buffer.mem rb (k - 1) then Ring_buffer.remove rb (k - 1);
+           incr next
+         done))
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
@@ -553,6 +664,8 @@ let () =
           Alcotest.test_case "remove and iter" `Quick test_ring_remove_and_iter;
           Alcotest.test_case "clear" `Quick test_ring_clear;
           Alcotest.test_case "invalid capacity" `Quick test_ring_invalid_capacity;
+          qcheck prop_ring_matches_model;
+          Alcotest.test_case "set/find/remove allocate nothing" `Quick test_ring_allocates_nothing;
         ] );
       ( "stats",
         [
