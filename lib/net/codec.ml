@@ -21,14 +21,10 @@ let data_kind_tag = function
   | Ba_proto.Wire.Sync_req -> 1
   | Ba_proto.Wire.Sync_fin -> 2
 
-let data_kind_of_tag = function
-  | 0 -> Some Ba_proto.Wire.Msg
-  | 1 -> Some Ba_proto.Wire.Sync_req
-  | 2 -> Some Ba_proto.Wire.Sync_fin
-  | _ -> None
+let data_kinds = Ba_proto.Wire.[| Msg; Sync_req; Sync_fin |]
 
 let ack_kind_tag = function Ba_proto.Wire.Ack -> 0 | Ba_proto.Wire.Sync_pos -> 1
-let ack_kind_of_tag = function 0 -> Some Ba_proto.Wire.Ack | 1 -> Some Ba_proto.Wire.Sync_pos | _ -> None
+let ack_kinds = Ba_proto.Wire.[| Ack; Sync_pos |]
 
 let rec encoded_len = function
   | Data d -> data_header_len + String.length d.Ba_proto.Wire.payload
@@ -140,51 +136,84 @@ end
 
 (* An i64 field is acceptable iff it round-trips through the OCaml int
    it will live in and is non-negative — a negative or 2^62-ish value
-   cannot have come from [encode]. *)
+   cannot have come from [encode]. Any other value reads as -1. *)
 let get_nat64 buf off =
   let v64 = Bytes.get_int64_le buf off in
   let v = Int64.to_int v64 in
-  if v < 0 || Int64.of_int v <> v64 then None else Some v
+  if v < 0 || Int64.of_int v <> v64 then -1 else v
 
 let get_u32 buf off = Int32.to_int (Bytes.get_int32_le buf off) land 0xFFFFFFFF
 
-(* One v1 frame occupying exactly [buf.[off .. off+len)]. *)
-let decode_single buf ~off ~len =
-  if len < 4 then Error "short datagram"
-  else if Bytes.get_uint8 buf off <> magic then Error "bad magic"
-  else if Bytes.get_uint8 buf (off + 1) <> frame_version then Error "unknown codec version"
+type scratch = {
+  d : Ba_proto.Wire.data;
+  a : Ba_proto.Wire.ack;
+  data : frame;  (* [Data d] *)
+  ack : frame;  (* [Ack a] *)
+  mutable why : string;  (* the last rejection's reason *)
+}
+
+let scratch () =
+  let d = { Ba_proto.Wire.seq = 0; payload = ""; epoch = 0; dkind = Ba_proto.Wire.Msg; check = 0 }
+  and a = { Ba_proto.Wire.lo = 0; hi = 0; epoch = 0; akind = Ba_proto.Wire.Ack; check = 0 } in
+  { d; a; data = Data d; ack = Ack a; why = "" }
+
+(* Parse outcomes are ints, so reporting one allocates nothing: the
+   frame was handed over, or [rejected] with the reason left in the
+   scratch. *)
+let accepted = 0
+let rejected = -1
+
+let reject s why =
+  s.why <- why;
+  rejected
+
+(* One v1 frame occupying exactly [buf.[off .. off+len)], parsed into
+   [s]'s data or ack record, which is written, and handed to [f], only
+   when the whole frame is good. *)
+let parse s buf ~off ~len f x =
+  if len < 4 then reject s "short datagram"
+  else if Bytes.get_uint8 buf off <> magic then reject s "bad magic"
+  else if Bytes.get_uint8 buf (off + 1) <> frame_version then reject s "unknown codec version"
   else
     match Bytes.get_uint8 buf (off + 2) with
-    | 0 -> (
-        if len < data_header_len then Error "truncated data header"
+    | 0 ->
+        let tag = Bytes.get_uint8 buf (off + 3) in
+        if len < data_header_len then reject s "truncated data header"
+        else if tag >= Array.length data_kinds then reject s "unknown data kind"
         else
-          match data_kind_of_tag (Bytes.get_uint8 buf (off + 3)) with
-          | None -> Error "unknown data kind"
-          | Some dkind -> (
-              let epoch = get_u32 buf (off + 4) in
-              match (get_nat64 buf (off + 8), get_nat64 buf (off + 16)) with
-              | Some seq, Some check ->
-                  let pl = get_u32 buf (off + 24) in
-                  if pl > max_payload then Error "payload length exceeds limit"
-                  else if data_header_len + pl <> len then Error "payload length mismatch"
-                  else
-                    let payload = Bytes.sub_string buf (off + data_header_len) pl in
-                    Ok (Data { Ba_proto.Wire.seq; payload; epoch; dkind; check })
-              | _ -> Error "field out of range"))
-    | 1 -> (
-        if len <> ack_len then Error "bad ack length"
+          let seq = get_nat64 buf (off + 8) and check = get_nat64 buf (off + 16) in
+          let pl = get_u32 buf (off + 24) in
+          if seq < 0 || check < 0 then reject s "field out of range"
+          else if pl > max_payload then reject s "payload length exceeds limit"
+          else if data_header_len + pl <> len then reject s "payload length mismatch"
+          else begin
+            s.d.seq <- seq;
+            s.d.payload <- Bytes.sub_string buf (off + data_header_len) pl;
+            s.d.epoch <- get_u32 buf (off + 4);
+            s.d.dkind <- data_kinds.(tag);
+            s.d.check <- check;
+            f s.data x;
+            accepted
+          end
+    | 1 ->
+        let tag = Bytes.get_uint8 buf (off + 3) in
+        if len <> ack_len then reject s "bad ack length"
+        else if tag >= Array.length ack_kinds then reject s "unknown ack kind"
         else
-          match ack_kind_of_tag (Bytes.get_uint8 buf (off + 3)) with
-          | None -> Error "unknown ack kind"
-          | Some akind -> (
-              let epoch = get_u32 buf (off + 4) in
-              match
-                (get_nat64 buf (off + 8), get_nat64 buf (off + 16), get_nat64 buf (off + 24))
-              with
-              | Some lo, Some hi, Some check ->
-                  Ok (Ack { Ba_proto.Wire.lo; hi; epoch; akind; check })
-              | _ -> Error "field out of range"))
-    | _ -> Error "unknown frame class"
+          let lo = get_nat64 buf (off + 8)
+          and hi = get_nat64 buf (off + 16)
+          and check = get_nat64 buf (off + 24) in
+          if lo < 0 || hi < 0 || check < 0 then reject s "field out of range"
+          else begin
+            s.a.lo <- lo;
+            s.a.hi <- hi;
+            s.a.epoch <- get_u32 buf (off + 4);
+            s.a.akind <- ack_kinds.(tag);
+            s.a.check <- check;
+            f s.ack x;
+            accepted
+          end
+    | _ -> reject s "unknown frame class"
 
 (* The prefixes must tile [batch_header_len, len) with exactly [count]
    frames; only then is any inner frame decoded. *)
@@ -196,34 +225,40 @@ let rec prefixes_tile buf ~len ~off ~left =
       ~off:(off + batch_prefix_len + Bytes.get_uint16_le buf off)
       ~left:(left - 1)
 
-let decode_batch buf ~len =
-  let count = Bytes.get_uint8 buf 3 in
-  if count = 0 then Error "empty container"
-  else if not (prefixes_tile buf ~len ~off:batch_header_len ~left:count) then
-    Error "container length mismatch"
+let rec walk s buf f x ~off ~left ~malformed =
+  if left = 0 then malformed
   else
-    let malformed = ref 0 in
-    let rec inner off left =
-      if left = 0 then []
-      else
-        let n = Bytes.get_uint16_le buf off in
-        let next = off + batch_prefix_len + n in
-        match decode_single buf ~off:(off + batch_prefix_len) ~len:n with
-        | Ok f -> f :: inner next (left - 1)
-        | Error _ ->
-            incr malformed;
-            inner next (left - 1)
-    in
-    let frames = inner batch_header_len count in
-    Ok (Batch { frames; malformed = !malformed })
+    let n = Bytes.get_uint16_le buf off in
+    let got = parse s buf ~off:(off + batch_prefix_len) ~len:n f x in
+    walk s buf f x ~off:(off + batch_prefix_len + n) ~left:(left - 1)
+      ~malformed:(if got = rejected then malformed + 1 else malformed)
+
+(* A version-2 header: a container, or garbage. *)
+let container_header buf ~len =
+  len >= batch_header_len && Bytes.get_uint8 buf 0 = magic && Bytes.get_uint8 buf 1 = version
+
+let decode_into s buf ~len f x =
+  if container_header buf ~len then
+    let count = Bytes.get_uint8 buf 3 in
+    if Bytes.get_uint8 buf 2 <> batch_class then reject s "unknown frame class"
+    else if count = 0 then reject s "empty container"
+    else if not (prefixes_tile buf ~len ~off:batch_header_len ~left:count) then
+      reject s "container length mismatch"
+    else walk s buf f x ~off:batch_header_len ~left:count ~malformed:0
+  else parse s buf ~off:0 ~len f x
+
+(* A frame of its own, sharing no record with the scratch. *)
+let fresh = function
+  | Data d -> Data { d with Ba_proto.Wire.seq = d.Ba_proto.Wire.seq }
+  | Ack a -> Ack { a with Ba_proto.Wire.lo = a.Ba_proto.Wire.lo }
+  | Batch _ as b -> b
 
 let decode buf ~len =
-  if len >= batch_header_len
-     && Bytes.get_uint8 buf 0 = magic
-     && Bytes.get_uint8 buf 1 = version
-  then
-    if Bytes.get_uint8 buf 2 = batch_class then decode_batch buf ~len else Error "unknown frame class"
-  else decode_single buf ~off:0 ~len
+  let s = scratch () and got = ref [] in
+  let r = decode_into s buf ~len (fun f got -> got := fresh f :: !got) got in
+  if r = rejected then Error s.why
+  else if container_header buf ~len then Ok (Batch { frames = List.rev !got; malformed = r })
+  else Ok (List.hd !got) (* an accepted bare frame is one frame *)
 
 let rec frame_ok = function
   | Data d -> Ba_proto.Wire.data_ok d

@@ -38,11 +38,11 @@
     partially parsed. Likewise a container's [n] prefixes must tile the
     datagram exactly, or the whole container is rejected. Once they do,
     each inner frame is decoded on its own: a malformed one is counted
-    and skipped, and the others still arrive. {!decode} never raises:
+    and skipped, and the others still arrive. Decoding never raises:
     every malformed input (short buffer, bad magic, unknown version or
     kind, negative or non-representable field, length mismatch) comes
-    back as [Error], because on a real socket "garbage arrived" is an
-    ordinary event. The frame checksum travels as an opaque field — the
+    back as a rejection, because on a real socket "garbage arrived" is
+    an ordinary event. The frame checksum travels as an opaque field — the
     codec does not recompute it, so endpoint-side
     {!Ba_proto.Wire.data_ok} validation catches in-flight corruption
     exactly as it does in simulation. *)
@@ -115,12 +115,35 @@ module Packer : sig
       version-1 frame for one, nothing for none. *)
 end
 
+type scratch
+(** One data record and one ack record for {!decode_into} to fill, the
+    [Data] and [Ack] frames that wrap them, and the reason for the last
+    rejection. *)
+
+val scratch : unit -> scratch
+
+val decode_into : scratch -> Bytes.t -> len:int -> (frame -> 'a -> unit) -> 'a -> int
+(** [decode_into s buf ~len f x] parses the first [len] bytes of [buf]
+    in place and calls [f frame x] once per well-formed frame, in wire
+    order: once for a bare frame, once per good inner frame of a
+    container (never with a [Batch]). [frame] is one of [s]'s two
+    frames, so it is borrowed for the call only: the next frame
+    overwrites it, and [f] must copy any field it keeps. Its payload is
+    a fresh string that [f] may keep. Returns the number of malformed
+    inner frames of an accepted datagram (0 for a bare frame), or -1
+    when the whole datagram is rejected, on exactly the inputs
+    {!decode} returns [Error] for. Never raises (given
+    [0 <= len <= Bytes.length buf]). The payload copy is its only
+    allocation; [x] is there so that [f] need not be a closure built
+    per datagram. *)
+
 val decode : Bytes.t -> len:int -> (frame, string) result
-(** Parse the first [len] bytes of [buf]. Never raises (given
-    [0 <= len <= Bytes.length buf]); the [Error] string says what was
-    wrong, for diagnostics counters. The returned frame is freshly
-    allocated — it aliases nothing in [buf]. Inner frames are decoded
-    in place, without copying them out first. *)
+(** {!decode_into} with fresh records: the frame, or a container's
+    well-formed inner frames and malformed count as a [Batch], or the
+    reason the datagram was rejected, for diagnostics counters. Never
+    raises (given [0 <= len <= Bytes.length buf]). The returned frame is
+    freshly allocated — it aliases nothing in [buf] or in any other
+    result. *)
 
 val frame_ok : frame -> bool
 (** Endpoint-side integrity: the embedded checksum matches the decoded

@@ -43,13 +43,16 @@ let next_deadline_s t =
       let elapsed = Unix.gettimeofday () -. t.t0 in
       Some (Float.max 0. (due_s -. elapsed))
 
-(* One receive buffer, a largest datagram, for every driver on a domain:
-   a loopback pair in one process would otherwise hold two. Sharing is
-   safe because [Codec.decode] copies every payload out
-   ([Bytes.sub_string]) before a frame reaches [on_frame], so nothing
-   keeps a view into the buffer, and [pump_socket] is never re-entered:
-   [on_frame] hands frames to endpoints, which only send. *)
+(* One receive buffer, a largest datagram, and one scratch frame pair
+   for every driver on a domain: a loopback pair in one process would
+   otherwise hold two of each. Sharing both is safe because
+   [pump_socket] is never re-entered ([on_frame] hands frames to
+   endpoints, which only send), so each datagram is parsed and handed
+   over before the next is read into the buffer; and because [on_frame]
+   only borrows a frame, keeping at most its payload, which
+   [Codec.decode_into] copies out of the buffer. *)
 let rx_buf = Domain.DLS.new_key (fun () -> Bytes.create Codec.max_datagram)
+let rx_scratch = Domain.DLS.new_key Codec.scratch
 
 (* Drain everything currently queued on the socket. Nonblocking, so the
    natural exit is EAGAIN; EINTR just retries; ECONNREFUSED is the error
@@ -57,19 +60,15 @@ let rx_buf = Domain.DLS.new_key (fun () -> Bytes.create Codec.max_datagram)
    protocol-level silence, not an I/O error, so it is swallowed (losing
    at most the datagram the bounce was attached to, i.e. nothing). *)
 let pump_socket t =
-  let rx_buf = Domain.DLS.get rx_buf in
+  let rx_buf = Domain.DLS.get rx_buf and scratch = Domain.DLS.get rx_scratch in
   let continue = ref true in
   while !continue do
     match Unix.recvfrom t.sock rx_buf 0 (Bytes.length rx_buf) [] with
     | 0, _ -> t.decode_errors <- t.decode_errors + 1
-    | len, from -> (
+    | len, from ->
         t.rx_datagrams <- t.rx_datagrams + 1;
-        match Codec.decode rx_buf ~len with
-        | Ok (Codec.Batch { frames; malformed }) ->
-            t.decode_errors <- t.decode_errors + malformed;
-            List.iter (fun f -> t.on_frame f from) frames
-        | Ok frame -> t.on_frame frame from
-        | Error _ -> t.decode_errors <- t.decode_errors + 1)
+        let malformed = Codec.decode_into scratch rx_buf ~len t.on_frame from in
+        t.decode_errors <- t.decode_errors + if malformed < 0 then 1 else malformed
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> continue := false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ()

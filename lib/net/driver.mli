@@ -45,7 +45,13 @@ val create :
     [on_frame] is called once per decodable arriving frame, with its
     datagram's source address: a {!Codec.Batch} container is unrolled
     into one call per well-formed inner frame, in wire order, so
-    [on_frame] never sees a container. *)
+    [on_frame] never sees a container. The frame is borrowed for the
+    duration of the call: every driver on a domain decodes into the
+    same two records ({!Codec.decode_into}), so [on_frame] must not keep
+    the frame or its record past its return, and must copy any field it
+    needs later. The payload string is fresh and belongs to [on_frame].
+    The endpoints keep at most the payload, as they do when a simulated
+    link takes each frame back after delivery. *)
 
 val now_ticks : t -> int
 (** Wall-clock time since {!create}, in ticks. *)
@@ -65,7 +71,7 @@ val send_errors : t -> int
 (** Datagrams dropped by {!send_to} after exhausting retries. *)
 
 val decode_errors : t -> int
-(** Arrivals rejected by {!Codec.decode}, plus the malformed inner
+(** Arrivals rejected by {!Codec.decode_into}, plus the malformed inner
     frames of the containers it accepted. *)
 
 val rx_datagrams : t -> int

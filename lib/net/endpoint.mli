@@ -74,7 +74,9 @@ module Server : sig
   val on_frame : t -> Codec.frame -> Unix.sockaddr -> unit
   (** Feed one decoded arrival. Any datagram — even one the protocol
       rejects as stale-epoch — teaches the server its peer's address,
-      which is how a restarted process re-learns where to send POS. *)
+      which is how a restarted process re-learns where to send POS.
+      Keeps at most the frame's payload, so the frame may be a
+      {!Driver}'s borrowed scratch frame. *)
 
   val complete : t -> bool
   (** Every workload payload delivered. *)
@@ -138,6 +140,9 @@ module Client : sig
       [check_interval * tick_us] microseconds under a driver. *)
 
   val on_frame : t -> Codec.frame -> unit
+  (** Feed one decoded arrival. Keeps nothing of the frame, so it may be
+      a {!Driver}'s borrowed scratch frame. *)
+
   val pump : t -> unit
   (** Start (or kick) the transfer; call once after wiring up. *)
 

@@ -55,4 +55,7 @@ let pp_result ppf r =
       r.retx_bytes;
   (* Likewise budget-free runs: the counter only prints when a receiver
      budget actually refused frames. *)
-  if r.pressure_drops > 0 then Format.fprintf ppf ", pressure-drops=%d" r.pressure_drops
+  if r.pressure_drops > 0 then Format.fprintf ppf ", pressure-drops=%d" r.pressure_drops;
+  (* And bottleneck-free runs: [dropped=] above is random channel loss
+     only, so tail drops at the data bottleneck print on their own. *)
+  if r.data_queue_dropped > 0 then Format.fprintf ppf ", queue-drops=%d" r.data_queue_dropped

@@ -61,6 +61,10 @@ val run :
     exactly the acknowledgment covering block k"). *)
 
 val pp_result : Format.formatter -> result -> unit
+(** One line. Recovery metrics, [pressure-drops=] and [queue-drops=]
+    (tail drops at the data bottleneck) are appended only when nonzero,
+    so a run without crashes, a receiver budget or a bottleneck prints
+    the same line as before they existed. *)
 
 val correct : result -> bool
 (** Completed with no duplicates, misordering or corruption. *)

@@ -471,19 +471,23 @@ let test_fixed_oversized_window_collapses_on_bottleneck () =
    fill the 10-tick server and its 10-frame queue; [nr]'s own timer
    fires just behind the burst and its frame is tail-dropped, every
    round. Safety holds. A fix makes this run complete, and has to change
-   this test on purpose. *)
+   this test on purpose. The run's one line names those tail drops. *)
 let test_a2_livelock_recorded () =
   List.iter
-    (fun (deadline, retx) ->
+    (fun (deadline, retx, queue_drops) ->
       let r = Recorded.a2_run ~window:32 ~deadline in
       let at what = Printf.sprintf "%s at %d ticks" what deadline in
       check Alcotest.bool (at "stuck") false r.Harness.completed;
       check Alcotest.int (at "105 delivered") 105 r.Harness.delivered;
       check Alcotest.int (at "retransmissions") retx r.Harness.retransmissions;
+      check Alcotest.int (at "tail drops") queue_drops r.Harness.data_queue_dropped;
+      let line = Format.asprintf "%a" Harness.pp_result r in
+      check Alcotest.bool (at "the line ends with the tail drops") true
+        (String.ends_with ~suffix:(Printf.sprintf ", queue-drops=%d" queue_drops) line);
       check Alcotest.int (at "no duplicate") 0 r.Harness.duplicates;
       check Alcotest.int (at "no misordering") 0 r.Harness.misordered;
       check Alcotest.int (at "no corruption") 0 r.Harness.corrupted)
-    [ (100_000, 7_955); (1_000_000, 79_955) ]
+    [ (100_000, 7_955, 356); (1_000_000, 79_955, 2_606) ]
 
 (* ------------------------------------------------------------------ *)
 (* Tracer *)
