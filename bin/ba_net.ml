@@ -110,22 +110,27 @@ let run_sweep ~counts ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs =
 (* Sharded scale run: --scale N flows partitioned into fixed-size cells
    (Ba_proto.Shard), the shared bottleneck realised as per-cell capacity
    leases reconciled at epoch barriers. Everything deterministic goes to
-   stdout — the summary is byte-identical at any --jobs and any --shards
-   (cram-proven) — while wall-clock figures (flows/sec, heap bytes per
-   flow), which vary by machine, go to stderr. An unsafe run also prints
-   the seed and its first unsafe cell: the replay key of a cell, which is
-   a deterministic sub-simulation. *)
-let run_scale ~flows ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs ~shards ~cell
-    ~barrier =
+   stdout — the summary is byte-identical at any --jobs (cram-proven) —
+   while wall-clock figures (flows/sec, heap bytes per flow), which vary
+   by machine, go to stderr. An unsafe run also prints the seed and its
+   first unsafe cell: the replay key of a cell, which is a deterministic
+   sub-simulation. *)
+let run_scale ~flows ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs ~cell ~barrier =
   let protos =
     Array.of_list (List.concat_map (fun (e, count) -> List.init count (fun _ -> e)) mix)
   in
   let specs = List.init flows (fun i -> spec protos.(i mod Array.length protos)) in
-  let r, wall =
-    Ba_proto.Shard.timed (fun ~measure_mem ->
-        Ba_proto.Shard.run ~seed ~jobs ?shards ~cell ~barrier ~data_loss:loss ~ack_loss
-          ~data_delay:delay ~ack_delay:delay ?capacity ~measure_mem specs)
+  let run ~measure_mem =
+    Ba_proto.Shard.run ~seed ~jobs ~cell ~barrier ~data_loss:loss ~ack_loss ~data_delay:delay
+      ~ack_delay:delay ?capacity ~measure_mem specs
   in
+  (* Timed without [measure_mem]: its full major collections scale with
+     the whole process's heap, not with this run. The state figure comes
+     from a second, untimed run of the same (deterministic) model. *)
+  let t0 = Unix.gettimeofday () in
+  let r = run ~measure_mem:false in
+  let wall = Unix.gettimeofday () -. t0 in
+  let state_bytes = (run ~measure_mem:true).Ba_proto.Shard.state_bytes in
   print_string (Ba_proto.Shard.summary r);
   let safe = Ba_proto.Shard.safe r in
   let pass = safe && r.Ba_proto.Shard.completed in
@@ -137,8 +142,7 @@ let run_scale ~flows ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs ~sh
   Option.iter (Printf.printf "scale-replay: seed=%d cell=%d\n" seed) r.Ba_proto.Shard.unsafe_cell;
   Printf.eprintf "scale-perf: wall=%.2fs flows/sec=%.0f state=%dB (%dB/flow)\n%!" wall
     (if wall > 0. then float_of_int r.Ba_proto.Shard.flows /. wall else 0.)
-    r.Ba_proto.Shard.state_bytes
-    (r.Ba_proto.Shard.state_bytes / max 1 r.Ba_proto.Shard.flows);
+    state_bytes (state_bytes / max 1 r.Ba_proto.Shard.flows);
   if pass then 0 else 1
 
 (* Long-horizon overload soak: each round doubles the offered load with
@@ -296,7 +300,7 @@ let run_fabric ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed =
 
 let run list_protocols connections mix messages payload_size loss ack_loss_opt base_delay
     jitter capacity window rto modulus adaptive seed sweep soak budget surge_at stall_for churn
-    fault scale shards cell barrier jobs =
+    fault scale cell barrier jobs =
   if list_protocols then begin
     Format.printf "%a" Registry.pp_list ();
     exit 0
@@ -325,7 +329,6 @@ let run list_protocols connections mix messages payload_size loss ack_loss_opt b
     only "--soak" (soak <> None) "--stall-for" stall_for;
     only "--soak" (soak <> None) "--churn" churn;
     only "--soak" (soak <> None) "--fault" fault;
-    only "--scale" (scale <> None) "--shards" shards;
     only "--scale" (scale <> None) "--cell" cell;
     only "--scale" (scale <> None) "--barrier" barrier;
     let ack_loss = Option.value ~default:loss ack_loss_opt in
@@ -400,17 +403,11 @@ let run list_protocols connections mix messages payload_size loss ack_loss_opt b
         match scale with
         | Some flows ->
             if flows < 1 then reject "--scale flows must be positive (got %d)" flows;
-            let shards =
-              match shards with
-              | None | Some 0 -> None (* 0 = auto: one shard per job *)
-              | Some s when s > 0 -> Some s
-              | Some s -> reject "--shards must be >= 0 (got %d)" s
-            in
             let cell = positive "--cell" cell 1024 in
             let barrier = positive "--barrier" barrier 1000 in
             fun () ->
-              run_scale ~flows ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs ~shards
-                ~cell ~barrier
+              run_scale ~flows ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs ~cell
+                ~barrier
         | None -> (
             match sweep with
             | Some counts ->
@@ -561,18 +558,8 @@ let scale =
           "Sharded scale run: simulate FLOWS flows (cycled over the $(b,--mix)) through the \
            cell-partitioned fabric (Ba_proto.Shard), where the shared bottleneck becomes \
            per-cell capacity leases reconciled at epoch barriers. The printed summary is a \
-           pure function of the model parameters — byte-identical at any $(b,--jobs) and any \
-           $(b,--shards) — while wall-clock figures go to stderr. Built for 100k-1M flows in \
-           bounded memory.")
-
-let shards_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "shards" ] ~docv:"N"
-        ~doc:"Shard count for $(b,--scale): cells are dealt to N contiguous shard groups \
-              each epoch (0 or default: one shard per job). Pure scheduling - never changes \
-              output.")
+           pure function of the model parameters — byte-identical at any $(b,--jobs) — while \
+           wall-clock figures go to stderr. Built for 100k-1M flows in bounded memory.")
 
 let cell_arg =
   Arg.(
@@ -606,11 +593,11 @@ let cmd =
   in
   let wrap list_protocols connections mix messages payload_size loss ack_loss base_delay
       jitter capacity no_capacity window rto modulus adaptive seed sweep soak budget surge_at
-      stall_for churn fault scale shards cell barrier jobs =
+      stall_for churn fault scale cell barrier jobs =
     let capacity = if no_capacity then None else capacity in
     run list_protocols connections mix messages payload_size loss ack_loss base_delay jitter
       capacity window rto modulus adaptive seed sweep soak budget surge_at stall_for churn
-      fault scale shards cell barrier jobs
+      fault scale cell barrier jobs
   in
   Cmd.v
     (Cmd.info "ba_net" ~doc ~man ~version:Ba_cli.version)
@@ -618,6 +605,6 @@ let cmd =
       const wrap $ list_protocols $ connections $ mix $ messages $ payload_size $ loss
       $ ack_loss $ base_delay $ jitter $ capacity $ no_capacity $ window $ rto $ modulus
       $ adaptive $ seed $ sweep $ soak $ budget $ surge_at $ stall_for $ churn $ fault
-      $ scale $ shards_arg $ cell_arg $ barrier_arg $ Ba_cli.jobs)
+      $ scale $ cell_arg $ barrier_arg $ Ba_cli.jobs)
 
 let () = exit (Cmd.eval' cmd)

@@ -824,6 +824,12 @@ let a3_fairness ?(jobs = 1) ~quick () =
 module Chaos = Ba_verify.Chaos
 module Soak = Ba_verify.Soak
 
+(* Robustness matrix: block acknowledgment and the four baselines, each
+   swept through every {!Ba_verify.Chaos} fault class (bursty loss,
+   duplication, corruption, outages, reordering). Cells count safety
+   violations and stuck runs; the robust protocols are expected to be
+   clean everywhere, bounded go-back-N to break under reorder, and the
+   unvalidated baselines to deliver corrupted payloads. *)
 let c1_chaos_matrix ?(jobs = 1) ~quick () =
   let messages = if quick then 40 else 80 in
   let seeds = List.init (if quick then 5 else 15) (fun i -> i + 1) in

@@ -84,14 +84,6 @@ val s1_scaling : ?jobs:int -> quick:bool -> unit -> table
     Reports aggregate goodput, pooled per-flow latency percentiles,
     Jain's fairness index and shared-queue drops per (N, protocol). *)
 
-val c1_chaos_matrix : ?jobs:int -> quick:bool -> unit -> table
-(** Robustness matrix: block acknowledgment and the four baselines, each
-    swept through every {!Ba_verify.Chaos} fault class (bursty loss,
-    duplication, corruption, outages, reordering). Cells count safety
-    violations and stuck runs; the robust protocols are expected to be
-    clean everywhere, bounded go-back-N to break under reorder, and the
-    unvalidated baselines to deliver corrupted payloads. *)
-
 val s3_churn_soak : ?jobs:int -> quick:bool -> unit -> table
 (** Churning fabric under composed storms: seed-derived arrival/departure
     schedules ({!Ba_proto.Fabric.churn}) with a memory budget below the

@@ -6,9 +6,9 @@
    barrier, capacity, ...): cells are built sequentially in spec order,
    each cell's engine/links/plans are seeded from the cell index, and
    the lease reconciliation is an order-independent integer fold over
-   cells. [shards]/[jobs] only choose how live cells are grouped into
-   pool tasks per epoch, and the pool collects in input order — so the
-   result is byte-identical at any shard count and any job count. *)
+   cells. [jobs] only chooses how live cells are grouped into pool
+   tasks per epoch, and the pool collects in input order — so the
+   result is byte-identical at any job count. *)
 
 type result = {
   flows : int;
@@ -41,7 +41,7 @@ type result = {
   unsafe_cell : int option;
 }
 
-let run ?(seed = 42) ?jobs ?shards ?(cell = 1024) ?(barrier = 1000) ?(data_loss = 0.)
+let run ?(seed = 42) ?jobs ?(cell = 1024) ?(barrier = 1000) ?(data_loss = 0.)
     ?(ack_loss = 0.) ?(data_delay = Ba_channel.Dist.Uniform (40, 60))
     ?(ack_delay = Ba_channel.Dist.Uniform (40, 60)) ?capacity ?plans_for
     ?deadline ?memory_budget ?watchdog ?(measure_mem = false) specs =
@@ -50,8 +50,6 @@ let run ?(seed = 42) ?jobs ?shards ?(cell = 1024) ?(barrier = 1000) ?(data_loss 
   if barrier < 1 then invalid_arg "Shard.run: barrier must be >= 1";
   let jobs = match jobs with Some j -> j | None -> Ba_parallel.Pool.default_jobs () in
   if jobs < 1 then invalid_arg "Shard.run: jobs must be >= 1";
-  let shards = match shards with Some s -> s | None -> jobs in
-  if shards < 1 then invalid_arg "Shard.run: shards must be >= 1";
   Cell.validate ~who:"Shard.run" ?memory_budget specs;
   let specs = Array.of_list specs in
   let total_flows = Array.length specs in
@@ -108,9 +106,9 @@ let run ?(seed = 42) ?jobs ?shards ?(cell = 1024) ?(barrier = 1000) ?(data_loss 
     let alive = List.filter (fun c -> Cell.remaining c > 0) (Array.to_list cells) in
     if alive <> [] && !t < horizon then begin
       let t_end = min horizon (!t + barrier) in
-      (* Contiguous shard groups over the live cells: granularity only,
+      (* One contiguous group of live cells per job: granularity only,
          never semantics. Each group advances its cells in order. *)
-      let per = (List.length alive + shards - 1) / shards in
+      let per = (List.length alive + jobs - 1) / jobs in
       let groups =
         List.init ((List.length alive + per - 1) / per) (fun g ->
             List.filteri (fun j _ -> j / per = g) alive)
@@ -178,15 +176,6 @@ let run ?(seed = 42) ?jobs ?shards ?(cell = 1024) ?(barrier = 1000) ?(data_loss 
           t.Cell.duplicates + t.Cell.misordered + t.Cell.corrupted > 0)
         (Seq.init ncells Fun.id);
   }
-
-let timed run =
-  (* Timed without [measure_mem]: its two full major collections scale
-     with the whole process's live heap, not with this run. The state
-     figure comes from a second, untimed run of the same model. *)
-  let t0 = Unix.gettimeofday () in
-  let r = run ~measure_mem:false in
-  let wall = Unix.gettimeofday () -. t0 in
-  ({ r with state_bytes = (run ~measure_mem:true).state_bytes }, wall)
 
 let safe r = r.duplicates = 0 && r.misordered = 0 && r.corrupted = 0
 

@@ -22,8 +22,8 @@
     {- {b Epoch barriers.} All live cells advance in lockstep,
        [Engine.run ~until] one [barrier]-tick epoch at a time. Within
        an epoch cells are independent, so epochs fan out over a
-       {!Ba_parallel.Pool}; [shards] controls how many contiguous cell
-       groups become pool tasks.}
+       {!Ba_parallel.Pool}: the live cells are dealt to [jobs]
+       contiguous groups, one pool task each.}
     {- {b Flat accounting.} Per-flow state is the cell's flat arrays
        plus one mergeable {!Ba_util.Qsketch} per cell for latency. The
        only per-flow heap objects are the protocol endpoints themselves
@@ -31,12 +31,11 @@
        payload pull).}}
 
     {b Determinism.} The model is fixed by [(specs, seed, cell,
-    barrier, capacity, …)]; [shards] and [jobs] only schedule cells
-    onto domains. Results are collected in cell order and lease
-    reconciliation is an order-independent integer fold, so the result
-    is byte-identical for any [shards] and any [jobs] — the same
-    guarantee class as the campaign pool, and QCheck-pinned in
-    [test_shard.ml]. *)
+    barrier, capacity, …)]; [jobs] only schedules cells onto domains.
+    Results are collected in cell order and lease reconciliation is an
+    order-independent integer fold, so the result is byte-identical for
+    any [jobs] — the same guarantee class as the campaign pool, and
+    QCheck-pinned in [test_shard.ml]. *)
 
 type result = {
   flows : int;  (** admitted flows across all cells *)
@@ -81,7 +80,6 @@ type result = {
 val run :
   ?seed:int ->
   ?jobs:int ->
-  ?shards:int ->
   ?cell:int ->
   ?barrier:int ->
   ?data_loss:float ->
@@ -98,9 +96,9 @@ val run :
   result
 (** [run specs] drives every flow to completion, departure or the
     deadline. Defaults: seed 42, [jobs] {!Ba_parallel.Pool.default_jobs},
-    [shards = jobs], [cell = 1024] flows per cell, [barrier = 1000]
-    ticks, no loss, delay [Uniform (40, 60)] both ways, no capacity
-    (uncontended links), [measure_mem = false].
+    [cell = 1024] flows per cell, [barrier = 1000] ticks, no loss, delay
+    [Uniform (40, 60)] both ways, no capacity (uncontended links),
+    [measure_mem = false].
 
     [capacity] is the shared data link's bottleneck [(service_time,
     queue_capacity)], realised as per-cell leases (see above): a cell's
@@ -121,16 +119,9 @@ val run :
     [seed] and the cell index, so plans are replayable per cell.
 
     Raises [Invalid_argument] on empty [specs], non-positive [cell],
-    [barrier] or [shards], a [capacity] with a non-positive member,
+    [barrier] or [jobs], a [capacity] with a non-positive member,
     invalid spec intervals, or a budget that admits no flow in some
     cell. *)
-
-val timed : (measure_mem:bool -> result) -> result * float
-(** [timed run] is [run ~measure_mem:false] with its wall seconds, and
-    with [state_bytes] taken from a second, untimed
-    [run ~measure_mem:true]: the measurement's full major collections
-    scale with the whole process's heap, so they stay out of the timing.
-    [run] must be deterministic (the same model both times). *)
 
 val safe : result -> bool
 (** No flow delivered a duplicate, out-of-order or corrupted payload:

@@ -1,8 +1,8 @@
 (* Sharded-fabric tests (also wired to the `shard-smoke` alias): the
    scale runner must be a pure function of the model parameters —
-   [shards] and [jobs] are scheduling knobs, so a sharded run is
-   byte-identical to the unsharded ([shards = 1], [jobs = 1]) run for
-   any shard count and any job count, including under storm churn — and
+   [jobs] is a scheduling knob, so a sharded run is byte-identical to
+   the unsharded ([jobs = 1]) run for any job count, including under
+   storm churn — and
    the cell-local admission/lease machinery must keep its Fabric
    semantics (budgets honoured, capacity-limited runs complete). *)
 
@@ -32,7 +32,7 @@ let mixed_specs ~messages ~flows =
 
 let test_clean_run_completes () =
   let specs = mixed_specs ~messages:6 ~flows:48 in
-  let r = Shard.run ~seed:7 ~jobs:1 ~shards:1 ~cell:8 specs in
+  let r = Shard.run ~seed:7 ~jobs:1 ~cell:8 specs in
   check Alcotest.bool "completed" true r.Shard.completed;
   check Alcotest.int "cells" 6 r.Shard.cells;
   check Alcotest.int "flows" 48 r.Shard.flows;
@@ -42,22 +42,21 @@ let test_clean_run_completes () =
   check Alcotest.int "nothing refused" 0 r.Shard.refused;
   check Alcotest.(option int) "no unsafe cell" None r.Shard.unsafe_cell
 
-let test_timed_fills_state_bytes () =
-  (* The timed run is the plain run, plus the state figure of an untimed
-     twin of the same model. *)
+let test_measured_run_fills_state_bytes () =
+  (* Measuring state is observation only: the measured run is the plain
+     run, plus its state figure. *)
   let specs = mixed_specs ~messages:4 ~flows:16 in
   let run ~measure_mem = Shard.run ~seed:5 ~jobs:1 ~cell:8 ~measure_mem specs in
-  let r, wall = Shard.timed run in
+  let r = run ~measure_mem:true in
   check Alcotest.string "same run" (Shard.summary (run ~measure_mem:false)) (Shard.summary r);
-  check Alcotest.bool "state measured" true (r.Shard.state_bytes > 0);
-  check Alcotest.bool "wall measured" true (wall >= 0.)
+  check Alcotest.bool "state measured" true (r.Shard.state_bytes > 0)
 
 let test_capacity_lease_run_completes () =
   (* A tight shared bottleneck realised as per-cell leases: the run must
      still complete, and the lease layer (not the per-cell links) must
      be doing the queueing. *)
   let specs = mixed_specs ~messages:5 ~flows:24 in
-  let r = Shard.run ~seed:11 ~jobs:1 ~shards:1 ~cell:6 ~capacity:(2, 64) specs in
+  let r = Shard.run ~seed:11 ~jobs:1 ~cell:6 ~capacity:(2, 64) specs in
   check Alcotest.bool "completed under lease" true r.Shard.completed;
   check Alcotest.int "all delivered" r.Shard.messages r.Shard.delivered
 
@@ -82,7 +81,7 @@ let test_budget_admission_is_cell_local () =
      memory must respect the global budget. *)
   let specs = mixed_specs ~messages:5 ~flows:32 in
   let budget = 4 * 1024 in
-  let r = Shard.run ~seed:3 ~jobs:1 ~shards:1 ~cell:8 ~memory_budget:budget specs in
+  let r = Shard.run ~seed:3 ~jobs:1 ~cell:8 ~memory_budget:budget specs in
   check Alcotest.bool "degraded somewhere" true
     (r.Shard.clamped_cells > 0 || r.Shard.refused > 0);
   check Alcotest.bool "sampled peak within budget" true (r.Shard.mem_peak_bytes <= budget)
@@ -287,7 +286,7 @@ let test_cell_footprint () =
       sum started residual
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: shards/jobs are scheduling, not semantics *)
+(* Determinism: jobs are scheduling, not semantics *)
 
 type scenario = {
   sc_seed : int;
@@ -299,7 +298,6 @@ type scenario = {
   sc_budget : int option;
   sc_watchdog : bool;
   sc_storm : bool;  (* churn population + seed-derived storm plans *)
-  sc_shards : int;
   sc_jobs : int;
 }
 
@@ -317,8 +315,7 @@ let scenario_gen =
     let* budget = int_range 2 20 in
     let* sc_watchdog = bool in
     let* sc_storm = bool in
-    let* sc_shards = int_range 2 5 in
-    let* sc_jobs = int_range 2 4 in
+    let* sc_jobs = int_range 2 5 in
     return
       {
         sc_seed;
@@ -330,22 +327,20 @@ let scenario_gen =
         sc_budget = (if with_budget then Some (budget * 1024) else None);
         sc_watchdog;
         sc_storm;
-        sc_shards;
         sc_jobs;
       })
 
 let scenario_print sc =
   Printf.sprintf
-    "seed=%d flows=%d cell=%d msgs=%d loss=%b cap=%s budget=%s dog=%b storm=%b \
-     shards=%d jobs=%d"
+    "seed=%d flows=%d cell=%d msgs=%d loss=%b cap=%s budget=%s dog=%b storm=%b jobs=%d"
     sc.sc_seed sc.sc_flows sc.sc_cell sc.sc_messages sc.sc_loss
     (match sc.sc_capacity with
     | Some (s, q) -> Printf.sprintf "(%d,%d)" s q
     | None -> "-")
     (match sc.sc_budget with Some b -> string_of_int b | None -> "-")
-    sc.sc_watchdog sc.sc_storm sc.sc_shards sc.sc_jobs
+    sc.sc_watchdog sc.sc_storm sc.sc_jobs
 
-let run_scenario sc ~shards ~jobs =
+let run_scenario sc ~jobs =
   let specs =
     if sc.sc_storm then
       (* A churning population: long-lived bases plus leavers/returners,
@@ -363,7 +358,7 @@ let run_scenario sc ~shards ~jobs =
     else None
   in
   let r =
-    Shard.run ~seed:sc.sc_seed ~jobs ~shards ~cell:sc.sc_cell ~barrier:500
+    Shard.run ~seed:sc.sc_seed ~jobs ~cell:sc.sc_cell ~barrier:500
       ~data_loss:(if sc.sc_loss then 0.03 else 0.)
       ~ack_loss:(if sc.sc_loss then 0.03 else 0.)
       ?capacity:sc.sc_capacity ?plans_for ?memory_budget:sc.sc_budget
@@ -375,21 +370,21 @@ let run_scenario sc ~shards ~jobs =
 let test_sharded_equals_unsharded =
   qcheck
     (QCheck.Test.make ~count:12
-       ~name:"sharded run byte-identical to unsharded at any shards x jobs"
+       ~name:"sharded run byte-identical to unsharded at any jobs x cell"
        (QCheck.make ~print:scenario_print scenario_gen)
        (fun sc ->
-         let reference = run_scenario sc ~shards:1 ~jobs:1 in
-         let sharded = run_scenario sc ~shards:sc.sc_shards ~jobs:sc.sc_jobs in
+         let reference = run_scenario sc ~jobs:1 in
+         let sharded = run_scenario sc ~jobs:sc.sc_jobs in
          if String.equal reference sharded then true
          else
-           QCheck.Test.fail_reportf "diverged:\n--- shards=1 jobs=1\n%s\n--- %s\n%s"
+           QCheck.Test.fail_reportf "diverged:\n--- jobs=1\n%s\n--- %s\n%s"
              reference (scenario_print sc) sharded))
 
 let test_storm_churn_shard_sweep () =
-  (* The compound incident, pinned across a shard-count sweep: one
+  (* The compound incident, pinned across a job-count sweep: one
      churning population under seed-derived storm plans, watchdog armed,
-     capacity leased — every shard count and job count must reproduce
-     the reference summary byte for byte. *)
+     capacity leased — every job count must reproduce the reference
+     summary byte for byte. *)
   let sc =
     {
       sc_seed = 42;
@@ -401,18 +396,14 @@ let test_storm_churn_shard_sweep () =
       sc_budget = Some (8 * 1024);
       sc_watchdog = true;
       sc_storm = true;
-      sc_shards = 1;
       sc_jobs = 1;
     }
   in
-  let reference = run_scenario sc ~shards:1 ~jobs:1 in
+  let reference = run_scenario sc ~jobs:1 in
   List.iter
-    (fun (shards, jobs) ->
-      check Alcotest.string
-        (Printf.sprintf "shards=%d jobs=%d" shards jobs)
-        reference
-        (run_scenario sc ~shards ~jobs))
-    [ (2, 1); (3, 4); (7, 2); (16, 3) ]
+    (fun jobs ->
+      check Alcotest.string (Printf.sprintf "jobs=%d" jobs) reference (run_scenario sc ~jobs))
+    [ 2; 3; 7; 16 ]
 
 (* ------------------------------------------------------------------ *)
 (* One cell behind every runner: a one-cell shard run is the fabric's model. Fabric runs
@@ -529,7 +520,7 @@ let () =
       ( "model",
         [
           Alcotest.test_case "clean run completes" `Quick test_clean_run_completes;
-          Alcotest.test_case "timed run measures state" `Quick test_timed_fills_state_bytes;
+          Alcotest.test_case "measured run fills state" `Quick test_measured_run_fills_state_bytes;
           Alcotest.test_case "capacity lease run completes" `Quick
             test_capacity_lease_run_completes;
           Alcotest.test_case "capacity needs positive members" `Quick
