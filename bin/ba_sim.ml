@@ -58,7 +58,7 @@ let run list_protocols entry messages payload_size loss ack_loss_opt base_delay 
             let h =
               Ba_util.Histogram.create ~lo:0. ~hi:(l.Ba_util.Stats.max +. 1.) ~bins:12
             in
-            List.iter (Ba_util.Histogram.add h) r.Ba_proto.Harness.latencies;
+            Array.iter (Ba_util.Histogram.add h) r.Ba_proto.Harness.latencies;
             print_string (Ba_util.Histogram.render ~width:40 h)
           end
       | None -> ()))

@@ -19,7 +19,7 @@ let () =
   let config = Blockack.Config.make ~window:16 ~rto:300 ~wire_modulus:(Some 32) ~max_transit:60 () in
   let server_handled = ref 0 in
   let issue_time = Hashtbl.create 97 in
-  let latencies = Ba_util.Stats.create () in
+  let latencies = Ba_util.Stats.create requests in
   let answered = ref 0 in
   (* The callbacks answer and take the time through the session they
      belong to, hence the lazy knot. *)
@@ -44,7 +44,7 @@ let () =
                let i = int_of_string n in
                assert (int_of_string squared = i * i);
                let now = Ba_sim.Engine.now (Blockack.Duplex.engine (Lazy.force session)) in
-               Ba_util.Stats.add latencies (float_of_int (now - Hashtbl.find issue_time i));
+               Ba_util.Stats.add latencies (now - Hashtbl.find issue_time i);
                incr answered
            | _ -> failwith ("bad response: " ^ resp))
          ())

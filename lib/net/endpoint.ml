@@ -179,8 +179,9 @@ module Client = struct
     dog : Ba_proto.Watchdog.t;
     dog_slot : Ba_sim.Engine.slot;
     shim : Shim.t;
-    pulls : float Ba_util.Ring_buffer.t;
-        (* pull time by index, for the indices the sender has not had
+    pulls : int Ba_util.Ring_buffer.t;
+        (* pull time by index, in integer microseconds (an int is
+           stored unboxed), for the indices the sender has not had
            acknowledged: a pull's slot is free once its index is below
            the acknowledged prefix, the store's [lo] *)
     tx : tx;
@@ -201,7 +202,8 @@ module Client = struct
         let i = Ba_proto.Workload.index p in
         if i >= 0 && i < t.messages then
           (* Everything pulled but not outstanding is acknowledged. *)
-          Ba_util.Ring_buffer.set t.pulls ~lo:(t.pulled - outstanding t) i (Unix.gettimeofday ());
+          Ba_util.Ring_buffer.set t.pulls ~lo:(t.pulled - outstanding t) i
+            (int_of_float (Float.round (Unix.gettimeofday () *. 1e6)));
         t.pulled <- t.pulled + 1;
         fresh
 
@@ -272,7 +274,7 @@ module Client = struct
            dog = Ba_proto.Watchdog.create watchdog;
            dog_slot = Ba_sim.Engine.slot_create engine (fun () -> check (self ()));
            shim;
-           pulls = Ba_util.Ring_buffer.create ~limit:max_int (-1.);
+           pulls = Ba_util.Ring_buffer.create ~limit:max_int (-1);
            tx = Tx ((module P), s);
            buf = Bytes.create (Codec.data_header_len + payload_size);
            pulled = 0;
@@ -295,7 +297,9 @@ module Client = struct
   let finished t = match t.tx with Tx ((module P), s) -> P.sender_done s
   let pulled t = t.pulled
   let pull_wall t i =
-    if Ba_util.Ring_buffer.mem t.pulls i then Ba_util.Ring_buffer.find t.pulls i else -1.
+    if Ba_util.Ring_buffer.mem t.pulls i then
+      float_of_int (Ba_util.Ring_buffer.find t.pulls i) /. 1e6
+    else -1.
   let data_frames t = t.data_frames
   let retransmissions t = match t.tx with Tx ((module P), s) -> P.sender_retransmissions s
   let resync_rounds t = t.handshakes

@@ -155,13 +155,14 @@ module Client : sig
       observes). *)
 
   val pull_wall : t -> int -> float
-  (** Wall-clock time ([Unix.gettimeofday]) payload [i] was first
-      pulled from the workload; negative if not yet pulled. The client
-      keeps these times only while the sender holds [i] unacknowledged
-      (about a window of them): the time is valid from the pull until
-      the sender sees [i] acknowledged — in particular when the server
-      delivers [i] — and reads negative once a later pull has reused its
-      slot. *)
+  (** Wall-clock time ([Unix.gettimeofday], in seconds) payload [i] was
+      first pulled from the workload, to the microsecond, the clock's
+      own resolution: the client stores whole microseconds. Negative if
+      not yet pulled. The client keeps these times only while the
+      sender holds [i] unacknowledged (about a window of them): the time
+      is valid from the pull until the sender sees [i] acknowledged — in
+      particular when the server delivers [i] — and reads negative once
+      a later pull has reused its slot. *)
 
   val data_frames : t -> int
   (** Data frames the sender emitted, before the shim and the packer —

@@ -272,7 +272,7 @@ type t = {
   spill : (int, int * string) Hashtbl.t;  (* message -> pull that lapped its ring undelivered *)
   mutable spilled : int;  (* pulls ever moved to [spill] *)
   sketch : Qsketch.t option;  (* every latency, in delivery order *)
-  latency : Stats.t option array;  (* without a sketch: flow's latencies, built on first use *)
+  latency : Stats.t option array;  (* without a sketch: flow's latencies, from its first delivery *)
   group : group array;  (* flow i's protocol group ... *)
   gslot : int array;  (* ... and its slot there *)
   pending : (int, int list) Hashtbl.t;  (* flow's restarts not yet followed by progress *)
@@ -326,11 +326,11 @@ let resolve_restarts c i ~now =
         match Hashtbl.find_opt c.resync i with
         | Some s -> s
         | None ->
-            let s = Stats.create () in
+            let s = Stats.create (List.length opened) in
             Hashtbl.add c.resync i s;
             s
       in
-      List.iter (fun t0 -> Stats.add s (float_of_int (now - t0))) opened
+      List.iter (fun t0 -> Stats.add s (now - t0)) opened
 
 (* Completion: all payloads delivered and the sender drained. Checked
    after every delivery, ack and sender restart. *)
@@ -409,11 +409,13 @@ let record_latency c i dt =
         match c.latency.(i) with
         | Some s -> s
         | None ->
-            let s = Stats.create () in
+            (* Sized once: a completed flow records exactly one sample
+               per message, so the column never grows. *)
+            let s = Stats.create c.specs.(i).messages in
             c.latency.(i) <- Some s;
             s
       in
-      Stats.add s (float_of_int dt)
+      Stats.add s dt
 
 let deliver c i payload =
   let k = Workload.index payload in
@@ -858,7 +860,7 @@ let flow_result c i =
   let latency =
     match if Array.length c.latency = 0 then None else c.latency.(i) with
     | Some s -> s
-    | None -> Stats.create ()
+    | None -> Stats.create 0
   in
   (* A restart no delivery ever resolved (a stuck run, or a crash with
      nothing left to deliver) is charged up to the flow's end — honest,
@@ -886,7 +888,7 @@ let flow_result c i =
     retransmissions = retransmissions c i;
     goodput = float_of_int delivered *. 1000. /. float_of_int ticks;
     latency = summary latency;
-    latencies = Stats.samples latency;
+    latencies = Stats.to_array latency;
     ack_overhead =
       (if payload_bytes = 0 then 0.
        else float_of_int (acks_sent * P.ack_wire_bytes) /. float_of_int payload_bytes);

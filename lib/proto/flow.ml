@@ -33,10 +33,10 @@ type result = {
   latency : Ba_util.Stats.summary option;
       (** per-payload delivery latency (ticks from entering the sender's
           window to in-order delivery); [None] when nothing was delivered *)
-  latencies : float list;
+  latencies : float array;
       (** the raw per-payload latency samples behind [latency], in
           delivery order, each recorded at its payload's first delivery
-          (for histograms) *)
+          (for histograms); a copy of the column [latency] summarises *)
   ack_overhead : float;  (** ack bytes per delivered payload byte *)
   efficiency : float;  (** delivered / data_sent: 1.0 means no waste *)
   crashes : int;  (** endpoint crashes injected into this flow *)

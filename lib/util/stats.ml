@@ -12,21 +12,24 @@ type summary = {
 (* The Welford accumulators and the retained samples live in unboxed
    float arrays: a record mixing ints and mutable floats boxes every
    float store, which made each [add] — one per delivered message —
-   allocate. Indices into [acc]: mean, m2, min, max. *)
+   allocate. A sample arrives as an int and becomes a float only inside
+   [add], so no float crosses a call boundary boxed. Indices into
+   [acc]: mean, m2, min, max. *)
 type t = {
   mutable n : int;
   acc : float array;
   mutable buf : float array;  (* samples, first [n] valid *)
 }
 
-let create () = { n = 0; acc = [| 0.; 0.; infinity; neg_infinity |]; buf = Array.make 16 0. }
+let create size = { n = 0; acc = [| 0.; 0.; infinity; neg_infinity |]; buf = Array.make size 0. }
 
 let add t x =
   if t.n = Array.length t.buf then begin
-    let nb = Array.make (2 * t.n) 0. in
+    let nb = Array.make (max 16 (2 * t.n)) 0. in
     Array.blit t.buf 0 nb 0 t.n;
     t.buf <- nb
   end;
+  let x = float_of_int x in
   t.buf.(t.n) <- x;
   t.n <- t.n + 1;
   let delta = x -. t.acc.(0) in
@@ -70,8 +73,10 @@ let float_sort (a : float array) =
     sift 0 len
   done
 
+let to_array t = Array.sub t.buf 0 t.n
+
 let sorted_samples t =
-  let a = Array.sub t.buf 0 t.n in
+  let a = to_array t in
   float_sort a;
   a
 
@@ -86,8 +91,6 @@ let percentile_of_sorted a q =
     let frac = pos -. float_of_int lo in
     (a.(lo) *. (1. -. frac)) +. (a.(hi) *. frac)
   end
-
-let samples t = Array.to_list (Array.sub t.buf 0 t.n)
 
 let percentile t q = percentile_of_sorted (sorted_samples t) q
 

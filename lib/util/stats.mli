@@ -13,10 +13,16 @@ type summary = {
 
 type t
 (** A running accumulator (Welford) that also retains samples so that
-    percentiles can be computed at summary time. *)
+    percentiles can be computed at summary time. Samples are ints (tick
+    counts); they are kept as floats in one unboxed column. *)
 
-val create : unit -> t
-val add : t -> float -> unit
+val create : int -> t
+(** [create n] sizes the column for [n] samples. Further samples grow
+    it by doubling; a column sized 0 grows too. *)
+
+val add : t -> int -> unit
+(** Allocates nothing while the column has room. *)
+
 val count : t -> int
 val mean : t -> float
 (** 0 when empty. *)
@@ -24,8 +30,8 @@ val mean : t -> float
 val variance : t -> float
 (** Sample variance (n-1 denominator); 0 when fewer than two samples. *)
 
-val samples : t -> float list
-(** All samples in insertion order. *)
+val to_array : t -> float array
+(** A copy of all samples, in insertion order. *)
 
 val percentile : t -> float -> float
 (** [percentile t q] with [q] in [0, 1]; linear interpolation between

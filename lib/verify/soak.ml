@@ -107,7 +107,7 @@ let fold ~on_round ~jobs ~rounds run =
     List.iter (add base_sum base_n) rd.base_goodput;
     List.iter (add returner_sum returner_n) rd.returner_goodput;
     List.iter
-      (fun (f : Harness.result) -> List.iter (Qsketch.add sketch) f.Harness.latencies)
+      (fun (f : Harness.result) -> Array.iter (Qsketch.add sketch) f.Harness.latencies)
       r.Fabric.flows;
     if i = min 9 (rounds - 1) then nodes_at_check := Qsketch.nodes sketch;
     on_round i rd

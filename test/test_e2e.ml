@@ -273,7 +273,12 @@ let test_latency_reported () =
   | None -> Alcotest.fail "latency summary expected"
   | Some l ->
       check Alcotest.int "one sample per message" 200 l.Ba_util.Stats.count;
-      check Alcotest.int "raw samples exposed" 200 (List.length r.Harness.latencies);
+      check Alcotest.int "raw samples exposed" 200 (Array.length r.Harness.latencies);
+      (* The summary and the raw samples come from one column. *)
+      check (Alcotest.float 0.) "samples' minimum is the summary's" l.Ba_util.Stats.min
+        (Array.fold_left Float.min infinity r.Harness.latencies);
+      check (Alcotest.float 0.) "samples' maximum is the summary's" l.Ba_util.Stats.max
+        (Array.fold_left Float.max neg_infinity r.Harness.latencies);
       (* One-way delay is 20-80: in-order delivery latency is at least the
          minimum link delay. *)
       check Alcotest.bool "plausible minimum" true (l.Ba_util.Stats.min >= 20.)

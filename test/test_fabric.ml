@@ -440,7 +440,7 @@ let accounting_line ~seed ~loss (name, protocol, config, data_plan) =
      resync=%d lat=%s"
     name loss r.completed r.ticks r.delivered r.duplicates r.misordered r.corrupted r.retx_bytes
     r.resync_rounds
-    (String.concat "," (List.map (Printf.sprintf "%.0f") (List.sort compare r.latencies)))
+    (String.concat "," (List.map (Printf.sprintf "%.0f") (List.sort compare (Array.to_list r.latencies))))
 
 (* Each seed's MD5 over every case at loss 0 and 0.1, recorded when the
    cell still kept a delivered bit and a transmitted bit per message of

@@ -429,7 +429,9 @@ let shard_digest (r : Shard.result) =
 
 let fabric_digest (r : Fabric.result) =
   let sum f = List.fold_left (fun a (fl : Ba_proto.Flow.result) -> a + f fl) 0 r.Fabric.flows in
-  let lat = List.concat_map (fun (fl : Ba_proto.Flow.result) -> fl.latencies) r.Fabric.flows in
+  let lat =
+    List.concat_map (fun (fl : Ba_proto.Flow.result) -> Array.to_list fl.latencies) r.Fabric.flows
+  in
   [
     r.Fabric.admitted; sum (fun f -> f.messages); sum (fun f -> f.delivered);
     sum (fun f -> f.duplicates); sum (fun f -> f.misordered); sum (fun f -> f.corrupted);

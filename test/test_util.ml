@@ -380,31 +380,57 @@ let test_ring_allocates_nothing () =
 (* Stats *)
 
 let test_stats_mean_var () =
-  let s = Ba_util.Stats.create () in
-  List.iter (Ba_util.Stats.add s) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
+  let s = Ba_util.Stats.create 8 in
+  List.iter (Ba_util.Stats.add s) [ 2; 4; 4; 4; 5; 5; 7; 9 ];
   check Alcotest.int "count" 8 (Ba_util.Stats.count s);
   check (Alcotest.float 1e-9) "mean" 5.0 (Ba_util.Stats.mean s);
   check (Alcotest.float 1e-9) "variance" (32. /. 7.) (Ba_util.Stats.variance s)
 
 let test_stats_empty () =
-  let s = Ba_util.Stats.create () in
+  let s = Ba_util.Stats.create 0 in
   check (Alcotest.float 1e-9) "empty mean" 0. (Ba_util.Stats.mean s);
   check (Alcotest.float 1e-9) "empty variance" 0. (Ba_util.Stats.variance s)
 
 let test_stats_percentile () =
-  let s = Ba_util.Stats.create () in
-  List.iter (Ba_util.Stats.add s) (List.init 101 float_of_int);
+  let s = Ba_util.Stats.create 101 in
+  List.iter (Ba_util.Stats.add s) (List.init 101 Fun.id);
   check (Alcotest.float 1e-9) "p50" 50. (Ba_util.Stats.percentile s 0.5);
   check (Alcotest.float 1e-9) "p0" 0. (Ba_util.Stats.percentile s 0.);
   check (Alcotest.float 1e-9) "p100" 100. (Ba_util.Stats.percentile s 1.)
 
 let test_stats_summary () =
-  let s = Ba_util.Stats.create () in
-  List.iter (Ba_util.Stats.add s) [ 1.; 2.; 3. ];
+  let s = Ba_util.Stats.create 3 in
+  List.iter (Ba_util.Stats.add s) [ 1; 2; 3 ];
   let sum = Ba_util.Stats.summary s in
   check (Alcotest.float 1e-9) "min" 1. sum.Ba_util.Stats.min;
   check (Alcotest.float 1e-9) "max" 3. sum.Ba_util.Stats.max;
   check Alcotest.int "count" 3 sum.Ba_util.Stats.count
+
+(* A column sized to its samples takes every [add] without a word of
+   allocation: the int becomes a float inside [add], stored unboxed.
+   [minor_words] runs its function more than once, so the column has
+   room for every run. *)
+let test_stats_add_allocates_nothing () =
+  let s = Ba_util.Stats.create 4_000 in
+  check Alcotest.int "1,000 adds allocate nothing" 0
+    (minor_words (fun () ->
+         for i = 1 to 1_000 do
+           Ba_util.Stats.add s i
+         done));
+  check Alcotest.int "every add kept" 2_000 (Ba_util.Stats.count s)
+
+(* Doubling a zero-length column stays at zero; the first add must
+   still find room. *)
+let test_stats_sized_zero () =
+  let s = Ba_util.Stats.create 0 in
+  List.iter (Ba_util.Stats.add s) (List.init 40 (fun i -> 40 - i));
+  check Alcotest.int "count" 40 (Ba_util.Stats.count s);
+  check (Alcotest.array (Alcotest.float 0.)) "samples in insertion order"
+    (Array.init 40 (fun i -> float_of_int (40 - i)))
+    (Ba_util.Stats.to_array s);
+  let sum = Ba_util.Stats.summary s in
+  check (Alcotest.float 1e-9) "min" 1. sum.Ba_util.Stats.min;
+  check (Alcotest.float 1e-9) "max" 40. sum.Ba_util.Stats.max
 
 let test_stats_ci95 () =
   let mean, hw = Ba_util.Stats.ci95 [ 10.; 10.; 10. ] in
@@ -674,6 +700,9 @@ let () =
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
           Alcotest.test_case "summary" `Quick test_stats_summary;
           Alcotest.test_case "ci95" `Quick test_stats_ci95;
+          Alcotest.test_case "add into a sized column allocates nothing" `Quick
+            test_stats_add_allocates_nothing;
+          Alcotest.test_case "column sized 0 accepts adds" `Quick test_stats_sized_zero;
         ] );
       ( "histogram",
         [
