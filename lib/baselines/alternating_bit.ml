@@ -2,8 +2,8 @@ module Wire = Ba_proto.Wire
 module Config = Ba_proto.Proto_config
 
 type sender = {
+  config : Config.t;
   engine : Ba_sim.Engine.t;
-  rto : int;
   tx : Wire.data -> unit;
   source : Ba_proto.Source.t;
       (* its one held position is in flight, awaiting its ack; the
@@ -24,7 +24,7 @@ let bit s = Ba_proto.Source.base s.source land 1
 let transmit s =
   let payload = Ba_proto.Source.get s.source (Ba_proto.Source.base s.source) in
   s.tx (Wire.make_data ~seq:(bit s) ~payload);
-  Ba_sim.Engine.slot_arm s.engine s.timer ~delay:s.rto
+  Ba_sim.Engine.slot_arm s.engine s.timer ~delay:s.config.Config.rto
 
 let pump s =
   if not (in_flight s) then begin
@@ -43,8 +43,8 @@ let create_sender engine config ~tx ~next_payload =
   let rec s =
     lazy
       {
+        config;
         engine;
-        rto = config.Config.rto;
         tx;
         source;
         timer = Ba_sim.Engine.slot_create engine (fun () -> on_timeout (Lazy.force s));

@@ -137,6 +137,42 @@ let test_blockack_fewer_acks_than_selective_repeat () =
   check Alcotest.bool "block acks are fewer" true
     (r_ba.Harness.acks_sent < r_sr.Harness.acks_sent)
 
+(* One config for every protocol on F1's channel, so the comparison is
+   apples-to-apples. It coalesces acknowledgments for 30 ticks, block
+   ack's defining feature; the baselines do not read [ack_coalesce].
+   [rto = 300 > 2 * max_transit + ack_coalesce = 130] keeps timeout
+   soundness. *)
+let f1_config =
+  Config.make ~window:16 ~rto:300 ~wire_modulus:(Some 32) ~ack_coalesce:30 ~max_transit:50 ()
+
+let f1_run ?(loss = 0.) ~messages proto =
+  run ~seed:3 ~messages ~config:f1_config ~loss ~delay:fifo_delay proto
+
+(* The paper's claim that acknowledging runs in blocks costs fewer frames
+   for the same recovery: on F1's lossy channel (200 messages, 5% loss
+   each way) block ack spends 1.860 frames, data plus acknowledgment, per
+   delivered message, and the cheaper baseline, selective repeat, 2.185.
+   The runs are deterministic, so the comparison needs no margin. *)
+let test_blockack_fewest_frames () =
+  let frames_per_msg (name, proto) =
+    let r = f1_run ~loss:0.05 ~messages:200 proto in
+    assert_correct name r;
+    let f =
+      float_of_int (r.Harness.data_sent + r.Harness.acks_sent) /. float_of_int r.Harness.delivered
+    in
+    Printf.printf "%s: %.3f frames/msg\n" name f;
+    f
+  in
+  let ba = frames_per_msg ("blockack-multi", Blockack.Protocols.multi) in
+  List.iter
+    (fun (name, proto) ->
+      let f = frames_per_msg (name, proto) in
+      if ba > f then Alcotest.failf "blockack spends %.3f frames/msg, %s %.3f" ba name f)
+    [
+      ("go-back-n", Ba_baselines.Go_back_n.protocol);
+      ("selective-repeat", Ba_baselines.Selective_repeat.protocol);
+    ]
+
 let test_alternating_bit_correct () =
   let config = Config.make ~window:1 ~rto:300 () in
   List.iter
@@ -283,6 +319,39 @@ let test_latency_reported () =
          minimum link delay. *)
       check Alcotest.bool "plausible minimum" true (l.Ba_util.Stats.min >= 20.)
 
+(* The steady-state allocation slope of a clean block-ack transfer on
+   F1's config: the heap bytes each further message (one data frame)
+   costs, the fixed setup cost cancelled by differencing 200 and 400
+   messages. It is deterministic: 88 B at 32 B payloads, namely the
+   payload string (48 B), its [Some] (16 B), the message's latency slot
+   and the result's copy of it (8 B each) and the summary's sorted copy
+   (8 B); the frame path adds none. The budget fails a latency result
+   kept as a boxed float list, a 24 B cons and a 16 B box per message
+   (128 B). *)
+let test_alloc_slope () =
+  let budget = 120. in
+  let xfer messages () = assert_correct "alloc" (f1_run ~messages Blockack.Protocols.multi) in
+  (* A warm-up run fills the frame pool, forces lazy initialisers and
+     resizes arenas. [Gc.allocated_bytes] reads counters sampled at the
+     last minor collection, so the minor heap is flushed before each
+     reading. *)
+  let per_run messages =
+    let f = xfer messages in
+    f ();
+    let runs = 4 in
+    Gc.minor ();
+    let a0 = Gc.allocated_bytes () in
+    for _ = 1 to runs do
+      f ()
+    done;
+    Gc.minor ();
+    (Gc.allocated_bytes () -. a0) /. float_of_int runs
+  in
+  let slope = (per_run 400 -. per_run 200) /. 200. in
+  Printf.printf "alloc slope: %.0f B/frame\n" slope;
+  if slope > budget then
+    Alcotest.failf "a clean transfer allocates %.0f B/frame, want <= %.0f" slope budget
+
 let prop_blockack_always_correct =
   QCheck.Test.make ~name:"blockack delivers exactly once, in order, for any seed/loss/jitter"
     ~count:25
@@ -345,6 +414,8 @@ let () =
             test_selective_repeat_acks_every_message;
           Alcotest.test_case "blockack sends fewer acks" `Quick
             test_blockack_fewer_acks_than_selective_repeat;
+          Alcotest.test_case "blockack spends the fewest frames" `Quick
+            test_blockack_fewest_frames;
           Alcotest.test_case "alternating bit correct" `Quick test_alternating_bit_correct;
           Alcotest.test_case "alternating bit is stop-and-wait" `Quick
             test_alternating_bit_stop_and_wait;
@@ -362,6 +433,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_harness_deterministic;
           Alcotest.test_case "conservation" `Quick test_link_conservation;
           Alcotest.test_case "latency reported" `Quick test_latency_reported;
+          Alcotest.test_case "allocation slope" `Quick test_alloc_slope;
         ] );
       ( "properties",
         [ qcheck prop_blockack_always_correct; qcheck prop_selective_repeat_always_correct ] );

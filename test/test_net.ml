@@ -498,11 +498,11 @@ let loopback_sock () =
   Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
   s
 
-let pair ?plan ?(messages = 120) ?(payload_size = 32) name =
+let pair ?plan ?(messages = 120) ?(payload_size = 32) ?on_setup name =
   let e = entry name in
   let config = Ba_registry.Registry.config e () in
   Endpoint.Pair.run ~protocol:e.Ba_registry.Registry.protocol ~config ~messages
-    ~payload_size ~wseed:7 ?plan ~impair_seed:11 ~tick_us:200 ~deadline_s:30. ()
+    ~payload_size ~wseed:7 ?plan ~impair_seed:11 ~tick_us:200 ~deadline_s:30. ?on_setup ()
 
 let assert_clean name (o : Endpoint.Pair.outcome) =
   if not o.Endpoint.Pair.completed then
@@ -534,9 +534,10 @@ let loopback_baseline () = assert_clean "go-back-n/clean" (pair ~messages:60 "go
    simulated link does, and the drivers decode every arrival in place,
    so a clean blockack pair allocates a bounded number of bytes per
    message. Measured as the slope between two transfer lengths, the way
-   [bench --check] measures the simulated data path: 242 B/msg on a
-   2-vCPU x86-64 host, 258 when the client's pull log kept boxed float
-   times and 410 when every arrival was decoded into fresh records. *)
+   test_e2e's "allocation slope" measures the simulated data path:
+   242 B/msg on a 2-vCPU x86-64 host, 258 when the client's pull log
+   kept boxed float times and 410 when every arrival was decoded into
+   fresh records. *)
 let loopback_alloc_per_message () =
   let budget = 260. in
   let alloc messages =
@@ -552,6 +553,27 @@ let loopback_alloc_per_message () =
   Printf.printf "clean pair: %.0f B/msg\n" slope;
   if slope > budget then
     Alcotest.failf "clean pair allocates %.0f B/msg, want <= %.0f" slope budget
+
+(* A loopback pair's per-connection state: the live heap its two
+   socket loops and two endpoints hold once built, set up as ba_bench's
+   udp-loopback is (20k messages of 16 B, window 16, rto 250). The
+   receive buffer is one per domain, so it is not counted. The figure
+   is deterministic (6,984 B on x86-64); the ceiling fails a column per
+   message (160 kB here), a receive buffer per socket loop or an encode
+   buffer sized to the largest datagram (61 kB). *)
+let loopback_state_per_connection () =
+  let ceiling = 16_000 in
+  let live_bytes () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+  in
+  let state = ref 0 in
+  let live0 = live_bytes () in
+  let on_setup () = state := live_bytes () - live0 in
+  assert_clean "blockack/state" (pair ~messages:20_000 ~payload_size:16 ~on_setup "blockack");
+  Printf.printf "pair state: %d B/conn\n" !state;
+  if !state > ceiling then
+    Alcotest.failf "a loopback pair holds %d B/conn once set up, want <= %d" !state ceiling
 
 (* The client keeps pull times for about a window of messages, not one
    per message. Over a long transfer every delivery must still find its
@@ -973,14 +995,21 @@ let server_merges_like_model =
       ranges (sent ()) = want)
 
 (* Loopback: a clean blockack transfer is acknowledged per drain, not
-   per frame; go-back-n's single-number acks pass through one-for-one. *)
+   per frame, and the client packs each pumped burst of data frames into
+   one datagram; go-back-n's single-number acks pass through
+   one-for-one. *)
 let loopback_merges_acks () =
   let o = pair ~messages:400 "blockack" in
   assert_clean "blockack/merged" o;
-  let acks = o.Endpoint.Pair.ack_datagrams in
-  if acks * 4 > o.Endpoint.Pair.delivered then
-    Alcotest.failf "%d ack datagrams for %d messages (want <= 1 per 4)" acks
-      o.Endpoint.Pair.delivered
+  Printf.printf "merged pair: %d ack and %d data datagrams for %d messages\n"
+    o.Endpoint.Pair.ack_datagrams o.Endpoint.Pair.data_datagrams o.Endpoint.Pair.delivered;
+  let per_4 what n =
+    if n * 4 > o.Endpoint.Pair.delivered then
+      Alcotest.failf "%d %s datagrams for %d messages (want <= 1 per 4)" n what
+        o.Endpoint.Pair.delivered
+  in
+  per_4 "ack" o.Endpoint.Pair.ack_datagrams;
+  per_4 "data" o.Endpoint.Pair.data_datagrams
 
 let loopback_single_acks_unmerged () =
   let module Base = (val Ba_baselines.Go_back_n.protocol : Ba_proto.Protocol.S) in
@@ -1077,6 +1106,7 @@ let () =
           Alcotest.test_case "blockack clean link" `Quick loopback_clean;
           Alcotest.test_case "bytes per message on a clean pair" `Quick
             loopback_alloc_per_message;
+          Alcotest.test_case "state per connection" `Quick loopback_state_per_connection;
           Alcotest.test_case "blockack under 5% loss" `Quick loopback_impaired;
           Alcotest.test_case "go-back-n clean link" `Quick loopback_baseline;
           Alcotest.test_case "a latency sample per message" `Quick loopback_latency_per_message;

@@ -285,6 +285,23 @@ let test_cell_footprint () =
     Alcotest.failf "ledger parts sum to %.1f B/flow, Cell.start keeps %.1f: residual over %.0f"
       sum started residual
 
+(* [Shard.run]'s own state figure at shard-100k's size: 100,000
+   two-message flows, the shape above, on one domain. It is a
+   deterministic [Gc] live-words delta (1,195 B/flow on x86-64), so the
+   ceiling needs no noise headroom: its ~8.5% fails a flow whose flight
+   ring is sized to its window (2w slots) instead of to its two messages
+   (1,427 B/flow). *)
+let test_state_at_100k_flows () =
+  let ceiling = 1_300 and n = 100_000 in
+  let e = entry "blockack" in
+  let spec = Fabric.spec ~config:(shard_config e) ~messages:2 e.Registry.protocol in
+  let r = Shard.run ~seed:11 ~jobs:1 ~measure_mem:true (List.init n (fun _ -> spec)) in
+  check Alcotest.bool "completed" true r.Shard.completed;
+  let per_flow = r.Shard.state_bytes / n in
+  Printf.printf "state at 100k flows: %d B/flow\n%!" per_flow;
+  if per_flow > ceiling then
+    Alcotest.failf "Shard.run keeps %d B/flow at 100k flows, want <= %d" per_flow ceiling
+
 (* ------------------------------------------------------------------ *)
 (* Determinism: jobs are scheduling, not semantics *)
 
@@ -530,6 +547,7 @@ let () =
           Alcotest.test_case "budget admission is cell-local" `Quick
             test_budget_admission_is_cell_local;
           Alcotest.test_case "cell footprint" `Quick test_cell_footprint;
+          Alcotest.test_case "state at 100k flows" `Quick test_state_at_100k_flows;
           Alcotest.test_case "summary digests at 4,096 flows" `Quick test_summary_digests;
         ] );
       ( "determinism",
