@@ -27,9 +27,7 @@ let transmit s =
   Ba_sim.Engine.slot_arm s.engine s.timer ~delay:s.config.Config.rto
 
 let pump s =
-  if not (in_flight s) then begin
-    match Ba_proto.Source.next s.source with None -> () | Some _ -> transmit s
-  end
+  if (not (in_flight s)) && Ba_proto.Source.next s.source then transmit s
 
 let on_timeout s =
   if in_flight s then begin

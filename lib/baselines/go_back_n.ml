@@ -35,12 +35,9 @@ let ns s = Ba_proto.Source.issued s.source
 let outstanding s = ns s - na s
 
 let rec pump s =
-  if outstanding s < s.config.Config.window then begin
-    match Ba_proto.Source.next s.source with
-    | None -> ()
-    | Some _ ->
-        transmit s (ns s - 1);
-        pump s
+  if outstanding s < s.config.Config.window && Ba_proto.Source.next s.source then begin
+    transmit s (ns s - 1);
+    pump s
   end
 
 (* Go back N: resend the entire outstanding window, oldest first. *)

@@ -84,12 +84,11 @@ and resend s seq =
 let rec pump s =
   if outstanding s < s.config.Config.window then begin
     if slot_ready s (ns s) then begin
-      match Ba_proto.Source.next s.source with
-      | None -> ()
-      | Some _ ->
-          ignore (try_transmit s (ns s - 1));
-          arm_timer s (ns s - 1);
-          pump s
+      if Ba_proto.Source.next s.source then begin
+        ignore (try_transmit s (ns s - 1));
+        arm_timer s (ns s - 1);
+        pump s
+      end
     end
     else if not s.pump_retry_armed then begin
       match s.config.Config.wire_modulus with

@@ -113,7 +113,9 @@ let create ?(seed = 42) ?(config = default_config) ?(piggyback_hold = 15) ?(loss
     e.sender <-
       Some
         (Sender_multi.create engine config ~tx:(tx_data e hold)
-           ~next_payload:(fun () -> Queue.take_opt e.queue));
+           ~next_payload:(fun () ->
+             if Queue.is_empty e.queue then raise_notrace Ba_proto.Protocol.Exhausted
+             else Queue.take e.queue));
     e.receiver <-
       Some
         (Receiver.create engine config

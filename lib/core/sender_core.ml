@@ -122,7 +122,7 @@ module type S = sig
     Ba_sim.Engine.t ->
     Config.t ->
     tx:(Ba_proto.Wire.data -> unit) ->
-    next_payload:(unit -> string option) ->
+    next_payload:(unit -> string) ->
     t
 
   val pump : t -> unit
@@ -199,7 +199,7 @@ module Make (P : TIMERS) : sig
     Ba_sim.Engine.t ->
     Config.t ->
     tx:(Ba_proto.Wire.data -> unit) ->
-    next_payload:(unit -> string option) ->
+    next_payload:(unit -> string) ->
     t
   (** {!S.create} with an optional Section VI lead band (default: the
       window); see {!Sender_multi.create}. *)
@@ -261,8 +261,7 @@ end = struct
              takes the next payload, if there is one. *)
           let seq = t.ns in
           if
-            seq < Ba_proto.Source.issued t.source
-            || Option.is_some (Ba_proto.Source.next t.source)
+            seq < Ba_proto.Source.issued t.source || Ba_proto.Source.next t.source
           then begin
             if outstanding t = Array.length t.acked_seq then grow t;
             t.acked_seq.(slot_of t seq) <- -1;

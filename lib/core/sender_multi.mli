@@ -49,7 +49,7 @@ val create :
   Ba_sim.Engine.t ->
   Config.t ->
   tx:(Ba_proto.Wire.data -> unit) ->
-  next_payload:(unit -> string option) ->
+  next_payload:(unit -> string) ->
   t
 (** [config.window] bounds unacknowledged messages; [lead] (default
     [config.window]) bounds [ns - na]. Requires [lead >= config.window]

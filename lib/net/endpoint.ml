@@ -196,16 +196,14 @@ module Client = struct
   let outstanding t = match t.tx with Tx ((module P), s) -> P.sender_outstanding s
 
   let pull t supply =
-    match supply () with
-    | None -> None
-    | Some p as fresh ->
-        let i = Ba_proto.Workload.index p in
-        if i >= 0 && i < t.messages then
-          (* Everything pulled but not outstanding is acknowledged. *)
-          Ba_util.Ring_buffer.set t.pulls ~lo:(t.pulled - outstanding t) i
-            (int_of_float (Float.round (Unix.gettimeofday () *. 1e6)));
-        t.pulled <- t.pulled + 1;
-        fresh
+    let p = supply () in
+    let i = Ba_proto.Workload.index p in
+    if i >= 0 && i < t.messages then
+      (* Everything pulled but not outstanding is acknowledged. *)
+      Ba_util.Ring_buffer.set t.pulls ~lo:(t.pulled - outstanding t) i
+        (int_of_float (Float.round (Unix.gettimeofday () *. 1e6)));
+    t.pulled <- t.pulled + 1;
+    p
 
   let send_data t (d : W.data) =
     t.data_frames <- t.data_frames + 1;

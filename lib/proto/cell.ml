@@ -403,7 +403,7 @@ let take_pull c m s spilled =
 
 let record_latency c i dt =
   match c.sketch with
-  | Some q -> Qsketch.add q (float_of_int dt)
+  | Some q -> Qsketch.add_int q dt
   | None ->
       let s =
         match c.latency.(i) with
@@ -440,7 +440,7 @@ let deliver c i payload =
 
 let next_payload c i =
   let k = get c i k_next_msg and sp = c.specs.(i) in
-  if k >= sp.messages then None
+  if k >= sp.messages then raise_notrace Protocol.Exhausted
   else begin
     set c i k_next_msg (k + 1);
     let s = ring_slot c i k and p = Workload.payload ~seed:(c.wseed i) ~size:sp.payload_size k in
@@ -451,7 +451,7 @@ let next_payload c i =
     end;
     c.pull_tick.(s) <- Engine.now c.engine;
     c.pulled.(s) <- p;
-    Some p
+    p
   end
 
 (* Workload payloads are unique per message, so a second transmission

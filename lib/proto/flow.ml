@@ -36,7 +36,9 @@ type result = {
   latencies : float array;
       (** the raw per-payload latency samples behind [latency], in
           delivery order, each recorded at its payload's first delivery
-          (for histograms); a copy of the column [latency] summarises *)
+          (for histograms). For a completed flow this is the column
+          [latency] summarises, handed over without a copy
+          ({!Ba_util.Stats.to_array}); do not mutate it *)
   ack_overhead : float;  (** ack bytes per delivered payload byte *)
   efficiency : float;  (** delivered / data_sent: 1.0 means no waste *)
   crashes : int;  (** endpoint crashes injected into this flow *)

@@ -7,6 +7,12 @@
     [next_payload] supplier whenever its window has room, so flow control
     stays inside the protocol where it belongs. *)
 
+exception Exhausted
+(** What a [next_payload] supplier raises when it has nothing to send
+    right now, as [Queue.take] raises [Queue.Empty]: a pull returns the
+    payload itself, so taking one allocates nothing beyond the payload.
+    Raise it with [raise_notrace]. *)
+
 (** {1 Optional capabilities}
 
     The paper's protocol is the data path alone. Crash–restart recovery
@@ -69,11 +75,12 @@ module type S = sig
     Ba_sim.Engine.t ->
     Proto_config.t ->
     tx:(Wire.data -> unit) ->
-    next_payload:(unit -> string option) ->
+    next_payload:(unit -> string) ->
     sender
-  (** [next_payload] returns [None] when the application has nothing more
-      to send; the sender calls it again after acknowledgments open the
-      window. *)
+  (** [next_payload] returns the next payload, or raises {!Exhausted}
+      when the application has nothing more to send; the sender calls it
+      again after acknowledgments open the window. Any string is a
+      payload, the empty one included. *)
 
   val create_receiver :
     Ba_sim.Engine.t ->

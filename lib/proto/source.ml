@@ -4,46 +4,53 @@
    two slots, and a sender that releases its acknowledged prefix holds
    about a window. *)
 type t = {
-  supplier : unit -> string option;
+  supplier : unit -> string;
   mutable ring : string array;
   mutable base : int;
   mutable issued : int;
-  mutable pending : string option;
+  mutable pending : string;  (* the lookahead payload, or [none] *)
 }
 
-let create supplier = { supplier; ring = [||]; base = 0; issued = 0; pending = None }
+(* An empty lookahead slot: a string no supplier can return, since it
+   is compared physically. Built at run time, so it shares no literal;
+   [""] would not do, as an application may send empty payloads. *)
+let none = Bytes.to_string (Bytes.make 1 '\000')
+
+let create supplier = { supplier; ring = [||]; base = 0; issued = 0; pending = none }
+
+let push t p =
+  if t.issued - t.base = Array.length t.ring then begin
+    let cap =
+      Ba_util.Ring_buffer.next_capacity (Array.length t.ring) ~need:(t.issued - t.base)
+        ~limit:max_int
+    in
+    t.ring <- Ba_util.Ring_buffer.place t.ring ~cap ~fill:"" ~lo:t.base ~hi:t.issued
+  end;
+  t.ring.(t.issued mod Array.length t.ring) <- p;
+  t.issued <- t.issued + 1
 
 let next t =
-  let fresh =
-    match t.pending with
-    | Some _ as p ->
-        t.pending <- None;
-        p
-    | None -> t.supplier ()
-  in
-  (match fresh with
-  | None -> ()
-  | Some p ->
-      if t.issued - t.base = Array.length t.ring then begin
-        let cap =
-          Ba_util.Ring_buffer.next_capacity (Array.length t.ring) ~need:(t.issued - t.base)
-            ~limit:max_int
-        in
-        t.ring <- Ba_util.Ring_buffer.place t.ring ~cap ~fill:"" ~lo:t.base ~hi:t.issued
-      end;
-      t.ring.(t.issued mod Array.length t.ring) <- p;
-      t.issued <- t.issued + 1);
-  fresh
+  let p = t.pending in
+  if p != none then begin
+    t.pending <- none;
+    push t p;
+    true
+  end
+  else
+    match t.supplier () with
+    | p ->
+        push t p;
+        true
+    | exception Protocol.Exhausted -> false
 
 let exhausted t =
-  match t.pending with
-  | Some _ -> false
-  | None -> (
-      match t.supplier () with
-      | None -> true
-      | Some p ->
-          t.pending <- Some p;
-          false)
+  t.pending == none
+  &&
+  match t.supplier () with
+  | p ->
+      t.pending <- p;
+      false
+  | exception Protocol.Exhausted -> true
 
 let issued t = t.issued
 let base t = t.base

@@ -1,7 +1,7 @@
 (** Payload source with one-slot lookahead and a sliding outbox.
 
-    Senders pull payloads from a [unit -> string option] supplier. A
-    supplier returning [None] means "nothing available now", not
+    Senders pull payloads from a [unit -> string] supplier. A supplier
+    raising {!Protocol.Exhausted} means "nothing available now", not
     necessarily "never again" — an application may queue more data later
     (as {!Blockack.Duplex} does). This wrapper re-polls on demand and
     buffers at most one payload so that checking for exhaustion never
@@ -23,17 +23,18 @@
 
 type t
 
-val create : (unit -> string option) -> t
+val create : (unit -> string) -> t
 
-val next : t -> string option
-(** Take the buffered payload if any, otherwise poll the supplier. A
-    payload taken is held at the next position, {!issued} before the
-    call. *)
+val next : t -> bool
+(** Take the buffered payload if any, otherwise poll the supplier;
+    [false] when it raised {!Protocol.Exhausted}. A payload taken is
+    held at the next position, {!issued} before the call, and read with
+    {!get}. Allocates nothing beyond growing the outbox. *)
 
 val exhausted : t -> bool
 (** [true] when nothing is available right now: the lookahead slot is
-    empty and a fresh poll returned [None]. A payload obtained by the
-    poll is kept for the next {!next}. *)
+    empty and a fresh poll raised {!Protocol.Exhausted}. A payload
+    obtained by the poll is kept for the next {!next}. *)
 
 val issued : t -> int
 (** Total payloads ever handed out, one position each. Positions are

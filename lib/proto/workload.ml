@@ -71,9 +71,9 @@ let index_of s =
 let supplier ~seed ~size ~count =
   let next = ref 0 in
   fun () ->
-    if !next >= count then None
+    if !next >= count then raise_notrace Protocol.Exhausted
     else begin
       let p = payload ~seed ~size !next in
       incr next;
-      Some p
+      p
     end

@@ -22,6 +22,6 @@ val index : string -> int
 (** [index_of] without the option: the embedded index, or [-1] when [s]
     is not a workload payload. Allocates nothing. *)
 
-val supplier : seed:int -> size:int -> count:int -> unit -> string option
-(** A stateful pull source yielding payloads [0 .. count-1] then [None]
-    forever. *)
+val supplier : seed:int -> size:int -> count:int -> unit -> string
+(** A stateful pull source yielding payloads [0 .. count-1], then
+    raising {!Protocol.Exhausted} forever. *)

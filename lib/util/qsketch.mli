@@ -35,7 +35,13 @@ val create : ?capacity:int -> unit -> t
 val capacity : t -> int
 
 val add : t -> float -> unit
-(** O(capacity) worst case (an array shift plus one collapse). *)
+(** O(capacity) worst case (an array shift plus one collapse).
+    Allocates nothing. *)
+
+val add_int : t -> int -> unit
+(** [add_int t x] is [add t (float_of_int x)], with the conversion
+    inside: no float crosses the call boxed, so a caller recording int
+    tick counts allocates nothing either. *)
 
 val count : t -> int
 (** Samples observed — exact. *)
@@ -60,7 +66,7 @@ val quantile : t -> float -> float
 (** [quantile t q] with [q] in [0, 1]: interpolated between centroid
     means under the midpoint-rank convention; clamped to [min]/[max]
     at the ends. Raises [Invalid_argument] when empty or [q] out of
-    range. *)
+    range. Reads the centroids in place; copies nothing. *)
 
 val merge : t -> t -> t
 (** [merge a b] is a fresh sketch over both streams, with capacity

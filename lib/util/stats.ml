@@ -43,45 +43,57 @@ let mean t = if t.n = 0 then 0. else t.acc.(0)
 let variance t = if t.n < 2 then 0. else t.acc.(1) /. float_of_int (t.n - 1)
 let stddev t = sqrt (variance t)
 
-(* In-place monomorphic heapsort: [Array.sort compare] on a float
-   array boxes both operands of every comparison (the polymorphic
-   traversal cannot see the unboxed representation), which dominated
-   summary-time allocation. Ascending order, identical to
-   [Array.sort compare] for the finite samples stored here. *)
-let float_sort (a : float array) =
-  let n = Array.length a in
-  let swap i j =
-    let x = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- x
-  in
-  let rec sift i len =
-    let l = (2 * i) + 1 in
-    if l < len then begin
-      let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
-      if a.(c) > a.(i) then begin
-        swap c i;
-        sift c len
-      end
+(* In-place monomorphic heapsort of [a]'s first [n] slots: [Array.sort
+   compare] on a float array boxes both operands of every comparison
+   (the polymorphic traversal cannot see the unboxed representation),
+   which dominated summary-time allocation. Ascending order, identical
+   to [Array.sort compare] for the finite samples stored here. [swap]
+   and [sift] take [a] rather than close over it, so a sort allocates
+   nothing. *)
+let swap (a : float array) i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+let rec sift (a : float array) i len =
+  let l = (2 * i) + 1 in
+  if l < len then begin
+    let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
+    if a.(c) > a.(i) then begin
+      swap a c i;
+      sift a c len
     end
-  in
+  end
+
+let float_sort a n =
   for i = (n / 2) - 1 downto 0 do
-    sift i n
+    sift a i n
   done;
   for len = n - 1 downto 1 do
-    swap 0 len;
-    sift 0 len
+    swap a 0 len;
+    sift a 0 len
   done
 
-let to_array t = Array.sub t.buf 0 t.n
+(* A completed column is full, and a full column is never written
+   again: the next [add] moves to a fresh array. So a full column is
+   handed over as it is. *)
+let to_array t = if t.n = Array.length t.buf then t.buf else Array.sub t.buf 0 t.n
+
+(* Percentiles sort a copy of the samples in a per-domain scratch
+   column, grown to the largest column summarised so far, so a summary
+   copies nothing after warm-up and leaves the column in delivery
+   order. *)
+let scratch = Domain.DLS.new_key (fun () -> ref [||])
 
 let sorted_samples t =
-  let a = to_array t in
-  float_sort a;
+  let r = Domain.DLS.get scratch in
+  if Array.length !r < t.n then r := Array.make t.n 0.;
+  let a = !r in
+  Array.blit t.buf 0 a 0 t.n;
+  float_sort a t.n;
   a
 
-let percentile_of_sorted a q =
-  let n = Array.length a in
+let percentile_of_sorted a n q =
   if n = 0 then invalid_arg "Stats.percentile: empty";
   if n = 1 then a.(0)
   else begin
@@ -92,7 +104,7 @@ let percentile_of_sorted a q =
     (a.(lo) *. (1. -. frac)) +. (a.(hi) *. frac)
   end
 
-let percentile t q = percentile_of_sorted (sorted_samples t) q
+let percentile t q = percentile_of_sorted (sorted_samples t) t.n q
 
 let summary t =
   if t.n = 0 then invalid_arg "Stats.summary: empty";
@@ -103,9 +115,9 @@ let summary t =
     stddev = stddev t;
     min = t.acc.(2);
     max = t.acc.(3);
-    p50 = percentile_of_sorted a 0.5;
-    p90 = percentile_of_sorted a 0.9;
-    p99 = percentile_of_sorted a 0.99;
+    p50 = percentile_of_sorted a t.n 0.5;
+    p90 = percentile_of_sorted a t.n 0.9;
+    p99 = percentile_of_sorted a t.n 0.99;
   }
 
 let pp_summary ppf s =

@@ -31,14 +31,21 @@ val variance : t -> float
 (** Sample variance (n-1 denominator); 0 when fewer than two samples. *)
 
 val to_array : t -> float array
-(** A copy of all samples, in insertion order. *)
+(** All samples, in insertion order. A full column (one sized to its
+    sample count, as a completed flow's is) is handed over as it is,
+    without a copy: a later {!add} moves the accumulator to a fresh
+    column, so the array returned is never written again. A column with
+    room left is copied. Do not mutate the result. *)
 
 val percentile : t -> float -> float
 (** [percentile t q] with [q] in [0, 1]; linear interpolation between
-    order statistics. Raises [Invalid_argument] when empty. *)
+    order statistics. Raises [Invalid_argument] when empty. Sorts in a
+    per-domain scratch column, so after warm-up (a column at least as
+    long was summarised before on the same domain) it copies nothing. *)
 
 val summary : t -> summary
-(** Raises [Invalid_argument] when empty. *)
+(** Raises [Invalid_argument] when empty. Sorts once, like
+    {!percentile}: after warm-up it allocates only its result. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 

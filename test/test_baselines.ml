@@ -232,6 +232,30 @@ let test_abp_timeout_retransmits () =
   check (Alcotest.list Alcotest.int) "two retransmissions of bit 0" [ 0; 0 ] (wire_seqs sent);
   check Alcotest.int "counted" 2 (P.sender_retransmissions s)
 
+(* Selective repeat resends exactly once per loss: every data frame or
+   acknowledgment the channel drops costs one retransmission, and
+   nothing else does. Its rto (250) exceeds the longest round trip
+   (2 * 60), so no timer expires while a copy or its acknowledgment is
+   still in flight. A failure is a premature or missing timer. *)
+let prop_sr_resends_once_per_loss =
+  let entry = Option.get (Ba_registry.Registry.find "selective-repeat") in
+  let config = Ba_registry.Registry.config entry () in
+  QCheck.Test.make ~name:"selective repeat resends once per loss" ~count:200
+    QCheck.(triple (Arb.int_range 1 10_000) (int_bound 20) (int_bound 20))
+    (fun (seed, data_pct, ack_pct) ->
+      let r =
+        Ba_proto.Harness.run entry.Ba_registry.Registry.protocol ~seed ~messages:300 ~config
+          ~data_loss:(float_of_int data_pct /. 100.) ~ack_loss:(float_of_int ack_pct /. 100.) ()
+      in
+      (Ba_proto.Harness.correct r
+      && r.Ba_proto.Harness.retransmissions = r.data_dropped + r.acks_dropped)
+      || QCheck.Test.fail_reportf
+           "@[<v>seed %d, %d%% data loss, %d%% ack loss: %d retransmissions for %d data and \
+            %d ack drops@,%a@,fixed: registry config (window 16, rto 250), 300 messages, \
+            delay Uniform (40, 60) both ways@]"
+           seed data_pct ack_pct r.retransmissions r.data_dropped r.acks_dropped
+           Ba_proto.Harness.pp_result r)
+
 let () =
   Alcotest.run "baselines"
     [
@@ -246,8 +270,10 @@ let () =
           Alcotest.test_case "bounded wire wraps (FIFO)" `Quick test_gbn_bounded_wire_wraps;
         ] );
       ( "selective_repeat",
-        [ Alcotest.test_case "acks everything individually" `Quick test_sr_receiver_acks_everything ]
-      );
+        [
+          Alcotest.test_case "acks everything individually" `Quick test_sr_receiver_acks_everything;
+          QCheck_alcotest.to_alcotest prop_sr_resends_once_per_loss;
+        ] );
       ( "stenning",
         [ Alcotest.test_case "slot quarantine" `Quick test_stenning_quarantine_delays_slot_reuse ]
       );

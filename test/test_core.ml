@@ -46,10 +46,15 @@ let test_workload_deterministic () =
 
 let test_workload_supplier () =
   let next = Ba_proto.Workload.supplier ~seed:1 ~size:16 ~count:3 in
-  check Alcotest.bool "first three" true
-    (next () <> None && next () <> None && next () <> None);
-  check (Alcotest.option Alcotest.string) "then exhausted" None (next ());
-  check (Alcotest.option Alcotest.string) "stays exhausted" None (next ())
+  let pulled = List.init 3 (fun _ -> next ()) in
+  check (Alcotest.list Alcotest.string) "first three"
+    (List.init 3 (Ba_proto.Workload.payload ~seed:1 ~size:16))
+    pulled;
+  let exhausted () =
+    match next () with _ -> false | exception Ba_proto.Protocol.Exhausted -> true
+  in
+  check Alcotest.bool "then exhausted" true (exhausted ());
+  check Alcotest.bool "stays exhausted" true (exhausted ())
 
 let test_workload_index_of_garbage () =
   check (Alcotest.option Alcotest.int) "garbage" None (Ba_proto.Workload.index_of "hello");
@@ -676,7 +681,7 @@ let live_bytes_per ~n make =
    or on a lead band. *)
 let test_endpoint_footprint () =
   let engine = Engine.create () in
-  let none () = None in
+  let none () = raise Ba_proto.Protocol.Exhausted in
   List.iter
     (fun (window, lead) ->
       let config = Config.make ~window ~wire_modulus:(Some (2 * lead)) ~ack_coalesce:0 () in
@@ -702,7 +707,7 @@ let test_endpoint_footprint () =
    [n] slots and [n] events), and
    the shared budget and payload keep the test's own supplier out of it. *)
 let test_flight_footprint () =
-  let forever () = Some "p" in
+  let forever () = "p" in
   List.iter
     (fun (window, lead) ->
       let engine = Engine.create () in
@@ -721,6 +726,41 @@ let test_flight_footprint () =
         Alcotest.failf "w=%d lead=%d: Sender_multi with two in flight keeps %d B, want <= 480"
           window lead sender)
     [ (8, 8); (16, 16); (8, 16) ]
+
+(* A pull hands the payload over as it is, with nothing around it: a
+   sender pumping payloads taken from a prebuilt array allocates nothing
+   per message once its columns, its outbox and the frame pool are
+   warm. Each round has the window acknowledged by one block ack, which
+   pulls and sends the next window. *)
+let test_pull_allocates_nothing () =
+  let w = 8 in
+  let payloads = Array.init 64 (fun i -> Ba_proto.Workload.payload ~seed:0 ~size:8 i) in
+  let next = ref 0 in
+  let supply () =
+    let p = payloads.(!next land 63) in
+    incr next;
+    p
+  in
+  let module S = Blockack.Sender_multi in
+  let s =
+    S.create (Engine.create ()) (Config.make ~window:w ~rto:100 ()) ~tx:Wire.release_data
+      ~next_payload:supply
+  in
+  S.pump s;
+  let round () =
+    let na = S.na s in
+    let a = Wire.make_ack ~lo:na ~hi:(na + w - 1) in
+    S.on_ack s a;
+    Wire.release_ack a
+  in
+  let pulled = !next in
+  check Alcotest.int "100 windows of pulls allocate nothing" 0
+    (minor_words (fun () ->
+         for _ = 1 to 100 do
+           round ()
+         done));
+  (* [minor_words] runs its function twice. *)
+  check Alcotest.int "every round pulled a window" (pulled + (200 * w)) !next
 
 (* Live bytes of a [protocol] pair — engine, both links, both
    endpoints — after it carries [messages] over links that lose 5% each
@@ -854,10 +894,10 @@ let prop_lead_sender_grows_with_flight =
       let engine = Engine.create () in
       let issued = ref 0 in
       let next_payload () =
-        if !issued = total then None
+        if !issued = total then raise Ba_proto.Protocol.Exhausted
         else begin
           incr issued;
-          Some (string_of_int (!issued - 1))
+          string_of_int (!issued - 1)
         end
       in
       let last_sent = Array.make total (-1) and acked = Array.make total false in
@@ -1315,6 +1355,7 @@ let () =
           Alcotest.test_case "ack stops timer" `Quick test_multi_ack_stops_timer;
           Alcotest.test_case "done condition" `Quick test_multi_done_only_when_exhausted_and_acked;
           Alcotest.test_case "one timer event per sender" `Quick test_multi_one_timer_event;
+          Alcotest.test_case "a pull allocates nothing" `Quick test_pull_allocates_nothing;
         ] );
       ( "handshake",
         [

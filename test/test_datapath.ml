@@ -72,7 +72,13 @@ module Ref_impl = struct
         mutable pending : string option;
       }
 
-      let create supplier = { supplier; ring = [||]; base = 0; issued = 0; cursor = 0; pending = None }
+      (* A supplier raises [Exhausted] when it has nothing to send; the
+         reference reads that as [None]. *)
+      let create supplier =
+        let supplier () =
+          match supplier () with p -> Some p | exception Protocol.Exhausted -> None
+        in
+        { supplier; ring = [||]; base = 0; issued = 0; cursor = 0; pending = None }
 
       (* Room for one more position: double the capacity (from 1) and place
          [base, issued) again at its new slots. *)
@@ -1112,11 +1118,11 @@ let trace_run proto ~seed ~messages ~config ~loss =
         record Ba_trace.Tracer.Sender Wire.pp_data d;
         Link.send dl d)
       ~next_payload:(fun () ->
-        if !produced >= messages then None
+        if !produced >= messages then raise Ba_proto.Protocol.Exhausted
         else begin
           let p = Ba_proto.Workload.payload ~seed ~size:32 !produced in
           incr produced;
-          Some p
+          p
         end)
   in
   let r =

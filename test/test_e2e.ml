@@ -16,10 +16,10 @@ let jitter_delay = Dist.Uniform (20, 80)
 
 let blockack_config = Config.make ~window:16 ~rto:300 ~wire_modulus:(Some 32) ()
 
-let run ?(seed = 1) ?(messages = 500) ?(config = blockack_config) ?(loss = 0.)
+let run ?(seed = 1) ?(messages = 500) ?payload_size ?(config = blockack_config) ?(loss = 0.)
     ?(delay = jitter_delay) ?on_setup proto =
-  Harness.run proto ~seed ~messages ~config ~data_loss:loss ~ack_loss:loss ~data_delay:delay
-    ~ack_delay:delay ?on_setup ()
+  Harness.run proto ~seed ~messages ?payload_size ~config ~data_loss:loss ~ack_loss:loss
+    ~data_delay:delay ~ack_delay:delay ?on_setup ()
 
 let assert_correct name r =
   if not (Harness.correct r) then
@@ -145,8 +145,8 @@ let test_blockack_fewer_acks_than_selective_repeat () =
 let f1_config =
   Config.make ~window:16 ~rto:300 ~wire_modulus:(Some 32) ~ack_coalesce:30 ~max_transit:50 ()
 
-let f1_run ?(loss = 0.) ~messages proto =
-  run ~seed:3 ~messages ~config:f1_config ~loss ~delay:fifo_delay proto
+let f1_run ?(loss = 0.) ?payload_size ~messages proto =
+  run ~seed:3 ~messages ?payload_size ~config:f1_config ~loss ~delay:fifo_delay proto
 
 (* The paper's claim that acknowledging runs in blocks costs fewer frames
    for the same recovery: on F1's lossy channel (200 messages, 5% loss
@@ -322,35 +322,51 @@ let test_latency_reported () =
 (* The steady-state allocation slope of a clean block-ack transfer on
    F1's config: the heap bytes each further message (one data frame)
    costs, the fixed setup cost cancelled by differencing 200 and 400
-   messages. It is deterministic: 88 B at 32 B payloads, namely the
-   payload string (48 B), its [Some] (16 B), the message's latency slot
-   and the result's copy of it (8 B each) and the summary's sorted copy
-   (8 B); the frame path adds none. The budget fails a latency result
-   kept as a boxed float list, a 24 B cons and a 16 B box per message
-   (128 B). *)
+   messages. It is deterministic: 56 B at 32 B payloads, namely the
+   payload string (48 B) and the message's latency slot (8 B). The pull
+   hands the payload over unboxed, the result takes the latency column
+   itself and the summary sorts in a reused scratch column, so the frame
+   path and the bookkeeping add nothing. At 512 B payloads the string is
+   528 B and the rest is the same 8 B. The budget fails a boxed pull
+   (16 B more per message, 72 B). *)
 let test_alloc_slope () =
-  let budget = 120. in
-  let xfer messages () = assert_correct "alloc" (f1_run ~messages Blockack.Protocols.multi) in
-  (* A warm-up run fills the frame pool, forces lazy initialisers and
-     resizes arenas. [Gc.allocated_bytes] reads counters sampled at the
-     last minor collection, so the minor heap is flushed before each
-     reading. *)
-  let per_run messages =
-    let f = xfer messages in
-    f ();
-    let runs = 4 in
-    Gc.minor ();
-    let a0 = Gc.allocated_bytes () in
-    for _ = 1 to runs do
-      f ()
-    done;
-    Gc.minor ();
-    (Gc.allocated_bytes () -. a0) /. float_of_int runs
+  let budget = 64. and beside_payload = 16. in
+  let slope payload_size =
+    let xfer messages () =
+      assert_correct "alloc" (f1_run ~payload_size ~messages Blockack.Protocols.multi)
+    in
+    (* A warm-up run fills the frame pool, forces lazy initialisers and
+       resizes arenas. [Gc.allocated_bytes] reads counters sampled at the
+       last minor collection, so the minor heap is flushed before each
+       reading. *)
+    let per_run messages =
+      let f = xfer messages in
+      f ();
+      let runs = 4 in
+      Gc.minor ();
+      let a0 = Gc.allocated_bytes () in
+      for _ = 1 to runs do
+        f ()
+      done;
+      Gc.minor ();
+      (Gc.allocated_bytes () -. a0) /. float_of_int runs
+    in
+    (per_run 400 -. per_run 200) /. 200.
   in
-  let slope = (per_run 400 -. per_run 200) /. 200. in
-  Printf.printf "alloc slope: %.0f B/frame\n" slope;
-  if slope > budget then
-    Alcotest.failf "a clean transfer allocates %.0f B/frame, want <= %.0f" slope budget
+  (* A string of [n] bytes: a header word and [n / 8 + 1] words. *)
+  let string_bytes n = float_of_int (8 * (1 + (n / 8) + 1)) in
+  List.iter
+    (fun payload_size ->
+      let s = slope payload_size in
+      let rest = s -. string_bytes payload_size in
+      Printf.printf "alloc slope at %d B payloads: %.0f B/frame, %.0f B beside the payload\n"
+        payload_size s rest;
+      if rest > beside_payload then
+        Alcotest.failf "%d B payloads: %.0f B/frame beside the payload string, want <= %.0f"
+          payload_size rest beside_payload;
+      if payload_size = 32 && s > budget then
+        Alcotest.failf "a clean transfer allocates %.0f B/frame, want <= %.0f" s budget)
+    [ 32; 512 ]
 
 let prop_blockack_always_correct =
   QCheck.Test.make ~name:"blockack delivers exactly once, in order, for any seed/loss/jitter"

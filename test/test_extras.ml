@@ -14,51 +14,48 @@ module E = Ba_experiments.Experiments
 (* ------------------------------------------------------------------ *)
 (* Source *)
 
+let list_supplier items () =
+  match !items with
+  | [] -> raise Ba_proto.Protocol.Exhausted
+  | x :: rest ->
+      items := rest;
+      x
+
+(* The payload [Source.next] took, or [None] when it took none. *)
+let take s =
+  if Ba_proto.Source.next s then Some (Ba_proto.Source.get s (Ba_proto.Source.issued s - 1))
+  else None
+
 let test_source_passthrough () =
-  let items = ref [ "a"; "b" ] in
-  let supplier () =
-    match !items with
-    | [] -> None
-    | x :: rest ->
-        items := rest;
-        Some x
-  in
-  let s = Ba_proto.Source.create supplier in
-  check (Alcotest.option Alcotest.string) "first" (Some "a") (Ba_proto.Source.next s);
-  check (Alcotest.option Alcotest.string) "second" (Some "b") (Ba_proto.Source.next s);
-  check (Alcotest.option Alcotest.string) "empty" None (Ba_proto.Source.next s)
+  let s = Ba_proto.Source.create (list_supplier (ref [ "a"; "b" ])) in
+  check (Alcotest.option Alcotest.string) "first" (Some "a") (take s);
+  check (Alcotest.option Alcotest.string) "second" (Some "b") (take s);
+  check (Alcotest.option Alcotest.string) "empty" None (take s)
+
+(* Exhaustion is an exception, not a value: an empty payload is sent
+   like any other, whether pulled directly or through the lookahead. *)
+let test_source_empty_payload () =
+  let s = Ba_proto.Source.create (list_supplier (ref [ ""; "" ])) in
+  check (Alcotest.option Alcotest.string) "pulled" (Some "") (take s);
+  check Alcotest.bool "held by the probe" false (Ba_proto.Source.exhausted s);
+  check (Alcotest.option Alcotest.string) "from the lookahead" (Some "") (take s);
+  check Alcotest.bool "then exhausted" true (Ba_proto.Source.exhausted s)
 
 let test_source_exhausted_does_not_lose () =
-  let items = ref [ "x" ] in
-  let supplier () =
-    match !items with
-    | [] -> None
-    | x :: rest ->
-        items := rest;
-        Some x
-  in
-  let s = Ba_proto.Source.create supplier in
+  let s = Ba_proto.Source.create (list_supplier (ref [ "x" ])) in
   (* The exhaustion probe pulls "x" into the lookahead slot... *)
   check Alcotest.bool "not exhausted" false (Ba_proto.Source.exhausted s);
   (* ...and next must return it, not skip it. *)
-  check (Alcotest.option Alcotest.string) "buffered item survives" (Some "x")
-    (Ba_proto.Source.next s);
+  check (Alcotest.option Alcotest.string) "buffered item survives" (Some "x") (take s);
   check Alcotest.bool "now exhausted" true (Ba_proto.Source.exhausted s)
 
 let test_source_replenished () =
   let items = ref [] in
-  let supplier () =
-    match !items with
-    | [] -> None
-    | x :: rest ->
-        items := rest;
-        Some x
-  in
-  let s = Ba_proto.Source.create supplier in
+  let s = Ba_proto.Source.create (list_supplier items) in
   check Alcotest.bool "exhausted while empty" true (Ba_proto.Source.exhausted s);
   items := [ "later" ];
   check Alcotest.bool "sees new data" false (Ba_proto.Source.exhausted s);
-  check (Alcotest.option Alcotest.string) "delivers it" (Some "later") (Ba_proto.Source.next s)
+  check (Alcotest.option Alcotest.string) "delivers it" (Some "later") (take s)
 
 (* A crashed sender replays its outbox from the position the receiver's
    POS names, and [ns] is its only send cursor. Twelve payloads grow the
@@ -70,10 +67,10 @@ let test_sender_replay_across_growth () =
   let engine = Engine.create () in
   let next = ref 0 in
   let supplier () =
-    if !next >= 14 then None
+    if !next >= 14 then raise Ba_proto.Protocol.Exhausted
     else begin
       incr next;
-      Some (Printf.sprintf "p%d" (!next - 1))
+      Printf.sprintf "p%d" (!next - 1)
     end
   in
   let sent = ref [] in
@@ -102,17 +99,17 @@ let test_sender_replay_across_growth () =
 let test_source_release () =
   let next = ref 0 in
   let supplier () =
-    if !next >= 20 then None
+    if !next >= 20 then raise Ba_proto.Protocol.Exhausted
     else begin
       incr next;
-      Some (Printf.sprintf "p%d" (!next - 1))
+      Printf.sprintf "p%d" (!next - 1)
     end
   in
   let module S = Ba_proto.Source in
   let s = S.create supplier in
-  let take n = List.init n (fun _ -> S.next s) in
+  let take_n n = List.init n (fun _ -> take s) in
   let ps a b = List.init (b - a) (fun i -> Some (Printf.sprintf "p%d" (a + i))) in
-  ignore (take 6);
+  ignore (take_n 6);
   S.release s ~below:4;
   check Alcotest.int "base" 4 (S.base s);
   check Alcotest.int "issued" 6 (S.issued s);
@@ -123,13 +120,14 @@ let test_source_release () =
   check Alcotest.int "releasing less is a no-op" 4 (S.base s);
   (* Fourteen more issues hold sixteen positions, [4, 20): the ring
      outgrows its eight slots and places them anew. *)
-  check (Alcotest.list (Alcotest.option Alcotest.string)) "fresh after release" (ps 6 20) (take 14);
+  check (Alcotest.list (Alcotest.option Alcotest.string)) "fresh after release" (ps 6 20)
+    (take_n 14);
   check (Alcotest.list (Alcotest.option Alcotest.string)) "held after regrow" (ps 4 20)
     (List.init 16 (fun i -> Some (S.get s (4 + i))));
   check Alcotest.string "read in place" "p11" (S.get s 11);
   S.release s ~below:100;
   check Alcotest.int "release clamps to issued" 20 (S.base s);
-  check (Alcotest.option Alcotest.string) "then exhausted" None (S.next s)
+  check Alcotest.bool "then exhausted" false (S.next s)
 
 (* ------------------------------------------------------------------ *)
 (* Rtt_estimator *)
@@ -263,7 +261,7 @@ let test_reuse_requires_lead_ge_window () =
       ignore
         (Blockack.Sender_multi.create ~lead:2 engine reuse_config
            ~tx:(fun _ -> ())
-           ~next_payload:(fun () -> None)))
+           ~next_payload:(fun () -> raise Ba_proto.Protocol.Exhausted)))
 
 let test_reuse_rejects_small_modulus () =
   let engine = Engine.create () in
@@ -277,7 +275,7 @@ let test_reuse_rejects_small_modulus () =
         (Blockack.Sender_multi.create ~lead:8 engine
            (Config.make ~window:4 ~rto:200 ~wire_modulus:(Some 15) ())
            ~tx:(fun _ -> ())
-           ~next_payload:(fun () -> None)))
+           ~next_payload:(fun () -> raise Ba_proto.Protocol.Exhausted)))
 
 let test_reuse_protocol_correct_e2e () =
   let config = Config.make ~window:8 ~rto:300 ~wire_modulus:(Some 32) ~max_transit:80 () in
@@ -846,6 +844,7 @@ let () =
       ( "source",
         [
           Alcotest.test_case "passthrough" `Quick test_source_passthrough;
+          Alcotest.test_case "an empty payload is a payload" `Quick test_source_empty_payload;
           Alcotest.test_case "exhausted does not lose" `Quick test_source_exhausted_does_not_lose;
           Alcotest.test_case "replenished" `Quick test_source_replenished;
           Alcotest.test_case "sender replays across growth" `Quick test_sender_replay_across_growth;

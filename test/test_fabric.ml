@@ -316,7 +316,9 @@ let test_registry_validate_is_constructors () =
           let config = { Ba_proto.Proto_config.default with window; wire_modulus } in
           let build () =
             let engine = Ba_sim.Engine.create () in
-            ignore (P.create_sender engine config ~tx:ignore ~next_payload:(fun () -> None));
+            ignore
+              (P.create_sender engine config ~tx:ignore ~next_payload:(fun () ->
+                   raise Ba_proto.Protocol.Exhausted));
             ignore (P.create_receiver engine config ~tx:ignore ~deliver:ignore)
           in
           check

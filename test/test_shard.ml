@@ -179,7 +179,7 @@ let build_cell protocol config =
 module Bare : Ba_proto.Protocol.S = struct
   let name = "bare"
 
-  type sender = unit -> string option
+  type sender = unit -> string
   type receiver = string -> unit
 
   let validate = Ba_proto.Proto_config.validate
@@ -206,17 +206,17 @@ let ledger e =
       Ba_sim.Engine.schedule engine ~delay:0 ignore
     done;
     Ba_sim.Engine.run engine;
-    (* A shared payload and a shared supplier: two messages, then [None]
-       once, as a two-message flow's puller answers a pump. *)
+    (* A shared payload and a shared supplier: two messages, then
+       exhausted once, as a two-message flow's puller answers a pump. *)
     let pulls = ref 0 in
     let supply () =
       if !pulls < 2 then begin
         incr pulls;
-        Some "p"
+        "p"
       end
       else begin
         pulls := 0;
-        None
+        raise Ba_proto.Protocol.Exhausted
       end
     in
     per_flow (fun _ ->

@@ -419,6 +419,50 @@ let test_stats_add_allocates_nothing () =
          done));
   check Alcotest.int "every add kept" 2_000 (Ba_util.Stats.count s)
 
+(* A summary sorts in a scratch column it keeps, so once that has grown
+   to the longest column summarised it allocates its result only: the
+   record and its boxed floats, the same at 10 samples as at 10,000. *)
+let test_stats_summary_allocates_nothing () =
+  let column n =
+    let s = Ba_util.Stats.create n in
+    for i = 1 to n do
+      Ba_util.Stats.add s ((i * 7919) mod 1009)
+    done;
+    s
+  in
+  let long = column 10_000 and short = column 10 in
+  let words s = minor_words (fun () -> ignore (Sys.opaque_identity (Ba_util.Stats.summary s))) in
+  let result_words = words short in
+  (* 8 fields and a header, 7 of them boxed floats of 2 words each *)
+  if result_words > 9 + (7 * 2) + 2 then
+    Alcotest.failf "a summary of 10 samples allocates %d words" result_words;
+  check Alcotest.int "10,000 samples cost what 10 do" result_words (words long);
+  check Alcotest.int "percentile allocates its result only" 2
+    (minor_words (fun () -> ignore (Sys.opaque_identity (Ba_util.Stats.percentile long 0.99))));
+  check (Alcotest.array (Alcotest.float 0.)) "the column keeps its order"
+    (Array.init 10 (fun i -> float_of_int (((i + 1) * 7919) mod 1009)))
+    (Ba_util.Stats.to_array short)
+
+(* A column sized to its samples is handed over without a copy, and the
+   array handed over is never written again: the next add moves the
+   column. A column with room left is copied. *)
+let test_stats_full_column_handed_over () =
+  let s = Ba_util.Stats.create 5 in
+  List.iter (Ba_util.Stats.add s) [ 5; 4; 3; 2; 1 ];
+  let a = Ba_util.Stats.to_array s in
+  check Alcotest.bool "the column itself" true (a == Ba_util.Stats.to_array s);
+  check Alcotest.int "no copy" 0
+    (minor_words (fun () -> ignore (Sys.opaque_identity (Ba_util.Stats.to_array s))));
+  ignore (Ba_util.Stats.summary s);
+  Ba_util.Stats.add s 0;
+  check (Alcotest.array (Alcotest.float 0.)) "untouched by summary and add"
+    [| 5.; 4.; 3.; 2.; 1. |]
+    a;
+  let b = Ba_util.Stats.to_array s in
+  check (Alcotest.array (Alcotest.float 0.)) "the grown column's samples"
+    [| 5.; 4.; 3.; 2.; 1.; 0. |] b;
+  check Alcotest.bool "a column with room is copied" false (b == Ba_util.Stats.to_array s)
+
 (* Doubling a zero-length column stays at zero; the first add must
    still find room. *)
 let test_stats_sized_zero () =
@@ -638,6 +682,35 @@ let prop_qsketch_merge_associative =
              <= eps +. 1e-9)
            [ 0.5; 0.9; 0.99 ])
 
+(* The int entry point is the float one with the conversion inside:
+   the same centroids, quantiles and extremes, bit for bit, on a stream
+   long enough to collapse; and neither entry allocates. *)
+let test_qsketch_int_entry () =
+  let xs = Array.init 10_000 (fun i -> ((i * 7919) mod 1009) - 300) in
+  let by_int = Qsketch.create () and by_float = Qsketch.create () in
+  Array.iter (Qsketch.add_int by_int) xs;
+  Array.iter (fun x -> Qsketch.add by_float (float_of_int x)) xs;
+  let view s =
+    ( (Qsketch.count s, Qsketch.nodes s),
+      Qsketch.min s :: Qsketch.max s
+      :: List.map (Qsketch.quantile s) [ 0.; 0.01; 0.5; 0.9; 0.99; 1. ] )
+  in
+  check
+    Alcotest.(pair (pair int int) (list (float 0.)))
+    "same sketch" (view by_float) (view by_int);
+  let s = Qsketch.create () in
+  check Alcotest.int "add_int allocates nothing" 0
+    (minor_words (fun () ->
+         for i = 1 to 1_000 do
+           Qsketch.add_int s ((i * 31) mod 977)
+         done));
+  let x = 3.5 in
+  check Alcotest.int "add allocates nothing" 0
+    (minor_words (fun () ->
+         for _ = 1 to 1_000 do
+           Qsketch.add s x
+         done))
+
 let test_qsketch_merge_exact_counts () =
   let a = sketch_of (Array.init 500 (fun i -> float_of_int i)) in
   let b = sketch_of (Array.init 300 (fun i -> float_of_int (1000 + i))) in
@@ -703,6 +776,10 @@ let () =
           Alcotest.test_case "add into a sized column allocates nothing" `Quick
             test_stats_add_allocates_nothing;
           Alcotest.test_case "column sized 0 accepts adds" `Quick test_stats_sized_zero;
+          Alcotest.test_case "summary allocates nothing after warm-up" `Quick
+            test_stats_summary_allocates_nothing;
+          Alcotest.test_case "a full column's to_array is the column" `Quick
+            test_stats_full_column_handed_over;
         ] );
       ( "histogram",
         [
@@ -726,6 +803,9 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_qsketch_deterministic;
           Alcotest.test_case "validation" `Quick test_qsketch_validation;
           Alcotest.test_case "merge exact counts" `Quick test_qsketch_merge_exact_counts;
+          Alcotest.test_case
+            "the int sketch entry allocates nothing and equals add (float_of_int x)" `Quick
+            test_qsketch_int_entry;
           qcheck prop_qsketch_merge_associative;
         ] );
     ]
