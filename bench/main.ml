@@ -92,12 +92,16 @@ let net_udp_row ~messages ~lossy =
   in
   let module Q = Ba_util.Qsketch in
   let q p = if Q.count o.latency_ms = 0 then 0. else Q.quantile o.latency_ms p in
-  n1_row "udp" ~lossy ~completed:o.completed ~msgs_s:o.msgs_per_s ~retx:o.retransmissions
-    ~p50_ms:(q 0.5) ~p99_ms:(q 0.99) ~acks:o.ack_datagrams ~frames:o.frames_tx
-    ~delivered:o.delivered
+  let n = Ba_util.Counters.get o.counters in
+  n1_row "udp" ~lossy ~completed:o.completed ~msgs_s:o.msgs_per_s ~retx:(n Retransmissions)
+    ~p50_ms:(q 0.5) ~p99_ms:(q 0.99) ~acks:(n Acks_sent) ~frames:(n Datagrams_tx)
+    ~delivered:(n Delivered)
     ~clean:
-      (o.completed && o.duplicates = 0 && o.misordered = 0 && o.corrupted = 0
-     && o.digest = o.digest_expected)
+      (o.completed
+      && n Duplicates = 0
+      && n Misordered = 0
+      && n Corrupted = 0
+      && o.digest = o.digest_expected)
 
 let net_table ~quick =
   let messages = if quick then 120 else 300 in

@@ -72,7 +72,7 @@ let run (o : Udp_opts.t) connect wd_interval =
     (Endpoint.Client.watchdog_resyncs c)
     (Endpoint.Client.quarantines c)
     (Watchdog.state_name (Endpoint.Client.watchdog_state c));
-  Udp_opts.report_shim ~tool:"ba_client" (Endpoint.Client.shim_stats c);
+  Udp_opts.report_shim ~tool:"ba_client" (Endpoint.Client.shim_counters c);
   Unix.close sock;
   if finished then 0 else 1
 

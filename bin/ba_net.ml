@@ -92,7 +92,7 @@ let run_sweep ~counts ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs =
           (if r.Fabric.completed then "yes" else "NO");
           fmt r.Fabric.aggregate_goodput;
           fmt r.Fabric.fairness;
-          string_of_int r.Fabric.data_stats.Ba_channel.Link.queue_dropped;
+          string_of_int (Ba_util.Counters.get r.Fabric.data_link Queue_dropped);
           string_of_int r.Fabric.ticks;
         ])
       cells outcomes
@@ -205,17 +205,19 @@ let run_soak ~rounds ~mix ~(spec : ?start_at:int -> Registry.entry -> Fabric.spe
   in
   let on_round round (rd : Soak.round) =
     let r = rd.Soak.result in
+    let n = Ba_util.Counters.get r.Fabric.counters in
+    let admitted = List.length r.Fabric.flows in
     Ba_util.Table.stream_row sink
       [
         string_of_int round;
         string_of_int (seed + round);
         (if r.Fabric.completed then "yes" else "NO");
-        Printf.sprintf "%d/%d" r.Fabric.admitted (r.Fabric.admitted + r.Fabric.refused);
-        string_of_int r.Fabric.departed;
+        Printf.sprintf "%d/%d" admitted (admitted + n Refused);
+        string_of_int (n Departed);
         (match r.Fabric.clamped_window with Some c -> string_of_int c | None -> "-");
         string_of_int r.Fabric.mem_peak_bytes;
-        string_of_int r.Fabric.quarantine_events;
-        string_of_int r.Fabric.watchdog_resyncs;
+        string_of_int (n Quarantine_events);
+        string_of_int (n Watchdog_resyncs);
         (if r.Fabric.completed && r.Fabric.ticks > surge_at then
            string_of_int (r.Fabric.ticks - surge_at)
          else "-");
@@ -231,7 +233,8 @@ let run_soak ~rounds ~mix ~(spec : ?start_at:int -> Registry.entry -> Fabric.spe
      worst post-surge recovery=%d ticks\n"
     rounds s.Soak.budget s.Soak.peak
     (if s.Soak.over_budget = 0 then "under budget" else "OVER BUDGET")
-    s.Soak.quarantines s.Soak.resyncs
+    (Ba_util.Counters.get s.Soak.counters Quarantine_events)
+    (Ba_util.Counters.get s.Soak.counters Watchdog_resyncs)
     (max 0 (s.Soak.worst_ticks - surge_at));
   if Qsketch.count sketch > 0 then
     Printf.printf "telemetry: latency n=%d p50=%.0f p90=%.0f p99=%.0f sketch=%dB\n"
@@ -284,7 +287,8 @@ let run_fabric ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed =
   Ba_util.Table.print
     ~headers:[ "flow"; "protocol"; "delivered"; "retx"; "ticks"; "goodput"; "p50"; "p99"; "verdict" ]
     numbered;
-  let d = r.Fabric.data_stats and a = r.Fabric.ack_stats in
+  let d = Ba_util.Counters.get r.Fabric.data_link
+  and a = Ba_util.Counters.get r.Fabric.ack_link in
   Printf.printf
     "\naggregate: %d flows, %s in %d ticks, goodput=%s/ktick, jain=%s\n\
      shared data link: sent=%d dropped=%d queue_dropped=%d reordered=%d\n\
@@ -294,8 +298,7 @@ let run_fabric ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed =
     r.Fabric.ticks
     (fmt r.Fabric.aggregate_goodput)
     (fmt r.Fabric.fairness)
-    d.Ba_channel.Link.sent d.Ba_channel.Link.dropped d.Ba_channel.Link.queue_dropped
-    d.Ba_channel.Link.reordered a.Ba_channel.Link.sent a.Ba_channel.Link.dropped;
+    (d Offered) (d Lost) (d Queue_dropped) (d Reordered) (a Offered) (a Lost);
   if List.for_all Ba_proto.Harness.correct r.Fabric.flows then 0 else 1
 
 let run list_protocols connections mix messages payload_size loss ack_loss_opt base_delay

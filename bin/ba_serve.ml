@@ -158,7 +158,7 @@ let run (o : Udp_opts.t) listen port_file state die_after linger =
     (Driver.decode_errors driver) (Driver.send_errors driver)
     (Endpoint.Server.acks_sent s) (Endpoint.Server.resync_rounds s)
     (Endpoint.Server.epoch s);
-  Udp_opts.report_shim ~tool:"ba_serve" (Endpoint.Server.shim_stats s);
+  Udp_opts.report_shim ~tool:"ba_serve" (Endpoint.Server.shim_counters s);
   Unix.close sock;
   if finished then 0 else 1
 

@@ -96,9 +96,10 @@ let config o =
   Ba_cli.positive "--tick-us" o.tick_us;
   config
 
-let report_shim ~tool (ss : Ba_transport.Shim.stats) =
+let report_shim ~tool counters =
+  let n = Ba_util.Counters.get counters in
   Printf.eprintf
     "%s: shim offered=%d passed=%d dropped=%d dup=%d corrupt=%d delayed=%d outage=%d \
      gated=%d\n"
-    tool ss.offered ss.passed ss.dropped ss.duplicated ss.corrupted ss.delayed ss.outage_drops
-    ss.gated
+    tool (n Offered) (n Passed) (n Lost) (n Duplicated) (n Mangled) (n Delayed)
+    (n Outage_drops) (n Gated)

@@ -35,12 +35,10 @@ let () =
     lines_a;
   Blockack.Duplex.run d;
   assert (Blockack.Duplex.idle d);
-  let sa = Blockack.Duplex.stats (Blockack.Duplex.a d) in
-  let sb = Blockack.Duplex.stats (Blockack.Duplex.b d) in
+  let both = Blockack.Duplex.counters (Blockack.Duplex.a d) in
+  Ba_util.Counters.merge_into both (Blockack.Duplex.counters (Blockack.Duplex.b d));
+  let n = Ba_util.Counters.get both in
   Printf.printf
     "\nall %d messages delivered in order despite loss.\n\
      frames: %d data, %d pure-ack, %d acks piggybacked on data.\n"
-    (sa.Blockack.Duplex.delivered + sb.Blockack.Duplex.delivered)
-    (sa.Blockack.Duplex.data_frames + sb.Blockack.Duplex.data_frames)
-    (sa.Blockack.Duplex.pure_ack_frames + sb.Blockack.Duplex.pure_ack_frames)
-    (sa.Blockack.Duplex.piggybacked_acks + sb.Blockack.Duplex.piggybacked_acks)
+    (n Delivered) (n Data_sent) (n Acks_sent) (n Piggybacked_acks)

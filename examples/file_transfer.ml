@@ -54,13 +54,13 @@ let () =
   List.iter (Blockack.Duplex.send (Blockack.Duplex.a d)) chunks;
   Blockack.Duplex.run d;
 
-  let sa = Blockack.Duplex.stats (Blockack.Duplex.a d) in
-  let sb = Blockack.Duplex.stats (Blockack.Duplex.b d) in
-  let acks = sb.Blockack.Duplex.pure_ack_frames + sb.Blockack.Duplex.piggybacked_acks in
+  let sa = Ba_util.Counters.get (Blockack.Duplex.counters (Blockack.Duplex.a d)) in
+  let sb = Ba_util.Counters.get (Blockack.Duplex.counters (Blockack.Duplex.b d)) in
+  let acks = sb Acks_sent + sb Piggybacked_acks in
   Printf.printf "\ntransfer complete at tick %d\n"
     (Ba_sim.Engine.now (Blockack.Duplex.engine d));
-  Printf.printf "segments sent: %d (%d retransmissions)\n" sa.Blockack.Duplex.data_frames
-    sa.Blockack.Duplex.retransmissions;
+  Printf.printf "segments sent: %d (%d retransmissions)\n" (sa Data_sent)
+    (sa Retransmissions);
   Printf.printf "block acks: %d (%.2f segments acknowledged per ack)\n" acks
     (float_of_int total /. float_of_int (max 1 acks));
   if String.equal (Buffer.contents reassembled) document then

@@ -22,16 +22,16 @@ let () =
   done;
   Blockack.Duplex.run d;
 
-  let sa = Blockack.Duplex.stats (Blockack.Duplex.a d) in
-  let sb = Blockack.Duplex.stats (Blockack.Duplex.b d) in
+  let sa = Ba_util.Counters.get (Blockack.Duplex.counters (Blockack.Duplex.a d)) in
+  let sb = Ba_util.Counters.get (Blockack.Duplex.counters (Blockack.Duplex.b d)) in
   Printf.printf
     "\ndelivered %d/%d in order, exactly once\n\
      simulated time: %d ticks\n\
      data frames sent: %d (of which %d retransmissions)\n\
      block acknowledgments sent: %d\n"
-    sb.Blockack.Duplex.delivered sa.Blockack.Duplex.submitted
+    (sb Delivered) (sa Messages)
     (Ba_sim.Engine.now (Blockack.Duplex.engine d))
-    sa.Blockack.Duplex.data_frames sa.Blockack.Duplex.retransmissions
-    (sb.Blockack.Duplex.pure_ack_frames + sb.Blockack.Duplex.piggybacked_acks);
+    (sa Data_sent) (sa Retransmissions)
+    (sb Acks_sent + sb Piggybacked_acks);
   assert (Blockack.Duplex.idle d);
   print_endline "ok: every message arrived despite loss and reorder"

@@ -34,7 +34,7 @@ type gilbert_elliott = {
 
 type outage = { from_tick : int; until_tick : int }
 (** The link is down during [\[from_tick, until_tick)]: every send in
-    the window is discarded (counted separately in [Link.stats]). *)
+    the window is discarded (counted separately, as [Outage_drops] in a link's counters). *)
 
 type t = {
   bursty : gilbert_elliott option;

@@ -1,20 +1,11 @@
+module Counters = Ba_util.Counters
+
 type verdict = Fault_plan.verdict =
   | Deliver
   | Drop
   | Duplicate of int
   | Corrupt
   | Delay of int
-
-type stats = {
-  sent : int;
-  delivered : int;
-  dropped : int;
-  queue_dropped : int;
-  reordered : int;
-  duplicated : int;
-  corrupted : int;
-  outage_drops : int;
-}
 
 (* In-transit messages live in a struct-of-arrays arena of four columns
    (message; tag and releasable flag, as [tag lsl 1 lor rel]; send
@@ -287,15 +278,15 @@ let in_flight t = t.in_flight + t.q_len + if t.serving then 1 else 0
 let queue_length t = t.q_len
 let max_delay t = Dist.max_delay t.delay
 
-let stats t =
-  {
-    sent = t.sent;
-    delivered = t.delivered;
-    dropped = t.dropped;
-    queue_dropped = t.queue_dropped;
-    reordered = t.reordered;
-    duplicated = t.duplicated;
-    corrupted = t.corrupted;
-    outage_drops = t.outage_drops;
-  }
+let counters t =
+  let b = Counters.create () in
+  Counters.add b Offered t.sent;
+  Counters.add b Passed t.delivered;
+  Counters.add b Lost t.dropped;
+  Counters.add b Queue_dropped t.queue_dropped;
+  Counters.add b Reordered t.reordered;
+  Counters.add b Duplicated t.duplicated;
+  Counters.add b Mangled t.corrupted;
+  Counters.add b Outage_drops t.outage_drops;
+  b
 

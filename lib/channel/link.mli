@@ -28,17 +28,6 @@ type verdict = Fault_plan.verdict =
   | Corrupt  (** deliver one mangled copy (see [create]'s [corrupt]) *)
   | Delay of int  (** deliver after this many extra ticks *)
 
-type stats = {
-  sent : int;
-  delivered : int;  (** arrivals, counting every duplicate copy *)
-  dropped : int;  (** random loss + fault-verdict drops *)
-  queue_dropped : int;  (** tail drops at the bottleneck queue *)
-  reordered : int;  (** deliveries overtaken by a later-sent message *)
-  duplicated : int;  (** extra copies injected by [Duplicate] verdicts *)
-  corrupted : int;  (** messages mangled by [Corrupt] verdicts *)
-  outage_drops : int;  (** sends discarded during a scheduled outage *)
-}
-
 val create :
   Ba_sim.Engine.t ->
   ?loss:float ->
@@ -57,12 +46,12 @@ val create :
     router in front of the propagation delay: messages are serviced one
     per [service_time] ticks from a FIFO queue of at most
     [queue_capacity]; arrivals to a full queue are tail-dropped (counted
-    in [queue_dropped]). This makes loss *load-dependent*, which is what
+    as [Queue_dropped]). This makes loss *load-dependent*, which is what
     variable-window (congestion-control) experiments need.
 
     [corrupt] mangles a message when a [Corrupt] verdict fires (it
     should damage the payload so a checksum can catch it). Without it,
-    [Corrupt] still counts in [stats] but delivers the message
+    [Corrupt] still counts as [Mangled] but delivers the message
     unharmed.
 
     [release] transfers message ownership to the link: every message
@@ -111,8 +100,8 @@ val clear_fault : 'a t -> unit
 val set_plan : 'a t -> Fault_plan.t -> unit
 (** Install (or replace) a randomized fault plan; the instance draws
     from a fresh split of the link's random stream. Outage windows are
-    checked against engine time on every send and counted in
-    [outage_drops]; other verdicts come from {!Fault_plan.decide}. *)
+    checked against engine time on every send and counted as
+    [Outage_drops]; other verdicts come from {!Fault_plan.decide}. *)
 
 val in_flight : 'a t -> int
 (** Messages currently in transit. *)
@@ -121,4 +110,9 @@ val max_delay : 'a t -> int
 (** The delay distribution's bound — what a conservative timeout needs.
     Note a fault plan's delay spikes can exceed it. *)
 
-val stats : 'a t -> stats
+val counters : 'a t -> Ba_util.Counters.t
+(** A block of the link's counts so far: [Offered] (sends), [Passed]
+    (arrivals, every duplicate copy counted), [Lost] (random loss and
+    fault-verdict drops), [Queue_dropped], [Reordered] (arrivals
+    overtaken by a later-sent message), [Duplicated] (extra copies),
+    [Mangled] and [Outage_drops]. *)

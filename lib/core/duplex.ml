@@ -1,17 +1,9 @@
+module Counters = Ba_util.Counters
+
 type frame = {
   seq : int option;
   payload : string;
   pack : Ba_proto.Wire.ack option;
-}
-
-type stats = {
-  submitted : int;
-  delivered : int;
-  frames_sent : int;
-  data_frames : int;
-  pure_ack_frames : int;
-  piggybacked_acks : int;
-  retransmissions : int;
 }
 
 type endpoint = {
@@ -153,15 +145,15 @@ let run ?until t =
   | Some horizon -> Ba_sim.Engine.run ~until:horizon t.engine
   | None -> Ba_sim.Engine.run t.engine
 
-let stats e =
-  {
-    submitted = e.submitted;
-    delivered = e.delivered;
-    frames_sent = e.data_frames + e.pure_ack_frames;
-    data_frames = e.data_frames;
-    pure_ack_frames = e.pure_ack_frames;
-    piggybacked_acks = e.piggybacked_acks;
-    retransmissions = (match e.sender with Some s -> Sender_multi.retransmissions s | None -> 0);
-  }
+let counters e =
+  let b = Counters.create () in
+  Counters.add b Messages e.submitted;
+  Counters.add b Delivered e.delivered;
+  Counters.add b Data_sent e.data_frames;
+  Counters.add b Acks_sent e.pure_ack_frames;
+  Counters.add b Piggybacked_acks e.piggybacked_acks;
+  Counters.add b Retransmissions
+    (match e.sender with Some s -> Sender_multi.retransmissions s | None -> 0);
+  b
 
 let engine t = t.engine

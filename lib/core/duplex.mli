@@ -26,16 +26,6 @@ type frame = {
 type t
 type endpoint
 
-type stats = {
-  submitted : int;
-  delivered : int;
-  frames_sent : int;  (** all frames leaving this endpoint: [data_frames + pure_ack_frames] *)
-  data_frames : int;
-  pure_ack_frames : int;
-  piggybacked_acks : int;  (** acks that travelled on a data frame *)
-  retransmissions : int;
-}
-
 val create :
   ?seed:int ->
   ?config:Config.t ->
@@ -74,5 +64,11 @@ val idle : t -> bool
 (** All submitted messages in both directions delivered and
     acknowledged. *)
 
-val stats : endpoint -> stats
+val counters : endpoint -> Ba_util.Counters.t
+(** A block of the endpoint's counts: [Messages] it was given to send,
+    [Delivered] to it, the frames leaving it — [Data_sent] data frames
+    and [Acks_sent] pure-ack frames, every frame one or the other —
+    [Piggybacked_acks] (acks that travelled on a data frame) and its
+    sender's [Retransmissions]. *)
+
 val engine : t -> Ba_sim.Engine.t

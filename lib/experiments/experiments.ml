@@ -587,22 +587,19 @@ let t5_piggyback ?(jobs = 1) ~quick () =
           Blockack.Duplex.send (Blockack.Duplex.b d) (Printf.sprintf "b%d" i))
     done;
     Blockack.Duplex.run d;
-    let sa = Blockack.Duplex.stats (Blockack.Duplex.a d) in
-    let sb = Blockack.Duplex.stats (Blockack.Duplex.b d) in
+    let both = Blockack.Duplex.counters (Blockack.Duplex.a d) in
+    Ba_util.Counters.merge_into both (Blockack.Duplex.counters (Blockack.Duplex.b d));
+    let tot = Ba_util.Counters.get both in
     let completed = Blockack.Duplex.idle d in
-    let tot f = f sa + f sb in
     [
       string_of_int hold;
       pct loss;
-      string_of_int (tot (fun s -> s.Blockack.Duplex.data_frames));
-      string_of_int (tot (fun s -> s.Blockack.Duplex.pure_ack_frames));
-      string_of_int (tot (fun s -> s.Blockack.Duplex.piggybacked_acks));
-      (string_of_int (tot (fun s -> s.Blockack.Duplex.frames_sent))
-      ^ if completed then "" else "!");
+      string_of_int (tot Data_sent);
+      string_of_int (tot Acks_sent);
+      string_of_int (tot Piggybacked_acks);
+      (string_of_int (tot Data_sent + tot Acks_sent) ^ if completed then "" else "!");
       Printf.sprintf "%.1f%%"
-        (100.
-        *. float_of_int (tot (fun s -> s.Blockack.Duplex.pure_ack_frames))
-        /. float_of_int (max 1 (tot (fun s -> s.Blockack.Duplex.data_frames))));
+        (100. *. float_of_int (tot Acks_sent) /. float_of_int (max 1 (tot Data_sent)));
     ]
   in
   let rows =
@@ -989,7 +986,6 @@ let s1_scaling ?(jobs = 1) ~quick () =
           |> List.map (fun l -> (l.Ba_util.Stats.p50, l.Ba_util.Stats.p99))
           |> List.split
         in
-        let d = r.Fabric.data_stats in
         [
           string_of_int n;
           e.Registry.name;
@@ -998,7 +994,7 @@ let s1_scaling ?(jobs = 1) ~quick () =
           fmt ~decimals:0 (median p50s);
           fmt ~decimals:0 (List.fold_left max 0. p99s);
           fmt ~decimals:3 r.Fabric.fairness;
-          string_of_int d.Ba_channel.Link.queue_dropped;
+          string_of_int (Ba_util.Counters.get r.Fabric.data_link Queue_dropped);
         ])
       (List.concat_map (fun n -> List.map (fun e -> (n, e)) protos) counts)
   in
@@ -1052,14 +1048,14 @@ let s3_churn_soak ?(jobs = 1) ~quick () =
         let pre = mean rd.Soak.base_goodput and post = mean rd.Soak.returner_goodput in
         [
           string_of_int seed;
-          Printf.sprintf "%d/%d" r.Fabric.admitted (List.length specs);
-          string_of_int r.Fabric.departed;
+          Printf.sprintf "%d/%d" (List.length r.Fabric.flows) (List.length specs);
+          string_of_int (Ba_util.Counters.get r.Fabric.counters Departed);
           (if r.Fabric.completed then "yes" else "NO");
           fmt pre;
           fmt post;
           (if Float.is_nan post || Float.is_nan pre then "-" else fmt ~decimals:2 (post /. pre));
           string_of_int r.Fabric.mem_peak_bytes ^ "/" ^ string_of_int rd.Soak.budget;
-          string_of_int r.Fabric.watchdog_resyncs;
+          string_of_int (Ba_util.Counters.get r.Fabric.counters Watchdog_resyncs);
         ])
       seeds
   in
@@ -1110,15 +1106,16 @@ let s4_sharded_scale ?(jobs = 1) ~quick () =
           List.init flows (fun _ -> Fabric.spec ~config ~messages e.Registry.protocol)
         in
         let r = Ba_proto.Shard.run ~seed:11 ~jobs ~capacity:(1, 4 * flows) specs in
+        let n = Ba_util.Counters.get r.Ba_proto.Shard.counters in
         [
           string_of_int flows;
           string_of_int r.Ba_proto.Shard.cells;
-          Printf.sprintf "%d/%d" r.Ba_proto.Shard.delivered r.Ba_proto.Shard.messages;
-          Printf.sprintf "%d/%d" r.Ba_proto.Shard.completed_flows flows;
+          Printf.sprintf "%d/%d" (n Delivered) (n Messages);
+          Printf.sprintf "%d/%d" (n Completed_flows) flows;
           string_of_int r.Ba_proto.Shard.ticks;
           fmt r.Ba_proto.Shard.aggregate_goodput;
-          string_of_int r.Ba_proto.Shard.lease_drops;
-          string_of_int r.Ba_proto.Shard.lease_rebalances;
+          string_of_int (n Lease_drops);
+          string_of_int (n Lease_rebalances);
         ])
       counts
   in

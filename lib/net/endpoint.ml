@@ -1,4 +1,5 @@
 module W = Ba_proto.Wire
+module Counters = Ba_util.Counters
 
 (* Same multiply-xor fold as the frame checksums, over (index, payload)
    pairs: a per-byte rate is fine here because it runs once per
@@ -164,9 +165,9 @@ module Server = struct
   let duplicates t = t.dups
   let misordered t = t.misordered
   let corrupted t = t.corrupted
-  let acks_sent t = (Shim.stats t.shim).Shim.offered
+  let shim_counters t = Shim.counters t.shim
+  let acks_sent t = Counters.get (shim_counters t) Offered
   let resync_rounds t = t.handshakes
-  let shim_stats t = Shim.stats t.shim
 end
 
 module Client = struct
@@ -304,32 +305,19 @@ module Client = struct
   let watchdog_resyncs t = t.wd_resyncs
   let quarantines t = Ba_proto.Watchdog.quarantine_events t.dog
   let watchdog_state t = Ba_proto.Watchdog.state t.dog
-  let shim_stats t = Shim.stats t.shim
+  let shim_counters t = Shim.counters t.shim
 end
 
 module Pair = struct
   type outcome = {
     completed : bool;
-    delivered : int;
-    duplicates : int;
-    misordered : int;
-    corrupted : int;
     digest : int;
     digest_expected : int;
-    retransmissions : int;
-    resync_rounds : int;
-    watchdog_resyncs : int;
-    wall_s : float;
     msgs_per_s : float;
-    frames_tx : int;
-    data_datagrams : int;
-    ack_datagrams : int;
-    frames_rx : int;
-    decode_errors : int;
-    send_errors : int;
     latency_ms : Ba_util.Qsketch.t;
-    client_shim : Shim.stats;
-    server_shim : Shim.stats;
+    counters : Counters.t;
+    client_shim : Counters.t;
+    server_shim : Counters.t;
   }
 
   let loopback_sock () =
@@ -392,28 +380,25 @@ module Pair = struct
             [ s_drv; c_drv ]
         in
         let wall_s = Unix.gettimeofday () -. t0 in
+        let counters = Counters.create () in
+        let add = Counters.add counters in
+        add Delivered (Server.position s');
+        add Duplicates (Server.duplicates s');
+        add Misordered (Server.misordered s');
+        add Corrupted (Server.corrupted s');
+        add Retransmissions (Client.retransmissions c');
+        add Datagrams_tx (Driver.tx_datagrams s_drv + Driver.tx_datagrams c_drv);
+        add Data_datagrams (Driver.tx_datagrams c_drv);
+        add Acks_sent (Server.acks_sent s');
         {
           completed;
-          delivered = Server.position s';
-          duplicates = Server.duplicates s';
-          misordered = Server.misordered s';
-          corrupted = Server.corrupted s';
           digest = Server.digest s';
           digest_expected = expected_digest ~wseed ~payload_size ~messages;
-          retransmissions = Client.retransmissions c';
-          resync_rounds = Client.resync_rounds c' + Server.resync_rounds s';
-          watchdog_resyncs = Client.watchdog_resyncs c';
-          wall_s;
           msgs_per_s =
             (if wall_s <= 0. then 0. else float_of_int (Server.position s') /. wall_s);
-          frames_tx = Driver.tx_datagrams s_drv + Driver.tx_datagrams c_drv;
-          data_datagrams = Driver.tx_datagrams c_drv;
-          ack_datagrams = Server.acks_sent s';
-          frames_rx = Driver.rx_datagrams s_drv + Driver.rx_datagrams c_drv;
-          decode_errors = Driver.decode_errors s_drv + Driver.decode_errors c_drv;
-          send_errors = Driver.send_errors s_drv + Driver.send_errors c_drv;
           latency_ms;
-          client_shim = Client.shim_stats c';
-          server_shim = Server.shim_stats s';
+          counters;
+          client_shim = Client.shim_counters c';
+          server_shim = Server.shim_counters s';
         })
 end

@@ -95,8 +95,8 @@ module Server : sig
   (** Deliveries whose payload failed validation against the workload. *)
 
   val acks_sent : t -> int
-  (** Acknowledgment datagrams handed to the shim (its
-      {!Shim.stats}[.offered]). For block-ack protocols this counts
+  (** Acknowledgment datagrams handed to the shim (its [Offered]
+      count). For block-ack protocols this counts
       datagrams after merging: the adjacent block acknowledgments the
       receiver emits during one socket drain leave as one datagram
       from the {!Ba_proto.Ack_hold}, sent when the drain ends — so it
@@ -107,7 +107,8 @@ module Server : sig
   (** POS handshake frames the receiver sent, retries included, counted
       as they leave it. *)
 
-  val shim_stats : t -> Shim.stats
+  val shim_counters : t -> Ba_util.Counters.t
+  (** The impairment shim's {!Shim.counters}. *)
 end
 
 module Client : sig
@@ -179,7 +180,7 @@ module Client : sig
 
   val quarantines : t -> int
   val watchdog_state : t -> Ba_proto.Watchdog.state
-  val shim_stats : t -> Shim.stats
+  val shim_counters : t -> Ba_util.Counters.t
 end
 
 module Pair : sig
@@ -191,28 +192,20 @@ module Pair : sig
 
   type outcome = {
     completed : bool;  (** both halves finished before the deadline *)
-    delivered : int;
-    duplicates : int;
-    misordered : int;
-    corrupted : int;
     digest : int;
     digest_expected : int;
-    retransmissions : int;
-    resync_rounds : int;
-    watchdog_resyncs : int;
-    wall_s : float;
     msgs_per_s : float;
-    frames_tx : int;
-        (** datagrams put on the wire, both directions — not frames: a
-            client container of k data frames counts once *)
-    data_datagrams : int;  (** the client's share of [frames_tx] *)
-    ack_datagrams : int;  (** the server's {!Server.acks_sent} *)
-    frames_rx : int;  (** datagrams received, both directions *)
-    decode_errors : int;
-    send_errors : int;
     latency_ms : Ba_util.Qsketch.t;
-    client_shim : Shim.stats;
-    server_shim : Shim.stats;
+    counters : Ba_util.Counters.t;
+        (** the pair's counts: the server's [Delivered] (its
+            {!Server.position}), [Duplicates], [Misordered] and
+            [Corrupted]; the client's [Retransmissions]; [Datagrams_tx],
+            datagrams put on the wire in both directions (not frames: a
+            client container of k data frames counts once), and
+            [Data_datagrams], the client's share of them; and
+            [Acks_sent], the server's {!Server.acks_sent} *)
+    client_shim : Ba_util.Counters.t;  (** the client's {!Shim.counters} *)
+    server_shim : Ba_util.Counters.t;  (** the server's *)
   }
 
   val run :

@@ -1,13 +1,4 @@
-type stats = {
-  offered : int;
-  passed : int;
-  dropped : int;
-  duplicated : int;
-  corrupted : int;
-  delayed : int;
-  outage_drops : int;
-  gated : int;
-}
+module Counters = Ba_util.Counters
 
 type t = {
   engine : Ba_sim.Engine.t;
@@ -95,14 +86,14 @@ let send t buf len =
 
 let gate t closed = t.closed <- closed
 
-let stats t =
-  {
-    offered = t.offered;
-    passed = t.passed;
-    dropped = t.dropped;
-    duplicated = t.duplicated;
-    corrupted = t.corrupted;
-    delayed = t.delayed;
-    outage_drops = t.outage_drops;
-    gated = t.gated;
-  }
+let counters t =
+  let b = Counters.create () in
+  Counters.add b Offered t.offered;
+  Counters.add b Passed t.passed;
+  Counters.add b Lost t.dropped;
+  Counters.add b Duplicated t.duplicated;
+  Counters.add b Mangled t.corrupted;
+  Counters.add b Delayed t.delayed;
+  Counters.add b Outage_drops t.outage_drops;
+  Counters.add b Gated t.gated;
+  b

@@ -25,17 +25,6 @@
     copies coming due — is discarded and counted, which is what "gate
     the flow off the link" means when the link is a kernel socket. *)
 
-type stats = {
-  offered : int;  (** datagrams submitted by the protocol *)
-  passed : int;  (** handed to the transmit function, copies included *)
-  dropped : int;  (** loss verdicts *)
-  duplicated : int;  (** extra copies injected *)
-  corrupted : int;  (** datagrams sent with a flipped byte *)
-  delayed : int;  (** datagrams deferred by a delay-spike verdict *)
-  outage_drops : int;  (** sends discarded inside a scheduled outage *)
-  gated : int;  (** sends discarded while quarantined *)
-}
-
 type t
 
 val create :
@@ -57,4 +46,10 @@ val send : t -> Bytes.t -> int -> unit
 val gate : t -> bool -> unit
 (** [gate t true] closes the gate (quarantine); [false] reopens it. *)
 
-val stats : t -> stats
+val counters : t -> Ba_util.Counters.t
+(** A block of the shim's counts so far: [Offered] (datagrams the
+    protocol submitted), [Passed] (handed to the transmit function,
+    copies included), [Lost] (loss verdicts), [Duplicated] (extra
+    copies), [Mangled] (sent with a flipped byte), [Delayed] (deferred
+    by a delay-spike verdict), [Outage_drops] and [Gated] (discarded
+    while quarantined). *)

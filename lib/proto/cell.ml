@@ -16,6 +16,7 @@ module Engine = Ba_sim.Engine
 module Link = Ba_channel.Link
 module Stats = Ba_util.Stats
 module Qsketch = Ba_util.Qsketch
+module Counters = Ba_util.Counters
 
 type spec = {
   protocol : Protocol.t;
@@ -131,7 +132,6 @@ type lease = {
 }
 
 let lease_backlog l = l.tail - l.head
-let lease_drops l = l.drops
 
 let make_lease engine link ~svc ~barrier ~qcap ~base_rate =
   let l =
@@ -293,7 +293,6 @@ let data_link c = c.data_link
 let ack_link c = c.ack_link
 let data_lease c = c.data_lease
 let flows c = Array.length c.specs
-let refused c = c.refused
 let clamp c = c.clamp
 let deadline c = c.deadline
 let remaining c = c.remaining
@@ -783,24 +782,6 @@ let start c =
 
 (* ---- verdicts ---- *)
 
-type tally = {
-  messages : int;
-  delivered : int;
-  duplicates : int;
-  misordered : int;
-  corrupted : int;
-  completed_flows : int;
-  departed : int;
-  data_sent : int;
-  acks_sent : int;
-  retransmissions : int;
-  pressure_drops : int;
-  quarantine_events : int;
-  watchdog_resyncs : int;
-  quarantined : int;
-  all_ended : bool;
-}
-
 let retransmissions c i =
   match c.group.(i) with
   | Group { p = (module P); senders; _ } -> P.sender_retransmissions senders.(c.gslot.(i))
@@ -812,7 +793,7 @@ let pressure_drops c i =
       | None -> 0
       | Some o -> o.receiver_pressure_dropped receivers.(c.gslot.(i)))
 
-let tally c =
+let counters c =
   let sum f =
     let acc = ref 0 in
     for i = 0 to flows c - 1 do
@@ -823,23 +804,26 @@ let tally c =
   let field k = sum (fun i -> get c i k) in
   let marked k = sum (fun i -> Bool.to_int (get c i k >= 0)) in
   let dogs f = Array.fold_left (fun a d -> a + f d) 0 c.dogs in
-  {
-    messages = c.msg_base.(flows c);
-    delivered = field k_delivered;
-    duplicates = field k_duplicates;
-    misordered = field k_misordered;
-    corrupted = field k_corrupted;
-    completed_flows = marked k_completed_at;
-    departed = marked k_departed_at;
-    data_sent = field k_data_sent;
-    acks_sent = field k_acks_sent;
-    retransmissions = sum (retransmissions c);
-    pressure_drops = sum (pressure_drops c);
-    quarantine_events = dogs Watchdog.quarantine_events;
-    watchdog_resyncs = dogs Watchdog.resync_events;
-    quarantined = dogs (fun d -> Bool.to_int (Watchdog.state d = Watchdog.Quarantined));
-    all_ended = marked k_completed_at + marked k_departed_at = flows c;
-  }
+  let b = Counters.create () in
+  Counters.add b Messages c.msg_base.(flows c);
+  Counters.add b Delivered (field k_delivered);
+  Counters.add b Duplicates (field k_duplicates);
+  Counters.add b Misordered (field k_misordered);
+  Counters.add b Corrupted (field k_corrupted);
+  Counters.add b Completed_flows (marked k_completed_at);
+  Counters.add b Departed (marked k_departed_at);
+  Counters.add b Refused c.refused;
+  Counters.add b Clamped_cells (Bool.to_int (c.clamp <> None));
+  Counters.add b Data_sent (field k_data_sent);
+  Counters.add b Acks_sent (field k_acks_sent);
+  Counters.add b Retransmissions (sum (retransmissions c));
+  Counters.add b Pressure_drops (sum (pressure_drops c));
+  Counters.add b Lease_drops (match c.data_lease with Some l -> l.drops | None -> 0);
+  Counters.add b Quarantine_events (dogs Watchdog.quarantine_events);
+  Counters.add b Watchdog_resyncs (dogs Watchdog.resync_events);
+  Counters.add b Quarantined
+    (dogs (fun d -> Bool.to_int (Watchdog.state d = Watchdog.Quarantined)));
+  b
 
 let summary s = if Stats.count s = 0 then None else Some (Stats.summary s)
 

@@ -150,7 +150,6 @@ val ack_link : t -> Wire.ack Ba_channel.Link.t
 val flows : t -> int
 (** Admitted flows. *)
 
-val refused : t -> int
 val clamp : t -> int option
 
 val deadline : t -> int
@@ -176,26 +175,15 @@ val spilled : t -> int
     flight ring before its message's first delivery. 0 for every
     registry protocol at its default configuration. *)
 
-type tally = {
-  messages : int;  (** offered by the admitted flows *)
-  delivered : int;
-  duplicates : int;
-  misordered : int;
-  corrupted : int;
-  completed_flows : int;
-  departed : int;  (** flows closed at [stop_at] while mid-transfer *)
-  data_sent : int;
-  acks_sent : int;
-  retransmissions : int;
-  pressure_drops : int;
-  quarantine_events : int;
-  watchdog_resyncs : int;
-  quarantined : int;  (** flows still quarantined *)
-  all_ended : bool;  (** every flow completed or departed *)
-}
-
-val tally : t -> tally
-(** The cell's totals over all its flows. *)
+val counters : t -> Ba_util.Counters.t
+(** The cell's totals over all its flows, built when called:
+    [Messages], [Delivered], [Duplicates], [Misordered], [Corrupted],
+    [Completed_flows], [Departed] (closed at [stop_at] mid-transfer),
+    [Refused], [Clamped_cells] (1 when admission clamped this cell),
+    [Data_sent], [Acks_sent], [Retransmissions], [Pressure_drops],
+    [Lease_drops] (at this cell's lease queue), [Quarantine_events],
+    [Watchdog_resyncs] and [Quarantined] (flows still quarantined).
+    Every flow has ended when [Completed_flows + Departed = flows]. *)
 
 val flow_result : t -> int -> Flow.result
 (** Flow [i]'s verdict, judged over its own tenancy: [ticks] runs from
@@ -220,6 +208,3 @@ val reconcile_leases : lease array -> bool
 (** Barrier-time fold over the cells' leases: idle leases cede their
     unused frame credits to backlogged ones, pro rata to backlog.
     Order-independent. [true] when spare capacity was re-leased. *)
-
-val lease_drops : lease -> int
-(** Frames tail-dropped at this full lease queue. *)

@@ -12,22 +12,21 @@ type spec = Cell.spec = {
 
 let spec = Cell.spec
 
+type link_totals = { sent : int; queue_dropped : int }
+
 type result = {
   ticks : int;
   completed : bool;
   flows : Flow.result list;
   aggregate_goodput : float;
   fairness : float;
-  data_stats : Ba_channel.Link.stats;
-  ack_stats : Ba_channel.Link.stats;
-  admitted : int;
-  refused : int;
-  departed : int;
+  counters : Ba_util.Counters.t;
+  data_link : Ba_util.Counters.t;
+  ack_link : Ba_util.Counters.t;
   clamped_window : int option;
   mem_peak_bytes : int;
-  quarantine_events : int;
-  watchdog_resyncs : int;
-  quarantined : int;
+  data_stats : link_totals;
+  ack_stats : link_totals;
 }
 
 (* Jain's fairness index: (sum x)^2 / (n * sum x^2), 1.0 = perfectly even,
@@ -63,7 +62,12 @@ let run ?(seed = 42) ?(data_loss = 0.) ?(ack_loss = 0.)
   let ticks = Ba_sim.Engine.now engine in
   let n = Cell.flows cell in
   let flows = List.init n (Cell.flow_result cell) in
-  let t = Cell.tally cell in
+  let counters = Cell.counters cell in
+  let data_link = Ba_channel.Link.counters (Cell.data_link cell)
+  and ack_link = Ba_channel.Link.counters (Cell.ack_link cell) in
+  let totals b =
+    { sent = Ba_util.Counters.get b Offered; queue_dropped = Ba_util.Counters.get b Queue_dropped }
+  in
   {
     ticks;
     (* A scheduled departure is a normal end of life: completion means
@@ -72,18 +76,16 @@ let run ?(seed = 42) ?(data_loss = 0.) ?(ack_loss = 0.)
       List.for_all Fun.id (List.mapi (fun i r -> Cell.departed cell i || r.Flow.completed) flows);
     flows;
     aggregate_goodput =
-      (if ticks = 0 then 0. else float_of_int t.delivered *. 1000. /. float_of_int ticks);
+      (if ticks = 0 then 0.
+       else float_of_int (Ba_util.Counters.get counters Delivered) *. 1000. /. float_of_int ticks);
     fairness = jain (List.map (fun r -> r.Flow.goodput) flows);
-    data_stats = Ba_channel.Link.stats (Cell.data_link cell);
-    ack_stats = Ba_channel.Link.stats (Cell.ack_link cell);
-    admitted = n;
-    refused = Cell.refused cell;
-    departed = t.departed;
+    counters;
+    data_link;
+    ack_link;
     clamped_window = Cell.clamp cell;
     mem_peak_bytes = Cell.mem_peak cell;
-    quarantine_events = t.quarantine_events;
-    watchdog_resyncs = t.watchdog_resyncs;
-    quarantined = t.quarantined;
+    data_stats = totals data_link;
+    ack_stats = totals ack_link;
   }
 
 let lifetime_cost specs = List.fold_left (fun a s -> a + Cell.flow_cost s ~clamp:max_int) 0 specs

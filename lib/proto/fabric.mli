@@ -50,6 +50,10 @@ val spec :
 (** Defaults: [Proto_config.default], 100 messages, 32-byte payloads,
     [start_at = 0], no [stop_at]. *)
 
+type link_totals = { sent : int; queue_dropped : int }
+(** A link block's [Offered] and [Queue_dropped] under the field names
+    the benchmark workloads in [bench/e2e] read. Read the blocks. *)
+
 type result = {
   ticks : int;  (** simulated time until every flow finished (or the deadline) *)
   completed : bool;
@@ -67,22 +71,23 @@ type result = {
           event can reach it afterwards. *)
   aggregate_goodput : float;  (** total delivered payloads per 1000 ticks *)
   fairness : float;  (** Jain's index over per-flow goodput *)
-  data_stats : Ba_channel.Link.stats;  (** the shared data link's counters *)
-  ack_stats : Ba_channel.Link.stats;  (** the shared ack link's counters *)
-  admitted : int;  (** flows admitted (= length of [flows]) *)
-  refused : int;  (** flows refused outright by admission control *)
-  departed : int;
-      (** flows closed by their [stop_at] schedule while still
-          mid-transfer (a flow that finished before its [stop_at] is
-          counted as completed, not departed) *)
+  counters : Ba_util.Counters.t;
+      (** the cell's {!Cell.counters}: the flows' totals, plus
+          [Refused] (flows refused outright by admission control),
+          [Departed] (flows closed by their [stop_at] schedule while
+          still mid-transfer; one that finished first counts as
+          completed) and the watchdog's [Quarantine_events],
+          [Watchdog_resyncs] and [Quarantined] (flows still quarantined
+          when the run ended). The admitted flows are [flows]. *)
+  data_link : Ba_util.Counters.t;  (** the shared data link's {!Ba_channel.Link.counters} *)
+  ack_link : Ba_util.Counters.t;  (** the shared ack link's *)
   clamped_window : int option;
       (** the uniform effective-window clamp admission imposed, if any *)
   mem_peak_bytes : int;
       (** peak observed payload bytes buffered across all endpoints
           (sampled; 0 when neither budget nor watchdog was set) *)
-  quarantine_events : int;  (** total watchdog quarantine entries *)
-  watchdog_resyncs : int;  (** watchdog-initiated resync recoveries *)
-  quarantined : int;  (** flows still quarantined when the run ended *)
+  data_stats : link_totals;  (** [data_link]'s, as {!link_totals} *)
+  ack_stats : link_totals;  (** [ack_link]'s *)
 }
 
 val jain : float list -> float

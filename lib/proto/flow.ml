@@ -9,8 +9,8 @@
     [data_queue_dropped], [data_reordered], [data_outage_drops] and
     [acks_dropped]. {!Harness.run}'s flow owns its links and reads them
     off their counters. They are 0 for Fabric and Shard flows, whose
-    links are shared: there the counts are per link, in
-    [Fabric.result]'s [data_stats] and [ack_stats]. *)
+    links are shared: there the counts are per link, in the
+    [Fabric.result]'s [data_link] and [ack_link] blocks. *)
 
 type result = {
   protocol : string;

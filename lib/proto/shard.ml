@@ -10,27 +10,12 @@
    tasks per epoch, and the pool collects in input order — so the
    result is byte-identical at any job count. *)
 
+module Counters = Ba_util.Counters
+
 type result = {
   flows : int;
   cells : int;
-  messages : int;
-  delivered : int;
-  duplicates : int;
-  misordered : int;
-  corrupted : int;
-  completed_flows : int;
-  departed : int;
-  refused : int;
-  clamped_cells : int;
-  data_sent : int;
-  acks_sent : int;
-  retransmissions : int;
-  pressure_drops : int;
-  lease_drops : int;
-  lease_rebalances : int;
-  quarantine_events : int;
-  watchdog_resyncs : int;
-  quarantined : int;
+  counters : Counters.t;
   mem_peak_bytes : int;
   ticks : int;
   epochs : int;
@@ -39,7 +24,17 @@ type result = {
   latency : Ba_util.Qsketch.t;
   state_bytes : int;
   unsafe_cell : int option;
+  delivered : int;
+  duplicates : int;
+  misordered : int;
+  corrupted : int;
+  data_sent : int;
+  acks_sent : int;
+  retransmissions : int;
+  lease_drops : int;
 }
+
+let unsafe b = Counters.(get b Duplicates + get b Misordered + get b Corrupted) > 0
 
 let run ?(seed = 42) ?jobs ?(cell = 1024) ?(barrier = 1000) ?(data_loss = 0.)
     ?(ack_loss = 0.) ?(data_delay = Ba_channel.Dist.Uniform (40, 60))
@@ -128,40 +123,26 @@ let run ?(seed = 42) ?jobs ?(cell = 1024) ?(barrier = 1000) ?(data_loss = 0.)
   (* Aggregate in cell order; everything below is pure arithmetic over
      per-cell state, so the fold order is fixed and the result is the
      same whatever domains ran the epochs. *)
-  let tallies = Array.map Cell.tally cells in
-  let sum f = Array.fold_left (fun a x -> a + f x) 0 tallies in
-  let sum_cells f = Array.fold_left (fun a c -> a + f c) 0 cells in
-  let delivered = sum (fun t -> t.Cell.delivered) in
+  let blocks = Array.map Cell.counters cells in
+  let counters = Counters.create () in
+  Array.iter (Counters.merge_into counters) blocks;
+  Counters.add counters Lease_rebalances !rebalances;
+  let count = Counters.get counters in
+  let flows = Array.fold_left (fun a c -> a + Cell.flows c) 0 cells in
+  let delivered = count Delivered in
   let ticks =
     Array.fold_left
       (fun acc c -> max acc (if Cell.done_at c >= 0 then Cell.done_at c else !t))
       0 cells
   in
   {
-    flows = sum_cells Cell.flows;
+    flows;
     cells = ncells;
-    messages = sum (fun t -> t.Cell.messages);
-    delivered;
-    duplicates = sum (fun t -> t.Cell.duplicates);
-    misordered = sum (fun t -> t.Cell.misordered);
-    corrupted = sum (fun t -> t.Cell.corrupted);
-    completed_flows = sum (fun t -> t.Cell.completed_flows);
-    departed = sum (fun t -> t.Cell.departed);
-    refused = sum_cells Cell.refused;
-    clamped_cells = sum_cells (fun c -> if Cell.clamp c <> None then 1 else 0);
-    data_sent = sum (fun t -> t.Cell.data_sent);
-    acks_sent = sum (fun t -> t.Cell.acks_sent);
-    retransmissions = sum (fun t -> t.Cell.retransmissions);
-    pressure_drops = sum (fun t -> t.Cell.pressure_drops);
-    lease_drops = Array.fold_left (fun a l -> a + Cell.lease_drops l) 0 leases;
-    lease_rebalances = !rebalances;
-    quarantine_events = sum (fun t -> t.Cell.quarantine_events);
-    watchdog_resyncs = sum (fun t -> t.Cell.watchdog_resyncs);
-    quarantined = sum (fun t -> t.Cell.quarantined);
-    mem_peak_bytes = sum_cells Cell.mem_peak;
+    counters;
+    mem_peak_bytes = Array.fold_left (fun a c -> a + Cell.mem_peak c) 0 cells;
     ticks;
     epochs = !epochs;
-    completed = Array.for_all (fun t -> t.Cell.all_ended) tallies;
+    completed = count Completed_flows + count Departed = flows;
     aggregate_goodput =
       (if ticks = 0 then 0. else float_of_int delivered *. 1000. /. float_of_int ticks);
     latency =
@@ -169,30 +150,34 @@ let run ?(seed = 42) ?jobs ?(cell = 1024) ?(barrier = 1000) ?(data_loss = 0.)
         (fun acc c -> Ba_util.Qsketch.merge acc (Option.get (Cell.sketch c)))
         (Ba_util.Qsketch.create ()) cells;
     state_bytes;
-    unsafe_cell =
-      Seq.find
-        (fun ci ->
-          let t = tallies.(ci) in
-          t.Cell.duplicates + t.Cell.misordered + t.Cell.corrupted > 0)
-        (Seq.init ncells Fun.id);
+    unsafe_cell = Seq.find (fun ci -> unsafe blocks.(ci)) (Seq.init ncells Fun.id);
+    delivered;
+    duplicates = count Duplicates;
+    misordered = count Misordered;
+    corrupted = count Corrupted;
+    data_sent = count Data_sent;
+    acks_sent = count Acks_sent;
+    retransmissions = count Retransmissions;
+    lease_drops = count Lease_drops;
   }
 
-let safe r = r.duplicates = 0 && r.misordered = 0 && r.corrupted = 0
+let safe r = not (unsafe r.counters)
 
 let summary r =
+  let n = Counters.get r.counters in
   let b = Buffer.create 512 in
-  Printf.bprintf b "flows=%d cells=%d messages=%d\n" r.flows r.cells r.messages;
+  Printf.bprintf b "flows=%d cells=%d messages=%d\n" r.flows r.cells (n Messages);
   Printf.bprintf b
     "delivered=%d duplicates=%d misordered=%d corrupted=%d completed-flows=%d\n"
-    r.delivered r.duplicates r.misordered r.corrupted r.completed_flows;
-  Printf.bprintf b "departed=%d refused=%d clamped-cells=%d\n" r.departed r.refused
-    r.clamped_cells;
+    (n Delivered) (n Duplicates) (n Misordered) (n Corrupted) (n Completed_flows);
+  Printf.bprintf b "departed=%d refused=%d clamped-cells=%d\n" (n Departed) (n Refused)
+    (n Clamped_cells);
   Printf.bprintf b "data-sent=%d acks-sent=%d retransmissions=%d pressure-drops=%d\n"
-    r.data_sent r.acks_sent r.retransmissions r.pressure_drops;
-  Printf.bprintf b "lease-drops=%d lease-rebalances=%d\n" r.lease_drops
-    r.lease_rebalances;
+    (n Data_sent) (n Acks_sent) (n Retransmissions) (n Pressure_drops);
+  Printf.bprintf b "lease-drops=%d lease-rebalances=%d\n" (n Lease_drops)
+    (n Lease_rebalances);
   Printf.bprintf b "quarantine-events=%d watchdog-resyncs=%d quarantined=%d\n"
-    r.quarantine_events r.watchdog_resyncs r.quarantined;
+    (n Quarantine_events) (n Watchdog_resyncs) (n Quarantined);
   Printf.bprintf b "mem-peak=%dB ticks=%d epochs=%d completed=%b goodput=%.2f/ktick\n"
     r.mem_peak_bytes r.ticks r.epochs r.completed r.aggregate_goodput;
   (if Ba_util.Qsketch.count r.latency = 0 then

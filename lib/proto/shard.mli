@@ -40,24 +40,11 @@
 type result = {
   flows : int;  (** admitted flows across all cells *)
   cells : int;
-  messages : int;  (** payloads offered by admitted flows *)
-  delivered : int;
-  duplicates : int;
-  misordered : int;
-  corrupted : int;
-  completed_flows : int;
-  departed : int;  (** flows closed by [stop_at] while mid-transfer *)
-  refused : int;  (** flows refused by cell-local admission *)
-  clamped_cells : int;  (** cells where admission imposed a window clamp *)
-  data_sent : int;
-  acks_sent : int;
-  retransmissions : int;
-  pressure_drops : int;
-  lease_drops : int;  (** frames tail-dropped at a full cell lease queue *)
-  lease_rebalances : int;  (** barriers at which idle capacity was re-leased *)
-  quarantine_events : int;
-  watchdog_resyncs : int;
-  quarantined : int;
+  counters : Ba_util.Counters.t;
+      (** the cells' {!Cell.counters} summed, plus [Lease_rebalances]
+          (barriers at which idle capacity was re-leased). [Messages]
+          counts the payloads admitted flows offer; [Lease_drops] the
+          frames tail-dropped at full cell lease queues. *)
   mem_peak_bytes : int;
       (** peak sampled model bytes (sum of per-cell peaks; 0 when
           neither budget nor watchdog is set) *)
@@ -75,6 +62,17 @@ type result = {
           out-of-order or corrupted payload; [None] when {!safe}. With
           the run's seed it is a replay key: the cell is a deterministic
           sub-simulation (see {b Cells} above). Not part of {!summary}. *)
+  delivered : int;
+  duplicates : int;
+  misordered : int;
+  corrupted : int;
+  data_sent : int;
+  acks_sent : int;
+  retransmissions : int;
+  lease_drops : int;
+      (** The eight fields above repeat [counters]' entries of the same
+          names: the benchmark workloads in [bench/e2e] read them by
+          field name. Read the block. *)
 }
 
 val run :

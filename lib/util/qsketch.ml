@@ -33,9 +33,10 @@ let capacity t = t.cap
 let count t = t.count
 let nodes t = t.n
 
-(* Two float arrays of about cap slots (8 bytes each) plus the scalar
-   header — a constant, which is the whole point. *)
-let mem_bytes t = (16 * t.cap) + 64
+(* The 48 B record, [values]'s cap + 3 floats and [weights]'s cap + 1,
+   each array with its 8 B header — a constant, which is the whole
+   point. *)
+let mem_bytes t = (16 * t.cap) + 96
 
 let min t = if t.count = 0 then invalid_arg "Qsketch.min: empty" else t.values.(lo_slot t)
 let max t = if t.count = 0 then invalid_arg "Qsketch.max: empty" else t.values.(hi_slot t)

@@ -53,7 +53,7 @@ val nodes : t -> int
 
 val mem_bytes : t -> int
 (** Bytes pinned by the sketch's payload state: a constant
-    [16 * capacity + 64] regardless of how many samples have been
+    [16 * capacity + 96] regardless of how many samples have been
     added — the point of the structure. *)
 
 val min : t -> float

@@ -62,8 +62,7 @@ type report = {
   budget : int;
   peak : int;
   over_budget : int;
-  quarantines : int;
-  resyncs : int;
+  counters : Ba_util.Counters.t;
   worst_ticks : int;
   unsafe_rounds : int;
   stuck_rounds : int;
@@ -74,12 +73,10 @@ type report = {
 }
 
 let fold ~on_round ~jobs ~rounds run =
-  let sketch = Qsketch.create () in
+  let sketch = Qsketch.create () and counters = Ba_util.Counters.create () in
   let budget = ref 0
   and peak = ref 0
   and over_budget = ref 0
-  and quarantines = ref 0
-  and resyncs = ref 0
   and worst_ticks = ref 0
   and unsafe_rounds = ref 0
   and stuck_rounds = ref 0
@@ -101,8 +98,7 @@ let fold ~on_round ~jobs ~rounds run =
     budget := max !budget rd.budget;
     peak := max !peak r.Fabric.mem_peak_bytes;
     if r.Fabric.mem_peak_bytes > rd.budget then incr over_budget;
-    quarantines := !quarantines + r.Fabric.quarantine_events;
-    resyncs := !resyncs + r.Fabric.watchdog_resyncs;
+    Ba_util.Counters.merge_into counters r.Fabric.counters;
     if r.Fabric.completed then worst_ticks := max !worst_ticks r.Fabric.ticks;
     List.iter (add base_sum base_n) rd.base_goodput;
     List.iter (add returner_sum returner_n) rd.returner_goodput;
@@ -138,8 +134,7 @@ let fold ~on_round ~jobs ~rounds run =
     budget = !budget;
     peak = !peak;
     over_budget = !over_budget;
-    quarantines = !quarantines;
-    resyncs = !resyncs;
+    counters;
     worst_ticks = !worst_ticks;
     unsafe_rounds = !unsafe_rounds;
     stuck_rounds = !stuck_rounds;

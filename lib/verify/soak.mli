@@ -52,8 +52,9 @@ type report = {
   budget : int;  (** the largest round budget *)
   peak : int;  (** peak buffered bytes over all rounds *)
   over_budget : int;  (** rounds whose peak exceeded their budget *)
-  quarantines : int;
-  resyncs : int;
+  counters : Ba_util.Counters.t;
+      (** every round's {!Ba_proto.Fabric.result} counters, summed:
+          [Quarantine_events] and [Watchdog_resyncs] are the soak's *)
   worst_ticks : int;  (** the longest completed round, 0 if none completed *)
   unsafe_rounds : int;
   stuck_rounds : int;

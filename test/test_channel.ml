@@ -49,6 +49,8 @@ let test_dist_validation () =
 (* ------------------------------------------------------------------ *)
 (* Link *)
 
+let count l = Ba_util.Counters.get (Link.counters l)
+
 let test_link_delivers_all_lossless () =
   let e = Engine.create () in
   let got = ref [] in
@@ -58,10 +60,10 @@ let test_link_delivers_all_lossless () =
   done;
   Engine.run e;
   check Alcotest.int "all delivered" 100 (List.length !got);
-  let s = Link.stats l in
-  check Alcotest.int "sent" 100 s.Link.sent;
-  check Alcotest.int "delivered" 100 s.Link.delivered;
-  check Alcotest.int "dropped" 0 s.Link.dropped
+  let s = count l in
+  check Alcotest.int "sent" 100 (s Offered);
+  check Alcotest.int "delivered" 100 (s Passed);
+  check Alcotest.int "dropped" 0 (s Lost)
 
 let test_link_constant_delay_preserves_order () =
   let e = Engine.create () in
@@ -74,7 +76,7 @@ let test_link_constant_delay_preserves_order () =
   check (Alcotest.list Alcotest.int) "FIFO under constant delay"
     (List.init 50 (fun i -> i))
     (List.rev !got);
-  check Alcotest.int "no reorder counted" 0 (Link.stats l).Link.reordered
+  check Alcotest.int "no reorder counted" 0 (count l Reordered)
 
 let test_link_loss_all () =
   let e = Engine.create () in
@@ -85,7 +87,7 @@ let test_link_loss_all () =
   done;
   Engine.run e;
   check Alcotest.int "nothing delivered" 0 !got;
-  check Alcotest.int "all dropped" 10 (Link.stats l).Link.dropped
+  check Alcotest.int "all dropped" 10 (count l Lost)
 
 let test_link_loss_rate () =
   let e = Engine.create ~seed:5 () in
@@ -95,7 +97,7 @@ let test_link_loss_rate () =
     Link.send l i
   done;
   Engine.run e;
-  let rate = float_of_int (Link.stats l).Link.dropped /. float_of_int n in
+  let rate = float_of_int (count l Lost) /. float_of_int n in
   if abs_float (rate -. 0.25) > 0.02 then Alcotest.failf "loss rate %f too far from 0.25" rate
 
 let test_link_jitter_reorders () =
@@ -105,7 +107,7 @@ let test_link_jitter_reorders () =
     Link.send l i
   done;
   Engine.run e;
-  check Alcotest.bool "jitter produced reorder" true ((Link.stats l).Link.reordered > 0)
+  check Alcotest.bool "jitter produced reorder" true (count l Reordered > 0)
 
 let test_link_fault_hook () =
   let e = Engine.create () in
@@ -175,8 +177,8 @@ let test_bottleneck_tail_drop () =
   check Alcotest.int "queue full" 3 (Link.queue_length l);
   Engine.run e;
   check Alcotest.int "survivors" 4 !got;
-  check Alcotest.int "tail drops counted" 6 (Link.stats l).Link.queue_dropped;
-  check Alcotest.int "random drops separate" 0 (Link.stats l).Link.dropped
+  check Alcotest.int "tail drops counted" 6 (count l Queue_dropped);
+  check Alcotest.int "random drops separate" 0 (count l Lost)
 
 let test_bottleneck_drains_then_idles () =
   let e = Engine.create () in
@@ -330,10 +332,10 @@ let test_link_duplicate_stats () =
   done;
   Engine.run e;
   check Alcotest.int "every message tripled" 300 !got;
-  let s = Link.stats l in
-  check Alcotest.int "extra copies counted" 200 s.Link.duplicated;
-  check Alcotest.int "deliveries counted" 300 s.Link.delivered;
-  check Alcotest.int "no random drops" 0 s.Link.dropped
+  let s = count l in
+  check Alcotest.int "extra copies counted" 200 (s Duplicated);
+  check Alcotest.int "deliveries counted" 300 (s Passed);
+  check Alcotest.int "no random drops" 0 (s Lost)
 
 let test_link_corrupt_stats_and_mangling () =
   let e = Engine.create ~seed:22 () in
@@ -351,7 +353,7 @@ let test_link_corrupt_stats_and_mangling () =
   check (Alcotest.list Alcotest.int) "all mangled"
     (List.init 10 (fun i -> i - 10))
     (List.sort compare !got);
-  check Alcotest.int "corruptions counted" 10 (Link.stats l).Link.corrupted
+  check Alcotest.int "corruptions counted" 10 (count l Mangled)
 
 let test_link_outage_window () =
   let e = Engine.create ~seed:23 () in
@@ -367,9 +369,9 @@ let test_link_outage_window () =
   check Alcotest.int "only outside the window" 2 (List.length !got);
   check Alcotest.bool "before survives" true (List.mem `Before !got);
   check Alcotest.bool "after survives" true (List.mem `After !got);
-  let s = Link.stats l in
-  check Alcotest.int "outage drops counted apart" 2 s.Link.outage_drops;
-  check Alcotest.int "not mixed into random drops" 0 s.Link.dropped
+  let s = count l in
+  check Alcotest.int "outage drops counted apart" 2 (s Outage_drops);
+  check Alcotest.int "not mixed into random drops" 0 (s Lost)
 
 let test_link_delay_spike_verdict () =
   let e = Engine.create ~seed:24 () in

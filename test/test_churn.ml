@@ -32,7 +32,7 @@ let test_departure_frees_slot_and_finishes () =
     Fabric.run
       [ Fabric.spec ~messages:500 ~stop_at:1500 proto; Fabric.spec ~messages:20 proto ]
   in
-  check Alcotest.int "one departure" 1 r.Fabric.departed;
+  check Alcotest.int "one departure" 1 (Ba_util.Counters.get r.Fabric.counters Departed);
   check Alcotest.bool "run completed" true r.Fabric.completed;
   let departed = List.hd r.Fabric.flows in
   check Alcotest.bool "departed flow did not finish its offer" false departed.Harness.completed;
@@ -50,13 +50,14 @@ let test_departure_reclaims_budget () =
   let a ~stop_at = Fabric.spec ~messages:500 ?stop_at proto in
   let c = Fabric.spec ~messages:20 ~start_at:2000 proto in
   let reclaimed = Fabric.run ~memory_budget:flow_cost [ a ~stop_at:(Some 1500); c ] in
-  check Alcotest.int "both admitted" 2 reclaimed.Fabric.admitted;
-  check Alcotest.int "none refused" 0 reclaimed.Fabric.refused;
+  check Alcotest.int "both admitted" 2 (List.length reclaimed.Fabric.flows);
+  check Alcotest.int "none refused" 0 (Ba_util.Counters.get reclaimed.Fabric.counters Refused);
   check Alcotest.bool "no clamp" true (reclaimed.Fabric.clamped_window = None);
   check Alcotest.bool "budget held" true (reclaimed.Fabric.mem_peak_bytes <= flow_cost);
   let overlapping = Fabric.run ~memory_budget:flow_cost [ a ~stop_at:None; c ] in
   check Alcotest.bool "without the departure, admission must degrade" true
-    (overlapping.Fabric.clamped_window <> None || overlapping.Fabric.refused > 0)
+    (overlapping.Fabric.clamped_window <> None
+    || Ba_util.Counters.get overlapping.Fabric.counters Refused > 0)
 
 let test_churn_generator_shape () =
   let base = 2 and churners = 3 in
@@ -101,7 +102,8 @@ let test_churning_run_deterministic () =
   let run () = Fabric.run ~seed:11 (Fabric.churn ~churners:2 ~messages:20 ~seed:11 proto) in
   let a = run () and b = run () in
   check Alcotest.int "same ticks" a.Fabric.ticks b.Fabric.ticks;
-  check Alcotest.int "same departures" a.Fabric.departed b.Fabric.departed;
+  check Alcotest.bool "same counters, departures included" true
+    (a.Fabric.counters = b.Fabric.counters);
   check Alcotest.bool "same per-flow verdicts" true (a.Fabric.flows = b.Fabric.flows)
 
 let test_churn_under_storm_stays_safe () =
@@ -124,8 +126,8 @@ let test_churn_under_storm_stays_safe () =
     let check_at what = check Alcotest.bool (Printf.sprintf "seed %d: %s" (42 + i) what) true in
     check_at "budget below the lifetime sum" (rd.Soak.budget < Fabric.lifetime_cost specs);
     check_at "everyone admitted into reclaimed capacity"
-      (r.Fabric.admitted = List.length specs);
-    check_at "churners departed" (r.Fabric.departed = 2);
+      (List.length r.Fabric.flows = List.length specs);
+    check_at "churners departed" (Ba_util.Counters.get r.Fabric.counters Departed = 2);
     check_at "run completed" r.Fabric.completed;
     check_at "memory guarantee held through the storm" (r.Fabric.mem_peak_bytes <= rd.Soak.budget);
     check_at "every flow stayed safe" (List.for_all Chaos.safe r.Fabric.flows)

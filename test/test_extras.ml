@@ -575,6 +575,8 @@ let test_tracer_protocol_transparent () =
 (* ------------------------------------------------------------------ *)
 (* Duplex with piggybacked acknowledgments *)
 
+let duplex_count e = Ba_util.Counters.get (Blockack.Duplex.counters e)
+
 let test_duplex_bidirectional_in_order () =
   let got_a = ref [] and got_b = ref [] in
   let d =
@@ -621,16 +623,16 @@ let test_duplex_piggybacks () =
   done;
   Blockack.Duplex.run d;
   check Alcotest.bool "idle" true (Blockack.Duplex.idle d);
-  let sa = Blockack.Duplex.stats (Blockack.Duplex.a d) in
+  let sa = duplex_count (Blockack.Duplex.a d) in
   check Alcotest.bool
-    (Printf.sprintf "most acks ride on data (piggy=%d pure=%d)"
-       sa.Blockack.Duplex.piggybacked_acks sa.Blockack.Duplex.pure_ack_frames)
+    (Printf.sprintf "most acks ride on data (piggy=%d pure=%d)" (sa Piggybacked_acks)
+       (sa Acks_sent))
     true
-    (sa.Blockack.Duplex.piggybacked_acks > sa.Blockack.Duplex.pure_ack_frames);
-  check Alcotest.int "no retransmissions lossless" 0 sa.Blockack.Duplex.retransmissions;
+    (sa Piggybacked_acks > sa Acks_sent);
+  check Alcotest.int "no retransmissions lossless" 0 (sa Retransmissions);
   (* The acknowledgment channel is then nearly free. *)
   check Alcotest.bool "frame overhead below 25%" true
-    (sa.Blockack.Duplex.frames_sent * 100 < sa.Blockack.Duplex.data_frames * 125)
+    ((sa Data_sent + sa Acks_sent) * 100 < sa Data_sent * 125)
 
 let test_duplex_one_sided_still_acks () =
   (* No reverse data: every ack must eventually go out as a pure frame. *)
@@ -647,9 +649,9 @@ let test_duplex_one_sided_still_acks () =
   Blockack.Duplex.run d;
   check Alcotest.int "all delivered" 50 !got;
   check Alcotest.bool "idle" true (Blockack.Duplex.idle d);
-  let sb = Blockack.Duplex.stats (Blockack.Duplex.b d) in
-  check Alcotest.bool "B sent pure acks" true (sb.Blockack.Duplex.pure_ack_frames > 0);
-  check Alcotest.int "B sent no data" 0 sb.Blockack.Duplex.data_frames
+  let sb = duplex_count (Blockack.Duplex.b d) in
+  check Alcotest.bool "B sent pure acks" true (sb Acks_sent > 0);
+  check Alcotest.int "B sent no data" 0 (sb Data_sent)
 
 let test_duplex_lossy_both_ways () =
   let d =
@@ -683,10 +685,8 @@ let test_duplex_one_way_roundtrip () =
   Blockack.Duplex.run d;
   check (Alcotest.list Alcotest.string) "in order" [ "alpha"; "beta"; "gamma" ] (List.rev !got);
   check Alcotest.bool "idle" true (Blockack.Duplex.idle d);
-  let sa = Blockack.Duplex.stats (Blockack.Duplex.a d) in
-  let sb = Blockack.Duplex.stats (Blockack.Duplex.b d) in
-  check Alcotest.int "submitted" 3 sa.Blockack.Duplex.submitted;
-  check Alcotest.int "delivered" 3 sb.Blockack.Duplex.delivered
+  check Alcotest.int "submitted" 3 (duplex_count (Blockack.Duplex.a d) Messages);
+  check Alcotest.int "delivered" 3 (duplex_count (Blockack.Duplex.b d) Delivered)
 
 (* Sending into a session that has already gone quiet restarts it. *)
 let test_duplex_one_way_incremental () =

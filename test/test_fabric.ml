@@ -69,7 +69,7 @@ let test_fabric_flow_accounting () =
     r.Fabric.flows;
   (* The shared data link carried every flow's traffic. *)
   check Alcotest.bool "shared link saw aggregate traffic" true
-    (r.Fabric.data_stats.Ba_channel.Link.sent >= 6 * 20)
+    (Ba_util.Counters.get r.Fabric.data_link Offered >= 6 * 20)
 
 let test_fabric_rejects_empty () =
   Alcotest.check_raises "empty spec list"
@@ -377,6 +377,7 @@ let capability_run ~seed entries =
           flows)
       (List.map snd flows)
   in
+  let n = Ba_util.Counters.get r.Fabric.counters in
   let b = Buffer.create 4096 in
   List.iter
     (fun e ->
@@ -385,7 +386,7 @@ let capability_run ~seed entries =
   Printf.bprintf b "seed=%d mem_peak=%d clamp=%s refused=%d resyncs=%d quarantines=%d\n" seed
     r.Fabric.mem_peak_bytes
     (match r.Fabric.clamped_window with Some c -> string_of_int c | None -> "-")
-    r.Fabric.refused r.Fabric.watchdog_resyncs r.Fabric.quarantine_events;
+    (n Refused) (n Watchdog_resyncs) (n Quarantine_events);
   List.iter (Format.kasprintf (Buffer.add_string b) "%a\n" Harness.pp_result) r.Fabric.flows;
   Buffer.contents b
 

@@ -454,7 +454,7 @@ let shim_trace ~seed ~plan n =
   done;
   (* Flush delayed copies. *)
   Ba_sim.Engine.run engine;
-  (List.rev !out, Shim.stats shim)
+  (List.rev !out, Shim.counters shim)
 
 let shim_replay () =
   let plan =
@@ -465,9 +465,9 @@ let shim_replay () =
   let t1, s1 = shim_trace ~seed:77 ~plan 500 in
   let t2, s2 = shim_trace ~seed:77 ~plan 500 in
   check Alcotest.bool "same seed, same datagram stream" true (t1 = t2);
-  check Alcotest.bool "same seed, same stats" true (s1 = s2);
-  if s1.Shim.dropped = 0 then Alcotest.fail "plan injected no loss";
-  if s1.Shim.corrupted = 0 then Alcotest.fail "plan injected no corruption";
+  check Alcotest.bool "same seed, same counters" true (s1 = s2);
+  if Ba_util.Counters.get s1 Lost = 0 then Alcotest.fail "plan injected no loss";
+  if Ba_util.Counters.get s1 Mangled = 0 then Alcotest.fail "plan injected no corruption";
   let t3, _ = shim_trace ~seed:78 ~plan 500 in
   check Alcotest.bool "different seed, different stream" false (t1 = t3)
 
@@ -483,7 +483,7 @@ let shim_gate () =
   Shim.gate shim false;
   Shim.send shim buf 8;
   check Alcotest.int "gated sends are discarded" 2 !passed;
-  check Alcotest.int "and counted" 2 (Shim.stats shim).Shim.gated
+  check Alcotest.int "and counted" 2 (Ba_util.Counters.get (Shim.counters shim) Gated)
 
 (* ------------------------------------------------------------------ *)
 (* Real loopback UDP *)
@@ -504,13 +504,15 @@ let pair ?plan ?(messages = 120) ?(payload_size = 32) ?on_setup name =
   Endpoint.Pair.run ~protocol:e.Ba_registry.Registry.protocol ~config ~messages
     ~payload_size ~wseed:7 ?plan ~impair_seed:11 ~tick_us:200 ~deadline_s:30. ?on_setup ()
 
+let count (o : Endpoint.Pair.outcome) = Ba_util.Counters.get o.Endpoint.Pair.counters
+
 let assert_clean name (o : Endpoint.Pair.outcome) =
   if not o.Endpoint.Pair.completed then
     Alcotest.failf "%s: loopback transfer did not complete (delivered %d)" name
-      o.Endpoint.Pair.delivered;
-  check Alcotest.int (name ^ ": duplicates") 0 o.Endpoint.Pair.duplicates;
-  check Alcotest.int (name ^ ": misordered") 0 o.Endpoint.Pair.misordered;
-  check Alcotest.int (name ^ ": corrupted") 0 o.Endpoint.Pair.corrupted;
+      (count o Delivered);
+  check Alcotest.int (name ^ ": duplicates") 0 (count o Duplicates);
+  check Alcotest.int (name ^ ": misordered") 0 (count o Misordered);
+  check Alcotest.int (name ^ ": corrupted") 0 (count o Corrupted);
   check Alcotest.bool (name ^ ": digest") true
     (o.Endpoint.Pair.digest = o.Endpoint.Pair.digest_expected)
 
@@ -524,8 +526,8 @@ let loopback_impaired () =
   in
   let o = pair ~plan "blockack" in
   assert_clean "blockack/5% loss" o;
-  let s = o.Endpoint.Pair.client_shim in
-  if s.Shim.dropped + o.Endpoint.Pair.server_shim.Shim.dropped = 0 then
+  let lost s = Ba_util.Counters.get s Lost in
+  if lost o.Endpoint.Pair.client_shim + lost o.Endpoint.Pair.server_shim = 0 then
     Alcotest.fail "impairment was configured but nothing was dropped"
 
 let loopback_baseline () = assert_clean "go-back-n/clean" (pair ~messages:60 "go-back-n")
@@ -1001,15 +1003,16 @@ let server_merges_like_model =
 let loopback_merges_acks () =
   let o = pair ~messages:400 "blockack" in
   assert_clean "blockack/merged" o;
-  Printf.printf "merged pair: %d ack and %d data datagrams for %d messages\n"
-    o.Endpoint.Pair.ack_datagrams o.Endpoint.Pair.data_datagrams o.Endpoint.Pair.delivered;
-  let per_4 what n =
-    if n * 4 > o.Endpoint.Pair.delivered then
-      Alcotest.failf "%d %s datagrams for %d messages (want <= 1 per 4)" n what
-        o.Endpoint.Pair.delivered
+  let n = count o in
+  Printf.printf "merged pair: %d ack and %d data datagrams for %d messages\n" (n Acks_sent)
+    (n Data_datagrams) (n Delivered);
+  let per_4 what k =
+    if n k * 4 > n Delivered then
+      Alcotest.failf "%d %s datagrams for %d messages (want <= 1 per 4)" (n k) what
+        (n Delivered)
   in
-  per_4 "ack" o.Endpoint.Pair.ack_datagrams;
-  per_4 "data" o.Endpoint.Pair.data_datagrams
+  per_4 "ack" Acks_sent;
+  per_4 "data" Data_datagrams
 
 let loopback_single_acks_unmerged () =
   let module Base = (val Ba_baselines.Go_back_n.protocol : Ba_proto.Protocol.S) in
@@ -1030,7 +1033,7 @@ let loopback_single_acks_unmerged () =
       ~messages:60 ~payload_size:32 ~wseed:7 ~impair_seed:11 ~tick_us:200 ~deadline_s:30. ()
   in
   assert_clean "go-back-n/counted" o;
-  check Alcotest.int "one datagram per emitted ack" !emitted o.Endpoint.Pair.ack_datagrams
+  check Alcotest.int "one datagram per emitted ack" !emitted (count o Acks_sent)
 
 (* ------------------------------------------------------------------ *)
 (* Driver: zero-delay events fire in the tick that armed them *)

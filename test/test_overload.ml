@@ -130,15 +130,15 @@ let admission_specs () =
 
 let test_admission_unclamped_when_budget_allows () =
   let r = Fabric.run ~memory_budget:2048 (admission_specs ()) in
-  check Alcotest.int "all admitted" 4 r.Fabric.admitted;
-  check Alcotest.int "none refused" 0 r.Fabric.refused;
+  check Alcotest.int "all admitted" 4 (List.length r.Fabric.flows);
+  check Alcotest.int "none refused" 0 (Ba_util.Counters.get r.Fabric.counters Refused);
   check (Alcotest.option Alcotest.int) "no clamp" None r.Fabric.clamped_window;
   check Alcotest.bool "completed" true r.Fabric.completed
 
 let test_admission_uniform_clamp () =
   (* 1024 bytes over 4 flows: 2*c*32*4 <= 1024 gives c = 4. *)
   let r = Fabric.run ~memory_budget:1024 (admission_specs ()) in
-  check Alcotest.int "all admitted" 4 r.Fabric.admitted;
+  check Alcotest.int "all admitted" 4 (List.length r.Fabric.flows);
   check (Alcotest.option Alcotest.int) "uniform clamp" (Some 4) r.Fabric.clamped_window;
   check Alcotest.bool "completed under clamp" true r.Fabric.completed;
   check Alcotest.bool "correct under clamp" true
@@ -152,8 +152,8 @@ let test_admission_prefix_at_clamp_one () =
   (* 160 bytes: even clamp 1 costs 64 per flow, so only a 2-flow prefix
      fits; the rest are refused rather than everyone OOMing. *)
   let r = Fabric.run ~memory_budget:160 (admission_specs ()) in
-  check Alcotest.int "prefix admitted" 2 r.Fabric.admitted;
-  check Alcotest.int "rest refused" 2 r.Fabric.refused;
+  check Alcotest.int "prefix admitted" 2 (List.length r.Fabric.flows);
+  check Alcotest.int "rest refused" 2 (Ba_util.Counters.get r.Fabric.counters Refused);
   check (Alcotest.option Alcotest.int) "clamp 1" (Some 1) r.Fabric.clamped_window;
   check Alcotest.int "result rows only for admitted flows" 2 (List.length r.Fabric.flows);
   check Alcotest.bool "admitted flows complete" true r.Fabric.completed
@@ -279,9 +279,10 @@ let test_s2_surge_acceptance () =
     (surged.Fabric.mem_peak_bytes <= s2_budget);
   (* 2. The stalled flow was quarantined, recovered via the resync
      handshake, and finished; nobody is still gated at the end. *)
-  check Alcotest.bool "quarantine happened" true (surged.Fabric.quarantine_events >= 1);
-  check Alcotest.bool "watchdog resyncs happened" true (surged.Fabric.watchdog_resyncs >= 1);
-  check Alcotest.int "nothing still quarantined" 0 surged.Fabric.quarantined;
+  let n = Ba_util.Counters.get surged.Fabric.counters in
+  check Alcotest.bool "quarantine happened" true (n Quarantine_events >= 1);
+  check Alcotest.bool "watchdog resyncs happened" true (n Watchdog_resyncs >= 1);
+  check Alcotest.int "nothing still quarantined" 0 (n Quarantined);
   let victim = List.nth surged.Fabric.flows s2_base_flows in
   check Alcotest.bool "victim restarted through the handshake" true
     (victim.Harness.restarts >= 1);

@@ -14,6 +14,8 @@ module Fabric = Ba_proto.Fabric
 module Chaos = Ba_verify.Chaos
 module Registry = Ba_registry.Registry
 module Dist = Ba_channel.Dist
+module Counters = Ba_util.Counters
+module Qsketch = Ba_util.Qsketch
 
 let entry name =
   match Registry.find name with
@@ -36,10 +38,11 @@ let test_clean_run_completes () =
   check Alcotest.bool "completed" true r.Shard.completed;
   check Alcotest.int "cells" 6 r.Shard.cells;
   check Alcotest.int "flows" 48 r.Shard.flows;
-  check Alcotest.int "all delivered" r.Shard.messages r.Shard.delivered;
-  check Alcotest.int "no duplicates" 0 r.Shard.duplicates;
-  check Alcotest.int "no corruption" 0 r.Shard.corrupted;
-  check Alcotest.int "nothing refused" 0 r.Shard.refused;
+  let n = Counters.get r.Shard.counters in
+  check Alcotest.int "all delivered" (n Messages) (n Delivered);
+  check Alcotest.int "no duplicates" 0 (n Duplicates);
+  check Alcotest.int "no corruption" 0 (n Corrupted);
+  check Alcotest.int "nothing refused" 0 (n Refused);
   check Alcotest.(option int) "no unsafe cell" None r.Shard.unsafe_cell
 
 let test_measured_run_fills_state_bytes () =
@@ -57,8 +60,9 @@ let test_capacity_lease_run_completes () =
      be doing the queueing. *)
   let specs = mixed_specs ~messages:5 ~flows:24 in
   let r = Shard.run ~seed:11 ~jobs:1 ~cell:6 ~capacity:(2, 64) specs in
+  let n = Counters.get r.Shard.counters in
   check Alcotest.bool "completed under lease" true r.Shard.completed;
-  check Alcotest.int "all delivered" r.Shard.messages r.Shard.delivered
+  check Alcotest.int "all delivered" (n Messages) (n Delivered)
 
 let test_capacity_needs_positive_members () =
   (* A lease clamped a zero service time to 1 and a zero queue to 4
@@ -82,8 +86,8 @@ let test_budget_admission_is_cell_local () =
   let specs = mixed_specs ~messages:5 ~flows:32 in
   let budget = 4 * 1024 in
   let r = Shard.run ~seed:3 ~jobs:1 ~cell:8 ~memory_budget:budget specs in
-  check Alcotest.bool "degraded somewhere" true
-    (r.Shard.clamped_cells > 0 || r.Shard.refused > 0);
+  let n = Counters.get r.Shard.counters in
+  check Alcotest.bool "degraded somewhere" true (n Clamped_cells > 0 || n Refused > 0);
   check Alcotest.bool "sampled peak within budget" true (r.Shard.mem_peak_bytes <= budget)
 
 (* [Shard.summary] of 4,096 two-message blockack flows, shaped like the
@@ -427,39 +431,39 @@ let test_storm_churn_shard_sweep () =
    its single cell with engine seed [seed]; shard cell 0 is seeded
    [seed + 104729]. Without capacity (the one place the two differ: a
    lease versus the exact link queue) the runs agree on every summary
-   field but the cell and epoch counts. Latency is compared by count and
+   field but the cell and epoch counts: their counter blocks are equal,
+   and so are the extras below. Latency is compared by count and
    maximum, which are exact; the sketch's quantiles depend on insertion
    order. *)
 
-let shard_digest (r : Shard.result) =
+let shard_extras (r : Shard.result) =
+  let l = r.Shard.latency in
   [
-    r.Shard.flows; r.Shard.messages; r.Shard.delivered; r.Shard.duplicates; r.Shard.misordered;
-    r.Shard.corrupted; r.Shard.completed_flows; r.Shard.departed; r.Shard.refused;
-    r.Shard.clamped_cells; r.Shard.data_sent; r.Shard.acks_sent; r.Shard.retransmissions;
-    r.Shard.pressure_drops; r.Shard.lease_drops; r.Shard.lease_rebalances;
-    r.Shard.quarantine_events; r.Shard.watchdog_resyncs; r.Shard.quarantined;
-    r.Shard.mem_peak_bytes; r.Shard.ticks; Bool.to_int r.Shard.completed;
-    Ba_util.Qsketch.count r.Shard.latency;
-    (if Ba_util.Qsketch.count r.Shard.latency = 0 then 0
-     else int_of_float (Ba_util.Qsketch.max r.Shard.latency));
+    ("flows", r.Shard.flows);
+    ("mem-peak", r.Shard.mem_peak_bytes);
+    ("ticks", r.Shard.ticks);
+    ("completed", Bool.to_int r.Shard.completed);
+    ("latency-n", Qsketch.count l);
+    ("latency-max", if Qsketch.count l = 0 then 0 else int_of_float (Qsketch.max l));
   ]
 
-let fabric_digest (r : Fabric.result) =
-  let sum f = List.fold_left (fun a (fl : Ba_proto.Flow.result) -> a + f fl) 0 r.Fabric.flows in
+let fabric_extras (r : Fabric.result) =
   let lat =
     List.concat_map (fun (fl : Ba_proto.Flow.result) -> Array.to_list fl.latencies) r.Fabric.flows
   in
   [
-    r.Fabric.admitted; sum (fun f -> f.messages); sum (fun f -> f.delivered);
-    sum (fun f -> f.duplicates); sum (fun f -> f.misordered); sum (fun f -> f.corrupted);
-    sum (fun f -> Bool.to_int f.completed); r.Fabric.departed; r.Fabric.refused;
-    Bool.to_int (r.Fabric.clamped_window <> None); sum (fun f -> f.data_sent);
-    sum (fun f -> f.acks_sent); sum (fun f -> f.retransmissions);
-    sum (fun f -> f.pressure_drops); 0; 0; r.Fabric.quarantine_events;
-    r.Fabric.watchdog_resyncs; r.Fabric.quarantined; r.Fabric.mem_peak_bytes; r.Fabric.ticks;
-    Bool.to_int r.Fabric.completed; List.length lat;
-    int_of_float (List.fold_left Float.max 0. lat);
+    ("flows", List.length r.Fabric.flows);
+    ("mem-peak", r.Fabric.mem_peak_bytes);
+    ("ticks", r.Fabric.ticks);
+    ("completed", Bool.to_int r.Fabric.completed);
+    ("latency-n", List.length lat);
+    ("latency-max", int_of_float (List.fold_left Float.max 0. lat));
   ]
+
+let render block extras =
+  List.map (fun k -> (Counters.name k, Counters.get block k)) Counters.all @ extras
+  |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+  |> String.concat " "
 
 let one_cell_agrees ~seed ~loss ?memory_budget ?watchdog ?plans_for specs =
   let loss = if loss then 0.05 else 0. in
@@ -473,12 +477,12 @@ let one_cell_agrees ~seed ~loss ?memory_budget ?watchdog ?plans_for specs =
       ?data_plan:(Option.map fst plans) ?ack_plan:(Option.map snd plans) ?memory_budget
       ?watchdog specs
   in
-  if shard_digest s = fabric_digest f then Ok s
+  if s.Shard.counters = f.Fabric.counters && shard_extras s = fabric_extras f then Ok s
   else
     Error
       (Printf.sprintf "shard  %s\nfabric %s"
-         (String.concat " " (List.map string_of_int (shard_digest s)))
-         (String.concat " " (List.map string_of_int (fabric_digest f))))
+         (render s.Shard.counters (shard_extras s))
+         (render f.Fabric.counters (fabric_extras f)))
 
 let test_one_cell_shard_is_fabric =
   qcheck
@@ -530,7 +534,9 @@ let test_one_cell_shard_resyncs_like_fabric () =
       ~plans_for:(fun ~cell_seed:_ -> (outage, Ba_channel.Fault_plan.none))
       (mixed_specs ~messages:20 ~flows:6)
   with
-  | Ok s -> check Alcotest.bool "the watchdog resynced" true (s.Shard.watchdog_resyncs > 0)
+  | Ok s ->
+      check Alcotest.bool "the watchdog resynced" true
+        (Counters.get s.Shard.counters Watchdog_resyncs > 0)
   | Error e -> Alcotest.fail e
 
 let () =

@@ -1,5 +1,5 @@
 (* Unit and property tests for ba_util: rng, modseq, ring buffer,
-   stats, histogram, table, qsketch. *)
+   stats, histogram, table, counters, qsketch. *)
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -528,6 +528,57 @@ let test_table_fmt_float () =
   check Alcotest.string "custom decimals" "1.50" (Ba_util.Table.fmt_float ~decimals:2 1.5)
 
 (* ------------------------------------------------------------------ *)
+(* Counters *)
+
+module Counters = Ba_util.Counters
+
+let prop_counters_merge_is_a_sum =
+  QCheck.Test.make ~count:200
+    ~name:"merge_into is associative and commutative, with create () as identity"
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Ba_util.Rng.create seed in
+      let block () =
+        let t = Counters.create () in
+        List.iter
+          (fun k ->
+            if Ba_util.Rng.bernoulli rng 0.5 then Counters.add t k (Ba_util.Rng.int rng 1000))
+          Counters.all;
+        t
+      in
+      let merged a b =
+        let m = Counters.create () in
+        Counters.merge_into m a;
+        Counters.merge_into m b;
+        m
+      in
+      let a = block () and b = block () and c = block () in
+      merged (merged a b) c = merged a (merged b c)
+      && merged a b = merged b a
+      && merged (Counters.create ()) a = a
+      && merged a (Counters.create ()) = a)
+
+let test_counters_names () =
+  let names = List.map Counters.name Counters.all in
+  List.iter (fun n -> check Alcotest.bool "non-empty name" true (n <> "")) names;
+  check Alcotest.int "distinct names" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  check (Alcotest.list Alcotest.int) "each key its own slot, in order"
+    (List.init (Array.length (Counters.create ())) Fun.id)
+    (List.map Counters.index Counters.all)
+
+let test_counters_get_add () =
+  let t = Counters.create () in
+  List.iter (fun k -> check Alcotest.int "fresh block is zero" 0 (Counters.get t k)) Counters.all;
+  Counters.add t Lost 3;
+  Counters.add t Lost 4;
+  check Alcotest.int "adds accumulate" 7 (Counters.get t Lost);
+  List.iter
+    (fun k ->
+      if k <> Counters.Lost then check Alcotest.int "other keys untouched" 0 (Counters.get t k))
+    Counters.all
+
+(* ------------------------------------------------------------------ *)
 (* Qsketch *)
 
 module Qsketch = Ba_util.Qsketch
@@ -614,7 +665,19 @@ let test_qsketch_flat_memory () =
           check Alcotest.int "node count flat" n0 n;
           check Alcotest.int "mem bytes flat" b0 b)
         rest);
-  check Alcotest.int "count still exact" 100_000 (Qsketch.count s)
+  check Alcotest.int "count still exact" 100_000 (Qsketch.count s);
+  (* The constant is the sketch's whole reachable heap. *)
+  List.iter
+    (fun capacity ->
+      let s = Qsketch.create ~capacity () in
+      for i = 1 to 10 * capacity do
+        Qsketch.add s (float_of_int i)
+      done;
+      check Alcotest.int
+        (Printf.sprintf "mem bytes are the reachable bytes at capacity %d" capacity)
+        (8 * Obj.reachable_words (Obj.repr s))
+        (Qsketch.mem_bytes s))
+    [ 8; 64 ]
 
 let test_qsketch_deterministic () =
   let build () =
@@ -792,6 +855,13 @@ let () =
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "pads missing" `Quick test_table_pads_missing;
           Alcotest.test_case "fmt_float" `Quick test_table_fmt_float;
+        ] );
+      ( "counters",
+        [
+          Alcotest.test_case "names are distinct and non-empty, slots in order" `Quick
+            test_counters_names;
+          Alcotest.test_case "get and add" `Quick test_counters_get_add;
+          qcheck prop_counters_merge_is_a_sum;
         ] );
       ( "qsketch",
         [
