@@ -3,17 +3,32 @@
    Examples:
      ba_sim --protocol blockack-multi --messages 5000 --loss 0.05
      ba_sim --protocol go-back-n --jitter 50 --loss 0.01 --window 8
-     ba_sim --protocol stenning --modulus 16 --window 8 --gap 600 *)
+     ba_sim --protocol stenning --modulus 16 --window 8 --gap 600
+     ba_sim --tables full    (every experiment table; see EXPERIMENTS.md) *)
 
 open Cmdliner
 module Registry = Ba_registry.Registry
 
-let run list_protocols entry messages payload_size loss ack_loss_opt base_delay jitter window
-    rto modulus coalesce gap seed seeds histogram =
+(* Print every experiment table, in [quick] (CI-sized: exactly what
+   test/golden_tables.expected pins) or full mode, and exit. *)
+let print_tables jobs mode =
+  let quick =
+    Ba_cli.validate ~tool:"ba_sim" (fun () ->
+        match mode with
+        | "quick" -> true
+        | "full" -> false
+        | m -> Ba_cli.reject "--tables must be quick or full (got %S)" m)
+  in
+  Ba_experiments.Experiments.run_all ~jobs:(Ba_cli.resolve_jobs jobs) ~quick ();
+  exit 0
+
+let run list_protocols tables jobs entry messages payload_size loss ack_loss_opt base_delay
+    jitter window rto modulus coalesce gap seed seeds histogram =
   if list_protocols then begin
     Format.printf "%a" Registry.pp_list ();
     exit 0
   end;
+  Option.iter (print_tables jobs) tables;
   let ack_loss = Option.value ~default:loss ack_loss_opt in
   let delay =
     if jitter = 0 then Ba_channel.Dist.Constant base_delay
@@ -70,17 +85,20 @@ let protocol =
     "Protocol to simulate: " ^ String.concat ", " Registry.names
     ^ " (see $(b,--list-protocols))."
   in
-  let default =
-    match Registry.find "blockack-multi" with
-    | Some e -> e
-    | None -> assert false
-  in
+  let default = Option.get (Registry.find "blockack-multi") in
   Arg.(value & opt Ba_cli.protocol_conv default & info [ "p"; "protocol" ] ~doc)
 
 let list_protocols =
   Arg.(value & flag
        & info [ "list-protocols" ]
            ~doc:"List every protocol in the shared registry (with aliases) and exit.")
+
+let tables =
+  Arg.(value & opt (some string) None
+       & info [ "tables" ] ~docv:"MODE"
+           ~doc:
+             "Print every experiment table and exit. $(docv) is $(b,quick) (CI-sized, as \
+              the golden tables pin them) or $(b,full) (as EXPERIMENTS.md records them).")
 
 let messages =
   Arg.(value & opt int 1000 & info [ "m"; "messages" ] ~doc:"Messages to transfer.")
@@ -138,8 +156,8 @@ let cmd =
   Cmd.v
     (Cmd.info "ba_sim" ~doc ~man ~version:Ba_cli.version)
     Term.(
-      const run $ list_protocols $ protocol $ messages $ payload_size $ loss $ ack_loss
-      $ base_delay $ jitter $ window $ rto $ modulus $ coalesce $ gap $ seed $ seeds
-      $ histogram)
+      const run $ list_protocols $ tables $ Ba_cli.jobs $ protocol $ messages $ payload_size
+      $ loss $ ack_loss $ base_delay $ jitter $ window $ rto $ modulus $ coalesce $ gap $ seed
+      $ seeds $ histogram)
 
 let () = exit (Cmd.eval' cmd)

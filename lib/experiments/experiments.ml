@@ -517,7 +517,10 @@ let f5_slot_reuse ?(jobs = 1) ~quick () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* F6: per-message delivery latency (head-of-line blocking made visible). *)
+(* F6: per-message delivery latency percentiles per protocol —
+   head-of-line blocking under loss made visible. Derived claim: the
+   in-order delivery all the paper's protocols require makes recovery
+   speed visible in the tail. *)
 
 let f6_latency ?(jobs = 1) ~quick () =
   let messages = if quick then 500 else 2000 in
@@ -568,7 +571,8 @@ let f6_latency ?(jobs = 1) ~quick () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* T5: piggybacked acknowledgments in a duplex session. *)
+(* T5 (derived): acknowledgment frames saved by piggybacking block acks
+   on reverse-direction data in a duplex session ({!Blockack.Duplex}). *)
 
 let t5_piggyback ?(jobs = 1) ~quick () =
   let messages = if quick then 300 else 1000 in
@@ -627,7 +631,9 @@ let t5_piggyback ?(jobs = 1) ~quick () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* A1 (extension ablation): fixed vs adaptive retransmission timeout. *)
+(* A1 (extension ablation): fixed vs Jacobson/Karels adaptive timeout
+   under a mis-estimated round trip. Not from the paper; quantifies its
+   "accurate timeout mechanisms" assumption (Section VI). *)
 
 let a1_adaptive_rto ?(jobs = 1) ~quick () =
   let messages = if quick then 400 else 1500 in
@@ -671,7 +677,8 @@ let a1_adaptive_rto ?(jobs = 1) ~quick () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* A2 (extension ablation): variable-size windows over a bottleneck. *)
+(* A2 (extension ablation): Section VI's "variable size windows" remark
+   — fixed vs AIMD windows through a congestible bottleneck queue. *)
 
 let a2_dynamic_window ?(jobs = 1) ~quick () =
   let messages = if quick then 600 else 2000 in
@@ -712,7 +719,8 @@ let a2_dynamic_window ?(jobs = 1) ~quick () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* A3 (extension ablation): two flows share the bottleneck — fairness. *)
+(* A3 (extension ablation): two flows share the bottleneck; AIMD
+   converges to an even split where oversized fixed windows fight. *)
 
 let a3_fairness ?(jobs = 1) ~quick () =
   let messages = if quick then 400 else 1500 in
@@ -886,7 +894,13 @@ let c1_chaos_matrix ?(jobs = 1) ~quick () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* C2: crash recovery — incarnation epochs vs the naive zeroed restart. *)
+(* C2: crash recovery — incarnation epochs vs the naive zeroed restart.
+   The {!Ba_verify.Chaos.Crash} class (sender, receiver and staggered
+   double crashes, seed-derived) against the block-ack senders with
+   incarnation epochs on, plus the epoch-less "naive restart" negative
+   control. Reports the safety/recovery verdict alongside the recovery
+   bill: restarts, resync handshake frames, restart-to-recovery ticks
+   and retransmitted bytes. *)
 
 let c2_crash_recovery ?(jobs = 1) ~quick () =
   let messages = if quick then 40 else 80 in
@@ -1025,7 +1039,12 @@ let s1_scaling ?(jobs = 1) ~quick () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* S3: churn soak — flow lifecycle and budget reclamation under storms. *)
+(* S3: churn soak — a churning fabric under composed storms:
+   seed-derived arrival/departure schedules ({!Ba_proto.Fabric.churn})
+   with a memory budget below the lifetime sum of reservations, so
+   admission must reclaim departed flows' budget for the returning
+   cohort. Reports pre- vs post-churn goodput and the peak-memory/budget
+   margin per seed. *)
 
 let s3_churn_soak ?(jobs = 1) ~quick () =
   let base = 2 in
@@ -1085,7 +1104,13 @@ let s3_churn_soak ?(jobs = 1) ~quick () =
 
 (* ------------------------------------------------------------------ *)
 (* S4: the sharded fabric's scaling curve — S1 carried two decades
-   further through the cell-partitioned engine. *)
+   further: 1k -> 100k flows (smaller when [quick]) through the
+   cell-partitioned fabric ({!Ba_proto.Shard}), the shared bottleneck
+   realised as per-cell capacity leases reconciled at epoch barriers.
+   Only deterministic columns (delivered, completion, ticks, goodput,
+   lease counters); the machine-dependent flows/sec and bytes-per-flow
+   are [ba_net --scale]'s stderr [scale-perf:] line and [ba_bench]'s
+   [shard-100k] workload. *)
 
 let s4_sharded_scale ?(jobs = 1) ~quick () =
   let counts = if quick then [ 200; 1_000 ] else [ 1_000; 10_000; 100_000 ] in
@@ -1144,7 +1169,11 @@ let s4_sharded_scale ?(jobs = 1) ~quick () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* C3: the storm matrix — compound incidents vs their ingredients. *)
+(* C3: the storm matrix — the {!Ba_verify.Chaos.Storm} compound class
+   next to its ingredients ([Crash] and [Overload]) for both block-ack
+   senders: verdicts plus the recovery bill, showing what composing the
+   faults adds over each alone. One replay key reproduces a storm
+   ([ba_chaos --replay]). *)
 
 let c3_storm_matrix ?(jobs = 1) ~quick () =
   let messages = if quick then 40 else 80 in
@@ -1204,34 +1233,104 @@ let c3_storm_matrix ?(jobs = 1) ~quick () =
   }
 
 (* ------------------------------------------------------------------ *)
+(* N1: the same blockack transfer, clean and under one fault plan,
+   through the simulator's harness and through the UDP endpoint stack
+   ({!Ba_transport.Endpoint.Pair}) on its virtual network: both
+   deterministic, so the table is pinned like every other. *)
 
-(* Presentation order, as closures so [run_all] prints each table as
+let n1_sim_vs_udp ?(jobs = 1) ~quick () =
+  let messages = if quick then 120 else 300 and tick_us = 200 in
+  let e = Option.get (Ba_registry.Registry.find "blockack") in
+  (* rto 250 ticks is 50 ms at 200 us a tick; the modulus is the
+     registry's 2w. *)
+  let config = Ba_registry.Registry.config ~window:16 ~rto:250 e () in
+  (* A compiled plan carries per-link fault state: one per link or shim. *)
+  let plan lossy =
+    let spec = "ge(0.02->0.3,l=0.05/0.3)+dup(0.03x2)+spike(0.03,+30)" in
+    if lossy then Some (Result.get_ok (Ba_channel.Fault_plan.of_string spec)) else None
+  in
+  let ms ticks = ticks *. float_of_int tick_us /. 1000. in
+  (* [acks] is acknowledgment frames or datagrams sent; [sent] is what
+     crossed the network both ways: frames offered to the sim's links,
+     datagrams on the UDP stack's. [clean] is delivered exactly once, in
+     order, digest intact. *)
+  let row (udp, lossy) =
+    let completed, delivered, msgs_s, retx, (p50, p99), acks, sent, clean =
+      if udp then
+        let open Ba_transport.Endpoint.Pair in
+        let o =
+          run ~protocol:e.Ba_registry.Registry.protocol ~config ~messages ~payload_size:32
+            ~wseed:3 ?plan:(plan lossy) ~impair_seed:11
+            ~network:(Virtual { tick_us; deadline_ticks = 225_000 })
+            ()
+        in
+        let n = Ba_util.Counters.get o.counters in
+        let q = Ba_util.Qsketch.quantile o.latency_ms in
+        ( o.completed, n Delivered, o.msgs_per_s, n Retransmissions, (q 0.5, q 0.99),
+          n Acks_sent, n Datagrams_tx,
+          o.completed && n Duplicates + n Misordered + n Corrupted = 0
+          && o.digest = o.digest_expected )
+      else
+        let r =
+          Harness.run e.Ba_registry.Registry.protocol ~seed:3 ~messages ~payload_size:32
+            ~config ~data_delay:(Dist.Constant 1) ~ack_delay:(Dist.Constant 1)
+            ?data_plan:(plan lossy) ?ack_plan:(plan lossy) ()
+        in
+        let s = Option.get r.Harness.latency in
+        ( r.Harness.completed, r.Harness.delivered,
+          float_of_int r.Harness.delivered /. ms (float_of_int r.Harness.ticks) *. 1000.,
+          r.Harness.retransmissions, (ms s.Ba_util.Stats.p50, ms s.Ba_util.Stats.p99),
+          r.Harness.acks_sent, r.Harness.data_sent + r.Harness.acks_sent, Harness.correct r )
+    in
+    let per_msg n = Printf.sprintf "%.3f" (float_of_int n /. float_of_int (max 1 delivered)) in
+    [
+      (if udp then "udp" else "sim"); (if lossy then "lossy" else "none");
+      string_of_bool completed; Printf.sprintf "%.0f" msgs_s; string_of_int retx;
+      Printf.sprintf "%.1f" p50; Printf.sprintf "%.1f" p99; per_msg acks; per_msg sent;
+      string_of_bool clean;
+    ]
+  in
+  let rows = pmap ~jobs row [ (false, false); (false, true); (true, false); (true, true) ] in
+  {
+    id = "N1";
+    title =
+      Printf.sprintf "Simulator vs the UDP endpoint stack on virtual time — blockack, %d x 32 B"
+        messages;
+    headers =
+      [
+        "backend"; "faults"; "completed"; "msgs/s"; "retx"; "p50 ms"; "p99 ms"; "acks/msg";
+        "sent/msg"; "clean";
+      ];
+    rows;
+    notes =
+      [
+        "Both backends run the same protocol, config and fault plan with a constant \
+         1-tick delay each way, and report time at 200 us a tick. sim is the harness's \
+         simulated links; udp is the real-socket endpoint stack (packer, codec, shim, ack \
+         hold, watchdog) with its datagrams carried by the same links on one engine.";
+        "sent/msg counts frames for sim and datagrams for udp: the udp client packs a \
+         tick's data frames into one container and the server merges a drain's block \
+         acks into one, so udp sends fewer, fuller datagrams.";
+        "Under loss a transfer's median lands either on the in-order path or one rto \
+         behind a lost data frame, so the lossy p50 is bimodal across seeds on both \
+         backends; compare the lossy rows' shape, not their medians.";
+      ];
+  }
+
+(* ------------------------------------------------------------------ *)
+
+(* Presentation order, as functions so [run_all] prints each table as
    soon as it is built. *)
-let grids : (quick:bool -> jobs:int -> table) list =
+let grids : (?jobs:int -> quick:bool -> unit -> table) list =
   [
-    (fun ~quick:_ ~jobs:_ -> t1_intro_scenario ());
-    (fun ~quick ~jobs -> t2_verification ~jobs ~quick ());
-    (fun ~quick ~jobs -> f1_goodput_vs_loss ~jobs ~quick ());
-    (fun ~quick ~jobs -> f2_goodput_vs_window ~jobs ~quick ());
-    (fun ~quick ~jobs -> f3_recovery_time ~jobs ~quick ());
-    (fun ~quick ~jobs -> f4_reorder_tolerance ~jobs ~quick ());
-    (fun ~quick ~jobs -> t3_ack_overhead ~jobs ~quick ());
-    (fun ~quick ~jobs -> f6_latency ~jobs ~quick ());
-    (fun ~quick ~jobs -> t4_stenning_domain ~jobs ~quick ());
-    (fun ~quick ~jobs -> f5_slot_reuse ~jobs ~quick ());
-    (fun ~quick ~jobs -> t5_piggyback ~jobs ~quick ());
-    (fun ~quick ~jobs -> a1_adaptive_rto ~jobs ~quick ());
-    (fun ~quick ~jobs -> a2_dynamic_window ~jobs ~quick ());
-    (fun ~quick ~jobs -> a3_fairness ~jobs ~quick ());
-    (fun ~quick ~jobs -> s1_scaling ~jobs ~quick ());
-    (fun ~quick ~jobs -> s3_churn_soak ~jobs ~quick ());
-    (fun ~quick ~jobs -> s4_sharded_scale ~jobs ~quick ());
-    (fun ~quick ~jobs -> c1_chaos_matrix ~jobs ~quick ());
-    (fun ~quick ~jobs -> c2_crash_recovery ~jobs ~quick ());
-    (fun ~quick ~jobs -> c3_storm_matrix ~jobs ~quick ());
+    (fun ?jobs:_ ~quick:_ () -> t1_intro_scenario ());
+    t2_verification; f1_goodput_vs_loss; f2_goodput_vs_window; f3_recovery_time;
+    f4_reorder_tolerance; t3_ack_overhead; f6_latency; t4_stenning_domain; f5_slot_reuse;
+    t5_piggyback; a1_adaptive_rto; a2_dynamic_window; a3_fairness; s1_scaling; s3_churn_soak;
+    s4_sharded_scale; c1_chaos_matrix; c2_crash_recovery; c3_storm_matrix; n1_sim_vs_udp;
   ]
 
-let all ?(jobs = 1) ~quick () = List.map (fun grid -> grid ~quick ~jobs) grids
+let all ?jobs ~quick () = List.map (fun grid -> grid ?jobs ~quick ()) grids
 
 let print_table t =
   Printf.printf "\n=== %s: %s ===\n" t.id t.title;
@@ -1239,5 +1338,4 @@ let print_table t =
   List.iter (fun n -> Printf.printf "  note: %s\n" n) t.notes;
   print_newline ()
 
-let run_all ?(jobs = 1) ~quick () =
-  List.iter (fun grid -> print_table (grid ~quick ~jobs)) grids
+let run_all ?jobs ~quick () = List.iter (fun grid -> print_table (grid ?jobs ~quick ())) grids

@@ -26,8 +26,21 @@
       affect the rate of data transfer" claim).
     - {b F5} — the Section VI slot-reuse extension vs the plain
       protocol.
+    - {b F6}, {b T5} — derived: delivery-latency tails per protocol, and
+      acknowledgments saved by piggybacking in a duplex session.
+    - {b A1}–{b A3} — extension ablations: adaptive timeouts, AIMD
+      windows through a bottleneck, and two flows sharing it.
+    - {b S1}, {b S3}, {b S4} — the multi-connection fabric: scaling to
+      256 flows, churn under a memory budget, and the sharded fabric to
+      100k flows.
+    - {b C1}–{b C3} — chaos: every protocol against every channel fault
+      class, crash recovery, and compound storms.
+    - {b N1} — the simulator against the real-socket endpoint stack
+      run on virtual time.
 
-    Every experiment is deterministic given its seeds. *)
+    A comment above each table's function in the implementation says
+    what it measures. Every experiment is deterministic given its
+    seeds. *)
 
 type table = {
   id : string;  (** e.g. "F3" *)
@@ -45,37 +58,8 @@ val t2_verdict : expect_ok:bool -> Ba_verify.Explorer.result -> string
     verified without hitting the state cap, or a spec it refutes yielded
     a counterexample; ["CAPPED"] when the cap cut a proof short. *)
 
-val f1_goodput_vs_loss : ?jobs:int -> quick:bool -> unit -> table
-val f2_goodput_vs_window : ?jobs:int -> quick:bool -> unit -> table
 val f3_recovery_time : ?jobs:int -> quick:bool -> unit -> table
-val f4_reorder_tolerance : ?jobs:int -> quick:bool -> unit -> table
-val t3_ack_overhead : ?jobs:int -> quick:bool -> unit -> table
-
-val f6_latency : ?jobs:int -> quick:bool -> unit -> table
-(** Delivery-latency percentiles: head-of-line blocking under loss, per
-    protocol. Derived claim (the in-order delivery requirement shared by
-    all the paper's protocols makes recovery speed visible in the tail). *)
-
-val t4_stenning_domain : ?jobs:int -> quick:bool -> unit -> table
-
 val f5_slot_reuse : ?jobs:int -> quick:bool -> unit -> table
-
-val t5_piggyback : ?jobs:int -> quick:bool -> unit -> table
-(** Derived: acknowledgment frames saved by piggybacking block acks on
-    reverse-direction data in a duplex session ({!Blockack.Duplex}). *)
-
-val a1_adaptive_rto : ?jobs:int -> quick:bool -> unit -> table
-(** Extension ablation: fixed vs Jacobson/Karels adaptive timeout under a
-    mis-estimated round trip. Not from the paper; quantifies its "accurate
-    timeout mechanisms" assumption (Section VI). *)
-
-val a2_dynamic_window : ?jobs:int -> quick:bool -> unit -> table
-(** Extension ablation: Section VI's "variable size windows" remark —
-    fixed vs AIMD windows through a congestible bottleneck queue. *)
-
-val a3_fairness : ?jobs:int -> quick:bool -> unit -> table
-(** Extension ablation: two flows sharing the bottleneck; AIMD converges
-    to an even split where oversized fixed windows fight. *)
 
 val s1_scaling : ?jobs:int -> quick:bool -> unit -> table
 (** Scaling the multi-connection fabric: N homogeneous flows (N in 1..256,
@@ -83,36 +67,6 @@ val s1_scaling : ?jobs:int -> quick:bool -> unit -> table
     repeat contend for one fixed-capacity bottleneck ({!Ba_proto.Fabric}).
     Reports aggregate goodput, pooled per-flow latency percentiles,
     Jain's fairness index and shared-queue drops per (N, protocol). *)
-
-val s3_churn_soak : ?jobs:int -> quick:bool -> unit -> table
-(** Churning fabric under composed storms: seed-derived arrival/departure
-    schedules ({!Ba_proto.Fabric.churn}) with a memory budget below the
-    lifetime sum of reservations, so admission must reclaim departed
-    flows' budget for the returning cohort. Reports pre- vs post-churn
-    goodput and the peak-memory/budget margin per seed. *)
-
-val s4_sharded_scale : ?jobs:int -> quick:bool -> unit -> table
-(** S1 carried two decades further: 1k -> 100k flows (smaller when
-    [quick]) through the cell-partitioned fabric ({!Ba_proto.Shard}),
-    the shared bottleneck realised as per-cell capacity leases
-    reconciled at epoch barriers. Only deterministic columns (delivered,
-    completion, ticks, goodput, lease counters); the machine-dependent
-    flows/sec and bytes-per-flow are [ba_net --scale]'s stderr
-    [scale-perf:] line and [ba_bench]'s [shard-100k] workload. *)
-
-val c2_crash_recovery : ?jobs:int -> quick:bool -> unit -> table
-(** Crash–restart recovery: the {!Ba_verify.Chaos.Crash} class (sender,
-    receiver and staggered double crashes, seed-derived) against the
-    block-ack senders with incarnation epochs on, plus the epoch-less
-    "naive restart" negative control. Reports the safety/recovery
-    verdict alongside the recovery bill: restarts, resync handshake
-    frames, restart-to-recovery ticks and retransmitted bytes. *)
-
-val c3_storm_matrix : ?jobs:int -> quick:bool -> unit -> table
-(** The {!Ba_verify.Chaos.Storm} compound class next to its ingredients
-    ([Crash] and [Overload]) for both block-ack senders: verdicts plus
-    the recovery bill, showing what composing the faults adds over each
-    alone. One replay key reproduces a storm ([ba_chaos --replay]). *)
 
 val all : ?jobs:int -> quick:bool -> unit -> table list
 (** All experiments in presentation order. *)

@@ -40,6 +40,10 @@ let packer engine ~send =
    from one. *)
 let no_peer = Unix.ADDR_UNIX ""
 
+(* The client's pull clock under a driver: wall time in whole
+   microseconds, the resolution [Unix.gettimeofday] has. *)
+let wall_us () = int_of_float (Float.round (Unix.gettimeofday () *. 1e6))
+
 module Server = struct
   type rx = Rx : (module Ba_proto.Protocol.S with type receiver = 'r) * 'r -> rx
 
@@ -180,11 +184,12 @@ module Client = struct
     dog : Ba_proto.Watchdog.t;
     dog_slot : Ba_sim.Engine.slot;
     shim : Shim.t;
+    clock : unit -> int;  (* [wall_us], or the engine's tick on a virtual network *)
     pulls : int Ba_util.Ring_buffer.t;
-        (* pull time by index, in integer microseconds (an int is
-           stored unboxed), for the indices the sender has not had
-           acknowledged: a pull's slot is free once its index is below
-           the acknowledged prefix, the store's [lo] *)
+        (* pull time by index on [clock] (an int is stored unboxed), for
+           the indices the sender has not had acknowledged: a pull's
+           slot is free once its index is below the acknowledged
+           prefix, the store's [lo] *)
     tx : tx;
     mutable buf : Bytes.t;  (* one encoded data frame; a larger payload grows it *)
     mutable pulled : int;
@@ -201,8 +206,7 @@ module Client = struct
     let i = Ba_proto.Workload.index p in
     if i >= 0 && i < t.messages then
       (* Everything pulled but not outstanding is acknowledged. *)
-      Ba_util.Ring_buffer.set t.pulls ~lo:(t.pulled - outstanding t) i
-        (int_of_float (Float.round (Unix.gettimeofday () *. 1e6)));
+      Ba_util.Ring_buffer.set t.pulls ~lo:(t.pulled - outstanding t) i (t.clock ());
     t.pulled <- t.pulled + 1;
     p
 
@@ -249,7 +253,7 @@ module Client = struct
           ~gate:(Shim.gate t.shim));
     Ba_sim.Engine.slot_arm t.engine t.dog_slot ~delay:t.check_interval
 
-  let create ~engine ~protocol:(module P : Ba_proto.Protocol.S) ~config ~messages
+  let make ~clock ~engine ~protocol:(module P : Ba_proto.Protocol.S) ~config ~messages
       ~payload_size ~wseed ?(watchdog = Ba_proto.Watchdog.default_config) ?plan
       ?(impair_seed = 1) ~send () =
     let shim =
@@ -273,6 +277,7 @@ module Client = struct
            dog = Ba_proto.Watchdog.create watchdog;
            dog_slot = Ba_sim.Engine.slot_create engine (fun () -> check (self ()));
            shim;
+           clock;
            pulls = Ba_util.Ring_buffer.create ~limit:max_int (-1);
            tx = Tx ((module P), s);
            buf = Bytes.create (Codec.data_header_len + payload_size);
@@ -287,6 +292,8 @@ module Client = struct
     Ba_sim.Engine.slot_arm engine t.dog_slot ~delay:t.check_interval;
     t
 
+  let create = make ~clock:wall_us
+
   let on_frame t frame =
     match (frame, t.tx) with
     | Codec.Ack a, Tx ((module P), s) -> P.sender_on_ack s a
@@ -295,10 +302,11 @@ module Client = struct
   let pump t = match t.tx with Tx ((module P), s) -> P.sender_pump s
   let finished t = match t.tx with Tx ((module P), s) -> P.sender_done s
   let pulled t = t.pulled
-  let pull_wall t i =
-    if Ba_util.Ring_buffer.mem t.pulls i then
-      float_of_int (Ba_util.Ring_buffer.find t.pulls i) /. 1e6
-    else -1.
+  (* Payload [i]'s pull time on the client's clock; -1 when not held. *)
+  let pull_time t i =
+    if Ba_util.Ring_buffer.mem t.pulls i then Ba_util.Ring_buffer.find t.pulls i else -1
+
+  let pull_wall t i = float_of_int (pull_time t i) /. 1e6
   let data_frames t = t.data_frames
   let retransmissions t = match t.tx with Tx ((module P), s) -> P.sender_retransmissions s
   let resync_rounds t = t.handshakes
@@ -309,6 +317,10 @@ module Client = struct
 end
 
 module Pair = struct
+  type network =
+    | Loopback of { tick_us : int; deadline_s : float }
+    | Virtual of { tick_us : int; deadline_ticks : int }
+
   type outcome = {
     completed : bool;
     digest : int;
@@ -325,80 +337,119 @@ module Pair = struct
     Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
     s
 
-  let run ~protocol ~config ~messages ~payload_size ~wseed ?plan ?(impair_seed = 1)
-      ?(tick_us = 200) ?(deadline_s = 60.) ?(on_setup = ignore) () =
-    let s_sock = loopback_sock () and c_sock = loopback_sock () in
-    Fun.protect
-      ~finally:(fun () ->
-        Unix.close s_sock;
-        Unix.close c_sock)
-      (fun () ->
-        let s_addr = Unix.getsockname s_sock in
-        let s_engine = Ba_sim.Engine.create ~seed:impair_seed ()
-        and c_engine = Ba_sim.Engine.create ~seed:(impair_seed + 1) () in
-        let srv = ref None and cli = ref None in
-        let s_drv =
-          Driver.create ~engine:s_engine ~sock:s_sock ~tick_us
-            ~on_frame:(fun f from ->
-              match !srv with Some s -> Server.on_frame s f from | None -> ())
+  (* The client's address as the server learns it on a virtual network. *)
+  let virtual_client = Unix.ADDR_UNIX "client"
+
+  let run ~protocol ~config ~messages ~payload_size ~wseed ?plan ?(impair_seed = 1) ~network
+      ?(on_setup = ignore) () =
+    let srv = ref None and cli = ref None in
+    let server_frame f from = match !srv with Some s -> Server.on_frame s f from | None -> ()
+    and client_frame f _ = match !cli with Some c -> Client.on_frame c f | None -> () in
+    let finished () =
+      match (!srv, !cli) with
+      | Some s, Some c -> Server.complete s && Client.finished c
+      | _ -> false
+    in
+    (* Builds both halves on a network's engines and sends, with pull
+       times on [clock], one unit of which is [ms] milliseconds, then
+       runs the transfer with [go]: whether it completed, the seconds it
+       took, and the datagrams sent in both directions and by the
+       client. *)
+    let transfer ~s_engine ~c_engine ~clock ~ms ~s_send ~c_send go =
+      let latency_ms = Ba_util.Qsketch.create () in
+      let s =
+        Server.create ~engine:s_engine ~protocol ~config ~messages ~payload_size ~wseed ?plan
+          ~impair_seed:(impair_seed * 2 + 1)
+          ~on_deliver:(fun ~epoch:_ ~pos ~digest:_ ->
+            match !cli with
+            | Some c ->
+                let t0 = Client.pull_time c (pos - 1) in
+                if t0 >= 0 then
+                  Ba_util.Qsketch.add latency_ms (float_of_int (clock () - t0) *. ms)
+            | None -> ())
+          ~send:s_send ()
+      in
+      let c =
+        Client.make ~clock ~engine:c_engine ~protocol ~config ~messages ~payload_size ~wseed
+          ?plan ~impair_seed:(impair_seed * 2 + 2) ~send:c_send ()
+      in
+      srv := Some s;
+      cli := Some c;
+      on_setup ();
+      let completed, seconds, datagrams, data_datagrams = go c in
+      let counters = Counters.create () in
+      let add = Counters.add counters in
+      add Delivered (Server.position s);
+      add Duplicates (Server.duplicates s);
+      add Misordered (Server.misordered s);
+      add Corrupted (Server.corrupted s);
+      add Retransmissions (Client.retransmissions c);
+      add Datagrams_tx datagrams;
+      add Data_datagrams data_datagrams;
+      add Acks_sent (Server.acks_sent s);
+      {
+        completed;
+        digest = Server.digest s;
+        digest_expected = expected_digest ~wseed ~payload_size ~messages;
+        msgs_per_s = (if seconds <= 0. then 0. else float_of_int (Server.position s) /. seconds);
+        latency_ms;
+        counters;
+        client_shim = Client.shim_counters c;
+        server_shim = Server.shim_counters s;
+      }
+    in
+    match network with
+    | Loopback { tick_us; deadline_s } ->
+        let s_sock = loopback_sock () and c_sock = loopback_sock () in
+        Fun.protect
+          ~finally:(fun () ->
+            Unix.close s_sock;
+            Unix.close c_sock)
+          (fun () ->
+            let s_addr = Unix.getsockname s_sock in
+            let s_engine = Ba_sim.Engine.create ~seed:impair_seed ()
+            and c_engine = Ba_sim.Engine.create ~seed:(impair_seed + 1) () in
+            let s_drv =
+              Driver.create ~engine:s_engine ~sock:s_sock ~tick_us ~on_frame:server_frame ()
+            and c_drv =
+              Driver.create ~engine:c_engine ~sock:c_sock ~tick_us ~on_frame:client_frame ()
+            in
+            transfer ~s_engine ~c_engine ~clock:wall_us ~ms:1e-3
+              ~s_send:(fun addr buf len -> ignore (Driver.send_to s_drv addr buf len))
+              ~c_send:(fun buf len -> ignore (Driver.send_to c_drv s_addr buf len))
+              (fun c ->
+                let t0 = Unix.gettimeofday () in
+                Client.pump c;
+                let completed = Driver.run ~deadline_s ~stop:finished [ s_drv; c_drv ] in
+                ( completed,
+                  Unix.gettimeofday () -. t0,
+                  Driver.tx_datagrams s_drv + Driver.tx_datagrams c_drv,
+                  Driver.tx_datagrams c_drv )))
+    | Virtual { tick_us; deadline_ticks } ->
+        let engine = Ba_sim.Engine.create ~seed:impair_seed () in
+        let scratch = Codec.scratch () in
+        (* Each datagram arrives as a driver's socket drain hands it
+           over, and the run ends at the arrival that completes it. *)
+        let link on_frame from =
+          Ba_channel.Link.create engine ~delay:(Ba_channel.Dist.Constant 1)
+            ~deliver:(fun b ->
+              ignore (Codec.decode_into scratch b ~len:(Bytes.length b) on_frame from);
+              if finished () then Ba_sim.Engine.stop engine)
             ()
         in
-        let c_drv =
-          Driver.create ~engine:c_engine ~sock:c_sock ~tick_us
-            ~on_frame:(fun f _ ->
-              match !cli with Some c -> Client.on_frame c f | None -> ())
-            ()
-        in
-        let latency_ms = Ba_util.Qsketch.create () in
-        let s' =
-          Server.create ~engine:s_engine ~protocol ~config ~messages ~payload_size
-            ~wseed ?plan ~impair_seed:(impair_seed * 2 + 1)
-            ~on_deliver:(fun ~epoch:_ ~pos ~digest:_ ->
-              match !cli with
-              | Some c ->
-                  let t0 = Client.pull_wall c (pos - 1) in
-                  if t0 > 0. then
-                    Ba_util.Qsketch.add latency_ms ((Unix.gettimeofday () -. t0) *. 1e3)
-              | None -> ())
-            ~send:(fun addr buf len -> ignore (Driver.send_to s_drv addr buf len))
-            ()
-        in
-        let c' =
-          Client.create ~engine:c_engine ~protocol ~config ~messages ~payload_size
-            ~wseed ?plan ~impair_seed:(impair_seed * 2 + 2)
-            ~send:(fun buf len -> ignore (Driver.send_to c_drv s_addr buf len))
-            ()
-        in
-        srv := Some s';
-        cli := Some c';
-        on_setup ();
-        let t0 = Unix.gettimeofday () in
-        Client.pump c';
-        let completed =
-          Driver.run ~deadline_s
-            ~stop:(fun () -> Server.complete s' && Client.finished c')
-            [ s_drv; c_drv ]
-        in
-        let wall_s = Unix.gettimeofday () -. t0 in
-        let counters = Counters.create () in
-        let add = Counters.add counters in
-        add Delivered (Server.position s');
-        add Duplicates (Server.duplicates s');
-        add Misordered (Server.misordered s');
-        add Corrupted (Server.corrupted s');
-        add Retransmissions (Client.retransmissions c');
-        add Datagrams_tx (Driver.tx_datagrams s_drv + Driver.tx_datagrams c_drv);
-        add Data_datagrams (Driver.tx_datagrams c_drv);
-        add Acks_sent (Server.acks_sent s');
-        {
-          completed;
-          digest = Server.digest s';
-          digest_expected = expected_digest ~wseed ~payload_size ~messages;
-          msgs_per_s =
-            (if wall_s <= 0. then 0. else float_of_int (Server.position s') /. wall_s);
-          latency_ms;
-          counters;
-          client_shim = Client.shim_counters c';
-          server_shim = Server.shim_counters s';
-        })
+        let to_server = link server_frame virtual_client and to_client = link client_frame no_peer in
+        let copy_to l buf len = Ba_channel.Link.send l (Bytes.sub buf 0 len) in
+        let sent l = Counters.get (Ba_channel.Link.counters l) Offered in
+        transfer ~s_engine:engine ~c_engine:engine
+          ~clock:(fun () -> Ba_sim.Engine.now engine)
+          ~ms:(float_of_int tick_us *. 1e-3)
+          ~s_send:(fun _ -> copy_to to_client)
+          ~c_send:(copy_to to_server)
+          (fun c ->
+            Client.pump c;
+            if not (finished ()) then Ba_sim.Engine.run engine ~until:deadline_ticks;
+            ( finished (),
+              float_of_int (Ba_sim.Engine.now engine * tick_us) *. 1e-6,
+              sent to_server + sent to_client,
+              sent to_server ))
 end

@@ -184,11 +184,28 @@ module Client : sig
 end
 
 module Pair : sig
-  (** Both halves in one process, each with its own engine, socket and
-      driver, talking over real loopback UDP — the apparatus for the
-      sim-vs-real benchmark and the loopback smoke tests. Per-payload
-      latency is measured end to end: client pull wall-time to server
-      delivery wall-time, into a {!Ba_util.Qsketch} (milliseconds). *)
+  (** Both halves in one process, on one of two networks: real loopback
+      UDP, each half with its own engine, socket and driver — the
+      apparatus of the loopback smoke tests — or a virtual network on
+      one engine, deterministic — the N1 table's and the recorded
+      defects'. Per-payload latency is measured end to end, client pull
+      to server delivery, into a {!Ba_util.Qsketch} (milliseconds). *)
+
+  type network =
+    | Loopback of { tick_us : int; deadline_s : float }
+        (** Loopback sockets under {!Driver}s: one engine tick lasts
+            [tick_us] real microseconds, so an [rto] of 250 ticks
+            retransmits after 50 ms of real silence at [tick_us = 200].
+            The run returns by [deadline_s] of wall time. *)
+    | Virtual of { tick_us : int; deadline_ticks : int }
+        (** Both halves on one engine. Each datagram is copied onto a
+            {!Ba_channel.Link} with a constant one-tick delay, one link
+            per direction, and each arrival is parsed by
+            {!Codec.decode_into} as a driver's socket drain parses it;
+            the packer, codec, shim, ack hold and watchdog run
+            unchanged. Nothing waits on the wall clock: [tick_us] only
+            converts ticks for [msgs_per_s] and [latency_ms]. The run
+            stops at completion or at tick [deadline_ticks]. *)
 
   type outcome = {
     completed : bool;  (** both halves finished before the deadline *)
@@ -200,8 +217,8 @@ module Pair : sig
         (** the pair's counts: the server's [Delivered] (its
             {!Server.position}), [Duplicates], [Misordered] and
             [Corrupted]; the client's [Retransmissions]; [Datagrams_tx],
-            datagrams put on the wire in both directions (not frames: a
-            client container of k data frames counts once), and
+            datagrams put on the network in both directions (not frames:
+            a client container of k data frames counts once), and
             [Data_datagrams], the client's share of them; and
             [Acks_sent], the server's {!Server.acks_sent} *)
     client_shim : Ba_util.Counters.t;  (** the client's {!Shim.counters} *)
@@ -216,16 +233,12 @@ module Pair : sig
     wseed:int ->
     ?plan:Ba_channel.Fault_plan.t ->
     ?impair_seed:int ->
-    ?tick_us:int ->
-    ?deadline_s:float ->
+    network:network ->
     ?on_setup:(unit -> unit) ->
     unit ->
     outcome
   (** Impairment applies to both directions (independent fault streams
-      split from [impair_seed]). [tick_us] (default 200) sets the real
-      duration of one engine tick, so the default [rto] of 250 ticks
-      retransmits after 50 ms of real silence. Always returns by
-      [deadline_s] (default 60). Sockets are closed on exit. [on_setup]
-      runs once both drivers and endpoints are built, before the first
-      pump: the point at which to measure per-connection state. *)
+      split from [impair_seed]). Sockets are closed on exit. [on_setup]
+      runs once both halves are built, before the first pump: the point
+      at which to measure per-connection state. *)
 end

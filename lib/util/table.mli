@@ -1,6 +1,6 @@
 (** Aligned ASCII tables for experiment reports.
 
-    Every experiment in [bench/main.ml] and the CLI tools prints its rows
+    Every experiment in [Ba_experiments] and the CLI tools prints its rows
     through this module so the output matches EXPERIMENTS.md. *)
 
 type align = Left | Right

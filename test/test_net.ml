@@ -498,11 +498,14 @@ let loopback_sock () =
   Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
   s
 
+let loopback = Endpoint.Pair.Loopback { tick_us = 200; deadline_s = 30. }
+let virtual_net = Endpoint.Pair.Virtual { tick_us = 200; deadline_ticks = 2_000_000 }
+
 let pair ?plan ?(messages = 120) ?(payload_size = 32) ?on_setup name =
   let e = entry name in
   let config = Ba_registry.Registry.config e () in
   Endpoint.Pair.run ~protocol:e.Ba_registry.Registry.protocol ~config ~messages
-    ~payload_size ~wseed:7 ?plan ~impair_seed:11 ~tick_us:200 ~deadline_s:30. ?on_setup ()
+    ~payload_size ~wseed:7 ?plan ~impair_seed:11 ~network:loopback ?on_setup ()
 
 let count (o : Endpoint.Pair.outcome) = Ba_util.Counters.get o.Endpoint.Pair.counters
 
@@ -516,7 +519,12 @@ let assert_clean name (o : Endpoint.Pair.outcome) =
   check Alcotest.bool (name ^ ": digest") true
     (o.Endpoint.Pair.digest = o.Endpoint.Pair.digest_expected)
 
-let loopback_clean () = assert_clean "blockack/clean" (pair "blockack")
+(* Every delivery finds its pull time on the real clock too. *)
+let loopback_clean () =
+  let o = pair "blockack" in
+  assert_clean "blockack/clean" o;
+  check Alcotest.int "one latency sample per message" (count o Delivered)
+    (Ba_util.Qsketch.count o.Endpoint.Pair.latency_ms)
 
 let loopback_impaired () =
   let plan =
@@ -537,9 +545,11 @@ let loopback_baseline () = assert_clean "go-back-n/clean" (pair ~messages:60 "go
    so a clean blockack pair allocates a bounded number of bytes per
    message. Measured as the slope between two transfer lengths, the way
    test_e2e's "allocation slope" measures the simulated data path:
-   226 B/msg on a 2-vCPU x86-64 host, 242 when each pull came wrapped
-   in an option, 258 when the client's pull log also kept boxed float
-   times and 410 when every arrival was decoded into fresh records. *)
+   210 B/msg on a 2-vCPU x86-64 host, 226 when the pair took each
+   latency sample as a difference of float seconds, 242 when each pull
+   came wrapped in an option, 258 when the client's pull log also kept
+   boxed float times and 410 when every arrival was decoded into fresh
+   records. *)
 let loopback_alloc_per_message () =
   let budget = 241. in
   let alloc messages =
@@ -583,7 +593,9 @@ let loopback_state_per_connection () =
    and under loss, duplication and reordering. Go-back-N runs there with
    unbounded sequence numbers, so a timeout shorter than a delay spike
    costs retransmissions but never safety, and with a short timeout,
-   since every loss stalls it for one. *)
+   since every loss stalls it for one. The pair runs on the virtual
+   network, which makes the check deterministic; "blockack clean link"
+   makes it on real sockets. *)
 let loopback_latency_per_message () =
   let messages = 20_000 in
   let plan =
@@ -596,7 +608,7 @@ let loopback_latency_per_message () =
       let e = entry name in
       let o =
         Endpoint.Pair.run ~protocol:e.Ba_registry.Registry.protocol ~config ~messages
-          ~payload_size:16 ~wseed:7 ?plan ~impair_seed:11 ~tick_us:20 ~deadline_s:60. ()
+          ~payload_size:16 ~wseed:7 ?plan ~impair_seed:11 ~network:virtual_net ()
       in
       assert_clean name o;
       check Alcotest.int (name ^ ": one latency sample per message") messages
@@ -605,6 +617,29 @@ let loopback_latency_per_message () =
       ("blockack", Ba_registry.Registry.config (entry "blockack") (), None);
       ("go-back-n", Ba_proto.Proto_config.make ~window:16 ~rto:40 (), Some plan);
     ]
+
+(* Section V decodes a wire number modulo 2w, which is sound only while
+   no copy of a frame outlives the retransmission timer. A delay spike
+   of 600 ticks against an rto of 250 breaks that: a late frame can
+   decode into the current window. The UDP stack has no frame lifetime yet, so
+   blockack-multi delivers duplicates and out-of-order messages, then
+   stalls for good. This pins today's outcome; a lifetime at the driver
+   changes it on purpose. *)
+let recorded_late_frame_misdecode () =
+  let e = entry "blockack-multi" in
+  let config = Ba_registry.Registry.config ~window:8 ~rto:250 e () in
+  check Alcotest.(option int) "modulus" (Some 16) config.Ba_proto.Proto_config.wire_modulus;
+  let plan =
+    match Fault_plan.of_string "spike(0.02,+600)" with Ok p -> p | Error e -> Alcotest.fail e
+  in
+  let o =
+    Endpoint.Pair.run ~protocol:e.Ba_registry.Registry.protocol ~config ~messages:20_000
+      ~payload_size:16 ~wseed:7 ~plan ~impair_seed:11 ~network:virtual_net ()
+  in
+  check Alcotest.bool "completed" false o.Endpoint.Pair.completed;
+  check Alcotest.int "position reached" 1158 (count o Delivered);
+  check Alcotest.int "duplicates" 11 (count o Duplicates);
+  check Alcotest.int "misordered" 6 (count o Misordered)
 
 (* Whole-datagram loss: a pair wired like [Endpoint.Pair.run] whose
    client [send] drops every 5th datagram. Each drop is a container, so
@@ -1030,7 +1065,7 @@ let loopback_single_acks_unmerged () =
   let e = entry "go-back-n" in
   let o =
     Endpoint.Pair.run ~protocol:(module Counted) ~config:(Ba_registry.Registry.config e ())
-      ~messages:60 ~payload_size:32 ~wseed:7 ~impair_seed:11 ~tick_us:200 ~deadline_s:30. ()
+      ~messages:60 ~payload_size:32 ~wseed:7 ~impair_seed:11 ~network:loopback ()
   in
   assert_clean "go-back-n/counted" o;
   check Alcotest.int "one datagram per emitted ack" !emitted (count o Acks_sent)
@@ -1129,4 +1164,9 @@ let () =
           qcheck server_merges_like_model;
         ] );
       ("driver", [ Alcotest.test_case "zero-delay event fires this tick" `Quick driver_zero_delay ]);
+      ( "virtual",
+        [
+          Alcotest.test_case "recorded defect: late frames misdecode at modulus 16" `Quick
+            recorded_late_frame_misdecode;
+        ] );
     ]
