@@ -31,8 +31,7 @@ let run (o : Udp_opts.t) connect wd_interval =
     Ba_cli.positive "--wd-interval" wd_interval;
     config
   in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
-  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let sock = Driver.loopback_socket () in
   let engine = Ba_sim.Engine.create ~seed:o.impair_seed () in
   let cli = ref None in
   let driver =

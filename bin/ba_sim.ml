@@ -85,7 +85,11 @@ let protocol =
     "Protocol to simulate: " ^ String.concat ", " Registry.names
     ^ " (see $(b,--list-protocols))."
   in
-  let default = Option.get (Registry.find "blockack-multi") in
+  let default =
+    match Registry.find "blockack-multi" with
+    | Some e -> e
+    | None -> assert false
+  in
   Arg.(value & opt Ba_cli.protocol_conv default & info [ "p"; "protocol" ] ~doc)
 
 let list_protocols =
@@ -99,6 +103,8 @@ let tables =
            ~doc:
              "Print every experiment table and exit. $(docv) is $(b,quick) (CI-sized, as \
               the golden tables pin them) or $(b,full) (as EXPERIMENTS.md records them).")
+
+let jobs = Ba_cli.jobs_for "the experiment cells of $(b,--tables), the only mode that reads it"
 
 let messages =
   Arg.(value & opt int 1000 & info [ "m"; "messages" ] ~doc:"Messages to transfer.")
@@ -156,7 +162,7 @@ let cmd =
   Cmd.v
     (Cmd.info "ba_sim" ~doc ~man ~version:Ba_cli.version)
     Term.(
-      const run $ list_protocols $ tables $ Ba_cli.jobs $ protocol $ messages $ payload_size
+      const run $ list_protocols $ tables $ jobs $ protocol $ messages $ payload_size
       $ loss $ ack_loss $ base_delay $ jitter $ window $ rto $ modulus $ coalesce $ gap $ seed
       $ seeds $ histogram)
 

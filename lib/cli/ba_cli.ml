@@ -23,16 +23,20 @@ let jobs_conv =
   in
   Arg.conv ~docv:"JOBS" (parse, Format.pp_print_int)
 
-let jobs =
+(* The --jobs flag, documented as farming out [what]. *)
+let jobs_for what =
   let env = Cmd.Env.info "BA_JOBS" ~doc:"Default worker-domain count for $(b,--jobs)." in
   Arg.(
     value
     & opt (some jobs_conv) None
     & info [ "jobs" ] ~env ~docv:"JOBS"
         ~doc:
-          "Worker domains for independent simulation cells (default: the machine's \
-           recommended domain count, override with $(b,BA_JOBS)). Results are collected \
-           in submission order, so output is byte-identical at any value.")
+          ("Worker domains for " ^ what
+         ^ " (default: the machine's recommended domain count, override with \
+            $(b,BA_JOBS)). Results are collected in submission order, so output is \
+            byte-identical at any value."))
+
+let jobs = jobs_for "independent simulation cells"
 
 (* Explicit --jobs (and BA_JOBS, which cmdliner feeds through the same
    option) gets the same absurdity clamp as the pool default: requesting

@@ -1239,7 +1239,7 @@ let c3_storm_matrix ?(jobs = 1) ~quick () =
    deterministic, so the table is pinned like every other. *)
 
 let n1_sim_vs_udp ?(jobs = 1) ~quick () =
-  let messages = if quick then 120 else 300 and tick_us = 200 in
+  let messages = if quick then 120 else 300 in
   let e = Option.get (Ba_registry.Registry.find "blockack") in
   (* rto 250 ticks is 50 ms at 200 us a tick; the modulus is the
      registry's 2w. *)
@@ -1249,7 +1249,7 @@ let n1_sim_vs_udp ?(jobs = 1) ~quick () =
     let spec = "ge(0.02->0.3,l=0.05/0.3)+dup(0.03x2)+spike(0.03,+30)" in
     if lossy then Some (Result.get_ok (Ba_channel.Fault_plan.of_string spec)) else None
   in
-  let ms ticks = ticks *. float_of_int tick_us /. 1000. in
+  let ms ticks = ticks *. float_of_int Ba_transport.Endpoint.Pair.virtual_tick_us /. 1000. in
   (* [acks] is acknowledgment frames or datagrams sent; [sent] is what
      crossed the network both ways: frames offered to the sim's links,
      datagrams on the UDP stack's. [clean] is delivered exactly once, in
@@ -1260,9 +1260,7 @@ let n1_sim_vs_udp ?(jobs = 1) ~quick () =
         let open Ba_transport.Endpoint.Pair in
         let o =
           run ~protocol:e.Ba_registry.Registry.protocol ~config ~messages ~payload_size:32
-            ~wseed:3 ?plan:(plan lossy) ~impair_seed:11
-            ~network:(Virtual { tick_us; deadline_ticks = 225_000 })
-            ()
+            ~wseed:3 ?plan:(plan lossy) ~impair_seed:11 ~network:Virtual ()
         in
         let n = Ba_util.Counters.get o.counters in
         let q = Ba_util.Qsketch.quantile o.latency_ms in

@@ -25,6 +25,11 @@ let create ~engine ~sock ~tick_us ~on_frame () =
     tx_datagrams = 0;
   }
 
+let loopback_socket () =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  s
+
 let now_ticks t =
   let elapsed_us = (Unix.gettimeofday () -. t.t0) *. 1e6 in
   int_of_float (elapsed_us /. float_of_int t.tick_us)

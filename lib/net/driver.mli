@@ -53,6 +53,10 @@ val create :
     The endpoints keep at most the payload, as they do when a simulated
     link takes each frame back after delivery. *)
 
+val loopback_socket : unit -> Unix.file_descr
+(** A UDP socket bound to a free port on 127.0.0.1, for a {!create}
+    on the loopback interface. *)
+
 val now_ticks : t -> int
 (** Wall-clock time since {!create}, in ticks. *)
 

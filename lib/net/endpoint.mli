@@ -197,15 +197,19 @@ module Pair : sig
             [tick_us] real microseconds, so an [rto] of 250 ticks
             retransmits after 50 ms of real silence at [tick_us = 200].
             The run returns by [deadline_s] of wall time. *)
-    | Virtual of { tick_us : int; deadline_ticks : int }
+    | Virtual
         (** Both halves on one engine. Each datagram is copied onto a
             {!Ba_channel.Link} with a constant one-tick delay, one link
             per direction, and each arrival is parsed by
             {!Codec.decode_into} as a driver's socket drain parses it;
             the packer, codec, shim, ack hold and watchdog run
-            unchanged. Nothing waits on the wall clock: [tick_us] only
-            converts ticks for [msgs_per_s] and [latency_ms]. The run
-            stops at completion or at tick [deadline_ticks]. *)
+            unchanged. Nothing waits on the wall clock: [msgs_per_s]
+            and [latency_ms] count a tick as {!virtual_tick_us}. The
+            run stops at completion or at tick 2,000,000. *)
+
+  val virtual_tick_us : int
+  (** 200: the microseconds a tick stands for on the [Virtual]
+      network, as at the loopback drivers' usual [tick_us]. *)
 
   type outcome = {
     completed : bool;  (** both halves finished before the deadline *)

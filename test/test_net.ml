@@ -493,13 +493,8 @@ let entry name =
   | Some e -> e
   | None -> Alcotest.failf "unknown protocol %s" name
 
-let loopback_sock () =
-  let s = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
-  Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  s
-
+let loopback_sock = Ba_transport.Driver.loopback_socket
 let loopback = Endpoint.Pair.Loopback { tick_us = 200; deadline_s = 30. }
-let virtual_net = Endpoint.Pair.Virtual { tick_us = 200; deadline_ticks = 2_000_000 }
 
 let pair ?plan ?(messages = 120) ?(payload_size = 32) ?on_setup name =
   let e = entry name in
@@ -608,7 +603,7 @@ let loopback_latency_per_message () =
       let e = entry name in
       let o =
         Endpoint.Pair.run ~protocol:e.Ba_registry.Registry.protocol ~config ~messages
-          ~payload_size:16 ~wseed:7 ?plan ~impair_seed:11 ~network:virtual_net ()
+          ~payload_size:16 ~wseed:7 ?plan ~impair_seed:11 ~network:Virtual ()
       in
       assert_clean name o;
       check Alcotest.int (name ^ ": one latency sample per message") messages
@@ -634,7 +629,7 @@ let recorded_late_frame_misdecode () =
   in
   let o =
     Endpoint.Pair.run ~protocol:e.Ba_registry.Registry.protocol ~config ~messages:20_000
-      ~payload_size:16 ~wseed:7 ~plan ~impair_seed:11 ~network:virtual_net ()
+      ~payload_size:16 ~wseed:7 ~plan ~impair_seed:11 ~network:Virtual ()
   in
   check Alcotest.bool "completed" false o.Endpoint.Pair.completed;
   check Alcotest.int "position reached" 1158 (count o Delivered);
