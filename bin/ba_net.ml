@@ -124,9 +124,9 @@ let run_scale ~flows ~mix ~spec ~loss ~ack_loss ~delay ~capacity ~seed ~jobs ~ce
     Ba_proto.Shard.run ~seed ~jobs ~cell ~barrier ~data_loss:loss ~ack_loss ~data_delay:delay
       ~ack_delay:delay ?capacity ~measure_mem specs
   in
-  (* Timed without [measure_mem]: its full major collections scale with
-     the whole process's heap, not with this run. The state figure comes
-     from a second, untimed run of the same (deterministic) model. *)
+  (* Timed without [measure_mem]: its walk over each cell's reachable
+     words is measurement, not simulation. The state figure comes from a
+     second, untimed run of the same (deterministic) model. *)
   let t0 = Unix.gettimeofday () in
   let r = run ~measure_mem:false in
   let wall = Unix.gettimeofday () -. t0 in

@@ -89,12 +89,11 @@ let check_budget ~budget specs =
       invalid_arg "Fabric.run: memory_budget admits no flow"
   | _ -> ()
 
-let plan_admission ~budget specs =
+(* Who is admitted, and how many are refused: everyone when everyone
+   fits at window 1, else the longest prefix that fits. *)
+let admit ~budget specs =
   check_budget ~budget specs;
-  let max_w = List.fold_left (fun acc s -> max acc s.config.Proto_config.window) 1 specs in
-  let rec fit c = if c >= 1 && peak_cost ~clamp:c specs > budget then fit (c - 1) else c in
-  let c = fit max_w in
-  if c >= 1 then (specs, 0, if c < max_w then Some c else None)
+  if peak_cost ~clamp:1 specs <= budget then (specs, 0)
   else begin
     let rec split admitted = function
       | [] -> (List.rev admitted, 0)
@@ -103,9 +102,26 @@ let plan_admission ~budget specs =
             (List.rev admitted, List.length (s :: rest))
           else split (s :: admitted) rest
     in
-    let admitted, refused = split [] specs in
-    (admitted, refused, Some 1)
+    split [] specs
   end
+
+let plan_admission ~budget specs =
+  match admit ~budget specs with
+  | admitted, 0 ->
+      let max_w = List.fold_left (fun acc s -> max acc s.config.Proto_config.window) 1 specs in
+      let rec fit c = if c > 1 && peak_cost ~clamp:c specs > budget then fit (c - 1) else c in
+      let c = fit max_w in
+      (admitted, 0, if c < max_w then Some c else None)
+  | admitted, refused -> (admitted, refused, Some 1)
+
+(* Generous, and scaled to the aggregate workload: the links serialise
+   every flow's traffic, and every message could need several timeouts
+   at heavy loss before the run is declared stuck. *)
+let horizon ?budget specs =
+  let admitted = match budget with None -> specs | Some budget -> fst (admit ~budget specs) in
+  let msgs = List.fold_left (fun acc s -> acc + s.messages) 0 admitted in
+  let max_rto = List.fold_left (fun acc s -> max acc s.config.Proto_config.rto) 1 admitted in
+  (max 1 msgs * max_rto * 20) + 1_000_000
 
 (* ---- capacity lease ---- *)
 
@@ -597,11 +613,11 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
         { s with config = { s.config with rx_budget = Some (min c rx) } }
     | Some _ | None -> s
   in
+  let deadline = horizon specs in
   let specs = Array.of_list (if clamp = None then specs else List.map clamp_rx specs) in
   let n = Array.length specs in
   let msg_base = Array.make (n + 1) 0 in
   Array.iteri (fun i s -> msg_base.(i + 1) <- msg_base.(i) + s.messages) specs;
-  let total_msgs = msg_base.(n) in
   (* Two windows of flight per flow cover every registry protocol's
      band. When every ring spans its whole transfer (short flows, as in
      the sharded fabric) the offsets are the message offsets. *)
@@ -675,7 +691,6 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
     st.((i * stride) + k_completed_at) <- -1;
     st.((i * stride) + k_departed_at) <- -1
   done;
-  let max_rto = Array.fold_left (fun acc s -> max acc s.config.Proto_config.rto) 1 specs in
   let c =
     {
       engine;
@@ -685,11 +700,7 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
       specs;
       refused;
       clamp;
-      (* Generous, and scaled to the aggregate workload: the links
-         serialise every flow's traffic, and every message could need
-         several timeouts at heavy loss before the run is declared
-         stuck. *)
-      deadline = (max 1 total_msgs * max_rto * 20) + 1_000_000;
+      deadline;
       wseed;
       msg_base;
       ring_base;

@@ -152,9 +152,14 @@ val flows : t -> int
 
 val clamp : t -> int option
 
+val horizon : ?budget:int -> spec list -> int
+(** [horizon ?budget specs] is the default horizon of a cell built from
+    [specs] under [budget]: [max 1 messages · max rto · 20 + 10⁶] over
+    the flows admission admits (all of them without a budget). Raises
+    [Invalid_argument] when [budget] admits no flow. *)
+
 val deadline : t -> int
-(** The default horizon: [max 1 messages · max rto · 20 + 10⁶] over
-    the admitted flows. *)
+(** The cell's {!horizon}. *)
 
 val remaining : t -> int
 (** Flows neither completed nor departed. The engine stops when this

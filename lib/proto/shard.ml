@@ -3,12 +3,13 @@
    realised as per-cell capacity leases reconciled at the barriers.
 
    Everything semantic is a pure function of (specs, seed, cell,
-   barrier, capacity, ...): cells are built sequentially in spec order,
-   each cell's engine/links/plans are seeded from the cell index, and
-   the lease reconciliation is an order-independent integer fold over
-   cells. [jobs] only chooses how live cells are grouped into pool
-   tasks per epoch, and the pool collects in input order — so the
-   result is byte-identical at any job count. *)
+   barrier, capacity, ...): each cell's engine/links/plans are seeded
+   from the cell index, the lease reconciliation is an
+   order-independent integer fold over cells, and the result is folded
+   from the cells' parts in cell order. Without capacity no cell waits
+   on another, so each is built, run and reduced on its own. [jobs]
+   only chooses which pool task runs which cells, and the pool collects
+   in input order, so the result is byte-identical at any job count. *)
 
 module Counters = Ba_util.Counters
 
@@ -36,6 +37,59 @@ type result = {
 
 let unsafe b = Counters.(get b Duplicates + get b Misordered + get b Corrupted) > 0
 
+(* What the result keeps of a cell once it has run. *)
+type part = {
+  block : Counters.t;
+  sketch : Ba_util.Qsketch.t;
+  mem_peak : int;
+  flows : int;
+  ended : int;  (* when its last flow ended, else its batch's last tick *)
+  state : int;  (* bytes it kept after [Cell.start], when measured *)
+}
+
+(* A batch of cells after its epochs: how many ran, the barriers at
+   which its leases were rebalanced, and its cells' parts in order. *)
+type batch = { epochs : int; rebalances : int; parts : part list }
+
+(* Advance [cells], each with its measured state, in lockstep epochs of
+   [barrier] ticks until every flow has ended or the horizon, and
+   reconcile their leases at every barrier. *)
+let run_batch ~jobs ~barrier ~horizon cells =
+  let leases = Array.of_list (List.filter_map (fun (c, _) -> Cell.data_lease c) cells) in
+  let rebalances = ref 0 in
+  let rec epoch_loop t epochs =
+    let alive = List.filter (fun (c, _) -> Cell.remaining c > 0) cells in
+    if alive = [] || t >= horizon then (t, epochs)
+    else begin
+      let t_end = min horizon (t + barrier) in
+      (* One contiguous group of live cells per job: granularity only,
+         never semantics. Each group advances its cells in order. *)
+      let per = (List.length alive + jobs - 1) / jobs in
+      let groups =
+        List.init ((List.length alive + per - 1) / per) (fun g ->
+            List.filteri (fun j _ -> j / per = g) alive)
+      in
+      ignore
+        (Ba_parallel.Pool.map_chunks ~jobs ~chunk:1
+           (List.iter (fun (c, _) -> Ba_sim.Engine.run ~until:t_end (Cell.engine c)))
+           groups);
+      if Cell.reconcile_leases leases then incr rebalances;
+      epoch_loop t_end (epochs + 1)
+    end
+  in
+  let t, epochs = epoch_loop 0 0 in
+  let part (c, state) =
+    {
+      block = Cell.counters c;
+      sketch = Option.get (Cell.sketch c);
+      mem_peak = Cell.mem_peak c;
+      flows = Cell.flows c;
+      ended = (if Cell.done_at c >= 0 then Cell.done_at c else t);
+      state;
+    }
+  in
+  { epochs; rebalances = !rebalances; parts = List.map part cells }
+
 let run ?(seed = 42) ?jobs ?(cell = 1024) ?(barrier = 1000) ?(data_loss = 0.)
     ?(ack_loss = 0.) ?(data_delay = Ba_channel.Dist.Uniform (40, 60))
     ?(ack_delay = Ba_channel.Dist.Uniform (40, 60)) ?capacity ?plans_for
@@ -46,111 +100,106 @@ let run ?(seed = 42) ?jobs ?(cell = 1024) ?(barrier = 1000) ?(data_loss = 0.)
   let jobs = match jobs with Some j -> j | None -> Ba_parallel.Pool.default_jobs () in
   if jobs < 1 then invalid_arg "Shard.run: jobs must be >= 1";
   Cell.validate ~who:"Shard.run" ?memory_budget specs;
-  let specs = Array.of_list specs in
-  let total_flows = Array.length specs in
+  let total_flows = List.length specs in
   let ncells = (total_flows + cell - 1) / cell in
-  let live_before =
-    if measure_mem then begin
-      Gc.full_major ();
-      (Gc.stat ()).Gc.live_words
-    end
-    else 0
+  (* Cell [ci]'s flows, in spec order. A slot is emptied when its cell
+     is built, so the runner holds no flow's spec longer than needed. *)
+  let slices =
+    let rest = ref specs in
+    let rec take n =
+      match !rest with
+      | s :: more when n > 0 ->
+          rest := more;
+          s :: take (n - 1)
+      | _ -> []
+    in
+    Array.init ncells (fun _ -> take cell)
   in
-  (* Cells are built, and pumped, one after another in spec order; each
-     is seeded from its index, so it is a deterministic sub-simulation. *)
-  let cells =
-    Array.init ncells (fun ci ->
-        let lo = ci * cell in
-        let hi = min total_flows (lo + cell) in
-        let cell_seed = seed + (104729 * (ci + 1)) in
-        let data_plan, ack_plan =
-          match plans_for with
-          | None -> (None, None)
-          | Some f ->
-              let dp, ap = f ~cell_seed in
-              (Some dp, Some ap)
-        in
-        let c =
-          Cell.create ~engine_seed:cell_seed
-            ~wseed:(fun i -> seed + (7919 * (lo + i + 1)))
-            ~data_loss ~ack_loss ~data_delay ~ack_delay ?data_bottleneck:capacity
-            ~lease:(barrier, total_flows) ?data_plan ?ack_plan
-            ?budget:(Option.map (fun b -> max 1 (b * (hi - lo) / total_flows)) memory_budget)
-            ?watchdog ~sketch:true
-            (Array.to_list (Array.sub specs lo (hi - lo)))
-        in
-        Cell.start c;
-        c)
+  let budget ci =
+    let size = min cell (total_flows - (ci * cell)) in
+    Option.map (fun b -> max 1 (b * size / total_flows)) memory_budget
   in
-  let state_bytes =
-    if measure_mem then begin
-      Gc.full_major ();
-      ((Gc.stat ()).Gc.live_words - live_before) * (Sys.word_size / 8)
-    end
-    else 0
-  in
+  (* Every cell's admission is planned before any cell runs, so a budget
+     that admits no flow raises here, and the default horizon is the
+     latest cell's. *)
   let horizon =
-    match deadline with
-    | Some d -> d
-    | None -> Array.fold_left (fun acc c -> max acc (Cell.deadline c)) 1 cells
+    let latest = ref 1 in
+    Array.iteri (fun ci s -> latest := max !latest (Cell.horizon ?budget:(budget ci) s)) slices;
+    Option.value deadline ~default:!latest
   in
-  let leases = Array.of_list (List.filter_map Cell.data_lease (Array.to_list cells)) in
-  let epochs = ref 0 and rebalances = ref 0 in
-  let t = ref 0 in
-  let rec epoch_loop () =
-    let alive = List.filter (fun c -> Cell.remaining c > 0) (Array.to_list cells) in
-    if alive <> [] && !t < horizon then begin
-      let t_end = min horizon (!t + barrier) in
-      (* One contiguous group of live cells per job: granularity only,
-         never semantics. Each group advances its cells in order. *)
-      let per = (List.length alive + jobs - 1) / jobs in
-      let groups =
-        List.init ((List.length alive + per - 1) / per) (fun g ->
-            List.filteri (fun j _ -> j / per = g) alive)
-      in
-      ignore
-        (Ba_parallel.Pool.map_chunks ~jobs ~chunk:1
-           (fun group ->
-             List.iter (fun c -> Ba_sim.Engine.run ~until:t_end (Cell.engine c)) group)
-           groups);
-      if Cell.reconcile_leases leases then incr rebalances;
-      incr epochs;
-      t := t_end;
-      epoch_loop ()
-    end
+  (* Each cell is seeded from its index, so it is a deterministic
+     sub-simulation whenever and wherever it is built. Its state is the
+     words it reaches beyond its specs, which needs no collection; the
+     few statically allocated closures and constants every cell reaches
+     count once per cell. *)
+  let build ci =
+    let slice = slices.(ci) in
+    slices.(ci) <- [];
+    let cell_seed = seed + (104729 * (ci + 1)) in
+    let data_plan, ack_plan =
+      match plans_for with
+      | None -> (None, None)
+      | Some f ->
+          let dp, ap = f ~cell_seed in
+          (Some dp, Some ap)
+    in
+    let c =
+      Cell.create ~engine_seed:cell_seed
+        ~wseed:(fun i -> seed + (7919 * ((ci * cell) + i + 1)))
+        ~data_loss ~ack_loss ~data_delay ~ack_delay ?data_bottleneck:capacity
+        ~lease:(barrier, total_flows) ?data_plan ?ack_plan ?budget:(budget ci) ?watchdog
+        ~sketch:true slice
+    in
+    Cell.start c;
+    let state =
+      if measure_mem then
+        (Obj.reachable_words (Obj.repr (c, slice)) - Obj.reachable_words (Obj.repr slice))
+        * (Sys.word_size / 8)
+      else 0
+    in
+    (c, state)
   in
-  epoch_loop ();
-  (* Aggregate in cell order; everything below is pure arithmetic over
-     per-cell state, so the fold order is fixed and the result is the
-     same whatever domains ran the epochs. *)
-  let blocks = Array.map Cell.counters cells in
+  (* Leases tie every cell to every other at each barrier, so with
+     capacity the batch is every cell. Without it no cell waits on
+     another: each is built, run to its end and reduced to its part
+     alone, one cell per pool task at a time, so at most one cell per
+     worker is live. *)
+  let batches =
+    match capacity with
+    | Some _ -> [ run_batch ~jobs ~barrier ~horizon (List.init ncells build) ]
+    | None ->
+        Ba_parallel.Pool.map_chunks ~jobs
+          (fun ci -> run_batch ~jobs:1 ~barrier ~horizon [ build ci ])
+          (List.init ncells Fun.id)
+  in
+  (* Fold in cell order; everything below is pure arithmetic over the
+     parts, so the result is the same whatever domains ran the cells. *)
+  let parts = List.concat_map (fun b -> b.parts) batches in
+  let sum f = List.fold_left (fun acc x -> acc + f x) 0 in
+  let most f = List.fold_left (fun acc x -> max acc (f x)) 0 in
   let counters = Counters.create () in
-  Array.iter (Counters.merge_into counters) blocks;
-  Counters.add counters Lease_rebalances !rebalances;
+  List.iter (fun p -> Counters.merge_into counters p.block) parts;
+  Counters.add counters Lease_rebalances (sum (fun b -> b.rebalances) batches);
   let count = Counters.get counters in
-  let flows = Array.fold_left (fun a c -> a + Cell.flows c) 0 cells in
+  let flows = sum (fun p -> p.flows) parts in
   let delivered = count Delivered in
-  let ticks =
-    Array.fold_left
-      (fun acc c -> max acc (if Cell.done_at c >= 0 then Cell.done_at c else !t))
-      0 cells
-  in
+  let ticks = most (fun p -> p.ended) parts in
   {
     flows;
     cells = ncells;
     counters;
-    mem_peak_bytes = Array.fold_left (fun a c -> a + Cell.mem_peak c) 0 cells;
+    mem_peak_bytes = sum (fun p -> p.mem_peak) parts;
     ticks;
-    epochs = !epochs;
+    epochs = most (fun b -> b.epochs) batches;
     completed = count Completed_flows + count Departed = flows;
     aggregate_goodput =
       (if ticks = 0 then 0. else float_of_int delivered *. 1000. /. float_of_int ticks);
     latency =
-      Array.fold_left
-        (fun acc c -> Ba_util.Qsketch.merge acc (Option.get (Cell.sketch c)))
-        (Ba_util.Qsketch.create ()) cells;
-    state_bytes;
-    unsafe_cell = Seq.find (fun ci -> unsafe blocks.(ci)) (Seq.init ncells Fun.id);
+      List.fold_left
+        (fun acc p -> Ba_util.Qsketch.merge acc p.sketch)
+        (Ba_util.Qsketch.create ()) parts;
+    state_bytes = sum (fun p -> p.state) parts;
+    unsafe_cell = List.find_index (fun p -> unsafe p.block) parts;
     delivered;
     duplicates = count Duplicates;
     misordered = count Misordered;

@@ -19,23 +19,34 @@
        leases are reconciled — idle cells' unused frame credits are
        re-leased to backlogged cells in proportion to backlog — a
        deterministic fold in cell order.}
-    {- {b Epoch barriers.} All live cells advance in lockstep,
-       [Engine.run ~until] one [barrier]-tick epoch at a time. Within
-       an epoch cells are independent, so epochs fan out over a
-       {!Ba_parallel.Pool}: the live cells are dealt to [jobs]
-       contiguous groups, one pool task each.}
+    {- {b Epoch barriers.} A batch of cells advances in lockstep,
+       [Engine.run ~until] one [barrier]-tick epoch at a time, until
+       every flow in it has ended or the horizon. With [capacity] the
+       leases tie every cell to every other, so the batch is every
+       cell, and each epoch fans out over a {!Ba_parallel.Pool}: the
+       live cells are dealt to [jobs] contiguous groups, one pool task
+       each. Without [capacity] no cell waits on another, so each cell
+       is a batch of its own: it is built, run through the same epochs
+       and reduced to its part, then dropped. Cells go to the pool in
+       contiguous runs, so at most one cell per worker is live and the
+       run's memory does not grow with its flow count.}
     {- {b Flat accounting.} Per-flow state is the cell's flat arrays
        plus one mergeable {!Ba_util.Qsketch} per cell for latency. The
        only per-flow heap objects are the protocol endpoints themselves
        and four one-word wiring closures (data tx, ack tx, deliver,
-       payload pull).}}
+       payload pull). Once a cell has run, the run keeps only its part:
+       its counter block, its sketch and four ints.}}
 
     {b Determinism.} The model is fixed by [(specs, seed, cell,
     barrier, capacity, …)]; [jobs] only schedules cells onto domains.
-    Results are collected in cell order and lease reconciliation is an
+    The default horizon is planned from every cell's admission before
+    any cell runs. The result is a fold of the cells' parts in cell
+    order (counters summed, sketches merged left to right, the latest
+    end tick and epoch count), and lease reconciliation is an
     order-independent integer fold, so the result is byte-identical for
-    any [jobs] — the same guarantee class as the campaign pool, and
-    QCheck-pinned in [test_shard.ml]. *)
+    any [jobs], and to a run that holds every cell at once — the same
+    guarantee class as the campaign pool, and pinned in
+    [test_shard.ml]. *)
 
 type result = {
   flows : int;  (** admitted flows across all cells *)
@@ -54,9 +65,12 @@ type result = {
   aggregate_goodput : float;  (** delivered payloads per 1000 ticks *)
   latency : Ba_util.Qsketch.t;  (** merged delivery-latency sketch *)
   state_bytes : int;
-      (** live-heap delta attributable to the built cells ([measure_mem]
-          runs a major GC before/after construction; 0 otherwise). Not
-          part of {!summary}: heap layout is not a simulation output. *)
+      (** with [measure_mem], the bytes each cell reaches beyond its
+          specs right after {!Cell.start}, summed over cells
+          ([Obj.reachable_words], so no collection runs; the few
+          statically allocated closures and constants every cell
+          reaches count once per cell); 0 otherwise. Not part of
+          {!summary}: heap layout is not a simulation output. *)
   unsafe_cell : int option;
       (** the lowest-index cell in which a flow delivered a duplicate,
           out-of-order or corrupted payload; [None] when {!safe}. With
@@ -93,7 +107,8 @@ val run :
   Cell.spec list ->
   result
 (** [run specs] drives every flow to completion, departure or the
-    deadline. Defaults: seed 42, [jobs] {!Ba_parallel.Pool.default_jobs},
+    deadline: [deadline] when given, else the latest {!Cell.horizon}
+    over the cells' admitted flows. Defaults: seed 42, [jobs] {!Ba_parallel.Pool.default_jobs},
     [cell = 1024] flows per cell, [barrier = 1000] ticks, no loss, delay
     [Uniform (40, 60)] both ways, no capacity (uncontended links),
     [measure_mem = false].
@@ -113,13 +128,15 @@ val run :
     as any crash plan, repeat offenders are gated off the cell's links.
 
     [plans_for ~cell_seed] attaches scheduled fault plans (data, ack) to
-    each cell's links — the storm hook; [cell_seed] is derived from
-    [seed] and the cell index, so plans are replayable per cell.
+    each cell's links — the storm hook; it is called once per cell, as
+    the cell is built, so without [capacity] and with [jobs > 1] it
+    runs on pool workers. [cell_seed] is derived from [seed] and the
+    cell index, so plans are replayable per cell.
 
     Raises [Invalid_argument] on empty [specs], non-positive [cell],
     [barrier] or [jobs], a [capacity] with a non-positive member,
     invalid spec intervals, or a budget that admits no flow in some
-    cell. *)
+    cell; all of these before any cell runs. *)
 
 val safe : result -> bool
 (** No flow delivered a duplicate, out-of-order or corrupted payload:

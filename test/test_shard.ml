@@ -117,6 +117,81 @@ let test_summary_digests () =
       (0.05, 3, "85bf2e957add3cc626b860e502ff96f9");
     ]
 
+(* [Shard.summary] digests of a grid of runs without capacity, recorded
+   when [Shard.run] still built every cell before running any, so they
+   pin that streaming the cells one at a time changed no output. The
+   grid covers loss, a memory budget that clamps and refuses, a
+   watchdog, storm plans and churn, and runs whose cells never
+   complete: one cut by an explicit deadline, and one at the default
+   horizon, where odd cells sit under a data outage that outlasts the
+   run and a budget refuses flows, so the horizon is taken over the
+   admitted flows only. Every case runs at jobs 1 and 2. *)
+let test_pinned_grid () =
+  let outage = Ba_channel.Fault_plan.make ~outages:[ { from_tick = 0; until_tick = 10_000_000 } ] () in
+  let odd_cells_dark ~seed ~cell_seed =
+    if (cell_seed - seed) / 104729 mod 2 = 0 then (outage, Ba_channel.Fault_plan.none)
+    else (Ba_channel.Fault_plan.none, Ba_channel.Fault_plan.none)
+  in
+  let storm ~cell_seed = Chaos.plans_for Chaos.Storm ~seed:cell_seed in
+  let churn ~seed =
+    let e = entry "blockack-multi" in
+    let config = Registry.config ~window:4 ~rto:800 e () in
+    Fabric.churn ~base:2 ~churners:2 ~messages:5 ~payload_size:24 ~config ~seed
+      e.Registry.protocol
+    @ mixed_specs ~messages:5 ~flows:12
+  in
+  let dog = Ba_proto.Watchdog.default_config in
+  let cases =
+    [
+      ( "loss",
+        "66616e6a9a38c847fb5a5df6e081642f",
+        fun jobs ->
+          Shard.run ~seed:5 ~jobs ~cell:7 ~barrier:500 ~data_loss:0.03 ~ack_loss:0.03
+            (mixed_specs ~messages:5 ~flows:30) );
+      ( "budget",
+        "533d76b6f7672449a8046c64a32f4ceb",
+        fun jobs ->
+          Shard.run ~seed:3 ~jobs ~cell:8 ~data_loss:0.03 ~ack_loss:0.03 ~memory_budget:4096
+            (mixed_specs ~messages:5 ~flows:32) );
+      ( "watchdog, storm and churn",
+        "0a740cb0350a1cfed1653ebd38d5cfbc",
+        fun jobs ->
+          Shard.run ~seed:42 ~jobs ~cell:5 ~barrier:500 ~data_loss:0.03 ~ack_loss:0.03
+            ~plans_for:storm ~memory_budget:(8 * 1024) ~watchdog:dog ~deadline:120_000
+            (churn ~seed:42) );
+      ( "cut by a deadline",
+        "816af7ee31febf47de964eccc3179ce3",
+        fun jobs ->
+          Shard.run ~seed:9 ~jobs ~cell:6 ~barrier:500 ~data_loss:0.03 ~ack_loss:0.03
+            ~deadline:2_500
+            (mixed_specs ~messages:20 ~flows:20) );
+      ( "stalled to the horizon",
+        "2f5055f83f5552ed40bc37f4b1bcc93d",
+        fun jobs ->
+          Shard.run ~seed:13 ~jobs ~cell:6 ~barrier:500 ~memory_budget:800
+            ~plans_for:(odd_cells_dark ~seed:13)
+            (mixed_specs ~messages:5 ~flows:24) );
+      ( "stalled to the horizon, watchdog armed",
+        "709d4a7f33fa19e87be3c38c05c3e1bf",
+        fun jobs ->
+          Shard.run ~seed:17 ~jobs ~cell:4 ~data_loss:0.03 ~ack_loss:0.03 ~watchdog:dog
+            ~plans_for:(odd_cells_dark ~seed:17)
+            (mixed_specs ~messages:4 ~flows:14) );
+    ]
+  in
+  List.iter
+    (fun (name, want, run) ->
+      List.iter
+        (fun jobs ->
+          let s = Shard.summary (run jobs) in
+          Printf.printf "%s, jobs %d:\n%s%!" name jobs s;
+          check Alcotest.string
+            (Printf.sprintf "%s, jobs %d" name jobs)
+            want
+            (Digest.to_hex (Digest.string s)))
+        [ 1; 2 ])
+    cases
+
 (* ------------------------------------------------------------------ *)
 (* Per-flow state *)
 
@@ -290,11 +365,13 @@ let test_cell_footprint () =
       sum started residual
 
 (* [Shard.run]'s own state figure at shard-100k's size: 100,000
-   two-message flows, the shape above, on one domain. It is a
-   deterministic [Gc] live-words delta (1,195 B/flow on x86-64), so the
-   ceiling needs no noise headroom: its ~8.5% fails a flow whose flight
-   ring is sized to its window (2w slots) instead of to its two messages
-   (1,427 B/flow). *)
+   two-message flows, the shape above, on one domain. It is the sum of
+   each started cell's [Obj.reachable_words] beyond its specs (1,204
+   B/flow on x86-64, the [Cell.start] figure above plus the few static
+   blocks every cell reaches), deterministic, so the ceiling needs no
+   noise headroom: its ~8% fails a flow whose flight ring is sized to
+   its window (2w slots) instead of to its two messages (1,427 B/flow,
+   measured as a live-words delta). *)
 let test_state_at_100k_flows () =
   let ceiling = 1_300 and n = 100_000 in
   let e = entry "blockack" in
@@ -305,6 +382,36 @@ let test_state_at_100k_flows () =
   Printf.printf "state at 100k flows: %d B/flow\n%!" per_flow;
   if per_flow > ceiling then
     Alcotest.failf "Shard.run keeps %d B/flow at 100k flows, want <= %d" per_flow ceiling
+
+(* Without capacity no cell waits on another, so [Shard.run] holds one
+   cell at a time: it builds, runs and folds a cell, then drops it. The
+   [plans_for] hook runs once per cell as the cell is built; here it
+   records the live heap. Over 64 cells of 512 shard-100k flows the
+   heap at the last build stays within one cell's footprint (a one-cell
+   run's [state_bytes]) of the heap at the first. A runner that builds
+   every cell first grows by 63 footprints. *)
+let test_one_cell_resident () =
+  let e = entry "blockack" in
+  let spec = Fabric.spec ~config:(shard_config e) ~messages:2 e.Registry.protocol in
+  let cell = 512 and ncells = 64 in
+  let specs n = List.init n (fun _ -> spec) in
+  let footprint = (Shard.run ~seed:3 ~jobs:1 ~cell ~measure_mem:true (specs cell)).Shard.state_bytes in
+  let at_build = ref [] in
+  let plans_for ~cell_seed:_ =
+    Gc.full_major ();
+    at_build := (Gc.stat ()).Gc.live_words :: !at_build;
+    (Ba_channel.Fault_plan.none, Ba_channel.Fault_plan.none)
+  in
+  let r = Shard.run ~seed:3 ~jobs:1 ~cell ~plans_for (specs (cell * ncells)) in
+  check Alcotest.bool "completed" true r.Shard.completed;
+  check Alcotest.int "one build per cell" ncells (List.length !at_build);
+  let last = List.hd !at_build and first = List.nth !at_build (ncells - 1) in
+  let grown = (last - first) * (Sys.word_size / 8) in
+  Printf.printf "live heap grew %d B over %d cell builds; one cell keeps %d B\n%!" grown ncells
+    footprint;
+  if grown > footprint then
+    Alcotest.failf "live heap grew %d B from the first cell's build to the last, over one cell (%d B)"
+      grown footprint
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: jobs are scheduling, not semantics *)
@@ -554,7 +661,9 @@ let () =
             test_budget_admission_is_cell_local;
           Alcotest.test_case "cell footprint" `Quick test_cell_footprint;
           Alcotest.test_case "state at 100k flows" `Quick test_state_at_100k_flows;
+          Alcotest.test_case "one cell resident at a time" `Quick test_one_cell_resident;
           Alcotest.test_case "summary digests at 4,096 flows" `Quick test_summary_digests;
+          Alcotest.test_case "pinned grid without capacity" `Quick test_pinned_grid;
         ] );
       ( "determinism",
         [
