@@ -55,8 +55,13 @@ let make ?bursty ?(duplicate = 0.) ?(copies = 2) ?(corrupt = 0.) ?delay_spike ?(
   validate t;
   t
 
-let in_outage t ~now =
-  List.exists (fun o -> now >= o.from_tick && now < o.until_tick) t.outages
+(* A top-level walk rather than [List.exists] with a closure over [now]:
+   every frame a shim or link sends asks this, so it allocates nothing. *)
+let rec covers now = function
+  | [] -> false
+  | o :: rest -> (now >= o.from_tick && now < o.until_tick) || covers now rest
+
+let in_outage t ~now = covers now t.outages
 
 let quiesced_after t = List.fold_left (fun acc o -> max acc o.until_tick) 0 t.outages
 
@@ -171,9 +176,20 @@ let of_string s =
 
 type burst_stats = { steps : int; bad_entries : int; bad_steps : int }
 
+(* [decide] runs once per frame, so it allocates nothing. The burst
+   probabilities are copied out of the all-float [gilbert_elliott]
+   record, which stores them unboxed and would box one for every
+   [Rng.bernoulli] call; a float field of this mixed record is boxed
+   once, here. The verdicts that carry an argument are built here too. *)
 type instance = {
   plan : t;
   rng : Ba_util.Rng.t;
+  p_enter_bad : float;
+  p_exit_bad : float;
+  loss_good : float;
+  loss_bad : float;
+  duplicated : verdict;  (* [Duplicate copies] *)
+  spiked : verdict;  (* [Delay extra] of the delay spike *)
   mutable in_bad : bool;
   mutable steps : int;
   mutable bad_entries : int;
@@ -182,31 +198,48 @@ type instance = {
 
 let instantiate plan ~rng =
   validate plan;
-  { plan; rng; in_bad = false; steps = 0; bad_entries = 0; bad_steps = 0 }
+  let g =
+    Option.value plan.bursty
+      ~default:{ p_enter_bad = 0.; p_exit_bad = 0.; loss_good = 0.; loss_bad = 0. }
+  in
+  {
+    plan;
+    rng;
+    p_enter_bad = g.p_enter_bad;
+    p_exit_bad = g.p_exit_bad;
+    loss_good = g.loss_good;
+    loss_bad = g.loss_bad;
+    duplicated = Duplicate plan.copies;
+    spiked = (match plan.delay_spike with Some (_, extra) -> Delay extra | None -> Deliver);
+    in_bad = false;
+    steps = 0;
+    bad_entries = 0;
+    bad_steps = 0;
+  }
 
 let plan i = i.plan
 
-let ge_step i g =
+let ge_step i =
   (if i.in_bad then begin
-     if Ba_util.Rng.bernoulli i.rng g.p_exit_bad then i.in_bad <- false
+     if Ba_util.Rng.bernoulli i.rng i.p_exit_bad then i.in_bad <- false
    end
-   else if Ba_util.Rng.bernoulli i.rng g.p_enter_bad then begin
+   else if Ba_util.Rng.bernoulli i.rng i.p_enter_bad then begin
      i.in_bad <- true;
      i.bad_entries <- i.bad_entries + 1
    end);
   if i.in_bad then i.bad_steps <- i.bad_steps + 1;
-  Ba_util.Rng.bernoulli i.rng (if i.in_bad then g.loss_bad else g.loss_good)
+  Ba_util.Rng.bernoulli i.rng (if i.in_bad then i.loss_bad else i.loss_good)
 
 let decide i =
   i.steps <- i.steps + 1;
   let p = i.plan in
-  let lost = match p.bursty with Some g -> ge_step i g | None -> false in
+  let lost = match p.bursty with Some _ -> ge_step i | None -> false in
   if lost then Drop
-  else if p.duplicate > 0. && Ba_util.Rng.bernoulli i.rng p.duplicate then Duplicate p.copies
+  else if p.duplicate > 0. && Ba_util.Rng.bernoulli i.rng p.duplicate then i.duplicated
   else if p.corrupt > 0. && Ba_util.Rng.bernoulli i.rng p.corrupt then Corrupt
   else
     match p.delay_spike with
-    | Some (prob, extra) when Ba_util.Rng.bernoulli i.rng prob -> Delay extra
+    | Some (prob, _) when Ba_util.Rng.bernoulli i.rng prob -> i.spiked
     | Some _ | None -> Deliver
 
 let burst_stats i = { steps = i.steps; bad_entries = i.bad_entries; bad_steps = i.bad_steps }

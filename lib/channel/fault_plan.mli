@@ -65,6 +65,8 @@ val validate : t -> unit
     2], negative delays or an outage with [until_tick <= from_tick]. *)
 
 val in_outage : t -> now:int -> bool
+(** Whether tick [now] lies in one of the plan's outages. Allocates
+    nothing, so a link or shim can ask it once per frame. *)
 
 val quiesced_after : t -> int
 (** The tick past the last scheduled outage (0 when none): after this

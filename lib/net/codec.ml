@@ -59,31 +59,41 @@ let batch_header buf ~count =
   Bytes.set_uint8 buf 2 batch_class;
   Bytes.set_uint8 buf 3 count
 
-(* Writes one v1 frame at [off]; the caller has checked the room. *)
-let encode_single buf off = function
-  | Data d ->
-      let pl = String.length d.Ba_proto.Wire.payload in
-      if pl > max_payload then invalid_arg "Codec.encode: payload exceeds max_payload";
-      put_header buf off ~cls:0 ~tag:(data_kind_tag d.Ba_proto.Wire.dkind)
-        ~epoch:d.Ba_proto.Wire.epoch;
-      put_nat64 buf (off + 8) d.Ba_proto.Wire.seq "seq";
-      put_nat64 buf (off + 16) d.Ba_proto.Wire.check "check";
-      put_nat32 buf (off + 24) pl "payload length";
-      Bytes.blit_string d.Ba_proto.Wire.payload 0 buf (off + data_header_len) pl
-  | Ack a ->
-      put_header buf off ~cls:1 ~tag:(ack_kind_tag a.Ba_proto.Wire.akind)
-        ~epoch:a.Ba_proto.Wire.epoch;
-      put_nat64 buf (off + 8) a.Ba_proto.Wire.lo "lo";
-      put_nat64 buf (off + 16) a.Ba_proto.Wire.hi "hi";
-      put_nat64 buf (off + 24) a.Ba_proto.Wire.check "check"
-  | Batch _ -> invalid_arg "Codec.encode: a container cannot hold a container"
+(* Write one v1 frame at [off]; the caller has checked the room. *)
+let put_data buf off (d : Ba_proto.Wire.data) =
+  let pl = String.length d.payload in
+  if pl > max_payload then invalid_arg "Codec.encode: payload exceeds max_payload";
+  put_header buf off ~cls:0 ~tag:(data_kind_tag d.dkind) ~epoch:d.epoch;
+  put_nat64 buf (off + 8) d.seq "seq";
+  put_nat64 buf (off + 16) d.check "check";
+  put_nat32 buf (off + 24) pl "payload length";
+  Bytes.blit_string d.payload 0 buf (off + data_header_len) pl
 
-let encode buf f =
-  let n = encoded_len f in
-  if Bytes.length buf < n then invalid_arg "Codec.encode: buffer too small";
-  (match f with
-  | Data _ | Ack _ -> encode_single buf 0 f
-  | Batch { frames; malformed } ->
+let put_ack buf off (a : Ba_proto.Wire.ack) =
+  put_header buf off ~cls:1 ~tag:(ack_kind_tag a.akind) ~epoch:a.epoch;
+  put_nat64 buf (off + 8) a.lo "lo";
+  put_nat64 buf (off + 16) a.hi "hi";
+  put_nat64 buf (off + 24) a.check "check"
+
+let room buf n = if Bytes.length buf < n then invalid_arg "Codec.encode: buffer too small"
+
+let encode_data buf (d : Ba_proto.Wire.data) =
+  let n = data_header_len + String.length d.payload in
+  room buf n;
+  put_data buf 0 d;
+  n
+
+let encode_ack buf a =
+  room buf ack_len;
+  put_ack buf 0 a;
+  ack_len
+
+let encode buf = function
+  | Data d -> encode_data buf d
+  | Ack a -> encode_ack buf a
+  | Batch { frames; malformed } as f ->
+      let n = encoded_len f in
+      room buf n;
       if malformed <> 0 then invalid_arg "Codec.encode: a container with malformed frames";
       batch_header buf ~count:(List.length frames);
       ignore
@@ -91,10 +101,14 @@ let encode buf f =
            (fun off f ->
              let len = encoded_len f in
              Bytes.set_uint16_le buf off len;
-             encode_single buf (off + batch_prefix_len) f;
-             off + batch_prefix_len + len)
-           batch_header_len frames));
-  n
+             let at = off + batch_prefix_len in
+             (match f with
+             | Data d -> put_data buf at d
+             | Ack a -> put_ack buf at a
+             | Batch _ -> invalid_arg "Codec.encode: a container cannot hold a container");
+             at + len)
+           batch_header_len frames);
+      n
 
 module Packer = struct
   type t = {

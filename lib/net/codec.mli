@@ -95,6 +95,14 @@ val encode : Bytes.t -> frame -> int
     [malformed <> 0] — encoding failures are programming errors,
     unlike decoding ones. *)
 
+val encode_data : Bytes.t -> Ba_proto.Wire.data -> int
+(** [encode_data buf d] is [encode buf (Data d)] without building the
+    [Data] wrapper: a sender encodes every frame, so it allocates
+    nothing. *)
+
+val encode_ack : Bytes.t -> Ba_proto.Wire.ack -> int
+(** [encode_ack buf a] is [encode buf (Ack a)], likewise. *)
+
 (** Packs frames that are already encoded into containers of at most
     {!batch_cap} bytes, in one buffer of that size. *)
 module Packer : sig

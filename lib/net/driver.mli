@@ -1,11 +1,11 @@
 (** Wall-clock driver: one {!Ba_sim.Engine}, one UDP socket, one
-    [select] loop.
+    [poll] loop.
 
     The protocol endpoints are pure engine programs — their timers,
     handshakes and watchdogs are all virtual-time events. The driver is
     the adapter that makes those events happen in real time: it keeps
     the engine clock pinned to the wall clock (one tick = [tick_us]
-    microseconds), computes each [select] timeout from
+    microseconds), computes each wait's timeout from
     {!Ba_sim.Engine.next_due}, and feeds arriving datagrams through the
     {!Codec} into the endpoint's callback. A retransmission timer armed
     for [rto] ticks therefore fires after [rto * tick_us] real
@@ -25,6 +25,14 @@
        [ECONNREFUSED]/[EHOSTUNREACH]/[ENETUNREACH] count as drops;}
     {- the loop always returns by [deadline_s], whatever the sockets
        do — a hung peer cannot wedge the caller.}}
+
+    The loop allocates nothing per datagram, frame or turn beyond the
+    payload copy {!Codec.decode_into} hands over: its socket calls are
+    a small C stub (a non-blocking receive that reports its outcome as
+    an int, a [poll] wait that reports a bitmask of ready sockets, and
+    a microsecond clock), and a datagram's source address is the
+    driver's cached [Unix.sockaddr] for as long as its raw bytes match
+    the previous sender's.
 
     Several drivers (each with its own engine and socket) can run under
     one {!run} call — that is how the in-process loopback pair used by
@@ -57,6 +65,10 @@ val loopback_socket : unit -> Unix.file_descr
 (** A UDP socket bound to a free port on 127.0.0.1, for a {!create}
     on the loopback interface. *)
 
+val wall_us : unit -> int
+(** Wall-clock microseconds since the epoch (the clock
+    [Unix.gettimeofday] reads), without allocating. *)
+
 val now_ticks : t -> int
 (** Wall-clock time since {!create}, in ticks. *)
 
@@ -65,6 +77,13 @@ val sync : t -> unit
     at or before it — including one armed with delay 0 during the
     current tick (an [on_frame] callback's), so it runs without waiting
     for the next wall tick. *)
+
+val drain : t -> unit
+(** Receive every datagram queued on the socket now, handing each frame
+    to [on_frame], and return when the socket is empty. {!run} drains
+    every socket each turn, and each socket the wait finds ready.
+    Draining an empty socket allocates nothing, and a datagram from the
+    previous sender allocates only its payload copies. *)
 
 val send_to : t -> Unix.sockaddr -> Bytes.t -> int -> bool
 (** Transmit one datagram with the bounded retry policy above. [false]
@@ -86,4 +105,5 @@ val run : ?deadline_s:float -> stop:(unit -> bool) -> t list -> bool
     of work) — [true] — or [deadline_s] of wall time elapses — [false].
     Default deadline 60 s. Never blocks longer than the earliest engine
     deadline across the drivers (or 50 ms, whichever is sooner, so an
-    empty queue cannot sleep through the deadline). *)
+    empty queue cannot sleep through the deadline). Reads the clock
+    once per turn. At most 62 drivers ([Invalid_argument] beyond). *)

@@ -7,19 +7,25 @@ module Counters = Ba_util.Counters
 let fnv_prime = 0x100000001b3
 let digest_seed = 0x3bf29ce484222325
 
-let digest_add d ~index ~payload =
+(* The digest of [index] and the first [len] bytes of [b]. *)
+let digest_sub d ~index b len =
   let h = ref ((d lxor index) * fnv_prime land max_int) in
-  for i = 0 to String.length payload - 1 do
-    h := (!h lxor Char.code (String.unsafe_get payload i)) * fnv_prime land max_int
+  for i = 0 to len - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * fnv_prime land max_int
   done;
   !h
 
+let digest_add d ~index ~payload =
+  digest_sub d ~index (Bytes.unsafe_of_string payload) (String.length payload)
+
+(* Every payload is written into one buffer, long enough for the
+   longest, so the expectation allocates nothing per message. *)
 let expected_digest ~wseed ~payload_size ~messages =
+  let buf = Bytes.create (max payload_size (3 + String.length (string_of_int messages))) in
   let d = ref digest_seed in
   for i = 0 to messages - 1 do
-    d :=
-      digest_add !d ~index:i
-        ~payload:(Ba_proto.Workload.payload ~seed:wseed ~size:payload_size i)
+    let len = Ba_proto.Workload.write_payload ~seed:wseed ~size:payload_size i buf in
+    d := digest_sub !d ~index:i buf len
   done;
   !d
 
@@ -39,10 +45,6 @@ let packer engine ~send =
 (* A peer address no arrival carries: the server's until it first hears
    from one. *)
 let no_peer = Unix.ADDR_UNIX ""
-
-(* The client's pull clock under a driver: wall time in whole
-   microseconds, the resolution [Unix.gettimeofday] has. *)
-let wall_us () = int_of_float (Float.round (Unix.gettimeofday () *. 1e6))
 
 module Server = struct
   type rx = Rx : (module Ba_proto.Protocol.S with type receiver = 'r) * 'r -> rx
@@ -102,7 +104,7 @@ module Server = struct
              ()
          in
          let buf = Bytes.create Codec.ack_len in
-         let send_ack a = Shim.send shim buf (Codec.encode buf (Codec.Ack a)) in
+         let send_ack a = Shim.send shim buf (Codec.encode_ack buf a) in
          (* The block acknowledgments emitted during one socket drain
             leave as one datagram: the hold flushes from a zero-delay
             slot, which the driver fires in the [sync] that follows the
@@ -184,7 +186,7 @@ module Client = struct
     dog : Ba_proto.Watchdog.t;
     dog_slot : Ba_sim.Engine.slot;
     shim : Shim.t;
-    clock : unit -> int;  (* [wall_us], or the engine's tick on a virtual network *)
+    clock : unit -> int;  (* [Driver.wall_us], or the engine's tick on a virtual network *)
     pulls : int Ba_util.Ring_buffer.t;
         (* pull time by index on [clock] (an int is stored unboxed), for
            the indices the sender has not had acknowledged: a pull's
@@ -217,7 +219,7 @@ module Client = struct
     | W.Sync_req | W.Sync_fin -> t.handshakes <- t.handshakes + 1);
     let n = Codec.data_header_len + String.length d.W.payload in
     if Bytes.length t.buf < n then t.buf <- Bytes.create n;
-    let len = Codec.encode t.buf (Codec.Data d) in
+    let len = Codec.encode_data t.buf d in
     (* Encoded, the frame goes back to the pool, as a simulated link
        returns it on delivery. *)
     W.release_data d;
@@ -292,7 +294,7 @@ module Client = struct
     Ba_sim.Engine.slot_arm engine t.dog_slot ~delay:t.check_interval;
     t
 
-  let create = make ~clock:wall_us
+  let create = make ~clock:Driver.wall_us
 
   let on_frame t frame =
     match (frame, t.tx) with
@@ -360,7 +362,7 @@ module Pair = struct
             | Some c ->
                 let t0 = Client.pull_time c (pos - 1) in
                 if t0 >= 0 then
-                  Ba_util.Qsketch.add latency_ms (float_of_int (clock () - t0) *. ms)
+                  Ba_util.Qsketch.add_scaled latency_ms (clock () - t0) ms
             | None -> ())
           ~send:s_send ()
       in
@@ -409,7 +411,7 @@ module Pair = struct
             and c_drv =
               Driver.create ~engine:c_engine ~sock:c_sock ~tick_us ~on_frame:client_frame ()
             in
-            transfer ~s_engine ~c_engine ~clock:wall_us ~ms:1e-3
+            transfer ~s_engine ~c_engine ~clock:Driver.wall_us ~ms:1e-3
               ~s_send:(fun addr buf len -> ignore (Driver.send_to s_drv addr buf len))
               ~c_send:(fun buf len -> ignore (Driver.send_to c_drv s_addr buf len))
               (fun c ->

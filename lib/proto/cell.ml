@@ -56,26 +56,31 @@ let validate ~who ?memory_budget specs =
    included) saturates simultaneously. *)
 let flow_cost s ~clamp = 2 * min s.config.Proto_config.window clamp * s.payload_size
 
-(* Peak concurrent cost under the interval model: a flow pins memory
-   only while its [start_at, stop_at) interval is open, so the budget
-   must cover the worst instant, not the lifetime sum. The concurrent
-   total is piecewise constant and only steps up at interval starts, so
-   checking each spec's [start_at] finds the peak. With no [stop_at]
-   anywhere every interval is open-ended and the peak equals the plain
-   sum. *)
-let peak_cost ~clamp specs =
-  let active_at t s =
-    s.start_at <= t && match s.stop_at with None -> true | Some d -> t < d
-  in
-  List.fold_left
-    (fun acc s ->
-      let here =
-        List.fold_left
-          (fun a s' -> if active_at s.start_at s' then a + flow_cost s' ~clamp else a)
-          0 specs
-      in
-      max acc here)
-    0 specs
+(* Peak concurrent cost of the first [k] flows of [a] under the
+   interval model: a flow pins memory only while its [start_at,
+   stop_at) interval is open, so the budget must cover the worst
+   instant, not the lifetime sum. The concurrent total only steps up at
+   interval starts, so the peak is the largest total just after a
+   start. One sweep over the starts and stops in time order finds it,
+   stops first at a tie (a flow is not active at its [stop_at]); with
+   no [stop_at] anywhere the peak equals the plain sum. *)
+let peak_cost ~clamp a k =
+  let events = Array.make (2 * k) (0, 0) in
+  for i = 0 to k - 1 do
+    let s = a.(i) in
+    let cost = flow_cost s ~clamp in
+    events.(2 * i) <- ((2 * s.start_at) + 1, cost);
+    events.((2 * i) + 1) <-
+      (match s.stop_at with Some d -> (2 * d, -cost) | None -> (max_int, 0))
+  done;
+  Array.sort compare events;
+  let total = ref 0 and peak = ref 0 in
+  Array.iter
+    (fun (key, delta) ->
+      total := !total + delta;
+      if key land 1 = 1 && !total > !peak then peak := !total)
+    events;
+  !peak
 
 (* Graceful degradation, in preference order: admit everyone unclamped;
    else admit everyone under the largest uniform window clamp that
@@ -89,39 +94,68 @@ let check_budget ~budget specs =
       invalid_arg "Fabric.run: memory_budget admits no flow"
   | _ -> ()
 
-(* Who is admitted, and how many are refused: everyone when everyone
-   fits at window 1, else the longest prefix that fits. *)
-let admit ~budget specs =
-  check_budget ~budget specs;
-  if peak_cost ~clamp:1 specs <= budget then (specs, 0)
-  else begin
-    let rec split admitted = function
-      | [] -> (List.rev admitted, 0)
-      | s :: rest ->
-          if peak_cost ~clamp:1 (List.rev (s :: admitted)) > budget then
-            (List.rev admitted, List.length (s :: rest))
-          else split (s :: admitted) rest
-    in
-    split [] specs
-  end
-
-let plan_admission ~budget specs =
-  match admit ~budget specs with
-  | admitted, 0 ->
-      let max_w = List.fold_left (fun acc s -> max acc s.config.Proto_config.window) 1 specs in
-      let rec fit c = if c > 1 && peak_cost ~clamp:c specs > budget then fit (c - 1) else c in
-      let c = fit max_w in
-      (admitted, 0, if c < max_w then Some c else None)
-  | admitted, refused -> (admitted, refused, Some 1)
+type admission = {
+  admitted : spec list;
+  refused : int;
+  clamp : int option;
+  budgeted : bool;
+  horizon : int;
+}
 
 (* Generous, and scaled to the aggregate workload: the links serialise
    every flow's traffic, and every message could need several timeouts
    at heavy loss before the run is declared stuck. *)
-let horizon ?budget specs =
-  let admitted = match budget with None -> specs | Some budget -> fst (admit ~budget specs) in
+let horizon_of admitted =
   let msgs = List.fold_left (fun acc s -> acc + s.messages) 0 admitted in
   let max_rto = List.fold_left (fun acc s -> max acc s.config.Proto_config.rto) 1 admitted in
   (max 1 msgs * max_rto * 20) + 1_000_000
+
+(* The clamp is enforced twice over: the sender's effective window is
+   capped and the receiver's reassembly budget is rewritten to match,
+   so even a misbehaving sender cannot pin more than the accounted
+   slots. *)
+let clamp_rx c s =
+  if c < s.config.Proto_config.window then
+    let rx = Option.value ~default:s.config.Proto_config.window s.config.rx_budget in
+    { s with config = { s.config with rx_budget = Some (min c rx) } }
+  else s
+
+let admission ?budget specs =
+  match budget with
+  | None -> { admitted = specs; refused = 0; clamp = None; budgeted = false; horizon = horizon_of specs }
+  | Some budget ->
+      check_budget ~budget specs;
+      let a = Array.of_list specs in
+      let n = Array.length a in
+      let fits ~clamp k = peak_cost ~clamp a k <= budget in
+      let admitted, refused, clamp =
+        if fits ~clamp:1 n then begin
+          let max_w = Array.fold_left (fun acc s -> max acc s.config.Proto_config.window) 1 a in
+          let rec fit c = if c > 1 && not (fits ~clamp:c n) then fit (c - 1) else c in
+          let c = fit max_w in
+          (specs, 0, if c < max_w then Some c else None)
+        end
+        else begin
+          (* The peak never falls as the prefix grows, the first flow
+             fits ([check_budget]) and all of them do not: bisect for
+             the longest prefix that fits. *)
+          let rec longest fit nofit =
+            if nofit - fit <= 1 then fit
+            else
+              let mid = (fit + nofit) / 2 in
+              if fits ~clamp:1 mid then longest mid nofit else longest fit mid
+          in
+          let k = longest 1 n in
+          (List.filteri (fun i _ -> i < k) specs, n - k, Some 1)
+        end
+      in
+      {
+        admitted;
+        refused;
+        clamp;
+        budgeted = true;
+        horizon = horizon_of admitted;
+      }
 
 (* ---- capacity lease ---- *)
 
@@ -592,29 +626,14 @@ let schedule_crashes c i plan =
 (* ---- construction ---- *)
 
 let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data_bottleneck
-    ?lease ?data_plan ?ack_plan ?budget ?watchdog ?(sketch = false) specs =
+    ?lease ?data_plan ?ack_plan ?watchdog ?(sketch = false) plan =
   (match data_bottleneck with
   | Some (svc, qcap) when svc <= 0 || qcap <= 0 ->
       invalid_arg "Cell.create: bottleneck needs positive service time and queue capacity"
   | Some _ | None -> ());
-  let specs, refused, clamp =
-    match budget with
-    | None -> (specs, 0, None)
-    | Some budget -> plan_admission ~budget specs
-  in
-  (* The clamp is enforced twice over: the sender's effective window is
-     capped and the receiver's reassembly budget is rewritten to match,
-     so even a misbehaving sender cannot pin more than the accounted
-     slots. *)
-  let clamp_rx s =
-    match clamp with
-    | Some c when c < s.config.Proto_config.window ->
-        let rx = Option.value ~default:s.config.Proto_config.window s.config.rx_budget in
-        { s with config = { s.config with rx_budget = Some (min c rx) } }
-    | Some _ | None -> s
-  in
-  let deadline = horizon specs in
-  let specs = Array.of_list (if clamp = None then specs else List.map clamp_rx specs) in
+  let { admitted; refused; clamp; budgeted; horizon = deadline } = plan in
+  let specs = Array.of_list admitted in
+  Option.iter (fun c -> Array.iteri (fun i s -> specs.(i) <- clamp_rx c s) specs) clamp;
   let n = Array.length specs in
   let msg_base = Array.make (n + 1) 0 in
   Array.iteri (fun i s -> msg_base.(i + 1) <- msg_base.(i) + s.messages) specs;
@@ -764,7 +783,7 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
     in
     Engine.schedule engine ~delay tick
   in
-  (match (watchdog, budget) with
+  (match (watchdog, budgeted) with
   | Some w, _ ->
       every w.Watchdog.check_interval (fun () ->
           sample_mem c;
@@ -775,8 +794,8 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
                 ~resync:(fun () -> resync c i)
                 ~gate:(fun closed -> set c i k_gate (Bool.to_int closed))
           done)
-  | None, Some _ -> every 500 (fun () -> sample_mem c)
-  | None, None -> ());
+  | None, true -> every 500 (fun () -> sample_mem c)
+  | None, false -> ());
   c
 
 (* Surge flows exist from tick 0 — creation order fixes determinism —

@@ -86,6 +86,29 @@ val check_budget : budget:int -> spec list -> unit
     the first spec does not fit even at window 1. Admission raises the
     same, so a caller can reject such a budget before the run. *)
 
+type admission = private {
+  admitted : spec list;  (** the flows a cell runs, in spec order *)
+  refused : int;
+  clamp : int option;  (** the uniform window clamp, if any *)
+  budgeted : bool;  (** a budget was given *)
+  horizon : int;
+      (** the default horizon of a cell built from the plan: [max 1
+          messages · max rto · 20 + 10⁶] over the admitted flows *)
+}
+(** A cell's admission plan. Under a memory budget: everyone unclamped
+    if their peak concurrent cost fits; else everyone under the largest
+    uniform window clamp that fits; else clamp 1 and the longest spec
+    prefix that fits, the rest refused. The peak concurrent cost is the
+    largest total {!flow_cost} of the flows whose [\[start_at,
+    stop_at)] intervals hold some flow's [start_at], so a departing
+    flow's reservation is reusable by a later arrival. *)
+
+val admission : ?budget:int -> spec list -> admission
+(** Plans [specs] under [budget] (everyone, unclamped, without one) in
+    O(n log² n): one sweep over the interval ends finds a peak, and the
+    admitted prefix is bisected, since the peak never falls as a prefix
+    grows. Raises [Invalid_argument] when [budget] admits no flow. *)
+
 type t
 
 val create :
@@ -99,16 +122,15 @@ val create :
   ?lease:int * int ->
   ?data_plan:Ba_channel.Fault_plan.t ->
   ?ack_plan:Ba_channel.Fault_plan.t ->
-  ?budget:int ->
   ?watchdog:Watchdog.config ->
   ?sketch:bool ->
-  spec list ->
+  admission ->
   t
 (** Builds the engine (seeded [engine_seed]), the data and ack links,
-    their plans, and every admitted flow's endpoints; schedules
-    departures, the watchdog and the memory sampler. No traffic flows
-    until {!start}. Flow [i]'s payloads come from a {!Workload} seeded
-    [wseed i].
+    their fault plans, and the endpoints of every flow the admission
+    admits; schedules departures, the watchdog and the memory sampler.
+    No traffic flows until {!start}. Flow [i]'s payloads come from a
+    {!Workload} seeded [wseed i].
 
     [data_bottleneck] is [(service_time, queue_capacity)], both
     positive, else [Invalid_argument]. It sits on the data link exactly,
@@ -119,17 +141,15 @@ val create :
     bottleneck: as in the paper, the reverse channel loses and reorders
     but is not congested.
 
-    [budget] admits [specs] under a memory budget as {!Fabric.run}
-    describes: unclamped, else under one uniform window clamp, else a
-    prefix at clamp 1; the clamp caps each sender's window and rewrites
-    each receiver's [rx_budget]. [watchdog]
+    The admission's clamp caps each sender's window and each
+    receiver's [rx_budget]. [watchdog]
     observes every started, running flow each [check_interval] ticks:
     [Resync] crash-restarts its sender (counted like any crash), and
     [Quarantine] gates its frames off the links until release. With a
-    budget or a watchdog, model memory is sampled. [sketch] folds every
-    latency, in delivery order, into one {!Ba_util.Qsketch} for the
-    cell instead of keeping each flow's samples, so {!flow_result}
-    then reports no latencies. *)
+    budgeted admission or a watchdog, model memory is sampled.
+    [sketch] folds every latency, in delivery order, into one
+    {!Ba_util.Qsketch} for the cell instead of keeping each flow's
+    samples, so {!flow_result} then reports no latencies. *)
 
 val start : t -> unit
 (** Pump every flow's sender, in spec order; surge flows are pumped at
@@ -152,14 +172,8 @@ val flows : t -> int
 
 val clamp : t -> int option
 
-val horizon : ?budget:int -> spec list -> int
-(** [horizon ?budget specs] is the default horizon of a cell built from
-    [specs] under [budget]: [max 1 messages · max rto · 20 + 10⁶] over
-    the flows admission admits (all of them without a budget). Raises
-    [Invalid_argument] when [budget] admits no flow. *)
-
 val deadline : t -> int
-(** The cell's {!horizon}. *)
+(** The [horizon] of the cell's admission plan. *)
 
 val remaining : t -> int
 (** Flows neither completed nor departed. The engine stops when this

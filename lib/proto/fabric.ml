@@ -52,7 +52,8 @@ let run ?(seed = 42) ?(data_loss = 0.) ?(ack_loss = 0.)
     Cell.create ~engine_seed:seed
       ~wseed:(fun i -> seed + (7919 * (i + 1)))
       ~data_loss ~ack_loss ~data_delay ~ack_delay ?data_bottleneck ?data_plan ?ack_plan
-      ?budget:memory_budget ?watchdog specs
+      ?watchdog
+      (Cell.admission ?budget:memory_budget specs)
   in
   let engine = Cell.engine cell in
   Option.iter (fun g -> g engine cell) on_flows;

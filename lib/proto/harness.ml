@@ -15,7 +15,8 @@ let run (module P : Protocol.S) ?(seed = 42) ?(messages = 1000) ?(payload_size =
   let cell =
     Cell.create ~engine_seed:seed
       ~wseed:(fun _ -> seed)
-      ~data_loss ~ack_loss ~data_delay ~ack_delay ?data_bottleneck ?data_plan ?ack_plan [ spec ]
+      ~data_loss ~ack_loss ~data_delay ~ack_delay ?data_bottleneck ?data_plan ?ack_plan
+      (Cell.admission [ spec ])
   in
   Cell.schedule_crashes cell 0 crash_plan;
   Option.iter (fun g -> g cell) on_setup;

@@ -102,9 +102,16 @@ let run ?(seed = 42) ?jobs ?(cell = 1024) ?(barrier = 1000) ?(data_loss = 0.)
   Cell.validate ~who:"Shard.run" ?memory_budget specs;
   let total_flows = List.length specs in
   let ncells = (total_flows + cell - 1) / cell in
-  (* Cell [ci]'s flows, in spec order. A slot is emptied when its cell
-     is built, so the runner holds no flow's spec longer than needed. *)
-  let slices =
+  let budget ci =
+    let size = min cell (total_flows - (ci * cell)) in
+    Option.map (fun b -> max 1 (b * size / total_flows)) memory_budget
+  in
+  (* Cell [ci]'s admission plan, over its flows in spec order. Every
+     cell's is made once, before any cell runs, so a budget that admits
+     no flow raises here, and the default horizon is the latest cell's.
+     A slot is emptied when its cell is built, so the runner holds no
+     flow's spec longer than needed. *)
+  let plans =
     let rest = ref specs in
     let rec take n =
       match !rest with
@@ -113,18 +120,11 @@ let run ?(seed = 42) ?jobs ?(cell = 1024) ?(barrier = 1000) ?(data_loss = 0.)
           s :: take (n - 1)
       | _ -> []
     in
-    Array.init ncells (fun _ -> take cell)
+    Array.init ncells (fun ci -> Some (Cell.admission ?budget:(budget ci) (take cell)))
   in
-  let budget ci =
-    let size = min cell (total_flows - (ci * cell)) in
-    Option.map (fun b -> max 1 (b * size / total_flows)) memory_budget
-  in
-  (* Every cell's admission is planned before any cell runs, so a budget
-     that admits no flow raises here, and the default horizon is the
-     latest cell's. *)
   let horizon =
     let latest = ref 1 in
-    Array.iteri (fun ci s -> latest := max !latest (Cell.horizon ?budget:(budget ci) s)) slices;
+    Array.iter (fun p -> latest := max !latest (Option.get p).Cell.horizon) plans;
     Option.value deadline ~default:!latest
   in
   (* Each cell is seeded from its index, so it is a deterministic
@@ -133,8 +133,8 @@ let run ?(seed = 42) ?jobs ?(cell = 1024) ?(barrier = 1000) ?(data_loss = 0.)
      few statically allocated closures and constants every cell reaches
      count once per cell. *)
   let build ci =
-    let slice = slices.(ci) in
-    slices.(ci) <- [];
+    let plan = Option.get plans.(ci) in
+    plans.(ci) <- None;
     let cell_seed = seed + (104729 * (ci + 1)) in
     let data_plan, ack_plan =
       match plans_for with
@@ -147,13 +147,13 @@ let run ?(seed = 42) ?jobs ?(cell = 1024) ?(barrier = 1000) ?(data_loss = 0.)
       Cell.create ~engine_seed:cell_seed
         ~wseed:(fun i -> seed + (7919 * ((ci * cell) + i + 1)))
         ~data_loss ~ack_loss ~data_delay ~ack_delay ?data_bottleneck:capacity
-        ~lease:(barrier, total_flows) ?data_plan ?ack_plan ?budget:(budget ci) ?watchdog
-        ~sketch:true slice
+        ~lease:(barrier, total_flows) ?data_plan ?ack_plan ?watchdog ~sketch:true plan
     in
     Cell.start c;
     let state =
       if measure_mem then
-        (Obj.reachable_words (Obj.repr (c, slice)) - Obj.reachable_words (Obj.repr slice))
+        let specs = plan.Cell.admitted in
+        (Obj.reachable_words (Obj.repr (c, specs)) - Obj.reachable_words (Obj.repr specs))
         * (Sys.word_size / 8)
       else 0
     in

@@ -107,8 +107,9 @@ val run :
   Cell.spec list ->
   result
 (** [run specs] drives every flow to completion, departure or the
-    deadline: [deadline] when given, else the latest {!Cell.horizon}
-    over the cells' admitted flows. Defaults: seed 42, [jobs] {!Ba_parallel.Pool.default_jobs},
+    deadline: [deadline] when given, else the latest [horizon] of the
+    cells' admission plans ({!Cell.admission}), each cell's planned
+    once. Defaults: seed 42, [jobs] {!Ba_parallel.Pool.default_jobs},
     [cell = 1024] flows per cell, [barrier = 1000] ticks, no loss, delay
     [Uniform (40, 60)] both ways, no capacity (uncontended links),
     [measure_mem = false].

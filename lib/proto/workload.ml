@@ -14,18 +14,27 @@ let rec put_digits b v k =
 
 let filler_seed ~seed i = (seed * 1_000_003) + i
 
-let payload ~seed ~size i =
-  if i < 0 then invalid_arg "Workload.payload: negative index";
+(* Payload [i]'s length: the prefix, or [size] when that is longer. *)
+let length ~size i = max (2 + decimal_width i 1 + 1) size
+
+let write_payload ~seed ~size i b =
+  if i < 0 then invalid_arg "Workload.write_payload: negative index";
   let ndigits = decimal_width i 1 in
   let plen = 2 + ndigits + 1 in
   let n = max plen size in
-  let b = Bytes.create n in
+  if Bytes.length b < n then invalid_arg "Workload.write_payload: buffer too small";
   Bytes.unsafe_set b 0 'm';
   Bytes.unsafe_set b 1 ':';
   put_digits b i (2 + ndigits - 1);
   Bytes.unsafe_set b (plen - 1) ':';
   Ba_util.Rng.fill_symbols ~seed:(filler_seed ~seed i) filler_alphabet b ~pos:plen
     ~len:(n - plen);
+  n
+
+let payload ~seed ~size i =
+  if i < 0 then invalid_arg "Workload.payload: negative index";
+  let b = Bytes.create (length ~size i) in
+  ignore (write_payload ~seed ~size i b);
   Bytes.unsafe_to_string b
 
 let rec digits_match s v k =

@@ -10,6 +10,13 @@ val payload : seed:int -> size:int -> int -> string
     padded with seeded pseudo-random filler up to [size] bytes (or longer
     if the prefix alone exceeds [size]). Deterministic in [(seed, size, i)]. *)
 
+val write_payload : seed:int -> size:int -> int -> Bytes.t -> int
+(** [write_payload ~seed ~size i b] writes [payload ~seed ~size i] at
+    the start of [b] and returns its length, allocating nothing: a
+    caller that only reads the bytes reuses one buffer for every
+    payload. Raises [Invalid_argument] when [i < 0] or [b] is too
+    short. *)
+
 val matches : seed:int -> size:int -> int -> string -> bool
 (** [matches ~seed ~size i s] is [String.equal s (payload ~seed ~size i)]
     for [i >= 0] and [false] for [i < 0], decided in place: it allocates

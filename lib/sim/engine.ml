@@ -235,19 +235,26 @@ let fire_head t =
   end
   else t.hd_fn.(tag) id
 
-let next_due t = if t.hp_len = 0 then None else Some t.hp_time.(0)
+let next_due t = if t.hp_len = 0 then max_int else t.hp_time.(0)
 
 let stop t = t.stopping <- true
 
-let run ?until ?max_events t =
+(* Fires what is due by [horizon], at most [budget] events; true when
+   neither a [stop] nor the budget cut the run short. *)
+let fire_until t ~horizon ~budget =
   t.stopping <- false;
-  let horizon = Option.value until ~default:max_int in
-  let budget = Option.value max_events ~default:max_int in
   let fired = ref 0 in
   while (not t.stopping) && !fired < budget && t.hp_len > 0 && t.hp_time.(0) <= horizon do
     fire_head t;
     incr fired
   done;
+  (not t.stopping) && !fired < budget
+
+let run_until t horizon =
+  if fire_until t ~horizon ~budget:max_int then t.clock <- max t.clock horizon
+
+let run ?until ?max_events t =
+  let budget = Option.value max_events ~default:max_int in
   match until with
-  | Some horizon when (not t.stopping) && !fired < budget -> t.clock <- max t.clock horizon
-  | Some _ | None -> ()
+  | Some horizon -> if fire_until t ~horizon ~budget then t.clock <- max t.clock horizon
+  | None -> ignore (fire_until t ~horizon:max_int ~budget)

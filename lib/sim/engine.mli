@@ -93,16 +93,22 @@ val slot_cancel : t -> slot -> unit
 
 val slot_armed : t -> slot -> bool
 
-val next_due : t -> int option
-(** Tick of the earliest pending event, without firing it ([None] when
-    the queue is empty). What a wall-clock driver needs to compute a
-    [select] timeout: sleep until the next virtual deadline, no longer. *)
+val next_due : t -> int
+(** Tick of the earliest pending event, without firing it ([max_int]
+    when the queue is empty). What a wall-clock driver needs to compute
+    a wait's timeout: sleep until the next virtual deadline, no longer.
+    Allocates nothing. *)
 
 val run : ?until:int -> ?max_events:int -> t -> unit
 (** Fire events until the queue drains, the next event lies beyond
     [until], or [max_events] have fired. Events at tick [until] fire;
     later ones stay pending, and the clock then advances to [until]
     (unless the run was stopped or hit [max_events]). *)
+
+val run_until : t -> int -> unit
+(** [run_until t tick] is [run ~until:tick t], without the option a
+    call with [~until] builds: a wall-clock driver advances its engine
+    this way several times per loop turn. *)
 
 val stop : t -> unit
 (** Make the current [run] return after the event in progress. *)

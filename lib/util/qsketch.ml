@@ -98,6 +98,10 @@ let add_int t x =
   t.values.(t.n) <- float_of_int x;
   add_staged t
 
+let add_scaled t x scale =
+  t.values.(t.n) <- float_of_int x *. scale;
+  add_staged t
+
 (* Midpoint-rank interpolation: centroid i represents its weight
    centred at cumulative rank (sum of earlier weights) + w_i / 2. *)
 let quantile t q =

@@ -43,6 +43,11 @@ val add_int : t -> int -> unit
     inside: no float crosses the call boxed, so a caller recording int
     tick counts allocates nothing either. *)
 
+val add_scaled : t -> int -> float -> unit
+(** [add_scaled t x scale] is [add t (float_of_int x *. scale)], with
+    the product inside, likewise: a caller converting int ticks to
+    another unit passes [scale] once boxed, not a fresh sample. *)
+
 val count : t -> int
 (** Samples observed — exact. *)
 

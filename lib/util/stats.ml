@@ -43,81 +43,113 @@ let mean t = if t.n = 0 then 0. else t.acc.(0)
 let variance t = if t.n < 2 then 0. else t.acc.(1) /. float_of_int (t.n - 1)
 let stddev t = sqrt (variance t)
 
-(* In-place monomorphic heapsort of [a]'s first [n] slots: [Array.sort
-   compare] on a float array boxes both operands of every comparison
-   (the polymorphic traversal cannot see the unboxed representation),
-   which dominated summary-time allocation. Ascending order, identical
-   to [Array.sort compare] for the finite samples stored here. [swap]
-   and [sift] take [a] rather than close over it, so a sort allocates
-   nothing. *)
-let swap (a : float array) i j =
-  let x = a.(i) in
-  a.(i) <- a.(j);
-  a.(j) <- x
-
-let rec sift (a : float array) i len =
-  let l = (2 * i) + 1 in
-  if l < len then begin
-    let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
-    if a.(c) > a.(i) then begin
-      swap a c i;
-      sift a c len
-    end
-  end
-
-let float_sort a n =
-  for i = (n / 2) - 1 downto 0 do
-    sift a i n
-  done;
-  for len = n - 1 downto 1 do
-    swap a 0 len;
-    sift a 0 len
-  done
-
 (* A completed column is full, and a full column is never written
    again: the next [add] moves to a fresh array. So a full column is
    handed over as it is. *)
 let to_array t = if t.n = Array.length t.buf then t.buf else Array.sub t.buf 0 t.n
 
-(* Percentiles sort a copy of the samples in a per-domain scratch
-   column, grown to the largest column summarised so far, so a summary
-   copies nothing after warm-up and leaves the column in delivery
-   order. *)
+(* [select a lo hi k] permutes [a.(lo..hi)] so that [a.(k)] holds the
+   value a sort would put there, with no larger value before it and no
+   smaller one after. Hoare's partition around the median of three
+   values of the range, which splits runs of equal samples evenly. The
+   pivot is a local float and the loops are [while] loops over int
+   refs, so nothing is boxed and nothing allocates. Ascending order,
+   identical to [Array.sort compare] for the finite samples stored
+   here. *)
+let select (a : float array) lo hi k =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let x = a.(!lo) and y = a.((!lo + !hi) / 2) and z = a.(!hi) in
+    let pivot =
+      if x < y then if y < z then y else if x < z then z else x
+      else if x < z then x
+      else if y < z then z
+      else y
+    in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while a.(!i) < pivot do
+        incr i
+      done;
+      while pivot < a.(!j) do
+        decr j
+      done;
+      if !i <= !j then begin
+        let v = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- v;
+        incr i;
+        decr j
+      end
+    done;
+    (* [lo..j] <= pivot <= [i..hi], and anything between equals it. *)
+    if k <= !j then hi := !j else if k >= !i then lo := !i else lo := !hi
+  done
+
+(* Percentiles select order statistics from a copy of the samples in a
+   per-domain scratch column, grown to the largest column summarised so
+   far, so a summary copies nothing after warm-up and leaves the column
+   in delivery order. *)
 let scratch = Domain.DLS.new_key (fun () -> ref [||])
 
-let sorted_samples t =
+let samples t =
   let r = Domain.DLS.get scratch in
   if Array.length !r < t.n then r := Array.make t.n 0.;
   let a = !r in
   Array.blit t.buf 0 a 0 t.n;
-  float_sort a t.n;
   a
 
-let percentile_of_sorted a n q =
-  if n = 0 then invalid_arg "Stats.percentile: empty";
+(* The two order statistics quantile [q] interpolates between. *)
+let rank_lo n q = int_of_float (Float.floor (q *. float_of_int (n - 1)))
+let rank_hi n q = min (n - 1) (rank_lo n q + 1)
+
+(* Linear interpolation between the order statistics at [rank_lo] and
+   [rank_hi], which [a] must hold in place. *)
+let interpolate a n q =
   if n = 1 then a.(0)
   else begin
     let pos = q *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor pos) in
-    let hi = min (n - 1) (lo + 1) in
+    let lo = rank_lo n q in
     let frac = pos -. float_of_int lo in
-    (a.(lo) *. (1. -. frac)) +. (a.(hi) *. frac)
+    (a.(lo) *. (1. -. frac)) +. (a.(rank_hi n q) *. frac)
   end
 
-let percentile t q = percentile_of_sorted (sorted_samples t) t.n q
+(* Puts order statistic [k] in place, given that every rank below
+   [from] that is asked for is in place and nothing from [from] on is
+   smaller than them; returns the next [from]. Asking for ranks in
+   ascending order keeps that so: each selection searches only above
+   the last, and leaves the ranks it placed alone. *)
+let place a n from k =
+  if k < from then from
+  else begin
+    select a from (n - 1) k;
+    k + 1
+  end
+
+let percentile t q =
+  if t.n = 0 then invalid_arg "Stats.percentile: empty";
+  let a = samples t and n = t.n in
+  ignore (place a n (place a n 0 (rank_lo n q)) (rank_hi n q));
+  interpolate a n q
 
 let summary t =
   if t.n = 0 then invalid_arg "Stats.summary: empty";
-  let a = sorted_samples t in
+  let a = samples t and n = t.n in
+  let from = place a n 0 (rank_lo n 0.5) in
+  let from = place a n from (rank_hi n 0.5) in
+  let from = place a n from (rank_lo n 0.9) in
+  let from = place a n from (rank_hi n 0.9) in
+  let from = place a n from (rank_lo n 0.99) in
+  ignore (place a n from (rank_hi n 0.99));
   {
-    count = t.n;
+    count = n;
     mean = mean t;
     stddev = stddev t;
     min = t.acc.(2);
     max = t.acc.(3);
-    p50 = percentile_of_sorted a t.n 0.5;
-    p90 = percentile_of_sorted a t.n 0.9;
-    p99 = percentile_of_sorted a t.n 0.99;
+    p50 = interpolate a n 0.5;
+    p90 = interpolate a n 0.9;
+    p99 = interpolate a n 0.99;
   }
 
 let pp_summary ppf s =

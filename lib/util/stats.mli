@@ -39,13 +39,16 @@ val to_array : t -> float array
 
 val percentile : t -> float -> float
 (** [percentile t q] with [q] in [0, 1]; linear interpolation between
-    order statistics. Raises [Invalid_argument] when empty. Sorts in a
+    order statistics. Raises [Invalid_argument] when empty. Selects the
+    two order statistics in linear expected time, without sorting, in a
     per-domain scratch column, so after warm-up (a column at least as
-    long was summarised before on the same domain) it copies nothing. *)
+    long was summarised before on the same domain) it copies nothing.
+    The result is bit-identical to interpolating over a full sort. *)
 
 val summary : t -> summary
-(** Raises [Invalid_argument] when empty. Sorts once, like
-    {!percentile}: after warm-up it allocates only its result. *)
+(** Raises [Invalid_argument] when empty. Selects the six order
+    statistics its percentiles read, like {!percentile}: after warm-up
+    it allocates only its result. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 

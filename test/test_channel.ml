@@ -337,6 +337,32 @@ let test_link_duplicate_stats () =
   check Alcotest.int "deliveries counted" 300 (s Passed);
   check Alcotest.int "no random drops" 0 (s Lost)
 
+(* A plan's outage check and its verdicts cost a frame nothing: the
+   second 1,000 ticks of sends, half of them in outages and the rest
+   under burst loss, duplication and delay spikes, allocate no word once
+   the first 1,000 have grown the link's arena. *)
+let test_link_plan_allocates_nothing () =
+  let e = Engine.create ~seed:23 () in
+  let l = Link.create_tagged e ~delay:(Dist.Constant 5) ~deliver:(fun _ _ -> ()) () in
+  let outages = List.init 20 (fun k -> { FP.from_tick = (200 * k) + 100; until_tick = 200 * (k + 1) }) in
+  let bursty = { FP.p_enter_bad = 0.05; p_exit_bad = 0.3; loss_good = 0.01; loss_bad = 0.5 } in
+  Link.set_plan l (FP.make ~bursty ~duplicate:0.05 ~delay_spike:(0.05, 30) ~outages ());
+  let msg = "frame" in
+  let pass from =
+    for t = from to from + 999 do
+      Link.send_tagged l 7 msg;
+      Engine.run_until e t
+    done
+  in
+  pass 0;
+  let w0 = Gc.minor_words () in
+  pass 1000;
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.bool "half the frames fell in outages" true (count l Outage_drops >= 900);
+  check Alcotest.bool "the others met every verdict" true
+    (count l Lost > 0 && count l Duplicated > 0 && count l Reordered > 0);
+  check Alcotest.int "1,000 sends under a plan: 0 words" 0 (int_of_float words)
+
 let test_link_corrupt_stats_and_mangling () =
   let e = Engine.create ~seed:22 () in
   let got = ref [] in
@@ -493,6 +519,8 @@ let () =
           Alcotest.test_case "GE burst lengths" `Slow test_ge_burst_lengths;
           Alcotest.test_case "GE loss follows state" `Quick test_ge_loss_follows_state;
           Alcotest.test_case "duplicate stats" `Quick test_link_duplicate_stats;
+          Alcotest.test_case "a plan allocates nothing per frame" `Quick
+            test_link_plan_allocates_nothing;
           Alcotest.test_case "corrupt stats and mangling" `Quick
             test_link_corrupt_stats_and_mangling;
           Alcotest.test_case "outage window" `Quick test_link_outage_window;

@@ -101,7 +101,13 @@ let prop_workload_matches_reference =
     QCheck.(triple seed_gen (int_range 0 600) (int_bound 100_000))
     (fun (seed, size, i) ->
       let p = Ba_proto.Workload.payload ~seed ~size i in
-      String.equal p (reference_payload ~seed ~size i) && Ba_proto.Workload.matches ~seed ~size i p)
+      let b = Bytes.make (String.length p + 3) '#' in
+      let n = Ba_proto.Workload.write_payload ~seed ~size i b in
+      String.equal p (reference_payload ~seed ~size i)
+      && Ba_proto.Workload.matches ~seed ~size i p
+      && n = String.length p
+      && String.equal (Bytes.sub_string b 0 n) p
+      && Bytes.sub_string b n 3 = "###")
 
 (* Words the minor heap grows by across [f ()], net of what reading the
    counter itself costs. The minor heap is flushed first, as DESIGN.md's
@@ -126,6 +132,10 @@ let test_workload_allocation () =
   (* 512 bytes: 65 words of string body plus the header *)
   check Alcotest.int "payload allocates only its string" 66
     (minor_words (fun () -> sink := Ba_proto.Workload.payload ~seed:4 ~size:512 17));
+  let buf = Bytes.create 512 in
+  check Alcotest.int "write_payload allocates nothing" 0
+    (minor_words (fun () -> ignore (Ba_proto.Workload.write_payload ~seed:4 ~size:512 17 buf)));
+  check Alcotest.bool "write_payload writes the payload" true (Bytes.to_string buf = p);
   check Alcotest.int "matches allocates nothing on a match" 0
     (minor_words (fun () -> assert (Ba_proto.Workload.matches ~seed:4 ~size:512 17 p)));
   check Alcotest.int "matches allocates nothing on a mismatch" 0

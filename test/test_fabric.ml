@@ -513,7 +513,8 @@ let cell_bytes ~messages =
   let c =
     Cell.create ~engine_seed:1 ~wseed:Fun.id ~data_loss:0. ~ack_loss:0.
       ~data_delay:(Dist.Constant 50) ~ack_delay:(Dist.Constant 50)
-      [ Cell.spec ~config:(Registry.config ~window:16 e ()) ~messages e.Registry.protocol ]
+      (Cell.admission
+         [ Cell.spec ~config:(Registry.config ~window:16 e ()) ~messages e.Registry.protocol ])
   in
   let bytes = live () - before in
   ignore (Sys.opaque_identity c);

@@ -251,7 +251,7 @@ let build_cell protocol config =
     ~wseed:(fun i -> 7 + (7919 * ((ci * per_cell) + i + 1)))
     ~data_loss:0. ~ack_loss:0. ~data_delay:(Dist.Uniform (40, 60))
     ~ack_delay:(Dist.Uniform (40, 60)) ~lease:(1000, flows) ~sketch:true
-    (List.init per_cell (fun _ -> spec))
+    (Ba_proto.Cell.admission (List.init per_cell (fun _ -> spec)))
 
 (* Endpoints that are their callbacks: a cell of these keeps only its
    own per-flow state. *)
@@ -646,6 +646,93 @@ let test_one_cell_shard_resyncs_like_fabric () =
         (Counters.get s.Shard.counters Watchdog_resyncs > 0)
   | Error e -> Alcotest.fail e
 
+(* ------------------------------------------------------------------ *)
+(* Admission *)
+
+(* Admission by its definition, quadratic per prefix: the peak is the
+   largest total cost of the flows active at some flow's start, and the
+   admitted prefix is grown one flow at a time. *)
+let reference_admission ~budget (specs : Fabric.spec list) =
+  let cost s ~clamp = Ba_proto.Cell.flow_cost s ~clamp in
+  let active t (s : Fabric.spec) =
+    s.start_at <= t && match s.stop_at with None -> true | Some d -> t < d
+  in
+  let peak ~clamp specs =
+    List.fold_left
+      (fun acc (s : Fabric.spec) ->
+        max acc
+          (List.fold_left
+             (fun a s' -> if active s.start_at s' then a + cost s' ~clamp else a)
+             0 specs))
+      0 specs
+  in
+  if peak ~clamp:1 specs <= budget then
+    let max_w = List.fold_left (fun acc (s : Fabric.spec) -> max acc s.config.window) 1 specs in
+    let rec fit c = if c > 1 && peak ~clamp:c specs > budget then fit (c - 1) else c in
+    let c = fit max_w in
+    (List.length specs, 0, if c < max_w then Some c else None)
+  else
+    let rec grow k =
+      if peak ~clamp:1 (List.filteri (fun i _ -> i <= k) specs) > budget then k else grow (k + 1)
+    in
+    let k = grow 0 in
+    (k, List.length specs - k, Some 1)
+
+let admission_spec_gen =
+  QCheck.Gen.(
+    let* window = int_range 1 8
+    and* payload_size = int_bound 64
+    and* start_at = int_bound 20
+    and* life = opt (int_range 1 20) in
+    let config = Registry.config ~window ~rto:800 (entry "blockack-multi") () in
+    return
+      (Fabric.spec ~config ~payload_size ~start_at
+         ?stop_at:(Option.map (fun l -> start_at + l) life)
+         (entry "blockack-multi").Registry.protocol))
+
+let admission_matches_definition =
+  QCheck.Test.make ~name:"admission equals its quadratic definition" ~count:1000
+    (QCheck.make
+       ~print:(fun (specs, budget) ->
+         Printf.sprintf "budget %d: %s" budget
+           (String.concat "; "
+              (List.map
+                 (fun (s : Fabric.spec) ->
+                   Printf.sprintf "w%d p%d [%d,%s)" s.config.window s.payload_size s.start_at
+                     (match s.stop_at with Some d -> string_of_int d | None -> "-"))
+                 specs)))
+       QCheck.Gen.(pair (list_size (int_range 1 12) admission_spec_gen) (int_range 1 3000)))
+    (fun (specs, budget) ->
+      match Ba_proto.Cell.admission ~budget specs with
+      | exception Invalid_argument _ ->
+          Ba_proto.Cell.flow_cost (List.hd specs) ~clamp:1 > budget
+      | a ->
+          let got = (List.length a.admitted, a.refused, a.clamp) in
+          got = reference_admission ~budget specs
+          && List.for_all2 ( == ) a.admitted (List.filteri (fun i _ -> i < List.length a.admitted) specs))
+
+(* 16 cells of 1,024 flows under a budget that refuses in every cell:
+   admission bisects each cell's prefix with a sweep per probe, where
+   growing the prefix one flow at a time with a quadratic peak took
+   about 10⁹ steps a cell. Flows start in 64 waves 25 ticks apart and
+   a third depart 1,000 ticks after they start, so the peak is not the
+   plain sum. The refused count was checked against the definition
+   (the quadratic peak, the prefix grown one flow at a time). *)
+let test_refusing_budget_at_16k_flows () =
+  let e = entry "blockack-multi" in
+  let config = Registry.config ~window:8 ~rto:400 e () in
+  let specs =
+    List.init 16_384 (fun i ->
+        Fabric.spec ~config ~messages:2 ~start_at:(25 * (i mod 64))
+          ?stop_at:(if i mod 3 = 0 then Some ((25 * (i mod 64)) + 1_000) else None)
+          e.Registry.protocol)
+  in
+  let r = Shard.run ~seed:5 ~jobs:1 ~memory_budget:600_000 specs in
+  let n = Counters.get r.Shard.counters in
+  check Alcotest.int "refused" 5_616 (n Refused);
+  check Alcotest.int "every cell clamped" 16 (n Clamped_cells);
+  check Alcotest.int "admitted flows all end" (16_384 - 5_616) (n Completed_flows + n Departed)
+
 let () =
   Alcotest.run "shard"
     [
@@ -670,6 +757,12 @@ let () =
           test_sharded_equals_unsharded;
           Alcotest.test_case "storm churn shard sweep" `Quick
             test_storm_churn_shard_sweep;
+        ] );
+      ( "admission",
+        [
+          qcheck admission_matches_definition;
+          Alcotest.test_case "refusing budget at 16,384 flows" `Quick
+            test_refusing_budget_at_16k_flows;
         ] );
       ( "one cell",
         [

@@ -149,7 +149,7 @@ let test_engine_pending_incremental () =
   check Alcotest.int "schedule adds" 31 (Engine.pending_events e);
   Engine.run e;
   check Alcotest.int "empty at the end" 0 (Engine.pending_events e);
-  check (Alcotest.option Alcotest.int) "nothing due" None (Engine.next_due e)
+  check Alcotest.int "nothing due" max_int (Engine.next_due e)
 
 let test_engine_run_skips_cancelled_heads () =
   let e = Engine.create () in
@@ -163,7 +163,7 @@ let test_engine_run_skips_cancelled_heads () =
   Engine.slot_cancel e s1;
   Engine.slot_cancel e s2;
   check Alcotest.int "pending after cancel" 2 (Engine.pending_events e);
-  check (Alcotest.option Alcotest.int) "head is the first survivor" (Some 3) (Engine.next_due e);
+  check Alcotest.int "head is the first survivor" 3 (Engine.next_due e);
   Engine.run ~until:3 e;
   check Alcotest.(list int) "only survivor fired" [ 3 ] !fired;
   check Alcotest.int "pending after partial run" 1 (Engine.pending_events e);
@@ -184,7 +184,7 @@ let test_engine_step_skips_cancelled_heads () =
   check Alcotest.int "survivor fired" 1 !fired;
   check Alcotest.int "clock at survivor" 3 (Engine.now e);
   check Alcotest.int "pending drained" 0 (Engine.pending_events e);
-  check (Alcotest.option Alcotest.int) "no more events" None (Engine.next_due e)
+  check Alcotest.int "no more events" max_int (Engine.next_due e)
 
 let test_engine_determinism () =
   let trace seed =
@@ -516,7 +516,7 @@ let run_program p =
     let n = List.length m.events in
     if Engine.pending_events e <> n then
       fail "pending_events %d, model %d" (Engine.pending_events e) n;
-    if Engine.next_due e <> Option.map (fun (t, _, _) -> t) (head ()) then
+    if Engine.next_due e <> Option.fold ~none:max_int ~some:(fun (t, _, _) -> t) (head ()) then
       fail "next_due differs from the model";
     Array.iteri
       (fun i s ->

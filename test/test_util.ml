@@ -419,7 +419,7 @@ let test_stats_add_allocates_nothing () =
          done));
   check Alcotest.int "every add kept" 2_000 (Ba_util.Stats.count s)
 
-(* A summary sorts in a scratch column it keeps, so once that has grown
+(* A summary selects in a scratch column it keeps, so once that has grown
    to the longest column summarised it allocates its result only: the
    record and its boxed floats, the same at 10 samples as at 10,000. *)
 let test_stats_summary_allocates_nothing () =
@@ -442,6 +442,40 @@ let test_stats_summary_allocates_nothing () =
   check (Alcotest.array (Alcotest.float 0.)) "the column keeps its order"
     (Array.init 10 (fun i -> float_of_int (((i + 1) * 7919) mod 1009)))
     (Ba_util.Stats.to_array short)
+
+(* Selection places the order statistics a full sort would: p50, p90,
+   p99 and any percentile read bit-identical to linear interpolation
+   over [Array.sort compare], on columns of few distinct values (long
+   runs of equal samples) as well as many. *)
+let stats_select_equals_sort =
+  QCheck.Test.make ~name:"summary and percentile equal a full sort's" ~count:500
+    QCheck.(
+      triple
+        (list_of_size Gen.(int_range 1 300) (int_bound 1_000_000))
+        (int_range 1 1_000_000) (float_bound_inclusive 1.))
+    (fun (xs, spread, q) ->
+      let xs = List.map (fun x -> x mod spread) xs in
+      let s = Ba_util.Stats.create 0 in
+      List.iter (Ba_util.Stats.add s) xs;
+      let sorted = Array.of_list (List.map float_of_int xs) in
+      Array.sort compare sorted;
+      let n = Array.length sorted in
+      let by_sort q =
+        if n = 1 then sorted.(0)
+        else
+          let pos = q *. float_of_int (n - 1) in
+          let lo = int_of_float (Float.floor pos) in
+          let hi = min (n - 1) (lo + 1) in
+          let frac = pos -. float_of_int lo in
+          (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
+      in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let sum = Ba_util.Stats.summary s in
+      same sum.Ba_util.Stats.p50 (by_sort 0.5)
+      && same sum.Ba_util.Stats.p90 (by_sort 0.9)
+      && same sum.Ba_util.Stats.p99 (by_sort 0.99)
+      && same (Ba_util.Stats.percentile s q) (by_sort q)
+      && Ba_util.Stats.to_array s = Array.of_list (List.map float_of_int xs))
 
 (* A column sized to its samples is handed over without a copy, and the
    array handed over is never written again: the next add moves the
@@ -745,14 +779,18 @@ let prop_qsketch_merge_associative =
              <= eps +. 1e-9)
            [ 0.5; 0.9; 0.99 ])
 
-(* The int entry point is the float one with the conversion inside:
-   the same centroids, quantiles and extremes, bit for bit, on a stream
-   long enough to collapse; and neither entry allocates. *)
+(* The int entry points are the float one with the conversion (and the
+   scaling) inside: the same centroids, quantiles and extremes, bit for
+   bit, on a stream long enough to collapse; and no entry allocates. *)
 let test_qsketch_int_entry () =
   let xs = Array.init 10_000 (fun i -> ((i * 7919) mod 1009) - 300) in
   let by_int = Qsketch.create () and by_float = Qsketch.create () in
+  let scaled = Qsketch.create () and by_product = Qsketch.create () in
+  let ms = 0.2 in
   Array.iter (Qsketch.add_int by_int) xs;
   Array.iter (fun x -> Qsketch.add by_float (float_of_int x)) xs;
+  Array.iter (fun x -> Qsketch.add_scaled scaled x ms) xs;
+  Array.iter (fun x -> Qsketch.add by_product (float_of_int x *. ms)) xs;
   let view s =
     ( (Qsketch.count s, Qsketch.nodes s),
       Qsketch.min s :: Qsketch.max s
@@ -761,11 +799,19 @@ let test_qsketch_int_entry () =
   check
     Alcotest.(pair (pair int int) (list (float 0.)))
     "same sketch" (view by_float) (view by_int);
+  check
+    Alcotest.(pair (pair int int) (list (float 0.)))
+    "same scaled sketch" (view by_product) (view scaled);
   let s = Qsketch.create () in
   check Alcotest.int "add_int allocates nothing" 0
     (minor_words (fun () ->
          for i = 1 to 1_000 do
            Qsketch.add_int s ((i * 31) mod 977)
+         done));
+  check Alcotest.int "add_scaled allocates nothing" 0
+    (minor_words (fun () ->
+         for i = 1 to 1_000 do
+           Qsketch.add_scaled s ((i * 31) mod 977) ms
          done));
   let x = 3.5 in
   check Alcotest.int "add allocates nothing" 0
@@ -841,6 +887,7 @@ let () =
           Alcotest.test_case "column sized 0 accepts adds" `Quick test_stats_sized_zero;
           Alcotest.test_case "summary allocates nothing after warm-up" `Quick
             test_stats_summary_allocates_nothing;
+          qcheck stats_select_equals_sort;
           Alcotest.test_case "a full column's to_array is the column" `Quick
             test_stats_full_column_handed_over;
         ] );
