@@ -22,7 +22,20 @@ type verdict = Fault_plan.verdict =
    to [send] is released exactly once, when it leaves the system
    (delivered, dropped, tail-dropped, or discarded in an outage) —
    except duplicated messages, whose copies alias one value and are
-   left to the GC. *)
+   left to the GC.
+
+   The int columns (and the bottleneck ring) come from
+   {!Ba_util.Column_pool} and go back to it when outgrown or at
+   [retire]. A retired link's free stack holds the sentinel
+   [retired_free], which [send_tagged] refuses. The message column
+   grows by appending itself to itself: its new free entries alias
+   messages already in it, so the copy neither forces a minor collection
+   (as [Array.make] does with a young filler over 256 words) nor makes
+   anything reachable that was not. *)
+
+module Columns = Ba_util.Column_pool
+
+let retired_free = -2
 
 type 'a t = {
   engine : Ba_sim.Engine.t;
@@ -35,16 +48,16 @@ type 'a t = {
   rng : Ba_util.Rng.t;
   mutable fault : ('a -> verdict) option;
   mutable plan : Fault_plan.instance option;
-  deliver_ev : Ba_sim.Engine.handler;  (* propagation arrival *)
-  serve_ev : Ba_sim.Engine.handler;  (* bottleneck service completion *)
+  mutable deliver_ev : Ba_sim.Engine.handler;  (* propagation arrival *)
+  mutable serve_ev : Ba_sim.Engine.handler;  (* bottleneck service completion *)
   (* arena of in-transit messages *)
   mutable ent_msg : 'a array;  (* [||] until the first send supplies a filler *)
   mutable ent_tag : int array;  (* [tag lsl 1 lor 1] when the entry is releasable *)
   mutable ent_idx : int array;  (* send index; for a free entry, the next free id or -1 *)
   mutable ent_extra : int array;
-  mutable ent_free : int;  (* top of the free stack, -1 when empty *)
+  mutable ent_free : int;  (* top of the free stack, -1 when empty, [retired_free] once retired *)
   (* bottleneck FIFO: ring of arena ids, capacity fixed at create *)
-  q_buf : int array;
+  mutable q_buf : int array;
   mutable q_head : int;
   mutable q_len : int;
   mutable serving : bool;
@@ -77,44 +90,50 @@ let rec create_tagged : 'a.
   | Some (service, capacity) when service <= 0 || capacity <= 0 ->
       invalid_arg "Link.create: bottleneck needs positive service time and capacity"
   | Some _ | None -> ());
-  let rec t =
-    lazy
-      {
-        engine;
-        loss;
-        delay;
-        bottleneck;
-        deliver;
-        corrupt;
-        release;
-        rng = Ba_util.Rng.split (Ba_sim.Engine.rng engine);
-        fault = None;
-        plan = None;
-        deliver_ev = Ba_sim.Engine.handler engine (fun id -> on_arrival (Lazy.force t) id);
-        serve_ev = Ba_sim.Engine.handler engine (fun id -> on_served (Lazy.force t) id);
-        ent_msg = [||];
-        ent_tag = [||];
-        ent_idx = [||];
-        ent_extra = [||];
-        ent_free = -1;
-        q_buf = (match bottleneck with Some (_, cap) -> Array.make cap 0 | None -> [||]);
-        q_head = 0;
-        q_len = 0;
-        serving = false;
-        in_flight = 0;
-        sent = 0;
-        delivered = 0;
-        dropped = 0;
-        queue_dropped = 0;
-        reordered = 0;
-        duplicated = 0;
-        corrupted = 0;
-        outage_drops = 0;
-        send_index = 0;
-        max_delivered_index = -1;
-      }
+  let rng = Ba_util.Rng.split (Ba_sim.Engine.rng engine) in
+  let q_buf = match bottleneck with Some (_, cap) -> Columns.take cap 0 | None -> [||] in
+  (* The handlers' closures point at the record itself, not at a lazy
+     knot, so what a link reaches does not depend on whether a
+     collection has short-circuited a forwarding block yet. *)
+  let t =
+    {
+      engine;
+      loss;
+      delay;
+      bottleneck;
+      deliver;
+      corrupt;
+      release;
+      rng;
+      fault = None;
+      plan = None;
+      deliver_ev = Ba_sim.Engine.no_handler;
+      serve_ev = Ba_sim.Engine.no_handler;
+      ent_msg = [||];
+      ent_tag = [||];
+      ent_idx = [||];
+      ent_extra = [||];
+      ent_free = -1;
+      q_buf;
+      q_head = 0;
+      q_len = 0;
+      serving = false;
+      in_flight = 0;
+      sent = 0;
+      delivered = 0;
+      dropped = 0;
+      queue_dropped = 0;
+      reordered = 0;
+      duplicated = 0;
+      corrupted = 0;
+      outage_drops = 0;
+      send_index = 0;
+      max_delivered_index = -1;
+    }
   in
-  Lazy.force t
+  t.deliver_ev <- Ba_sim.Engine.handler engine (fun id -> on_arrival t id);
+  t.serve_ev <- Ba_sim.Engine.handler engine (fun id -> on_served t id);
+  t
 
 (* ---- arena ---- *)
 
@@ -123,19 +142,16 @@ and alloc_entry : 'a. 'a t -> 'a -> int -> int -> int -> bool -> int =
   if t.ent_free < 0 then begin
     let old = Array.length t.ent_msg in
     let cap = if old = 0 then 16 else 2 * old in
-    let m = Array.make cap msg in
-    Array.blit t.ent_msg 0 m 0 old;
-    t.ent_msg <- m;
-    let tg = Array.make cap 0 in
-    Array.blit t.ent_tag 0 tg 0 old;
-    t.ent_tag <- tg;
+    t.ent_msg <- (if old = 0 then Array.make cap msg else Array.append t.ent_msg t.ent_msg);
+    t.ent_tag <- Columns.grow t.ent_tag cap 0;
     (* The new entries are free, the lowest on top. *)
-    let ix = Array.init cap (fun i -> if i < old then t.ent_idx.(i) else i + 1) in
+    let ix = Columns.grow t.ent_idx cap 0 in
+    for i = old to cap - 2 do
+      ix.(i) <- i + 1
+    done;
     ix.(cap - 1) <- -1;
     t.ent_idx <- ix;
-    let ex = Array.make cap 0 in
-    Array.blit t.ent_extra 0 ex 0 old;
-    t.ent_extra <- ex;
+    t.ent_extra <- Columns.grow t.ent_extra cap 0;
     t.ent_free <- old
   end;
   let id = t.ent_free in
@@ -218,6 +234,7 @@ let admit t msg tag index extra rel =
 
 let send_tagged t tag msg =
   if tag < 0 || tag > max_int asr 1 then invalid_arg "Link.send_tagged: tag out of range";
+  if t.ent_free = retired_free then invalid_arg "Link.send_tagged: link used after retire";
   t.sent <- t.sent + 1;
   let index = t.send_index in
   t.send_index <- t.send_index + 1;
@@ -290,3 +307,13 @@ let counters t =
   Counters.add b Outage_drops t.outage_drops;
   b
 
+let retire t =
+  if t.ent_free <> retired_free then begin
+    List.iter Columns.give [ t.ent_tag; t.ent_idx; t.ent_extra; t.q_buf ];
+    t.ent_msg <- [||];
+    t.ent_tag <- [||];
+    t.ent_idx <- [||];
+    t.ent_extra <- [||];
+    t.q_buf <- [||];
+    t.ent_free <- retired_free
+  end

@@ -116,3 +116,12 @@ val counters : 'a t -> Ba_util.Counters.t
     fault-verdict drops), [Queue_dropped], [Reordered] (arrivals
     overtaken by a later-sent message), [Duplicated] (extra copies),
     [Mangled] and [Outage_drops]. *)
+
+val retire : 'a t -> unit
+(** Give the link's int columns (its in-transit arena and its
+    bottleneck ring) back to {!Ba_util.Column_pool}, for the next link
+    to take. Call it once nothing will send on the link again and its
+    engine will fire none of its events: a later {!send_tagged} (or
+    {!send}) raises [Invalid_argument] instead of writing into a column
+    another link may now own. Its counters still answer. A second retire
+    does nothing. *)

@@ -17,6 +17,7 @@ module Link = Ba_channel.Link
 module Stats = Ba_util.Stats
 module Qsketch = Ba_util.Qsketch
 module Counters = Ba_util.Counters
+module Columns = Ba_util.Column_pool
 
 type spec = {
   protocol : Protocol.t;
@@ -171,8 +172,8 @@ type lease = {
   barrier : int;
   base_rate : int;
   qcap : int;
-  mutable frames : Wire.data array;  (* [||] until the first offer supplies a filler *)
-  tags : int array;
+  mutable frames : Wire.data array;  (* [||] until the first offer *)
+  mutable tags : int array;
   mutable head : int;
   mutable tail : int;
   mutable interval : int;
@@ -193,7 +194,7 @@ let make_lease engine link ~svc ~barrier ~qcap ~base_rate =
       base_rate;
       qcap;
       frames = [||];
-      tags = Array.make qcap 0;
+      tags = Columns.take qcap 0;
       head = 0;
       tail = 0;
       interval = max svc (barrier / max 1 base_rate);
@@ -220,7 +221,7 @@ let lease_offer l tag d =
     Wire.release_data d
   end
   else begin
-    if Array.length l.frames = 0 then l.frames <- Array.make l.qcap d;
+    if Array.length l.frames = 0 then l.frames <- Columns.blank l.qcap;
     let k = l.tail mod l.qcap in
     l.frames.(k) <- d;
     l.tags.(k) <- tag;
@@ -257,8 +258,8 @@ let reconcile_leases leases =
 
 (* The endpoints of every flow speaking one protocol, by slot, packed
    with the protocol's module: a dispatch unpacks the group and calls
-   [P] directly, so it allocates nothing. The arrays are sized by the
-   first endpoint built, which supplies the filler. *)
+   [P] directly, so it allocates nothing. The arrays are sized when the
+   first endpoint is built; every slot is built before any is read. *)
 type group =
   | Group : {
       p : (module Protocol.S with type sender = 's and type receiver = 'r);
@@ -277,8 +278,8 @@ let build (Group g) k ~count ~clamp engine config ~tx ~next_payload ~ack_tx ~del
   let s = P.create_sender engine config ~tx ~next_payload in
   let r = P.create_receiver engine config ~tx:ack_tx ~deliver in
   if Array.length g.senders = 0 then begin
-    g.senders <- Array.make count s;
-    g.receivers <- Array.make count r
+    g.senders <- Columns.blank count;
+    g.receivers <- Columns.blank count
   end;
   g.senders.(k) <- s;
   g.receivers.(k) <- r;
@@ -314,17 +315,17 @@ type t = {
   clamp : int option;
   deadline : int;
   wseed : int -> int;  (* workload seed of flow i *)
-  msg_base : int array;  (* flow i's messages are [msg_base.(i), msg_base.(i+1)) cell-wide *)
-  ring_base : int array;  (* flow i owns ring slots [ring_base.(i), ring_base.(i+1)) *)
-  st : int array;
-  pull_tick : int array;  (* ring slot's pull tick, complemented once the message is sent *)
+  mutable msg_base : int array;  (* flow i's messages are [msg_base.(i), msg_base.(i+1)) cell-wide *)
+  mutable ring_base : int array;  (* flow i owns ring slots [ring_base.(i), ring_base.(i+1)); may be [msg_base] *)
+  mutable st : int array;  (* empty once retired *)
+  mutable pull_tick : int array;  (* ring slot's pull tick, complemented once the message is sent *)
   pulled : string array;  (* ring slot's payload from pull to first delivery, else "" *)
   spill : (int, int * string) Hashtbl.t;  (* message -> pull that lapped its ring undelivered *)
   mutable spilled : int;  (* pulls ever moved to [spill] *)
   sketch : Qsketch.t option;  (* every latency, in delivery order *)
   latency : Stats.t option array;  (* without a sketch: flow's latencies, from its first delivery *)
   group : group array;  (* flow i's protocol group ... *)
-  gslot : int array;  (* ... and its slot there *)
+  mutable gslot : int array;  (* ... and its slot there *)
   pending : (int, int list) Hashtbl.t;  (* flow's restarts not yet followed by progress *)
   resync : (int, Stats.t) Hashtbl.t;  (* per-flow restart recovery times *)
   dogs : Watchdog.t array;
@@ -635,7 +636,7 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
   let specs = Array.of_list admitted in
   Option.iter (fun c -> Array.iteri (fun i s -> specs.(i) <- clamp_rx c s) specs) clamp;
   let n = Array.length specs in
-  let msg_base = Array.make (n + 1) 0 in
+  let msg_base = Columns.take (n + 1) 0 in
   Array.iteri (fun i s -> msg_base.(i + 1) <- msg_base.(i) + s.messages) specs;
   (* Two windows of flight per flow cover every registry protocol's
      band. When every ring spans its whole transfer (short flows, as in
@@ -644,7 +645,7 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
   let ring_base =
     if Array.for_all (fun s -> ring_cap s = s.messages) specs then msg_base
     else begin
-      let b = Array.make (n + 1) 0 in
+      let b = Columns.take (n + 1) 0 in
       Array.iteri (fun i s -> b.(i + 1) <- b.(i) + ring_cap s) specs;
       b
     end
@@ -683,29 +684,30 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
      name run on the first one's module; groups and slots are numbered
      in spec order. *)
   let names = Hashtbl.create 4 and protos = ref [] in
-  let group_of =
-    Array.map
-      (fun s ->
-        let (module P : Protocol.S) = s.protocol in
-        match Hashtbl.find_opt names P.name with
+  let group_of = Columns.take n 0 in
+  Array.iteri
+    (fun i s ->
+      let (module P : Protocol.S) = s.protocol in
+      group_of.(i) <-
+        (match Hashtbl.find_opt names P.name with
         | Some g -> g
         | None ->
             let g = Hashtbl.length names in
             Hashtbl.add names P.name g;
             protos := group s.protocol :: !protos;
-            g)
-      specs
-  in
+            g))
+    specs;
   let counts = Array.make (List.length !protos) 0 in
-  let gslot =
-    Array.map
-      (fun g ->
-        counts.(g) <- counts.(g) + 1;
-        counts.(g) - 1)
-      group_of
-  in
+  let gslot = Columns.take n 0 in
+  Array.iteri
+    (fun i g ->
+      gslot.(i) <- counts.(g);
+      counts.(g) <- counts.(g) + 1)
+    group_of;
   let groups = Array.of_list (List.rev !protos) in
-  let st = Array.make (n * stride) 0 in
+  let group = Columns.blank n in
+  Array.iteri (fun i g -> group.(i) <- groups.(g)) group_of;
+  let st = Columns.take (n * stride) 0 in
   for i = 0 to n - 1 do
     st.((i * stride) + k_completed_at) <- -1;
     st.((i * stride) + k_departed_at) <- -1
@@ -724,18 +726,25 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
       msg_base;
       ring_base;
       st;
-      pull_tick = Array.make ring_slots 0;
+      pull_tick = Columns.take ring_slots 0;
       pulled = Array.make ring_slots "";
       spill = Hashtbl.create 1;
       spilled = 0;
       sketch = (if sketch then Some (Qsketch.create ()) else None);
       latency = (if sketch then [||] else Array.make n None);
-      group = Array.map (fun g -> groups.(g)) group_of;
+      group;
       gslot;
       pending = Hashtbl.create 1;
       resync = Hashtbl.create 1;
       dogs =
-        (match watchdog with None -> [||] | Some w -> Array.init n (fun _ -> Watchdog.create w));
+        (match watchdog with
+        | None -> [||]
+        | Some w ->
+            let dogs = Columns.blank n in
+            for i = 0 to n - 1 do
+              dogs.(i) <- Watchdog.create w
+            done;
+            dogs);
       remaining = n;
       done_at = -1;
       mem_peak = 0;
@@ -756,6 +765,7 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
       build c.group.(i) c.gslot.(i) ~count:counts.(group_of.(i)) ~clamp engine s.config ~tx
         ~next_payload:pull ~ack_tx ~deliver:arrive)
     specs;
+  Columns.give_outgrown group_of;
   (* Departures: at stop_at the flow is closed whether or not it
      finished; its frames are gated off the links, nothing reaches it
      any more and its buffered bytes stop counting. *)
@@ -798,9 +808,12 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
   | None, false -> ());
   c
 
+let retired c = Array.length c.st = 0
+
 (* Surge flows exist from tick 0 — creation order fixes determinism —
    but only offer traffic from their start tick. *)
 let start c =
+  if retired c then invalid_arg "Cell.start: cell used after retire";
   Array.iteri
     (fun i s ->
       let pump () =
@@ -809,6 +822,34 @@ let start c =
       in
       if s.start_at = 0 then pump () else Engine.schedule_at c.engine ~at:s.start_at pump)
     c.specs
+
+(* ---- retirement ----
+
+   A retired cell's int columns, its engine's and its links' go back to
+   the column pool, for the next cell of the same shape. Every one is
+   replaced by an empty array, so a later use fails on an empty column
+   instead of writing into one another cell now owns. [ring_base] may
+   be [msg_base] itself, which must go back once. *)
+
+let retire c =
+  if not (retired c) then begin
+    Engine.retire c.engine;
+    Link.retire c.data_link;
+    Link.retire c.ack_link;
+    Option.iter
+      (fun l ->
+        Columns.give l.tags;
+        l.tags <- [||];
+        l.frames <- [||])
+      c.data_lease;
+    if c.ring_base != c.msg_base then Columns.give c.ring_base;
+    List.iter Columns.give [ c.msg_base; c.st; c.pull_tick; c.gslot ];
+    c.msg_base <- [||];
+    c.ring_base <- [||];
+    c.st <- [||];
+    c.pull_tick <- [||];
+    c.gslot <- [||]
+  end
 
 (* ---- verdicts ---- *)
 

@@ -153,7 +153,18 @@ val create :
 
 val start : t -> unit
 (** Pump every flow's sender, in spec order; surge flows are pumped at
-    their [start_at]. *)
+    their [start_at]. Raises [Invalid_argument] on a retired cell. *)
+
+val retire : t -> unit
+(** Give the cell's int columns, and its engine's and links' (see
+    {!Ba_sim.Engine.retire} and {!Ba_channel.Link.retire}), back to
+    {!Ba_util.Column_pool}, so the next cell of the same shape takes
+    them instead of allocating. A runner calls it once it has read
+    everything it needs: results, counters, link counters, the sketch.
+    Afterwards {!start}, scheduling on {!engine} and sending on either
+    link raise [Invalid_argument], and so does reading a flow's
+    counters; {!flows} and {!spilled} still answer. A second retire
+    does nothing. *)
 
 val schedule_crashes : t -> int -> Crash_plan.t -> unit
 (** [schedule_crashes c i plan] schedules each event's crash of flow

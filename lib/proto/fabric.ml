@@ -69,12 +69,16 @@ let run ?(seed = 42) ?(data_loss = 0.) ?(ack_loss = 0.)
   let totals b =
     { sent = Ba_util.Counters.get b Offered; queue_dropped = Ba_util.Counters.get b Queue_dropped }
   in
+  (* A scheduled departure is a normal end of life: completion means
+     every flow either finished or left on schedule. *)
+  let completed =
+    List.for_all Fun.id (List.mapi (fun i r -> Cell.departed cell i || r.Flow.completed) flows)
+  in
+  (* Every flow's verdict is read, so the cell's columns can go. *)
+  Cell.retire cell;
   {
     ticks;
-    (* A scheduled departure is a normal end of life: completion means
-       every flow either finished or left on schedule. *)
-    completed =
-      List.for_all Fun.id (List.mapi (fun i r -> Cell.departed cell i || r.Flow.completed) flows);
+    completed;
     flows;
     aggregate_goodput =
       (if ticks = 0 then 0.

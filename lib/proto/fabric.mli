@@ -147,7 +147,12 @@ val run :
     admitted) — the hook for scheduling process faults against a
     {e single} flow ({!Cell.schedule_crashes}) to check that one
     endpoint's crash cannot stall or corrupt the other [n-1] flows
-    sharing the links.
+    sharing the links. The cell lives only as long as the run: [run]
+    retires it ({!Cell.retire}) before it returns, so a caller that
+    keeps the cell or its engine may read {!Cell.flows}, {!Cell.spilled}
+    and the links' counters afterwards, but scheduling on the engine,
+    sending on a link or reading a flow's counters raises
+    [Invalid_argument].
 
     [data_bottleneck] is the [(service_time, queue_capacity)] pair of
     the shared data link — the contended resource. Without it the link

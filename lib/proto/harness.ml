@@ -24,14 +24,18 @@ let run (module P : Protocol.S) ?(seed = 42) ?(messages = 1000) ?(payload_size =
   Ba_sim.Engine.run ~until:(Option.value deadline ~default:(Cell.deadline cell)) (Cell.engine cell);
   let d = Ba_channel.Link.counters (Cell.data_link cell)
   and a = Ba_channel.Link.counters (Cell.ack_link cell) in
-  {
-    (Cell.flow_result cell 0) with
-    data_dropped = Ba_util.Counters.get d Lost;
-    data_queue_dropped = Ba_util.Counters.get d Queue_dropped;
-    data_reordered = Ba_util.Counters.get d Reordered;
-    data_outage_drops = Ba_util.Counters.get d Outage_drops;
-    acks_dropped = Ba_util.Counters.get a Lost;
-  }
+  let r =
+    {
+      (Cell.flow_result cell 0) with
+      data_dropped = Ba_util.Counters.get d Lost;
+      data_queue_dropped = Ba_util.Counters.get d Queue_dropped;
+      data_reordered = Ba_util.Counters.get d Reordered;
+      data_outage_drops = Ba_util.Counters.get d Outage_drops;
+      acks_dropped = Ba_util.Counters.get a Lost;
+    }
+  in
+  Cell.retire cell;
+  r
 
 let correct r = r.completed && r.duplicates = 0 && r.misordered = 0 && r.corrupted = 0
 

@@ -58,7 +58,12 @@ val run :
     [on_setup] sees the cell once its flow is built, before any traffic
     is pumped, so a caller can install scripted faults through
     {!Cell.engine}, {!Cell.data_link} and {!Cell.ack_link} (e.g. "drop
-    exactly the acknowledgment covering block k"). *)
+    exactly the acknowledgment covering block k"). The cell lives only
+    as long as the run: [run] retires it ({!Cell.retire}) before it
+    returns, handing its columns to the next run, so a caller that
+    keeps it may read {!Cell.flows}, {!Cell.spilled} and the links'
+    counters afterwards, but scheduling on its engine, sending on a
+    link or reading the flow's counters raises [Invalid_argument]. *)
 
 val pp_result : Format.formatter -> result -> unit
 (** One line. Recovery metrics, [pressure-drops=] and [queue-drops=]

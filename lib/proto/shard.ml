@@ -88,7 +88,9 @@ let run_batch ~jobs ~barrier ~horizon cells =
       state;
     }
   in
-  { epochs; rebalances = !rebalances; parts = List.map part cells }
+  let parts = List.map part cells in
+  List.iter (fun (c, _) -> Cell.retire c) cells;
+  { epochs; rebalances = !rebalances; parts }
 
 let run ?(seed = 42) ?jobs ?(cell = 1024) ?(barrier = 1000) ?(data_loss = 0.)
     ?(ack_loss = 0.) ?(data_delay = Ba_channel.Dist.Uniform (40, 60))

@@ -13,7 +13,12 @@
    slot's entry goes through [place], which records the entry's
    position in [sl_pos], so a slot removes or re-keys its own entry in
    place: nothing dead is ever left in the heap, and arming or firing a
-   slot or handler event writes no pointer. *)
+   slot or handler event writes no pointer.
+
+   The int columns come from {!Ba_util.Column_pool} and go back to it
+   when they are outgrown or the engine is retired. A retired engine's
+   columns are all empty: its heap is the only one of length 0, so every
+   scheduling call, which must grow a full heap first, fails there. *)
 
 let tag_bits = 16
 let tag_mask = (1 lsl tag_bits) - 1
@@ -46,18 +51,21 @@ type slot = int
 type handler = int
 
 let no_slot = -1
+let no_handler = -1
 
 let ignore_unit () = ()
 let ignore_int (_ : int) = ()
+
+module Columns = Ba_util.Column_pool
 
 let create ?(seed = 1) () =
   {
     clock = 0;
     rng = Ba_util.Rng.create seed;
     stopping = false;
-    hp_time = Array.make 16 0;
-    hp_stamp = Array.make 16 0;
-    hp_key = Array.make 16 0;
+    hp_time = Columns.take 16 0;
+    hp_stamp = Columns.take 16 0;
+    hp_key = Columns.take 16 0;
     hp_len = 0;
     stamp = 0;
     sl_fn = [||];
@@ -72,6 +80,9 @@ let create ?(seed = 1) () =
 
 let now t = t.clock
 let rng t = t.rng
+
+let retired t = Array.length t.hp_time = 0
+let check_live t who = if retired t then invalid_arg (who ^ ": engine used after retire")
 
 (* A copy of [a] with room for [cap] entries, the new ones [fill]. *)
 let grown a cap fill =
@@ -129,9 +140,10 @@ let settle t i time stamp key =
 let push t time stamp key =
   let i = t.hp_len in
   if i = Array.length t.hp_time then begin
-    t.hp_time <- grown t.hp_time (2 * i) 0;
-    t.hp_stamp <- grown t.hp_stamp (2 * i) 0;
-    t.hp_key <- grown t.hp_key (2 * i) 0
+    check_live t "Engine.schedule";
+    t.hp_time <- Columns.grow t.hp_time (2 * i) 0;
+    t.hp_stamp <- Columns.grow t.hp_stamp (2 * i) 0;
+    t.hp_key <- Columns.grow t.hp_key (2 * i) 0
   end;
   t.hp_len <- i + 1;
   sift_up t i time stamp key
@@ -147,10 +159,16 @@ let remove t i =
 let schedule_at t ~at action =
   if at < t.clock then invalid_arg "Engine.schedule_at: time in the past";
   if t.cl_free_len = 0 then begin
+    check_live t "Engine.schedule_at";
     let old = Array.length t.cl_fn in
     let cap = max 4 (2 * old) in
     t.cl_fn <- grown t.cl_fn cap ignore_unit;
-    t.cl_free <- Array.init cap (fun i -> cap - 1 - i);
+    Columns.give_outgrown t.cl_free;
+    let free = Columns.take cap 0 in
+    for i = 0 to cap - 1 do
+      free.(i) <- cap - 1 - i
+    done;
+    t.cl_free <- free;
     t.cl_free_len <- cap - old
   end;
   t.cl_free_len <- t.cl_free_len - 1;
@@ -164,6 +182,7 @@ let schedule t ~delay action =
 
 let handler t fn =
   let tag = t.hd_len in
+  check_live t "Engine.handler";
   if tag > tag_mask then invalid_arg "Engine.handler: too many handlers";
   if tag = Array.length t.hd_fn then t.hd_fn <- grown t.hd_fn (2 * tag) ignore_int;
   t.hd_fn.(tag) <- fn;
@@ -182,9 +201,10 @@ let pending_events t = t.hp_len
 let slot_create t callback =
   let id = t.sl_len in
   if id = Array.length t.sl_fn then begin
+    check_live t "Engine.slot_create";
     let cap = max 4 (2 * id) in
     t.sl_fn <- grown t.sl_fn cap ignore_unit;
-    t.sl_pos <- grown t.sl_pos cap (-1)
+    t.sl_pos <- Columns.grow t.sl_pos cap (-1)
   end;
   t.sl_fn.(id) <- callback;
   t.sl_len <- id + 1;
@@ -258,3 +278,18 @@ let run ?until ?max_events t =
   match until with
   | Some horizon -> if fire_until t ~horizon ~budget then t.clock <- max t.clock horizon
   | None -> ignore (fire_until t ~horizon:max_int ~budget)
+
+let retire t =
+  if not (retired t) then begin
+    List.iter Columns.give [ t.hp_time; t.hp_stamp; t.hp_key; t.sl_pos; t.cl_free ];
+    t.hp_time <- [||];
+    t.hp_stamp <- [||];
+    t.hp_key <- [||];
+    t.hp_len <- 0;
+    t.sl_fn <- [||];
+    t.sl_pos <- [||];
+    t.sl_len <- 0;
+    t.cl_fn <- [||];
+    t.cl_free <- [||];
+    t.cl_free_len <- 0
+  end

@@ -39,6 +39,12 @@ val handler : t -> (int -> unit) -> handler
 (** [handler t f] registers [f] for {!schedule_fn}. Register once per
     callback (the link registers its two at creation), not per event. *)
 
+val no_handler : handler
+(** A value {!handler} never returns: the placeholder of a record field
+    that holds a handler whose callback needs the record itself, set
+    right after the record is built. Passing it to {!schedule_fn} is a
+    bug. *)
+
 val schedule_fn : t -> delay:int -> handler -> int -> unit
 (** [schedule_fn t ~delay h arg] runs [h]'s callback on [arg] at
     [now t + delay]: fire-and-forget, not cancellable, and
@@ -112,3 +118,12 @@ val run_until : t -> int -> unit
 
 val stop : t -> unit
 (** Make the current [run] return after the event in progress. *)
+
+val retire : t -> unit
+(** Give the engine's int columns (heap and slot positions) back to
+    {!Ba_util.Column_pool}, for the next engine to take. Call it once
+    nothing will read or schedule on the engine again: afterwards the
+    engine is empty, {!now} still answers, and scheduling, arming a slot
+    or creating a slot or handler raises [Invalid_argument] instead of
+    writing into a column another engine may now own. A second retire
+    does nothing. *)

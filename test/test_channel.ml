@@ -363,6 +363,39 @@ let test_link_plan_allocates_nothing () =
     (count l Lost > 0 && count l Duplicated > 0 && count l Reordered > 0);
   check Alcotest.int "1,000 sends under a plan: 0 words" 0 (int_of_float words)
 
+(* Growing the arena copies its message column without a young filler.
+   [Array.make] of more than 256 words from a young value forces a minor
+   collection first; appending the column to itself does not. The
+   257th frame in flight, freshly allocated, grows the arena (and the
+   engine's event heap) from 256 entries to 512. *)
+let test_link_arena_growth_no_minor () =
+  let e = Engine.create () in
+  let l = Link.create_tagged e ~delay:(Dist.Constant 5) ~deliver:(fun _ _ -> ()) () in
+  for i = 0 to 255 do
+    Link.send_tagged l 0 (ref i)
+  done;
+  check Alcotest.int "256 in flight" 256 (Link.in_flight l);
+  Gc.minor ();
+  let frame = ref 256 in
+  let m0 = (Gc.quick_stat ()).Gc.minor_collections in
+  Link.send_tagged l 0 frame;
+  let m1 = (Gc.quick_stat ()).Gc.minor_collections in
+  check Alcotest.int "257 in flight" 257 (Link.in_flight l);
+  check Alcotest.int "growing the arena from 256 to 512 entries: 0 minor collections" 0 (m1 - m0)
+
+(* A retired link refuses to send: its columns may belong to another
+   link by now. Its counters still answer. *)
+let test_link_retired_refuses () =
+  let e = Engine.create () in
+  let l = Link.create e ~delay:(Dist.Constant 5) ~deliver:ignore () in
+  Link.send l 1;
+  Engine.run e;
+  Link.retire l;
+  Engine.retire e;
+  check Alcotest.int "counters answer" 1 (count l Passed);
+  Alcotest.check_raises "send after retire"
+    (Invalid_argument "Link.send_tagged: link used after retire") (fun () -> Link.send l 2)
+
 let test_link_corrupt_stats_and_mangling () =
   let e = Engine.create ~seed:22 () in
   let got = ref [] in
@@ -505,6 +538,9 @@ let () =
           Alcotest.test_case "bottleneck drains then idles" `Quick
             test_bottleneck_drains_then_idles;
           Alcotest.test_case "bottleneck validation" `Quick test_bottleneck_validation;
+          Alcotest.test_case "arena growth forces no minor collection" `Quick
+            test_link_arena_growth_no_minor;
+          Alcotest.test_case "retired link refuses to send" `Quick test_link_retired_refuses;
         ] );
       ( "fault_plan",
         [

@@ -676,6 +676,7 @@ let test_handshake_crash_before_any () =
    words across two full collections — the way [Shard] measures a flow. *)
 let live_bytes_per ~n make =
   let live () =
+    Ba_util.Column_pool.clear ();
     Gc.full_major ();
     (Gc.stat ()).Gc.live_words
   in
@@ -778,6 +779,7 @@ let test_pull_allocates_nothing () =
 let pair_live_bytes protocol ~messages =
   let module P = (val protocol : Ba_proto.Protocol.S) in
   let live () =
+    Ba_util.Column_pool.clear ();
     Gc.full_major ();
     (Gc.stat ()).Gc.live_words
   in

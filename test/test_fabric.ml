@@ -506,6 +506,7 @@ let test_spill_stays_empty () =
 let cell_bytes ~messages =
   let e = entry "blockack-multi" in
   let live () =
+    Ba_util.Column_pool.clear ();
     Gc.full_major ();
     (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
   in
@@ -534,6 +535,42 @@ let test_cell_state_flat () =
   if large > ceiling then
     Alcotest.failf "cell state %d B at 100k messages, want <= %d" large ceiling
 
+(* A runner retires its cell when it returns: the cell's columns go back
+   to the column pool for the next run. A caller that kept the cell from
+   [on_setup] or [on_flows] gets [Invalid_argument] for scheduling on
+   its engine, sending on its links or starting it, instead of writing
+   into a column another run may own; what it only reads ([flows],
+   [spilled], the links' counters) still answers. *)
+let test_retired_cell_refuses () =
+  let e = entry "blockack" in
+  let refuses what c =
+    let fails name f =
+      match f () with
+      | () -> Alcotest.failf "%s: %s on a retired cell did not raise" what name
+      | exception Invalid_argument _ -> ()
+    in
+    fails "Engine.schedule" (fun () -> Ba_sim.Engine.schedule (Cell.engine c) ~delay:0 ignore);
+    fails "Engine.slot_create" (fun () -> ignore (Ba_sim.Engine.slot_create (Cell.engine c) ignore));
+    fails "Link.send_tagged" (fun () ->
+        Ba_channel.Link.send_tagged (Cell.data_link c) 0 (Ba_proto.Wire.make_data ~seq:0 ~payload:"x"));
+    fails "Cell.start" (fun () -> Cell.start c);
+    fails "Cell.counters" (fun () -> ignore (Cell.counters c));
+    check Alcotest.int (what ^ ": flows still answers") 1 (Cell.flows c);
+    check Alcotest.int (what ^ ": spilled still answers") 0 (Cell.spilled c)
+  in
+  let kept = ref None in
+  let r = Harness.run e.Registry.protocol ~messages:20 ~on_setup:(fun c -> kept := Some c) () in
+  check Alcotest.bool "Harness.run completed" true r.Harness.completed;
+  refuses "Harness.run" (Option.get !kept);
+  kept := None;
+  let r =
+    Fabric.run
+      ~on_flows:(fun _ c -> kept := Some c)
+      [ Fabric.spec ~config:(Registry.config e ()) ~messages:20 e.Registry.protocol ]
+  in
+  check Alcotest.bool "Fabric.run completed" true r.Fabric.completed;
+  refuses "Fabric.run" (Option.get !kept)
+
 let () =
   Alcotest.run "fabric"
     [
@@ -549,6 +586,7 @@ let () =
           Alcotest.test_case "Jain's fairness index" `Quick test_jain;
           test_harness_is_one_flow_fabric;
           Alcotest.test_case "pinned capability digest" `Quick test_capability_digest;
+          Alcotest.test_case "a retired cell refuses use" `Quick test_retired_cell_refuses;
         ] );
       ( "accounting",
         [

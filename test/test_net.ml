@@ -577,6 +577,7 @@ let loopback_alloc_per_message () =
 let loopback_state_per_connection () =
   let ceiling = 16_000 in
   let live_bytes () =
+    Ba_util.Column_pool.clear ();
     Gc.full_major ();
     (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
   in
