@@ -8,7 +8,7 @@ type sender = {
   source : Ba_proto.Source.t;
       (* its one held position is in flight, awaiting its ack; the
          parity of its [base] is the bit *)
-  timer : Ba_sim.Engine.slot;
+  mutable timer : Ba_sim.Engine.slot;  (* [Engine.no_slot] until [create_sender] sets it *)
   mutable retransmissions : int;
 }
 
@@ -38,18 +38,12 @@ let on_timeout s =
 let create_sender engine config ~tx ~next_payload =
   Config.validate config;
   let source = Ba_proto.Source.create next_payload in
-  let rec s =
-    lazy
-      {
-        config;
-        engine;
-        tx;
-        source;
-        timer = Ba_sim.Engine.slot_create engine (fun () -> on_timeout (Lazy.force s));
-        retransmissions = 0;
-      }
-  in
-  Lazy.force s
+  let s = { config; engine; tx; source; timer = Ba_sim.Engine.no_slot; retransmissions = 0 } in
+  (* The timer's closure points at the sender itself, not at a lazy
+     knot, so what a sender reaches does not depend on whether a
+     collection has short-circuited a forwarding block yet. *)
+  s.timer <- Ba_sim.Engine.slot_create engine (fun () -> on_timeout s);
+  s
 
 let sender_on_ack s { Wire.lo; hi = _; _ } =
   if in_flight s && lo = bit s then begin

@@ -41,7 +41,7 @@ type 'a t = {
   engine : Ba_sim.Engine.t;
   loss : float;
   delay : Dist.t;
-  bottleneck : (int * int) option;  (* service time, queue capacity *)
+  mutable bottleneck : (int * int) option;  (* service time, queue capacity *)
   deliver : int -> 'a -> unit;  (* tag, message *)
   corrupt : ('a -> 'a) option;
   release : ('a -> unit) option;
@@ -291,8 +291,20 @@ let clear_fault t = t.fault <- None
 
 let set_plan t plan = t.plan <- Some (Fault_plan.instantiate plan ~rng:(Ba_util.Rng.split t.rng))
 
-let in_flight t = t.in_flight + t.q_len + if t.serving then 1 else 0
+let backlog t = t.q_len + if t.serving then 1 else 0
+let in_flight t = t.in_flight + backlog t
 let queue_length t = t.q_len
+
+(* Every service completion starts one propagation, and each propagating
+   message either is still in flight or has arrived. *)
+let served t = t.delivered + t.in_flight
+
+let set_service t service =
+  match t.bottleneck with
+  | Some (_, capacity) when service > 0 -> t.bottleneck <- Some (service, capacity)
+  | Some _ -> invalid_arg "Link.set_service: service time must be positive"
+  | None -> invalid_arg "Link.set_service: link has no bottleneck"
+
 let max_delay t = Dist.max_delay t.delay
 
 let counters t =

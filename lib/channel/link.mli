@@ -86,6 +86,22 @@ val create_tagged :
 val queue_length : 'a t -> int
 (** Messages waiting at the bottleneck (0 when none configured). *)
 
+val backlog : 'a t -> int
+(** Messages at the bottleneck: the waiting ones and the one in service
+    (0 when none configured). *)
+
+val served : 'a t -> int
+(** Service completions so far: every message that has left the
+    bottleneck for the propagation stage, each duplicate copy counted.
+    On a link without a bottleneck, every message admitted to
+    propagation. *)
+
+val set_service : 'a t -> int -> unit
+(** Re-time the bottleneck: every service that starts from now on takes
+    the given ticks; the one in progress keeps its time. The queue
+    capacity stays. Raises [Invalid_argument] on a link built without a
+    bottleneck, or on a non-positive time. *)
+
 val send : 'a t -> 'a -> unit
 
 val send_tagged : 'a t -> int -> 'a -> unit

@@ -46,6 +46,13 @@ let packer engine ~send =
    from one. *)
 let no_peer = Unix.ADDR_UNIX ""
 
+(* An endpoint's callbacks are built before the record they belong to:
+   they reach it through a ref set right after it is built, as a cell's
+   links do. A ref, not a lazy, so what an endpoint reaches does not
+   depend on whether a collection has short-circuited a forwarding
+   block yet. *)
+let tied knot = Option.get !knot
+
 module Server = struct
   type rx = Rx : (module Ba_proto.Protocol.S with type receiver = 'r) * 'r -> rx
 
@@ -91,58 +98,54 @@ module Server = struct
 
   let create ~engine ~protocol:(module P : Ba_proto.Protocol.S) ~config ~messages
       ~payload_size ~wseed ?restore ?on_deliver ?plan ?(impair_seed = 1) ~send () =
-    (* The shim's transmit and the protocol's callbacks reach the record
-       they are built into through [self ()]. *)
-    let rec knot =
-      lazy
-        (let self () = Lazy.force knot in
-         let shim =
-           Shim.create engine ?plan ~seed:impair_seed
-             ~transmit:(fun buf len ->
-               let t = self () in
-               if t.peer != no_peer then send t.peer buf len)
-             ()
-         in
-         let buf = Bytes.create Codec.ack_len in
-         let send_ack a = Shim.send shim buf (Codec.encode_ack buf a) in
-         (* The block acknowledgments emitted during one socket drain
-            leave as one datagram: the hold flushes from a zero-delay
-            slot, which the driver fires in the [sync] that follows the
-            drain, after the deliveries (and their persists) it
-            acknowledges. *)
-         let hold =
-           if P.ack_wire_bytes <> W.ack_bytes_block then None
-           else
-             Some
-               (Ba_proto.Ack_hold.create engine
-                  ~wire_modulus:config.Ba_proto.Proto_config.wire_modulus
-                  ~cap:config.Ba_proto.Proto_config.window ~delay:0 ~emit:send_ack)
-         in
-         let r =
-           P.create_receiver engine config
-             ~tx:(fun a -> tx (self ()) ~send_ack a)
-             ~deliver:(fun p -> deliver (self ()) p)
-         in
-         {
-           messages;
-           payload_size;
-           wseed;
-           on_deliver;
-           shim;
-           hold;
-           rx = Rx ((module P), r);
-           peer = no_peer;
-           next = 0;
-           dig = digest_seed;
-           epoch = 0;
-           dups = 0;
-           misordered = 0;
-           corrupted = 0;
-           handshakes = 0;
-         })
+    let knot = ref None in
+    let shim =
+      Shim.create engine ?plan ~seed:impair_seed
+        ~transmit:(fun buf len ->
+          let t = tied knot in
+          if t.peer != no_peer then send t.peer buf len)
+        ()
     in
-    let t = Lazy.force knot in
-    (* After the knot: restoring sends a POS, through [self ()]. *)
+    let buf = Bytes.create Codec.ack_len in
+    let send_ack a = Shim.send shim buf (Codec.encode_ack buf a) in
+    (* The block acknowledgments emitted during one socket drain leave as
+       one datagram: the hold flushes from a zero-delay slot, which the
+       driver fires in the [sync] that follows the drain, after the
+       deliveries (and their persists) it acknowledges. *)
+    let hold =
+      if P.ack_wire_bytes <> W.ack_bytes_block then None
+      else
+        Some
+          (Ba_proto.Ack_hold.create engine
+             ~wire_modulus:config.Ba_proto.Proto_config.wire_modulus
+             ~cap:config.Ba_proto.Proto_config.window ~delay:0 ~emit:send_ack)
+    in
+    let r =
+      P.create_receiver engine config
+        ~tx:(fun a -> tx (tied knot) ~send_ack a)
+        ~deliver:(fun p -> deliver (tied knot) p)
+    in
+    let t =
+      {
+        messages;
+        payload_size;
+        wseed;
+        on_deliver;
+        shim;
+        hold;
+        rx = Rx ((module P), r);
+        peer = no_peer;
+        next = 0;
+        dig = digest_seed;
+        epoch = 0;
+        dups = 0;
+        misordered = 0;
+        corrupted = 0;
+        handshakes = 0;
+      }
+    in
+    knot := Some t;
+    (* After the knot: restoring sends a POS, through it. *)
     (match (restore, t.rx) with
     | None, _ -> ()
     | Some (e, pos, d), Rx ((module P), r) -> (
@@ -184,7 +187,7 @@ module Client = struct
     messages : int;
     check_interval : int;
     dog : Ba_proto.Watchdog.t;
-    dog_slot : Ba_sim.Engine.slot;
+    mutable dog_slot : Ba_sim.Engine.slot;  (* [Engine.no_slot] until [make] sets it *)
     shim : Shim.t;
     clock : unit -> int;  (* [Driver.wall_us], or the engine's tick on a virtual network *)
     pulls : int Ba_util.Ring_buffer.t;
@@ -262,35 +265,33 @@ module Client = struct
       Shim.create engine ?plan ~seed:impair_seed ~transmit:(packer engine ~send) ()
     in
     let supply = Ba_proto.Workload.supplier ~seed:wseed ~size:payload_size ~count:messages in
-    (* The protocol's callbacks and the watchdog's slot reach the record
-       they are built into through [self ()]. *)
-    let rec knot =
-      lazy
-        (let self () = Lazy.force knot in
-         let s =
-           P.create_sender engine config
-             ~tx:(fun d -> send_data (self ()) d)
-             ~next_payload:(fun () -> pull (self ()) supply)
-         in
-         {
-           engine;
-           messages;
-           check_interval = watchdog.Ba_proto.Watchdog.check_interval;
-           dog = Ba_proto.Watchdog.create watchdog;
-           dog_slot = Ba_sim.Engine.slot_create engine (fun () -> check (self ()));
-           shim;
-           clock;
-           pulls = Ba_util.Ring_buffer.create ~limit:max_int (-1);
-           tx = Tx ((module P), s);
-           buf = Bytes.create (Codec.data_header_len + payload_size);
-           pulled = 0;
-           watermark = 0;
-           wd_resyncs = 0;
-           data_frames = 0;
-           handshakes = 0;
-         })
+    let knot = ref None in
+    let s =
+      P.create_sender engine config
+        ~tx:(fun d -> send_data (tied knot) d)
+        ~next_payload:(fun () -> pull (tied knot) supply)
     in
-    let t = Lazy.force knot in
+    let t =
+      {
+        engine;
+        messages;
+        check_interval = watchdog.Ba_proto.Watchdog.check_interval;
+        dog = Ba_proto.Watchdog.create watchdog;
+        dog_slot = Ba_sim.Engine.no_slot;
+        shim;
+        clock;
+        pulls = Ba_util.Ring_buffer.create ~limit:max_int (-1);
+        tx = Tx ((module P), s);
+        buf = Bytes.create (Codec.data_header_len + payload_size);
+        pulled = 0;
+        watermark = 0;
+        wd_resyncs = 0;
+        data_frames = 0;
+        handshakes = 0;
+      }
+    in
+    knot := Some t;
+    t.dog_slot <- Ba_sim.Engine.slot_create engine (fun () -> check t);
     Ba_sim.Engine.slot_arm engine t.dog_slot ~delay:t.check_interval;
     t
 

@@ -5,12 +5,11 @@
    lockstep epochs.
 
    Flows share the links; each frame travels with its flow index in the
-   link's arena tag column (and the lease ring's), so the tag costs no
-   allocation and faults mangle frames, never the demultiplexing.
-   Per-flow state is flat: one strided int array of counters, prefix
-   offsets into cell-wide flight rings, and per-protocol endpoint arrays
-   packed with their protocol's module. Nothing is sized by the
-   transfer. *)
+   link's arena tag column, so the tag costs no allocation and faults
+   mangle frames, never the demultiplexing. Per-flow state is flat: one
+   strided int array of counters, prefix offsets into cell-wide flight
+   rings, and per-protocol endpoint arrays packed with their protocol's
+   module. Nothing is sized by the transfer. *)
 
 module Engine = Ba_sim.Engine
 module Link = Ba_channel.Link
@@ -158,102 +157,6 @@ let admission ?budget specs =
         horizon = horizon_of admitted;
       }
 
-(* ---- capacity lease ---- *)
-
-(* The data direction's capacity lease: a FIFO of (flow, frame) the
-   cell has offered to the "shared" link, served onto [link] one frame
-   per [interval] ticks by a persistent engine slot. [base_rate] is the
-   cell's fair share in frames per epoch; reconciliation rewrites
-   [interval] at barriers. *)
-type lease = {
-  engine : Engine.t;
-  link : Wire.data Link.t;
-  svc : int;  (* the modelled link's service time, a floor on interval *)
-  barrier : int;
-  base_rate : int;
-  qcap : int;
-  mutable frames : Wire.data array;  (* [||] until the first offer *)
-  mutable tags : int array;
-  mutable head : int;
-  mutable tail : int;
-  mutable interval : int;
-  mutable serviced : int;  (* frames sent this epoch *)
-  mutable drops : int;
-  mutable slot : Engine.slot option;
-}
-
-let lease_backlog l = l.tail - l.head
-
-let make_lease engine link ~svc ~barrier ~qcap ~base_rate =
-  let l =
-    {
-      engine;
-      link;
-      svc;
-      barrier;
-      base_rate;
-      qcap;
-      frames = [||];
-      tags = Columns.take qcap 0;
-      head = 0;
-      tail = 0;
-      interval = max svc (barrier / max 1 base_rate);
-      serviced = 0;
-      drops = 0;
-      slot = None;
-    }
-  in
-  let service () =
-    if l.head < l.tail then begin
-      let k = l.head mod l.qcap in
-      l.head <- l.head + 1;
-      l.serviced <- l.serviced + 1;
-      Link.send_tagged l.link l.tags.(k) l.frames.(k);
-      if l.head < l.tail then Engine.slot_arm engine (Option.get l.slot) ~delay:l.interval
-    end
-  in
-  l.slot <- Some (Engine.slot_create engine service);
-  l
-
-let lease_offer l tag d =
-  if lease_backlog l >= l.qcap then begin
-    l.drops <- l.drops + 1;
-    Wire.release_data d
-  end
-  else begin
-    if Array.length l.frames = 0 then l.frames <- Columns.blank l.qcap;
-    let k = l.tail mod l.qcap in
-    l.frames.(k) <- d;
-    l.tags.(k) <- tag;
-    l.tail <- l.tail + 1;
-    let slot = Option.get l.slot in
-    if not (Engine.slot_armed l.engine slot) then
-      Engine.slot_arm l.engine slot ~delay:l.interval
-  end
-
-(* Barrier-time reconciliation over the cells' leases: cells with
-   no backlog cede their unused frame credits, backlogged cells split
-   the spare pro rata. Pure integer fold — cell order cannot matter. *)
-let reconcile_leases leases =
-  let spare = ref 0 and total_backlog = ref 0 in
-  Array.iter
-    (fun l ->
-      let b = lease_backlog l in
-      if b = 0 then spare := !spare + max 0 (l.base_rate - l.serviced)
-      else total_backlog := !total_backlog + b)
-    leases;
-  let rebalanced = !spare > 0 && !total_backlog > 0 in
-  Array.iter
-    (fun l ->
-      let b = lease_backlog l in
-      let rate =
-        if rebalanced && b > 0 then l.base_rate + (!spare * b / !total_backlog) else l.base_rate
-      in
-      l.interval <- max l.svc (l.barrier / max 1 rate);
-      l.serviced <- 0)
-    leases;
-  rebalanced
-
 (* ---- endpoints ---- *)
 
 (* The endpoints of every flow speaking one protocol, by slot, packed
@@ -309,7 +212,6 @@ type t = {
   engine : Engine.t;
   data_link : Wire.data Link.t;
   ack_link : Wire.ack Link.t;
-  data_lease : lease option;
   specs : spec array;  (* admitted flows, receiver budgets clamped *)
   refused : int;
   clamp : int option;
@@ -342,7 +244,6 @@ let gated c i = get c i k_gate > 0
 let engine c = c.engine
 let data_link c = c.data_link
 let ack_link c = c.ack_link
-let data_lease c = c.data_lease
 let flows c = Array.length c.specs
 let clamp c = c.clamp
 let deadline c = c.deadline
@@ -533,11 +434,7 @@ let offer_data c i d =
   (match d.Wire.dkind with
   | Wire.Msg -> note_sent c i d
   | Wire.Sync_req | Wire.Sync_fin -> add c i k_resync_rounds 1);
-  if gated c i then Wire.release_data d
-  else
-    match c.data_lease with
-    | Some l -> lease_offer l i d
-    | None -> Link.send_tagged c.data_link i d
+  if gated c i then Wire.release_data d else Link.send_tagged c.data_link i d
 
 let offer_ack c i a =
   add c i k_acks_sent 1;
@@ -627,7 +524,7 @@ let schedule_crashes c i plan =
 (* ---- construction ---- *)
 
 let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data_bottleneck
-    ?lease ?data_plan ?ack_plan ?watchdog ?(sketch = false) plan =
+    ?data_plan ?ack_plan ?watchdog ?(sketch = false) plan =
   (match data_bottleneck with
   | Some (svc, qcap) when svc <= 0 || qcap <= 0 ->
       invalid_arg "Cell.create: bottleneck needs positive service time and queue capacity"
@@ -655,11 +552,8 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
   (* The links are built before the cell their deliveries feed. *)
   let self = ref None in
   let arrive f i x = match !self with Some c -> f c i x | None -> () in
-  (* Under [lease] the bottleneck becomes a per-cell lease (below) and
-     the data link itself is uncontended. *)
   let data_link =
-    Link.create_tagged engine ~loss:data_loss ~delay:data_delay
-      ?bottleneck:(if lease = None then data_bottleneck else None)
+    Link.create_tagged engine ~loss:data_loss ~delay:data_delay ?bottleneck:data_bottleneck
       ~corrupt:Wire.corrupt_data ~release:Wire.release_data ~deliver:(arrive on_data) ()
   in
   let ack_link =
@@ -670,16 +564,6 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
      plan-free runs keep their exact event sequence. *)
   Option.iter (Link.set_plan data_link) data_plan;
   Option.iter (Link.set_plan ack_link) ack_plan;
-  (* A cell's lease is its flow-count share of the shared link's rate,
-     at least one frame per epoch, and of its queue, at least 4 slots. *)
-  let data_lease =
-    match (lease, data_bottleneck) with
-    | Some (barrier, total_flows), Some (svc, qcap) ->
-        let base_rate = max 1 (barrier / svc * n / max 1 total_flows) in
-        let qshare = max 4 (qcap * n / max 1 total_flows) in
-        Some (make_lease engine data_link ~svc ~barrier ~qcap:qshare ~base_rate)
-    | _ -> None
-  in
   (* Group flows by protocol name, so flows whose protocols share a
      name run on the first one's module; groups and slots are numbered
      in spec order. *)
@@ -717,7 +601,6 @@ let create ~engine_seed ~wseed ~data_loss ~ack_loss ~data_delay ~ack_delay ?data
       engine;
       data_link;
       ack_link;
-      data_lease;
       specs;
       refused;
       clamp;
@@ -836,12 +719,6 @@ let retire c =
     Engine.retire c.engine;
     Link.retire c.data_link;
     Link.retire c.ack_link;
-    Option.iter
-      (fun l ->
-        Columns.give l.tags;
-        l.tags <- [||];
-        l.frames <- [||])
-      c.data_lease;
     if c.ring_base != c.msg_base then Columns.give c.ring_base;
     List.iter Columns.give [ c.msg_base; c.st; c.pull_tick; c.gslot ];
     c.msg_base <- [||];
@@ -889,7 +766,6 @@ let counters c =
   Counters.add b Acks_sent (field k_acks_sent);
   Counters.add b Retransmissions (sum (retransmissions c));
   Counters.add b Pressure_drops (sum (pressure_drops c));
-  Counters.add b Lease_drops (match c.data_lease with Some l -> l.drops | None -> 0);
   Counters.add b Quarantine_events (dogs Watchdog.quarantine_events);
   Counters.add b Watchdog_resyncs (dogs Watchdog.resync_events);
   Counters.add b Quarantined

@@ -119,7 +119,6 @@ val create :
   data_delay:Ba_channel.Dist.t ->
   ack_delay:Ba_channel.Dist.t ->
   ?data_bottleneck:int * int ->
-  ?lease:int * int ->
   ?data_plan:Ba_channel.Fault_plan.t ->
   ?ack_plan:Ba_channel.Fault_plan.t ->
   ?watchdog:Watchdog.config ->
@@ -133,13 +132,12 @@ val create :
     {!Workload} seeded [wseed i].
 
     [data_bottleneck] is [(service_time, queue_capacity)], both
-    positive, else [Invalid_argument]. It sits on the data link exactly,
-    unless [lease = (barrier, total_flows)] is given: then it becomes a
-    capacity lease at this cell's flow-count share of the rate (at least
-    one frame per [barrier] ticks) and of the queue (at least 4 slots),
-    and the data link is uncontended. The ack link never has a
-    bottleneck: as in the paper, the reverse channel loses and reorders
-    but is not congested.
+    positive, else [Invalid_argument]: the data link's
+    {!Ba_channel.Link} bottleneck queue, the one bottleneck FIFO every
+    runner uses. {!Shard} sizes it to a cell's share of a shared link
+    and re-times it at its barriers ({!Ba_channel.Link.set_service}).
+    The ack link never has a bottleneck: as in the paper, the reverse
+    channel loses and reorders but is not congested.
 
     The admission's clamp caps each sender's window and each
     receiver's [rx_budget]. [watchdog]
@@ -211,7 +209,7 @@ val counters : t -> Ba_util.Counters.t
     [Completed_flows], [Departed] (closed at [stop_at] mid-transfer),
     [Refused], [Clamped_cells] (1 when admission clamped this cell),
     [Data_sent], [Acks_sent], [Retransmissions], [Pressure_drops],
-    [Lease_drops] (at this cell's lease queue), [Quarantine_events],
+    [Quarantine_events],
     [Watchdog_resyncs] and [Quarantined] (flows still quarantined).
     Every flow has ended when [Completed_flows + Departed = flows]. *)
 
@@ -222,19 +220,3 @@ val flow_result : t -> int -> Flow.result
     in a cell built with [sketch]). The link fields other than the
     send counts are 0: a shared link cannot attribute them to one flow.
     Call once per flow, after the run. *)
-
-(** {2 Capacity lease} *)
-
-type lease
-(** The data direction's share of a shared bottleneck: a FIFO of
-    offered frames served onto the cell's data link at the leased rate,
-    tail-dropping when full. *)
-
-val data_lease : t -> lease option
-(** [Some] when the cell was built with both [data_bottleneck] and
-    [lease]. *)
-
-val reconcile_leases : lease array -> bool
-(** Barrier-time fold over the cells' leases: idle leases cede their
-    unused frame credits to backlogged ones, pro rata to backlog.
-    Order-independent. [true] when spare capacity was re-leased. *)

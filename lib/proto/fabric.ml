@@ -40,9 +40,8 @@ let jain = function
       if sq = 0. then 1.0
       else sum *. sum /. (float_of_int (List.length xs) *. sq)
 
-(* Admission control plus one cell holding every flow. The shared data
-   link keeps its exact bottleneck queue: with one cell there is nothing
-   to lease between. *)
+(* Admission control plus one cell holding every flow, whose data link
+   carries the bottleneck queue as given. *)
 let run ?(seed = 42) ?(data_loss = 0.) ?(ack_loss = 0.)
     ?(data_delay = Ba_channel.Dist.Uniform (40, 60))
     ?(ack_delay = Ba_channel.Dist.Uniform (40, 60)) ?data_bottleneck ?data_plan ?ack_plan

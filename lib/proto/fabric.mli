@@ -8,11 +8,11 @@
     contention, fairness and aggregate-throughput questions need.
 
     A fabric run is admission control plus one {!Cell} holding every
-    admitted flow. Unlike {!Shard}, whose cells each get a lease on the
-    shared rate, the fabric's bottleneck is the exact {!Ba_channel.Link}
-    queue: with one cell there is nothing to lease between, and a queue
-    that serves frames in arrival order is the model itself rather than
-    an approximation of it.
+    admitted flow. Its bottleneck is the {!Ba_channel.Link} queue as
+    given. A {!Shard} cell's lease is the same queue on its own data
+    link, sized to the cell's share of the rate and re-timed at
+    barriers; with one cell the share is the whole link, so the two
+    runners model one bottleneck.
 
     The fabric is also where overload is handled: a [memory_budget]
     turns on admission control with graceful degradation (refuse new

@@ -1,6 +1,8 @@
 (* Sharded fabric: the Fabric model rebuilt as per-cell sub-simulations
    advanced in lockstep epochs, with the shared data link's bottleneck
-   realised as per-cell capacity leases reconciled at the barriers.
+   realised as per-cell capacity leases reconciled at the barriers. A
+   lease is its cell's own data-link bottleneck queue, sized to the
+   cell's share of the shared link and re-timed at every barrier.
 
    Everything semantic is a pure function of (specs, seed, cell,
    barrier, capacity, ...): each cell's engine/links/plans are seeded
@@ -12,6 +14,7 @@
    in input order, so the result is byte-identical at any job count. *)
 
 module Counters = Ba_util.Counters
+module Link = Ba_channel.Link
 
 type result = {
   flows : int;
@@ -37,6 +40,45 @@ type result = {
 
 let unsafe b = Counters.(get b Duplicates + get b Misordered + get b Corrupted) > 0
 
+(* A cell's capacity lease: the rate and queue share of the shared data
+   link [(svc, qcap)] its [n] of [total_flows] flows earn. The base rate
+   is frames per [barrier]-tick epoch, at least one; the queue share is
+   at least 4 slots and counts the frame in service, as a lease's
+   backlog does, so the data link's bottleneck queue, which counts only
+   the waiting frames, gets one slot fewer. *)
+type lease = {
+  link : Wire.data Link.t;
+  svc : int;  (* the shared link's service time, a floor on the lease's *)
+  barrier : int;
+  base_rate : int;
+  mutable mark : int;  (* [Link.served] at the last barrier *)
+}
+
+(* Barrier-time reconciliation: leases with no backlog cede their unused
+   frame credits, backlogged ones split the spare pro rata to backlog
+   and every link is re-timed for the next epoch. A pure integer fold,
+   so cell order cannot matter. [true] when spare capacity was
+   re-leased. *)
+let reconcile leases =
+  let spare = ref 0 and total_backlog = ref 0 in
+  Array.iter
+    (fun l ->
+      let b = Link.backlog l.link in
+      if b = 0 then spare := !spare + max 0 (l.base_rate - (Link.served l.link - l.mark))
+      else total_backlog := !total_backlog + b)
+    leases;
+  let rebalanced = !spare > 0 && !total_backlog > 0 in
+  Array.iter
+    (fun l ->
+      let b = Link.backlog l.link in
+      let rate =
+        if rebalanced && b > 0 then l.base_rate + (!spare * b / !total_backlog) else l.base_rate
+      in
+      Link.set_service l.link (max l.svc (l.barrier / rate));
+      l.mark <- Link.served l.link)
+    leases;
+  rebalanced
+
 (* What the result keeps of a cell once it has run. *)
 type part = {
   block : Counters.t;
@@ -51,14 +93,14 @@ type part = {
    which its leases were rebalanced, and its cells' parts in order. *)
 type batch = { epochs : int; rebalances : int; parts : part list }
 
-(* Advance [cells], each with its measured state, in lockstep epochs of
-   [barrier] ticks until every flow has ended or the horizon, and
-   reconcile their leases at every barrier. *)
+(* Advance [cells], each with its measured state and its lease, in
+   lockstep epochs of [barrier] ticks until every flow has ended or the
+   horizon, and reconcile their leases at every barrier. *)
 let run_batch ~jobs ~barrier ~horizon cells =
-  let leases = Array.of_list (List.filter_map (fun (c, _) -> Cell.data_lease c) cells) in
+  let leases = Array.of_list (List.filter_map (fun (_, _, l) -> l) cells) in
   let rebalances = ref 0 in
   let rec epoch_loop t epochs =
-    let alive = List.filter (fun (c, _) -> Cell.remaining c > 0) cells in
+    let alive = List.filter (fun (c, _, _) -> Cell.remaining c > 0) cells in
     if alive = [] || t >= horizon then (t, epochs)
     else begin
       let t_end = min horizon (t + barrier) in
@@ -71,16 +113,19 @@ let run_batch ~jobs ~barrier ~horizon cells =
       in
       ignore
         (Ba_parallel.Pool.map_chunks ~jobs ~chunk:1
-           (List.iter (fun (c, _) -> Ba_sim.Engine.run ~until:t_end (Cell.engine c)))
+           (List.iter (fun (c, _, _) -> Ba_sim.Engine.run ~until:t_end (Cell.engine c)))
            groups);
-      if Cell.reconcile_leases leases then incr rebalances;
+      if reconcile leases then incr rebalances;
       epoch_loop t_end (epochs + 1)
     end
   in
   let t, epochs = epoch_loop 0 0 in
-  let part (c, state) =
+  let part (c, state, _) =
+    let block = Cell.counters c in
+    Counters.add block Lease_drops
+      (Counters.get (Link.counters (Cell.data_link c)) Queue_dropped);
     {
-      block = Cell.counters c;
+      block;
       sketch = Option.get (Cell.sketch c);
       mem_peak = Cell.mem_peak c;
       flows = Cell.flows c;
@@ -89,7 +134,7 @@ let run_batch ~jobs ~barrier ~horizon cells =
     }
   in
   let parts = List.map part cells in
-  List.iter (fun (c, _) -> Cell.retire c) cells;
+  List.iter (fun (c, _, _) -> Cell.retire c) cells;
   { epochs; rebalances = !rebalances; parts }
 
 let run ?(seed = 42) ?jobs ?(cell = 1024) ?(barrier = 1000) ?(data_loss = 0.)
@@ -145,11 +190,28 @@ let run ?(seed = 42) ?jobs ?(cell = 1024) ?(barrier = 1000) ?(data_loss = 0.)
           let dp, ap = f ~cell_seed in
           (Some dp, Some ap)
     in
+    (* The cell's lease and the bottleneck it puts on its data link. A
+       capacity with a non-positive member goes to [Cell.create] as
+       given, which refuses it. *)
+    let share =
+      match capacity with
+      | Some (svc, qcap) when svc > 0 && qcap > 0 ->
+          let n = List.length plan.admitted in
+          let base_rate = max 1 (barrier / svc * n / total_flows) in
+          Some (svc, base_rate, (max svc (barrier / base_rate), max 4 (qcap * n / total_flows) - 1))
+      | Some _ | None -> None
+    in
     let c =
       Cell.create ~engine_seed:cell_seed
         ~wseed:(fun i -> seed + (7919 * ((ci * cell) + i + 1)))
-        ~data_loss ~ack_loss ~data_delay ~ack_delay ?data_bottleneck:capacity
-        ~lease:(barrier, total_flows) ?data_plan ?ack_plan ?watchdog ~sketch:true plan
+        ~data_loss ~ack_loss ~data_delay ~ack_delay
+        ?data_bottleneck:(match share with Some (_, _, b) -> Some b | None -> capacity)
+        ?data_plan ?ack_plan ?watchdog ~sketch:true plan
+    in
+    let lease =
+      Option.map
+        (fun (svc, base_rate, _) -> { link = Cell.data_link c; svc; barrier; base_rate; mark = 0 })
+        share
     in
     Cell.start c;
     let state =
@@ -159,7 +221,7 @@ let run ?(seed = 42) ?jobs ?(cell = 1024) ?(barrier = 1000) ?(data_loss = 0.)
         * (Sys.word_size / 8)
       else 0
     in
-    (c, state)
+    (c, state, lease)
   in
   (* Leases tie every cell to every other at each barrier, so with
      capacity the batch is every cell. Without it no cell waits on

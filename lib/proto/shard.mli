@@ -10,15 +10,22 @@
        and the harness, with its engine seeded
        [seed + 104729·(index+1)] and flow [i]'s workload
        [seed + 7919·(i+1)], so a cell is a deterministic sub-simulation.
-       A one-cell run without capacity equals {!Fabric.run} at that
-       engine seed, counter for counter.}
+       A one-cell run equals {!Fabric.run} at that engine seed, counter
+       for counter but the lease keys; with [capacity = (svc, q + 1)]
+       and a barrier that is a multiple of [svc] it equals a fabric
+       with [data_bottleneck = (svc, q)], and its [Lease_drops] is the
+       fabric's data-link [Queue_dropped].}
     {- {b Capacity leases.} The shared-router bottleneck on the data
        direction ([capacity = (service_time, queue_capacity)]) becomes a
-       per-cell {e lease}: each cell serves its data-frame FIFO at its
+       per-cell {e lease}: the cell's own data link's
+       {!Ba_channel.Link} bottleneck queue, serving at the cell's
        flow-count share of the link rate. At every epoch barrier the
        leases are reconciled — idle cells' unused frame credits are
        re-leased to backlogged cells in proportion to backlog — a
-       deterministic fold in cell order.}
+       deterministic fold in cell order, which re-times each queue
+       ({!Ba_channel.Link.set_service}) from its next service on. As on
+       the fabric's link, a frame's loss and fault-plan verdicts are
+       drawn when it is offered, before it queues.}
     {- {b Epoch barriers.} A batch of cells advances in lockstep,
        [Engine.run ~until] one [barrier]-tick epoch at a time, until
        every flow in it has ended or the horizon. With [capacity] the
@@ -55,7 +62,8 @@ type result = {
       (** the cells' {!Cell.counters} summed, plus [Lease_rebalances]
           (barriers at which idle capacity was re-leased). [Messages]
           counts the payloads admitted flows offer; [Lease_drops] the
-          frames tail-dropped at full cell lease queues. *)
+          frames tail-dropped at full cell lease queues, the sum of the
+          cells' data-link [Queue_dropped]. *)
   mem_peak_bytes : int;
       (** peak sampled model bytes (sum of per-cell peaks; 0 when
           neither budget nor watchdog is set) *)
@@ -117,8 +125,9 @@ val run :
     [capacity] is the shared data link's bottleneck [(service_time,
     queue_capacity)], realised as per-cell leases (see above): a cell's
     base lease is its flow-count share of the rate and at least one
-    frame per epoch; its queue share at least 4 slots. Both members
-    must be positive. Acknowledgments are never leased: the ack links
+    frame per epoch; its queue share at least 4 slots, counting the
+    frame in service, so its data link's queue holds one fewer waiting
+    frame. Both members must be positive. Acknowledgments are never leased: the ack links
     lose and reorder but are not congested.
 
     [memory_budget] splits by flow-count share into per-cell budgets and

@@ -200,6 +200,63 @@ let test_bottleneck_validation () =
     (Invalid_argument "Link.create: bottleneck needs positive service time and capacity")
     (fun () -> ignore (Link.create e ~bottleneck:(0, 5) ~deliver:(fun (_ : int) -> ()) ()))
 
+(* A re-timed queue: the service in progress keeps the time it started
+   with, and every later one takes the new time. *)
+let test_bottleneck_set_service () =
+  let e = Engine.create () in
+  let times = ref [] in
+  let l =
+    Link.create e ~delay:(Dist.Constant 0) ~bottleneck:(10, 100)
+      ~deliver:(fun m -> times := (m, Engine.now e) :: !times)
+      ()
+  in
+  for i = 0 to 3 do
+    Link.send l i
+  done;
+  Engine.run ~until:5 e;
+  Link.set_service l 3;
+  Engine.run e;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    "10 ticks for the frame in service, 3 after"
+    [ (0, 10); (1, 13); (2, 16); (3, 19) ]
+    (List.rev !times)
+
+(* The backlog is the waiting frames and the one in service; the served
+   count grows by one per service completion, whatever befalls the frame
+   after it. *)
+let test_bottleneck_backlog_and_served () =
+  let e = Engine.create () in
+  let l =
+    Link.create e ~delay:(Dist.Constant 50) ~bottleneck:(10, 2) ~deliver:(fun (_ : int) -> ()) ()
+  in
+  check Alcotest.(pair int int) "idle" (0, 0) (Link.backlog l, Link.served l);
+  for i = 0 to 4 do
+    Link.send l i
+  done;
+  (* One in service, two waiting, two tail-dropped. *)
+  check Alcotest.int "waiting" 2 (Link.queue_length l);
+  check Alcotest.int "backlog counts the frame in service" 3 (Link.backlog l);
+  check Alcotest.int "nothing served yet" 0 (Link.served l);
+  Engine.run ~until:25 e;
+  check Alcotest.(pair int int) "two services completed, none arrived" (1, 2)
+    (Link.backlog l, Link.served l);
+  Engine.run e;
+  check Alcotest.(pair int int) "all served" (0, 3) (Link.backlog l, Link.served l);
+  check Alcotest.int "served frames arrived" 3 (count l Passed);
+  check Alcotest.int "dropped ones never served" 2 (count l Queue_dropped)
+
+let test_set_service_needs_bottleneck () =
+  let e = Engine.create () in
+  let plain = Link.create e ~deliver:(fun (_ : int) -> ()) () in
+  Alcotest.check_raises "no bottleneck"
+    (Invalid_argument "Link.set_service: link has no bottleneck")
+    (fun () -> Link.set_service plain 5);
+  let queued = Link.create e ~bottleneck:(10, 4) ~deliver:(fun (_ : int) -> ()) () in
+  Alcotest.check_raises "non-positive time"
+    (Invalid_argument "Link.set_service: service time must be positive")
+    (fun () -> Link.set_service queued 0)
+
 (* ------------------------------------------------------------------ *)
 (* Fault plans *)
 
@@ -538,6 +595,11 @@ let () =
           Alcotest.test_case "bottleneck drains then idles" `Quick
             test_bottleneck_drains_then_idles;
           Alcotest.test_case "bottleneck validation" `Quick test_bottleneck_validation;
+          Alcotest.test_case "set_service re-times from the next service" `Quick
+            test_bottleneck_set_service;
+          Alcotest.test_case "backlog and served" `Quick test_bottleneck_backlog_and_served;
+          Alcotest.test_case "set_service needs a bottleneck" `Quick
+            test_set_service_needs_bottleneck;
           Alcotest.test_case "arena growth forces no minor collection" `Quick
             test_link_arena_growth_no_minor;
           Alcotest.test_case "retired link refuses to send" `Quick test_link_retired_refuses;

@@ -55,9 +55,8 @@ let test_measured_run_fills_state_bytes () =
   check Alcotest.bool "state measured" true (r.Shard.state_bytes > 0)
 
 let test_capacity_lease_run_completes () =
-  (* A tight shared bottleneck realised as per-cell leases: the run must
-     still complete, and the lease layer (not the per-cell links) must
-     be doing the queueing. *)
+  (* A tight shared bottleneck realised as per-cell leases, each its
+     cell's data-link queue: the run must still complete. *)
   let specs = mixed_specs ~messages:5 ~flows:24 in
   let r = Shard.run ~seed:11 ~jobs:1 ~cell:6 ~capacity:(2, 64) specs in
   let n = Counters.get r.Shard.counters in
@@ -251,7 +250,7 @@ let build_cell protocol config =
     ~engine_seed:(7 + (104729 * (ci + 1)))
     ~wseed:(fun i -> 7 + (7919 * ((ci * per_cell) + i + 1)))
     ~data_loss:0. ~ack_loss:0. ~data_delay:(Dist.Uniform (40, 60))
-    ~ack_delay:(Dist.Uniform (40, 60)) ~lease:(1000, flows) ~sketch:true
+    ~ack_delay:(Dist.Uniform (40, 60)) ~sketch:true
     (Ba_proto.Cell.admission (List.init per_cell (fun _ -> spec)))
 
 (* Endpoints that are their callbacks: a cell of these keeps only its
@@ -564,12 +563,18 @@ let test_storm_churn_shard_sweep () =
 (* ------------------------------------------------------------------ *)
 (* One cell behind every runner: a one-cell shard run is the fabric's model. Fabric runs
    its single cell with engine seed [seed]; shard cell 0 is seeded
-   [seed + 104729]. Without capacity (the one place the two differ: a
-   lease versus the exact link queue) the runs agree on every summary
-   field but the cell and epoch counts: their counter blocks are equal,
-   and so are the extras below. Latency is compared by count and
-   maximum, which are exact; the sketch's quantiles depend on insertion
-   order. *)
+   [seed + 104729]. The runs agree on every summary field but the cell
+   and epoch counts: their counter blocks are equal but for the two
+   lease keys, and so are the extras below. Latency is compared by count
+   and maximum, which are exact; the sketch's quantiles depend on
+   insertion order.
+
+   A lease is the cell's data-link bottleneck queue, so capacity is
+   covered too. A one-cell lease of [(svc, q + 1)] is the whole link:
+   with a barrier that is a multiple of [svc] it serves one frame per
+   [svc] ticks, and it has [q] queue slots beside the frame in service,
+   which is Fabric's [(svc, q)] queue. Its tail drops are that queue's
+   [Queue_dropped], and a lone lease has nothing to rebalance with. *)
 
 let shard_extras (r : Shard.result) =
   let l = r.Shard.latency in
@@ -600,24 +605,40 @@ let render block extras =
   |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
   |> String.concat " "
 
-let one_cell_agrees ~seed ~loss ?memory_budget ?watchdog ?plans_for specs =
+let lease_keys = Counters.[ Lease_drops; Lease_rebalances ]
+
+let without_lease block =
+  List.filter_map
+    (fun k -> if List.mem k lease_keys then None else Some (k, Counters.get block k))
+    Counters.all
+
+let one_cell_agrees ~seed ~loss ?capacity ?memory_budget ?watchdog ?plans_for specs =
   let loss = if loss then 0.05 else 0. in
+  let barrier = match capacity with Some (svc, _) -> 500 * svc | None -> 500 in
   let s =
-    Shard.run ~seed ~jobs:1 ~cell:1024 ~barrier:500 ~data_loss:loss ~ack_loss:loss ?plans_for
-      ?memory_budget ?watchdog specs
+    Shard.run ~seed ~jobs:1 ~cell:1024 ~barrier ~data_loss:loss ~ack_loss:loss
+      ?capacity:(Option.map (fun (svc, q) -> (svc, q + 1)) capacity)
+      ?plans_for ?memory_budget ?watchdog specs
   in
   let plans = Option.map (fun f -> f ~cell_seed:(seed + 104729)) plans_for in
   let f =
-    Fabric.run ~seed:(seed + 104729) ~data_loss:loss ~ack_loss:loss
+    Fabric.run ~seed:(seed + 104729) ~data_loss:loss ~ack_loss:loss ?data_bottleneck:capacity
       ?data_plan:(Option.map fst plans) ?ack_plan:(Option.map snd plans) ?memory_budget
       ?watchdog specs
   in
-  if s.Shard.counters = f.Fabric.counters && shard_extras s = fabric_extras f then Ok s
+  let lease n = Counters.get s.Shard.counters n in
+  if
+    without_lease s.Shard.counters = without_lease f.Fabric.counters
+    && lease Lease_drops = Counters.get f.Fabric.data_link Queue_dropped
+    && lease Lease_rebalances = 0
+    && shard_extras s = fabric_extras f
+  then Ok s
   else
     Error
-      (Printf.sprintf "shard  %s\nfabric %s"
+      (Printf.sprintf "shard  %s\nfabric %s data-queue-dropped=%d"
          (render s.Shard.counters (shard_extras s))
-         (render f.Fabric.counters (fabric_extras f)))
+         (render f.Fabric.counters (fabric_extras f))
+         (Counters.get f.Fabric.data_link Queue_dropped))
 
 let test_one_cell_shard_is_fabric =
   qcheck
@@ -639,7 +660,8 @@ let test_one_cell_shard_is_fabric =
            else None
          in
          match
-           one_cell_agrees ~seed:sc.sc_seed ~loss:sc.sc_loss ?memory_budget:sc.sc_budget
+           one_cell_agrees ~seed:sc.sc_seed ~loss:sc.sc_loss ?capacity:sc.sc_capacity
+             ?memory_budget:sc.sc_budget
              ?watchdog:(if sc.sc_watchdog then Some Ba_proto.Watchdog.default_config else None)
              ?plans_for specs
          with
@@ -648,7 +670,8 @@ let test_one_cell_shard_is_fabric =
              QCheck.Test.fail_reportf
                "seed %d: %d flows of %d messages cycling blockack-multi, selective-repeat, \
                 go-back-n (window 4, rto 800, 24 B payloads)%s; %s loss each way, budget %s, \
-                watchdog %b; shard: one cell of 1024, barrier 500, cell seed %d\n%s"
+                watchdog %b; fabric bottleneck %s; shard: one cell of 1024, %s, cell seed \
+                %d\n%s"
                sc.sc_seed sc.sc_flows sc.sc_messages
                (if sc.sc_storm then
                   " after a blockack-multi churn (base 2, churners 2, window 4, rto 800), \
@@ -656,7 +679,15 @@ let test_one_cell_shard_is_fabric =
                 else "")
                (if sc.sc_loss then "5%" else "no")
                (match sc.sc_budget with Some b -> string_of_int b | None -> "none")
-               sc.sc_watchdog (sc.sc_seed + 104729) e))
+               sc.sc_watchdog
+               (match sc.sc_capacity with
+               | Some (svc, q) -> Printf.sprintf "(%d, %d)" svc q
+               | None -> "none")
+               (match sc.sc_capacity with
+               | Some (svc, q) ->
+                   Printf.sprintf "capacity (%d, %d), barrier %d" svc (q + 1) (500 * svc)
+               | None -> "barrier 500")
+               (sc.sc_seed + 104729) e))
 
 let test_one_cell_shard_resyncs_like_fabric () =
   (* A data-link outage stalls every flow long enough for the watchdog to
@@ -806,15 +837,18 @@ let shape_digest s =
        ^ Marshal.to_string (r, h, f) [ Marshal.No_sharing ]))
 
 (* Taking a column from the pool is building it afresh: shape [a] run
-   after a different shape [b] has left its own, differently sized
-   columns in the pool digests the same as [a] run first, and as [a] in
-   a fresh domain, whose pool starts empty. *)
+   from an empty pool digests the same as [a] run after itself and a
+   different shape [b] have left their own, differently sized columns
+   there, and as [a] in a fresh domain, whose pool starts empty. Each
+   case clears the pool first, so [first] is always the cold run,
+   whatever the cases before it left. *)
 let pool_is_transparent =
   QCheck.Test.make ~name:"a pooled run equals a fresh one" ~count:20
     (QCheck.make
        ~print:(fun (a, b) -> shape_print a ^ " / " ^ shape_print b)
        (QCheck.Gen.pair shape_gen shape_gen))
     (fun (a, b) ->
+      Ba_util.Column_pool.clear ();
       let first = shape_digest a in
       ignore (shape_digest b);
       let again = shape_digest a in
